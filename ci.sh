@@ -1,52 +1,4 @@
 #!/usr/bin/env sh
-# Tier-1 verify line. Keep in sync with ROADMAP.md and the Makefile.
-set -eux
-
-go build ./...
-go vet ./...
-
-# Formatting is enforced: an unformatted tree fails CI.
-fmt_out="$(gofmt -l .)"
-if [ -n "$fmt_out" ]; then
-    echo "gofmt needed on:" >&2
-    echo "$fmt_out" >&2
-    exit 1
-fi
-
-# Segment pruning is on by default, so the race run — including the chaos
-# suite in internal/cluster — exercises retries, hedging, and partial results
-# with broker- and server-side pruning live.
-go test -race ./...
-
-# Benchmark check (make bench-check): one iteration each, so benchmarks keep
-# compiling and running on every PR without turning CI into a perf run, plus
-# a guard that no benchmark named in BENCH_baseline.json has disappeared and
-# that the headline A/B pairs (pruning, encode pool, metrics overhead,
-# multi-tier caching) stay in the baseline.
-go test -run NONE -bench . -benchtime 1x ./... > .bench-run.txt
-go run ./cmd/benchcheck BENCH_baseline.json \
-    BenchmarkPruneTimeRangeOn BenchmarkPruneTimeRangeOff \
-    BenchmarkPruneBloomEqOn BenchmarkPruneBloomEqOff \
-    BenchmarkEncodeResponsePooled BenchmarkEncodeResponseFresh \
-    BenchmarkQueryMetricsOn BenchmarkQueryMetricsOff \
-    BenchmarkTransportLoopbackQuery BenchmarkStreamVsBuffered \
-    BenchmarkResultCacheColdVsWarm BenchmarkServerAggCacheZipf \
-    BenchmarkExprCompiledVsInterp BenchmarkTimeBucketGroupBy \
-    BenchmarkDictExprPredicate BenchmarkDictExprGroupBy \
-    < .bench-run.txt
-rm -f .bench-run.txt
-
-# Fuzz smoke over the hostile-input surfaces: a few seconds each of the
-# wire-frame decoder, the PQL parser (never panic + canonical-fixpoint on
-# accepted input) and the expression evaluator (sandbox limits + kernel/
-# interpreter agreement) on every PR, without a long fuzzing campaign.
-go test ./internal/transport -run NONE -fuzz FuzzDecodeFrame -fuzztime 5s
-go test ./internal/pql -run NONE -fuzz FuzzParsePQL -fuzztime 5s
-go test ./internal/expr -run NONE -fuzz FuzzExprEval -fuzztime 5s
-
-# Per-package coverage floors (make cover): the checked-in baseline pins a
-# floor slightly below each package's measured coverage so instrumentation
-# and tests cannot silently rot.
-go test -count=1 -cover ./... > .cover-run.txt
-go run ./cmd/covercheck COVERAGE_baseline.json < .cover-run.txt
-rm -f .cover-run.txt
+# Tier-1 verify line: the Makefile is the one copy of the policy.
+set -eu
+exec make verify

@@ -32,8 +32,6 @@ type Config struct {
 	TargetServers int
 	// RoutingTables is C of Algorithm 2: how many tables to keep.
 	RoutingTables int
-	// RoutingCandidates is G of Algorithm 2: how many to generate.
-	RoutingCandidates int
 	// PartitionAware routes single-partition queries only to servers
 	// holding the relevant partition's segments (paper Figure 16).
 	PartitionAware bool
@@ -68,15 +66,9 @@ type Config struct {
 	// ResultCacheBytes bounds the result cache's resident size
 	// (0 = qcache.DefaultMaxBytes).
 	ResultCacheBytes int64
-	// ResultCachePolicy selects the eviction policy ("lru" default, or
-	// "lfu").
-	ResultCachePolicy string
 	// Metrics receives the broker's instrumentation; nil means the
 	// process-wide metrics.Default().
 	Metrics *metrics.Registry
-	// SlowLogSize bounds the slow-query ring served at /debug/queries
-	// (0 = metrics.DefaultSlowLogSize).
-	SlowLogSize int
 }
 
 func (c *Config) withDefaults() {
@@ -88,9 +80,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.RoutingTables <= 0 {
 		c.RoutingTables = 8
-	}
-	if c.RoutingCandidates <= 0 {
-		c.RoutingCandidates = 10 * c.RoutingTables
 	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 10 * time.Second
@@ -139,12 +128,13 @@ type Broker struct {
 	rndMu sync.Mutex
 	rnd   *rand.Rand
 
-	mu          sync.Mutex
-	routing     map[string]*routingState // resource → routing
-	configs     map[string]*table.Config // resource → config cache
-	watching    map[string]func()        // resource → external-view watch cancel
-	cfgWatching map[string]func()        // resource → table-config watch cancel
-	evCancel    func()
+	mu           sync.Mutex
+	routing      map[string]*routingState // resource → routing
+	routingEpoch int                      // bumped by every invalidation
+	configs      map[string]*table.Config // resource → config cache
+	watching     map[string]func()        // resource → external-view watch cancel
+	cfgWatching  map[string]func()        // resource → table-config watch cancel
+	evCancel     func()
 }
 
 // New creates a broker. The registry resolves server instances to query
@@ -160,7 +150,7 @@ func New(cfg Config, store zkmeta.Endpoint, registry transport.Registry) *Broker
 		store:       store,
 		registry:    registry,
 		met:         newBrokerMetrics(cfg.Metrics),
-		slow:        metrics.NewSlowLog(cfg.SlowLogSize),
+		slow:        metrics.NewSlowLog(0),
 		rnd:         rand.New(rand.NewSource(seed)),
 		routing:     map[string]*routingState{},
 		configs:     map[string]*table.Config{},
@@ -171,7 +161,6 @@ func New(cfg Config, store zkmeta.Endpoint, registry transport.Registry) *Broker
 		b.resultCache = qcache.New(qcache.Config{
 			Tier:     "result",
 			MaxBytes: cfg.ResultCacheBytes,
-			Policy:   qcache.Policy(cfg.ResultCachePolicy),
 			Metrics:  b.met.reg,
 		})
 	}
@@ -270,6 +259,7 @@ func (b *Broker) Stop() {
 func (b *Broker) invalidateAll() {
 	b.mu.Lock()
 	b.routing = map[string]*routingState{}
+	b.routingEpoch++
 	b.mu.Unlock()
 	if b.resultCache != nil {
 		b.resultCache.InvalidateAll()
@@ -279,6 +269,7 @@ func (b *Broker) invalidateAll() {
 func (b *Broker) invalidate(resource string) {
 	b.mu.Lock()
 	delete(b.routing, resource)
+	b.routingEpoch++
 	b.mu.Unlock()
 	// The version-vector key already makes the dropped routing state's
 	// entries unreachable; the eager scope invalidation reclaims their
@@ -335,6 +326,20 @@ func (b *Broker) tableConfig(resource string) (*table.Config, bool) {
 func (b *Broker) routingFor(resource string) (*routingState, error) {
 	b.mu.Lock()
 	rs, ok := b.routing[resource]
+	epoch := b.routingEpoch
+	// Watch before reading, so an external-view update that lands while
+	// this routing state is being built is seen (paper 3.3.2: "brokers
+	// listen to changes to the cluster state and update their routing
+	// tables").
+	if _, watching := b.watching[resource]; !ok && !watching {
+		events, cancel := b.sess.Watch(helix.ExternalViewPath(b.cfg.Cluster, resource))
+		b.watching[resource] = cancel
+		go func() {
+			for range events {
+				b.invalidate(resource)
+			}
+		}()
+	}
 	b.mu.Unlock()
 	if ok {
 		return rs, nil
@@ -376,7 +381,8 @@ func (b *Broker) routingFor(resource string) (*routingState, error) {
 	b.rndMu.Lock()
 	switch b.cfg.Strategy {
 	case StrategyLargeCluster:
-		tables, err := filterRoutingTables(si, b.cfg.TargetServers, b.cfg.RoutingTables, b.cfg.RoutingCandidates, b.rnd)
+		// Algorithm 2 generates G = 10·C candidate tables and keeps the C best.
+		tables, err := filterRoutingTables(si, b.cfg.TargetServers, b.cfg.RoutingTables, 10*b.cfg.RoutingTables, b.rnd)
 		if err == nil {
 			rs.tables = tables
 		}
@@ -399,19 +405,11 @@ func (b *Broker) routingFor(resource string) (*routingState, error) {
 		}
 	}
 	rs.version = routingVersion(ver, ev, rs.segMeta)
+	// Keep the state only if no invalidation ran while it was being built;
+	// otherwise it answers this query and the next one rebuilds.
 	b.mu.Lock()
-	b.routing[resource] = rs
-	// Register a data watch so external-view updates refresh routing
-	// (paper 3.3.2: "brokers listen to changes to the cluster state and
-	// update their routing tables").
-	if _, ok := b.watching[resource]; !ok {
-		events, cancel := b.sess.Watch(helix.ExternalViewPath(b.cfg.Cluster, resource))
-		b.watching[resource] = cancel
-		go func() {
-			for range events {
-				b.invalidate(resource)
-			}
-		}()
+	if b.routingEpoch == epoch {
+		b.routing[resource] = rs
 	}
 	b.mu.Unlock()
 	return rs, nil

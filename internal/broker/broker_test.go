@@ -577,3 +577,64 @@ func TestBrokerMalformedResponseDegradesToRetry(t *testing.T) {
 		t.Fatalf("server exceptions = %+v", res.ServerExceptions)
 	}
 }
+
+// racingEndpoint mints sessions whose first read of path is followed, before
+// it returns to the broker, by the write in after: a metadata update landing
+// while the broker is still building state from the value it just read.
+type racingEndpoint struct {
+	zkmeta.Endpoint
+	path  string
+	after func()
+	once  sync.Once
+}
+
+type racingClient struct {
+	zkmeta.Client
+	ep *racingEndpoint
+}
+
+func (e *racingEndpoint) NewClient() zkmeta.Client {
+	return racingClient{Client: e.Endpoint.NewClient(), ep: e}
+}
+
+func (c racingClient) Get(path string) ([]byte, int, error) {
+	data, ver, err := c.Client.Get(path)
+	if path == c.ep.path {
+		c.ep.once.Do(c.ep.after)
+	}
+	return data, ver, err
+}
+
+// TestBrokerViewChangeDuringRoutingBuildIsNotLost: an external-view update
+// that lands between the broker's read of the view and the moment it keeps
+// the routing state built from it must still refresh routing. Watching only
+// after the read lost that update for good — routing, and every result cached
+// under its version, stayed on the old view until some later change (the
+// multi-process e2e hung on exactly this when segments came online while the
+// first query was being routed).
+func TestBrokerViewChangeDuringRoutingBuildIsNotLost(t *testing.T) {
+	env := newTestEnv(t, Config{})
+	env.addTable(t, "ev_OFFLINE", map[string][]string{"s1": {"seg0"}}, 10)
+	ep := &racingEndpoint{Endpoint: env.store, path: helix.ExternalViewPath("test", "ev_OFFLINE"), after: func() {
+		env.addTable(t, "ev_OFFLINE", map[string][]string{"s1": {"seg0", "seg1"}}, 10)
+	}}
+	b := New(Config{Cluster: "test", Instance: "broker2", Seed: 1}, ep, transport.RegistryFunc(func(instance string) (transport.ServerClient, bool) {
+		s, ok := env.servers[instance]
+		return s, ok
+	}))
+	if err := b.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		res, err := b.Execute(context.Background(), "SELECT count(*) FROM ev", "")
+		if err == nil && !res.Partial && res.Rows[0][0].(int64) == 20 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("routing stuck on the view read before the update: %v %v", res, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

@@ -11,9 +11,7 @@
 //   - The hot path must be lock-free: recording to an instrument is a map
 //     read under an RWMutex at most (family lookup) and atomic adds after.
 //     Callers on the data plane cache instrument handles, reducing a record
-//     to one atomic add. A disabled registry (SetDisabled) reduces it to one
-//     atomic load, which is what the DisableMetrics A/B benchmark compares
-//     against.
+//     to one atomic add.
 //   - Zero dependencies: every package imports this one, so it imports
 //     nothing but the standard library (the same rule qctx follows).
 //   - Tests are first-class consumers: the assertion helpers (Value, Total,
@@ -61,8 +59,6 @@ func (k Kind) String() string {
 // Registry holds metric families. The zero value is not usable; create with
 // NewRegistry or use the process-wide Default.
 type Registry struct {
-	disabled atomic.Bool
-
 	mu       sync.RWMutex
 	families map[string]*Family
 }
@@ -78,16 +74,6 @@ var defaultRegistry = NewRegistry()
 // not handed an explicit one (and by the all-in-one cmd/pinot binary, where
 // one process is one cluster).
 func Default() *Registry { return defaultRegistry }
-
-// SetDisabled turns recording on or off for every instrument of the
-// registry. Disabled instruments drop observations at the cost of a single
-// atomic load; reads still work and return the values accumulated while
-// enabled. This is the DisableMetrics switch the overhead A/B benchmark
-// measures against.
-func (r *Registry) SetDisabled(v bool) { r.disabled.Store(v) }
-
-// Disabled reports whether recording is off.
-func (r *Registry) Disabled() bool { return r.disabled.Load() }
 
 // family returns (registering on first use) the named family. Registration
 // is idempotent; re-registering with a different kind or label set panics,
@@ -107,7 +93,6 @@ func (r *Registry) family(name, help string, kind Kind, labels []string) *Family
 		return f
 	}
 	f = &Family{
-		reg:      r,
 		name:     name,
 		help:     help,
 		kind:     kind,
@@ -198,7 +183,6 @@ func (r *Registry) HistogramOf(name string, labelValues ...string) *Histogram {
 // Family is one named metric with a fixed label set and one instrument per
 // distinct label-value combination.
 type Family struct {
-	reg    *Registry
 	name   string
 	help   string
 	kind   Kind
@@ -261,7 +245,7 @@ func (f *Family) With(values ...string) *Instrument {
 	if c, ok := f.children[key]; ok {
 		return c
 	}
-	c := &Instrument{fam: f, labelValues: append([]string(nil), values...)}
+	c := &Instrument{labelValues: append([]string(nil), values...)}
 	if f.kind == KindHistogram {
 		c.hist = &Histogram{}
 	}
@@ -285,7 +269,6 @@ func (f *Family) Children() []*Instrument {
 
 // Instrument is one counter, gauge or histogram child of a family.
 type Instrument struct {
-	fam         *Family
 	labelValues []string
 	val         atomic.Int64
 	hist        *Histogram
@@ -294,14 +277,9 @@ type Instrument struct {
 // LabelValues returns the child's label values in family label order.
 func (c *Instrument) LabelValues() []string { return c.labelValues }
 
-func (c *Instrument) off() bool { return c.fam.reg.disabled.Load() }
-
 // Add increments a counter or gauge by n. Counters must not go backwards;
 // that is the caller's contract, not checked on the hot path.
 func (c *Instrument) Add(n int64) {
-	if c.off() {
-		return
-	}
 	c.val.Add(n)
 }
 
@@ -313,9 +291,6 @@ func (c *Instrument) Dec() { c.Add(-1) }
 
 // Set stores a gauge value.
 func (c *Instrument) Set(v int64) {
-	if c.off() {
-		return
-	}
 	c.val.Store(v)
 }
 
@@ -324,18 +299,12 @@ func (c *Instrument) Value() int64 { return c.val.Load() }
 
 // Observe records a histogram observation.
 func (c *Instrument) Observe(v float64) {
-	if c.off() {
-		return
-	}
 	c.hist.Observe(v)
 }
 
 // ObserveDuration records a latency observation in microseconds, the unit
 // of every `_us` histogram in the catalog.
 func (c *Instrument) ObserveDuration(d time.Duration) {
-	if c.off() {
-		return
-	}
 	c.hist.RecordDuration(d)
 }
 

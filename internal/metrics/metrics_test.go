@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestRegistryCountersAndGauges(t *testing.T) {
@@ -54,27 +53,6 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
-}
-
-func TestRegistryDisabled(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c_total", "").With()
-	h := r.Histogram("h_us", "").With()
-	c.Inc()
-	h.Observe(5)
-	r.SetDisabled(true)
-	c.Inc()
-	c.Add(10)
-	c.Set(99)
-	h.Observe(5)
-	h.ObserveDuration(time.Second)
-	r.SetDisabled(false)
-	if got := c.Value(); got != 1 {
-		t.Fatalf("disabled counter moved: %d", got)
-	}
-	if got := h.Hist().Count(); got != 1 {
-		t.Fatalf("disabled histogram moved: %d", got)
-	}
 }
 
 func TestRegistryConcurrentWith(t *testing.T) {
@@ -233,17 +211,6 @@ func TestSlowLogConcurrent(t *testing.T) {
 func BenchmarkCounterInc(b *testing.B) {
 	r := NewRegistry()
 	c := r.Counter("bench_total", "").With()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
-}
-
-func BenchmarkCounterIncDisabled(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("bench_total", "").With()
-	r.SetDisabled(true)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			c.Inc()

@@ -4,9 +4,9 @@
 // table resource for the result tier, a segment name for the aggregate
 // tier) so a segment state change invalidates exactly the affected entries
 // — precise invalidation, never time-based staleness. Eviction is bounded
-// by bytes under a selectable LRU or LFU policy with a small-result
-// admission bias: dashboard-style workloads repeat many small aggregations,
-// and one monster selection must not wipe out a thousand useful entries.
+// by bytes, least-recently-used first, with a small-result admission bias:
+// dashboard-style workloads repeat many small aggregations, and one monster
+// selection must not wipe out a thousand useful entries.
 package qcache
 
 import (
@@ -16,26 +16,8 @@ import (
 	"pinot/internal/metrics"
 )
 
-// Policy selects the eviction discipline.
-type Policy string
-
-// Eviction policies.
-const (
-	// PolicyLRU evicts the least-recently-used entry.
-	PolicyLRU Policy = "lru"
-	// PolicyLFU evicts the least-frequently-used entry among the coldest
-	// candidates (frequency first, recency as the tiebreak), so a burst of
-	// one-off queries cannot flush the perennially hot dashboard set.
-	PolicyLFU Policy = "lfu"
-)
-
 // DefaultMaxBytes bounds a cache tier when the config leaves it zero.
 const DefaultMaxBytes = 64 << 20
-
-// lfuScan bounds how many cold-end entries an LFU eviction inspects; the
-// victim is the least-frequent (then least-recent) of that window, keeping
-// eviction O(1)-ish while still strongly preferring low-frequency entries.
-const lfuScan = 16
 
 // Config tunes one cache tier.
 type Config struct {
@@ -46,8 +28,6 @@ type Config struct {
 	// MaxEntryBytes is the admission cap: entries larger than this are
 	// rejected outright — the small-result bias. 0 defaults to MaxBytes/8.
 	MaxEntryBytes int64
-	// Policy selects eviction (default PolicyLRU).
-	Policy Policy
 	// Metrics receives the tier's instrumentation (nil = metrics.Default()).
 	Metrics *metrics.Registry
 }
@@ -62,9 +42,6 @@ func (c *Config) withDefaults() {
 	if c.MaxEntryBytes <= 0 {
 		c.MaxEntryBytes = c.MaxBytes / 8
 	}
-	if c.Policy == "" {
-		c.Policy = PolicyLRU
-	}
 }
 
 // entry is one cached value. table is carried so per-table metric families
@@ -76,7 +53,6 @@ type entry struct {
 	table string
 	val   any
 	size  int64
-	freq  int64
 }
 
 type cacheMetrics struct {
@@ -142,8 +118,8 @@ func New(cfg Config) *Cache {
 func composite(scope, key string) string { return scope + "\x00" + key }
 
 // Get returns the value cached under (scope, key), recording a hit or miss
-// for the table. On a hit the entry's recency and frequency are refreshed
-// and its size is credited to the table's bytes-saved counter.
+// for the table. On a hit the entry's recency is refreshed and its
+// size is credited to the table's bytes-saved counter.
 func (c *Cache) Get(scope, table, key string) (any, bool) {
 	ck := composite(scope, key)
 	c.mu.Lock()
@@ -154,7 +130,6 @@ func (c *Cache) Get(scope, table, key string) (any, bool) {
 		return nil, false
 	}
 	e := el.Value.(*entry)
-	e.freq++
 	c.order.MoveToFront(el)
 	val, size := e.val, e.size
 	c.mu.Unlock()
@@ -185,7 +160,7 @@ func (c *Cache) Put(scope, table, key string, val any, size int64) bool {
 		e.val, e.size, e.table = val, size, table
 		c.order.MoveToFront(el)
 	} else {
-		e := &entry{scope: scope, key: key, table: table, val: val, size: size, freq: 1}
+		e := &entry{scope: scope, key: key, table: table, val: val, size: size}
 		el := c.order.PushFront(e)
 		c.byKey[ck] = el
 		if c.byScope[scope] == nil {
@@ -195,10 +170,7 @@ func (c *Cache) Put(scope, table, key string, val any, size int64) bool {
 		c.curBytes += size
 	}
 	for c.curBytes > c.cfg.MaxBytes && c.order.Len() > 1 {
-		el := c.pickVictimLocked()
-		if el == nil || el == c.order.Front() && c.order.Len() == 1 {
-			break
-		}
+		el := c.order.Back()
 		e := el.Value.(*entry)
 		c.removeLocked(el)
 		victims = append(victims, victim{e.table})
@@ -209,29 +181,6 @@ func (c *Cache) Put(scope, table, key string, val any, size int64) bool {
 		c.met.evictions.With(c.cfg.Tier, v.table).Inc()
 	}
 	return true
-}
-
-// pickVictimLocked chooses the entry to evict. LRU takes the back of the
-// recency list; LFU scans the lfuScan coldest entries and takes the least
-// frequent (least recent on ties).
-func (c *Cache) pickVictimLocked() *list.Element {
-	back := c.order.Back()
-	if back == nil || c.cfg.Policy != PolicyLFU {
-		return back
-	}
-	best := back
-	bestFreq := back.Value.(*entry).freq
-	el := back
-	for i := 1; i < lfuScan && el != nil; i++ {
-		el = el.Prev()
-		if el == nil {
-			break
-		}
-		if f := el.Value.(*entry).freq; f < bestFreq {
-			best, bestFreq = el, f
-		}
-	}
-	return best
 }
 
 func (c *Cache) removeLocked(el *list.Element) {

@@ -94,29 +94,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestLFUEvictionPrefersColdEntry(t *testing.T) {
-	c := New(Config{Tier: "result", MaxBytes: 300, MaxEntryBytes: 300, Policy: PolicyLFU})
-	c.Put("s", "t", "hot", 1, 100)
-	for i := 0; i < 5; i++ {
-		c.Get("s", "t", "hot")
-	}
-	c.Put("s", "t", "warm", 2, 100)
-	c.Get("s", "t", "warm")
-	c.Put("s", "t", "cold", 3, 100)
-	// "hot" is least-recently used but most frequent; LFU must skip it and
-	// evict "cold" (frequency 1), where LRU would have taken "hot".
-	c.Put("s", "t", "new", 4, 100)
-	if _, ok := c.Get("s", "t", "hot"); !ok {
-		t.Fatal("LFU evicted the hot entry")
-	}
-	if _, ok := c.Get("s", "t", "warm"); !ok {
-		t.Fatal("LFU evicted warm over cold")
-	}
-	if _, ok := c.Get("s", "t", "cold"); ok {
-		t.Fatal("LFU kept the cold entry")
-	}
-}
-
 func TestInvalidateScope(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := New(Config{Tier: "result", MaxBytes: 10000, Metrics: reg})

@@ -23,11 +23,6 @@ type Options struct {
 	DisableStarTree bool
 	// DisableMetadataPlans disables metadata-only answers (COUNT(*) etc).
 	DisableMetadataPlans bool
-	// ScanSelectivityCutoff is the fraction of segment documents above
-	// which an inverted-index plan falls back to an iterator scan (paper
-	// 4.2: scanning beats bitmap operations on large bitmaps). Zero
-	// means the default of 0.4.
-	ScanSelectivityCutoff float64
 	// DisableVectorization forces row-at-a-time execution: no block
 	// iterators, no batch unpack, no typed aggregation kernels, no bitmap
 	// AND/OR collapse. Results and Stats are identical in both modes; the
@@ -61,13 +56,6 @@ type Options struct {
 	// immutable segments are cached; the server invalidates a segment's
 	// scope on install and unload. Nil means memos are rebuilt per query.
 	DictMemoCache *qcache.Cache
-}
-
-func (o Options) scanCutoff() float64 {
-	if o.ScanSelectivityCutoff > 0 {
-		return o.ScanSelectivityCutoff
-	}
-	return 0.4
 }
 
 // columnsOf resolves a column, surfacing schema-evolution default columns
@@ -274,6 +262,11 @@ func buildLeafFilter(cs columnSource, pred pql.Predicate, opt Options, stats *St
 	return serveIDSet(col, set, n, opt, stats), nil
 }
 
+// scanSelectivityCutoff is the fraction of segment documents above which an
+// inverted-index plan falls back to an iterator scan (paper 4.2: scanning
+// beats bitmap operations on large bitmaps).
+const scanSelectivityCutoff = 0.4
+
 // serveIDSet picks the physical operator for a compiled dict-id set —
 // the operator ladder of paper section 4.2, shared by plain-column leaf
 // predicates and dictionary-space expression predicates.
@@ -308,7 +301,7 @@ func serveIDSet(col segment.ColumnReader, set *idSet, n int, opt Options, stats 
 	// an iterator scan is cheaper (paper 4.2).
 	if col.HasInverted() {
 		expected := float64(set.size()) / float64(max(col.Cardinality(), 1))
-		if opt.ForceBitmap || expected <= opt.scanCutoff() {
+		if opt.ForceBitmap || expected <= scanSelectivityCutoff {
 			bm := unionBitmaps(col, set)
 			if stats != nil {
 				stats.NumEntriesScanned += int64(bm.Cardinality())

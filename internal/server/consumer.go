@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"pinot/internal/controller"
@@ -33,11 +32,14 @@ type consumer struct {
 	// End criteria (paper 3.3.6): a row count, a wall-clock duration, or
 	// both — whichever is reached first. Time-based flushes make replicas
 	// diverge (local clocks), which the completion protocol reconciles.
-	endRows  int
-	endTime  time.Duration
-	stop     chan struct{}
-	done     chan struct{}
-	finished atomic.Bool
+	endRows int
+	endTime time.Duration
+	stop    chan struct{}
+	done    chan struct{} // closed when run returns
+	// sealed is the immutable copy this replica committed or was told to
+	// KEEP, awaiting CONSUMING→ONLINE. Written by run's goroutine only;
+	// read after done is closed.
+	sealed *segment.Segment
 	// Ingestion-time transforms (tentpole: derived values materialize as
 	// real columns in the consuming segment). base is the schema of the
 	// raw stream events; derived evaluates against it with the sandboxed
@@ -121,27 +123,33 @@ func (t *tableDataManager) startConsuming(segName string) error {
 // copy if this replica committed (or was told KEEP), otherwise download the
 // authoritative copy from the object store (DISCARD path).
 func (t *tableDataManager) completeConsuming(segName string) error {
-	t.mu.Lock()
+	t.mu.RLock()
 	c := t.consuming[segName]
-	t.mu.Unlock()
+	t.mu.RUnlock()
+	var sealed *segment.Segment
 	if c != nil {
 		// Give the completion loop a moment to finish its commit
-		// conversation, then stop it.
-		deadline := time.Now().Add(3 * time.Second)
-		for !c.finished.Load() && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
+		// conversation, then stop it. The consuming segment stays
+		// queryable until install swaps in its replacement.
+		select {
+		case <-c.done:
+		case <-time.After(3 * time.Second):
 		}
 		c.halt()
+		sealed = c.sealed
 	}
-	t.mu.Lock()
-	sealed := t.sealed[segName]
-	delete(t.sealed, segName)
-	delete(t.consuming, segName)
-	t.mu.Unlock()
+	var err error
 	if sealed != nil {
-		return t.install(sealed)
+		err = t.install(sealed)
+	} else {
+		err = t.loadFromStore(segName)
 	}
-	return t.loadFromStore(segName)
+	if err != nil {
+		// The replica goes to ERROR: it must not keep serving the copy
+		// it failed to replace.
+		t.unload(segName)
+	}
+	return err
 }
 
 func (c *consumer) halt() {
@@ -268,15 +276,17 @@ func (c *consumer) consumeTo(target int64) {
 	}
 }
 
+// completionPollInterval paces completion-protocol polling.
+const completionPollInterval = 10 * time.Millisecond
+
 // complete runs the replica side of the completion protocol: poll the lead
 // controller with the current offset and follow its instructions.
 func (c *consumer) complete() {
-	defer c.finished.Store(true)
 	s := c.tdm.server
 	for !c.stopped() {
 		client, ok := s.leaderController()
 		if !ok {
-			time.Sleep(s.cfg.CompletionPollInterval)
+			time.Sleep(completionPollInterval)
 			continue
 		}
 		resp, err := client.SegmentConsumed(context.Background(), &transport.SegmentConsumedRequest{
@@ -286,15 +296,15 @@ func (c *consumer) complete() {
 			Offset:   c.cons.Offset(),
 		})
 		if err != nil {
-			time.Sleep(s.cfg.CompletionPollInterval)
+			time.Sleep(completionPollInterval)
 			continue
 		}
 		s.recordCompletionAction(resp.Action)
 		switch resp.Action {
 		case transport.ActionHold:
-			time.Sleep(s.cfg.CompletionPollInterval)
+			time.Sleep(completionPollInterval)
 		case transport.ActionNotLeader:
-			time.Sleep(s.cfg.CompletionPollInterval)
+			time.Sleep(completionPollInterval)
 		case transport.ActionCatchup:
 			c.consumeTo(resp.TargetOffset)
 		case transport.ActionKeep:
@@ -307,7 +317,7 @@ func (c *consumer) complete() {
 		case transport.ActionCommit:
 			blob, seg, err := c.sealBlob()
 			if err != nil {
-				time.Sleep(s.cfg.CompletionPollInterval)
+				time.Sleep(completionPollInterval)
 				continue
 			}
 			cr, err := client.CommitSegment(context.Background(), &transport.SegmentCommitRequest{
@@ -320,10 +330,10 @@ func (c *consumer) complete() {
 			if err != nil || !cr.Success {
 				// Paper 3.3.6 COMMIT: "if the commit fails, resume
 				// polling".
-				time.Sleep(s.cfg.CompletionPollInterval)
+				time.Sleep(completionPollInterval)
 				continue
 			}
-			c.storeSealed(seg)
+			c.sealed = seg
 			return
 		}
 	}
@@ -332,17 +342,9 @@ func (c *consumer) complete() {
 // keepLocal seals the consuming segment and keeps it as the local ONLINE
 // copy (offsets matched the committed copy exactly).
 func (c *consumer) keepLocal() {
-	_, seg, err := c.sealBlob()
-	if err != nil {
-		return
+	if _, seg, err := c.sealBlob(); err == nil {
+		c.sealed = seg
 	}
-	c.storeSealed(seg)
-}
-
-func (c *consumer) storeSealed(seg *segment.Segment) {
-	c.tdm.mu.Lock()
-	c.tdm.sealed[c.segName] = seg
-	c.tdm.mu.Unlock()
 }
 
 // sealBlob converts the mutable segment to its immutable form, attaches the

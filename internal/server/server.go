@@ -48,8 +48,6 @@ type Config struct {
 	PlanOptions query.Options
 	// ConsumeBatch is the stream poll batch size.
 	ConsumeBatch int
-	// CompletionPollInterval paces completion-protocol polling.
-	CompletionPollInterval time.Duration
 	// TenantTokens/TenantRefill configure per-tenant token buckets in
 	// seconds of execution time; zero disables tenancy throttling.
 	TenantTokens float64
@@ -66,18 +64,6 @@ type Config struct {
 	// ServerCacheBytes bounds the partial-aggregate cache (0 = the qcache
 	// default).
 	ServerCacheBytes int64
-	// ServerCachePolicy selects the cache eviction policy ("lru"/"lfu",
-	// default lru).
-	ServerCachePolicy string
-	// DisableDictExprCache turns off the dictionary-space expression memo
-	// cache (per-segment expression-over-dictionary results, reused across
-	// queries). Dictionary-space planning itself stays on — memos are just
-	// rebuilt per query; Config.PlanOptions.DisableDictExpr disables the
-	// whole path.
-	DisableDictExprCache bool
-	// DictExprCacheBytes bounds the dict-expr memo cache (0 = the qcache
-	// default).
-	DictExprCacheBytes int64
 	// Metrics receives the server's instrumentation; nil means the
 	// process-wide metrics.Default().
 	Metrics *metrics.Registry
@@ -89,9 +75,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.ConsumeBatch <= 0 {
 		c.ConsumeBatch = 1000
-	}
-	if c.CompletionPollInterval <= 0 {
-		c.CompletionPollInterval = 10 * time.Millisecond
 	}
 }
 
@@ -174,20 +157,12 @@ func New(cfg Config, store zkmeta.Endpoint, objects objstore.Store, streams *str
 		s.aggCache = qcache.New(qcache.Config{
 			Tier:     "aggregate",
 			MaxBytes: cfg.ServerCacheBytes,
-			Policy:   qcache.Policy(cfg.ServerCachePolicy),
 			Metrics:  cfg.Metrics,
 		})
 		s.engine.AggCache = s.aggCache
 	}
-	if !cfg.DisableDictExprCache {
-		s.dictCache = qcache.New(qcache.Config{
-			Tier:     "dictexpr",
-			MaxBytes: cfg.DictExprCacheBytes,
-			Policy:   qcache.Policy(cfg.ServerCachePolicy),
-			Metrics:  cfg.Metrics,
-		})
-		s.engine.Options.DictMemoCache = s.dictCache
-	}
+	s.dictCache = qcache.New(qcache.Config{Tier: "dictexpr", Metrics: cfg.Metrics})
+	s.engine.Options.DictMemoCache = s.dictCache
 	if cfg.TenantTokens > 0 {
 		s.sched = tenancy.NewScheduler(cfg.TenantTokens, cfg.TenantRefill, nil)
 		s.sched.SetMetrics(s.met.reg)
@@ -270,7 +245,6 @@ func (s *Server) tableManager(resource string) (*tableDataManager, error) {
 		resource:  resource,
 		segments:  map[string]query.IndexedSegment{},
 		consuming: map[string]*consumer{},
-		sealed:    map[string]*segment.Segment{},
 	}
 	t.cfg.Store(cfg)
 	// Track on-the-fly config changes (schema evolution, index changes;
@@ -432,17 +406,15 @@ func (s *Server) invalidateSegmentCaches(segName string) {
 	if s.aggCache != nil {
 		s.aggCache.InvalidateScope(segName)
 	}
-	if s.dictCache != nil {
-		s.dictCache.InvalidateScope(segName)
-	}
+	s.dictCache.InvalidateScope(segName)
 }
 
 // AggCache exposes the server's partial-aggregate cache (nil when disabled);
 // tests and benchmarks reach it for direct assertions.
 func (s *Server) AggCache() *qcache.Cache { return s.aggCache }
 
-// DictExprCache exposes the server's dictionary-expression memo cache (nil
-// when disabled); tests and benchmarks reach it for direct assertions.
+// DictExprCache exposes the server's dictionary-expression memo cache; tests
+// and benchmarks reach it for direct assertions.
 func (s *Server) DictExprCache() *qcache.Cache { return s.dictCache }
 
 // HostedSegments returns the names of segments currently queryable for a
@@ -467,7 +439,6 @@ type tableDataManager struct {
 	mu        sync.RWMutex
 	segments  map[string]query.IndexedSegment
 	consuming map[string]*consumer
-	sealed    map[string]*segment.Segment // committed locally, pre-ONLINE
 }
 
 // effectiveSchema is the table-level schema queries plan against: the base
@@ -552,7 +523,11 @@ func (t *tableDataManager) install(seg *segment.Segment) error {
 		}
 		is.Tree = tree
 	}
+	// One critical section for both maps: on CONSUMING→ONLINE the sealed
+	// copy replaces the (already halted) consuming one with no moment at
+	// which a query finds the segment in neither.
 	t.mu.Lock()
+	delete(t.consuming, seg.Name())
 	t.segments[seg.Name()] = is
 	t.mu.Unlock()
 	// A (re)installed segment may carry different contents under the same
@@ -567,7 +542,6 @@ func (t *tableDataManager) unload(segName string) {
 	c := t.consuming[segName]
 	delete(t.segments, segName)
 	delete(t.consuming, segName)
-	delete(t.sealed, segName)
 	t.mu.Unlock()
 	if c != nil {
 		c.halt()

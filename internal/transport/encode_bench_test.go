@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -35,33 +34,12 @@ func benchResponse() *QueryResponse {
 	}
 }
 
-// encodeResponseFresh is the pre-pool implementation, kept as the benchmark
-// baseline.
-func encodeResponseFresh(r *QueryResponse) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func BenchmarkEncodeResponsePooled(b *testing.B) {
+func BenchmarkEncodeResponse(b *testing.B) {
 	r := benchResponse()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := EncodeResponse(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncodeResponseFresh(b *testing.B) {
-	r := benchResponse()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := encodeResponseFresh(r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -259,17 +259,10 @@ func contextCaused(ctx context.Context, err error) error {
 }
 
 func (c *TCPClient) roundTrip(ctx context.Context, conn net.Conn, req *QueryRequest) (*QueryResponse, error) {
-	// A context watchdog converts cancellation into a connection deadline,
-	// unblocking any in-flight read/write immediately.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.SetDeadline(time.Unix(1, 0))
-		case <-watchDone:
-		}
-	}()
+	// Cancellation becomes a past connection deadline, unblocking any
+	// in-flight read/write immediately.
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	defer stop()
 	if dl, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 	} else {
@@ -313,7 +306,13 @@ func (c *TCPClient) roundTrip(ctx context.Context, conn net.Conn, req *QueryRequ
 			if err != nil {
 				return nil, err
 			}
-			// The connection is clean (frames balanced): reusable.
+			// The frames balanced, but the connection is reusable only if
+			// the cancellation func can no longer touch it: once it has
+			// fired (or is about to) its past deadline may land after
+			// the connection is back in the pool.
+			if !stop() {
+				return nil, ctx.Err()
+			}
 			conn.SetDeadline(time.Time{})
 			return &QueryResponse{Result: result, Exceptions: ff.Exceptions, Trace: ff.Trace}, nil
 		case FrameError:

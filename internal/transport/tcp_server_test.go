@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -240,5 +242,40 @@ func TestPoolMaxIdlePerHost(t *testing.T) {
 	}
 	if _, err := b.Read(make([]byte, 1)); err == nil {
 		t.Fatal("over-cap connection was not closed")
+	}
+}
+
+// TestCancelAfterReturnNeverPoisonsPool is the regression test for the
+// per-call watchdog that could outlive its call: a caller cancelling its
+// context right after Execute returned (what every `defer cancel()` does)
+// could have a past deadline set on a connection already back in the pool,
+// failing whichever call checked it out next with "i/o timeout". Several
+// callers share one pool so a late watchdog has a busy scheduler to be late
+// on; every call must succeed.
+func TestCancelAfterReturnNeverPoisonsPool(t *testing.T) {
+	addr := startServer(t, NewTCPQueryServer(&echoHandler{frames: 1}))
+	pool := NewPool()
+	defer pool.Close()
+	client := NewTCPClient(addr, pool)
+	const callers, callsEach = 8, 1000
+	var poisoned atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < callsEach; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				_, err := client.Execute(ctx, &QueryRequest{Resource: "r", PQL: "SELECT count(*) FROM t"})
+				cancel()
+				if err != nil && poisoned.Add(1) == 1 {
+					t.Errorf("call %d: %v", i, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := poisoned.Load(); n > 0 {
+		t.Fatalf("%d of %d calls failed on a pooled connection", n, callers*callsEach)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -207,34 +206,16 @@ func init() {
 	gob.Register(pql.Call{})
 }
 
-// encodeBufPool recycles the scratch buffers of EncodeResponse. Every query
-// response crosses this function once per server, so a fresh bytes.Buffer
-// per call means one large allocation (plus growth copies) on the hot data
-// plane. Buffers that grew past maxPooledBuf are dropped instead of pooled
-// so one huge selection response cannot pin its backing array forever.
-var encodeBufPool = sync.Pool{
-	New: func() any { return new(bytes.Buffer) },
-}
-
-const maxPooledBuf = 1 << 20
-
-// EncodeResponse gob-encodes a query response for the HTTP data plane. The
-// returned slice is freshly allocated and owned by the caller; the scratch
-// buffer goes back to the pool.
+// EncodeResponse gob-encodes a query response for the HTTP data plane,
+// counting the encode in the transport metrics. The returned slice is owned
+// by the caller.
 func EncodeResponse(r *QueryResponse) ([]byte, error) {
-	met := wireMet.Load()
 	start := time.Now()
-	buf := encodeBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(r); err != nil {
-		encodeBufPool.Put(buf)
+	out, err := gobEncode(r)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	if buf.Cap() <= maxPooledBuf {
-		encodeBufPool.Put(buf)
-	}
+	met := wireMet.Load()
 	met.encodes.Inc()
 	met.encodeBytes.Add(int64(len(out)))
 	met.encodeTimeUs.ObserveDuration(time.Since(start))
