@@ -43,8 +43,8 @@ const (
 	PhaseReduce  Phase = "reduce"
 )
 
-// Trace is the per-phase time ledger of one query. It travels inside
-// QueryResponse (gob) and BrokerResponse.
+// Trace is the per-phase time ledger of one query. It travels in the trailer
+// of a server's response (transport.FinalFrame) and in BrokerResponse.
 type Trace map[Phase]time.Duration
 
 // WallSum sums the phases that partition the owning layer's wall clock: on

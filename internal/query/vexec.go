@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"sync"
 
 	"pinot/internal/expr"
 	"pinot/internal/pql"
@@ -17,6 +18,72 @@ import (
 // Every kernel folds values in the exact per-element float64 order of the
 // scalar path, so finalized results and Stats are identical in both modes —
 // the differential test in vexec_diff_test.go enforces this.
+
+// ---- block scratch ----
+
+// blockScratch holds the typed buffers one segment execution decodes its
+// blocks into: matching doc ids, dictionary ids per column read at once,
+// metric values, and the group entry of each doc. Steps of one block run one
+// after another (group resolution, then each aggregation kernel; each
+// selected column in turn), so they share the buffers. Scratches are pooled
+// across segments and queries — a segment that matches four docs should not
+// allocate for 1024 — and each buffer grows to the largest block asked of it.
+type blockScratch struct {
+	docs    []int
+	ids     [][]uint32
+	longs   []int64
+	doubles []float64
+	entries []*GroupEntry
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+
+func getScratch() *blockScratch { return scratchPool.Get().(*blockScratch) }
+
+// release returns the scratch to the pool. The entry pointers are cleared
+// first: a pooled buffer must not keep a finished query's groups alive.
+func (s *blockScratch) release() {
+	clear(s.entries)
+	s.entries = s.entries[:0]
+	scratchPool.Put(s)
+}
+
+// sized returns buf with length n, reallocating only when it is too small.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+func (s *blockScratch) docBuf(n int) []int {
+	s.docs = sized(s.docs, n)
+	return s.docs
+}
+
+// idBuf returns the dict-id buffer of the c-th column a step reads at once.
+func (s *blockScratch) idBuf(c, n int) []uint32 {
+	for len(s.ids) <= c {
+		s.ids = append(s.ids, nil)
+	}
+	s.ids[c] = sized(s.ids[c], n)
+	return s.ids[c]
+}
+
+func (s *blockScratch) longBuf(n int) []int64 {
+	s.longs = sized(s.longs, n)
+	return s.longs
+}
+
+func (s *blockScratch) doubleBuf(n int) []float64 {
+	s.doubles = sized(s.doubles, n)
+	return s.doubles
+}
+
+func (s *blockScratch) entryBuf(n int) []*GroupEntry {
+	s.entries = sized(s.entries, n)
+	return s.entries
+}
 
 // ---- numeric input reader ----
 
@@ -34,11 +101,11 @@ type numericReader struct {
 	col    segment.ColumnReader
 	mode   nrMode
 	decode []float64
-	ids    []uint32
+	sc     *blockScratch
 }
 
-func newNumericReader(col segment.ColumnReader, estimate int) *numericReader {
-	r := &numericReader{col: col}
+func newNumericReader(col segment.ColumnReader, estimate int, sc *blockScratch) *numericReader {
+	r := &numericReader{col: col, sc: sc}
 	if !col.HasDictionary() {
 		r.mode = nrDouble
 		return r
@@ -73,10 +140,7 @@ func (r *numericReader) read(docs []int, dst []float64) {
 		r.col.Doubles(docs, dst)
 		return
 	}
-	if cap(r.ids) < len(docs) {
-		r.ids = make([]uint32, blockSize)
-	}
-	ids := r.ids[:len(docs)]
+	ids := r.sc.idBuf(0, len(docs))
 	r.col.DictIDs(docs, ids)
 	if r.mode == nrDict {
 		for i, id := range ids {
@@ -118,9 +182,12 @@ func (c *dictKeyCache) key(id uint32) string {
 // aggKernel accumulates one aggregation input over doc blocks, the typed
 // replacement of per-doc aggInput.accumulate.
 type aggKernel struct {
-	in      aggInput
-	nr      *numericReader
-	keys    *dictKeyCache // DISTINCTCOUNT over a dictionary column
+	in   aggInput
+	nr   *numericReader
+	keys *dictKeyCache // DISTINCTCOUNT over a dictionary column
+	sc   *blockScratch
+	// The prepared block: windows of the scratch, valid until the next
+	// kernel prepares.
 	vals    []float64
 	ids     []uint32
 	longs   []int64
@@ -128,8 +195,8 @@ type aggKernel struct {
 	anys    []any // DISTINCTCOUNT over an expression
 }
 
-func newAggKernel(in aggInput, estimate int) *aggKernel {
-	k := &aggKernel{in: in}
+func newAggKernel(in aggInput, estimate int, sc *blockScratch) *aggKernel {
+	k := &aggKernel{in: in, sc: sc}
 	switch in.expr.Func {
 	case pql.Count:
 	case pql.DistinctCount:
@@ -138,7 +205,7 @@ func newAggKernel(in aggInput, estimate int) *aggKernel {
 		}
 	default:
 		if in.ev == nil {
-			k.nr = newNumericReader(in.col, estimate)
+			k.nr = newNumericReader(in.col, estimate, sc)
 		}
 	}
 	return k
@@ -160,29 +227,17 @@ func (k *aggKernel) prepare(docs []int) {
 		col := k.in.col
 		switch {
 		case col.HasDictionary():
-			if cap(k.ids) < len(docs) {
-				k.ids = make([]uint32, blockSize)
-			}
-			k.ids = k.ids[:len(docs)]
+			k.ids = k.sc.idBuf(0, len(docs))
 			col.DictIDs(docs, k.ids)
 		case col.Spec().Type.Integral():
-			if cap(k.longs) < len(docs) {
-				k.longs = make([]int64, blockSize)
-			}
-			k.longs = k.longs[:len(docs)]
+			k.longs = k.sc.longBuf(len(docs))
 			col.Longs(docs, k.longs)
 		default:
-			if cap(k.doubles) < len(docs) {
-				k.doubles = make([]float64, blockSize)
-			}
-			k.doubles = k.doubles[:len(docs)]
+			k.doubles = k.sc.doubleBuf(len(docs))
 			col.Doubles(docs, k.doubles)
 		}
 	default:
-		if cap(k.vals) < len(docs) {
-			k.vals = make([]float64, blockSize)
-		}
-		k.vals = k.vals[:len(docs)]
+		k.vals = k.sc.doubleBuf(len(docs))
 		if k.in.ev != nil {
 			k.in.ev.fillDoubles(docs, k.vals)
 		} else {
@@ -269,13 +324,15 @@ func accumNumericBlock(s *AggState, vs []float64) {
 // cancellation checkpoint runs once per block, matching the scalar path's
 // every-blockSize-docs cadence.
 func runAggBlocks(env *execEnv, set docIDSet, inputs []aggInput, aggs []*AggState) (int64, error) {
+	sc := getScratch()
+	defer sc.release()
 	est := set.estimate()
 	kernels := make([]*aggKernel, len(inputs))
 	for i, in := range inputs {
-		kernels[i] = newAggKernel(in, est)
+		kernels[i] = newAggKernel(in, est, sc)
 	}
 	it := blocksOf(set)
-	buf := make([]int, blockSize)
+	buf := sc.docBuf(blockSize)
 	var docs int64
 	for {
 		if err := env.checkpoint(); err != nil {
@@ -325,7 +382,7 @@ const denseGroupMaxCard = 1 << 16
 // newItemGrouper picks the grouper for a set of GROUP BY items: the
 // dictionary-id groupers when every item is a plain column, the expression
 // grouper otherwise.
-func newItemGrouper(items []groupItem, exprs []pql.Expression, charger *groupCharger) grouper {
+func newItemGrouper(items []groupItem, exprs []pql.Expression, charger *groupCharger, sc *blockScratch) grouper {
 	// A single memoized expression groups through a dictID→group translation
 	// table: the expression value (and its rendered key) is computed once
 	// per distinct dict id, not per row.
@@ -336,22 +393,22 @@ func newItemGrouper(items []groupItem, exprs []pql.Expression, charger *groupCha
 				trans[i] = -1
 			}
 			return &dictTransGrouper{col: ev.readers[0], memo: ev.memo, exprs: exprs,
-				charger: charger, trans: trans, byKey: map[string]int32{}}
+				charger: charger, sc: sc, trans: trans, byKey: map[string]int32{}}
 		}
 	}
 	cols := make([]segment.ColumnReader, len(items))
 	for i, it := range items {
 		if it.ev != nil {
-			return newExprGrouper(items, exprs, charger)
+			return newExprGrouper(items, exprs, charger, sc)
 		}
 		cols[i] = it.col
 	}
-	return newGrouper(cols, exprs, charger)
+	return newGrouper(cols, exprs, charger, sc)
 }
 
-func newGrouper(cols []segment.ColumnReader, exprs []pql.Expression, charger *groupCharger) grouper {
+func newGrouper(cols []segment.ColumnReader, exprs []pql.Expression, charger *groupCharger, sc *blockScratch) grouper {
 	if len(cols) == 1 && cols[0].Cardinality() <= denseGroupMaxCard {
-		return &denseGrouper{col: cols[0], exprs: exprs, charger: charger,
+		return &denseGrouper{col: cols[0], exprs: exprs, charger: charger, sc: sc,
 			entries: make([]*GroupEntry, cols[0].Cardinality())}
 	}
 	shifts := make([]uint, len(cols))
@@ -361,11 +418,11 @@ func newGrouper(cols []segment.ColumnReader, exprs []pql.Expression, charger *gr
 		total += bitsNeeded(c.Cardinality())
 	}
 	if total <= 64 {
-		return &packedGrouper{cols: cols, shifts: shifts, exprs: exprs, charger: charger,
-			m: map[uint64]*GroupEntry{}, ids: make([][]uint32, len(cols))}
+		return &packedGrouper{cols: cols, shifts: shifts, exprs: exprs, charger: charger, sc: sc,
+			m: map[uint64]*GroupEntry{}}
 	}
-	return &stringGrouper{cols: cols, exprs: exprs, charger: charger, m: map[string]*GroupEntry{},
-		ids: make([][]uint32, len(cols)), values: make([]any, len(cols))}
+	return &stringGrouper{cols: cols, exprs: exprs, charger: charger, sc: sc, m: map[string]*GroupEntry{},
+		values: make([]any, len(cols))}
 }
 
 // denseGrouper indexes groups by dict id directly: single group column with
@@ -374,15 +431,12 @@ type denseGrouper struct {
 	col     segment.ColumnReader
 	exprs   []pql.Expression
 	charger *groupCharger
+	sc      *blockScratch
 	entries []*GroupEntry
-	ids     []uint32
 }
 
 func (g *denseGrouper) groups(docs []int, out []*GroupEntry) {
-	if cap(g.ids) < len(docs) {
-		g.ids = make([]uint32, blockSize)
-	}
-	ids := g.ids[:len(docs)]
+	ids := g.sc.idBuf(0, len(docs))
 	g.col.DictIDs(docs, ids)
 	for i, id := range ids {
 		e := g.entries[id]
@@ -412,28 +466,25 @@ type packedGrouper struct {
 	shifts  []uint
 	exprs   []pql.Expression
 	charger *groupCharger
+	sc      *blockScratch
 	m       map[uint64]*GroupEntry
-	ids     [][]uint32
 }
 
 func (g *packedGrouper) groups(docs []int, out []*GroupEntry) {
 	for c := range g.cols {
-		if cap(g.ids[c]) < len(docs) {
-			g.ids[c] = make([]uint32, blockSize)
-		}
-		g.ids[c] = g.ids[c][:len(docs)]
-		g.cols[c].DictIDs(docs, g.ids[c])
+		g.cols[c].DictIDs(docs, g.sc.idBuf(c, len(docs)))
 	}
+	ids := g.sc.ids
 	for i := range docs {
 		var key uint64
 		for c := range g.cols {
-			key |= uint64(g.ids[c][i]) << g.shifts[c]
+			key |= uint64(ids[c][i]) << g.shifts[c]
 		}
 		e := g.m[key]
 		if e == nil {
 			values := make([]any, len(g.cols))
 			for c := range g.cols {
-				values[c] = g.cols[c].Value(int(g.ids[c][i]))
+				values[c] = g.cols[c].Value(int(ids[c][i]))
 			}
 			e = newGroupEntry(values, g.exprs)
 			g.m[key] = e
@@ -467,22 +518,19 @@ type stringGrouper struct {
 	cols    []segment.ColumnReader
 	exprs   []pql.Expression
 	charger *groupCharger
+	sc      *blockScratch
 	m       map[string]*GroupEntry
-	ids     [][]uint32
 	values  []any
 }
 
 func (g *stringGrouper) groups(docs []int, out []*GroupEntry) {
 	for c := range g.cols {
-		if cap(g.ids[c]) < len(docs) {
-			g.ids[c] = make([]uint32, blockSize)
-		}
-		g.ids[c] = g.ids[c][:len(docs)]
-		g.cols[c].DictIDs(docs, g.ids[c])
+		g.cols[c].DictIDs(docs, g.sc.idBuf(c, len(docs)))
 	}
+	ids := g.sc.ids
 	for i := range docs {
 		for c := range g.cols {
-			g.values[c] = g.cols[c].Value(int(g.ids[c][i]))
+			g.values[c] = g.cols[c].Value(int(ids[c][i]))
 		}
 		key := GroupKey(g.values)
 		e := g.m[key]
@@ -507,17 +555,14 @@ type dictTransGrouper struct {
 	memo    *expr.DictMemo
 	exprs   []pql.Expression
 	charger *groupCharger
+	sc      *blockScratch
 	trans   []int32 // dict id → index into entries, -1 unseen
 	entries []*GroupEntry
 	byKey   map[string]int32
-	ids     []uint32
 }
 
 func (g *dictTransGrouper) groups(docs []int, out []*GroupEntry) {
-	if cap(g.ids) < len(docs) {
-		g.ids = make([]uint32, blockSize)
-	}
-	ids := g.ids[:len(docs)]
+	ids := g.sc.idBuf(0, len(docs))
 	g.col.DictIDs(docs, ids)
 	for i, id := range ids {
 		t := g.trans[id]
@@ -556,21 +601,19 @@ type exprGrouper struct {
 	items   []groupItem
 	exprs   []pql.Expression
 	charger *groupCharger
+	sc      *blockScratch
 	m       map[string]*GroupEntry
 	values  []any
-	ids     [][]uint32
 	anys    [][]any
 	// int64 fast path
 	fast  bool
 	longm map[int64]*GroupEntry
-	longs []int64
 }
 
-func newExprGrouper(items []groupItem, exprs []pql.Expression, charger *groupCharger) *exprGrouper {
-	g := &exprGrouper{items: items, exprs: exprs, charger: charger,
+func newExprGrouper(items []groupItem, exprs []pql.Expression, charger *groupCharger, sc *blockScratch) *exprGrouper {
+	g := &exprGrouper{items: items, exprs: exprs, charger: charger, sc: sc,
 		m:      map[string]*GroupEntry{},
 		values: make([]any, len(items)),
-		ids:    make([][]uint32, len(items)),
 		anys:   make([][]any, len(items)),
 	}
 	if len(items) == 1 && items[0].ev != nil && items[0].ev.kernel != nil && items[0].ev.kernel.Kind == expr.Long {
@@ -582,10 +625,7 @@ func newExprGrouper(items []groupItem, exprs []pql.Expression, charger *groupCha
 
 func (g *exprGrouper) groups(docs []int, out []*GroupEntry) {
 	if g.fast {
-		if cap(g.longs) < len(docs) {
-			g.longs = make([]int64, blockSize)
-		}
-		ls := g.longs[:len(docs)]
+		ls := g.sc.longBuf(len(docs))
 		ev := g.items[0].ev
 		ev.kernel.EvalLongs(ev.ksrc, docs, ls)
 		for i, v := range ls {
@@ -608,18 +648,15 @@ func (g *exprGrouper) groups(docs []int, out []*GroupEntry) {
 			item.ev.fillValues(docs, g.anys[c])
 			continue
 		}
-		if cap(g.ids[c]) < len(docs) {
-			g.ids[c] = make([]uint32, blockSize)
-		}
-		g.ids[c] = g.ids[c][:len(docs)]
-		item.col.DictIDs(docs, g.ids[c])
+		item.col.DictIDs(docs, g.sc.idBuf(c, len(docs)))
 	}
+	ids := g.sc.ids
 	for i := range docs {
 		for c, item := range g.items {
 			if item.ev != nil {
 				g.values[c] = g.anys[c][i]
 			} else {
-				g.values[c] = item.col.Value(int(g.ids[c][i]))
+				g.values[c] = item.col.Value(int(ids[c][i]))
 			}
 		}
 		key := GroupKey(g.values)
@@ -649,15 +686,17 @@ func (g *exprGrouper) result() map[string]*GroupEntry {
 // path; a tripped cap returns the groups built so far with
 // ErrGroupStateLimit so the query degrades to a partial result.
 func runGroupByBlocks(env *execEnv, set docIDSet, inputs []aggInput, items []groupItem, exprs []pql.Expression, charger *groupCharger) (map[string]*GroupEntry, int64, error) {
+	sc := getScratch()
+	defer sc.release()
 	est := set.estimate()
 	kernels := make([]*aggKernel, len(inputs))
 	for i, in := range inputs {
-		kernels[i] = newAggKernel(in, est)
+		kernels[i] = newAggKernel(in, est, sc)
 	}
-	g := newItemGrouper(items, exprs, charger)
+	g := newItemGrouper(items, exprs, charger, sc)
 	it := blocksOf(set)
-	buf := make([]int, blockSize)
-	entries := make([]*GroupEntry, blockSize)
+	buf := sc.docBuf(blockSize)
+	entries := sc.entryBuf(blockSize)
 	var docs int64
 	for {
 		if err := env.checkpoint(); err != nil {
@@ -684,17 +723,16 @@ func runGroupByBlocks(env *execEnv, set docIDSet, inputs []aggInput, items []gro
 
 // runSelectionBlocks is the vectorized selection loop. Rows of each block
 // share one []any arena, allocated fresh per block (retained rows alias it,
-// so it is never reused) and filled column-major so each column decodes in
-// one batch. Without ORDER BY the block demand is capped at the rows still
-// needed; with the exact-fill nextBlock contract this walks precisely the
-// docs the scalar early-exit walks, keeping Stats identical.
+// so it is never reused, unlike the pooled scratch the columns decode
+// through) and filled column-major so each column decodes in one batch.
+// Without ORDER BY the block demand is capped at the rows still needed; with
+// the exact-fill nextBlock contract this walks precisely the docs the scalar
+// early-exit walks, keeping Stats identical.
 func runSelectionBlocks(env *execEnv, out *Intermediate, q *pql.Query, set docIDSet, readers []segment.ColumnReader, keep int, needAll bool) (int64, error) {
+	sc := getScratch()
+	defer sc.release()
 	it := blocksOf(set)
 	width := len(readers)
-	buf := make([]int, blockSize)
-	var ids []uint32
-	var longs []int64
-	var doubles []float64
 	var mvBuf []int
 	var docs int64
 	for {
@@ -711,39 +749,31 @@ func runSelectionBlocks(env *execEnv, out *Intermediate, q *pql.Query, set docID
 				want = blockSize
 			}
 		}
-		n := it.nextBlock(buf[:want])
+		block := sc.docBuf(want)
+		n := it.nextBlock(block)
 		if n == 0 {
 			break
 		}
 		docs += int64(n)
-		block := buf[:n]
+		block = block[:n]
 		arena := make([]any, n*width)
 		for c, col := range readers {
 			f := col.Spec()
 			switch {
 			case f.Kind == segment.Metric && f.Type.Integral():
-				if cap(longs) < n {
-					longs = make([]int64, blockSize)
-				}
-				vs := longs[:n]
+				vs := sc.longBuf(n)
 				col.Longs(block, vs)
 				for i, v := range vs {
 					arena[i*width+c] = v
 				}
 			case f.Kind == segment.Metric:
-				if cap(doubles) < n {
-					doubles = make([]float64, blockSize)
-				}
-				vs := doubles[:n]
+				vs := sc.doubleBuf(n)
 				col.Doubles(block, vs)
 				for i, v := range vs {
 					arena[i*width+c] = v
 				}
 			case f.SingleValue:
-				if cap(ids) < n {
-					ids = make([]uint32, blockSize)
-				}
-				vs := ids[:n]
+				vs := sc.idBuf(0, n)
 				col.DictIDs(block, vs)
 				for i, id := range vs {
 					arena[i*width+c] = col.Value(int(id))

@@ -1,0 +1,708 @@
+package transport
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"pinot/internal/pql"
+	"pinot/internal/qctx"
+	"pinot/internal/query"
+)
+
+// sampleMessages returns one message of every frame type, several for the
+// segment frame, between them covering every construct the codec carries: a
+// selection with a multi-value cell, a group-by with a DISTINCTCOUNT set and
+// percentile values, Arith and Call aggregation arguments, a trace, and the
+// four completion-protocol messages.
+func sampleMessages() map[string]any {
+	agg := query.NewAggIntermediate([]pql.Expression{
+		{IsAgg: true, Func: pql.Count, Column: "*"},
+		{IsAgg: true, Func: pql.Sum, Column: "clicks"},
+	})
+	agg.Aggs[0].AddCount(42)
+	agg.Aggs[1].AddNumeric(3.5)
+
+	selection := &query.Intermediate{
+		Kind:       query.KindSelection,
+		SelectCols: []string{"id", "tags", "score", "ok", "ts"},
+		HiddenCols: 1,
+		Rows: [][]any{
+			{int64(7), []any{"a", "b"}, 2.5, true, int64(-3)},
+			{int64(8), []any{}, -0.5, false, int64(900)},
+		},
+		Stats: query.Stats{NumDocsScanned: 2, NumEntriesScanned: 10, NumSegmentsQueried: 1, SegmentsMatched: 1, TotalDocs: 50},
+	}
+
+	exprs := []pql.Expression{
+		{IsAgg: true, Func: pql.DistinctCount, Column: "member"},
+		{IsAgg: true, Func: "PERCENTILE95", Column: "(latency * 2)",
+			Arg: pql.Arith{Op: pql.OpMul, L: pql.ColumnRef{Name: "latency"}, R: pql.Literal{Value: int64(2)}}},
+		{IsAgg: true, Func: pql.Max, Column: "abs(delta)",
+			Arg: pql.Call{Name: "abs", Args: []pql.Expr{pql.ColumnRef{Name: "delta"}}}},
+	}
+	groupBy := &query.Intermediate{
+		Kind:      query.KindGroupBy,
+		AggExprs:  exprs,
+		GroupCols: []string{"country", "bucket"},
+		Groups:    map[string]*query.GroupEntry{},
+		Stats:     query.Stats{NumDocsScanned: 9, GroupStateBytes: 512, DictExprSegments: 1},
+	}
+	for i, country := range []string{"us", "de"} {
+		g := &query.GroupEntry{Values: []any{country, int64(i * 3600)}}
+		for _, x := range exprs {
+			g.Aggs = append(g.Aggs, query.NewAggState(x.Func))
+		}
+		g.Aggs[0].AddDistinct("m1")
+		g.Aggs[0].AddDistinct(fmt.Sprint("m", i+2))
+		g.Aggs[1].AddNumeric(12.5)
+		g.Aggs[1].AddNumeric(float64(i))
+		g.Aggs[2].AddNumeric(-4)
+		groupBy.Groups[query.GroupKey(g.Values)] = g
+	}
+
+	return map[string]any{
+		"query": &QueryRequest{
+			Resource: "events_OFFLINE", PQL: "SELECT count(*) FROM events",
+			Segments: []string{"events_0", "events_1"}, Tenant: "t", TimeoutMillis: 250, QueryID: "q1", BudgetMillis: 100,
+		},
+		"segment-agg":       &SegmentFrame{Seq: 0, Result: agg},
+		"segment-selection": &SegmentFrame{Seq: 1, Result: selection},
+		"segment-groupby":   &SegmentFrame{Seq: 2, Result: groupBy},
+		"final": &FinalFrame{
+			Frames: 3, Exceptions: []string{"warn"},
+			Trace: qctx.Trace{qctx.PhaseQueue: 5 * time.Microsecond, qctx.PhaseExecute: 3 * time.Millisecond},
+			Stats: query.Stats{NumDocsScanned: 7, NumSegmentsQueried: 4, SegmentsPrunedByServer: 1, SegmentsPrunedByValue: 2},
+		},
+		"error":         &ErrorFrame{Message: "boom"},
+		"consumed":      &SegmentConsumedRequest{Segment: "s__0__1", Resource: "events_REALTIME", Instance: "server1", Offset: 4096},
+		"consumed-resp": &SegmentConsumedResponse{Action: ActionCatchup, TargetOffset: 5000},
+		"commit":        &SegmentCommitRequest{Segment: "s__0__1", Resource: "events_REALTIME", Instance: "server1", Offset: 5000, Blob: []byte("segment bytes")},
+		"commit-resp":   &SegmentCommitResponse{Success: false, Reason: "not the committer"},
+	}
+}
+
+// roundTrip sends a message through its frame encoder and typed decoder.
+func roundTrip(t testing.TB, msg any) any {
+	t.Helper()
+	frame, err := DecodeFrame(encodeFrame(t, msg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := decodeTyped(t, frame.Type, frame.Payload)
+	if err != nil {
+		t.Fatalf("%T: %v", msg, err)
+	}
+	return back
+}
+
+func TestSampleMessagesRoundTrip(t *testing.T) {
+	for name, msg := range sampleMessages() {
+		if back := roundTrip(t, msg); !reflect.DeepEqual(back, msg) {
+			t.Errorf("%s: round trip changed the message:\n got %+v\nwant %+v", name, back, msg)
+		}
+	}
+}
+
+// ---- completeness by reflection ----
+
+// filler sets every exported field reachable from a value to a distinct
+// non-zero value, so a field the codec does not carry comes back zero and
+// fails the comparison.
+type filler struct{ n int64 }
+
+func (f *filler) next() int64 { f.n++; return f.n }
+
+var (
+	anyType  = reflect.TypeOf((*any)(nil)).Elem()
+	exprType = reflect.TypeOf((*pql.Expr)(nil)).Elem()
+)
+
+func (f *filler) fill(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(f.next() * 1000003) // wider than one varint byte, distinct per field
+	case reflect.Uint8:
+		v.SetUint(uint64(query.KindGroupBy)) // the only uint8 is ResultKind
+	case reflect.Float64:
+		v.SetFloat(float64(f.next()) + 0.25)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", f.next()))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		f.fill(v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				f.fill(v.Field(i))
+			}
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			f.fill(v.Index(i))
+		}
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for i := 0; i < 2; i++ {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			f.fill(k)
+			f.fill(e)
+			v.SetMapIndex(k, e)
+		}
+	case reflect.Interface:
+		switch v.Type() {
+		case anyType:
+			// One of each dynamic cell type in turn.
+			cells := []any{f.n * 7919, float64(f.n) + 0.5, fmt.Sprintf("c%d", f.n), true, []any{fmt.Sprintf("mv%d", f.n), f.n}}
+			v.Set(reflect.ValueOf(cells[f.next()%int64(len(cells))]))
+		case exprType:
+			v.Set(reflect.ValueOf(pql.Arith{
+				Op: pql.OpDiv,
+				L:  pql.Call{Name: fmt.Sprintf("fn%d", f.next()), Args: []pql.Expr{pql.ColumnRef{Name: fmt.Sprintf("col%d", f.next())}}},
+				R:  pql.Literal{Value: float64(f.next())},
+			}))
+		default:
+			panic("filler: interface " + v.Type().String())
+		}
+	default:
+		panic("filler: kind " + v.Kind().String())
+	}
+}
+
+// firstDiff names the first place two values differ ("" when they are equal),
+// so a lost field is reported by its path and not as two pointer values.
+func firstDiff(path string, a, b reflect.Value) string {
+	if a.IsValid() != b.IsValid() || (a.IsValid() && a.Type() != b.Type()) {
+		return path + ": kinds differ"
+	}
+	switch a.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				return path + ": one side is nil"
+			}
+			return ""
+		}
+		return firstDiff(path, a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if d := firstDiff(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s: %d elements vs %d", path, a.Len(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := firstDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s: %d entries vs %d", path, a.Len(), b.Len())
+		}
+		for _, k := range a.MapKeys() {
+			if d := firstDiff(fmt.Sprintf("%s[%v]", path, k), a.MapIndex(k), b.MapIndex(k)); d != "" {
+				return d
+			}
+		}
+	default:
+		if !reflect.DeepEqual(a.Interface(), b.Interface()) {
+			return fmt.Sprintf("%s: got %v, want %v", path, a, b)
+		}
+	}
+	return ""
+}
+
+// TestCodecCarriesEveryField fills every exported field of every message
+// (through Intermediate, AggState, GroupEntry, Stats, Expression and Trace)
+// and requires the round trip to return it. A field added to any of those
+// structs without codec support fails here.
+func TestCodecCarriesEveryField(t *testing.T) {
+	for _, msg := range []any{
+		&QueryRequest{}, &SegmentFrame{}, &FinalFrame{}, &ErrorFrame{},
+		&SegmentConsumedRequest{}, &SegmentConsumedResponse{}, &SegmentCommitRequest{}, &SegmentCommitResponse{},
+	} {
+		f := &filler{}
+		f.fill(reflect.ValueOf(msg).Elem())
+		if d := firstDiff(fmt.Sprintf("%T", msg), reflect.ValueOf(roundTrip(t, msg)), reflect.ValueOf(msg)); d != "" {
+			t.Errorf("the codec lost a field: %s", d)
+		}
+	}
+	resp := &QueryResponse{}
+	(&filler{}).fill(reflect.ValueOf(resp).Elem())
+	data, err := EncodeResponse(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeResponse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := firstDiff("QueryResponse", reflect.ValueOf(back), reflect.ValueOf(resp)); d != "" {
+		t.Errorf("the codec lost a field: %s", d)
+	}
+}
+
+// ---- value edge cases ----
+
+func intermediateRoundTrip(t *testing.T, r *query.Intermediate) *query.Intermediate {
+	t.Helper()
+	return roundTrip(t, &SegmentFrame{Result: r}).(*SegmentFrame).Result
+}
+
+func TestCodecValueEdgeCases(t *testing.T) {
+	t.Run("float bit patterns", func(t *testing.T) {
+		payloadNaN := math.Float64frombits(0x7ff8_0000_dead_beef)
+		floats := []float64{payloadNaN, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, math.MaxFloat64}
+		row := make([]any, len(floats))
+		for i, f := range floats {
+			row[i] = f
+		}
+		s := &query.AggState{Func: "PERCENTILE50", Sum: math.Copysign(0, -1), Min: payloadNaN, Max: math.Inf(1), Values: floats}
+		got := intermediateRoundTrip(t, &query.Intermediate{Kind: query.KindSelection, Rows: [][]any{row}, Aggs: []*query.AggState{s}})
+		for i, f := range floats {
+			if g := got.Rows[0][i].(float64); math.Float64bits(g) != math.Float64bits(f) {
+				t.Errorf("cell %v came back as %v (bits %x vs %x)", f, g, math.Float64bits(g), math.Float64bits(f))
+			}
+			if g := got.Aggs[0].Values[i]; math.Float64bits(g) != math.Float64bits(f) {
+				t.Errorf("percentile value %v came back as %v", f, g)
+			}
+		}
+		a := got.Aggs[0]
+		if !math.Signbit(a.Sum) || a.Sum != 0 || math.Float64bits(a.Min) != math.Float64bits(payloadNaN) || !math.IsInf(a.Max, 1) {
+			t.Errorf("state floats changed: %+v", a)
+		}
+	})
+
+	t.Run("untouched and zero states", func(t *testing.T) {
+		// A fresh state (Min +Inf, Max -Inf) and an all-zero state are
+		// different values; both survive.
+		fresh, zero := query.NewAggState(pql.Min), &query.AggState{Func: pql.Min}
+		got := intermediateRoundTrip(t, &query.Intermediate{Aggs: []*query.AggState{fresh, zero}})
+		if !reflect.DeepEqual(got.Aggs, []*query.AggState{fresh, zero}) {
+			t.Errorf("got %+v %+v", got.Aggs[0], got.Aggs[1])
+		}
+	})
+
+	t.Run("integers and strings", func(t *testing.T) {
+		row := []any{int64(math.MinInt64), int64(math.MaxInt64), int64(0), int64(-1), "", "\x00", strings.Repeat("x", 300)}
+		got := intermediateRoundTrip(t, &query.Intermediate{Kind: query.KindSelection, SelectCols: []string{""}, Rows: [][]any{row}})
+		if !reflect.DeepEqual(got.Rows[0], row) || !reflect.DeepEqual(got.SelectCols, []string{""}) {
+			t.Errorf("got %#v", got)
+		}
+	})
+
+	// A zero count decodes to nil: an empty and an absent slice or map are
+	// one value on the wire (as they were under gob). Merge, Finalize and
+	// Conforms accept both. The one exception is a multi-value cell, which
+	// stays a non-nil []any{} so it renders as [] on both transports.
+	t.Run("empty is nil", func(t *testing.T) {
+		in := &query.Intermediate{
+			Kind: query.KindGroupBy, AggExprs: []pql.Expression{}, Aggs: []*query.AggState{}, GroupCols: []string{},
+			Groups: map[string]*query.GroupEntry{}, SelectCols: []string{}, Rows: [][]any{},
+		}
+		got := intermediateRoundTrip(t, in)
+		if !reflect.DeepEqual(got, &query.Intermediate{Kind: query.KindGroupBy}) {
+			t.Errorf("empty collections did not decode to nil: %#v", got)
+		}
+		if err := got.Merge(intermediateRoundTrip(t, in)); err != nil {
+			t.Fatal(err)
+		}
+		if res := got.Finalize(&pql.Query{}); len(res.Rows) != 0 {
+			t.Errorf("finalized %d rows from no groups", len(res.Rows))
+		}
+		dc := intermediateRoundTrip(t, &query.Intermediate{Aggs: []*query.AggState{query.NewAggState(pql.DistinctCount)}}).Aggs[0]
+		if dc.Distinct != nil {
+			t.Errorf("empty distinct set decoded non-nil")
+		}
+		dc.Merge(&query.AggState{Func: pql.DistinctCount, Distinct: map[string]struct{}{"a": {}}})
+		if n := dc.Result().(int64); n != 1 {
+			t.Errorf("distinct after merge into a decoded empty state = %d", n)
+		}
+	})
+
+	t.Run("zero-row selection", func(t *testing.T) {
+		got := intermediateRoundTrip(t, &query.Intermediate{Kind: query.KindSelection, SelectCols: []string{"a", "b"}})
+		if got.Rows != nil || len(got.SelectCols) != 2 {
+			t.Errorf("got %#v", got)
+		}
+		if res := got.Finalize(&pql.Query{Limit: 10}); len(res.Rows) != 0 || len(res.Columns) != 2 {
+			t.Errorf("finalized %+v", res)
+		}
+	})
+
+	t.Run("multi-value cells and keys", func(t *testing.T) {
+		mv := []any{"x", int64(2), []any{}}
+		in := &query.Intermediate{
+			Kind:   query.KindGroupBy,
+			Groups: map[string]*query.GroupEntry{"[x 2 []]": {Values: []any{mv}, Aggs: []*query.AggState{query.NewAggState(pql.Count)}}},
+			Rows:   [][]any{{[]any{}}, {}, {[]any(nil)}},
+		}
+		got := intermediateRoundTrip(t, in)
+		if !reflect.DeepEqual(got.Groups, in.Groups) {
+			t.Errorf("multi-value group key changed: %#v", got.Groups["[x 2 []]"])
+		}
+		if c, ok := got.Rows[0][0].([]any); !ok || c == nil || len(c) != 0 {
+			t.Errorf("empty multi-value cell = %#v, want []any{}", got.Rows[0][0])
+		}
+		if c, ok := got.Rows[2][0].([]any); !ok || c == nil {
+			t.Errorf("nil multi-value cell = %#v, want []any{}", got.Rows[2][0])
+		}
+		if got.Rows[1] != nil {
+			t.Errorf("empty row = %#v, want nil", got.Rows[1])
+		}
+	})
+
+	t.Run("distinct count", func(t *testing.T) {
+		inter := query.NewAggIntermediate([]pql.Expression{{IsAgg: true, Func: pql.DistinctCount, Column: "m"}})
+		inter.Aggs[0].AddDistinct("a")
+		inter.Aggs[0].AddDistinct("b")
+		if n := intermediateRoundTrip(t, inter).Aggs[0].Result().(int64); n != 2 {
+			t.Fatalf("distinct = %d", n)
+		}
+	})
+
+	t.Run("function names past the table", func(t *testing.T) {
+		// More distinct function names than the back-reference table
+		// holds: the overflow travels as literals.
+		var aggs []*query.AggState
+		for i := 0; i < 3*funcTableSize; i++ {
+			aggs = append(aggs, &query.AggState{Func: pql.AggFunc(fmt.Sprintf("PERCENTILE%d", i%(2*funcTableSize))), Count: int64(i)})
+		}
+		got := intermediateRoundTrip(t, &query.Intermediate{Aggs: aggs})
+		for i, a := range got.Aggs {
+			if a.Func != aggs[i].Func || a.Count != aggs[i].Count {
+				t.Fatalf("state %d = %+v, want %+v", i, a, aggs[i])
+			}
+		}
+	})
+}
+
+// ---- what the encoder refuses ----
+
+func TestEncoderRefusesWhatItCannotCarry(t *testing.T) {
+	deepCell := any("leaf")
+	for i := 0; i <= maxNesting; i++ {
+		deepCell = []any{deepCell}
+	}
+	var deepExpr pql.Expr = pql.ColumnRef{Name: "c"}
+	for i := 0; i <= maxNesting; i++ {
+		deepExpr = pql.Arith{Op: pql.OpAdd, L: deepExpr, R: pql.Literal{Value: int64(1)}}
+	}
+	type point struct{ X int }
+	for name, r := range map[string]*query.Intermediate{
+		"int cell":      {Rows: [][]any{{int(1)}}},
+		"uint32 cell":   {Rows: [][]any{{uint32(1)}}},
+		"duration cell": {Rows: [][]any{{time.Second}}},
+		"struct cell":   {Rows: [][]any{{point{1}}}},
+		"nil cell":      {Rows: [][]any{{nil}}},
+		"nested cell":   {Rows: [][]any{{[]any{int32(1)}}}},
+		"group value":   {Groups: map[string]*query.GroupEntry{"k": {Values: []any{float32(1)}}}},
+		"literal":       {AggExprs: []pql.Expression{{Arg: pql.Literal{Value: int(3)}}}},
+		"nil state":     {Aggs: []*query.AggState{nil}},
+		"nil group":     {Groups: map[string]*query.GroupEntry{"k": nil}},
+		"deep cell":     {Rows: [][]any{{deepCell}}},
+		"deep expr":     {AggExprs: []pql.Expression{{Arg: deepExpr}}},
+	} {
+		if _, err := EncodeResponse(&QueryResponse{Result: r}); err == nil {
+			t.Errorf("%s: encoded without error", name)
+		}
+	}
+	// One level inside the cap passes in both directions.
+	okCell := any("leaf")
+	for i := 0; i < maxNesting; i++ {
+		okCell = []any{okCell}
+	}
+	in := &query.Intermediate{Kind: query.KindSelection, Rows: [][]any{{okCell}}}
+	if got := roundTrip(t, &SegmentFrame{Result: in}).(*SegmentFrame).Result; !reflect.DeepEqual(got.Rows, in.Rows) {
+		t.Errorf("cell at the nesting cap changed")
+	}
+}
+
+// ---- hostile input ----
+
+// TestDecoderRefusesDeepNesting hand-builds payloads nested one level past
+// the cap, which the encoder would never write.
+func TestDecoderRefusesDeepNesting(t *testing.T) {
+	var e encoder
+	e.varint(0)                // seq
+	e.b = append(e.b, 2, 0, 0) // kind selection, no agg exprs, no aggs
+	e.count(0)                 // group cols
+	e.count(0)                 // groups
+	e.count(0)
+	e.count(0)
+	e.count(0)  // select cols
+	e.varint(0) // hidden cols
+	e.count(1)  // one row
+	e.count(1)  // one cell in total
+	e.count(1)  // of one cell
+	for i := 0; i <= maxNesting; i++ {
+		e.b = append(e.b, cellList, 1)
+	}
+	e.b = append(e.b, cellBool, 1)
+	e.stats(&query.Stats{})
+	if _, err := DecodeSegmentFrame(e.b); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+		t.Fatalf("cell nested past the cap: err = %v", err)
+	}
+
+	e = encoder{}
+	e.varint(0)
+	e.b = append(e.b, 0) // kind aggregation
+	e.count(1)           // one agg expr
+	e.bool(true)
+	e.string("SUM")
+	e.string("x")
+	for i := 0; i <= maxNesting; i++ {
+		e.b = append(e.b, exprCall, 0, 1) // call "" with one argument
+	}
+	e.b = append(e.b, exprNil)
+	e.b = append(e.b, make([]byte, 64)...)
+	if _, err := DecodeSegmentFrame(e.b); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+		t.Fatalf("expression nested past the cap: err = %v", err)
+	}
+}
+
+// allocatedBy reports the bytes f allocates, as the smallest of a few runs so
+// that a concurrent background allocation cannot inflate it.
+func allocatedBy(f func()) uint64 {
+	best := uint64(math.MaxUint64)
+	var m0, m1 runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		if d := m1.TotalAlloc - m0.TotalAlloc; d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// TestDecodeAllocationIsLinear: a decode of n bytes allocates at most c·n + k
+// bytes whatever its length prefixes claim. Every position of every sample
+// payload is overwritten in turn with a count of 1<<31 (and with 1<<62), the
+// payload is cut to 32 bytes after it, and the decode is metered.
+func TestDecodeAllocationIsLinear(t *testing.T) {
+	// c: the costliest element per input byte is an aggregation state (a
+	// 96-byte state and its pointer for 3 bytes). k: the fixed structs of a
+	// message and the error that reports the refusal.
+	const c, k = 64, 4096
+	huge := [][]byte{
+		{0x80, 0x80, 0x80, 0x80, 0x08},                               // 1<<31
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40},       // 1<<62
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // 1<<64 - 1
+	}
+	check := func(name string, n int, decode func()) {
+		if got, limit := allocatedBy(decode), uint64(c*n+k); got > limit {
+			t.Errorf("%s: decoding %d bytes allocated %d, limit %d", name, n, got, limit)
+		}
+	}
+	for name, frame := range sampleFrames(t) {
+		typ, payload := frame[2], frame[FrameHeaderSize:]
+		check(name, len(payload), func() { decodeTyped(t, typ, payload) })
+		for i := range payload {
+			for _, h := range huge {
+				mut := append(append([]byte(nil), payload[:i]...), h...)
+				rest := payload[i+1:]
+				if len(rest) > 32 {
+					rest = rest[:32]
+				}
+				mut = append(mut, rest...)
+				check(fmt.Sprintf("%s@%d", name, i), len(mut), func() { decodeTyped(t, typ, mut) })
+			}
+		}
+	}
+	// The whole-response decoder shares the code; one direct probe.
+	resp := append([]byte{1, 2, 0, 0, 0}, huge[0]...)
+	check("response", len(resp), func() { DecodeResponse(resp) })
+}
+
+// ---- golden bytes ----
+
+// TestGoldenFrames pins the exact bytes of one small frame of each type,
+// header included, so a change of format is a visible diff here (and a
+// reason to bump frameVersion).
+func TestGoldenFrames(t *testing.T) {
+	count := query.NewAggState(pql.Count)
+	count.AddCount(3)
+	sum := query.NewAggState(pql.Sum)
+	sum.AddNumeric(1.5)
+	cases := []struct {
+		name string
+		msg  any
+		want []byte
+	}{
+		{"query", &QueryRequest{Resource: "r", PQL: "q", Segments: []string{"s0"}, Tenant: "t", TimeoutMillis: 5, QueryID: "id", BudgetMillis: -1}, []byte{
+			'P', 2, FrameQuery, 0, 0, 0, 0, 15,
+			1, 'r', 1, 'q', 1, 2, 's', '0', 1, 't', 10, 2, 'i', 'd', 1,
+		}},
+		{"segment aggregation", &SegmentFrame{Seq: 1, Result: &query.Intermediate{
+			Kind:     query.KindAggregation,
+			AggExprs: []pql.Expression{{IsAgg: true, Func: pql.Count, Column: "*"}, {IsAgg: true, Func: pql.Sum, Column: "x", Arg: pql.ColumnRef{Name: "x"}}},
+			Aggs:     []*query.AggState{count, sum},
+			Stats:    query.Stats{NumDocsScanned: 3, ResultCacheHit: true},
+		}}, []byte{
+			'P', 2, FrameSegment, 0, 0, 0, 0, 78,
+			2, // seq 1
+			0, // kind
+			2, // agg exprs
+			1, 5, 'C', 'O', 'U', 'N', 'T', 1, '*', exprNil,
+			1, 3, 'S', 'U', 'M', 1, 'x', exprColumn, 1, 'x',
+			2,       // aggs
+			1, 6, 0, // COUNT by reference, count 3, no flags
+			2, 2, stateSeen | stateNumeric, // SUM by reference, count 1
+			0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // sum 1.5
+			0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // min
+			0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // max
+			0,       // group cols
+			0, 0, 0, // groups, their values, their states
+			0,    // select cols
+			0,    // hidden cols
+			0, 0, // rows, their cells
+			6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, // stats
+		}},
+		{"segment selection", &SegmentFrame{Result: &query.Intermediate{
+			Kind: query.KindSelection, SelectCols: []string{"a"}, HiddenCols: 1,
+			Rows: [][]any{{int64(-2)}, {[]any{"m", 2.0, false}}},
+		}}, []byte{
+			'P', 2, FrameSegment, 0, 0, 0, 0, 50,
+			0, 2, 0, 0, 0, 0, 0, 0,
+			1, 1, 'a', // select cols
+			2,    // hidden cols 1
+			2, 2, // two rows, two cells
+			1, cellInt64, 3,
+			1, cellList, 3, cellString, 1, 'm', cellFloat64, 0x40, 0, 0, 0, 0, 0, 0, 0, cellBool, 0,
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		}},
+		{"segment group-by", &SegmentFrame{Result: &query.Intermediate{
+			Kind: query.KindGroupBy, GroupCols: []string{"g"},
+			Groups: map[string]*query.GroupEntry{"k": {Values: []any{"k"}, Aggs: []*query.AggState{
+				{Func: "PERCENTILE90", Count: 1, Sum: 2, Min: 2, Max: 2, Seen: true, Distinct: map[string]struct{}{"d": {}}, Values: []float64{2}},
+			}}},
+		}}, []byte{
+			'P', 2, FrameSegment, 0, 0, 0, 0, 89,
+			0, 1, 0, 0,
+			1, 1, 'g', // group cols
+			1, 1, 1, // one group, one value, one state
+			1, 'k', // key
+			1, cellString, 1, 'k',
+			1,                                                                 // one state
+			0, 12, 'P', 'E', 'R', 'C', 'E', 'N', 'T', 'I', 'L', 'E', '9', '0', // literal function name
+			2, stateSeen | stateNumeric | stateDistinct | stateValues,
+			0x40, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0,
+			1, 1, 'd', // distinct
+			1, 0x40, 0, 0, 0, 0, 0, 0, 0, // values
+			0, 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		}},
+		{"final", &FinalFrame{Frames: 2, Exceptions: []string{"e"}, Trace: qctx.Trace{qctx.PhaseQueue: 3}, Stats: query.Stats{TotalDocs: 64}}, []byte{
+			'P', 2, FrameFinal, 0, 0, 0, 0, 29,
+			4, 1, 1, 'e',
+			1, 5, 'q', 'u', 'e', 'u', 'e', 6,
+			0, 0, 0, 0, 0x80, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		}},
+		{"error", &ErrorFrame{Message: "no"}, []byte{'P', 2, FrameError, 0, 0, 0, 0, 3, 2, 'n', 'o'}},
+		{"consumed", &SegmentConsumedRequest{Segment: "s", Resource: "r", Instance: "i", Offset: 64}, []byte{
+			'P', 2, FrameConsumed, 0, 0, 0, 0, 8, 1, 's', 1, 'r', 1, 'i', 0x80, 0x01,
+		}},
+		{"consumed response", &SegmentConsumedResponse{Action: ActionHold, TargetOffset: 1}, []byte{
+			'P', 2, FrameConsumedResp, 0, 0, 0, 0, 6, 4, 'H', 'O', 'L', 'D', 2,
+		}},
+		{"commit", &SegmentCommitRequest{Segment: "s", Resource: "r", Instance: "i", Offset: 1, Blob: []byte{0xca, 0xfe}}, []byte{
+			'P', 2, FrameCommit, 0, 0, 0, 0, 10, 1, 's', 1, 'r', 1, 'i', 2, 2, 0xca, 0xfe,
+		}},
+		{"commit response", &SegmentCommitResponse{Success: true, Reason: "ok"}, []byte{
+			'P', 2, FrameCommitResp, 0, 0, 0, 0, 4, 1, 2, 'o', 'k',
+		}},
+	}
+	for _, c := range cases {
+		got := encodeFrame(t, c.msg)
+		if !bytes.Equal(got, c.want) {
+			t.Errorf("%s: frame bytes changed\n got %v\nwant %v", c.name, got, c.want)
+			continue
+		}
+		if back := roundTrip(t, c.msg); !reflect.DeepEqual(back, c.msg) {
+			t.Errorf("%s: golden frame decodes to %+v", c.name, back)
+		}
+	}
+}
+
+// ---- allocation budget ----
+
+// TestWireAllocBudget pins what the codec allocates per frame, encode plus
+// decode, so the gain over gob is held by tier-1 and not only by the
+// repository benchmark. The ceilings are a few above today's counts; beside
+// each is what the gob path needed for the same frame at the commit before
+// the codec (a fresh encoder and decoder per frame, as the data plane used
+// them).
+func TestWireAllocBudget(t *testing.T) {
+	selection := &SegmentFrame{Result: &query.Intermediate{
+		Kind: query.KindSelection, SelectCols: []string{"itemId", "impressions"},
+		Rows:  [][]any{{int64(1001), int64(7)}, {int64(1002), int64(900)}, {int64(1003), int64(12)}, {int64(1004), int64(3000)}},
+		Stats: query.Stats{NumDocsScanned: 4, NumEntriesScanned: 8, NumSegmentsQueried: 1, SegmentsMatched: 1, TotalDocs: 50000},
+	}}
+	exprs := []pql.Expression{{IsAgg: true, Func: pql.Sum, Column: "value"}, {IsAgg: true, Func: pql.Count, Column: "*"}}
+	groupBy := &SegmentFrame{Result: &query.Intermediate{
+		Kind: query.KindGroupBy, AggExprs: exprs, GroupCols: []string{"bucket"}, Groups: map[string]*query.GroupEntry{},
+	}}
+	const groups = 200
+	for i := 0; i < groups; i++ {
+		g := &query.GroupEntry{Values: []any{int64(1000 + i)}, Aggs: []*query.AggState{query.NewAggState(pql.Sum), query.NewAggState(pql.Count)}}
+		g.Aggs[0].AddNumeric(float64(i) * 1.5)
+		g.Aggs[1].AddCount(int64(i + 1))
+		groupBy.Result.Groups[query.GroupKey(g.Values)] = g
+	}
+	final := &FinalFrame{
+		Frames: 4, Trace: qctx.Trace{qctx.PhaseQueue: time.Microsecond, qctx.PhaseExecute: time.Millisecond},
+		Stats: query.Stats{NumSegmentsQueried: 4, SegmentsPrunedByServer: 1},
+	}
+	for _, c := range []struct {
+		name    string
+		msg     any
+		ceiling float64 // allocations, encode + decode
+		gob     int     // the same at the parent commit
+	}{
+		// Decode: frame, intermediate, column slice + 2 names, rows,
+		// arena, a box for each cell above 255.
+		{"selection 4x2", selection, 16, 558},
+		// Decode per group: the key and the boxed value; everything
+		// else is a slab.
+		{"group-by 200x2", groupBy, 2*groups + 20, 3552},
+		// Decode: frame, trace map, two phase names.
+		{"final", final, 8, 293},
+	} {
+		whole := encodeFrame(t, c.msg)
+		typ, frame := whole[2], whole[FrameHeaderSize:]
+		got := testing.AllocsPerRun(20, func() {
+			var err error
+			switch m := c.msg.(type) {
+			case *SegmentFrame:
+				_, err = sendFrame(io.Discard, typ, func(e *encoder) { e.segmentFrame(m.Seq, m.Result) })
+			case *FinalFrame:
+				_, err = sendFrame(io.Discard, typ, func(e *encoder) { e.finalFrame(m) })
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := decodeTyped(t, typ, frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per encode+decode (gob: %d)", c.name, got, c.gob)
+		if got > c.ceiling {
+			t.Errorf("%s: %.0f allocations per encode+decode, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}

@@ -70,8 +70,8 @@ func TestDecodeResponseNeverPanics(t *testing.T) {
 		{},
 		{0x00},
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
-		// Gob length prefix claiming a huge message with no body.
-		{0xfe, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+		// A result whose first count claims far more than the body holds.
+		{0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0x07},
 	}
 	for _, d := range degenerate {
 		decodeSafely(t, d)
@@ -81,23 +81,55 @@ func TestDecodeResponseNeverPanics(t *testing.T) {
 	}
 }
 
+// sampleResponses returns whole encoded responses over every result shape of
+// sampleMessages (aggregation, selection with a multi-value cell, group-by
+// with distinct sets, percentile values and expression arguments), each with
+// exceptions and a trace, plus one without a result.
+func sampleResponses(t testing.TB) [][]byte {
+	t.Helper()
+	final := sampleMessages()["final"].(*FinalFrame)
+	resps := []*QueryResponse{{Exceptions: []string{"no result"}}}
+	for _, m := range sampleMessages() {
+		if sf, ok := m.(*SegmentFrame); ok {
+			resps = append(resps, &QueryResponse{Result: sf.Result, Exceptions: final.Exceptions, Trace: final.Trace})
+		}
+	}
+	out := make([][]byte, len(resps))
+	for i, r := range resps {
+		data, err := EncodeResponse(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = data
+	}
+	return out
+}
+
 // FuzzDecodeResponse lets the fuzzer search for panicking inputs, seeded
-// with a valid payload and its common corruptions.
+// with a valid payload of every result shape and its common corruptions.
+// Whatever decodes must encode again: the decoder accepts no value the
+// encoder refuses.
 func FuzzDecodeResponse(f *testing.F) {
-	valid := sampleEncoded(f)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
+	for _, valid := range sampleResponses(f) {
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])
+		flipped := append([]byte(nil), valid...)
+		flipped[len(flipped)/3] ^= 0x80
+		f.Add(flipped)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("junk"))
-	flipped := make([]byte, len(valid))
-	copy(flipped, valid)
-	flipped[0] ^= 0x80
-	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := DecodeResponse(data)
 		if err == nil && resp == nil {
 			t.Fatalf("nil response with nil error on %d bytes", len(data))
+		}
+		if err != nil {
+			return
+		}
+		if _, err := EncodeResponse(resp); err != nil {
+			t.Fatalf("decoded response does not encode: %v", err)
 		}
 	})
 }

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sync"
@@ -21,19 +19,20 @@ import (
 //	offset 3: reserved, must be zero
 //	offset 4: uint32 big-endian payload length
 //
-// followed by a gob payload whose Go type depends on the frame type. A query
-// is one FrameQuery; the response is zero or more FrameSegment frames (one
-// per emitted per-segment intermediate, sequence-numbered contiguously from
-// zero) terminated by exactly one FrameFinal trailer, or a FrameError if the
-// query failed outright. Controller completion ops use the request/response
-// frame pairs below on the same framing.
+// followed by a payload in the binary codec of codec.go, whose message depends
+// on the frame type. A query is one FrameQuery; the response is zero or more
+// FrameSegment frames (one per emitted per-segment intermediate,
+// sequence-numbered contiguously from zero) terminated by exactly one
+// FrameFinal trailer, or a FrameError if the query failed outright. Controller
+// completion ops use the request/response frame pairs below on the same
+// framing.
 
 // FrameHeaderSize is the fixed byte length of a frame header.
 const FrameHeaderSize = 8
 
 const (
 	frameMagic   = 0x50 // 'P'
-	frameVersion = 1
+	frameVersion = 2    // 1 carried gob payloads
 )
 
 // MaxFramePayload caps a single frame's payload; decoders reject anything
@@ -83,39 +82,6 @@ type Frame struct {
 	Payload []byte
 }
 
-// AppendFrame serializes a frame header + payload into buf.
-func AppendFrame(buf []byte, typ uint8, payload []byte) []byte {
-	var hdr [FrameHeaderSize]byte
-	hdr[0] = frameMagic
-	hdr[1] = frameVersion
-	hdr[2] = typ
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
-
-// WriteFrame writes one frame and counts it in the transport metrics.
-func WriteFrame(w io.Writer, typ uint8, payload []byte) error {
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("transport: frame payload %d exceeds max %d", len(payload), MaxFramePayload)
-	}
-	buf := encodeBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.Write(AppendFrame(nil, typ, payload))
-	_, err := w.Write(buf.Bytes())
-	n := buf.Len()
-	if buf.Cap() <= maxPooledBuf {
-		encodeBufPool.Put(buf)
-	}
-	if err != nil {
-		return err
-	}
-	met := wireMet.Load()
-	met.framesSent.Inc()
-	met.bytesSent.Add(int64(n))
-	return nil
-}
-
 // parseHeader validates a frame header and returns (type, payload length).
 func parseHeader(hdr []byte) (uint8, int, error) {
 	if len(hdr) < FrameHeaderSize {
@@ -141,26 +107,119 @@ func parseHeader(hdr []byte) (uint8, int, error) {
 	return typ, int(n), nil
 }
 
-// ReadFrame reads one frame off the wire, counting bytes and frames. It
-// validates the header before allocating the payload.
-func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [FrameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// ---- writing ----
+
+// encoderPool recycles frame buffers: a frame is encoded straight into one,
+// behind its header, and written to the socket from it, so a steady data
+// plane allocates no buffer per frame. A buffer that grew past maxPooledBuf
+// is dropped instead of pooled so one huge selection response or segment
+// blob cannot pin its backing array forever.
+var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
+
+const maxPooledBuf = 1 << 20
+
+// getEncoder returns an empty pooled encoder; release returns it.
+func getEncoder() *encoder {
+	e := encoderPool.Get().(*encoder)
+	e.b, e.err = e.b[:0], nil
+	return e
+}
+
+func (e *encoder) release() {
+	if cap(e.b) <= maxPooledBuf {
+		encoderPool.Put(e)
 	}
-	typ, n, err := parseHeader(hdr[:])
+}
+
+// newFrame returns a pooled encoder positioned after the header of a frame of
+// the given type. The caller appends the payload, calls frame, then release.
+func newFrame(typ uint8) *encoder {
+	e := getEncoder()
+	e.b = append(e.b, frameMagic, frameVersion, typ, 0, 0, 0, 0, 0)
+	return e
+}
+
+// frame patches the payload length into the header and returns the whole
+// frame, valid until release. It fails, with nothing sent, when the payload
+// held a value the codec does not carry or outgrew MaxFramePayload.
+func (e *encoder) frame() ([]byte, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	n := len(e.b) - FrameHeaderSize
+	if n > MaxFramePayload {
+		return nil, fmt.Errorf("transport: frame payload %d exceeds max %d", n, MaxFramePayload)
+	}
+	binary.BigEndian.PutUint32(e.b[4:], uint32(n))
+	return e.b, nil
+}
+
+// sendFrame encodes one frame with fill, hands it to a single Write and
+// counts it in the transport metrics. encoded reports whether the frame was
+// well-formed: when false nothing reached w and the stream is still in step,
+// when true a non-nil err is a write failure.
+func sendFrame(w io.Writer, typ uint8, fill func(*encoder)) (encoded bool, err error) {
+	e := newFrame(typ)
+	defer e.release()
+	fill(e)
+	frame, err := e.frame()
+	if err != nil {
+		return false, err
+	}
+	if _, err := w.Write(frame); err != nil {
+		return true, err
+	}
+	met := wireMet.Load()
+	met.framesSent.Inc()
+	met.bytesSent.Add(int64(len(frame)))
+	return true, nil
+}
+
+// ---- reading ----
+
+// frameReader reads the frames of one connection, or of one round trip, into
+// one reused buffer. The decoders copy what they keep, so a payload only has
+// to stay valid until the next read.
+type frameReader struct {
+	buf []byte
+}
+
+var frameReaderPool = sync.Pool{New: func() any { return new(frameReader) }}
+
+func (fr *frameReader) release() {
+	if cap(fr.buf) <= maxPooledBuf {
+		frameReaderPool.Put(fr)
+	}
+}
+
+// read reads one frame off the wire, counting bytes and frames. The header is
+// validated before the buffer grows to the payload it announces; a bad header
+// and a payload cut short both count as decode failures.
+func (fr *frameReader) read(r io.Reader) (typ uint8, payload []byte, err error) {
+	if cap(fr.buf) < FrameHeaderSize {
+		fr.buf = make([]byte, 512)
+	}
+	hdr := fr.buf[:FrameHeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, nil, err
+	}
+	typ, n, err := parseHeader(hdr)
 	if err != nil {
 		wireMet.Load().decodeFails.Inc()
-		return nil, err
+		return 0, nil, err
 	}
-	payload := make([]byte, n)
+	if cap(fr.buf) < n {
+		fr.buf = make([]byte, n)
+	}
+	payload = fr.buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("transport: truncated frame payload: %w", err)
+		wireMet.Load().decodeFails.Inc()
+		return 0, nil, fmt.Errorf("transport: truncated frame payload: %w", err)
 	}
 	met := wireMet.Load()
 	met.framesRecv.Inc()
 	met.bytesRecv.Add(int64(FrameHeaderSize + n))
-	return &Frame{Type: typ, Payload: payload}, nil
+	return typ, payload, nil
 }
 
 // DecodeFrame parses a single complete frame from a byte slice. This is the
@@ -183,91 +242,46 @@ func DecodeFrame(data []byte) (*Frame, error) {
 	return &Frame{Type: typ, Payload: data[FrameHeaderSize : FrameHeaderSize+n]}, nil
 }
 
-// gobDecode decodes a frame payload into out with a panic guard: payloads
-// arrive off the network, and gob's decoder has historically let hostile
-// inputs escape its own recover net.
-func gobDecode(payload []byte, out any) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("transport: payload decode panic: %v", p)
-		}
-		if err != nil {
-			wireMet.Load().decodeFails.Inc()
-		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
-		return fmt.Errorf("transport: decode payload: %w", err)
-	}
-	return nil
-}
-
-// encodeBufPool recycles the scratch buffers of gobEncode and WriteFrame.
-// Every frame crosses both, so a fresh bytes.Buffer per call pays its growth
-// copies on the hot data plane (+1.8–3.8% bytes allocated per query on the
-// repository benchmark; EXPERIMENTS.md). Buffers that grew past maxPooledBuf
-// are dropped instead of pooled so one huge selection response cannot pin
-// its backing array forever.
-var encodeBufPool = sync.Pool{
-	New: func() any { return new(bytes.Buffer) },
-}
-
-const maxPooledBuf = 1 << 20
-
-// gobEncode encodes a frame payload through the shared buffer pool. The
-// returned slice is freshly allocated and owned by the caller.
-func gobEncode(v any) ([]byte, error) {
-	buf := encodeBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		encodeBufPool.Put(buf)
-		return nil, err
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	if buf.Cap() <= maxPooledBuf {
-		encodeBufPool.Put(buf)
-	}
-	return out, nil
-}
+// The typed payload decoders. Payloads arrive off the network, so any byte
+// sequence yields a message or an error, never a panic, and never allocates
+// more than a constant factor of its own length.
 
 // DecodeQueryFrame decodes a FrameQuery payload.
 func DecodeQueryFrame(payload []byte) (*QueryRequest, error) {
-	var req QueryRequest
-	if err := gobDecode(payload, &req); err != nil {
+	d := decoder{b: payload}
+	req := d.queryRequest()
+	if err := d.finish(); err != nil {
 		return nil, err
 	}
-	return &req, nil
+	return req, nil
 }
 
 // DecodeSegmentFrame decodes a FrameSegment payload.
 func DecodeSegmentFrame(payload []byte) (*SegmentFrame, error) {
-	var sf SegmentFrame
-	if err := gobDecode(payload, &sf); err != nil {
+	d := decoder{b: payload}
+	sf := d.segmentFrame()
+	if err := d.finish(); err != nil {
 		return nil, err
 	}
-	if sf.Result == nil {
-		return nil, fmt.Errorf("transport: segment frame %d has no result", sf.Seq)
-	}
-	return &sf, nil
+	return sf, nil
 }
 
 // DecodeFinalFrame decodes a FrameFinal payload.
 func DecodeFinalFrame(payload []byte) (*FinalFrame, error) {
-	var ff FinalFrame
-	if err := gobDecode(payload, &ff); err != nil {
+	d := decoder{b: payload}
+	ff := d.finalFrame()
+	if err := d.finish(); err != nil {
 		return nil, err
 	}
-	if ff.Frames < 0 {
-		return nil, fmt.Errorf("transport: final frame claims %d segment frames", ff.Frames)
-	}
-	return &ff, nil
+	return ff, nil
 }
 
 // DecodeErrorFrame decodes a FrameError payload.
 func DecodeErrorFrame(payload []byte) (*ErrorFrame, error) {
-	var ef ErrorFrame
-	if err := gobDecode(payload, &ef); err != nil {
+	d := decoder{b: payload}
+	ef := &ErrorFrame{Message: d.string()}
+	if err := d.finish(); err != nil {
 		return nil, err
 	}
-	return &ef, nil
+	return ef, nil
 }

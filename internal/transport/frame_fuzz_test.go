@@ -1,45 +1,59 @@
 package transport
 
-import (
-	"testing"
-
-	"pinot/internal/pql"
-	"pinot/internal/query"
-)
+import "testing"
 
 // sampleFrames returns one valid encoded frame of every type the data plane
-// sends, as complete wire bytes (header + payload).
+// sends, as complete wire bytes (header + payload), keyed by sample name.
 func sampleFrames(t testing.TB) map[string][]byte {
 	t.Helper()
-	mustEncode := func(v any) []byte {
-		p, err := gobEncode(v)
-		if err != nil {
-			t.Fatal(err)
+	out := map[string][]byte{}
+	for name, m := range sampleMessages() {
+		out[name] = encodeFrame(t, m)
+	}
+	return out
+}
+
+// decodeTyped runs the typed decoder of a frame type over a payload.
+func decodeTyped(t testing.TB, typ uint8, payload []byte) (any, error) {
+	switch typ {
+	case FrameQuery:
+		return DecodeQueryFrame(payload)
+	case FrameSegment:
+		sf, err := DecodeSegmentFrame(payload)
+		if err == nil && sf.Result == nil {
+			t.Fatal("accepted segment frame without a result")
 		}
-		return p
+		return sf, err
+	case FrameFinal:
+		ff, err := DecodeFinalFrame(payload)
+		if err == nil && ff.Frames < 0 {
+			t.Fatal("accepted final frame with negative frame count")
+		}
+		return ff, err
+	case FrameError:
+		return DecodeErrorFrame(payload)
 	}
-	inter := query.NewAggIntermediate([]pql.Expression{
-		{IsAgg: true, Func: pql.Count, Column: "*"},
-		{IsAgg: true, Func: pql.Sum, Column: "clicks"},
-	})
-	inter.Aggs[0].AddCount(42)
-	inter.Aggs[1].AddNumeric(3.5)
-	return map[string][]byte{
-		"query": AppendFrame(nil, FrameQuery, mustEncode(&QueryRequest{
-			Resource: "events_OFFLINE", PQL: "SELECT count(*) FROM events",
-			Segments: []string{"events_0"}, QueryID: "q1", BudgetMillis: 100,
-		})),
-		"segment": AppendFrame(nil, FrameSegment, mustEncode(&SegmentFrame{Seq: 0, Result: inter})),
-		"final": AppendFrame(nil, FrameFinal, mustEncode(&FinalFrame{
-			Frames: 1, Exceptions: []string{"warn"},
-			Stats: query.Stats{NumDocsScanned: 7, NumSegmentsQueried: 1},
-		})),
-		"error": AppendFrame(nil, FrameError, mustEncode(&ErrorFrame{Message: "boom"})),
+	var msg any
+	d := decoder{b: payload}
+	switch typ {
+	case FrameConsumed:
+		msg = d.consumedRequest()
+	case FrameConsumedResp:
+		msg = d.consumedResponse()
+	case FrameCommit:
+		msg = d.commitRequest()
+	case FrameCommitResp:
+		msg = d.commitResponse()
+	default:
+		t.Fatalf("frame type %d has no decoder", typ)
 	}
+	return msg, d.finish()
 }
 
 // decodeFrameSafely requires that DecodeFrame and the typed payload decoders
-// never panic and never return (nil, nil) on any input.
+// never panic and never return (nil, nil) on any input, and that whatever
+// they accept the encoder can write back in a form they accept again: the
+// codec reads no value it cannot carry.
 func decodeFrameSafely(t testing.TB, data []byte) {
 	t.Helper()
 	defer func() {
@@ -54,26 +68,13 @@ func decodeFrameSafely(t testing.TB, data []byte) {
 	if frame == nil {
 		t.Fatalf("nil frame with nil error on %d bytes", len(data))
 	}
-	// A structurally valid frame must still decode (or reject) its payload
-	// without panicking, and the typed decoders must uphold their
-	// invariants on anything they accept.
-	switch frame.Type {
-	case FrameQuery:
-		if req, err := DecodeQueryFrame(frame.Payload); err == nil && req == nil {
-			t.Fatal("nil query request with nil error")
-		}
-	case FrameSegment:
-		if sf, err := DecodeSegmentFrame(frame.Payload); err == nil && (sf == nil || sf.Result == nil) {
-			t.Fatal("accepted segment frame without a result")
-		}
-	case FrameFinal:
-		if ff, err := DecodeFinalFrame(frame.Payload); err == nil && (ff == nil || ff.Frames < 0) {
-			t.Fatal("accepted final frame with negative frame count")
-		}
-	case FrameError:
-		if ef, err := DecodeErrorFrame(frame.Payload); err == nil && ef == nil {
-			t.Fatal("nil error frame with nil error")
-		}
+	msg, err := decodeTyped(t, frame.Type, frame.Payload)
+	if err != nil {
+		return
+	}
+	again := encodeFrame(t, msg)
+	if _, err := decodeTyped(t, frame.Type, again[FrameHeaderSize:]); err != nil {
+		t.Fatalf("re-encoded %T is refused: %v", msg, err)
 	}
 }
 
@@ -123,8 +124,8 @@ func TestDecodeFrameNeverPanics(t *testing.T) {
 }
 
 // FuzzDecodeFrame lets the fuzzer search for inputs that panic the framing
-// layer or the typed payload decoders, seeded with every valid frame type
-// and its common corruptions. Run in CI as a short smoke
+// layer or the typed payload decoders, seeded with a valid frame of every
+// type (sampleMessages) and its common corruptions. Run in CI as a short smoke
 // (-fuzz FuzzDecodeFrame -fuzztime 5s) and longer by hand.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, valid := range sampleFrames(f) {

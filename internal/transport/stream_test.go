@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -174,7 +175,7 @@ func scriptedServer(t *testing.T, script []byte, keepOpen bool) string {
 			return
 		}
 		defer conn.Close()
-		if _, err := ReadFrame(conn); err != nil {
+		if _, err := readFrame(conn); err != nil {
 			return
 		}
 		if len(script) > 0 {
@@ -190,6 +191,16 @@ func scriptedServer(t *testing.T, script []byte, keepOpen bool) string {
 	return lis.Addr().String()
 }
 
+// readFrame reads one frame into a buffer of its own.
+func readFrame(r io.Reader) (*Frame, error) {
+	var fr frameReader
+	typ, payload, err := fr.read(r)
+	if err != nil {
+		return nil, err
+	}
+	return &Frame{Type: typ, Payload: payload}, nil
+}
+
 func tcpExecute(t *testing.T, ctx context.Context, addr string) (*QueryResponse, error) {
 	t.Helper()
 	pool := NewPool()
@@ -197,13 +208,39 @@ func tcpExecute(t *testing.T, ctx context.Context, addr string) (*QueryResponse,
 	return NewTCPClient(addr, pool).Execute(ctx, &QueryRequest{Resource: "r", PQL: "SELECT count(*) FROM t"})
 }
 
-func encodeFrame(t *testing.T, typ uint8, v any) []byte {
+// encodeFrame returns the wire bytes (header and payload) of one message.
+func encodeFrame(t testing.TB, v any) []byte {
 	t.Helper()
-	p, err := gobEncode(v)
+	var typ uint8
+	var fill func(*encoder)
+	switch m := v.(type) {
+	case *QueryRequest:
+		typ, fill = FrameQuery, func(e *encoder) { e.queryRequest(m) }
+	case *SegmentFrame:
+		typ, fill = FrameSegment, func(e *encoder) { e.segmentFrame(m.Seq, m.Result) }
+	case *FinalFrame:
+		typ, fill = FrameFinal, func(e *encoder) { e.finalFrame(m) }
+	case *ErrorFrame:
+		typ, fill = FrameError, func(e *encoder) { e.string(m.Message) }
+	case *SegmentConsumedRequest:
+		typ, fill = FrameConsumed, func(e *encoder) { e.consumedRequest(m) }
+	case *SegmentConsumedResponse:
+		typ, fill = FrameConsumedResp, func(e *encoder) { e.consumedResponse(m) }
+	case *SegmentCommitRequest:
+		typ, fill = FrameCommit, func(e *encoder) { e.commitRequest(m) }
+	case *SegmentCommitResponse:
+		typ, fill = FrameCommitResp, func(e *encoder) { e.commitResponse(m) }
+	default:
+		t.Fatalf("encodeFrame: no frame type for %T", v)
+	}
+	e := newFrame(typ)
+	defer e.release()
+	fill(e)
+	frame, err := e.frame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return AppendFrame(nil, typ, p)
+	return append([]byte(nil), frame...)
 }
 
 // waitGoroutines waits for the goroutine count to settle back near base;
@@ -228,8 +265,8 @@ func waitGoroutines(t *testing.T, base int) {
 func TestTCPClientTruncatedFinalTrailer(t *testing.T) {
 	base := runtime.NumGoroutine()
 	script := append(
-		encodeFrame(t, FrameSegment, countFrame(0, 5)),
-		encodeFrame(t, FrameFinal, &FinalFrame{Frames: 3})...,
+		encodeFrame(t, countFrame(0, 5)),
+		encodeFrame(t, &FinalFrame{Frames: 3})...,
 	)
 	addr := scriptedServer(t, script, false)
 	_, err := tcpExecute(t, context.Background(), addr)
@@ -243,8 +280,8 @@ func TestTCPClientTruncatedFinalTrailer(t *testing.T) {
 // is corrupt and must be rejected (not double-merged).
 func TestTCPClientDuplicateSeqFromServer(t *testing.T) {
 	script := append(
-		encodeFrame(t, FrameSegment, countFrame(0, 5)),
-		encodeFrame(t, FrameSegment, countFrame(0, 5))...,
+		encodeFrame(t, countFrame(0, 5)),
+		encodeFrame(t, countFrame(0, 5))...,
 	)
 	addr := scriptedServer(t, script, false)
 	_, err := tcpExecute(t, context.Background(), addr)
@@ -256,7 +293,7 @@ func TestTCPClientDuplicateSeqFromServer(t *testing.T) {
 // TestTCPClientMidFrameEOF: a connection dying inside a frame body must
 // surface as an error promptly — not hang, not yield a partial decode.
 func TestTCPClientMidFrameEOF(t *testing.T) {
-	whole := encodeFrame(t, FrameSegment, countFrame(0, 5))
+	whole := encodeFrame(t, countFrame(0, 5))
 	addr := scriptedServer(t, whole[:len(whole)/2], false)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -276,7 +313,7 @@ func TestTCPClientMidFrameEOF(t *testing.T) {
 // leak nothing.
 func TestTCPClientBudgetExpiryMidStream(t *testing.T) {
 	base := runtime.NumGoroutine()
-	addr := scriptedServer(t, encodeFrame(t, FrameSegment, countFrame(0, 5)), true)
+	addr := scriptedServer(t, encodeFrame(t, countFrame(0, 5)), true)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -294,7 +331,7 @@ func TestTCPClientBudgetExpiryMidStream(t *testing.T) {
 // TestTCPClientCancelMidStream: explicit cancellation (not deadline) must
 // unblock a stream read just as promptly.
 func TestTCPClientCancelMidStream(t *testing.T) {
-	addr := scriptedServer(t, encodeFrame(t, FrameSegment, countFrame(0, 5)), true)
+	addr := scriptedServer(t, encodeFrame(t, countFrame(0, 5)), true)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)

@@ -95,40 +95,38 @@ func (s *TCPQueryServer) Close() {
 
 func (s *TCPQueryServer) serveConn(conn net.Conn) {
 	defer conn.Close()
+	var fr frameReader // requests arrive one at a time: one buffer serves them all
 	for {
-		frame, err := ReadFrame(conn)
+		typ, payload, err := fr.read(conn)
 		if err != nil {
 			return // EOF, reset, or framing violation: drop the connection
 		}
-		switch frame.Type {
+		switch typ {
 		case FrameQuery:
-			if err := s.serveQuery(conn, frame.Payload); err != nil {
-				return
-			}
+			err = s.serveQuery(conn, payload)
 		case FrameConsumed:
-			if err := s.serveConsumed(conn, frame.Payload); err != nil {
-				return
-			}
+			err = s.serveConsumed(conn, payload)
 		case FrameCommit:
-			if err := s.serveCommit(conn, frame.Payload); err != nil {
-				return
-			}
+			err = s.serveCommit(conn, payload)
 		default:
 			// A response frame type on the request stream: protocol
 			// violation, drop the connection.
 			return
 		}
+		if err != nil {
+			return
+		}
+		if cap(fr.buf) > maxPooledBuf {
+			fr.buf = nil // a segment blob came through; do not keep its buffer
+		}
 	}
 }
 
-// writeErrorFrame best-effort reports a query error; a write failure just
-// drops the connection (returned to caller).
+// writeErrorFrame reports a failed request to the peer; the connection stays
+// in step, so only a write failure (returned) drops it.
 func writeErrorFrame(conn net.Conn, msg string) error {
-	payload, err := gobEncode(&ErrorFrame{Message: msg})
-	if err != nil {
-		return err
-	}
-	return WriteFrame(conn, FrameError, payload)
+	_, err := sendFrame(conn, FrameError, func(e *encoder) { e.string(msg) })
+	return err
 }
 
 func (s *TCPQueryServer) serveQuery(conn net.Conn, payload []byte) error {
@@ -146,16 +144,14 @@ func (s *TCPQueryServer) serveQuery(conn net.Conn, payload []byte) error {
 	defer cancel()
 	var writeErr error
 	trailer, err := s.Handler.ExecuteStream(ctx, req, func(seq int, res *query.Intermediate) error {
-		p, err := gobEncode(&SegmentFrame{Seq: seq, Result: res})
-		if err != nil {
-			return err
-		}
-		if err := WriteFrame(conn, FrameSegment, p); err != nil {
+		// A result the codec cannot carry fails the query with an error
+		// frame; only a failed write loses the connection.
+		encoded, err := sendFrame(conn, FrameSegment, func(e *encoder) { e.segmentFrame(seq, res) })
+		if encoded && err != nil {
 			writeErr = err
 			cancel()
-			return err
 		}
-		return nil
+		return err
 	})
 	if writeErr != nil {
 		return writeErr
@@ -163,49 +159,45 @@ func (s *TCPQueryServer) serveQuery(conn net.Conn, payload []byte) error {
 	if err != nil {
 		return writeErrorFrame(conn, err.Error())
 	}
-	p, err := gobEncode(trailer)
-	if err != nil {
+	encoded, err := sendFrame(conn, FrameFinal, func(e *encoder) { e.finalFrame(trailer) })
+	if !encoded {
 		return writeErrorFrame(conn, err.Error())
 	}
-	return WriteFrame(conn, FrameFinal, p)
+	return err
 }
 
 func (s *TCPQueryServer) serveConsumed(conn net.Conn, payload []byte) error {
-	var req SegmentConsumedRequest
-	if err := gobDecode(payload, &req); err != nil {
+	d := decoder{b: payload}
+	req := d.consumedRequest()
+	if err := d.finish(); err != nil {
 		return err
 	}
 	if s.Controller == nil {
 		return writeErrorFrame(conn, "transport: no controller on this endpoint")
 	}
-	resp, err := s.Controller.SegmentConsumed(context.Background(), &req)
+	resp, err := s.Controller.SegmentConsumed(context.Background(), req)
 	if err != nil {
 		return writeErrorFrame(conn, err.Error())
 	}
-	p, err := gobEncode(resp)
-	if err != nil {
-		return err
-	}
-	return WriteFrame(conn, FrameConsumedResp, p)
+	_, err = sendFrame(conn, FrameConsumedResp, func(e *encoder) { e.consumedResponse(resp) })
+	return err
 }
 
 func (s *TCPQueryServer) serveCommit(conn net.Conn, payload []byte) error {
-	var req SegmentCommitRequest
-	if err := gobDecode(payload, &req); err != nil {
+	d := decoder{b: payload}
+	req := d.commitRequest()
+	if err := d.finish(); err != nil {
 		return err
 	}
 	if s.Controller == nil {
 		return writeErrorFrame(conn, "transport: no controller on this endpoint")
 	}
-	resp, err := s.Controller.CommitSegment(context.Background(), &req)
+	resp, err := s.Controller.CommitSegment(context.Background(), req)
 	if err != nil {
 		return writeErrorFrame(conn, err.Error())
 	}
-	p, err := gobEncode(resp)
-	if err != nil {
-		return err
-	}
-	return WriteFrame(conn, FrameCommitResp, p)
+	_, err = sendFrame(conn, FrameCommitResp, func(e *encoder) { e.commitResponse(resp) })
+	return err
 }
 
 // TCPClient is a ServerClient that speaks the framed protocol to one
@@ -269,28 +261,31 @@ func (c *TCPClient) roundTrip(ctx context.Context, conn net.Conn, req *QueryRequ
 		conn.SetDeadline(time.Time{})
 	}
 
-	payload, err := gobEncode(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := WriteFrame(conn, FrameQuery, payload); err != nil {
+	if encoded, err := sendFrame(conn, FrameQuery, func(e *encoder) { e.queryRequest(req) }); err != nil {
+		if !encoded {
+			return nil, err
+		}
 		if ctxErr := contextCaused(ctx, err); ctxErr != nil {
 			return nil, ctxErr
 		}
 		return nil, fmt.Errorf("transport: send query: %w", err)
 	}
+	// Every frame of the response is read into one buffer; the decoders
+	// copy what the result keeps.
+	fr := frameReaderPool.Get().(*frameReader)
+	defer fr.release()
 	merger := NewStreamMerger()
 	for {
-		frame, err := ReadFrame(conn)
+		typ, payload, err := fr.read(conn)
 		if err != nil {
 			if ctxErr := contextCaused(ctx, err); ctxErr != nil {
 				return nil, ctxErr
 			}
 			return nil, fmt.Errorf("transport: read response: %w", err)
 		}
-		switch frame.Type {
+		switch typ {
 		case FrameSegment:
-			sf, err := DecodeSegmentFrame(frame.Payload)
+			sf, err := DecodeSegmentFrame(payload)
 			if err != nil {
 				return nil, err
 			}
@@ -298,7 +293,7 @@ func (c *TCPClient) roundTrip(ctx context.Context, conn net.Conn, req *QueryRequ
 				return nil, err
 			}
 		case FrameFinal:
-			ff, err := DecodeFinalFrame(frame.Payload)
+			ff, err := DecodeFinalFrame(payload)
 			if err != nil {
 				return nil, err
 			}
@@ -316,13 +311,13 @@ func (c *TCPClient) roundTrip(ctx context.Context, conn net.Conn, req *QueryRequ
 			conn.SetDeadline(time.Time{})
 			return &QueryResponse{Result: result, Exceptions: ff.Exceptions, Trace: ff.Trace}, nil
 		case FrameError:
-			ef, err := DecodeErrorFrame(frame.Payload)
+			ef, err := DecodeErrorFrame(payload)
 			if err != nil {
 				return nil, err
 			}
 			return nil, fmt.Errorf("%w: %s", errQueryFailed, ef.Message)
 		default:
-			return nil, fmt.Errorf("transport: unexpected frame type %d in query response", frame.Type)
+			return nil, fmt.Errorf("transport: unexpected frame type %d in query response", typ)
 		}
 	}
 }
@@ -352,12 +347,14 @@ func NewTCPControllerClient(addr string, pool *Pool) *TCPControllerClient {
 	return &TCPControllerClient{Addr: addr, Pool: pool}
 }
 
-func (c *TCPControllerClient) completionCall(ctx context.Context, reqType, respType uint8, req, resp any) error {
+// completionCall sends one request frame built by fill and hands the payload
+// of the matching response frame to read.
+func (c *TCPControllerClient) completionCall(ctx context.Context, reqType, respType uint8, fill func(*encoder), read func(*decoder)) error {
 	conn, err := c.Pool.Get(ctx, c.Addr)
 	if err != nil {
 		return err
 	}
-	if err := c.doCall(ctx, conn, reqType, respType, req, resp); err != nil {
+	if err := c.doCall(ctx, conn, reqType, respType, fill, read); err != nil {
 		c.Pool.Discard(conn)
 		return err
 	}
@@ -365,57 +362,62 @@ func (c *TCPControllerClient) completionCall(ctx context.Context, reqType, respT
 	return nil
 }
 
-func (c *TCPControllerClient) doCall(ctx context.Context, conn net.Conn, reqType, respType uint8, req, resp any) error {
+func (c *TCPControllerClient) doCall(ctx context.Context, conn net.Conn, reqType, respType uint8, fill func(*encoder), read func(*decoder)) error {
 	if dl, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 	} else {
 		conn.SetDeadline(time.Time{})
 	}
-	payload, err := gobEncode(req)
+	if _, err := sendFrame(conn, reqType, fill); err != nil {
+		return err
+	}
+	var fr frameReader
+	typ, payload, err := fr.read(conn)
 	if err != nil {
 		return err
 	}
-	if err := WriteFrame(conn, reqType, payload); err != nil {
-		return err
-	}
-	frame, err := ReadFrame(conn)
-	if err != nil {
-		return err
-	}
-	switch frame.Type {
+	switch typ {
 	case respType:
-		if err := gobDecode(frame.Payload, resp); err != nil {
+		d := decoder{b: payload}
+		read(&d)
+		if err := d.finish(); err != nil {
 			return err
 		}
 		conn.SetDeadline(time.Time{})
 		return nil
 	case FrameError:
-		ef, err := DecodeErrorFrame(frame.Payload)
+		ef, err := DecodeErrorFrame(payload)
 		if err != nil {
 			return err
 		}
 		return fmt.Errorf("%w: %s", errQueryFailed, ef.Message)
 	default:
-		return fmt.Errorf("transport: unexpected frame type %d in completion response", frame.Type)
+		return fmt.Errorf("transport: unexpected frame type %d in completion response", typ)
 	}
 }
 
 // SegmentConsumed implements ControllerClient.
 func (c *TCPControllerClient) SegmentConsumed(ctx context.Context, req *SegmentConsumedRequest) (*SegmentConsumedResponse, error) {
-	var resp SegmentConsumedResponse
-	if err := c.completionCall(ctx, FrameConsumed, FrameConsumedResp, req, &resp); err != nil {
+	var resp *SegmentConsumedResponse
+	err := c.completionCall(ctx, FrameConsumed, FrameConsumedResp,
+		func(e *encoder) { e.consumedRequest(req) },
+		func(d *decoder) { resp = d.consumedResponse() })
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // CommitSegment implements ControllerClient.
 func (c *TCPControllerClient) CommitSegment(ctx context.Context, req *SegmentCommitRequest) (*SegmentCommitResponse, error) {
-	var resp SegmentCommitResponse
-	if err := c.completionCall(ctx, FrameCommit, FrameCommitResp, req, &resp); err != nil {
+	var resp *SegmentCommitResponse
+	err := c.completionCall(ctx, FrameCommit, FrameCommitResp,
+		func(e *encoder) { e.commitRequest(req) },
+		func(d *decoder) { resp = d.commitResponse() })
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 var (

@@ -22,7 +22,7 @@ func benchSegmentFrames(n int) []*query.Intermediate {
 
 // benchStreamHandler replays fixed per-segment intermediates and a trailer,
 // standing in for a server's execution engine so the benchmark isolates the
-// wire path: framing, gob, pooling, streaming merge.
+// wire path: framing, codec, pooling, streaming merge.
 type benchStreamHandler struct {
 	frames []*query.Intermediate
 }
@@ -86,11 +86,7 @@ func BenchmarkStreamVsBuffered(b *testing.B) {
 	// exactly what a server writes.
 	segPayloads := make([][]byte, nFrames)
 	for seq, r := range frames {
-		p, err := gobEncode(&SegmentFrame{Seq: seq, Result: r})
-		if err != nil {
-			b.Fatal(err)
-		}
-		segPayloads[seq] = p
+		segPayloads[seq] = encodeFrame(b, &SegmentFrame{Seq: seq, Result: r})[FrameHeaderSize:]
 	}
 	trailer := &FinalFrame{Frames: nFrames, Stats: query.Stats{NumSegmentsQueried: nFrames}}
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pinot/internal/metrics"
 	"pinot/internal/query"
 )
 
@@ -277,5 +279,174 @@ func TestCancelAfterReturnNeverPoisonsPool(t *testing.T) {
 	wg.Wait()
 	if n := poisoned.Load(); n > 0 {
 		t.Fatalf("%d of %d calls failed on a pooled connection", n, callers*callsEach)
+	}
+}
+
+// badCellHandler answers its first query with a cell type the codec does not
+// carry (an int, which the engine never produces) and every later query
+// normally.
+type badCellHandler struct{ calls int }
+
+func (h *badCellHandler) ExecuteStream(ctx context.Context, req *QueryRequest, emit func(seq int, res *query.Intermediate) error) (*FinalFrame, error) {
+	h.calls++
+	res := countFrame(0, 10).Result
+	if h.calls == 1 {
+		res = &query.Intermediate{Kind: query.KindSelection, SelectCols: []string{"a"}, Rows: [][]any{{int(1)}}}
+	}
+	if err := emit(0, res); err != nil {
+		return nil, err
+	}
+	return &FinalFrame{Frames: 1}, nil
+}
+
+// TestUnsupportedCellIsAQueryError: a value outside the five cell types must
+// reach the broker as a FrameError — no panic, no half-written frame — and
+// leave the very same connection in step for the next query.
+func TestUnsupportedCellIsAQueryError(t *testing.T) {
+	addr := startServer(t, NewTCPQueryServer(&badCellHandler{}))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	query := encodeFrame(t, &QueryRequest{Resource: "r", PQL: "SELECT a FROM t"})
+
+	if _, err := conn.Write(query); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := readFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame.Type != FrameError {
+		t.Fatalf("frame type %d, want an error frame", frame.Type)
+	}
+	ef, err := DecodeErrorFrame(frame.Payload)
+	if err != nil || !strings.Contains(ef.Message, "unsupported cell type int") {
+		t.Fatalf("error frame = %+v, %v", ef, err)
+	}
+
+	if _, err := conn.Write(query); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []uint8{FrameSegment, FrameFinal} {
+		frame, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("second query on the same connection: %v", err)
+		}
+		if frame.Type != want {
+			t.Fatalf("second query: frame type %d, want %d", frame.Type, want)
+		}
+	}
+
+	// The client reports it as a query error like any other.
+	pool := NewPool()
+	defer pool.Close()
+	_, err = NewTCPClient(startServer(t, NewTCPQueryServer(&badCellHandler{})), pool).
+		Execute(context.Background(), &QueryRequest{Resource: "r", PQL: "q"})
+	if !errors.Is(err, errQueryFailed) {
+		t.Fatalf("client error = %v, want a server query error", err)
+	}
+}
+
+// gobQueryPayload is the head of a version-1 FrameQuery payload: a gob stream
+// opening with the type descriptor of QueryRequest.
+var gobQueryPayload = []byte{
+	0x76, 0x7f, 0x03, 0x01, 0x01, 0x0c, 'Q', 'u', 'e', 'r', 'y', 'R', 'e', 'q', 'u', 'e', 's', 't',
+	0x01, 0xff, 0x80, 0x00, 0x01, 0x07, 0x01, 0x08, 'R', 'e', 's', 'o', 'u', 'r', 'c', 'e', 0x01, 0x0c, 0x00,
+}
+
+// gobSegmentPayload is the head of a version-1 FrameSegment payload.
+var gobSegmentPayload = []byte{
+	0x2e, 0xff, 0x83, 0x03, 0x01, 0x01, 0x0c, 'S', 'e', 'g', 'm', 'e', 'n', 't', 'F', 'r', 'a', 'm', 'e',
+	0x01, 0xff, 0x84, 0x00, 0x01, 0x02, 0x01, 0x03, 'S', 'e', 'q', 0x01, 0x04, 0x00,
+}
+
+func rawFrame(version, typ uint8, payload []byte) []byte {
+	out := []byte{frameMagic, version, typ, 0, 0, 0, 0, uint8(len(payload))}
+	return append(out, payload...)
+}
+
+// TestOldWireVersionsAreRefused: a peer still speaking version 1, and a peer
+// that claims version 2 but sends a gob payload, are both refused with a
+// transport error, and the connection is dropped rather than reused.
+func TestOldWireVersionsAreRefused(t *testing.T) {
+	// Server side: the connection is closed without an answer.
+	for name, frame := range map[string][]byte{
+		"v1 header":           rawFrame(1, FrameQuery, gobQueryPayload),
+		"v2 header, gob body": rawFrame(frameVersion, FrameQuery, gobQueryPayload),
+	} {
+		addr := startServer(t, NewTCPQueryServer(&echoHandler{frames: 1}))
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Errorf("%s: server answered (%d bytes) instead of dropping the connection", name, n)
+		}
+		conn.Close()
+	}
+
+	// Client side: the call fails and the connection does not go back to
+	// the pool.
+	for name, c := range map[string]struct {
+		reply []byte
+		want  string
+	}{
+		"v1 header":           {rawFrame(1, FrameSegment, gobSegmentPayload), "unsupported frame version 1"},
+		"v2 header, gob body": {rawFrame(frameVersion, FrameSegment, gobSegmentPayload), "transport: decode"},
+	} {
+		addr := scriptedServer(t, c.reply, true)
+		pool := NewPool()
+		_, err := NewTCPClient(addr, pool).Execute(context.Background(), &QueryRequest{Resource: "r", PQL: "q"})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: client error = %v, want %q", name, err, c.want)
+		}
+		pool.mu.Lock()
+		idle := len(pool.idle[addr])
+		pool.mu.Unlock()
+		if idle != 0 {
+			t.Errorf("%s: the connection was pooled for reuse", name)
+		}
+		pool.Close()
+	}
+}
+
+// TestTruncatedFrameCountsAsDecodeFailure: a payload cut short is counted in
+// the decode-failure metric exactly like a bad header.
+func TestTruncatedFrameCountsAsDecodeFailure(t *testing.T) {
+	reg := metrics.NewRegistry()
+	UseRegistry(reg)
+	defer UseRegistry(nil)
+	const name = "pinot_transport_decode_failures_total"
+	whole := encodeFrame(t, countFrame(0, 5))
+
+	if _, err := readFrame(bytes.NewReader(whole[:len(whole)-3])); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("truncated payload: err = %v", err)
+	}
+	if got := reg.Total(name); got != 1 {
+		t.Fatalf("decode failures after a truncated payload = %d, want 1", got)
+	}
+	bad := append([]byte(nil), whole...)
+	bad[0] = 'X'
+	if _, err := readFrame(bytes.NewReader(bad)); err == nil {
+		t.Fatal("bad magic accepted")
+	}
+	if _, err := DecodeSegmentFrame(whole[FrameHeaderSize : len(whole)-1]); err == nil {
+		t.Fatal("short payload decoded")
+	}
+	if got := reg.Total(name); got != 3 {
+		t.Fatalf("decode failures = %d, want 3 (truncated frame, bad header, bad payload)", got)
+	}
+	if _, err := readFrame(bytes.NewReader(whole)); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Total(name); got != 3 {
+		t.Fatalf("a good frame counted as a decode failure")
 	}
 }

@@ -1,19 +1,15 @@
 // Package transport defines the broker↔server and server↔controller wire
-// contracts. The in-process cluster passes these structs directly; the HTTP
-// layer carries them as gob payloads, so all value types are registered
-// here.
+// contracts. The in-process cluster passes these structs directly; the TCP
+// data plane carries them as length-prefixed frames (frame.go) whose payloads
+// are written and read by the binary codec in codec.go.
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"pinot/internal/metrics"
-	"pinot/internal/pql"
 	"pinot/internal/qctx"
 	"pinot/internal/query"
 )
@@ -46,7 +42,7 @@ type wireMetrics struct {
 func newWireMetrics(reg *metrics.Registry) *wireMetrics {
 	return &wireMetrics{
 		encodes: reg.Counter("pinot_transport_encodes_total",
-			"Query responses gob-encoded for the wire.").With(),
+			"Whole query responses encoded by EncodeResponse.").With(),
 		encodeBytes: reg.Counter("pinot_transport_encode_bytes_total",
 			"Bytes of encoded query responses.").With(),
 		encodeTimeUs: reg.Histogram("pinot_transport_encode_time_us",
@@ -191,30 +187,18 @@ type ControllerClient interface {
 	CommitSegment(ctx context.Context, req *SegmentCommitRequest) (*SegmentCommitResponse, error)
 }
 
-func init() {
-	// Concrete types that travel inside `any` fields of query results.
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(false)
-	gob.Register([]any{})
-	// Expression AST nodes that travel inside Intermediate.AggExprs (the
-	// Expression.Arg interface field).
-	gob.Register(pql.ColumnRef{})
-	gob.Register(pql.Literal{})
-	gob.Register(pql.Arith{})
-	gob.Register(pql.Call{})
-}
-
-// EncodeResponse gob-encodes a query response for the HTTP data plane,
-// counting the encode in the transport metrics. The returned slice is owned
-// by the caller.
+// EncodeResponse encodes a whole query response (the unstreamed form of a
+// server's answer) with the data-plane codec, counting the encode in the
+// transport metrics. The returned slice is owned by the caller.
 func EncodeResponse(r *QueryResponse) ([]byte, error) {
 	start := time.Now()
-	out, err := gobEncode(r)
-	if err != nil {
-		return nil, err
+	e := getEncoder()
+	defer e.release()
+	e.queryResponse(r)
+	if e.err != nil {
+		return nil, e.err
 	}
+	out := append([]byte(nil), e.b...)
 	met := wireMet.Load()
 	met.encodes.Inc()
 	met.encodeBytes.Add(int64(len(out)))
@@ -224,24 +208,12 @@ func EncodeResponse(r *QueryResponse) ([]byte, error) {
 
 // DecodeResponse reverses EncodeResponse. Payloads arrive off the network,
 // so any byte sequence must yield a response or an error — never a panic.
-// gob's decoder is documented to recover its own panics into errors, but
-// hostile inputs have historically escaped that net (e.g. huge slice
-// allocations), so the guard stays belt-and-braces.
-func DecodeResponse(data []byte) (resp *QueryResponse, err error) {
-	met := wireMet.Load()
-	defer func() {
-		if p := recover(); p != nil {
-			resp = nil
-			err = fmt.Errorf("transport: decode panic: %v", p)
-		}
-		if err != nil {
-			met.decodeFails.Inc()
-		}
-	}()
-	var r QueryResponse
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&r); err != nil {
-		return nil, fmt.Errorf("transport: decode response: %w", err)
+func DecodeResponse(data []byte) (*QueryResponse, error) {
+	d := decoder{b: data}
+	resp := d.queryResponse()
+	if err := d.finish(); err != nil {
+		return nil, err
 	}
-	met.decodes.Inc()
-	return &r, nil
+	wireMet.Load().decodes.Inc()
+	return resp, nil
 }

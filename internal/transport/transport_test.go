@@ -8,7 +8,7 @@ import (
 	"pinot/internal/query"
 )
 
-func TestResponseGobRoundTrip(t *testing.T) {
+func TestResponseRoundTrip(t *testing.T) {
 	inter := query.NewAggIntermediate([]pql.Expression{
 		{IsAgg: true, Func: pql.Count, Column: "*"},
 		{IsAgg: true, Func: pql.Sum, Column: "clicks"},
@@ -36,7 +36,7 @@ func TestResponseGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGroupByGobRoundTrip(t *testing.T) {
+func TestGroupByRoundTrip(t *testing.T) {
 	inter := &query.Intermediate{
 		Kind:      query.KindGroupBy,
 		AggExprs:  []pql.Expression{{IsAgg: true, Func: pql.Sum, Column: "x"}},
@@ -67,7 +67,7 @@ func TestGroupByGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSelectionGobRoundTrip(t *testing.T) {
+func TestSelectionRoundTrip(t *testing.T) {
 	inter := &query.Intermediate{
 		Kind:       query.KindSelection,
 		SelectCols: []string{"a", "b"},
