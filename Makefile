@@ -38,16 +38,19 @@ cover:
 	@rm -f .cover-run.txt
 
 # Fuzz passes over the hostile-input surfaces: the transport decoders
-# (buffered whole-response payload, framed wire protocol), the PQL parser
-# (never panic; accepted input must canonicalize to a re-parseable fixpoint),
-# and the expression evaluator (sandbox limits hold; compiled kernels agree
-# with the interpreter). One list of targets, two durations: fuzz-smoke is
-# the few-seconds pass verify runs on every PR.
+# (buffered whole-response payload, framed wire protocol), the layout of an
+# intermediate where it lives (the bytes both cache tiers store: linear
+# allocation, and whatever decodes re-encodes to an equal value), the PQL
+# parser (never panic; accepted input must canonicalize to a re-parseable
+# fixpoint), and the expression evaluator (sandbox limits hold; compiled
+# kernels agree with the interpreter). One list of targets, two durations:
+# fuzz-smoke is the few-seconds pass verify runs on every PR.
 fuzz: FUZZTIME = 10s
 fuzz-smoke: FUZZTIME = 5s
 fuzz fuzz-smoke:
 	$(GO) test ./internal/transport -run NONE -fuzz=FuzzDecodeResponse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run NONE -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/query -run NONE -fuzz=FuzzDecodeIntermediate -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pql -run NONE -fuzz=FuzzParsePQL -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/expr -run NONE -fuzz=FuzzExprEval -fuzztime=$(FUZZTIME)
 

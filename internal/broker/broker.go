@@ -728,26 +728,30 @@ func (b *Broker) scatterGather(ctx context.Context, qc *qctx.QueryContext, resou
 	}
 	key := resultCacheKey(rs, tenant, q)
 	if v, ok := cache.Get(resource, q.Table, key); ok {
-		hit := v.(*cachedGather).replay()
-		live, _, err := b.scatterPortions(ctx, qc, rs, resource, q, tenant, cons, nil)
-		if err != nil {
-			return out, err
+		if hit, ok := v.(*cachedGather).replay(); ok {
+			live, _, err := b.scatterPortions(ctx, qc, rs, resource, q, tenant, cons, nil)
+			if err != nil {
+				return out, err
+			}
+			if err := out.fold(qc, hit); err != nil {
+				return out, err
+			}
+			return out, out.fold(qc, live)
 		}
-		if err := out.fold(qc, hit); err != nil {
-			return out, err
-		}
-		return out, out.fold(qc, live)
 	}
 	live, cacheable, err := b.scatterPortions(ctx, qc, rs, resource, q, tenant, cons, imm)
 	if err != nil {
 		return out, err
 	}
 	if cacheable.complete() && cacheable.result != nil {
-		cache.Put(resource, q.Table, key, &cachedGather{
-			result:    cacheable.result.Clone(),
-			queried:   cacheable.queried,
-			responded: cacheable.responded,
-		}, cacheable.result.SizeBytes())
+		// A result the layout cannot carry is answered and not stored.
+		if enc, err := query.EncodeIntermediate(cacheable.result); err == nil {
+			cache.Put(resource, q.Table, key, &cachedGather{
+				encoded:   enc,
+				queried:   cacheable.queried,
+				responded: cacheable.responded,
+			}, int64(len(enc)))
+		}
 	}
 	if err := out.fold(qc, cacheable); err != nil {
 		return out, err

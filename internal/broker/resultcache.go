@@ -22,23 +22,29 @@ import (
 // still-moving remainder.
 
 // cachedGather is one stored result-cache entry: the merged intermediate of
-// a subquery's immutable portion plus the scatter counts that produced it.
-// Only complete outcomes are stored (see gatherResult.complete), so a
-// replay is indistinguishable from re-contacting the same servers — stats
-// included — except for the Stats.ResultCacheHit marker.
+// a subquery's immutable portion, as its encoded bytes (query/wire.go) at
+// exactly their length, plus the scatter counts that produced it. Only
+// complete outcomes are stored (see gatherResult.complete), so a replay is
+// indistinguishable from re-contacting the same servers — stats included —
+// except for the Stats.ResultCacheHit marker.
 type cachedGather struct {
-	result    *query.Intermediate
+	encoded   []byte
 	queried   int
 	responded int
 }
 
-// replay materializes the entry as a fresh gather outcome. The result is
-// cloned (merges downstream mutate their receiver) and flagged as a cache
-// hit — the single permitted divergence from a cold response.
-func (e *cachedGather) replay() gatherResult {
-	res := e.result.Clone()
+// replay materializes the entry as a fresh gather outcome: the bytes decode
+// into an intermediate no one else holds (merges downstream mutate their
+// receiver), flagged as a cache hit — the single permitted divergence from a
+// cold response. ok is false when the bytes no longer decode; the caller then
+// scatters as on a miss and its Put replaces the entry.
+func (e *cachedGather) replay() (hit gatherResult, ok bool) {
+	res, err := query.DecodeIntermediate(e.encoded)
+	if err != nil {
+		return gatherResult{}, false
+	}
 	res.Stats.ResultCacheHit = true
-	return gatherResult{result: res, queried: e.queried, responded: e.responded}
+	return gatherResult{result: res, queried: e.queried, responded: e.responded}, true
 }
 
 // complete reports whether a portion's outcome may be cached: every group

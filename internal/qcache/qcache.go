@@ -6,11 +6,16 @@
 // — precise invalidation, never time-based staleness. Eviction is bounded
 // by bytes, least-recently-used first, with a small-result admission bias:
 // dashboard-style workloads repeat many small aggregations, and one monster
-// selection must not wipe out a thousand useful entries.
+// result must not wipe out a thousand useful entries. A value is opaque to
+// the cache; its owner states its size, and the cache adds the key's length,
+// so the bound covers what an entry holds (the two query tiers store encoded
+// bytes of exactly the stated size, the dictionary-expression tier an
+// estimate of its memo).
 package qcache
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 
 	"pinot/internal/metrics"
@@ -23,7 +28,8 @@ const DefaultMaxBytes = 64 << 20
 type Config struct {
 	// Tier labels this cache's metrics ("result", "aggregate").
 	Tier string
-	// MaxBytes bounds the sum of entry sizes (0 = DefaultMaxBytes).
+	// MaxBytes bounds the sum of entry sizes, keys included
+	// (0 = DefaultMaxBytes).
 	MaxBytes int64
 	// MaxEntryBytes is the admission cap: entries larger than this are
 	// rejected outright — the small-result bias. 0 defaults to MaxBytes/8.
@@ -46,7 +52,8 @@ func (c *Config) withDefaults() {
 
 // entry is one cached value. table is carried so per-table metric families
 // stay attributable on eviction and invalidation, where only the scope is
-// known to the caller.
+// known to the caller. size is what the entry is charged: the value's stated
+// size plus the key's length.
 type entry struct {
 	scope string
 	key   string
@@ -97,9 +104,9 @@ type Cache struct {
 	met *cacheMetrics
 
 	mu       sync.Mutex
-	order    *list.List               // front = most recently used; values are *entry
-	byKey    map[string]*list.Element // composite scope+key → element
-	byScope  map[string]map[string]*list.Element
+	order    *list.List                          // front = most recently used; values are *entry
+	byScope  map[string]map[string]*list.Element // scope → key → element
+	tables   map[string]string                   // table name → the one copy entries share
 	curBytes int64
 }
 
@@ -110,20 +117,30 @@ func New(cfg Config) *Cache {
 		cfg:     cfg,
 		met:     newCacheMetrics(cfg.Metrics, cfg.Tier),
 		order:   list.New(),
-		byKey:   map[string]*list.Element{},
 		byScope: map[string]map[string]*list.Element{},
+		tables:  map[string]string{},
 	}
 }
 
-func composite(scope, key string) string { return scope + "\x00" + key }
+// internTableLocked returns the cache's own copy of a table name. Callers
+// pass a substring of the query text; an entry that kept it would pin the
+// whole text for as long as it lives, uncharged.
+func (c *Cache) internTableLocked(table string) string {
+	t, ok := c.tables[table]
+	if !ok {
+		t = strings.Clone(table)
+		c.tables[t] = t
+	}
+	return t
+}
 
 // Get returns the value cached under (scope, key), recording a hit or miss
 // for the table. On a hit the entry's recency is refreshed and its
-// size is credited to the table's bytes-saved counter.
+// value's size is credited to the table's bytes-saved counter. A lookup
+// builds no key: the two-level index is probed with the caller's strings.
 func (c *Cache) Get(scope, table, key string) (any, bool) {
-	ck := composite(scope, key)
 	c.mu.Lock()
-	el, ok := c.byKey[ck]
+	el, ok := c.byScope[scope][key]
 	if !ok {
 		c.mu.Unlock()
 		c.met.misses.With(c.cfg.Tier, table).Inc()
@@ -131,42 +148,44 @@ func (c *Cache) Get(scope, table, key string) (any, bool) {
 	}
 	e := el.Value.(*entry)
 	c.order.MoveToFront(el)
-	val, size := e.val, e.size
+	val, size := e.val, e.size-int64(len(e.key))
 	c.mu.Unlock()
 	c.met.hits.With(c.cfg.Tier, table).Inc()
 	c.met.bytesSaved.With(c.cfg.Tier, table).Add(size)
 	return val, true
 }
 
-// Put admits a value under (scope, key), evicting cold entries to stay
-// under the byte bound. Values above the entry-size cap are rejected (the
+// Put admits a value of the stated size under (scope, key), evicting cold
+// entries to stay under the byte bound. The entry is charged size plus the
+// key's length; entries above the entry-size cap are rejected (the
 // small-result bias); the return reports admission. Re-putting an existing
 // key replaces the value in place.
 func (c *Cache) Put(scope, table, key string, val any, size int64) bool {
 	if size <= 0 {
 		size = 1
 	}
+	size += int64(len(key))
 	if size > c.cfg.MaxEntryBytes {
 		c.met.rejected.With(c.cfg.Tier, table).Inc()
 		return false
 	}
-	ck := composite(scope, key)
 	type victim struct{ table string }
 	var victims []victim
 	c.mu.Lock()
-	if el, ok := c.byKey[ck]; ok {
+	table = c.internTableLocked(table)
+	if el, ok := c.byScope[scope][key]; ok {
 		e := el.Value.(*entry)
 		c.curBytes += size - e.size
 		e.val, e.size, e.table = val, size, table
 		c.order.MoveToFront(el)
 	} else {
 		e := &entry{scope: scope, key: key, table: table, val: val, size: size}
-		el := c.order.PushFront(e)
-		c.byKey[ck] = el
-		if c.byScope[scope] == nil {
-			c.byScope[scope] = map[string]*list.Element{}
+		m := c.byScope[scope]
+		if m == nil {
+			m = map[string]*list.Element{}
+			c.byScope[scope] = m
 		}
-		c.byScope[scope][key] = el
+		m[key] = c.order.PushFront(e)
 		c.curBytes += size
 	}
 	for c.curBytes > c.cfg.MaxBytes && c.order.Len() > 1 {
@@ -186,7 +205,6 @@ func (c *Cache) Put(scope, table, key string, val any, size int64) bool {
 func (c *Cache) removeLocked(el *list.Element) {
 	e := el.Value.(*entry)
 	c.order.Remove(el)
-	delete(c.byKey, composite(e.scope, e.key))
 	if m := c.byScope[e.scope]; m != nil {
 		delete(m, e.key)
 		if len(m) == 0 {
@@ -229,7 +247,6 @@ func (c *Cache) InvalidateAll() int {
 		dropped = append(dropped, el.Value.(*entry).table)
 	}
 	c.order.Init()
-	c.byKey = map[string]*list.Element{}
 	c.byScope = map[string]map[string]*list.Element{}
 	c.curBytes = 0
 	c.updateGaugesLocked()

@@ -22,13 +22,14 @@ func TestGetPutBasics(t *testing.T) {
 	if !ok || v.(string) != "v1" {
 		t.Fatalf("get = %v, %v", v, ok)
 	}
-	if c.Len() != 1 || c.Bytes() != 100 {
+	// An entry is charged its stated size plus its key ("k1").
+	if c.Len() != 1 || c.Bytes() != 102 {
 		t.Fatalf("len=%d bytes=%d", c.Len(), c.Bytes())
 	}
 
 	// Replacement updates bytes in place.
 	c.Put("scope1", "events", "k1", "v2", 250)
-	if c.Len() != 1 || c.Bytes() != 250 {
+	if c.Len() != 1 || c.Bytes() != 252 {
 		t.Fatalf("after replace len=%d bytes=%d", c.Len(), c.Bytes())
 	}
 	v, _ = c.Get("scope1", "events", "k1")
@@ -42,6 +43,7 @@ func TestGetPutBasics(t *testing.T) {
 	if got := reg.Value("pinot_cache_misses_total", "result", "events"); got != 1 {
 		t.Fatalf("misses = %d, want 1", got)
 	}
+	// What a hit saves is the value, not the key the caller already had.
 	if got := reg.Total("pinot_cache_bytes_saved_total"); got != 350 {
 		t.Fatalf("bytes saved = %d, want 350", got)
 	}
@@ -64,14 +66,18 @@ func TestAdmissionRejectsOversized(t *testing.T) {
 	if d.Put("s", "t", "big", "x", 101) {
 		t.Fatal("entry above MaxBytes/8 admitted under default cap")
 	}
-	if !d.Put("s", "t", "ok", "x", 100) {
+	if !d.Put("s", "t", "ok", "x", 98) {
 		t.Fatal("entry at default cap rejected")
+	}
+	// The key counts against the cap: what is bounded is what is held.
+	if d.Put("s", "t", "a-key-of-twenty-bytes", "x", 90) {
+		t.Fatal("entry whose key takes it past the cap admitted")
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := New(Config{Tier: "result", MaxBytes: 300, MaxEntryBytes: 300, Metrics: reg})
+	c := New(Config{Tier: "result", MaxBytes: 303, MaxEntryBytes: 303, Metrics: reg})
 	c.Put("s", "t", "a", 1, 100)
 	c.Put("s", "t", "b", 2, 100)
 	c.Put("s", "t", "c", 3, 100)
@@ -89,7 +95,7 @@ func TestLRUEviction(t *testing.T) {
 	if got := reg.Total("pinot_cache_evictions_total"); got != 1 {
 		t.Fatalf("evictions = %d", got)
 	}
-	if c.Bytes() != 300 {
+	if c.Bytes() != 303 {
 		t.Fatalf("bytes = %d", c.Bytes())
 	}
 }
@@ -109,11 +115,54 @@ func TestInvalidateScope(t *testing.T) {
 	if _, ok := c.Get("seg2", "events", "k1"); !ok {
 		t.Fatal("unrelated scope invalidated")
 	}
-	if c.Len() != 1 || c.Bytes() != 10 {
+	if c.Len() != 1 || c.Bytes() != 12 {
 		t.Fatalf("len=%d bytes=%d", c.Len(), c.Bytes())
 	}
 	if got := reg.Total("pinot_cache_invalidations_total"); got != 2 {
 		t.Fatalf("invalidations = %d, want exactly 2", got)
+	}
+}
+
+// TestScopesDoNotCollide holds what the one index must: (scope, key) is the
+// identity, so a scope and key that concatenate alike stay apart, and a
+// scope's last entry leaving takes the scope's map with it.
+func TestScopesDoNotCollide(t *testing.T) {
+	c := New(Config{Tier: "result", MaxBytes: 10000})
+	c.Put("a", "t", "\x00b", 1, 10)
+	c.Put("a\x00", "t", "b", 2, 10)
+	c.Put("", "t", "a\x00\x00b", 3, 10)
+	for i, sk := range [][2]string{{"a", "\x00b"}, {"a\x00", "b"}, {"", "a\x00\x00b"}} {
+		if v, ok := c.Get(sk[0], "t", sk[1]); !ok || v.(int) != i+1 {
+			t.Fatalf("(%q, %q) = %v, %v", sk[0], sk[1], v, ok)
+		}
+	}
+	if n := c.InvalidateScope("a"); n != 1 || c.Len() != 2 {
+		t.Fatalf("invalidated %d, %d left", n, c.Len())
+	}
+	c.mu.Lock()
+	_, kept := c.byScope["a"]
+	c.mu.Unlock()
+	if kept {
+		t.Fatal("an emptied scope keeps its map")
+	}
+}
+
+// TestLookupDoesNotCopyTheKey: keys are canonical PQL, a few hundred bytes; a
+// hit and a miss must not build one. What a lookup still allocates is the
+// metrics registry's label join, once per counter it touches (hits and bytes
+// saved on a hit, misses on a miss) — four for the three lookups below.
+func TestLookupDoesNotCopyTheKey(t *testing.T) {
+	c := New(Config{Tier: "result", MaxBytes: 10000, Metrics: metrics.NewRegistry()})
+	key := "SELECT count(*) FROM events WHERE country = 'us' GROUP BY browser TOP 10"
+	c.Put("events_OFFLINE", "events", key, 1, 10)
+	c.Get("events_OFFLINE", "events", key) // the first lookup creates the table's counters
+	c.Get("events_OFFLINE", "events", "absent")
+	if n := testing.AllocsPerRun(100, func() {
+		c.Get("events_OFFLINE", "events", key)
+		c.Get("events_OFFLINE", "events", "absent")
+		c.Get("no such scope", "events", key)
+	}); n > 4 {
+		t.Fatalf("three lookups allocate %v times, want the 4 label joins", n)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // AggState is the mergeable intermediate state of one aggregation function.
 // States accumulate per segment, merge at the server across its segments,
 // and merge again at the broker across servers (paper 3.3.3 step 7). The
-// wire codec (internal/transport/codec.go) writes each field by name; a
-// field added here needs a line there, which TestCodecCarriesEveryField
-// enforces.
+// layout the data plane ships and the caches store (wire.go, in this
+// package) writes each field by name; a field added here needs a line
+// there, which TestCodecCarriesEveryField (internal/transport) enforces.
 type AggState struct {
 	Func  pql.AggFunc
 	Count int64

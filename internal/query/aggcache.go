@@ -10,7 +10,10 @@ import (
 
 // Server-side partial-aggregate cache: per-segment merged aggregation state
 // keyed on (segment ID, filter signature, aggregation signature), checked
-// before plan execution and filled after. Only immutable segments are
+// before plan execution and filled after. The value is the intermediate's
+// encoded bytes (wire.go), held at exactly their length: the cache shares no
+// memory with any query, the collector has no pointers to trace in it, and
+// the tier's byte bound is what it occupies. Only immutable segments are
 // cacheable — a consuming (mutable) segment changes under every query — and
 // only aggregation shapes are stored: selection intermediates are row sets
 // whose merge order is not deterministic across runs, and caching them
@@ -59,8 +62,12 @@ func aggCacheKey(q *pql.Query) string {
 // executeSegmentCached wraps ExecuteSegment with the partial-aggregate
 // cache. Cached intermediates replay the original execution verbatim —
 // stats included — so a warm segment is indistinguishable from a cold one
-// in the response. Only clean completions are stored: errored or
-// group-limited executions must re-run.
+// in the response. A hit decodes into an Intermediate that is the caller's
+// alone to Merge into and Finalize; a miss returns what it computed and
+// leaves an encoded copy behind. Only clean completions are stored: errored
+// or group-limited executions must re-run. Bytes that no longer decode are a
+// miss whose Put replaces them, and a result the layout cannot carry is
+// answered and simply not stored.
 func (e *Engine) executeSegmentCached(ctx context.Context, is IndexedSegment, q *pql.Query, tableSchema *segment.Schema) (*Intermediate, error) {
 	cache := e.AggCache
 	if cache == nil || !aggCacheable(q, e.Options, is) {
@@ -68,12 +75,20 @@ func (e *Engine) executeSegmentCached(ctx context.Context, is IndexedSegment, q 
 	}
 	scope, key := is.Seg.Name(), aggCacheKey(q)
 	if v, ok := cache.Get(scope, q.Table, key); ok {
-		return v.(*Intermediate).Clone(), nil
+		b, _ := v.([]byte)
+		if res, err := DecodeIntermediate(b); err == nil {
+			return res, nil
+		}
 	}
 	res, err := ExecuteSegment(ctx, is, q, tableSchema, e.Options)
 	if err != nil {
 		return res, err
 	}
-	cache.Put(scope, q.Table, key, res.Clone(), res.SizeBytes())
+	if e.afterMiss != nil {
+		e.afterMiss(res)
+	}
+	if b, err := EncodeIntermediate(res); err == nil {
+		cache.Put(scope, q.Table, key, b, int64(len(b)))
+	}
 	return res, nil
 }

@@ -1,9 +1,13 @@
 package query
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pinot/internal/metrics"
@@ -215,33 +219,233 @@ func TestAggCacheSelectionNotCached(t *testing.T) {
 	}
 }
 
-// TestAggCacheIsolation: mutating a served result must not corrupt the
-// cached entry (clone-on-get), and mutating the source after Put must not
-// corrupt the cache (clone-on-put).
+// storedBytes returns the aggregate tier's entry for (segment, query): the
+// very slice the cache holds, so a test can compare it or damage it.
+func storedBytes(t *testing.T, cache *qcache.Cache, seg IndexedSegment, q *pql.Query) []byte {
+	t.Helper()
+	v, ok := cache.Get(seg.Seg.Name(), q.Table, aggCacheKey(q))
+	if !ok {
+		t.Fatalf("no entry for segment %s", seg.Seg.Name())
+	}
+	return v.([]byte)
+}
+
+// TestAggCacheIsolation: an entry is bytes nobody else holds, and a hit is a
+// value nobody else holds. Eight goroutines take the same hits at once, the
+// engine merges each one's into the next segment's and they finalize the
+// lot; every answer is the cold answer and the stored bytes never move. Run
+// under -race -count=10.
 func TestAggCacheIsolation(t *testing.T) {
 	segs := aggCacheFixture(t)
 	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
 	e := &Engine{AggCache: cache}
-	q, err := pql.Parse("SELECT sum(clicks), distinctcount(browser) FROM events WHERE country = 'us'")
+	q, err := pql.Parse("SELECT sum(clicks), distinctcount(browser), percentile90(revenue) FROM events WHERE country = 'us' GROUP BY day")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *Intermediate {
+	run := func() (*Result, error) {
 		merged, _, err := e.Execute(context.Background(), q, segs, nil)
+		if err != nil {
+			return nil, err
+		}
+		return merged.Finalize(q), nil
+	}
+	baseline, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored [][]byte
+	for _, s := range segs[:3] {
+		stored = append(stored, append([]byte(nil), storedBytes(t, cache, s, q)...))
+	}
+	firstHit, err := e.executeSegmentCached(context.Background(), segs[0], q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				got, err := run()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, baseline) {
+					t.Errorf("a warm answer diverges:\n got %+v\nwant %+v", got, baseline)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for i, s := range segs[:3] {
+		if !bytes.Equal(storedBytes(t, cache, s, q), stored[i]) {
+			t.Errorf("segment %s: the stored bytes changed under its readers", s.Seg.Name())
+		}
+	}
+	nextHit, err := e.executeSegmentCached(context.Background(), segs[0], q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nextHit == firstHit || !reflect.DeepEqual(nextHit, firstHit) {
+		t.Errorf("the next hit is not an equal, separate value:\n got %+v\nwant %+v", nextHit, firstHit)
+	}
+}
+
+// TestAggCacheStoresEveryCacheablePair: with values encoded on the way in, a
+// result that failed to encode would silently stop being cached. Over the
+// differential corpus every per-segment execution the cache was asked about
+// must have left an entry.
+func TestAggCacheStoresEveryCacheablePair(t *testing.T) {
+	segs := aggCacheFixture(t)
+	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
+	var executed atomic.Int64
+	e := &Engine{AggCache: cache, afterMiss: func(*Intermediate) { executed.Add(1) }}
+	for _, text := range aggCacheCorpus() {
+		q, err := pql.Parse(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return merged
+		if _, _, err := e.Execute(context.Background(), q, segs, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	baseline := run().Finalize(q)
-	warm := run()
-	// Mutate the served copy aggressively: merge it into itself and finalize.
-	_ = warm.Merge(warm.Clone())
-	warm.Finalize(q)
-	again := run().Finalize(q)
-	if !reflect.DeepEqual(baseline, again) {
-		t.Fatalf("cache corrupted by consumer mutation:\n  %+v\n  %+v", baseline, again)
+	if n := executed.Load(); n == 0 || int64(cache.Len()) != n {
+		t.Fatalf("%d cacheable (query, segment) pairs executed, %d entries stored", n, cache.Len())
 	}
+}
+
+// TestAggCacheCorruptEntryIsAMiss: bytes that no longer decode are a miss.
+// The segment is executed, the answer is the cold answer, the entry is
+// replaced by a good one, and nothing panics.
+func TestAggCacheCorruptEntryIsAMiss(t *testing.T) {
+	segs := aggCacheFixture(t)[:3]
+	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
+	var executed atomic.Int64
+	e := &Engine{AggCache: cache, afterMiss: func(*Intermediate) { executed.Add(1) }}
+	q, err := pql.Parse("SELECT sum(clicks), count(*) FROM events GROUP BY country")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *Result {
+		var merged *Intermediate
+		_, excs, err := e.ExecuteStream(context.Background(), q, segs, nil, func(_ int, res *Intermediate) error {
+			if merged == nil {
+				merged = res
+				return nil
+			}
+			return merged.Merge(res)
+		})
+		if err != nil || len(excs) > 0 {
+			t.Fatalf("err = %v, exceptions = %v", err, excs)
+		}
+		return merged.Finalize(q)
+	}
+	cold := run()
+	stored := storedBytes(t, cache, segs[1], q)
+	good, err := DecodeIntermediate(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored[0] ^= 0xff // the result kind: no longer one the decoder knows
+	if _, err := DecodeIntermediate(stored); err == nil {
+		t.Fatal("the damaged entry still decodes; the test damages nothing")
+	}
+	before := executed.Load()
+	if got := run(); !reflect.DeepEqual(got, cold) {
+		t.Fatalf("the answer over a damaged entry diverges:\n got %+v\nwant %+v", got, cold)
+	}
+	if n := executed.Load() - before; n != 1 {
+		t.Fatalf("%d segments executed over one damaged entry, want 1", n)
+	}
+	if now, err := DecodeIntermediate(storedBytes(t, cache, segs[1], q)); err != nil || !reflect.DeepEqual(now, good) {
+		t.Fatalf("the damaged entry was not replaced by a good one: %v", err)
+	}
+	if cache.Len() != 3 {
+		t.Fatalf("%d entries, want 3", cache.Len())
+	}
+}
+
+// TestAggCacheUnencodableResultIsNotStored: a result holding a cell outside
+// the layout's five types is answered as computed and leaves no entry.
+func TestAggCacheUnencodableResultIsNotStored(t *testing.T) {
+	segs := aggCacheFixture(t)[:1]
+	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
+	e := &Engine{AggCache: cache, afterMiss: func(r *Intermediate) {
+		r.Groups[GroupKey([]any{"us"})].Values[0] = int(1)
+	}}
+	q, err := pql.Parse("SELECT count(*) FROM events GROUP BY country")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Intermediate
+	_, excs, err := e.ExecuteStream(context.Background(), q, segs, nil, func(_ int, res *Intermediate) error {
+		got = res
+		return nil
+	})
+	if err != nil || len(excs) > 0 {
+		t.Fatalf("err = %v, exceptions = %v", err, excs)
+	}
+	if g := got.Groups[GroupKey([]any{"us"})]; len(got.Groups) != 7 || g.Values[0] != int(1) || g.Aggs[0].Count == 0 {
+		t.Fatalf("the result was not answered as computed: %+v", got.Groups)
+	}
+	if cache.Len() != 0 {
+		t.Fatalf("an unencodable result left %d entries", cache.Len())
+	}
+	e.afterMiss = nil
+	if _, _, err := e.Execute(context.Background(), q, segs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != 1 {
+		t.Fatalf("the same query, encodable, left %d entries, want 1", cache.Len())
+	}
+}
+
+// TestCacheBytesBoundHeap holds the tier's byte count to what the tier
+// occupies: after 2 000 distinct group-by results the live heap has grown by
+// no more than 1.3x cache.Bytes() (the rest is the index: a list element, an
+// entry and a map slot per key, and allocator size classes). When the values
+// were object graphs priced by an estimate the ratio was about 2.
+func TestCacheBytesBoundHeap(t *testing.T) {
+	segs := aggCacheFixture(t)[:1]
+	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
+	e := &Engine{AggCache: cache}
+	run := func(text string) {
+		q, err := pql.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.Execute(context.Background(), q, segs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	run("SELECT sum(clicks), count(*) FROM events GROUP BY day") // warm the pools and the table's counters
+	cache.InvalidateAll()
+	before := heap()
+	const entries = 2000
+	for i := 0; i < entries; i++ {
+		run(fmt.Sprintf("SELECT sum(clicks), count(*) FROM events WHERE clicks >= %d AND memberId <= %d GROUP BY day", i%50, 10+i/50))
+	}
+	after := heap()
+	if cache.Len() != entries {
+		t.Fatalf("%d entries, want %d", cache.Len(), entries)
+	}
+	grown, charged := float64(after)-float64(before), float64(cache.Bytes())
+	t.Logf("heap grew %.0f bytes for %.0f charged: %.2fx (%.0f bytes per entry)", grown, charged, grown/charged, grown/entries)
+	if grown > 1.3*charged {
+		t.Fatalf("the heap grew %.0f bytes, %.2fx the %.0f the tier says it holds; want <= 1.3x", grown, grown/charged, charged)
+	}
+	runtime.KeepAlive(cache)
 }
 
 // TestIntermediateCloneIsDeep pins Clone's isolation at the data-structure

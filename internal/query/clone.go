@@ -1,45 +1,19 @@
 package query
 
-// Deep copies and size estimates for cached intermediates. Both cache tiers
-// store *Intermediate values, and Merge/Finalize mutate their receivers, so
-// entries must be isolated from callers on both Put and Get: the cache holds
-// its own copy and hands out fresh copies. SizeBytes feeds the bounded-bytes
-// admission policy; it is a deterministic estimate, not an exact heap
-// measurement, which is all eviction accounting needs.
-
-// Clone returns a deep copy of the state: mutating the copy (Merge) never
-// touches the original.
-func (s *AggState) Clone() *AggState {
-	if s == nil {
-		return nil
-	}
-	out := *s
-	if s.Distinct != nil {
-		out.Distinct = make(map[string]struct{}, len(s.Distinct))
-		for k := range s.Distinct {
-			out.Distinct[k] = struct{}{}
-		}
-	}
-	out.Values = append([]float64(nil), s.Values...)
-	return &out
-}
-
-// Clone returns a deep copy of the group entry. Group values are scalars
-// (int64/float64/string/bool), so copying the slice isolates the entry.
-func (g *GroupEntry) Clone() *GroupEntry {
-	if g == nil {
-		return nil
-	}
-	out := &GroupEntry{Values: append([]any(nil), g.Values...)}
-	out.Aggs = make([]*AggState, len(g.Aggs))
-	for i, a := range g.Aggs {
-		out.Aggs[i] = a.Clone()
-	}
-	return out
-}
+// Clone and SizeBytes: a deep copy and a size estimate of an Intermediate.
+// Nothing on the query path calls either any more. Both cache tiers store an
+// intermediate's encoded bytes (wire.go), charged at their length, and a hit
+// decodes into a private value, so no entry is ever shared with a caller and
+// nothing needs copying or estimating. The two methods stay exported for one
+// caller outside the engine, bench/ (trace.go copies a captured response with
+// Clone and prices its probe cache's values with SizeBytes; adapter.go names
+// both), which this repository's rules freeze between benchmark PRs. The next
+// benchmark PR drops those two calls and deletes this file.
 
 // Clone returns a deep copy of the intermediate, safe to merge and finalize
-// without affecting the original.
+// without affecting the original. Group values and selection cells are
+// scalars (or multi-value lists nobody writes into), so copying each slice
+// isolates it.
 func (r *Intermediate) Clone() *Intermediate {
 	if r == nil {
 		return nil
@@ -49,15 +23,15 @@ func (r *Intermediate) Clone() *Intermediate {
 	out.GroupCols = append(out.GroupCols[:0:0], r.GroupCols...)
 	out.SelectCols = append(out.SelectCols[:0:0], r.SelectCols...)
 	if r.Aggs != nil {
-		out.Aggs = make([]*AggState, len(r.Aggs))
-		for i, a := range r.Aggs {
-			out.Aggs[i] = a.Clone()
-		}
+		out.Aggs = cloneStates(r.Aggs)
 	}
 	if r.Groups != nil {
 		out.Groups = make(map[string]*GroupEntry, len(r.Groups))
 		for k, g := range r.Groups {
-			out.Groups[k] = g.Clone()
+			if g != nil {
+				g = &GroupEntry{Values: append([]any(nil), g.Values...), Aggs: cloneStates(g.Aggs)}
+			}
+			out.Groups[k] = g
 		}
 	}
 	if r.Rows != nil {
@@ -67,6 +41,25 @@ func (r *Intermediate) Clone() *Intermediate {
 		}
 	}
 	return &out
+}
+
+func cloneStates(ss []*AggState) []*AggState {
+	out := make([]*AggState, len(ss))
+	for i, s := range ss {
+		if s == nil {
+			continue
+		}
+		c := *s
+		if s.Distinct != nil {
+			c.Distinct = make(map[string]struct{}, len(s.Distinct))
+			for k := range s.Distinct {
+				c.Distinct[k] = struct{}{}
+			}
+		}
+		c.Values = append([]float64(nil), s.Values...)
+		out[i] = &c
+	}
+	return out
 }
 
 // estimated per-value and per-entry overheads for SizeBytes. Scalars are
@@ -89,8 +82,8 @@ func (s *AggState) sizeBytes() int64 {
 	return n
 }
 
-// SizeBytes estimates the memory footprint of the intermediate for cache
-// admission and eviction accounting.
+// SizeBytes estimates the memory footprint of the intermediate's object
+// graph: deterministic, and about half of what the graph occupies.
 func (r *Intermediate) SizeBytes() int64 {
 	if r == nil {
 		return 0

@@ -35,6 +35,10 @@ type Engine struct {
 	// before plan execution and filled after (see aggcache.go). Nil
 	// disables the tier.
 	AggCache *qcache.Cache
+
+	// afterMiss is a test seam: in-package tests use it to hand the cache
+	// a result the engine itself never produces (see aggcache.go).
+	afterMiss func(*Intermediate)
 }
 
 // Execute runs a parsed query over the given segments and returns the merged

@@ -14,6 +14,20 @@ import (
 	"pinot/internal/pql"
 	"pinot/internal/qctx"
 	"pinot/internal/query"
+	"pinot/internal/wire"
+)
+
+// The tags and bounds of the Intermediate layout (internal/query/wire.go),
+// restated as numbers: the golden frames below pin them, so renumbering a tag
+// in the engine fails TestGoldenFrames instead of silently moving with it.
+const (
+	cellInt64, cellFloat64, cellString, cellBool, cellList = 1, 2, 3, 4, 5
+
+	exprNil, exprColumn, exprCall = 0, 1, 4
+
+	stateSeen, stateNumeric, stateDistinct, stateValues = 1, 2, 4, 8
+
+	funcTableSize = 16
 )
 
 // sampleMessages returns one message of every frame type, several for the
@@ -394,11 +408,11 @@ func TestCodecValueEdgeCases(t *testing.T) {
 
 func TestEncoderRefusesWhatItCannotCarry(t *testing.T) {
 	deepCell := any("leaf")
-	for i := 0; i <= maxNesting; i++ {
+	for i := 0; i <= wire.MaxNesting; i++ {
 		deepCell = []any{deepCell}
 	}
 	var deepExpr pql.Expr = pql.ColumnRef{Name: "c"}
-	for i := 0; i <= maxNesting; i++ {
+	for i := 0; i <= wire.MaxNesting; i++ {
 		deepExpr = pql.Arith{Op: pql.OpAdd, L: deepExpr, R: pql.Literal{Value: int64(1)}}
 	}
 	type point struct{ X int }
@@ -422,7 +436,7 @@ func TestEncoderRefusesWhatItCannotCarry(t *testing.T) {
 	}
 	// One level inside the cap passes in both directions.
 	okCell := any("leaf")
-	for i := 0; i < maxNesting; i++ {
+	for i := 0; i < wire.MaxNesting; i++ {
 		okCell = []any{okCell}
 	}
 	in := &query.Intermediate{Kind: query.KindSelection, Rows: [][]any{{okCell}}}
@@ -436,40 +450,40 @@ func TestEncoderRefusesWhatItCannotCarry(t *testing.T) {
 // TestDecoderRefusesDeepNesting hand-builds payloads nested one level past
 // the cap, which the encoder would never write.
 func TestDecoderRefusesDeepNesting(t *testing.T) {
-	var e encoder
-	e.varint(0)                // seq
-	e.b = append(e.b, 2, 0, 0) // kind selection, no agg exprs, no aggs
-	e.count(0)                 // group cols
-	e.count(0)                 // groups
-	e.count(0)
-	e.count(0)
-	e.count(0)  // select cols
-	e.varint(0) // hidden cols
-	e.count(1)  // one row
-	e.count(1)  // one cell in total
-	e.count(1)  // of one cell
-	for i := 0; i <= maxNesting; i++ {
-		e.b = append(e.b, cellList, 1)
+	var e wire.Encoder
+	e.Varint(0)    // seq
+	e.Raw(2, 0, 0) // kind selection, no agg exprs, no aggs
+	e.Count(0)     // group cols
+	e.Count(0)     // groups
+	e.Count(0)
+	e.Count(0)
+	e.Count(0)  // select cols
+	e.Varint(0) // hidden cols
+	e.Count(1)  // one row
+	e.Count(1)  // one cell in total
+	e.Count(1)  // of one cell
+	for i := 0; i <= wire.MaxNesting; i++ {
+		e.Raw(cellList, 1)
 	}
-	e.b = append(e.b, cellBool, 1)
-	e.stats(&query.Stats{})
-	if _, err := DecodeSegmentFrame(e.b); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+	e.Raw(cellBool, 1)
+	query.AppendStats(&e, &query.Stats{})
+	if _, err := DecodeSegmentFrame(e.Bytes()); err == nil || !strings.Contains(err.Error(), "nested deeper") {
 		t.Fatalf("cell nested past the cap: err = %v", err)
 	}
 
-	e = encoder{}
-	e.varint(0)
-	e.b = append(e.b, 0) // kind aggregation
-	e.count(1)           // one agg expr
-	e.bool(true)
-	e.string("SUM")
-	e.string("x")
-	for i := 0; i <= maxNesting; i++ {
-		e.b = append(e.b, exprCall, 0, 1) // call "" with one argument
+	e = wire.Encoder{}
+	e.Varint(0)
+	e.Raw(0)   // kind aggregation
+	e.Count(1) // one agg expr
+	e.Bool(true)
+	e.Str("SUM")
+	e.Str("x")
+	for i := 0; i <= wire.MaxNesting; i++ {
+		e.Raw(exprCall, 0, 1) // call "" with one argument
 	}
-	e.b = append(e.b, exprNil)
-	e.b = append(e.b, make([]byte, 64)...)
-	if _, err := DecodeSegmentFrame(e.b); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+	e.Raw(exprNil)
+	e.Raw(make([]byte, 64)...)
+	if _, err := DecodeSegmentFrame(e.Bytes()); err == nil || !strings.Contains(err.Error(), "nested deeper") {
 		t.Fatalf("expression nested past the cap: err = %v", err)
 	}
 }
@@ -689,9 +703,9 @@ func TestWireAllocBudget(t *testing.T) {
 			var err error
 			switch m := c.msg.(type) {
 			case *SegmentFrame:
-				_, err = sendFrame(io.Discard, typ, func(e *encoder) { e.segmentFrame(m.Seq, m.Result) })
+				_, err = sendFrame(io.Discard, typ, func(e *wire.Encoder) { encodeSegmentFrame(e, m.Seq, m.Result) })
 			case *FinalFrame:
-				_, err = sendFrame(io.Discard, typ, func(e *encoder) { e.finalFrame(m) })
+				_, err = sendFrame(io.Discard, typ, func(e *wire.Encoder) { encodeFinalFrame(e, m) })
 			}
 			if err != nil {
 				t.Fatal(err)

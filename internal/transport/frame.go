@@ -8,6 +8,7 @@ import (
 
 	"pinot/internal/qctx"
 	"pinot/internal/query"
+	"pinot/internal/wire"
 )
 
 // The TCP data plane speaks length-prefixed frames. Every frame starts with
@@ -109,60 +110,41 @@ func parseHeader(hdr []byte) (uint8, int, error) {
 
 // ---- writing ----
 
-// encoderPool recycles frame buffers: a frame is encoded straight into one,
-// behind its header, and written to the socket from it, so a steady data
-// plane allocates no buffer per frame. A buffer that grew past maxPooledBuf
-// is dropped instead of pooled so one huge selection response or segment
-// blob cannot pin its backing array forever.
-var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
-
-const maxPooledBuf = 1 << 20
-
-// getEncoder returns an empty pooled encoder; release returns it.
-func getEncoder() *encoder {
-	e := encoderPool.Get().(*encoder)
-	e.b, e.err = e.b[:0], nil
+// newFrame returns a pooled encoder (wire.GetEncoder: a frame is encoded
+// straight into a recycled buffer, behind its header, and written to the
+// socket from it) positioned after the header of a frame of the given type.
+// The caller appends the payload, calls frameBytes, then Release.
+func newFrame(typ uint8) *wire.Encoder {
+	e := wire.GetEncoder()
+	e.Raw(frameMagic, frameVersion, typ, 0, 0, 0, 0, 0)
 	return e
 }
 
-func (e *encoder) release() {
-	if cap(e.b) <= maxPooledBuf {
-		encoderPool.Put(e)
-	}
-}
-
-// newFrame returns a pooled encoder positioned after the header of a frame of
-// the given type. The caller appends the payload, calls frame, then release.
-func newFrame(typ uint8) *encoder {
-	e := getEncoder()
-	e.b = append(e.b, frameMagic, frameVersion, typ, 0, 0, 0, 0, 0)
-	return e
-}
-
-// frame patches the payload length into the header and returns the whole
-// frame, valid until release. It fails, with nothing sent, when the payload
+// frameBytes patches the payload length into the header and returns the whole
+// frame, valid until Release. It fails, with nothing sent, when the payload
 // held a value the codec does not carry or outgrew MaxFramePayload.
-func (e *encoder) frame() ([]byte, error) {
-	if e.err != nil {
-		return nil, e.err
+func frameBytes(e *wire.Encoder) ([]byte, error) {
+	if err := encodeErr(e); err != nil {
+		return nil, err
 	}
-	n := len(e.b) - FrameHeaderSize
+	frame := e.Bytes()
+	n := len(frame) - FrameHeaderSize
 	if n > MaxFramePayload {
 		return nil, fmt.Errorf("transport: frame payload %d exceeds max %d", n, MaxFramePayload)
 	}
-	binary.BigEndian.PutUint32(e.b[4:], uint32(n))
-	return e.b, nil
+	binary.BigEndian.PutUint32(frame[4:], uint32(n))
+	return frame, nil
 }
 
 // sendFrame encodes one frame with fill, hands it to a single Write and
 // counts it in the transport metrics. encoded reports whether the frame was
 // well-formed: when false nothing reached w and the stream is still in step,
 // when true a non-nil err is a write failure.
-func sendFrame(w io.Writer, typ uint8, fill func(*encoder)) (encoded bool, err error) {
+func sendFrame(w io.Writer, typ uint8, fill func(*wire.Encoder)) (encoded bool, err error) {
 	e := newFrame(typ)
-	defer e.release()
+	defer e.Release()
 	fill(e)
-	frame, err := e.frame()
+	frame, err := frameBytes(e)
 	if err != nil {
 		return false, err
 	}
@@ -185,6 +167,10 @@ type frameReader struct {
 }
 
 var frameReaderPool = sync.Pool{New: func() any { return new(frameReader) }}
+
+// maxPooledBuf is the largest read buffer kept: one huge selection response
+// or segment blob must not pin its backing array forever.
+const maxPooledBuf = 1 << 20
 
 func (fr *frameReader) release() {
 	if cap(fr.buf) <= maxPooledBuf {
@@ -248,9 +234,9 @@ func DecodeFrame(data []byte) (*Frame, error) {
 
 // DecodeQueryFrame decodes a FrameQuery payload.
 func DecodeQueryFrame(payload []byte) (*QueryRequest, error) {
-	d := decoder{b: payload}
-	req := d.queryRequest()
-	if err := d.finish(); err != nil {
+	d := wire.NewDecoder(payload)
+	req := decodeQueryRequest(&d)
+	if err := finish(&d); err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -258,9 +244,9 @@ func DecodeQueryFrame(payload []byte) (*QueryRequest, error) {
 
 // DecodeSegmentFrame decodes a FrameSegment payload.
 func DecodeSegmentFrame(payload []byte) (*SegmentFrame, error) {
-	d := decoder{b: payload}
-	sf := d.segmentFrame()
-	if err := d.finish(); err != nil {
+	d := wire.NewDecoder(payload)
+	sf := decodeSegmentFrame(&d)
+	if err := finish(&d); err != nil {
 		return nil, err
 	}
 	return sf, nil
@@ -268,9 +254,9 @@ func DecodeSegmentFrame(payload []byte) (*SegmentFrame, error) {
 
 // DecodeFinalFrame decodes a FrameFinal payload.
 func DecodeFinalFrame(payload []byte) (*FinalFrame, error) {
-	d := decoder{b: payload}
-	ff := d.finalFrame()
-	if err := d.finish(); err != nil {
+	d := wire.NewDecoder(payload)
+	ff := decodeFinalFrame(&d)
+	if err := finish(&d); err != nil {
 		return nil, err
 	}
 	return ff, nil
@@ -278,9 +264,9 @@ func DecodeFinalFrame(payload []byte) (*FinalFrame, error) {
 
 // DecodeErrorFrame decodes a FrameError payload.
 func DecodeErrorFrame(payload []byte) (*ErrorFrame, error) {
-	d := decoder{b: payload}
-	ef := &ErrorFrame{Message: d.string()}
-	if err := d.finish(); err != nil {
+	d := wire.NewDecoder(payload)
+	ef := &ErrorFrame{Message: d.Str()}
+	if err := finish(&d); err != nil {
 		return nil, err
 	}
 	return ef, nil

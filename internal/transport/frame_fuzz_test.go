@@ -1,6 +1,10 @@
 package transport
 
-import "testing"
+import (
+	"testing"
+
+	"pinot/internal/wire"
+)
 
 // sampleFrames returns one valid encoded frame of every type the data plane
 // sends, as complete wire bytes (header + payload), keyed by sample name.
@@ -34,20 +38,20 @@ func decodeTyped(t testing.TB, typ uint8, payload []byte) (any, error) {
 		return DecodeErrorFrame(payload)
 	}
 	var msg any
-	d := decoder{b: payload}
+	d := wire.NewDecoder(payload)
 	switch typ {
 	case FrameConsumed:
-		msg = d.consumedRequest()
+		msg = decodeConsumedRequest(&d)
 	case FrameConsumedResp:
-		msg = d.consumedResponse()
+		msg = decodeConsumedResponse(&d)
 	case FrameCommit:
-		msg = d.commitRequest()
+		msg = decodeCommitRequest(&d)
 	case FrameCommitResp:
-		msg = d.commitResponse()
+		msg = decodeCommitResponse(&d)
 	default:
 		t.Fatalf("frame type %d has no decoder", typ)
 	}
-	return msg, d.finish()
+	return msg, finish(&d)
 }
 
 // decodeFrameSafely requires that DecodeFrame and the typed payload decoders

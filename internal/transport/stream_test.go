@@ -12,6 +12,7 @@ import (
 
 	"pinot/internal/pql"
 	"pinot/internal/query"
+	"pinot/internal/wire"
 )
 
 // countFrame builds a segment frame carrying a single count(*) partial.
@@ -212,31 +213,31 @@ func tcpExecute(t *testing.T, ctx context.Context, addr string) (*QueryResponse,
 func encodeFrame(t testing.TB, v any) []byte {
 	t.Helper()
 	var typ uint8
-	var fill func(*encoder)
+	var fill func(*wire.Encoder)
 	switch m := v.(type) {
 	case *QueryRequest:
-		typ, fill = FrameQuery, func(e *encoder) { e.queryRequest(m) }
+		typ, fill = FrameQuery, func(e *wire.Encoder) { encodeQueryRequest(e, m) }
 	case *SegmentFrame:
-		typ, fill = FrameSegment, func(e *encoder) { e.segmentFrame(m.Seq, m.Result) }
+		typ, fill = FrameSegment, func(e *wire.Encoder) { encodeSegmentFrame(e, m.Seq, m.Result) }
 	case *FinalFrame:
-		typ, fill = FrameFinal, func(e *encoder) { e.finalFrame(m) }
+		typ, fill = FrameFinal, func(e *wire.Encoder) { encodeFinalFrame(e, m) }
 	case *ErrorFrame:
-		typ, fill = FrameError, func(e *encoder) { e.string(m.Message) }
+		typ, fill = FrameError, func(e *wire.Encoder) { e.Str(m.Message) }
 	case *SegmentConsumedRequest:
-		typ, fill = FrameConsumed, func(e *encoder) { e.consumedRequest(m) }
+		typ, fill = FrameConsumed, func(e *wire.Encoder) { encodeConsumedRequest(e, m) }
 	case *SegmentConsumedResponse:
-		typ, fill = FrameConsumedResp, func(e *encoder) { e.consumedResponse(m) }
+		typ, fill = FrameConsumedResp, func(e *wire.Encoder) { encodeConsumedResponse(e, m) }
 	case *SegmentCommitRequest:
-		typ, fill = FrameCommit, func(e *encoder) { e.commitRequest(m) }
+		typ, fill = FrameCommit, func(e *wire.Encoder) { encodeCommitRequest(e, m) }
 	case *SegmentCommitResponse:
-		typ, fill = FrameCommitResp, func(e *encoder) { e.commitResponse(m) }
+		typ, fill = FrameCommitResp, func(e *wire.Encoder) { encodeCommitResponse(e, m) }
 	default:
 		t.Fatalf("encodeFrame: no frame type for %T", v)
 	}
 	e := newFrame(typ)
-	defer e.release()
+	defer e.Release()
 	fill(e)
-	frame, err := e.frame()
+	frame, err := frameBytes(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pinot/internal/query"
+	"pinot/internal/wire"
 )
 
 // TCPQueryServer serves the framed query protocol for one server instance:
@@ -125,7 +126,7 @@ func (s *TCPQueryServer) serveConn(conn net.Conn) {
 // writeErrorFrame reports a failed request to the peer; the connection stays
 // in step, so only a write failure (returned) drops it.
 func writeErrorFrame(conn net.Conn, msg string) error {
-	_, err := sendFrame(conn, FrameError, func(e *encoder) { e.string(msg) })
+	_, err := sendFrame(conn, FrameError, func(e *wire.Encoder) { e.Str(msg) })
 	return err
 }
 
@@ -146,7 +147,7 @@ func (s *TCPQueryServer) serveQuery(conn net.Conn, payload []byte) error {
 	trailer, err := s.Handler.ExecuteStream(ctx, req, func(seq int, res *query.Intermediate) error {
 		// A result the codec cannot carry fails the query with an error
 		// frame; only a failed write loses the connection.
-		encoded, err := sendFrame(conn, FrameSegment, func(e *encoder) { e.segmentFrame(seq, res) })
+		encoded, err := sendFrame(conn, FrameSegment, func(e *wire.Encoder) { encodeSegmentFrame(e, seq, res) })
 		if encoded && err != nil {
 			writeErr = err
 			cancel()
@@ -159,7 +160,7 @@ func (s *TCPQueryServer) serveQuery(conn net.Conn, payload []byte) error {
 	if err != nil {
 		return writeErrorFrame(conn, err.Error())
 	}
-	encoded, err := sendFrame(conn, FrameFinal, func(e *encoder) { e.finalFrame(trailer) })
+	encoded, err := sendFrame(conn, FrameFinal, func(e *wire.Encoder) { encodeFinalFrame(e, trailer) })
 	if !encoded {
 		return writeErrorFrame(conn, err.Error())
 	}
@@ -167,9 +168,9 @@ func (s *TCPQueryServer) serveQuery(conn net.Conn, payload []byte) error {
 }
 
 func (s *TCPQueryServer) serveConsumed(conn net.Conn, payload []byte) error {
-	d := decoder{b: payload}
-	req := d.consumedRequest()
-	if err := d.finish(); err != nil {
+	d := wire.NewDecoder(payload)
+	req := decodeConsumedRequest(&d)
+	if err := finish(&d); err != nil {
 		return err
 	}
 	if s.Controller == nil {
@@ -179,14 +180,14 @@ func (s *TCPQueryServer) serveConsumed(conn net.Conn, payload []byte) error {
 	if err != nil {
 		return writeErrorFrame(conn, err.Error())
 	}
-	_, err = sendFrame(conn, FrameConsumedResp, func(e *encoder) { e.consumedResponse(resp) })
+	_, err = sendFrame(conn, FrameConsumedResp, func(e *wire.Encoder) { encodeConsumedResponse(e, resp) })
 	return err
 }
 
 func (s *TCPQueryServer) serveCommit(conn net.Conn, payload []byte) error {
-	d := decoder{b: payload}
-	req := d.commitRequest()
-	if err := d.finish(); err != nil {
+	d := wire.NewDecoder(payload)
+	req := decodeCommitRequest(&d)
+	if err := finish(&d); err != nil {
 		return err
 	}
 	if s.Controller == nil {
@@ -196,7 +197,7 @@ func (s *TCPQueryServer) serveCommit(conn net.Conn, payload []byte) error {
 	if err != nil {
 		return writeErrorFrame(conn, err.Error())
 	}
-	_, err = sendFrame(conn, FrameCommitResp, func(e *encoder) { e.commitResponse(resp) })
+	_, err = sendFrame(conn, FrameCommitResp, func(e *wire.Encoder) { encodeCommitResponse(e, resp) })
 	return err
 }
 
@@ -261,7 +262,7 @@ func (c *TCPClient) roundTrip(ctx context.Context, conn net.Conn, req *QueryRequ
 		conn.SetDeadline(time.Time{})
 	}
 
-	if encoded, err := sendFrame(conn, FrameQuery, func(e *encoder) { e.queryRequest(req) }); err != nil {
+	if encoded, err := sendFrame(conn, FrameQuery, func(e *wire.Encoder) { encodeQueryRequest(e, req) }); err != nil {
 		if !encoded {
 			return nil, err
 		}
@@ -349,7 +350,7 @@ func NewTCPControllerClient(addr string, pool *Pool) *TCPControllerClient {
 
 // completionCall sends one request frame built by fill and hands the payload
 // of the matching response frame to read.
-func (c *TCPControllerClient) completionCall(ctx context.Context, reqType, respType uint8, fill func(*encoder), read func(*decoder)) error {
+func (c *TCPControllerClient) completionCall(ctx context.Context, reqType, respType uint8, fill func(*wire.Encoder), read func(*wire.Decoder)) error {
 	conn, err := c.Pool.Get(ctx, c.Addr)
 	if err != nil {
 		return err
@@ -362,7 +363,7 @@ func (c *TCPControllerClient) completionCall(ctx context.Context, reqType, respT
 	return nil
 }
 
-func (c *TCPControllerClient) doCall(ctx context.Context, conn net.Conn, reqType, respType uint8, fill func(*encoder), read func(*decoder)) error {
+func (c *TCPControllerClient) doCall(ctx context.Context, conn net.Conn, reqType, respType uint8, fill func(*wire.Encoder), read func(*wire.Decoder)) error {
 	if dl, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 	} else {
@@ -378,9 +379,9 @@ func (c *TCPControllerClient) doCall(ctx context.Context, conn net.Conn, reqType
 	}
 	switch typ {
 	case respType:
-		d := decoder{b: payload}
+		d := wire.NewDecoder(payload)
 		read(&d)
-		if err := d.finish(); err != nil {
+		if err := finish(&d); err != nil {
 			return err
 		}
 		conn.SetDeadline(time.Time{})
@@ -400,8 +401,8 @@ func (c *TCPControllerClient) doCall(ctx context.Context, conn net.Conn, reqType
 func (c *TCPControllerClient) SegmentConsumed(ctx context.Context, req *SegmentConsumedRequest) (*SegmentConsumedResponse, error) {
 	var resp *SegmentConsumedResponse
 	err := c.completionCall(ctx, FrameConsumed, FrameConsumedResp,
-		func(e *encoder) { e.consumedRequest(req) },
-		func(d *decoder) { resp = d.consumedResponse() })
+		func(e *wire.Encoder) { encodeConsumedRequest(e, req) },
+		func(d *wire.Decoder) { resp = decodeConsumedResponse(d) })
 	if err != nil {
 		return nil, err
 	}
@@ -412,8 +413,8 @@ func (c *TCPControllerClient) SegmentConsumed(ctx context.Context, req *SegmentC
 func (c *TCPControllerClient) CommitSegment(ctx context.Context, req *SegmentCommitRequest) (*SegmentCommitResponse, error) {
 	var resp *SegmentCommitResponse
 	err := c.completionCall(ctx, FrameCommit, FrameCommitResp,
-		func(e *encoder) { e.commitRequest(req) },
-		func(d *decoder) { resp = d.commitResponse() })
+		func(e *wire.Encoder) { encodeCommitRequest(e, req) },
+		func(d *wire.Decoder) { resp = decodeCommitResponse(d) })
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"pinot/internal/metrics"
 	"pinot/internal/qctx"
 	"pinot/internal/query"
+	"pinot/internal/wire"
 )
 
 // wireMetrics instruments the encode/decode hot path. EncodeResponse and
@@ -192,13 +193,13 @@ type ControllerClient interface {
 // transport metrics. The returned slice is owned by the caller.
 func EncodeResponse(r *QueryResponse) ([]byte, error) {
 	start := time.Now()
-	e := getEncoder()
-	defer e.release()
-	e.queryResponse(r)
-	if e.err != nil {
-		return nil, e.err
+	e := wire.GetEncoder()
+	defer e.Release()
+	encodeQueryResponse(e, r)
+	if err := encodeErr(e); err != nil {
+		return nil, err
 	}
-	out := append([]byte(nil), e.b...)
+	out := append([]byte(nil), e.Bytes()...)
 	met := wireMet.Load()
 	met.encodes.Inc()
 	met.encodeBytes.Add(int64(len(out)))
@@ -209,9 +210,9 @@ func EncodeResponse(r *QueryResponse) ([]byte, error) {
 // DecodeResponse reverses EncodeResponse. Payloads arrive off the network,
 // so any byte sequence must yield a response or an error — never a panic.
 func DecodeResponse(data []byte) (*QueryResponse, error) {
-	d := decoder{b: data}
-	resp := d.queryResponse()
-	if err := d.finish(); err != nil {
+	d := wire.NewDecoder(data)
+	resp := decodeQueryResponse(&d)
+	if err := finish(&d); err != nil {
 		return nil, err
 	}
 	wireMet.Load().decodes.Inc()
