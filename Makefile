@@ -42,8 +42,10 @@ cover:
 # intermediate where it lives (the bytes both cache tiers store: linear
 # allocation, and whatever decodes re-encodes to an equal value), the PQL
 # parser (never panic; accepted input must canonicalize to a re-parseable
-# fixpoint), and the expression evaluator (sandbox limits hold; compiled
-# kernels agree with the interpreter). One list of targets, two durations:
+# fixpoint), the expression evaluator (sandbox limits hold; compiled
+# kernels agree with the interpreter), and the scan cursor's state machine
+# (any mix of Next/Advance/nextBlock on any leaf and segment kind yields the
+# scalar iterator's docs and Stats). One list of targets, two durations:
 # fuzz-smoke is the few-seconds pass verify runs on every PR.
 fuzz: FUZZTIME = 10s
 fuzz-smoke: FUZZTIME = 5s
@@ -53,6 +55,7 @@ fuzz fuzz-smoke:
 	$(GO) test ./internal/query -run NONE -fuzz=FuzzDecodeIntermediate -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pql -run NONE -fuzz=FuzzParsePQL -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/expr -run NONE -fuzz=FuzzExprEval -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/query -run NONE -fuzz=FuzzScanCursor -fuzztime=$(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

@@ -178,6 +178,42 @@ func (b *Bitmap) Add(v uint32) bool {
 	return b.containers[i].add(low)
 }
 
+// AddMany inserts values, which must be sorted ascending. Each run of values
+// sharing a container is added at once: the container is located once per
+// run, and a run lying beyond everything an array container holds — the
+// shape of draining an ascending iterator — is appended without searching.
+func (b *Bitmap) AddMany(sorted []uint32) {
+	for len(sorted) > 0 {
+		key := uint16(sorted[0] >> 16)
+		run := 1
+		for run < len(sorted) && uint16(sorted[run]>>16) == key {
+			run++
+		}
+		i, ok := b.containerIndex(key)
+		if !ok {
+			b.insertContainer(i, &container{key: key})
+		}
+		b.containers[i].addMany(sorted[:run])
+		sorted = sorted[run:]
+	}
+}
+
+// addMany adds the low halves of an ascending run of this container's values.
+func (c *container) addMany(run []uint32) {
+	if c.words == nil && len(c.array)+len(run) <= arrayToBitmapThreshold &&
+		(len(c.array) == 0 || c.array[len(c.array)-1] < uint16(run[0])) {
+		for i, v := range run {
+			if i == 0 || v != run[i-1] {
+				c.array = append(c.array, uint16(v))
+			}
+		}
+		return
+	}
+	for _, v := range run {
+		c.add(uint16(v))
+	}
+}
+
 // AddRange inserts every value in [start, end).
 func (b *Bitmap) AddRange(start, end uint32) {
 	for v := uint64(start); v < uint64(end); {

@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -124,6 +125,60 @@ func TestAddRangeAcrossContainerBoundary(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
+	}
+}
+
+// TestAddManyMatchesAdd feeds the same ascending values to AddMany in blocks
+// and to Add one by one: over sparse and dense densities, blocks that split
+// and span containers, array containers that cross the bitset threshold
+// mid-block, repeated values, and blocks that land inside what is already
+// there.
+func TestAddManyMatchesAdd(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, density := range []float64{0.001, 0.05, 0.5, 1} {
+		var vals []uint32
+		for v := uint32(60000); v < 210000; v++ {
+			if r.Float64() < density {
+				vals = append(vals, v)
+				if r.Intn(50) == 0 {
+					vals = append(vals, v)
+				}
+			}
+		}
+		want, got := New(), Of(3, 65000, 70000, 200000)
+		for _, v := range []uint32{3, 65000, 70000, 200000} {
+			want.Add(v)
+		}
+		for _, v := range vals {
+			want.Add(v)
+		}
+		for rest := vals; len(rest) > 0; {
+			n := min(1+r.Intn(3000), len(rest))
+			got.AddMany(rest[:n])
+			rest = rest[n:]
+		}
+		if !got.Equals(want) {
+			t.Fatalf("density %v: AddMany built %v, Add built %v", density, got, want)
+		}
+		for _, c := range got.containers {
+			if (c.array == nil) == (c.words == nil) || len(c.array) > arrayToBitmapThreshold {
+				t.Fatalf("density %v: container %d is neither a valid array nor a bitset", density, c.key)
+			}
+			if c.words != nil {
+				card := 0
+				for _, w := range c.words {
+					card += bits.OnesCount64(w)
+				}
+				if card != c.card {
+					t.Fatalf("density %v: container %d counts %d, holds %d", density, c.key, c.card, card)
+				}
+			}
+		}
+	}
+	b := New()
+	b.AddMany(nil)
+	if !b.IsEmpty() {
+		t.Fatal("AddMany(nil) added something")
 	}
 }
 

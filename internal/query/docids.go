@@ -13,62 +13,45 @@ import (
 	"pinot/internal/segment"
 )
 
-// DocIterator walks matching document ids in ascending order.
+// blockSize is the batch granularity of the vectorized execution path: doc
+// ids, dict ids and metric values move through the engine in blocks of this
+// many documents.
+const blockSize = 1024
+
+// DocIterator walks matching document ids in ascending order, one at a time
+// (Next, Advance — the AND/OR leapfrog) or a block at a time (nextBlock — the
+// vectorized executors). The three may be mixed on one iterator.
 type DocIterator interface {
 	// Next returns the next matching doc id, or -1 when exhausted.
 	Next() int
 	// Advance returns the first matching doc id >= target, or -1.
 	Advance(target int) int
+	// nextBlock fills buf with the next matching doc ids and returns how many
+	// it wrote; 0 means exhausted. Implementations must evaluate only as many
+	// candidate documents as needed to fill buf — never ahead of it — so
+	// stats counted per evaluated entry are identical to the row-at-a-time
+	// path even when the caller stops early (selection LIMIT).
+	nextBlock(buf []int) int
 }
 
 // docIDSet is a physical filter operator: it produces a DocIterator and an
 // estimated cardinality used for operator ordering (paper 3.3.4: "physical
 // operator selection is done based on an estimated execution cost").
 type docIDSet interface {
-	iterator() DocIterator
+	// iterator builds the operator's iterator; whatever buffers it decodes
+	// through come from the segment execution's pooled scratch.
+	iterator(sc *blockScratch) DocIterator
 	// estimate returns an upper bound on matching docs; scans that cannot
 	// estimate return the segment size.
 	estimate() int
 }
 
-// blockSize is the batch granularity of the vectorized execution path: doc
-// ids, dict ids and metric values move through the engine in blocks of this
-// many documents.
-const blockSize = 1024
-
-// blockIterator is the block-at-a-time counterpart of DocIterator: nextBlock
-// fills buf with the next matching doc ids in ascending order and returns how
-// many it wrote; 0 means exhausted. Implementations must evaluate only as
-// many candidate documents as needed to fill buf — never ahead of it — so
-// stats counted per evaluated entry are identical to the row-at-a-time path
-// even when the caller stops early (selection LIMIT).
-type blockIterator interface {
-	nextBlock(buf []int) int
-}
-
-// blocksOf returns the best block iterator for a doc-id set: a native
-// batch-decoding path when the operator has one, else a generic wrapper over
-// its scalar iterator.
-func blocksOf(s docIDSet) blockIterator {
-	if sc, ok := s.(*scanDocIDSet); ok && sc.newBlockIter != nil {
-		return sc.newBlockIter()
-	}
-	it := s.iterator()
-	if b, ok := it.(blockIterator); ok {
-		return b
-	}
-	return &genericBlockIterator{it: it}
-}
-
-// genericBlockIterator adapts any DocIterator to the block interface. AND/OR
-// iterators use it: their leapfrog stays row-at-a-time (preserving the
-// range-passing stats contract) while downstream value reads still batch.
-type genericBlockIterator struct{ it DocIterator }
-
-func (g *genericBlockIterator) nextBlock(buf []int) int {
+// fillByNext is nextBlock for iterators that find their matches one at a
+// time: it costs a call per match, which is what their Next costs anyway.
+func fillByNext(it DocIterator, buf []int) int {
 	n := 0
 	for n < len(buf) {
-		doc := g.it.Next()
+		doc := it.Next()
 		if doc < 0 {
 			break
 		}
@@ -92,7 +75,7 @@ func (s *rangeDocIDSet) estimate() int {
 	return n
 }
 
-func (s *rangeDocIDSet) iterator() DocIterator {
+func (s *rangeDocIDSet) iterator(*blockScratch) DocIterator {
 	return &rangeIterator{ranges: s.ranges, cur: -1}
 }
 
@@ -166,13 +149,13 @@ type bitmapDocIDSet struct {
 
 func (s *bitmapDocIDSet) estimate() int { return s.bm.Cardinality() }
 
-func (s *bitmapDocIDSet) iterator() DocIterator {
-	return &bitmapIterator{it: s.bm.Iterator()}
+func (s *bitmapDocIDSet) iterator(sc *blockScratch) DocIterator {
+	return &bitmapIterator{it: s.bm.Iterator(), sc: sc}
 }
 
 type bitmapIterator struct {
-	it      *bitmap.Iterator
-	scratch []uint32
+	it *bitmap.Iterator
+	sc *blockScratch
 }
 
 func (b *bitmapIterator) Next() int {
@@ -192,35 +175,35 @@ func (b *bitmapIterator) Advance(target int) int {
 
 // nextBlock drains whole containers through bitmap.Iterator.NextMany.
 func (b *bitmapIterator) nextBlock(buf []int) int {
-	if cap(b.scratch) < len(buf) {
-		b.scratch = make([]uint32, len(buf))
-	}
-	got := b.it.NextMany(b.scratch[:len(buf)])
-	for i := 0; i < got; i++ {
-		buf[i] = int(b.scratch[i])
+	vals := b.sc.u32Buf(len(buf))
+	got := b.it.NextMany(vals)
+	for i, v := range vals[:got] {
+		buf[i] = int(v)
 	}
 	return got
 }
 
 // ---- scan (forward index) ----
 
-// scanDocIDSet evaluates a per-document membership function over a doc
-// range. It is the iterator-style fallback of paper section 4.2; And
-// intersections drive it from narrower operators so it only evaluates part
-// of the column.
+// scanDocIDSet evaluates a predicate per document over the forward index. It
+// is the iterator-style fallback of paper section 4.2; And intersections
+// drive it from narrower operators so it only evaluates part of the column.
+// A leaf the scan cursor has a kernel for carries it in leaf. The others
+// (multi-value columns, interpreted expressions), and every leaf under
+// DisableVectorization, carry the per-document match closure: the reference
+// the differential suite compares the cursor against.
 type scanDocIDSet struct {
 	numDocs int
 	match   func(doc int) bool
-	// newBlockIter, when set, builds a batch-decoding block iterator for
-	// the vectorized path (dict-id chunks tested against a lookup table,
-	// or typed raw-metric chunks). It must count the same per-entry stats
-	// as match does.
-	newBlockIter func() blockIterator
+	leaf    *scanLeaf
 }
 
 func (s *scanDocIDSet) estimate() int { return s.numDocs }
 
-func (s *scanDocIDSet) iterator() DocIterator {
+func (s *scanDocIDSet) iterator(sc *blockScratch) DocIterator {
+	if s.leaf != nil {
+		return sc.cursor(s.leaf, s.numDocs)
+	}
 	return &scanIterator{n: s.numDocs, match: s.match, cur: -1}
 }
 
@@ -248,28 +231,14 @@ func (it *scanIterator) Advance(target int) int {
 	return it.Next()
 }
 
-func (it *scanIterator) nextBlock(buf []int) int {
-	n := 0
-	for doc := it.cur + 1; doc < it.n; doc++ {
-		if it.match(doc) {
-			buf[n] = doc
-			n++
-			if n == len(buf) {
-				it.cur = doc
-				return n
-			}
-		}
-	}
-	it.cur = it.n
-	return n
-}
+func (it *scanIterator) nextBlock(buf []int) int { return fillByNext(it, buf) }
 
 // ---- full range ----
 
 type allDocIDSet struct{ numDocs int }
 
 func (s *allDocIDSet) estimate() int { return s.numDocs }
-func (s *allDocIDSet) iterator() DocIterator {
+func (s *allDocIDSet) iterator(*blockScratch) DocIterator {
 	return &rangeIterator{ranges: []segment.DocRange{{Start: 0, End: s.numDocs}}, cur: -1}
 }
 
@@ -277,8 +246,8 @@ func (s *allDocIDSet) iterator() DocIterator {
 
 type emptyDocIDSet struct{}
 
-func (emptyDocIDSet) estimate() int         { return 0 }
-func (emptyDocIDSet) iterator() DocIterator { return emptyIterator{} }
+func (emptyDocIDSet) estimate() int                      { return 0 }
+func (emptyDocIDSet) iterator(*blockScratch) DocIterator { return emptyIterator{} }
 
 type emptyIterator struct{}
 
@@ -306,13 +275,13 @@ func (s *andDocIDSet) estimate() int {
 	return min
 }
 
-func (s *andDocIDSet) iterator() DocIterator {
+func (s *andDocIDSet) iterator(sc *blockScratch) DocIterator {
 	children := append([]docIDSet(nil), s.children...)
 	sort.SliceStable(children, func(i, j int) bool { return children[i].estimate() < children[j].estimate() })
 	its := make([]DocIterator, len(children))
 	heads := make([]int, len(children))
 	for i, c := range children {
-		its[i] = c.iterator()
+		its[i] = c.iterator(sc)
 		heads[i] = -1
 	}
 	return &andIterator{children: its, heads: heads, cur: -1}
@@ -320,7 +289,10 @@ func (s *andDocIDSet) iterator() DocIterator {
 
 // andIterator leapfrogs its children. heads caches each child's last
 // returned doc so a child is only advanced with targets strictly beyond it —
-// the underlying iterators are forward-only.
+// the underlying iterators are forward-only. The leapfrog is per candidate in
+// every mode — it decides which entries a scan child evaluates, and Stats
+// count those — while a scan child answers each Advance from its decoded
+// chunk.
 type andIterator struct {
 	children  []DocIterator
 	heads     []int
@@ -368,6 +340,8 @@ func (it *andIterator) Advance(target int) int {
 	}
 }
 
+func (it *andIterator) nextBlock(buf []int) int { return fillByNext(it, buf) }
+
 // ---- OR ----
 
 type orDocIDSet struct {
@@ -382,11 +356,11 @@ func (s *orDocIDSet) estimate() int {
 	return n
 }
 
-func (s *orDocIDSet) iterator() DocIterator {
+func (s *orDocIDSet) iterator(sc *blockScratch) DocIterator {
 	its := make([]DocIterator, len(s.children))
 	heads := make([]int, len(s.children))
 	for i, c := range s.children {
-		its[i] = c.iterator()
+		its[i] = c.iterator(sc)
 		heads[i] = its[i].Next()
 	}
 	return &orIterator{children: its, heads: heads, cur: -1}
@@ -421,6 +395,8 @@ func (it *orIterator) Advance(target int) int {
 	return min
 }
 
+func (it *orIterator) nextBlock(buf []int) int { return fillByNext(it, buf) }
+
 // ---- NOT ----
 
 // notDocIDSet complements a child within [0, numDocs) by materializing it.
@@ -431,154 +407,305 @@ type notDocIDSet struct {
 
 func (s *notDocIDSet) estimate() int { return s.numDocs - min(s.child.estimate(), s.numDocs) }
 
-func (s *notDocIDSet) iterator() DocIterator {
-	bm := materialize(s.child, s.numDocs)
-	return (&bitmapDocIDSet{bm: bitmap.FlipRange(bm, 0, uint32(s.numDocs))}).iterator()
+func (s *notDocIDSet) iterator(sc *blockScratch) DocIterator {
+	bm := materialize(s.child, sc)
+	return (&bitmapDocIDSet{bm: bitmap.FlipRange(bm, 0, uint32(s.numDocs))}).iterator(sc)
 }
 
-// materialize converts any doc-id set into a bitmap.
-func materialize(s docIDSet, numDocs int) *bitmap.Bitmap {
+// materialize converts any doc-id set into a bitmap, draining the set a
+// block at a time into container-wide appends. It runs to completion inside
+// iterator(), before the executor takes the scratch's doc buffer for its own
+// blocks, so the two can share it.
+func materialize(s docIDSet, sc *blockScratch) *bitmap.Bitmap {
 	if b, ok := s.(*bitmapDocIDSet); ok {
 		return b.bm
 	}
 	bm := bitmap.New()
-	it := s.iterator()
-	for doc := it.Next(); doc >= 0; doc = it.Next() {
-		bm.Add(uint32(doc))
+	it := s.iterator(sc)
+	docs := sc.docBuf(blockSize)
+	for {
+		n := it.nextBlock(docs)
+		if n == 0 {
+			return bm
+		}
+		vals := sc.u32Buf(n)
+		for i, doc := range docs[:n] {
+			vals[i] = uint32(doc)
+		}
+		bm.AddMany(vals)
 	}
-	return bm
 }
 
-// ---- batch scan block iterators (vectorized path) ----
+// ---- the scan cursor (vectorized path) ----
 
-// dictScanBlockIterator is the block form of a single-value dictionary scan:
-// dict ids decode in blockSize chunks through the packed bulk-unpack kernel
-// and are tested against a dense membership table. Chunks may decode ahead of
-// the caller's demand, but entries are counted only when walked, so stats
-// match the scalar scan exactly even under selection early-exit.
-type dictScanBlockIterator struct {
-	col     segment.ColumnReader
-	lookup  []bool
-	stats   *Stats
-	numDocs int
-	next    int // first doc of the next chunk to decode
-	start   int // first doc of the decoded chunk
-	pos     int // walk position within the decoded chunk
+// scanKind names the kernel a scan leaf is tested by.
+type scanKind uint8
+
+const (
+	scanIDRange  scanKind = iota // dict id inside one range: a single unsigned compare
+	scanIDRanges                 // dict id inside one of a few ranges
+	scanIDTable                  // dict id in a list-form set: its membership table
+	scanLongs                    // raw integral metric against bounds
+	scanDoubles                  // raw float metric against bounds
+	scanLongIn                   // raw integral metric IN a list: flags set at decode
+	scanDoubleIn                 // raw float metric IN a list: flags set at decode
+	scanExpr                     // compiled expression comparison: flags set at decode
+)
+
+// u32Range is a dict-id range in the form its test wants: id-lo < span.
+type u32Range struct{ lo, span uint32 }
+
+// rawTest is a raw-metric predicate as the cursor's typed kernels evaluate
+// it: v within [lo, hi], complemented when neg. IN lists carry a membership
+// function instead, applied once per decoded value.
+type rawTest[T int64 | float64] struct {
+	lo, hi T
+	neg    bool
+	in     func(T) bool
+}
+
+// scanLeaf is one scan predicate bound to its column, in the closure-free
+// form the cursor's kernels test. Only the fields of its kind are set.
+type scanLeaf struct {
+	kind scanKind
+	col  segment.ColumnReader
+	// stats is charged perEntry entries for every document the cursor walks.
+	stats    *Stats
+	perEntry int64
+
+	idRange  u32Range
+	idRanges []u32Range
+	idTable  []bool
+	long     rawTest[int64]
+	double   rawTest[float64]
+	cmp      *exprCompare
+}
+
+// newIDSetLeaf picks the dict-id kernel for a compiled set: one range and a
+// few ranges test by compare, only list-form sets by their membership table.
+func newIDSetLeaf(col segment.ColumnReader, set *idSet, stats *Stats) *scanLeaf {
+	leaf := &scanLeaf{col: col, stats: stats, perEntry: 1}
+	switch {
+	case set.ranges == nil:
+		leaf.kind, leaf.idTable = scanIDTable, set.lookup
+	case len(set.ranges) == 1:
+		r := set.ranges[0]
+		leaf.kind, leaf.idRange = scanIDRange, u32Range{uint32(r.Lo), uint32(r.Hi - r.Lo)}
+	default:
+		leaf.kind = scanIDRanges
+		for _, r := range set.ranges {
+			leaf.idRanges = append(leaf.idRanges, u32Range{uint32(r.Lo), uint32(r.Hi - r.Lo)})
+		}
+	}
+	return leaf
+}
+
+const (
+	// minDecodeAhead is how many documents the cursor decodes where a jump
+	// lands; a leaf probed by a sparse driver walks a handful of documents per
+	// candidate and would waste a whole block decoded around each.
+	minDecodeAhead = 8
+	// scanJumpDocs is how far past its decoded chunk a cursor may be sent and
+	// still count as walking the column densely.
+	scanJumpDocs = 32
+)
+
+// scanCursor is the one iterator of every vectorized scan leaf. It decodes
+// the column in chunks of documents [start, end) through the ColumnReader
+// range reads and answers Next, Advance and nextBlock by walking the decoded
+// chunk with the leaf's kernel.
+//
+// Decode-ahead follows the access pattern: a chunk starts where the walk
+// stands (documents a leapfrog skipped are never decoded), is minDecodeAhead
+// long after a jump, and doubles up to blockSize while the next chunk begins
+// within scanJumpDocs of the last one's end. So the driving child of an AND
+// and a top-level scan run at block granularity, and a child probed every
+// few hundred documents decodes a few documents per probe.
+//
+// Entries are charged when walked, never when decoded, so Stats equal the
+// scalar scan's to the digit whatever the chunking, including when a
+// selection stops mid-chunk.
+//
+// Cursors and their chunk buffers live in the pooled blockScratch.
+type scanCursor struct {
+	leaf       *scanLeaf
+	numDocs    int
+	pos        int // next document to walk
+	start, end int // the decoded chunk
+	ahead      int // length the last chunk was asked for
+	one        [1]int
+
 	ids     []uint32
-	docs    []int
+	longs   []int64
+	doubles []float64
+	flags   []bool
+	// Expression comparisons decode both sides: the second side and the doc
+	// list their kernels take.
+	longs2   []int64
+	doubles2 []float64
+	docs     []int
 }
 
-func newDictScanBlockIterator(col segment.ColumnReader, lookup []bool, numDocs int, stats *Stats) *dictScanBlockIterator {
-	return &dictScanBlockIterator{col: col, lookup: lookup, stats: stats, numDocs: numDocs}
+func (c *scanCursor) Next() int {
+	if c.nextBlock(c.one[:]) == 0 {
+		return -1
+	}
+	return c.one[0]
 }
 
-func (it *dictScanBlockIterator) nextBlock(buf []int) int {
-	n := 0
-	for n < len(buf) {
-		if it.pos == len(it.ids) {
-			if it.next >= it.numDocs {
-				break
-			}
-			size := min(blockSize, it.numDocs-it.next)
-			if cap(it.ids) < size {
-				it.ids = make([]uint32, size)
-				it.docs = make([]int, size)
-			}
-			it.ids = it.ids[:size]
-			it.docs = it.docs[:size]
-			for i := range it.docs {
-				it.docs[i] = it.next + i
-			}
-			it.col.DictIDs(it.docs, it.ids)
-			it.start = it.next
-			it.next += size
-			it.pos = 0
+func (c *scanCursor) Advance(target int) int {
+	if target > c.pos {
+		c.pos = target
+	}
+	return c.Next()
+}
+
+func (c *scanCursor) nextBlock(buf []int) int {
+	leaf := c.leaf
+	n, pos := 0, c.pos
+	for n < len(buf) && pos < c.numDocs {
+		if pos >= c.end {
+			c.decode(pos)
 		}
-		walked := it.pos
-		for it.pos < len(it.ids) && n < len(buf) {
-			if it.lookup[it.ids[it.pos]] {
-				buf[n] = it.start + it.pos
+		i, j := pos-c.start, c.end-c.start
+		var walked int
+		switch leaf.kind {
+		case scanIDRange:
+			n, walked = walkIDRange(c.ids[i:j], leaf.idRange, pos, buf, n)
+		case scanIDRanges:
+			n, walked = walkIDRanges(c.ids[i:j], leaf.idRanges, pos, buf, n)
+		case scanIDTable:
+			n, walked = walkIDTable(c.ids[i:j], leaf.idTable, pos, buf, n)
+		case scanLongs:
+			n, walked = walkBounds(c.longs[i:j], leaf.long, pos, buf, n)
+		case scanDoubles:
+			n, walked = walkBounds(c.doubles[i:j], leaf.double, pos, buf, n)
+		default:
+			n, walked = walkFlags(c.flags[i:j], pos, buf, n)
+		}
+		pos += walked
+	}
+	if leaf.stats != nil {
+		leaf.stats.NumEntriesScanned += int64(pos-c.pos) * leaf.perEntry
+	}
+	c.pos = pos
+	return n
+}
+
+// decode makes the chunk that starts at document pos the decoded one.
+func (c *scanCursor) decode(pos int) {
+	if c.ahead > 0 && pos-c.end < scanJumpDocs {
+		c.ahead = min(2*c.ahead, blockSize)
+	} else {
+		c.ahead = minDecodeAhead
+	}
+	size := min(c.ahead, c.numDocs-pos)
+	c.start, c.end = pos, pos+size
+	leaf := c.leaf
+	switch leaf.kind {
+	case scanIDRange, scanIDRanges, scanIDTable:
+		c.ids = sized(c.ids, size)
+		leaf.col.DictIDRange(pos, c.ids)
+	case scanLongs:
+		c.longs = sized(c.longs, size)
+		leaf.col.LongRange(pos, c.longs)
+	case scanDoubles:
+		c.doubles = sized(c.doubles, size)
+		leaf.col.DoubleRange(pos, c.doubles)
+	case scanLongIn:
+		c.longs, c.flags = sized(c.longs, size), sized(c.flags, size)
+		leaf.col.LongRange(pos, c.longs)
+		for i, v := range c.longs {
+			c.flags[i] = leaf.long.in(v)
+		}
+	case scanDoubleIn:
+		c.doubles, c.flags = sized(c.doubles, size), sized(c.flags, size)
+		leaf.col.DoubleRange(pos, c.doubles)
+		for i, v := range c.doubles {
+			c.flags[i] = leaf.double.in(v)
+		}
+	case scanExpr:
+		c.docs, c.flags = sized(c.docs, size), sized(c.flags, size)
+		for i := range c.docs {
+			c.docs[i] = pos + i
+		}
+		leaf.cmp.eval(c)
+	}
+}
+
+// The walk kernels test the values of documents base, base+1, … in turn,
+// append each matching document to buf[n:] and stop when buf is full. They
+// return the new n and how many values they consumed.
+
+func walkIDRange(ids []uint32, r u32Range, base int, buf []int, n int) (int, int) {
+	lo, span := r.lo, r.span
+	for i, id := range ids {
+		if id-lo < span {
+			buf[n] = base + i
+			n++
+			if n == len(buf) {
+				return n, i + 1
+			}
+		}
+	}
+	return n, len(ids)
+}
+
+func walkIDRanges(ids []uint32, rs []u32Range, base int, buf []int, n int) (int, int) {
+	for i, id := range ids {
+		for _, r := range rs {
+			if id-r.lo < r.span {
+				buf[n] = base + i
 				n++
-			}
-			it.pos++
-		}
-		if it.stats != nil {
-			it.stats.NumEntriesScanned += int64(it.pos - walked)
-		}
-	}
-	return n
-}
-
-// rawScanBlockIterator is the block form of a raw (no-dictionary) metric
-// scan: values decode in typed chunks and are tested without boxing.
-type rawScanBlockIterator struct {
-	col         segment.ColumnReader
-	matchLong   func(int64) bool   // set for integral columns
-	matchDouble func(float64) bool // set otherwise
-	stats       *Stats
-	numDocs     int
-	next        int
-	start       int
-	pos         int
-	chunk       int // decoded chunk length
-	docs        []int
-	longs       []int64
-	doubles     []float64
-}
-
-func (it *rawScanBlockIterator) nextBlock(buf []int) int {
-	n := 0
-	for n < len(buf) {
-		if it.pos == it.chunk {
-			if it.next >= it.numDocs {
+				if n == len(buf) {
+					return n, i + 1
+				}
 				break
 			}
-			size := min(blockSize, it.numDocs-it.next)
-			if cap(it.docs) < size {
-				it.docs = make([]int, size)
-				if it.matchLong != nil {
-					it.longs = make([]int64, size)
-				} else {
-					it.doubles = make([]float64, size)
-				}
-			}
-			it.docs = it.docs[:size]
-			for i := range it.docs {
-				it.docs[i] = it.next + i
-			}
-			if it.matchLong != nil {
-				it.longs = it.longs[:size]
-				it.col.Longs(it.docs, it.longs)
-			} else {
-				it.doubles = it.doubles[:size]
-				it.col.Doubles(it.docs, it.doubles)
-			}
-			it.start = it.next
-			it.next += size
-			it.chunk = size
-			it.pos = 0
-		}
-		walked := it.pos
-		if it.matchLong != nil {
-			for it.pos < it.chunk && n < len(buf) {
-				if it.matchLong(it.longs[it.pos]) {
-					buf[n] = it.start + it.pos
-					n++
-				}
-				it.pos++
-			}
-		} else {
-			for it.pos < it.chunk && n < len(buf) {
-				if it.matchDouble(it.doubles[it.pos]) {
-					buf[n] = it.start + it.pos
-					n++
-				}
-				it.pos++
-			}
-		}
-		if it.stats != nil {
-			it.stats.NumEntriesScanned += int64(it.pos - walked)
 		}
 	}
-	return n
+	return n, len(ids)
+}
+
+func walkIDTable(ids []uint32, table []bool, base int, buf []int, n int) (int, int) {
+	for i, id := range ids {
+		if table[id] {
+			buf[n] = base + i
+			n++
+			if n == len(buf) {
+				return n, i + 1
+			}
+		}
+	}
+	return n, len(ids)
+}
+
+// walkBounds tests with negated compares so that a NaN — which the scalar
+// matcher's three-way compare calls equal to everything — is inside every
+// pair of bounds here too.
+func walkBounds[T int64 | float64](vals []T, t rawTest[T], base int, buf []int, n int) (int, int) {
+	lo, hi, neg := t.lo, t.hi, t.neg
+	for i, v := range vals {
+		if (!(v < lo) && !(v > hi)) != neg {
+			buf[n] = base + i
+			n++
+			if n == len(buf) {
+				return n, i + 1
+			}
+		}
+	}
+	return n, len(vals)
+}
+
+func walkFlags(flags []bool, base int, buf []int, n int) (int, int) {
+	for i, ok := range flags {
+		if ok {
+			buf[n] = base + i
+			n++
+			if n == len(buf) {
+				return n, i + 1
+			}
+		}
+	}
+	return n, len(flags)
 }

@@ -32,8 +32,8 @@ func TestRangeIterator(t *testing.T) {
 	if s.estimate() != 5 {
 		t.Fatalf("estimate = %d", s.estimate())
 	}
-	assertDocs(t, collect(s.iterator()), []int{2, 3, 4, 8, 9})
-	it := s.iterator()
+	assertDocs(t, collect(s.iterator(new(blockScratch))), []int{2, 3, 4, 8, 9})
+	it := s.iterator(new(blockScratch))
 	if d := it.Advance(4); d != 4 {
 		t.Fatalf("Advance(4) = %d", d)
 	}
@@ -47,7 +47,7 @@ func TestRangeIterator(t *testing.T) {
 
 func TestScanIteratorAdvance(t *testing.T) {
 	s := &scanDocIDSet{numDocs: 30, match: func(d int) bool { return d%3 == 0 }}
-	it := s.iterator()
+	it := s.iterator(new(blockScratch))
 	if d := it.Advance(7); d != 9 {
 		t.Fatalf("Advance(7) = %d", d)
 	}
@@ -64,8 +64,8 @@ func TestOrIteratorAdvance(t *testing.T) {
 	b := &scanDocIDSet{numDocs: 20, match: func(d int) bool { return d == 10 || d == 15 }}
 	c := &bitmapDocIDSet{bm: bitmap.Of(2, 7, 15)}
 	or := &orDocIDSet{children: []docIDSet{a, b, c}}
-	assertDocs(t, collect(or.iterator()), []int{0, 1, 2, 7, 10, 15})
-	it := or.iterator()
+	assertDocs(t, collect(or.iterator(new(blockScratch))), []int{0, 1, 2, 7, 10, 15})
+	it := or.iterator(new(blockScratch))
 	if d := it.Advance(8); d != 10 {
 		t.Fatalf("Advance(8) = %d", d)
 	}
@@ -81,7 +81,7 @@ func TestAndIteratorAdvance(t *testing.T) {
 	a := &rangeDocIDSet{ranges: []segment.DocRange{{Start: 0, End: 100}}}
 	b := &scanDocIDSet{numDocs: 100, match: func(d int) bool { return d%5 == 0 }}
 	and := &andDocIDSet{children: []docIDSet{a, b}}
-	it := and.iterator()
+	it := and.iterator(new(blockScratch))
 	if d := it.Advance(11); d != 15 {
 		t.Fatalf("Advance(11) = %d", d)
 	}
@@ -101,19 +101,19 @@ func TestAndIteratorAdvance(t *testing.T) {
 func TestNotAndEmptySets(t *testing.T) {
 	child := &bitmapDocIDSet{bm: bitmap.Of(1, 3)}
 	not := &notDocIDSet{child: child, numDocs: 5}
-	assertDocs(t, collect(not.iterator()), []int{0, 2, 4})
+	assertDocs(t, collect(not.iterator(new(blockScratch))), []int{0, 2, 4})
 	if not.estimate() != 3 {
 		t.Fatalf("estimate = %d", not.estimate())
 	}
 	e := emptyDocIDSet{}
-	if e.estimate() != 0 || collect(e.iterator()) != nil {
+	if e.estimate() != 0 || collect(e.iterator(new(blockScratch))) != nil {
 		t.Fatal("empty set misbehaves")
 	}
 	if d := (emptyIterator{}).Advance(3); d != -1 {
 		t.Fatal("empty advance")
 	}
 	all := &allDocIDSet{numDocs: 3}
-	assertDocs(t, collect(all.iterator()), []int{0, 1, 2})
+	assertDocs(t, collect(all.iterator(new(blockScratch))), []int{0, 1, 2})
 }
 
 func TestIDSetComplementAndMembership(t *testing.T) {

@@ -102,7 +102,9 @@ func executeAggregation(env *execEnv, cs columnSource, is IndexedSegment, q *pql
 	}
 	var docs int64
 	if opt.DisableVectorization {
-		it := set.iterator()
+		sc := getScratch()
+		defer sc.release()
+		it := set.iterator(sc)
 		for doc := it.Next(); doc >= 0; doc = it.Next() {
 			if docs%blockSize == 0 {
 				if err := env.checkpoint(); err != nil {
@@ -216,7 +218,9 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 	var limitErr error
 	var docs int64
 	if opt.DisableVectorization {
-		it := set.iterator()
+		sc := getScratch()
+		defer sc.release()
+		it := set.iterator(sc)
 		values := make([]any, len(items))
 		for doc := it.Next(); doc >= 0; doc = it.Next() {
 			if docs%blockSize == 0 {
@@ -320,7 +324,9 @@ func executeSelection(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Q
 			return nil, err
 		}
 	} else {
-		it := set.iterator()
+		sc := getScratch()
+		defer sc.release()
+		it := set.iterator(sc)
 		var buf []int
 		readValue := func(col segment.ColumnReader, doc int) any {
 			f := col.Spec()

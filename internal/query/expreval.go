@@ -323,7 +323,16 @@ func buildExprFilter(env *execEnv, cs columnSource, p pql.ExprCompare, opt Optio
 	}
 	nCols := int64(len(pql.PredicateColumns(p)))
 	n := cs.seg.NumDocs()
-	sds := &scanDocIDSet{numDocs: n, match: func(doc int) bool {
+	// The cursor needs both sides compiled; a side that requires the
+	// interpreter keeps the whole predicate on the per-document closure so
+	// evaluation order (and therefore the first error and the stats) match
+	// the scalar mode exactly.
+	if !opt.DisableVectorization && lev.kernel != nil && rev.kernel != nil {
+		cmp := &exprCompare{lhs: lev, rhs: rev, op: p.Op,
+			bothLong: lev.kernel.Kind == expr.Long && rev.kernel.Kind == expr.Long}
+		return &scanDocIDSet{numDocs: n, leaf: &scanLeaf{kind: scanExpr, cmp: cmp, stats: stats, perEntry: nCols}}, nil
+	}
+	return &scanDocIDSet{numDocs: n, match: func(doc int) bool {
 		if stats != nil {
 			stats.NumEntriesScanned += nCols
 		}
@@ -338,106 +347,32 @@ func buildExprFilter(env *execEnv, cs columnSource, p pql.ExprCompare, opt Optio
 			return false
 		}
 		return ok
-	}}
-	// The batch path needs both sides compiled; a side that requires the
-	// interpreter keeps the whole predicate on the generic row-at-a-time
-	// wrapper so evaluation order (and therefore the first error and the
-	// stats) match the scalar mode exactly.
-	if !opt.DisableVectorization && lev.kernel != nil && rev.kernel != nil {
-		sds.newBlockIter = func() blockIterator {
-			return &exprCompareBlockIterator{
-				lhs: lev, rhs: rev, op: p.Op,
-				bothLong: lev.kernel.Kind == expr.Long && rev.kernel.Kind == expr.Long,
-				stats:    stats, nCols: nCols, numDocs: n,
-			}
-		}
-	}
-	return sds, nil
+	}}, nil
 }
 
-// exprCompareBlockIterator is the block form of an expression comparison:
-// both sides evaluate through their kernels over sequential doc chunks and
-// compare in typed batches. Chunks may evaluate ahead of the caller's
-// demand, but entries are charged only when walked — the dictScan contract.
-type exprCompareBlockIterator struct {
+// exprCompare is a comparison of two compiled expressions, the scan cursor's
+// scanExpr leaf: both sides evaluate through their kernels over the cursor's
+// chunk and compare in one typed batch.
+type exprCompare struct {
 	lhs, rhs *exprEval
 	op       pql.CompareOp
 	bothLong bool
-	stats    *Stats
-	nCols    int64
-	numDocs  int
-	next     int
-	start    int
-	pos      int
-	chunk    int
-	docs     []int
-	ll, rl   []int64
-	ld, rd   []float64
-	matches  []bool
 }
 
-func (it *exprCompareBlockIterator) nextBlock(buf []int) int {
-	n := 0
-	for n < len(buf) {
-		if it.pos == it.chunk {
-			if it.next >= it.numDocs {
-				break
-			}
-			size := min(blockSize, it.numDocs-it.next)
-			if cap(it.docs) < size {
-				it.docs = make([]int, size)
-				it.matches = make([]bool, size)
-			}
-			it.docs = it.docs[:size]
-			it.matches = it.matches[:size]
-			for i := range it.docs {
-				it.docs[i] = it.next + i
-			}
-			if it.bothLong {
-				it.ll = growLongs(it.ll, size)
-				it.rl = growLongs(it.rl, size)
-				it.lhs.kernel.EvalLongs(it.lhs.ksrc, it.docs, it.ll)
-				it.rhs.kernel.EvalLongs(it.rhs.ksrc, it.docs, it.rl)
-				cmpBlock(it.op, it.ll, it.rl, it.matches)
-			} else {
-				it.ld = growDoubles(it.ld, size)
-				it.rd = growDoubles(it.rd, size)
-				it.lhs.kernel.EvalDoubles(it.lhs.ksrc, it.docs, it.ld)
-				it.rhs.kernel.EvalDoubles(it.rhs.ksrc, it.docs, it.rd)
-				cmpBlock(it.op, it.ld, it.rd, it.matches)
-			}
-			it.start = it.next
-			it.next += size
-			it.chunk = size
-			it.pos = 0
-		}
-		walked := it.pos
-		for it.pos < it.chunk && n < len(buf) {
-			if it.matches[it.pos] {
-				buf[n] = it.start + it.pos
-				n++
-			}
-			it.pos++
-		}
-		if it.stats != nil {
-			it.stats.NumEntriesScanned += int64(it.pos-walked) * it.nCols
-		}
+// eval sets the cursor's flags for the documents of its chunk.
+func (x *exprCompare) eval(c *scanCursor) {
+	n := len(c.docs)
+	if x.bothLong {
+		c.longs, c.longs2 = sized(c.longs, n), sized(c.longs2, n)
+		x.lhs.kernel.EvalLongs(x.lhs.ksrc, c.docs, c.longs)
+		x.rhs.kernel.EvalLongs(x.rhs.ksrc, c.docs, c.longs2)
+		cmpBlock(x.op, c.longs, c.longs2, c.flags)
+		return
 	}
-	return n
-}
-
-func growLongs(buf []int64, n int) []int64 {
-	if cap(buf) < n {
-		return make([]int64, n)
-	}
-	return buf[:n]
-}
-
-func growDoubles(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
+	c.doubles, c.doubles2 = sized(c.doubles, n), sized(c.doubles2, n)
+	x.lhs.kernel.EvalDoubles(x.lhs.ksrc, c.docs, c.doubles)
+	x.rhs.kernel.EvalDoubles(x.rhs.ksrc, c.docs, c.doubles2)
+	cmpBlock(x.op, c.doubles, c.doubles2, c.flags)
 }
 
 func cmpBlock[T int64 | float64](op pql.CompareOp, a, b []T, out []bool) {

@@ -210,12 +210,19 @@ func buildLeafFilter(cs columnSource, pred pql.Predicate, opt Options, stats *St
 
 	// Raw (no-dictionary) columns can only be scanned.
 	if !col.HasDictionary() {
+		if !opt.DisableVectorization {
+			leaf, err := newRawLeaf(col, pred, stats)
+			if err != nil {
+				return nil, err
+			}
+			return &scanDocIDSet{numDocs: n, leaf: leaf}, nil
+		}
 		match, err := valueMatcher(col.Spec().Type, pred)
 		if err != nil {
 			return nil, err
 		}
 		integral := col.Spec().Type.Integral()
-		sds := &scanDocIDSet{numDocs: n, match: func(doc int) bool {
+		return &scanDocIDSet{numDocs: n, match: func(doc int) bool {
 			if stats != nil {
 				stats.NumEntriesScanned++
 			}
@@ -223,24 +230,7 @@ func buildLeafFilter(cs columnSource, pred pql.Predicate, opt Options, stats *St
 				return match(col.Long(doc))
 			}
 			return match(col.Double(doc))
-		}}
-		if !opt.DisableVectorization {
-			var matchLong func(int64) bool
-			var matchDouble func(float64) bool
-			if integral {
-				if matchLong, err = longMatcher(col.Spec().Type, pred); err != nil {
-					return nil, err
-				}
-			} else {
-				if matchDouble, err = doubleMatcher(col.Spec().Type, pred); err != nil {
-					return nil, err
-				}
-			}
-			sds.newBlockIter = func() blockIterator {
-				return &rawScanBlockIterator{col: col, stats: stats, numDocs: n, matchLong: matchLong, matchDouble: matchDouble}
-			}
-		}
-		return sds, nil
+		}}, nil
 	}
 
 	// Multi-value columns have contains-any semantics: negated predicates
@@ -313,19 +303,15 @@ func serveIDSet(col segment.ColumnReader, set *idSet, n int, opt Options, stats 
 	// Iterator scan over the forward index. Every evaluated document
 	// counts as a scanned entry.
 	if col.Spec().SingleValue {
-		sds := &scanDocIDSet{numDocs: n, match: func(doc int) bool {
+		if !opt.DisableVectorization {
+			return &scanDocIDSet{numDocs: n, leaf: newIDSetLeaf(col, set, stats)}
+		}
+		return &scanDocIDSet{numDocs: n, match: func(doc int) bool {
 			if stats != nil {
 				stats.NumEntriesScanned++
 			}
 			return set.contains(col.DictID(doc))
 		}}
-		if !opt.DisableVectorization {
-			lookup := set.lookupTable()
-			sds.newBlockIter = func() blockIterator {
-				return newDictScanBlockIterator(col, lookup, n, stats)
-			}
-		}
-		return sds
 	}
 	var buf []int
 	return &scanDocIDSet{numDocs: n, match: func(doc int) bool {

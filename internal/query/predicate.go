@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pinot/internal/bitmap"
@@ -112,17 +113,6 @@ func (s *idSet) size() int {
 		return n
 	}
 	return len(s.list)
-}
-
-// lookupTable returns a dense membership table of size card, the vectorized
-// scan's branch-free dict-id test.
-func (s *idSet) lookupTable() []bool {
-	if s.ranges == nil && s.lookup != nil {
-		return s.lookup
-	}
-	t := make([]bool, s.card)
-	s.each(func(id int) { t[id] = true })
-	return t
 }
 
 // each calls fn for every matching id in ascending order.
@@ -286,129 +276,87 @@ func valueMatcher(typ segment.DataType, pred pql.Predicate) (func(any) bool, err
 	return nil, fmt.Errorf("query: unsupported predicate %T", pred)
 }
 
-// longMatcher is the typed counterpart of valueMatcher for integral raw
-// columns: it evaluates the predicate on int64 without boxing. It accepts
-// and rejects exactly the same values as valueMatcher over canonical int64s.
-func longMatcher(typ segment.DataType, pred pql.Predicate) (func(int64) bool, error) {
-	coerce := func(v any) (int64, error) {
+// compileRawTest is the typed counterpart of valueMatcher for raw columns: it
+// compiles the predicate to bounds on T the scan cursor tests without boxing
+// or a call per value. lowest and highest are T's extremes, standing in for
+// the missing bound of a one-sided comparison. The test — inside [lo, hi]
+// when neither v < lo nor v > hi, complemented by neg — accepts and rejects
+// exactly what valueMatcher does over canonical values, NaN included:
+// segment.CompareValues calls NaN equal to everything, and both compares are
+// false on it.
+func compileRawTest[T int64 | float64](typ segment.DataType, pred pql.Predicate, lowest, highest T) (rawTest[T], error) {
+	coerce := func(v any) (T, error) {
 		cv, err := segment.Canonicalize(typ, v)
 		if err != nil {
-			return 0, err
+			var zero T
+			return zero, err
 		}
-		return cv.(int64), nil
+		return cv.(T), nil
 	}
 	switch p := pred.(type) {
 	case pql.Comparison:
 		v, err := coerce(p.Value)
 		if err != nil {
-			return nil, err
+			return rawTest[T]{}, err
 		}
 		switch p.Op {
 		case pql.OpEq:
-			return func(x int64) bool { return x == v }, nil
+			return rawTest[T]{lo: v, hi: v}, nil
 		case pql.OpNeq:
-			return func(x int64) bool { return x != v }, nil
-		case pql.OpLt:
-			return func(x int64) bool { return x < v }, nil
+			return rawTest[T]{lo: v, hi: v, neg: true}, nil
 		case pql.OpLte:
-			return func(x int64) bool { return x <= v }, nil
+			return rawTest[T]{lo: lowest, hi: v}, nil
 		case pql.OpGt:
-			return func(x int64) bool { return x > v }, nil
+			return rawTest[T]{lo: lowest, hi: v, neg: true}, nil
 		case pql.OpGte:
-			return func(x int64) bool { return x >= v }, nil
+			return rawTest[T]{lo: v, hi: highest}, nil
+		case pql.OpLt:
+			return rawTest[T]{lo: v, hi: highest, neg: true}, nil
 		}
-		return nil, fmt.Errorf("query: unsupported operator %q", p.Op)
+		return rawTest[T]{}, fmt.Errorf("query: unsupported operator %q", p.Op)
 	case pql.Between:
 		lo, err := coerce(p.Lo)
 		if err != nil {
-			return nil, err
+			return rawTest[T]{}, err
 		}
 		hi, err := coerce(p.Hi)
 		if err != nil {
-			return nil, err
+			return rawTest[T]{}, err
 		}
-		return func(x int64) bool { return x >= lo && x <= hi }, nil
+		return rawTest[T]{lo: lo, hi: hi}, nil
 	case pql.In:
-		set := make(map[int64]bool, len(p.Values))
+		set := make(map[T]bool, len(p.Values))
 		for _, raw := range p.Values {
 			v, err := coerce(raw)
 			if err != nil {
-				return nil, err
+				return rawTest[T]{}, err
 			}
 			set[v] = true
 		}
 		neg := p.Negated
-		return func(x int64) bool { return set[x] != neg }, nil
+		return rawTest[T]{in: func(x T) bool { return set[x] != neg }}, nil
 	}
-	return nil, fmt.Errorf("query: unsupported predicate %T", pred)
+	return rawTest[T]{}, fmt.Errorf("query: unsupported predicate %T", pred)
 }
 
-// doubleMatcher is the typed counterpart of valueMatcher for float raw
-// columns.
-func doubleMatcher(typ segment.DataType, pred pql.Predicate) (func(float64) bool, error) {
-	coerce := func(v any) (float64, error) {
-		cv, err := segment.Canonicalize(typ, v)
-		if err != nil {
-			return 0, err
+// newRawLeaf compiles a predicate on a raw metric column into the scan
+// cursor's leaf form.
+func newRawLeaf(col segment.ColumnReader, pred pql.Predicate, stats *Stats) (*scanLeaf, error) {
+	leaf := &scanLeaf{col: col, stats: stats, perEntry: 1}
+	typ := col.Spec().Type
+	var err error
+	if typ.Integral() {
+		leaf.kind = scanLongs
+		if leaf.long, err = compileRawTest[int64](typ, pred, math.MinInt64, math.MaxInt64); leaf.long.in != nil {
+			leaf.kind = scanLongIn
 		}
-		return cv.(float64), nil
+	} else {
+		leaf.kind = scanDoubles
+		if leaf.double, err = compileRawTest(typ, pred, math.Inf(-1), math.Inf(1)); leaf.double.in != nil {
+			leaf.kind = scanDoubleIn
+		}
 	}
-	// Comparisons use the same three-way compare as segment.CompareValues
-	// (NaN compares "equal" to everything there) so results are identical
-	// to the scalar matcher on any input.
-	cmp := func(x, v float64) int {
-		switch {
-		case x < v:
-			return -1
-		case x > v:
-			return 1
-		}
-		return 0
-	}
-	switch p := pred.(type) {
-	case pql.Comparison:
-		v, err := coerce(p.Value)
-		if err != nil {
-			return nil, err
-		}
-		switch p.Op {
-		case pql.OpEq:
-			return func(x float64) bool { return cmp(x, v) == 0 }, nil
-		case pql.OpNeq:
-			return func(x float64) bool { return cmp(x, v) != 0 }, nil
-		case pql.OpLt:
-			return func(x float64) bool { return cmp(x, v) < 0 }, nil
-		case pql.OpLte:
-			return func(x float64) bool { return cmp(x, v) <= 0 }, nil
-		case pql.OpGt:
-			return func(x float64) bool { return cmp(x, v) > 0 }, nil
-		case pql.OpGte:
-			return func(x float64) bool { return cmp(x, v) >= 0 }, nil
-		}
-		return nil, fmt.Errorf("query: unsupported operator %q", p.Op)
-	case pql.Between:
-		lo, err := coerce(p.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := coerce(p.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return func(x float64) bool { return cmp(x, lo) >= 0 && cmp(x, hi) <= 0 }, nil
-	case pql.In:
-		set := make(map[float64]bool, len(p.Values))
-		for _, raw := range p.Values {
-			v, err := coerce(raw)
-			if err != nil {
-				return nil, err
-			}
-			set[v] = true
-		}
-		neg := p.Negated
-		return func(x float64) bool { return set[x] != neg }, nil
-	}
-	return nil, fmt.Errorf("query: unsupported predicate %T", pred)
+	return leaf, err
 }
 
 // unionBitmaps ORs the posting lists of every matching dict id.

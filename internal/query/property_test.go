@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pinot/internal/pql"
@@ -133,6 +134,88 @@ func TestPropertySegmentSplitInvariance(t *testing.T) {
 			p := runPQL(t, parts, q, Options{})
 			if !resultRowsEqual(w, p) {
 				t.Fatalf("trial %d, %s:\n whole %v\n parts %v", trial, q, w.Rows, p.Rows)
+			}
+		}
+	}
+}
+
+// randomScanTree generates a predicate tree whose leaves cover every kind the
+// scan cursor serves (dictionary =, range, IN, NOT IN; raw long and double
+// metric; compiled expression comparison) plus, through the index
+// configurations it runs against, sorted-range and bitmap siblings.
+func randomScanTree(r *rand.Rand, depth int) string {
+	if depth <= 0 || r.Float64() < 0.4 {
+		switch r.Intn(9) {
+		case 0:
+			return fmt.Sprintf("country = '%s'", []string{"us", "de", "fr", "zz"}[r.Intn(4)])
+		case 1:
+			return fmt.Sprintf("memberId %s %d", []string{"<", "<=", ">", ">=", "=", "<>"}[r.Intn(6)], r.Intn(60)-5)
+		case 2:
+			return fmt.Sprintf("browser %s ('chrome', '%s')", []string{"IN", "NOT IN"}[r.Intn(2)], []string{"safari", "opera"}[r.Intn(2)])
+		case 3:
+			lo := 15000 + r.Intn(25)
+			return fmt.Sprintf("day BETWEEN %d AND %d", lo, lo+r.Intn(12))
+		case 4:
+			return fmt.Sprintf("clicks %s %d", []string{"<", ">=", "=", "<>"}[r.Intn(4)], r.Intn(100))
+		case 5:
+			return fmt.Sprintf("clicks IN (%d, %d, %d)", r.Intn(100), r.Intn(100), r.Intn(100))
+		case 6:
+			return fmt.Sprintf("revenue %s %d.5", []string{"<", ">"}[r.Intn(2)], r.Intn(100))
+		case 7:
+			return fmt.Sprintf("clicks + memberId > %d", r.Intn(150))
+		default:
+			return fmt.Sprintf("revenue * 2 < clicks + %d", r.Intn(100))
+		}
+	}
+	a, b := randomScanTree(r, depth-1), randomScanTree(r, depth-1)
+	switch r.Intn(5) {
+	case 0, 1:
+		return fmt.Sprintf("(%s AND %s)", a, b)
+	case 2, 3:
+		return fmt.Sprintf("(%s OR %s)", a, b)
+	default:
+		return fmt.Sprintf("NOT (%s)", a)
+	}
+}
+
+// Property: block-at-a-time and row-at-a-time execution return the same rows
+// and the same Stats — to the entry — for random predicate trees, under
+// aggregation, group-by and a selection that stops inside a scan leaf's first
+// chunk, on every index configuration and on a consuming segment.
+func TestPropertyVectorizedTreesMatchScalar(t *testing.T) {
+	rows := testRows(3000, 60)
+	tables := map[string][]IndexedSegment{}
+	for name, cfg := range allConfigs() {
+		tables[name] = []IndexedSegment{{Seg: buildRows(t, rows, cfg, "s0")}}
+	}
+	ms, err := segment.NewMutableSegment("events", "rt0", rowsSchema(t), segment.IndexConfig{InvertedColumns: []string{"country"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows[:1200] {
+		if err := ms.Add(segment.Row{r.country, r.browser, r.member, r.clicks, r.rev, r.day}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tables["consuming"] = []IndexedSegment{{Seg: ms}}
+
+	r := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 60; trial++ {
+		where := randomScanTree(r, 3)
+		for _, q := range []string{
+			"SELECT count(*), sum(revenue) FROM events WHERE " + where,
+			"SELECT max(clicks) FROM events WHERE " + where + " GROUP BY country TOP 5",
+			fmt.Sprintf("SELECT country, clicks FROM events WHERE %s LIMIT %d", where, 1+r.Intn(20)),
+		} {
+			for name, segs := range tables {
+				vec := runPQL(t, segs, q, Options{})
+				scal := runPQL(t, segs, q, Options{DisableVectorization: true})
+				if vec.Stats != scal.Stats {
+					t.Fatalf("[%s] %s:\n vec    %+v\n scalar %+v", name, q, vec.Stats, scal.Stats)
+				}
+				if !reflect.DeepEqual(vec.Rows, scal.Rows) {
+					t.Fatalf("[%s] %s:\n vec    %v\n scalar %v", name, q, vec.Rows, scal.Rows)
+				}
 			}
 		}
 	}

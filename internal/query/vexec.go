@@ -25,27 +25,50 @@ import (
 // blocks into: matching doc ids, dictionary ids per column read at once,
 // metric values, and the group entry of each doc. Steps of one block run one
 // after another (group resolution, then each aggregation kernel; each
-// selected column in turn), so they share the buffers. Scratches are pooled
-// across segments and queries — a segment that matches four docs should not
-// allocate for 1024 — and each buffer grows to the largest block asked of it.
+// selected column in turn), so they share the buffers. The filter's scan
+// cursors decode alongside those steps, so each owns its chunk buffers; the
+// scratch keeps the cursors themselves. Scratches are pooled across segments
+// and queries — a segment that matches four docs should not allocate for
+// 1024 — and each buffer grows to the largest block asked of it.
 type blockScratch struct {
 	docs    []int
 	ids     [][]uint32
 	longs   []int64
 	doubles []float64
 	entries []*GroupEntry
+	u32s    []uint32
+	// cursors[:cursorsOut] are bound to leaves of the running execution.
+	cursors    []*scanCursor
+	cursorsOut int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
 func getScratch() *blockScratch { return scratchPool.Get().(*blockScratch) }
 
-// release returns the scratch to the pool. The entry pointers are cleared
-// first: a pooled buffer must not keep a finished query's groups alive.
+// release returns the scratch to the pool. Pointers into the finished query
+// are cleared first: a pooled buffer must not keep its groups, segments or
+// stats alive.
 func (s *blockScratch) release() {
 	clear(s.entries)
 	s.entries = s.entries[:0]
+	for _, c := range s.cursors[:s.cursorsOut] {
+		c.leaf = nil
+	}
+	s.cursorsOut = 0
 	scratchPool.Put(s)
+}
+
+// cursor binds one of the scratch's scan cursors to a leaf.
+func (s *blockScratch) cursor(leaf *scanLeaf, numDocs int) *scanCursor {
+	if s.cursorsOut == len(s.cursors) {
+		s.cursors = append(s.cursors, new(scanCursor))
+	}
+	c := s.cursors[s.cursorsOut]
+	s.cursorsOut++
+	c.leaf, c.numDocs = leaf, numDocs
+	c.pos, c.start, c.end, c.ahead = 0, 0, 0, 0
+	return c
 }
 
 // sized returns buf with length n, reallocating only when it is too small.
@@ -68,6 +91,13 @@ func (s *blockScratch) idBuf(c, n int) []uint32 {
 	}
 	s.ids[c] = sized(s.ids[c], n)
 	return s.ids[c]
+}
+
+// u32Buf is the staging buffer between doc-id blocks and bitmap values; its
+// users fill and drain it within one call.
+func (s *blockScratch) u32Buf(n int) []uint32 {
+	s.u32s = sized(s.u32s, n)
+	return s.u32s
 }
 
 func (s *blockScratch) longBuf(n int) []int64 {
@@ -331,7 +361,7 @@ func runAggBlocks(env *execEnv, set docIDSet, inputs []aggInput, aggs []*AggStat
 	for i, in := range inputs {
 		kernels[i] = newAggKernel(in, est, sc)
 	}
-	it := blocksOf(set)
+	it := set.iterator(sc)
 	buf := sc.docBuf(blockSize)
 	var docs int64
 	for {
@@ -694,7 +724,7 @@ func runGroupByBlocks(env *execEnv, set docIDSet, inputs []aggInput, items []gro
 		kernels[i] = newAggKernel(in, est, sc)
 	}
 	g := newItemGrouper(items, exprs, charger, sc)
-	it := blocksOf(set)
+	it := set.iterator(sc)
 	buf := sc.docBuf(blockSize)
 	entries := sc.entryBuf(blockSize)
 	var docs int64
@@ -731,7 +761,7 @@ func runGroupByBlocks(env *execEnv, set docIDSet, inputs []aggInput, items []gro
 func runSelectionBlocks(env *execEnv, out *Intermediate, q *pql.Query, set docIDSet, readers []segment.ColumnReader, keep int, needAll bool) (int64, error) {
 	sc := getScratch()
 	defer sc.release()
-	it := blocksOf(set)
+	it := set.iterator(sc)
 	width := len(readers)
 	var mvBuf []int
 	var docs int64

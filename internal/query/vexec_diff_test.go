@@ -180,6 +180,51 @@ func diffQueries(r *rand.Rand, n int) []string {
 	return out
 }
 
+// scanLeafTrees lists the filter shapes whose scan leaves sit under an AND,
+// OR or NOT: 2- and 3-leaf trees over every scan-leaf kind (dictionary =,
+// range, IN and NOT IN; raw long and double metric; compiled expression
+// comparison), each also negated, bare and behind the two narrow drivers. On
+// the fixture's segments `bucket = 12` is a sorted range, a bitmap or a scan,
+// and `category = 'cat1'` a bitmap or a scan.
+func scanLeafTrees() []string {
+	leaves := []string{
+		"category = 'cat2'",
+		"bucket BETWEEN 5 AND 25",
+		"category IN ('cat1', 'cat3', 'cat9')",
+		"bucket NOT IN (3, 7, 11)",
+		"day != 17003",
+		"hits < 600",
+		"hits IN (1, 17, 333, 420)",
+		"score > 300.5",
+		"score BETWEEN 100 AND 900.25",
+		"hits + bucket > 500",
+		"score * 2 < hits",
+	}
+	var trees []string
+	for i, a := range leaves {
+		for j, b := range leaves {
+			if i >= j {
+				continue
+			}
+			trees = append(trees, a+" AND "+b, a+" OR "+b)
+			if c := leaves[(i+j)%len(leaves)]; c != a && c != b {
+				trees = append(trees, a+" AND "+b+" AND "+c, a+" OR "+b+" OR "+c, a+" AND ("+b+" OR "+c+")")
+			}
+		}
+	}
+	var out []string
+	for i, tree := range trees {
+		out = append(out, tree, "NOT ("+tree+")")
+		switch i % 3 {
+		case 0:
+			out = append(out, "bucket = 12 AND ("+tree+")")
+		case 1:
+			out = append(out, "category = 'cat1' AND NOT ("+tree+")")
+		}
+	}
+	return out
+}
+
 func TestVectorizedDifferentialMixed(t *testing.T) {
 	schema := diffSchema(t)
 	r := rand.New(rand.NewSource(99))
@@ -243,6 +288,34 @@ func TestVectorizedDifferentialMixed(t *testing.T) {
 	}
 	for _, q := range extraQueries {
 		runBothModes(t, "mixed/extended", q, segs, extended, query.Options{})
+	}
+
+	// Scan leaves under AND, OR and NOT, over the segments above plus one
+	// sorted on bucket: aggregations walk every match, the selections stop
+	// within the first chunk of a leaf.
+	segs = append(segs, build("diff_sorted", segment.IndexConfig{SortColumn: "bucket"}, 3000))
+	for _, where := range scanLeafTrees() {
+		runBothModes(t, "mixed/trees", "SELECT count(*), sum(score) FROM difftbl WHERE "+where, segs, schema, query.Options{})
+		runBothModes(t, "mixed/trees", "SELECT category, hits FROM difftbl WHERE "+where+" LIMIT 7", segs, schema, query.Options{})
+	}
+	// The same over schema-evolution default columns: a raw metric and a
+	// dictionary dimension no segment holds.
+	evolved, err := extended.WithColumn(segment.FieldSpec{
+		Name: "bonus", Type: segment.TypeLong, Kind: segment.Metric, SingleValue: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, where := range []string{
+		"bonus >= 0 AND hits < 600",
+		"hits < 600 AND bonus IN (0, 5)",
+		"bonus + hits > 500 AND score > 300.5",
+		"NOT (bonus > 3 OR category = 'cat2')",
+		"bucket = 12 AND bonus + bucket < 13",
+		"region != 'x' AND hits + bonus < 100 AND score * 2 < hits",
+	} {
+		runBothModes(t, "mixed/evolved", "SELECT count(*), sum(bonus) FROM difftbl WHERE "+where, segs, evolved, query.Options{})
+		runBothModes(t, "mixed/evolved", "SELECT category, bonus FROM difftbl WHERE "+where+" LIMIT 7", segs, evolved, query.Options{})
 	}
 
 	// ForceBitmap (Druid-style evaluation) over the inverted segment —

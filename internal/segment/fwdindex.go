@@ -304,6 +304,10 @@ type MetricColumn interface {
 	// doc positions, the block-at-a-time counterparts of Long and Double.
 	Longs(docs []int, dst []int64)
 	Doubles(docs []int, dst []float64)
+	// LongRange and DoubleRange fill dst with the values of documents
+	// [start, start+len(dst)).
+	LongRange(start int, dst []int64)
+	DoubleRange(start int, dst []float64)
 	MinLong() int64
 	MaxLong() int64
 	MinDouble() float64
@@ -343,7 +347,7 @@ func (c *longMetricColumn) Long(doc int) int64     { return c.values[doc] }
 func (c *longMetricColumn) Double(doc int) float64 { return float64(c.values[doc]) }
 func (c *longMetricColumn) Longs(docs []int, dst []int64) {
 	if docsContiguous(docs) {
-		copy(dst, c.values[docs[0]:docs[0]+len(docs)])
+		c.LongRange(docs[0], dst[:len(docs)])
 		return
 	}
 	for i, d := range docs {
@@ -353,6 +357,14 @@ func (c *longMetricColumn) Longs(docs []int, dst []int64) {
 func (c *longMetricColumn) Doubles(docs []int, dst []float64) {
 	for i, d := range docs {
 		dst[i] = float64(c.values[d])
+	}
+}
+func (c *longMetricColumn) LongRange(start int, dst []int64) {
+	copy(dst, c.values[start:start+len(dst)])
+}
+func (c *longMetricColumn) DoubleRange(start int, dst []float64) {
+	for i, v := range c.values[start : start+len(dst)] {
+		dst[i] = float64(v)
 	}
 }
 func (c *longMetricColumn) MinLong() int64     { return c.min }
@@ -392,12 +404,20 @@ func (c *doubleMetricColumn) Longs(docs []int, dst []int64) {
 }
 func (c *doubleMetricColumn) Doubles(docs []int, dst []float64) {
 	if docsContiguous(docs) {
-		copy(dst, c.values[docs[0]:docs[0]+len(docs)])
+		c.DoubleRange(docs[0], dst[:len(docs)])
 		return
 	}
 	for i, d := range docs {
 		dst[i] = c.values[d]
 	}
+}
+func (c *doubleMetricColumn) LongRange(start int, dst []int64) {
+	for i, v := range c.values[start : start+len(dst)] {
+		dst[i] = int64(v)
+	}
+}
+func (c *doubleMetricColumn) DoubleRange(start int, dst []float64) {
+	copy(dst, c.values[start:start+len(dst)])
 }
 func (c *doubleMetricColumn) MinLong() int64     { return int64(c.min) }
 func (c *doubleMetricColumn) MaxLong() int64     { return int64(c.max) }

@@ -318,6 +318,29 @@ func (c *mutableColumn) Doubles(docs []int, dst []float64) {
 		dst[i] = c.doubles[d]
 	}
 }
+func (c *mutableColumn) DictIDRange(start int, dst []uint32) {
+	for i, id := range c.ids[start : start+len(dst)] {
+		dst[i] = uint32(id)
+	}
+}
+func (c *mutableColumn) LongRange(start int, dst []int64) {
+	if c.spec.Type.Integral() {
+		copy(dst, c.longs[start:start+len(dst)])
+		return
+	}
+	for i, v := range c.doubles[start : start+len(dst)] {
+		dst[i] = int64(v)
+	}
+}
+func (c *mutableColumn) DoubleRange(start int, dst []float64) {
+	if c.spec.Type.Integral() {
+		for i, v := range c.longs[start : start+len(dst)] {
+			dst[i] = float64(v)
+		}
+		return
+	}
+	copy(dst, c.doubles[start:start+len(dst)])
+}
 func (c *mutableColumn) MinValue() any {
 	c.seg.mu.RLock()
 	defer c.seg.mu.RUnlock()

@@ -61,6 +61,16 @@ type ColumnReader interface {
 	// Doubles fills dst with the raw metric values at the given ascending
 	// doc positions. len(dst) must equal len(docs).
 	Doubles(docs []int, dst []float64)
+	// DictIDRange fills dst with the dict ids of documents
+	// [start, start+len(dst)), the sequential form of DictIDs: no doc list
+	// to build or inspect.
+	DictIDRange(start int, dst []uint32)
+	// LongRange fills dst with the raw metric values of documents
+	// [start, start+len(dst)).
+	LongRange(start int, dst []int64)
+	// DoubleRange fills dst with the raw metric values of documents
+	// [start, start+len(dst)).
+	DoubleRange(start int, dst []float64)
 	// MinValue and MaxValue return column statistics.
 	MinValue() any
 	MaxValue() any
@@ -160,11 +170,23 @@ func (c *Column) DictIDs(docs []int, dst []uint32) {
 	}
 }
 
+// DictIDRange fills dst with the dict ids of documents [start, start+len(dst))
+// through the packed bulk-unpack kernel.
+func (c *Column) DictIDRange(start int, dst []uint32) { c.fwd.GetBlock(start, dst) }
+
 // Longs fills dst with the raw metric values at the given doc positions.
 func (c *Column) Longs(docs []int, dst []int64) { c.metric.Longs(docs, dst) }
 
 // Doubles fills dst with the raw metric values at the given doc positions.
 func (c *Column) Doubles(docs []int, dst []float64) { c.metric.Doubles(docs, dst) }
+
+// LongRange fills dst with the raw metric values of documents
+// [start, start+len(dst)).
+func (c *Column) LongRange(start int, dst []int64) { c.metric.LongRange(start, dst) }
+
+// DoubleRange fills dst with the raw metric values of documents
+// [start, start+len(dst)).
+func (c *Column) DoubleRange(start int, dst []float64) { c.metric.DoubleRange(start, dst) }
 
 // MinValue returns the smallest value in the column.
 func (c *Column) MinValue() any {
@@ -486,20 +508,19 @@ func (c *defaultColumn) Double(doc int) float64 {
 	}
 	return float64(c.value.(int64))
 }
-func (c *defaultColumn) DictIDs(docs []int, dst []uint32) {
-	for i := range docs {
-		dst[i] = 0
-	}
-}
-func (c *defaultColumn) Longs(docs []int, dst []int64) {
+func (c *defaultColumn) DictIDs(docs []int, dst []uint32)    { c.DictIDRange(0, dst[:len(docs)]) }
+func (c *defaultColumn) Longs(docs []int, dst []int64)       { c.LongRange(0, dst[:len(docs)]) }
+func (c *defaultColumn) Doubles(docs []int, dst []float64)   { c.DoubleRange(0, dst[:len(docs)]) }
+func (c *defaultColumn) DictIDRange(start int, dst []uint32) { clear(dst) }
+func (c *defaultColumn) LongRange(start int, dst []int64) {
 	v := c.Long(0)
-	for i := range docs {
+	for i := range dst {
 		dst[i] = v
 	}
 }
-func (c *defaultColumn) Doubles(docs []int, dst []float64) {
+func (c *defaultColumn) DoubleRange(start int, dst []float64) {
 	v := c.Double(0)
-	for i := range docs {
+	for i := range dst {
 		dst[i] = v
 	}
 }

@@ -595,3 +595,64 @@ func TestSchemaEvolutionWithColumn(t *testing.T) {
 		t.Fatal("duplicate column accepted")
 	}
 }
+
+// TestRangeReadsMatchPerDocReads: DictIDRange, LongRange and DoubleRange
+// return, for every window of an immutable, a consuming and a default
+// column, what DictID, Long and Double return document by document.
+func TestRangeReadsMatchPerDocReads(t *testing.T) {
+	schema := testSchema(t)
+	b, err := NewBuilder("events", "r0", schema, IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := NewMutableSegment("events", "r1", schema, IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	for i := 0; i < n; i++ {
+		row := Row{fmt.Sprintf("c%d", i%37), "chrome", int64(i % 11), []string{"a"}, int64(i * 7 % 101), float64(i%13) / 4, int64(100 + i%5)}
+		if err := b.Add(row); err != nil {
+			t.Fatal(err)
+		}
+		if err := ms.Add(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := map[string]ColumnReader{
+		"default dim":    NewDefaultColumn(FieldSpec{Name: "x", Type: TypeString, Kind: Dimension, SingleValue: true}, n),
+		"default metric": NewDefaultColumn(FieldSpec{Name: "y", Type: TypeDouble, Kind: Metric, SingleValue: true}, n),
+	}
+	for _, name := range []string{"country", "memberId", "clicks", "revenue", "day"} {
+		cols["immutable "+name] = seg.Column(name)
+		cols["consuming "+name] = ms.Column(name)
+	}
+	for label, col := range cols {
+		for _, w := range [][2]int{{0, n}, {0, 1}, {5, 8}, {63, 130}, {n - 1, 1}, {17, 0}} {
+			start, size := w[0], w[1]
+			if col.HasDictionary() {
+				ids := make([]uint32, size)
+				col.DictIDRange(start, ids)
+				for i, id := range ids {
+					if int(id) != col.DictID(start+i) {
+						t.Fatalf("%s: DictIDRange(%d)[%d] = %d, DictID = %d", label, start, i, id, col.DictID(start+i))
+					}
+				}
+				continue
+			}
+			longs, doubles := make([]int64, size), make([]float64, size)
+			col.LongRange(start, longs)
+			col.DoubleRange(start, doubles)
+			for i := range longs {
+				if longs[i] != col.Long(start+i) || doubles[i] != col.Double(start+i) {
+					t.Fatalf("%s: range read at %d+%d = (%d, %v), per doc (%d, %v)", label, start, i,
+						longs[i], doubles[i], col.Long(start+i), col.Double(start+i))
+				}
+			}
+		}
+	}
+}
