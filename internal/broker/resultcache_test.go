@@ -11,21 +11,28 @@ import (
 )
 
 // groupByServers makes every fake server answer a group-by over "d" with one
-// group per routed segment, keyed by the segment's name and valued by value.
-// Counts differ per group, so the final order never compares group values.
-func groupByServers(env *testEnv, value func(seg string) any) {
+// group per routed segment, keyed by the segment's name. Counts differ per
+// group, so the final order never compares group values. mangle, when set,
+// edits each answer before it leaves the server.
+func groupByServers(env *testEnv, mangle func(*query.Intermediate)) {
 	for _, s := range env.servers {
 		s.respond = func(req *transport.QueryRequest) *query.Intermediate {
+			exprs := []pql.Expression{{IsAgg: true, Func: pql.Count, Column: "*"}}
 			out := &query.Intermediate{
 				Kind:      query.KindGroupBy,
-				AggExprs:  []pql.Expression{{IsAgg: true, Func: pql.Count, Column: "*"}},
+				AggExprs:  exprs,
 				GroupCols: []string{"d"},
-				Groups:    map[string]*query.GroupEntry{},
+				Groups:    query.NewGroupTable(1, exprs),
 			}
 			for _, seg := range req.Segments {
-				st := query.NewAggState(pql.Count)
-				st.AddCount(10 + int64(seg[len(seg)-1]-'0'))
-				out.Groups[seg] = &query.GroupEntry{Values: []any{value(seg)}, Aggs: []*query.AggState{st}}
+				g, err := out.Groups.Upsert([]any{seg})
+				if err != nil {
+					panic(err)
+				}
+				out.Groups.SetState(g, 0, query.AggState{Count: 10 + int64(seg[len(seg)-1]-'0')})
+			}
+			if mangle != nil {
+				mangle(out)
 			}
 			return out
 		}
@@ -58,7 +65,7 @@ func storedGather(t *testing.T, env *testEnv) *cachedGather {
 func TestResultCacheHitIsPrivateAndMarked(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	env.addTable(t, "ev_OFFLINE", map[string][]string{"s1": {"seg0", "seg1"}, "s2": {"seg2"}}, 10)
-	groupByServers(env, func(seg string) any { return seg })
+	groupByServers(env, nil)
 	cold, err := env.broker.Execute(context.Background(), groupByPQL, "")
 	if err != nil || cold.Partial || cold.Stats.ResultCacheHit || len(cold.Rows) != 3 {
 		t.Fatalf("cold: %+v, err %v", cold, err)
@@ -106,7 +113,7 @@ func resultCacheKeyOf(t *testing.T, env *testEnv) string {
 func TestResultCacheCorruptEntryIsAMiss(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	env.addTable(t, "ev_OFFLINE", map[string][]string{"s1": {"seg0", "seg1"}, "s2": {"seg2"}}, 10)
-	groupByServers(env, func(seg string) any { return seg })
+	groupByServers(env, nil)
 	cold, err := env.broker.Execute(context.Background(), groupByPQL, "")
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +138,13 @@ func TestResultCacheCorruptEntryIsAMiss(t *testing.T) {
 }
 
 // TestResultCacheUnencodableResultIsNotStored: servers in the same process
-// may hand over a cell outside the layout's five types. The query is
-// answered from it and the tier stays empty.
+// may hand over a value the layout does not carry (here an expression node
+// the parser never builds). The query is answered from it and the tier stays
+// empty.
 func TestResultCacheUnencodableResultIsNotStored(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	env.addTable(t, "ev_OFFLINE", map[string][]string{"s1": {"seg0", "seg1"}, "s2": {"seg2"}}, 10)
-	groupByServers(env, func(string) any { return int(1) })
+	groupByServers(env, func(r *query.Intermediate) { r.AggExprs[0].Arg = unknownExpr{} })
 	for i := 0; i < 2; i++ {
 		res, err := env.broker.Execute(context.Background(), groupByPQL, "")
 		if err != nil || res.Partial || res.Stats.ResultCacheHit || len(res.Rows) != 3 {
@@ -150,3 +158,6 @@ func TestResultCacheUnencodableResultIsNotStored(t *testing.T) {
 		t.Fatalf("%d server calls for two uncached queries, want 4", serverCalls(env))
 	}
 }
+
+// unknownExpr is an expression node the parser never builds.
+type unknownExpr struct{ pql.ColumnRef }

@@ -12,10 +12,14 @@ import (
 
 // AggState is the mergeable intermediate state of one aggregation function.
 // States accumulate per segment, merge at the server across its segments,
-// and merge again at the broker across servers (paper 3.3.3 step 7). The
-// layout the data plane ships and the caches store (wire.go, in this
-// package) writes each field by name; a field added here needs a line
-// there, which TestCodecCarriesEveryField (internal/transport) enforces.
+// and merge again at the broker across servers (paper 3.3.3 step 7). An
+// aggregation without GROUP BY holds one per select expression; a group-by
+// holds the same fields as columns of its GroupTable (grouptable.go), only
+// those each function reads, and moves a row through an AggState wherever
+// the arithmetic of a function is wanted. The layout the data plane ships
+// and the caches store (wire.go, in this package) writes each field by
+// name; a field added here needs a line there and a place in a state
+// column, which TestCodecCarriesEveryField (internal/transport) enforces.
 type AggState struct {
 	Func  pql.AggFunc
 	Count int64
@@ -102,34 +106,50 @@ func (s *AggState) Merge(o *AggState) {
 
 // Result finalizes the state: COUNT and DISTINCTCOUNT yield int64, the rest
 // float64. AVG of zero rows yields 0.
-func (s *AggState) Result() any {
+func (s *AggState) Result() any { return boxNumber(s.number()) }
+
+// number is the per-function result arithmetic, unboxed so that TOP n can
+// score every group and box only the rows it returns: an integral result in
+// n, any other in f; known is false for a name that is no function of the
+// engine's (only a decoder can produce one).
+func (s *AggState) number() (n int64, f float64, integral, known bool) {
 	switch s.Func {
 	case pql.Count:
-		return s.Count
+		return s.Count, 0, true, true
 	case pql.DistinctCount:
-		return int64(len(s.Distinct))
+		return int64(len(s.Distinct)), 0, true, true
 	case pql.Sum:
-		return s.Sum
+		return 0, s.Sum, false, true
 	case pql.Avg:
 		if s.Count == 0 {
-			return float64(0)
+			return 0, 0, false, true
 		}
-		return s.Sum / float64(s.Count)
+		return 0, s.Sum / float64(s.Count), false, true
 	case pql.Min:
 		if !s.Seen {
-			return float64(0)
+			return 0, 0, false, true
 		}
-		return s.Min
+		return 0, s.Min, false, true
 	case pql.Max:
 		if !s.Seen {
-			return float64(0)
+			return 0, 0, false, true
 		}
-		return s.Max
+		return 0, s.Max, false, true
 	}
 	if q, ok := pql.PercentileQuantile(s.Func); ok {
-		return percentileOf(s.Values, q)
+		return 0, percentileOf(s.Values, q), false, true
 	}
-	return nil
+	return 0, 0, false, false
+}
+
+func boxNumber(n int64, f float64, integral, known bool) any {
+	switch {
+	case !known:
+		return nil
+	case integral:
+		return n
+	}
+	return f
 }
 
 // percentileOf computes the exact q-th percentile (nearest-rank) of the
@@ -210,6 +230,18 @@ func (in aggInput) accumulate(s *AggState, doc int) {
 	default:
 		s.AddNumeric(in.numeric(doc))
 	}
+}
+
+// accumulateRow adds one document to group ord's row of the aggregate's
+// column, the scalar path's counterpart of the block kernels.
+func (in aggInput) accumulateRow(c *aggColumn, ord uint32, doc int) {
+	if in.expr.Func == pql.DistinctCount {
+		c.addDistinct(ord, in.distinctKey(doc))
+		return
+	}
+	s := c.at(int(ord))
+	in.accumulate(&s, doc)
+	c.put(int(ord), &s)
 }
 
 func (in aggInput) numeric(doc int) float64 {

@@ -37,7 +37,8 @@ func aggCacheable(q *pql.Query, opt Options, is IndexedSegment) bool {
 }
 
 // aggCacheKey renders the (filter signature, aggregation signature) part of
-// the cache key; the segment ID is the cache scope. The filter is
+// the cache key; the segment ID is the cache scope. ExecuteStream renders it
+// once per distinct query and hands it to each segment's execution. The filter is
 // canonicalized so commuted predicates collide, and TOP/LIMIT/ORDER are
 // deliberately excluded: per-segment group-by intermediates carry every
 // group (TOP applies at finalize), so all TOP variants of one aggregation
@@ -68,12 +69,12 @@ func aggCacheKey(q *pql.Query) string {
 // or group-limited executions must re-run. Bytes that no longer decode are a
 // miss whose Put replaces them, and a result the layout cannot carry is
 // answered and simply not stored.
-func (e *Engine) executeSegmentCached(ctx context.Context, is IndexedSegment, q *pql.Query, tableSchema *segment.Schema) (*Intermediate, error) {
+func (e *Engine) executeSegmentCached(ctx context.Context, is IndexedSegment, q *pql.Query, key string, tableSchema *segment.Schema) (*Intermediate, error) {
 	cache := e.AggCache
 	if cache == nil || !aggCacheable(q, e.Options, is) {
 		return ExecuteSegment(ctx, is, q, tableSchema, e.Options)
 	}
-	scope, key := is.Seg.Name(), aggCacheKey(q)
+	scope := is.Seg.Name()
 	if v, ok := cache.Get(scope, q.Table, key); ok {
 		b, _ := v.([]byte)
 		if res, err := DecodeIntermediate(b); err == nil {

@@ -258,7 +258,7 @@ func TestAggCacheIsolation(t *testing.T) {
 	for _, s := range segs[:3] {
 		stored = append(stored, append([]byte(nil), storedBytes(t, cache, s, q)...))
 	}
-	firstHit, err := e.executeSegmentCached(context.Background(), segs[0], q, nil)
+	firstHit, err := e.executeSegmentCached(context.Background(), segs[0], q, aggCacheKey(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestAggCacheIsolation(t *testing.T) {
 			t.Errorf("segment %s: the stored bytes changed under its readers", s.Seg.Name())
 		}
 	}
-	nextHit, err := e.executeSegmentCached(context.Background(), segs[0], q, nil)
+	nextHit, err := e.executeSegmentCached(context.Background(), segs[0], q, aggCacheKey(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,13 +370,14 @@ func TestAggCacheCorruptEntryIsAMiss(t *testing.T) {
 	}
 }
 
-// TestAggCacheUnencodableResultIsNotStored: a result holding a cell outside
-// the layout's five types is answered as computed and leaves no entry.
+// TestAggCacheUnencodableResultIsNotStored: a result the layout cannot carry
+// (here an expression node the parser never builds) is answered as computed
+// and leaves no entry.
 func TestAggCacheUnencodableResultIsNotStored(t *testing.T) {
 	segs := aggCacheFixture(t)[:1]
 	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
 	e := &Engine{AggCache: cache, afterMiss: func(r *Intermediate) {
-		r.Groups[GroupKey([]any{"us"})].Values[0] = int(1)
+		r.AggExprs[0].Arg = unknownExpr{}
 	}}
 	q, err := pql.Parse("SELECT count(*) FROM events GROUP BY country")
 	if err != nil {
@@ -390,7 +391,7 @@ func TestAggCacheUnencodableResultIsNotStored(t *testing.T) {
 	if err != nil || len(excs) > 0 {
 		t.Fatalf("err = %v, exceptions = %v", err, excs)
 	}
-	if g := got.Groups[GroupKey([]any{"us"})]; len(got.Groups) != 7 || g.Values[0] != int(1) || g.Aggs[0].Count == 0 {
+	if got.Groups.Len() != 7 || got.AggExprs[0].Arg != (unknownExpr{}) || got.Groups.State(0, 0).Count == 0 {
 		t.Fatalf("the result was not answered as computed: %+v", got.Groups)
 	}
 	if cache.Len() != 0 {
@@ -407,9 +408,12 @@ func TestAggCacheUnencodableResultIsNotStored(t *testing.T) {
 
 // TestCacheBytesBoundHeap holds the tier's byte count to what the tier
 // occupies: after 2 000 distinct group-by results the live heap has grown by
-// no more than 1.3x cache.Bytes() (the rest is the index: a list element, an
-// entry and a map slot per key, and allocator size classes). When the values
-// were object graphs priced by an estimate the ratio was about 2.
+// no more than cache.Bytes() and 300 bytes an entry (the index: a list
+// element, an entry and a map slot per key, and allocator size classes —
+// some 210 to 260 bytes whatever the value's size, which is why this is not
+// a ratio: the columnar layout took the values of this test from 1 270 bytes
+// to 390 and left the index where it was). When the values were object
+// graphs priced by an estimate the heap grew by about twice the charge.
 func TestCacheBytesBoundHeap(t *testing.T) {
 	segs := aggCacheFixture(t)[:1]
 	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
@@ -442,8 +446,8 @@ func TestCacheBytesBoundHeap(t *testing.T) {
 	}
 	grown, charged := float64(after)-float64(before), float64(cache.Bytes())
 	t.Logf("heap grew %.0f bytes for %.0f charged: %.2fx (%.0f bytes per entry)", grown, charged, grown/charged, grown/entries)
-	if grown > 1.3*charged {
-		t.Fatalf("the heap grew %.0f bytes, %.2fx the %.0f the tier says it holds; want <= 1.3x", grown, grown/charged, charged)
+	if grown > charged+300*entries {
+		t.Fatalf("the heap grew %.0f bytes, %.0f an entry more than the %.0f the tier says it holds; want <= 300", grown, (grown-charged)/entries, charged)
 	}
 	runtime.KeepAlive(cache)
 }
@@ -451,25 +455,23 @@ func TestCacheBytesBoundHeap(t *testing.T) {
 // TestIntermediateCloneIsDeep pins Clone's isolation at the data-structure
 // level for every result shape.
 func TestIntermediateCloneIsDeep(t *testing.T) {
-	orig := &Intermediate{
-		Kind:     KindGroupBy,
-		AggExprs: []pql.Expression{{IsAgg: true, Func: pql.DistinctCount, Column: "browser"}},
-		GroupCols: []string{
-			"country",
-		},
-		Groups: map[string]*GroupEntry{
-			"us": {Values: []any{"us"}, Aggs: []*AggState{{Func: pql.DistinctCount, Distinct: map[string]struct{}{"chrome": {}}, Values: []float64{1}}}},
-		},
-		Stats: Stats{NumDocsScanned: 10},
-	}
+	exprs := []pql.Expression{{IsAgg: true, Func: pql.DistinctCount, Column: "browser"}, {IsAgg: true, Func: "PERCENTILE50", Column: "ms"}}
+	orig := &Intermediate{Kind: KindGroupBy, AggExprs: exprs, GroupCols: []string{"country"},
+		Groups: NewGroupTable(1, exprs), Stats: Stats{NumDocsScanned: 10}}
+	us := mustUpsert(t, orig.Groups, "us")
+	orig.Groups.SetState(us, 0, AggState{Distinct: map[string]struct{}{"chrome": {}}})
+	orig.Groups.SetState(us, 1, AggState{Values: []float64{1}})
 	cp := orig.Clone()
-	cp.Groups["us"].Aggs[0].Distinct["edge"] = struct{}{}
-	cp.Groups["us"].Values[0] = "xx"
-	cp.Groups["de"] = &GroupEntry{}
+	cp.Groups.SetState(mustUpsert(t, cp.Groups, "us"), 0, AggState{Distinct: map[string]struct{}{"edge": {}}})
+	cp.Groups.State(us, 1).Values[0] = 2
+	mustUpsert(t, cp.Groups, "de")
 	cp.Stats.NumDocsScanned = 99
-	if len(orig.Groups) != 1 || len(orig.Groups["us"].Aggs[0].Distinct) != 1 ||
-		orig.Groups["us"].Values[0] != "us" || orig.Stats.NumDocsScanned != 10 {
+	if orig.Groups.Len() != 1 || len(orig.Groups.State(us, 0).Distinct) != 1 || orig.Groups.State(us, 1).Values[0] != 1 ||
+		orig.Groups.Values(us)[0] != "us" || orig.Stats.NumDocsScanned != 10 {
 		t.Fatalf("Clone shares state with original: %+v", orig)
+	}
+	if cp.Groups.Len() != 2 || len(cp.Groups.State(us, 0).Distinct) != 2 {
+		t.Fatalf("the clone did not take the writes: %+v", cp.Groups)
 	}
 
 	sel := &Intermediate{Kind: KindSelection, SelectCols: []string{"a"}, Rows: [][]any{{int64(1)}}}

@@ -115,6 +115,19 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 		par = len(segs)
 	}
 
+	// The cache key is rendered once per distinct query, not per segment:
+	// pruning hands most segments the same *pql.Query, and at most one
+	// filter-elided copy.
+	var cacheKeys map[*pql.Query]string
+	if e.AggCache != nil && q.IsAggregation() {
+		cacheKeys = make(map[*pql.Query]string, 2)
+		for _, sq := range queries {
+			if _, ok := cacheKeys[sq]; !ok {
+				cacheKeys[sq] = aggCacheKey(sq)
+			}
+		}
+	}
+
 	type outcome struct {
 		index int
 		res   *Intermediate
@@ -128,7 +141,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				res, err := e.executeSegmentCached(ctx, segs[i], queries[i], tableSchema)
+				res, err := e.executeSegmentCached(ctx, segs[i], queries[i], cacheKeys[queries[i]], tableSchema)
 				outcomes <- outcome{i, res, err}
 			}
 		}()
@@ -249,7 +262,7 @@ func emptyResult(q *pql.Query) *Intermediate {
 			}
 		}
 		if q.HasGroupBy() {
-			return &Intermediate{Kind: KindGroupBy, AggExprs: exprs, GroupCols: q.GroupBy, Groups: map[string]*GroupEntry{}}
+			return &Intermediate{Kind: KindGroupBy, AggExprs: exprs, GroupCols: q.GroupBy}
 		}
 		return NewAggIntermediate(exprs)
 	}

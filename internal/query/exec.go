@@ -138,7 +138,8 @@ func executeAggregation(env *execEnv, cs columnSource, is IndexedSegment, q *pql
 }
 
 func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Query, inputs []aggInput, exprs []pql.Expression, opt Options) (*Intermediate, error) {
-	out := &Intermediate{Kind: KindGroupBy, AggExprs: exprs, GroupCols: q.GroupBy, Groups: map[string]*GroupEntry{}}
+	t := NewGroupTable(len(q.GroupBy), exprs)
+	out := &Intermediate{Kind: KindGroupBy, AggExprs: exprs, GroupCols: q.GroupBy, Groups: t}
 	out.Stats = baseStats(is.Seg)
 
 	items := make([]groupItem, len(q.GroupBy))
@@ -165,41 +166,37 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 	}
 
 	charger := &groupCharger{qc: env.qc, nAggs: len(exprs)}
-	entryFor := func(values []any) *GroupEntry {
-		key := GroupKey(values)
-		g, ok := out.Groups[key]
-		if !ok {
-			aggs := make([]*AggState, len(exprs))
-			for i, e := range exprs {
-				aggs[i] = NewAggState(e.Func)
-			}
-			g = &GroupEntry{Values: append([]any(nil), values...), Aggs: aggs}
-			out.Groups[key] = g
-			charger.charge(key, len(values))
-		}
-		return g
-	}
 
 	// Star-tree plan. planStarTree declines expression group-bys (their
 	// rendered text never matches a split dimension), so items[i].col is
-	// always set when this plan runs.
+	// always set when this plan runs, and a record's dimension values are
+	// ids of those columns' dictionaries.
 	if plan, ok := planStarTree(cs, is, q, inputs, opt); ok {
-		values := make([]any, len(q.GroupBy))
+		for c := range t.keys {
+			t.keys[c].kind = keyDictID
+		}
 		scanned := plan.run(func(rec int) {
-			for i, d := range plan.groupDims {
-				values[i] = items[i].col.Value(int(plan.tree.DimValue(rec, d)))
+			for c, d := range plan.groupDims {
+				t.keys[c].nums = append(t.keys[c].nums, uint64(plan.tree.DimValue(rec, d)))
 			}
-			g := entryFor(values)
+			ord, isNew := t.commit()
+			if isNew {
+				t.addStates()
+				charger.charge(t.keyLen(ord, items), len(items))
+			}
 			for i, in := range inputs {
+				s := t.aggs[i].at(int(ord))
 				switch in.expr.Func {
 				case pql.Count:
-					g.Aggs[i].AddCount(plan.tree.Count(rec))
+					s.AddCount(plan.tree.Count(rec))
 				default:
-					g.Aggs[i].AddSum(plan.tree.Sum(rec, plan.metricIdx[i]), plan.tree.Count(rec))
+					s.AddSum(plan.tree.Sum(rec, plan.metricIdx[i]), plan.tree.Count(rec))
 				}
+				t.aggs[i].put(int(ord), &s)
 			}
 		})
-		if len(out.Groups) > 0 {
+		t.decodeKeys(items)
+		if t.n > 0 {
 			out.Stats.NumSegmentsMatched = 1
 		}
 		out.Stats.StarTreeSegments = 1
@@ -236,20 +233,31 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 			for i, item := range items {
 				values[i] = item.read(doc)
 			}
-			g := entryFor(values)
+			ord, isNew, err := t.upsert(values)
+			if err != nil {
+				// A nil value is an expression that failed and latched its
+				// own error already; either way the segment fails at the
+				// next checkpoint.
+				env.fail(err)
+				continue
+			}
+			if isNew {
+				charger.charge(t.keyLen(ord, items), len(items))
+			}
 			for i, in := range inputs {
-				in.accumulate(g.Aggs[i], doc)
+				in.accumulateRow(&t.aggs[i], ord, doc)
 			}
 		}
 	} else {
 		var err error
-		out.Groups, docs, err = runGroupByBlocks(env, set, inputs, items, exprs, charger)
+		docs, err = runGroupByBlocks(env, set, inputs, items, t, charger)
 		switch {
 		case errors.Is(err, ErrGroupStateLimit):
 			limitErr = err
 		case err != nil:
 			return nil, err
 		}
+		t.decodeKeys(items)
 	}
 	if err := env.checkpoint(); err != nil {
 		return nil, err

@@ -85,10 +85,12 @@ func (e *execEnv) checkpoint() error {
 // latched; polled at the same block boundaries as checkpoint.
 func (e *execEnv) groupLimitTripped() bool { return e.qc.GroupStateExceeded() }
 
-// Per-entry size estimate constants for group-by state: the GroupEntry
-// struct with its values slice, plus one AggState per aggregation. The
-// estimate is deterministic — a function of key length and arity only — so
-// vectorized and scalar execution charge identical byte counts.
+// Per-group size estimate constants for group-by state: a fixed part, the
+// group's rendered key (each value as fmt.Sprint prints it, a separator
+// between two), its values and one state per aggregation. The estimate is
+// deterministic — a function of key length and arity only, not of how the
+// group table lays the group out — so vectorized and scalar execution charge
+// identical byte counts.
 const (
 	groupEntryBaseBytes = 64
 	groupValueBytes     = 48
@@ -109,8 +111,8 @@ type groupCharger struct {
 	bytes int64
 }
 
-func (g *groupCharger) charge(key string, nValues int) {
-	n := groupEntryBytes(len(key), nValues, g.nAggs)
+func (g *groupCharger) charge(keyLen, nValues int) {
+	n := groupEntryBytes(keyLen, nValues, g.nAggs)
 	g.bytes += n
 	g.qc.ChargeGroupState(n)
 }

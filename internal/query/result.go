@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"pinot/internal/pql"
 	"pinot/internal/qctx"
@@ -80,21 +79,15 @@ const (
 	KindSelection
 )
 
-// GroupEntry is one group of a group-by result: the group's column values
-// and one aggregation state per select expression.
-type GroupEntry struct {
-	Values []any
-	Aggs   []*AggState
-}
-
 // Intermediate is the mergeable partial result exchanged between segment
 // executors, servers, and brokers.
 type Intermediate struct {
-	Kind       ResultKind
-	AggExprs   []pql.Expression
-	Aggs       []*AggState
-	GroupCols  []string
-	Groups     map[string]*GroupEntry
+	Kind      ResultKind
+	AggExprs  []pql.Expression
+	Aggs      []*AggState
+	GroupCols []string
+	// Groups is the group-by state (grouptable.go); nil holds no group.
+	Groups     *GroupTable
 	SelectCols []string
 	// HiddenCols counts trailing SelectCols fetched only for ORDER BY;
 	// they are dropped from the final result after sorting.
@@ -113,7 +106,9 @@ func NewAggIntermediate(exprs []pql.Expression) *Intermediate {
 	return &Intermediate{Kind: KindAggregation, AggExprs: exprs, Aggs: aggs}
 }
 
-// Merge folds another partial result of the same shape into r.
+// Merge folds another partial result of the same shape into r. o is only
+// read: r neither changes nor keeps any of its memory, so one result may be
+// merged into several accumulators.
 func (r *Intermediate) Merge(o *Intermediate) error {
 	if o == nil {
 		return nil
@@ -131,18 +126,13 @@ func (r *Intermediate) Merge(o *Intermediate) error {
 			r.Aggs[i].Merge(o.Aggs[i])
 		}
 	case KindGroupBy:
+		if o.Groups.Len() == 0 {
+			return nil
+		}
 		if r.Groups == nil {
-			r.Groups = make(map[string]*GroupEntry, len(o.Groups))
+			r.Groups = NewGroupTable(len(o.Groups.keys), r.AggExprs)
 		}
-		for k, g := range o.Groups {
-			if mine, ok := r.Groups[k]; ok {
-				for i := range mine.Aggs {
-					mine.Aggs[i].Merge(g.Aggs[i])
-				}
-			} else {
-				r.Groups[k] = g
-			}
-		}
+		return r.Groups.merge(o.Groups)
 	case KindSelection:
 		r.Rows = append(r.Rows, o.Rows...)
 	}
@@ -189,10 +179,8 @@ func (r *Intermediate) Conforms(q *pql.Query) error {
 		if len(r.AggExprs) != nAggs {
 			return fmt.Errorf("query: group-by aggregation arity %d, want %d", len(r.AggExprs), nAggs)
 		}
-		for k, g := range r.Groups {
-			if g == nil || len(g.Aggs) != nAggs {
-				return fmt.Errorf("query: malformed group %q", k)
-			}
+		if t := r.Groups; t != nil && (len(t.aggs) != nAggs || len(t.keys) != len(q.GroupBy)) {
+			return fmt.Errorf("query: group-by of %d keys and %d aggregates, want %d and %d", len(t.keys), len(t.aggs), len(q.GroupBy), nAggs)
 		}
 	case KindSelection:
 		for i, row := range r.Rows {
@@ -238,36 +226,13 @@ func (r *Intermediate) Finalize(q *pql.Query) *Result {
 		for _, e := range r.AggExprs {
 			out.Columns = append(out.Columns, e.String())
 		}
-		type scored struct {
-			entry *GroupEntry
-			score float64
-		}
-		groups := make([]scored, 0, len(r.Groups))
-		for _, g := range r.Groups {
-			groups = append(groups, scored{g, orderScore(g.Aggs[0])})
-		}
 		// Pinot's group-by returns the TOP n groups ordered by the
 		// first aggregation, descending.
-		sort.Slice(groups, func(i, j int) bool {
-			if groups[i].score != groups[j].score {
-				return groups[i].score > groups[j].score
-			}
-			return groupKeyLess(groups[i].entry.Values, groups[j].entry.Values)
-		})
 		top := q.Top
 		if top <= 0 {
 			top = pql.DefaultTop
 		}
-		if len(groups) > top {
-			groups = groups[:top]
-		}
-		for _, g := range groups {
-			row := append([]any(nil), g.entry.Values...)
-			for _, s := range g.entry.Aggs {
-				row = append(row, s.Result())
-			}
-			out.Rows = append(out.Rows, row)
-		}
+		out.Rows = r.Groups.top(top)
 	case KindSelection:
 		out.Columns = r.SelectCols
 		rows := r.Rows
@@ -317,37 +282,4 @@ func (r *Intermediate) Finalize(q *pql.Query) *Result {
 		out.Rows = rows
 	}
 	return out
-}
-
-func orderScore(s *AggState) float64 {
-	switch v := s.Result().(type) {
-	case int64:
-		return float64(v)
-	case float64:
-		return v
-	}
-	return 0
-}
-
-func groupKeyLess(a, b []any) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		c := segment.CompareValues(a[i], b[i])
-		if c != 0 {
-			return c < 0
-		}
-	}
-	return false
-}
-
-// GroupKey builds the value-based group key shared across segments and
-// servers.
-func GroupKey(values []any) string {
-	parts := make([]string, len(values))
-	for i, v := range values {
-		parts[i] = fmt.Sprint(v)
-	}
-	return strings.Join(parts, "\x00")
 }

@@ -23,7 +23,7 @@ import (
 
 // blockScratch holds the typed buffers one segment execution decodes its
 // blocks into: matching doc ids, dictionary ids per column read at once,
-// metric values, and the group entry of each doc. Steps of one block run one
+// metric values, and the group ordinal of each doc. Steps of one block run one
 // after another (group resolution, then each aggregation kernel; each
 // selected column in turn), so they share the buffers. The filter's scan
 // cursors decode alongside those steps, so each owns its chunk buffers; the
@@ -35,8 +35,11 @@ type blockScratch struct {
 	ids     [][]uint32
 	longs   []int64
 	doubles []float64
-	entries []*GroupEntry
+	ords    []uint32
 	u32s    []uint32
+	// packed is the packedGrouper's index, kept between executions for its
+	// buckets (emptied on release, dropped when a query left it large).
+	packed map[uint64]uint32
 	// cursors[:cursorsOut] are bound to leaves of the running execution.
 	cursors    []*scanCursor
 	cursorsOut int
@@ -47,11 +50,13 @@ var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 func getScratch() *blockScratch { return scratchPool.Get().(*blockScratch) }
 
 // release returns the scratch to the pool. Pointers into the finished query
-// are cleared first: a pooled buffer must not keep its groups, segments or
-// stats alive.
+// are cleared first: a pooled buffer must not keep its segments or stats
+// alive.
 func (s *blockScratch) release() {
-	clear(s.entries)
-	s.entries = s.entries[:0]
+	if len(s.packed) > maxPooledGroups {
+		s.packed = nil
+	}
+	clear(s.packed)
 	for _, c := range s.cursors[:s.cursorsOut] {
 		c.leaf = nil
 	}
@@ -110,9 +115,19 @@ func (s *blockScratch) doubleBuf(n int) []float64 {
 	return s.doubles
 }
 
-func (s *blockScratch) entryBuf(n int) []*GroupEntry {
-	s.entries = sized(s.entries, n)
-	return s.entries
+// maxPooledGroups bounds the group index a pooled scratch keeps.
+const maxPooledGroups = 4096
+
+func (s *blockScratch) packedIndex() map[uint64]uint32 {
+	if s.packed == nil {
+		s.packed = map[uint64]uint32{}
+	}
+	return s.packed
+}
+
+func (s *blockScratch) ordBuf(n int) []uint32 {
+	s.ords = sized(s.ords, n)
+	return s.ords
 }
 
 // ---- numeric input reader ----
@@ -306,22 +321,18 @@ func (k *aggKernel) accumulateBlock(s *AggState, n int) {
 	}
 }
 
-// accumulateGroups folds each doc of the prepared block into its group's
-// aggIdx-th state.
-func (k *aggKernel) accumulateGroups(entries []*GroupEntry, aggIdx, n int) {
+// accumulateGroups folds each doc of the prepared block into its group's row
+// of the aggregate's column.
+func (k *aggKernel) accumulateGroups(c *aggColumn, ords []uint32) {
 	switch k.in.expr.Func {
 	case pql.Count:
-		for i := 0; i < n; i++ {
-			entries[i].Aggs[aggIdx].AddCount(1)
-		}
+		c.addCounts(ords)
 	case pql.DistinctCount:
-		for i := 0; i < n; i++ {
-			entries[i].Aggs[aggIdx].AddDistinct(k.keyAt(i))
+		for i, ord := range ords {
+			c.addDistinct(ord, k.keyAt(i))
 		}
 	default:
-		for i := 0; i < n; i++ {
-			entries[i].Aggs[aggIdx].AddNumeric(k.vals[i])
-		}
+		c.addNumerics(ords, k.vals[:len(ords)])
 	}
 }
 
@@ -383,20 +394,12 @@ func runAggBlocks(env *execEnv, set docIDSet, inputs []aggInput, aggs []*AggStat
 
 // ---- group-by fast paths ----
 
-// grouper resolves each doc of a block to its GroupEntry.
+// grouper resolves each doc of a block to the ordinal of its group in the
+// segment's table, adding (and charging for) the groups it first meets.
 type grouper interface {
-	groups(docs []int, out []*GroupEntry)
-	// result returns the accumulated groups keyed by GroupKey, the wire
-	// format shared with the scalar path.
-	result() map[string]*GroupEntry
-}
-
-func newGroupEntry(values []any, exprs []pql.Expression) *GroupEntry {
-	aggs := make([]*AggState, len(exprs))
-	for i, e := range exprs {
-		aggs[i] = NewAggState(e.Func)
-	}
-	return &GroupEntry{Values: values, Aggs: aggs}
+	// groups fails only on a key the table cannot hold; the block is then
+	// unresolved and the segment's execution over.
+	groups(docs []int, out []uint32) error
 }
 
 // bitsNeeded returns how many bits a dict id in [0, card) needs.
@@ -409,265 +412,216 @@ func bitsNeeded(card int) int {
 
 const denseGroupMaxCard = 1 << 16
 
-// newItemGrouper picks the grouper for a set of GROUP BY items: the
-// dictionary-id groupers when every item is a plain column, the expression
-// grouper otherwise.
-func newItemGrouper(items []groupItem, exprs []pql.Expression, charger *groupCharger, sc *blockScratch) grouper {
-	// A single memoized expression groups through a dictID→group translation
-	// table: the expression value (and its rendered key) is computed once
-	// per distinct dict id, not per row.
-	if len(items) == 1 && items[0].ev != nil && items[0].ev.memo != nil {
-		if ev := items[0].ev; ev.readers[0].Cardinality() <= denseGroupMaxCard {
-			trans := make([]int32, ev.readers[0].Cardinality())
-			for i := range trans {
-				trans[i] = -1
-			}
-			return &dictTransGrouper{col: ev.readers[0], memo: ev.memo, exprs: exprs,
-				charger: charger, sc: sc, trans: trans, byKey: map[string]int32{}}
-		}
-	}
-	cols := make([]segment.ColumnReader, len(items))
-	for i, it := range items {
-		if it.ev != nil {
-			return newExprGrouper(items, exprs, charger, sc)
-		}
-		cols[i] = it.col
-	}
-	return newGrouper(cols, exprs, charger, sc)
+// groupSink is what every grouper holds: the table it fills, the items that
+// name its key columns, and the charger new groups are billed to.
+type groupSink struct {
+	t       *GroupTable
+	items   []groupItem
+	charger *groupCharger
+	sc      *blockScratch
 }
 
-func newGrouper(cols []segment.ColumnReader, exprs []pql.Expression, charger *groupCharger, sc *blockScratch) grouper {
-	if len(cols) == 1 && cols[0].Cardinality() <= denseGroupMaxCard {
-		return &denseGrouper{col: cols[0], exprs: exprs, charger: charger, sc: sc,
-			entries: make([]*GroupEntry, cols[0].Cardinality())}
+// added bills the group a grouper just created.
+func (g *groupSink) added(ord uint32) {
+	g.charger.charge(g.t.keyLen(ord, g.items), len(g.items))
+}
+
+// newItemGrouper picks the grouper for a set of GROUP BY items and types the
+// table's key columns to match. Plain dictionary columns group by dictionary
+// id — a flat id→ordinal array for one small dictionary, a map over the ids
+// packed into a uint64 when they fit, the table's own hash index otherwise —
+// and the table holds ids until the segment is done. Expression items group
+// by value.
+func newItemGrouper(items []groupItem, t *GroupTable, charger *groupCharger, sc *blockScratch) grouper {
+	sink := groupSink{t: t, items: items, charger: charger, sc: sc}
+	// A single memoized expression groups through a dictID→group translation
+	// table: the expression value is computed once per distinct dict id, not
+	// per row.
+	if len(items) == 1 && items[0].ev != nil && items[0].ev.memo != nil {
+		if ev := items[0].ev; ev.readers[0].Cardinality() <= denseGroupMaxCard {
+			return &dictTransGrouper{groupSink: sink, col: ev.readers[0], memo: ev.memo,
+				ordOf: make([]uint32, ev.readers[0].Cardinality())}
+		}
 	}
-	shifts := make([]uint, len(cols))
-	total := 0
-	for i, c := range cols {
-		shifts[i] = uint(total)
-		total += bitsNeeded(c.Cardinality())
+	for _, it := range items {
+		if it.ev != nil {
+			return newExprGrouper(sink)
+		}
 	}
-	if total <= 64 {
-		return &packedGrouper{cols: cols, shifts: shifts, exprs: exprs, charger: charger, sc: sc,
-			m: map[uint64]*GroupEntry{}}
+	width := 0
+	shifts := make([]uint, len(items))
+	for c, it := range items {
+		t.keys[c].kind = keyDictID
+		shifts[c] = uint(width)
+		width += bitsNeeded(it.col.Cardinality())
 	}
-	return &stringGrouper{cols: cols, exprs: exprs, charger: charger, sc: sc, m: map[string]*GroupEntry{},
-		values: make([]any, len(cols))}
+	switch {
+	case len(items) == 1 && items[0].col.Cardinality() <= denseGroupMaxCard:
+		return &denseGrouper{groupSink: sink, ordOf: make([]uint32, items[0].col.Cardinality())}
+	case width <= 64:
+		return &packedGrouper{groupSink: sink, shifts: shifts, m: sc.packedIndex()}
+	}
+	return &tupleGrouper{sink}
 }
 
 // denseGrouper indexes groups by dict id directly: single group column with
-// a dictionary small enough for a flat array. No hashing, no key strings.
+// a dictionary small enough for a flat array. No hashing.
 type denseGrouper struct {
-	col     segment.ColumnReader
-	exprs   []pql.Expression
-	charger *groupCharger
-	sc      *blockScratch
-	entries []*GroupEntry
+	groupSink
+	ordOf []uint32 // dict id → ordinal+1, 0 unseen
 }
 
-func (g *denseGrouper) groups(docs []int, out []*GroupEntry) {
+func (g *denseGrouper) groups(docs []int, out []uint32) error {
 	ids := g.sc.idBuf(0, len(docs))
-	g.col.DictIDs(docs, ids)
+	g.items[0].col.DictIDs(docs, ids)
+	key := &g.t.keys[0]
 	for i, id := range ids {
-		e := g.entries[id]
-		if e == nil {
-			e = newGroupEntry([]any{g.col.Value(int(id))}, g.exprs)
-			g.entries[id] = e
-			g.charger.charge(GroupKey(e.Values), len(e.Values))
+		o := g.ordOf[id]
+		if o == 0 {
+			key.nums = append(key.nums, uint64(id))
+			g.t.n++
+			o = uint32(g.t.n)
+			g.ordOf[id] = o
+			g.added(o - 1)
 		}
-		out[i] = e
+		out[i] = o - 1
 	}
-}
-
-func (g *denseGrouper) result() map[string]*GroupEntry {
-	m := make(map[string]*GroupEntry)
-	for _, e := range g.entries {
-		if e != nil {
-			m[GroupKey(e.Values)] = e
-		}
-	}
-	return m
+	return nil
 }
 
 // packedGrouper packs per-column dict ids into one uint64 map key when the
-// combined widths fit, replacing per-doc fmt.Sprint string keys.
+// combined widths fit.
 type packedGrouper struct {
-	cols    []segment.ColumnReader
-	shifts  []uint
-	exprs   []pql.Expression
-	charger *groupCharger
-	sc      *blockScratch
-	m       map[uint64]*GroupEntry
+	groupSink
+	shifts []uint
+	m      map[uint64]uint32
 }
 
-func (g *packedGrouper) groups(docs []int, out []*GroupEntry) {
-	for c := range g.cols {
-		g.cols[c].DictIDs(docs, g.sc.idBuf(c, len(docs)))
+func (g *packedGrouper) groups(docs []int, out []uint32) error {
+	for c, it := range g.items {
+		it.col.DictIDs(docs, g.sc.idBuf(c, len(docs)))
 	}
 	ids := g.sc.ids
 	for i := range docs {
-		var key uint64
-		for c := range g.cols {
-			key |= uint64(ids[c][i]) << g.shifts[c]
+		var packed uint64
+		for c := range g.items {
+			packed |= uint64(ids[c][i]) << g.shifts[c]
 		}
-		e := g.m[key]
-		if e == nil {
-			values := make([]any, len(g.cols))
-			for c := range g.cols {
-				values[c] = g.cols[c].Value(int(ids[c][i]))
+		o, ok := g.m[packed]
+		if !ok {
+			for c := range g.items {
+				g.t.keys[c].nums = append(g.t.keys[c].nums, uint64(ids[c][i]))
 			}
-			e = newGroupEntry(values, g.exprs)
-			g.m[key] = e
-			g.charger.charge(GroupKey(values), len(values))
+			g.t.n++
+			o = uint32(g.t.n - 1)
+			g.m[packed] = o
+			g.added(o)
 		}
-		out[i] = e
+		out[i] = o
 	}
+	return nil
 }
 
-func (g *packedGrouper) result() map[string]*GroupEntry {
-	m := make(map[string]*GroupEntry, len(g.m))
-	for _, e := range g.m {
-		key := GroupKey(e.Values)
-		if prev, ok := m[key]; ok {
-			// Distinct dict tuples can render to one GroupKey only when
-			// a string value contains the key separator; merge to match
-			// the scalar map.
-			for i := range prev.Aggs {
-				prev.Aggs[i].Merge(e.Aggs[i])
-			}
-			continue
-		}
-		m[key] = e
-	}
-	return m
-}
+// tupleGrouper is the fallback for dictionaries too wide to pack: each doc's
+// ids are staged as a key and the table's hash index finds the group.
+type tupleGrouper struct{ groupSink }
 
-// stringGrouper is the fallback: the scalar path's string keys, but group
-// column dict ids still decode in batches.
-type stringGrouper struct {
-	cols    []segment.ColumnReader
-	exprs   []pql.Expression
-	charger *groupCharger
-	sc      *blockScratch
-	m       map[string]*GroupEntry
-	values  []any
-}
-
-func (g *stringGrouper) groups(docs []int, out []*GroupEntry) {
-	for c := range g.cols {
-		g.cols[c].DictIDs(docs, g.sc.idBuf(c, len(docs)))
+func (g *tupleGrouper) groups(docs []int, out []uint32) error {
+	for c, it := range g.items {
+		it.col.DictIDs(docs, g.sc.idBuf(c, len(docs)))
 	}
 	ids := g.sc.ids
 	for i := range docs {
-		for c := range g.cols {
-			g.values[c] = g.cols[c].Value(int(ids[c][i]))
+		for c := range g.items {
+			g.t.keys[c].nums = append(g.t.keys[c].nums, uint64(ids[c][i]))
 		}
-		key := GroupKey(g.values)
-		e := g.m[key]
-		if e == nil {
-			e = newGroupEntry(append([]any(nil), g.values...), g.exprs)
-			g.m[key] = e
-			g.charger.charge(key, len(g.values))
+		o, isNew := g.t.commit()
+		if isNew {
+			g.added(o)
 		}
-		out[i] = e
+		out[i] = o
 	}
+	return nil
 }
-
-func (g *stringGrouper) result() map[string]*GroupEntry { return g.m }
 
 // dictTransGrouper groups by one memoized expression through a dictID →
-// group-index translation table. Distinct dict ids whose expression values
-// render to one GroupKey (lower('Cat1') and lower('cat1')) share an entry
-// via the byKey map, so entry creation — and the group-state charge — is
-// per distinct key, exactly like the scalar path.
+// ordinal translation table. Distinct dict ids whose expression values are
+// equal (lower('Cat1') and lower('cat1')) find one group through the table's
+// hash index, so group creation — and the group-state charge — is per
+// distinct value, exactly like the scalar path.
 type dictTransGrouper struct {
-	col     segment.ColumnReader
-	memo    *expr.DictMemo
-	exprs   []pql.Expression
-	charger *groupCharger
-	sc      *blockScratch
-	trans   []int32 // dict id → index into entries, -1 unseen
-	entries []*GroupEntry
-	byKey   map[string]int32
+	groupSink
+	col   segment.ColumnReader
+	memo  *expr.DictMemo
+	ordOf []uint32 // dict id → ordinal+1, 0 unseen
 }
 
-func (g *dictTransGrouper) groups(docs []int, out []*GroupEntry) {
+func (g *dictTransGrouper) groups(docs []int, out []uint32) error {
 	ids := g.sc.idBuf(0, len(docs))
 	g.col.DictIDs(docs, ids)
+	key := &g.t.keys[0]
 	for i, id := range ids {
-		t := g.trans[id]
-		if t < 0 {
-			v := g.memo.Value(int(id))
-			key := GroupKey([]any{v})
-			if idx, ok := g.byKey[key]; ok {
-				t = idx
-			} else {
-				g.entries = append(g.entries, newGroupEntry([]any{v}, g.exprs))
-				t = int32(len(g.entries) - 1)
-				g.byKey[key] = t
-				g.charger.charge(key, 1)
+		o := g.ordOf[id]
+		if o == 0 {
+			switch m := g.memo; m.Kind {
+			case expr.Long:
+				key.kind, key.nums = keyLong, append(key.nums, uint64(m.Longs[id]))
+			case expr.Double:
+				key.kind, key.nums = keyDouble, append(key.nums, doubleBits(m.Doubles[id]))
+			case expr.Bool:
+				key.kind, key.nums = keyBool, append(key.nums, boolBits(m.Bools[id]))
+			default:
+				key.kind, key.strs = keyString, append(key.strs, m.Strings[id])
 			}
-			g.trans[id] = t
+			ord, isNew := g.t.commit()
+			if isNew {
+				g.added(ord)
+			}
+			o = ord + 1
+			g.ordOf[id] = o
 		}
-		out[i] = g.entries[t]
+		out[i] = o - 1
 	}
-}
-
-func (g *dictTransGrouper) result() map[string]*GroupEntry {
-	m := make(map[string]*GroupEntry, len(g.byKey))
-	for key, idx := range g.byKey {
-		m[key] = g.entries[idx]
-	}
-	return m
+	return nil
 }
 
 // exprGrouper groups by derived expressions (mixed with plain columns).
 // When the only item is a single compiled integral expression — the
 // timeBucket(ts, w) shape — group keys stay int64 end to end: batch kernel
-// eval into a long buffer and an int64-keyed map, no boxing and no string
-// keys on the hot path. Everything else falls back to boxed values with the
-// scalar path's GroupKey strings.
+// eval into a long buffer staged straight into the key column, no boxing.
+// Everything else boxes each doc's values and upserts them, as the scalar
+// path does.
 type exprGrouper struct {
-	items   []groupItem
-	exprs   []pql.Expression
-	charger *groupCharger
-	sc      *blockScratch
-	m       map[string]*GroupEntry
-	values  []any
-	anys    [][]any
-	// int64 fast path
-	fast  bool
-	longm map[int64]*GroupEntry
+	groupSink
+	values []any
+	anys   [][]any
+	fast   bool
 }
 
-func newExprGrouper(items []groupItem, exprs []pql.Expression, charger *groupCharger, sc *blockScratch) *exprGrouper {
-	g := &exprGrouper{items: items, exprs: exprs, charger: charger, sc: sc,
-		m:      map[string]*GroupEntry{},
-		values: make([]any, len(items)),
-		anys:   make([][]any, len(items)),
-	}
-	if len(items) == 1 && items[0].ev != nil && items[0].ev.kernel != nil && items[0].ev.kernel.Kind == expr.Long {
+func newExprGrouper(sink groupSink) *exprGrouper {
+	g := &exprGrouper{groupSink: sink, values: make([]any, len(sink.items)), anys: make([][]any, len(sink.items))}
+	if it := sink.items; len(it) == 1 && it[0].ev.kernel != nil && it[0].ev.kernel.Kind == expr.Long {
 		g.fast = true
-		g.longm = map[int64]*GroupEntry{}
+		g.t.keys[0].kind = keyLong
 	}
 	return g
 }
 
-func (g *exprGrouper) groups(docs []int, out []*GroupEntry) {
+func (g *exprGrouper) groups(docs []int, out []uint32) error {
 	if g.fast {
 		ls := g.sc.longBuf(len(docs))
 		ev := g.items[0].ev
 		ev.kernel.EvalLongs(ev.ksrc, docs, ls)
+		key := &g.t.keys[0]
 		for i, v := range ls {
-			e := g.longm[v]
-			if e == nil {
-				e = newGroupEntry([]any{v}, g.exprs)
-				g.longm[v] = e
-				g.charger.charge(GroupKey(e.Values), 1)
+			key.nums = append(key.nums, uint64(v))
+			o, isNew := g.t.commit()
+			if isNew {
+				g.added(o)
 			}
-			out[i] = e
+			out[i] = o
 		}
-		return
+		return nil
 	}
 	for c, item := range g.items {
 		if item.ev != nil {
@@ -689,33 +643,25 @@ func (g *exprGrouper) groups(docs []int, out []*GroupEntry) {
 				g.values[c] = item.col.Value(int(ids[c][i]))
 			}
 		}
-		key := GroupKey(g.values)
-		e := g.m[key]
-		if e == nil {
-			e = newGroupEntry(append([]any(nil), g.values...), g.exprs)
-			g.m[key] = e
-			g.charger.charge(key, len(g.values))
+		o, isNew, err := g.t.upsert(g.values)
+		if err != nil {
+			return err
 		}
-		out[i] = e
+		if isNew {
+			g.added(o)
+		}
+		out[i] = o
 	}
+	return nil
 }
 
-func (g *exprGrouper) result() map[string]*GroupEntry {
-	if !g.fast {
-		return g.m
-	}
-	m := make(map[string]*GroupEntry, len(g.longm))
-	for _, e := range g.longm {
-		m[GroupKey(e.Values)] = e
-	}
-	return m
-}
-
-// runGroupByBlocks is the vectorized group-by loop. Cancellation and the
-// group-state cap are polled once per block, the same cadence as the scalar
-// path; a tripped cap returns the groups built so far with
-// ErrGroupStateLimit so the query degrades to a partial result.
-func runGroupByBlocks(env *execEnv, set docIDSet, inputs []aggInput, items []groupItem, exprs []pql.Expression, charger *groupCharger) (map[string]*GroupEntry, int64, error) {
+// runGroupByBlocks is the vectorized group-by loop: each block resolves to
+// group ordinals, then each aggregation kernel folds its values into the
+// rows those name. Cancellation and the group-state cap are polled once per
+// block, the same cadence as the scalar path; a tripped cap returns
+// ErrGroupStateLimit with the groups built so far in the table, so the query
+// degrades to a partial result.
+func runGroupByBlocks(env *execEnv, set docIDSet, inputs []aggInput, items []groupItem, t *GroupTable, charger *groupCharger) (int64, error) {
 	sc := getScratch()
 	defer sc.release()
 	est := set.estimate()
@@ -723,30 +669,36 @@ func runGroupByBlocks(env *execEnv, set docIDSet, inputs []aggInput, items []gro
 	for i, in := range inputs {
 		kernels[i] = newAggKernel(in, est, sc)
 	}
-	g := newItemGrouper(items, exprs, charger, sc)
+	g := newItemGrouper(items, t, charger, sc)
 	it := set.iterator(sc)
 	buf := sc.docBuf(blockSize)
-	entries := sc.entryBuf(blockSize)
+	ords := sc.ordBuf(blockSize)
 	var docs int64
 	for {
 		if err := env.checkpoint(); err != nil {
-			return nil, docs, err
+			return docs, err
 		}
 		if env.groupLimitTripped() {
-			return g.result(), docs, ErrGroupStateLimit
+			return docs, ErrGroupStateLimit
 		}
 		n := it.nextBlock(buf)
 		if n == 0 {
 			break
 		}
 		docs += int64(n)
-		g.groups(buf[:n], entries[:n])
+		if err := g.groups(buf[:n], ords[:n]); err != nil {
+			// A nil value is an expression that failed and latched its own
+			// error already; either way the next checkpoint ends the segment.
+			env.fail(err)
+			continue
+		}
+		t.addStates()
 		for i, k := range kernels {
 			k.prepare(buf[:n])
-			k.accumulateGroups(entries, i, n)
+			k.accumulateGroups(&t.aggs[i], ords[:n])
 		}
 	}
-	return g.result(), docs, nil
+	return docs, nil
 }
 
 // ---- selection ----

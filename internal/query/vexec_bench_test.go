@@ -123,7 +123,7 @@ func BenchmarkScanAggScalar(b *testing.B) {
 }
 
 // Single low-cardinality group-by: dense array-indexed grouper vs the scalar
-// string-keyed map.
+// path's boxed upsert per document.
 func BenchmarkGroupByDenseVec(b *testing.B) {
 	benchRun(b, "SELECT sum(clicks) FROM events GROUP BY country TOP 10", Options{})
 }
@@ -132,7 +132,8 @@ func BenchmarkGroupByMapScalar(b *testing.B) {
 	benchRun(b, "SELECT sum(clicks) FROM events GROUP BY country TOP 10", Options{DisableVectorization: true})
 }
 
-// Multi-column group-by: packed uint64 composite keys vs Sprint string keys.
+// Multi-column group-by: packed uint64 composite keys vs the scalar path's
+// boxed upsert per document.
 func BenchmarkGroupByPackedVec(b *testing.B) {
 	benchRun(b, "SELECT sum(clicks) FROM events GROUP BY country, browser, memberId TOP 20", Options{})
 }

@@ -10,22 +10,6 @@ import (
 	"pinot/internal/segment"
 )
 
-// TestScratchReleaseClearsEntries: a pooled scratch must not keep a finished
-// query's groups reachable.
-func TestScratchReleaseClearsEntries(t *testing.T) {
-	sc := &blockScratch{}
-	entries := sc.entryBuf(8)
-	for i := range entries {
-		entries[i] = &GroupEntry{}
-	}
-	sc.release()
-	for i, e := range entries {
-		if e != nil {
-			t.Fatalf("entry %d survived release", i)
-		}
-	}
-}
-
 // TestPointLookupDoesNotAllocateBlockScratch: a selection that matches a
 // handful of docs through the sorted-column range must not pay for
 // blockSize-wide scratch (three slices, 20 KB per segment, before the scratch

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 
 	"pinot/internal/pql"
 	"pinot/internal/wire"
@@ -15,17 +16,21 @@ import (
 // (EncodeIntermediate/DecodeIntermediate). DESIGN.md ("Network transport") has
 // the layout field by field; what is particular to this file:
 //
-//   - a zero count decodes to a nil slice or map (which Merge, Finalize and
-//     Conforms accept), except that an empty multi-value cell stays []any{}
-//     so it keeps rendering as [] not null;
-//   - groups and rows decode into slabs sized from declared totals, so a
-//     decode costs a handful of allocations plus one per string and boxed
-//     value, whatever the number of groups;
+//   - a zero count decodes to a nil slice, map or group table (which Merge,
+//     Finalize and Conforms accept), except that an empty multi-value cell
+//     stays []any{} so it keeps rendering as [] not null;
+//   - a group-by travels as the columns of its GroupTable: one per GROUP BY
+//     item and one per carried state field, each a count and then its values,
+//     strings as one run of bytes and their lengths. Decoding one costs a
+//     handful of allocations per column, whatever the number of groups, and
+//     no key string exists anywhere;
+//   - selection rows decode into one slab sized from a declared total;
 //   - nothing decoded aliases the input: a decoded Intermediate is private to
 //     its caller, which may Merge into it and Finalize it.
 
-// Tags of a dynamically typed cell (group values, selection cells, literals):
-// exactly the five concrete types the engine puts into an `any`.
+// Tags of a dynamically typed cell (selection cells, literals): exactly the
+// five concrete types the engine puts into an `any`. The first four are also
+// the tags of a group table's key columns (keyKind).
 const (
 	cellInt64   = 1 // zigzag varint
 	cellFloat64 = 2 // 8 bytes, IEEE bits
@@ -47,7 +52,6 @@ const (
 const (
 	minCellBytes  = 2 // tag + one payload byte
 	minStateBytes = 3 // func ref, count, flags
-	minGroupBytes = 3 // key length, value count, state count
 	minExprBytes  = 4 // isAgg, func length, column length, arg tag
 )
 
@@ -89,9 +93,10 @@ func (t *funcTable) index(fn pql.AggFunc) int {
 // ---- encoding ----
 
 // EncodeIntermediate returns r's bytes in a slice of exactly their length
-// that the caller owns (what a cache stores and charges for). It fails on a
-// value the layout does not carry: a cell outside the five types, a nil
-// state or group, nesting past wire.MaxNesting.
+// that the caller owns (what a cache stores and charges for). Equal values
+// give equal bytes. It fails on a value the layout does not carry: a cell
+// outside the five types, a nil state, a group table that is not of the
+// shape GroupCols and AggExprs declare, nesting past wire.MaxNesting.
 func EncodeIntermediate(r *Intermediate) ([]byte, error) {
 	e := wire.GetEncoder()
 	defer e.Release()
@@ -237,6 +242,113 @@ func appendAggStates(e *wire.Encoder, funcs *funcTable, ss []*AggState) {
 	}
 }
 
+// appendGroupTable appends r's groups column by column: the group count
+// (zero ends it), then per GROUP BY item the column's kind and values, then
+// per aggregate the fields its function carries. Every column opens with its
+// own row count, so the decoder checks each against the bytes that remain
+// before allocating it.
+func appendGroupTable(e *wire.Encoder, r *Intermediate) {
+	t := r.Groups
+	e.Count(t.Len())
+	if t.Len() == 0 {
+		return
+	}
+	if len(t.keys) != len(r.GroupCols) || len(t.aggs) != len(r.AggExprs) || len(t.keys) == 0 {
+		e.Fail("group table of %d keys and %d aggregates under %d group columns and %d expressions",
+			len(t.keys), len(t.aggs), len(r.GroupCols), len(r.AggExprs))
+		return
+	}
+	for c := range t.keys {
+		k := &t.keys[c]
+		e.Raw(byte(k.kind))
+		switch k.kind {
+		case keyString:
+			appendLists(e, k.strs, func(s string) { e.Chars(s) })
+		case keyLong, keyBool:
+			e.Count(t.n)
+			for _, v := range k.nums {
+				e.Varint(int64(v))
+			}
+		case keyDouble:
+			e.Count(t.n)
+			for _, v := range k.nums {
+				e.Float(math.Float64frombits(v))
+			}
+		default:
+			e.Fail("group key column %d is %v", c, k.kind)
+		}
+	}
+	for a := range t.aggs {
+		c := &t.aggs[a]
+		if c.fn != r.AggExprs[a].Func {
+			e.Fail("group state column %d is %s under expression %s", a, c.fn, r.AggExprs[a].Func)
+			return
+		}
+		if c.has&(fCount|fDistinct) != 0 {
+			e.Count(t.n)
+			for _, v := range c.count {
+				e.Varint(v)
+			}
+		}
+		if c.has&fSum != 0 {
+			appendFloats(e, c.sum)
+		}
+		if c.has&(fMin|fMax) != 0 {
+			appendFloats(e, c.extreme)
+			e.Count(t.n)
+			for _, b := range c.seen {
+				e.Bool(b)
+			}
+		}
+		if c.has&fValues != 0 {
+			appendLists(e, c.values, func(vs []float64) {
+				for _, v := range vs {
+					e.Float(v)
+				}
+			})
+		}
+		if c.has&fDistinct != 0 {
+			// The set sizes went out as the count column; the members follow
+			// group by group, sorted so that equal sets give equal bytes.
+			members := make([][]string, t.n)
+			for m := range c.set {
+				members[m.ord] = append(members[m.ord], m.val)
+			}
+			for _, ms := range members {
+				slices.Sort(ms)
+				for _, m := range ms {
+					e.Str(m)
+				}
+			}
+		}
+	}
+}
+
+func appendFloats(e *wire.Encoder, vs []float64) {
+	e.Count(len(vs))
+	for _, v := range vs {
+		e.Float(v)
+	}
+}
+
+// appendLists appends a column of strings or lists as all their elements end
+// to end (their total, then each through put), then the row count and each
+// row's length: the decoder takes the elements as one run and windows it.
+func appendLists[T ~string | ~[]float64](e *wire.Encoder, rows []T, put func(T)) {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	e.Count(total)
+	for _, r := range rows {
+		put(r)
+	}
+	e.Count(len(rows))
+	for _, r := range rows {
+		e.Count(len(r))
+	}
+}
+
 // AppendIntermediate appends r to a message under construction; a value the
 // layout does not carry is recorded in e.Err.
 func AppendIntermediate(e *wire.Encoder, r *Intermediate) {
@@ -253,28 +365,7 @@ func AppendIntermediate(e *wire.Encoder, r *Intermediate) {
 	appendAggStates(e, &funcs, r.Aggs)
 	e.Strs(r.GroupCols)
 
-	// The totals let the decoder take one slab for all group values and one
-	// for all states instead of two allocations per group.
-	var values, states int
-	for _, g := range r.Groups {
-		if g == nil {
-			e.Fail("nil group entry")
-			return
-		}
-		values += len(g.Values)
-		states += len(g.Aggs)
-	}
-	e.Count(len(r.Groups))
-	e.Count(values)
-	e.Count(states)
-	for k, g := range r.Groups {
-		e.Str(k)
-		e.Count(len(g.Values))
-		for _, v := range g.Values {
-			appendCell(e, v, 0)
-		}
-		appendAggStates(e, &funcs, g.Aggs)
-	}
+	appendGroupTable(e, r)
 
 	e.Strs(r.SelectCols)
 	e.Varint(int64(r.HiddenCols))
@@ -451,6 +542,159 @@ func readAggStates(d *wire.Decoder, funcs *funcTable, states []AggState, ptrs []
 	return ptrs
 }
 
+// readColumn reads the row count that opens a column and refuses one that is
+// not the table's, or that the remaining bytes cannot hold at minBytes a row.
+func readColumn(d *wire.Decoder, n, minBytes int) bool {
+	if got := d.Count(minBytes); got != n && d.Err() == nil {
+		d.Fail("column of %d rows in a table of %d groups", got, n)
+	}
+	return d.Err() == nil
+}
+
+func readVarints(d *wire.Decoder, n int) []int64 {
+	if !readColumn(d, n, 1) {
+		return nil
+	}
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = d.Varint()
+	}
+	return out
+}
+
+func readFloats(d *wire.Decoder, n int) []float64 {
+	if !readColumn(d, n, 8) {
+		return nil
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = d.Float()
+	}
+	return out
+}
+
+// readSizes reads the n row lengths that end a column of strings or lists
+// (appendLists), which must add up to total, and hands each to window.
+func readSizes(d *wire.Decoder, n, total int, window func(row, size int)) {
+	for i := 0; i < n; i++ {
+		size := d.Uvarint()
+		if size > uint64(total) {
+			d.Fail("row lengths exceed the column's elements")
+			return
+		}
+		total -= int(size)
+		window(i, int(size))
+	}
+	if total != 0 {
+		d.Fail("row lengths fall short of the column's elements")
+	}
+}
+
+// readGroupTable reverses appendGroupTable; the table's shape is the one
+// r.GroupCols and r.AggExprs, already read, declare.
+func readGroupTable(d *wire.Decoder, r *Intermediate) *GroupTable {
+	n := d.Count(1)
+	if n == 0 {
+		return nil
+	}
+	// Every key column is a tag, a count and at least a byte per group.
+	if k := len(r.GroupCols); k == 0 || k > d.Remaining()/(n+2) {
+		d.Fail("%d groups of %d key columns exceed the %d bytes that remain", n, k, d.Remaining())
+		return nil
+	}
+	t := &GroupTable{keys: make([]keyColumn, len(r.GroupCols)), aggs: make([]aggColumn, len(r.AggExprs)), n: n}
+	for c := range t.keys {
+		k := &t.keys[c]
+		switch k.kind = keyKind(d.Byte()); k.kind {
+		case keyString:
+			// One backing string for the column; each value is a window of it.
+			if all := d.Str(); readColumn(d, n, 1) {
+				k.strs = make([]string, n)
+				readSizes(d, n, len(all), func(i, size int) { k.strs[i], all = all[:size], all[size:] })
+			}
+		case keyLong, keyBool, keyDouble:
+			width := 1
+			if k.kind == keyDouble {
+				width = 8
+			}
+			if !readColumn(d, n, width) {
+				break
+			}
+			k.nums = make([]uint64, n)
+			for i := range k.nums {
+				if k.kind == keyDouble {
+					k.nums[i] = doubleBits(d.Float())
+				} else if k.nums[i] = uint64(d.Varint()); k.kind == keyBool && k.nums[i] > 1 {
+					d.Fail("bool key %d", k.nums[i])
+				}
+			}
+		default:
+			d.Fail("unknown group key kind %d", k.kind)
+		}
+	}
+	for a := range t.aggs {
+		c := &t.aggs[a]
+		c.fn = r.AggExprs[a].Func
+		c.has = carries(c.fn)
+		if c.has&(fCount|fDistinct) != 0 {
+			c.count = readVarints(d, n)
+		}
+		if c.has&fSum != 0 {
+			c.sum = readFloats(d, n)
+		}
+		if c.has&(fMin|fMax) != 0 {
+			c.extreme = readFloats(d, n)
+			if readColumn(d, n, 1) {
+				c.seen = make([]bool, n)
+				for i := range c.seen {
+					c.seen[i] = d.Bool()
+				}
+			}
+		}
+		if c.has&fValues != 0 {
+			// One backing array for the column; each list is a window of it,
+			// capped so that appending to one copies it out.
+			all := make([]float64, d.Count(8))
+			for i := range all {
+				all[i] = d.Float()
+			}
+			if readColumn(d, n, 1) {
+				c.values = make([][]float64, n)
+				readSizes(d, n, len(all), func(i, size int) {
+					if size > 0 {
+						c.values[i], all = all[:size:size], all[size:]
+					}
+				})
+			}
+		}
+		if c.has&fDistinct != 0 {
+			// count holds each set's declared size until its members replace
+			// it with the number of them that are distinct.
+			total := int64(0)
+			for _, size := range c.count {
+				if total += size; size < 0 || total > int64(d.Remaining()) {
+					d.Fail("set sizes exceed the %d bytes that remain", d.Remaining())
+					break
+				}
+			}
+			if d.Err() != nil {
+				break
+			}
+			c.set = make(map[distinctEntry]struct{}, total)
+			for i, size := range c.count {
+				c.count[i] = 0
+				for ; size > 0 && d.Err() == nil; size-- {
+					c.addDistinct(uint32(i), d.Str())
+				}
+			}
+		}
+	}
+	if d.Err() != nil {
+		return nil
+	}
+	return t
+}
+
 // ReadIntermediate reads one intermediate out of a message being decoded;
 // the verdict is d's (Err, Finish). The name table is a local of its own:
 // its strings flow into the result, and d can stay on its caller's stack.
@@ -478,40 +722,7 @@ func ReadIntermediate(d *wire.Decoder) *Intermediate {
 	}
 	r.GroupCols = d.Strs()
 
-	// Groups and rows decode into slabs sized from the declared totals: one
-	// allocation each for the entries, the values, the states and the state
-	// pointers, whatever the number of groups.
-	groups := d.Count(minGroupBytes)
-	values := make([]any, d.Count(minCellBytes))
-	nStates := d.Count(minStateBytes)
-	states, ptrs := make([]AggState, nStates), make([]*AggState, nStates)
-	if groups > 0 {
-		entries := make([]GroupEntry, groups)
-		r.Groups = make(map[string]*GroupEntry, groups)
-		for i := range entries {
-			g := &entries[i]
-			key := d.Str()
-			if n := d.Count(minCellBytes); n > len(values) {
-				d.Fail("group values exceed the declared total")
-			} else if n > 0 {
-				g.Values, values = values[:n:n], values[n:]
-				readCells(d, g.Values)
-			}
-			if n := d.Count(minStateBytes); n > len(states) {
-				d.Fail("group states exceed the declared total")
-			} else if n > 0 {
-				g.Aggs = readAggStates(d, &funcs, states[:n], ptrs[:n:n])
-				states, ptrs = states[n:], ptrs[n:]
-			}
-			r.Groups[key] = g
-		}
-		if d.Err() == nil && len(r.Groups) != groups {
-			d.Fail("duplicate group keys")
-		}
-	}
-	if len(values) > 0 || len(states) > 0 {
-		d.Fail("group values or states fall short of the declared totals")
-	}
+	r.Groups = readGroupTable(d, r)
 
 	r.SelectCols = d.Strs()
 	r.HiddenCols = d.Int()

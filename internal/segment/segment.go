@@ -122,6 +122,25 @@ func (c *Column) DictSorted() bool { return c.dict != nil && c.dict.Sorted() }
 // Value maps a dict id to its value.
 func (c *Column) Value(id int) any { return c.dict.Value(id) }
 
+// DictStrings returns the dictionary's values in dict-id order when it holds
+// strings, nil otherwise. The slice is the dictionary's own and read-only: a
+// reader of many values takes them from it instead of boxing each through
+// Value.
+func (c *Column) DictStrings() []string {
+	if d, ok := c.dict.(*stringDictionary); ok {
+		return d.values
+	}
+	return nil
+}
+
+// DictLongs is DictStrings for a dictionary of int64 values.
+func (c *Column) DictLongs() []int64 {
+	if d, ok := c.dict.(*int64Dictionary); ok {
+		return d.values
+	}
+	return nil
+}
+
 // IndexOf maps a canonical value to its dict id.
 func (c *Column) IndexOf(v any) (int, bool) { return c.dict.IndexOf(v) }
 

@@ -21,11 +21,11 @@ import (
 // restated as numbers: the golden frames below pin them, so renumbering a tag
 // in the engine fails TestGoldenFrames instead of silently moving with it.
 const (
-	cellInt64, cellFloat64, cellString, cellBool, cellList = 1, 2, 3, 4, 5
+	cellInt64, cellFloat64, cellString, cellBool, cellList = 1, 2, 3, 4, 5 // the first four also tag a group key column
 
 	exprNil, exprColumn, exprCall = 0, 1, 4
 
-	stateSeen, stateNumeric, stateDistinct, stateValues = 1, 2, 4, 8
+	stateSeen, stateNumeric = 1, 2
 
 	funcTableSize = 16
 )
@@ -65,20 +65,20 @@ func sampleMessages() map[string]any {
 		Kind:      query.KindGroupBy,
 		AggExprs:  exprs,
 		GroupCols: []string{"country", "bucket"},
-		Groups:    map[string]*query.GroupEntry{},
+		Groups:    query.NewGroupTable(2, exprs),
 		Stats:     query.Stats{NumDocsScanned: 9, GroupStateBytes: 512, DictExprSegments: 1},
 	}
 	for i, country := range []string{"us", "de"} {
-		g := &query.GroupEntry{Values: []any{country, int64(i * 3600)}}
+		var states []*query.AggState
 		for _, x := range exprs {
-			g.Aggs = append(g.Aggs, query.NewAggState(x.Func))
+			states = append(states, query.NewAggState(x.Func))
 		}
-		g.Aggs[0].AddDistinct("m1")
-		g.Aggs[0].AddDistinct(fmt.Sprint("m", i+2))
-		g.Aggs[1].AddNumeric(12.5)
-		g.Aggs[1].AddNumeric(float64(i))
-		g.Aggs[2].AddNumeric(-4)
-		groupBy.Groups[query.GroupKey(g.Values)] = g
+		states[0].AddDistinct("m1")
+		states[0].AddDistinct(fmt.Sprint("m", i+2))
+		states[1].AddNumeric(12.5)
+		states[1].AddNumeric(float64(i))
+		states[2].AddNumeric(-4)
+		addGroup(groupBy.Groups, []any{country, int64(i * 3600)}, states...)
 	}
 
 	return map[string]any{
@@ -102,6 +102,18 @@ func sampleMessages() map[string]any {
 	}
 }
 
+// addGroup finds or adds the group of a key and sets its states, one per
+// aggregate of the table.
+func addGroup(g *query.GroupTable, values []any, states ...*query.AggState) {
+	ord, err := g.Upsert(values)
+	if err != nil {
+		panic(err)
+	}
+	for a, s := range states {
+		g.SetState(ord, a, *s)
+	}
+}
+
 // roundTrip sends a message through its frame encoder and typed decoder.
 func roundTrip(t testing.TB, msg any) any {
 	t.Helper()
@@ -118,8 +130,8 @@ func roundTrip(t testing.TB, msg any) any {
 
 func TestSampleMessagesRoundTrip(t *testing.T) {
 	for name, msg := range sampleMessages() {
-		if back := roundTrip(t, msg); !reflect.DeepEqual(back, msg) {
-			t.Errorf("%s: round trip changed the message:\n got %+v\nwant %+v", name, back, msg)
+		if d := firstDiff(name, reflect.ValueOf(roundTrip(t, msg)), reflect.ValueOf(msg)); d != "" {
+			t.Errorf("round trip changed the message: %s", d)
 		}
 	}
 }
@@ -134,11 +146,20 @@ type filler struct{ n int64 }
 func (f *filler) next() int64 { f.n++; return f.n }
 
 var (
-	anyType  = reflect.TypeOf((*any)(nil)).Elem()
-	exprType = reflect.TypeOf((*pql.Expr)(nil)).Elem()
+	anyType        = reflect.TypeOf((*any)(nil)).Elem()
+	exprType       = reflect.TypeOf((*pql.Expr)(nil)).Elem()
+	groupTableType = reflect.TypeOf((*query.GroupTable)(nil))
 )
 
+// stateFuncs has a function for every field of an AggState that a group
+// table's state columns carry.
+var stateFuncs = []pql.AggFunc{pql.Count, pql.Sum, pql.Avg, pql.Min, pql.Max, pql.DistinctCount, "PERCENTILE50"}
+
 func (f *filler) fill(v reflect.Value) {
+	if v.Type() == reflect.TypeOf(query.Intermediate{}) {
+		f.fillIntermediate(v)
+		return
+	}
 	switch v.Kind() {
 	case reflect.Bool:
 		v.SetBool(true)
@@ -192,14 +213,73 @@ func (f *filler) fill(v reflect.Value) {
 	}
 }
 
+// fillIntermediate fills an Intermediate field by field, except that its
+// expressions and group table are built to agree, as the layout requires: one
+// expression per function of stateFuncs, a key column of every type, two
+// groups, and every field of every state filled (a state column keeps the
+// fields its function carries).
+func (f *filler) fillIntermediate(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		if v.Type().Field(i).Type != groupTableType {
+			f.fill(v.Field(i))
+		}
+	}
+	r := v.Addr().Interface().(*query.Intermediate)
+	r.AggExprs = r.AggExprs[:0]
+	for _, fn := range stateFuncs {
+		var x pql.Expression
+		f.fill(reflect.ValueOf(&x).Elem())
+		x.Func = fn
+		r.AggExprs = append(r.AggExprs, x)
+	}
+	r.GroupCols = []string{"s", "l", "d", "b"}
+	r.Groups = query.NewGroupTable(len(r.GroupCols), r.AggExprs)
+	for g := 0; g < 2; g++ {
+		var states []*query.AggState
+		for _, fn := range stateFuncs {
+			s := &query.AggState{}
+			f.fill(reflect.ValueOf(s).Elem())
+			s.Func = fn
+			states = append(states, s)
+		}
+		addGroup(r.Groups, []any{fmt.Sprintf("k%d", f.next()), f.next() * 1000003, float64(f.next()) + 0.25, g == 0}, states...)
+	}
+}
+
+// groupRows lists a group table's groups in order, each as its key and its
+// states: what two tables are compared by (a table built by Upsert carries a
+// hash index that a decoded one does not).
+func groupRows(t *query.GroupTable, aggs int) [][]any {
+	rows := make([][]any, t.Len())
+	for i := range rows {
+		rows[i] = t.Values(i)
+		for a := 0; a < aggs; a++ {
+			rows[i] = append(rows[i], t.State(i, a))
+		}
+	}
+	return rows
+}
+
 // firstDiff names the first place two values differ ("" when they are equal),
 // so a lost field is reported by its path and not as two pointer values.
 func firstDiff(path string, a, b reflect.Value) string {
 	if a.IsValid() != b.IsValid() || (a.IsValid() && a.Type() != b.Type()) {
 		return path + ": kinds differ"
 	}
+	if a.Type() == reflect.TypeOf(query.Intermediate{}) {
+		// The group tables compare by their rows, under the intermediates'
+		// expressions.
+		aggs := a.FieldByName("AggExprs").Len()
+		ta, tb := a.FieldByName("Groups").Interface().(*query.GroupTable), b.FieldByName("Groups").Interface().(*query.GroupTable)
+		if d := firstDiff(path+".Groups", reflect.ValueOf(groupRows(ta, aggs)), reflect.ValueOf(groupRows(tb, aggs))); d != "" {
+			return d
+		}
+	}
 	switch a.Kind() {
 	case reflect.Pointer, reflect.Interface:
+		if a.Type() == groupTableType {
+			return ""
+		}
 		if a.IsNil() || b.IsNil() {
 			if a.IsNil() != b.IsNil() {
 				return path + ": one side is nil"
@@ -240,10 +320,31 @@ func firstDiff(path string, a, b reflect.Value) string {
 }
 
 // TestCodecCarriesEveryField fills every exported field of every message
-// (through Intermediate, AggState, GroupEntry, Stats, Expression and Trace)
-// and requires the round trip to return it. A field added to any of those
-// structs without codec support fails here.
+// (through Intermediate, AggState, Stats, Expression and Trace) and requires
+// the round trip to return it. A field added to any of those structs without
+// codec support fails here. A group table holds an AggState field only under
+// a function that carries it, so beyond the round trip every field of
+// AggState must come back under at least one function of stateFuncs: a new
+// state field has to be wired into a state column too.
 func TestCodecCarriesEveryField(t *testing.T) {
+	carried := map[string]bool{"Func": true}
+	var probe query.Intermediate
+	(&filler{}).fill(reflect.ValueOf(&probe).Elem())
+	groups := intermediateRoundTrip(t, &probe).Groups
+	for a := range stateFuncs {
+		got, fresh := reflect.ValueOf(groups.State(0, a)), reflect.ValueOf(*query.NewAggState(stateFuncs[a]))
+		for i := 0; i < got.NumField(); i++ {
+			if !reflect.DeepEqual(got.Field(i).Interface(), fresh.Field(i).Interface()) {
+				carried[got.Type().Field(i).Name] = true
+			}
+		}
+	}
+	for i, typ := 0, reflect.TypeOf(query.AggState{}); i < typ.NumField(); i++ {
+		if name := typ.Field(i).Name; !carried[name] {
+			t.Errorf("no state column carries AggState.%s", name)
+		}
+	}
+
 	for _, msg := range []any{
 		&QueryRequest{}, &SegmentFrame{}, &FinalFrame{}, &ErrorFrame{},
 		&SegmentConsumedRequest{}, &SegmentConsumedResponse{}, &SegmentCommitRequest{}, &SegmentCommitResponse{},
@@ -325,7 +426,7 @@ func TestCodecValueEdgeCases(t *testing.T) {
 	t.Run("empty is nil", func(t *testing.T) {
 		in := &query.Intermediate{
 			Kind: query.KindGroupBy, AggExprs: []pql.Expression{}, Aggs: []*query.AggState{}, GroupCols: []string{},
-			Groups: map[string]*query.GroupEntry{}, SelectCols: []string{}, Rows: [][]any{},
+			Groups: query.NewGroupTable(0, nil), SelectCols: []string{}, Rows: [][]any{},
 		}
 		got := intermediateRoundTrip(t, in)
 		if !reflect.DeepEqual(got, &query.Intermediate{Kind: query.KindGroupBy}) {
@@ -357,17 +458,9 @@ func TestCodecValueEdgeCases(t *testing.T) {
 		}
 	})
 
-	t.Run("multi-value cells and keys", func(t *testing.T) {
-		mv := []any{"x", int64(2), []any{}}
-		in := &query.Intermediate{
-			Kind:   query.KindGroupBy,
-			Groups: map[string]*query.GroupEntry{"[x 2 []]": {Values: []any{mv}, Aggs: []*query.AggState{query.NewAggState(pql.Count)}}},
-			Rows:   [][]any{{[]any{}}, {}, {[]any(nil)}},
-		}
+	t.Run("multi-value cells", func(t *testing.T) {
+		in := &query.Intermediate{Kind: query.KindSelection, Rows: [][]any{{[]any{}}, {}, {[]any(nil)}}}
 		got := intermediateRoundTrip(t, in)
-		if !reflect.DeepEqual(got.Groups, in.Groups) {
-			t.Errorf("multi-value group key changed: %#v", got.Groups["[x 2 []]"])
-		}
 		if c, ok := got.Rows[0][0].([]any); !ok || c == nil || len(c) != 0 {
 			t.Errorf("empty multi-value cell = %#v, want []any{}", got.Rows[0][0])
 		}
@@ -376,6 +469,11 @@ func TestCodecValueEdgeCases(t *testing.T) {
 		}
 		if got.Rows[1] != nil {
 			t.Errorf("empty row = %#v, want nil", got.Rows[1])
+		}
+		// A group key is one of the four scalar types; a list is refused
+		// where the table is built, not on the wire.
+		if _, err := query.NewGroupTable(1, nil).Upsert([]any{[]any{"x"}}); err == nil {
+			t.Errorf("a multi-value group key was accepted")
 		}
 	})
 
@@ -423,10 +521,10 @@ func TestEncoderRefusesWhatItCannotCarry(t *testing.T) {
 		"struct cell":   {Rows: [][]any{{point{1}}}},
 		"nil cell":      {Rows: [][]any{{nil}}},
 		"nested cell":   {Rows: [][]any{{[]any{int32(1)}}}},
-		"group value":   {Groups: map[string]*query.GroupEntry{"k": {Values: []any{float32(1)}}}},
 		"literal":       {AggExprs: []pql.Expression{{Arg: pql.Literal{Value: int(3)}}}},
 		"nil state":     {Aggs: []*query.AggState{nil}},
-		"nil group":     {Groups: map[string]*query.GroupEntry{"k": nil}},
+		"group shape":   {Groups: oneGroup(), GroupCols: []string{"a", "b"}},
+		"group func":    {Groups: oneGroup(), GroupCols: []string{"a"}, AggExprs: []pql.Expression{{Func: pql.Sum}}},
 		"deep cell":     {Rows: [][]any{{deepCell}}},
 		"deep expr":     {AggExprs: []pql.Expression{{Arg: deepExpr}}},
 	} {
@@ -445,6 +543,13 @@ func TestEncoderRefusesWhatItCannotCarry(t *testing.T) {
 	}
 }
 
+// oneGroup is a table of one string key under COUNT.
+func oneGroup() *query.GroupTable {
+	g := query.NewGroupTable(1, []pql.Expression{{Func: pql.Count}})
+	addGroup(g, []any{"k"})
+	return g
+}
+
 // ---- hostile input ----
 
 // TestDecoderRefusesDeepNesting hand-builds payloads nested one level past
@@ -455,13 +560,11 @@ func TestDecoderRefusesDeepNesting(t *testing.T) {
 	e.Raw(2, 0, 0) // kind selection, no agg exprs, no aggs
 	e.Count(0)     // group cols
 	e.Count(0)     // groups
-	e.Count(0)
-	e.Count(0)
-	e.Count(0)  // select cols
-	e.Varint(0) // hidden cols
-	e.Count(1)  // one row
-	e.Count(1)  // one cell in total
-	e.Count(1)  // of one cell
+	e.Count(0)     // select cols
+	e.Varint(0)    // hidden cols
+	e.Count(1)     // one row
+	e.Count(1)     // one cell in total
+	e.Count(1)     // of one cell
 	for i := 0; i <= wire.MaxNesting; i++ {
 		e.Raw(cellList, 1)
 	}
@@ -509,9 +612,13 @@ func allocatedBy(f func()) uint64 {
 // payload is overwritten in turn with a count of 1<<31 (and with 1<<62), the
 // payload is cut to 32 bytes after it, and the decode is metered.
 func TestDecodeAllocationIsLinear(t *testing.T) {
-	// c: the costliest element per input byte is an aggregation state (a
-	// 96-byte state and its pointer for 3 bytes). k: the fixed structs of a
-	// message and the error that reports the refusal.
+	// c: the costliest bytes are the four of an empty aggregation expression
+	// over a group table (a 56-byte Expression and a 152-byte state column),
+	// then the three of a bare aggregation state (96 bytes and its pointer);
+	// a column of a group table costs 8 to 16 bytes a row of at least one
+	// byte, checked against the bytes that remain column by column
+	// (internal/query's TestDecodeAllocationWorstCases builds each). k: the
+	// fixed structs of a message and the error that reports the refusal.
 	const c, k = 64, 4096
 	huge := [][]byte{
 		{0x80, 0x80, 0x80, 0x80, 0x08},                               // 1<<31
@@ -559,7 +666,7 @@ func TestGoldenFrames(t *testing.T) {
 		want []byte
 	}{
 		{"query", &QueryRequest{Resource: "r", PQL: "q", Segments: []string{"s0"}, Tenant: "t", TimeoutMillis: 5, QueryID: "id", BudgetMillis: -1}, []byte{
-			'P', 2, FrameQuery, 0, 0, 0, 0, 15,
+			'P', 3, FrameQuery, 0, 0, 0, 0, 15,
 			1, 'r', 1, 'q', 1, 2, 's', '0', 1, 't', 10, 2, 'i', 'd', 1,
 		}},
 		{"segment aggregation", &SegmentFrame{Seq: 1, Result: &query.Intermediate{
@@ -568,7 +675,7 @@ func TestGoldenFrames(t *testing.T) {
 			Aggs:     []*query.AggState{count, sum},
 			Stats:    query.Stats{NumDocsScanned: 3, ResultCacheHit: true},
 		}}, []byte{
-			'P', 2, FrameSegment, 0, 0, 0, 0, 78,
+			'P', 3, FrameSegment, 0, 0, 0, 0, 76,
 			2, // seq 1
 			0, // kind
 			2, // agg exprs
@@ -580,8 +687,8 @@ func TestGoldenFrames(t *testing.T) {
 			0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // sum 1.5
 			0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // min
 			0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // max
-			0,       // group cols
-			0, 0, 0, // groups, their values, their states
+			0,    // group cols
+			0,    // groups
 			0,    // select cols
 			0,    // hidden cols
 			0, 0, // rows, their cells
@@ -591,8 +698,8 @@ func TestGoldenFrames(t *testing.T) {
 			Kind: query.KindSelection, SelectCols: []string{"a"}, HiddenCols: 1,
 			Rows: [][]any{{int64(-2)}, {[]any{"m", 2.0, false}}},
 		}}, []byte{
-			'P', 2, FrameSegment, 0, 0, 0, 0, 50,
-			0, 2, 0, 0, 0, 0, 0, 0,
+			'P', 3, FrameSegment, 0, 0, 0, 0, 48,
+			0, 2, 0, 0, 0, 0,
 			1, 1, 'a', // select cols
 			2,    // hidden cols 1
 			2, 2, // two rows, two cells
@@ -600,45 +707,48 @@ func TestGoldenFrames(t *testing.T) {
 			1, cellList, 3, cellString, 1, 'm', cellFloat64, 0x40, 0, 0, 0, 0, 0, 0, 0, cellBool, 0,
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
-		{"segment group-by", &SegmentFrame{Result: &query.Intermediate{
-			Kind: query.KindGroupBy, GroupCols: []string{"g"},
-			Groups: map[string]*query.GroupEntry{"k": {Values: []any{"k"}, Aggs: []*query.AggState{
-				{Func: "PERCENTILE90", Count: 1, Sum: 2, Min: 2, Max: 2, Seen: true, Distinct: map[string]struct{}{"d": {}}, Values: []float64{2}},
-			}}},
-		}}, []byte{
-			'P', 2, FrameSegment, 0, 0, 0, 0, 89,
-			0, 1, 0, 0,
-			1, 1, 'g', // group cols
-			1, 1, 1, // one group, one value, one state
-			1, 'k', // key
-			1, cellString, 1, 'k',
-			1,                                                                 // one state
-			0, 12, 'P', 'E', 'R', 'C', 'E', 'N', 'T', 'I', 'L', 'E', '9', '0', // literal function name
-			2, stateSeen | stateNumeric | stateDistinct | stateValues,
-			0x40, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0,
-			1, 1, 'd', // distinct
-			1, 0x40, 0, 0, 0, 0, 0, 0, 0, // values
-			0, 0, 0, 0,
+		{"segment group-by", &SegmentFrame{Result: goldenGroupBy()}, []byte{
+			'P', 3, FrameSegment, 0, 0, 0, 0, 177,
+			0, 1, // seq, kind
+			4, // agg exprs
+			1, 12, 'P', 'E', 'R', 'C', 'E', 'N', 'T', 'I', 'L', 'E', '9', '0', 1, 'p', exprNil,
+			1, 13, 'D', 'I', 'S', 'T', 'I', 'N', 'C', 'T', 'C', 'O', 'U', 'N', 'T', 1, 'd', exprNil,
+			1, 3, 'M', 'I', 'N', 1, 'm', exprNil,
+			1, 3, 'A', 'V', 'G', 1, 'a', exprNil,
+			0,                                 // aggs
+			4, 1, 's', 1, 'l', 1, 'f', 1, 'b', // group cols
+			2,                           // groups
+			cellString, 1, 'k', 2, 1, 0, // key s: the bytes "k", then two lengths
+			cellInt64, 2, 5, 0xd8, 0x04, // key l: -3, 300
+			cellFloat64, 2, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, // key f: 2, -0
+			cellBool, 2, 2, 0, // key b: true, false as varints
+			1, 0x40, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, // PERCENTILE90 values: one value in all, then two list lengths
+			2, 4, 0, 1, 'x', 1, 'y', // DISTINCTCOUNT: set sizes 2 and 0 as the count column, then the members, sorted
+			2, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x7f, 0xf0, 0, 0, 0, 0, 0, 0, // MIN extreme: 2, +Inf
+			2, 1, 0, // MIN seen
+			2, 2, 0, // AVG count: 1, 0
+			2, 0x40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // AVG sum: 2, 0
+			0, 0, 0, 0, // select cols, hidden cols, rows, cells
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
 		{"final", &FinalFrame{Frames: 2, Exceptions: []string{"e"}, Trace: qctx.Trace{qctx.PhaseQueue: 3}, Stats: query.Stats{TotalDocs: 64}}, []byte{
-			'P', 2, FrameFinal, 0, 0, 0, 0, 29,
+			'P', 3, FrameFinal, 0, 0, 0, 0, 29,
 			4, 1, 1, 'e',
 			1, 5, 'q', 'u', 'e', 'u', 'e', 6,
 			0, 0, 0, 0, 0x80, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
-		{"error", &ErrorFrame{Message: "no"}, []byte{'P', 2, FrameError, 0, 0, 0, 0, 3, 2, 'n', 'o'}},
+		{"error", &ErrorFrame{Message: "no"}, []byte{'P', 3, FrameError, 0, 0, 0, 0, 3, 2, 'n', 'o'}},
 		{"consumed", &SegmentConsumedRequest{Segment: "s", Resource: "r", Instance: "i", Offset: 64}, []byte{
-			'P', 2, FrameConsumed, 0, 0, 0, 0, 8, 1, 's', 1, 'r', 1, 'i', 0x80, 0x01,
+			'P', 3, FrameConsumed, 0, 0, 0, 0, 8, 1, 's', 1, 'r', 1, 'i', 0x80, 0x01,
 		}},
 		{"consumed response", &SegmentConsumedResponse{Action: ActionHold, TargetOffset: 1}, []byte{
-			'P', 2, FrameConsumedResp, 0, 0, 0, 0, 6, 4, 'H', 'O', 'L', 'D', 2,
+			'P', 3, FrameConsumedResp, 0, 0, 0, 0, 6, 4, 'H', 'O', 'L', 'D', 2,
 		}},
 		{"commit", &SegmentCommitRequest{Segment: "s", Resource: "r", Instance: "i", Offset: 1, Blob: []byte{0xca, 0xfe}}, []byte{
-			'P', 2, FrameCommit, 0, 0, 0, 0, 10, 1, 's', 1, 'r', 1, 'i', 2, 2, 0xca, 0xfe,
+			'P', 3, FrameCommit, 0, 0, 0, 0, 10, 1, 's', 1, 'r', 1, 'i', 2, 2, 0xca, 0xfe,
 		}},
 		{"commit response", &SegmentCommitResponse{Success: true, Reason: "ok"}, []byte{
-			'P', 2, FrameCommitResp, 0, 0, 0, 0, 4, 1, 2, 'o', 'k',
+			'P', 3, FrameCommitResp, 0, 0, 0, 0, 4, 1, 2, 'o', 'k',
 		}},
 	}
 	for _, c := range cases {
@@ -647,10 +757,34 @@ func TestGoldenFrames(t *testing.T) {
 			t.Errorf("%s: frame bytes changed\n got %v\nwant %v", c.name, got, c.want)
 			continue
 		}
-		if back := roundTrip(t, c.msg); !reflect.DeepEqual(back, c.msg) {
-			t.Errorf("%s: golden frame decodes to %+v", c.name, back)
+		if d := firstDiff(c.name, reflect.ValueOf(roundTrip(t, c.msg)), reflect.ValueOf(c.msg)); d != "" {
+			t.Errorf("golden frame decodes to another value: %s", d)
 		}
 	}
+}
+
+// goldenGroupBy is a group-by of two groups with a key column of every type
+// and a state column of every kind: values, a set, an extreme and its seen
+// bit, a sum and a count.
+func goldenGroupBy() *query.Intermediate {
+	exprs := []pql.Expression{
+		{IsAgg: true, Func: "PERCENTILE90", Column: "p"},
+		{IsAgg: true, Func: pql.DistinctCount, Column: "d"},
+		{IsAgg: true, Func: pql.Min, Column: "m"},
+		{IsAgg: true, Func: pql.Avg, Column: "a"},
+	}
+	r := &query.Intermediate{Kind: query.KindGroupBy, AggExprs: exprs, GroupCols: []string{"s", "l", "f", "b"}, Groups: query.NewGroupTable(4, exprs)}
+	addGroup(r.Groups, []any{"k", int64(-3), 2.0, true},
+		&query.AggState{Values: []float64{2}},
+		&query.AggState{Distinct: map[string]struct{}{"y": {}, "x": {}}},
+		&query.AggState{Min: 2, Seen: true},
+		&query.AggState{Sum: 2, Count: 1})
+	addGroup(r.Groups, []any{"", int64(300), math.Copysign(0, -1), false},
+		&query.AggState{},
+		&query.AggState{},
+		&query.AggState{Min: math.Inf(1)},
+		&query.AggState{})
+	return r
 }
 
 // ---- allocation budget ----
@@ -669,14 +803,14 @@ func TestWireAllocBudget(t *testing.T) {
 	}}
 	exprs := []pql.Expression{{IsAgg: true, Func: pql.Sum, Column: "value"}, {IsAgg: true, Func: pql.Count, Column: "*"}}
 	groupBy := &SegmentFrame{Result: &query.Intermediate{
-		Kind: query.KindGroupBy, AggExprs: exprs, GroupCols: []string{"bucket"}, Groups: map[string]*query.GroupEntry{},
+		Kind: query.KindGroupBy, AggExprs: exprs, GroupCols: []string{"bucket"}, Groups: query.NewGroupTable(1, exprs),
 	}}
 	const groups = 200
 	for i := 0; i < groups; i++ {
-		g := &query.GroupEntry{Values: []any{int64(1000 + i)}, Aggs: []*query.AggState{query.NewAggState(pql.Sum), query.NewAggState(pql.Count)}}
-		g.Aggs[0].AddNumeric(float64(i) * 1.5)
-		g.Aggs[1].AddCount(int64(i + 1))
-		groupBy.Result.Groups[query.GroupKey(g.Values)] = g
+		sum, count := query.NewAggState(pql.Sum), query.NewAggState(pql.Count)
+		sum.AddNumeric(float64(i) * 1.5)
+		count.AddCount(int64(i + 1))
+		addGroup(groupBy.Result.Groups, []any{int64(1000 + i)}, sum, count)
 	}
 	final := &FinalFrame{
 		Frames: 4, Trace: qctx.Trace{qctx.PhaseQueue: time.Microsecond, qctx.PhaseExecute: time.Millisecond},
@@ -691,9 +825,10 @@ func TestWireAllocBudget(t *testing.T) {
 		// Decode: frame, intermediate, column slice + 2 names, rows,
 		// arena, a box for each cell above 255.
 		{"selection 4x2", selection, 16, 558},
-		// Decode per group: the key and the boxed value; everything
-		// else is a slab.
-		{"group-by 200x2", groupBy, 2*groups + 20, 3552},
+		// Decode: frame, intermediate, two expressions and their column
+		// names, the group column, the table, its two column slices, one
+		// slice per key and state column. Nothing per group.
+		{"group-by 200x2", groupBy, 20, 3552},
 		// Decode: frame, trace map, two phase names.
 		{"final", final, 8, 293},
 	} {

@@ -12,21 +12,19 @@ import (
 // benchResponse builds a group-by response of realistic size: 200 groups of
 // two aggregation states each, the shape a server sends per scatter leg.
 func benchResponse() *QueryResponse {
-	groups := map[string]*query.GroupEntry{}
+	exprs := []pql.Expression{{IsAgg: true, Func: pql.Count, Column: "*"}, {IsAgg: true, Func: pql.Sum, Column: "x"}}
+	groups := query.NewGroupTable(2, exprs)
 	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("cat%d\x00%d", i%10, i)
 		count := query.NewAggState(pql.Count)
 		count.AddCount(int64(i * 7))
 		sum := query.NewAggState(pql.Sum)
 		sum.AddNumeric(float64(i) * 1.5)
-		groups[key] = &query.GroupEntry{
-			Values: []any{fmt.Sprintf("cat%d", i%10), int64(i)},
-			Aggs:   []*query.AggState{count, sum},
-		}
+		addGroup(groups, []any{fmt.Sprintf("cat%d", i%10), int64(i)}, count, sum)
 	}
 	return &QueryResponse{
 		Result: &query.Intermediate{
 			Kind:      query.KindGroupBy,
+			AggExprs:  exprs,
 			GroupCols: []string{"category", "bucket"},
 			Groups:    groups,
 			Stats:     query.Stats{NumDocsScanned: 123456, NumSegmentsQueried: 16, SegmentsMatched: 16},
@@ -65,8 +63,8 @@ func TestEncodeResponsePoolRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Result.Groups) != len(r.Result.Groups) {
-		t.Fatalf("round trip lost groups: %d vs %d", len(back.Result.Groups), len(r.Result.Groups))
+	if back.Result.Groups.Len() != r.Result.Groups.Len() {
+		t.Fatalf("round trip lost groups: %d vs %d", back.Result.Groups.Len(), r.Result.Groups.Len())
 	}
 	if back.Result.Stats != r.Result.Stats {
 		t.Fatalf("round trip changed stats: %+v vs %+v", back.Result.Stats, r.Result.Stats)

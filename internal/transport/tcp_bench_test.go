@@ -66,8 +66,8 @@ func BenchmarkTransportLoopbackQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(resp.Result.Groups) != 200 {
-			b.Fatalf("merged %d groups, want 200", len(resp.Result.Groups))
+		if resp.Result.Groups.Len() != 200 {
+			b.Fatalf("merged %d groups, want 200", resp.Result.Groups.Len())
 		}
 	}
 }
@@ -130,8 +130,8 @@ func BenchmarkStreamVsBuffered(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Groups) != 200 {
-			b.Fatalf("streamed merge produced %d groups, want 200", len(res.Groups))
+		if res.Groups.Len() != 200 {
+			b.Fatalf("streamed merge produced %d groups, want 200", res.Groups.Len())
 		}
 		streamNS += time.Since(start)
 
@@ -140,8 +140,8 @@ func BenchmarkStreamVsBuffered(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(resp.Result.Groups) != 200 {
-			b.Fatalf("buffered decode produced %d groups, want 200", len(resp.Result.Groups))
+		if resp.Result.Groups.Len() != 200 {
+			b.Fatalf("buffered decode produced %d groups, want 200", resp.Result.Groups.Len())
 		}
 		bufferedNS += time.Since(start)
 	}

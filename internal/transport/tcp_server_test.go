@@ -363,19 +363,39 @@ var gobSegmentPayload = []byte{
 	0x01, 0xff, 0x84, 0x00, 0x01, 0x02, 0x01, 0x03, 'S', 'e', 'q', 0x01, 0x04, 0x00,
 }
 
+// v2GroupByFrame is a whole version-2 FrameSegment: a group-by of one group
+// laid out entry by entry, as TestGoldenFrames pinned it before version 3.
+var v2GroupByFrame = []byte{
+	'P', 2, FrameSegment, 0, 0, 0, 0, 89,
+	0, 1, 0, 0,
+	1, 1, 'g', // group cols
+	1, 1, 1, // one group, one value, one state
+	1, 'k', // key
+	1, 3, 1, 'k',
+	1,                                                                 // one state
+	0, 12, 'P', 'E', 'R', 'C', 'E', 'N', 'T', 'I', 'L', 'E', '9', '0', // literal function name
+	2, 15,
+	0x40, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0,
+	1, 1, 'd', // distinct
+	1, 0x40, 0, 0, 0, 0, 0, 0, 0, // values
+	0, 0, 0, 0,
+	0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+}
+
 func rawFrame(version, typ uint8, payload []byte) []byte {
 	out := []byte{frameMagic, version, typ, 0, 0, 0, 0, uint8(len(payload))}
 	return append(out, payload...)
 }
 
-// TestOldWireVersionsAreRefused: a peer still speaking version 1, and a peer
-// that claims version 2 but sends a gob payload, are both refused with a
-// transport error, and the connection is dropped rather than reused.
+// TestOldWireVersionsAreRefused: a peer still speaking version 1 or 2, and a
+// peer that claims this version but sends a gob payload, are all refused with
+// a transport error, and the connection is dropped rather than reused.
 func TestOldWireVersionsAreRefused(t *testing.T) {
 	// Server side: the connection is closed without an answer.
 	for name, frame := range map[string][]byte{
-		"v1 header":           rawFrame(1, FrameQuery, gobQueryPayload),
-		"v2 header, gob body": rawFrame(frameVersion, FrameQuery, gobQueryPayload),
+		"v1 header":                rawFrame(1, FrameQuery, gobQueryPayload),
+		"v2 header":                rawFrame(2, FrameQuery, []byte{1, 'r', 1, 'q', 0, 0, 0, 0, 0}),
+		"current header, gob body": rawFrame(frameVersion, FrameQuery, gobQueryPayload),
 	} {
 		addr := startServer(t, NewTCPQueryServer(&echoHandler{frames: 1}))
 		conn, err := net.Dial("tcp", addr)
@@ -398,8 +418,9 @@ func TestOldWireVersionsAreRefused(t *testing.T) {
 		reply []byte
 		want  string
 	}{
-		"v1 header":           {rawFrame(1, FrameSegment, gobSegmentPayload), "unsupported frame version 1"},
-		"v2 header, gob body": {rawFrame(frameVersion, FrameSegment, gobSegmentPayload), "transport: decode"},
+		"v1 header":                {rawFrame(1, FrameSegment, gobSegmentPayload), "unsupported frame version 1"},
+		"v2 group-by":              {v2GroupByFrame, "unsupported frame version 2"},
+		"current header, gob body": {rawFrame(frameVersion, FrameSegment, gobSegmentPayload), "transport: decode"},
 	} {
 		addr := scriptedServer(t, c.reply, true)
 		pool := NewPool()

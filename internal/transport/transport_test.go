@@ -37,18 +37,16 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestGroupByRoundTrip(t *testing.T) {
+	exprs := []pql.Expression{{IsAgg: true, Func: pql.Sum, Column: "x"}}
 	inter := &query.Intermediate{
 		Kind:      query.KindGroupBy,
-		AggExprs:  []pql.Expression{{IsAgg: true, Func: pql.Sum, Column: "x"}},
-		GroupCols: []string{"country"},
-		Groups:    map[string]*query.GroupEntry{},
+		AggExprs:  exprs,
+		GroupCols: []string{"country", "bucket"},
+		Groups:    query.NewGroupTable(2, exprs),
 	}
 	s := query.NewAggState(pql.Sum)
 	s.AddNumeric(5)
-	inter.Groups["us"] = &query.GroupEntry{Values: []any{"us"}, Aggs: []*query.AggState{s}}
-	sm := query.NewAggState(pql.Sum)
-	sm.AddNumeric(7)
-	inter.Groups["7"] = &query.GroupEntry{Values: []any{int64(7)}, Aggs: []*query.AggState{sm}}
+	addGroup(inter.Groups, []any{"us", int64(7)}, s)
 
 	data, err := EncodeResponse(&QueryResponse{Result: inter})
 	if err != nil {
@@ -59,10 +57,10 @@ func TestGroupByRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Typed group values survive the wire (int64 stays int64).
-	if v, ok := got.Result.Groups["7"].Values[0].(int64); !ok || v != 7 {
-		t.Fatalf("typed value lost: %#v", got.Result.Groups["7"].Values[0])
+	if v := got.Result.Groups.Values(0); v[0] != "us" || v[1] != int64(7) {
+		t.Fatalf("typed value lost: %#v", v)
 	}
-	if got.Result.Groups["us"].Aggs[0].Sum != 5 {
+	if got.Result.Groups.State(0, 0).Sum != 5 {
 		t.Fatalf("group agg lost")
 	}
 }

@@ -96,6 +96,10 @@ func (e *Encoder) Str(s string) {
 	e.b = append(e.b, s...)
 }
 
+// Chars appends a string's bytes alone, for a caller that writes the length
+// elsewhere (a column of strings is one run of bytes and then the lengths).
+func (e *Encoder) Chars(s string) { e.b = append(e.b, s...) }
+
 func (e *Encoder) Strs(ss []string) {
 	e.Count(len(ss))
 	for _, s := range ss {
@@ -142,6 +146,10 @@ func (d *Decoder) Finish() error {
 	}
 	return d.err
 }
+
+// Remaining returns how many bytes are still to be consumed: the bound for
+// an allocation whose size no single count states.
+func (d *Decoder) Remaining() int { return len(d.b) }
 
 func (d *Decoder) Uvarint() uint64 {
 	v, n := binary.Uvarint(d.b)
