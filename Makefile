@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify fmt-check bench-smoke fuzz-smoke cover fuzz clean
+.PHONY: all build vet test race verify fmt-check bench-smoke fuzz-smoke cover fuzz loc clean
 
 all: verify
 
@@ -56,6 +56,13 @@ fuzz fuzz-smoke:
 	$(GO) test ./internal/pql -run NONE -fuzz=FuzzParsePQL -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/expr -run NONE -fuzz=FuzzExprEval -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run NONE -fuzz=FuzzScanCursor -fuzztime=$(FUZZTIME)
+
+# The three counts ROADMAP aim 2 asks every PR to report in CHANGES.md: lines
+# of non-test Go in each package, as wc counts them.
+loc:
+	@for p in query broker transport; do \
+		printf 'internal/%s %s\n' $$p "$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l)"; \
+	done
 
 clean:
 	$(GO) clean ./...

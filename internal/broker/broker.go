@@ -573,7 +573,11 @@ func (b *Broker) Execute(ctx context.Context, pqlText, tenant string) (resp *Res
 		// Every server failed — or every segment was pruned before the
 		// scatter: degrade to an empty (for pruning: complete and exact)
 		// result rather than failing the query.
-		merged = query.EmptyIntermediate(q)
+		schema := subs[0].cfg.Schema
+		if eff, err := subs[0].cfg.EffectiveSchema(); err == nil {
+			schema = eff
+		}
+		merged = query.EmptyIntermediate(q, schema)
 	}
 	merged.Stats.Merge(prunedStats)
 	stop = qc.Clock(qctx.PhaseReduce)

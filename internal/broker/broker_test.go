@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -145,7 +146,7 @@ func (env *testEnv) addTable(t *testing.T, resource string, segsPerServer map[st
 				instance: inst,
 				respond: func(req *transport.QueryRequest) *query.Intermediate {
 					out := query.NewAggIntermediate([]pql.Expression{{IsAgg: true, Func: pql.Count, Column: "*"}})
-					out.Aggs[0].AddCount(docsPerSegment * int64(len(req.Segments)))
+					out.Groups.SetState(0, 0, query.AggState{Count: docsPerSegment * int64(len(req.Segments))})
 					return out
 				},
 			}
@@ -350,6 +351,61 @@ func TestBrokerEmptyResourceNoSegments(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no servers") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestBrokerSelectionHeaderSurvivesAnAllPrunedServer: the first server to
+// respond is the accumulator, so when every segment of it was pruned, what it
+// answers must have the columns another server's rows have: '*' expanded over
+// the schema, the hidden ORDER BY column counted. Each fake server here runs
+// the engine over a segment of its own; s1 sorts first and holds no match.
+func TestBrokerSelectionHeaderSurvivesAnAllPrunedServer(t *testing.T) {
+	env := newTestEnv(t, Config{})
+	env.addTable(t, "ev_OFFLINE", map[string][]string{"s1": {"seg0"}, "s2": {"seg1"}}, 10)
+	schema := env.schema(t)
+	for inst, rows := range map[string][]segment.Row{
+		"s1": {{"x", int64(1)}, {"y", int64(2)}},
+		"s2": {{"a", int64(500)}, {"b", int64(300)}},
+	} {
+		b, err := segment.NewBuilder("ev", inst, schema, segment.IndexConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if err := b.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seg, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.servers[inst].respond = func(req *transport.QueryRequest) *query.Intermediate {
+			q, err := pql.Parse(req.PQL)
+			if err != nil {
+				t.Error(err)
+			}
+			res, _, err := (&query.Engine{}).Execute(context.Background(), q, []query.IndexedSegment{{Seg: seg}}, schema)
+			if err != nil {
+				t.Error(err)
+			}
+			return res
+		}
+	}
+	for _, c := range []struct{ pql, columns, rows string }{
+		{"SELECT * FROM ev WHERE m > 100 LIMIT 10", "[d m]", "[[a 500] [b 300]]"},
+		{"SELECT d FROM ev WHERE m > 100 ORDER BY m LIMIT 10", "[d]", "[[b] [a]]"},
+	} {
+		res, err := env.broker.Execute(context.Background(), c.pql, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.Columns); got != c.columns || fmt.Sprint(res.Rows) != c.rows || res.Partial {
+			t.Errorf("%s: columns %s rows %v partial %v, want %s %s", c.pql, got, res.Rows, res.Partial, c.columns, c.rows)
+		}
+		if res.Stats.SegmentsPrunedByValue != 1 {
+			t.Errorf("%s: s1's segment was not pruned: %+v", c.pql, res.Stats)
+		}
 	}
 }
 

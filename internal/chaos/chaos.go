@@ -233,7 +233,6 @@ func corruptResponse(resp *transport.QueryResponse) *transport.QueryResponse {
 		// An impossible result shape: no decoder or planner produces
 		// kind 255, so shape validation rejects it downstream.
 		mangled.Kind = query.ResultKind(255)
-		mangled.Aggs = nil
 		mangled.Groups = nil
 		mangled.Rows = nil
 		out.Result = &mangled

@@ -10,16 +10,13 @@ import (
 	"pinot/internal/segment"
 )
 
-// AggState is the mergeable intermediate state of one aggregation function.
-// States accumulate per segment, merge at the server across its segments,
-// and merge again at the broker across servers (paper 3.3.3 step 7). An
-// aggregation without GROUP BY holds one per select expression; a group-by
-// holds the same fields as columns of its GroupTable (grouptable.go), only
-// those each function reads, and moves a row through an AggState wherever
-// the arithmetic of a function is wanted. The layout the data plane ships
-// and the caches store (wire.go, in this package) writes each field by
-// name; a field added here needs a line there and a place in a state
-// column, which TestCodecCarriesEveryField (internal/transport) enforces.
+// AggState is one row of one aggregate's state, seen through the fields of
+// every function at once. The state itself lives in the columns of a
+// GroupTable (grouptable.go), which hold only the fields each function reads,
+// accumulate per segment, merge at the server across its segments and merge
+// again at the broker across servers (paper 3.3.3 step 7). A row moves through
+// an AggState wherever the arithmetic of a function is wanted: the scalar
+// path's AddNumeric, the result's number, a test's State and SetState.
 type AggState struct {
 	Func  pql.AggFunc
 	Count int64
@@ -35,26 +32,11 @@ type AggState struct {
 	Values []float64
 }
 
-// NewAggState returns an empty state for a function.
-func NewAggState(fn pql.AggFunc) *AggState {
-	s := &AggState{Func: fn, Min: math.Inf(1), Max: math.Inf(-1)}
-	if fn == pql.DistinctCount {
-		s.Distinct = make(map[string]struct{})
-	}
-	return s
-}
-
-// isPercentile reports whether the state collects raw values.
-func (s *AggState) isPercentile() bool {
-	_, ok := pql.PercentileQuantile(s.Func)
-	return ok
-}
-
 // AddNumeric accumulates one numeric observation.
 func (s *AggState) AddNumeric(v float64) {
 	s.Count++
 	s.Sum += v
-	if s.isPercentile() {
+	if _, ok := pql.PercentileQuantile(s.Func); ok {
 		s.Values = append(s.Values, v)
 	}
 	if v < s.Min {
@@ -66,52 +48,11 @@ func (s *AggState) AddNumeric(v float64) {
 	s.Seen = true
 }
 
-// AddCount accumulates n rows for COUNT-style states.
-func (s *AggState) AddCount(n int64) { s.Count += n }
-
-// AddSum accumulates a pre-aggregated sum of n rows (star-tree path).
-func (s *AggState) AddSum(sum float64, n int64) {
-	s.Count += n
-	s.Sum += sum
-	s.Seen = true
-}
-
-// AddDistinct accumulates one distinct-count observation.
-func (s *AggState) AddDistinct(key string) {
-	s.Distinct[key] = struct{}{}
-	s.Count++
-}
-
-// Merge folds another state of the same function into s.
-func (s *AggState) Merge(o *AggState) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Seen {
-		if o.Min < s.Min {
-			s.Min = o.Min
-		}
-		if o.Max > s.Max {
-			s.Max = o.Max
-		}
-		s.Seen = true
-	}
-	for k := range o.Distinct {
-		if s.Distinct == nil {
-			s.Distinct = make(map[string]struct{}, len(o.Distinct))
-		}
-		s.Distinct[k] = struct{}{}
-	}
-	s.Values = append(s.Values, o.Values...)
-}
-
-// Result finalizes the state: COUNT and DISTINCTCOUNT yield int64, the rest
-// float64. AVG of zero rows yields 0.
-func (s *AggState) Result() any { return boxNumber(s.number()) }
-
 // number is the per-function result arithmetic, unboxed so that TOP n can
-// score every group and box only the rows it returns: an integral result in
-// n, any other in f; known is false for a name that is no function of the
-// engine's (only a decoder can produce one).
+// score every group and box only the rows it returns: an integral result (of
+// COUNT and DISTINCTCOUNT) in n, any other in f, 0 for AVG, MIN and MAX of no
+// row; known is false for a name that is no function of the engine's (only a
+// decoder can produce one).
 func (s *AggState) number() (n int64, f float64, integral, known bool) {
 	switch s.Func {
 	case pql.Count:
@@ -220,28 +161,19 @@ func newAggInputs(env *execEnv, cs columnSource, exprs []pql.Expression, opt Opt
 	return out, nil
 }
 
-// accumulate adds one document to a state.
-func (in aggInput) accumulate(s *AggState, doc int) {
-	switch in.expr.Func {
-	case pql.Count:
-		s.AddCount(1)
-	case pql.DistinctCount:
-		s.AddDistinct(in.distinctKey(doc))
-	default:
-		s.AddNumeric(in.numeric(doc))
-	}
-}
-
 // accumulateRow adds one document to group ord's row of the aggregate's
 // column, the scalar path's counterpart of the block kernels.
 func (in aggInput) accumulateRow(c *aggColumn, ord uint32, doc int) {
-	if in.expr.Func == pql.DistinctCount {
+	switch in.expr.Func {
+	case pql.Count:
+		c.count[ord]++
+	case pql.DistinctCount:
 		c.addDistinct(ord, in.distinctKey(doc))
-		return
+	default:
+		s := c.at(int(ord))
+		s.AddNumeric(in.numeric(doc))
+		c.put(int(ord), &s)
 	}
-	s := c.at(int(ord))
-	in.accumulate(&s, doc)
-	c.put(int(ord), &s)
 }
 
 func (in aggInput) numeric(doc int) float64 {
@@ -297,30 +229,25 @@ func metadataAnswerable(inputs []aggInput) bool {
 	return true
 }
 
-// answerFromMetadata fills states from segment metadata.
-func answerFromMetadata(inputs []aggInput, numDocs int) []*AggState {
-	out := make([]*AggState, len(inputs))
+// answerFromMetadata fills the one row of an aggregation without GROUP BY
+// from segment metadata. An empty segment (e.g. a freshly opened consuming
+// segment) contributes no observation to MIN or MAX, not a zero.
+func answerFromMetadata(t *GroupTable, inputs []aggInput, numDocs int) {
 	for i, in := range inputs {
-		s := NewAggState(in.expr.Func)
+		c := &t.aggs[i]
 		switch in.expr.Func {
 		case pql.Count:
-			s.AddCount(int64(numDocs))
+			c.count[0] = int64(numDocs)
 		case pql.Min:
-			// An empty segment (e.g. a freshly opened consuming segment)
-			// contributes no observation, not a zero.
 			if numDocs > 0 {
-				s.AddNumeric(toFloat(in.col.MinValue()))
-				s.Count = int64(numDocs)
+				c.extreme[0], c.seen[0] = toFloat(in.col.MinValue()), true
 			}
 		case pql.Max:
 			if numDocs > 0 {
-				s.AddNumeric(toFloat(in.col.MaxValue()))
-				s.Count = int64(numDocs)
+				c.extreme[0], c.seen[0] = toFloat(in.col.MaxValue()), true
 			}
 		}
-		out[i] = s
 	}
-	return out
 }
 
 func toFloat(v any) float64 {

@@ -41,14 +41,6 @@ func (r *Intermediate) SizeBytes() int64 {
 	for _, e := range r.AggExprs {
 		n += int64(len(e.Column)+len(e.Func)) + sizePerValue
 	}
-	for _, a := range r.Aggs {
-		if a != nil {
-			n += sizePerEntry + 8*int64(len(a.Values))
-			for k := range a.Distinct {
-				n += int64(len(k)) + sizePerValue
-			}
-		}
-	}
 	for _, c := range r.GroupCols {
 		n += int64(len(c)) + sizePerValue
 	}

@@ -61,7 +61,7 @@ func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegmen
 		return nil, exceptions, err
 	}
 	if merged == nil {
-		merged = emptyResult(q)
+		merged = EmptyIntermediate(q, tableSchema)
 	}
 	merged.Stats.Merge(trailerStats)
 	return merged, exceptions, nil
@@ -82,7 +82,7 @@ func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegmen
 func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []IndexedSegment, tableSchema *segment.Schema, emit func(seq int, res *Intermediate) error) (Stats, []string, error) {
 	var trailer Stats
 	if len(segs) == 0 {
-		return trailer, nil, emit(0, emptyResult(q))
+		return trailer, nil, emit(0, EmptyIntermediate(q, tableSchema))
 	}
 	// Server-side pruning: drop segments whose metadata proves the filter
 	// matches nothing, and elide filters proven to match everything. Each
@@ -96,7 +96,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 		plan := planPruning(q, segs, tableSchema, e.Options)
 		segs, queries, trailer = plan.keep, plan.queries, plan.stats
 		if len(segs) == 0 {
-			return trailer, nil, emit(0, emptyResult(q))
+			return trailer, nil, emit(0, EmptyIntermediate(q, tableSchema))
 		}
 	}
 	qc := qctx.From(ctx)
@@ -240,20 +240,20 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 		// Everything was skipped by the deadline: an empty result
 		// marked partial, per the paper's graceful-degradation
 		// semantics.
-		if err := emit(0, emptyResult(q)); err != nil {
+		if err := emit(0, EmptyIntermediate(q, tableSchema)); err != nil {
 			return trailer, exceptions, err
 		}
 	}
 	return trailer, exceptions, nil
 }
 
-// EmptyIntermediate produces a zero-row intermediate of the right shape for
-// a query; brokers use it when every server failed, so clients still get a
-// well-formed (partial) response.
-func EmptyIntermediate(q *pql.Query) *Intermediate { return emptyResult(q) }
-
-// emptyResult produces a zero-row intermediate of the right shape.
-func emptyResult(q *pql.Query) *Intermediate {
+// EmptyIntermediate produces the intermediate of the right shape for a query
+// that no document matched; brokers use it when every server failed or every
+// segment was pruned, so clients still get a well-formed response. An
+// aggregation without GROUP BY still holds its one row; a selection has the
+// columns a segment's execution would give it, '*' expanded over the table's
+// schema, so it merges with any server's rows whichever comes first.
+func EmptyIntermediate(q *pql.Query, tableSchema *segment.Schema) *Intermediate {
 	if q.IsAggregation() {
 		var exprs []pql.Expression
 		for _, e := range q.Select {
@@ -266,11 +266,8 @@ func emptyResult(q *pql.Query) *Intermediate {
 		}
 		return NewAggIntermediate(exprs)
 	}
-	var cols []string
-	for _, e := range q.Select {
-		cols = append(cols, e.Column)
-	}
-	return &Intermediate{Kind: KindSelection, SelectCols: cols}
+	cols, hidden := selectionColumns(q, tableSchema)
+	return &Intermediate{Kind: KindSelection, SelectCols: cols, HiddenCols: hidden}
 }
 
 // Run parses and executes PQL text against segments, finalizing the result.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pinot/internal/pql"
 	"pinot/internal/segment"
@@ -39,10 +40,7 @@ func ExecuteSegment(ctx context.Context, is IndexedSegment, q *pql.Query, tableS
 			for i, in := range inputs {
 				exprs[i] = in.expr
 			}
-			if q.HasGroupBy() {
-				return executeGroupBy(env, cs, is, q, inputs, exprs, opt)
-			}
-			return executeAggregation(env, cs, is, q, inputs, exprs, opt)
+			return executeGroupBy(env, cs, is, q, inputs, exprs, opt)
 		}
 		return executeSelection(env, cs, is, q, opt)
 	}
@@ -59,88 +57,22 @@ func baseStats(seg segment.Reader) Stats {
 	return Stats{NumSegmentsQueried: 1, TotalDocs: int64(seg.NumDocs())}
 }
 
-func executeAggregation(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Query, inputs []aggInput, exprs []pql.Expression, opt Options) (*Intermediate, error) {
-	out := NewAggIntermediate(exprs)
-	out.Stats = baseStats(is.Seg)
-
-	// Metadata-only plan: no filter and all aggregations answerable from
-	// column statistics.
-	if q.Filter == nil && !opt.DisableMetadataPlans && metadataAnswerable(inputs) {
-		out.Aggs = answerFromMetadata(inputs, is.Seg.NumDocs())
-		out.Stats.NumSegmentsMatched = 1
-		out.Stats.MetadataOnlySegments = 1
-		return out, nil
-	}
-
-	// Star-tree plan.
-	if plan, ok := planStarTree(cs, is, q, inputs, opt); ok {
-		matched := false
-		scanned := plan.run(func(rec int) {
-			matched = true
-			for i, in := range inputs {
-				switch in.expr.Func {
-				case pql.Count:
-					out.Aggs[i].AddCount(plan.tree.Count(rec))
-				default: // SUM or AVG on a tree metric
-					mi := plan.metricIdx[i]
-					out.Aggs[i].AddSum(plan.tree.Sum(rec, mi), plan.tree.Count(rec))
-				}
-			}
-		})
-		if matched {
-			out.Stats.NumSegmentsMatched = 1
-		}
-		out.Stats.StarTreeSegments = 1
-		out.Stats.StarTreeRecordsScanned = int64(scanned)
-		out.Stats.StarTreeRawDocs = int64(plan.tree.NumRawDocs())
-		return out, nil
-	}
-
-	set, err := buildFilter(env, cs, q.Filter, opt, &out.Stats)
-	if err != nil {
-		return nil, err
-	}
-	var docs int64
-	if opt.DisableVectorization {
-		sc := getScratch()
-		defer sc.release()
-		it := set.iterator(sc)
-		for doc := it.Next(); doc >= 0; doc = it.Next() {
-			if docs%blockSize == 0 {
-				if err := env.checkpoint(); err != nil {
-					return nil, err
-				}
-			}
-			docs++
-			for i, in := range inputs {
-				in.accumulate(out.Aggs[i], doc)
-			}
-		}
-	} else {
-		var err error
-		docs, err = runAggBlocks(env, set, inputs, out.Aggs)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// A final checkpoint surfaces an expression error latched in the last
-	// partial block; the vectorized loop already re-checks before observing
-	// exhaustion, so both modes fail identically.
-	if err := env.checkpoint(); err != nil {
-		return nil, err
-	}
-	out.Stats.NumDocsScanned = docs
-	out.Stats.NumEntriesScanned += docs * int64(len(inputs))
-	if docs > 0 {
-		out.Stats.NumSegmentsMatched = 1
-	}
-	return out, nil
-}
-
+// executeGroupBy runs an aggregation over one segment into a GroupTable of
+// one key column per GROUP BY item. Without GROUP BY there is no item, no
+// group to find and nothing to charge: every document folds into row 0.
 func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Query, inputs []aggInput, exprs []pql.Expression, opt Options) (*Intermediate, error) {
 	t := NewGroupTable(len(q.GroupBy), exprs)
 	out := &Intermediate{Kind: KindGroupBy, AggExprs: exprs, GroupCols: q.GroupBy, Groups: t}
 	out.Stats = baseStats(is.Seg)
+
+	// Metadata-only plan: no filter, no group and all aggregations answerable
+	// from column statistics.
+	if q.Filter == nil && !q.HasGroupBy() && !opt.DisableMetadataPlans && metadataAnswerable(inputs) {
+		answerFromMetadata(t, inputs, is.Seg.NumDocs())
+		out.Stats.NumSegmentsMatched = 1
+		out.Stats.MetadataOnlySegments = 1
+		return out, nil
+	}
 
 	items := make([]groupItem, len(q.GroupBy))
 	for i, name := range q.GroupBy {
@@ -170,33 +102,37 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 	// Star-tree plan. planStarTree declines expression group-bys (their
 	// rendered text never matches a split dimension), so items[i].col is
 	// always set when this plan runs, and a record's dimension values are
-	// ids of those columns' dictionaries.
+	// ids of those columns' dictionaries. Each record adds straight into the
+	// state columns: COUNT its documents, SUM and AVG its metric's sum too.
 	if plan, ok := planStarTree(cs, is, q, inputs, opt); ok {
 		for c := range t.keys {
 			t.keys[c].kind = keyDictID
 		}
+		matched := false
 		scanned := plan.run(func(rec int) {
-			for c, d := range plan.groupDims {
-				t.keys[c].nums = append(t.keys[c].nums, uint64(plan.tree.DimValue(rec, d)))
-			}
-			ord, isNew := t.commit()
-			if isNew {
-				t.addStates()
-				charger.charge(t.keyLen(ord, items), len(items))
-			}
-			for i, in := range inputs {
-				s := t.aggs[i].at(int(ord))
-				switch in.expr.Func {
-				case pql.Count:
-					s.AddCount(plan.tree.Count(rec))
-				default:
-					s.AddSum(plan.tree.Sum(rec, plan.metricIdx[i]), plan.tree.Count(rec))
+			matched = true
+			var ord uint32
+			if len(items) > 0 {
+				for c, d := range plan.groupDims {
+					t.keys[c].nums = append(t.keys[c].nums, uint64(plan.tree.DimValue(rec, d)))
 				}
-				t.aggs[i].put(int(ord), &s)
+				var isNew bool
+				if ord, isNew = t.commit(); isNew {
+					t.addStates()
+					charger.charge(t.keyLen(ord, items), len(items))
+				}
+			}
+			n := plan.tree.Count(rec)
+			for i, mi := range plan.metricIdx {
+				var sum float64
+				if mi >= 0 {
+					sum = plan.tree.Sum(rec, mi)
+				}
+				t.aggs[i].addRecord(ord, n, sum)
 			}
 		})
 		t.decodeKeys(items)
-		if t.n > 0 {
+		if matched {
 			out.Stats.NumSegmentsMatched = 1
 		}
 		out.Stats.StarTreeSegments = 1
@@ -230,19 +166,22 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 				}
 			}
 			docs++
-			for i, item := range items {
-				values[i] = item.read(doc)
-			}
-			ord, isNew, err := t.upsert(values)
-			if err != nil {
-				// A nil value is an expression that failed and latched its
-				// own error already; either way the segment fails at the
-				// next checkpoint.
-				env.fail(err)
-				continue
-			}
-			if isNew {
-				charger.charge(t.keyLen(ord, items), len(items))
+			var ord uint32
+			if len(items) > 0 {
+				for i, item := range items {
+					values[i] = item.read(doc)
+				}
+				var isNew bool
+				if ord, isNew, err = t.upsert(values); err != nil {
+					// A nil value is an expression that failed and latched its
+					// own error already; either way the segment fails at the
+					// next checkpoint.
+					env.fail(err)
+					continue
+				}
+				if isNew {
+					charger.charge(t.keyLen(ord, items), len(items))
+				}
 			}
 			for i, in := range inputs {
 				in.accumulateRow(&t.aggs[i], ord, doc)
@@ -259,6 +198,9 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 		}
 		t.decodeKeys(items)
 	}
+	// A final checkpoint surfaces an expression error latched in the last
+	// partial block; the vectorized loop already re-checks before observing
+	// exhaustion, so both modes fail identically.
 	if err := env.checkpoint(); err != nil {
 		return nil, err
 	}
@@ -271,38 +213,37 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 	return out, limitErr
 }
 
-func executeSelection(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Query, opt Options) (*Intermediate, error) {
-	// Expand '*' to the schema's column order.
-	var cols []string
+// selectionColumns returns the columns a selection's rows carry: the select
+// list, '*' expanded to the schema's fields in their order, then the ORDER BY
+// columns outside it, counted in hidden: they are fetched as trailing columns
+// and dropped after the final sort.
+func selectionColumns(q *pql.Query, schema *segment.Schema) (cols []string, hidden int) {
 	if len(q.Select) == 1 && q.Select[0].Column == "*" {
-		schema := is.Seg.Schema()
-		if cs.schema != nil {
-			schema = cs.schema
-		}
-		for _, f := range schema.Fields {
-			cols = append(cols, f.Name)
+		if schema != nil {
+			for _, f := range schema.Fields {
+				cols = append(cols, f.Name)
+			}
 		}
 	} else {
 		for _, e := range q.Select {
 			cols = append(cols, e.Column)
 		}
 	}
-	// ORDER BY columns outside the select list are fetched as hidden
-	// trailing columns and dropped after the final sort.
-	hidden := 0
 	for _, o := range q.OrderBy {
-		found := false
-		for _, c := range cols {
-			if c == o.Column {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(cols, o.Column) {
 			cols = append(cols, o.Column)
 			hidden++
 		}
 	}
+	return cols, hidden
+}
+
+func executeSelection(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Query, opt Options) (*Intermediate, error) {
+	schema := is.Seg.Schema()
+	if cs.schema != nil {
+		schema = cs.schema
+	}
+	cols, hidden := selectionColumns(q, schema)
 	out := &Intermediate{Kind: KindSelection, SelectCols: cols, HiddenCols: hidden}
 	out.Stats = baseStats(is.Seg)
 
@@ -388,7 +329,7 @@ func executeSelection(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Q
 		}
 	}
 	out.Stats.NumDocsScanned = docs
-	out.Stats.NumEntriesScanned = docs * int64(len(readers))
+	out.Stats.NumEntriesScanned += docs * int64(len(readers))
 	if docs > 0 {
 		out.Stats.NumSegmentsMatched = 1
 	}

@@ -12,13 +12,17 @@ import (
 	"pinot/internal/segment"
 )
 
-// GroupTable is the state of a group-by, the one representation every layer
-// holds: the segment kernels fill it, the wire layout writes it column by
-// column, Merge folds one into another and Finalize reads it. It is a struct
-// of arrays indexed by group ordinal (the order groups were first met): one
-// typed key column per GROUP BY item, and per aggregate one flat column for
-// each field of an AggState that the aggregate's function reads. Nothing is
-// allocated per group but the strings, sets and lists a group owns.
+// GroupTable is the state of an aggregation, the one representation every
+// layer holds: the segment kernels fill it, the wire layout writes it column
+// by column, Merge folds one into another and Finalize reads it. It is a
+// struct of arrays indexed by group ordinal (the order groups were first met):
+// one typed key column per GROUP BY item, and per aggregate one flat column
+// for each field of an AggState that the aggregate's function reads. Nothing
+// is allocated per group but the strings, sets and lists a group owns.
+//
+// A query without GROUP BY is the group-by of no keys: every document has the
+// same (empty) key, so its table has no key column and always exactly one
+// row, row 0, which exists before any document is folded into it.
 //
 // Three indexes map a key tuple to its ordinal. Inside a segment the key
 // columns hold dictionary ids, and a flat id→ordinal array (one small
@@ -257,12 +261,17 @@ func (k *keyColumn) decodeDict(col segment.ColumnReader) {
 
 // NewGroupTable returns an empty table for a group-by of nKeys items under
 // the given aggregates: untyped key columns (the first key types them) and
-// one state column per aggregate. Upsert and SetState fill it; the engine's
-// own paths fill theirs in place.
+// one state column per aggregate; with no key, its one row in its fresh
+// state. Upsert and SetState fill it; the engine's own paths fill theirs in
+// place.
 func NewGroupTable(nKeys int, exprs []pql.Expression) *GroupTable {
 	t := &GroupTable{keys: make([]keyColumn, nKeys), aggs: make([]aggColumn, len(exprs))}
 	for i, e := range exprs {
 		t.aggs[i] = newAggColumn(e.Func)
+	}
+	if nKeys == 0 {
+		t.n = 1
+		t.addStates()
 	}
 	return t
 }
@@ -285,7 +294,7 @@ func (t *GroupTable) Values(i int) []any {
 }
 
 // State returns aggregate a's state of group i as an AggState: the fields
-// the function carries, the rest as NewAggState leaves them.
+// the function carries, the rest as no document leaves them (at).
 func (t *GroupTable) State(i, a int) AggState {
 	c := &t.aggs[a]
 	s := c.at(i)
@@ -454,14 +463,20 @@ func (t *GroupTable) merge(o *GroupTable) error {
 	for c := range t.keys {
 		t.keys[c].kind = o.keys[c].kind
 	}
-	if t.slots == nil && !t.reindex() {
-		return fmt.Errorf("query: a group-by result repeats a key")
+	// Without a key column there is nothing to look up: both tables are
+	// their row 0.
+	var row0 [1]uint32
+	ords := row0[:]
+	if len(t.keys) > 0 {
+		if t.slots == nil && !t.reindex() {
+			return fmt.Errorf("query: a group-by result repeats a key")
+		}
+		ords = make([]uint32, o.n)
+		for j := range ords {
+			ords[j], _ = t.findOrAdd(o, j)
+		}
+		t.addStates()
 	}
-	ords := make([]uint32, o.n)
-	for j := range ords {
-		ords[j], _ = t.findOrAdd(o, j)
-	}
-	t.addStates()
 	for a := range t.aggs {
 		t.aggs[a].merge(&o.aggs[a], ords)
 	}
@@ -636,8 +651,8 @@ func newAggColumn(fn pql.AggFunc) aggColumn {
 	return c
 }
 
-// extend grows the column to n rows, the new ones in the state NewAggState
-// gives.
+// extend grows the column to n rows, the new ones as no document leaves
+// them: nothing counted or summed, no extreme seen.
 func (c *aggColumn) extend(n int) {
 	if c.has&(fCount|fDistinct) != 0 {
 		c.count = append(c.count, make([]int64, n-len(c.count))...)
@@ -752,8 +767,58 @@ func (c *aggColumn) addNumerics(ords []uint32, vs []float64) {
 	}
 }
 
-// merge folds row j of o into row ords[j], for every j in order, field by
-// field as AggState.Merge folds two states.
+// foldNumerics folds a block of values into row i alone, which is how an
+// aggregation without GROUP BY folds every block: each field comes out as
+// addNumerics would leave it, with the running sum or extreme in a register.
+func (c *aggColumn) foldNumerics(i int, vs []float64) {
+	if len(vs) == 0 {
+		return
+	}
+	if c.has&fCount != 0 {
+		c.count[i] += int64(len(vs))
+	}
+	if c.has&fSum != 0 {
+		sum := c.sum[i]
+		for _, v := range vs {
+			sum += v
+		}
+		c.sum[i] = sum
+	}
+	if c.has&(fMin|fMax) != 0 {
+		x := c.extreme[i]
+		if c.has&fMin != 0 {
+			for _, v := range vs {
+				if v < x {
+					x = v
+				}
+			}
+		} else {
+			for _, v := range vs {
+				if v > x {
+					x = v
+				}
+			}
+		}
+		c.extreme[i], c.seen[i] = x, true
+	}
+	if c.has&fValues != 0 {
+		c.values[i] = append(c.values[i], vs...)
+	}
+}
+
+// addRecord folds one star-tree record into row i: the n documents it
+// pre-aggregates and, for SUM and AVG, the sum of their metric.
+func (c *aggColumn) addRecord(i uint32, n int64, sum float64) {
+	if c.has&fCount != 0 {
+		c.count[i] += n
+	}
+	if c.has&fSum != 0 {
+		c.sum[i] += sum
+	}
+}
+
+// merge folds row j of o into row ords[j], for every j in order: counts and
+// sums add, an extreme that was seen competes, lists and sets join.
 func (c *aggColumn) merge(o *aggColumn, ords []uint32) {
 	if c.has&fCount != 0 {
 		for j, ord := range ords {

@@ -147,44 +147,47 @@ func BenchmarkGroupByHop(b *testing.B) {
 // was decoded from. Merge used to adopt the other side's groups, so the
 // second accumulator's later merges wrote through the first's.
 func TestMergeLeavesItsRightOperandAlone(t *testing.T) {
-	q, err := pql.Parse("SELECT sum(clicks), min(revenue), avg(clicks), percentile50(clicks), distinctcount(browser) FROM events GROUP BY country, memberId TOP 1000")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const everyFunc = "SELECT sum(clicks), count(*), min(revenue), max(revenue), avg(clicks), percentile50(clicks), distinctcount(browser) FROM events"
 	segs := groupedSegments(t, 3, 6)
-	var frames [][]byte
-	for _, is := range segs {
-		res, err := ExecuteSegment(context.Background(), is, q, nil, Options{})
+	for _, text := range []string{everyFunc + " GROUP BY country, memberId TOP 1000", everyFunc} {
+		q, err := pql.Parse(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames = append(frames, mustEncode(t, res))
-	}
-	decode := func(i int) *Intermediate {
-		r, err := DecodeIntermediate(frames[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	merge := func(into *Intermediate, rs ...*Intermediate) *Intermediate {
-		for _, r := range rs {
-			if err := into.Merge(r); err != nil {
+		var frames [][]byte
+		for _, is := range segs {
+			res, err := ExecuteSegment(context.Background(), is, q, nil, Options{})
+			if err != nil {
 				t.Fatal(err)
 			}
+			frames = append(frames, mustEncode(t, res))
 		}
-		return into
-	}
-	want := merge(emptyResult(q), decode(0), decode(2)).Finalize(q).Rows
+		decode := func(i int) *Intermediate {
+			r, err := DecodeIntermediate(frames[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		merge := func(into *Intermediate, rs ...*Intermediate) *Intermediate {
+			for _, r := range rs {
+				if err := into.Merge(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return into
+		}
+		want := merge(EmptyIntermediate(q, nil), decode(0), decode(2)).Finalize(q).Rows
 
-	shared := decode(0)
-	for name, acc := range map[string]*Intermediate{"an empty accumulator": emptyResult(q), "a second empty accumulator": emptyResult(q)} {
-		if got := merge(acc, shared, decode(2)).Finalize(q).Rows; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: merged rows diverge:\n got %v\nwant %v", name, got, want)
+		shared := decode(0)
+		for name, acc := range map[string]*Intermediate{"an empty accumulator": EmptyIntermediate(q, nil), "a second empty accumulator": EmptyIntermediate(q, nil)} {
+			if got := merge(acc, shared, decode(2)).Finalize(q).Rows; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s: merged rows diverge:\n got %v\nwant %v", text, name, got, want)
+			}
 		}
-	}
-	if !bytes.Equal(mustEncode(t, shared), frames[0]) {
-		t.Errorf("a result that was only merged from no longer encodes to the bytes it came from")
+		if !bytes.Equal(mustEncode(t, shared), frames[0]) {
+			t.Errorf("%s: a result that was only merged from no longer encodes to the bytes it came from", text)
+		}
 	}
 }
 

@@ -424,6 +424,26 @@ func TestSelectionQueries(t *testing.T) {
 	if len(res3.Columns) != 6 || res3.Columns[0] != "country" {
 		t.Fatalf("star columns = %v", res3.Columns)
 	}
+	// So does a SELECT * whose every segment was pruned: the header does not
+	// depend on whether a row matched.
+	pruned, err := Run(context.Background(), "SELECT * FROM events WHERE day > 999999 LIMIT 1", segs, rowsSchema(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pruned.Columns, res3.Columns) || len(pruned.Rows) != 0 || pruned.Stats.SegmentsPrunedByServer != 1 {
+		t.Fatalf("all-pruned star: columns %v, %d rows, stats %+v", pruned.Columns, len(pruned.Rows), pruned.Stats)
+	}
+	// A selection is charged what its filter scanned plus a cell per column
+	// of every row it read, as an aggregation over the same filter is: on an
+	// unindexed segment the filter walks the whole column.
+	unindexed := []IndexedSegment{{Seg: buildRows(t, rows, segment.IndexConfig{}, "s1")}}
+	count := runPQL(t, unindexed, "SELECT count(*) FROM events WHERE country = 'us'", Options{})
+	docs := count.Stats.NumDocsScanned
+	filter := count.Stats.NumEntriesScanned - docs
+	sel := runPQL(t, unindexed, "SELECT country, clicks FROM events WHERE country = 'us' LIMIT 5000", Options{})
+	if filter < int64(len(rows)) || sel.Stats.NumDocsScanned != docs || sel.Stats.NumEntriesScanned != filter+2*docs {
+		t.Fatalf("selection charged %d entries for %d docs of 2 columns behind a filter of %d", sel.Stats.NumEntriesScanned, docs, filter)
+	}
 }
 
 func TestMetadataOnlyPlan(t *testing.T) {
@@ -739,6 +759,17 @@ func TestMergeShapeMismatch(t *testing.T) {
 	}
 	if err := a.Merge(nil); err != nil {
 		t.Fatal("nil merge should be a no-op")
+	}
+	// An aggregation without GROUP BY is exactly one row, or does not conform.
+	q, _ := pql.Parse("SELECT count(*) FROM events")
+	if err := a.Conforms(q); err != nil {
+		t.Fatal(err)
+	}
+	for name, groups := range map[string]*GroupTable{"no table": nil, "two rows": {aggs: a.Groups.aggs, n: 2}} {
+		r := &Intermediate{Kind: KindGroupBy, AggExprs: a.AggExprs, Groups: groups}
+		if r.Conforms(q) == nil {
+			t.Errorf("%s: conforms to an aggregation without GROUP BY", name)
+		}
 	}
 }
 

@@ -69,13 +69,13 @@ func (s *Stats) Merge(o Stats) {
 	s.DictExprSegments += o.DictExprSegments
 }
 
-// ResultKind distinguishes the three response shapes.
+// ResultKind distinguishes the two response shapes.
 type ResultKind uint8
 
-// Response shapes.
+// Response shapes: the state of an aggregation, with or without GROUP BY, or
+// the rows of a selection.
 const (
-	KindAggregation ResultKind = iota
-	KindGroupBy
+	KindGroupBy ResultKind = iota
 	KindSelection
 )
 
@@ -84,9 +84,9 @@ const (
 type Intermediate struct {
 	Kind      ResultKind
 	AggExprs  []pql.Expression
-	Aggs      []*AggState
 	GroupCols []string
-	// Groups is the group-by state (grouptable.go); nil holds no group.
+	// Groups is the aggregation's state (grouptable.go): a row per group, nil
+	// when there is none; without GROUP BY, no key column and always one row.
 	Groups     *GroupTable
 	SelectCols []string
 	// HiddenCols counts trailing SelectCols fetched only for ORDER BY;
@@ -96,14 +96,10 @@ type Intermediate struct {
 	Stats      Stats
 }
 
-// NewAggIntermediate returns an empty aggregation result for the given
-// expressions.
+// NewAggIntermediate returns the result of an aggregation without GROUP BY
+// that no document has been folded into.
 func NewAggIntermediate(exprs []pql.Expression) *Intermediate {
-	aggs := make([]*AggState, len(exprs))
-	for i, e := range exprs {
-		aggs[i] = NewAggState(e.Func)
-	}
-	return &Intermediate{Kind: KindAggregation, AggExprs: exprs, Aggs: aggs}
+	return &Intermediate{Kind: KindGroupBy, AggExprs: exprs, Groups: NewGroupTable(0, exprs)}
 }
 
 // Merge folds another partial result of the same shape into r. o is only
@@ -118,13 +114,6 @@ func (r *Intermediate) Merge(o *Intermediate) error {
 	}
 	r.Stats.Merge(o.Stats)
 	switch r.Kind {
-	case KindAggregation:
-		if len(r.Aggs) != len(o.Aggs) {
-			return fmt.Errorf("query: aggregation arity mismatch: %d vs %d", len(r.Aggs), len(o.Aggs))
-		}
-		for i := range r.Aggs {
-			r.Aggs[i].Merge(o.Aggs[i])
-		}
 	case KindGroupBy:
 		if o.Groups.Len() == 0 {
 			return nil
@@ -147,14 +136,9 @@ func (r *Intermediate) Conforms(q *pql.Query) error {
 	if r == nil {
 		return fmt.Errorf("query: nil result")
 	}
-	var want ResultKind
-	switch {
-	case q.IsAggregation() && q.HasGroupBy():
+	want := KindSelection
+	if q.IsAggregation() {
 		want = KindGroupBy
-	case q.IsAggregation():
-		want = KindAggregation
-	default:
-		want = KindSelection
 	}
 	if r.Kind != want {
 		return fmt.Errorf("query: result kind %d does not match query kind %d", r.Kind, want)
@@ -166,21 +150,16 @@ func (r *Intermediate) Conforms(q *pql.Query) error {
 		}
 	}
 	switch r.Kind {
-	case KindAggregation:
-		if len(r.Aggs) != nAggs {
-			return fmt.Errorf("query: aggregation arity %d, want %d", len(r.Aggs), nAggs)
-		}
-		for i, s := range r.Aggs {
-			if s == nil {
-				return fmt.Errorf("query: nil aggregation state at %d", i)
-			}
-		}
 	case KindGroupBy:
 		if len(r.AggExprs) != nAggs {
 			return fmt.Errorf("query: group-by aggregation arity %d, want %d", len(r.AggExprs), nAggs)
 		}
-		if t := r.Groups; t != nil && (len(t.aggs) != nAggs || len(t.keys) != len(q.GroupBy)) {
+		t := r.Groups
+		if t != nil && (len(t.aggs) != nAggs || len(t.keys) != len(q.GroupBy)) {
 			return fmt.Errorf("query: group-by of %d keys and %d aggregates, want %d and %d", len(t.keys), len(t.aggs), len(q.GroupBy), nAggs)
+		}
+		if !q.HasGroupBy() && t.Len() != 1 {
+			return fmt.Errorf("query: aggregation without GROUP BY of %d rows, want 1", t.Len())
 		}
 	case KindSelection:
 		for i, row := range r.Rows {
@@ -212,15 +191,6 @@ type Result struct {
 func (r *Intermediate) Finalize(q *pql.Query) *Result {
 	out := &Result{Stats: r.Stats}
 	switch r.Kind {
-	case KindAggregation:
-		for _, e := range r.AggExprs {
-			out.Columns = append(out.Columns, e.String())
-		}
-		row := make([]any, len(r.Aggs))
-		for i, s := range r.Aggs {
-			row[i] = s.Result()
-		}
-		out.Rows = [][]any{row}
 	case KindGroupBy:
 		out.Columns = append(out.Columns, r.GroupCols...)
 		for _, e := range r.AggExprs {

@@ -306,18 +306,18 @@ func (k *aggKernel) keyAt(i int) string {
 	}
 }
 
-// accumulateBlock folds a whole prepared block into one state.
-func (k *aggKernel) accumulateBlock(s *AggState, n int) {
+// accumulateBlock folds the whole prepared block into row 0 of the
+// aggregate's column: an aggregation without GROUP BY.
+func (k *aggKernel) accumulateBlock(c *aggColumn, n int) {
 	switch k.in.expr.Func {
 	case pql.Count:
-		s.AddCount(int64(n))
+		c.count[0] += int64(n)
 	case pql.DistinctCount:
 		for i := 0; i < n; i++ {
-			s.Distinct[k.keyAt(i)] = struct{}{}
+			c.addDistinct(0, k.keyAt(i))
 		}
-		s.Count += int64(n)
 	default:
-		accumNumericBlock(s, k.vals[:n])
+		c.foldNumerics(0, k.vals[:n])
 	}
 }
 
@@ -334,62 +334,6 @@ func (k *aggKernel) accumulateGroups(c *aggColumn, ords []uint32) {
 	default:
 		c.addNumerics(ords, k.vals[:len(ords)])
 	}
-}
-
-// accumNumericBlock applies AddNumeric to a whole block in the same
-// per-element float64 order as the scalar path, so Sum/Min/Max/Values come
-// out bit-identical.
-func accumNumericBlock(s *AggState, vs []float64) {
-	if len(vs) == 0 {
-		return
-	}
-	sum, mn, mx := s.Sum, s.Min, s.Max
-	for _, v := range vs {
-		sum += v
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	s.Sum, s.Min, s.Max = sum, mn, mx
-	s.Count += int64(len(vs))
-	if s.isPercentile() {
-		s.Values = append(s.Values, vs...)
-	}
-	s.Seen = true
-}
-
-// runAggBlocks is the vectorized no-group-by aggregation loop. The
-// cancellation checkpoint runs once per block, matching the scalar path's
-// every-blockSize-docs cadence.
-func runAggBlocks(env *execEnv, set docIDSet, inputs []aggInput, aggs []*AggState) (int64, error) {
-	sc := getScratch()
-	defer sc.release()
-	est := set.estimate()
-	kernels := make([]*aggKernel, len(inputs))
-	for i, in := range inputs {
-		kernels[i] = newAggKernel(in, est, sc)
-	}
-	it := set.iterator(sc)
-	buf := sc.docBuf(blockSize)
-	var docs int64
-	for {
-		if err := env.checkpoint(); err != nil {
-			return docs, err
-		}
-		n := it.nextBlock(buf)
-		if n == 0 {
-			break
-		}
-		docs += int64(n)
-		for i, k := range kernels {
-			k.prepare(buf[:n])
-			k.accumulateBlock(aggs[i], n)
-		}
-	}
-	return docs, nil
 }
 
 // ---- group-by fast paths ----
@@ -655,10 +599,11 @@ func (g *exprGrouper) groups(docs []int, out []uint32) error {
 	return nil
 }
 
-// runGroupByBlocks is the vectorized group-by loop: each block resolves to
+// runGroupByBlocks is the vectorized aggregation loop: each block resolves to
 // group ordinals, then each aggregation kernel folds its values into the
-// rows those name. Cancellation and the group-state cap are polled once per
-// block, the same cadence as the scalar path; a tripped cap returns
+// rows those name; without GROUP BY there is nothing to resolve and every
+// block folds into row 0. Cancellation and the group-state cap are polled
+// once per block, the same cadence as the scalar path; a tripped cap returns
 // ErrGroupStateLimit with the groups built so far in the table, so the query
 // degrades to a partial result.
 func runGroupByBlocks(env *execEnv, set docIDSet, inputs []aggInput, items []groupItem, t *GroupTable, charger *groupCharger) (int64, error) {
@@ -669,7 +614,10 @@ func runGroupByBlocks(env *execEnv, set docIDSet, inputs []aggInput, items []gro
 	for i, in := range inputs {
 		kernels[i] = newAggKernel(in, est, sc)
 	}
-	g := newItemGrouper(items, t, charger, sc)
+	var g grouper
+	if len(items) > 0 {
+		g = newItemGrouper(items, t, charger, sc)
+	}
 	it := set.iterator(sc)
 	buf := sc.docBuf(blockSize)
 	ords := sc.ordBuf(blockSize)
@@ -686,16 +634,22 @@ func runGroupByBlocks(env *execEnv, set docIDSet, inputs []aggInput, items []gro
 			break
 		}
 		docs += int64(n)
-		if err := g.groups(buf[:n], ords[:n]); err != nil {
-			// A nil value is an expression that failed and latched its own
-			// error already; either way the next checkpoint ends the segment.
-			env.fail(err)
-			continue
+		if g != nil {
+			if err := g.groups(buf[:n], ords[:n]); err != nil {
+				// A nil value is an expression that failed and latched its own
+				// error already; either way the next checkpoint ends the segment.
+				env.fail(err)
+				continue
+			}
+			t.addStates()
 		}
-		t.addStates()
 		for i, k := range kernels {
 			k.prepare(buf[:n])
-			k.accumulateGroups(&t.aggs[i], ords[:n])
+			if g == nil {
+				k.accumulateBlock(&t.aggs[i], n)
+			} else {
+				k.accumulateGroups(&t.aggs[i], ords[:n])
+			}
 		}
 	}
 	return docs, nil

@@ -9,7 +9,7 @@ import (
 )
 
 // The byte layout of an Intermediate: the one encoder and the one decoder of
-// everything result.go and agg.go declare, written with the primitives of
+// everything result.go and grouptable.go declare, written with the primitives of
 // internal/wire. The data plane ships these bytes inside its frames
 // (internal/transport/codec.go calls AppendIntermediate/ReadIntermediate and
 // AppendStats/ReadStats) and both cache tiers keep them as their value
@@ -19,11 +19,12 @@ import (
 //   - a zero count decodes to a nil slice, map or group table (which Merge,
 //     Finalize and Conforms accept), except that an empty multi-value cell
 //     stays []any{} so it keeps rendering as [] not null;
-//   - a group-by travels as the columns of its GroupTable: one per GROUP BY
-//     item and one per carried state field, each a count and then its values,
-//     strings as one run of bytes and their lengths. Decoding one costs a
-//     handful of allocations per column, whatever the number of groups, and
-//     no key string exists anywhere;
+//   - an aggregation travels as the columns of its GroupTable: one per GROUP
+//     BY item (none without GROUP BY, whose table is one row) and one per
+//     carried state field, each a count and then its values, strings as one
+//     run of bytes and their lengths. Decoding one costs a handful of
+//     allocations per column, whatever the number of groups, and no key string
+//     exists anywhere;
 //   - selection rows decode into one slab sized from a declared total;
 //   - nothing decoded aliases the input: a decoded Intermediate is private to
 //     its caller, which may Merge into it and Finalize it.
@@ -50,53 +51,17 @@ const (
 
 // Smallest encodings, used to bound a count by the bytes that remain.
 const (
-	minCellBytes  = 2 // tag + one payload byte
-	minStateBytes = 3 // func ref, count, flags
-	minExprBytes  = 4 // isAgg, func length, column length, arg tag
+	minCellBytes = 2 // tag + one payload byte
+	minExprBytes = 4 // isAgg, func length, column length, arg tag
 )
-
-// AggState flags.
-const (
-	stateSeen     = 1 << iota // Seen
-	stateNumeric              // Sum, Min, Max follow (else 0, +Inf, -Inf: a state no value was folded into)
-	stateDistinct             // the Distinct set follows
-	stateValues               // the percentile Values follow
-)
-
-// funcTableSize bounds the per-intermediate table of aggregation function
-// names. A state names its function by position in the table (seeded from
-// AggExprs, extended by each literal name) so that a group-by carries each
-// name once, and the decoder allocates each once.
-const funcTableSize = 16
-
-type funcTable struct {
-	names [funcTableSize]pql.AggFunc
-	n     int
-}
-
-func (t *funcTable) add(fn pql.AggFunc) {
-	if t.n < funcTableSize {
-		t.names[t.n] = fn
-		t.n++
-	}
-}
-
-func (t *funcTable) index(fn pql.AggFunc) int {
-	for i := 0; i < t.n; i++ {
-		if t.names[i] == fn {
-			return i
-		}
-	}
-	return -1
-}
 
 // ---- encoding ----
 
 // EncodeIntermediate returns r's bytes in a slice of exactly their length
 // that the caller owns (what a cache stores and charges for). Equal values
 // give equal bytes. It fails on a value the layout does not carry: a cell
-// outside the five types, a nil state, a group table that is not of the
-// shape GroupCols and AggExprs declare, nesting past wire.MaxNesting.
+// outside the five types, a group table that is not of the shape GroupCols
+// and AggExprs declare, nesting past wire.MaxNesting.
 func EncodeIntermediate(r *Intermediate) ([]byte, error) {
 	e := wire.GetEncoder()
 	defer e.Release()
@@ -189,59 +154,6 @@ func appendExpr(e *wire.Encoder, x pql.Expr, depth int) {
 	}
 }
 
-func appendAggState(e *wire.Encoder, funcs *funcTable, s *AggState) {
-	if s == nil {
-		e.Fail("nil aggregation state")
-		return
-	}
-	if i := funcs.index(s.Func); i >= 0 {
-		e.Count(i + 1)
-	} else {
-		e.Count(0)
-		e.Str(string(s.Func))
-		funcs.add(s.Func)
-	}
-	e.Varint(s.Count)
-	var flags byte
-	if s.Seen {
-		flags |= stateSeen
-	}
-	if s.Sum != 0 || math.Signbit(s.Sum) || !math.IsInf(s.Min, 1) || !math.IsInf(s.Max, -1) {
-		flags |= stateNumeric
-	}
-	if len(s.Distinct) > 0 {
-		flags |= stateDistinct
-	}
-	if len(s.Values) > 0 {
-		flags |= stateValues
-	}
-	e.Raw(flags)
-	if flags&stateNumeric != 0 {
-		e.Float(s.Sum)
-		e.Float(s.Min)
-		e.Float(s.Max)
-	}
-	if flags&stateDistinct != 0 {
-		e.Count(len(s.Distinct))
-		for k := range s.Distinct {
-			e.Str(k)
-		}
-	}
-	if flags&stateValues != 0 {
-		e.Count(len(s.Values))
-		for _, v := range s.Values {
-			e.Float(v)
-		}
-	}
-}
-
-func appendAggStates(e *wire.Encoder, funcs *funcTable, ss []*AggState) {
-	e.Count(len(ss))
-	for _, s := range ss {
-		appendAggState(e, funcs, s)
-	}
-}
-
 // appendGroupTable appends r's groups column by column: the group count
 // (zero ends it), then per GROUP BY item the column's kind and values, then
 // per aggregate the fields its function carries. Every column opens with its
@@ -253,9 +165,9 @@ func appendGroupTable(e *wire.Encoder, r *Intermediate) {
 	if t.Len() == 0 {
 		return
 	}
-	if len(t.keys) != len(r.GroupCols) || len(t.aggs) != len(r.AggExprs) || len(t.keys) == 0 {
-		e.Fail("group table of %d keys and %d aggregates under %d group columns and %d expressions",
-			len(t.keys), len(t.aggs), len(r.GroupCols), len(r.AggExprs))
+	if len(t.keys) != len(r.GroupCols) || len(t.aggs) != len(r.AggExprs) || (len(t.keys) == 0 && t.n != 1) {
+		e.Fail("group table of %d rows, %d keys and %d aggregates under %d group columns and %d expressions",
+			t.n, len(t.keys), len(t.aggs), len(r.GroupCols), len(r.AggExprs))
 		return
 	}
 	for c := range t.keys {
@@ -352,7 +264,6 @@ func appendLists[T ~string | ~[]float64](e *wire.Encoder, rows []T, put func(T))
 // AppendIntermediate appends r to a message under construction; a value the
 // layout does not carry is recorded in e.Err.
 func AppendIntermediate(e *wire.Encoder, r *Intermediate) {
-	var funcs funcTable
 	e.Raw(byte(r.Kind))
 	e.Count(len(r.AggExprs))
 	for _, x := range r.AggExprs {
@@ -360,9 +271,7 @@ func AppendIntermediate(e *wire.Encoder, r *Intermediate) {
 		e.Str(string(x.Func))
 		e.Str(x.Column)
 		appendExpr(e, x.Arg, 0)
-		funcs.add(x.Func)
 	}
-	appendAggStates(e, &funcs, r.Aggs)
 	e.Strs(r.GroupCols)
 
 	appendGroupTable(e, r)
@@ -493,55 +402,6 @@ func readExpr(d *wire.Decoder, depth int) pql.Expr {
 	}
 }
 
-func readAggState(d *wire.Decoder, funcs *funcTable, s *AggState) {
-	if ref := d.Uvarint(); ref == 0 {
-		s.Func = readAggFunc(d)
-		funcs.add(s.Func)
-	} else if ref <= uint64(funcs.n) {
-		s.Func = funcs.names[ref-1]
-	} else {
-		d.Fail("aggregation function ref %d of %d", ref, funcs.n)
-	}
-	s.Count = d.Varint()
-	flags := d.Byte()
-	if flags >= stateValues<<1 {
-		d.Fail("aggregation state flags 0x%02x", flags)
-	}
-	s.Seen = flags&stateSeen != 0
-	s.Min, s.Max = math.Inf(1), math.Inf(-1)
-	if flags&stateNumeric != 0 {
-		s.Sum, s.Min, s.Max = d.Float(), d.Float(), d.Float()
-	}
-	// An empty set or list under its flag is not what the encoder writes;
-	// like every zero count it decodes to nil.
-	if flags&stateDistinct != 0 {
-		if n := d.Count(1); n > 0 {
-			s.Distinct = make(map[string]struct{}, n)
-			for i := 0; i < n; i++ {
-				s.Distinct[d.Str()] = struct{}{}
-			}
-		}
-	}
-	if flags&stateValues != 0 {
-		if n := d.Count(8); n > 0 {
-			s.Values = make([]float64, n)
-			for i := range s.Values {
-				s.Values[i] = d.Float()
-			}
-		}
-	}
-}
-
-// readAggStates decodes into windows of the two slabs (states and the pointers
-// to them) and returns the pointer window.
-func readAggStates(d *wire.Decoder, funcs *funcTable, states []AggState, ptrs []*AggState) []*AggState {
-	for i := range states {
-		readAggState(d, funcs, &states[i])
-		ptrs[i] = &states[i]
-	}
-	return ptrs
-}
-
 // readColumn reads the row count that opens a column and refuses one that is
 // not the table's, or that the remaining bytes cannot hold at minBytes a row.
 func readColumn(d *wire.Decoder, n, minBytes int) bool {
@@ -597,9 +457,10 @@ func readGroupTable(d *wire.Decoder, r *Intermediate) *GroupTable {
 	if n == 0 {
 		return nil
 	}
-	// Every key column is a tag, a count and at least a byte per group.
-	if k := len(r.GroupCols); k == 0 || k > d.Remaining()/(n+2) {
-		d.Fail("%d groups of %d key columns exceed the %d bytes that remain", n, k, d.Remaining())
+	// Every key column is a tag, a count and at least a byte per group; a
+	// table of no key column is one row.
+	if k := len(r.GroupCols); k > d.Remaining()/(n+2) || (k == 0 && n != 1) {
+		d.Fail("%d groups of %d key columns in the %d bytes that remain", n, k, d.Remaining())
 		return nil
 	}
 	t := &GroupTable{keys: make([]keyColumn, len(r.GroupCols)), aggs: make([]aggColumn, len(r.AggExprs)), n: n}
@@ -696,10 +557,8 @@ func readGroupTable(d *wire.Decoder, r *Intermediate) *GroupTable {
 }
 
 // ReadIntermediate reads one intermediate out of a message being decoded;
-// the verdict is d's (Err, Finish). The name table is a local of its own:
-// its strings flow into the result, and d can stay on its caller's stack.
+// the verdict is d's (Err, Finish).
 func ReadIntermediate(d *wire.Decoder) *Intermediate {
-	var funcs funcTable
 	r := &Intermediate{}
 	kind := d.Byte()
 	if kind > byte(KindSelection) {
@@ -714,11 +573,7 @@ func ReadIntermediate(d *wire.Decoder) *Intermediate {
 			x.Func = readAggFunc(d)
 			x.Column = d.Str()
 			x.Arg = readExpr(d, 0)
-			funcs.add(x.Func)
 		}
-	}
-	if n := d.Count(minStateBytes); n > 0 {
-		r.Aggs = readAggStates(d, &funcs, make([]AggState, n), make([]*AggState, n))
 	}
 	r.GroupCols = d.Strs()
 

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,7 +14,8 @@ import (
 // sampleIntermediates returns one intermediate of every shape the layout
 // carries: a selection with a multi-value cell (and an empty one), a group-by
 // with a DISTINCTCOUNT set, percentile values and Arith/Call aggregation
-// arguments, a plain aggregation, and a group-by no row reached.
+// arguments, an aggregation without GROUP BY (the table of no key column and
+// one row) under every function, and a group-by no row reached.
 func sampleIntermediates() map[string]*Intermediate {
 	selection := &Intermediate{
 		Kind:       KindSelection,
@@ -45,22 +47,25 @@ func sampleIntermediates() map[string]*Intermediate {
 		if err != nil {
 			panic(err)
 		}
-		states := make([]*AggState, len(exprs))
-		for a, x := range exprs {
-			states[a] = NewAggState(x.Func)
-		}
-		states[0].AddDistinct("m1")
-		states[0].AddDistinct(fmt.Sprint("m", i+2))
-		states[1].AddNumeric(12.5)
-		states[1].AddNumeric(float64(i))
-		states[2].AddNumeric(-4)
-		for a, st := range states {
-			groupBy.Groups.SetState(g, a, *st)
-		}
+		groupBy.Groups.SetState(g, 0, AggState{Distinct: map[string]struct{}{"m1": {}, fmt.Sprint("m", i+2): {}}})
+		groupBy.Groups.SetState(g, 1, AggState{Values: []float64{12.5, float64(i)}})
+		groupBy.Groups.SetState(g, 2, AggState{Max: -4, Seen: true})
 	}
 
-	agg := NewAggIntermediate(exprs[1:])
-	agg.Aggs[0].AddNumeric(3.5)
+	everyFunc := append([]pql.Expression{
+		{IsAgg: true, Func: pql.Count, Column: "*"},
+		{IsAgg: true, Func: pql.Sum, Column: "clicks"},
+		{IsAgg: true, Func: pql.Avg, Column: "clicks"},
+		{IsAgg: true, Func: pql.Min, Column: "rev"},
+		{IsAgg: true, Func: pql.Min, Column: "nothing seen"},
+	}, exprs...)
+	agg := NewAggIntermediate(everyFunc)
+	for a, st := range []AggState{
+		{Count: 42}, {Sum: 3.5}, {Sum: -7, Count: 3}, {Min: 0.25, Seen: true}, {Min: math.Inf(1)},
+		{Distinct: map[string]struct{}{"": {}, "m9": {}}}, {Values: []float64{3.5, math.Inf(-1)}}, {Max: math.Copysign(0, -1), Seen: true},
+	} {
+		agg.Groups.SetState(0, a, st)
+	}
 	agg.Stats.ResultCacheHit = true
 
 	empty := &Intermediate{
@@ -146,14 +151,14 @@ func TestEncodeIntermediateRefusesWhatTheLayoutCannotCarry(t *testing.T) {
 		r    *Intermediate
 		want string
 	}{
-		"int cell":    {&Intermediate{Rows: [][]any{{int(1)}}}, "unsupported cell type int"},
-		"nil cell":    {&Intermediate{Rows: [][]any{{nil}}}, "unsupported cell type"},
-		"nil state":   {&Intermediate{Aggs: []*AggState{nil}}, "nil aggregation state"},
-		"group shape": {&Intermediate{Groups: oneGroup(), GroupCols: []string{"a", "b"}}, "group table of 1 keys"},
-		"group func":  {&Intermediate{Groups: oneGroup(), GroupCols: []string{"a"}, AggExprs: []pql.Expression{{Func: pql.Sum}}}, "state column 0 is COUNT"},
-		"deep cell":   {&Intermediate{Rows: [][]any{{deepCell}}}, "nested deeper"},
-		"deep expr":   {&Intermediate{AggExprs: []pql.Expression{{Arg: deepExpr}}}, "nested deeper"},
-		"expr node":   {&Intermediate{AggExprs: []pql.Expression{{Arg: unknownExpr{}}}}, "unsupported expression node"},
+		"int cell":         {&Intermediate{Rows: [][]any{{int(1)}}}, "unsupported cell type int"},
+		"nil cell":         {&Intermediate{Rows: [][]any{{nil}}}, "unsupported cell type"},
+		"group shape":      {&Intermediate{Groups: oneGroup(), GroupCols: []string{"a", "b"}}, "group table of 1 rows, 1 keys"},
+		"no key, two rows": {&Intermediate{Groups: &GroupTable{n: 2}}, "group table of 2 rows, 0 keys"},
+		"group func":       {&Intermediate{Groups: oneGroup(), GroupCols: []string{"a"}, AggExprs: []pql.Expression{{Func: pql.Sum}}}, "state column 0 is COUNT"},
+		"deep cell":        {&Intermediate{Rows: [][]any{{deepCell}}}, "nested deeper"},
+		"deep expr":        {&Intermediate{AggExprs: []pql.Expression{{Arg: deepExpr}}}, "nested deeper"},
+		"expr node":        {&Intermediate{AggExprs: []pql.Expression{{Arg: unknownExpr{}}}}, "unsupported expression node"},
 	} {
 		if b, err := EncodeIntermediate(c.r); err == nil || !strings.Contains(err.Error(), c.want) || b != nil {
 			t.Errorf("%s: %d bytes, err = %v; want no bytes and %q", name, len(b), err, c.want)
@@ -239,13 +244,6 @@ func flatten(r *Intermediate) any {
 		Values []any
 		Aggs   []AggState
 	}
-	states := func(ss []*AggState) []AggState {
-		out := make([]AggState, len(ss))
-		for i, s := range ss {
-			out[i] = *s
-		}
-		return out
-	}
 	groups := make([]group, r.Groups.Len())
 	for i := range groups {
 		groups[i].Values = r.Groups.Values(i)
@@ -254,8 +252,8 @@ func flatten(r *Intermediate) any {
 		}
 	}
 	cp := *r
-	cp.Aggs, cp.Groups = nil, nil
-	return []any{cp, states(r.Aggs), groups}
+	cp.Groups = nil
+	return []any{cp, groups}
 }
 
 // TestDecodeIntermediateSurvivesEveryMutation walks every truncation, every
@@ -295,7 +293,7 @@ func TestDecodeIntermediateSurvivesEveryMutation(t *testing.T) {
 	}
 }
 
-// goldenGroupBy is a version-3 group-by written out by hand, the layout's own
+// goldenGroupBy is a version-4 group-by written out by hand, the layout's own
 // pin and the fuzz corpus's first seed (internal/transport's TestGoldenFrames
 // pins a frame with a column of every kind): two groups keyed by a string and
 // an int64, under AVG(a) and MIN(m).
@@ -304,7 +302,6 @@ var goldenGroupBy = []byte{
 	2, // agg exprs
 	1, 3, 'A', 'V', 'G', 1, 'a', exprNil,
 	1, 3, 'M', 'I', 'N', 1, 'm', exprNil,
-	0,                 // aggs
 	2, 1, 's', 1, 'l', // group cols
 	2,                                // groups
 	cellString, 2, 'u', 's', 2, 2, 0, // key s: the bytes "us", then two lengths
@@ -317,22 +314,50 @@ var goldenGroupBy = []byte{
 	0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // stats
 }
 
-// TestGoldenGroupBy: the hand-written bytes decode to the table they describe
-// and that table encodes to them.
-func TestGoldenGroupBy(t *testing.T) {
-	r, err := DecodeIntermediate(goldenGroupBy)
-	if err != nil {
-		t.Fatal(err)
+// goldenAggregation is the same for an aggregation without GROUP BY: no group
+// column, no key column, and the one row of COUNT(*) and MAX(m).
+var goldenAggregation = []byte{
+	byte(KindGroupBy),
+	2, // agg exprs
+	1, 5, 'C', 'O', 'U', 'N', 'T', 1, '*', exprNil,
+	1, 3, 'M', 'A', 'X', 1, 'm', exprNil,
+	0,     // group cols
+	1,     // rows
+	1, 84, // COUNT count: 42
+	1, 0x40, 0, 0, 0, 0, 0, 0, 0, // MAX extreme: 2
+	1, 1, // MAX seen
+	0, 0, 0, 0, // select cols, hidden cols, rows, cells
+	0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // stats
+}
+
+// TestGoldenIntermediates: the hand-written bytes decode to the table they
+// describe and that table encodes to them; a table of no key column is
+// refused with more rows than its one.
+func TestGoldenIntermediates(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		bytes []byte
+		rows  string
+	}{
+		{"group-by", goldenGroupBy, "[[us -3 2 2] [ 300 0 0]]"},
+		{"aggregation", goldenAggregation, "[[42 2]]"},
+	} {
+		r, err := DecodeIntermediate(c.bytes)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := fmt.Sprint(r.Finalize(&pql.Query{}).Rows); got != c.rows {
+			t.Errorf("%s: decoded rows %s, want %s", c.name, got, c.rows)
+		}
+		if again := mustEncode(t, r); string(again) != string(c.bytes) {
+			t.Errorf("%s: re-encoded bytes differ:\n got %v\nwant %v", c.name, again, c.bytes)
+		}
 	}
-	g := r.Groups
-	if g.Len() != 2 || fmt.Sprint(g.Values(0), g.Values(1)) != "[us -3] [ 300]" {
-		t.Fatalf("decoded keys %v %v", g.Values(0), g.Values(1))
-	}
-	if avg, min := g.State(0, 0), g.State(0, 1); avg.Result() != 2.0 || min.Result() != 2.0 || g.State(1, 1).Seen {
-		t.Errorf("decoded states %+v %+v %+v", avg, min, g.State(1, 1))
-	}
-	if again := mustEncode(t, r); string(again) != string(goldenGroupBy) {
-		t.Errorf("re-encoded bytes differ:\n got %v\nwant %v", again, goldenGroupBy)
+	const rowsAt = 21
+	hostile := append([]byte(nil), goldenAggregation...)
+	hostile[rowsAt] = 2
+	if _, err := DecodeIntermediate(hostile); err == nil || !strings.Contains(err.Error(), "0 key columns") {
+		t.Errorf("a table of no key column and two rows: err = %v", err)
 	}
 }
 
@@ -342,6 +367,7 @@ func TestGoldenGroupBy(t *testing.T) {
 // where the layout does.
 func FuzzDecodeIntermediate(f *testing.F) {
 	f.Add(goldenGroupBy)
+	f.Add(goldenAggregation)
 	for _, r := range sampleIntermediates() {
 		valid := mustEncode(f, r)
 		f.Add(valid)
@@ -357,8 +383,9 @@ func FuzzDecodeIntermediate(f *testing.F) {
 
 // TestDecodeAllocationWorstCases hand-builds the payloads checkDecode's
 // constants are derived from, each the densest run of its kind, and holds
-// them to the same limit: empty aggregation expressions over a group, key
-// columns of one row, one-member sets, and a group count no column backs.
+// them to the same limit: empty aggregation expressions over a group and over
+// the row of no key, state columns of that row, key columns of one row,
+// one-member sets, and a group count no column backs.
 func TestDecodeAllocationWorstCases(t *testing.T) {
 	const n = 2000
 	head := func(e *wire.Encoder, exprs, cols, groups int) {
@@ -367,7 +394,6 @@ func TestDecodeAllocationWorstCases(t *testing.T) {
 		for i := 0; i < exprs; i++ {
 			e.Raw(0, 0, 0, exprNil) // not an aggregate, no function, no column, no argument
 		}
-		e.Count(0) // aggs
 		e.Count(cols)
 		for i := 0; i < cols; i++ {
 			e.Str("")
@@ -385,6 +411,43 @@ func TestDecodeAllocationWorstCases(t *testing.T) {
 		"empty expressions": func(e *wire.Encoder) {
 			head(e, n, 1, 1)
 			e.Raw(cellBool, 1, 2) // the key column: one row, true
+			tail(e)
+		},
+		"empty expressions over no key": func(e *wire.Encoder) {
+			head(e, n, 0, 1)
+			tail(e)
+		},
+		"functions over no key": func(e *wire.Encoder) {
+			// Every carried field of every function as a column of one row:
+			// AVG's count and sum, MIN's extreme and seen, an empty value list
+			// and an empty set.
+			funcs := []pql.AggFunc{pql.Avg, pql.Min, "PERCENTILE50", pql.DistinctCount}
+			e.Raw(byte(KindGroupBy))
+			e.Count(n)
+			for i := 0; i < n; i++ {
+				e.Bool(true)
+				e.Str(string(funcs[i%len(funcs)]))
+				e.Str("")
+				e.Raw(exprNil)
+			}
+			e.Count(0) // group cols
+			e.Count(1) // rows
+			for i := 0; i < n; i++ {
+				switch funcs[i%len(funcs)] {
+				case pql.Avg:
+					e.Raw(1, 0)
+					e.Count(1)
+					e.Float(0)
+				case pql.Min:
+					e.Count(1)
+					e.Float(0)
+					e.Raw(1, 0)
+				case pql.DistinctCount:
+					e.Raw(1, 0)
+				default:
+					e.Raw(0, 1, 0)
+				}
+			}
 			tail(e)
 		},
 		"key columns": func(e *wire.Encoder) {
@@ -409,7 +472,6 @@ func TestDecodeAllocationWorstCases(t *testing.T) {
 			e.Str(string(pql.DistinctCount))
 			e.Str("c")
 			e.Raw(exprNil)
-			e.Count(0) // aggs
 			e.Strs([]string{"k"})
 			e.Count(n)
 			e.Raw(cellBool)

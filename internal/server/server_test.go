@@ -118,7 +118,7 @@ func (r *rig) count(ctx context.Context) (int64, error) {
 	if len(resp.Exceptions) > 0 {
 		return 0, fmt.Errorf("exceptions: %v", resp.Exceptions)
 	}
-	return resp.Result.Aggs[0].Count, nil
+	return resp.Result.Groups.State(0, 0).Count, nil
 }
 
 func (r *rig) commits() int64 {

@@ -24,24 +24,30 @@ const (
 	cellInt64, cellFloat64, cellString, cellBool, cellList = 1, 2, 3, 4, 5 // the first four also tag a group key column
 
 	exprNil, exprColumn, exprCall = 0, 1, 4
-
-	stateSeen, stateNumeric = 1, 2
-
-	funcTableSize = 16
 )
 
 // sampleMessages returns one message of every frame type, several for the
 // segment frame, between them covering every construct the codec carries: a
 // selection with a multi-value cell, a group-by with a DISTINCTCOUNT set and
-// percentile values, Arith and Call aggregation arguments, a trace, and the
-// four completion-protocol messages.
+// percentile values, Arith and Call aggregation arguments, an aggregation
+// without GROUP BY under every function, a trace, and the four
+// completion-protocol messages.
 func sampleMessages() map[string]any {
 	agg := query.NewAggIntermediate([]pql.Expression{
 		{IsAgg: true, Func: pql.Count, Column: "*"},
 		{IsAgg: true, Func: pql.Sum, Column: "clicks"},
+		{IsAgg: true, Func: pql.Avg, Column: "clicks"},
+		{IsAgg: true, Func: pql.Min, Column: "rev"},
+		{IsAgg: true, Func: pql.Max, Column: "rev"},
+		{IsAgg: true, Func: pql.DistinctCount, Column: "member"},
+		{IsAgg: true, Func: "PERCENTILE95", Column: "latency"},
 	})
-	agg.Aggs[0].AddCount(42)
-	agg.Aggs[1].AddNumeric(3.5)
+	for a, s := range []query.AggState{
+		{Count: 42}, {Sum: 3.5}, {Sum: -7, Count: 3}, {Min: 0.25, Seen: true}, {Max: math.Inf(-1)},
+		{Distinct: map[string]struct{}{"": {}, "m9": {}}}, {Values: []float64{3.5, -1}},
+	} {
+		agg.Groups.SetState(0, a, s)
+	}
 
 	selection := &query.Intermediate{
 		Kind:       query.KindSelection,
@@ -69,16 +75,10 @@ func sampleMessages() map[string]any {
 		Stats:     query.Stats{NumDocsScanned: 9, GroupStateBytes: 512, DictExprSegments: 1},
 	}
 	for i, country := range []string{"us", "de"} {
-		var states []*query.AggState
-		for _, x := range exprs {
-			states = append(states, query.NewAggState(x.Func))
-		}
-		states[0].AddDistinct("m1")
-		states[0].AddDistinct(fmt.Sprint("m", i+2))
-		states[1].AddNumeric(12.5)
-		states[1].AddNumeric(float64(i))
-		states[2].AddNumeric(-4)
-		addGroup(groupBy.Groups, []any{country, int64(i * 3600)}, states...)
+		addGroup(groupBy.Groups, []any{country, int64(i * 3600)},
+			&query.AggState{Distinct: map[string]struct{}{"m1": {}, fmt.Sprint("m", i+2): {}}},
+			&query.AggState{Values: []float64{12.5, float64(i)}},
+			&query.AggState{Max: -4, Seen: true})
 	}
 
 	return map[string]any{
@@ -141,7 +141,12 @@ func TestSampleMessagesRoundTrip(t *testing.T) {
 // filler sets every exported field reachable from a value to a distinct
 // non-zero value, so a field the codec does not carry comes back zero and
 // fails the comparison.
-type filler struct{ n int64 }
+type filler struct {
+	n int64
+	// noKeys makes every Intermediate an aggregation without GROUP BY: no
+	// group column and the table's one row.
+	noKeys bool
+}
 
 func (f *filler) next() int64 { f.n++; return f.n }
 
@@ -215,9 +220,9 @@ func (f *filler) fill(v reflect.Value) {
 
 // fillIntermediate fills an Intermediate field by field, except that its
 // expressions and group table are built to agree, as the layout requires: one
-// expression per function of stateFuncs, a key column of every type, two
-// groups, and every field of every state filled (a state column keeps the
-// fields its function carries).
+// expression per function of stateFuncs, a key column of every type and two
+// groups (or no key column and the one row), and every field of every state
+// filled (a state column keeps the fields its function carries).
 func (f *filler) fillIntermediate(v reflect.Value) {
 	for i := 0; i < v.NumField(); i++ {
 		if v.Type().Field(i).Type != groupTableType {
@@ -233,6 +238,9 @@ func (f *filler) fillIntermediate(v reflect.Value) {
 		r.AggExprs = append(r.AggExprs, x)
 	}
 	r.GroupCols = []string{"s", "l", "d", "b"}
+	if f.noKeys {
+		r.GroupCols = nil
+	}
 	r.Groups = query.NewGroupTable(len(r.GroupCols), r.AggExprs)
 	for g := 0; g < 2; g++ {
 		var states []*query.AggState
@@ -242,7 +250,8 @@ func (f *filler) fillIntermediate(v reflect.Value) {
 			s.Func = fn
 			states = append(states, s)
 		}
-		addGroup(r.Groups, []any{fmt.Sprintf("k%d", f.next()), f.next() * 1000003, float64(f.next()) + 0.25, g == 0}, states...)
+		key := []any{fmt.Sprintf("k%d", f.next()), f.next() * 1000003, float64(f.next()) + 0.25, g == 0}
+		addGroup(r.Groups, key[:len(r.GroupCols)], states...)
 	}
 }
 
@@ -327,46 +336,49 @@ func firstDiff(path string, a, b reflect.Value) string {
 // AggState must come back under at least one function of stateFuncs: a new
 // state field has to be wired into a state column too.
 func TestCodecCarriesEveryField(t *testing.T) {
-	carried := map[string]bool{"Func": true}
-	var probe query.Intermediate
-	(&filler{}).fill(reflect.ValueOf(&probe).Elem())
-	groups := intermediateRoundTrip(t, &probe).Groups
-	for a := range stateFuncs {
-		got, fresh := reflect.ValueOf(groups.State(0, a)), reflect.ValueOf(*query.NewAggState(stateFuncs[a]))
-		for i := 0; i < got.NumField(); i++ {
-			if !reflect.DeepEqual(got.Field(i).Interface(), fresh.Field(i).Interface()) {
-				carried[got.Type().Field(i).Name] = true
+	for _, noKeys := range []bool{false, true} {
+		carried := map[string]bool{"Func": true}
+		var probe query.Intermediate
+		(&filler{noKeys: noKeys}).fill(reflect.ValueOf(&probe).Elem())
+		groups := intermediateRoundTrip(t, &probe).Groups
+		untouched := query.NewGroupTable(0, probe.AggExprs)
+		for a := range stateFuncs {
+			got, fresh := reflect.ValueOf(groups.State(0, a)), reflect.ValueOf(untouched.State(0, a))
+			for i := 0; i < got.NumField(); i++ {
+				if !reflect.DeepEqual(got.Field(i).Interface(), fresh.Field(i).Interface()) {
+					carried[got.Type().Field(i).Name] = true
+				}
 			}
 		}
-	}
-	for i, typ := 0, reflect.TypeOf(query.AggState{}); i < typ.NumField(); i++ {
-		if name := typ.Field(i).Name; !carried[name] {
-			t.Errorf("no state column carries AggState.%s", name)
+		for i, typ := 0, reflect.TypeOf(query.AggState{}); i < typ.NumField(); i++ {
+			if name := typ.Field(i).Name; !carried[name] {
+				t.Errorf("no keys %v: no state column carries AggState.%s", noKeys, name)
+			}
 		}
-	}
 
-	for _, msg := range []any{
-		&QueryRequest{}, &SegmentFrame{}, &FinalFrame{}, &ErrorFrame{},
-		&SegmentConsumedRequest{}, &SegmentConsumedResponse{}, &SegmentCommitRequest{}, &SegmentCommitResponse{},
-	} {
-		f := &filler{}
-		f.fill(reflect.ValueOf(msg).Elem())
-		if d := firstDiff(fmt.Sprintf("%T", msg), reflect.ValueOf(roundTrip(t, msg)), reflect.ValueOf(msg)); d != "" {
-			t.Errorf("the codec lost a field: %s", d)
+		for _, msg := range []any{
+			&QueryRequest{}, &SegmentFrame{}, &FinalFrame{}, &ErrorFrame{},
+			&SegmentConsumedRequest{}, &SegmentConsumedResponse{}, &SegmentCommitRequest{}, &SegmentCommitResponse{},
+		} {
+			f := &filler{noKeys: noKeys}
+			f.fill(reflect.ValueOf(msg).Elem())
+			if d := firstDiff(fmt.Sprintf("%T", msg), reflect.ValueOf(roundTrip(t, msg)), reflect.ValueOf(msg)); d != "" {
+				t.Errorf("no keys %v: the codec lost a field: %s", noKeys, d)
+			}
 		}
-	}
-	resp := &QueryResponse{}
-	(&filler{}).fill(reflect.ValueOf(resp).Elem())
-	data, err := EncodeResponse(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeResponse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := firstDiff("QueryResponse", reflect.ValueOf(back), reflect.ValueOf(resp)); d != "" {
-		t.Errorf("the codec lost a field: %s", d)
+		resp := &QueryResponse{}
+		(&filler{noKeys: noKeys}).fill(reflect.ValueOf(resp).Elem())
+		data, err := EncodeResponse(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeResponse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := firstDiff("QueryResponse", reflect.ValueOf(back), reflect.ValueOf(resp)); d != "" {
+			t.Errorf("no keys %v: the codec lost a field: %s", noKeys, d)
+		}
 	}
 }
 
@@ -385,29 +397,34 @@ func TestCodecValueEdgeCases(t *testing.T) {
 		for i, f := range floats {
 			row[i] = f
 		}
-		s := &query.AggState{Func: "PERCENTILE50", Sum: math.Copysign(0, -1), Min: payloadNaN, Max: math.Inf(1), Values: floats}
-		got := intermediateRoundTrip(t, &query.Intermediate{Kind: query.KindSelection, Rows: [][]any{row}, Aggs: []*query.AggState{s}})
+		agg := query.NewAggIntermediate([]pql.Expression{{Func: "PERCENTILE50"}, {Func: pql.Sum}, {Func: pql.Min}, {Func: pql.Max}})
+		for a, s := range []query.AggState{{Values: floats}, {Sum: math.Copysign(0, -1)}, {Min: payloadNaN, Seen: true}, {Max: math.Inf(1), Seen: true}} {
+			agg.Groups.SetState(0, a, s)
+		}
+		agg.Rows = [][]any{row}
+		got := intermediateRoundTrip(t, agg)
 		for i, f := range floats {
 			if g := got.Rows[0][i].(float64); math.Float64bits(g) != math.Float64bits(f) {
 				t.Errorf("cell %v came back as %v (bits %x vs %x)", f, g, math.Float64bits(g), math.Float64bits(f))
 			}
-			if g := got.Aggs[0].Values[i]; math.Float64bits(g) != math.Float64bits(f) {
+			if g := got.Groups.State(0, 0).Values[i]; math.Float64bits(g) != math.Float64bits(f) {
 				t.Errorf("percentile value %v came back as %v", f, g)
 			}
 		}
-		a := got.Aggs[0]
-		if !math.Signbit(a.Sum) || a.Sum != 0 || math.Float64bits(a.Min) != math.Float64bits(payloadNaN) || !math.IsInf(a.Max, 1) {
-			t.Errorf("state floats changed: %+v", a)
+		sum, min, max := got.Groups.State(0, 1).Sum, got.Groups.State(0, 2).Min, got.Groups.State(0, 3).Max
+		if !math.Signbit(sum) || sum != 0 || math.Float64bits(min) != math.Float64bits(payloadNaN) || !math.IsInf(max, 1) {
+			t.Errorf("state floats changed: %v %v %v", sum, min, max)
 		}
 	})
 
 	t.Run("untouched and zero states", func(t *testing.T) {
-		// A fresh state (Min +Inf, Max -Inf) and an all-zero state are
-		// different values; both survive.
-		fresh, zero := query.NewAggState(pql.Min), &query.AggState{Func: pql.Min}
-		got := intermediateRoundTrip(t, &query.Intermediate{Aggs: []*query.AggState{fresh, zero}})
-		if !reflect.DeepEqual(got.Aggs, []*query.AggState{fresh, zero}) {
-			t.Errorf("got %+v %+v", got.Aggs[0], got.Aggs[1])
+		// A fresh state (Min +Inf) and an all-zero state are different
+		// values; both survive.
+		agg := query.NewAggIntermediate([]pql.Expression{{Func: pql.Min}, {Func: pql.Min}})
+		agg.Groups.SetState(0, 1, query.AggState{})
+		got := intermediateRoundTrip(t, agg).Groups
+		if fresh, zero := got.State(0, 0), got.State(0, 1); !math.IsInf(fresh.Min, 1) || zero.Min != 0 || fresh.Seen || zero.Seen {
+			t.Errorf("got %+v %+v", fresh, zero)
 		}
 	})
 
@@ -425,8 +442,8 @@ func TestCodecValueEdgeCases(t *testing.T) {
 	// stays a non-nil []any{} so it renders as [] on both transports.
 	t.Run("empty is nil", func(t *testing.T) {
 		in := &query.Intermediate{
-			Kind: query.KindGroupBy, AggExprs: []pql.Expression{}, Aggs: []*query.AggState{}, GroupCols: []string{},
-			Groups: query.NewGroupTable(0, nil), SelectCols: []string{}, Rows: [][]any{},
+			Kind: query.KindGroupBy, AggExprs: []pql.Expression{}, GroupCols: []string{},
+			Groups: query.NewGroupTable(1, nil), SelectCols: []string{}, Rows: [][]any{},
 		}
 		got := intermediateRoundTrip(t, in)
 		if !reflect.DeepEqual(got, &query.Intermediate{Kind: query.KindGroupBy}) {
@@ -438,13 +455,15 @@ func TestCodecValueEdgeCases(t *testing.T) {
 		if res := got.Finalize(&pql.Query{}); len(res.Rows) != 0 {
 			t.Errorf("finalized %d rows from no groups", len(res.Rows))
 		}
-		dc := intermediateRoundTrip(t, &query.Intermediate{Aggs: []*query.AggState{query.NewAggState(pql.DistinctCount)}}).Aggs[0]
-		if dc.Distinct != nil {
-			t.Errorf("empty distinct set decoded non-nil")
+		// A DISTINCTCOUNT that met no value decodes to a set that takes a merge.
+		exprs := []pql.Expression{{IsAgg: true, Func: pql.DistinctCount, Column: "m"}}
+		dc, one := intermediateRoundTrip(t, query.NewAggIntermediate(exprs)), query.NewAggIntermediate(exprs)
+		one.Groups.SetState(0, 0, query.AggState{Distinct: map[string]struct{}{"a": {}}})
+		if err := dc.Merge(one); err != nil {
+			t.Fatal(err)
 		}
-		dc.Merge(&query.AggState{Func: pql.DistinctCount, Distinct: map[string]struct{}{"a": {}}})
-		if n := dc.Result().(int64); n != 1 {
-			t.Errorf("distinct after merge into a decoded empty state = %d", n)
+		if rows := dc.Finalize(&pql.Query{}).Rows; !reflect.DeepEqual(rows, [][]any{{int64(1)}}) {
+			t.Errorf("distinct after merge into a decoded empty state = %v", rows)
 		}
 	})
 
@@ -479,25 +498,9 @@ func TestCodecValueEdgeCases(t *testing.T) {
 
 	t.Run("distinct count", func(t *testing.T) {
 		inter := query.NewAggIntermediate([]pql.Expression{{IsAgg: true, Func: pql.DistinctCount, Column: "m"}})
-		inter.Aggs[0].AddDistinct("a")
-		inter.Aggs[0].AddDistinct("b")
-		if n := intermediateRoundTrip(t, inter).Aggs[0].Result().(int64); n != 2 {
-			t.Fatalf("distinct = %d", n)
-		}
-	})
-
-	t.Run("function names past the table", func(t *testing.T) {
-		// More distinct function names than the back-reference table
-		// holds: the overflow travels as literals.
-		var aggs []*query.AggState
-		for i := 0; i < 3*funcTableSize; i++ {
-			aggs = append(aggs, &query.AggState{Func: pql.AggFunc(fmt.Sprintf("PERCENTILE%d", i%(2*funcTableSize))), Count: int64(i)})
-		}
-		got := intermediateRoundTrip(t, &query.Intermediate{Aggs: aggs})
-		for i, a := range got.Aggs {
-			if a.Func != aggs[i].Func || a.Count != aggs[i].Count {
-				t.Fatalf("state %d = %+v, want %+v", i, a, aggs[i])
-			}
+		inter.Groups.SetState(0, 0, query.AggState{Distinct: map[string]struct{}{"a": {}, "b": {}}})
+		if rows := intermediateRoundTrip(t, inter).Finalize(&pql.Query{}).Rows; !reflect.DeepEqual(rows, [][]any{{int64(2)}}) {
+			t.Fatalf("distinct = %v", rows)
 		}
 	})
 }
@@ -522,7 +525,6 @@ func TestEncoderRefusesWhatItCannotCarry(t *testing.T) {
 		"nil cell":      {Rows: [][]any{{nil}}},
 		"nested cell":   {Rows: [][]any{{[]any{int32(1)}}}},
 		"literal":       {AggExprs: []pql.Expression{{Arg: pql.Literal{Value: int(3)}}}},
-		"nil state":     {Aggs: []*query.AggState{nil}},
 		"group shape":   {Groups: oneGroup(), GroupCols: []string{"a", "b"}},
 		"group func":    {Groups: oneGroup(), GroupCols: []string{"a"}, AggExprs: []pql.Expression{{Func: pql.Sum}}},
 		"deep cell":     {Rows: [][]any{{deepCell}}},
@@ -556,15 +558,15 @@ func oneGroup() *query.GroupTable {
 // the cap, which the encoder would never write.
 func TestDecoderRefusesDeepNesting(t *testing.T) {
 	var e wire.Encoder
-	e.Varint(0)    // seq
-	e.Raw(2, 0, 0) // kind selection, no agg exprs, no aggs
-	e.Count(0)     // group cols
-	e.Count(0)     // groups
-	e.Count(0)     // select cols
-	e.Varint(0)    // hidden cols
-	e.Count(1)     // one row
-	e.Count(1)     // one cell in total
-	e.Count(1)     // of one cell
+	e.Varint(0)                         // seq
+	e.Raw(byte(query.KindSelection), 0) // no agg exprs
+	e.Count(0)                          // group cols
+	e.Count(0)                          // groups
+	e.Count(0)                          // select cols
+	e.Varint(0)                         // hidden cols
+	e.Count(1)                          // one row
+	e.Count(1)                          // one cell in total
+	e.Count(1)                          // of one cell
 	for i := 0; i <= wire.MaxNesting; i++ {
 		e.Raw(cellList, 1)
 	}
@@ -576,7 +578,7 @@ func TestDecoderRefusesDeepNesting(t *testing.T) {
 
 	e = wire.Encoder{}
 	e.Varint(0)
-	e.Raw(0)   // kind aggregation
+	e.Raw(byte(query.KindGroupBy))
 	e.Count(1) // one agg expr
 	e.Bool(true)
 	e.Str("SUM")
@@ -613,8 +615,7 @@ func allocatedBy(f func()) uint64 {
 // payload is cut to 32 bytes after it, and the decode is metered.
 func TestDecodeAllocationIsLinear(t *testing.T) {
 	// c: the costliest bytes are the four of an empty aggregation expression
-	// over a group table (a 56-byte Expression and a 152-byte state column),
-	// then the three of a bare aggregation state (96 bytes and its pointer);
+	// over a group table (a 56-byte Expression and a 152-byte state column);
 	// a column of a group table costs 8 to 16 bytes a row of at least one
 	// byte, checked against the bytes that remain column by column
 	// (internal/query's TestDecodeAllocationWorstCases builds each). k: the
@@ -656,39 +657,30 @@ func TestDecodeAllocationIsLinear(t *testing.T) {
 // header included, so a change of format is a visible diff here (and a
 // reason to bump frameVersion).
 func TestGoldenFrames(t *testing.T) {
-	count := query.NewAggState(pql.Count)
-	count.AddCount(3)
-	sum := query.NewAggState(pql.Sum)
-	sum.AddNumeric(1.5)
+	agg := query.NewAggIntermediate([]pql.Expression{{IsAgg: true, Func: pql.Count, Column: "*"}, {IsAgg: true, Func: pql.Sum, Column: "x", Arg: pql.ColumnRef{Name: "x"}}})
+	agg.Groups.SetState(0, 0, query.AggState{Count: 3})
+	agg.Groups.SetState(0, 1, query.AggState{Sum: 1.5})
+	agg.Stats = query.Stats{NumDocsScanned: 3, ResultCacheHit: true}
 	cases := []struct {
 		name string
 		msg  any
 		want []byte
 	}{
 		{"query", &QueryRequest{Resource: "r", PQL: "q", Segments: []string{"s0"}, Tenant: "t", TimeoutMillis: 5, QueryID: "id", BudgetMillis: -1}, []byte{
-			'P', 3, FrameQuery, 0, 0, 0, 0, 15,
+			'P', 4, FrameQuery, 0, 0, 0, 0, 15,
 			1, 'r', 1, 'q', 1, 2, 's', '0', 1, 't', 10, 2, 'i', 'd', 1,
 		}},
-		{"segment aggregation", &SegmentFrame{Seq: 1, Result: &query.Intermediate{
-			Kind:     query.KindAggregation,
-			AggExprs: []pql.Expression{{IsAgg: true, Func: pql.Count, Column: "*"}, {IsAgg: true, Func: pql.Sum, Column: "x", Arg: pql.ColumnRef{Name: "x"}}},
-			Aggs:     []*query.AggState{count, sum},
-			Stats:    query.Stats{NumDocsScanned: 3, ResultCacheHit: true},
-		}}, []byte{
-			'P', 3, FrameSegment, 0, 0, 0, 0, 76,
+		{"segment aggregation", &SegmentFrame{Seq: 1, Result: agg}, []byte{
+			'P', 4, FrameSegment, 0, 0, 0, 0, 56,
 			2, // seq 1
 			0, // kind
 			2, // agg exprs
 			1, 5, 'C', 'O', 'U', 'N', 'T', 1, '*', exprNil,
 			1, 3, 'S', 'U', 'M', 1, 'x', exprColumn, 1, 'x',
-			2,       // aggs
-			1, 6, 0, // COUNT by reference, count 3, no flags
-			2, 2, stateSeen | stateNumeric, // SUM by reference, count 1
-			0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // sum 1.5
-			0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // min
-			0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // max
 			0,    // group cols
-			0,    // groups
+			1,    // the one row of no key
+			1, 6, // COUNT count: 3
+			1, 0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // SUM sum: 1.5
 			0,    // select cols
 			0,    // hidden cols
 			0, 0, // rows, their cells
@@ -698,8 +690,8 @@ func TestGoldenFrames(t *testing.T) {
 			Kind: query.KindSelection, SelectCols: []string{"a"}, HiddenCols: 1,
 			Rows: [][]any{{int64(-2)}, {[]any{"m", 2.0, false}}},
 		}}, []byte{
-			'P', 3, FrameSegment, 0, 0, 0, 0, 48,
-			0, 2, 0, 0, 0, 0,
+			'P', 4, FrameSegment, 0, 0, 0, 0, 47,
+			0, 1, 0, 0, 0, // seq, kind, agg exprs, group cols, groups
 			1, 1, 'a', // select cols
 			2,    // hidden cols 1
 			2, 2, // two rows, two cells
@@ -708,14 +700,13 @@ func TestGoldenFrames(t *testing.T) {
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
 		{"segment group-by", &SegmentFrame{Result: goldenGroupBy()}, []byte{
-			'P', 3, FrameSegment, 0, 0, 0, 0, 177,
-			0, 1, // seq, kind
+			'P', 4, FrameSegment, 0, 0, 0, 0, 176,
+			0, 0, // seq, kind
 			4, // agg exprs
 			1, 12, 'P', 'E', 'R', 'C', 'E', 'N', 'T', 'I', 'L', 'E', '9', '0', 1, 'p', exprNil,
 			1, 13, 'D', 'I', 'S', 'T', 'I', 'N', 'C', 'T', 'C', 'O', 'U', 'N', 'T', 1, 'd', exprNil,
 			1, 3, 'M', 'I', 'N', 1, 'm', exprNil,
 			1, 3, 'A', 'V', 'G', 1, 'a', exprNil,
-			0,                                 // aggs
 			4, 1, 's', 1, 'l', 1, 'f', 1, 'b', // group cols
 			2,                           // groups
 			cellString, 1, 'k', 2, 1, 0, // key s: the bytes "k", then two lengths
@@ -732,23 +723,23 @@ func TestGoldenFrames(t *testing.T) {
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
 		{"final", &FinalFrame{Frames: 2, Exceptions: []string{"e"}, Trace: qctx.Trace{qctx.PhaseQueue: 3}, Stats: query.Stats{TotalDocs: 64}}, []byte{
-			'P', 3, FrameFinal, 0, 0, 0, 0, 29,
+			'P', 4, FrameFinal, 0, 0, 0, 0, 29,
 			4, 1, 1, 'e',
 			1, 5, 'q', 'u', 'e', 'u', 'e', 6,
 			0, 0, 0, 0, 0x80, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
-		{"error", &ErrorFrame{Message: "no"}, []byte{'P', 3, FrameError, 0, 0, 0, 0, 3, 2, 'n', 'o'}},
+		{"error", &ErrorFrame{Message: "no"}, []byte{'P', 4, FrameError, 0, 0, 0, 0, 3, 2, 'n', 'o'}},
 		{"consumed", &SegmentConsumedRequest{Segment: "s", Resource: "r", Instance: "i", Offset: 64}, []byte{
-			'P', 3, FrameConsumed, 0, 0, 0, 0, 8, 1, 's', 1, 'r', 1, 'i', 0x80, 0x01,
+			'P', 4, FrameConsumed, 0, 0, 0, 0, 8, 1, 's', 1, 'r', 1, 'i', 0x80, 0x01,
 		}},
 		{"consumed response", &SegmentConsumedResponse{Action: ActionHold, TargetOffset: 1}, []byte{
-			'P', 3, FrameConsumedResp, 0, 0, 0, 0, 6, 4, 'H', 'O', 'L', 'D', 2,
+			'P', 4, FrameConsumedResp, 0, 0, 0, 0, 6, 4, 'H', 'O', 'L', 'D', 2,
 		}},
 		{"commit", &SegmentCommitRequest{Segment: "s", Resource: "r", Instance: "i", Offset: 1, Blob: []byte{0xca, 0xfe}}, []byte{
-			'P', 3, FrameCommit, 0, 0, 0, 0, 10, 1, 's', 1, 'r', 1, 'i', 2, 2, 0xca, 0xfe,
+			'P', 4, FrameCommit, 0, 0, 0, 0, 10, 1, 's', 1, 'r', 1, 'i', 2, 2, 0xca, 0xfe,
 		}},
 		{"commit response", &SegmentCommitResponse{Success: true, Reason: "ok"}, []byte{
-			'P', 3, FrameCommitResp, 0, 0, 0, 0, 4, 1, 2, 'o', 'k',
+			'P', 4, FrameCommitResp, 0, 0, 0, 0, 4, 1, 2, 'o', 'k',
 		}},
 	}
 	for _, c := range cases {
@@ -807,11 +798,11 @@ func TestWireAllocBudget(t *testing.T) {
 	}}
 	const groups = 200
 	for i := 0; i < groups; i++ {
-		sum, count := query.NewAggState(pql.Sum), query.NewAggState(pql.Count)
-		sum.AddNumeric(float64(i) * 1.5)
-		count.AddCount(int64(i + 1))
-		addGroup(groupBy.Result.Groups, []any{int64(1000 + i)}, sum, count)
+		addGroup(groupBy.Result.Groups, []any{int64(1000 + i)}, &query.AggState{Sum: float64(i) * 1.5}, &query.AggState{Count: int64(i + 1)})
 	}
+	aggregation := &SegmentFrame{Result: query.NewAggIntermediate(exprs)}
+	aggregation.Result.Groups.SetState(0, 0, query.AggState{Sum: 1.5})
+	aggregation.Result.Groups.SetState(0, 1, query.AggState{Count: 3})
 	final := &FinalFrame{
 		Frames: 4, Trace: qctx.Trace{qctx.PhaseQueue: time.Microsecond, qctx.PhaseExecute: time.Millisecond},
 		Stats: query.Stats{NumSegmentsQueried: 4, SegmentsPrunedByServer: 1},
@@ -829,6 +820,8 @@ func TestWireAllocBudget(t *testing.T) {
 		// names, the group column, the table, its two column slices, one
 		// slice per key and state column. Nothing per group.
 		{"group-by 200x2", groupBy, 20, 3552},
+		// The same without the group column, its name and its key column.
+		{"aggregation 1x2", aggregation, 12, 0},
 		// Decode: frame, trace map, two phase names.
 		{"final", final, 8, 293},
 	} {

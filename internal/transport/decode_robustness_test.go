@@ -14,8 +14,8 @@ func sampleEncoded(t testing.TB) []byte {
 		{IsAgg: true, Func: pql.Count, Column: "*"},
 		{IsAgg: true, Func: pql.Sum, Column: "clicks"},
 	})
-	inter.Aggs[0].AddCount(42)
-	inter.Aggs[1].AddNumeric(3.5)
+	inter.Groups.SetState(0, 0, query.AggState{Count: 42})
+	inter.Groups.SetState(0, 1, query.AggState{Sum: 3.5})
 	data, err := EncodeResponse(&QueryResponse{Result: inter, Exceptions: []string{"warn"}})
 	if err != nil {
 		t.Fatal(err)

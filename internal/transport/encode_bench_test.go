@@ -15,11 +15,7 @@ func benchResponse() *QueryResponse {
 	exprs := []pql.Expression{{IsAgg: true, Func: pql.Count, Column: "*"}, {IsAgg: true, Func: pql.Sum, Column: "x"}}
 	groups := query.NewGroupTable(2, exprs)
 	for i := 0; i < 200; i++ {
-		count := query.NewAggState(pql.Count)
-		count.AddCount(int64(i * 7))
-		sum := query.NewAggState(pql.Sum)
-		sum.AddNumeric(float64(i) * 1.5)
-		addGroup(groups, []any{fmt.Sprintf("cat%d", i%10), int64(i)}, count, sum)
+		addGroup(groups, []any{fmt.Sprintf("cat%d", i%10), int64(i)}, &query.AggState{Count: int64(i * 7)}, &query.AggState{Sum: float64(i) * 1.5})
 	}
 	return &QueryResponse{
 		Result: &query.Intermediate{

@@ -33,7 +33,7 @@ const FrameHeaderSize = 8
 
 const (
 	frameMagic   = 0x50 // 'P'
-	frameVersion = 3    // 1 carried gob payloads, 2 a group-by as one entry per group
+	frameVersion = 4    // 1 carried gob payloads, 2 a group-by as one entry per group, 3 an aggregation without GROUP BY as a state per function
 )
 
 // MaxFramePayload caps a single frame's payload; decoders reject anything

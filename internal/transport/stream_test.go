@@ -18,16 +18,16 @@ import (
 // countFrame builds a segment frame carrying a single count(*) partial.
 func countFrame(seq int, n int64) *SegmentFrame {
 	inter := query.NewAggIntermediate([]pql.Expression{{IsAgg: true, Func: pql.Count, Column: "*"}})
-	inter.Aggs[0].AddCount(n)
+	inter.Groups.SetState(0, 0, query.AggState{Count: n})
 	return &SegmentFrame{Seq: seq, Result: inter}
 }
 
 func mergedCount(t *testing.T, res *query.Intermediate) int64 {
 	t.Helper()
-	if res == nil || len(res.Aggs) != 1 {
+	if res == nil || res.Groups.Len() != 1 {
 		t.Fatalf("bad merged result: %+v", res)
 	}
-	return res.Aggs[0].Count
+	return res.Groups.State(0, 0).Count
 }
 
 func TestStreamMergerInOrder(t *testing.T) {

@@ -77,7 +77,7 @@ func TestTCPServerQueryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("execute %d: %v", i, err)
 		}
-		if got := resp.Result.Aggs[0].Count; got != 30 {
+		if got := resp.Result.Groups.State(0, 0).Count; got != 30 {
 			t.Fatalf("merged count = %d, want 30", got)
 		}
 		if resp.Result.Stats.NumSegmentsQueried != 3 {
@@ -182,7 +182,7 @@ func TestTCPRegistryResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.Result.Aggs[0].Count; got != 20 {
+	if got := resp.Result.Groups.State(0, 0).Count; got != 20 {
 		t.Fatalf("count = %d, want 20", got)
 	}
 }
@@ -382,12 +382,28 @@ var v2GroupByFrame = []byte{
 	0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 }
 
+// v3AggregationFrame is a whole version-3 FrameSegment: count(*) and sum(x)
+// without GROUP BY as one state per function, as TestGoldenFrames pinned it
+// before version 4.
+var v3AggregationFrame = []byte{
+	'P', 3, FrameSegment, 0, 0, 0, 0, 76,
+	2, 0, 2, // seq 1, kind, agg exprs
+	1, 5, 'C', 'O', 'U', 'N', 'T', 1, '*', 0,
+	1, 3, 'S', 'U', 'M', 1, 'x', 1, 1, 'x',
+	2,       // aggs
+	1, 6, 0, // COUNT by reference, count 3, no flags
+	2, 2, 3, // SUM by reference, count 1, seen and numeric
+	0x3f, 0xf8, 0, 0, 0, 0, 0, 0, 0x3f, 0xf8, 0, 0, 0, 0, 0, 0, 0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // sum, min, max
+	0, 0, 0, 0, 0, 0,
+	6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0,
+}
+
 func rawFrame(version, typ uint8, payload []byte) []byte {
 	out := []byte{frameMagic, version, typ, 0, 0, 0, 0, uint8(len(payload))}
 	return append(out, payload...)
 }
 
-// TestOldWireVersionsAreRefused: a peer still speaking version 1 or 2, and a
+// TestOldWireVersionsAreRefused: a peer still speaking version 1, 2 or 3, and a
 // peer that claims this version but sends a gob payload, are all refused with
 // a transport error, and the connection is dropped rather than reused.
 func TestOldWireVersionsAreRefused(t *testing.T) {
@@ -420,6 +436,7 @@ func TestOldWireVersionsAreRefused(t *testing.T) {
 	}{
 		"v1 header":                {rawFrame(1, FrameSegment, gobSegmentPayload), "unsupported frame version 1"},
 		"v2 group-by":              {v2GroupByFrame, "unsupported frame version 2"},
+		"v3 aggregation":           {v3AggregationFrame, "unsupported frame version 3"},
 		"current header, gob body": {rawFrame(frameVersion, FrameSegment, gobSegmentPayload), "transport: decode"},
 	} {
 		addr := scriptedServer(t, c.reply, true)

@@ -13,8 +13,8 @@ func TestResponseRoundTrip(t *testing.T) {
 		{IsAgg: true, Func: pql.Count, Column: "*"},
 		{IsAgg: true, Func: pql.Sum, Column: "clicks"},
 	})
-	inter.Aggs[0].AddCount(42)
-	inter.Aggs[1].AddNumeric(3.5)
+	inter.Groups.SetState(0, 0, query.AggState{Count: 42})
+	inter.Groups.SetState(0, 1, query.AggState{Sum: 3.5})
 	inter.Stats.NumDocsScanned = 7
 	resp := &QueryResponse{Result: inter, Exceptions: []string{"warn"}}
 	data, err := EncodeResponse(resp)
@@ -25,8 +25,8 @@ func TestResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Result.Aggs[0].Count != 42 || got.Result.Aggs[1].Sum != 3.5 {
-		t.Fatalf("aggs = %+v", got.Result.Aggs)
+	if g := got.Result.Groups; g.State(0, 0).Count != 42 || g.State(0, 1).Sum != 3.5 {
+		t.Fatalf("aggs = %+v %+v", g.State(0, 0), g.State(0, 1))
 	}
 	if got.Result.Stats.NumDocsScanned != 7 || got.Exceptions[0] != "warn" {
 		t.Fatalf("stats/exceptions lost: %+v", got)
@@ -44,8 +44,7 @@ func TestGroupByRoundTrip(t *testing.T) {
 		GroupCols: []string{"country", "bucket"},
 		Groups:    query.NewGroupTable(2, exprs),
 	}
-	s := query.NewAggState(pql.Sum)
-	s.AddNumeric(5)
+	s := &query.AggState{Sum: 5}
 	addGroup(inter.Groups, []any{"us", int64(7)}, s)
 
 	data, err := EncodeResponse(&QueryResponse{Result: inter})
