@@ -45,7 +45,10 @@ cover:
 # fixpoint), the expression evaluator (sandbox limits hold; compiled
 # kernels agree with the interpreter), and the scan cursor's state machine
 # (any mix of Next/Advance/nextBlock on any leaf and segment kind yields the
-# scalar iterator's docs and Stats). One list of targets, two durations:
+# scalar iterator's docs and Stats; the consuming segment is read beside its
+# writer), and the stream-event decoder (any bytes get the verdict and the
+# row of the encoding/json decode it replaced, with linear allocation). One
+# list of targets, two durations:
 # fuzz-smoke is the few-seconds pass verify runs on every PR.
 fuzz: FUZZTIME = 10s
 fuzz-smoke: FUZZTIME = 5s
@@ -56,6 +59,7 @@ fuzz fuzz-smoke:
 	$(GO) test ./internal/pql -run NONE -fuzz=FuzzParsePQL -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/expr -run NONE -fuzz=FuzzExprEval -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run NONE -fuzz=FuzzScanCursor -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/server -run NONE -fuzz=FuzzDecodeEvent -fuzztime=$(FUZZTIME)
 
 # The three counts ROADMAP aim 2 asks every PR to report in CHANGES.md: lines
 # of non-test Go in each package, as wc counts them.

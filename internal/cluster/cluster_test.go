@@ -98,14 +98,24 @@ func TestOfflineUploadAndQuery(t *testing.T) {
 	if got := res.Rows[0][1].(float64); got != float64(399*400/2) {
 		t.Fatalf("sum = %v", got)
 	}
-	// Replication: every segment has 2 online replicas.
-	ev, err := c.ExternalView("events_OFFLINE")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seg := range ev.Partitions {
-		if n := len(ev.InstancesFor(seg, helix.StateOnline)); n != 2 {
-			t.Fatalf("segment %s has %d replicas", seg, n)
+	// Replication: every segment gets 2 online replicas (WaitForOnline
+	// returns at the first, so the second may still be loading).
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		ev, err := c.ExternalView("events_OFFLINE")
+		if err != nil {
+			t.Fatal(err)
+		}
+		short := ""
+		for seg := range ev.Partitions {
+			if n := len(ev.InstancesFor(seg, helix.StateOnline)); n != 2 {
+				short = fmt.Sprintf("segment %s has %d replicas", seg, n)
+			}
+		}
+		if short == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(short)
 		}
 	}
 	// Group-by through the full distributed path.

@@ -32,8 +32,8 @@ func aggCacheable(q *pql.Query, opt Options, is IndexedSegment) bool {
 	if opt.GroupStateLimitBytes > 0 && q.HasGroupBy() {
 		return false
 	}
-	_, mutable := is.Seg.(*segment.MutableSegment)
-	return !mutable
+	_, consuming := is.Seg.(*segment.Snapshot)
+	return !consuming
 }
 
 // aggCacheKey renders the (filter signature, aggregation signature) part of

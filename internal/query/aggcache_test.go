@@ -40,7 +40,7 @@ func aggCacheFixture(t testing.TB) []IndexedSegment {
 			t.Fatal(err)
 		}
 	}
-	return append(segs, IndexedSegment{Seg: ms})
+	return append(segs, IndexedSegment{Seg: ms.Snapshot()})
 }
 
 func aggCacheCorpus() []string {

@@ -129,7 +129,7 @@ func dictSideValues(cs columnSource, col segment.ColumnReader, colName string, e
 func dictMemoFor(cs columnSource, col segment.ColumnReader, colName string, e pql.Expr, kind expr.Kind, opt Options, table string) (*expr.DictMemo, bool) {
 	cache := opt.DictMemoCache
 	if cache != nil {
-		if _, mutable := cs.seg.(*segment.MutableSegment); mutable {
+		if _, consuming := cs.seg.(*segment.Snapshot); consuming {
 			cache = nil
 		}
 	}

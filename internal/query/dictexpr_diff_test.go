@@ -208,7 +208,7 @@ func TestDictExprDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs = append(segs, query.IndexedSegment{Seg: ms})
+	segs = append(segs, query.IndexedSegment{Seg: ms.Snapshot()})
 
 	// One cache across the whole suite: later queries hit memos earlier
 	// queries built, so the differential also covers the cached path.

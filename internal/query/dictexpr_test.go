@@ -361,7 +361,7 @@ func TestDictExprMutableSegmentNotCached(t *testing.T) {
 		}
 	}
 	cache := qcache.New(qcache.Config{Tier: "dictexpr", Metrics: metrics.NewRegistry()})
-	segs := []IndexedSegment{{Seg: ms}}
+	segs := []IndexedSegment{{Seg: ms.Snapshot()}}
 	res := runPQL(t, segs, "SELECT count(*) FROM events GROUP BY concat(country, '-x') TOP 10", Options{DictMemoCache: cache})
 	if res.Stats.DictExprSegments != 1 {
 		t.Fatalf("DictExprSegments = %d; mutable segments still qualify for uncached memos", res.Stats.DictExprSegments)

@@ -190,7 +190,7 @@ func TestExprCompiledVsInterpreterDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs = append(segs, query.IndexedSegment{Seg: ms})
+	segs = append(segs, query.IndexedSegment{Seg: ms.Snapshot()})
 
 	queries := exprDiffQueries(r, 220)
 	for _, q := range queries {

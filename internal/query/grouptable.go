@@ -202,12 +202,15 @@ func (k *keyColumn) renderedLen(i int) int {
 	return len(strconv.AppendBool(buf[:0], k.nums[i] != 0))
 }
 
-// typedDict returns the values of an immutable column's dictionary in the
-// slice the dictionary keeps them in, when that is strings or int64s (what
-// group keys nearly always are): a reader of many values takes them from it
-// instead of boxing each through Value. Both are nil for any other reader.
+// typedDict returns the values of a column's dictionary in the slice the
+// dictionary keeps them in, when that is strings or int64s (what group keys
+// nearly always are): a reader of many values takes them from it instead of
+// boxing each through Value. Both are nil for any other dictionary.
 func typedDict(col segment.ColumnReader) (strs []string, longs []int64) {
-	if c, ok := col.(*segment.Column); ok {
+	if c, ok := col.(interface {
+		DictStrings() []string
+		DictLongs() []int64
+	}); ok {
 		return c.DictStrings(), c.DictLongs()
 	}
 	return nil, nil
@@ -221,7 +224,7 @@ func dictRenderedLen(col segment.ColumnReader, id int) int {
 	} else if longs != nil {
 		return len(strconv.AppendInt(buf[:0], longs[id], 10))
 	}
-	switch x := col.Value(id).(type) { // a mutable segment's dictionary holds boxed values
+	switch x := col.Value(id).(type) {
 	case string:
 		return len(x)
 	case int64:

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -131,8 +132,10 @@ func (s *idSet) each(fn func(id int)) {
 }
 
 // compileLeaf compiles a leaf predicate against a dictionary column into the
-// matching dict-id set. The column's dictionary may be unsorted (realtime
-// segments), in which case the dictionary is scanned.
+// matching dict-id set. Equality and membership are dictionary lookups; a
+// range is one id interval of a sorted dictionary, and what a scan of the
+// dictionary finds in an unsorted one (a consuming segment's, in arrival
+// order).
 func compileLeaf(col segment.ColumnReader, pred pql.Predicate) (*idSet, error) {
 	card := col.Cardinality()
 	typ := col.Spec().Type
@@ -143,20 +146,12 @@ func compileLeaf(col segment.ColumnReader, pred pql.Predicate) (*idSet, error) {
 		}
 		return cv, nil
 	}
-	// Unsorted dictionaries can only be scanned; build a value-level
-	// matcher and test every dictionary entry.
-	if !col.DictSorted() {
-		match, err := valueMatcher(typ, pred)
-		if err != nil {
-			return nil, err
+	within := func(lower, upper any, loIncl, hiIncl bool) *idSet {
+		if !col.DictSorted() {
+			return idSetFromList(card, scanDict(col, lower, upper, loIncl, hiIncl))
 		}
-		var ids []int
-		for id := 0; id < card; id++ {
-			if match(col.Value(id)) {
-				ids = append(ids, id)
-			}
-		}
-		return idSetFromList(card, ids), nil
+		lo, hi := col.Range(lower, upper, loIncl, hiIncl)
+		return idSetFromRanges(card, idRange{lo, hi})
 	}
 	switch p := pred.(type) {
 	case pql.Comparison:
@@ -176,17 +171,13 @@ func compileLeaf(col segment.ColumnReader, pred pql.Predicate) (*idSet, error) {
 			}
 			return idSetFromRanges(card, idRange{0, card}), nil
 		case pql.OpLt:
-			lo, hi := col.Range(nil, v, true, false)
-			return idSetFromRanges(card, idRange{lo, hi}), nil
+			return within(nil, v, true, false), nil
 		case pql.OpLte:
-			lo, hi := col.Range(nil, v, true, true)
-			return idSetFromRanges(card, idRange{lo, hi}), nil
+			return within(nil, v, true, true), nil
 		case pql.OpGt:
-			lo, hi := col.Range(v, nil, false, true)
-			return idSetFromRanges(card, idRange{lo, hi}), nil
+			return within(v, nil, false, true), nil
 		case pql.OpGte:
-			lo, hi := col.Range(v, nil, true, true)
-			return idSetFromRanges(card, idRange{lo, hi}), nil
+			return within(v, nil, true, true), nil
 		}
 		return nil, fmt.Errorf("query: unsupported operator %q", p.Op)
 	case pql.Between:
@@ -198,8 +189,7 @@ func compileLeaf(col segment.ColumnReader, pred pql.Predicate) (*idSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		l, h := col.Range(lo, hi, true, true)
-		return idSetFromRanges(card, idRange{l, h}), nil
+		return within(lo, hi, true, true), nil
 	case pql.In:
 		var ids []int
 		for _, raw := range p.Values {
@@ -220,8 +210,52 @@ func compileLeaf(col segment.ColumnReader, pred pql.Predicate) (*idSet, error) {
 	return nil, fmt.Errorf("query: unsupported predicate %T", pred)
 }
 
+// scanDict returns, ascending, the ids of an unsorted dictionary whose value
+// lies within the bounds (nil: unbounded). String and int64 dictionaries are
+// compared in the slice they keep their values in; the others box each value.
+func scanDict(col segment.ColumnReader, lower, upper any, loIncl, hiIncl bool) []int {
+	switch strs, longs := typedDict(col); {
+	case strs != nil:
+		return scanValues(strs, lower, upper, loIncl, hiIncl)
+	case longs != nil:
+		return scanValues(longs, lower, upper, loIncl, hiIncl)
+	}
+	var ids []int
+	for id, card := 0, col.Cardinality(); id < card; id++ {
+		v := col.Value(id)
+		if lower != nil {
+			if c := segment.CompareValues(v, lower); c < 0 || (c == 0 && !loIncl) {
+				continue
+			}
+		}
+		if upper != nil {
+			if c := segment.CompareValues(v, upper); c > 0 || (c == 0 && !hiIncl) {
+				continue
+			}
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+func scanValues[T cmp.Ordered](vals []T, lower, upper any, loIncl, hiIncl bool) []int {
+	lo, hasLo := lower.(T)
+	hi, hasHi := upper.(T)
+	var ids []int
+	for id, v := range vals {
+		if hasLo && (v < lo || (v == lo && !loIncl)) {
+			continue
+		}
+		if hasHi && (v > hi || (v == hi && !hiIncl)) {
+			continue
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 // valueMatcher builds a canonical-value-level predicate function, used for
-// unsorted dictionaries and raw (no-dictionary) columns.
+// raw (no-dictionary) columns.
 func valueMatcher(typ segment.DataType, pred pql.Predicate) (func(any) bool, error) {
 	coerce := func(v any) (any, error) { return segment.Canonicalize(typ, v) }
 	switch p := pred.(type) {

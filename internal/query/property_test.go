@@ -197,7 +197,7 @@ func TestPropertyVectorizedTreesMatchScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tables["consuming"] = []IndexedSegment{{Seg: ms}}
+	tables["consuming"] = []IndexedSegment{{Seg: ms.Snapshot()}}
 
 	r := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 60; trial++ {

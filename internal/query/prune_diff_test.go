@@ -138,7 +138,7 @@ func TestPruningDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs = append(segs, IndexedSegment{Seg: ms})
+	segs = append(segs, IndexedSegment{Seg: ms.Snapshot()})
 
 	queries := prunedDiffQueries(r, 220)
 	for _, q := range queries {

@@ -286,7 +286,7 @@ func TestPruneMutableSegmentsNeverPruned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs := []IndexedSegment{{Seg: ms}}
+	segs := []IndexedSegment{{Seg: ms.Snapshot()}}
 	// The filter misses every row, but a mutable segment cannot prove it.
 	res, err := Run(context.Background(),
 		"SELECT count(*) FROM ptbl WHERE bucket > 1000000", segs, schema, Options{})

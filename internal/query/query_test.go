@@ -635,7 +635,7 @@ func TestMutableSegmentQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs := []IndexedSegment{{Seg: ms}}
+	segs := []IndexedSegment{{Seg: ms.Snapshot()}}
 	// Range predicate over the unsorted realtime dictionary.
 	res := runPQL(t, segs, "SELECT count(*) FROM events WHERE memberId >= 25 AND country = 'us'", Options{})
 	var want int64

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pinot/internal/pql"
@@ -180,8 +181,9 @@ type cursorSource struct {
 }
 
 // cursorSources builds the three segment kinds: an immutable segment, a
-// consuming one holding its first quarter, and the immutable one read through
-// a schema that has since gained a column.
+// snapshot of a consuming one taken at its first quarter while a writer goes
+// on appending beside every read of it, and the immutable one read through a
+// schema that has since gained a column.
 func cursorSources(tb testing.TB, n int) []cursorSource {
 	tb.Helper()
 	imm := filterFixture(tb, "imm", n, segment.IndexConfig{})
@@ -194,6 +196,24 @@ func cursorSources(tb testing.TB, n int) []cursorSource {
 			tb.Fatal(err)
 		}
 	}
+	snap := rt.Snapshot()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for doc := n / 4; doc < 16*n; doc++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := rt.Add(segment.ReadRow(imm, doc%n)); err != nil {
+				tb.Error(err)
+				return
+			}
+			runtime.Gosched() // a row between the readers' steps, for as long as they run
+		}
+	}()
+	tb.Cleanup(func() { close(stop); <-done })
 	evolved, err := imm.Schema().WithColumn(segment.FieldSpec{
 		Name: "bonus", Type: segment.TypeLong, Kind: segment.Metric, SingleValue: true,
 	})
@@ -202,7 +222,7 @@ func cursorSources(tb testing.TB, n int) []cursorSource {
 	}
 	return []cursorSource{
 		{"immutable", columnSource{seg: imm}, cursorLeaves},
-		{"consuming", columnSource{seg: rt}, cursorLeaves},
+		{"consuming", columnSource{seg: snap}, cursorLeaves},
 		{"default column", columnSource{seg: imm, schema: evolved}, cursorDefaultLeaves},
 	}
 }

@@ -262,7 +262,7 @@ func TestVectorizedDifferentialMixed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs = append(segs, query.IndexedSegment{Seg: ms})
+	segs = append(segs, query.IndexedSegment{Seg: ms.Snapshot()})
 
 	// A table schema with one extra column the segments predate, so the
 	// virtual default-column batch fills are exercised via SELECT *.

@@ -1,8 +1,9 @@
 package segment
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // IndexConfig selects the physical layout of a built segment.
@@ -16,188 +17,63 @@ type IndexConfig struct {
 	InvertedColumns []string
 }
 
-// columnBuffer accumulates the values of one column during a build.
-type columnBuffer struct {
-	spec    FieldSpec
-	longs   []int64
-	doubles []float64
-	strings []string
-	bools   []bool
-	mvLongs [][]int64
-	mvDbls  [][]float64
-	mvStrs  [][]string
-	mvBools [][]bool
-}
-
-func (b *columnBuffer) add(v any) error {
-	f := b.spec
-	if f.SingleValue {
-		switch {
-		case f.Type.Integral():
-			x, ok := v.(int64)
-			if !ok {
-				return fmt.Errorf("segment: column %q: want int64, got %T", f.Name, v)
-			}
-			b.longs = append(b.longs, x)
-		case f.Type.Numeric():
-			x, ok := v.(float64)
-			if !ok {
-				return fmt.Errorf("segment: column %q: want float64, got %T", f.Name, v)
-			}
-			b.doubles = append(b.doubles, x)
-		case f.Type == TypeBoolean:
-			x, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("segment: column %q: want bool, got %T", f.Name, v)
-			}
-			b.bools = append(b.bools, x)
-		default:
-			x, ok := v.(string)
-			if !ok {
-				return fmt.Errorf("segment: column %q: want string, got %T", f.Name, v)
-			}
-			b.strings = append(b.strings, x)
-		}
-		return nil
-	}
-	switch {
-	case f.Type.Integral():
-		x, ok := v.([]int64)
-		if !ok {
-			return fmt.Errorf("segment: column %q: want []int64, got %T", f.Name, v)
-		}
-		b.mvLongs = append(b.mvLongs, x)
-	case f.Type.Numeric():
-		x, ok := v.([]float64)
-		if !ok {
-			return fmt.Errorf("segment: column %q: want []float64, got %T", f.Name, v)
-		}
-		b.mvDbls = append(b.mvDbls, x)
-	case f.Type == TypeBoolean:
-		x, ok := v.([]bool)
-		if !ok {
-			return fmt.Errorf("segment: column %q: want []bool, got %T", f.Name, v)
-		}
-		b.mvBools = append(b.mvBools, x)
-	default:
-		x, ok := v.([]string)
-		if !ok {
-			return fmt.Errorf("segment: column %q: want []string, got %T", f.Name, v)
-		}
-		b.mvStrs = append(b.mvStrs, x)
-	}
-	return nil
-}
-
-// scalar returns the single value at row i as a canonical any.
-func (b *columnBuffer) scalar(i int) any {
-	f := b.spec
-	switch {
-	case f.Type.Integral():
-		return b.longs[i]
-	case f.Type.Numeric():
-		return b.doubles[i]
-	case f.Type == TypeBoolean:
-		return b.bools[i]
-	default:
-		return b.strings[i]
-	}
-}
-
-// multi returns the values at row i of a multi-value column as canonical
-// anys.
-func (b *columnBuffer) multi(i int) []any {
-	f := b.spec
-	switch {
-	case f.Type.Integral():
-		out := make([]any, len(b.mvLongs[i]))
-		for j, v := range b.mvLongs[i] {
-			out[j] = v
-		}
-		return out
-	case f.Type.Numeric():
-		out := make([]any, len(b.mvDbls[i]))
-		for j, v := range b.mvDbls[i] {
-			out[j] = v
-		}
-		return out
-	case f.Type == TypeBoolean:
-		out := make([]any, len(b.mvBools[i]))
-		for j, v := range b.mvBools[i] {
-			out[j] = v
-		}
-		return out
-	default:
-		out := make([]any, len(b.mvStrs[i]))
-		for j, v := range b.mvStrs[i] {
-			out[j] = v
-		}
-		return out
-	}
-}
-
-// Builder accumulates rows and produces an immutable Segment. It is not safe
-// for concurrent use.
-type Builder struct {
-	name    string
-	table   string
-	schema  *Schema
-	cfg     IndexConfig
-	buffers []*columnBuffer
-	numRows int
-}
-
-// NewBuilder returns a Builder for a named segment. The sort column, if set,
-// must be a single-value dictionary column of the schema.
-func NewBuilder(table, name string, schema *Schema, cfg IndexConfig) (*Builder, error) {
+// validate checks the configured columns against a schema: the sort column
+// must be a single-value dictionary column, inverted columns dimensions.
+func (cfg IndexConfig) validate(schema *Schema) error {
 	if cfg.SortColumn != "" {
 		f, ok := schema.Field(cfg.SortColumn)
 		if !ok {
-			return nil, fmt.Errorf("segment: sort column %q not in schema", cfg.SortColumn)
+			return fmt.Errorf("segment: sort column %q not in schema", cfg.SortColumn)
 		}
 		if !f.SingleValue {
-			return nil, fmt.Errorf("segment: sort column %q must be single-value", cfg.SortColumn)
+			return fmt.Errorf("segment: sort column %q must be single-value", cfg.SortColumn)
 		}
 		if f.Kind == Metric {
-			return nil, fmt.Errorf("segment: sort column %q must be a dimension", cfg.SortColumn)
+			return fmt.Errorf("segment: sort column %q must be a dimension", cfg.SortColumn)
 		}
 	}
 	for _, ic := range cfg.InvertedColumns {
 		f, ok := schema.Field(ic)
 		if !ok {
-			return nil, fmt.Errorf("segment: inverted column %q not in schema", ic)
+			return fmt.Errorf("segment: inverted column %q not in schema", ic)
 		}
 		if f.Kind == Metric {
-			return nil, fmt.Errorf("segment: inverted column %q must be a dimension", ic)
+			return fmt.Errorf("segment: inverted column %q must be a dimension", ic)
 		}
 	}
-	b := &Builder{name: name, table: table, schema: schema, cfg: cfg}
-	b.buffers = make([]*columnBuffer, len(schema.Fields))
-	for i, f := range schema.Fields {
-		b.buffers[i] = &columnBuffer{spec: f}
+	return nil
+}
+
+// Builder accumulates rows and produces an immutable Segment. It is a front
+// over the consuming segment's columns: Add is the same append with nothing
+// published (a build has no readers), Build the same seal. It is not safe
+// for concurrent use.
+type Builder struct {
+	ms *MutableSegment
+}
+
+// NewBuilder returns a Builder for a named segment. The sort column, if set,
+// must be a single-value dictionary column of the schema.
+func NewBuilder(table, name string, schema *Schema, cfg IndexConfig) (*Builder, error) {
+	if err := cfg.validate(schema); err != nil {
+		return nil, err
 	}
-	return b, nil
+	return &Builder{ms: newMutableSegment(table, name, schema, cfg, false)}, nil
 }
 
 // Add appends a row. Values must align positionally with the schema fields
 // and be canonical (int64/float64/string/bool, or slices for multi-value).
 func (b *Builder) Add(row Row) error {
-	if len(row) != len(b.schema.Fields) {
-		return fmt.Errorf("segment: row has %d values, schema has %d fields", len(row), len(b.schema.Fields))
+	if err := b.ms.stage(row); err != nil {
+		return err
 	}
-	for i, v := range row {
-		if err := b.buffers[i].add(v); err != nil {
-			return err
-		}
-	}
-	b.numRows++
-	return nil
+	return b.ms.appendRow(b.ms.row)
 }
 
 // AddMap appends a row given as a column-name→value map, canonicalizing
 // loosely typed values.
 func (b *Builder) AddMap(m map[string]any) error {
-	row, err := b.schema.RowFromMap(m)
+	row, err := b.ms.schema.RowFromMap(m)
 	if err != nil {
 		return err
 	}
@@ -205,129 +81,161 @@ func (b *Builder) AddMap(m map[string]any) error {
 }
 
 // NumRows returns the number of rows added so far.
-func (b *Builder) NumRows() int { return b.numRows }
+func (b *Builder) NumRows() int { return b.ms.rows }
 
 // Build produces the immutable segment. The builder must not be reused
 // afterwards.
 func (b *Builder) Build() (*Segment, error) {
-	if b.numRows == 0 {
-		return nil, fmt.Errorf("segment: cannot build empty segment %q", b.name)
-	}
-	n := b.numRows
+	b.ms.publish()
+	return b.ms.Snapshot().seal(false)
+}
 
-	// Compute the document permutation for the sort column.
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+// Seal converts the consuming segment into an immutable segment, sorting the
+// dictionary, remapping ids, applying the configured sort column and
+// building configured inverted indexes. It is the writer's call: the sealed
+// segment holds the rows published so far.
+func (s *MutableSegment) Seal() (*Segment, error) {
+	if err := s.cfg.validate(s.schema); err != nil {
+		return nil, err
 	}
-	if b.cfg.SortColumn != "" {
-		buf := b.buffers[b.schema.FieldIndex(b.cfg.SortColumn)]
-		sort.SliceStable(perm, func(i, j int) bool {
-			return CompareValues(buf.scalar(perm[i]), buf.scalar(perm[j])) < 0
-		})
+	return s.Snapshot().seal(true)
+}
+
+// seal builds the immutable form of the snapshot's rows column by column:
+// each dictionary is sorted once, arrival-order ids are rewritten through
+// the old → new map (and through the sort column's document permutation),
+// and packed. No value is boxed or looked up on the way.
+func (s *Snapshot) seal(realtime bool) (*Segment, error) {
+	n, schema, cfg := s.numDocs, s.seg.schema, s.seg.cfg
+	if n == 0 {
+		return nil, fmt.Errorf("segment: cannot build empty segment %q", s.seg.name)
+	}
+	dicts := make([]Dictionary, len(s.cols))
+	remaps := make([][]uint32, len(s.cols))
+	for i := range s.cols {
+		c := &s.cols[i]
+		switch {
+		case c.col.spec.Kind == Metric:
+			continue
+		case c.card == 0:
+			return nil, fmt.Errorf("segment: multi-value column %q has no values", c.col.spec.Name)
+		case c.strs != nil:
+			sorted, remap := sortDict(c.strs)
+			dicts[i], remaps[i] = &stringDictionary{sorted}, remap
+		case c.dbls != nil:
+			sorted, remap := sortDict(c.dbls)
+			dicts[i], remaps[i] = &float64Dictionary{sorted}, remap
+		case c.col.spec.Type == TypeBoolean:
+			sorted, remap := sortDict(c.longs)
+			bools := make([]bool, len(sorted))
+			for j, v := range sorted {
+				bools[j] = v != 0
+			}
+			dicts[i], remaps[i] = &boolDictionary{bools}, remap
+		default:
+			sorted, remap := sortDict(c.longs)
+			dicts[i], remaps[i] = &int64Dictionary{sorted}, remap
+		}
 	}
 
-	inverted := make(map[string]bool, len(b.cfg.InvertedColumns))
-	for _, ic := range b.cfg.InvertedColumns {
+	// perm[doc] is the source document of output document doc; nil keeps
+	// arrival order. Sorted dict ids ascend with their values, so a counting
+	// sort on them is the stable sort by value.
+	var perm []uint32
+	if cfg.SortColumn != "" {
+		i := schema.FieldIndex(cfg.SortColumn)
+		c, remap := &s.cols[i], remaps[i]
+		next := make([]uint32, c.card+1)
+		for doc := 0; doc < n; doc++ {
+			next[remap[c.ids.at(doc)]+1]++
+		}
+		for id := 1; id <= c.card; id++ {
+			next[id] += next[id-1]
+		}
+		perm = make([]uint32, n)
+		for doc := 0; doc < n; doc++ {
+			id := remap[c.ids.at(doc)]
+			perm[next[id]] = uint32(doc)
+			next[id]++
+		}
+	}
+	src := func(doc int) int {
+		if perm != nil {
+			return int(perm[doc])
+		}
+		return doc
+	}
+
+	inverted := make(map[string]bool, len(cfg.InvertedColumns))
+	for _, ic := range cfg.InvertedColumns {
 		inverted[ic] = true
 	}
-
-	columns := make(map[string]*Column, len(b.schema.Fields))
+	columns := make(map[string]*Column, len(s.cols))
 	var minTime, maxTime int64
-	timeCol := b.schema.TimeColumn()
-	for fi, f := range b.schema.Fields {
-		buf := b.buffers[fi]
-		col := &Column{spec: f, numDocs: n}
+	timeCol := schema.TimeColumn()
+	for i := range s.cols {
+		c := &s.cols[i]
+		f := c.col.spec
+		col := &Column{spec: f, numDocs: n, dict: dicts[i]}
+		columns[f.Name] = col
 		if f.Kind == Metric {
-			// Raw metric storage in permuted document order.
-			if f.Type.Integral() {
-				values := make([]int64, n)
-				for doc, src := range perm {
-					values[doc] = buf.longs[src]
-				}
-				col.metric = newLongMetricColumn(values)
+			if c.col.metricIsLong {
+				col.metric = newLongMetricColumn(gather(c.mLongs, n, perm))
 			} else {
-				values := make([]float64, n)
-				for doc, src := range perm {
-					values[doc] = buf.doubles[src]
-				}
-				col.metric = newDoubleMetricColumn(values)
+				col.metric = newDoubleMetricColumn(gather(c.mDbls, n, perm))
 			}
-			columns[f.Name] = col
 			continue
 		}
-		// Dictionary-encoded dimension / time column.
-		var dict Dictionary
-		var err error
+		remap, width := remaps[i], bitsNeeded(c.card-1)
 		if f.SingleValue {
-			values := make([]any, n)
-			for i := 0; i < n; i++ {
-				values[i] = buf.scalar(i)
+			p := newPackedInts(n, width)
+			for doc := 0; doc < n; doc++ {
+				p.set(doc, remap[c.ids.at(src(doc))])
 			}
-			dict, err = newDictionary(f.Type, values)
-			if err != nil {
-				return nil, err
-			}
-			ids := make([]int, n)
-			for doc, src := range perm {
-				id, ok := dict.IndexOf(values[src])
-				if !ok {
-					return nil, fmt.Errorf("segment: internal: value missing from dictionary for %q", f.Name)
-				}
-				ids[doc] = id
-			}
-			col.dict = dict
-			col.fwd = newSVForwardIndex(ids, dict.Len())
+			col.fwd = &SVForwardIndex{packed: p}
 			col.sortedRanges = col.detectSortedRanges()
 		} else {
-			var flat []any
-			for i := 0; i < n; i++ {
-				flat = append(flat, buf.multi(i)...)
-			}
-			if len(flat) == 0 {
-				return nil, fmt.Errorf("segment: multi-value column %q has no values", f.Name)
-			}
-			dict, err = newDictionary(f.Type, flat)
-			if err != nil {
-				return nil, err
-			}
-			idLists := make([][]int, n)
-			for doc, src := range perm {
-				vals := buf.multi(src)
-				ids := make([]int, len(vals))
-				for j, v := range vals {
-					id, ok := dict.IndexOf(v)
-					if !ok {
-						return nil, fmt.Errorf("segment: internal: value missing from dictionary for %q", f.Name)
-					}
-					ids[j] = id
+			start := func(doc int) int {
+				if doc == 0 {
+					return 0
 				}
-				idLists[doc] = ids
+				return int(c.mvEnd.at(doc - 1))
 			}
-			col.dict = dict
-			col.mv = newMVForwardIndex(idLists, dict.Len())
+			offsets := make([]uint32, n+1)
+			p := newPackedInts(int(c.mvEnd.at(n-1)), width)
+			pos := 0
+			for doc := 0; doc < n; doc++ {
+				offsets[doc] = uint32(pos)
+				from := src(doc)
+				for j, end := start(from), int(c.mvEnd.at(from)); j < end; j++ {
+					p.set(pos, remap[c.ids.at(j)])
+					pos++
+				}
+			}
+			offsets[n] = uint32(pos)
+			col.mv = &MVForwardIndex{offsets: offsets, packed: p}
 		}
 		if inverted[f.Name] {
 			col.buildInverted()
 		}
 		if f.Name == timeCol {
-			minTime = dict.Min().(int64)
-			maxTime = dict.Max().(int64)
+			minTime = col.dict.Min().(int64)
+			maxTime = col.dict.Max().(int64)
 		}
-		columns[f.Name] = col
 	}
 
 	meta := Metadata{
-		Name:       b.name,
-		Table:      b.table,
-		Schema:     b.schema,
+		Name:       s.seg.name,
+		Table:      s.seg.table,
+		Schema:     schema,
 		NumDocs:    n,
-		SortColumn: b.cfg.SortColumn,
+		SortColumn: cfg.SortColumn,
 		TimeColumn: timeCol,
 		MinTime:    minTime,
 		MaxTime:    maxTime,
+		Realtime:   realtime,
 	}
-	for _, f := range b.schema.Fields {
+	for _, f := range schema.Fields {
 		c := columns[f.Name]
 		meta.Columns = append(meta.Columns, ColumnMetadata{
 			Name:          f.Name,
@@ -345,4 +253,33 @@ func (b *Builder) Build() (*Segment, error) {
 		})
 	}
 	return &Segment{meta: meta, columns: columns}, nil
+}
+
+// sortDict returns an arrival-order dictionary's values in ascending order
+// and the map from arrival-order id to sorted id.
+func sortDict[T cmp.Ordered](values []T) (sorted []T, remap []uint32) {
+	order := make([]uint32, len(values))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(values[a], values[b]) })
+	sorted, remap = make([]T, len(values)), make([]uint32, len(values))
+	for id, old := range order {
+		sorted[id], remap[old] = values[old], uint32(id)
+	}
+	return sorted, remap
+}
+
+// gather copies the first n values of a metric column, through perm when
+// there is one.
+func gather[T any](v chunkView[T], n int, perm []uint32) []T {
+	out := make([]T, n)
+	if perm == nil {
+		v.copyTo(0, out)
+		return out
+	}
+	for doc, src := range perm {
+		out[doc] = v.at(int(src))
+	}
+	return out
 }

@@ -215,66 +215,6 @@ func (d *boolDictionary) Range(lower, upper any, loIncl, hiIncl bool) (int, int)
 	return lo, hi
 }
 
-// newDictionary builds a sorted dictionary from the distinct values of a
-// column. The input need not be sorted or deduplicated.
-func newDictionary(t DataType, values []any) (Dictionary, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("segment: cannot build dictionary with no values")
-	}
-	switch {
-	case t.Integral():
-		seen := make(map[int64]struct{}, len(values))
-		for _, v := range values {
-			seen[v.(int64)] = struct{}{}
-		}
-		out := make([]int64, 0, len(seen))
-		for v := range seen {
-			out = append(out, v)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return &int64Dictionary{out}, nil
-	case t.Numeric():
-		seen := make(map[float64]struct{}, len(values))
-		for _, v := range values {
-			seen[v.(float64)] = struct{}{}
-		}
-		out := make([]float64, 0, len(seen))
-		for v := range seen {
-			out = append(out, v)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return &float64Dictionary{out}, nil
-	case t == TypeBoolean:
-		var hasF, hasT bool
-		for _, v := range values {
-			if v.(bool) {
-				hasT = true
-			} else {
-				hasF = true
-			}
-		}
-		var out []bool
-		if hasF {
-			out = append(out, false)
-		}
-		if hasT {
-			out = append(out, true)
-		}
-		return &boolDictionary{out}, nil
-	default:
-		seen := make(map[string]struct{}, len(values))
-		for _, v := range values {
-			seen[v.(string)] = struct{}{}
-		}
-		out := make([]string, 0, len(seen))
-		for v := range seen {
-			out = append(out, v)
-		}
-		sort.Strings(out)
-		return &stringDictionary{out}, nil
-	}
-}
-
 // writeDictionary serializes a dictionary.
 func writeDictionary(w io.Writer, d Dictionary) error {
 	if err := binary.Write(w, binary.LittleEndian, uint8(d.Type())); err != nil {
@@ -373,74 +313,4 @@ func readDictionary(r *bytes.Reader) (Dictionary, error) {
 		return &stringDictionary{values}, nil
 	}
 	return nil, fmt.Errorf("segment: unknown dictionary type byte %d", t)
-}
-
-// MutableDictionary is the hash-based unsorted dictionary used by realtime
-// consuming segments: new values get the next id in arrival order.
-type MutableDictionary struct {
-	typ    DataType
-	ids    map[any]int
-	values []any
-}
-
-// NewMutableDictionary returns an empty mutable dictionary for a type.
-func NewMutableDictionary(t DataType) *MutableDictionary {
-	return &MutableDictionary{typ: t, ids: make(map[any]int)}
-}
-
-// Index returns the dict id for a canonical value, inserting it if absent.
-func (d *MutableDictionary) Index(v any) int {
-	if id, ok := d.ids[v]; ok {
-		return id
-	}
-	id := len(d.values)
-	d.ids[v] = id
-	d.values = append(d.values, v)
-	return id
-}
-
-// Type returns the dictionary's data type.
-func (d *MutableDictionary) Type() DataType { return d.typ }
-
-// Len returns the number of distinct values.
-func (d *MutableDictionary) Len() int { return len(d.values) }
-
-// Value returns the value for a dict id.
-func (d *MutableDictionary) Value(id int) any { return d.values[id] }
-
-// IndexOf returns the dict id of a value without inserting.
-func (d *MutableDictionary) IndexOf(v any) (int, bool) {
-	id, ok := d.ids[v]
-	return id, ok
-}
-
-// Sorted reports false: arrival order is not value order.
-func (d *MutableDictionary) Sorted() bool { return false }
-
-// Range is unsupported on unsorted dictionaries; callers must check Sorted
-// and fall back to scanning the dictionary.
-func (d *MutableDictionary) Range(lower, upper any, loIncl, hiIncl bool) (int, int) {
-	panic("segment: Range on unsorted mutable dictionary")
-}
-
-// Min returns the smallest value currently in the dictionary.
-func (d *MutableDictionary) Min() any {
-	min := d.values[0]
-	for _, v := range d.values[1:] {
-		if CompareValues(v, min) < 0 {
-			min = v
-		}
-	}
-	return min
-}
-
-// Max returns the largest value currently in the dictionary.
-func (d *MutableDictionary) Max() any {
-	max := d.values[0]
-	for _, v := range d.values[1:] {
-		if CompareValues(v, max) > 0 {
-			max = v
-		}
-	}
-	return max
 }

@@ -160,16 +160,6 @@ type SVForwardIndex struct {
 	packed *packedInts
 }
 
-// newSVForwardIndex packs the given dict ids with the minimal width for the
-// cardinality.
-func newSVForwardIndex(ids []int, cardinality int) *SVForwardIndex {
-	p := newPackedInts(len(ids), bitsNeeded(cardinality-1))
-	for i, id := range ids {
-		p.set(i, uint32(id))
-	}
-	return &SVForwardIndex{packed: p}
-}
-
 // Get returns the dict id at a document position.
 func (f *SVForwardIndex) Get(doc int) int { return int(f.packed.get(doc)) }
 
@@ -198,25 +188,6 @@ func readSVForwardIndex(r *bytes.Reader) (*SVForwardIndex, error) {
 type MVForwardIndex struct {
 	offsets []uint32 // len = numDocs+1
 	packed  *packedInts
-}
-
-func newMVForwardIndex(idLists [][]int, cardinality int) *MVForwardIndex {
-	total := 0
-	for _, ids := range idLists {
-		total += len(ids)
-	}
-	offsets := make([]uint32, len(idLists)+1)
-	p := newPackedInts(total, bitsNeeded(cardinality-1))
-	pos := 0
-	for i, ids := range idLists {
-		offsets[i] = uint32(pos)
-		for _, id := range ids {
-			p.set(pos, uint32(id))
-			pos++
-		}
-	}
-	offsets[len(idLists)] = uint32(pos)
-	return &MVForwardIndex{offsets: offsets, packed: p}
 }
 
 // Get appends the dict ids of a document to buf and returns it.

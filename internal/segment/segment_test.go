@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -386,7 +387,8 @@ func TestMutableSegment(t *testing.T) {
 	if ms.NumDocs() != 3 {
 		t.Fatalf("NumDocs = %d", ms.NumDocs())
 	}
-	c := ms.Column("country")
+	snap := ms.Snapshot()
+	c := snap.Column("country")
 	if c.DictSorted() {
 		t.Fatal("mutable dict reported sorted")
 	}
@@ -406,11 +408,25 @@ func TestMutableSegment(t *testing.T) {
 		t.Fatal("missing posting should be empty bitmap")
 	}
 	// Metrics.
-	if ms.Column("revenue").Double(1) != 2.5 {
+	if snap.Column("revenue").Double(1) != 2.5 {
 		t.Fatal("metric value wrong")
 	}
-	if ms.Column("clicks").MinValue().(int64) != 10 {
-		t.Fatal("metric min wrong")
+	if snap.Column("clicks").MinValue().(int64) != 10 || snap.Column("clicks").MaxValue().(int64) != 30 {
+		t.Fatal("metric min/max wrong")
+	}
+	if c.MinValue() != "de" || c.MaxValue() != "us" || snap.Column("day").MaxValue().(int64) != 101 {
+		t.Fatal("dictionary min/max wrong")
+	}
+	// A snapshot does not move: rows added after it are another snapshot's.
+	if err := ms.AddMap(map[string]any{"country": "at", "clicks": 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.IndexOf("at"); ok || snap.NumDocs() != 3 || c.Cardinality() != 2 || c.MinValue() != "de" {
+		t.Fatal("snapshot saw a row appended after it was taken")
+	}
+	if later := ms.Snapshot(); later.NumDocs() != 4 || later.Column("country").MinValue() != "at" ||
+		later.Column("clicks").MinValue().(int64) != 5 {
+		t.Fatal("later snapshot missed the appended row")
 	}
 }
 
@@ -513,13 +529,19 @@ func TestQuickDictionaryInvariants(t *testing.T) {
 		if len(vals) == 0 {
 			return true
 		}
-		anys := make([]any, len(vals))
-		for i, v := range vals {
-			anys[i] = v
+		// Arrival-order dictionary first, as the write path fills it; the
+		// seal's sort then yields the value-ordered one.
+		var mu sync.Mutex
+		arrival := &dict[int64]{ids: map[int64]uint32{}}
+		for _, v := range vals {
+			arrival.index(&mu, v)
 		}
-		d, err := newDictionary(TypeLong, anys)
-		if err != nil {
-			return false
+		sorted, remap := sortDict(arrival.values.view(arrival.values.n))
+		d := &int64Dictionary{sorted}
+		for old, id := range remap {
+			if sorted[id] != arrival.values.view(arrival.values.n)[old] {
+				return false
+			}
 		}
 		for _, v := range vals {
 			id, ok := d.IndexOf(v)
@@ -623,13 +645,14 @@ func TestRangeReadsMatchPerDocReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := ms.Snapshot()
 	cols := map[string]ColumnReader{
 		"default dim":    NewDefaultColumn(FieldSpec{Name: "x", Type: TypeString, Kind: Dimension, SingleValue: true}, n),
 		"default metric": NewDefaultColumn(FieldSpec{Name: "y", Type: TypeDouble, Kind: Metric, SingleValue: true}, n),
 	}
 	for _, name := range []string{"country", "memberId", "clicks", "revenue", "day"} {
 		cols["immutable "+name] = seg.Column(name)
-		cols["consuming "+name] = ms.Column(name)
+		cols["consuming "+name] = snap.Column(name)
 	}
 	for label, col := range cols {
 		for _, w := range [][2]int{{0, n}, {0, 1}, {5, 8}, {63, 130}, {n - 1, 1}, {17, 0}} {

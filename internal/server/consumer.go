@@ -1,15 +1,15 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"pinot/internal/controller"
 	"pinot/internal/expr"
+	"pinot/internal/metrics"
 	"pinot/internal/pql"
 	"pinot/internal/segment"
 	"pinot/internal/startree"
@@ -40,20 +40,40 @@ type consumer struct {
 	// KEEP, awaiting CONSUMING→ONLINE. Written by run's goroutine only;
 	// read after done is closed.
 	sealed *segment.Segment
-	// Ingestion-time transforms (tentpole: derived values materialize as
-	// real columns in the consuming segment). base is the schema of the
-	// raw stream events; derived evaluates against it with the sandboxed
-	// interpreter, one row at a time, in consumption order — so every
-	// replica computes identical values from identical bytes.
-	base    *segment.Schema
+	// row is the one staging row every event is decoded into (dec) and
+	// appended from; nothing is allocated per event.
+	row *segment.TypedRow
+	dec *eventDecoder
+	// Ingestion-time transforms: derived values materialize as real columns
+	// in the consuming segment. Each evaluates against the event's fields
+	// (get reads the staged row) with the sandboxed interpreter, one row at
+	// a time, in consumption order — so every replica computes identical
+	// values from identical bytes.
 	derived []derivedEval
+	get     expr.Getter
 	ectx    *expr.Ctx
+
+	// Instrument handles, resolved once.
+	rowsMet    *metrics.Instrument
+	skippedMet map[string]*metrics.Instrument // by reason
+	lagEvents  *metrics.Instrument
+	lagMillis  *metrics.Instrument
 }
 
-// derivedEval is one parsed derived-column expression.
+// Why an event was skipped, the reason label of
+// pinot_consumer_events_skipped_total.
+const (
+	skipDecode    = "decode"    // not a JSON object
+	skipSchema    = "schema"    // a value does not fit its column's type
+	skipTransform = "transform" // a derived-column expression failed
+)
+
+// derivedEval is one parsed derived-column expression and the row field it
+// fills.
 type derivedEval struct {
-	name string
-	e    pql.Expr
+	field int
+	spec  segment.FieldSpec
+	e     pql.Expr
 }
 
 // startConsuming handles the OFFLINE→CONSUMING transition: every replica
@@ -88,8 +108,10 @@ func (t *tableDataManager) startConsuming(segName string) error {
 			return fmt.Errorf("server %s: consuming segment %s: derived column %q: %w",
 				t.server.cfg.Instance, segName, d.Name, err)
 		}
-		derived = append(derived, derivedEval{name: d.Name, e: e})
+		derived = append(derived, derivedEval{field: eff.FieldIndex(d.Name), spec: d.FieldSpec(), e: e})
 	}
+	met, part := t.server.met, strconv.Itoa(meta.Partition)
+	row := ms.NewRow()
 	c := &consumer{
 		tdm:     t,
 		segName: segName,
@@ -100,10 +122,29 @@ func (t *tableDataManager) startConsuming(segName string) error {
 		endTime: time.Duration(cfg.FlushThresholdMillis) * time.Millisecond,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-		base:    cfg.Schema,
+		row:     row,
+		dec:     newEventDecoder(cfg.Schema, row),
 		derived: derived,
+
+		rowsMet:    met.consumerRows.With(met.instance, t.resource),
+		skippedMet: map[string]*metrics.Instrument{},
+		lagEvents:  met.lagEvents.With(met.instance, t.resource, part),
+		lagMillis:  met.lagMillis.With(met.instance, t.resource, part),
+	}
+	for _, reason := range []string{skipDecode, skipSchema, skipTransform} {
+		c.skippedMet[reason] = met.consumerSkipped.With(met.instance, t.resource, reason)
 	}
 	if len(derived) > 0 {
+		// Derived columns read the event's own fields (they cannot reference
+		// each other); a field the event left out reads as its default, which
+		// is what the row holds for it.
+		base := cfg.Schema
+		c.get = func(name string) any {
+			if i := base.FieldIndex(name); i >= 0 {
+				return row.Value(i)
+			}
+			return nil
+		}
 		c.ectx = expr.NewCtx(expr.Limits{})
 		c.ectx.Check = func() error {
 			if c.stopped() {
@@ -202,63 +243,57 @@ func (c *consumer) run() {
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		for _, m := range msgs {
-			// A malformed event is skipped but still counts toward
-			// the end criteria (all replicas consume identical bytes,
-			// so they stay deterministic); ingestion must not wedge
-			// on bad input.
-			_ = c.indexMessage(m.Value)
-			rows++
-		}
-		met.consumerRows.With(met.instance, c.tdm.resource).Add(int64(len(msgs)))
+		c.index(msgs)
+		rows += len(msgs)
 	}
 }
 
-func (c *consumer) indexMessage(value []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(value))
-	dec.UseNumber()
-	var m map[string]any
-	if err := dec.Decode(&m); err != nil {
-		return err
+// index appends a batch of events to the consuming segment. A malformed
+// event is counted and skipped but still counts toward the end criteria (all
+// replicas consume identical bytes, so they stay deterministic); ingestion
+// must not wedge on bad input.
+func (c *consumer) index(msgs []stream.Message) {
+	for _, m := range msgs {
+		if reason, _ := c.indexMessage(m.Value); reason != "" {
+			c.skippedMet[reason].Inc()
+		}
+	}
+	c.rowsMet.Add(int64(len(msgs)))
+}
+
+// indexMessage decodes one event into the staging row, fills the derived
+// columns from it and appends the row. A non-empty reason says why the event
+// was skipped instead.
+func (c *consumer) indexMessage(value []byte) (reason string, err error) {
+	if err := c.dec.decode(value); err != nil {
+		if errors.Is(err, errEventType) {
+			return skipSchema, err
+		}
+		return skipDecode, err
 	}
 	for _, d := range c.derived {
-		v, err := expr.Eval(c.ectx, d.e, c.rowGetter(m))
+		v, err := expr.Eval(c.ectx, d.e, c.get)
 		if err != nil {
 			// A row whose transform fails is skipped like any malformed
 			// event: deterministic across replicas (identical bytes,
 			// identical limits), and ingestion never wedges.
-			return err
+			return skipTransform, err
 		}
-		m[d.name] = v
+		if v, err = segment.CanonicalizeField(d.spec, v); err != nil {
+			return skipSchema, err
+		}
+		if err := c.row.Set(d.field, v); err != nil {
+			return skipSchema, err
+		}
 	}
-	return c.seg.AddMap(m)
-}
-
-// rowGetter adapts one decoded stream event to the interpreter's column
-// accessor, canonicalizing values against the base schema (the raw event
-// fields; derived columns cannot reference each other). Missing fields read
-// as the schema default, exactly what AddMap would store for them.
-func (c *consumer) rowGetter(m map[string]any) expr.Getter {
-	return func(name string) any {
-		f, ok := c.base.Field(name)
-		if !ok {
-			return nil
-		}
-		v, ok := m[name]
-		if !ok {
-			return segment.DefaultValue(f)
-		}
-		cv, err := segment.CanonicalizeField(f, v)
-		if err != nil {
-			return nil
-		}
-		return cv
+	if err := c.seg.Append(c.row); err != nil {
+		return skipSchema, err
 	}
+	return "", nil
 }
 
 // consumeTo catches the replica up to the target offset (CATCHUP).
 func (c *consumer) consumeTo(target int64) {
-	met := c.tdm.server.met
 	for c.cons.Offset() < target && !c.stopped() {
 		max := int(target - c.cons.Offset())
 		if max > c.tdm.server.cfg.ConsumeBatch {
@@ -269,10 +304,7 @@ func (c *consumer) consumeTo(target int64) {
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		for _, m := range msgs {
-			_ = c.indexMessage(m.Value)
-		}
-		met.consumerRows.With(met.instance, c.tdm.resource).Add(int64(len(msgs)))
+		c.index(msgs)
 	}
 }
 

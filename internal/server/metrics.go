@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strconv"
 	"time"
 
 	"pinot/internal/metrics"
@@ -29,6 +28,7 @@ type serverMetrics struct {
 	completion  *metrics.Family // labels: instance, action
 
 	consumerRows    *metrics.Family // labels: instance, resource
+	consumerSkipped *metrics.Family // labels: instance, resource, reason
 	consumerFlushes *metrics.Family // labels: instance, resource, reason
 	lagEvents       *metrics.Family // labels: instance, resource, partition
 	lagMillis       *metrics.Family // labels: instance, resource, partition
@@ -63,6 +63,8 @@ func newServerMetrics(reg *metrics.Registry, instance string) *serverMetrics {
 		"Completion-protocol instructions received, by action.", "instance", "action")
 	m.consumerRows = reg.Counter("pinot_consumer_rows_consumed_total",
 		"Stream rows consumed into mutable segments.", "instance", "resource")
+	m.consumerSkipped = reg.Counter("pinot_consumer_events_skipped_total",
+		"Stream events consumed but not indexed, by reason (decode, schema or transform).", "instance", "resource", "reason")
 	m.consumerFlushes = reg.Counter("pinot_consumer_flushes_total",
 		"Consuming-segment flushes, by end criterion (rows or time).", "instance", "resource", "reason")
 	m.lagEvents = reg.Gauge("pinot_consumer_lag_events",
@@ -77,7 +79,6 @@ func newServerMetrics(reg *metrics.Registry, instance string) *serverMetrics {
 // timestamps — how long the consumer has been continuously behind, which is
 // zero whenever it is caught up.
 func (c *consumer) updateLag() {
-	m := c.tdm.server.met
 	latest, err := c.topic.LatestOffset(c.cons.Partition())
 	if err != nil {
 		return
@@ -95,7 +96,6 @@ func (c *consumer) updateLag() {
 	if !c.behindSince.IsZero() {
 		behind = time.Since(c.behindSince).Milliseconds()
 	}
-	part := strconv.Itoa(c.cons.Partition())
-	m.lagEvents.With(m.instance, c.tdm.resource, part).Set(lag)
-	m.lagMillis.With(m.instance, c.tdm.resource, part).Set(behind)
+	c.lagEvents.Set(lag)
+	c.lagMillis.Set(behind)
 }

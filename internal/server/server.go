@@ -469,7 +469,8 @@ func (t *tableDataManager) hostedNames() []string {
 }
 
 // segmentsFor resolves requested segment names (nil = all hosted) to
-// executable segments, including in-progress consuming segments.
+// executable segments, including in-progress consuming segments, each as the
+// one snapshot the query reads it through.
 func (t *tableDataManager) segmentsFor(names []string) []query.IndexedSegment {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -479,7 +480,7 @@ func (t *tableDataManager) segmentsFor(names []string) []query.IndexedSegment {
 			out = append(out, is)
 		}
 		for _, c := range t.consuming {
-			out = append(out, query.IndexedSegment{Seg: c.seg})
+			out = append(out, query.IndexedSegment{Seg: c.seg.Snapshot()})
 		}
 		return out
 	}
@@ -490,7 +491,7 @@ func (t *tableDataManager) segmentsFor(names []string) []query.IndexedSegment {
 			continue
 		}
 		if c, ok := t.consuming[n]; ok {
-			out = append(out, query.IndexedSegment{Seg: c.seg})
+			out = append(out, query.IndexedSegment{Seg: c.seg.Snapshot()})
 		}
 	}
 	return out

@@ -31,12 +31,16 @@ const testFlushRows = 200
 // immutable one.
 type rig struct {
 	srv      *Server
+	reg      *metrics.Registry
 	topic    *stream.Topic
 	resource string
 	produced int
 }
 
-func newRig(t *testing.T, cfg Config) *rig {
+func newRig(t *testing.T, cfg Config) *rig { return newRigWith(t, cfg, nil) }
+
+// newRigWith lets a test edit the table's config before the table exists.
+func newRigWith(t *testing.T, cfg Config, edit func(*table.Config)) *rig {
 	t.Helper()
 	store, objects, streams := zkmeta.NewStore(), objstore.NewMem(), stream.NewCluster()
 	reg := metrics.NewRegistry()
@@ -78,10 +82,13 @@ func newRig(t *testing.T, cfg Config) *rig {
 		FlushThresholdRows: testFlushRows,
 		StarTree:           &startree.Config{DimensionSplitOrder: []string{"country", "memberId"}, Metrics: []string{"clicks"}, MaxLeafRecords: 1},
 	}
+	if edit != nil {
+		edit(tc)
+	}
 	if err := ctrl.AddTable(tc); err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{srv: srv, topic: topic, resource: tc.Resource()}
+	r := &rig{srv: srv, reg: reg, topic: topic, resource: tc.Resource()}
 	waitFor(t, "first consuming segment", func() bool { return len(srv.HostedSegments(r.resource)) == 1 })
 	return r
 }

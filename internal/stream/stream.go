@@ -94,9 +94,10 @@ func (t *Topic) ProduceTo(partitionID int, key, value []byte) (int64, error) {
 	return t.partitions[partitionID].append(key, value), nil
 }
 
-// Fetch returns up to max messages from a partition starting at offset.
-// Fetching at the log end returns an empty slice; fetching below the
-// retention horizon fails.
+// Fetch returns up to max messages from a partition starting at offset, fewer
+// when they would cross a chunk of the log: the slice is the log's own and
+// read-only. Fetching at the log end returns an empty slice; fetching below
+// the retention horizon fails.
 func (t *Topic) Fetch(partitionID int, offset int64, max int) ([]Message, error) {
 	if partitionID < 0 || partitionID >= len(t.partitions) {
 		return nil, ErrBadPartition
@@ -123,7 +124,7 @@ func (t *Topic) LatestOffset(partitionID int) (int64, error) {
 	p := t.partitions[partitionID]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.base + int64(len(p.log)), nil
+	return p.end, nil
 }
 
 // TrimBefore discards messages below offset in every partition, modelling
@@ -161,22 +162,38 @@ func (t *Topic) ResumePartition(partitionID int) error {
 	return nil
 }
 
+// logChunk is how many messages one chunk of a partition log holds: 292 of
+// them (56 bytes each) and the allocator's 8-byte header for pointer-bearing
+// objects fill a 16 KiB size class; 256 would spill into it and waste 2 KiB.
+const logChunk = 292
+
+// partition is an append-only log kept in chunks of logChunk messages. A
+// chunk is allocated once at full capacity and only ever appended to, so a
+// fetch hands out a sub-slice of it instead of a copy, and retention drops
+// whole chunks.
 type partition struct {
 	mu      sync.Mutex
-	base    int64 // offset of log[0]
-	log     []Message
+	base    int64       // oldest retained offset
+	first   int64       // offset of chunks[0][0]; at most base
+	end     int64       // next offset to assign
+	chunks  [][]Message // chunk k holds offsets from first + k*logChunk
 	stalled bool
 }
 
 func (p *partition) append(key, value []byte) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	off := p.base + int64(len(p.log))
-	p.log = append(p.log, Message{
+	k := int((p.end - p.first) / logChunk)
+	if k == len(p.chunks) {
+		p.chunks = append(p.chunks, make([]Message, 0, logChunk))
+	}
+	off := p.end
+	p.chunks[k] = append(p.chunks[k], Message{
 		Offset: off,
 		Key:    append([]byte(nil), key...),
 		Value:  append([]byte(nil), value...),
 	})
+	p.end++
 	return off
 }
 
@@ -189,17 +206,13 @@ func (p *partition) fetch(offset int64, max int) ([]Message, error) {
 	if offset < p.base {
 		return nil, ErrOffsetTooEarly
 	}
-	start := offset - p.base
-	if start >= int64(len(p.log)) {
+	if offset >= p.end || max <= 0 {
 		return nil, nil
 	}
-	end := start + int64(max)
-	if end > int64(len(p.log)) {
-		end = int64(len(p.log))
-	}
-	out := make([]Message, end-start)
-	copy(out, p.log[start:end])
-	return out, nil
+	chunk := p.chunks[(offset-p.first)/logChunk]
+	i := int((offset - p.first) % logChunk)
+	j := min(len(chunk), i+max)
+	return chunk[i:j:j], nil
 }
 
 func (p *partition) trimBefore(offset int64) {
@@ -208,14 +221,15 @@ func (p *partition) trimBefore(offset int64) {
 	if offset <= p.base {
 		return
 	}
-	drop := offset - p.base
-	if drop >= int64(len(p.log)) {
-		p.base += int64(len(p.log))
-		p.log = nil
+	if offset >= p.end {
+		p.base, p.first, p.chunks = p.end, p.end, nil
 		return
 	}
-	p.log = append([]Message(nil), p.log[drop:]...)
 	p.base = offset
+	if drop := (offset - p.first) / logChunk; drop > 0 {
+		p.chunks = append([][]Message(nil), p.chunks[drop:]...)
+		p.first += drop * logChunk
+	}
 }
 
 // Consumer tracks a read position in one partition, the replica-side
