@@ -6,10 +6,7 @@
 package bitmap
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 )
@@ -128,6 +125,18 @@ func (c *container) clone() *container {
 // bitmap ready to use. Bitmap is not safe for concurrent mutation.
 type Bitmap struct {
 	containers []*container // sorted by key
+	// view marks a bitmap of ViewPostings: its containers are the serialized
+	// bytes themselves, shared with whoever else holds them, so it is never
+	// written. Every operation that returns a bitmap returns a fresh one.
+	view bool
+}
+
+// mutable panics on a write to a view: only a bug can reach it, and the
+// alternative is silently editing a segment under every replica serving it.
+func (b *Bitmap) mutable() {
+	if b.view {
+		panic("bitmap: write to a read-only view of serialized postings")
+	}
 }
 
 // New returns an empty bitmap.
@@ -169,6 +178,7 @@ func (b *Bitmap) insertContainer(i int, c *container) {
 
 // Add inserts v, reporting whether it was absent.
 func (b *Bitmap) Add(v uint32) bool {
+	b.mutable()
 	key, low := uint16(v>>16), uint16(v)
 	i, ok := b.containerIndex(key)
 	if !ok {
@@ -183,6 +193,7 @@ func (b *Bitmap) Add(v uint32) bool {
 // run, and a run lying beyond everything an array container holds — the
 // shape of draining an ascending iterator — is appended without searching.
 func (b *Bitmap) AddMany(sorted []uint32) {
+	b.mutable()
 	for len(sorted) > 0 {
 		key := uint16(sorted[0] >> 16)
 		run := 1
@@ -216,6 +227,7 @@ func (c *container) addMany(run []uint32) {
 
 // AddRange inserts every value in [start, end).
 func (b *Bitmap) AddRange(start, end uint32) {
+	b.mutable()
 	for v := uint64(start); v < uint64(end); {
 		key := uint16(v >> 16)
 		chunkEnd := (v | 0xFFFF) + 1
@@ -256,6 +268,7 @@ func (b *Bitmap) AddRange(start, end uint32) {
 
 // Remove deletes v, reporting whether it was present.
 func (b *Bitmap) Remove(v uint32) bool {
+	b.mutable()
 	key, low := uint16(v>>16), uint16(v)
 	i, ok := b.containerIndex(key)
 	if !ok {
@@ -738,114 +751,4 @@ func (it *Iterator) AdvanceIfNeeded(target uint32) {
 		}
 		return
 	}
-}
-
-const serialMagic = uint32(0x52_42_4D_31) // "RBM1"
-
-// WriteTo serializes the bitmap. The format is a simple portable layout:
-// magic, container count, then per container: key, type, cardinality, payload.
-func (b *Bitmap) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(serialMagic); err != nil {
-		return n, err
-	}
-	if err := write(uint32(len(b.containers))); err != nil {
-		return n, err
-	}
-	for _, c := range b.containers {
-		if err := write(c.key); err != nil {
-			return n, err
-		}
-		if c.words != nil {
-			if err := write(uint8(1)); err != nil {
-				return n, err
-			}
-			if err := write(uint32(c.card)); err != nil {
-				return n, err
-			}
-			if err := write(c.words); err != nil {
-				return n, err
-			}
-		} else {
-			if err := write(uint8(0)); err != nil {
-				return n, err
-			}
-			if err := write(uint32(len(c.array))); err != nil {
-				return n, err
-			}
-			if err := write(c.array); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, nil
-}
-
-// ReadFrom deserializes a bitmap previously written with WriteTo, replacing
-// the receiver's contents.
-func (b *Bitmap) ReadFrom(r io.Reader) (int64, error) {
-	var n int64
-	read := func(v any) error {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	var magic uint32
-	if err := read(&magic); err != nil {
-		return n, err
-	}
-	if magic != serialMagic {
-		return n, errors.New("bitmap: bad magic")
-	}
-	var count uint32
-	if err := read(&count); err != nil {
-		return n, err
-	}
-	if count > 1<<16 {
-		return n, errors.New("bitmap: corrupt container count")
-	}
-	b.containers = make([]*container, 0, count)
-	for i := uint32(0); i < count; i++ {
-		c := &container{}
-		var typ uint8
-		var card uint32
-		if err := read(&c.key); err != nil {
-			return n, err
-		}
-		if err := read(&typ); err != nil {
-			return n, err
-		}
-		if err := read(&card); err != nil {
-			return n, err
-		}
-		if typ == 1 {
-			if card > 1<<16 {
-				return n, errors.New("bitmap: corrupt container cardinality")
-			}
-			c.words = make([]uint64, bitmapWords)
-			c.card = int(card)
-			if err := read(c.words); err != nil {
-				return n, err
-			}
-		} else {
-			if card > arrayToBitmapThreshold+1 {
-				return n, errors.New("bitmap: corrupt array container size")
-			}
-			c.array = make([]uint16, card)
-			if err := read(c.array); err != nil {
-				return n, err
-			}
-		}
-		b.containers = append(b.containers, c)
-	}
-	return n, nil
 }

@@ -1,7 +1,6 @@
 package bitmap
 
 import (
-	"bytes"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -347,30 +346,6 @@ func TestIteratorAdvance(t *testing.T) {
 	itd.AdvanceIfNeeded(43217)
 	if v := itd.Next(); v != 43217 {
 		t.Fatalf("dense advance: %d", v)
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	b := Of(randomValues(r, 10000, 1<<22)...)
-	b.AddRange(1<<22, 1<<22+70000) // force dense containers
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := New()
-	if _, err := got.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if !b.Equals(got) {
-		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestSerializationBadMagic(t *testing.T) {
-	got := New()
-	if _, err := got.ReadFrom(bytes.NewReader([]byte{0, 0, 0, 0, 0, 0, 0, 0})); err == nil {
-		t.Fatal("expected error on bad magic")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"pinot/internal/helix"
 	"pinot/internal/segment"
+	"pinot/internal/startree"
 	"pinot/internal/table"
 	"pinot/internal/transport"
 	"pinot/internal/zkmeta"
@@ -25,6 +26,22 @@ func unmarshalTableConfig(data []byte) (*table.Config, error) {
 }
 
 func crc32Of(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
+
+// checkSegment is the integrity check of an upload or a commit (paper 3.3.5:
+// the controller "unpacks it to ensure its integrity"). It is the pass a
+// server runs before it serves these bytes in place — the segment's sections
+// and the star-tree inside them — so what the controller stores and
+// checksums, a server will load.
+func checkSegment(blob []byte) (*segment.Segment, error) {
+	seg, err := segment.Unmarshal(blob)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := startree.Load(seg); err != nil {
+		return nil, err
+	}
+	return seg, nil
+}
 
 // completionState is a phase of the per-segment completion FSM.
 type completionState uint8
@@ -205,7 +222,7 @@ func (c *Controller) CommitSegment(ctx context.Context, req *transport.SegmentCo
 }
 
 func (c *Controller) finalizeCommit(req *transport.SegmentCommitRequest) error {
-	seg, err := segment.Unmarshal(req.Blob)
+	seg, err := checkSegment(req.Blob)
 	if err != nil {
 		return fmt.Errorf("controller: committed segment corrupt: %w", err)
 	}

@@ -356,8 +356,7 @@ func (c *Controller) UploadSegment(resource string, blob []byte) error {
 	if err != nil {
 		return fmt.Errorf("controller: unknown table %s: %w", resource, err)
 	}
-	// Unpack to ensure integrity.
-	seg, err := segment.Unmarshal(blob)
+	seg, err := checkSegment(blob)
 	if err != nil {
 		return fmt.Errorf("controller: segment rejected: %w", err)
 	}

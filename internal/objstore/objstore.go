@@ -20,7 +20,13 @@ var ErrNotFound = errors.New("objstore: object not found")
 
 // Store is a flat blob store keyed by slash-separated names.
 type Store interface {
+	// Put stores a copy of data: the caller keeps its slice.
 	Put(key string, data []byte) error
+	// Get returns the blob, read-only. A loaded segment serves queries from
+	// these very bytes (segment.Unmarshal), and Mem hands every caller the
+	// one copy it holds, so a write through the returned slice would edit
+	// the object under the store and under every server reading it. A
+	// caller that needs to change the bytes copies them first.
 	Get(key string) ([]byte, error)
 	Delete(key string) error
 	Exists(key string) (bool, error)
@@ -37,7 +43,7 @@ type Mem struct {
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{objects: map[string][]byte{}} }
 
-// Put stores a blob.
+// Put stores a copy of the blob.
 func (m *Mem) Put(key string, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -45,7 +51,9 @@ func (m *Mem) Put(key string, data []byte) error {
 	return nil
 }
 
-// Get fetches a blob.
+// Get returns the stored blob itself, read-only (see Store): every replica
+// that loads a segment in this process shares the store's bytes. A later Put
+// or Delete of the key leaves the returned slice intact.
 func (m *Mem) Get(key string) ([]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -53,7 +61,7 @@ func (m *Mem) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return append([]byte(nil), data...), nil
+	return data[:len(data):len(data)], nil
 }
 
 // Delete removes a blob; deleting a missing key is not an error.

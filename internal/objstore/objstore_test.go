@@ -62,14 +62,29 @@ func TestPutGetDeleteList(t *testing.T) {
 	}
 }
 
-func TestGetIsACopy(t *testing.T) {
+// TestMemHoldsOneCopy pins the sharing contract: Put copies what it is given,
+// every Get hands out that one copy (so every replica loading a segment in
+// this process serves the store's bytes), and replacing a key leaves the
+// bytes earlier readers hold alone.
+func TestMemHoldsOneCopy(t *testing.T) {
 	m := NewMem()
-	_ = m.Put("k", []byte("abc"))
+	in := []byte("abc")
+	_ = m.Put("k", in)
+	in[0] = 'z'
 	d1, _ := m.Get("k")
-	d1[0] = 'z'
 	d2, _ := m.Get("k")
-	if string(d2) != "abc" {
-		t.Fatal("Get aliases internal storage")
+	if string(d1) != "abc" {
+		t.Fatalf("Put kept the caller's slice: %q", d1)
+	}
+	if &d1[0] != &d2[0] {
+		t.Fatal("two Gets of one key returned two copies")
+	}
+	if cap(d1) != len(d1) {
+		t.Fatalf("Get left %d bytes of capacity to append into", cap(d1)-len(d1))
+	}
+	_ = m.Put("k", []byte("xyz"))
+	if d3, _ := m.Get("k"); string(d1) != "abc" || string(d3) != "xyz" {
+		t.Fatalf("after replacing the key an earlier reader sees %q, a new one %q", d1, d3)
 	}
 }
 

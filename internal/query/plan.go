@@ -273,14 +273,13 @@ func serveIDSet(col segment.ColumnReader, set *idSet, n int, opt Options, stats 
 	// Sorted physical order: contiguous doc ranges, cheapest operator.
 	if !opt.DisableSorted && !opt.ForceBitmap && col.IsSorted() {
 		var ranges []segment.DocRange
-		set.each(func(id int) {
-			s, e := col.DocIDRange(id)
-			if s < 0 {
-				return
-			}
-			if len(ranges) > 0 && ranges[len(ranges)-1].End == s {
+		set.eachRange(func(lo, hi int) {
+			s, e := col.DocIDRange(lo, hi)
+			switch {
+			case s == e:
+			case len(ranges) > 0 && ranges[len(ranges)-1].End == s:
 				ranges[len(ranges)-1].End = e
-			} else {
+			default:
 				ranges = append(ranges, segment.DocRange{Start: s, End: e})
 			}
 		})

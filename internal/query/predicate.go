@@ -131,6 +131,22 @@ func (s *idSet) each(fn func(id int)) {
 	}
 }
 
+// eachRange calls fn for the matching ids as runs [lo, hi) of consecutive
+// ids, in ascending order.
+func (s *idSet) eachRange(fn func(lo, hi int)) {
+	for _, r := range s.ranges {
+		fn(r.Lo, r.Hi)
+	}
+	for i := 0; i < len(s.list); {
+		j := i + 1
+		for j < len(s.list) && s.list[j] == s.list[j-1]+1 {
+			j++
+		}
+		fn(s.list[i], s.list[j-1]+1)
+		i = j
+	}
+}
+
 // compileLeaf compiles a leaf predicate against a dictionary column into the
 // matching dict-id set. Equality and membership are dictionary lookups; a
 // range is one id interval of a sorted dictionary, and what a scan of the

@@ -121,10 +121,10 @@ func (s *Snapshot) seal(realtime bool) (*Segment, error) {
 			return nil, fmt.Errorf("segment: multi-value column %q has no values", c.col.spec.Name)
 		case c.strs != nil:
 			sorted, remap := sortDict(c.strs)
-			dicts[i], remaps[i] = &stringDictionary{sorted}, remap
+			dicts[i], remaps[i] = &sortedDictionary[string]{sorted}, remap
 		case c.dbls != nil:
 			sorted, remap := sortDict(c.dbls)
-			dicts[i], remaps[i] = &float64Dictionary{sorted}, remap
+			dicts[i], remaps[i] = &sortedDictionary[float64]{sorted}, remap
 		case c.col.spec.Type == TypeBoolean:
 			sorted, remap := sortDict(c.longs)
 			bools := make([]bool, len(sorted))
@@ -134,7 +134,7 @@ func (s *Snapshot) seal(realtime bool) (*Segment, error) {
 			dicts[i], remaps[i] = &boolDictionary{bools}, remap
 		default:
 			sorted, remap := sortDict(c.longs)
-			dicts[i], remaps[i] = &int64Dictionary{sorted}, remap
+			dicts[i], remaps[i] = &sortedDictionary[int64]{sorted}, remap
 		}
 	}
 
@@ -189,11 +189,15 @@ func (s *Snapshot) seal(realtime bool) (*Segment, error) {
 		remap, width := remaps[i], bitsNeeded(c.card-1)
 		if f.SingleValue {
 			p := newPackedInts(n, width)
+			col.sorted = true
+			prev := uint32(0)
 			for doc := 0; doc < n; doc++ {
-				p.set(doc, remap[c.ids.at(src(doc))])
+				id := remap[c.ids.at(src(doc))]
+				p.set(doc, id)
+				col.sorted = col.sorted && id >= prev
+				prev = id
 			}
 			col.fwd = &SVForwardIndex{packed: p}
-			col.sortedRanges = col.detectSortedRanges()
 		} else {
 			start := func(doc int) int {
 				if doc == 0 {

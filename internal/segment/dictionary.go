@@ -1,183 +1,95 @@
 package segment
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
-	"math"
-	"sort"
+
+	"pinot/internal/view"
 )
 
-// Dictionary maps between dictionary ids and column values. Immutable
-// dictionaries are value-sorted, so ascending dict ids correspond to
-// ascending values and range predicates reduce to dict-id ranges.
+// Dictionary maps between dictionary ids and column values. An immutable
+// segment's dictionaries are value-sorted, so ascending dict ids correspond
+// to ascending values and range predicates reduce to dict-id ranges.
 type Dictionary interface {
-	Type() DataType
 	Len() int
 	// Value returns the value for a dict id.
 	Value(id int) any
 	// IndexOf returns the dict id of a canonical value.
 	IndexOf(v any) (int, bool)
-	// Sorted reports whether ascending ids correspond to ascending values.
-	Sorted() bool
 	// Range returns the dict-id half-open interval [lo, hi) of values
-	// within the given bounds. nil means unbounded on that side. Only
-	// valid for sorted dictionaries.
+	// within the given bounds. nil means unbounded on that side.
 	Range(lower, upper any, lowerInclusive, upperInclusive bool) (int, int)
 	// Min and Max return the smallest and largest values.
 	Min() any
 	Max() any
 }
 
-type int64Dictionary struct{ values []int64 }
+// sortedDictionary is the dictionary of int64, float64 and string columns:
+// the distinct values in ascending order. In a loaded segment values is a
+// view of the segment's buffer (strings: headers pointing into it).
+type sortedDictionary[T cmp.Ordered] struct{ values []T }
 
-func (d *int64Dictionary) Type() DataType { return TypeLong }
-func (d *int64Dictionary) Len() int       { return len(d.values) }
-func (d *int64Dictionary) Value(id int) any {
-	return d.values[id]
+func (d *sortedDictionary[T]) Len() int         { return len(d.values) }
+func (d *sortedDictionary[T]) Value(id int) any { return d.values[id] }
+func (d *sortedDictionary[T]) Min() any         { return d.values[0] }
+func (d *sortedDictionary[T]) Max() any         { return d.values[len(d.values)-1] }
+
+// bound returns the first id whose value is greater than x, or, with orEqual,
+// at least x.
+func (d *sortedDictionary[T]) bound(x T, orEqual bool) int {
+	lo, hi := 0, len(d.values)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v := d.values[mid]; v < x || (!orEqual && v == x) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
-func (d *int64Dictionary) Sorted() bool { return true }
-func (d *int64Dictionary) Min() any     { return d.values[0] }
-func (d *int64Dictionary) Max() any     { return d.values[len(d.values)-1] }
-func (d *int64Dictionary) IndexOf(v any) (int, bool) {
-	x, ok := v.(int64)
+
+func (d *sortedDictionary[T]) IndexOf(v any) (int, bool) {
+	x, ok := v.(T)
 	if !ok {
 		return 0, false
 	}
-	i := sort.Search(len(d.values), func(i int) bool { return d.values[i] >= x })
-	if i < len(d.values) && d.values[i] == x {
+	if i := d.bound(x, true); i < len(d.values) && d.values[i] == x {
 		return i, true
 	}
 	return 0, false
 }
-func (d *int64Dictionary) Range(lower, upper any, loIncl, hiIncl bool) (int, int) {
-	lo := 0
+
+func (d *sortedDictionary[T]) Range(lower, upper any, loIncl, hiIncl bool) (int, int) {
+	lo, hi := 0, len(d.values)
 	if lower != nil {
-		x := lower.(int64)
-		if loIncl {
-			lo = sort.Search(len(d.values), func(i int) bool { return d.values[i] >= x })
-		} else {
-			lo = sort.Search(len(d.values), func(i int) bool { return d.values[i] > x })
-		}
+		lo = d.bound(lower.(T), loIncl)
 	}
-	hi := len(d.values)
 	if upper != nil {
-		x := upper.(int64)
-		if hiIncl {
-			hi = sort.Search(len(d.values), func(i int) bool { return d.values[i] > x })
-		} else {
-			hi = sort.Search(len(d.values), func(i int) bool { return d.values[i] >= x })
-		}
+		hi = d.bound(upper.(T), !hiIncl)
 	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
+	return lo, max(lo, hi)
 }
 
-type float64Dictionary struct{ values []float64 }
-
-func (d *float64Dictionary) Type() DataType { return TypeDouble }
-func (d *float64Dictionary) Len() int       { return len(d.values) }
-func (d *float64Dictionary) Value(id int) any {
-	return d.values[id]
-}
-func (d *float64Dictionary) Sorted() bool { return true }
-func (d *float64Dictionary) Min() any     { return d.values[0] }
-func (d *float64Dictionary) Max() any     { return d.values[len(d.values)-1] }
-func (d *float64Dictionary) IndexOf(v any) (int, bool) {
-	x, ok := v.(float64)
-	if !ok {
-		return 0, false
-	}
-	i := sort.Search(len(d.values), func(i int) bool { return d.values[i] >= x })
-	if i < len(d.values) && d.values[i] == x {
-		return i, true
-	}
-	return 0, false
-}
-func (d *float64Dictionary) Range(lower, upper any, loIncl, hiIncl bool) (int, int) {
-	lo := 0
-	if lower != nil {
-		x := lower.(float64)
-		if loIncl {
-			lo = sort.Search(len(d.values), func(i int) bool { return d.values[i] >= x })
-		} else {
-			lo = sort.Search(len(d.values), func(i int) bool { return d.values[i] > x })
+// ascending reports whether the values strictly ascend, which every lookup
+// above assumes.
+func (d *sortedDictionary[T]) ascending() bool {
+	for i := 1; i < len(d.values); i++ {
+		if !(d.values[i-1] < d.values[i]) {
+			return false
 		}
 	}
-	hi := len(d.values)
-	if upper != nil {
-		x := upper.(float64)
-		if hiIncl {
-			hi = sort.Search(len(d.values), func(i int) bool { return d.values[i] > x })
-		} else {
-			hi = sort.Search(len(d.values), func(i int) bool { return d.values[i] >= x })
-		}
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
-type stringDictionary struct{ values []string }
-
-func (d *stringDictionary) Type() DataType { return TypeString }
-func (d *stringDictionary) Len() int       { return len(d.values) }
-func (d *stringDictionary) Value(id int) any {
-	return d.values[id]
-}
-func (d *stringDictionary) Sorted() bool { return true }
-func (d *stringDictionary) Min() any     { return d.values[0] }
-func (d *stringDictionary) Max() any     { return d.values[len(d.values)-1] }
-func (d *stringDictionary) IndexOf(v any) (int, bool) {
-	x, ok := v.(string)
-	if !ok {
-		return 0, false
-	}
-	i := sort.Search(len(d.values), func(i int) bool { return d.values[i] >= x })
-	if i < len(d.values) && d.values[i] == x {
-		return i, true
-	}
-	return 0, false
-}
-func (d *stringDictionary) Range(lower, upper any, loIncl, hiIncl bool) (int, int) {
-	lo := 0
-	if lower != nil {
-		x := lower.(string)
-		if loIncl {
-			lo = sort.Search(len(d.values), func(i int) bool { return d.values[i] >= x })
-		} else {
-			lo = sort.Search(len(d.values), func(i int) bool { return d.values[i] > x })
-		}
-	}
-	hi := len(d.values)
-	if upper != nil {
-		x := upper.(string)
-		if hiIncl {
-			hi = sort.Search(len(d.values), func(i int) bool { return d.values[i] > x })
-		} else {
-			hi = sort.Search(len(d.values), func(i int) bool { return d.values[i] >= x })
-		}
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
+	return true
 }
 
 type boolDictionary struct{ values []bool } // sorted: false before true
 
-func (d *boolDictionary) Type() DataType { return TypeBoolean }
-func (d *boolDictionary) Len() int       { return len(d.values) }
-func (d *boolDictionary) Value(id int) any {
-	return d.values[id]
-}
-func (d *boolDictionary) Sorted() bool { return true }
-func (d *boolDictionary) Min() any     { return d.values[0] }
-func (d *boolDictionary) Max() any     { return d.values[len(d.values)-1] }
+func (d *boolDictionary) Len() int         { return len(d.values) }
+func (d *boolDictionary) Value(id int) any { return d.values[id] }
+func (d *boolDictionary) Min() any         { return d.values[0] }
+func (d *boolDictionary) Max() any         { return d.values[len(d.values)-1] }
 func (d *boolDictionary) IndexOf(v any) (int, bool) {
 	x, ok := v.(bool)
 	if !ok {
@@ -215,102 +127,62 @@ func (d *boolDictionary) Range(lower, upper any, loIncl, hiIncl bool) (int, int)
 	return lo, hi
 }
 
-// writeDictionary serializes a dictionary.
-func writeDictionary(w io.Writer, d Dictionary) error {
-	if err := binary.Write(w, binary.LittleEndian, uint8(d.Type())); err != nil {
-		return err
+// A string dictionary is stored as its values in id order, each a u32 length
+// and the bytes, and a bool dictionary as one byte a value.
+
+func appendStrings(dst []byte, values []string) []byte {
+	for _, s := range values {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+		dst = append(dst, s...)
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(d.Len())); err != nil {
-		return err
-	}
-	switch dd := d.(type) {
-	case *int64Dictionary:
-		return binary.Write(w, binary.LittleEndian, dd.values)
-	case *float64Dictionary:
-		return binary.Write(w, binary.LittleEndian, dd.values)
-	case *boolDictionary:
-		bs := make([]uint8, len(dd.values))
-		for i, b := range dd.values {
-			if b {
-				bs[i] = 1
-			}
-		}
-		return binary.Write(w, binary.LittleEndian, bs)
-	case *stringDictionary:
-		for _, s := range dd.values {
-			if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("segment: unknown dictionary type %T", d)
+	return dst
 }
 
-// readDictionary deserializes a dictionary written by writeDictionary.
-// Element counts are validated against the remaining payload so corrupted
-// blobs fail cleanly instead of over-allocating.
-func readDictionary(r *bytes.Reader) (Dictionary, error) {
-	var t uint8
-	if err := binary.Read(r, binary.LittleEndian, &t); err != nil {
-		return nil, err
+// viewStrings returns the n strings stored in b as one array of headers
+// pointing into b.
+func viewStrings(b []byte, n uint64) ([]string, error) {
+	if n*4 > uint64(len(b)) {
+		return nil, fmt.Errorf("%d strings in %d bytes", n, len(b))
 	}
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
+	values := make([]string, n)
+	for i := range values {
+		if len(b) < 4 {
+			return nil, errors.New("string dictionary cut short")
+		}
+		l := uint64(binary.LittleEndian.Uint32(b))
+		if l > uint64(len(b)-4) {
+			return nil, fmt.Errorf("string of %d bytes beyond the dictionary's end", l)
+		}
+		values[i] = view.String(b[4 : 4+l])
+		b = b[4+l:]
 	}
-	if n > math.MaxInt32 || int64(n) > int64(r.Len()) {
-		return nil, fmt.Errorf("segment: dictionary too large: %d", n)
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%d bytes after the last string", len(b))
 	}
-	switch DataType(t) {
-	case TypeInt, TypeLong:
-		if uint64(n)*8 > uint64(r.Len()) {
-			return nil, fmt.Errorf("segment: corrupt dictionary length %d", n)
+	return values, nil
+}
+
+func appendBools(dst []byte, values []bool) []byte {
+	for _, v := range values {
+		if v {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
 		}
-		values := make([]int64, n)
-		if err := binary.Read(r, binary.LittleEndian, values); err != nil {
-			return nil, err
-		}
-		return &int64Dictionary{values}, nil
-	case TypeFloat, TypeDouble:
-		if uint64(n)*8 > uint64(r.Len()) {
-			return nil, fmt.Errorf("segment: corrupt dictionary length %d", n)
-		}
-		values := make([]float64, n)
-		if err := binary.Read(r, binary.LittleEndian, values); err != nil {
-			return nil, err
-		}
-		return &float64Dictionary{values}, nil
-	case TypeBoolean:
-		bs := make([]uint8, n)
-		if err := binary.Read(r, binary.LittleEndian, bs); err != nil {
-			return nil, err
-		}
-		values := make([]bool, n)
-		for i, b := range bs {
-			values[i] = b != 0
-		}
-		return &boolDictionary{values}, nil
-	case TypeString:
-		values := make([]string, n)
-		for i := range values {
-			var l uint32
-			if err := binary.Read(r, binary.LittleEndian, &l); err != nil {
-				return nil, err
-			}
-			if int64(l) > int64(r.Len()) {
-				return nil, fmt.Errorf("segment: corrupt dictionary string length %d", l)
-			}
-			buf := make([]byte, l)
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, err
-			}
-			values[i] = string(buf)
-		}
-		return &stringDictionary{values}, nil
 	}
-	return nil, fmt.Errorf("segment: unknown dictionary type byte %d", t)
+	return dst
+}
+
+func viewBools(b []byte) ([]bool, error) {
+	if len(b) > 2 {
+		return nil, fmt.Errorf("boolean dictionary of %d values", len(b))
+	}
+	values := make([]bool, len(b))
+	for i, v := range b {
+		if v > 1 || (i > 0 && v <= b[i-1]) {
+			return nil, errors.New("boolean dictionary not false before true")
+		}
+		values[i] = v == 1
+	}
+	return values, nil
 }

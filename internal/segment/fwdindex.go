@@ -1,10 +1,7 @@
 package segment
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 )
 
@@ -30,7 +27,7 @@ func newPackedInts(n int, width uint8) *packedInts {
 	if width == 0 || width > 32 {
 		panic(fmt.Sprintf("segment: invalid packed width %d", width))
 	}
-	words := make([]uint64, (n*int(width)+63)/64)
+	words := make([]uint64, packedWords(n, width))
 	return &packedInts{width: width, n: n, words: words}
 }
 
@@ -122,37 +119,63 @@ func (p *packedInts) getBlock(start int, dst []uint32) {
 	}
 }
 
-func (p *packedInts) writeTo(w io.Writer) error {
-	hdr := []any{uint8(p.width), uint64(p.n)}
-	for _, h := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, h); err != nil {
-			return err
-		}
+// packedWords is the number of 64-bit words n values of a width occupy.
+func packedWords(n int, width uint8) int { return (n*int(width) + 63) / 64 }
+
+// viewPackedInts is a packed array over words, which a loaded segment passes
+// as a view of its buffer. How many values it holds is for setLen to say.
+func viewPackedInts(width uint64, words []uint64) (*packedInts, error) {
+	if width == 0 || width > 32 {
+		return nil, fmt.Errorf("corrupt packed width %d", width)
 	}
-	return binary.Write(w, binary.LittleEndian, p.words)
+	return &packedInts{width: uint8(width), words: words}, nil
 }
 
-func readPackedInts(r *bytes.Reader) (*packedInts, error) {
-	var width uint8
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &width); err != nil {
-		return nil, err
+// setLen declares the array to hold n values, which must be what its words
+// hold.
+func (p *packedInts) setLen(n int) error {
+	if len(p.words) != packedWords(n, p.width) {
+		return fmt.Errorf("%d values of %d bits in %d words", n, p.width, len(p.words))
 	}
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
+	p.n = n
+	return nil
+}
+
+// search returns the first position in [from, p.n) whose value is at least
+// v, p.n if there is none. The values must be non-decreasing.
+func (p *packedInts) search(from int, v uint32) int {
+	lo, hi := from, p.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.get(mid) < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	if width == 0 || width > 32 {
-		return nil, fmt.Errorf("segment: corrupt packed ints width %d", width)
+	return lo
+}
+
+// checkIDs reads every value once: an id at or beyond the cardinality is an
+// error, and sorted reports whether the values never decrease.
+func (p *packedInts) checkIDs(cardinality int) (sorted bool, err error) {
+	var buf [1024]uint32
+	sorted = true
+	prev := uint32(0)
+	for start := 0; start < p.n; start += len(buf) {
+		block := buf[:min(len(buf), p.n-start)]
+		p.getBlock(start, block)
+		for i, id := range block {
+			if int(id) >= cardinality {
+				return false, fmt.Errorf("entry %d has dict id %d beyond cardinality %d", start+i, id, cardinality)
+			}
+			if id < prev {
+				sorted = false
+			}
+			prev = id
+		}
 	}
-	words := (n*uint64(width) + 63) / 64
-	if words*8 > uint64(r.Len()) {
-		return nil, fmt.Errorf("segment: corrupt packed ints length %d", n)
-	}
-	p := newPackedInts(int(n), width)
-	if err := binary.Read(r, binary.LittleEndian, p.words); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return sorted, nil
 }
 
 // SVForwardIndex is a single-value dictionary-id forward index.
@@ -172,16 +195,6 @@ func (f *SVForwardIndex) NumDocs() int { return f.packed.n }
 
 // BitsPerValue returns the packed width, exposed for metadata/stats.
 func (f *SVForwardIndex) BitsPerValue() int { return int(f.packed.width) }
-
-func (f *SVForwardIndex) writeTo(w io.Writer) error { return f.packed.writeTo(w) }
-
-func readSVForwardIndex(r *bytes.Reader) (*SVForwardIndex, error) {
-	p, err := readPackedInts(r)
-	if err != nil {
-		return nil, err
-	}
-	return &SVForwardIndex{packed: p}, nil
-}
 
 // MVForwardIndex is a multi-value dictionary-id forward index: an offsets
 // array into a packed value stream.
@@ -205,23 +218,16 @@ func (f *MVForwardIndex) NumDocs() int { return len(f.offsets) - 1 }
 // validate checks offsets are monotonic, end at the packed stream length,
 // and that every packed id is within the dictionary.
 func (f *MVForwardIndex) validate(cardinality int) error {
-	if len(f.offsets) == 0 {
-		return fmt.Errorf("segment: MV index missing offsets")
-	}
 	for i := 1; i < len(f.offsets); i++ {
 		if f.offsets[i] < f.offsets[i-1] {
-			return fmt.Errorf("segment: MV offsets not monotonic at %d", i)
+			return fmt.Errorf("MV offsets not monotonic at %d", i)
 		}
 	}
 	if int(f.offsets[len(f.offsets)-1]) != f.packed.n {
-		return fmt.Errorf("segment: MV offsets end at %d, packed stream has %d", f.offsets[len(f.offsets)-1], f.packed.n)
+		return fmt.Errorf("MV offsets end at %d, packed stream has %d", f.offsets[len(f.offsets)-1], f.packed.n)
 	}
-	for i := 0; i < f.packed.n; i++ {
-		if int(f.packed.get(i)) >= cardinality {
-			return fmt.Errorf("segment: MV entry %d has dict id %d beyond cardinality %d", i, f.packed.get(i), cardinality)
-		}
-	}
-	return nil
+	_, err := f.packed.checkIDs(cardinality)
+	return err
 }
 
 // MaxEntries returns the largest per-document value count.
@@ -233,35 +239,6 @@ func (f *MVForwardIndex) MaxEntries() int {
 		}
 	}
 	return max
-}
-
-func (f *MVForwardIndex) writeTo(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(f.offsets))); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, f.offsets); err != nil {
-		return err
-	}
-	return f.packed.writeTo(w)
-}
-
-func readMVForwardIndex(r *bytes.Reader) (*MVForwardIndex, error) {
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n*4 > uint64(r.Len()) {
-		return nil, fmt.Errorf("segment: corrupt MV offset count %d", n)
-	}
-	offsets := make([]uint32, n)
-	if err := binary.Read(r, binary.LittleEndian, offsets); err != nil {
-		return nil, err
-	}
-	p, err := readPackedInts(r)
-	if err != nil {
-		return nil, err
-	}
-	return &MVForwardIndex{offsets: offsets, packed: p}, nil
 }
 
 // MetricColumn stores raw (non-dictionary) metric values for fast
@@ -394,48 +371,3 @@ func (c *doubleMetricColumn) MinLong() int64     { return int64(c.min) }
 func (c *doubleMetricColumn) MaxLong() int64     { return int64(c.max) }
 func (c *doubleMetricColumn) MinDouble() float64 { return c.min }
 func (c *doubleMetricColumn) MaxDouble() float64 { return c.max }
-
-func writeMetricColumn(w io.Writer, m MetricColumn) error {
-	if err := binary.Write(w, binary.LittleEndian, uint8(m.Type())); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(m.NumDocs())); err != nil {
-		return err
-	}
-	switch c := m.(type) {
-	case *longMetricColumn:
-		return binary.Write(w, binary.LittleEndian, c.values)
-	case *doubleMetricColumn:
-		return binary.Write(w, binary.LittleEndian, c.values)
-	}
-	return fmt.Errorf("segment: unknown metric column type %T", m)
-}
-
-func readMetricColumn(r *bytes.Reader) (MetricColumn, error) {
-	var t uint8
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &t); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n*8 > uint64(r.Len()) {
-		return nil, fmt.Errorf("segment: corrupt metric column length %d", n)
-	}
-	switch DataType(t) {
-	case TypeLong:
-		values := make([]int64, n)
-		if err := binary.Read(r, binary.LittleEndian, values); err != nil {
-			return nil, err
-		}
-		return newLongMetricColumn(values), nil
-	case TypeDouble:
-		values := make([]float64, n)
-		if err := binary.Read(r, binary.LittleEndian, values); err != nil {
-			return nil, err
-		}
-		return newDoubleMetricColumn(values), nil
-	}
-	return nil, fmt.Errorf("segment: unknown metric column type byte %d", t)
-}

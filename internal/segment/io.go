@@ -1,37 +1,73 @@
 package segment
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
+	"math"
+	"slices"
 
 	"pinot/internal/bitmap"
+	"pinot/internal/view"
 )
 
-// Segment on-disk layout: a directory holding metadata.json and columns.psf.
-// columns.psf is an append-only block file (paper section 3.2: "This file is
-// append-only which allows the server to create inverted indexes on
-// demand"): blocks added later for the same column+type override earlier
-// ones at load time.
+// A stored segment is one buffer, and a loaded segment is views of it
+// (DESIGN.md "Immutable segments: one buffer, typed views"):
+//
+//	header     u32 magic, u32 sections, u32 directory bytes, u32 metadata bytes
+//	sections   each starting at the next multiple of its kind's alignment
+//	directory  per section, in file order: u8 kind, then uvarint column
+//	           (index into the schema's fields), parameter and byte length
+//	metadata   the Metadata as JSON
+//
+// Offsets are not stored: a section starts where the one before it ended,
+// rounded up to its alignment, and the last ends where the directory begins,
+// so two sections cannot overlap and no byte goes unowned. The writer emits
+// kinds in the order of the constants below — 8-byte arrays, then the two
+// composite kinds that start 8-aligned, then 4-byte arrays, then bytes — so
+// the only padding in a file follows a composite section.
 const (
-	// MetadataFile is the JSON metadata file name inside a segment dir.
-	MetadataFile = "metadata.json"
-	// IndexFile is the columnar index block file name inside a segment dir.
-	IndexFile = "columns.psf"
+	segMagic    = uint32(0x50_53_46_32) // "PSF2"
+	headerBytes = 16
 )
 
-const psfMagic = uint32(0x50_53_46_31) // "PSF1"
+type sectionKind uint8
 
-// maxBlockBytes bounds a single index block; corrupted headers fail fast
-// instead of over-allocating.
-const maxBlockBytes = 1 << 31
+const (
+	secDictLongs     sectionKind = iota + 1 // i64 per dictionary value
+	secDictDoubles                          // f64 per dictionary value
+	secForward                              // packed u64 words; parameter = bits per id
+	secMVValues                             // packed u64 words; parameter = bits per id
+	secMetricLongs                          // i64 per document
+	secMetricDoubles                        // f64 per document
+	secInverted                             // bitmap.MarshalPostings, one bitmap per dict id
+	secStarTree                             // startree.(*Tree).Marshal; column 0
+	secMVOffsets                            // u32 per document, plus one
+	secDictStrings                          // appendStrings; parameter = number of values
+	secDictBools                            // one byte per dictionary value
+)
 
-// validate sanity-checks deserialized metadata before any index block is
+func (k sectionKind) align() int {
+	switch {
+	case k <= secStarTree:
+		return 8
+	case k == secMVOffsets:
+		return 4
+	}
+	return 1
+}
+
+// section is one entry of the directory with its payload.
+type section struct {
+	kind  sectionKind
+	col   int
+	param uint64
+	data  []byte
+}
+
+// validate sanity-checks deserialized metadata before any section is
 // interpreted against it.
 func (m *Metadata) validate() error {
 	if m.Schema == nil {
@@ -40,301 +76,268 @@ func (m *Metadata) validate() error {
 	if m.Name == "" {
 		return errors.New("segment: metadata missing segment name")
 	}
-	if m.NumDocs <= 0 {
+	if m.NumDocs <= 0 || m.NumDocs > math.MaxInt32 {
 		return fmt.Errorf("segment: metadata has invalid document count %d", m.NumDocs)
 	}
 	return nil
 }
 
-type blockType uint8
-
-const (
-	blockDict blockType = iota + 1
-	blockSVFwd
-	blockMVFwd
-	blockMetric
-	blockInverted
-	blockStarTree
-	blockMetadata
-)
-
-func writeBlock(w io.Writer, name string, bt blockType, payload []byte) error {
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(name))); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, name); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint8(bt)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(payload))); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-type block struct {
-	name    string
-	typ     blockType
-	payload []byte
-}
-
-func readBlock(r io.Reader) (*block, error) {
-	var nameLen uint16
-	if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, err
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return nil, err
-	}
-	var bt uint8
-	if err := binary.Read(r, binary.LittleEndian, &bt); err != nil {
-		return nil, err
-	}
-	var plen uint64
-	if err := binary.Read(r, binary.LittleEndian, &plen); err != nil {
-		return nil, err
-	}
-	if plen > maxBlockBytes {
-		return nil, fmt.Errorf("segment: corrupt block length %d", plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return &block{name: string(name), typ: blockType(bt), payload: payload}, nil
-}
-
-func (c *Column) invertedPayload() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(len(c.inverted))); err != nil {
-		return nil, err
-	}
-	for _, bm := range c.inverted {
-		if _, err := bm.WriteTo(&buf); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-func parseInvertedPayload(payload []byte) ([]*bitmap.Bitmap, error) {
-	r := bytes.NewReader(payload)
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if int64(n) > int64(r.Len()) {
-		return nil, fmt.Errorf("segment: corrupt inverted index cardinality %d", n)
-	}
-	out := make([]*bitmap.Bitmap, n)
-	for i := range out {
-		bm := bitmap.New()
-		if _, err := bm.ReadFrom(r); err != nil {
-			return nil, err
-		}
-		out[i] = bm
-	}
-	return out, nil
-}
-
-// writeIndexBlocks writes every column's blocks (and the star-tree, if
-// present) to w in the PSF block format, preceded by the magic.
-func (s *Segment) writeIndexBlocks(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, psfMagic); err != nil {
-		return err
-	}
-	for _, f := range s.meta.Schema.Fields {
+// sections lists what Marshal writes, in file order.
+func (s *Segment) sections() []section {
+	var out []section
+	for i, f := range s.meta.Schema.Fields {
 		c := s.columns[f.Name]
-		if c.dict != nil {
-			var buf bytes.Buffer
-			if err := writeDictionary(&buf, c.dict); err != nil {
-				return err
-			}
-			if err := writeBlock(w, f.Name, blockDict, buf.Bytes()); err != nil {
-				return err
-			}
+		add := func(kind sectionKind, param uint64, data []byte) {
+			out = append(out, section{kind, i, param, data})
+		}
+		switch d := c.dict.(type) {
+		case *sortedDictionary[int64]:
+			add(secDictLongs, 0, view.Bytes(d.values))
+		case *sortedDictionary[float64]:
+			add(secDictDoubles, 0, view.Bytes(d.values))
+		case *sortedDictionary[string]:
+			add(secDictStrings, uint64(len(d.values)), appendStrings(nil, d.values))
+		case *boolDictionary:
+			add(secDictBools, 0, appendBools(nil, d.values))
 		}
 		switch {
 		case c.fwd != nil:
-			var buf bytes.Buffer
-			if err := c.fwd.writeTo(&buf); err != nil {
-				return err
-			}
-			if err := writeBlock(w, f.Name, blockSVFwd, buf.Bytes()); err != nil {
-				return err
-			}
+			add(secForward, uint64(c.fwd.packed.width), view.Bytes(c.fwd.packed.words))
 		case c.mv != nil:
-			var buf bytes.Buffer
-			if err := c.mv.writeTo(&buf); err != nil {
-				return err
-			}
-			if err := writeBlock(w, f.Name, blockMVFwd, buf.Bytes()); err != nil {
-				return err
-			}
-		case c.metric != nil:
-			var buf bytes.Buffer
-			if err := writeMetricColumn(&buf, c.metric); err != nil {
-				return err
-			}
-			if err := writeBlock(w, f.Name, blockMetric, buf.Bytes()); err != nil {
-				return err
-			}
+			add(secMVOffsets, 0, view.Bytes(c.mv.offsets))
+			add(secMVValues, uint64(c.mv.packed.width), view.Bytes(c.mv.packed.words))
+		}
+		switch m := c.metric.(type) {
+		case *longMetricColumn:
+			add(secMetricLongs, 0, view.Bytes(m.values))
+		case *doubleMetricColumn:
+			add(secMetricDoubles, 0, view.Bytes(m.values))
 		}
 		if c.inverted != nil {
-			payload, err := c.invertedPayload()
-			if err != nil {
-				return err
-			}
-			if err := writeBlock(w, f.Name, blockInverted, payload); err != nil {
-				return err
-			}
+			add(secInverted, 0, bitmap.MarshalPostings(c.inverted))
 		}
 	}
 	if s.starTreeData != nil {
-		if err := writeBlock(w, "", blockStarTree, s.starTreeData); err != nil {
-			return err
+		out = append(out, section{kind: secStarTree, data: s.starTreeData})
+	}
+	slices.SortStableFunc(out, func(a, b section) int { return writeRank(a.kind) - writeRank(b.kind) })
+	return out
+}
+
+// writeRank groups kinds whose sections follow one another without padding:
+// the 8-byte arrays share a rank, every kind after them has its own.
+func writeRank(k sectionKind) int { return max(int(k), int(secMetricDoubles)) }
+
+// Marshal serializes the whole segment (indexes, then metadata) into one
+// blob: what the object store keeps and what Unmarshal serves from. Equal
+// segments give equal bytes, and Marshal of an unmarshalled blob gives that
+// blob.
+func (s *Segment) Marshal() ([]byte, error) {
+	meta, err := json.Marshal(s.meta)
+	if err != nil {
+		return nil, err
+	}
+	secs := s.sections()
+	var dir []byte
+	size := headerBytes
+	for _, sec := range secs {
+		size = alignUp(size, sec.kind.align()) + len(sec.data)
+		dir = append(dir, byte(sec.kind))
+		dir = binary.AppendUvarint(dir, uint64(sec.col))
+		dir = binary.AppendUvarint(dir, sec.param)
+		dir = binary.AppendUvarint(dir, uint64(len(sec.data)))
+	}
+	total := uint64(size) + uint64(len(dir)) + uint64(len(meta))
+	if total > math.MaxUint32 {
+		return nil, fmt.Errorf("segment %s: %d bytes exceed the format's 4 GiB", s.meta.Name, total)
+	}
+	out := make([]byte, headerBytes, total)
+	le := binary.LittleEndian
+	le.PutUint32(out[0:], segMagic)
+	le.PutUint32(out[4:], uint32(len(secs)))
+	le.PutUint32(out[8:], uint32(len(dir)))
+	le.PutUint32(out[12:], uint32(len(meta)))
+	for _, sec := range secs {
+		out = out[:alignUp(len(out), sec.kind.align())] // padding: spare capacity is zero
+		out = append(out, sec.data...)
+	}
+	return append(append(out, dir...), meta...), nil
+}
+
+func alignUp(n, a int) int { return (n + a - 1) &^ (a - 1) }
+
+// Unmarshal checks a Marshal blob and returns the segment it holds. The
+// segment does not copy the blob, it reads it: packed forward indexes, MV
+// offsets, raw metrics, numeric dictionaries, posting lists and the
+// star-tree bytes are views of data, string dictionary values point into it.
+// data must therefore stay unchanged for as long as the segment, or anything
+// that took a string or a slice from it, is in use; a caller that cannot
+// promise that passes a copy. Views need data to be 8-byte aligned on a
+// little-endian host; whatever is not gets decoded into fresh arrays instead
+// (package view), with the same answers.
+//
+// Every length is checked against the bytes present before anything is
+// allocated, and every index a later read follows — dict ids, MV offsets,
+// posting lists — is checked here, so hostile bytes produce an error now and
+// never a panic under a query.
+func Unmarshal(data []byte) (*Segment, error) {
+	le := binary.LittleEndian
+	if len(data) < headerBytes || le.Uint32(data) != segMagic {
+		return nil, errors.New("segment: bad blob magic")
+	}
+	nsect, dirLen, metaLen := le.Uint32(data[4:]), uint64(le.Uint32(data[8:])), uint64(le.Uint32(data[12:]))
+	if headerBytes+dirLen+metaLen > uint64(len(data)) {
+		return nil, fmt.Errorf("segment: blob of %d bytes cannot hold %d of directory and %d of metadata", len(data), dirLen, metaLen)
+	}
+	dirStart := len(data) - int(metaLen) - int(dirLen)
+	dir := data[dirStart : dirStart+int(dirLen)]
+	s := &Segment{}
+	if err := json.Unmarshal(data[dirStart+int(dirLen):], &s.meta); err != nil {
+		return nil, fmt.Errorf("segment: corrupt metadata: %w", err)
+	}
+	if err := s.meta.validate(); err != nil {
+		return nil, err
+	}
+	fields := s.meta.Schema.Fields
+	cols := make([]Column, len(fields))
+	s.columns = make(map[string]*Column, len(fields))
+	for i, f := range fields {
+		cols[i] = Column{spec: f, numDocs: s.meta.NumDocs}
+		s.columns[f.Name] = &cols[i]
+	}
+
+	off := headerBytes
+	for i := uint32(0); i < nsect; i++ {
+		if len(dir) == 0 {
+			return nil, errors.New("segment: directory cut short")
 		}
+		kind := sectionKind(dir[0])
+		dir = dir[1:]
+		var v [3]uint64 // column, parameter, byte length
+		for j := range v {
+			x, n := binary.Uvarint(dir)
+			if n <= 0 {
+				return nil, errors.New("segment: directory cut short")
+			}
+			v[j], dir = x, dir[n:]
+		}
+		if kind == 0 || kind > secDictBools {
+			return nil, fmt.Errorf("segment: unknown section kind %d", kind)
+		}
+		off = alignUp(off, kind.align())
+		if off > dirStart || v[2] > uint64(dirStart-off) {
+			return nil, fmt.Errorf("segment: section %d runs %d bytes past the directory", i, v[2])
+		}
+		end := off + int(v[2])
+		payload := data[off:end:end]
+		off = end
+		if kind == secStarTree {
+			if s.starTreeData != nil {
+				return nil, errors.New("segment: two star-tree sections")
+			}
+			s.starTreeData = payload
+			continue
+		}
+		if v[0] >= uint64(len(cols)) {
+			return nil, fmt.Errorf("segment: section for column %d of %d", v[0], len(cols))
+		}
+		c := &cols[v[0]]
+		if err := c.load(kind, v[1], payload); err != nil {
+			return nil, fmt.Errorf("segment: column %q: %w", c.spec.Name, err)
+		}
+	}
+	if len(dir) != 0 || off != dirStart {
+		return nil, errors.New("segment: bytes between the last section and the directory's end")
+	}
+	for i := range cols {
+		c := &cols[i]
+		m := s.ColumnMeta(c.spec.Name)
+		if err := c.validate(m != nil && m.Sorted); err != nil {
+			return nil, fmt.Errorf("segment: column %q: %w", c.spec.Name, err)
+		}
+	}
+	return s, nil
+}
+
+// load attaches one section to the column. A column takes each kind once and
+// only the kinds its field spec allows.
+func (c *Column) load(kind sectionKind, param uint64, b []byte) error {
+	n, t := c.numDocs, c.spec.Type
+	dimension := c.spec.Kind != Metric
+	var err error
+	switch {
+	case kind == secDictLongs && dimension && t.Integral() && c.dict == nil && len(b)%8 == 0:
+		err = setDictionary(c, view.Of[int64](b))
+	case kind == secDictDoubles && dimension && t.Numeric() && !t.Integral() && c.dict == nil && len(b)%8 == 0:
+		err = setDictionary(c, view.Of[float64](b))
+	case kind == secDictStrings && dimension && t == TypeString && c.dict == nil:
+		var values []string
+		if values, err = viewStrings(b, param); err == nil {
+			err = setDictionary(c, values)
+		}
+	case kind == secDictBools && dimension && t == TypeBoolean && c.dict == nil:
+		d := &boolDictionary{}
+		c.dict = d
+		d.values, err = viewBools(b)
+	case kind == secForward && dimension && c.spec.SingleValue && c.fwd == nil && len(b)%8 == 0:
+		c.fwd = &SVForwardIndex{}
+		if c.fwd.packed, err = viewPackedInts(param, view.Of[uint64](b)); err == nil {
+			err = c.fwd.packed.setLen(n)
+		}
+	case kind == secMVValues && dimension && !c.spec.SingleValue && c.mv == nil && len(b)%8 == 0:
+		// The values precede their offsets in the file, and how many there
+		// are is the last offset.
+		c.mv = &MVForwardIndex{}
+		c.mv.packed, err = viewPackedInts(param, view.Of[uint64](b))
+	case kind == secMVOffsets && c.mv != nil && c.mv.offsets == nil && len(b) == (n+1)*4:
+		c.mv.offsets = view.Of[uint32](b)
+		err = c.mv.packed.setLen(int(c.mv.offsets[n]))
+	case kind == secMetricLongs && !dimension && t.Integral() && c.metric == nil && len(b) == n*8:
+		c.metric = newLongMetricColumn(view.Of[int64](b))
+	case kind == secMetricDoubles && !dimension && !t.Integral() && c.metric == nil && len(b) == n*8:
+		c.metric = newDoubleMetricColumn(view.Of[float64](b))
+	case kind == secInverted && dimension && c.inverted == nil:
+		c.inverted, err = bitmap.ViewPostings(b)
+	default:
+		return fmt.Errorf("unexpected section of kind %d and %d bytes", kind, len(b))
+	}
+	return err
+}
+
+func setDictionary[T cmp.Ordered](c *Column, values []T) error {
+	d := &sortedDictionary[T]{values}
+	c.dict = d
+	if !d.ascending() {
+		return errors.New("dictionary not ascending")
 	}
 	return nil
 }
 
-// loadIndexBlocks reconstructs columns from a PSF stream, given metadata.
-func loadIndexBlocks(r io.Reader, meta *Metadata) (map[string]*Column, []byte, error) {
-	var magic uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return nil, nil, err
-	}
-	if magic != psfMagic {
-		return nil, nil, errors.New("segment: bad index file magic")
-	}
-	columns := make(map[string]*Column)
-	var starTree []byte
-	colFor := func(name string) (*Column, error) {
-		if c, ok := columns[name]; ok {
-			return c, nil
-		}
-		f, ok := meta.Schema.Field(name)
-		if !ok {
-			return nil, fmt.Errorf("segment: index block for unknown column %q", name)
-		}
-		c := &Column{spec: f, numDocs: meta.NumDocs}
-		columns[name] = c
-		return c, nil
-	}
-	for {
-		b, err := readBlock(r)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if b.typ == blockStarTree {
-			starTree = b.payload
-			continue
-		}
-		c, err := colFor(b.name)
-		if err != nil {
-			return nil, nil, err
-		}
-		br := bytes.NewReader(b.payload)
-		switch b.typ {
-		case blockDict:
-			d, err := readDictionary(br)
-			if err != nil {
-				return nil, nil, err
-			}
-			// Preserve the declared type over the storage type.
-			c.dict = d
-		case blockSVFwd:
-			fwd, err := readSVForwardIndex(br)
-			if err != nil {
-				return nil, nil, err
-			}
-			c.fwd = fwd
-		case blockMVFwd:
-			mv, err := readMVForwardIndex(br)
-			if err != nil {
-				return nil, nil, err
-			}
-			c.mv = mv
-		case blockMetric:
-			m, err := readMetricColumn(br)
-			if err != nil {
-				return nil, nil, err
-			}
-			c.metric = m
-		case blockInverted:
-			inv, err := parseInvertedPayload(b.payload)
-			if err != nil {
-				return nil, nil, err
-			}
-			c.inverted = inv
-		default:
-			return nil, nil, fmt.Errorf("segment: unknown block type %d", b.typ)
-		}
-	}
-	// Structural validation before any derived index is built: corrupted
-	// blobs must fail here, never panic later.
-	for name, c := range columns {
-		if err := c.validate(meta.NumDocs); err != nil {
-			return nil, nil, fmt.Errorf("segment: column %q: %w", name, err)
-		}
-	}
-	for _, f := range meta.Schema.Fields {
-		if _, ok := columns[f.Name]; !ok {
-			return nil, nil, fmt.Errorf("segment: column %q missing from index file", f.Name)
-		}
-	}
-	// Rebuild derived sorted-range indexes.
-	for _, c := range columns {
-		if c.fwd != nil && c.dict != nil {
-			c.sortedRanges = c.detectSortedRanges()
-		}
-	}
-	return columns, starTree, nil
-}
-
 // validate cross-checks a loaded column's structures against each other and
-// the segment document count.
-func (c *Column) validate(numDocs int) error {
-	switch {
-	case c.metric != nil:
-		if c.metric.NumDocs() != numDocs {
-			return fmt.Errorf("metric column has %d docs, segment has %d", c.metric.NumDocs(), numDocs)
-		}
-		if c.dict != nil || c.fwd != nil || c.mv != nil {
-			return errors.New("metric column with dictionary blocks")
+// the segment document count. sorted is the metadata's claim that the ids
+// never decrease, which the pass over them confirms.
+func (c *Column) validate(sorted bool) error {
+	if c.spec.Kind == Metric {
+		if c.metric == nil {
+			return errors.New("metric column without values")
 		}
 		return nil
-	case c.dict == nil:
+	}
+	if c.dict == nil || c.dict.Len() == 0 {
 		return errors.New("dimension column without dictionary")
 	}
 	card := c.dict.Len()
-	if card == 0 {
-		return errors.New("empty dictionary")
-	}
 	switch {
 	case c.fwd != nil:
-		if c.fwd.NumDocs() != numDocs {
-			return fmt.Errorf("forward index has %d docs, segment has %d", c.fwd.NumDocs(), numDocs)
+		monotone, err := c.fwd.packed.checkIDs(card)
+		if err != nil {
+			return err
 		}
-		for doc := 0; doc < numDocs; doc++ {
-			if id := c.fwd.Get(doc); id >= card {
-				return fmt.Errorf("doc %d has dict id %d beyond cardinality %d", doc, id, card)
-			}
+		if sorted && !monotone {
+			return errors.New("metadata calls the column sorted, its ids decrease")
 		}
-	case c.mv != nil:
-		if c.mv.NumDocs() != numDocs {
-			return fmt.Errorf("MV forward index has %d docs, segment has %d", c.mv.NumDocs(), numDocs)
-		}
+		c.sorted = sorted
+	case c.mv != nil && c.mv.offsets != nil:
 		if err := c.mv.validate(card); err != nil {
 			return err
 		}
@@ -345,152 +348,11 @@ func (c *Column) validate(numDocs int) error {
 		if len(c.inverted) != card {
 			return fmt.Errorf("inverted index has %d postings, dictionary has %d", len(c.inverted), card)
 		}
-		for id, bm := range c.inverted {
-			if max, ok := bm.Maximum(); ok && int(max) >= numDocs {
-				return fmt.Errorf("posting list %d references doc %d beyond %d", id, max, numDocs)
+		for id := range c.inverted {
+			if max, ok := c.inverted[id].Maximum(); ok && int(max) >= c.numDocs {
+				return fmt.Errorf("posting list %d references doc %d beyond %d", id, max, c.numDocs)
 			}
 		}
 	}
 	return nil
-}
-
-// Save writes the segment to a directory (metadata.json + columns.psf).
-func (s *Segment) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	metaBytes, err := json.MarshalIndent(s.meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, MetadataFile), metaBytes, 0o644); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, IndexFile))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := s.writeIndexBlocks(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a segment from a directory written by Save.
-func Load(dir string) (*Segment, error) {
-	metaBytes, err := os.ReadFile(filepath.Join(dir, MetadataFile))
-	if err != nil {
-		return nil, err
-	}
-	var meta Metadata
-	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return nil, fmt.Errorf("segment: corrupt metadata: %w", err)
-	}
-	if err := meta.validate(); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(filepath.Join(dir, IndexFile))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	columns, starTree, err := loadIndexBlocks(f, &meta)
-	if err != nil {
-		return nil, err
-	}
-	return &Segment{meta: meta, columns: columns, starTreeData: starTree}, nil
-}
-
-// AppendInvertedIndex builds an inverted index for a column and appends it
-// to the on-disk index file without rewriting existing blocks, exercising
-// the append-only property of the segment format.
-func AppendInvertedIndex(dir string, s *Segment, column string) error {
-	if err := s.AddInvertedIndex(column); err != nil {
-		return err
-	}
-	c := s.columns[column]
-	payload, err := c.invertedPayload()
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, IndexFile), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := writeBlock(f, column, blockInverted, payload); err != nil {
-		return err
-	}
-	// Metadata gains the index flag too.
-	metaBytes, err := json.MarshalIndent(s.meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, MetadataFile), metaBytes, 0o644); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// Marshal serializes the whole segment (metadata + indexes) into one blob
-// suitable for the object store.
-func (s *Segment) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	metaBytes, err := json.Marshal(s.meta)
-	if err != nil {
-		return nil, err
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, psfMagic); err != nil {
-		return nil, err
-	}
-	if err := writeBlock(&buf, "", blockMetadata, metaBytes); err != nil {
-		return nil, err
-	}
-	var idx bytes.Buffer
-	if err := s.writeIndexBlocks(&idx); err != nil {
-		return nil, err
-	}
-	if _, err := buf.Write(idx.Bytes()[4:]); err != nil { // skip inner magic
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal reconstructs a segment from a Marshal blob.
-func Unmarshal(data []byte) (*Segment, error) {
-	r := bytes.NewReader(data)
-	var magic uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != psfMagic {
-		return nil, errors.New("segment: bad blob magic")
-	}
-	mb, err := readBlock(r)
-	if err != nil {
-		return nil, err
-	}
-	if mb.typ != blockMetadata {
-		return nil, errors.New("segment: blob does not start with metadata block")
-	}
-	var meta Metadata
-	if err := json.Unmarshal(mb.payload, &meta); err != nil {
-		return nil, err
-	}
-	if err := meta.validate(); err != nil {
-		return nil, err
-	}
-	// Re-prefix the remaining bytes with the magic so loadIndexBlocks can
-	// consume them.
-	rest := make([]byte, 4+r.Len())
-	binary.LittleEndian.PutUint32(rest, psfMagic)
-	if _, err := io.ReadFull(r, rest[4:]); err != nil {
-		return nil, err
-	}
-	columns, starTree, err := loadIndexBlocks(bytes.NewReader(rest), &meta)
-	if err != nil {
-		return nil, err
-	}
-	return &Segment{meta: meta, columns: columns, starTreeData: starTree}, nil
 }

@@ -711,8 +711,10 @@ func (c *snapColumn) Inverted(id int) *bitmap.Bitmap {
 	return bm
 }
 
-func (c *snapColumn) IsSorted() bool               { return false }
-func (c *snapColumn) DocIDRange(id int) (int, int) { panic("segment: DocIDRange on mutable column") }
+func (c *snapColumn) IsSorted() bool { return false }
+func (c *snapColumn) DocIDRange(lo, hi int) (int, int) {
+	panic("segment: DocIDRange on mutable column")
+}
 
 func (c *snapColumn) Long(doc int) int64 {
 	if c.mLongs != nil {

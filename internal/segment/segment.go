@@ -44,9 +44,9 @@ type ColumnReader interface {
 	// IsSorted reports whether the column is physically sorted, enabling
 	// the contiguous-range fast path of paper section 4.2.
 	IsSorted() bool
-	// DocIDRange returns the contiguous doc range holding a dict id.
-	// Only valid when IsSorted reports true.
-	DocIDRange(id int) (int, int)
+	// DocIDRange returns the contiguous doc range [start, end) holding the
+	// dict ids [lo, hi). Only valid when IsSorted reports true.
+	DocIDRange(lo, hi int) (start, end int)
 	// Long returns the raw metric value at a document as int64.
 	Long(doc int) int64
 	// Double returns the raw metric value at a document as float64.
@@ -86,16 +86,20 @@ type Reader interface {
 }
 
 // Column is an immutable column: dictionary + forward index for dimensions,
-// raw storage for metrics, plus optional inverted and sorted indexes.
+// raw storage for metrics, plus an optional inverted index. In a loaded
+// segment every array under it is a view of the segment's buffer.
 type Column struct {
-	spec         FieldSpec
-	numDocs      int
-	dict         Dictionary
-	fwd          *SVForwardIndex
-	mv           *MVForwardIndex
-	metric       MetricColumn
-	inverted     []*bitmap.Bitmap
-	sortedRanges []DocRange
+	spec     FieldSpec
+	numDocs  int
+	dict     Dictionary
+	fwd      *SVForwardIndex
+	mv       *MVForwardIndex
+	metric   MetricColumn
+	inverted []bitmap.Bitmap
+	// sorted marks a single-value column whose dict ids never decrease in
+	// document order: the documents of an id range are found by binary
+	// search over the forward index itself.
+	sorted bool
 }
 
 // Spec returns the column's field spec.
@@ -117,7 +121,7 @@ func (c *Column) Cardinality() int {
 
 // DictSorted reports whether the dictionary is value-sorted (always true for
 // immutable columns).
-func (c *Column) DictSorted() bool { return c.dict != nil && c.dict.Sorted() }
+func (c *Column) DictSorted() bool { return c.dict != nil }
 
 // Value maps a dict id to its value.
 func (c *Column) Value(id int) any { return c.dict.Value(id) }
@@ -127,7 +131,7 @@ func (c *Column) Value(id int) any { return c.dict.Value(id) }
 // reader of many values takes them from it instead of boxing each through
 // Value.
 func (c *Column) DictStrings() []string {
-	if d, ok := c.dict.(*stringDictionary); ok {
+	if d, ok := c.dict.(*sortedDictionary[string]); ok {
 		return d.values
 	}
 	return nil
@@ -135,7 +139,7 @@ func (c *Column) DictStrings() []string {
 
 // DictLongs is DictStrings for a dictionary of int64 values.
 func (c *Column) DictLongs() []int64 {
-	if d, ok := c.dict.(*int64Dictionary); ok {
+	if d, ok := c.dict.(*sortedDictionary[int64]); ok {
 		return d.values
 	}
 	return nil
@@ -158,17 +162,17 @@ func (c *Column) DictIDsMV(doc int, buf []int) []int { return c.mv.Get(doc, buf)
 // HasInverted reports whether the column has an inverted index.
 func (c *Column) HasInverted() bool { return c.inverted != nil }
 
-// Inverted returns the posting list for a dict id.
-func (c *Column) Inverted(id int) *bitmap.Bitmap { return c.inverted[id] }
+// Inverted returns the posting list for a dict id. It is read-only.
+func (c *Column) Inverted(id int) *bitmap.Bitmap { return &c.inverted[id] }
 
 // IsSorted reports whether the column is physically sorted.
-func (c *Column) IsSorted() bool { return c.sortedRanges != nil }
+func (c *Column) IsSorted() bool { return c.sorted }
 
-// DocIDRange returns the contiguous document range for a dict id of a
-// physically sorted column.
-func (c *Column) DocIDRange(id int) (int, int) {
-	r := c.sortedRanges[id]
-	return r.Start, r.End
+// DocIDRange returns the contiguous document range holding the dict ids
+// [lo, hi) of a physically sorted column.
+func (c *Column) DocIDRange(lo, hi int) (int, int) {
+	start := c.fwd.packed.search(0, uint32(lo))
+	return start, c.fwd.packed.search(start, uint32(hi))
 }
 
 // Long returns the raw metric value as int64.
@@ -242,10 +246,7 @@ func (c *Column) BitsPerValue() int {
 
 // buildInverted constructs the inverted index from the forward index.
 func (c *Column) buildInverted() {
-	postings := make([]*bitmap.Bitmap, c.dict.Len())
-	for i := range postings {
-		postings[i] = bitmap.New()
-	}
+	postings := make([]bitmap.Bitmap, c.dict.Len())
 	if c.spec.SingleValue {
 		for doc := 0; doc < c.numDocs; doc++ {
 			postings[c.fwd.Get(doc)].Add(uint32(doc))
@@ -260,32 +261,6 @@ func (c *Column) buildInverted() {
 		}
 	}
 	c.inverted = postings
-}
-
-// detectSortedRanges returns per-dict-id doc ranges if the single-value
-// column is physically sorted (non-decreasing dict ids in doc order), else
-// nil.
-func (c *Column) detectSortedRanges() []DocRange {
-	if c.fwd == nil || c.dict == nil {
-		return nil
-	}
-	ranges := make([]DocRange, c.dict.Len())
-	for i := range ranges {
-		ranges[i] = DocRange{-1, -1}
-	}
-	prev := -1
-	for doc := 0; doc < c.numDocs; doc++ {
-		id := c.fwd.Get(doc)
-		if id < prev {
-			return nil
-		}
-		if id != prev {
-			ranges[id].Start = doc
-		}
-		ranges[id].End = doc + 1
-		prev = id
-	}
-	return ranges
 }
 
 // ColumnMetadata summarizes a column for the segment metadata file.
@@ -514,7 +489,7 @@ func (c *defaultColumn) DictIDsMV(doc int, buf []int) []int { return append(buf,
 func (c *defaultColumn) HasInverted() bool                  { return false }
 func (c *defaultColumn) Inverted(id int) *bitmap.Bitmap     { return nil }
 func (c *defaultColumn) IsSorted() bool                     { return true }
-func (c *defaultColumn) DocIDRange(id int) (int, int)       { return 0, c.numDocs }
+func (c *defaultColumn) DocIDRange(lo, hi int) (int, int)   { return 0, c.numDocs }
 func (c *defaultColumn) Long(doc int) int64 {
 	if v, ok := c.value.(int64); ok {
 		return v

@@ -1,8 +1,8 @@
 package segment
 
 import (
+	"bytes"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -166,12 +166,18 @@ func TestBuilderSortColumn(t *testing.T) {
 	if !ok {
 		t.Fatal("memberId 1 missing from dict")
 	}
-	if s, e := c.DocIDRange(id); s != 0 || e != 2 {
+	if s, e := c.DocIDRange(id, id+1); s != 0 || e != 2 {
 		t.Fatalf("range for 1 = [%d,%d)", s, e)
 	}
 	id3, _ := c.IndexOf(int64(3))
-	if s, e := c.DocIDRange(id3); s != 3 || e != 5 {
+	if s, e := c.DocIDRange(id3, id3+1); s != 3 || e != 5 {
 		t.Fatalf("range for 3 = [%d,%d)", s, e)
+	}
+	if s, e := c.DocIDRange(id, id3+1); s != 0 || e != 5 {
+		t.Fatalf("range for 1..3 = [%d,%d)", s, e)
+	}
+	if s, e := c.DocIDRange(c.Cardinality(), c.Cardinality()+1); s != e {
+		t.Fatalf("range of an id past the dictionary = [%d,%d)", s, e)
 	}
 	// Other columns permuted consistently: doc 0 must be memberId=1 row
 	// (de/firefox, clicks=20) — first inserted among memberId=1 rows.
@@ -256,73 +262,78 @@ func TestAddInvertedIndexOnDemand(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "seg")
-	seg := buildTestSegment(t, IndexConfig{SortColumn: "memberId", InvertedColumns: []string{"country"}})
-	seg.SetStarTreeData([]byte("fake star tree payload"))
-	if err := seg.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSegmentsEqual(t, seg, got)
-	if string(got.StarTreeData()) != "fake star tree payload" {
-		t.Fatal("star tree data lost")
-	}
-	if !got.SortedOn("memberId") {
-		t.Fatal("sorted ranges not rebuilt on load")
-	}
-	if !got.Column("country").HasInverted() {
-		t.Fatal("inverted index lost")
-	}
-}
-
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
-	seg := buildTestSegment(t, IndexConfig{InvertedColumns: []string{"tags"}})
-	blob, err := seg.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	for _, cfg := range []IndexConfig{
+		{SortColumn: "memberId", InvertedColumns: []string{"country"}},
+		{InvertedColumns: []string{"tags"}},
+	} {
+		seg := buildTestSegment(t, cfg)
+		seg.SetStarTreeData([]byte("fake star tree payload"))
+		blob, err := seg.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Unmarshal(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSegmentsEqual(t, seg, got)
+		if string(got.StarTreeData()) != "fake star tree payload" {
+			t.Fatal("star tree data lost")
+		}
+		if got.SortedOn("memberId") != (cfg.SortColumn == "memberId") {
+			t.Fatal("sort order not carried by the blob")
+		}
+		for _, name := range cfg.InvertedColumns {
+			if !got.Column(name).HasInverted() {
+				t.Fatalf("inverted index on %s lost", name)
+			}
+		}
+		if again, err := got.Marshal(); err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("a loaded segment marshals to different bytes (%v)", err)
+		}
 	}
-	got, err := Unmarshal(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSegmentsEqual(t, seg, got)
 	if _, err := Unmarshal([]byte("garbage data here")); err == nil {
 		t.Fatal("garbage blob accepted")
 	}
 }
 
-func TestAppendInvertedIndex(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "seg")
-	seg := buildTestSegment(t, IndexConfig{})
-	if err := seg.Save(dir); err != nil {
+// TestAddInvertedIndexToLoadedSegment: an index added to a segment that is
+// being served from its blob (paper 3.2, reindex on the fly) is built beside
+// the blob, not into it, and travels with the next Marshal.
+func TestAddInvertedIndexToLoadedSegment(t *testing.T) {
+	blob, err := buildTestSegment(t, IndexConfig{}).Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendInvertedIndex(dir, seg, "country"); err != nil {
+	before := append([]byte(nil), blob...)
+	seg, err := Unmarshal(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(dir)
+	if err := seg.AddInvertedIndex("country"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, before) {
+		t.Fatal("adding an index wrote to the blob the segment is served from")
+	}
+	withIndex, err := seg.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unmarshal(withIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := got.Column("country")
 	if !c.HasInverted() {
-		t.Fatal("appended inverted index not loaded")
+		t.Fatal("added inverted index not in the blob")
 	}
 	id, _ := c.IndexOf("de")
 	if got := c.Inverted(id).ToArray(); !reflect.DeepEqual(got, []uint32{1, 4}) {
 		t.Fatalf("postings for de = %v", got)
 	}
-	var hasFlag bool
-	for _, cm := range got.Metadata().Columns {
-		if cm.Name == "country" && cm.HasInverted {
-			hasFlag = true
-		}
-	}
-	if !hasFlag {
+	if !got.ColumnMeta("country").HasInverted {
 		t.Fatal("metadata HasInverted flag not persisted")
 	}
 }
@@ -486,7 +497,7 @@ func TestDefaultColumn(t *testing.T) {
 	if _, ok := c.IndexOf("other"); ok {
 		t.Fatal("IndexOf other value succeeded")
 	}
-	if s, e := c.DocIDRange(0); s != 0 || e != 10 {
+	if s, e := c.DocIDRange(0, 1); s != 0 || e != 10 {
 		t.Fatal("default column range wrong")
 	}
 	// Numeric default column supports metric access.
@@ -537,7 +548,7 @@ func TestQuickDictionaryInvariants(t *testing.T) {
 			arrival.index(&mu, v)
 		}
 		sorted, remap := sortDict(arrival.values.view(arrival.values.n))
-		d := &int64Dictionary{sorted}
+		d := &sortedDictionary[int64]{sorted}
 		for old, id := range remap {
 			if sorted[id] != arrival.values.view(arrival.values.n)[old] {
 				return false

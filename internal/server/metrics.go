@@ -24,8 +24,9 @@ type serverMetrics struct {
 	entries      *metrics.Instrument
 	groupState   *metrics.Instrument // histogram, bytes per query
 
-	transitions *metrics.Family // labels: instance, to
-	completion  *metrics.Family // labels: instance, action
+	transitions  *metrics.Family // labels: instance, to
+	loadFailures *metrics.Family // labels: instance, resource, reason
+	completion   *metrics.Family // labels: instance, action
 
 	consumerRows    *metrics.Family // labels: instance, resource
 	consumerSkipped *metrics.Family // labels: instance, resource, reason
@@ -59,6 +60,8 @@ func newServerMetrics(reg *metrics.Registry, instance string) *serverMetrics {
 		"Group-by state bytes held per query.", "instance").With(instance)
 	m.transitions = reg.Counter("pinot_server_transitions_total",
 		"Helix state transitions executed, by target state.", "instance", "to")
+	m.loadFailures = reg.Counter("pinot_server_segment_load_failures_total",
+		"Segments refused on download: metadata or blob unreadable, checksum mismatch, corrupt contents.", "instance", "resource", "reason")
 	m.completion = reg.Counter("pinot_server_completion_actions_total",
 		"Completion-protocol instructions received, by action.", "instance", "action")
 	m.consumerRows = reg.Counter("pinot_consumer_rows_consumed_total",

@@ -8,6 +8,8 @@ package server
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -498,32 +500,44 @@ func (t *tableDataManager) segmentsFor(names []string) []query.IndexedSegment {
 }
 
 // loadFromStore fetches a segment blob and makes it queryable (paper Figure
-// 4: fetch from the object store, unpack, load).
+// 4: fetch from the object store, unpack, load). The segment is served from
+// the fetched bytes as they are, so they are first held to the checksum the
+// controller recorded when it accepted them; a blob that fails it, or fails
+// to load, is refused — the replica goes to ERROR and the others keep serving.
 func (t *tableDataManager) loadFromStore(segName string) error {
+	refuse := func(reason string, err error) error {
+		t.server.met.loadFailures.With(t.server.cfg.Instance, t.resource, reason).Inc()
+		err = fmt.Errorf("server %s: segment %s refused (%s): %w", t.server.cfg.Instance, segName, reason, err)
+		log.Print(err)
+		return err
+	}
 	meta, err := controller.ReadSegmentMeta(t.server.sess, t.server.cfg.Cluster, t.resource, segName)
 	if err != nil {
-		return fmt.Errorf("server %s: segment %s metadata: %w", t.server.cfg.Instance, segName, err)
+		return refuse("metadata", err)
 	}
 	blob, err := t.server.objects.Get(meta.ObjectKey)
 	if err != nil {
-		return fmt.Errorf("server %s: segment %s blob: %w", t.server.cfg.Instance, segName, err)
+		return refuse("fetch", err)
+	}
+	if crc := crc32.ChecksumIEEE(blob); crc != meta.CRC {
+		return refuse("checksum", fmt.Errorf("blob %s has CRC %08x, its metadata records %08x", meta.ObjectKey, crc, meta.CRC))
 	}
 	seg, err := segment.Unmarshal(blob)
 	if err != nil {
-		return fmt.Errorf("server %s: segment %s corrupt: %w", t.server.cfg.Instance, segName, err)
+		return refuse("corrupt", err)
 	}
-	return t.install(seg)
+	if err := t.install(seg); err != nil {
+		return refuse("corrupt", err)
+	}
+	return nil
 }
 
 func (t *tableDataManager) install(seg *segment.Segment) error {
-	is := query.IndexedSegment{Seg: seg}
-	if data := seg.StarTreeData(); data != nil {
-		tree, err := startree.Unmarshal(data)
-		if err != nil {
-			return fmt.Errorf("server %s: segment %s star tree corrupt: %w", t.server.cfg.Instance, seg.Name(), err)
-		}
-		is.Tree = tree
+	tree, err := startree.Load(seg)
+	if err != nil {
+		return fmt.Errorf("server %s: segment %s star tree corrupt: %w", t.server.cfg.Instance, seg.Name(), err)
 	}
+	is := query.IndexedSegment{Seg: seg, Tree: tree}
 	// One critical section for both maps: on CONSUMING→ONLINE the sealed
 	// copy replaces the (already halted) consuming one with no moment at
 	// which a query finds the segment in neither.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pinot/internal/controller"
 	"pinot/internal/helix"
@@ -248,6 +249,122 @@ func TestUnloadConsumingHaltsConsumerAndInvalidatesCaches(t *testing.T) {
 		}
 		if _, ok := cache.Get("other_segment", "events", "k"); !ok {
 			t.Errorf("%s tier dropped another segment's entry", tier)
+		}
+	}
+}
+
+// TestReplicasShareTheStoresBytes: two servers of one process that load the
+// same segment serve it from the one copy objstore.Mem holds — dictionary
+// values, star-tree bytes and all are views of the store's blob, the same
+// memory on both — and answer alike.
+func TestReplicasShareTheStoresBytes(t *testing.T) {
+	store, objects, streams := zkmeta.NewStore(), objstore.NewMem(), stream.NewCluster()
+	reg := metrics.NewRegistry()
+	ctrl := controller.New(controller.Config{Cluster: "test", Instance: "controller1", Metrics: reg}, store, objects, streams)
+	if err := ctrl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.Stop)
+	waitFor(t, "controller leadership", ctrl.IsLeader)
+	servers := make([]*Server, 2)
+	for i := range servers {
+		servers[i] = New(Config{Cluster: "test", Instance: fmt.Sprintf("server%d", i+1), Metrics: reg}, store, objects, streams,
+			func() []transport.ControllerClient { return []transport.ControllerClient{ctrl} })
+		if err := servers[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(servers[i].Stop)
+	}
+
+	schema, err := segment.NewSchema("events", []segment.FieldSpec{
+		{Name: "country", Type: segment.TypeString, Kind: segment.Dimension, SingleValue: true},
+		{Name: "memberId", Type: segment.TypeLong, Kind: segment.Dimension, SingleValue: true},
+		{Name: "clicks", Type: segment.TypeLong, Kind: segment.Metric, SingleValue: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stCfg := &startree.Config{DimensionSplitOrder: []string{"country", "memberId"}, Metrics: []string{"clicks"}, MaxLeafRecords: 10}
+	tc := &table.Config{Name: "events", Type: table.Offline, Schema: schema, Replicas: 2, StarTree: stCfg}
+	if err := ctrl.AddTable(tc); err != nil {
+		t.Fatal(err)
+	}
+	b, err := segment.NewBuilder("events", "events_0", schema, segment.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		if err := b.Add(segment.Row{fmt.Sprintf("c%d", i%7), int64(i % 900), int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := startree.Build(seg, *stCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := tree.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg.SetStarTreeData(data)
+	blob, err := seg.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.UploadSegment(tc.Resource(), blob); err != nil {
+		t.Fatal(err)
+	}
+	loaded := make([]*segment.Segment, 2)
+	for i, s := range servers {
+		waitFor(t, s.Instance()+" loading the segment", func() bool { return len(s.HostedSegments(tc.Resource())) == 1 })
+		s.tables[tc.Resource()].mu.RLock()
+		loaded[i] = s.tables[tc.Resource()].segments["events_0"].Seg.(*segment.Segment)
+		s.tables[tc.Resource()].mu.RUnlock()
+	}
+	metas, err := ctrl.SegmentMetas(tc.Resource())
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("segment metadata: %v %v", metas, err)
+	}
+	stored, err := objects.Get(metas[0].ObjectKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inStore := func(p *byte) bool {
+		lo := uintptr(unsafe.Pointer(&stored[0]))
+		return uintptr(unsafe.Pointer(p)) >= lo && uintptr(unsafe.Pointer(p)) < lo+uintptr(len(stored))
+	}
+	if &blob[0] == &stored[0] {
+		t.Fatal("the store kept the uploader's slice")
+	}
+	for name, at := range map[string]func(s *segment.Segment) *byte{
+		"star-tree": func(s *segment.Segment) *byte { return &s.StarTreeData()[0] },
+		"memberId dictionary": func(s *segment.Segment) *byte {
+			return (*byte)(unsafe.Pointer(&s.Column("memberId").(*segment.Column).DictLongs()[0]))
+		},
+		"country dictionary": func(s *segment.Segment) *byte {
+			return unsafe.StringData(s.Column("country").(*segment.Column).DictStrings()[6])
+		},
+	} {
+		a, b := at(loaded[0]), at(loaded[1])
+		if a != b || !inStore(a) {
+			t.Errorf("%s: replicas read %p and %p, the store's copy starts at %p", name, a, b, &stored[0])
+		}
+	}
+	for _, s := range servers {
+		resp, err := s.Execute(context.Background(), &transport.QueryRequest{Resource: tc.Resource(), PQL: "SELECT sum(clicks) FROM events WHERE country = 'c3'"})
+		if err != nil || len(resp.Exceptions) > 0 {
+			t.Fatalf("%s: %v %v", s.Instance(), err, resp)
+		}
+		var want float64
+		for i := 3; i < 5000; i += 7 {
+			want += float64(i)
+		}
+		if got := resp.Result.Groups.State(0, 0).Sum; got != want {
+			t.Fatalf("%s: sum(clicks) = %v, want %v", s.Instance(), got, want)
 		}
 	}
 }

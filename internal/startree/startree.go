@@ -35,24 +35,28 @@ type Config struct {
 	MaxLeafRecords int
 }
 
-// node is one tree node covering the pre-aggregated record range
-// [Start, End). childDim == -1 marks a leaf.
-type node struct {
-	dictID   int32 // value of the parent's split dimension; StarID for star nodes
-	childDim int32 // split-order index the children divide on; -1 for leaves
-	start    int32
-	end      int32
-	children map[int32]*node
-	star     *node
-}
+// A node covers the pre-aggregated record range [start, end) and is
+// nodeFields consecutive values of Tree.nodes. The table is in level order,
+// root first, so a node's children are consecutive: the star child (dictID
+// StarID) first when there is one, then one child per value of the split
+// dimension in ascending dict-id order. A node at depth d splits on dimension
+// d of the split order; a leaf has no children.
+const (
+	nodeDictID      = iota // value of the parent's split dimension
+	nodeStart              // first record
+	nodeEnd                // one past the last record
+	nodeFirstChild         // index of the first child
+	nodeNumChildren        // 0 for a leaf
+	nodeFields
+)
 
 // Tree is a built star-tree: the pre-aggregated record table plus the node
-// hierarchy over it.
+// table over it. A tree of Unmarshal holds views of the bytes it was given.
 type Tree struct {
 	splitOrder []string
 	metrics    []string
 	maxLeaf    int
-	root       *node
+	nodes      []int32
 	// Record storage, column-major.
 	dims   [][]int32   // [dim][record]
 	sums   [][]float64 // [metric][record]
@@ -212,8 +216,26 @@ func Build(seg segment.Reader, cfg Config) (*Tree, error) {
 		i = j
 	}
 
-	t.root = b.split(0, int32(len(t.counts)), 0)
+	t.nodes = flatten(b.split(0, int32(len(t.counts)), 0))
 	return t, nil
+}
+
+// buildNode is a node while the tree is being built, depth first; flatten
+// lays the finished tree out in level order.
+type buildNode struct {
+	dictID, start, end int32
+	children           []*buildNode // star child first, then ascending dictID
+}
+
+func flatten(root *buildNode) []int32 {
+	queue := []*buildNode{root}
+	var nodes []int32
+	for i := 0; i < len(queue); i++ {
+		n := queue[i]
+		nodes = append(nodes, n.dictID, n.start, n.end, int32(len(queue)), int32(len(n.children)))
+		queue = append(queue, n.children...)
+	}
+	return nodes
 }
 
 // sortRange re-sorts the record range [start, end) lexicographically by
@@ -257,15 +279,14 @@ func (b *builder) sortRange(start, end int32, level int) {
 
 // split builds the subtree covering record range [start, end), dividing on
 // dimension `level` of the split order.
-func (b *builder) split(start, end int32, level int) *node {
+func (b *builder) split(start, end int32, level int) *buildNode {
 	t := b.tree
-	nd := &node{childDim: -1, start: start, end: end}
+	nd := &buildNode{start: start, end: end}
 	if level >= b.nd || end-start <= int32(t.maxLeaf) {
 		return nd
 	}
 	b.sortRange(start, end, level)
-	nd.childDim = int32(level)
-	nd.children = make(map[int32]*node)
+	nd.children = []*buildNode{nil} // the star child's place
 	for i := start; i < end; {
 		j := i
 		id := t.dims[level][i]
@@ -274,18 +295,15 @@ func (b *builder) split(start, end int32, level int) *node {
 		}
 		child := b.split(i, j, level+1)
 		child.dictID = id
-		nd.children[id] = child
+		nd.children = append(nd.children, child)
 		i = j
 	}
 	// Star child: aggregate [start, end) collapsing this dimension.
 	starStart := int32(len(t.counts))
 	b.appendStarRecords(start, end, level)
-	starEnd := int32(len(t.counts))
-	if starEnd > starStart {
-		star := b.split(starStart, starEnd, level+1)
-		star.dictID = StarID
-		nd.star = star
-	}
+	star := b.split(starStart, int32(len(t.counts)), level+1)
+	star.dictID = StarID
+	nd.children[0] = star
 	return nd
 }
 
@@ -362,12 +380,14 @@ func (t *Tree) Scan(matchers map[int]IDMatcher, groupDims []int, visit func(rec 
 		grouped[d] = true
 	}
 	scanned := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.childDim < 0 {
+	var walk func(n, level int)
+	walk = func(n, level int) {
+		nd := t.nodes[n*nodeFields:][:nodeFields]
+		first, count := int(nd[nodeFirstChild]), int(nd[nodeNumChildren])
+		if count == 0 {
 			// Leaf: apply any unresolved predicates per record and
 			// reject star values for grouped dimensions.
-			for rec := n.start; rec < n.end; rec++ {
+			for rec := nd[nodeStart]; rec < nd[nodeEnd]; rec++ {
 				scanned++
 				ok := true
 				for d, m := range matchers {
@@ -391,29 +411,21 @@ func (t *Tree) Scan(matchers map[int]IDMatcher, groupDims []int, visit func(rec 
 			}
 			return
 		}
-		d := int(n.childDim)
-		if m, hasPred := matchers[d]; hasPred {
-			for id, child := range n.children {
-				if m(id) {
-					walk(child)
-				}
+		star := t.nodes[first*nodeFields+nodeDictID] == StarID
+		m, hasPred := matchers[level]
+		if star && !hasPred && !grouped[level] {
+			walk(first, level+1)
+			return
+		}
+		if star {
+			first, count = first+1, count-1
+		}
+		for c := first; c < first+count; c++ {
+			if !hasPred || m(t.nodes[c*nodeFields+nodeDictID]) {
+				walk(c, level+1)
 			}
-			return
-		}
-		if grouped[d] {
-			for _, child := range n.children {
-				walk(child)
-			}
-			return
-		}
-		if n.star != nil {
-			walk(n.star)
-			return
-		}
-		for _, child := range n.children {
-			walk(child)
 		}
 	}
-	walk(t.root)
+	walk(0, 0)
 	return scanned
 }
