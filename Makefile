@@ -71,7 +71,7 @@ fuzz fuzz-smoke:
 # The counts ROADMAP aim 2 asks a PR to report in CHANGES.md: lines of
 # non-test Go in each package, as wc counts them.
 loc:
-	@for p in query broker transport segment startree bitmap objstore view; do \
+	@for p in query broker transport segment startree bitmap objstore view qcache server; do \
 		printf 'internal/%s %s\n' $$p "$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l)"; \
 	done
 

@@ -239,3 +239,66 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("controller /metrics not parseable: %v", err)
 	}
 }
+
+// TestAggregateTierDefersFirstSightings: N distinct aggregations over S
+// immutable segments are N·S first sightings at the servers' aggregate
+// tiers, each counted in pinot_cache_admission_deferred_total and none
+// stored. A TOP variant of one of them misses at the broker (its PQL
+// differs) but is the second sighting of the same per-segment key, so it
+// stores S entries — spread over two servers whose tiers share the
+// registry, and the tier's gauges read the sum.
+func TestAggregateTierDefersFirstSightings(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c, err := NewLocal(Options{Servers: 2, Metrics: reg, BrokerTemplate: broker.Config{Seed: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	loadOffline(t, c, 1)
+	const segments = 4
+	queries := []string{
+		"SELECT count(*) FROM events GROUP BY country TOP 2",
+		"SELECT sum(clicks) FROM events",
+		"SELECT min(clicks), max(clicks) FROM events WHERE country = 'us'",
+		"SELECT avg(clicks) FROM events GROUP BY memberId",
+		"SELECT distinctcount(country) FROM events WHERE clicks > 10",
+	}
+	for _, q := range queries {
+		res, err := c.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if res.Partial || res.Stats.NumSegmentsQueried != segments {
+			t.Fatalf("%q: partial=%v over %d segments, want all %d", q, res.Partial, res.Stats.NumSegmentsQueried, segments)
+		}
+	}
+	tierLen := func() (n int) {
+		for _, s := range c.Servers {
+			n += s.AggCache().Len()
+		}
+		return n
+	}
+	if got, want := reg.Value("pinot_cache_admission_deferred_total", "aggregate", "events"), int64(len(queries)*segments); got != want {
+		t.Fatalf("deferred admissions = %d, want %d (N·S)", got, want)
+	}
+	if got := reg.Value("pinot_cache_entries", "aggregate"); got != 0 || tierLen() != 0 {
+		t.Fatalf("aggregate tier holds %d entries (gauge %d), want none", tierLen(), got)
+	}
+
+	if _, err := c.Execute(context.Background(), "SELECT count(*) FROM events GROUP BY country TOP 5"); err != nil {
+		t.Fatal(err)
+	}
+	if n := tierLen(); n != segments {
+		t.Fatalf("the second sighting stored %d entries, want %d", n, segments)
+	}
+	if got := reg.Value("pinot_cache_entries", "aggregate"); got != segments {
+		t.Fatalf("entries gauge = %d, the servers hold %d", got, segments)
+	}
+	var bytes int64
+	for _, s := range c.Servers {
+		bytes += s.AggCache().Bytes()
+	}
+	if got := reg.Value("pinot_cache_bytes", "aggregate"); got != bytes {
+		t.Fatalf("bytes gauge = %d, the servers hold %d", got, bytes)
+	}
+}

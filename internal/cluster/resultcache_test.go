@@ -313,6 +313,23 @@ func TestDifferentialResultCacheOnVsOff(t *testing.T) {
 		compare(pqlText)
 	}
 
+	// Warm sweep: the cache-on broker answers its aggregations from its
+	// result tier, while the cache-off broker scatters them to the servers a
+	// third time. Their aggregate tier stores a per-segment partial on its
+	// second sighting, so wherever the cold sweep reached one replica twice
+	// this pass is a hit there, and must answer identically.
+	aggHits := func() int64 {
+		return c.Metrics.Value("pinot_cache_hits_total", "aggregate", "events") +
+			c.Metrics.Value("pinot_cache_hits_total", "aggregate", "rtevents")
+	}
+	aggHits0 := aggHits()
+	for _, pqlText := range queries {
+		compare(pqlText)
+	}
+	if aggHits() == aggHits0 {
+		t.Fatal("the warm sweep never hit the servers' aggregate tier")
+	}
+
 	// Zipf-skewed repeats with interleaved ingestion: a few hot queries
 	// dominate (the realistic dashboard shape the small-result admission
 	// bias is for) while realtime rows keep arriving between rounds.

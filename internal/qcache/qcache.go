@@ -6,15 +6,18 @@
 // — precise invalidation, never time-based staleness. Eviction is bounded
 // by bytes, least-recently-used first, with a small-result admission bias:
 // dashboard-style workloads repeat many small aggregations, and one monster
-// result must not wipe out a thousand useful entries. A value is opaque to
-// the cache; its owner states its size, and the cache adds the key's length,
-// so the bound covers what an entry holds (the two query tiers store encoded
-// bytes of exactly the stated size, the dictionary-expression tier an
-// estimate of its memo).
+// result must not wipe out a thousand useful entries. A tier whose keys are
+// mostly seen once asks a doorkeeper (Admit) before it builds a value: a key
+// is stored on its second sighting, so one-hit wonders never reach the heap.
+// A value is opaque to the cache; its owner states its size, and the cache
+// adds the key's length, so the bound covers what an entry holds (the two
+// query tiers store encoded bytes of exactly the stated size, the
+// dictionary-expression tier an estimate of its memo).
 package qcache
 
 import (
 	"container/list"
+	"hash/maphash"
 	"strings"
 	"sync"
 
@@ -24,6 +27,17 @@ import (
 // DefaultMaxBytes bounds a cache tier when the config leaves it zero.
 const DefaultMaxBytes = 64 << 20
 
+// Both admission rules are sized from the tier's bound, never set apart from
+// it. An entry larger than MaxBytes/entryCapDiv is rejected outright (the
+// small-result bias). The doorkeeper keeps one 8-byte hash per
+// doorkeeperSlotBytes of bound, at least minDoorkeeperSlots: 4 096 slots,
+// 32 KiB, at DefaultMaxBytes — a two-thousandth of the bytes it guards.
+const (
+	entryCapDiv         = 8
+	doorkeeperSlotBytes = 16 << 10
+	minDoorkeeperSlots  = 64
+)
+
 // Config tunes one cache tier.
 type Config struct {
 	// Tier labels this cache's metrics ("result", "aggregate").
@@ -31,9 +45,6 @@ type Config struct {
 	// MaxBytes bounds the sum of entry sizes, keys included
 	// (0 = DefaultMaxBytes).
 	MaxBytes int64
-	// MaxEntryBytes is the admission cap: entries larger than this are
-	// rejected outright — the small-result bias. 0 defaults to MaxBytes/8.
-	MaxEntryBytes int64
 	// Metrics receives the tier's instrumentation (nil = metrics.Default()).
 	Metrics *metrics.Registry
 }
@@ -44,9 +55,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = DefaultMaxBytes
-	}
-	if c.MaxEntryBytes <= 0 {
-		c.MaxEntryBytes = c.MaxBytes / 8
 	}
 }
 
@@ -69,6 +77,7 @@ type cacheMetrics struct {
 	invalidations *metrics.Family
 	bytesSaved    *metrics.Family
 	rejected      *metrics.Family
+	deferred      *metrics.Family
 	bytes         *metrics.Instrument // gauge per tier
 	entries       *metrics.Instrument // gauge per tier
 }
@@ -90,6 +99,8 @@ func newCacheMetrics(reg *metrics.Registry, tier string) *cacheMetrics {
 			"Bytes of result recomputation avoided by cache hits, per table.", "tier", "table"),
 		rejected: reg.Counter("pinot_cache_admission_rejects_total",
 			"Entries refused admission for exceeding the entry-size cap, per table.", "tier", "table"),
+		deferred: reg.Counter("pinot_cache_admission_deferred_total",
+			"Misses not stored because the doorkeeper saw their key for the first time, per table.", "tier", "table"),
 		bytes: reg.Gauge("pinot_cache_bytes",
 			"Current bytes held by a cache tier.", "tier").With(tier),
 		entries: reg.Gauge("pinot_cache_entries",
@@ -108,6 +119,12 @@ type Cache struct {
 	byScope  map[string]map[string]*list.Element // scope → key → element
 	tables   map[string]string                   // table name → the one copy entries share
 	curBytes int64
+
+	// The doorkeeper: a direct-mapped table of the hashes of the (scope, key)
+	// pairs Admit was last asked about, made on the first Admit. A colliding
+	// sighting overwrites its slot, which is all the aging it needs.
+	seed maphash.Seed
+	seen []uint64
 }
 
 // New builds a cache tier.
@@ -119,6 +136,7 @@ func New(cfg Config) *Cache {
 		order:   list.New(),
 		byScope: map[string]map[string]*list.Element{},
 		tables:  map[string]string{},
+		seed:    maphash.MakeSeed(),
 	}
 }
 
@@ -155,6 +173,36 @@ func (c *Cache) Get(scope, table, key string) (any, bool) {
 	return val, true
 }
 
+// Admit is the doorkeeper a tier asks after a miss, before it builds the
+// value to Put: it reports whether (scope, key) is resident (a replacement is
+// due at once) or was sighted before, and otherwise remembers this sighting,
+// counts a deferred admission for the table and returns false. A collision
+// or a stale hash can only admit a key one sighting early.
+func (c *Cache) Admit(scope, table, key string) bool {
+	var h maphash.Hash
+	h.SetSeed(c.seed)
+	h.WriteString(scope)
+	h.WriteByte(0)
+	h.WriteString(key)
+	sum := h.Sum64()
+	c.mu.Lock()
+	if _, ok := c.byScope[scope][key]; ok {
+		c.mu.Unlock()
+		return true
+	}
+	if c.seen == nil {
+		c.seen = make([]uint64, max(c.cfg.MaxBytes/doorkeeperSlotBytes, minDoorkeeperSlots))
+	}
+	slot := &c.seen[sum%uint64(len(c.seen))]
+	seen := *slot == sum
+	*slot = sum
+	c.mu.Unlock()
+	if !seen {
+		c.met.deferred.With(c.cfg.Tier, table).Inc()
+	}
+	return seen
+}
+
 // Put admits a value of the stated size under (scope, key), evicting cold
 // entries to stay under the byte bound. The entry is charged size plus the
 // key's length; entries above the entry-size cap are rejected (the
@@ -165,13 +213,14 @@ func (c *Cache) Put(scope, table, key string, val any, size int64) bool {
 		size = 1
 	}
 	size += int64(len(key))
-	if size > c.cfg.MaxEntryBytes {
+	if size > c.cfg.MaxBytes/entryCapDiv {
 		c.met.rejected.With(c.cfg.Tier, table).Inc()
 		return false
 	}
 	type victim struct{ table string }
 	var victims []victim
 	c.mu.Lock()
+	bytes0, len0 := c.curBytes, c.order.Len()
 	table = c.internTableLocked(table)
 	if el, ok := c.byScope[scope][key]; ok {
 		e := el.Value.(*entry)
@@ -194,7 +243,7 @@ func (c *Cache) Put(scope, table, key string, val any, size int64) bool {
 		c.removeLocked(el)
 		victims = append(victims, victim{e.table})
 	}
-	c.updateGaugesLocked()
+	c.moveGaugesLocked(bytes0, len0)
 	c.mu.Unlock()
 	for _, v := range victims {
 		c.met.evictions.With(c.cfg.Tier, v.table).Inc()
@@ -214,9 +263,13 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.curBytes -= e.size
 }
 
-func (c *Cache) updateGaugesLocked() {
-	c.met.bytes.Set(c.curBytes)
-	c.met.entries.Set(int64(c.order.Len()))
+// moveGaugesLocked moves the tier gauges by what this cache gained or lost
+// since it held bytes0 in len0 entries. The gauges are per tier, and several
+// caches of one tier (one per server) share a registry: each adds its own
+// change, so a gauge reads the tier's sum, not its last writer.
+func (c *Cache) moveGaugesLocked(bytes0 int64, len0 int) {
+	c.met.bytes.Add(c.curBytes - bytes0)
+	c.met.entries.Add(int64(c.order.Len() - len0))
 }
 
 // InvalidateScope drops every entry under a scope, incrementing the
@@ -224,13 +277,14 @@ func (c *Cache) updateGaugesLocked() {
 // number dropped. A scope with no entries is a no-op.
 func (c *Cache) InvalidateScope(scope string) int {
 	c.mu.Lock()
+	bytes0, len0 := c.curBytes, c.order.Len()
 	m := c.byScope[scope]
 	dropped := make([]string, 0, len(m))
 	for _, el := range m {
 		dropped = append(dropped, el.Value.(*entry).table)
 		c.removeLocked(el)
 	}
-	c.updateGaugesLocked()
+	c.moveGaugesLocked(bytes0, len0)
 	c.mu.Unlock()
 	for _, table := range dropped {
 		c.met.invalidations.With(c.cfg.Tier, table).Inc()
@@ -242,6 +296,7 @@ func (c *Cache) InvalidateScope(scope string) int {
 // counting each as an invalidation, and returns the number dropped.
 func (c *Cache) InvalidateAll() int {
 	c.mu.Lock()
+	bytes0, len0 := c.curBytes, c.order.Len()
 	var dropped []string
 	for el := c.order.Front(); el != nil; el = el.Next() {
 		dropped = append(dropped, el.Value.(*entry).table)
@@ -249,7 +304,7 @@ func (c *Cache) InvalidateAll() int {
 	c.order.Init()
 	c.byScope = map[string]map[string]*list.Element{}
 	c.curBytes = 0
-	c.updateGaugesLocked()
+	c.moveGaugesLocked(bytes0, len0)
 	c.mu.Unlock()
 	for _, table := range dropped {
 		c.met.invalidations.With(c.cfg.Tier, table).Inc()

@@ -10,7 +10,7 @@ import (
 
 func TestGetPutBasics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := New(Config{Tier: "result", MaxBytes: 1000, MaxEntryBytes: 1000, Metrics: reg})
+	c := New(Config{Tier: "result", MaxBytes: 8000, Metrics: reg}) // entries up to 1000 bytes
 
 	if _, ok := c.Get("scope1", "events", "k1"); ok {
 		t.Fatal("hit on empty cache")
@@ -49,11 +49,12 @@ func TestGetPutBasics(t *testing.T) {
 	}
 }
 
+// TestAdmissionRejectsOversized: the entry-size cap is MaxBytes/8, here 100.
 func TestAdmissionRejectsOversized(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := New(Config{Tier: "agg", MaxBytes: 800, MaxEntryBytes: 100, Metrics: reg})
+	c := New(Config{Tier: "agg", MaxBytes: 800, Metrics: reg})
 	if c.Put("s", "t", "big", "x", 101) {
-		t.Fatal("oversized entry admitted")
+		t.Fatal("entry above MaxBytes/8 admitted")
 	}
 	if c.Len() != 0 {
 		t.Fatal("oversized entry stored")
@@ -61,41 +62,37 @@ func TestAdmissionRejectsOversized(t *testing.T) {
 	if got := reg.Total("pinot_cache_admission_rejects_total"); got != 1 {
 		t.Fatalf("rejects = %d", got)
 	}
-	// Default cap is MaxBytes/8.
-	d := New(Config{Tier: "agg2", MaxBytes: 800, Metrics: reg})
-	if d.Put("s", "t", "big", "x", 101) {
-		t.Fatal("entry above MaxBytes/8 admitted under default cap")
-	}
-	if !d.Put("s", "t", "ok", "x", 98) {
-		t.Fatal("entry at default cap rejected")
+	if !c.Put("s", "t", "ok", "x", 98) {
+		t.Fatal("entry at the cap rejected")
 	}
 	// The key counts against the cap: what is bounded is what is held.
-	if d.Put("s", "t", "a-key-of-twenty-bytes", "x", 90) {
+	if c.Put("s", "t", "a-key-of-twenty-bytes", "x", 90) {
 		t.Fatal("entry whose key takes it past the cap admitted")
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c := New(Config{Tier: "result", MaxBytes: 303, MaxEntryBytes: 303, Metrics: reg})
-	c.Put("s", "t", "a", 1, 100)
-	c.Put("s", "t", "b", 2, 100)
-	c.Put("s", "t", "c", 3, 100)
+	// Eight entries of 101 bytes (100 and a one-byte key) fill the bound.
+	c := New(Config{Tier: "result", MaxBytes: 808, Metrics: reg})
+	for i, k := range "abcdefgh" {
+		c.Put("s", "t", string(k), i, 100)
+	}
 	// Touch "a" so "b" is the LRU victim.
 	c.Get("s", "t", "a")
-	c.Put("s", "t", "d", 4, 100)
+	c.Put("s", "t", "i", 8, 100)
 	if _, ok := c.Get("s", "t", "b"); ok {
 		t.Fatal("LRU victim b survived")
 	}
-	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Get("s", "t", k); !ok {
-			t.Fatalf("%s evicted unexpectedly", k)
+	for _, k := range "acdefghi" {
+		if _, ok := c.Get("s", "t", string(k)); !ok {
+			t.Fatalf("%c evicted unexpectedly", k)
 		}
 	}
 	if got := reg.Total("pinot_cache_evictions_total"); got != 1 {
 		t.Fatalf("evictions = %d", got)
 	}
-	if c.Bytes() != 303 {
+	if c.Bytes() != 808 {
 		t.Fatalf("bytes = %d", c.Bytes())
 	}
 }
@@ -188,15 +185,98 @@ func TestInvalidateAll(t *testing.T) {
 }
 
 func TestEvictionNeverExceedsBound(t *testing.T) {
-	c := New(Config{Tier: "result", MaxBytes: 1000, MaxEntryBytes: 400})
+	c := New(Config{Tier: "result", MaxBytes: 3200}) // entries up to 400 bytes
 	for i := 0; i < 200; i++ {
 		c.Put("s", "t", fmt.Sprintf("k%d", i), i, int64(50+i%300))
-		if c.Bytes() > 1000 {
+		if c.Bytes() > 3200 {
 			t.Fatalf("bytes %d exceeded bound after put %d", c.Bytes(), i)
 		}
 	}
 	if c.Len() == 0 {
 		t.Fatal("cache emptied itself")
+	}
+}
+
+// TestTierGaugesSumEveryCache: the bytes and entries gauges are per tier,
+// and two servers' aggregate tiers share one registry in the in-process
+// cluster. Through puts, replacements, evictions and both invalidations on
+// either cache, each gauge must read the sum over both, not the last writer.
+func TestTierGaugesSumEveryCache(t *testing.T) {
+	reg := metrics.NewRegistry()
+	a := New(Config{Tier: "aggregate", MaxBytes: 800, Metrics: reg})
+	b := New(Config{Tier: "aggregate", MaxBytes: 800, Metrics: reg})
+	check := func(step string) {
+		t.Helper()
+		if got, want := reg.Value("pinot_cache_bytes", "aggregate"), a.Bytes()+b.Bytes(); got != want {
+			t.Fatalf("after %s: bytes gauge %d, caches hold %d", step, got, want)
+		}
+		if got, want := reg.Value("pinot_cache_entries", "aggregate"), int64(a.Len()+b.Len()); got != want {
+			t.Fatalf("after %s: entries gauge %d, caches hold %d", step, got, want)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		a.Put(fmt.Sprintf("seg%d", i%3), "events", fmt.Sprintf("k%d", i), i, 90)
+	}
+	check("puts that evict on one cache")
+	for i := 0; i < 5; i++ {
+		b.Put(fmt.Sprintf("seg%d", i%3), "events", fmt.Sprintf("k%d", i), i, 40)
+	}
+	check("puts on the other")
+	a.Put("seg2", "events", "k11", 0, 20)
+	b.Put("seg0", "events", "k0", 0, 70)
+	check("replacements")
+	if reg.Total("pinot_cache_evictions_total") == 0 {
+		t.Fatal("nothing was evicted; the test covers no eviction")
+	}
+	if b.InvalidateScope("seg1") == 0 {
+		t.Fatal("the scope invalidation dropped nothing")
+	}
+	check("a scope invalidation")
+	if a.InvalidateAll() == 0 {
+		t.Fatal("InvalidateAll dropped nothing")
+	}
+	check("InvalidateAll")
+	b.InvalidateAll()
+	check("both emptied")
+	if got := reg.Value("pinot_cache_bytes", "aggregate"); got != 0 {
+		t.Fatalf("bytes gauge %d over two empty caches", got)
+	}
+}
+
+// TestAdmitOnSecondSighting pins the doorkeeper: a key is admitted on its
+// second sighting, a resident key at once; a first sighting is counted as a
+// deferred admission; the table is made on the first Admit, sized from the
+// bound.
+func TestAdmitOnSecondSighting(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := New(Config{Tier: "aggregate", Metrics: reg})
+	c.Put("seg0", "events", "resident", 1, 10)
+	c.Get("seg0", "events", "absent")
+	if c.seen != nil {
+		t.Fatal("the doorkeeper table was made before anything asked it")
+	}
+	if !c.Admit("seg0", "events", "resident") {
+		t.Fatal("a resident key (a replacement) waited for a second sighting")
+	}
+	if c.Admit("seg0", "events", "k") {
+		t.Fatal("a first sighting was admitted")
+	}
+	if !c.Admit("seg0", "events", "k") {
+		t.Fatal("a second sighting was not admitted")
+	}
+	if c.Admit("seg1", "events", "k") {
+		t.Fatal("the same key under another scope was admitted on its first sighting")
+	}
+	if got := reg.Value("pinot_cache_admission_deferred_total", "aggregate", "events"); got != 2 {
+		t.Fatalf("deferred admissions = %d, want 2", got)
+	}
+	if len(c.seen) != 4096 {
+		t.Fatalf("doorkeeper of %d slots at the default bound, want 4096", len(c.seen))
+	}
+	small := New(Config{Tier: "aggregate", MaxBytes: 1000, Metrics: reg})
+	small.Admit("s", "t", "k")
+	if len(small.seen) != minDoorkeeperSlots {
+		t.Fatalf("doorkeeper of %d slots for a 1000-byte tier, want %d", len(small.seen), minDoorkeeperSlots)
 	}
 }
 
@@ -213,6 +293,8 @@ func TestConcurrentAccess(t *testing.T) {
 				switch i % 5 {
 				case 0:
 					c.Put(scope, "t", key, i, int64(10+i%90))
+				case 3:
+					c.Admit(scope, "t", key)
 				case 4:
 					c.InvalidateScope(scope)
 				default:

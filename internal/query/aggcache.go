@@ -64,11 +64,15 @@ func aggCacheKey(q *pql.Query) string {
 // cache. Cached intermediates replay the original execution verbatim —
 // stats included — so a warm segment is indistinguishable from a cold one
 // in the response. A hit decodes into an Intermediate that is the caller's
-// alone to Merge into and Finalize; a miss returns what it computed and
-// leaves an encoded copy behind. Only clean completions are stored: errored
-// or group-limited executions must re-run. Bytes that no longer decode are a
-// miss whose Put replaces them, and a result the layout cannot carry is
-// answered and simply not stored.
+// alone to Merge into and Finalize; a miss returns what it computed and, on
+// the key's second sighting, leaves an encoded copy behind. The doorkeeper is
+// asked before the encode, so a key seen once costs neither the encode nor
+// any heap: this tier only sees what the broker's result tier missed, and
+// most of that (all-distinct streams, a dashboard's first request) never
+// comes back. Only clean completions are stored: errored or group-limited
+// executions must re-run. Bytes that no longer decode are a miss whose Put
+// replaces them at once (a resident key passes the doorkeeper), and a result
+// the layout cannot carry is answered and simply not stored.
 func (e *Engine) executeSegmentCached(ctx context.Context, is IndexedSegment, q *pql.Query, key string, tableSchema *segment.Schema) (*Intermediate, error) {
 	cache := e.AggCache
 	if cache == nil || !aggCacheable(q, e.Options, is) {
@@ -87,6 +91,9 @@ func (e *Engine) executeSegmentCached(ctx context.Context, is IndexedSegment, q 
 	}
 	if e.afterMiss != nil {
 		e.afterMiss(res)
+	}
+	if !cache.Admit(scope, q.Table, key) {
+		return res, nil
 	}
 	if b, err := EncodeIntermediate(res); err == nil {
 		cache.Put(scope, q.Table, key, b, int64(len(b)))

@@ -58,12 +58,16 @@ func aggCacheCorpus() []string {
 
 // TestAggCacheWarmMatchesCold is the engine-level differential: every
 // corpus query must produce a byte-identical Result — stats included — on a
-// cold cache, a warm cache, and with the cache disabled.
+// cold cache (a first sighting: nothing stored), a second run (which stores),
+// a warm run (which hits wherever the second stored), and with the cache
+// disabled.
 func TestAggCacheWarmMatchesCold(t *testing.T) {
 	segs := aggCacheFixture(t)
-	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
+	reg := metrics.NewRegistry()
+	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: reg})
 	cached := &Engine{AggCache: cache}
 	plain := &Engine{}
+	hits := func() int64 { return reg.Value("pinot_cache_hits_total", "aggregate", "events") }
 	for _, pqlText := range aggCacheCorpus() {
 		q, err := pql.Parse(pqlText)
 		if err != nil {
@@ -80,13 +84,22 @@ func TestAggCacheWarmMatchesCold(t *testing.T) {
 			return merged.Finalize(q)
 		}
 		off := run(plain)
+		before := cache.Len()
 		cold := run(cached)
-		warm := run(cached)
-		if !reflect.DeepEqual(off, cold) {
-			t.Errorf("%q: cold cached run diverges from cache-off:\n  off:  %+v\n  cold: %+v", pqlText, off, cold)
+		if cache.Len() != before {
+			t.Errorf("%q: a first sighting stored %d entries", pqlText, cache.Len()-before)
 		}
-		if !reflect.DeepEqual(off, warm) {
-			t.Errorf("%q: warm cached run diverges from cache-off:\n  off:  %+v\n  warm: %+v", pqlText, off, warm)
+		second := run(cached)
+		stored := int64(cache.Len() - before)
+		hits0 := hits()
+		warm := run(cached)
+		if got := hits() - hits0; stored == 0 || got != stored {
+			t.Errorf("%q: the second run stored %d entries and the warm run hit %d", pqlText, stored, got)
+		}
+		for name, res := range map[string]*Result{"cold": cold, "second": second, "warm": warm} {
+			if !reflect.DeepEqual(off, res) {
+				t.Errorf("%q: %s cached run diverges from cache-off:\n  off: %+v\n  %s: %+v", pqlText, name, off, name, res)
+			}
 		}
 	}
 	if cache.Len() == 0 {
@@ -95,7 +108,8 @@ func TestAggCacheWarmMatchesCold(t *testing.T) {
 }
 
 // TestAggCacheSkipsMutableSegments pins the consuming-segment rule: only the
-// three immutable segments may populate the cache, never the mutable one.
+// three immutable segments may populate the cache, never the mutable one. The
+// query runs twice, since an entry is stored on its key's second sighting.
 func TestAggCacheSkipsMutableSegments(t *testing.T) {
 	segs := aggCacheFixture(t)
 	reg := metrics.NewRegistry()
@@ -105,8 +119,10 @@ func TestAggCacheSkipsMutableSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Execute(context.Background(), q, segs, nil); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, _, err := e.Execute(context.Background(), q, segs, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := cache.Len(); got != 3 {
 		t.Fatalf("cache holds %d entries, want 3 (immutable segments only)", got)
@@ -143,6 +159,7 @@ func TestAggCacheInvalidationForcesRecompute(t *testing.T) {
 		return merged.Finalize(q)
 	}
 	first := run()
+	run() // the second sighting stores
 	if n := cache.InvalidateScope("seg1"); n != 1 {
 		t.Fatalf("invalidated %d entries for seg1, want 1", n)
 	}
@@ -157,7 +174,9 @@ func TestAggCacheInvalidationForcesRecompute(t *testing.T) {
 }
 
 // TestAggCacheTopVariantsShareEntries: TOP is applied at finalize, so all
-// TOP variants of one group-by must share per-segment entries.
+// TOP variants of one group-by must share per-segment entries. Each variant
+// runs once: the second is the second sighting of the one key they share,
+// and stores; variants with keys of their own would store nothing.
 func TestAggCacheTopVariantsShareEntries(t *testing.T) {
 	segs := aggCacheFixture(t)
 	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
@@ -180,7 +199,8 @@ func TestAggCacheTopVariantsShareEntries(t *testing.T) {
 }
 
 // TestAggCacheCommutedFiltersShareEntries: the canonicalized filter
-// signature makes commuted AND chains collide at the segment tier too.
+// signature makes commuted AND chains collide at the segment tier too. As
+// with TOP variants, each order runs once, and only a shared key stores.
 func TestAggCacheCommutedFiltersShareEntries(t *testing.T) {
 	segs := aggCacheFixture(t)
 	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
@@ -254,6 +274,9 @@ func TestAggCacheIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := run(); err != nil { // the second sighting stores
+		t.Fatal(err)
+	}
 	var stored [][]byte
 	for _, s := range segs[:3] {
 		stored = append(stored, append([]byte(nil), storedBytes(t, cache, s, q)...))
@@ -296,26 +319,160 @@ func TestAggCacheIsolation(t *testing.T) {
 	}
 }
 
-// TestAggCacheStoresEveryCacheablePair: with values encoded on the way in, a
-// result that failed to encode would silently stop being cached. Over the
-// differential corpus every per-segment execution the cache was asked about
-// must have left an entry.
+// TestAggCacheStoresEveryCacheablePair: a (query, segment) pair executed once
+// leaves no entry, and one executed twice leaves exactly one. With values
+// encoded on the way in, a result that failed to encode would silently stop
+// being cached; over the differential corpus every pair the cache was asked
+// about twice must have left its entry.
 func TestAggCacheStoresEveryCacheablePair(t *testing.T) {
 	segs := aggCacheFixture(t)
 	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
 	var executed atomic.Int64
 	e := &Engine{AggCache: cache, afterMiss: func(*Intermediate) { executed.Add(1) }}
-	for _, text := range aggCacheCorpus() {
+	pass := func() {
+		for _, text := range aggCacheCorpus() {
+			q, err := pql.Parse(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := e.Execute(context.Background(), q, segs, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass()
+	n := executed.Load()
+	if n == 0 || cache.Len() != 0 {
+		t.Fatalf("%d cacheable pairs executed once, %d entries stored, want none", n, cache.Len())
+	}
+	pass()
+	if got := executed.Load(); got != 2*n || int64(cache.Len()) != n {
+		t.Fatalf("%d cacheable pairs executed twice (%d executions), %d entries stored", n, got, cache.Len())
+	}
+}
+
+// TestAggCacheOneHitWondersCostNothing: an all-distinct stream of group-bys
+// (the shape of a scan workload the broker tier never answers) leaves the
+// tier empty, and a query allocates what it allocates with no cache at all:
+// a first sighting is neither encoded nor stored. What is left is the key and
+// the lookup, some 600 bytes a query. The filter bounds revenue (0 to 99.9
+// in the fixture) below its maximum, so pruning elides no filter and every
+// (segment, key) pair is distinct.
+func TestAggCacheOneHitWondersCostNothing(t *testing.T) {
+	segs := aggCacheFixture(t)
+	const n = 5000
+	qs := make([]*pql.Query, n)
+	for i := range qs {
+		q, err := pql.Parse(fmt.Sprintf("SELECT sum(clicks), count(*) FROM events WHERE revenue <= %d.%02d GROUP BY day, country", 1+i/100, i%100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs[i] = q
+	}
+	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
+	perQuery := func(e *Engine) float64 {
+		warm, _ := pql.Parse("SELECT sum(clicks) FROM events GROUP BY country")
+		if _, _, err := e.Execute(context.Background(), warm, segs, nil); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, q := range qs {
+			if _, _, err := e.Execute(context.Background(), q, segs, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	off, on := perQuery(&Engine{}), perQuery(&Engine{AggCache: cache})
+	t.Logf("%.0f bytes allocated per query with the tier, %.0f without", on, off)
+	if cache.Len() != 0 {
+		t.Fatalf("%d distinct queries left %d entries, want none", n, cache.Len())
+	}
+	if on > off*1.02 {
+		t.Fatalf("a query allocates %.0f bytes with the tier and %.0f without: more than 2%% apart", on, off)
+	}
+}
+
+// TestAggCacheThirdRunHitsEveryImmutableSegment: the first run of a query
+// is a sighting, the second stores, and the third is answered from the tier
+// on every immutable segment, while the consuming one is executed live (its
+// 300 rows are in the answer) and never stored.
+func TestAggCacheThirdRunHitsEveryImmutableSegment(t *testing.T) {
+	segs := aggCacheFixture(t)
+	reg := metrics.NewRegistry()
+	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: reg})
+	var executed atomic.Int64 // cacheable segments executed on a miss
+	e := &Engine{AggCache: cache, afterMiss: func(*Intermediate) { executed.Add(1) }}
+	q, err := pql.Parse("SELECT count(*), max(revenue) FROM events GROUP BY browser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(e *Engine) *Result {
+		merged, _, err := e.Execute(context.Background(), q, segs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return merged.Finalize(q)
+	}
+	run(e)
+	run(e)
+	executed.Store(0)
+	hits0 := reg.Value("pinot_cache_hits_total", "aggregate", "events")
+	third := run(e)
+	if got := reg.Value("pinot_cache_hits_total", "aggregate", "events") - hits0; got != 3 {
+		t.Fatalf("the third run hit %d segments, want the 3 immutable ones", got)
+	}
+	if n := executed.Load(); n != 0 {
+		t.Fatalf("the third run executed %d immutable segments, want none", n)
+	}
+	if n := cache.InvalidateScope("rt0"); n != 0 {
+		t.Fatalf("the consuming segment has %d entries", n)
+	}
+	if off := run(&Engine{}); !reflect.DeepEqual(third, off) || third.Stats.NumDocsScanned != 3*400+300 {
+		t.Fatalf("the third run diverges from cache-off:\n  off:   %+v\n  third: %+v", off, third)
+	}
+}
+
+// TestAggCacheSelectionsMakeNoDoorkeeper: the doorkeeper's table is made on
+// the first aggregation a tier is asked to store, so a tier that only ever
+// serves selections allocates nothing for it. The aggregation is the
+// control: the same measurement sees the table there.
+func TestAggCacheSelectionsMakeNoDoorkeeper(t *testing.T) {
+	segs := aggCacheFixture(t)
+	cost := func(text string, cached bool) uint64 {
 		q, err := pql.Parse(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := e.Execute(context.Background(), q, segs, nil); err != nil {
-			t.Fatal(err)
+		// A fresh tier for each of allocatedBy's tries, so large that its
+		// table (512 KiB) stands out of the noise of a query's allocations.
+		var caches []*qcache.Cache
+		for i := 0; i < 3; i++ {
+			caches = append(caches, qcache.New(qcache.Config{Tier: "aggregate", MaxBytes: 1 << 30, Metrics: metrics.NewRegistry()}))
 		}
+		return allocatedBy(func() {
+			e := &Engine{}
+			if cached {
+				e.AggCache, caches = caches[0], caches[1:]
+			}
+			if _, _, err := e.Execute(context.Background(), q, segs, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if n := executed.Load(); n == 0 || int64(cache.Len()) != n {
-		t.Fatalf("%d cacheable (query, segment) pairs executed, %d entries stored", n, cache.Len())
+	const table = (1 << 30) / (16 << 10) * 8
+	sel := "SELECT country, clicks FROM events WHERE clicks > 50 ORDER BY clicks LIMIT 10"
+	agg := "SELECT sum(clicks) FROM events WHERE clicks > 50"
+	selOff, selOn := cost(sel, false), cost(sel, true)
+	aggOff, aggOn := cost(agg, false), cost(agg, true)
+	t.Logf("selection %d → %d bytes, aggregation %d → %d bytes, cache off → on", selOff, selOn, aggOff, aggOn)
+	if aggOn < aggOff+table {
+		t.Fatalf("an aggregation on a fresh tier allocates %d bytes, %d without: the measurement cannot see the table", aggOn, aggOff)
+	}
+	if selOn > selOff+table/2 {
+		t.Fatalf("a selection on a fresh tier allocates %d bytes, %d without: it made the doorkeeper's table", selOn, selOff)
 	}
 }
 
@@ -346,6 +503,7 @@ func TestAggCacheCorruptEntryIsAMiss(t *testing.T) {
 		return merged.Finalize(q)
 	}
 	cold := run()
+	run() // the second sighting stores
 	stored := storedBytes(t, cache, segs[1], q)
 	good, err := DecodeIntermediate(stored)
 	if err != nil {
@@ -372,7 +530,7 @@ func TestAggCacheCorruptEntryIsAMiss(t *testing.T) {
 
 // TestAggCacheUnencodableResultIsNotStored: a result the layout cannot carry
 // (here an expression node the parser never builds) is answered as computed
-// and leaves no entry.
+// and leaves no entry, even on the second sighting that would store it.
 func TestAggCacheUnencodableResultIsNotStored(t *testing.T) {
 	segs := aggCacheFixture(t)[:1]
 	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
@@ -383,16 +541,18 @@ func TestAggCacheUnencodableResultIsNotStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got *Intermediate
-	_, excs, err := e.ExecuteStream(context.Background(), q, segs, nil, func(_ int, res *Intermediate) error {
-		got = res
-		return nil
-	})
-	if err != nil || len(excs) > 0 {
-		t.Fatalf("err = %v, exceptions = %v", err, excs)
-	}
-	if got.Groups.Len() != 7 || got.AggExprs[0].Arg != (unknownExpr{}) || got.Groups.State(0, 0).Count == 0 {
-		t.Fatalf("the result was not answered as computed: %+v", got.Groups)
+	for i := 0; i < 2; i++ {
+		var got *Intermediate
+		_, excs, err := e.ExecuteStream(context.Background(), q, segs, nil, func(_ int, res *Intermediate) error {
+			got = res
+			return nil
+		})
+		if err != nil || len(excs) > 0 {
+			t.Fatalf("err = %v, exceptions = %v", err, excs)
+		}
+		if got.Groups.Len() != 7 || got.AggExprs[0].Arg != (unknownExpr{}) || got.Groups.State(0, 0).Count == 0 {
+			t.Fatalf("the result was not answered as computed: %+v", got.Groups)
+		}
 	}
 	if cache.Len() != 0 {
 		t.Fatalf("an unencodable result left %d entries", cache.Len())
@@ -407,7 +567,8 @@ func TestAggCacheUnencodableResultIsNotStored(t *testing.T) {
 }
 
 // TestCacheBytesBoundHeap holds the tier's byte count to what the tier
-// occupies: after 2 000 distinct group-by results the live heap has grown by
+// occupies: after 2 000 distinct group-by results, each run twice so that it
+// is stored, the live heap has grown by
 // no more than cache.Bytes() and 300 bytes an entry (the index: a list
 // element, an entry and a map slot per key, and allocator size classes —
 // some 210 to 260 bytes whatever the value's size, which is why this is not
@@ -433,12 +594,16 @@ func TestCacheBytesBoundHeap(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	run("SELECT sum(clicks), count(*) FROM events GROUP BY day") // warm the pools and the table's counters
+	// Warm the pools, the table's counters and the doorkeeper's table.
+	run("SELECT sum(clicks), count(*) FROM events GROUP BY day")
+	run("SELECT sum(clicks), count(*) FROM events GROUP BY day")
 	cache.InvalidateAll()
 	before := heap()
 	const entries = 2000
 	for i := 0; i < entries; i++ {
-		run(fmt.Sprintf("SELECT sum(clicks), count(*) FROM events WHERE clicks >= %d AND memberId <= %d GROUP BY day", i%50, 10+i/50))
+		text := fmt.Sprintf("SELECT sum(clicks), count(*) FROM events WHERE clicks >= %d AND memberId <= %d GROUP BY day", i%50, 10+i/50)
+		run(text)
+		run(text)
 	}
 	after := heap()
 	if cache.Len() != entries {
