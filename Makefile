@@ -45,8 +45,8 @@ cover:
 # fixpoint), the expression evaluator (sandbox limits hold; compiled
 # kernels agree with the interpreter), and the scan cursor's state machine
 # (any mix of Next/Advance/nextBlock on any leaf and segment kind yields the
-# scalar iterator's docs and Stats; the consuming segment is read beside its
-# writer), the stream-event decoder (any bytes get the verdict and the
+# per-document reference's docs and Stats; the consuming segment is read
+# beside its writer), the stream-event decoder (any bytes get the verdict and the
 # row of the encoding/json decode it replaced, with linear allocation), and
 # the two loaders whose output is served in place (a segment blob with the
 # star-tree inside it, and the posting lists of an inverted index: an error

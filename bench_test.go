@@ -294,10 +294,10 @@ func benchCountStar(b *testing.B, f *benchFixture, opts query.Options) {
 	}
 }
 
-// Vectorized block-at-a-time execution vs row-at-a-time scalar execution on
-// the no-index variants, where per-document overheads dominate. The fixed
-// queries isolate the two hot shapes (full-scan aggregation and group-by);
-// the Mixed pairs run the regular seeded workload for an end-to-end view.
+// Block-at-a-time execution on the no-index variants, where per-document
+// overheads dominate. The fixed queries isolate the two hot shapes (full-scan
+// aggregation and group-by); Mixed runs the regular seeded workload for an
+// end-to-end view.
 
 func benchFixedQuery(b *testing.B, f *benchFixture, variant, q string, opts query.Options) {
 	b.Helper()
@@ -318,46 +318,24 @@ const (
 	wvmpGroupByQ    = "SELECT sum(views) FROM wvmp WHERE day >= 16000 GROUP BY region, seniority TOP 20"
 )
 
-var scalarOpts = query.Options{DisableVectorization: true}
-
 func BenchmarkVecAnomalyScanAgg(b *testing.B) {
 	benchFixedQuery(b, anomalyFixture(b), "noindex", anomalyScanAggQ, query.Options{})
-}
-
-func BenchmarkScalarAnomalyScanAgg(b *testing.B) {
-	benchFixedQuery(b, anomalyFixture(b), "noindex", anomalyScanAggQ, scalarOpts)
 }
 
 func BenchmarkVecAnomalyGroupBy(b *testing.B) {
 	benchFixedQuery(b, anomalyFixture(b), "noindex", anomalyGroupByQ, query.Options{})
 }
 
-func BenchmarkScalarAnomalyGroupBy(b *testing.B) {
-	benchFixedQuery(b, anomalyFixture(b), "noindex", anomalyGroupByQ, scalarOpts)
-}
-
 func BenchmarkVecWVMPScanAgg(b *testing.B) {
 	benchFixedQuery(b, wvmpFixture(b), "noindex", wvmpScanAggQ, query.Options{})
-}
-
-func BenchmarkScalarWVMPScanAgg(b *testing.B) {
-	benchFixedQuery(b, wvmpFixture(b), "noindex", wvmpScanAggQ, scalarOpts)
 }
 
 func BenchmarkVecWVMPGroupBy(b *testing.B) {
 	benchFixedQuery(b, wvmpFixture(b), "noindex", wvmpGroupByQ, query.Options{})
 }
 
-func BenchmarkScalarWVMPGroupBy(b *testing.B) {
-	benchFixedQuery(b, wvmpFixture(b), "noindex", wvmpGroupByQ, scalarOpts)
-}
-
 func BenchmarkVecAnomalyMixed(b *testing.B) {
 	runQueries(b, anomalyFixture(b), "noindex", query.Options{})
-}
-
-func BenchmarkScalarAnomalyMixed(b *testing.B) {
-	runQueries(b, anomalyFixture(b), "noindex", scalarOpts)
 }
 
 // Star-tree maxLeafRecords sensitivity (paper 4.3).

@@ -160,10 +160,42 @@ func (env *testEnv) addTable(t *testing.T, resource string, segsPerServer map[st
 	}
 	evData, _ := json.Marshal(ev)
 	evPath := helix.ExternalViewPath("test", resource)
+	// The broker hears of the write on its watch goroutines: one event if it
+	// already routes the resource, one more if the view is new. Wait for every
+	// invalidation, so none lands after the test's first query has cached.
+	env.broker.mu.Lock()
+	_, watched := env.broker.watching[resource]
+	epoch := env.broker.routingEpoch
+	env.broker.mu.Unlock()
+	events := 0
+	if watched {
+		events++
+	}
 	if err := env.sess.Create(evPath, evData); err == zkmeta.ErrNodeExists {
 		_, _ = env.sess.Set(evPath, evData, -1)
 	} else if err != nil {
 		t.Fatal(err)
+	} else {
+		events++
+	}
+	env.awaitInvalidations(t, epoch+events)
+}
+
+// awaitInvalidations waits until the broker's routing epoch reaches epoch.
+func (env *testEnv) awaitInvalidations(t *testing.T, epoch int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		env.broker.mu.Lock()
+		got := env.broker.routingEpoch
+		env.broker.mu.Unlock()
+		if got >= epoch {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("routing epoch %d, want %d: a watch event was never handled", got, epoch)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -31,11 +31,14 @@ const DefaultMaxBytes = 64 << 20
 // it. An entry larger than MaxBytes/entryCapDiv is rejected outright (the
 // small-result bias). The doorkeeper keeps one 8-byte hash per
 // doorkeeperSlotBytes of bound, at least minDoorkeeperSlots: 4 096 slots,
-// 32 KiB, at DefaultMaxBytes — a two-thousandth of the bytes it guards.
+// 32 KiB, at DefaultMaxBytes — a two-thousandth of the bytes it guards. Its
+// slots form sets of doorkeeperWays, so two keys that hash to one set do not
+// push each other out.
 const (
 	entryCapDiv         = 8
 	doorkeeperSlotBytes = 16 << 10
 	minDoorkeeperSlots  = 64
+	doorkeeperWays      = 4
 )
 
 // Config tunes one cache tier.
@@ -120,9 +123,10 @@ type Cache struct {
 	tables   map[string]string                   // table name → the one copy entries share
 	curBytes int64
 
-	// The doorkeeper: a direct-mapped table of the hashes of the (scope, key)
-	// pairs Admit was last asked about, made on the first Admit. A colliding
-	// sighting overwrites its slot, which is all the aging it needs.
+	// The doorkeeper: a set-associative table of the hashes of the (scope,
+	// key) pairs Admit was last asked about, made on the first Admit. Each
+	// set holds its newest sightings first; a new one pushes the set's oldest
+	// out, which is all the aging it needs.
 	seed maphash.Seed
 	seen []uint64
 }
@@ -176,8 +180,10 @@ func (c *Cache) Get(scope, table, key string) (any, bool) {
 // Admit is the doorkeeper a tier asks after a miss, before it builds the
 // value to Put: it reports whether (scope, key) is resident (a replacement is
 // due at once) or was sighted before, and otherwise remembers this sighting,
-// counts a deferred admission for the table and returns false. A collision
-// or a stale hash can only admit a key one sighting early.
+// counts a deferred admission for the table and returns false. A key is
+// forgotten only once doorkeeperWays later sightings have landed in its set,
+// so a working set a few times smaller than the table is admitted on every
+// key's second sighting; a stale hash can only admit a key one sighting early.
 func (c *Cache) Admit(scope, table, key string) bool {
 	var h maphash.Hash
 	h.SetSeed(c.seed)
@@ -193,9 +199,16 @@ func (c *Cache) Admit(scope, table, key string) bool {
 	if c.seen == nil {
 		c.seen = make([]uint64, max(c.cfg.MaxBytes/doorkeeperSlotBytes, minDoorkeeperSlots))
 	}
-	slot := &c.seen[sum%uint64(len(c.seen))]
-	seen := *slot == sum
-	*slot = sum
+	sets := uint64(len(c.seen) / doorkeeperWays)
+	set := c.seen[sum%sets*doorkeeperWays:][:doorkeeperWays]
+	seen := false
+	for _, x := range set {
+		seen = seen || x == sum
+	}
+	if !seen {
+		copy(set[1:], set)
+		set[0] = sum
+	}
 	c.mu.Unlock()
 	if !seen {
 		c.met.deferred.With(c.cfg.Tier, table).Inc()

@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"testing"
 
@@ -277,6 +278,50 @@ func TestAdmitOnSecondSighting(t *testing.T) {
 	small.Admit("s", "t", "k")
 	if len(small.seen) != minDoorkeeperSlots {
 		t.Fatalf("doorkeeper of %d slots for a 1000-byte tier, want %d", len(small.seen), minDoorkeeperSlots)
+	}
+}
+
+// TestAdmitKeepsASetsKeys: keys that hash to one doorkeeper set do not push
+// each other out until the set is full; the next sighting there forgets the
+// oldest.
+func TestAdmitKeepsASetsKeys(t *testing.T) {
+	c := New(Config{Tier: "aggregate", MaxBytes: 1000})
+	c.Admit("s", "t", "warm")
+	sets := uint64(len(c.seen) / doorkeeperWays)
+	setOf := func(key string) uint64 {
+		var h maphash.Hash
+		h.SetSeed(c.seed)
+		h.WriteString("s")
+		h.WriteByte(0)
+		h.WriteString(key)
+		return h.Sum64() % sets
+	}
+	var keys []string
+	for i := 0; len(keys) < doorkeeperWays; i++ {
+		if k := fmt.Sprintf("k%d", i); k != "warm" && setOf(k) == setOf("warm") {
+			keys = append(keys, k)
+		}
+	}
+	// The set holds warm; the first doorkeeperWays-1 keys fill it.
+	for _, k := range keys[:doorkeeperWays-1] {
+		if c.Admit("s", "t", k) {
+			t.Fatalf("first sighting of %s admitted", k)
+		}
+	}
+	for _, k := range append([]string{"warm"}, keys[:doorkeeperWays-1]...) {
+		if !c.Admit("s", "t", k) {
+			t.Fatalf("%s forgotten in a set of %d with %d keys", k, doorkeeperWays, doorkeeperWays)
+		}
+	}
+	// One more key pushes out the oldest, warm.
+	if c.Admit("s", "t", keys[doorkeeperWays-1]) {
+		t.Fatal("first sighting admitted")
+	}
+	if !c.Admit("s", "t", keys[0]) {
+		t.Fatal("the second-oldest key was pushed out before the oldest")
+	}
+	if c.Admit("s", "t", "warm") {
+		t.Fatal("the oldest key outlived a full set of newer sightings")
 	}
 }
 

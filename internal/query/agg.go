@@ -15,8 +15,8 @@ import (
 // GroupTable (grouptable.go), which hold only the fields each function reads,
 // accumulate per segment, merge at the server across its segments and merge
 // again at the broker across servers (paper 3.3.3 step 7). A row moves through
-// an AggState wherever the arithmetic of a function is wanted: the scalar
-// path's AddNumeric, the result's number, a test's State and SetState.
+// an AggState wherever the arithmetic of a function is wanted: the result's
+// number, a test's State and SetState.
 type AggState struct {
 	Func  pql.AggFunc
 	Count int64
@@ -30,22 +30,6 @@ type AggState struct {
 	// Values holds raw observations for PERCENTILE<q> functions, which
 	// cannot be answered from pre-aggregated or summary data.
 	Values []float64
-}
-
-// AddNumeric accumulates one numeric observation.
-func (s *AggState) AddNumeric(v float64) {
-	s.Count++
-	s.Sum += v
-	if _, ok := pql.PercentileQuantile(s.Func); ok {
-		s.Values = append(s.Values, v)
-	}
-	if v < s.Min {
-		s.Min = v
-	}
-	if v > s.Max {
-		s.Max = v
-	}
-	s.Seen = true
 }
 
 // number is the per-function result arithmetic, unboxed so that TOP n can
@@ -111,8 +95,8 @@ func percentileOf(values []float64, q int) float64 {
 	return sorted[rank]
 }
 
-// aggInput reads the per-document input of an aggregation from a column or
-// a derived expression: numeric value for SUM/MIN/MAX/AVG, distinct key for
+// aggInput is the input of an aggregation, bound to a column or a derived
+// expression: a numeric value for SUM/MIN/MAX/AVG, a distinct key for
 // DISTINCTCOUNT.
 type aggInput struct {
 	expr pql.Expression
@@ -159,53 +143,6 @@ func newAggInputs(env *execEnv, cs columnSource, exprs []pql.Expression, opt Opt
 		out = append(out, in)
 	}
 	return out, nil
-}
-
-// accumulateRow adds one document to group ord's row of the aggregate's
-// column, the scalar path's counterpart of the block kernels.
-func (in aggInput) accumulateRow(c *aggColumn, ord uint32, doc int) {
-	switch in.expr.Func {
-	case pql.Count:
-		c.count[ord]++
-	case pql.DistinctCount:
-		c.addDistinct(ord, in.distinctKey(doc))
-	default:
-		s := c.at(int(ord))
-		s.AddNumeric(in.numeric(doc))
-		c.put(int(ord), &s)
-	}
-}
-
-func (in aggInput) numeric(doc int) float64 {
-	if in.ev != nil {
-		return in.ev.double(doc)
-	}
-	c := in.col
-	if c.HasDictionary() {
-		v := c.Value(c.DictID(doc))
-		switch x := v.(type) {
-		case int64:
-			return float64(x)
-		case float64:
-			return x
-		}
-		return 0
-	}
-	return c.Double(doc)
-}
-
-func (in aggInput) distinctKey(doc int) string {
-	if in.ev != nil {
-		return fmt.Sprint(in.ev.value(doc))
-	}
-	c := in.col
-	if c.HasDictionary() {
-		return fmt.Sprint(c.Value(c.DictID(doc)))
-	}
-	if c.Spec().Type.Integral() {
-		return fmt.Sprint(c.Long(doc))
-	}
-	return fmt.Sprint(c.Double(doc))
 }
 
 // metadataAnswerable reports whether every aggregation can be answered from

@@ -38,7 +38,7 @@ import (
 // statically well-typed. Returns the resolved column, the matching id set,
 // and ok=false for any shape that must stay on the row path.
 func dictExprIDSet(cs columnSource, p pql.ExprCompare, opt Options, table string) (segment.ColumnReader, *idSet, bool) {
-	if opt.DisableDictExpr {
+	if opt.disableDictExpr {
 		return nil, nil, false
 	}
 	cols := pql.PredicateColumns(p)

@@ -1,7 +1,7 @@
 // Benchmarks for dictionary-space expression execution, the issue's
 // acceptance fixture: 200k rows over a 1000-cardinality string dimension.
 // The A/B pairs time the same query with dictionary space on (memo cache
-// warm, as a server would run it) and off (DisableDictExpr) — string
+// warm, as a server would run it) and off (the row-path rung) — string
 // expressions never compile to kernels, so the disabled mode IS the per-row
 // interpreter the paper's derived-column workloads would otherwise pay for.
 package query
@@ -60,7 +60,7 @@ func dictExprAB(b *testing.B, q string) {
 	ctx := context.Background()
 	cache := qcache.New(qcache.Config{Tier: "dictexpr", Metrics: metrics.NewRegistry()})
 	dictOpt := Options{DictMemoCache: cache}
-	interpOpt := Options{DisableDictExpr: true}
+	interpOpt := ForceRungs(Options{}, false, true)
 	// Warm the memo cache once: servers keep memos across queries, so the
 	// steady state is what the A side should measure.
 	if _, err := Run(ctx, q, segs, nil, dictOpt); err != nil {

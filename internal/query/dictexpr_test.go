@@ -278,9 +278,9 @@ func TestDictExprPruneNoMatch(t *testing.T) {
 			t.Errorf("%q: DictExprSegments = %d, want %d", q, st.DictExprSegments, len(segs))
 		}
 		// The disabled path must agree on the answer while actually scanning.
-		base := runPQL(t, segs, q, Options{DisableDictExpr: true})
+		base := runPQL(t, segs, q, ForceRungs(Options{}, false, true))
 		if fmt.Sprint(base.Rows) != fmt.Sprint(res.Rows) {
-			t.Errorf("%q: rows diverge under DisableDictExpr: %+v vs %+v", q, res.Rows, base.Rows)
+			t.Errorf("%q: rows diverge on the row path: %+v vs %+v", q, res.Rows, base.Rows)
 		}
 		if base.Stats.DictExprSegments != 0 {
 			t.Errorf("%q: DictExprSegments = %d with dictionary space disabled", q, base.Stats.DictExprSegments)

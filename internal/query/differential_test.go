@@ -15,17 +15,16 @@
 package query_test
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -95,8 +94,8 @@ type outcome struct {
 	body string
 }
 
-func ask(t *testing.T, c *diffCase, q string, opt query.Options) outcome {
-	res, err := query.Run(context.Background(), q, c.segs, c.schema, opt)
+func ask(t *testing.T, q string, segs []query.IndexedSegment, schema *segment.Schema, opt query.Options) outcome {
+	res, err := query.Run(context.Background(), q, segs, schema, opt)
 	if err != nil {
 		return outcome{body: "error: " + err.Error()}
 	}
@@ -104,7 +103,7 @@ func ask(t *testing.T, c *diffCase, q string, opt query.Options) outcome {
 	res.Stats, res.QueryID, res.Trace = query.Stats{}, "", nil
 	body, err := json.Marshal(res)
 	if err != nil {
-		t.Fatalf("%s: %q: %v", c.name, q, err)
+		t.Fatalf("%q: %v", q, err)
 	}
 	res.Stats = stats
 	return outcome{res, string(body)}
@@ -147,7 +146,7 @@ func (c *diffCase) check(t *testing.T, oracle *query.Oracle, label, q string) (d
 	for _, name := range append([]string{"default"}, c.rungs...) {
 		r, opt := rungs[slices.IndexFunc(rungs, func(r rung) bool { return r.name == name })], c.base
 		r.force(&opt)
-		o := ask(t, c, q, opt)
+		o := ask(t, q, c.segs, c.schema, opt)
 		outcomes[name] = o
 		if r.vs != "" {
 			hold(t, label+" under "+name, r, o, outcomes[r.vs])
@@ -163,39 +162,44 @@ func (c *diffCase) check(t *testing.T, oracle *query.Oracle, label, q string) (d
 			t.Fatalf("%s under %s: %d of %d candidates accounted for: %+v", label, name, n, len(c.segs), s)
 		}
 	}
-	digest = hex.EncodeToString(h.Sum(nil)[:8])
-	def := outcomes["default"].res
-	if def == nil {
-		return digest, 0
+	holdToOracle(t, label, oracle, q, outcomes)
+	if def := outcomes["default"].res; def != nil {
+		dictSegments = def.Stats.DictExprSegments
 	}
-	want, err := oracle.Answer(q)
-	if err != nil {
-		t.Fatalf("%s: the engine answers, the oracle fails: %v", label, err)
-	}
-	wj, _ := json.Marshal([]any{want.Columns, want.Rows})
-	if gj, _ := json.Marshal([]any{def.Columns, def.Rows}); string(gj) != string(wj) {
-		t.Fatalf("%s: rows diverge from the oracle's:\nengine: %s\noracle: %s", label, gj, wj)
-	}
+	return hex.EncodeToString(h.Sum(nil)[:8]), dictSegments
+}
+
+// holdToOracle holds every result among outcomes that no star-tree or
+// metadata plan answered to the oracle's answer to q: the same rows, and the
+// same NumDocsScanned, NumSegmentsMatched and TotalDocs.
+func holdToOracle(t *testing.T, label string, oracle *query.Oracle, q string, outcomes map[string]outcome) {
+	var want *query.Result
 	for name, o := range outcomes {
+		if o.res == nil || o.res.Stats.StarTreeSegments > 0 || o.res.Stats.MetadataOnlySegments > 0 {
+			continue
+		}
+		if want == nil {
+			var err error
+			if want, err = oracle.Answer(q); err != nil {
+				t.Fatalf("%s: the engine answers, the oracle fails: %v", label, err)
+			}
+		}
 		s, w := o.res.Stats, want.Stats
-		if s.StarTreeSegments == 0 && s.MetadataOnlySegments == 0 &&
-			(s.NumDocsScanned != w.NumDocsScanned || s.NumSegmentsMatched != w.NumSegmentsMatched || s.TotalDocs != w.TotalDocs) {
-			t.Fatalf("%s under %s: Stats diverge from the oracle's:\nengine: %+v\noracle: %+v", label, name, s, w)
+		gj, _ := json.Marshal([]any{o.res.Columns, o.res.Rows})
+		wj, _ := json.Marshal([]any{want.Columns, want.Rows})
+		if string(gj) != string(wj) || s.NumDocsScanned != w.NumDocsScanned || s.NumSegmentsMatched != w.NumSegmentsMatched || s.TotalDocs != w.TotalDocs {
+			t.Fatalf("%s under %s: diverges from the oracle:\nengine: %s %+v\noracle: %s %+v", label, name, gj, s, wj, w)
 		}
 	}
-	return digest, def.Stats.DictExprSegments
 }
 
 const goldenPath = "testdata/differential.golden"
 
 func TestDifferential(t *testing.T) {
-	golden := map[string][]string{} // case → digest per query
-	if f, err := os.Open(goldenPath); err == nil {
-		for sc := bufio.NewScanner(f); sc.Scan(); {
-			name, digest, _ := strings.Cut(sc.Text(), " ")
-			golden[name] = append(golden[name], digest)
-		}
-		f.Close()
+	golden := map[string][]string{}    // case → digest per query
+	data, _ := os.ReadFile(goldenPath) // none: every case reports its digests missing
+	for f := strings.Fields(string(data)); len(f) >= 2; f = f[2:] {
+		golden[f[0]] = append(golden[f[0]], f[1])
 	}
 	record := os.Getenv("PINOT_PRINT_GOLDEN") != ""
 	var out strings.Builder
@@ -250,15 +254,28 @@ func diffCases(t *testing.T) []*diffCase {
 	}
 	cases = append(append(cases, mixedCases(t)...), exprCase(t), dictCase(t), pruneCase(t))
 	tables, trees := query.ScanTrees(t)
-	names := make([]string, 0, len(tables))
-	for name := range tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(tables)) {
 		cases = append(cases, &diffCase{name: "trees/" + name, segs: tables[name], queries: trees})
 	}
 	return cases
+}
+
+// diffSchema is the mixed fixture's: a multi-value string dimension, low- and
+// mid-cardinality single-value dimensions, raw long and double metrics and a
+// time column.
+func diffSchema(t *testing.T) *segment.Schema {
+	schema, err := segment.NewSchema("difftbl", []segment.FieldSpec{
+		{Name: "category", Type: segment.TypeString, Kind: segment.Dimension, SingleValue: true},
+		{Name: "bucket", Type: segment.TypeLong, Kind: segment.Dimension, SingleValue: true},
+		{Name: "tags", Type: segment.TypeString, Kind: segment.Dimension, SingleValue: false},
+		{Name: "hits", Type: segment.TypeLong, Kind: segment.Metric, SingleValue: true},
+		{Name: "score", Type: segment.TypeDouble, Kind: segment.Metric, SingleValue: true},
+		{Name: "day", Type: segment.TypeLong, Kind: segment.Time, SingleValue: true, TimeUnit: "DAYS"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return schema
 }
 
 // diffSegment builds a segment of the mixed fixture's rows drawn from r: a
@@ -406,51 +423,176 @@ func pruneCase(t *testing.T) *diffCase {
 
 // ---- query generators ----
 
-// oneOf returns what one of fs returns, picked by r.
-func oneOf(r *rand.Rand, fs ...func() string) string { return fs[r.Intn(len(fs))]() }
+// draw samples query text from r. Each generator below picks one of a few
+// formats and fills its verbs left to right: an int k draws r.Intn(k), a
+// span lo + r.Intn(n), a pick one of its strings, a func what it returns.
+type draw struct{ r *rand.Rand }
 
-func lit(s string) func() string { return func() string { return s } }
+type span struct{ lo, n int }
 
-func repeat(n int, f func() string) []string {
+type pick []string
+
+func (d draw) oneOf(fs ...func() string) string { return fs[d.r.Intn(len(fs))]() }
+
+func (d draw) f(format string, args ...any) func() string {
+	return func() string {
+		vals := make([]any, len(args))
+		for i, a := range args {
+			switch a := a.(type) {
+			case int:
+				vals[i] = d.r.Intn(a)
+			case span:
+				vals[i] = a.lo + d.r.Intn(a.n)
+			case pick:
+				vals[i] = a[d.r.Intn(len(a))]
+			case func() string:
+				vals[i] = a()
+			}
+		}
+		return fmt.Sprintf(format, vals...)
+	}
+}
+
+// queries returns n draws of oneOf(fs...).
+func (d draw) queries(n int, fs ...func() string) []string {
 	out := make([]string, n)
 	for i := range out {
-		out[i] = f()
+		out[i] = d.oneOf(fs...)
 	}
 	return out
+}
+
+// weeks are the three timeBucket(day, 7) values of the mixed fixture's days.
+var weeks = pick{"16996", "17003", "17010"}
+
+// diffQueries samples queries over the mixed fixture.
+func diffQueries(r *rand.Rand, n int) []string {
+	d := draw{r}
+	where := func() string {
+		return d.oneOf(d.f(" WHERE category = 'cat%d'", 7), d.f(" WHERE tags = 'tag%d'", 13),
+			d.f(" WHERE bucket BETWEEN %d AND %d", 20, span{20, 20}), d.f(" WHERE score > %d.5", 1200),
+			d.f(" WHERE hits <= %d", 1000), d.f(" WHERE NOT tags IN ('tag%d', 'tag%d')", 12, 12),
+			d.f(" WHERE category != 'cat%d' AND day >= %d", 6, span{17000, 14}), d.f(""))
+	}
+	return d.queries(n,
+		d.f("SELECT sum(score), count(*) FROM difftbl%s", where),
+		d.f("SELECT min(score), max(hits), avg(score) FROM difftbl%s", where),
+		d.f("SELECT percentile95(score), distinctcount(bucket) FROM difftbl%s", where),
+		d.f("SELECT sum(hits) FROM difftbl%s GROUP BY category TOP %d", where, span{1, 10}),
+		d.f("SELECT count(*), sum(score) FROM difftbl%s GROUP BY category, bucket TOP %d", where, span{1, 12}),
+		d.f("SELECT category, score, tags FROM difftbl%s LIMIT %d", where, 30),
+		d.f("SELECT category, hits FROM difftbl%s ORDER BY score DESC, category LIMIT %d, %d", where, 5, span{1, 20}))
+}
+
+// scanLeafTrees lists the filter shapes whose scan leaves sit under an AND,
+// OR or NOT: 2- and 3-leaf trees over every scan-leaf kind (dictionary =,
+// range, IN and NOT IN; raw long and double metric; compiled expression
+// comparison), each also negated, bare and behind the two narrow drivers. On
+// the fixture's segments `bucket = 12` is a sorted range, a bitmap or a scan,
+// and `category = 'cat1'` a bitmap or a scan.
+func scanLeafTrees() []string {
+	leaves := []string{"category = 'cat2'", "bucket BETWEEN 5 AND 25", "category IN ('cat1', 'cat3', 'cat9')",
+		"bucket NOT IN (3, 7, 11)", "day != 17003", "hits < 600", "hits IN (1, 17, 333, 420)", "score > 300.5",
+		"score BETWEEN 100 AND 900.25", "hits + bucket > 500", "score * 2 < hits"}
+	var trees []string
+	for i, a := range leaves {
+		for j, b := range leaves[i+1:] {
+			trees = append(trees, a+" AND "+b, a+" OR "+b)
+			if c := leaves[(2*i+j+1)%len(leaves)]; c != a && c != b {
+				trees = append(trees, a+" AND "+b+" AND "+c, a+" OR "+b+" OR "+c, a+" AND ("+b+" OR "+c+")")
+			}
+		}
+	}
+	var out []string
+	for i, tree := range trees {
+		out = append(out, tree, "NOT ("+tree+")")
+		switch i % 3 {
+		case 0:
+			out = append(out, "bucket = 12 AND ("+tree+")")
+		case 1:
+			out = append(out, "category = 'cat1' AND NOT ("+tree+")")
+		}
+	}
+	return out
+}
+
+// exprDiffQueries samples expression-bearing queries over the mixed fixture.
+func exprDiffQueries(r *rand.Rand, n int) []string {
+	d := draw{r}
+	num := func() string {
+		return d.oneOf(d.f("hits + %d", 50), d.f("(hits - %d) * %d", 500, span{1, 4}), d.f("score * %d.5", 3),
+			d.f("abs(score - %d)", 1000), d.f("abs(hits - %d)", 1000), d.f("hits / %d", span{1, 9}),
+			d.f("timeBucket(day, %d)", span{1, 10}), d.f("bucket * %d + hits", span{1, 5}))
+	}
+	where := func() string {
+		return d.oneOf(d.f(" WHERE hits + bucket > %d", 1000), d.f(" WHERE abs(score - %d) < %d", 1200, span{100, 400}),
+			d.f(" WHERE timeBucket(day, 7) = %s", weeks), d.f(" WHERE upper(category) = 'CAT%d'", 7),
+			d.f(" WHERE concat(category, '-', bucket) = 'cat%d-%d'", 6, 40), d.f(" WHERE hits * 2 <= score + %d", 500),
+			// An expression leaf beside index-friendly leaves: pruning and
+			// bitmap collapse meet the expression filter.
+			d.f(" WHERE category = 'cat%d' AND hits - %d >= 0", 6, 800), d.f(" WHERE NOT (hits + %d < score)", 300), d.f(""))
+	}
+	groupBy := func() string {
+		return d.oneOf(d.f(" GROUP BY timeBucket(day, %d)", span{1, 10}), d.f(" GROUP BY concat(category, bucket)"),
+			d.f(" GROUP BY category, timeBucket(day, %d)", span{2, 6}), d.f(" GROUP BY lower(category)"))
+	}
+	return d.queries(n,
+		d.f("SELECT sum(%s), count(*) FROM difftbl%s", num, where),
+		d.f("SELECT min(%s), max(%s) FROM difftbl%s", num, num, where),
+		d.f("SELECT avg(%s) FROM difftbl%s", num, where),
+		d.f("SELECT distinctcount(timeBucket(day, %d)) FROM difftbl%s", span{1, 6}, where),
+		d.f("SELECT sum(%s) FROM difftbl%s%s TOP %d", num, where, groupBy, span{1, 12}),
+		d.f("SELECT count(*), sum(hits) FROM difftbl%s%s TOP %d", where, groupBy, span{1, 10}))
+}
+
+// dictDiffQueries samples queries biased toward dictionary-space shapes —
+// single-column deterministic expressions on category (string, card 6),
+// bucket (long, card 40) and day (long, card 14) as probes, memos, group keys
+// and aggregate arguments — mixed with ineligible ones.
+func dictDiffQueries(r *rand.Rand, n int) []string {
+	d := draw{r}
+	where := func() string {
+		return d.oneOf(d.f(" WHERE upper(category) = 'CAT%d'", 7), d.f(" WHERE lower(category) <> 'cat%d'", 7),
+			d.f(" WHERE upper(category) = 'cat%d'", 6), // not a fixed point: matches nothing, prunes
+			d.f(" WHERE concat(category, '-tail') = 'cat%d-tail'", 6),
+			d.f(" WHERE timeBucket(day, %d) = %d", span{1, 10}, span{16996, 30}),
+			d.f(" WHERE bucket * 3 - %d > %d", 40, 80), d.f(" WHERE abs(bucket - %d) <= %d", 40, 15),
+			d.f(" WHERE lower(category) = 'cat%d' AND bucket < %d", 6, 45),
+			d.f(" WHERE upper(category) = 'CAT%d' OR timeBucket(day, 7) = %s", 6, weeks),
+			d.f(" WHERE NOT (concat(category, '%d') = 'cat1%d')", 4, 4),
+			d.f(" WHERE hits + bucket > %d", 1000), // multi-column: not dict-eligible
+			d.f(""))
+	}
+	groupBy := func() string {
+		return d.oneOf(d.f(" GROUP BY lower(category)"), d.f(" GROUP BY timeBucket(day, %d)", span{1, 10}),
+			d.f(" GROUP BY concat(category, '_sfx')"), d.f(" GROUP BY abs(bucket - %d)", 40),
+			d.f(" GROUP BY category, timeBucket(day, %d)", span{2, 6}))
+	}
+	return d.queries(n,
+		d.f("SELECT count(*), sum(hits) FROM difftbl%s", where),
+		d.f("SELECT min(bucket * %d), max(abs(bucket - %d)) FROM difftbl%s", span{1, 5}, 40, where),
+		d.f("SELECT distinctcount(concat(category, '%d')) FROM difftbl%s", 9, where),
+		d.f("SELECT avg(timeBucket(day, %d)) FROM difftbl%s", span{1, 8}, where),
+		d.f("SELECT sum(hits) FROM difftbl%s%s TOP %d", where, groupBy, span{1, 12}),
+		d.f("SELECT count(*) FROM difftbl%s%s TOP %d", where, groupBy, span{1, 10}))
 }
 
 // prunedDiffQueries samples queries over the prune corpus whose WHERE clauses
 // make all three prune outcomes occur across segments.
 func prunedDiffQueries(r *rand.Rand, n int) []string {
+	d := draw{r}
 	where := func() string {
-		return oneOf(r,
-			func() string { return fmt.Sprintf(" WHERE category = 'cat%d'", r.Intn(16)) },
-			func() string { return fmt.Sprintf(" WHERE day BETWEEN %d AND %d", 17000+r.Intn(45), 17000+r.Intn(45)) },
-			func() string { return fmt.Sprintf(" WHERE bucket BETWEEN %d AND %d", r.Intn(500)-50, r.Intn(550)) },
-			func() string { return fmt.Sprintf(" WHERE tags = 'tag%d'", r.Intn(7)) },
-			func() string { return fmt.Sprintf(" WHERE NOT tags IN ('tag%d', 'tag%d')", r.Intn(6), r.Intn(6)) },
-			func() string {
-				return fmt.Sprintf(" WHERE category != 'cat%d' AND day >= %d", r.Intn(16), 17000+r.Intn(40))
-			},
-			func() string {
-				return fmt.Sprintf(" WHERE bucket IN (%d, %d) OR category = 'cat%d'", r.Intn(450), r.Intn(450), r.Intn(16))
-			},
-			func() string { return fmt.Sprintf(" WHERE hits < %d AND bucket >= %d", r.Intn(1100), r.Intn(450)) },
-			lit(""))
+		return d.oneOf(d.f(" WHERE category = 'cat%d'", 16), d.f(" WHERE day BETWEEN %d AND %d", span{17000, 45}, span{17000, 45}),
+			d.f(" WHERE bucket BETWEEN %d AND %d", span{-50, 500}, 550), d.f(" WHERE tags = 'tag%d'", 7),
+			d.f(" WHERE NOT tags IN ('tag%d', 'tag%d')", 6, 6), d.f(" WHERE category != 'cat%d' AND day >= %d", 16, span{17000, 40}),
+			d.f(" WHERE bucket IN (%d, %d) OR category = 'cat%d'", 450, 450, 16),
+			d.f(" WHERE hits < %d AND bucket >= %d", 1100, 450), d.f(""))
 	}
-	return repeat(n, func() string {
-		return oneOf(r,
-			func() string { return "SELECT count(*), sum(hits) FROM ptbl" + where() },
-			func() string { return "SELECT min(hits), max(hits), avg(hits) FROM ptbl" + where() },
-			func() string { return "SELECT distinctcount(bucket) FROM ptbl" + where() },
-			func() string {
-				return fmt.Sprintf("SELECT sum(hits) FROM ptbl%s GROUP BY category TOP %d", where(), 1+r.Intn(10))
-			},
-			func() string {
-				return fmt.Sprintf("SELECT category, bucket, hits FROM ptbl%s ORDER BY hits DESC, bucket LIMIT %d", where(), 1+r.Intn(25))
-			},
-			func() string {
-				return fmt.Sprintf("SELECT count(*) FROM ptbl%s GROUP BY category, bucket TOP %d", where(), 1+r.Intn(12))
-			})
-	})
+	return d.queries(n,
+		d.f("SELECT count(*), sum(hits) FROM ptbl%s", where),
+		d.f("SELECT min(hits), max(hits), avg(hits) FROM ptbl%s", where),
+		d.f("SELECT distinctcount(bucket) FROM ptbl%s", where),
+		d.f("SELECT sum(hits) FROM ptbl%s GROUP BY category TOP %d", where, span{1, 10}),
+		d.f("SELECT category, bucket, hits FROM ptbl%s ORDER BY hits DESC, bucket LIMIT %d", where, span{1, 25}),
+		d.f("SELECT count(*) FROM ptbl%s GROUP BY category, bucket TOP %d", where, span{1, 12}))
 }

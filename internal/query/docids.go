@@ -29,8 +29,8 @@ type DocIterator interface {
 	// nextBlock fills buf with the next matching doc ids and returns how many
 	// it wrote; 0 means exhausted. Implementations must evaluate only as many
 	// candidate documents as needed to fill buf — never ahead of it — so
-	// stats counted per evaluated entry are identical to the row-at-a-time
-	// path even when the caller stops early (selection LIMIT).
+	// stats counted per evaluated entry do not depend on how many documents
+	// the caller asks for, even when it stops early (selection LIMIT).
 	nextBlock(buf []int) int
 }
 
@@ -188,10 +188,9 @@ func (b *bitmapIterator) nextBlock(buf []int) int {
 // scanDocIDSet evaluates a predicate per document over the forward index. It
 // is the iterator-style fallback of paper section 4.2; And intersections
 // drive it from narrower operators so it only evaluates part of the column.
-// A leaf the scan cursor has a kernel for carries it in leaf. The others
-// (multi-value columns, interpreted expressions), and every leaf under
-// DisableVectorization, carry the per-document match closure: the reference
-// the differential suite compares the cursor against.
+// A leaf the scan cursor has a kernel for carries it in leaf; the others — a
+// multi-value column, a comparison with an interpreted side — carry the
+// per-document match closure, walked by scanIterator.
 type scanDocIDSet struct {
 	numDocs int
 	match   func(doc int) bool
@@ -522,9 +521,9 @@ const (
 // and a top-level scan run at block granularity, and a child probed every
 // few hundred documents decodes a few documents per probe.
 //
-// Entries are charged when walked, never when decoded, so Stats equal the
-// scalar scan's to the digit whatever the chunking, including when a
-// selection stops mid-chunk.
+// Entries are charged when walked, never when decoded, so Stats equal a
+// document-at-a-time scan's to the digit whatever the chunking, including
+// when a selection stops mid-chunk.
 //
 // Cursors and their chunk buffers live in the pooled blockScratch.
 type scanCursor struct {
@@ -680,9 +679,9 @@ func walkIDTable(ids []uint32, table []bool, base int, buf []int, n int) (int, i
 	return n, len(ids)
 }
 
-// walkBounds tests with negated compares so that a NaN — which the scalar
-// matcher's three-way compare calls equal to everything — is inside every
-// pair of bounds here too.
+// walkBounds tests with negated compares so that a NaN — which
+// segment.CompareValues calls equal to everything — is inside every pair of
+// bounds.
 func walkBounds[T int64 | float64](vals []T, t rawTest[T], base int, buf []int, n int) (int, int) {
 	lo, hi, neg := t.lo, t.hi, t.neg
 	for i, v := range vals {

@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -146,61 +145,62 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 	if err != nil {
 		return nil, err
 	}
-	// On a tripped group-state cap the segment's partial groups are still
-	// merged — the query degrades instead of growing unbounded state.
+	sc := getScratch()
+	defer sc.release()
+	est := set.estimate()
+	kernels := make([]*aggKernel, len(inputs))
+	for i, in := range inputs {
+		kernels[i] = newAggKernel(in, est, sc)
+	}
+	var g grouper
+	if len(items) > 0 {
+		g = newItemGrouper(items, t, charger, sc)
+	}
+	it := set.iterator(sc)
+	buf := sc.docBuf(blockSize)
+	ords := sc.ordBuf(blockSize)
+	// Each block resolves to group ordinals, then each aggregation kernel
+	// folds its values into the rows those name; without GROUP BY there is
+	// nothing to resolve and every block folds into row 0. Cancellation and
+	// the group-state cap are polled once per block. On a tripped cap the
+	// segment's partial groups are still merged — the query degrades instead
+	// of growing unbounded.
 	var limitErr error
 	var docs int64
-	if opt.DisableVectorization {
-		sc := getScratch()
-		defer sc.release()
-		it := set.iterator(sc)
-		values := make([]any, len(items))
-		for doc := it.Next(); doc >= 0; doc = it.Next() {
-			if docs%blockSize == 0 {
-				if err := env.checkpoint(); err != nil {
-					return nil, err
-				}
-				if env.groupLimitTripped() {
-					limitErr = ErrGroupStateLimit
-					break
-				}
-			}
-			docs++
-			var ord uint32
-			if len(items) > 0 {
-				for i, item := range items {
-					values[i] = item.read(doc)
-				}
-				var isNew bool
-				if ord, isNew, err = t.upsert(values); err != nil {
-					// A nil value is an expression that failed and latched its
-					// own error already; either way the segment fails at the
-					// next checkpoint.
-					env.fail(err)
-					continue
-				}
-				if isNew {
-					charger.charge(t.keyLen(ord, items), len(items))
-				}
-			}
-			for i, in := range inputs {
-				in.accumulateRow(&t.aggs[i], ord, doc)
-			}
-		}
-	} else {
-		var err error
-		docs, err = runGroupByBlocks(env, set, inputs, items, t, charger)
-		switch {
-		case errors.Is(err, ErrGroupStateLimit):
-			limitErr = err
-		case err != nil:
+	for {
+		if err := env.checkpoint(); err != nil {
 			return nil, err
 		}
-		t.decodeKeys(items)
+		if env.groupLimitTripped() {
+			limitErr = ErrGroupStateLimit
+			break
+		}
+		n := it.nextBlock(buf)
+		if n == 0 {
+			break
+		}
+		docs += int64(n)
+		if g != nil {
+			if err := g.groups(buf[:n], ords[:n]); err != nil {
+				// A nil value is an expression that failed and latched its own
+				// error already; either way the next checkpoint ends the segment.
+				env.fail(err)
+				continue
+			}
+			t.addStates()
+		}
+		for i, k := range kernels {
+			k.prepare(buf[:n])
+			if g == nil {
+				k.accumulateBlock(&t.aggs[i], n)
+			} else {
+				k.accumulateGroups(&t.aggs[i], ords[:n])
+			}
+		}
 	}
+	t.decodeKeys(items)
 	// A final checkpoint surfaces an expression error latched in the last
-	// partial block; the vectorized loop already re-checks before observing
-	// exhaustion, so both modes fail identically.
+	// partial block.
 	if err := env.checkpoint(); err != nil {
 		return nil, err
 	}
@@ -265,64 +265,90 @@ func executeSelection(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Q
 	// offset+limit rows (a superset of what could be needed).
 	keep := q.Offset + q.Limit
 	needAll := len(q.OrderBy) > 0
+	// Rows of each block share one []any arena, allocated fresh per block
+	// (retained rows alias it, so it is never reused, unlike the pooled
+	// scratch the columns decode through) and filled column-major so each
+	// column decodes in one batch. Without ORDER BY the block demand is
+	// capped at the rows still needed: with the exact-fill nextBlock contract
+	// the segment walks no document past the last row it keeps.
+	sc := getScratch()
+	defer sc.release()
+	it := set.iterator(sc)
+	width := len(readers)
+	var mvBuf []int
 	var docs int64
-	if !opt.DisableVectorization {
-		var err error
-		docs, err = runSelectionBlocks(env, out, q, set, readers, keep, needAll)
-		if err != nil {
+	for {
+		if err := env.checkpoint(); err != nil {
 			return nil, err
 		}
-	} else {
-		sc := getScratch()
-		defer sc.release()
-		it := set.iterator(sc)
-		var buf []int
-		readValue := func(col segment.ColumnReader, doc int) any {
+		want := blockSize
+		if !needAll {
+			want = keep - len(out.Rows)
+			if want < 1 {
+				want = 1
+			}
+			if want > blockSize {
+				want = blockSize
+			}
+		}
+		block := sc.docBuf(want)
+		n := it.nextBlock(block)
+		if n == 0 {
+			break
+		}
+		docs += int64(n)
+		block = block[:n]
+		arena := make([]any, n*width)
+		for c, col := range readers {
 			f := col.Spec()
 			switch {
 			case f.Kind == segment.Metric && f.Type.Integral():
-				return col.Long(doc)
-			case f.Kind == segment.Metric:
-				return col.Double(doc)
-			case f.SingleValue:
-				return col.Value(col.DictID(doc))
-			default:
-				buf = col.DictIDsMV(doc, buf[:0])
-				vals := make([]any, len(buf))
-				for j, id := range buf {
-					vals[j] = col.Value(id)
+				vs := sc.longBuf(n)
+				col.Longs(block, vs)
+				for i, v := range vs {
+					arena[i*width+c] = v
 				}
-				return vals
+			case f.Kind == segment.Metric:
+				vs := sc.doubleBuf(n)
+				col.Doubles(block, vs)
+				for i, v := range vs {
+					arena[i*width+c] = v
+				}
+			case f.SingleValue:
+				vs := sc.idBuf(0, n)
+				col.DictIDs(block, vs)
+				for i, id := range vs {
+					arena[i*width+c] = col.Value(int(id))
+				}
+			default:
+				for i, doc := range block {
+					mvBuf = col.DictIDsMV(doc, mvBuf[:0])
+					vals := make([]any, len(mvBuf))
+					for j, id := range mvBuf {
+						vals[j] = col.Value(id)
+					}
+					arena[i*width+c] = vals
+				}
 			}
 		}
-		for doc := it.Next(); doc >= 0; doc = it.Next() {
-			if docs%blockSize == 0 {
-				if err := env.checkpoint(); err != nil {
-					return nil, err
-				}
-			}
-			docs++
-			row := make([]any, len(readers))
-			for i, col := range readers {
-				row[i] = readValue(col, doc)
-			}
-			out.Rows = append(out.Rows, row)
-			if !needAll && len(out.Rows) >= keep {
-				break
-			}
-			if needAll && len(out.Rows) > 4*keep {
-				// Prune: sort and keep the best rows so memory stays
-				// bounded on large matches.
-				tmp := &Intermediate{Kind: KindSelection, SelectCols: cols, Rows: out.Rows}
-				pruneQ := *q
-				pruneQ.Offset, pruneQ.Limit = 0, keep
-				out.Rows = tmp.Finalize(&pruneQ).Rows
-			}
+		for i := 0; i < n; i++ {
+			out.Rows = append(out.Rows, arena[i*width:(i+1)*width:(i+1)*width])
+		}
+		if !needAll && len(out.Rows) >= keep {
+			break
+		}
+		if needAll && len(out.Rows) > 4*keep {
+			// Prune: sort and keep the best rows so memory stays bounded on
+			// large matches.
+			tmp := &Intermediate{Kind: KindSelection, SelectCols: out.SelectCols, Rows: out.Rows}
+			pruneQ := *q
+			pruneQ.Offset, pruneQ.Limit = 0, keep
+			out.Rows = tmp.Finalize(&pruneQ).Rows
 		}
 	}
-	// Early-exit breaks (LIMIT satisfied) skip this on purpose in both
-	// modes: rows already kept are valid even when a later candidate's
-	// expression filter latched an error.
+	// The early-exit break (LIMIT satisfied) skips this on purpose: rows
+	// already kept are valid even when a later candidate's expression filter
+	// latched an error.
 	if len(out.Rows) < keep || needAll {
 		if err := env.checkpoint(); err != nil {
 			return nil, err

@@ -13,9 +13,12 @@ import (
 // evaluates every expression on the sandboxed per-row interpreter instead of
 // a compiled block kernel, rowPath keeps expressions out of dictionary space.
 func ForceRungs(opt Options, interpreter, rowPath bool) Options {
-	opt.DisableExprCompile, opt.DisableDictExpr = interpreter, rowPath
+	opt.disableExprCompile, opt.disableDictExpr = interpreter, rowPath
 	return opt
 }
+
+// BlockSize is how many documents the executors take a block at a time.
+const BlockSize = blockSize
 
 // The prune corpus of prune_test.go, for the differential harness.
 var (

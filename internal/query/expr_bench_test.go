@@ -8,7 +8,7 @@ import (
 
 // BenchmarkExprCompiledVsInterp runs one expression-heavy aggregation with
 // compiled block kernels and again with the interpreter forced
-// (DisableExprCompile), cross-checking the results agree and reporting both
+// (ForceRungs), cross-checking the results agree and reporting both
 // timings. The compiled-vs-interp ratio is the headline number for the
 // expression pipeline (EXPERIMENTS.md); ns/op covers both runs.
 func BenchmarkExprCompiledVsInterp(b *testing.B) {
@@ -26,7 +26,7 @@ func BenchmarkExprCompiledVsInterp(b *testing.B) {
 		compiledNS += time.Since(start)
 
 		start = time.Now()
-		ri, err := Run(ctx, q, segs, nil, Options{DisableExprCompile: true})
+		ri, err := Run(ctx, q, segs, nil, ForceRungs(Options{}, true, false))
 		if err != nil {
 			b.Fatal(err)
 		}

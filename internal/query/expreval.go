@@ -13,8 +13,8 @@ import (
 // by expr.Limits) always works; when the expression lowers to a typed block
 // kernel and the options allow it, batch fills run through the kernel
 // instead. Both produce bit-identical values, so plan-time selection is
-// purely a performance decision — the differential suite flips
-// DisableExprCompile to prove it.
+// purely a performance decision — the differential harness forces the
+// interpreter to prove it.
 
 // exprEval is one expression bound to one segment execution. It is
 // single-goroutine, like the rest of a segment executor.
@@ -78,7 +78,7 @@ func newExprEval(env *execEnv, cs columnSource, e pql.Expr, opt Options) (*exprE
 		}
 		return readScalarValue(ev.readers[i], ev.curDoc)
 	}
-	if !opt.DisableExprCompile {
+	if !opt.disableExprCompile {
 		if k, ok := expr.Compile(e, kindOf); ok {
 			ev.kernel = k
 			readers := make([]segment.ColumnReader, len(k.Cols))
@@ -90,10 +90,10 @@ func newExprEval(env *execEnv, cs columnSource, e pql.Expr, opt Options) (*exprE
 	}
 	// Dictionary-space memo: a deterministic single-dict-column expression
 	// evaluates once per dictionary entry and serves every row by lookup.
-	// The binding is independent of DisableExprCompile/DisableVectorization —
-	// values are bit-identical on all paths, so those flags keep flipping
-	// only execution shape, never plan.
-	if !opt.DisableDictExpr && len(ev.names) == 1 && ev.readers[0].HasDictionary() && pql.ExprDeterministic(e) {
+	// The binding is independent of disableExprCompile — values are
+	// bit-identical on both paths, so that rung flips only execution shape,
+	// never plan.
+	if !opt.disableDictExpr && len(ev.names) == 1 && ev.readers[0].HasDictionary() && pql.ExprDeterministic(e) {
 		if m, ok := dictMemoFor(cs, ev.readers[0], ev.names[0], e, kind, opt, env.table); ok {
 			ev.memo = m
 			env.dictExprUsed = true
@@ -115,8 +115,8 @@ func readScalarValue(col segment.ColumnReader, doc int) any {
 }
 
 // value interprets the expression for one row. Evaluation errors latch on
-// the execution environment — surfaced at the next block checkpoint, the
-// same place in both execution modes — and yield nil here.
+// the execution environment — surfaced at the next block checkpoint — and
+// yield nil here.
 func (ev *exprEval) value(doc int) any {
 	if ev.memo != nil {
 		return ev.memo.Value(ev.readers[0].DictID(doc))
@@ -131,7 +131,7 @@ func (ev *exprEval) value(doc int) any {
 }
 
 // double reads the expression as a float64 aggregation input, promoting a
-// long result exactly as the scalar column path promotes.
+// long result exactly as a dictionary column's numeric reader promotes.
 func (ev *exprEval) double(doc int) float64 {
 	switch v := ev.value(doc).(type) {
 	case int64:
@@ -158,7 +158,7 @@ func (ev *exprEval) fillDoubles(docs []int, dst []float64) {
 			}
 			return
 		}
-		// Non-numeric memo: the scalar path yields 0 here too.
+		// Non-numeric memo: double yields 0 here too.
 		for i := range docs {
 			dst[i] = 0
 		}
@@ -185,7 +185,7 @@ func (ev *exprEval) dictIDs(docs []int) []uint32 {
 
 // fillValues computes a block of boxed values for group keys and distinct
 // counts. Kernel results box from the typed buffers; the interpreter path
-// boxes row by row. Errors leave nil values, matching the scalar path.
+// boxes row by row. Errors leave nil values.
 func (ev *exprEval) fillValues(docs []int, dst []any) {
 	if ev.memo != nil {
 		for i, id := range ev.dictIDs(docs) {
@@ -226,14 +226,6 @@ func (ev *exprEval) fillValues(docs []int, dst []any) {
 type groupItem struct {
 	col segment.ColumnReader
 	ev  *exprEval
-}
-
-// read returns the item's group value for one document.
-func (g groupItem) read(doc int) any {
-	if g.ev != nil {
-		return g.ev.value(doc)
-	}
-	return g.col.Value(g.col.DictID(doc))
 }
 
 // kernelBlockSource feeds typed column blocks to a compiled kernel: raw
@@ -308,7 +300,7 @@ func (s *kernelBlockSource) DoubleCol(slot int, docs []int, dst []float64) {
 // buildExprFilter compiles an expression comparison into a scan operator.
 // Expression predicates never prune, never use indexes, and never claim
 // soundness they don't have: every candidate document is evaluated, charging
-// one scanned entry per referenced column — in both execution modes.
+// one scanned entry per referenced column.
 func buildExprFilter(env *execEnv, cs columnSource, p pql.ExprCompare, opt Options, stats *Stats) (docIDSet, error) {
 	lev, err := newExprEval(env, cs, p.LHS, opt)
 	if err != nil {
@@ -324,10 +316,9 @@ func buildExprFilter(env *execEnv, cs columnSource, p pql.ExprCompare, opt Optio
 	nCols := int64(len(pql.PredicateColumns(p)))
 	n := cs.seg.NumDocs()
 	// The cursor needs both sides compiled; a side that requires the
-	// interpreter keeps the whole predicate on the per-document closure so
-	// evaluation order (and therefore the first error and the stats) match
-	// the scalar mode exactly.
-	if !opt.DisableVectorization && lev.kernel != nil && rev.kernel != nil {
+	// interpreter keeps the whole predicate on the per-document closure,
+	// which evaluates the two sides of one document after the other.
+	if lev.kernel != nil && rev.kernel != nil {
 		cmp := &exprCompare{lhs: lev, rhs: rev, op: p.Op,
 			bothLong: lev.kernel.Kind == expr.Long && rev.kernel.Kind == expr.Long}
 		return &scanDocIDSet{numDocs: n, leaf: &scanLeaf{kind: scanExpr, cmp: cmp, stats: stats, perEntry: nCols}}, nil

@@ -28,9 +28,9 @@ import (
 // columns hold dictionary ids, and a flat id→ordinal array (one small
 // dictionary) or a map keyed by the ids packed into a uint64 (several) finds
 // the group; those live in the groupers of vexec.go. Everything else — ids
-// too wide to pack, expression keys, the scalar reference path, the star-tree
-// scan and Merge — goes through the table's own open-addressed hash over the
-// typed tuple (commit). Dictionary ids are decoded to values once, when the
+// too wide to pack, expression keys, the star-tree scan and Merge — goes
+// through the table's own open-addressed hash over the typed tuple
+// (commit). Dictionary ids are decoded to values once, when the
 // segment is done (decodeKeys).
 type GroupTable struct {
 	keys []keyColumn
@@ -625,7 +625,7 @@ func carries(fn pql.AggFunc) stateFields {
 // aggColumn is one aggregate's state for every group: AggState turned on its
 // side, with a slice only for each field the function carries. What a
 // function does with its fields is AggState's to say — at and put move a row
-// through one, for the scalar and star-tree paths and for the result — and
+// through one, for the result and the tests — and
 // what is written here is per field, whatever the function: the block kernels
 // fold a block of documents into each field held, merge folds a column into
 // each field held. DISTINCTCOUNT's sets are one map for the whole column.
@@ -739,7 +739,8 @@ func (c *aggColumn) addCounts(ords []uint32) {
 
 // addNumerics is the block kernel of the numeric functions: vs[i] folds into
 // group ords[i], document by document in block order, so every group's sum,
-// extremes and value list come out as AddNumeric would leave them.
+// extremes and value list come out as folding one document at a time would
+// leave them.
 func (c *aggColumn) addNumerics(ords []uint32, vs []float64) {
 	c.addCounts(ords)
 	if c.has&fSum != 0 {

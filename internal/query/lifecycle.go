@@ -42,8 +42,7 @@ type execEnv struct {
 	// evalErr latches the first expression-evaluation error of this segment
 	// execution (resource limit, bad runtime argument). Evaluators record it
 	// and return a zero value; checkpoint surfaces it at the next block
-	// boundary — the same point in both execution modes, since both evaluate
-	// the same documents in the same order.
+	// boundary.
 	evalErr error
 	// dictExprUsed records that dictionary-space expression planning served
 	// something during this segment execution; surfaced as
@@ -67,10 +66,9 @@ func (e *execEnv) fail(err error) {
 }
 
 // checkpoint returns a latched evaluation error or a cancellation error when
-// the query's context has ended. Both execution modes call it on the same
-// block cadence, so the scan stops after identical work in vectorized and
-// scalar execution. The evaluation error is checked first: it is
-// deterministic, while context expiry is wall-clock timing.
+// the query's context has ended. The executors call it once per block. The
+// evaluation error is checked first: it is deterministic, while context
+// expiry is wall-clock timing.
 func (e *execEnv) checkpoint() error {
 	if e.evalErr != nil {
 		return fmt.Errorf("query: segment %s: %w", e.seg, e.evalErr)
@@ -89,8 +87,8 @@ func (e *execEnv) groupLimitTripped() bool { return e.qc.GroupStateExceeded() }
 // group's rendered key (each value as fmt.Sprint prints it, a separator
 // between two), its values and one state per aggregation. The estimate is
 // deterministic — a function of key length and arity only, not of how the
-// group table lays the group out — so vectorized and scalar execution charge
-// identical byte counts.
+// group table lays the group out — so every grouper charges identical byte
+// counts.
 const (
 	groupEntryBaseBytes = 64
 	groupValueBytes     = 48

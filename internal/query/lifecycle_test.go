@@ -1,13 +1,11 @@
 // Query-lifecycle tests: cooperative cancellation must stop an in-flight
-// segment within one block of ctx.Done() in both execution modes, a tripped
-// group-by state cap must degrade to a partial result instead of growing
-// unbounded, and every Run result must carry the query ID, phase trace and
-// resource accounting.
+// segment within one block of ctx.Done(), a tripped group-by state cap must
+// degrade to a partial result instead of growing unbounded, and every Run
+// result must carry the query ID, phase trace and resource accounting.
 package query_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -103,116 +101,78 @@ func lifecycleSegment(t *testing.T, schema *segment.Schema, name string, rows in
 	return seg
 }
 
-// TestMidScanCancellationBothModes proves the cooperative-cancellation bound:
-// when the context is cancelled after fireAt column reads, execution stops
-// within one ~blockSize-doc block in both modes, the query still returns a
-// partial (not failed) response, and the cancelled segment is named in the
-// timeout exception.
-func TestMidScanCancellationBothModes(t *testing.T) {
+// TestMidScanCancellation proves the cooperative-cancellation bound: when the
+// context is cancelled after fireAt column reads, execution stops within one
+// block, the query still returns a partial (not failed) response, and the
+// cancelled segment is named in the timeout exception.
+func TestMidScanCancellation(t *testing.T) {
 	const (
-		rows      = 8000
-		fireAt    = 1500
-		blockSize = 1024 // must match the engine's block granularity
+		rows   = 8000
+		fireAt = 1500
 	)
 	schema := lifecycleSchema(t)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"vec", false}, {"scalar", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			tw := &tripwire{fireAt: fireAt, cancel: cancel}
-			tripped := &tripSegment{
-				Reader: lifecycleSegment(t, schema, "trip0", rows, func(i int) int64 { return int64(i % 5) }),
-				col:    "hits",
-				tw:     tw,
-			}
-			segs := []query.IndexedSegment{{Seg: tripped}}
-			opt := query.Options{DisableMetadataPlans: true, DisableVectorization: mode.disable}
-
-			res, err := query.Run(ctx, "SELECT sum(hits) FROM lifetbl", segs, schema, opt)
-			if err != nil {
-				t.Fatalf("cancellation must degrade, not fail: %v", err)
-			}
-			if !res.Partial || len(res.Exceptions) == 0 {
-				t.Fatalf("want partial result with exceptions, got partial=%v exceptions=%v", res.Partial, res.Exceptions)
-			}
-			exc := strings.Join(res.Exceptions, "\n")
-			if !strings.Contains(exc, "cancelled mid-scan") || !strings.Contains(exc, "trip0") {
-				t.Fatalf("exception must name the cancelled segment, got %q", exc)
-			}
-			if got := tw.reads.Load(); got > fireAt+blockSize {
-				t.Fatalf("read %d values after cancel at %d; want stop within one %d-doc block", got, fireAt, blockSize)
-			}
-			if got := tw.reads.Load(); got < fireAt {
-				t.Fatalf("tripwire never fired: %d reads", got)
-			}
-		})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tw := &tripwire{fireAt: fireAt, cancel: cancel}
+	tripped := &tripSegment{
+		Reader: lifecycleSegment(t, schema, "trip0", rows, func(i int) int64 { return int64(i % 5) }),
+		col:    "hits",
+		tw:     tw,
+	}
+	segs := []query.IndexedSegment{{Seg: tripped}}
+	res, err := query.Run(ctx, "SELECT sum(hits) FROM lifetbl", segs, schema, query.Options{DisableMetadataPlans: true})
+	if err != nil {
+		t.Fatalf("cancellation must degrade, not fail: %v", err)
+	}
+	if !res.Partial || len(res.Exceptions) == 0 {
+		t.Fatalf("want partial result with exceptions, got partial=%v exceptions=%v", res.Partial, res.Exceptions)
+	}
+	exc := strings.Join(res.Exceptions, "\n")
+	if !strings.Contains(exc, "cancelled mid-scan") || !strings.Contains(exc, "trip0") {
+		t.Fatalf("exception must name the cancelled segment, got %q", exc)
+	}
+	if got := tw.reads.Load(); got > fireAt+query.BlockSize {
+		t.Fatalf("read %d values after cancel at %d; want stop within one %d-doc block", got, fireAt, query.BlockSize)
+	}
+	if got := tw.reads.Load(); got < fireAt {
+		t.Fatalf("tripwire never fired: %d reads", got)
 	}
 }
 
-// TestGroupStateCapDegradesBothModes proves the per-query memory cap: a
-// group-by whose state outgrows Options.GroupStateLimitBytes stops at the
-// next block boundary, keeps the groups built so far, and reports a resource
-// exception — and both execution modes truncate at the same point.
-func TestGroupStateCapDegradesBothModes(t *testing.T) {
+// TestGroupStateCapDegrades proves the per-query memory cap: a group-by whose
+// state outgrows Options.GroupStateLimitBytes stops at the next block
+// boundary, keeps the groups built so far, and reports a resource exception.
+func TestGroupStateCapDegrades(t *testing.T) {
 	const (
-		rows      = 4000
-		limit     = 2500
-		blockSize = 1024
+		rows  = 4000
+		limit = 2500
 	)
 	schema := lifecycleSchema(t)
 	// Every row is its own group, so state grows with every scanned doc and
 	// the cap trips inside the first block.
 	seg := lifecycleSegment(t, schema, "cap0", rows, func(i int) int64 { return int64(i) })
 	segs := []query.IndexedSegment{{Seg: seg}}
-	q := "SELECT sum(hits) FROM lifetbl GROUP BY bucket TOP 5000"
-
-	type outcome struct {
-		rows  string
-		stats query.Stats
+	opt := query.Options{DisableMetadataPlans: true, GroupStateLimitBytes: limit}
+	res, err := query.Run(context.Background(), "SELECT sum(hits) FROM lifetbl GROUP BY bucket TOP 5000", segs, schema, opt)
+	if err != nil {
+		t.Fatalf("cap must degrade, not fail: %v", err)
 	}
-	var got [2]outcome
-	for mi, mode := range []bool{false, true} {
-		opt := query.Options{
-			DisableMetadataPlans: true,
-			DisableVectorization: mode,
-			GroupStateLimitBytes: limit,
-		}
-		res, err := query.Run(context.Background(), q, segs, schema, opt)
-		if err != nil {
-			t.Fatalf("mode %d: cap must degrade, not fail: %v", mi, err)
-		}
-		if !res.Partial {
-			t.Fatalf("mode %d: want partial result", mi)
-		}
-		exc := strings.Join(res.Exceptions, "\n")
-		want := fmt.Sprintf("group-by state exceeded %d bytes", limit)
-		if !strings.Contains(exc, want) {
-			t.Fatalf("mode %d: exception %q missing %q", mi, exc, want)
-		}
-		if len(res.Rows) == 0 {
-			t.Fatalf("mode %d: partial result must keep the groups built so far", mi)
-		}
-		// The cap is checked at block boundaries: exactly one block scanned.
-		if res.Stats.NumDocsScanned != blockSize {
-			t.Fatalf("mode %d: scanned %d docs, want one block (%d)", mi, res.Stats.NumDocsScanned, blockSize)
-		}
-		if res.Stats.GroupStateBytes <= limit {
-			t.Fatalf("mode %d: GroupStateBytes = %d, want > limit %d (cap trips after the charge)", mi, res.Stats.GroupStateBytes, limit)
-		}
-		rj, err := json.Marshal(res.Rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[mi] = outcome{rows: string(rj), stats: res.Stats}
+	if !res.Partial {
+		t.Fatal("want partial result")
 	}
-	if got[0].rows != got[1].rows {
-		t.Fatalf("modes truncate differently:\nvec:    %s\nscalar: %s", got[0].rows, got[1].rows)
+	exc := strings.Join(res.Exceptions, "\n")
+	if want := fmt.Sprintf("group-by state exceeded %d bytes", limit); !strings.Contains(exc, want) {
+		t.Fatalf("exception %q missing %q", exc, want)
 	}
-	if got[0].stats != got[1].stats {
-		t.Fatalf("stats diverge:\nvec:    %+v\nscalar: %+v", got[0].stats, got[1].stats)
+	if len(res.Rows) == 0 {
+		t.Fatal("partial result must keep the groups built so far")
+	}
+	// The cap is checked at block boundaries: exactly one block scanned.
+	if res.Stats.NumDocsScanned != query.BlockSize {
+		t.Fatalf("scanned %d docs, want one block (%d)", res.Stats.NumDocsScanned, query.BlockSize)
+	}
+	if res.Stats.GroupStateBytes <= limit {
+		t.Fatalf("GroupStateBytes = %d, want > limit %d (cap trips after the charge)", res.Stats.GroupStateBytes, limit)
 	}
 }
 

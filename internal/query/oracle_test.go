@@ -8,31 +8,27 @@ import (
 	"pinot/internal/segment"
 )
 
-// Oracle answers queries the slow, obvious way: the reference the
-// differential harness (differential_test.go) holds every plan rung to, and
-// the per-document reference the scan cursor is driven against
-// (scancursor_test.go). Per segment it visits every document 0..NumDocs in
-// order. It reads values through the per-document ColumnReader accessors,
-// schema-evolution defaults through columnSource, and evaluates expressions
-// through expr.Eval, each value once per oracle. It tests the filter on those
-// values — a multi-value column by contains-any, NOT by complementing
-// documents — and folds each match into a GroupTable by upsert and
-// accumulateRow, or keeps it as a selection row. Merge and Finalize are the
-// engine's; the planner (buildFilter), the doc-id sets of docids.go, the scan
+// Oracle answers queries the slow, obvious way: it is the reference the
+// differential harness holds every plan rung to, and its filter the
+// per-document reference the scan cursor is driven against. Per segment it
+// visits every document in order, reads values through the per-document
+// ColumnReader accessors (schema-evolution defaults through columnSource),
+// tests the filter on them — multi-value columns by contains-any, NOT on
+// documents, expressions through expr.Eval — and folds each match into a
+// GroupTable by upsert and accumulateRow, or keeps it as a selection row.
+// Merge and Finalize are the engine's; buildFilter, docids.go, the scan
 // cursor and vexec.go's kernels and groupers are never called.
 type Oracle struct {
 	segs   []IndexedSegment
 	schema *segment.Schema
-	// memo holds per document the values of a column, or of an expression
-	// (nil until evaluated), by segment and column name or expression text.
-	memo map[oracleKey][]any
-	ctx  *expr.Ctx
-	err  error // the first evaluation that failed
+	memo   map[oracleKey][]any // a column's values by document, read once
+	ctx    *expr.Ctx
+	err    error // the first evaluation that failed
 }
 
 type oracleKey struct {
 	seg  segment.Reader
-	text string
+	name string
 }
 
 // NewOracle returns the oracle of a table: its segments and its schema (nil:
@@ -66,37 +62,31 @@ func (o *Oracle) Answer(pqlText string) (*Result, error) {
 
 func (o *Oracle) segment(q *pql.Query, seg segment.Reader) (*Intermediate, error) {
 	match, err := o.filter(seg, q.Filter)
-	if err != nil {
-		return nil, err
-	}
 	out := &Intermediate{Kind: KindSelection, Stats: baseStats(seg)}
-	var keys, reads []func(doc int) any // group keys, aggregate inputs or selected columns
-	var t *GroupTable
+	var keys, reads []func(doc int) any // group keys; aggregate inputs or selected columns
+	read := func(to *[]func(int) any, name string, e pql.Expr) {
+		if err == nil {
+			var r func(int) any
+			r, err = o.reader(seg, name, e)
+			*to = append(*to, r)
+		}
+	}
 	if q.IsAggregation() {
+		out.Kind, out.GroupCols = KindGroupBy, q.GroupBy
 		for i, name := range q.GroupBy {
 			var e pql.Expr
 			if i < len(q.GroupByExprs) {
 				e = q.GroupByExprs[i]
 			}
-			key, err := o.reader(seg, name, e)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, key)
+			read(&keys, name, e)
 		}
 		for _, e := range q.Select {
-			read := func(int) any { return nil } // COUNT(*)
-			if e.IsAgg && (e.Arg != nil || e.Column != "*") {
-				if read, err = o.reader(seg, e.Column, e.Arg); err != nil {
-					return nil, err
-				}
-			}
 			if e.IsAgg {
-				out.AggExprs, reads = append(out.AggExprs, e), append(reads, read)
+				out.AggExprs = append(out.AggExprs, e)
+				read(&reads, e.Column, e.Arg)
 			}
 		}
-		t = NewGroupTable(len(keys), out.AggExprs)
-		out.Kind, out.GroupCols, out.Groups = KindGroupBy, q.GroupBy, t
+		out.Groups = NewGroupTable(len(keys), out.AggExprs)
 	} else {
 		schema := o.schema
 		if schema == nil {
@@ -104,16 +94,15 @@ func (o *Oracle) segment(q *pql.Query, seg segment.Reader) (*Intermediate, error
 		}
 		out.SelectCols, out.HiddenCols = selectionColumns(q, schema)
 		for _, name := range out.SelectCols {
-			read, err := o.reader(seg, name, nil)
-			if err != nil {
-				return nil, err
-			}
-			reads = append(reads, read)
+			read(&reads, name, nil)
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	// Without ORDER BY a segment keeps its first offset+limit rows; with it,
 	// every row, and Finalize sorts stably, so ties keep document order.
-	keep, needAll := q.Offset+q.Limit, len(q.OrderBy) > 0
+	keep, needAll, t := q.Offset+q.Limit, len(q.OrderBy) > 0, out.Groups
 	values := make([]any, len(keys))
 	for doc := 0; doc < seg.NumDocs(); doc++ {
 		if !match(doc) {
@@ -175,10 +164,13 @@ func (o *Oracle) column(seg segment.Reader, name string) (segment.FieldSpec, []a
 	return col.Spec(), vals, nil
 }
 
-// reader returns the per-document value of an expression, or of the named
-// column when e is nil.
+// reader returns the per-document value of an expression, of the named
+// column when e is nil, or nothing for COUNT(*)'s column "*".
 func (o *Oracle) reader(seg segment.Reader, name string, e pql.Expr) (func(doc int) any, error) {
 	if e == nil {
+		if name == "*" {
+			return func(int) any { return nil }, nil
+		}
 		_, vals, err := o.column(seg, name)
 		return func(doc int) any { return vals[doc] }, err
 	}
@@ -190,22 +182,15 @@ func (o *Oracle) reader(seg segment.Reader, name string, e pql.Expr) (func(doc i
 		}
 		cols[name] = vals
 	}
-	key := oracleKey{seg, e.String()}
-	if o.memo[key] == nil {
-		o.memo[key] = make([]any, seg.NumDocs())
-	}
-	vals, doc := o.memo[key], 0
+	doc := 0
 	get := func(name string) any { return cols[name][doc] }
 	return func(d int) any {
-		if vals[d] == nil {
-			doc = d
-			v, err := expr.Eval(o.ctx, e, get)
-			if err != nil && o.err == nil {
-				o.err = fmt.Errorf("oracle: %s: %w", e, err)
-			}
-			vals[d] = v
+		doc = d
+		v, err := expr.Eval(o.ctx, e, get)
+		if err != nil && o.err == nil {
+			o.err = fmt.Errorf("oracle: %s: %w", e, err)
 		}
-		return vals[d]
+		return v
 	}, nil
 }
 
@@ -301,4 +286,56 @@ func accumulateRow(c *aggColumn, ord uint32, v any) {
 		s.AddNumeric(f)
 		c.put(int(ord), &s)
 	}
+}
+
+// AddNumeric accumulates one numeric observation.
+func (s *AggState) AddNumeric(v float64) {
+	s.Count++
+	s.Sum += v
+	if _, ok := pql.PercentileQuantile(s.Func); ok {
+		s.Values = append(s.Values, v)
+	}
+	if v < s.Min {
+		s.Min = v
+	}
+	if v > s.Max {
+		s.Max = v
+	}
+	s.Seen = true
+}
+
+// valueMatcher builds a test of one canonical value against a leaf
+// predicate, segment.CompareValues deciding every comparison.
+func valueMatcher(typ segment.DataType, pred pql.Predicate) (func(any) bool, error) {
+	coerce := func(v any) (any, error) { return segment.Canonicalize(typ, v) }
+	switch p := pred.(type) {
+	case pql.Comparison:
+		v, err := coerce(p.Value)
+		op := p.Op
+		return func(x any) bool {
+			c := segment.CompareValues(x, v)
+			return op == pql.OpEq && c == 0 || op == pql.OpNeq && c != 0 || op == pql.OpLt && c < 0 ||
+				op == pql.OpLte && c <= 0 || op == pql.OpGt && c > 0 || op == pql.OpGte && c >= 0
+		}, err
+	case pql.Between:
+		lo, err := coerce(p.Lo)
+		if err != nil {
+			return nil, err
+		}
+		hi, err := coerce(p.Hi)
+		return func(x any) bool {
+			return segment.CompareValues(x, lo) >= 0 && segment.CompareValues(x, hi) <= 0
+		}, err
+	case pql.In:
+		set := make(map[any]bool, len(p.Values))
+		for _, raw := range p.Values {
+			v, err := coerce(raw)
+			if err != nil {
+				return nil, err
+			}
+			set[v] = true
+		}
+		return func(x any) bool { return set[x] != p.Negated }, nil
+	}
+	return nil, fmt.Errorf("query: unsupported predicate %T", pred)
 }

@@ -23,39 +23,30 @@ type Options struct {
 	DisableStarTree bool
 	// DisableMetadataPlans disables metadata-only answers (COUNT(*) etc).
 	DisableMetadataPlans bool
-	// DisableVectorization forces row-at-a-time execution: no block
-	// iterators, no batch unpack, no typed aggregation kernels, no bitmap
-	// AND/OR collapse. Results and Stats are identical in both modes; the
-	// flag exists for differential testing and A/B benchmarks.
-	DisableVectorization bool
 	// DisablePruning turns off zone-map / bloom / time-range segment
 	// pruning and the provably-matches-all filter elision that feeds the
 	// metadata-only plans. Rows are identical either way; the flag exists
 	// for differential testing and to keep the Druid baseline pruning-free.
 	DisablePruning bool
-	// DisableExprCompile forces every scalar expression onto the sandboxed
-	// per-row interpreter instead of the compiled block kernels. Results and
-	// Stats are identical in both modes; the flag exists for differential
-	// testing and A/B benchmarks.
-	DisableExprCompile bool
 	// GroupStateLimitBytes caps the estimated group-by state of one query
 	// across all its segments on this node. Past the cap the query
 	// degrades to a partial result with an exception instead of growing
 	// unbounded state (OOM protection). Zero means uncapped.
 	GroupStateLimitBytes int64
-	// DisableDictExpr forces expression predicates, expression group keys
-	// and expression aggregate arguments onto the row-at-a-time paths
-	// (compiled kernel or interpreter) instead of dictionary-space
-	// evaluation. Results are identical in both modes; Stats may differ
-	// only in DictExprSegments and in counters that legitimately follow the
-	// plan (a dict-space predicate that proves a segment empty scans zero
-	// docs). The flag exists for differential testing and A/B benchmarks.
-	DisableDictExpr bool
 	// DictMemoCache, when set, caches dictionary-space expression memos
 	// across queries keyed on (segment, canonical expression). Only
 	// immutable segments are cached; the server invalidates a segment's
 	// scope on install and unload. Nil means memos are rebuilt per query.
 	DictMemoCache *qcache.Cache
+
+	// The rungs tests force off (export_test.go), never set in production:
+	// disableExprCompile evaluates every expression on the sandboxed per-row
+	// interpreter instead of a compiled block kernel; disableDictExpr keeps
+	// expression predicates, group keys and aggregate arguments out of
+	// dictionary space, on the kernel or the interpreter. Rows are identical
+	// either way; Stats differ only as the differential harness's rung table
+	// allows.
+	disableExprCompile, disableDictExpr bool
 }
 
 // columnsOf resolves a column, surfacing schema-evolution default columns
@@ -101,9 +92,7 @@ func buildFilter(env *execEnv, cs columnSource, pred pql.Predicate, opt Options,
 			}
 			children = append(children, child)
 		}
-		if !opt.DisableVectorization {
-			children = collapseBitmapChildren(children, true)
-		}
+		children = collapseBitmapChildren(children, true)
 		switch len(children) {
 		case 0:
 			return &allDocIDSet{numDocs: n}, nil
@@ -126,9 +115,7 @@ func buildFilter(env *execEnv, cs columnSource, pred pql.Predicate, opt Options,
 			}
 			children = append(children, child)
 		}
-		if !opt.DisableVectorization {
-			children = collapseBitmapChildren(children, false)
-		}
+		children = collapseBitmapChildren(children, false)
 		switch len(children) {
 		case 0:
 			return emptyDocIDSet{}, nil
@@ -210,27 +197,11 @@ func buildLeafFilter(cs columnSource, pred pql.Predicate, opt Options, stats *St
 
 	// Raw (no-dictionary) columns can only be scanned.
 	if !col.HasDictionary() {
-		if !opt.DisableVectorization {
-			leaf, err := newRawLeaf(col, pred, stats)
-			if err != nil {
-				return nil, err
-			}
-			return &scanDocIDSet{numDocs: n, leaf: leaf}, nil
-		}
-		match, err := valueMatcher(col.Spec().Type, pred)
+		leaf, err := newRawLeaf(col, pred, stats)
 		if err != nil {
 			return nil, err
 		}
-		integral := col.Spec().Type.Integral()
-		return &scanDocIDSet{numDocs: n, match: func(doc int) bool {
-			if stats != nil {
-				stats.NumEntriesScanned++
-			}
-			if integral {
-				return match(col.Long(doc))
-			}
-			return match(col.Double(doc))
-		}}, nil
+		return &scanDocIDSet{numDocs: n, leaf: leaf}, nil
 	}
 
 	// Multi-value columns have contains-any semantics: negated predicates
@@ -300,17 +271,9 @@ func serveIDSet(col segment.ColumnReader, set *idSet, n int, opt Options, stats 
 	}
 
 	// Iterator scan over the forward index. Every evaluated document
-	// counts as a scanned entry.
+	// counts as a scanned entry; a multi-value document, each of its values.
 	if col.Spec().SingleValue {
-		if !opt.DisableVectorization {
-			return &scanDocIDSet{numDocs: n, leaf: newIDSetLeaf(col, set, stats)}
-		}
-		return &scanDocIDSet{numDocs: n, match: func(doc int) bool {
-			if stats != nil {
-				stats.NumEntriesScanned++
-			}
-			return set.contains(col.DictID(doc))
-		}}
+		return &scanDocIDSet{numDocs: n, leaf: newIDSetLeaf(col, set, stats)}
 	}
 	var buf []int
 	return &scanDocIDSet{numDocs: n, match: func(doc int) bool {

@@ -270,70 +270,13 @@ func scanValues[T cmp.Ordered](vals []T, lower, upper any, loIncl, hiIncl bool) 
 	return ids
 }
 
-// valueMatcher builds a canonical-value-level predicate function, used for
-// raw (no-dictionary) columns.
-func valueMatcher(typ segment.DataType, pred pql.Predicate) (func(any) bool, error) {
-	coerce := func(v any) (any, error) { return segment.Canonicalize(typ, v) }
-	switch p := pred.(type) {
-	case pql.Comparison:
-		v, err := coerce(p.Value)
-		if err != nil {
-			return nil, err
-		}
-		op := p.Op
-		return func(x any) bool {
-			c := segment.CompareValues(x, v)
-			switch op {
-			case pql.OpEq:
-				return c == 0
-			case pql.OpNeq:
-				return c != 0
-			case pql.OpLt:
-				return c < 0
-			case pql.OpLte:
-				return c <= 0
-			case pql.OpGt:
-				return c > 0
-			case pql.OpGte:
-				return c >= 0
-			}
-			return false
-		}, nil
-	case pql.Between:
-		lo, err := coerce(p.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := coerce(p.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return func(x any) bool {
-			return segment.CompareValues(x, lo) >= 0 && segment.CompareValues(x, hi) <= 0
-		}, nil
-	case pql.In:
-		set := make(map[any]bool, len(p.Values))
-		for _, raw := range p.Values {
-			v, err := coerce(raw)
-			if err != nil {
-				return nil, err
-			}
-			set[v] = true
-		}
-		neg := p.Negated
-		return func(x any) bool { return set[x] != neg }, nil
-	}
-	return nil, fmt.Errorf("query: unsupported predicate %T", pred)
-}
-
-// compileRawTest is the typed counterpart of valueMatcher for raw columns: it
-// compiles the predicate to bounds on T the scan cursor tests without boxing
-// or a call per value. lowest and highest are T's extremes, standing in for
-// the missing bound of a one-sided comparison. The test — inside [lo, hi]
-// when neither v < lo nor v > hi, complemented by neg — accepts and rejects
-// exactly what valueMatcher does over canonical values, NaN included:
-// segment.CompareValues calls NaN equal to everything, and both compares are
-// false on it.
+// compileRawTest compiles a predicate on a raw column to bounds on T the scan
+// cursor tests without boxing or a call per value. lowest and highest are T's
+// extremes, standing in for the missing bound of a one-sided comparison. The
+// test — inside [lo, hi] when neither v < lo nor v > hi, complemented by neg —
+// accepts and rejects exactly what segment.CompareValues does over canonical
+// values, NaN included: CompareValues calls NaN equal to everything, and both
+// compares are false on it.
 func compileRawTest[T int64 | float64](typ segment.DataType, pred pql.Predicate, lowest, highest T) (rawTest[T], error) {
 	coerce := func(v any) (T, error) {
 		cv, err := segment.Canonicalize(typ, v)

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"pinot/internal/pql"
@@ -175,48 +174,5 @@ func randomScanTree(r *rand.Rand, depth int) string {
 		return fmt.Sprintf("(%s OR %s)", a, b)
 	default:
 		return fmt.Sprintf("NOT (%s)", a)
-	}
-}
-
-// Property: block-at-a-time and row-at-a-time execution return the same rows
-// and the same Stats — to the entry — for random predicate trees, under
-// aggregation, group-by and a selection that stops inside a scan leaf's first
-// chunk, on every index configuration and on a consuming segment.
-func TestPropertyVectorizedTreesMatchScalar(t *testing.T) {
-	rows := testRows(3000, 60)
-	tables := map[string][]IndexedSegment{}
-	for name, cfg := range allConfigs() {
-		tables[name] = []IndexedSegment{{Seg: buildRows(t, rows, cfg, "s0")}}
-	}
-	ms, err := segment.NewMutableSegment("events", "rt0", rowsSchema(t), segment.IndexConfig{InvertedColumns: []string{"country"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows[:1200] {
-		if err := ms.Add(segment.Row{r.country, r.browser, r.member, r.clicks, r.rev, r.day}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tables["consuming"] = []IndexedSegment{{Seg: ms.Snapshot()}}
-
-	r := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 60; trial++ {
-		where := randomScanTree(r, 3)
-		for _, q := range []string{
-			"SELECT count(*), sum(revenue) FROM events WHERE " + where,
-			"SELECT max(clicks) FROM events WHERE " + where + " GROUP BY country TOP 5",
-			fmt.Sprintf("SELECT country, clicks FROM events WHERE %s LIMIT %d", where, 1+r.Intn(20)),
-		} {
-			for name, segs := range tables {
-				vec := runPQL(t, segs, q, Options{})
-				scal := runPQL(t, segs, q, Options{DisableVectorization: true})
-				if vec.Stats != scal.Stats {
-					t.Fatalf("[%s] %s:\n vec    %+v\n scalar %+v", name, q, vec.Stats, scal.Stats)
-				}
-				if !reflect.DeepEqual(vec.Rows, scal.Rows) {
-					t.Fatalf("[%s] %s:\n vec    %v\n scalar %v", name, q, vec.Rows, scal.Rows)
-				}
-			}
-		}
 	}
 }

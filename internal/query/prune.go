@@ -360,7 +360,7 @@ func planPruning(q *pql.Query, segs []IndexedSegment, tableSchema *segment.Schem
 		if timeCol != "" {
 			timeLo, timeHi, timeBounded = TimeBounds(q.Filter, timeCol)
 		}
-		hasExprLeaf = !opt.DisableDictExpr && pql.PredicateHasExprCompare(q.Filter)
+		hasExprLeaf = !opt.disableDictExpr && pql.PredicateHasExprCompare(q.Filter)
 	}
 	for _, is := range segs {
 		zr, ok := is.Seg.(zoneReader)

@@ -299,7 +299,7 @@ func TestPruneMutableSegmentsNeverPruned(t *testing.T) {
 }
 
 // TestPruneCoercionFailureSurfacesError: an uncoercible literal must degrade
-// to matchSome so both modes surface the same execution error.
+// to matchSome so pruning on and off surface the same execution error.
 func TestPruneCoercionFailureSurfacesError(t *testing.T) {
 	segs := pruneCorpus(t, 2, 50)
 	schema := pruneCorpusSchema(t)

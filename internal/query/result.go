@@ -32,9 +32,9 @@ type Stats struct {
 	SegmentsPrunedByValue  int // dropped by zone-map / bloom-filter evaluation
 	SegmentsMatched        int // survived pruning and were dispatched for execution
 	// GroupStateBytes is the estimated group-by state allocated for the
-	// query (deterministic per-entry estimate, identical in vectorized
-	// and scalar modes); the per-query cap in Options.GroupStateLimitBytes
-	// is enforced against the qctx aggregate of this counter.
+	// query (a deterministic per-entry estimate, whichever grouper built the
+	// groups); the per-query cap in Options.GroupStateLimitBytes is enforced
+	// against the qctx aggregate of this counter.
 	GroupStateBytes int64
 	// ResultCacheHit marks a response at least partially served from the
 	// broker's query-result cache. It is the ONLY field allowed to differ
@@ -43,9 +43,9 @@ type Stats struct {
 	ResultCacheHit bool
 	// DictExprSegments counts segments where dictionary-space expression
 	// planning served a predicate, group key, aggregate argument, or a
-	// pruning decision. It is the only Stats field allowed to differ under
-	// Options.DisableDictExpr (scan/entry counters may also shift where the
-	// plan legitimately changes rung, e.g. a pruned-to-empty segment).
+	// pruning decision. Forcing expressions out of dictionary space zeroes
+	// it; scan, entry and prune counters may then shift where the plan
+	// legitimately changes rung, e.g. a pruned-to-empty segment.
 	DictExprSegments int
 }
 

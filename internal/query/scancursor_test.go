@@ -231,34 +231,65 @@ func cursorSources(tb testing.TB, n int) []cursorSource {
 // or nextBlock into arg slots.
 type cursorOp struct{ kind, arg int }
 
-// checkCursorOps plans where on src in both modes and drives the scan cursor
-// and the scalar iterator through the calls nextOp yields, until it stops or
+// parseWhere returns the filter of a count(*) over where.
+func parseWhere(tb testing.TB, where string) pql.Predicate {
+	q, err := pql.Parse("SELECT count(*) FROM f WHERE " + where)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return q.Filter
+}
+
+// perDocReference plans pred as the engine does, except that every scan leaf
+// the cursor would walk becomes the oracle's test of the same predicate,
+// asked document by document through the production scanIterator and charged
+// the leaf's perEntry entries per document asked. An AND is planned child by
+// child, so its leapfrog probes the reference leaves where it probes cursors.
+func perDocReference(tb testing.TB, cs columnSource, pred pql.Predicate, stats *Stats) docIDSet {
+	if and, ok := pred.(pql.And); ok {
+		children := make([]docIDSet, len(and.Children))
+		for i, c := range and.Children {
+			children[i] = perDocReference(tb, cs, c, stats)
+		}
+		return &andDocIDSet{children: children}
+	}
+	set, err := buildFilter(newExecEnv(context.Background(), cs.seg.Name()), cs, pred, ForceRungs(Options{}, false, true), stats)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sds, ok := set.(*scanDocIDSet)
+	if !ok || sds.leaf == nil {
+		return set
+	}
+	match, err := NewOracle(nil, cs.schema).filter(cs.seg, pred)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &scanDocIDSet{numDocs: sds.numDocs, match: func(doc int) bool {
+		stats.NumEntriesScanned += sds.leaf.perEntry
+		return match(doc)
+	}}
+}
+
+// checkCursorOps plans where on src and drives its scan cursor and the
+// per-document reference through the calls nextOp yields, until it stops or
 // the iterators are exhausted: same documents, same Stats after every call,
 // whatever chunking the calls provoke.
 func checkCursorOps(t *testing.T, src cursorSource, where string, nextOp func() (cursorOp, bool)) {
 	t.Helper()
-	q, err := pql.Parse("SELECT count(*) FROM f WHERE " + where)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vecStats, scalStats Stats
+	pred := parseWhere(t, where)
+	var vecStats, refStats Stats
 	env := newExecEnv(context.Background(), src.cs.seg.Name())
-	opt := Options{DisableDictExpr: true}
-	vecSet, err := buildFilter(env, src.cs, q.Filter, opt, &vecStats)
+	vecSet, err := buildFilter(env, src.cs, pred, ForceRungs(Options{}, false, true), &vecStats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sds, ok := vecSet.(*scanDocIDSet); !ok || sds.leaf == nil {
 		t.Fatalf("%s on %s: planned as %T, want a cursor leaf", where, src.name, vecSet)
 	}
-	opt.DisableVectorization = true
-	scalSet, err := buildFilter(env, src.cs, q.Filter, opt, &scalStats)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := getScratch()
 	defer sc.release()
-	vec, scal := vecSet.iterator(sc), scalSet.iterator(sc)
+	vec, ref := vecSet.iterator(sc), perDocReference(t, src.cs, pred, &refStats).iterator(sc)
 	last := -1
 	for step := 0; ; step++ {
 		op, ok := nextOp()
@@ -268,16 +299,16 @@ func checkCursorOps(t *testing.T, src cursorSource, where string, nextOp func() 
 		var got, want []int
 		switch op.kind {
 		case 0:
-			got, want = []int{vec.Next()}, []int{scal.Next()}
+			got, want = []int{vec.Next()}, []int{ref.Next()}
 		case 1:
-			got, want = []int{vec.Advance(last + op.arg)}, []int{scal.Advance(last + op.arg)}
+			got, want = []int{vec.Advance(last + op.arg)}, []int{ref.Advance(last + op.arg)}
 		default:
 			gb, wb := make([]int, op.arg), make([]int, op.arg)
-			got, want = gb[:vec.nextBlock(gb)], wb[:scal.nextBlock(wb)]
+			got, want = gb[:vec.nextBlock(gb)], wb[:ref.nextBlock(wb)]
 		}
 		assertDocs(t, got, want)
-		if vecStats != scalStats {
-			t.Fatalf("%s on %s, step %d (%+v): stats %+v, scalar %+v", where, src.name, step, op, vecStats, scalStats)
+		if vecStats != refStats {
+			t.Fatalf("%s on %s, step %d (%+v): stats %+v, reference %+v", where, src.name, step, op, vecStats, refStats)
 		}
 		if len(want) == 0 || want[len(want)-1] < 0 {
 			return
@@ -287,8 +318,9 @@ func checkCursorOps(t *testing.T, src cursorSource, where string, nextOp func() 
 }
 
 // TestScanCursorMatchesScalarIterator drives the cursor of every leaf kind,
-// on every segment kind, through seeded random mixes of Next, Advance and
-// nextBlock, each until the leaf is exhausted.
+// on every segment kind, and the per-document reference's scanIterator through
+// seeded random mixes of Next, Advance and nextBlock, each until the leaf is
+// exhausted.
 func TestScanCursorMatchesScalarIterator(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, src := range cursorSources(t, 20000) {

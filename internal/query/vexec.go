@@ -11,13 +11,13 @@ import (
 	"pinot/internal/segment"
 )
 
-// This file is the vectorized (block-at-a-time) execution path. Matching doc
-// ids arrive in blocks of up to blockSize, dictionary ids and metric values
-// decode in batches through the ColumnReader block methods, and aggregation
-// states update through typed kernels instead of per-doc interface dispatch.
-// Every kernel folds values in the exact per-element float64 order of the
-// scalar path, so finalized results and Stats are identical in both modes —
-// the differential test in vexec_diff_test.go enforces this.
+// This file holds the parts of the block-at-a-time executor (exec.go) that
+// work on a block. Matching doc ids arrive in blocks of up to blockSize,
+// dictionary ids and metric values decode in batches through the
+// ColumnReader block methods, and aggregation states update through typed
+// kernels instead of per-doc interface dispatch. Every kernel folds values
+// in document order, one float64 addition per value, so finalized results
+// equal the differential harness's row-at-a-time oracle to the bit.
 
 // ---- block scratch ----
 
@@ -135,13 +135,13 @@ func (s *blockScratch) ordBuf(n int) []uint32 {
 type nrMode int
 
 const (
-	nrDouble     nrMode = iota // raw metric column: Double(doc)
-	nrDict                     // dictionary column, dense id→float64 table
-	nrDictScalar               // dictionary column, per-id decode (selective filters)
+	nrDouble   nrMode = iota // raw metric column: Double(doc)
+	nrDict                   // dictionary column, dense id→float64 table
+	nrDictByID               // dictionary column, per-id decode (selective filters)
 )
 
 // numericReader reads the numeric input of an aggregation for a block of
-// docs, mirroring aggInput.numeric value-for-value.
+// docs: a dictionary value as its int64 or float64, anything else as 0.
 type numericReader struct {
 	col    segment.ColumnReader
 	mode   nrMode
@@ -159,7 +159,7 @@ func newNumericReader(col segment.ColumnReader, estimate int, sc *blockScratch) 
 	// The dense decode table costs O(card) to build; worth it only when
 	// the filter is expected to touch a comparable number of rows.
 	if estimate < card/4 {
-		r.mode = nrDictScalar
+		r.mode = nrDictByID
 		return r
 	}
 	r.mode = nrDict
@@ -224,8 +224,7 @@ func (c *dictKeyCache) key(id uint32) string {
 
 // ---- aggregation kernel ----
 
-// aggKernel accumulates one aggregation input over doc blocks, the typed
-// replacement of per-doc aggInput.accumulate.
+// aggKernel accumulates one aggregation input over doc blocks.
 type aggKernel struct {
 	in   aggInput
 	nr   *numericReader
@@ -291,8 +290,8 @@ func (k *aggKernel) prepare(docs []int) {
 	}
 }
 
-// keyAt renders the DISTINCTCOUNT key of the i-th doc of the prepared block,
-// producing the same strings as aggInput.distinctKey.
+// keyAt renders the DISTINCTCOUNT key of the i-th doc of the prepared block
+// as fmt.Sprint renders its value.
 func (k *aggKernel) keyAt(i int) string {
 	switch {
 	case k.in.ev != nil:
@@ -492,7 +491,7 @@ func (g *tupleGrouper) groups(docs []int, out []uint32) error {
 // ordinal translation table. Distinct dict ids whose expression values are
 // equal (lower('Cat1') and lower('cat1')) find one group through the table's
 // hash index, so group creation — and the group-state charge — is per
-// distinct value, exactly like the scalar path.
+// distinct value, as it is for any expression key.
 type dictTransGrouper struct {
 	groupSink
 	col   segment.ColumnReader
@@ -533,8 +532,7 @@ func (g *dictTransGrouper) groups(docs []int, out []uint32) error {
 // When the only item is a single compiled integral expression — the
 // timeBucket(ts, w) shape — group keys stay int64 end to end: batch kernel
 // eval into a long buffer staged straight into the key column, no boxing.
-// Everything else boxes each doc's values and upserts them, as the scalar
-// path does.
+// Everything else boxes each doc's values and upserts them.
 type exprGrouper struct {
 	groupSink
 	values []any
@@ -597,146 +595,4 @@ func (g *exprGrouper) groups(docs []int, out []uint32) error {
 		out[i] = o
 	}
 	return nil
-}
-
-// runGroupByBlocks is the vectorized aggregation loop: each block resolves to
-// group ordinals, then each aggregation kernel folds its values into the
-// rows those name; without GROUP BY there is nothing to resolve and every
-// block folds into row 0. Cancellation and the group-state cap are polled
-// once per block, the same cadence as the scalar path; a tripped cap returns
-// ErrGroupStateLimit with the groups built so far in the table, so the query
-// degrades to a partial result.
-func runGroupByBlocks(env *execEnv, set docIDSet, inputs []aggInput, items []groupItem, t *GroupTable, charger *groupCharger) (int64, error) {
-	sc := getScratch()
-	defer sc.release()
-	est := set.estimate()
-	kernels := make([]*aggKernel, len(inputs))
-	for i, in := range inputs {
-		kernels[i] = newAggKernel(in, est, sc)
-	}
-	var g grouper
-	if len(items) > 0 {
-		g = newItemGrouper(items, t, charger, sc)
-	}
-	it := set.iterator(sc)
-	buf := sc.docBuf(blockSize)
-	ords := sc.ordBuf(blockSize)
-	var docs int64
-	for {
-		if err := env.checkpoint(); err != nil {
-			return docs, err
-		}
-		if env.groupLimitTripped() {
-			return docs, ErrGroupStateLimit
-		}
-		n := it.nextBlock(buf)
-		if n == 0 {
-			break
-		}
-		docs += int64(n)
-		if g != nil {
-			if err := g.groups(buf[:n], ords[:n]); err != nil {
-				// A nil value is an expression that failed and latched its own
-				// error already; either way the next checkpoint ends the segment.
-				env.fail(err)
-				continue
-			}
-			t.addStates()
-		}
-		for i, k := range kernels {
-			k.prepare(buf[:n])
-			if g == nil {
-				k.accumulateBlock(&t.aggs[i], n)
-			} else {
-				k.accumulateGroups(&t.aggs[i], ords[:n])
-			}
-		}
-	}
-	return docs, nil
-}
-
-// ---- selection ----
-
-// runSelectionBlocks is the vectorized selection loop. Rows of each block
-// share one []any arena, allocated fresh per block (retained rows alias it,
-// so it is never reused, unlike the pooled scratch the columns decode
-// through) and filled column-major so each column decodes in one batch.
-// Without ORDER BY the block demand is capped at the rows still needed; with
-// the exact-fill nextBlock contract this walks precisely the docs the scalar
-// early-exit walks, keeping Stats identical.
-func runSelectionBlocks(env *execEnv, out *Intermediate, q *pql.Query, set docIDSet, readers []segment.ColumnReader, keep int, needAll bool) (int64, error) {
-	sc := getScratch()
-	defer sc.release()
-	it := set.iterator(sc)
-	width := len(readers)
-	var mvBuf []int
-	var docs int64
-	for {
-		if err := env.checkpoint(); err != nil {
-			return docs, err
-		}
-		want := blockSize
-		if !needAll {
-			want = keep - len(out.Rows)
-			if want < 1 {
-				want = 1
-			}
-			if want > blockSize {
-				want = blockSize
-			}
-		}
-		block := sc.docBuf(want)
-		n := it.nextBlock(block)
-		if n == 0 {
-			break
-		}
-		docs += int64(n)
-		block = block[:n]
-		arena := make([]any, n*width)
-		for c, col := range readers {
-			f := col.Spec()
-			switch {
-			case f.Kind == segment.Metric && f.Type.Integral():
-				vs := sc.longBuf(n)
-				col.Longs(block, vs)
-				for i, v := range vs {
-					arena[i*width+c] = v
-				}
-			case f.Kind == segment.Metric:
-				vs := sc.doubleBuf(n)
-				col.Doubles(block, vs)
-				for i, v := range vs {
-					arena[i*width+c] = v
-				}
-			case f.SingleValue:
-				vs := sc.idBuf(0, n)
-				col.DictIDs(block, vs)
-				for i, id := range vs {
-					arena[i*width+c] = col.Value(int(id))
-				}
-			default:
-				for i, doc := range block {
-					mvBuf = col.DictIDsMV(doc, mvBuf[:0])
-					vals := make([]any, len(mvBuf))
-					for j, id := range mvBuf {
-						vals[j] = col.Value(id)
-					}
-					arena[i*width+c] = vals
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			out.Rows = append(out.Rows, arena[i*width:(i+1)*width:(i+1)*width])
-		}
-		if !needAll && len(out.Rows) >= keep {
-			break
-		}
-		if needAll && len(out.Rows) > 4*keep {
-			tmp := &Intermediate{Kind: KindSelection, SelectCols: out.SelectCols, Rows: out.Rows}
-			pruneQ := *q
-			pruneQ.Offset, pruneQ.Limit = 0, keep
-			out.Rows = tmp.Finalize(&pruneQ).Rows
-		}
-	}
-	return docs, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pinot/internal/bitmap"
-	"pinot/internal/pql"
 	"pinot/internal/segment"
 )
 
@@ -39,8 +38,8 @@ func benchBitmaps(numDocs int, density float64, k int) []*bitmap.Bitmap {
 }
 
 // BenchmarkBitmapAndCollapse vs BenchmarkBitmapAndLeapfrog: intersecting
-// comparably-sized bitmaps with container-level AndAll vs the scalar
-// advance-to-max leapfrog over per-bitmap iterators.
+// comparably-sized bitmaps with container-level AndAll vs the advance-to-max
+// leapfrog over per-bitmap iterators.
 func BenchmarkBitmapAndCollapse(b *testing.B) {
 	bms := benchBitmaps(1<<20, 0.3, 3)
 	buf := make([]int, blockSize)
@@ -112,34 +111,19 @@ func benchRun(b *testing.B, q string, opt Options) {
 	}
 }
 
-// Scan aggregation over a raw double metric: the typed block kernels vs the
-// boxed row-at-a-time loop.
+// Scan aggregation over a raw double metric: the typed block kernels.
 func BenchmarkScanAggVec(b *testing.B) {
 	benchRun(b, "SELECT sum(revenue), max(revenue) FROM events WHERE clicks > 10", Options{})
 }
 
-func BenchmarkScanAggScalar(b *testing.B) {
-	benchRun(b, "SELECT sum(revenue), max(revenue) FROM events WHERE clicks > 10", Options{DisableVectorization: true})
-}
-
-// Single low-cardinality group-by: dense array-indexed grouper vs the scalar
-// path's boxed upsert per document.
+// Single low-cardinality group-by: the dense array-indexed grouper.
 func BenchmarkGroupByDenseVec(b *testing.B) {
 	benchRun(b, "SELECT sum(clicks) FROM events GROUP BY country TOP 10", Options{})
 }
 
-func BenchmarkGroupByMapScalar(b *testing.B) {
-	benchRun(b, "SELECT sum(clicks) FROM events GROUP BY country TOP 10", Options{DisableVectorization: true})
-}
-
-// Multi-column group-by: packed uint64 composite keys vs the scalar path's
-// boxed upsert per document.
+// Multi-column group-by: packed uint64 composite keys.
 func BenchmarkGroupByPackedVec(b *testing.B) {
 	benchRun(b, "SELECT sum(clicks) FROM events GROUP BY country, browser, memberId TOP 20", Options{})
-}
-
-func BenchmarkGroupByPackedScalar(b *testing.B) {
-	benchRun(b, "SELECT sum(clicks) FROM events GROUP BY country, browser, memberId TOP 20", Options{DisableVectorization: true})
 }
 
 // ---- filter conjunctions over scan leaves ----
@@ -184,17 +168,12 @@ func filterFixture(tb testing.TB, name string, n int, cfg segment.IndexConfig) *
 
 var sparseInverted = segment.IndexConfig{InvertedColumns: []string{"sparse"}}
 
-// drainFilter plans where against seg and walks every match the way the
-// executor of the mode does: blocks on the vectorized path, Next on the
-// scalar one. It returns the matches and charges stats.
+// drainFilter plans where against seg and walks every match a block at a
+// time, as the executors do. It returns the matches and charges stats.
 func drainFilter(tb testing.TB, seg segment.Reader, where string, opt Options, stats *Stats) int {
 	tb.Helper()
-	q, err := pql.Parse("SELECT count(*) FROM f WHERE " + where)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	env := newExecEnv(context.Background(), seg.Name())
-	set, err := buildFilter(env, columnSource{seg: seg}, q.Filter, opt, stats)
+	set, err := buildFilter(env, columnSource{seg: seg}, parseWhere(tb, where), opt, stats)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -202,12 +181,6 @@ func drainFilter(tb testing.TB, seg segment.Reader, where string, opt Options, s
 	defer sc.release()
 	it := set.iterator(sc)
 	total := 0
-	if opt.DisableVectorization {
-		for doc := it.Next(); doc >= 0; doc = it.Next() {
-			total++
-		}
-		return total
-	}
 	buf := sc.docBuf(blockSize)
 	for n := it.nextBlock(buf); n > 0; n = it.nextBlock(buf) {
 		total += n
@@ -235,18 +208,11 @@ var filterAndShapes = []struct{ name, where string }{
 	{"and3/w12", "wide BETWEEN 1000 AND 1037 AND day BETWEEN 16005 AND 16030 AND third = 9"},
 }
 
-// BenchmarkFilterAndScanVec vs BenchmarkFilterAndScanScalar: the chunk-decoding
-// scan cursor under the AND leapfrog vs a closure, an interface call and a
-// packed get per evaluated document.
+// BenchmarkFilterAndScanVec: the chunk-decoding scan cursor under the AND
+// leapfrog.
 func BenchmarkFilterAndScanVec(b *testing.B) {
 	for _, s := range filterAndShapes {
 		b.Run(s.name, func(b *testing.B) { benchFilter(b, s.where, Options{}) })
-	}
-}
-
-func BenchmarkFilterAndScanScalar(b *testing.B) {
-	for _, s := range filterAndShapes {
-		b.Run(s.name, func(b *testing.B) { benchFilter(b, s.where, Options{DisableVectorization: true}) })
 	}
 }
 
@@ -257,23 +223,23 @@ func BenchmarkFilterSparseDriverVec(b *testing.B) {
 	benchFilter(b, "sparse = 7 AND narrow BETWEEN 10 AND 60 AND hits > 100", Options{})
 }
 
-// TestFilterBenchShapes keeps the benchmark predicates honest: the modes
-// agree on them and the sparse shape really is driven by a bitmap.
+// TestFilterBenchShapes keeps the benchmark predicates honest: the cursor
+// and the per-document reference agree on them and the sparse shape really is
+// driven by a bitmap.
 func TestFilterBenchShapes(t *testing.T) {
 	seg := filterFixture(t, "bench_filter", 20000, sparseInverted)
 	shapes := append(filterAndShapes[:len(filterAndShapes):len(filterAndShapes)],
 		struct{ name, where string }{"sparse", "sparse = 7 AND narrow BETWEEN 10 AND 60 AND hits > 100"})
 	for _, s := range shapes {
-		var vec, scal Stats
+		var vec, ref Stats
 		nv := drainFilter(t, seg, s.where, Options{}, &vec)
-		ns := drainFilter(t, seg, s.where, Options{DisableVectorization: true}, &scal)
-		if nv != ns || vec != scal || nv == 0 {
-			t.Fatalf("%s: vec %d docs %+v, scalar %d docs %+v", s.name, nv, vec, ns, scal)
+		nr := drainDocs(perDocReference(t, columnSource{seg: seg}, parseWhere(t, s.where), &ref), make([]int, blockSize))
+		if nv != nr || vec != ref || nv == 0 {
+			t.Fatalf("%s: cursor %d docs %+v, reference %d docs %+v", s.name, nv, vec, nr, ref)
 		}
 	}
-	q, _ := pql.Parse("SELECT count(*) FROM f WHERE sparse = 7")
 	env := newExecEnv(context.Background(), "f")
-	set, err := buildFilter(env, columnSource{seg: seg}, q.Filter, Options{}, &Stats{})
+	set, err := buildFilter(env, columnSource{seg: seg}, parseWhere(t, "sparse = 7"), Options{}, &Stats{})
 	if _, ok := set.(*bitmapDocIDSet); !ok || err != nil {
 		t.Fatalf("sparse = 7 plans as %T (%v), want a bitmap", set, err)
 	}
