@@ -52,7 +52,9 @@ cover:
 # star-tree inside it, and the posting lists of an inverted index: an error
 # never a panic, allocation linear in the input whatever lengths it declares,
 # and whatever is accepted reads to its end — every row, every posting list,
-# a star-tree scan — and serializes again). One list of targets, two
+# a star-tree scan — and serializes again), and the packed-space range test
+# over any width, chunk, ranges and words, padding bits included (the bits it
+# sets are the ones per-value reads find in range). One list of targets, two
 # durations:
 # fuzz-smoke is the few-seconds pass verify runs on every PR.
 fuzz: FUZZTIME = 10s
@@ -66,6 +68,7 @@ fuzz fuzz-smoke:
 	$(GO) test ./internal/query -run NONE -fuzz=FuzzScanCursor -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run NONE -fuzz=FuzzDecodeEvent -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/segment -run NONE -fuzz=FuzzSegmentUnmarshal -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/segment -run NONE -fuzz=FuzzPackedMatch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bitmap -run NONE -fuzz=FuzzBitmapView -fuzztime=$(FUZZTIME)
 
 # The counts ROADMAP aim 2 asks a PR to report in CHANGES.md: lines of

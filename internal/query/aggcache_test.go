@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -355,8 +357,10 @@ func TestAggCacheStoresEveryCacheablePair(t *testing.T) {
 // (the shape of a scan workload the broker tier never answers) leaves the
 // tier empty, and a query allocates what it allocates with no cache at all:
 // a first sighting is neither encoded nor stored. What is left is the key and
-// the lookup, some 600 bytes a query. The filter bounds revenue (0 to 99.9
-// in the fixture) below its maximum, so pruning elides no filter and every
+// the lookup, some 700 bytes a query (950 under the race detector); encoding
+// every first sighting, even without storing it, adds some 4 600 more (7 200
+// under the race detector). The filter bounds revenue (0 to 99.9 in the
+// fixture) below its maximum, so pruning elides no filter and every
 // (segment, key) pair is distinct.
 func TestAggCacheOneHitWondersCostNothing(t *testing.T) {
 	segs := aggCacheFixture(t)
@@ -369,8 +373,11 @@ func TestAggCacheOneHitWondersCostNothing(t *testing.T) {
 		}
 		qs[i] = q
 	}
-	cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
+	// Fewer collections, each run from a collected heap: every collection
+	// empties the pools a query draws its buffers from.
+	defer debug.SetGCPercent(debug.SetGCPercent(800))
 	perQuery := func(e *Engine) float64 {
+		runtime.GC()
 		warm, _ := pql.Parse("SELECT sum(clicks) FROM events GROUP BY country")
 		if _, _, err := e.Execute(context.Background(), warm, segs, nil); err != nil {
 			t.Fatal(err)
@@ -385,13 +392,24 @@ func TestAggCacheOneHitWondersCostNothing(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / n
 	}
-	off, on := perQuery(&Engine{}), perQuery(&Engine{AggCache: cache})
-	t.Logf("%.0f bytes allocated per query with the tier, %.0f without", on, off)
-	if cache.Len() != 0 {
-		t.Fatalf("%d distinct queries left %d entries, want none", n, cache.Len())
+	// The least of three runs each way, alternated: what a run allocates
+	// beside the queries only ever adds. Under the race detector that is a
+	// lot — sync.Pool drops a quarter of what is put back, so a query
+	// rebuilds its scratch buffers at random — and the difference of the two
+	// minima still varies by ±600 bytes, so the bound is on bytes, between
+	// what the tier costs and what encoding would.
+	off, on := math.Inf(1), math.Inf(1)
+	for run := 0; run < 3; run++ {
+		off = min(off, perQuery(&Engine{}))
+		cache := qcache.New(qcache.Config{Tier: "aggregate", Metrics: metrics.NewRegistry()})
+		on = min(on, perQuery(&Engine{AggCache: cache}))
+		if cache.Len() != 0 {
+			t.Fatalf("%d distinct queries left %d entries, want none", n, cache.Len())
+		}
 	}
-	if on > off*1.02 {
-		t.Fatalf("a query allocates %.0f bytes with the tier and %.0f without: more than 2%% apart", on, off)
+	t.Logf("%.0f bytes allocated per query with the tier, %.0f without", on, off)
+	if on-off > 2048 {
+		t.Fatalf("a query allocates %.0f bytes with the tier and %.0f without: more than 2 KB apart", on, off)
 	}
 }
 
@@ -438,7 +456,10 @@ func TestAggCacheThirdRunHitsEveryImmutableSegment(t *testing.T) {
 // TestAggCacheSelectionsMakeNoDoorkeeper: the doorkeeper's table is made on
 // the first aggregation a tier is asked to store, so a tier that only ever
 // serves selections allocates nothing for it. The aggregation is the
-// control: the same measurement sees the table there.
+// control: the same measurement sees the table there. Both comparisons allow
+// half the table: under the race detector a run's own allocations vary enough
+// that the cached aggregation measures a little under the uncached one plus
+// the whole table.
 func TestAggCacheSelectionsMakeNoDoorkeeper(t *testing.T) {
 	segs := aggCacheFixture(t)
 	cost := func(text string, cached bool) uint64 {
@@ -468,7 +489,7 @@ func TestAggCacheSelectionsMakeNoDoorkeeper(t *testing.T) {
 	selOff, selOn := cost(sel, false), cost(sel, true)
 	aggOff, aggOn := cost(agg, false), cost(agg, true)
 	t.Logf("selection %d → %d bytes, aggregation %d → %d bytes, cache off → on", selOff, selOn, aggOff, aggOn)
-	if aggOn < aggOff+table {
+	if aggOn < aggOff+table/2 {
 		t.Fatalf("an aggregation on a fresh tier allocates %d bytes, %d without: the measurement cannot see the table", aggOn, aggOff)
 	}
 	if selOn > selOff+table/2 {

@@ -7,6 +7,7 @@
 package query
 
 import (
+	"math/bits"
 	"sort"
 
 	"pinot/internal/bitmap"
@@ -440,19 +441,17 @@ func materialize(s docIDSet, sc *blockScratch) *bitmap.Bitmap {
 // scanKind names the kernel a scan leaf is tested by.
 type scanKind uint8
 
+// The kinds up to scanExpr are tested when their chunk is decoded, into one
+// match bit per document; the others are tested by the walk, value by value.
 const (
-	scanIDRange  scanKind = iota // dict id inside one range: a single unsigned compare
-	scanIDRanges                 // dict id inside one of a few ranges
+	scanIDRanges scanKind = iota // dict id inside one of a few ranges: tested in the column
+	scanLongIn                   // raw integral metric IN a list
+	scanDoubleIn                 // raw float metric IN a list
+	scanExpr                     // compiled expression comparison
 	scanIDTable                  // dict id in a list-form set: its membership table
 	scanLongs                    // raw integral metric against bounds
 	scanDoubles                  // raw float metric against bounds
-	scanLongIn                   // raw integral metric IN a list: flags set at decode
-	scanDoubleIn                 // raw float metric IN a list: flags set at decode
-	scanExpr                     // compiled expression comparison: flags set at decode
 )
-
-// u32Range is a dict-id range in the form its test wants: id-lo < span.
-type u32Range struct{ lo, span uint32 }
 
 // rawTest is a raw-metric predicate as the cursor's typed kernels evaluate
 // it: v within [lo, hi], complemented when neg. IN lists carry a membership
@@ -472,29 +471,25 @@ type scanLeaf struct {
 	stats    *Stats
 	perEntry int64
 
-	idRange  u32Range
-	idRanges []u32Range
+	idRanges []segment.IDRange
 	idTable  []bool
 	long     rawTest[int64]
 	double   rawTest[float64]
 	cmp      *exprCompare
 }
 
-// newIDSetLeaf picks the dict-id kernel for a compiled set: one range and a
-// few ranges test by compare, only list-form sets by their membership table.
+// newIDSetLeaf picks the dict-id kernel for a compiled set: range-form sets
+// are tested by the column in its own encoding, only list-form sets by their
+// membership table over decoded ids.
 func newIDSetLeaf(col segment.ColumnReader, set *idSet, stats *Stats) *scanLeaf {
 	leaf := &scanLeaf{col: col, stats: stats, perEntry: 1}
-	switch {
-	case set.ranges == nil:
+	if set.ranges == nil {
 		leaf.kind, leaf.idTable = scanIDTable, set.lookup
-	case len(set.ranges) == 1:
-		r := set.ranges[0]
-		leaf.kind, leaf.idRange = scanIDRange, u32Range{uint32(r.Lo), uint32(r.Hi - r.Lo)}
-	default:
-		leaf.kind = scanIDRanges
-		for _, r := range set.ranges {
-			leaf.idRanges = append(leaf.idRanges, u32Range{uint32(r.Lo), uint32(r.Hi - r.Lo)})
-		}
+		return leaf
+	}
+	leaf.kind = scanIDRanges
+	for _, r := range set.ranges {
+		leaf.idRanges = append(leaf.idRanges, segment.IDRange{Lo: uint32(r.Lo), Span: uint32(r.Hi - r.Lo)})
 	}
 	return leaf
 }
@@ -537,7 +532,9 @@ type scanCursor struct {
 	ids     []uint32
 	longs   []int64
 	doubles []float64
-	flags   []bool
+	// match holds one bit per document of the chunk for the kinds tested at
+	// decode.
+	match []uint64
 	// Expression comparisons decode both sides: the second side and the doc
 	// list their kernels take.
 	longs2   []int64
@@ -569,10 +566,6 @@ func (c *scanCursor) nextBlock(buf []int) int {
 		i, j := pos-c.start, c.end-c.start
 		var walked int
 		switch leaf.kind {
-		case scanIDRange:
-			n, walked = walkIDRange(c.ids[i:j], leaf.idRange, pos, buf, n)
-		case scanIDRanges:
-			n, walked = walkIDRanges(c.ids[i:j], leaf.idRanges, pos, buf, n)
 		case scanIDTable:
 			n, walked = walkIDTable(c.ids[i:j], leaf.idTable, pos, buf, n)
 		case scanLongs:
@@ -580,7 +573,7 @@ func (c *scanCursor) nextBlock(buf []int) int {
 		case scanDoubles:
 			n, walked = walkBounds(c.doubles[i:j], leaf.double, pos, buf, n)
 		default:
-			n, walked = walkFlags(c.flags[i:j], pos, buf, n)
+			n, walked = walkBits(c.match, i, j, c.start, buf, n)
 		}
 		pos += walked
 	}
@@ -601,8 +594,13 @@ func (c *scanCursor) decode(pos int) {
 	size := min(c.ahead, c.numDocs-pos)
 	c.start, c.end = pos, pos+size
 	leaf := c.leaf
+	if leaf.kind <= scanExpr {
+		c.match = sized(c.match, (size+63)>>6)
+	}
 	switch leaf.kind {
-	case scanIDRange, scanIDRanges, scanIDTable:
+	case scanIDRanges:
+		leaf.col.DictIDMatches(pos, size, leaf.idRanges, c.match)
+	case scanIDTable:
 		c.ids = sized(c.ids, size)
 		leaf.col.DictIDRange(pos, c.ids)
 	case scanLongs:
@@ -612,19 +610,25 @@ func (c *scanCursor) decode(pos int) {
 		c.doubles = sized(c.doubles, size)
 		leaf.col.DoubleRange(pos, c.doubles)
 	case scanLongIn:
-		c.longs, c.flags = sized(c.longs, size), sized(c.flags, size)
+		c.longs = sized(c.longs, size)
 		leaf.col.LongRange(pos, c.longs)
+		clear(c.match)
 		for i, v := range c.longs {
-			c.flags[i] = leaf.long.in(v)
+			if leaf.long.in(v) {
+				c.match[i>>6] |= 1 << (i & 63)
+			}
 		}
 	case scanDoubleIn:
-		c.doubles, c.flags = sized(c.doubles, size), sized(c.flags, size)
+		c.doubles = sized(c.doubles, size)
 		leaf.col.DoubleRange(pos, c.doubles)
+		clear(c.match)
 		for i, v := range c.doubles {
-			c.flags[i] = leaf.double.in(v)
+			if leaf.double.in(v) {
+				c.match[i>>6] |= 1 << (i & 63)
+			}
 		}
 	case scanExpr:
-		c.docs, c.flags = sized(c.docs, size), sized(c.flags, size)
+		c.docs = sized(c.docs, size)
 		for i := range c.docs {
 			c.docs[i] = pos + i
 		}
@@ -635,36 +639,6 @@ func (c *scanCursor) decode(pos int) {
 // The walk kernels test the values of documents base, base+1, … in turn,
 // append each matching document to buf[n:] and stop when buf is full. They
 // return the new n and how many values they consumed.
-
-func walkIDRange(ids []uint32, r u32Range, base int, buf []int, n int) (int, int) {
-	lo, span := r.lo, r.span
-	for i, id := range ids {
-		if id-lo < span {
-			buf[n] = base + i
-			n++
-			if n == len(buf) {
-				return n, i + 1
-			}
-		}
-	}
-	return n, len(ids)
-}
-
-func walkIDRanges(ids []uint32, rs []u32Range, base int, buf []int, n int) (int, int) {
-	for i, id := range ids {
-		for _, r := range rs {
-			if id-r.lo < r.span {
-				buf[n] = base + i
-				n++
-				if n == len(buf) {
-					return n, i + 1
-				}
-				break
-			}
-		}
-	}
-	return n, len(ids)
-}
 
 func walkIDTable(ids []uint32, table []bool, base int, buf []int, n int) (int, int) {
 	for i, id := range ids {
@@ -696,15 +670,24 @@ func walkBounds[T int64 | float64](vals []T, t rawTest[T], base int, buf []int, 
 	return n, len(vals)
 }
 
-func walkFlags(flags []bool, base int, buf []int, n int) (int, int) {
-	for i, ok := range flags {
-		if ok {
-			buf[n] = base + i
+// walkBits is the walk of the kinds tested at decode: it emits document
+// base+b for each set bit b of match in [i, j), whose bits at and past j are
+// clear, and consumes bits, not values.
+func walkBits(match []uint64, i, j, base int, buf []int, n int) (int, int) {
+	wi := i >> 6
+	m := match[wi] &^ (1<<(i&63) - 1)
+	for {
+		for ; m != 0; m &= m - 1 {
+			b := wi<<6 | bits.TrailingZeros64(m)
+			buf[n] = base + b
 			n++
 			if n == len(buf) {
-				return n, i + 1
+				return n, b + 1 - i
 			}
 		}
+		if wi++; wi<<6 >= j {
+			return n, j - i
+		}
+		m = match[wi]
 	}
-	return n, len(flags)
 }

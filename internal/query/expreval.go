@@ -350,47 +350,63 @@ type exprCompare struct {
 	bothLong bool
 }
 
-// eval sets the cursor's flags for the documents of its chunk.
+// eval sets the cursor's match bits for the documents of its chunk.
 func (x *exprCompare) eval(c *scanCursor) {
 	n := len(c.docs)
 	if x.bothLong {
 		c.longs, c.longs2 = sized(c.longs, n), sized(c.longs2, n)
 		x.lhs.kernel.EvalLongs(x.lhs.ksrc, c.docs, c.longs)
 		x.rhs.kernel.EvalLongs(x.rhs.ksrc, c.docs, c.longs2)
-		cmpBlock(x.op, c.longs, c.longs2, c.flags)
+		cmpBlock(x.op, c.longs, c.longs2, c.match)
 		return
 	}
 	c.doubles, c.doubles2 = sized(c.doubles, n), sized(c.doubles2, n)
 	x.lhs.kernel.EvalDoubles(x.lhs.ksrc, c.docs, c.doubles)
 	x.rhs.kernel.EvalDoubles(x.rhs.ksrc, c.docs, c.doubles2)
-	cmpBlock(x.op, c.doubles, c.doubles2, c.flags)
+	cmpBlock(x.op, c.doubles, c.doubles2, c.match)
 }
 
-func cmpBlock[T int64 | float64](op pql.CompareOp, a, b []T, out []bool) {
-	switch op {
-	case pql.OpEq:
-		for i := range a {
-			out[i] = a[i] == b[i]
+// cmpBlock sets bit i of out when a[i] op b[i] holds, and clears the others.
+// Each word is gathered in a register, without a branch per value.
+func cmpBlock[T int64 | float64](op pql.CompareOp, a, b []T, out []uint64) {
+	for w := range out {
+		lo, hi := w<<6, min(w<<6+64, len(a))
+		x, y := a[lo:hi], b[lo:hi]
+		var m uint64
+		switch op {
+		case pql.OpEq:
+			for i := range x {
+				m |= b2u(x[i] == y[i]) << i
+			}
+		case pql.OpNeq:
+			for i := range x {
+				m |= b2u(x[i] != y[i]) << i
+			}
+		case pql.OpLt:
+			for i := range x {
+				m |= b2u(x[i] < y[i]) << i
+			}
+		case pql.OpLte:
+			for i := range x {
+				m |= b2u(x[i] <= y[i]) << i
+			}
+		case pql.OpGt:
+			for i := range x {
+				m |= b2u(x[i] > y[i]) << i
+			}
+		case pql.OpGte:
+			for i := range x {
+				m |= b2u(x[i] >= y[i]) << i
+			}
 		}
-	case pql.OpNeq:
-		for i := range a {
-			out[i] = a[i] != b[i]
-		}
-	case pql.OpLt:
-		for i := range a {
-			out[i] = a[i] < b[i]
-		}
-	case pql.OpLte:
-		for i := range a {
-			out[i] = a[i] <= b[i]
-		}
-	case pql.OpGt:
-		for i := range a {
-			out[i] = a[i] > b[i]
-		}
-	case pql.OpGte:
-		for i := range a {
-			out[i] = a[i] >= b[i]
-		}
+		out[w] = m
 	}
+}
+
+// b2u is 1 for true: the compiler sets it from the flags, without a branch.
+func b2u(c bool) uint64 {
+	if c {
+		return 1
+	}
+	return 0
 }

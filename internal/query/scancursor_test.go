@@ -11,7 +11,7 @@ import (
 )
 
 // countingColumn counts how a filter reads a column: per-document calls, and
-// values decoded through the range and block reads.
+// values decoded or tested in place through the range and block reads.
 type countingColumn struct {
 	segment.ColumnReader
 	perDoc  int
@@ -36,6 +36,11 @@ func (c *countingColumn) Double(doc int) float64 {
 func (c *countingColumn) DictIDRange(start int, dst []uint32) {
 	c.decoded += len(dst)
 	c.ColumnReader.DictIDRange(start, dst)
+}
+
+func (c *countingColumn) DictIDMatches(start, n int, ranges []segment.IDRange, dst []uint64) {
+	c.decoded += n
+	c.ColumnReader.DictIDMatches(start, n, ranges, dst)
 }
 
 func (c *countingColumn) LongRange(start int, dst []int64) {
@@ -104,12 +109,12 @@ func TestScanConjunctionDecodesBlocks(t *testing.T) {
 		if driver.perDoc != 0 || probed.perDoc != 0 {
 			t.Fatalf("%s: %d + %d per-document reads on the vectorized path", tc.where, driver.perDoc, probed.perDoc)
 		}
-		if driver.decoded > n {
+		if driver.decoded == 0 || driver.decoded > n {
 			t.Fatalf("%s: driver decoded %d values of a %d-document column", tc.where, driver.decoded, n)
 		}
 		// The probed leaf is sent to a candidate every ~80 documents and
 		// must not decode the whole column to answer.
-		if probed.decoded > n/2 {
+		if probed.decoded == 0 || probed.decoded > n/2 {
 			t.Fatalf("%s: probed leaf decoded %d values for %d entries", tc.where, probed.decoded, stats.NumEntriesScanned)
 		}
 	}
@@ -135,7 +140,7 @@ func TestSparseDriverDecodesNearCandidates(t *testing.T) {
 		}
 		cs := counting(seg)
 		drainFilter(t, cs, tc.driver+" AND narrow BETWEEN 10 AND 60", Options{}, &stats)
-		if got, limit := cs.cols["narrow"].decoded, 16*candidates+2*blockSize; got > limit {
+		if got, limit := cs.cols["narrow"].decoded, 16*candidates+2*blockSize; got == 0 || got > limit {
 			t.Fatalf("%s: %d candidates made the scan leaf decode %d values, limit %d", tc.name, candidates, got, limit)
 		}
 	}

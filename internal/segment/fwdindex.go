@@ -119,6 +119,131 @@ func (p *packedInts) getBlock(start int, dst []uint32) {
 	}
 }
 
+// The packed-space range test. A window is 64 bits read from the value
+// array at a field boundary; it holds k = ⌊64/w⌋ whole fields, which are
+// tested at once by SWAR (SIMD within a register) arithmetic: the top bit of
+// each field is set before a subtraction and accounted for after it, so a
+// borrow never crosses from one field into the next. The contract that makes
+// this sound: only whole fields are tested (a window's bits above its k
+// fields, and fields past the n asked for, are masked off), and a range is
+// clipped to the width's id space [0, 2^w) before it is replicated across
+// the fields — a lo of 2^w or more would spill into the neighbouring field.
+// A range covering all 2^w ids needs no arithmetic and cannot be replicated
+// (its span has w+1 bits), so it is answered directly.
+
+// swarWidth is what the test needs to know about a width, computed once.
+type swarWidth struct {
+	k     int    // whole fields per window
+	ones  uint64 // the low bit of each of the k fields: v*ones replicates v
+	top   uint64 // the top bit of each of the k fields
+	recip uint64 // ⌈2^16/w⌉: bit b is in field b*recip>>16, for b < 64
+}
+
+var swarWidths = func() (t [33]swarWidth) {
+	for w := 1; w <= 32; w++ {
+		k := 64 / w
+		var ones uint64
+		for f := 0; f < k; f++ {
+			ones |= 1 << (f * w)
+		}
+		t[w] = swarWidth{k: k, ones: ones, top: ones << (w - 1), recip: (1<<16 + uint64(w) - 1) / uint64(w)}
+	}
+	return t
+}()
+
+// swarRange is a clipped range replicated across a window's fields, in the
+// pieces its test takes.
+type swarRange struct {
+	loLow   uint64 // lo without the top bits
+	loFlip  uint64 // the top bits of ^lo
+	span    uint64
+	spanLow uint64 // span without the top bits
+}
+
+func newSWARRange(lo, span uint64, c *swarWidth) swarRange {
+	lo, span = lo*c.ones, span*c.ones
+	return swarRange{lo &^ c.top, ^lo & c.top, span, span &^ c.top}
+}
+
+// test returns the top bit of each field of x whose value lies in the range:
+// d = x - lo per field, then the borrow out of each field's d - span, which is
+// set exactly when d < span.
+func (r *swarRange) test(x, top uint64) uint64 {
+	d := ((x | top) - r.loLow) ^ (x&top ^ r.loFlip)
+	e := (d | top) - r.spanLow
+	return (^d&r.span | ^(d^r.span)&^e) & top
+}
+
+// bitWords is the number of 64-bit words one bit per value of n takes.
+func bitWords(n int) int { return (n + 63) >> 6 }
+
+// setFirstBits sets bits [0, n) of dst and clears the rest of its words.
+func setFirstBits(dst []uint64, n int) {
+	dst = dst[:bitWords(n)]
+	for i := range dst {
+		dst[i] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		dst[len(dst)-1] = 1<<r - 1
+	}
+}
+
+// matchRanges sets bit i of dst when value start+i lies in one of ranges, for
+// i < n, and clears every other bit of dst[:bitWords(n)]. Ranges are tested
+// two at a time, as many as a not-equal has.
+func (p *packedInts) matchRanges(start, n int, ranges []IDRange, dst []uint64) {
+	clear(dst[:bitWords(n)])
+	c := &swarWidths[p.width]
+	ids := uint64(1) << p.width
+	var batch [2]swarRange
+	for len(ranges) > 0 {
+		k := 0
+		for ; len(ranges) > 0 && k < len(batch); ranges = ranges[1:] {
+			lo := uint64(ranges[0].Lo)
+			hi := min(lo+uint64(ranges[0].Span), ids)
+			switch {
+			case lo >= hi:
+			case lo == 0 && hi == ids:
+				setFirstBits(dst, n)
+				return
+			default:
+				batch[k] = newSWARRange(lo, hi-lo, c)
+				k++
+			}
+		}
+		if k > 0 {
+			p.matchWindows(start, n, batch[:k], c, dst)
+		}
+	}
+}
+
+// matchWindows ORs into dst the matches of values [start, start+n) against
+// clipped, replicated ranges, one window at a time.
+func (p *packedInts) matchWindows(start, n int, rs []swarRange, c *swarWidth, dst []uint64) {
+	words, w, k, top := p.words, uint(p.width), c.k, c.top
+	first, more := rs[0], rs[1:]
+	bitPos := uint(start) * w
+	for i := 0; i < n; i += k {
+		wi, off := bitPos>>6, bitPos&63
+		x := words[wi] >> off
+		if wi+1 < uint(len(words)) {
+			x |= words[wi+1] << (64 - off) // nothing when off is 0
+		}
+		m := first.test(x, top)
+		for j := range more {
+			m |= more[j].test(x, top)
+		}
+		if left := n - i; left < k {
+			m &= 1<<(uint(left)*w) - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			j := i + int(uint64(bits.TrailingZeros64(m))*c.recip>>16)
+			dst[j>>6] |= 1 << (j & 63)
+		}
+		bitPos += uint(k) * w
+	}
+}
+
 // packedWords is the number of 64-bit words n values of a width occupy.
 func packedWords(n int, width uint8) int { return (n*int(width) + 63) / 64 }
 

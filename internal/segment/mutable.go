@@ -750,6 +750,22 @@ func (c *snapColumn) Doubles(docs []int, dst []float64) {
 
 func (c *snapColumn) DictIDRange(start int, dst []uint32) { c.ids.copyTo(start, dst) }
 
+// DictIDMatches tests the ids where the chunks hold them.
+func (c *snapColumn) DictIDMatches(start, n int, ranges []IDRange, dst []uint64) {
+	clear(dst[:bitWords(n)])
+	for i := 0; i < n; {
+		for _, id := range c.ids.span(start+i, n-i) {
+			for _, r := range ranges {
+				if r.Has(id) {
+					dst[i>>6] |= 1 << (i & 63)
+					break
+				}
+			}
+			i++
+		}
+	}
+}
+
 func (c *snapColumn) LongRange(start int, dst []int64) {
 	if c.mLongs != nil {
 		c.mLongs.copyTo(start, dst)

@@ -12,6 +12,13 @@ type DocRange struct {
 	End   int
 }
 
+// IDRange is the dict ids [Lo, Lo+Span) in the form their test takes:
+// id-Lo < Span, one unsigned compare. Lo+Span must not pass 2^32.
+type IDRange struct{ Lo, Span uint32 }
+
+// Has reports whether id lies in the range.
+func (r IDRange) Has(id uint32) bool { return id-r.Lo < r.Span }
+
 // ColumnReader is the uniform read interface the query engine and star-tree
 // builder use for both immutable and mutable (realtime) columns.
 type ColumnReader interface {
@@ -65,6 +72,11 @@ type ColumnReader interface {
 	// [start, start+len(dst)), the sequential form of DictIDs: no doc list
 	// to build or inspect.
 	DictIDRange(start int, dst []uint32)
+	// DictIDMatches tests documents [start, start+n) against ranges without
+	// handing out their ids: bit i of dst is set when document start+i has
+	// its dict id in one of the ranges, and every other bit of
+	// dst[:(n+63)/64] is cleared.
+	DictIDMatches(start, n int, ranges []IDRange, dst []uint64)
 	// LongRange fills dst with the raw metric values of documents
 	// [start, start+len(dst)).
 	LongRange(start int, dst []int64)
@@ -196,6 +208,11 @@ func (c *Column) DictIDs(docs []int, dst []uint32) {
 // DictIDRange fills dst with the dict ids of documents [start, start+len(dst))
 // through the packed bulk-unpack kernel.
 func (c *Column) DictIDRange(start int, dst []uint32) { c.fwd.GetBlock(start, dst) }
+
+// DictIDMatches tests the ranges on the packed forward index in place.
+func (c *Column) DictIDMatches(start, n int, ranges []IDRange, dst []uint64) {
+	c.fwd.packed.matchRanges(start, n, ranges, dst)
+}
 
 // Longs fills dst with the raw metric values at the given doc positions.
 func (c *Column) Longs(docs []int, dst []int64) { c.metric.Longs(docs, dst) }
@@ -506,6 +523,18 @@ func (c *defaultColumn) DictIDs(docs []int, dst []uint32)    { c.DictIDRange(0, 
 func (c *defaultColumn) Longs(docs []int, dst []int64)       { c.LongRange(0, dst[:len(docs)]) }
 func (c *defaultColumn) Doubles(docs []int, dst []float64)   { c.DoubleRange(0, dst[:len(docs)]) }
 func (c *defaultColumn) DictIDRange(start int, dst []uint32) { clear(dst) }
+
+// DictIDMatches answers for every document at once: they all hold id 0.
+func (c *defaultColumn) DictIDMatches(start, n int, ranges []IDRange, dst []uint64) {
+	for _, r := range ranges {
+		if r.Has(0) {
+			setFirstBits(dst, n)
+			return
+		}
+	}
+	clear(dst[:bitWords(n)])
+}
+
 func (c *defaultColumn) LongRange(start int, dst []int64) {
 	v := c.Long(0)
 	for i := range dst {

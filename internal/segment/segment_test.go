@@ -629,9 +629,9 @@ func TestSchemaEvolutionWithColumn(t *testing.T) {
 	}
 }
 
-// TestRangeReadsMatchPerDocReads: DictIDRange, LongRange and DoubleRange
-// return, for every window of an immutable, a consuming and a default
-// column, what DictID, Long and Double return document by document.
+// TestRangeReadsMatchPerDocReads: DictIDRange, DictIDMatches, LongRange and
+// DoubleRange return, for every window of an immutable, a consuming and a
+// default column, what DictID, Long and Double return document by document.
 func TestRangeReadsMatchPerDocReads(t *testing.T) {
 	schema := testSchema(t)
 	b, err := NewBuilder("events", "r0", schema, IndexConfig{})
@@ -674,6 +674,23 @@ func TestRangeReadsMatchPerDocReads(t *testing.T) {
 				for i, id := range ids {
 					if int(id) != col.DictID(start+i) {
 						t.Fatalf("%s: DictIDRange(%d)[%d] = %d, DictID = %d", label, start, i, id, col.DictID(start+i))
+					}
+				}
+				card := uint32(col.Cardinality())
+				for _, ranges := range [][]IDRange{{{0, 1}}, {{2, 3}, {7, 100}}, {{0, card}}, {{card - 1, 1}}, {{card, 4}}, nil} {
+					match := make([]uint64, (size+63)/64)
+					for i := range match {
+						match[i] = ^uint64(0)
+					}
+					col.DictIDMatches(start, size, ranges, match)
+					for i := 0; i < 64*len(match); i++ {
+						want := false
+						for _, r := range ranges {
+							want = want || i < size && r.Has(uint32(col.DictID(start+i)))
+						}
+						if got := match[i>>6]>>(i&63)&1 == 1; got != want {
+							t.Fatalf("%s: DictIDMatches(%d, %d, %v) bit %d = %v, per doc %v", label, start, size, ranges, i, got, want)
+						}
 					}
 				}
 				continue
