@@ -12,8 +12,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -34,18 +36,35 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// errUsage marks an error in the command line.
+var errUsage = errors.New("usage")
+
+// run parses args and runs the chosen experiments, printing their tables to
+// out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("benchrunner", flag.ExitOnError)
 	var (
-		experiment = flag.String("experiment", "all", "fig11|fig12|fig13|fig14|fig15|fig16|table1|all")
-		scale      = flag.String("scale", "small", "small|medium|large dataset scale")
-		duration   = flag.Duration("duration", 2*time.Second, "duration per sweep point")
-		qpsList    = flag.String("qps", "", "comma-separated QPS targets (default per experiment)")
-		queries    = flag.Int("queries", 10000, "queries for sequential experiments (fig12, fig13)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent query workers")
-		seed       = flag.Int64("seed", 1, "workload seed")
+		experiment = fs.String("experiment", "all", "fig11|fig12|fig13|fig14|fig15|fig16|table1|all")
+		scale      = fs.String("scale", "small", "small|medium|large dataset scale")
+		duration   = fs.Duration("duration", 2*time.Second, "duration per sweep point")
+		qpsList    = fs.String("qps", "", "comma-separated QPS targets (default per experiment)")
+		queries    = fs.Int("queries", 10000, "queries for sequential experiments (fig12, fig13)")
+		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent query workers")
+		seed       = fs.Int64("seed", 1, "workload seed")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
 
 	r := &runner{
+		out:      out,
 		scale:    *scale,
 		duration: *duration,
 		queries:  *queries,
@@ -56,8 +75,7 @@ func main() {
 		for _, s := range strings.Split(*qpsList, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -qps value %q: %v\n", s, err)
-				os.Exit(2)
+				return fmt.Errorf("%w: bad -qps value %q: %v", errUsage, s, err)
 			}
 			r.qps = append(r.qps, v)
 		}
@@ -72,28 +90,24 @@ func main() {
 		"fig15":  r.fig15,
 		"fig16":  r.fig16,
 	}
-	order := []string{"table1", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16"}
-	run := func(name string) {
+	names := []string{*experiment}
+	if *experiment == "all" {
+		names = []string{"table1", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16"}
+	}
+	for _, name := range names {
 		fn, ok := experiments[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
+			return fmt.Errorf("%w: unknown experiment %q", errUsage, name)
 		}
 		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s failed: %w", name, err)
 		}
 	}
-	if *experiment == "all" {
-		for _, name := range order {
-			run(name)
-		}
-		return
-	}
-	run(*experiment)
+	return nil
 }
 
 type runner struct {
+	out      io.Writer
 	scale    string
 	duration time.Duration
 	queries  int
@@ -145,13 +159,20 @@ func engineSystem(name string, d *workload.Dataset, v workload.Variant, queries 
 	}, bytes, nil
 }
 
-func header(title string) {
-	fmt.Printf("\n===== %s =====\n", title)
+func (r *runner) header(title string) {
+	fmt.Fprintf(r.out, "\n===== %s =====\n", title)
 }
 
 // sweepTable prints a latency-vs-QPS table: one row per target rate, one
-// column group per system.
-func (r *runner) sweepTable(systems []system, targets []float64) {
+// column group per system. A query that fails, warm-up included, fails the
+// sweep once the table is printed.
+func (r *runner) sweepTable(systems []system, targets []float64) error {
+	var failed []string
+	check := func(name string, p loadgen.Point) {
+		if p.Errors > 0 {
+			failed = append(failed, fmt.Sprintf("%s: %d of %d queries failed at %.0f qps", name, p.Errors, p.Queries, p.TargetQPS))
+		}
+	}
 	type row struct {
 		qps    float64
 		points map[string]loadgen.Point
@@ -159,17 +180,18 @@ func (r *runner) sweepTable(systems []system, targets []float64) {
 	// Warm each system (cache/JIT/routing-table effects) before
 	// measuring.
 	for _, s := range systems {
-		loadgen.RunOpenLoop(context.Background(), s.target, targets[0], 300*time.Millisecond, r.workers)
+		check(s.name, loadgen.RunOpenLoop(context.Background(), s.target, targets[0], 300*time.Millisecond, r.workers))
 	}
 	var rows []row
 	for _, qps := range targets {
 		rw := row{qps: qps, points: map[string]loadgen.Point{}}
 		for _, s := range systems {
 			rw.points[s.name] = loadgen.RunOpenLoop(context.Background(), s.target, qps, r.duration, r.workers)
+			check(s.name, rw.points[s.name])
 		}
 		rows = append(rows, rw)
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(r.out, 2, 4, 2, ' ', 0)
 	fmt.Fprint(w, "qps")
 	for _, s := range systems {
 		fmt.Fprintf(w, "\t%s avg(ms)\t%s p99(ms)", s.name, s.name)
@@ -184,6 +206,10 @@ func (r *runner) sweepTable(systems []system, targets []float64) {
 		fmt.Fprintln(w)
 	}
 	w.Flush()
+	if len(failed) > 0 {
+		return errors.New(strings.Join(failed, "; "))
+	}
+	return nil
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -191,8 +217,8 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // ---- Table 1 ----
 
 func (r *runner) table1() error {
-	header("Table 1: techniques for OLAP and their applicability (qualitative)")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	r.header("Table 1: techniques for OLAP and their applicability (qualitative)")
+	w := tabwriter.NewWriter(r.out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Technique\tFast ingest+index\tHigh query rate\tFlexibility\tLatency")
 	for _, row := range [][5]string{
 		{"RDBMS", "Not typically", "Yes", "High", "Low/moderate"},
@@ -228,26 +254,25 @@ func (r *runner) anomalySystems() ([]system, *workload.Dataset, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		fmt.Printf("  built %-16s %8.1f MiB\n", sp.name, float64(bytes)/(1<<20))
+		fmt.Fprintf(r.out, "  built %-16s %8.1f MiB\n", sp.name, float64(bytes)/(1<<20))
 		out = append(out, s)
 	}
 	return out, d, nil
 }
 
 func (r *runner) fig11() error {
-	header("Figure 11: latency vs query rate, anomaly detection dataset")
+	r.header("Figure 11: latency vs query rate, anomaly detection dataset")
 	systems, _, err := r.anomalySystems()
 	if err != nil {
 		return err
 	}
-	r.sweepTable(systems, r.qpsTargets([]float64{100, 400, 1600, 3200, 6400}))
-	return nil
+	return r.sweepTable(systems, r.qpsTargets([]float64{100, 400, 1600, 3200, 6400}))
 }
 
 // ---- Figure 12: sequential latency distribution ----
 
 func (r *runner) fig12() error {
-	header(fmt.Sprintf("Figure 12: latency distribution, %d sequential queries", r.queries))
+	r.header(fmt.Sprintf("Figure 12: latency distribution, %d sequential queries", r.queries))
 	systems, _, err := r.anomalySystems()
 	if err != nil {
 		return err
@@ -264,7 +289,7 @@ func (r *runner) fig12() error {
 		}
 		dists = append(dists, dist{s.name, h})
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(r.out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "system\tmean(ms)\tp50(ms)\tp90(ms)\tp95(ms)\tp99(ms)")
 	for _, ds := range dists {
 		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\n", ds.name,
@@ -273,7 +298,7 @@ func (r *runner) fig12() error {
 	}
 	w.Flush()
 	// Density series (the KDE input): per-system bucket counts.
-	fmt.Println("\nlatency density (bucket_ms count), per system:")
+	fmt.Fprintln(r.out, "\nlatency density (bucket_ms count), per system:")
 	for _, ds := range dists {
 		var parts []string
 		for _, b := range ds.h.Buckets() {
@@ -288,7 +313,7 @@ func (r *runner) fig12() error {
 			}
 			parts = sampled
 		}
-		fmt.Printf("  %-16s %s\n", ds.name, strings.Join(parts, " "))
+		fmt.Fprintf(r.out, "  %-16s %s\n", ds.name, strings.Join(parts, " "))
 	}
 	return nil
 }
@@ -296,7 +321,7 @@ func (r *runner) fig12() error {
 // ---- Figure 13: star-tree scanned/raw ratio distribution ----
 
 func (r *runner) fig13() error {
-	header("Figure 13: ratio of star-tree pre-aggregated records scanned vs raw records")
+	r.header("Figure 13: ratio of star-tree pre-aggregated records scanned vs raw records")
 	d := workload.Anomaly(r.size(4, 50000))
 	segs, _, err := d.BuildIndexed(workload.Variant{StarTree: d.StarTree})
 	if err != nil {
@@ -325,15 +350,15 @@ func (r *runner) fig13() error {
 		}
 		buckets[b]++
 	}
-	fmt.Println("ratio histogram (bucket upper bound → fraction of queries):")
+	fmt.Fprintln(r.out, "ratio histogram (bucket upper bound → fraction of queries):")
 	for b, n := range buckets {
 		if n == 0 {
 			continue
 		}
 		frac := float64(n) / float64(len(ratios))
-		fmt.Printf("  %.2f\t%.4f\t%s\n", float64(b+1)/20, frac, strings.Repeat("#", int(frac*60)+1))
+		fmt.Fprintf(r.out, "  %.2f\t%.4f\t%s\n", float64(b+1)/20, frac, strings.Repeat("#", int(frac*60)+1))
 	}
-	fmt.Printf("median ratio %.4f, p90 %.4f, mean raw docs %d\n",
+	fmt.Fprintf(r.out, "median ratio %.4f, p90 %.4f, mean raw docs %d\n",
 		ratios[len(ratios)/2], ratios[int(float64(len(ratios))*0.9)], d.NumSegments*d.RowsPerSegment/d.NumSegments)
 	return nil
 }
@@ -341,7 +366,7 @@ func (r *runner) fig13() error {
 // ---- Figure 14: Druid vs Pinot, share analytics ----
 
 func (r *runner) fig14() error {
-	header("Figure 14: Druid vs Pinot, share-analytics dataset")
+	r.header("Figure 14: Druid vs Pinot, share-analytics dataset")
 	d := workload.ShareAnalytics(r.size(4, 100000))
 	queries := d.Queries(4096, r.seed+300)
 	pinot, pinotBytes, err := engineSystem("pinot", d, workload.Variant{
@@ -356,16 +381,15 @@ func (r *runner) fig14() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  data size: pinot %.1f MiB, druid %.1f MiB (paper: 300 GB vs 1.2 TB)\n",
+	fmt.Fprintf(r.out, "  data size: pinot %.1f MiB, druid %.1f MiB (paper: 300 GB vs 1.2 TB)\n",
 		float64(pinotBytes)/(1<<20), float64(druidBytes)/(1<<20))
-	r.sweepTable([]system{dr, pinot}, r.qpsTargets([]float64{400, 1600, 3200, 6400, 12800}))
-	return nil
+	return r.sweepTable([]system{dr, pinot}, r.qpsTargets([]float64{400, 1600, 3200, 6400, 12800}))
 }
 
 // ---- Figure 15: sorted vs inverted on WVMP ----
 
 func (r *runner) fig15() error {
-	header("Figure 15: physically sorted vs bitmap inverted index, WVMP dataset")
+	r.header("Figure 15: physically sorted vs bitmap inverted index, WVMP dataset")
 	d := workload.WVMP(r.size(4, 100000))
 	queries := d.Queries(4096, r.seed+400)
 	sorted, _, err := engineSystem("sorted", d, workload.Variant{
@@ -380,14 +404,13 @@ func (r *runner) fig15() error {
 	if err != nil {
 		return err
 	}
-	r.sweepTable([]system{inverted, sorted}, r.qpsTargets([]float64{400, 1600, 3200, 6400, 12800}))
-	return nil
+	return r.sweepTable([]system{inverted, sorted}, r.qpsTargets([]float64{400, 1600, 3200, 6400, 12800}))
 }
 
 // ---- Figure 16: routing optimizations, impression discounting ----
 
 func (r *runner) fig16() error {
-	header("Figure 16: routing optimizations, impression-discounting dataset")
+	r.header("Figure 16: routing optimizations, impression-discounting dataset")
 	const partitions = 4
 	d := workload.Impressions(r.size(8, 25000), partitions)
 	queries := d.Queries(4096, r.seed+500)
@@ -403,6 +426,23 @@ func (r *runner) fig16() error {
 		{"large-cluster", broker.StrategyLargeCluster, false, false},
 		{"partition-aware", broker.StrategyBalanced, true, false},
 	}
+	// Each segment is built once per layout and uploaded to every cluster
+	// that uses the layout.
+	layouts := map[bool]segment.IndexConfig{
+		false: {SortColumn: d.SortColumn},
+		true:  druid.IndexConfig(d.Schema),
+	}
+	blobs := map[bool][][]byte{}
+	for si := 0; si < d.NumSegments; si++ {
+		rows := d.Rows(si)
+		for druidMode, idx := range layouts {
+			blob, err := buildBlob(d, fmt.Sprintf("%s_%d", d.Name, si), idx, rows)
+			if err != nil {
+				return err
+			}
+			blobs[druidMode] = append(blobs[druidMode], blob)
+		}
+	}
 	var systems []system
 	var clusters []*cluster.Cluster
 	defer func() {
@@ -411,7 +451,7 @@ func (r *runner) fig16() error {
 		}
 	}()
 	for _, cfg := range configs {
-		c, err := buildFig16Cluster(d, partitions, cfg.strategy, cfg.partitionAware, cfg.druid, r.seed)
+		c, err := buildFig16Cluster(d, partitions, cfg.strategy, cfg.partitionAware, cfg.druid, r.seed, layouts[cfg.druid], blobs[cfg.druid])
 		if err != nil {
 			return fmt.Errorf("%s: %w", cfg.name, err)
 		}
@@ -426,11 +466,10 @@ func (r *runner) fig16() error {
 			},
 		})
 	}
-	r.sweepTable(systems, r.qpsTargets([]float64{400, 1600, 3200, 6400}))
-	return nil
+	return r.sweepTable(systems, r.qpsTargets([]float64{400, 1600, 3200, 6400}))
 }
 
-func buildFig16Cluster(d *workload.Dataset, partitions int, strategy broker.Strategy, partitionAware, druidMode bool, seed int64) (*cluster.Cluster, error) {
+func buildFig16Cluster(d *workload.Dataset, partitions int, strategy broker.Strategy, partitionAware, druidMode bool, seed int64, idx segment.IndexConfig, blobs [][]byte) (*cluster.Cluster, error) {
 	opts := cluster.Options{
 		Servers: 4,
 		BrokerTemplate: broker.Config{
@@ -447,10 +486,6 @@ func buildFig16Cluster(d *workload.Dataset, partitions int, strategy broker.Stra
 	if err != nil {
 		return nil, err
 	}
-	idx := segment.IndexConfig{SortColumn: d.SortColumn}
-	if druidMode {
-		idx = druid.IndexConfig(d.Schema)
-	}
 	cfg := &table.Config{
 		Name:            d.Name,
 		Type:            table.Offline,
@@ -465,28 +500,7 @@ func buildFig16Cluster(d *workload.Dataset, partitions int, strategy broker.Stra
 		c.Shutdown()
 		return nil, err
 	}
-	for si := 0; si < d.NumSegments; si++ {
-		b, err := segment.NewBuilder(d.Name, fmt.Sprintf("%s_%d", d.Name, si), d.Schema, idx)
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		for _, row := range d.Rows(si) {
-			if err := b.Add(row); err != nil {
-				c.Shutdown()
-				return nil, err
-			}
-		}
-		seg, err := b.Build()
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		blob, err := seg.Marshal()
-		if err != nil {
-			c.Shutdown()
-			return nil, err
-		}
+	for _, blob := range blobs {
 		if err := c.UploadSegment(d.Name+"_OFFLINE", blob); err != nil {
 			c.Shutdown()
 			return nil, err
@@ -497,4 +511,23 @@ func buildFig16Cluster(d *workload.Dataset, partitions int, strategy broker.Stra
 		return nil, err
 	}
 	return c, nil
+}
+
+// buildBlob builds one segment of the dataset from its rows and serializes
+// it for upload.
+func buildBlob(d *workload.Dataset, name string, idx segment.IndexConfig, rows []segment.Row) ([]byte, error) {
+	b, err := segment.NewBuilder(d.Name, name, d.Schema, idx)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		if err := b.Add(row); err != nil {
+			return nil, err
+		}
+	}
+	seg, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	return seg.Marshal()
 }

@@ -30,32 +30,17 @@ type Config struct {
 	Strategy Strategy
 	// TargetServers is T of Algorithm 1 (largeCluster strategy).
 	TargetServers int
-	// RoutingTables is C of Algorithm 2: how many tables to keep.
-	RoutingTables int
 	// PartitionAware routes single-partition queries only to servers
 	// holding the relevant partition's segments (paper Figure 16).
 	PartitionAware bool
-	// DisablePruning turns off broker-side segment pruning (time-range and
-	// partition metadata) and its Stats accounting. Server-side pruning is
-	// governed separately by the servers' plan options.
-	DisablePruning bool
-	// QueryTimeout bounds end-to-end query execution.
+	// QueryTimeout bounds end-to-end query execution. Each server attempt
+	// gets an equal share of it (see perServerTimeout).
 	QueryTimeout time.Duration
-	// MaxRetries bounds how many times a failed scatter group is retried
-	// against alternate replicas of its segments. 0 means the default of
-	// one retry; -1 disables retries.
-	MaxRetries int
-	// RetryBackoff is the pause before each retry attempt.
-	RetryBackoff time.Duration
 	// HedgeDelay, when positive, sends a duplicate request to another
 	// replica if a server has not answered within the delay, taking
 	// whichever response arrives first (tail-latency hedging). 0 disables
 	// hedging.
 	HedgeDelay time.Duration
-	// PerServerTimeout bounds each individual server attempt, carving the
-	// query budget so a hung server leaves time for a retry. Defaults to
-	// QueryTimeout divided among the retry attempts.
-	PerServerTimeout time.Duration
 	// Seed fixes the routing RNG for reproducible tests (0 = random).
 	Seed int64
 	// DisableResultCache turns off the broker-side result cache (the A/B
@@ -78,33 +63,25 @@ func (c *Config) withDefaults() {
 	if c.TargetServers <= 0 {
 		c.TargetServers = 3
 	}
-	if c.RoutingTables <= 0 {
-		c.RoutingTables = 8
-	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 10 * time.Second
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 1
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 2 * time.Millisecond
-	}
-	if c.PerServerTimeout <= 0 {
-		attempts := c.MaxRetries + 1
-		if attempts < 1 {
-			attempts = 1
-		}
-		c.PerServerTimeout = c.QueryTimeout / time.Duration(attempts)
-	}
 }
 
-// retries returns the effective retry budget (-1 disables).
-func (c *Config) retries() int {
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	return c.MaxRetries
+// The fixed scatter policy. routingTables is C of Algorithm 2: how many
+// routing tables the large-cluster strategy keeps. A failed scatter group is
+// retried maxRetries times against alternate replicas of its segments, after
+// retryBackoff. Each server attempt is bounded by an equal share of the query
+// timeout, so a hung server leaves time for the retry.
+const (
+	routingTables = 8
+	maxRetries    = 1
+	retryBackoff  = 2 * time.Millisecond
+)
+
+// perServerTimeout is the deadline of one server attempt.
+func (c *Config) perServerTimeout() time.Duration {
+	return c.QueryTimeout / (maxRetries + 1)
 }
 
 // Broker routes queries to servers and merges their partial results.
@@ -382,7 +359,7 @@ func (b *Broker) routingFor(resource string) (*routingState, error) {
 	switch b.cfg.Strategy {
 	case StrategyLargeCluster:
 		// Algorithm 2 generates G = 10·C candidate tables and keeps the C best.
-		tables, err := filterRoutingTables(si, b.cfg.TargetServers, b.cfg.RoutingTables, 10*b.cfg.RoutingTables, b.rnd)
+		tables, err := filterRoutingTables(si, b.cfg.TargetServers, routingTables, 10*routingTables, b.rnd)
 		if err == nil {
 			rs.tables = tables
 		}
@@ -678,16 +655,14 @@ func (b *Broker) scatterGather(ctx context.Context, qc *qctx.QueryContext, resou
 				sp, known := rs.segPartition[seg]
 				return !known || sp == -1 || sp == p
 			})
-			if !b.cfg.DisablePruning {
-				out.pruned.SegmentsPrunedByBroker += before - rt.SegmentCount()
-			}
+			out.pruned.SegmentsPrunedByBroker += before - rt.SegmentCount()
 		}
 	}
 	// Time-range pruning: segments whose cached ZK time range cannot
 	// overlap the filter's conjunctive time bounds never leave the broker.
 	// Only completed segments are dropped — a consuming segment's max time
 	// is still moving, so its metadata cannot prove non-overlap.
-	if !b.cfg.DisablePruning && q.Filter != nil && cfg.Schema != nil {
+	if q.Filter != nil && cfg.Schema != nil {
 		if timeCol := cfg.Schema.TimeColumn(); timeCol != "" {
 			if lo, hi, ok := query.TimeBounds(q.Filter, timeCol); ok {
 				rt = restrict(rt, func(seg string) bool {
@@ -861,7 +836,7 @@ func (b *Broker) queryGroup(ctx context.Context, qc *qctx.QueryContext, rs *rout
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			b.met.retries.Inc()
-			timer := time.NewTimer(b.cfg.RetryBackoff)
+			timer := time.NewTimer(retryBackoff)
 			select {
 			case <-ctx.Done():
 				timer.Stop()
@@ -908,7 +883,7 @@ func (b *Broker) queryGroup(ctx context.Context, qc *qctx.QueryContext, rs *rout
 			}
 			return gr
 		}
-		if attempt >= b.cfg.retries() || ctx.Err() != nil {
+		if attempt >= maxRetries || ctx.Err() != nil {
 			return gr
 		}
 		next := alternateGroups(rs, failed, tried)
@@ -1000,12 +975,8 @@ func (b *Broker) callServer(ctx context.Context, qc *qctx.QueryContext, resource
 	if !ok {
 		return nil, fmt.Errorf("no client for %s", instance)
 	}
-	cctx := ctx
-	if b.cfg.PerServerTimeout > 0 {
-		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(ctx, b.cfg.PerServerTimeout)
-		defer cancel()
-	}
+	cctx, cancel := context.WithTimeout(ctx, b.cfg.perServerTimeout())
+	defer cancel()
 	var budgetMillis int64
 	if left, ok := qc.Remaining(); ok {
 		// Round up so a sub-millisecond remainder is not mistaken for

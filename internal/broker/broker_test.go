@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pinot/internal/helix"
+	"pinot/internal/metrics"
 	"pinot/internal/pql"
 	"pinot/internal/query"
 	"pinot/internal/segment"
@@ -469,7 +470,7 @@ func other(primary string) string {
 }
 
 func TestBrokerRetryRecoversOnAlternateReplica(t *testing.T) {
-	env := newTestEnv(t, Config{RetryBackoff: time.Millisecond})
+	env := newTestEnv(t, Config{})
 	env.addTable(t, "ev_OFFLINE", map[string][]string{
 		"s1": {"seg0"},
 		"s2": {"seg0"}, // second replica of the same segment
@@ -503,7 +504,7 @@ func TestBrokerRetryRecoversOnAlternateReplica(t *testing.T) {
 }
 
 func TestBrokerBothReplicasFailingIsExplicitlyPartial(t *testing.T) {
-	env := newTestEnv(t, Config{RetryBackoff: time.Millisecond})
+	env := newTestEnv(t, Config{})
 	env.addTable(t, "ev_OFFLINE", map[string][]string{
 		"s1": {"seg0"},
 		"s2": {"seg0"},
@@ -535,37 +536,9 @@ func TestBrokerBothReplicasFailingIsExplicitlyPartial(t *testing.T) {
 	}
 }
 
-func TestBrokerRetryDisabled(t *testing.T) {
-	env := newTestEnv(t, Config{MaxRetries: -1})
-	env.addTable(t, "ev_OFFLINE", map[string][]string{
-		"s1": {"seg0"},
-		"s2": {"seg0"},
-	}, 10)
-	armFirstCall(env, func(ctx context.Context, req *transport.QueryRequest) (*transport.QueryResponse, error) {
-		return nil, errors.New("injected server failure")
-	}, "s1", "s2")
-	res, err := env.broker.Execute(context.Background(), "SELECT count(*) FROM ev", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Partial {
-		t.Fatal("expected partial result with retries disabled")
-	}
-	if len(res.ServerExceptions) != 1 || res.ServerExceptions[0].Recovered {
-		t.Fatalf("server exceptions = %+v", res.ServerExceptions)
-	}
-	alternate := other(res.ServerExceptions[0].Server)
-	if env.servers[alternate].callCount() != 0 {
-		t.Fatalf("alternate was contacted %d times with retries disabled", env.servers[alternate].callCount())
-	}
-}
-
 func TestBrokerPerServerDeadlineLeavesRetryBudget(t *testing.T) {
-	env := newTestEnv(t, Config{
-		QueryTimeout:     5 * time.Second,
-		PerServerTimeout: 20 * time.Millisecond,
-		RetryBackoff:     time.Millisecond,
-	})
+	// Each server attempt gets half the query timeout: 200 ms here.
+	env := newTestEnv(t, Config{QueryTimeout: 400 * time.Millisecond})
 	env.addTable(t, "ev_OFFLINE", map[string][]string{
 		"s1": {"seg0"},
 		"s2": {"seg0"},
@@ -597,13 +570,12 @@ func TestBrokerPerServerDeadlineLeavesRetryBudget(t *testing.T) {
 }
 
 func TestBrokerHedgedRequestBeatsStraggler(t *testing.T) {
-	// Retries are disabled and the query budget is generous, so only a
-	// hedged request can explain a prompt full result.
+	// The query budget is generous, so the straggler holds its attempt for
+	// 2.5 s: a prompt full result with no retry can only be the hedge's.
 	env := newTestEnv(t, Config{
-		MaxRetries:   -1,
 		QueryTimeout: 5 * time.Second,
 		HedgeDelay:   5 * time.Millisecond,
-		RetryBackoff: time.Millisecond,
+		Metrics:      metrics.NewRegistry(),
 	})
 	env.addTable(t, "ev_OFFLINE", map[string][]string{
 		"s1": {"seg0"},
@@ -634,10 +606,13 @@ func TestBrokerHedgedRequestBeatsStraggler(t *testing.T) {
 	if res.ServersQueried != 1 || res.ServersResponded != 1 {
 		t.Fatalf("queried/responded = %d/%d", res.ServersQueried, res.ServersResponded)
 	}
+	if got := env.broker.Metrics().Value("pinot_broker_retries_total"); got != 0 {
+		t.Fatalf("pinot_broker_retries_total = %d, want 0 (the hedge answered)", got)
+	}
 }
 
 func TestBrokerMalformedResponseDegradesToRetry(t *testing.T) {
-	env := newTestEnv(t, Config{RetryBackoff: time.Millisecond})
+	env := newTestEnv(t, Config{})
 	env.addTable(t, "ev_OFFLINE", map[string][]string{
 		"s1": {"seg0"},
 		"s2": {"seg0"},

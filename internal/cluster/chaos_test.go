@@ -11,12 +11,12 @@ import (
 	"pinot/internal/helix"
 )
 
-// chaosBrokerConfig keeps retries fast and routing deterministic.
+// chaosBrokerConfig keeps routing deterministic.
 func chaosBrokerConfig() broker.Config {
 	// Chaos scenarios repeat one query until a fault is exercised on the
 	// scatter path; the result cache would answer the repeats at the
 	// broker and starve the fault of traffic.
-	return broker.Config{Seed: 5, RetryBackoff: time.Millisecond, DisableResultCache: true}
+	return broker.Config{Seed: 5, DisableResultCache: true}
 }
 
 // loadOffline uploads four 100-row segments and waits until every segment
@@ -224,8 +224,8 @@ func TestChaosAllReplicasFailExplicitPartial(t *testing.T) {
 // budget — the per-server deadline fires and the retry path recovers.
 func TestChaosHungServerRecoveredByDeadline(t *testing.T) {
 	cfg := chaosBrokerConfig()
-	cfg.QueryTimeout = 10 * time.Second
-	cfg.PerServerTimeout = 30 * time.Millisecond
+	// Each server attempt gets half the query timeout: 200 ms here.
+	cfg.QueryTimeout = 400 * time.Millisecond
 	c, err := NewLocal(Options{Servers: 2, BrokerTemplate: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -253,11 +253,10 @@ func TestChaosHungServerRecoveredByDeadline(t *testing.T) {
 	}
 }
 
-// TestChaosHedgeMasksDelayedReplica: with retries disabled, only the hedged
-// duplicate request can mask a replica delayed far past the hedge threshold.
+// TestChaosHedgeMasksDelayedReplica: the hedged duplicate request masks a
+// replica delayed far past the hedge threshold, before any retry.
 func TestChaosHedgeMasksDelayedReplica(t *testing.T) {
 	cfg := chaosBrokerConfig()
-	cfg.MaxRetries = -1
 	cfg.QueryTimeout = 5 * time.Second
 	cfg.HedgeDelay = 10 * time.Millisecond
 	c, err := NewLocal(Options{Servers: 2, BrokerTemplate: cfg})
@@ -276,13 +275,14 @@ func TestChaosHedgeMasksDelayedReplica(t *testing.T) {
 		}
 		assertFullCount(t, res)
 	})
-	// With retries disabled, only a hedge can have masked the straggler —
-	// the hedge counter is the proof the speculative duplicate fired.
+	// The straggler holds its attempt for 2.5 s, so a full result with no
+	// retry can only be the hedge's — the hedge counter is the proof the
+	// speculative duplicate fired.
 	if got := c.Metrics.Value("pinot_broker_hedges_total"); got == 0 {
 		t.Fatal("pinot_broker_hedges_total = 0 after a hedge masked a delayed replica")
 	}
 	if got := c.Metrics.Value("pinot_broker_retries_total"); got != 0 {
-		t.Fatalf("pinot_broker_retries_total = %d with retries disabled, want 0", got)
+		t.Fatalf("pinot_broker_retries_total = %d, want 0 (the hedge answered)", got)
 	}
 }
 

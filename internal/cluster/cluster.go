@@ -38,11 +38,6 @@ type Options struct {
 	ServerTemplate server.Config
 	// BrokerTemplate seeds each broker's config.
 	BrokerTemplate broker.Config
-	// ControllerTemplate seeds each controller's config.
-	ControllerTemplate controller.Config
-	// ChaosSeed seeds the fault-injection registry wrapped around the
-	// broker→server transport (0 = 1, still deterministic).
-	ChaosSeed int64
 	// Transport selects the broker→server data plane: "" or "mem" for
 	// direct in-memory calls (the default), "tcp" for the framed TCP
 	// protocol over loopback listeners. Either way the chaos registry
@@ -52,6 +47,9 @@ type Options struct {
 	// Nil means a fresh registry per cluster, so concurrent test clusters
 	// in one process never share counters.
 	Metrics *metrics.Registry
+	// controllerTemplate seeds each controller's config. In-package tests
+	// set it to shorten the retention sweep.
+	controllerTemplate controller.Config
 }
 
 func (o *Options) withDefaults() {
@@ -107,7 +105,7 @@ func NewLocal(opts Options) (*Cluster, error) {
 	}
 
 	for i := 0; i < opts.Controllers; i++ {
-		cfg := opts.ControllerTemplate
+		cfg := opts.controllerTemplate
 		cfg.Cluster = opts.Name
 		cfg.Instance = fmt.Sprintf("controller%d", i+1)
 		cfg.Metrics = reg
@@ -161,8 +159,9 @@ func NewLocal(opts Options) (*Cluster, error) {
 		base = transport.RegistryFunc(tcpReg.ServerClient)
 	}
 	// All broker traffic flows through the chaos registry; with no faults
-	// configured it is a transparent passthrough.
-	c.Chaos = chaos.NewRegistry(base, opts.ChaosSeed)
+	// configured it is a transparent passthrough. A fixed seed keeps fault
+	// injection deterministic.
+	c.Chaos = chaos.NewRegistry(base, 1)
 	registry := transport.Registry(c.Chaos)
 	for i := 0; i < opts.Brokers; i++ {
 		cfg := opts.BrokerTemplate

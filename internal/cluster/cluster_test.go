@@ -280,7 +280,7 @@ func TestControllerFailover(t *testing.T) {
 }
 
 func TestRetentionGC(t *testing.T) {
-	c, err := NewLocal(Options{Servers: 1, ControllerTemplate: controller.Config{RetentionInterval: 20 * time.Millisecond}})
+	c, err := NewLocal(Options{Servers: 1, controllerTemplate: controller.Config{RetentionInterval: 20 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

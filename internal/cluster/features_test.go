@@ -142,7 +142,7 @@ func TestFig16ShapeAssertion(t *testing.T) {
 func TestReplicaRepairAfterServerLoss(t *testing.T) {
 	c, err := NewLocal(Options{
 		Servers:            3,
-		ControllerTemplate: controllerConfigFast(),
+		controllerTemplate: controllerConfigFast(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestReplicaRepairAfterServerLoss(t *testing.T) {
 func TestReplicaRepairRealtime(t *testing.T) {
 	c, err := NewLocal(Options{
 		Servers:            2,
-		ControllerTemplate: controllerConfigFast(),
+		controllerTemplate: controllerConfigFast(),
 	})
 	if err != nil {
 		t.Fatal(err)

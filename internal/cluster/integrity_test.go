@@ -17,7 +17,7 @@ import (
 // blob. That server must end in ERROR, never ONLINE, and count the refusal;
 // the surviving replica keeps answering for the whole table.
 func TestReplicaRefusesBlobThatFailsItsChecksum(t *testing.T) {
-	c, err := NewLocal(Options{Servers: 3, ControllerTemplate: controllerConfigFast()})
+	c, err := NewLocal(Options{Servers: 3, controllerTemplate: controllerConfigFast()})
 	if err != nil {
 		t.Fatal(err)
 	}

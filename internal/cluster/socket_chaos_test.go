@@ -167,8 +167,8 @@ func TestSocketChaosReplicaDeathRetryRecovers(t *testing.T) {
 // the retry path must then recover the full result.
 func TestSocketChaosHalfOpenHangRecoveredByDeadline(t *testing.T) {
 	cfg := chaosBrokerConfig()
-	cfg.QueryTimeout = 10 * time.Second
-	cfg.PerServerTimeout = 100 * time.Millisecond
+	// Each server attempt gets half the query timeout: 200 ms here.
+	cfg.QueryTimeout = 400 * time.Millisecond
 	e := newSocketEnv(t, cfg)
 
 	var last *broker.Response
@@ -192,11 +192,10 @@ func TestSocketChaosHalfOpenHangRecoveredByDeadline(t *testing.T) {
 }
 
 // TestSocketChaosSlowDripStragglerHedged: a replica that drips its response
-// a byte at a time is a straggler, not a failure — with retries disabled,
-// only the hedged duplicate to the other replica can mask it.
+// a byte at a time is a straggler, not a failure — the hedged duplicate to
+// the other replica masks it, before any retry.
 func TestSocketChaosSlowDripStragglerHedged(t *testing.T) {
 	cfg := chaosBrokerConfig()
-	cfg.MaxRetries = -1
 	cfg.QueryTimeout = 10 * time.Second
 	cfg.HedgeDelay = 20 * time.Millisecond
 	e := newSocketEnv(t, cfg)
@@ -207,6 +206,9 @@ func TestSocketChaosSlowDripStragglerHedged(t *testing.T) {
 	})
 	if got := e.met.Value("pinot_broker_hedges_total"); got == 0 {
 		t.Fatal("pinot_broker_hedges_total = 0 after slow-drip straggler")
+	}
+	if got := e.met.Value("pinot_broker_retries_total"); got != 0 {
+		t.Fatalf("pinot_broker_retries_total = %d, want 0 (the hedge answered)", got)
 	}
 }
 

@@ -24,7 +24,6 @@ func TestLargeClusterRoutingMitigatesStragglers(t *testing.T) {
 			BrokerTemplate: broker.Config{
 				Strategy:      strategy,
 				TargetServers: 2,
-				RoutingTables: 8,
 				Seed:          11,
 				// Straggler exposure is measured by which servers the
 				// repeated query actually reaches.

@@ -163,7 +163,7 @@ func (c *Controller) SegmentConsumed(ctx context.Context, req *transport.Segment
 	fsm, ok := c.completions[key]
 	if !ok {
 		replicas := c.replicaCount(req.Resource, req.Segment)
-		fsm = newCompletionFSM(req.Resource, req.Segment, replicas, c.cfg.CompletionWindow)
+		fsm = newCompletionFSM(req.Resource, req.Segment, replicas, c.cfg.completionWindow)
 		c.completions[key] = fsm
 	}
 	return c.verdict(fsm.onPoll(req.Instance, req.Offset, time.Now())), nil

@@ -31,19 +31,19 @@ var ErrNotLeader = errors.New("controller: not the lead controller")
 type Config struct {
 	Cluster  string
 	Instance string
-	// CompletionWindow is how long the completion FSM waits for replica
-	// polls before designating a committer.
-	CompletionWindow time.Duration
 	// RetentionInterval is the period of the retention manager sweep.
 	RetentionInterval time.Duration
 	// Metrics receives the controller's instrumentation; nil means the
 	// process-wide metrics.Default().
 	Metrics *metrics.Registry
+	// completionWindow is how long the completion FSM waits for replica
+	// polls before designating a committer. In-package tests set it.
+	completionWindow time.Duration
 }
 
 func (c *Config) withDefaults() {
-	if c.CompletionWindow <= 0 {
-		c.CompletionWindow = 200 * time.Millisecond
+	if c.completionWindow <= 0 {
+		c.completionWindow = 200 * time.Millisecond
 	}
 	if c.RetentionInterval <= 0 {
 		c.RetentionInterval = 250 * time.Millisecond

@@ -29,7 +29,7 @@ func TestCompletionVerdictCountersMatchTranscript(t *testing.T) {
 			Instance: instance,
 			// A window far beyond the test keeps the FSM purely
 			// poll-count-driven: no timer can flip HOLD into COMMIT.
-			CompletionWindow: time.Hour,
+			completionWindow: time.Hour,
 			Metrics:          reg,
 		}
 	}

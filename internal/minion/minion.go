@@ -29,12 +29,14 @@ type ControllerAPI interface {
 
 // Config tunes a minion worker.
 type Config struct {
-	Instance     string
-	PollInterval time.Duration
+	Instance string
 	// Metrics receives the minion's instrumentation; nil means the
 	// process-wide metrics.Default().
 	Metrics *metrics.Registry
 }
+
+// pollInterval is how often a minion asks the lead controller for a task.
+const pollInterval = 20 * time.Millisecond
 
 // Minion polls the lead controller for tasks and executes them.
 type Minion struct {
@@ -54,9 +56,6 @@ type Minion struct {
 // New creates a minion. controllers resolves the candidate controllers; the
 // current leader is used.
 func New(cfg Config, controllers func() []ControllerAPI) *Minion {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 20 * time.Millisecond
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.Default()
@@ -72,7 +71,7 @@ func (m *Minion) Start() {
 	m.done = make(chan struct{})
 	go func() {
 		defer close(m.done)
-		ticker := time.NewTicker(m.cfg.PollInterval)
+		ticker := time.NewTicker(pollInterval)
 		defer ticker.Stop()
 		for {
 			select {

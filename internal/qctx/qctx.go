@@ -11,8 +11,7 @@
 //   - a phase ledger (parse, route, queue, scatter, execute, merge, reduce)
 //     surfaced to clients as a structured trace,
 //   - per-query resource accounting: docs/entries scanned and group-by
-//     state bytes, with a configurable cap that degrades the query to a
-//     partial result instead of an OOM.
+//     state bytes.
 //
 // The zero-dependency design is deliberate: every layer of the query path
 // imports this package, so it can import nothing but the standard library.
@@ -85,9 +84,7 @@ type QueryContext struct {
 	docsScanned    atomic.Int64
 	entriesScanned atomic.Int64
 
-	groupBytes    atomic.Int64
-	groupLimit    atomic.Int64
-	groupExceeded atomic.Bool
+	groupBytes atomic.Int64
 }
 
 // New mints a query context with the given ID (empty generates one) and
@@ -181,31 +178,8 @@ func (qc *QueryContext) AddScan(docs, entries int64) {
 	qc.entriesScanned.Add(entries)
 }
 
-// SetGroupStateLimit caps the query's aggregate group-by state. Only the
-// first positive limit sticks, so an engine-level default cannot override a
-// stricter per-request cap set earlier.
-func (qc *QueryContext) SetGroupStateLimit(bytes int64) {
-	if bytes > 0 {
-		qc.groupLimit.CompareAndSwap(0, bytes)
-	}
-}
-
-// GroupStateLimit returns the configured cap (0 = uncapped).
-func (qc *QueryContext) GroupStateLimit() int64 { return qc.groupLimit.Load() }
-
-// ChargeGroupState records bytes of newly created group-by state. Crossing
-// the cap latches the exceeded flag; the state was already allocated, so
-// the bytes still count. Segment executors poll GroupStateExceeded at block
-// boundaries and degrade to a partial result.
-func (qc *QueryContext) ChargeGroupState(bytes int64) {
-	total := qc.groupBytes.Add(bytes)
-	if limit := qc.groupLimit.Load(); limit > 0 && total > limit {
-		qc.groupExceeded.Store(true)
-	}
-}
-
-// GroupStateExceeded reports whether the group-by state cap has tripped.
-func (qc *QueryContext) GroupStateExceeded() bool { return qc.groupExceeded.Load() }
+// ChargeGroupState records bytes of newly created group-by state.
+func (qc *QueryContext) ChargeGroupState(bytes int64) { qc.groupBytes.Add(bytes) }
 
 // GroupStateBytes returns the group-by state charged so far.
 func (qc *QueryContext) GroupStateBytes() int64 { return qc.groupBytes.Load() }

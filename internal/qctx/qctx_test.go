@@ -77,26 +77,6 @@ func TestObserveServerFoldsMax(t *testing.T) {
 	}
 }
 
-func TestGroupStateCapLatches(t *testing.T) {
-	qc := New("", 0)
-	qc.SetGroupStateLimit(100)
-	qc.SetGroupStateLimit(1) // second limit must not override the first
-	if got := qc.GroupStateLimit(); got != 100 {
-		t.Fatalf("limit = %d, want 100", got)
-	}
-	qc.ChargeGroupState(60)
-	if qc.GroupStateExceeded() {
-		t.Fatal("cap tripped below the limit")
-	}
-	qc.ChargeGroupState(60)
-	if !qc.GroupStateExceeded() {
-		t.Fatal("cap did not trip past the limit")
-	}
-	if got := qc.GroupStateBytes(); got != 120 {
-		t.Fatalf("charged bytes = %d, want 120 (the tripping charge still counts)", got)
-	}
-}
-
 func TestAccountingConcurrent(t *testing.T) {
 	qc := New("", 0)
 	var wg sync.WaitGroup

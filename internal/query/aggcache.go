@@ -22,14 +22,8 @@ import (
 
 // aggCacheable reports whether a per-segment execution may go through the
 // partial-aggregate cache.
-func aggCacheable(q *pql.Query, opt Options, is IndexedSegment) bool {
+func aggCacheable(q *pql.Query, is IndexedSegment) bool {
 	if !q.IsAggregation() {
-		return false
-	}
-	// Under a group-state cap a segment may legally stop early with
-	// ErrGroupStateLimit depending on cluster-wide accounting in qctx;
-	// replaying a cached complete result would dodge the cap. Stay off.
-	if opt.GroupStateLimitBytes > 0 && q.HasGroupBy() {
 		return false
 	}
 	_, consuming := is.Seg.(*segment.Snapshot)
@@ -75,7 +69,7 @@ func aggCacheKey(q *pql.Query) string {
 // the layout cannot carry is answered and simply not stored.
 func (e *Engine) executeSegmentCached(ctx context.Context, is IndexedSegment, q *pql.Query, key string, tableSchema *segment.Schema) (*Intermediate, error) {
 	cache := e.AggCache
-	if cache == nil || !aggCacheable(q, e.Options, is) {
+	if cache == nil || !aggCacheable(q, is) {
 		return ExecuteSegment(ctx, is, q, tableSchema, e.Options)
 	}
 	scope := is.Seg.Name()

@@ -20,9 +20,6 @@ import (
 // then submitted for execution to the query execution scheduler. Query plans
 // are processed in parallel").
 type Engine struct {
-	// Parallelism bounds concurrently executing segment plans; zero
-	// means GOMAXPROCS.
-	Parallelism int
 	// Options tune physical planning for every query this engine runs.
 	Options Options
 	// OnOutcome, when set, receives each query's segment disposition after
@@ -36,6 +33,9 @@ type Engine struct {
 	// disables the tier.
 	AggCache *qcache.Cache
 
+	// parallelism bounds concurrently executing segment plans; zero means
+	// GOMAXPROCS. In-package tests set it.
+	parallelism int
 	// afterMiss is a test seam: in-package tests use it to hand the cache
 	// a result the engine itself never produces (see aggcache.go).
 	afterMiss func(*Intermediate)
@@ -104,10 +104,9 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 		qc = qctx.New("", 0)
 		ctx = qctx.With(ctx, qc)
 	}
-	qc.SetGroupStateLimit(e.Options.GroupStateLimitBytes)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	par := e.Parallelism
+	par := e.parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
@@ -168,7 +167,6 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 
 	var errExcs []string
 	var cancelled []string
-	groupLimited := false
 	var firstErr, emitErr error
 	succeeded, dispatched, emitted := 0, 0, 0
 	for o := range outcomes {
@@ -189,11 +187,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 				cancelled = append(cancelled, segs[o.index].Seg.Name())
 				continue
 			}
-			if errors.Is(o.err, ErrGroupStateLimit) {
-				// The segment stopped at the group-state cap but its groups
-				// so far are valid: emit them and degrade.
-				groupLimited = true
-			} else if o.err != nil {
+			if o.err != nil {
 				if firstErr == nil {
 					firstErr = o.err
 				}
@@ -225,10 +219,6 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 				skipped, len(cancelled), strings.Join(cancelled, ", "))
 		}
 		exceptions = append(exceptions, msg)
-	}
-	if groupLimited {
-		exceptions = append(exceptions, fmt.Sprintf(
-			"resource limit: group-by state exceeded %d bytes, result truncated", qc.GroupStateLimit()))
 	}
 	exceptions = append(exceptions, errExcs...)
 	if succeeded == 0 && firstErr != nil {

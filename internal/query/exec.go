@@ -161,19 +161,12 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 	ords := sc.ordBuf(blockSize)
 	// Each block resolves to group ordinals, then each aggregation kernel
 	// folds its values into the rows those name; without GROUP BY there is
-	// nothing to resolve and every block folds into row 0. Cancellation and
-	// the group-state cap are polled once per block. On a tripped cap the
-	// segment's partial groups are still merged — the query degrades instead
-	// of growing unbounded.
-	var limitErr error
+	// nothing to resolve and every block folds into row 0. Cancellation is
+	// polled once per block.
 	var docs int64
 	for {
 		if err := env.checkpoint(); err != nil {
 			return nil, err
-		}
-		if env.groupLimitTripped() {
-			limitErr = ErrGroupStateLimit
-			break
 		}
 		n := it.nextBlock(buf)
 		if n == 0 {
@@ -210,7 +203,7 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 		out.Stats.NumSegmentsMatched = 1
 	}
 	out.Stats.GroupStateBytes = charger.bytes
-	return out, limitErr
+	return out, nil
 }
 
 // selectionColumns returns the columns a selection's rows carry: the select

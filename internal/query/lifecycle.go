@@ -2,17 +2,10 @@ package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"pinot/internal/qctx"
 )
-
-// ErrGroupStateLimit marks a segment execution stopped by the per-query
-// group-by state cap. The segment's partial result is still valid and is
-// merged; the engine reports the degradation as an exception instead of
-// letting group state grow without bound.
-var ErrGroupStateLimit = errors.New("query: group-by state limit exceeded")
 
 // cancelledError marks a segment execution stopped mid-scan by a
 // cooperative cancellation checkpoint. The engine names these segments in
@@ -78,10 +71,6 @@ func (e *execEnv) checkpoint() error {
 	}
 	return nil
 }
-
-// groupLimitTripped reports whether the query-wide group-by state cap has
-// latched; polled at the same block boundaries as checkpoint.
-func (e *execEnv) groupLimitTripped() bool { return e.qc.GroupStateExceeded() }
 
 // Per-group size estimate constants for group-by state: a fixed part, the
 // group's rendered key (each value as fmt.Sprint prints it, a separator

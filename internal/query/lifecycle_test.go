@@ -1,12 +1,9 @@
 // Query-lifecycle tests: cooperative cancellation must stop an in-flight
-// segment within one block of ctx.Done(), a tripped group-by state cap must
-// degrade to a partial result instead of growing unbounded, and every Run
-// result must carry the query ID, phase trace and resource accounting.
+// segment within one block of ctx.Done(), and every Run result must carry the query ID, phase trace and resource accounting.
 package query_test
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -136,43 +133,6 @@ func TestMidScanCancellation(t *testing.T) {
 	}
 	if got := tw.reads.Load(); got < fireAt {
 		t.Fatalf("tripwire never fired: %d reads", got)
-	}
-}
-
-// TestGroupStateCapDegrades proves the per-query memory cap: a group-by whose
-// state outgrows Options.GroupStateLimitBytes stops at the next block
-// boundary, keeps the groups built so far, and reports a resource exception.
-func TestGroupStateCapDegrades(t *testing.T) {
-	const (
-		rows  = 4000
-		limit = 2500
-	)
-	schema := lifecycleSchema(t)
-	// Every row is its own group, so state grows with every scanned doc and
-	// the cap trips inside the first block.
-	seg := lifecycleSegment(t, schema, "cap0", rows, func(i int) int64 { return int64(i) })
-	segs := []query.IndexedSegment{{Seg: seg}}
-	opt := query.Options{DisableMetadataPlans: true, GroupStateLimitBytes: limit}
-	res, err := query.Run(context.Background(), "SELECT sum(hits) FROM lifetbl GROUP BY bucket TOP 5000", segs, schema, opt)
-	if err != nil {
-		t.Fatalf("cap must degrade, not fail: %v", err)
-	}
-	if !res.Partial {
-		t.Fatal("want partial result")
-	}
-	exc := strings.Join(res.Exceptions, "\n")
-	if want := fmt.Sprintf("group-by state exceeded %d bytes", limit); !strings.Contains(exc, want) {
-		t.Fatalf("exception %q missing %q", exc, want)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("partial result must keep the groups built so far")
-	}
-	// The cap is checked at block boundaries: exactly one block scanned.
-	if res.Stats.NumDocsScanned != query.BlockSize {
-		t.Fatalf("scanned %d docs, want one block (%d)", res.Stats.NumDocsScanned, query.BlockSize)
-	}
-	if res.Stats.GroupStateBytes <= limit {
-		t.Fatalf("GroupStateBytes = %d, want > limit %d (cap trips after the charge)", res.Stats.GroupStateBytes, limit)
 	}
 }
 

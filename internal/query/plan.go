@@ -28,11 +28,6 @@ type Options struct {
 	// metadata-only plans. Rows are identical either way; the flag exists
 	// for differential testing and to keep the Druid baseline pruning-free.
 	DisablePruning bool
-	// GroupStateLimitBytes caps the estimated group-by state of one query
-	// across all its segments on this node. Past the cap the query
-	// degrades to a partial result with an exception instead of growing
-	// unbounded state (OOM protection). Zero means uncapped.
-	GroupStateLimitBytes int64
 	// DictMemoCache, when set, caches dictionary-space expression memos
 	// across queries keyed on (segment, canonical expression). Only
 	// immutable segments are cached; the server invalidates a segment's

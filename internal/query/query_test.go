@@ -718,7 +718,7 @@ func TestContextCancellationYieldsPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: most segments skipped
 	q, _ := pql.Parse("SELECT count(*) FROM events")
-	eng := &Engine{Parallelism: 1}
+	eng := &Engine{parallelism: 1}
 	merged, exceptions, err := eng.Execute(ctx, q, segs, nil)
 	if err != nil {
 		t.Fatal(err)

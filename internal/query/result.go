@@ -33,8 +33,7 @@ type Stats struct {
 	SegmentsMatched        int // survived pruning and were dispatched for execution
 	// GroupStateBytes is the estimated group-by state allocated for the
 	// query (a deterministic per-entry estimate, whichever grouper built the
-	// groups); the per-query cap in Options.GroupStateLimitBytes is enforced
-	// against the qctx aggregate of this counter.
+	// groups); the query context sums it across segments.
 	GroupStateBytes int64
 	// ResultCacheHit marks a response at least partially served from the
 	// broker's query-result cache. It is the ONLY field allowed to differ

@@ -35,14 +35,10 @@ import (
 type Config struct {
 	Cluster  string
 	Instance string
-	// Tags beyond the implicit "server" tag (tenant tags).
-	Tags []string
 	// AdvertiseAddr is the data-plane TCP address (host:port) this server
 	// answers the framed query protocol on; registered in the instance
 	// config so brokers can dial it. Empty for in-process clusters.
 	AdvertiseAddr string
-	// Parallelism bounds concurrent per-segment plans per query.
-	Parallelism int
 	// DefaultTimeout bounds query execution when the request has none.
 	DefaultTimeout time.Duration
 	// PlanOptions tune physical planning (the Druid baseline overrides
@@ -147,7 +143,7 @@ func New(cfg Config, store zkmeta.Endpoint, objects objstore.Store, streams *str
 		streams:     streams,
 		controllers: controllers,
 		tables:      map[string]*tableDataManager{},
-		engine:      &query.Engine{Parallelism: cfg.Parallelism, Options: cfg.PlanOptions},
+		engine:      &query.Engine{Options: cfg.PlanOptions},
 		met:         newServerMetrics(cfg.Metrics, cfg.Instance),
 	}
 	s.engine.OnOutcome = func(executed, cancelled, skipped int) {
@@ -186,8 +182,7 @@ func (s *Server) Start() error {
 	if err := admin.CreateCluster(); err != nil {
 		return err
 	}
-	tags := append([]string{"server"}, s.cfg.Tags...)
-	if err := admin.RegisterInstance(helix.InstanceConfig{Instance: s.cfg.Instance, Tags: tags, Addr: s.cfg.AdvertiseAddr}); err != nil {
+	if err := admin.RegisterInstance(helix.InstanceConfig{Instance: s.cfg.Instance, Tags: []string{"server"}, Addr: s.cfg.AdvertiseAddr}); err != nil {
 		return err
 	}
 	s.participant = helix.NewParticipant(s.store, s.cfg.Cluster, s.cfg.Instance, s.handleTransition)

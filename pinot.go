@@ -32,7 +32,6 @@ import (
 	"pinot/internal/controller"
 	"pinot/internal/query"
 	"pinot/internal/segment"
-	"pinot/internal/server"
 	"pinot/internal/startree"
 	"pinot/internal/table"
 )
@@ -137,17 +136,6 @@ type ClusterOptions struct {
 	Servers     int
 	Brokers     int
 	Minions     int
-	// RoutingStrategy selects the broker routing strategy: "balanced"
-	// (default) or "largeCluster".
-	RoutingStrategy string
-	// TargetServersPerQuery bounds the large-cluster routing fan-out.
-	TargetServersPerQuery int
-	// PartitionAwareRouting enables partition pruning on brokers.
-	PartitionAwareRouting bool
-	// TenantTokens/TenantRefill enable per-tenant token buckets on
-	// servers (seconds of execution time; zero disables).
-	TenantTokens float64
-	TenantRefill float64
 }
 
 // Cluster is an embedded multi-node Pinot deployment running in-process.
@@ -163,15 +151,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		Servers:     opts.Servers,
 		Brokers:     opts.Brokers,
 		Minions:     opts.Minions,
-		ServerTemplate: server.Config{
-			TenantTokens: opts.TenantTokens,
-			TenantRefill: opts.TenantRefill,
-		},
-		BrokerTemplate: broker.Config{
-			Strategy:       broker.Strategy(opts.RoutingStrategy),
-			TargetServers:  opts.TargetServersPerQuery,
-			PartitionAware: opts.PartitionAwareRouting,
-		},
 	})
 	if err != nil {
 		return nil, err
