@@ -54,8 +54,11 @@ cover:
 # and whatever is accepted reads to its end — every row, every posting list,
 # a star-tree scan — and serializes again), and the packed-space range test
 # over any width, chunk, ranges and words, padding bits included (the bits it
-# sets are the ones per-value reads find in range). One list of targets, two
-# durations:
+# sets are the ones per-value reads find in range), and the broker's table
+# snapshot built from metadata znodes (config, external view, segment
+# metadata: a state or an error, every online segment routed exactly once,
+# the hybrid boundary the max over routed DONE segments). One list of
+# targets, two durations:
 # fuzz-smoke is the few-seconds pass verify runs on every PR.
 fuzz: FUZZTIME = 10s
 fuzz-smoke: FUZZTIME = 5s
@@ -70,6 +73,7 @@ fuzz fuzz-smoke:
 	$(GO) test ./internal/segment -run NONE -fuzz=FuzzSegmentUnmarshal -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/segment -run NONE -fuzz=FuzzPackedMatch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bitmap -run NONE -fuzz=FuzzBitmapView -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/broker -run NONE -fuzz=FuzzRoutingState -fuzztime=$(FUZZTIME)
 
 # The counts ROADMAP aim 2 asks a PR to report in CHANGES.md: lines of
 # non-test Go in each package, as wc counts them.

@@ -2,15 +2,14 @@ package broker
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
-	"pinot/internal/controller"
 	"pinot/internal/helix"
 	"pinot/internal/metrics"
 	"pinot/internal/pql"
@@ -34,7 +33,7 @@ type Config struct {
 	// holding the relevant partition's segments (paper Figure 16).
 	PartitionAware bool
 	// QueryTimeout bounds end-to-end query execution. Each server attempt
-	// gets an equal share of it (see perServerTimeout).
+	// gets an equal share of it, so a hung server leaves time for the retry.
 	QueryTimeout time.Duration
 	// HedgeDelay, when positive, sends a duplicate request to another
 	// replica if a server has not answered within the delay, taking
@@ -71,18 +70,12 @@ func (c *Config) withDefaults() {
 // The fixed scatter policy. routingTables is C of Algorithm 2: how many
 // routing tables the large-cluster strategy keeps. A failed scatter group is
 // retried maxRetries times against alternate replicas of its segments, after
-// retryBackoff. Each server attempt is bounded by an equal share of the query
-// timeout, so a hung server leaves time for the retry.
+// retryBackoff.
 const (
 	routingTables = 8
 	maxRetries    = 1
 	retryBackoff  = 2 * time.Millisecond
 )
-
-// perServerTimeout is the deadline of one server attempt.
-func (c *Config) perServerTimeout() time.Duration {
-	return c.QueryTimeout / (maxRetries + 1)
-}
 
 // Broker routes queries to servers and merges their partial results.
 type Broker struct {
@@ -106,11 +99,9 @@ type Broker struct {
 	rnd   *rand.Rand
 
 	mu           sync.Mutex
-	routing      map[string]*routingState // resource → routing
+	routing      map[string]*routingState // resource → watched snapshot
 	routingEpoch int                      // bumped by every invalidation
-	configs      map[string]*table.Config // resource → config cache
-	watching     map[string]func()        // resource → external-view watch cancel
-	cfgWatching  map[string]func()        // resource → table-config watch cancel
+	watching     map[string]func()        // znode path → cancel of its watch
 	evCancel     func()
 }
 
@@ -123,16 +114,14 @@ func New(cfg Config, store zkmeta.Endpoint, registry transport.Registry) *Broker
 		seed = time.Now().UnixNano()
 	}
 	b := &Broker{
-		cfg:         cfg,
-		store:       store,
-		registry:    registry,
-		met:         newBrokerMetrics(cfg.Metrics),
-		slow:        metrics.NewSlowLog(0),
-		rnd:         rand.New(rand.NewSource(seed)),
-		routing:     map[string]*routingState{},
-		configs:     map[string]*table.Config{},
-		watching:    map[string]func(){},
-		cfgWatching: map[string]func(){},
+		cfg:      cfg,
+		store:    store,
+		registry: registry,
+		met:      newBrokerMetrics(cfg.Metrics),
+		slow:     metrics.NewSlowLog(0),
+		rnd:      rand.New(rand.NewSource(seed)),
+		routing:  map[string]*routingState{},
+		watching: map[string]func(){},
 	}
 	if !cfg.DisableResultCache {
 		b.resultCache = qcache.New(qcache.Config{
@@ -223,195 +212,15 @@ func (b *Broker) Stop() {
 		cancel()
 	}
 	b.watching = map[string]func(){}
-	for _, cancel := range b.cfgWatching {
-		cancel()
-	}
-	b.cfgWatching = map[string]func(){}
 	b.mu.Unlock()
 	if b.sess != nil {
 		b.sess.Close()
 	}
 }
 
-func (b *Broker) invalidateAll() {
-	b.mu.Lock()
-	b.routing = map[string]*routingState{}
-	b.routingEpoch++
-	b.mu.Unlock()
-	if b.resultCache != nil {
-		b.resultCache.InvalidateAll()
-	}
-}
-
-func (b *Broker) invalidate(resource string) {
-	b.mu.Lock()
-	delete(b.routing, resource)
-	b.routingEpoch++
-	b.mu.Unlock()
-	// The version-vector key already makes the dropped routing state's
-	// entries unreachable; the eager scope invalidation reclaims their
-	// memory and keeps the invalidation counters exact (once per entry —
-	// a second watch firing finds the scope empty and counts nothing).
-	if b.resultCache != nil {
-		b.resultCache.InvalidateScope(resource)
-	}
-}
-
 // ResultCache exposes the broker result-cache tier (nil when disabled);
 // tests and the HTTP debug surface read its occupancy.
 func (b *Broker) ResultCache() *qcache.Cache { return b.resultCache }
-
-func (b *Broker) randIntn(n int) int {
-	b.rndMu.Lock()
-	defer b.rndMu.Unlock()
-	return b.rnd.Intn(n)
-}
-
-// tableConfig reads (and caches) a resource's config; a miss means the
-// resource does not exist.
-func (b *Broker) tableConfig(resource string) (*table.Config, bool) {
-	b.mu.Lock()
-	if cfg, ok := b.configs[resource]; ok {
-		b.mu.Unlock()
-		return cfg, true
-	}
-	b.mu.Unlock()
-	cfg, err := controller.ReadTableConfig(b.sess, b.cfg.Cluster, resource)
-	if err != nil {
-		return nil, false
-	}
-	b.mu.Lock()
-	b.configs[resource] = cfg
-	// Track config changes (schema evolution, paper 5.2) so the cache
-	// never serves a stale schema.
-	if _, ok := b.cfgWatching[resource]; !ok {
-		events, cancel := b.sess.Watch(helix.PropertyStorePath(b.cfg.Cluster, "CONFIGS", "TABLE", resource))
-		b.cfgWatching[resource] = cancel
-		go func() {
-			for range events {
-				b.mu.Lock()
-				delete(b.configs, resource)
-				b.mu.Unlock()
-			}
-		}()
-	}
-	b.mu.Unlock()
-	return cfg, true
-}
-
-// routingFor returns (building if needed) the routing state of a resource.
-func (b *Broker) routingFor(resource string) (*routingState, error) {
-	b.mu.Lock()
-	rs, ok := b.routing[resource]
-	epoch := b.routingEpoch
-	// Watch before reading, so an external-view update that lands while
-	// this routing state is being built is seen (paper 3.3.2: "brokers
-	// listen to changes to the cluster state and update their routing
-	// tables").
-	if _, watching := b.watching[resource]; !ok && !watching {
-		events, cancel := b.sess.Watch(helix.ExternalViewPath(b.cfg.Cluster, resource))
-		b.watching[resource] = cancel
-		go func() {
-			for range events {
-				b.invalidate(resource)
-			}
-		}()
-	}
-	b.mu.Unlock()
-	if ok {
-		return rs, nil
-	}
-	// Read the external view data and its store version in ONE Get: the
-	// version seeds the result-cache key, so reading it separately from
-	// the data would open a window where routing reflects one view and
-	// cache keys another (a stale hit surviving its invalidation).
-	data, ver, err := b.sess.Get(helix.ExternalViewPath(b.cfg.Cluster, resource))
-	ev := &helix.ExternalView{Resource: resource, Partitions: map[string]map[string]string{}}
-	switch {
-	case err == zkmeta.ErrNoNode:
-		// No external view yet: an empty routing state.
-	case err != nil:
-		return nil, err
-	default:
-		if err := json.Unmarshal(data, ev); err != nil {
-			return nil, err
-		}
-		if ev.Partitions == nil {
-			ev.Partitions = map[string]map[string]string{}
-		}
-	}
-	si := segmentInstances{}
-	consuming := map[string]bool{}
-	for seg, replicas := range ev.Partitions {
-		for inst, state := range replicas {
-			// Both fully online replicas and consuming replicas
-			// participate in query processing.
-			if state == helix.StateOnline || state == helix.StateConsuming {
-				si[seg] = append(si[seg], inst)
-			}
-			if state == helix.StateConsuming {
-				consuming[seg] = true
-			}
-		}
-	}
-	rs = &routingState{segments: si, consuming: consuming, segPartition: map[string]int{}, segMeta: map[string]*table.SegmentMeta{}}
-	b.rndMu.Lock()
-	switch b.cfg.Strategy {
-	case StrategyLargeCluster:
-		// Algorithm 2 generates G = 10·C candidate tables and keeps the C best.
-		tables, err := filterRoutingTables(si, b.cfg.TargetServers, routingTables, 10*routingTables, b.rnd)
-		if err == nil {
-			rs.tables = tables
-		}
-	default:
-		rt, err := generateBalanced(si, b.rnd)
-		if err == nil {
-			rs.tables = []RoutingTable{rt}
-		}
-	}
-	b.rndMu.Unlock()
-	if len(rs.tables) == 0 && len(si) > 0 {
-		return nil, fmt.Errorf("broker: could not build routing table for %s", resource)
-	}
-	// Segment metadata cache: partition map for partition-aware routing,
-	// time ranges and doc counts for broker-side pruning.
-	if metas, err := controller.ReadSegmentMetas(b.sess, b.cfg.Cluster, resource); err == nil {
-		for _, m := range metas {
-			rs.segPartition[m.Name] = m.Partition
-			rs.segMeta[m.Name] = m
-		}
-	}
-	rs.version = routingVersion(ver, ev, rs.segMeta)
-	// Keep the state only if no invalidation ran while it was being built;
-	// otherwise it answers this query and the next one rebuilds.
-	b.mu.Lock()
-	if b.routingEpoch == epoch {
-		b.routing[resource] = rs
-	}
-	b.mu.Unlock()
-	return rs, nil
-}
-
-// timeBoundary computes the hybrid split point: the max time of the offline
-// table's completed segments. Offline serves time < boundary, realtime
-// serves time >= boundary (paper Figure 6).
-func (b *Broker) timeBoundary(offlineResource string) (int64, bool) {
-	metas, err := controller.ReadSegmentMetas(b.sess, b.cfg.Cluster, offlineResource)
-	if err != nil || len(metas) == 0 {
-		return 0, false
-	}
-	var max int64
-	found := false
-	for _, m := range metas {
-		if m.Status == table.StatusDone {
-			if !found || m.MaxTime > max {
-				max = m.MaxTime
-			}
-			found = true
-		}
-	}
-	return max, found
-}
 
 // ServerException records one server-level failure observed during
 // scatter/gather. Recovered failures were masked by a retry or hedged
@@ -438,16 +247,15 @@ type Response struct {
 	ServerExceptions []ServerException
 }
 
-// Execute parses PQL, performs hybrid rewriting, scatters the query and
-// gathers the merged result (paper 3.3.3). The query's whole lifecycle runs
-// against one QueryContext: parsing and routing are charged against the
-// deadline budget before the fan-out, each server call carries the budget
-// still remaining at send time, and the per-phase ledger is returned to the
-// client as the response trace.
+// Execute parses PQL, plans the query from the table's watched snapshots
+// (a warm query reads no metadata), scatters the plan in one wave and
+// gathers the merged result (paper 3.3.3). One QueryContext carries the whole
+// lifecycle: parse and route are charged against the deadline budget before
+// the fan-out, each server call carries the budget left at send time, and the
+// per-phase ledger is returned to the client as the response trace.
 func (b *Broker) Execute(ctx context.Context, pqlText, tenant string) (resp *Response, err error) {
 	qc := qctx.New("", b.cfg.QueryTimeout)
 	ctx = qctx.With(ctx, qc)
-	start := qc.StartTime()
 	stop := qc.Clock(qctx.PhaseParse)
 	q, err := pql.Parse(pqlText)
 	stop()
@@ -456,15 +264,12 @@ func (b *Broker) Execute(ctx context.Context, pqlText, tenant string) (resp *Res
 		b.recordParseFailure(pqlText, err)
 		return nil, err
 	}
-	stopRoute := qc.Clock(qctx.PhaseRoute)
-	offline := table.ResourceName(q.Table, table.Offline)
-	realtime := table.ResourceName(q.Table, table.Realtime)
-	offCfg, hasOffline := b.tableConfig(offline)
-	rtCfg, hasRealtime := b.tableConfig(realtime)
-	if !hasOffline && !hasRealtime {
-		stopRoute()
+	stop = qc.Clock(qctx.PhaseRoute)
+	off, rt, err := b.tableStates(q.Table)
+	if err != nil {
+		stop()
 		b.met.badRequests.Inc()
-		return nil, fmt.Errorf("broker: unknown table %q", q.Table)
+		return nil, err
 	}
 	b.met.requests.Inc()
 	b.met.queries.With(q.Table).Inc()
@@ -474,108 +279,71 @@ func (b *Broker) Execute(ctx context.Context, pqlText, tenant string) (resp *Res
 			b.met.failures.With(q.Table).Inc()
 		}
 	}()
-
-	type subquery struct {
-		resource string
-		cfg      *table.Config
-		q        *pql.Query
-	}
-	var subs []subquery
-	switch {
-	case hasOffline && hasRealtime:
-		// Hybrid rewrite around the time boundary (paper Figure 6).
-		timeCol := offCfg.Schema.TimeColumn()
-		boundary, ok := b.timeBoundary(offline)
-		if ok && timeCol != "" {
-			offQ := q.WithExtraFilter(pql.Comparison{Column: timeCol, Op: pql.OpLt, Value: boundary})
-			rtQ := q.WithExtraFilter(pql.Comparison{Column: timeCol, Op: pql.OpGte, Value: boundary})
-			subs = append(subs, subquery{offline, offCfg, offQ}, subquery{realtime, rtCfg, rtQ})
-		} else {
-			// No boundary to split on (no completed offline data, or
-			// no shared time column): query both sides unrewritten.
-			// The time column requirement of paper 3.3.3 is what
-			// prevents double counting; without it, deduplication is
-			// the operator's responsibility.
-			subs = append(subs, subquery{offline, offCfg, q}, subquery{realtime, rtCfg, q})
-		}
-	case hasOffline:
-		subs = append(subs, subquery{offline, offCfg, q})
-	default:
-		subs = append(subs, subquery{realtime, rtCfg, q})
-	}
-	stopRoute()
+	subs, pruned := b.route(q, off, rt)
+	stop()
 
 	ctx, cancel := context.WithTimeout(ctx, b.cfg.QueryTimeout)
 	defer cancel()
-
-	var merged *query.Intermediate
-	var exceptions []string
-	var srvExcs []ServerException
-	var prunedStats query.Stats
-	queried, responded := 0, 0
-	for _, sub := range subs {
-		out, err := b.scatterGather(ctx, qc, sub.resource, sub.cfg, sub.q, tenant)
-		if err != nil {
-			return nil, err
-		}
-		queried += out.queried
-		responded += out.responded
-		prunedStats.Merge(out.pruned)
-		exceptions = append(exceptions, out.respExcs...)
-		srvExcs = append(srvExcs, out.srvExcs...)
-		if merged == nil {
-			merged = out.result
-			continue
-		}
-		if out.result != nil {
-			stopMerge := qc.Clock(qctx.PhaseMerge)
-			err := merged.Merge(out.result)
-			stopMerge()
-			if err != nil {
-				return nil, err
-			}
-		}
+	for i := range subs {
+		b.plan(&subs[i], tenant)
 	}
+	if err := b.scatter(ctx, qc, subs, tenant); err != nil {
+		return nil, err
+	}
+	b.storeCacheable(subs)
+	stop = qc.Clock(qctx.PhaseMerge)
+	all, err := foldPlan(subs)
+	stop()
+	if err != nil {
+		return nil, err
+	}
+	return b.respond(qc, q, pqlText, subs[0].rs.cfg, all, pruned)
+}
+
+// respond finalizes the folded outcome and records the query's metrics.
+func (b *Broker) respond(qc *qctx.QueryContext, q *pql.Query, pqlText string, cfg *table.Config, all gather, pruned query.Stats) (*Response, error) {
 	// Unrecovered server failures surface as client-visible exceptions;
 	// failures masked by a retry or hedge stay in ServerExceptions only.
-	for _, e := range srvExcs {
+	exceptions := all.respExcs
+	for _, e := range all.srvExcs {
 		if !e.Recovered {
 			exceptions = append(exceptions, fmt.Sprintf("server %s: %s", e.Server, e.Error))
 		}
 	}
+	merged := all.result
 	if merged == nil {
-		if len(exceptions) == 0 && responded == queried && prunedStats.SegmentsPrunedByBroker == 0 {
+		if len(exceptions) == 0 && all.responded == all.queried && pruned.SegmentsPrunedByBroker == 0 {
 			return nil, fmt.Errorf("broker: no servers produced results")
 		}
 		// Every server failed — or every segment was pruned before the
 		// scatter: degrade to an empty (for pruning: complete and exact)
 		// result rather than failing the query.
-		schema := subs[0].cfg.Schema
-		if eff, err := subs[0].cfg.EffectiveSchema(); err == nil {
+		schema := cfg.Schema
+		if eff, err := cfg.EffectiveSchema(); err == nil {
 			schema = eff
 		}
 		merged = query.EmptyIntermediate(q, schema)
 	}
-	merged.Stats.Merge(prunedStats)
-	stop = qc.Clock(qctx.PhaseReduce)
+	merged.Stats.Merge(pruned)
+	stop := qc.Clock(qctx.PhaseReduce)
 	final := merged.Finalize(q)
 	stop()
+	elapsed := time.Since(qc.StartTime())
 	final.Exceptions = exceptions
-	final.Partial = len(exceptions) > 0 || responded < queried
-	final.TimeMillis = time.Since(start).Milliseconds()
+	final.Partial = len(exceptions) > 0 || all.responded < all.queried
+	final.TimeMillis = elapsed.Milliseconds()
 	final.QueryID = qc.ID()
 	final.Trace = qc.TraceSnapshot()
 
-	elapsed := time.Since(start)
 	b.met.latency.With(q.Table).ObserveDuration(elapsed)
-	b.met.fanout.Observe(float64(queried))
-	if n := prunedStats.SegmentsPrunedByBroker; n > 0 {
+	b.met.fanout.Observe(float64(all.queried))
+	if n := pruned.SegmentsPrunedByBroker; n > 0 {
 		b.met.pruned.With(q.Table).Add(int64(n))
 	}
 	if final.Partial {
 		b.met.partials.With(q.Table).Inc()
 	}
-	for _, e := range srvExcs {
+	for _, e := range all.srvExcs {
 		b.met.exceptions.With(fmt.Sprintf("%t", e.Recovered)).Inc()
 	}
 	phases := make(map[string]int64, len(final.Trace))
@@ -593,58 +361,89 @@ func (b *Broker) Execute(ctx context.Context, pqlText, tenant string) (resp *Res
 	})
 	return &Response{
 		Result:           final,
-		ServersQueried:   queried,
-		ServersResponded: responded,
-		ServerExceptions: srvExcs,
+		ServersQueried:   all.queried,
+		ServersResponded: all.responded,
+		ServerExceptions: all.srvExcs,
 	}, nil
 }
 
-// gatherResult is the outcome of scattering one subquery.
-type gatherResult struct {
+// gather accumulates scatter outcomes — one scatter group's after retries
+// and hedging, a portion's, a subquery's, or the whole query's.
+type gather struct {
 	result    *query.Intermediate
 	respExcs  []string          // exceptions carried inside successful responses
 	srvExcs   []ServerException // transport/server-level failures
 	queried   int               // scatter groups fanned out
 	responded int               // groups that produced a full result
-	// pruned accounts for segments the broker dropped before the scatter:
-	// SegmentsPrunedByBroker for every drop, plus NumSegmentsQueried and
-	// TotalDocs for time-range drops (those segments would have been
-	// dispatched — and counted — with pruning off, so parity demands it).
-	pruned query.Stats
 }
 
-// groupResult is the outcome of one scatter group (a server and its assigned
-// segments), after retries and hedging.
-type groupResult struct {
-	result    *query.Intermediate
-	responded bool
-	respExcs  []string
-	excs      []ServerException
-	err       error // fatal merge error, aborts the query
-}
-
-// scatterGather sends one rewritten subquery to the servers of a resource
-// and merges their partial results. Each scatter group gets its own deadline
-// carved from the query budget; failed groups are retried against alternate
-// replicas of their segments, and stragglers optionally race a hedged
-// duplicate (paper 3.3.3 steps 3-7).
-func (b *Broker) scatterGather(ctx context.Context, qc *qctx.QueryContext, resource string, cfg *table.Config, q *pql.Query, tenant string) (gatherResult, error) {
-	var out gatherResult
-	stopRoute := qc.Clock(qctx.PhaseRoute)
-	rs, err := b.routingFor(resource)
-	if err != nil {
-		stopRoute()
-		return out, err
+// fold absorbs o; o's result becomes g's if g has none, else merges into it.
+func (g *gather) fold(o gather) error {
+	g.queried += o.queried
+	g.responded += o.responded
+	g.respExcs = append(g.respExcs, o.respExcs...)
+	g.srvExcs = append(g.srvExcs, o.srvExcs...)
+	if o.result == nil {
+		return nil
 	}
-	var rt RoutingTable
+	if g.result == nil {
+		g.result = o.result
+		return nil
+	}
+	return g.result.Merge(o.result)
+}
+
+// subquery is one resource's share of a query (a hybrid table has one per
+// half), answered in two portions: cached, over immutable segments the result
+// tier may answer, and live, over the rest.
+type subquery struct {
+	rs           *routingState
+	q            *pql.Query
+	pql          string // q as sent to servers, rendered once a group needs it
+	cached, live portion
+}
+
+// portion is one unit of the plan: scatter groups and the outcome they fold
+// into. A result-cache hit is a portion already answered, with no groups.
+type portion struct {
+	groups RoutingTable
+	key    string // result-cache key of a portion to store, "" otherwise
+	acc    gather
+}
+
+// route splits a query into subqueries, rewriting a hybrid query around the
+// offline half's time boundary (paper Figure 6), and prunes each.
+func (b *Broker) route(q *pql.Query, off, rt *routingState) ([]subquery, query.Stats) {
+	var subs []subquery
+	for _, rs := range []*routingState{off, rt} {
+		if rs.exists() {
+			subs = append(subs, subquery{rs: rs, q: q})
+		}
+	}
+	// Without a boundary (no completed offline data, or no time column)
+	// both halves run unrewritten: paper 3.3.3 requires the time column to
+	// prevent double counting, so without it deduplication is the operator's.
+	if len(subs) == 2 && off.hasBoundary && off.cfg.Schema.TimeColumn() != "" {
+		col := off.cfg.Schema.TimeColumn()
+		subs[0].q = q.WithExtraFilter(pql.Comparison{Column: col, Op: pql.OpLt, Value: off.boundary})
+		subs[1].q = q.WithExtraFilter(pql.Comparison{Column: col, Op: pql.OpGte, Value: off.boundary})
+	}
+	var pruned query.Stats
+	for i := range subs {
+		pruned.Merge(b.prune(&subs[i]))
+	}
+	return subs, pruned
+}
+
+// prune picks a subquery's routing table, minus the segments the cached
+// metadata proves cannot match, as its live portion. The stats count every
+// drop in SegmentsPrunedByBroker, and time-range drops in NumSegmentsQueried
+// and TotalDocs too: with pruning off those would have been counted.
+func (b *Broker) prune(sub *subquery) (pruned query.Stats) {
+	rs, cfg, q := sub.rs, sub.rs.cfg, sub.q
 	b.rndMu.Lock()
-	rt = rs.pick(b.rnd)
+	rt := rs.pick(b.rnd)
 	b.rndMu.Unlock()
-	if rt == nil {
-		// Resource exists but has no queryable segments yet.
-		stopRoute()
-		return out, nil
-	}
 	// Partition-aware pruning (paper 4.4): a single-partition query only
 	// contacts servers holding that partition's segments.
 	if b.cfg.PartitionAware && cfg.PartitionColumn != "" && cfg.NumPartitions > 0 {
@@ -652,184 +451,156 @@ func (b *Broker) scatterGather(ctx context.Context, qc *qctx.QueryContext, resou
 			p := stream.PartitionFor([]byte(fmt.Sprint(value)), cfg.NumPartitions)
 			before := rt.SegmentCount()
 			rt = restrict(rt, func(seg string) bool {
-				sp, known := rs.segPartition[seg]
-				return !known || sp == -1 || sp == p
+				m := rs.segMeta[seg]
+				return m == nil || m.Partition == -1 || m.Partition == p
 			})
-			out.pruned.SegmentsPrunedByBroker += before - rt.SegmentCount()
+			pruned.SegmentsPrunedByBroker += before - rt.SegmentCount()
 		}
 	}
 	// Time-range pruning: segments whose cached ZK time range cannot
 	// overlap the filter's conjunctive time bounds never leave the broker.
 	// Only completed segments are dropped — a consuming segment's max time
 	// is still moving, so its metadata cannot prove non-overlap.
-	if q.Filter != nil && cfg.Schema != nil {
-		if timeCol := cfg.Schema.TimeColumn(); timeCol != "" {
-			if lo, hi, ok := query.TimeBounds(q.Filter, timeCol); ok {
-				rt = restrict(rt, func(seg string) bool {
-					m := rs.segMeta[seg]
-					if m == nil || m.Status != table.StatusDone {
-						return true
-					}
-					if m.MaxTime < lo || m.MinTime > hi {
-						out.pruned.SegmentsPrunedByBroker++
-						out.pruned.NumSegmentsQueried++
-						out.pruned.TotalDocs += int64(m.NumDocs)
-						return false
-					}
+	if timeCol := cfg.Schema.TimeColumn(); q.Filter != nil && timeCol != "" {
+		if lo, hi, ok := query.TimeBounds(q.Filter, timeCol); ok {
+			rt = restrict(rt, func(seg string) bool {
+				m := rs.segMeta[seg]
+				if m == nil || m.Status != table.StatusDone {
 					return true
-				})
-			}
+				}
+				if m.MaxTime < lo || m.MinTime > hi {
+					pruned.SegmentsPrunedByBroker++
+					pruned.NumSegmentsQueried++
+					pruned.TotalDocs += int64(m.NumDocs)
+					return false
+				}
+				return true
+			})
 		}
 	}
-	stopRoute()
+	sub.live.groups = rt
+	return pruned
+}
 
-	// Result-cache dispatch. Only aggregation shapes are cacheable (a
-	// selection's row merge order is not deterministic across scatters),
-	// and only the immutable portion of the routing table: consuming
-	// segments always scatter live, and a hit merges the cached portion
-	// with their fresh partials.
-	cache := b.resultCache
-	if cache == nil || !q.IsAggregation() {
-		live, _, err := b.scatterPortions(ctx, qc, rs, resource, q, tenant, rt, nil)
-		if err != nil {
-			return out, err
-		}
-		return out, out.fold(qc, live)
+// plan carves a subquery's cacheable portion out of its live one. Only
+// aggregations go to the result tier (a selection's row merge order is not
+// deterministic across scatters), and only their immutable segments:
+// consuming segments always scatter live, so a hit still reflects every row
+// ingested since the entry was stored.
+func (b *Broker) plan(sub *subquery, tenant string) {
+	if b.resultCache == nil || !sub.q.IsAggregation() {
+		return
 	}
-	imm, cons := splitConsuming(rt, rs.consuming)
+	imm, live, consuming := sub.live.groups, RoutingTable(nil), sub.rs.consuming
+	if len(consuming) > 0 {
+		imm = restrict(sub.live.groups, func(seg string) bool { return !consuming[seg] })
+		live = restrict(sub.live.groups, func(seg string) bool { return consuming[seg] })
+	}
 	if len(imm) == 0 {
-		// Every routed segment is consuming — nothing cacheable.
-		live, _, err := b.scatterPortions(ctx, qc, rs, resource, q, tenant, cons, nil)
-		if err != nil {
-			return out, err
-		}
-		return out, out.fold(qc, live)
+		return
 	}
-	key := resultCacheKey(rs, tenant, q)
-	if v, ok := cache.Get(resource, q.Table, key); ok {
+	sub.live.groups = live
+	sub.cached = portion{groups: imm, key: resultCacheKey(sub.rs, tenant, sub.q)}
+	if v, ok := b.resultCache.Get(sub.rs.resource, sub.q.Table, sub.cached.key); ok {
 		if hit, ok := v.(*cachedGather).replay(); ok {
-			live, _, err := b.scatterPortions(ctx, qc, rs, resource, q, tenant, cons, nil)
-			if err != nil {
-				return out, err
-			}
-			if err := out.fold(qc, hit); err != nil {
-				return out, err
-			}
-			return out, out.fold(qc, live)
+			sub.cached = portion{acc: hit}
 		}
 	}
-	live, cacheable, err := b.scatterPortions(ctx, qc, rs, resource, q, tenant, cons, imm)
-	if err != nil {
-		return out, err
+}
+
+// scatter fans out every group of every portion in one wave, folding each
+// group into its own portion so a cacheable one is stored without the moving
+// data mixed in. Merges are charged to merge and the rest of the wave's wall
+// clock to scatter: disjoint, so the ledger sums to at most the wall clock.
+func (b *Broker) scatter(ctx context.Context, qc *qctx.QueryContext, subs []subquery, tenant string) error {
+	start := time.Now()
+	var mergeDur time.Duration
+	defer func() {
+		qc.Charge(qctx.PhaseScatter, time.Since(start)-mergeDur)
+		qc.Charge(qctx.PhaseMerge, mergeDur)
+	}()
+	type arrival struct {
+		p   *portion
+		g   gather
+		err error
 	}
-	if cacheable.complete() && cacheable.result != nil {
+	n := 0
+	for _, sub := range subs {
+		n += len(sub.cached.groups) + len(sub.live.groups)
+	}
+	results := make(chan arrival, n)
+	for i := range subs {
+		sub := &subs[i]
+		for _, p := range []*portion{&sub.cached, &sub.live} {
+			for instance, segs := range p.groups {
+				if sub.pql == "" {
+					sub.pql = sub.q.String()
+				}
+				go func() {
+					g, err := b.queryGroup(ctx, qc, sub, tenant, instance, segs)
+					results <- arrival{p, g, err}
+				}()
+			}
+		}
+	}
+	for ; n > 0; n-- {
+		a := <-results
+		if a.err != nil {
+			return a.err
+		}
+		mt := time.Now()
+		err := a.p.acc.fold(a.g)
+		mergeDur += time.Since(mt)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// storeCacheable puts each complete cacheable portion into the result tier.
+// It runs before foldPlan, whose merges mutate the results they fold into.
+func (b *Broker) storeCacheable(subs []subquery) {
+	for _, sub := range subs {
+		p := sub.cached
+		if p.key == "" || p.acc.result == nil || !p.acc.complete() {
+			continue
+		}
 		// A result the layout cannot carry is answered and not stored.
-		if enc, err := query.EncodeIntermediate(cacheable.result); err == nil {
-			cache.Put(resource, q.Table, key, &cachedGather{
+		if enc, err := query.EncodeIntermediate(p.acc.result); err == nil {
+			b.resultCache.Put(sub.rs.resource, sub.q.Table, p.key, &cachedGather{
 				encoded:   enc,
-				queried:   cacheable.queried,
-				responded: cacheable.responded,
+				queried:   p.acc.queried,
+				responded: p.acc.responded,
 			}, int64(len(enc)))
 		}
 	}
-	if err := out.fold(qc, cacheable); err != nil {
-		return out, err
-	}
-	return out, out.fold(qc, live)
 }
 
-// fold absorbs one scatter portion's outcome into the subquery's gather,
-// charging the cross-portion merge to the query's merge phase.
-func (out *gatherResult) fold(qc *qctx.QueryContext, p gatherResult) error {
-	out.queried += p.queried
-	out.responded += p.responded
-	out.respExcs = append(out.respExcs, p.respExcs...)
-	out.srvExcs = append(out.srvExcs, p.srvExcs...)
-	if p.result == nil {
-		return nil
-	}
-	if out.result == nil {
-		out.result = p.result
-		return nil
-	}
-	stop := qc.Clock(qctx.PhaseMerge)
-	defer stop()
-	return out.result.Merge(p.result)
-}
-
-// scatterPortions fans out the scatter groups of both portions — live
-// (consuming segments, or everything when the cache is out of play) and
-// cacheable (immutable segments) — in one concurrent wave, then merges
-// each group's partial into its own portion so the cacheable half can be
-// stored without the moving data mixed in. The gather loop charges
-// streaming merges to the merge phase and the rest of its wall clock to
-// scatter, keeping the two disjoint so the ledger still sums to at most
-// the elapsed wall clock.
-func (b *Broker) scatterPortions(ctx context.Context, qc *qctx.QueryContext, rs *routingState, resource string, q *pql.Query, tenant string, live, cacheable RoutingTable) (liveOut, cacheOut gatherResult, err error) {
-	scatterStart := time.Now()
-	var mergeDur time.Duration
-	pqlText := q.String()
-	type tagged struct {
-		cacheable bool
-		gr        groupResult
-	}
-	total := len(live) + len(cacheable)
-	results := make(chan tagged, total)
-	for _, portion := range []struct {
-		rt        RoutingTable
-		cacheable bool
-	}{{live, false}, {cacheable, true}} {
-		for instance, segs := range portion.rt {
-			go func(instance string, segs []string, cacheable bool) {
-				results <- tagged{cacheable, b.queryGroup(ctx, qc, rs, resource, pqlText, tenant, q, instance, segs)}
-			}(instance, segs, portion.cacheable)
+// foldPlan folds the portions into the query's outcome in plan order: each
+// subquery's cached portion before its live one, then the offline subquery
+// before the realtime one, so floating-point folds keep their order.
+func foldPlan(subs []subquery) (gather, error) {
+	var all gather
+	for _, sub := range subs {
+		one := sub.cached.acc
+		err := one.fold(sub.live.acc)
+		if err == nil {
+			err = all.fold(one)
 		}
-	}
-	liveOut.queried, cacheOut.queried = len(live), len(cacheable)
-	charge := func() {
-		qc.Charge(qctx.PhaseScatter, time.Since(scatterStart)-mergeDur)
-		qc.Charge(qctx.PhaseMerge, mergeDur)
-	}
-	for i := 0; i < total; i++ {
-		t := <-results
-		dst := &liveOut
-		if t.cacheable {
-			dst = &cacheOut
-		}
-		gr := t.gr
-		if gr.err != nil {
-			charge()
-			return liveOut, cacheOut, gr.err
-		}
-		if gr.responded {
-			dst.responded++
-		}
-		dst.respExcs = append(dst.respExcs, gr.respExcs...)
-		dst.srvExcs = append(dst.srvExcs, gr.excs...)
-		if gr.result == nil {
-			continue
-		}
-		if dst.result == nil {
-			dst.result = gr.result
-			continue
-		}
-		mt := time.Now()
-		err := dst.result.Merge(gr.result)
-		mergeDur += time.Since(mt)
 		if err != nil {
-			charge()
-			return liveOut, cacheOut, err
+			return all, err
 		}
 	}
-	charge()
-	return liveOut, cacheOut, nil
+	return all, nil
 }
 
 // queryGroup drives one scatter group to completion: query the primary
 // replica (hedging against a straggler if configured), then retry any failed
-// segments on untried replicas with backoff, up to the retry budget.
-func (b *Broker) queryGroup(ctx context.Context, qc *qctx.QueryContext, rs *routingState, resource, pqlText, tenant string, q *pql.Query, primary string, segs []string) groupResult {
-	var gr groupResult
+// segments on untried replicas with backoff, up to the retry budget. A merge
+// error is fatal to the query.
+func (b *Broker) queryGroup(ctx context.Context, qc *qctx.QueryContext, sub *subquery, tenant, primary string, segs []string) (gather, error) {
+	g := gather{queried: 1}
 	tried := map[string]bool{}
 	assign := RoutingTable{primary: segs}
 	lost := false // segments dropped because no untried replica remained
@@ -840,20 +611,15 @@ func (b *Broker) queryGroup(ctx context.Context, qc *qctx.QueryContext, rs *rout
 			select {
 			case <-ctx.Done():
 				timer.Stop()
-				return gr
+				return g, nil
 			case <-timer.C:
 			}
 		}
-		// Deterministic order keeps replica selection reproducible.
-		insts := make([]string, 0, len(assign))
-		for inst := range assign {
-			insts = append(insts, inst)
-		}
-		sort.Strings(insts)
 		var failed []string
-		for _, inst := range insts {
-			resp, excs := b.hedgedCall(ctx, qc, rs, resource, pqlText, tenant, q, inst, assign[inst], tried)
-			gr.excs = append(gr.excs, excs...)
+		// Deterministic order keeps replica selection reproducible.
+		for _, inst := range slices.Sorted(maps.Keys(assign)) {
+			resp, excs := b.hedgedCall(ctx, qc, sub, tenant, inst, assign[inst], tried)
+			g.srvExcs = append(g.srvExcs, excs...)
 			if resp == nil {
 				failed = append(failed, assign[inst]...)
 				continue
@@ -862,36 +628,30 @@ func (b *Broker) queryGroup(ctx context.Context, qc *qctx.QueryContext, rs *rout
 			// the per-phase maximum: servers run concurrently, so the
 			// critical path is what the client can act on.
 			qc.ObserveServer(resp.Trace)
-			gr.respExcs = append(gr.respExcs, resp.Exceptions...)
-			if gr.result == nil {
-				gr.result = resp.Result
-				continue
-			}
-			if err := gr.result.Merge(resp.Result); err != nil {
-				gr.err = err
-				return gr
+			if err := g.fold(gather{result: resp.Result, respExcs: resp.Exceptions}); err != nil {
+				return g, err
 			}
 		}
 		if len(failed) == 0 {
 			if !lost {
-				gr.responded = true
+				g.responded = 1
 				// Every segment got a result: earlier failures were
 				// masked by a retry or hedge.
-				for i := range gr.excs {
-					gr.excs[i].Recovered = true
+				for i := range g.srvExcs {
+					g.srvExcs[i].Recovered = true
 				}
 			}
-			return gr
+			return g, nil
 		}
 		if attempt >= maxRetries || ctx.Err() != nil {
-			return gr
+			return g, nil
 		}
-		next := alternateGroups(rs, failed, tried)
+		next := alternateGroups(sub.rs, failed, tried)
 		if next.SegmentCount() < len(failed) {
 			lost = true
 		}
 		if len(next) == 0 {
-			return gr
+			return g, nil
 		}
 		assign = next
 	}
@@ -902,7 +662,7 @@ func (b *Broker) queryGroup(ctx context.Context, qc *qctx.QueryContext, rs *rout
 // duplicate request races on an untried replica holding the same segments;
 // the first usable response wins. Responses failing shape validation count
 // as server failures so corruption can never poison the merge.
-func (b *Broker) hedgedCall(ctx context.Context, qc *qctx.QueryContext, rs *routingState, resource, pqlText, tenant string, q *pql.Query, instance string, segs []string, tried map[string]bool) (*transport.QueryResponse, []ServerException) {
+func (b *Broker) hedgedCall(ctx context.Context, qc *qctx.QueryContext, sub *subquery, tenant, instance string, segs []string, tried map[string]bool) (*transport.QueryResponse, []ServerException) {
 	type callRes struct {
 		inst string
 		resp *transport.QueryResponse
@@ -912,7 +672,7 @@ func (b *Broker) hedgedCall(ctx context.Context, qc *qctx.QueryContext, rs *rout
 	launch := func(inst string) {
 		tried[inst] = true
 		go func() {
-			resp, err := b.callServer(ctx, qc, resource, pqlText, tenant, inst, segs)
+			resp, err := b.callServer(ctx, qc, sub, tenant, inst, segs)
 			ch <- callRes{inst, resp, err}
 		}()
 	}
@@ -920,12 +680,11 @@ func (b *Broker) hedgedCall(ctx context.Context, qc *qctx.QueryContext, rs *rout
 	outstanding := 1
 
 	var hedgeC <-chan time.Time
-	var hedgeTimer *time.Timer
 	if b.cfg.HedgeDelay > 0 {
-		if _, ok := hedgeTarget(rs, segs, tried); ok {
-			hedgeTimer = time.NewTimer(b.cfg.HedgeDelay)
-			hedgeC = hedgeTimer.C
-			defer hedgeTimer.Stop()
+		if _, ok := hedgeTarget(sub.rs, segs, tried); ok {
+			timer := time.NewTimer(b.cfg.HedgeDelay)
+			defer timer.Stop()
+			hedgeC = timer.C
 		}
 	}
 
@@ -945,7 +704,7 @@ func (b *Broker) hedgedCall(ctx context.Context, qc *qctx.QueryContext, rs *rout
 			return nil, excs
 		case <-hedgeC:
 			hedgeC = nil
-			if h, ok := hedgeTarget(rs, segs, tried); ok {
+			if h, ok := hedgeTarget(sub.rs, segs, tried); ok {
 				b.met.hedges.Inc()
 				launch(h)
 				outstanding++
@@ -953,7 +712,7 @@ func (b *Broker) hedgedCall(ctx context.Context, qc *qctx.QueryContext, rs *rout
 		case r := <-ch:
 			outstanding--
 			if r.err == nil {
-				if cerr := r.resp.Result.Conforms(q); cerr != nil {
+				if cerr := r.resp.Result.Conforms(sub.q); cerr != nil {
 					r.err = cerr
 				}
 			}
@@ -970,12 +729,12 @@ func (b *Broker) hedgedCall(ctx context.Context, qc *qctx.QueryContext, rs *rout
 // callServer issues one request to one server under the per-server deadline,
 // carrying the query's identity and the deadline budget still unspent at
 // send time (parse, routing and any earlier attempts already charged).
-func (b *Broker) callServer(ctx context.Context, qc *qctx.QueryContext, resource, pqlText, tenant, instance string, segs []string) (*transport.QueryResponse, error) {
+func (b *Broker) callServer(ctx context.Context, qc *qctx.QueryContext, sub *subquery, tenant, instance string, segs []string) (*transport.QueryResponse, error) {
 	client, ok := b.registry.ServerClient(instance)
 	if !ok {
 		return nil, fmt.Errorf("no client for %s", instance)
 	}
-	cctx, cancel := context.WithTimeout(ctx, b.cfg.perServerTimeout())
+	cctx, cancel := context.WithTimeout(ctx, b.cfg.QueryTimeout/(maxRetries+1))
 	defer cancel()
 	var budgetMillis int64
 	if left, ok := qc.Remaining(); ok {
@@ -987,8 +746,8 @@ func (b *Broker) callServer(ctx context.Context, qc *qctx.QueryContext, resource
 		}
 	}
 	return client.Execute(cctx, &transport.QueryRequest{
-		Resource:     resource,
-		PQL:          pqlText,
+		Resource:     sub.rs.resource,
+		PQL:          sub.pql,
 		Segments:     segs,
 		Tenant:       tenant,
 		QueryID:      qc.ID(),
@@ -1000,29 +759,19 @@ func (b *Broker) callServer(ctx context.Context, qc *qctx.QueryContext, resource
 // loaded first. Segments with no untried replica are dropped: they stay
 // failed and the group reports an explicitly partial result.
 func alternateGroups(rs *routingState, segs []string, tried map[string]bool) RoutingTable {
-	sorted := append([]string(nil), segs...)
-	sort.Strings(sorted)
 	load := map[string]int{}
 	out := RoutingTable{}
-	for _, seg := range sorted {
-		var candidates []string
+	for _, seg := range slices.Sorted(slices.Values(segs)) {
+		best := "" // the least loaded untried replica, ties to the first name
 		for _, inst := range rs.segments[seg] {
-			if !tried[inst] {
-				candidates = append(candidates, inst)
-			}
-		}
-		if len(candidates) == 0 {
-			continue
-		}
-		sort.Strings(candidates)
-		best := candidates[0]
-		for _, inst := range candidates[1:] {
-			if load[inst] < load[best] {
+			if !tried[inst] && (best == "" || load[inst] < load[best] || load[inst] == load[best] && inst < best) {
 				best = inst
 			}
 		}
-		out[best] = append(out[best], seg)
-		load[best]++
+		if best != "" {
+			out[best] = append(out[best], seg)
+			load[best]++
+		}
 	}
 	return out
 }
@@ -1038,17 +787,13 @@ func hedgeTarget(rs *routingState, segs []string, tried map[string]bool) (string
 			}
 		}
 	}
-	var full []string
+	best := ""
 	for inst, n := range counts {
-		if n == len(segs) {
-			full = append(full, inst)
+		if n == len(segs) && (best == "" || inst < best) {
+			best = inst
 		}
 	}
-	if len(full) == 0 {
-		return "", false
-	}
-	sort.Strings(full)
-	return full[0], true
+	return best, best != ""
 }
 
 // partitionFilterValue extracts the value of a top-level equality predicate

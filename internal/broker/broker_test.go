@@ -92,21 +92,28 @@ func newTestEnv(t *testing.T, cfg Config) *testEnv {
 			t.Fatal(err)
 		}
 	}
-	cfg.Cluster = "test"
 	cfg.Instance = "broker1"
+	env.broker = env.newBroker(t, cfg, env.store)
+	return env
+}
+
+// newBroker starts a broker over env's fake servers whose metadata sessions
+// come from ep.
+func (env *testEnv) newBroker(t *testing.T, cfg Config, ep zkmeta.Endpoint) *Broker {
+	t.Helper()
+	cfg.Cluster = "test"
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	registry := transport.RegistryFunc(func(instance string) (transport.ServerClient, bool) {
+	b := New(cfg, ep, transport.RegistryFunc(func(instance string) (transport.ServerClient, bool) {
 		s, ok := env.servers[instance]
 		return s, ok
-	})
-	env.broker = New(cfg, env.store, registry)
-	if err := env.broker.Start(); err != nil {
+	}))
+	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(env.broker.Stop)
-	return env
+	t.Cleanup(b.Stop)
+	return b
 }
 
 func (env *testEnv) schema(t *testing.T) *segment.Schema {
@@ -121,23 +128,53 @@ func (env *testEnv) schema(t *testing.T) *segment.Schema {
 	return s
 }
 
+// timeSchema is schema plus a time column t, on which a hybrid table splits.
+func (env *testEnv) timeSchema(t *testing.T) *segment.Schema {
+	t.Helper()
+	s, err := segment.NewSchema("ev", append(env.schema(t).Fields,
+		segment.FieldSpec{Name: "t", Type: segment.TypeLong, Kind: segment.Time, SingleValue: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // addTable registers a table config, external view and fake servers. Each
 // server answers COUNT-style queries with `docsPerSegment` per routed
 // segment.
 func (env *testEnv) addTable(t *testing.T, resource string, segsPerServer map[string][]string, docsPerSegment int64) {
 	t.Helper()
+	env.addTableWithSchema(t, resource, env.schema(t), segsPerServer, docsPerSegment)
+}
+
+func (env *testEnv) addTableWithSchema(t *testing.T, resource string, schema *segment.Schema, segsPerServer map[string][]string, docsPerSegment int64) {
+	t.Helper()
+	// The broker hears of the writes on its watch goroutines: one event per
+	// write to a znode it watches, one more if the view is new. Wait for every
+	// invalidation, so none lands after the test's first query has cached.
+	p := helix.PropertyStorePath("test", "CONFIGS", "TABLE", resource)
+	evPath := helix.ExternalViewPath("test", resource)
+	env.broker.mu.Lock()
+	_, configWatched := env.broker.watching[p]
+	_, viewWatched := env.broker.watching[evPath]
+	epoch := env.broker.routingEpoch
+	env.broker.mu.Unlock()
+	events := 0
 	name, typ, err := table.ParseResource(resource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := &table.Config{Name: name, Type: typ, Schema: env.schema(t), Replicas: 1}
+	cfg := &table.Config{Name: name, Type: typ, Schema: schema, Replicas: 1}
 	if typ == table.Realtime {
 		cfg.StreamTopic = "s"
 		cfg.FlushThresholdRows = 1
 	}
 	data, _ := json.Marshal(cfg)
-	p := helix.PropertyStorePath("test", "CONFIGS", "TABLE", resource)
-	if err := env.sess.Create(p, data); err != nil && err != zkmeta.ErrNodeExists {
+	if err := env.sess.Create(p, data); err == nil {
+		if configWatched {
+			events++
+		}
+	} else if err != zkmeta.ErrNodeExists {
 		t.Fatal(err)
 	}
 	ev := &helix.ExternalView{Resource: resource, Partitions: map[string]map[string]string{}}
@@ -160,16 +197,7 @@ func (env *testEnv) addTable(t *testing.T, resource string, segsPerServer map[st
 		}
 	}
 	evData, _ := json.Marshal(ev)
-	evPath := helix.ExternalViewPath("test", resource)
-	// The broker hears of the write on its watch goroutines: one event if it
-	// already routes the resource, one more if the view is new. Wait for every
-	// invalidation, so none lands after the test's first query has cached.
-	env.broker.mu.Lock()
-	_, watched := env.broker.watching[resource]
-	epoch := env.broker.routingEpoch
-	env.broker.mu.Unlock()
-	events := 0
-	if watched {
+	if viewWatched {
 		events++
 	}
 	if err := env.sess.Create(evPath, evData); err == zkmeta.ErrNodeExists {
@@ -180,6 +208,18 @@ func (env *testEnv) addTable(t *testing.T, resource string, segsPerServer map[st
 		events++
 	}
 	env.awaitInvalidations(t, epoch+events)
+}
+
+// addSegmentMeta writes a segment's metadata record.
+func (env *testEnv) addSegmentMeta(t *testing.T, m *table.SegmentMeta) {
+	t.Helper()
+	base := helix.PropertyStorePath("test", "SEGMENTS", m.Resource)
+	if err := env.sess.Create(base, nil); err != nil && err != zkmeta.ErrNodeExists {
+		t.Fatal(err)
+	}
+	if err := env.sess.Create(base+"/"+m.Name, m.Marshal()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // awaitInvalidations waits until the broker's routing epoch reaches epoch.
@@ -300,14 +340,7 @@ func TestBrokerHybridDispatchesBothResources(t *testing.T) {
 	env.addTable(t, "ev_OFFLINE", map[string][]string{"s1": {"off0"}}, 10)
 	env.addTable(t, "ev_REALTIME", map[string][]string{"s2": {"ev__0__0"}}, 7)
 	// Offline segment metadata provides the time boundary.
-	segBase := helix.PropertyStorePath("test", "SEGMENTS", "ev_OFFLINE")
-	if err := env.sess.Create(segBase, nil); err != nil && err != zkmeta.ErrNodeExists {
-		t.Fatal(err)
-	}
-	meta := &table.SegmentMeta{Name: "off0", Resource: "ev_OFFLINE", Status: table.StatusDone, MaxTime: 100, Partition: -1}
-	if err := env.sess.Create(segBase+"/off0", meta.Marshal()); err != nil {
-		t.Fatal(err)
-	}
+	env.addSegmentMeta(t, &table.SegmentMeta{Name: "off0", Resource: "ev_OFFLINE", Status: table.StatusDone, MaxTime: 100, Partition: -1})
 	res, err := env.broker.Execute(context.Background(), "SELECT count(*) FROM ev", "")
 	if err != nil {
 		t.Fatal(err)
@@ -681,14 +714,7 @@ func TestBrokerViewChangeDuringRoutingBuildIsNotLost(t *testing.T) {
 	ep := &racingEndpoint{Endpoint: env.store, path: helix.ExternalViewPath("test", "ev_OFFLINE"), after: func() {
 		env.addTable(t, "ev_OFFLINE", map[string][]string{"s1": {"seg0", "seg1"}}, 10)
 	}}
-	b := New(Config{Cluster: "test", Instance: "broker2", Seed: 1}, ep, transport.RegistryFunc(func(instance string) (transport.ServerClient, bool) {
-		s, ok := env.servers[instance]
-		return s, ok
-	}))
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer b.Stop()
+	b := env.newBroker(t, Config{Instance: "broker2"}, ep)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		res, err := b.Execute(context.Background(), "SELECT count(*) FROM ev", "")
@@ -697,6 +723,191 @@ func TestBrokerViewChangeDuringRoutingBuildIsNotLost(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("routing stuck on the view read before the update: %v %v", res, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// lastPQL returns the PQL of the latest call a fake server received.
+func (f *fakeServer) lastPQL(t *testing.T) string {
+	t.Helper()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.calls) == 0 {
+		t.Fatalf("%s was never called", f.instance)
+	}
+	return f.calls[len(f.calls)-1].PQL
+}
+
+// hybridEnv builds a hybrid table ev: the offline segment off0 (DONE, max
+// time 100) on s1 and the realtime segment ev__0__0 on s2, whose rows may
+// reach back past 100. Extra metadata records are written before any query.
+func hybridEnv(t *testing.T, cfg Config, schema func(*testEnv, *testing.T) *segment.Schema, metas ...*table.SegmentMeta) *testEnv {
+	t.Helper()
+	env := newTestEnv(t, cfg)
+	env.addTableWithSchema(t, "ev_OFFLINE", schema(env, t), map[string][]string{"s1": {"off0"}}, 10)
+	env.addTableWithSchema(t, "ev_REALTIME", schema(env, t), map[string][]string{"s2": {"ev__0__0"}}, 7)
+	metas = append(metas, &table.SegmentMeta{Name: "off0", Resource: "ev_OFFLINE", Status: table.StatusDone, MaxTime: 100, Partition: -1})
+	for _, m := range metas {
+		env.addSegmentMeta(t, m)
+	}
+	return env
+}
+
+// TestBrokerHybridHalvesScatterInOneWave: the offline and realtime halves of
+// a hybrid query go out in one fan-out, so the query waits for the slower
+// half, not for the two one after the other (60 ms here).
+func TestBrokerHybridHalvesScatterInOneWave(t *testing.T) {
+	env := hybridEnv(t, Config{DisableResultCache: true}, (*testEnv).timeSchema)
+	if _, err := env.broker.Execute(context.Background(), "SELECT count(*) FROM ev", ""); err != nil {
+		t.Fatal(err)
+	}
+	env.servers["s1"].latency = 30 * time.Millisecond
+	env.servers["s2"].latency = 30 * time.Millisecond
+	fastest := time.Hour
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		res, err := env.broker.Execute(context.Background(), "SELECT count(*) FROM ev", "")
+		if err != nil || res.Partial || res.Rows[0][0].(int64) != 17 {
+			t.Fatalf("hybrid query: %+v, err %v", res, err)
+		}
+		fastest = min(fastest, time.Since(start))
+	}
+	t.Logf("fastest of 5 hybrid queries: %v", fastest)
+	if fastest >= 45*time.Millisecond {
+		t.Fatalf("a hybrid query over two 30 ms servers took %v at best, want < 45ms", fastest)
+	}
+}
+
+// countingEndpoint mints sessions that count their metadata reads.
+type countingEndpoint struct {
+	zkmeta.Endpoint
+	reads atomic.Int64
+}
+
+type countingClient struct {
+	zkmeta.Client
+	ep *countingEndpoint
+}
+
+func (e *countingEndpoint) NewClient() zkmeta.Client {
+	return countingClient{Client: e.Endpoint.NewClient(), ep: e}
+}
+
+func (c countingClient) Get(path string) ([]byte, int, error) {
+	c.ep.reads.Add(1)
+	return c.Client.Get(path)
+}
+
+func (c countingClient) Children(path string) ([]string, error) {
+	c.ep.reads.Add(1)
+	return c.Client.Children(path)
+}
+
+// TestBrokerWarmQueriesReadNoMetadata: once a table's snapshots are built, a
+// query on an offline-only, a realtime-only or a hybrid table reads nothing
+// from the metadata store. A query for a table that does not exist still
+// fails, and leaves nothing watched behind it.
+func TestBrokerWarmQueriesReadNoMetadata(t *testing.T) {
+	env := hybridEnv(t, Config{}, (*testEnv).timeSchema)
+	env.addTable(t, "o_OFFLINE", map[string][]string{"s1": {"o0"}}, 10)
+	env.addTable(t, "r_REALTIME", map[string][]string{"s2": {"r__0__0"}}, 7)
+	ep := &countingEndpoint{Endpoint: env.store}
+	b := env.newBroker(t, Config{Instance: "broker2"}, ep)
+	queryAll := func() {
+		t.Helper()
+		for _, name := range []string{"o", "r", "ev"} {
+			if res, err := b.Execute(context.Background(), "SELECT count(*) FROM "+name, ""); err != nil || res.Partial {
+				t.Fatalf("%s: %+v, err %v", name, res, err)
+			}
+		}
+	}
+	queryAll()
+	ep.reads.Store(0)
+	queryAll()
+	if n := ep.reads.Load(); n != 0 {
+		t.Fatalf("warm queries made %d metadata reads, want 0", n)
+	}
+	b.mu.Lock()
+	watched := len(b.watching)
+	b.mu.Unlock()
+	if _, err := b.Execute(context.Background(), "SELECT count(*) FROM nosuch", ""); err == nil || !strings.Contains(err.Error(), "unknown table") {
+		t.Fatalf("unknown table: err %v", err)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.watching) != watched {
+		t.Fatalf("an unknown table grew the watch set from %d to %d", watched, len(b.watching))
+	}
+}
+
+// TestBrokerBoundaryIgnoresSegmentsNotYetOnline: a DONE offline segment the
+// offline half cannot route to yet does not move the time boundary. Moving it
+// would take the rows between the old and the new boundary from the realtime
+// half before any offline server serves them.
+func TestBrokerBoundaryIgnoresSegmentsNotYetOnline(t *testing.T) {
+	env := hybridEnv(t, Config{}, (*testEnv).timeSchema,
+		&table.SegmentMeta{Name: "off1", Resource: "ev_OFFLINE", Status: table.StatusDone, MaxTime: 200, Partition: -1})
+	if _, err := env.broker.Execute(context.Background(), "SELECT count(*) FROM ev", ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := env.servers["s1"].lastPQL(t); !strings.HasSuffix(got, "WHERE t < 100") {
+		t.Fatalf("offline half got %q, want the boundary of the routed segment, t < 100", got)
+	}
+	if got := env.servers["s2"].lastPQL(t); !strings.HasSuffix(got, "WHERE t >= 100") {
+		t.Fatalf("realtime half got %q, want t >= 100", got)
+	}
+}
+
+// TestBrokerExpiredSessionKeepsTheBoundary: a broker that can no longer read
+// the metadata store answers a hybrid query from its snapshots with the same
+// boundary rewrite. Reading the boundary per query turned the store error
+// into "no boundary", and both halves counted the rows they share.
+func TestBrokerExpiredSessionKeepsTheBoundary(t *testing.T) {
+	env := hybridEnv(t, Config{DisableResultCache: true}, (*testEnv).timeSchema)
+	if _, err := env.broker.Execute(context.Background(), "SELECT count(*) FROM ev", ""); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string]string{"s1": env.servers["s1"].lastPQL(t), "s2": env.servers["s2"].lastPQL(t)}
+	env.broker.sess.Expire()
+	if _, err := env.broker.Execute(context.Background(), "SELECT count(*) FROM ev", ""); err != nil {
+		t.Fatal(err)
+	}
+	for inst, want := range before {
+		if !strings.Contains(want, " t ") {
+			t.Fatalf("%s: %q is not boundary-rewritten", inst, want)
+		}
+		if got := env.servers[inst].lastPQL(t); got != want {
+			t.Fatalf("%s after the session expired: %q, want %q", inst, got, want)
+		}
+	}
+}
+
+// TestBrokerConfigChangeDuringReadIsNotLost: a table config written between
+// the broker's read of it and the moment it keeps what it built must reach
+// the next query. Watching the config only after reading it lost that write
+// until the next one, and the broker served the old schema: here, one with
+// no time column to split the hybrid query on.
+func TestBrokerConfigChangeDuringReadIsNotLost(t *testing.T) {
+	env := hybridEnv(t, Config{}, (*testEnv).schema)
+	path := helix.PropertyStorePath("test", "CONFIGS", "TABLE", "ev_OFFLINE")
+	data, _ := json.Marshal(&table.Config{Name: "ev", Type: table.Offline, Schema: env.timeSchema(t), Replicas: 1})
+	ep := &racingEndpoint{Endpoint: env.store, path: path, after: func() {
+		if _, err := env.sess.Set(path, data, -1); err != nil {
+			t.Error(err)
+		}
+	}}
+	b := env.newBroker(t, Config{Instance: "broker2", DisableResultCache: true}, ep)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := b.Execute(context.Background(), "SELECT count(*) FROM ev", ""); err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(env.servers["s1"].lastPQL(t), "WHERE t < 100") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the config written during the read never took effect: offline half still gets %q", env.servers["s1"].lastPQL(t))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

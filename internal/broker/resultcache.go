@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"pinot/internal/helix"
 	"pinot/internal/pql"
@@ -17,14 +18,14 @@ import (
 // Invalidation is precise, never time-based — the version vector changes
 // whenever the external view or segment metadata does, and external-view
 // watches additionally drop a resource's entries eagerly. Consuming
-// segments are excluded from cacheable coverage (splitConsuming), so a hit
+// segments are excluded from cacheable coverage (Broker.plan), so a hit
 // merges the cached offline/immutable portion with a live scatter over the
 // still-moving remainder.
 
 // cachedGather is one stored result-cache entry: the merged intermediate of
 // a subquery's immutable portion, as its encoded bytes (query/wire.go) at
 // exactly their length, plus the scatter counts that produced it. Only
-// complete outcomes are stored (see gatherResult.complete), so a replay is
+// complete outcomes are stored (see gather.complete), so a replay is
 // indistinguishable from re-contacting the same servers — stats included —
 // except for the Stats.ResultCacheHit marker.
 type cachedGather struct {
@@ -38,19 +39,19 @@ type cachedGather struct {
 // receiver), flagged as a cache hit — the single permitted divergence from a
 // cold response. ok is false when the bytes no longer decode; the caller then
 // scatters as on a miss and its Put replaces the entry.
-func (e *cachedGather) replay() (hit gatherResult, ok bool) {
+func (e *cachedGather) replay() (hit gather, ok bool) {
 	res, err := query.DecodeIntermediate(e.encoded)
 	if err != nil {
-		return gatherResult{}, false
+		return gather{}, false
 	}
 	res.Stats.ResultCacheHit = true
-	return gatherResult{result: res, queried: e.queried, responded: e.responded}, true
+	return gather{result: res, queried: e.queried, responded: e.responded}, true
 }
 
 // complete reports whether a portion's outcome may be cached: every group
 // answered, no response carried an exception, and any server-level failure
 // was masked by a retry or hedge.
-func (p gatherResult) complete() bool {
+func (p gather) complete() bool {
 	if p.responded != p.queried || len(p.respExcs) > 0 {
 		return false
 	}
@@ -70,23 +71,6 @@ func resultCacheKey(rs *routingState, tenant string, q *pql.Query) string {
 	return rs.version + "\x00" + tenant + "\x00" + q.CanonicalString()
 }
 
-// splitConsuming partitions a routing table into the immutable portion
-// (eligible for the result cache) and the consuming portion (always
-// scattered live). Groups whose server holds both kinds are split in two.
-func splitConsuming(rt RoutingTable, consuming map[string]bool) (imm, cons RoutingTable) {
-	imm, cons = RoutingTable{}, RoutingTable{}
-	for inst, segs := range rt {
-		for _, s := range segs {
-			if consuming[s] {
-				cons[inst] = append(cons[inst], s)
-			} else {
-				imm[inst] = append(imm[inst], s)
-			}
-		}
-	}
-	return imm, cons
-}
-
 // routingVersion digests a routing snapshot into the version-vector half
 // of every result-cache key: the external view's store version (bumped by
 // the metadata store on every write) plus an FNV-1a hash over the sorted
@@ -96,21 +80,11 @@ func splitConsuming(rt RoutingTable, consuming map[string]bool) (imm, cons Routi
 // external-view write — the hash catches what the store version alone
 // would miss.
 func routingVersion(storeVersion int, ev *helix.ExternalView, metas map[string]*table.SegmentMeta) string {
-	segs := make([]string, 0, len(ev.Partitions))
-	for seg := range ev.Partitions {
-		segs = append(segs, seg)
-	}
-	sort.Strings(segs)
 	h := fnv.New64a()
-	for _, seg := range segs {
+	for _, seg := range slices.Sorted(maps.Keys(ev.Partitions)) {
 		io.WriteString(h, seg)
 		replicas := ev.Partitions[seg]
-		insts := make([]string, 0, len(replicas))
-		for inst := range replicas {
-			insts = append(insts, inst)
-		}
-		sort.Strings(insts)
-		for _, inst := range insts {
+		for _, inst := range slices.Sorted(maps.Keys(replicas)) {
 			fmt.Fprintf(h, "|%s=%s", inst, replicas[inst])
 		}
 		if m := metas[seg]; m != nil {

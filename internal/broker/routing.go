@@ -6,12 +6,17 @@
 package broker
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
-	"sync"
 
+	"pinot/internal/helix"
 	"pinot/internal/table"
+	"pinot/internal/zkmeta"
 )
 
 // Strategy selects how routing tables are generated.
@@ -31,9 +36,6 @@ const (
 // RoutingTable maps server instance → the segments it must process for one
 // query.
 type RoutingTable map[string][]string
-
-// ServerCount returns the number of servers the table touches.
-func (rt RoutingTable) ServerCount() int { return len(rt) }
 
 // SegmentCount returns the number of segments covered.
 func (rt RoutingTable) SegmentCount() int {
@@ -85,14 +87,9 @@ func (si segmentInstances) invert() map[string]map[string]bool {
 // generateBalanced builds the default routing table: every segment assigned
 // to its least-loaded replica, so all servers share the work evenly.
 func generateBalanced(si segmentInstances, rnd *rand.Rand) (RoutingTable, error) {
-	segs := make([]string, 0, len(si))
-	for s := range si {
-		segs = append(segs, s)
-	}
-	sort.Strings(segs)
 	load := map[string]int{}
 	rt := RoutingTable{}
-	for _, seg := range segs {
+	for _, seg := range slices.Sorted(maps.Keys(si)) {
 		insts := si[seg]
 		if len(insts) == 0 {
 			return nil, fmt.Errorf("broker: segment %s has no available replica", seg)
@@ -115,11 +112,7 @@ func generateBalanced(si segmentInstances, rnd *rand.Rand) (RoutingTable, error)
 // fewest candidate instances first.
 func generateRoutingTable(si segmentInstances, target int, rnd *rand.Rand) (RoutingTable, error) {
 	is := si.invert()
-	instances := make([]string, 0, len(is))
-	for inst := range is {
-		instances = append(instances, inst)
-	}
-	sort.Strings(instances)
+	instances := slices.Sorted(maps.Keys(is))
 
 	orphan := map[string]bool{}
 	for seg := range si {
@@ -271,9 +264,12 @@ func filterRoutingTables(si segmentInstances, target, keep, candidates int, rnd 
 	return out, nil
 }
 
-// routingState is the cached routing machinery for one resource.
+// routingState is one resource's watched snapshot: its table config and the
+// routing built from its external view and segment metadata; a nil cfg
+// records that the resource does not exist. Never changed once built.
 type routingState struct {
-	mu       sync.Mutex
+	resource string
+	cfg      *table.Config
 	tables   []RoutingTable
 	segments segmentInstances
 	// version is this routing snapshot's identity: the external view's
@@ -288,23 +284,230 @@ type routingState struct {
 	// cache hit still reflects every row ingested since the entry was
 	// stored.
 	consuming map[string]bool
-	// partition routing support
-	segPartition map[string]int // segment → partition (-1 unknown)
 	// segMeta caches ZK segment metadata (time range, partition, doc
 	// count) so broker-side pruning never touches segment data. Entries
 	// refresh with the routing state on external-view changes.
 	segMeta map[string]*table.SegmentMeta
+	// boundary splits a hybrid table at the max MaxTime of the DONE segments
+	// its offline half routes to (offline < boundary <= realtime, paper
+	// Figure 6). A DONE segment not yet online must not move it, or rows past
+	// the old boundary would be served by neither half.
+	boundary    int64
+	hasBoundary bool
 }
+
+// exists reports whether rs is the snapshot of a resource that exists.
+func (rs *routingState) exists() bool { return rs != nil && rs.cfg != nil }
 
 // pick returns a random pre-generated routing table (paper 3.3.3 step 2: "a
 // routing table for that particular table is picked at random").
 func (rs *routingState) pick(rnd *rand.Rand) RoutingTable {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	if len(rs.tables) == 0 {
 		return nil
 	}
 	return rs.tables[rnd.Intn(len(rs.tables))]
+}
+
+// buildRoutingState builds a resource's snapshot from its znodes' bytes: the
+// table config (nil: no such resource), the external view and its store
+// version, and the segment metadata. The znodes are a trust boundary: any
+// bytes give a state or an error.
+func (b *Broker) buildRoutingState(resource string, cfgData, evData []byte, evVersion int, metaData [][]byte) (*routingState, error) {
+	rs := &routingState{resource: resource}
+	if cfgData == nil {
+		return rs, nil
+	}
+	if err := json.Unmarshal(cfgData, &rs.cfg); err != nil {
+		return nil, fmt.Errorf("broker: %s: table config: %w", resource, err)
+	}
+	if rs.cfg == nil || rs.cfg.Schema == nil {
+		return nil, fmt.Errorf("broker: %s: table config has no schema", resource)
+	}
+	ev := &helix.ExternalView{}
+	if len(evData) > 0 {
+		if err := json.Unmarshal(evData, ev); err != nil {
+			return nil, fmt.Errorf("broker: %s: external view: %w", resource, err)
+		}
+	}
+	rs.segments, rs.consuming = segmentInstances{}, map[string]bool{}
+	for seg, replicas := range ev.Partitions {
+		for inst, state := range replicas {
+			// Both fully online replicas and consuming replicas
+			// participate in query processing.
+			if state == helix.StateOnline || state == helix.StateConsuming {
+				rs.segments[seg] = append(rs.segments[seg], inst)
+			}
+			if state == helix.StateConsuming {
+				rs.consuming[seg] = true
+			}
+		}
+	}
+	var err error
+	b.rndMu.Lock()
+	switch b.cfg.Strategy {
+	case StrategyLargeCluster:
+		// Algorithm 2 generates G = 10·C candidate tables and keeps the C best.
+		rs.tables, err = filterRoutingTables(rs.segments, b.cfg.TargetServers, routingTables, 10*routingTables, b.rnd)
+	default:
+		var rt RoutingTable
+		rt, err = generateBalanced(rs.segments, b.rnd)
+		rs.tables = []RoutingTable{rt}
+	}
+	b.rndMu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("broker: could not build routing table for %s: %w", resource, err)
+	}
+	rs.segMeta = make(map[string]*table.SegmentMeta, len(metaData))
+	for _, data := range metaData {
+		m, err := table.UnmarshalSegmentMeta(data)
+		if err != nil {
+			return nil, fmt.Errorf("broker: %s: segment metadata: %w", resource, err)
+		}
+		rs.segMeta[m.Name] = m
+	}
+	for seg := range rs.segments {
+		if m := rs.segMeta[seg]; m != nil && m.Status == table.StatusDone && (!rs.hasBoundary || m.MaxTime > rs.boundary) {
+			rs.boundary, rs.hasBoundary = m.MaxTime, true
+		}
+	}
+	rs.version = routingVersion(evVersion, ev, rs.segMeta)
+	return rs, nil
+}
+
+// readRoutingState watches, then reads, a resource's znodes and builds its
+// snapshot from them. The view's data and version come from ONE Get: the
+// version seeds result-cache keys, which must never pair one view with
+// another's routing. A store error fails the read rather than plan on a
+// guess (a hybrid query without its boundary double-counts).
+func (b *Broker) readRoutingState(resource string) (*routingState, error) {
+	cfgPath, evPath := tableConfigPath(b.cfg.Cluster, resource), helix.ExternalViewPath(b.cfg.Cluster, resource)
+	b.watch(resource, cfgPath)
+	cfgData, _, err := b.sess.Get(cfgPath)
+	if errors.Is(err, zkmeta.ErrNoNode) {
+		return b.buildRoutingState(resource, nil, nil, 0, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	b.watch(resource, evPath) // an absent resource's view is not watched
+	evData, evVersion, err := b.sess.Get(evPath)
+	if err != nil && !errors.Is(err, zkmeta.ErrNoNode) {
+		return nil, err
+	}
+	base := helix.PropertyStorePath(b.cfg.Cluster, "SEGMENTS", resource)
+	names, err := b.sess.Children(base)
+	if err != nil && !errors.Is(err, zkmeta.ErrNoNode) {
+		return nil, err
+	}
+	metas := make([][]byte, 0, len(names))
+	for _, name := range names {
+		data, _, err := b.sess.Get(base + "/" + name)
+		if errors.Is(err, zkmeta.ErrNoNode) {
+			continue // deleted since it was listed
+		}
+		if err != nil {
+			return nil, err
+		}
+		metas = append(metas, data)
+	}
+	return b.buildRoutingState(resource, cfgData, evData, evVersion, metas)
+}
+
+func tableConfigPath(cluster, resource string) string {
+	return helix.PropertyStorePath(cluster, "CONFIGS", "TABLE", resource)
+}
+
+// tableStates returns the snapshots of a table's offline and realtime
+// halves, at least one of which exists. A name no table config carries is
+// answered from the store and caches and watches nothing: client-supplied
+// names never grow the watch set.
+func (b *Broker) tableStates(name string) (off, rt *routingState, err error) {
+	offline, realtime := table.ResourceName(name, table.Offline), table.ResourceName(name, table.Realtime)
+	b.mu.Lock()
+	off, rt = b.routing[offline], b.routing[realtime]
+	b.mu.Unlock()
+	known := off.exists() || rt.exists() ||
+		b.sess.Exists(tableConfigPath(b.cfg.Cluster, offline)) || b.sess.Exists(tableConfigPath(b.cfg.Cluster, realtime))
+	if known && off == nil {
+		off, err = b.routingFor(offline)
+	}
+	if known && rt == nil && err == nil {
+		rt, err = b.routingFor(realtime)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if !off.exists() && !rt.exists() {
+		return nil, nil, fmt.Errorf("broker: unknown table %q", name)
+	}
+	return off, rt, nil
+}
+
+// routingFor returns (building if needed) the snapshot of a resource.
+func (b *Broker) routingFor(resource string) (*routingState, error) {
+	b.mu.Lock()
+	rs, ok := b.routing[resource]
+	epoch := b.routingEpoch
+	b.mu.Unlock()
+	if ok {
+		return rs, nil
+	}
+	rs, err := b.readRoutingState(resource)
+	if err != nil {
+		return nil, err
+	}
+	// Keep the state only if no invalidation ran while it was being built;
+	// otherwise it answers this query and the next one rebuilds.
+	b.mu.Lock()
+	if b.routingEpoch == epoch {
+		b.routing[resource] = rs
+	}
+	b.mu.Unlock()
+	return rs, nil
+}
+
+// watch subscribes, once per path, to a znode the snapshot of resource is
+// read from; its change invalidates the snapshot. Each znode is watched
+// before it is read, so a change landing mid-build is not lost (paper 3.3.2:
+// "brokers listen to changes to the cluster state and update their routing
+// tables").
+func (b *Broker) watch(resource, path string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, ok := b.watching[path]; ok {
+		return
+	}
+	events, cancel := b.sess.Watch(path)
+	b.watching[path] = cancel
+	go func() {
+		for range events {
+			b.invalidate(resource)
+		}
+	}()
+}
+
+func (b *Broker) invalidateAll() {
+	b.mu.Lock()
+	b.routing = map[string]*routingState{}
+	b.routingEpoch++
+	b.mu.Unlock()
+	if b.resultCache != nil {
+		b.resultCache.InvalidateAll()
+	}
+}
+
+func (b *Broker) invalidate(resource string) {
+	b.mu.Lock()
+	delete(b.routing, resource)
+	b.routingEpoch++
+	b.mu.Unlock()
+	// The version-vector key already makes the dropped routing state's
+	// entries unreachable; the eager scope invalidation reclaims their
+	// memory and keeps the invalidation counters exact (once per entry —
+	// a second watch firing finds the scope empty and counts nothing).
+	if b.resultCache != nil {
+		b.resultCache.InvalidateScope(resource)
+	}
 }
 
 // restrict narrows a routing table to segments accepted by keep.

@@ -6,9 +6,16 @@
 package broker
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"pinot/internal/helix"
+	"pinot/internal/metrics"
+	"pinot/internal/segment"
+	"pinot/internal/table"
 )
 
 // randomSI builds a random segment→instances map: nSegs segments spread over
@@ -177,4 +184,99 @@ func TestBalancedStrategyLoadSpread(t *testing.T) {
 			t.Fatalf("trial %d: load spread %d..%d over %d servers / %d segments", trial, min, max, nInst, nSegs)
 		}
 	}
+}
+
+// FuzzRoutingState builds snapshots from arbitrary znode bytes — a table
+// config, an external view and segment metadata records (NUL-separated) —
+// under either strategy. Any input gives a state or an error, never a panic.
+// A built state routes every ONLINE/CONSUMING segment exactly once in every
+// routing table, and its boundary is the max MaxTime over the routed DONE
+// segments.
+func FuzzRoutingState(f *testing.F) {
+	schema, err := segment.NewSchema("ev", []segment.FieldSpec{
+		{Name: "m", Type: segment.TypeLong, Kind: segment.Metric, SingleValue: true},
+		{Name: "t", Type: segment.TypeLong, Kind: segment.Time, SingleValue: true},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg, _ := json.Marshal(&table.Config{Name: "ev", Type: table.Offline, Schema: schema, Replicas: 2})
+	ev, _ := json.Marshal(&helix.ExternalView{Resource: "ev_OFFLINE", Partitions: map[string]map[string]string{
+		"s0": {"a": helix.StateOnline, "b": helix.StateOffline},
+		"s1": {"a": helix.StateOnline, "b": helix.StateConsuming},
+		"s2": {"b": helix.StateError},
+	}})
+	var metas [][]byte
+	for _, m := range []table.SegmentMeta{
+		{Name: "s0", Status: table.StatusDone, MaxTime: 100},
+		{Name: "s1", Status: table.StatusInProgress, MaxTime: 300},
+		{Name: "s2", Status: table.StatusDone, MaxTime: 400}, // in the view, not routed
+		{Name: "s3", Status: table.StatusDone, MaxTime: 500}, // not yet in the view
+	} {
+		metas = append(metas, m.Marshal())
+	}
+	f.Add(cfg, ev, 3, bytes.Join(metas, []byte{0}), false)
+	f.Add(cfg, ev, 3, bytes.Join(metas, []byte{0}), true)
+	f.Add(cfg, []byte(nil), 0, []byte(nil), false)
+	f.Add([]byte(`{"schema":null}`), ev, 1, metas[0], true)
+	brokers := map[bool]*Broker{}
+	for _, large := range []bool{false, true} {
+		strategy := StrategyBalanced
+		if large {
+			strategy = StrategyLargeCluster
+		}
+		brokers[large] = New(Config{Strategy: strategy, Seed: 1, DisableResultCache: true, Metrics: metrics.NewRegistry()}, nil, nil)
+	}
+	f.Fuzz(func(t *testing.T, cfgData, evData []byte, evVersion int, metaData []byte, large bool) {
+		var metas [][]byte
+		if len(metaData) > 0 {
+			metas = bytes.Split(metaData, []byte{0})
+		}
+		rs, err := brokers[large].buildRoutingState("ev_OFFLINE", cfgData, evData, evVersion, metas)
+		if err != nil || !rs.exists() {
+			return
+		}
+		var view helix.ExternalView
+		if len(evData) > 0 {
+			if err := json.Unmarshal(evData, &view); err != nil {
+				t.Fatalf("the build accepted a view that does not decode: %v", err)
+			}
+		}
+		routed := segmentInstances{}
+		for seg, replicas := range view.Partitions {
+			for inst, state := range replicas {
+				if state == helix.StateOnline || state == helix.StateConsuming {
+					routed[seg] = append(routed[seg], inst)
+				}
+			}
+		}
+		if len(rs.tables) == 0 {
+			t.Fatal("a built state has no routing table")
+		}
+		for i, rt := range rs.tables {
+			assertCoverage(t, fmt.Sprintf("table %d", i), routed, rt)
+		}
+		byName := map[string]*table.SegmentMeta{}
+		for _, data := range metas {
+			m, err := table.UnmarshalSegmentMeta(data)
+			if err != nil {
+				t.Fatalf("the build accepted metadata that does not decode: %v", err)
+			}
+			byName[m.Name] = m
+		}
+		attained := false
+		for seg := range routed {
+			m := byName[seg]
+			if m == nil || m.Status != table.StatusDone {
+				continue
+			}
+			if !rs.hasBoundary || m.MaxTime > rs.boundary {
+				t.Fatalf("routed DONE segment %q ends at %d, past the boundary %d (set: %v)", seg, m.MaxTime, rs.boundary, rs.hasBoundary)
+			}
+			attained = attained || m.MaxTime == rs.boundary
+		}
+		if attained != rs.hasBoundary {
+			t.Fatalf("boundary %d (set: %v) is no routed DONE segment's max time", rs.boundary, rs.hasBoundary)
+		}
+	})
 }

@@ -58,8 +58,8 @@ func TestGenerateBalancedCoversAndBalances(t *testing.T) {
 	}
 	assertCovers(t, rt, si)
 	// Balanced: all 6 servers used, each ~10 segments.
-	if rt.ServerCount() != 6 {
-		t.Fatalf("servers = %d", rt.ServerCount())
+	if len(rt) != 6 {
+		t.Fatalf("servers = %d", len(rt))
 	}
 	for inst, segs := range rt {
 		if len(segs) < 7 || len(segs) > 13 {
@@ -98,8 +98,8 @@ func TestAlgorithm1LimitsServerCount(t *testing.T) {
 		assertCovers(t, rt, si)
 		// T random + possibly a few extras for orphan coverage; must be
 		// far below the 20-server fleet.
-		if rt.ServerCount() > 12 {
-			t.Fatalf("trial %d: %d servers used, want ≪ 20", trial, rt.ServerCount())
+		if len(rt) > 12 {
+			t.Fatalf("trial %d: %d servers used, want ≪ 20", trial, len(rt))
 		}
 	}
 }
