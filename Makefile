@@ -38,7 +38,10 @@ cover:
 	@rm -f .cover-run.txt
 
 # Fuzz passes over the hostile-input surfaces: the transport decoders
-# (buffered whole-response payload, framed wire protocol), the layout of an
+# (buffered whole-response payload, the data plane's frame reader and
+# payloads: allocation bounded by what arrived, whatever a header claims),
+# the metadata endpoint's frames (requests, responses, watch events: linear
+# allocation, and whatever decodes re-encodes to an equal value), the layout of an
 # intermediate where it lives (the bytes both cache tiers store: linear
 # allocation, and whatever decodes re-encodes to an equal value), the PQL
 # parser (never panic; accepted input must canonicalize to a re-parseable
@@ -65,6 +68,7 @@ fuzz-smoke: FUZZTIME = 5s
 fuzz fuzz-smoke:
 	$(GO) test ./internal/transport -run NONE -fuzz=FuzzDecodeResponse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run NONE -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/zkmeta -run NONE -fuzz=FuzzZKFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run NONE -fuzz=FuzzDecodeIntermediate -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pql -run NONE -fuzz=FuzzParsePQL -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/expr -run NONE -fuzz=FuzzExprEval -fuzztime=$(FUZZTIME)
@@ -78,7 +82,7 @@ fuzz fuzz-smoke:
 # The counts ROADMAP aim 2 asks a PR to report in CHANGES.md: lines of
 # non-test Go in each package, as wc counts them.
 loc:
-	@for p in query broker transport segment startree bitmap objstore view qcache server qctx cluster controller minion; do \
+	@for p in query broker transport wire zkmeta segment startree bitmap objstore view qcache server qctx cluster controller minion; do \
 		printf 'internal/%s %s\n' $$p "$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l)"; \
 	done
 

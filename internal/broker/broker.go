@@ -133,9 +133,6 @@ func New(cfg Config, store zkmeta.Endpoint, registry transport.Registry) *Broker
 	return b
 }
 
-// Instance returns the broker's instance name.
-func (b *Broker) Instance() string { return b.cfg.Instance }
-
 // Metrics returns the registry this broker records into.
 func (b *Broker) Metrics() *metrics.Registry { return b.met.reg }
 

@@ -46,8 +46,7 @@ type Proxy struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	connections atomic.Int64
-	faulted     atomic.Int64
+	faulted atomic.Int64
 }
 
 // NewProxy listens on a loopback port and forwards to target.
@@ -74,9 +73,6 @@ func (p *Proxy) SetFault(f ProxyFault) {
 
 // Clear removes the fault policy (transparent proxying).
 func (p *Proxy) Clear() { p.SetFault(ProxyFault{}) }
-
-// Connections reports accepted client connections.
-func (p *Proxy) Connections() int64 { return p.connections.Load() }
 
 // Faulted reports connections on which a fault fired.
 func (p *Proxy) Faulted() int64 { return p.faulted.Load() }
@@ -146,7 +142,6 @@ func (p *Proxy) acceptLoop() {
 		if err != nil {
 			return
 		}
-		p.connections.Add(1)
 		if p.currentFault().RejectConnections {
 			p.faulted.Add(1)
 			client.Close()

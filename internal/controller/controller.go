@@ -178,9 +178,6 @@ func (c *Controller) Stop() {
 // IsLeader reports whether this instance holds cluster mastership.
 func (c *Controller) IsLeader() bool { return c.helixCtl.IsLeader() }
 
-// Kick requests an immediate Helix rebalance pass.
-func (c *Controller) Kick() { c.helixCtl.Kick() }
-
 func (c *Controller) tableConfigPath(resource string) string {
 	return helix.PropertyStorePath(c.cfg.Cluster, "CONFIGS", "TABLE", resource)
 }

@@ -264,21 +264,6 @@ func Infer(e pql.Expr, kindOf func(name string) (Kind, bool)) (Kind, error) {
 	return 0, fmt.Errorf("expr: unsupported node %T", e)
 }
 
-// InferCompare type-checks a comparison between two expressions: numerics
-// compare with any operator, strings with any operator (lexicographic),
-// booleans with = and <> only.
-func InferCompare(op pql.CompareOp, lhs, rhs pql.Expr, kindOf func(name string) (Kind, bool)) error {
-	lk, err := Infer(lhs, kindOf)
-	if err != nil {
-		return err
-	}
-	rk, err := Infer(rhs, kindOf)
-	if err != nil {
-		return err
-	}
-	return CompareKinds(op, lk, rk)
-}
-
 // CompareKinds validates a comparison between two already-inferred kinds.
 func CompareKinds(op pql.CompareOp, lk, rk Kind) error {
 	switch {

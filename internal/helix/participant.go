@@ -41,9 +41,6 @@ func NewParticipant(store zkmeta.Endpoint, cluster, instance string, handler Tra
 	}
 }
 
-// Instance returns the participant's instance name.
-func (p *Participant) Instance() string { return p.instance }
-
 // Start joins the cluster: publishes the live-instance ephemeral, an empty
 // current-state node, and begins processing transition messages.
 func (p *Participant) Start() error {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -287,19 +286,5 @@ func SumBy(samples []Sample, metric, label string) map[string]float64 {
 		}
 		out[s.Labels[label]] += s.Value
 	}
-	return out
-}
-
-// MetricNames returns the distinct sample names in sorted order.
-func MetricNames(samples []Sample) []string {
-	seen := map[string]bool{}
-	for _, s := range samples {
-		seen[s.Name] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }

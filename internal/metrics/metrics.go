@@ -14,8 +14,8 @@
 //     to one atomic add.
 //   - Zero dependencies: every package imports this one, so it imports
 //     nothing but the standard library (the same rule qctx follows).
-//   - Tests are first-class consumers: the assertion helpers (Value, Total,
-//     HistogramOf) exist so chaos and protocol tests can pin counter
+//   - Tests are first-class consumers: the assertion helpers (Value, Total)
+//     exist so chaos and protocol tests can pin counter
 //     movements, turning the metric surface into an executable spec.
 //
 // Naming scheme (enforced by convention, validated in tests):
@@ -165,21 +165,6 @@ func (r *Registry) Total(name string) int64 {
 	return sum
 }
 
-// HistogramOf returns one histogram child, or nil when absent.
-func (r *Registry) HistogramOf(name string, labelValues ...string) *Histogram {
-	r.mu.RLock()
-	f, ok := r.families[name]
-	r.mu.RUnlock()
-	if !ok || f.kind != KindHistogram {
-		return nil
-	}
-	c, ok := f.lookup(labelValues)
-	if !ok {
-		return nil
-	}
-	return c.hist
-}
-
 // Family is one named metric with a fixed label set and one instrument per
 // distinct label-value combination.
 type Family struct {
@@ -209,14 +194,8 @@ func (f *Family) check(name string, kind Kind, labels []string) {
 // Name returns the family name.
 func (f *Family) Name() string { return f.name }
 
-// Help returns the family help text.
-func (f *Family) Help() string { return f.help }
-
 // Kind returns the family kind.
 func (f *Family) Kind() Kind { return f.kind }
-
-// Labels returns the family's label names.
-func (f *Family) Labels() []string { return f.labels }
 
 const labelSep = "\x1f"
 
@@ -274,9 +253,6 @@ type Instrument struct {
 	hist        *Histogram
 }
 
-// LabelValues returns the child's label values in family label order.
-func (c *Instrument) LabelValues() []string { return c.labelValues }
-
 // Add increments a counter or gauge by n. Counters must not go backwards;
 // that is the caller's contract, not checked on the hot path.
 func (c *Instrument) Add(n int64) {
@@ -307,6 +283,3 @@ func (c *Instrument) Observe(v float64) {
 func (c *Instrument) ObserveDuration(d time.Duration) {
 	c.hist.RecordDuration(d)
 }
-
-// Hist exposes the underlying histogram (histogram kind only).
-func (c *Instrument) Hist() *Histogram { return c.hist }

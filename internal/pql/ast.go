@@ -80,15 +80,6 @@ func (e Expression) String() string {
 	return fmt.Sprintf("%s(%s)", strings.ToLower(string(e.Func)), e.Column)
 }
 
-// ArgExpr returns the aggregation argument as an expression tree: the Arg
-// tree when present, otherwise a ColumnRef over Column.
-func (e Expression) ArgExpr() Expr {
-	if e.Arg != nil {
-		return e.Arg
-	}
-	return ColumnRef{Name: e.Column}
-}
-
 // CompareOp is a comparison operator in a predicate.
 type CompareOp string
 
@@ -229,15 +220,6 @@ type Query struct {
 	Top          int // group-by result groups
 	Offset       int // selection offset
 	Limit        int // selection row limit
-}
-
-// GroupByExpr returns the i-th GROUP BY item as an expression tree: the
-// parsed tree for expression items, a ColumnRef for plain columns.
-func (q *Query) GroupByExpr(i int) Expr {
-	if i < len(q.GroupByExprs) && q.GroupByExprs[i] != nil {
-		return q.GroupByExprs[i]
-	}
-	return ColumnRef{Name: q.GroupBy[i]}
 }
 
 // HasExprGroupBy reports whether any GROUP BY item is a derived expression.

@@ -111,9 +111,6 @@ func NewID() string {
 // ID returns the query's correlation ID.
 func (qc *QueryContext) ID() string { return qc.id }
 
-// Budget returns the total deadline budget (0 = unlimited).
-func (qc *QueryContext) Budget() time.Duration { return qc.budget }
-
 // StartTime returns when the context was minted.
 func (qc *QueryContext) StartTime() time.Time { return qc.start }
 
@@ -180,9 +177,6 @@ func (qc *QueryContext) AddScan(docs, entries int64) {
 
 // ChargeGroupState records bytes of newly created group-by state.
 func (qc *QueryContext) ChargeGroupState(bytes int64) { qc.groupBytes.Add(bytes) }
-
-// GroupStateBytes returns the group-by state charged so far.
-func (qc *QueryContext) GroupStateBytes() int64 { return qc.groupBytes.Load() }
 
 // UsageSnapshot returns the current resource accounting.
 func (qc *QueryContext) UsageSnapshot() Usage {

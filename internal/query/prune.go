@@ -57,13 +57,8 @@ type zoneReader interface {
 	ColumnMeta(name string) *segment.ColumnMetadata
 }
 
-// pruneEval evaluates a filter tree against a segment's zone maps.
-func pruneEval(zr zoneReader, pred pql.Predicate) matchOutcome {
-	return pruneEvalExpr(zr, pred, nil)
-}
-
-// pruneEvalExpr is pruneEval with an optional evaluator for expression
-// leaves. exprLeaf (when non-nil) resolves an expression comparison to a
+// pruneEvalExpr evaluates a filter tree against a segment's zone maps, with
+// an optional evaluator for expression leaves. exprLeaf (when non-nil) resolves an expression comparison to a
 // document-exact outcome — dictionary-space evaluation can prove a leaf
 // matches no dictionary entry (matchNone) or every one (matchAll); nil or
 // any undecidable shape degrades to matchSome, the pre-dictionary behavior.

@@ -129,7 +129,7 @@ func TestPruneOutcomesSound(t *testing.T) {
 			if !ok {
 				t.Fatal("immutable segment must expose column metadata")
 			}
-			outcome := pruneEval(zr, pred)
+			outcome := pruneEvalExpr(zr, pred, nil)
 			if outcome == matchSome {
 				continue
 			}

@@ -70,19 +70,6 @@ func (b *Builder) Add(row Row) error {
 	return b.ms.appendRow(b.ms.row)
 }
 
-// AddMap appends a row given as a column-name→value map, canonicalizing
-// loosely typed values.
-func (b *Builder) AddMap(m map[string]any) error {
-	row, err := b.ms.schema.RowFromMap(m)
-	if err != nil {
-		return err
-	}
-	return b.Add(row)
-}
-
-// NumRows returns the number of rows added so far.
-func (b *Builder) NumRows() int { return b.ms.rows }
-
 // Build produces the immutable segment. The builder must not be reused
 // afterwards.
 func (b *Builder) Build() (*Segment, error) {

@@ -355,17 +355,6 @@ func (f *MVForwardIndex) validate(cardinality int) error {
 	return err
 }
 
-// MaxEntries returns the largest per-document value count.
-func (f *MVForwardIndex) MaxEntries() int {
-	max := 0
-	for i := 0; i < f.NumDocs(); i++ {
-		if n := int(f.offsets[i+1] - f.offsets[i]); n > max {
-			max = n
-		}
-	}
-	return max
-}
-
 // MetricColumn stores raw (non-dictionary) metric values for fast
 // aggregation scans.
 type MetricColumn interface {

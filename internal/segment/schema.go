@@ -8,7 +8,6 @@ package segment
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // DataType is the declared type of a column. Int/Long canonicalize to int64,
@@ -217,17 +216,6 @@ func (s *Schema) DimensionNames() []string {
 	var out []string
 	for _, f := range s.Fields {
 		if f.Kind != Metric {
-			out = append(out, f.Name)
-		}
-	}
-	return out
-}
-
-// MetricNames returns the metric column names in schema order.
-func (s *Schema) MetricNames() []string {
-	var out []string
-	for _, f := range s.Fields {
-		if f.Kind == Metric {
 			out = append(out, f.Name)
 		}
 	}
@@ -489,9 +477,4 @@ func CompareValues(a, b any) int {
 		return 0
 	}
 	panic(fmt.Sprintf("segment: CompareValues on unsupported type %T", a))
-}
-
-// sortAnySlice sorts a slice of canonical values in place.
-func sortAnySlice(vs []any) {
-	sort.Slice(vs, func(i, j int) bool { return CompareValues(vs[i], vs[j]) < 0 })
 }

@@ -343,9 +343,6 @@ func (s *Segment) Column(name string) ColumnReader {
 	return nil
 }
 
-// column returns the concrete column for internal use.
-func (s *Segment) column(name string) *Column { return s.columns[name] }
-
 // ColumnMeta returns the persisted metadata of a column, or nil if the
 // segment has none. The pruning tiers read zone maps through it so a pruning
 // decision never touches forward indexes or dictionaries.

@@ -114,10 +114,11 @@ func addGroup(g *query.GroupTable, values []any, states ...*query.AggState) {
 	}
 }
 
-// roundTrip sends a message through its frame encoder and typed decoder.
+// roundTrip sends a message through its frame encoder, the frame reader and
+// its typed decoder.
 func roundTrip(t testing.TB, msg any) any {
 	t.Helper()
-	frame, err := DecodeFrame(encodeFrame(t, msg))
+	frame, err := readFrame(bytes.NewReader(encodeFrame(t, msg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +633,7 @@ func TestDecodeAllocationIsLinear(t *testing.T) {
 		}
 	}
 	for name, frame := range sampleFrames(t) {
-		typ, payload := frame[2], frame[FrameHeaderSize:]
+		typ, payload := frame[2], frame[wire.FrameHeaderSize:]
 		check(name, len(payload), func() { decodeTyped(t, typ, payload) })
 		for i := range payload {
 			for _, h := range huge {
@@ -826,7 +827,7 @@ func TestWireAllocBudget(t *testing.T) {
 		{"final", final, 8, 293},
 	} {
 		whole := encodeFrame(t, c.msg)
-		typ, frame := whole[2], whole[FrameHeaderSize:]
+		typ, frame := whole[2], whole[wire.FrameHeaderSize:]
 		got := testing.AllocsPerRun(20, func() {
 			var err error
 			switch m := c.msg.(type) {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"testing"
 
 	"pinot/internal/wire"
@@ -54,10 +55,12 @@ func decodeTyped(t testing.TB, typ uint8, payload []byte) (any, error) {
 	return msg, finish(&d)
 }
 
-// decodeFrameSafely requires that DecodeFrame and the typed payload decoders
-// never panic and never return (nil, nil) on any input, and that whatever
-// they accept the encoder can write back in a form they accept again: the
-// codec reads no value it cannot carry.
+// decodeFrameSafely drives the data plane's production reader over data, then
+// the typed payload decoder of the frame it read. Neither may panic or return
+// (nil, nil); together they may allocate at most 65536 + 64·len(data) bytes,
+// whatever length the header announces; and whatever they accept the encoder
+// can write back in a form they accept again: the codec reads no value it
+// cannot carry.
 func decodeFrameSafely(t testing.TB, data []byte) {
 	t.Helper()
 	defer func() {
@@ -65,27 +68,39 @@ func decodeFrameSafely(t testing.TB, data []byte) {
 			t.Fatalf("frame decode panicked on %d bytes: %v", len(data), p)
 		}
 	}()
-	frame, err := DecodeFrame(data)
+	var typ uint8
+	var msg any
+	var err error
+	got := allocatedBy(func() {
+		var fr *gotFrame
+		if fr, err = readFrame(bytes.NewReader(data)); err == nil {
+			typ = fr.Type
+			msg, err = decodeTyped(t, typ, fr.Payload)
+		}
+	})
+	if limit := uint64(65536 + 64*len(data)); got > limit {
+		t.Fatalf("reading and decoding %d bytes allocated %d, limit %d", len(data), got, limit)
+	}
 	if err != nil {
 		return
 	}
-	if frame == nil {
-		t.Fatalf("nil frame with nil error on %d bytes", len(data))
-	}
-	msg, err := decodeTyped(t, frame.Type, frame.Payload)
-	if err != nil {
-		return
+	if msg == nil {
+		t.Fatalf("nil message with nil error on %d bytes", len(data))
 	}
 	again := encodeFrame(t, msg)
-	if _, err := decodeTyped(t, frame.Type, again[FrameHeaderSize:]); err != nil {
+	if _, err := decodeTyped(t, typ, again[wire.FrameHeaderSize:]); err != nil {
 		t.Fatalf("re-encoded %T is refused: %v", msg, err)
 	}
 }
 
-// TestDecodeFrameNeverPanics drives the frame decoder through every
+// oversizedHeader announces a 64 MiB query frame and sends 16 bytes of it.
+var oversizedHeader = append([]byte{frameMagic, frameVersion, FrameQuery, 0, 0x04, 0, 0, 0}, make([]byte, 16)...)
+
+// TestDecodeFrameNeverPanics drives the frame reader through every
 // truncation and every single-bit flip of each valid frame type, plus
 // degenerate inputs. Corruption must yield an error or a valid decode —
-// never a panic, never (nil, nil).
+// never a panic, never (nil, nil), never an allocation the bytes did not pay
+// for.
 func TestDecodeFrameNeverPanics(t *testing.T) {
 	for name, valid := range sampleFrames(t) {
 		t.Run(name, func(t *testing.T) {
@@ -93,7 +108,7 @@ func TestDecodeFrameNeverPanics(t *testing.T) {
 				decodeFrameSafely(t, valid[:n])
 				// Every strict truncation must fail: either the header is
 				// short or the payload is shorter than the header claims.
-				if _, err := DecodeFrame(valid[:n]); err == nil {
+				if _, err := readFrame(bytes.NewReader(valid[:n])); err == nil {
 					t.Fatalf("truncation to %d/%d bytes decoded without error", n, len(valid))
 				}
 			}
@@ -105,9 +120,11 @@ func TestDecodeFrameNeverPanics(t *testing.T) {
 					decodeFrameSafely(t, mut)
 				}
 			}
-			// Trailing garbage desynchronizes stream framing: rejected.
-			if _, err := DecodeFrame(append(append([]byte{}, valid...), 0x00)); err == nil {
-				t.Fatal("trailing byte accepted")
+			// The reader stops at the frame's end: what follows is the next
+			// frame's header.
+			r := bytes.NewReader(append(append([]byte{}, valid...), 0x00))
+			if _, err := readFrame(r); err != nil || r.Len() != 1 {
+				t.Fatalf("reading a frame followed by one byte: err %v, %d bytes left", err, r.Len())
 			}
 		})
 	}
@@ -116,21 +133,24 @@ func TestDecodeFrameNeverPanics(t *testing.T) {
 		nil,
 		{},
 		{frameMagic},
-		{frameMagic, frameVersion, FrameQuery, 0, 0xff, 0xff, 0xff, 0xff}, // oversized length
+		{frameMagic, frameVersion, FrameQuery, 0, 0xff, 0xff, 0xff, 0xff}, // over MaxFramePayload
+		oversizedHeader,
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 	}
 	for _, d := range degenerate {
 		decodeFrameSafely(t, d)
-		if _, err := DecodeFrame(d); err == nil {
+		if _, err := readFrame(bytes.NewReader(d)); err == nil {
 			t.Fatalf("degenerate input %v decoded without error", d)
 		}
 	}
 }
 
-// FuzzDecodeFrame lets the fuzzer search for inputs that panic the framing
-// layer or the typed payload decoders, seeded with a valid frame of every
-// type (sampleMessages) and its common corruptions. Run in CI as a short smoke
-// (-fuzz FuzzDecodeFrame -fuzztime 5s) and longer by hand.
+// FuzzDecodeFrame lets the fuzzer search for inputs that panic the frame
+// reader or the typed payload decoders, or make them allocate beyond what
+// the input paid for, seeded with a valid frame of every type
+// (sampleMessages), its common corruptions, and a header announcing far
+// more than follows. Run in CI as a short smoke (-fuzz FuzzDecodeFrame
+// -fuzztime 5s) and longer by hand.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, valid := range sampleFrames(f) {
 		f.Add(valid)
@@ -143,6 +163,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("junk"))
 	f.Add([]byte{frameMagic, frameVersion, FrameSegment, 0, 0, 0, 0, 0})
+	f.Add(oversizedHeader)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeFrameSafely(t, data)

@@ -15,87 +15,44 @@ type StreamHandler interface {
 	ExecuteStream(ctx context.Context, req *QueryRequest, emit func(seq int, res *query.Intermediate) error) (*FinalFrame, error)
 }
 
-// maxReorderBuffer bounds how many out-of-sequence segment frames a merger
-// will hold. The server emits frames in order, so anything beyond a trivial
-// buffer indicates a corrupt or hostile stream.
-const maxReorderBuffer = 1024
-
 // StreamMerger incrementally folds the segment frames of one streamed
-// response into a single intermediate, tolerating out-of-order delivery
-// (frames are buffered until their predecessors arrive) and rejecting
-// duplicate or insane sequence numbers. It is not safe for concurrent use;
-// one response stream has one reader.
+// response into a single intermediate. The engine emits frames in sequence
+// order and they cross one ordered connection (or one synchronous call in
+// process), so a sequence number other than the next one — a duplicate, a
+// gap, a reordering — is a corrupt stream and refused. It is not safe for
+// concurrent use; one response stream has one reader.
 type StreamMerger struct {
-	merged   *query.Intermediate
-	buffered map[int]*query.Intermediate
-	next     int
-	applied  int
+	merged *query.Intermediate
+	next   int
 }
 
 // NewStreamMerger returns an empty merger.
-func NewStreamMerger() *StreamMerger {
-	return &StreamMerger{buffered: map[int]*query.Intermediate{}}
-}
+func NewStreamMerger() *StreamMerger { return &StreamMerger{} }
 
-// Add folds one segment frame in. Frames may arrive in any order; each
-// sequence number is accepted exactly once.
+// Add folds the next segment frame in.
 func (m *StreamMerger) Add(sf *SegmentFrame) error {
-	if sf.Result == nil {
+	switch {
+	case sf.Result == nil:
 		return fmt.Errorf("transport: segment frame %d has no result", sf.Seq)
-	}
-	if sf.Seq < 0 {
-		return fmt.Errorf("transport: negative segment frame seq %d", sf.Seq)
-	}
-	if sf.Seq < m.next {
+	case 0 <= sf.Seq && sf.Seq < m.next:
 		return fmt.Errorf("transport: duplicate segment frame seq %d", sf.Seq)
+	case sf.Seq != m.next:
+		return fmt.Errorf("transport: segment frame seq %d out of order, want %d", sf.Seq, m.next)
 	}
-	if _, dup := m.buffered[sf.Seq]; dup {
-		return fmt.Errorf("transport: duplicate segment frame seq %d", sf.Seq)
-	}
-	if sf.Seq != m.next {
-		if len(m.buffered) >= maxReorderBuffer {
-			return fmt.Errorf("transport: segment frame seq %d with %d frames already buffered", sf.Seq, len(m.buffered))
-		}
-		m.buffered[sf.Seq] = sf.Result
-		return nil
-	}
-	res := sf.Result
-	for {
-		if err := m.apply(res); err != nil {
-			return err
-		}
-		m.next++
-		m.applied++
-		var ok bool
-		res, ok = m.buffered[m.next]
-		if !ok {
-			return nil
-		}
-		delete(m.buffered, m.next)
-	}
-}
-
-func (m *StreamMerger) apply(res *query.Intermediate) error {
+	m.next++
 	if m.merged == nil {
-		m.merged = res
+		m.merged = sf.Result
 		return nil
 	}
-	return m.merged.Merge(res)
+	return m.merged.Merge(sf.Result)
 }
-
-// Applied reports how many frames have been folded in so far.
-func (m *StreamMerger) Applied() int { return m.applied }
 
 // Finish validates the trailer against what arrived — the trailer's frame
 // count makes truncation and loss detectable — merges the trailer stats and
 // returns the response.
 func (m *StreamMerger) Finish(ff *FinalFrame) (*query.Intermediate, error) {
-	if len(m.buffered) > 0 {
-		return nil, fmt.Errorf("transport: stream ended with %d frames missing below buffered ones (got %d of %d)",
-			len(m.buffered), m.applied, ff.Frames)
-	}
-	if m.applied != ff.Frames {
-		return nil, fmt.Errorf("transport: stream truncated: %d segment frames arrived, trailer says %d", m.applied, ff.Frames)
+	if m.next != ff.Frames {
+		return nil, fmt.Errorf("transport: stream truncated: %d segment frames arrived, trailer says %d", m.next, ff.Frames)
 	}
 	if m.merged == nil {
 		return nil, fmt.Errorf("transport: stream carried no result")

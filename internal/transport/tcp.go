@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"pinot/internal/query"
@@ -21,84 +20,21 @@ import (
 type TCPQueryServer struct {
 	Handler    StreamHandler
 	Controller ControllerClient
-
-	mu     sync.Mutex
-	lis    net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	*wire.Server
 }
 
 // NewTCPQueryServer serves queries via handler (nil is allowed for a pure
 // controller endpoint).
 func NewTCPQueryServer(handler StreamHandler) *TCPQueryServer {
-	return &TCPQueryServer{Handler: handler, conns: map[net.Conn]struct{}{}}
-}
-
-// Serve accepts connections until Close. It blocks; run it in a goroutine.
-func (s *TCPQueryServer) Serve(lis net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		lis.Close()
-		return errors.New("transport: server closed")
-	}
-	s.lis = lis
-	s.mu.Unlock()
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Close stops accepting, drops live connections and waits for handlers.
-func (s *TCPQueryServer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	lis := s.lis
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	if lis != nil {
-		lis.Close()
-	}
-	s.wg.Wait()
+	s := &TCPQueryServer{Handler: handler}
+	s.Server = wire.NewServer(s.serveConn)
+	return s
 }
 
 func (s *TCPQueryServer) serveConn(conn net.Conn) {
-	defer conn.Close()
-	var fr frameReader // requests arrive one at a time: one buffer serves them all
+	var fr wire.FrameReader // requests arrive one at a time: one buffer serves them all
 	for {
-		typ, payload, err := fr.read(conn)
+		typ, payload, err := fr.Read(conn, &dataPlane)
 		if err != nil {
 			return // EOF, reset, or framing violation: drop the connection
 		}
@@ -116,9 +52,6 @@ func (s *TCPQueryServer) serveConn(conn net.Conn) {
 		}
 		if err != nil {
 			return
-		}
-		if cap(fr.buf) > maxPooledBuf {
-			fr.buf = nil // a segment blob came through; do not keep its buffer
 		}
 	}
 }
@@ -273,11 +206,11 @@ func (c *TCPClient) roundTrip(ctx context.Context, conn net.Conn, req *QueryRequ
 	}
 	// Every frame of the response is read into one buffer; the decoders
 	// copy what the result keeps.
-	fr := frameReaderPool.Get().(*frameReader)
-	defer fr.release()
+	fr := wire.GetFrameReader()
+	defer fr.Release()
 	merger := NewStreamMerger()
 	for {
-		typ, payload, err := fr.read(conn)
+		typ, payload, err := fr.Read(conn, &dataPlane)
 		if err != nil {
 			if ctxErr := contextCaused(ctx, err); ctxErr != nil {
 				return nil, ctxErr
@@ -372,8 +305,9 @@ func (c *TCPControllerClient) doCall(ctx context.Context, conn net.Conn, reqType
 	if _, err := sendFrame(conn, reqType, fill); err != nil {
 		return err
 	}
-	var fr frameReader
-	typ, payload, err := fr.read(conn)
+	fr := wire.GetFrameReader()
+	defer fr.Release()
+	typ, payload, err := fr.Read(conn, &dataPlane)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pinot/internal/query"
+	"pinot/internal/wire"
 )
 
 // benchSegmentFrames builds n per-segment group-by intermediates of the
@@ -86,7 +87,7 @@ func BenchmarkStreamVsBuffered(b *testing.B) {
 	// exactly what a server writes.
 	segPayloads := make([][]byte, nFrames)
 	for seq, r := range frames {
-		segPayloads[seq] = encodeFrame(b, &SegmentFrame{Seq: seq, Result: r})[FrameHeaderSize:]
+		segPayloads[seq] = encodeFrame(b, &SegmentFrame{Seq: seq, Result: r})[wire.FrameHeaderSize:]
 	}
 	trailer := &FinalFrame{Frames: nFrames, Stats: query.Stats{NumSegmentsQueried: nFrames}}
 

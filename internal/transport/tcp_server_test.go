@@ -13,6 +13,7 @@ import (
 
 	"pinot/internal/metrics"
 	"pinot/internal/query"
+	"pinot/internal/wire"
 )
 
 // echoHandler streams a fixed number of count(*) frames per query.
@@ -475,7 +476,7 @@ func TestTruncatedFrameCountsAsDecodeFailure(t *testing.T) {
 	if _, err := readFrame(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	if _, err := DecodeSegmentFrame(whole[FrameHeaderSize : len(whole)-1]); err == nil {
+	if _, err := DecodeSegmentFrame(whole[wire.FrameHeaderSize : len(whole)-1]); err == nil {
 		t.Fatal("short payload decoded")
 	}
 	if got := reg.Total(name); got != 3 {

@@ -1,9 +1,11 @@
-// Package wire holds the byte primitives of the repo's one binary encoding:
-// what a varint, a float, a bool, a string and a checked count look like.
-// It knows no message. internal/query lays an Intermediate out with these
-// primitives (query/wire.go), internal/transport lays the nine message
-// envelopes of the data plane around that (transport/codec.go), and both
-// cache tiers store the same bytes. The rules that hold everywhere:
+// Package wire holds the byte primitives of the repo's one binary encoding
+// — what a varint, a float, a bool, a string and a checked count look like —
+// and the one frame layer every socket speaks (frame.go). It knows no
+// message. internal/query lays an Intermediate out with these primitives
+// (query/wire.go), internal/transport lays the nine message envelopes of the
+// data plane around that (transport/codec.go), internal/zkmeta the three of
+// the metadata endpoint, and both cache tiers store the same bytes. The rules
+// that hold everywhere:
 //
 //   - integers are varints (zigzag for signed fields), float64 is its raw
 //     IEEE-754 bits big-endian (NaN payloads, ±Inf and -0.0 survive), a bool
@@ -78,10 +80,11 @@ func (e *Encoder) Fail(format string, args ...any) {
 	}
 }
 
-func (e *Encoder) Raw(p ...byte)   { e.b = append(e.b, p...) }
-func (e *Encoder) Varint(v int64)  { e.b = binary.AppendVarint(e.b, v) }
-func (e *Encoder) Count(n int)     { e.b = binary.AppendUvarint(e.b, uint64(n)) }
-func (e *Encoder) Float(f float64) { e.b = binary.BigEndian.AppendUint64(e.b, math.Float64bits(f)) }
+func (e *Encoder) Raw(p ...byte)    { e.b = append(e.b, p...) }
+func (e *Encoder) Varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
+func (e *Encoder) Uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *Encoder) Count(n int)      { e.b = binary.AppendUvarint(e.b, uint64(n)) }
+func (e *Encoder) Float(f float64)  { e.b = binary.BigEndian.AppendUint64(e.b, math.Float64bits(f)) }
 
 func (e *Encoder) Bool(v bool) {
 	if v {

@@ -1,10 +1,11 @@
 package zkmeta
 
 import (
-	"encoding/gob"
 	"net"
 	"sync"
 	"time"
+
+	"pinot/internal/wire"
 )
 
 // Remote is an Endpoint backed by a TCP metadata server (see TCPServer).
@@ -45,9 +46,7 @@ type remoteWatch struct {
 // fanned out to per-watch channels by a background reader.
 type RemoteSession struct {
 	conn net.Conn
-
-	writeMu sync.Mutex
-	enc     *gob.Encoder
+	w    connWriter
 
 	mu        sync.Mutex
 	closed    bool
@@ -60,7 +59,7 @@ type RemoteSession struct {
 func newRemoteSession(conn net.Conn) *RemoteSession {
 	rs := &RemoteSession{
 		conn:    conn,
-		enc:     gob.NewEncoder(conn),
+		w:       connWriter{w: conn},
 		pending: map[uint64]chan *wireResp{},
 		watches: map[uint64]*remoteWatch{},
 	}
@@ -68,33 +67,45 @@ func newRemoteSession(conn net.Conn) *RemoteSession {
 	return rs
 }
 
+// readLoop hands responses to their callers and events to their watches
+// until the connection fails or the server breaks the protocol.
 func (rs *RemoteSession) readLoop() {
-	dec := gob.NewDecoder(rs.conn)
+	defer rs.teardown()
+	var fr wire.FrameReader
 	for {
-		var msg wireServerMsg
-		if err := dec.Decode(&msg); err != nil {
-			rs.teardown()
+		typ, payload, err := fr.Read(rs.conn, &proto)
+		if err != nil {
 			return
 		}
-		switch {
-		case msg.Resp != nil:
+		switch typ {
+		case frameResponse:
+			resp := new(wireResp)
+			if decode(payload, resp.decode) != nil {
+				return
+			}
 			rs.mu.Lock()
-			ch := rs.pending[msg.Resp.ID]
-			delete(rs.pending, msg.Resp.ID)
+			ch := rs.pending[resp.ID]
+			delete(rs.pending, resp.ID)
 			rs.mu.Unlock()
 			if ch != nil {
-				ch <- msg.Resp
+				ch <- resp
 			}
-		case msg.Event != nil:
+		case frameEvent:
+			var ev wireEvent
+			if decode(payload, ev.decode) != nil {
+				return
+			}
 			rs.mu.Lock()
-			w := rs.watches[msg.Event.WatchID]
+			w := rs.watches[ev.WatchID]
 			if w != nil && !w.closed {
 				select {
-				case w.ch <- Event{Type: msg.Event.Type, Path: msg.Event.Path}:
+				case w.ch <- Event{Type: ev.Type, Path: ev.Path}:
 				default: // mirror local sessions: drop on overflow
 				}
 			}
 			rs.mu.Unlock()
+		default:
+			return
 		}
 	}
 }
@@ -142,10 +153,7 @@ func (rs *RemoteSession) call(req wireReq) (*wireResp, error) {
 	rs.pending[req.ID] = ch
 	rs.mu.Unlock()
 
-	rs.writeMu.Lock()
-	err := rs.enc.Encode(req)
-	rs.writeMu.Unlock()
-	if err != nil {
+	if err := rs.w.send(frameRequest, req.encode); err != nil {
 		rs.mu.Lock()
 		delete(rs.pending, req.ID)
 		rs.mu.Unlock()

@@ -1,19 +1,32 @@
 package zkmeta
 
 import (
-	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
+
+	"pinot/internal/wire"
 )
 
 // The metadata substrate's TCP protocol: one connection is one session, so
 // ephemeral-node lifetime is tied to connection lifetime exactly the way a
 // Zookeeper session is tied to its client — a kill -9'd process drops its
-// connection and its live-instance ephemerals vanish. Requests and responses
-// are gob streams; server→client messages interleave request responses
-// (correlated by ID) with pushed watch events (correlated by watch ID).
+// connection and its live-instance ephemerals vanish. It speaks
+// internal/wire's frames under its own magic, so a peer dialled at the wrong
+// port fails on the first header. The client sends frameRequest frames; the
+// server answers each with a frameResponse (correlated by ID) and pushes
+// frameEvent frames (correlated by watch ID) between them.
+
+var proto = wire.Protocol{Name: "zkmeta", Magic: 'Z', Version: 1, Types: frameEvent}
+
+// Frame types.
+const (
+	frameRequest  uint8 = iota + 1 // wireReq
+	frameResponse                  // wireResp
+	frameEvent                     // wireEvent
+)
 
 // Wire operation codes.
 const (
@@ -30,62 +43,31 @@ const (
 	opUnwatch
 )
 
-// Wire error codes map the package's sentinel errors across the connection
-// so `err == zkmeta.ErrNodeExists`-style checks keep working remotely.
-const (
-	wireOK uint8 = iota
-	wireErrNoNode
-	wireErrNodeExists
-	wireErrBadVersion
-	wireErrNotEmpty
-	wireErrNoParent
-	wireErrSessionClosed
-	wireErrOther
-)
+// wireErrs are the wire error codes: a code is its sentinel's index, so
+// `err == zkmeta.ErrNodeExists`-style checks keep working remotely, and
+// wireErrOther carries any other error as its text.
+var wireErrs = [...]error{nil, ErrNoNode, ErrNodeExists, ErrBadVersion, ErrNotEmpty, ErrNoParent, ErrSessionClosed}
+
+const wireErrOther = uint8(len(wireErrs))
 
 func errToCode(err error) (uint8, string) {
-	switch {
-	case err == nil:
-		return wireOK, ""
-	case errors.Is(err, ErrNoNode):
-		return wireErrNoNode, ""
-	case errors.Is(err, ErrNodeExists):
-		return wireErrNodeExists, ""
-	case errors.Is(err, ErrBadVersion):
-		return wireErrBadVersion, ""
-	case errors.Is(err, ErrNotEmpty):
-		return wireErrNotEmpty, ""
-	case errors.Is(err, ErrNoParent):
-		return wireErrNoParent, ""
-	case errors.Is(err, ErrSessionClosed):
-		return wireErrSessionClosed, ""
-	default:
-		return wireErrOther, err.Error()
+	for code, sentinel := range wireErrs {
+		if errors.Is(err, sentinel) {
+			return uint8(code), ""
+		}
 	}
+	return wireErrOther, err.Error()
 }
 
 func codeToErr(code uint8, msg string) error {
-	switch code {
-	case wireOK:
-		return nil
-	case wireErrNoNode:
-		return ErrNoNode
-	case wireErrNodeExists:
-		return ErrNodeExists
-	case wireErrBadVersion:
-		return ErrBadVersion
-	case wireErrNotEmpty:
-		return ErrNotEmpty
-	case wireErrNoParent:
-		return ErrNoParent
-	case wireErrSessionClosed:
-		return ErrSessionClosed
-	default:
-		return errors.New("zkmeta: remote: " + msg)
+	if int(code) < len(wireErrs) {
+		return wireErrs[code]
 	}
+	return errors.New("zkmeta: remote: " + msg)
 }
 
-// wireReq is one client request.
+// wireReq is one client request: ID uvarint, Op byte, Path string, Data
+// bytes, Version varint, WatchID uvarint.
 type wireReq struct {
 	ID      uint64
 	Op      uint8
@@ -95,7 +77,21 @@ type wireReq struct {
 	WatchID uint64
 }
 
-// wireResp answers one request.
+func (r *wireReq) encode(e *wire.Encoder) {
+	e.Uvarint(r.ID)
+	e.Raw(r.Op)
+	e.Str(r.Path)
+	e.Blob(r.Data)
+	e.Varint(int64(r.Version))
+	e.Uvarint(r.WatchID)
+}
+
+func (r *wireReq) decode(d *wire.Decoder) {
+	*r = wireReq{ID: d.Uvarint(), Op: d.Byte(), Path: d.Str(), Data: blob(d), Version: d.Int(), WatchID: d.Uvarint()}
+}
+
+// wireResp answers one request: ID uvarint, Code byte, Err string, Data
+// bytes, Version varint, Bool bool, Names []string, WatchID uvarint.
 type wireResp struct {
 	ID      uint64
 	Code    uint8
@@ -107,121 +103,88 @@ type wireResp struct {
 	WatchID uint64
 }
 
-// wireEvent is a pushed watch notification.
+func (r *wireResp) encode(e *wire.Encoder) {
+	e.Uvarint(r.ID)
+	e.Raw(r.Code)
+	e.Str(r.Err)
+	e.Blob(r.Data)
+	e.Varint(int64(r.Version))
+	e.Bool(r.Bool)
+	e.Strs(r.Names)
+	e.Uvarint(r.WatchID)
+}
+
+func (r *wireResp) decode(d *wire.Decoder) {
+	*r = wireResp{ID: d.Uvarint(), Code: d.Byte(), Err: d.Str(), Data: blob(d), Version: d.Int(),
+		Bool: d.Bool(), Names: d.Strs(), WatchID: d.Uvarint()}
+}
+
+// wireEvent is a pushed watch notification: WatchID uvarint, Type byte,
+// Path string.
 type wireEvent struct {
 	WatchID uint64
 	Type    EventType
 	Path    string
 }
 
-// wireServerMsg multiplexes responses and events on the server→client gob
-// stream; exactly one field is set.
-type wireServerMsg struct {
-	Resp  *wireResp
-	Event *wireEvent
+func (ev *wireEvent) encode(e *wire.Encoder) {
+	e.Uvarint(ev.WatchID)
+	e.Raw(byte(ev.Type))
+	e.Str(ev.Path)
+}
+
+func (ev *wireEvent) decode(d *wire.Decoder) {
+	*ev = wireEvent{WatchID: d.Uvarint(), Type: EventType(d.Byte()), Path: d.Str()}
+}
+
+// blob reads a length-prefixed byte run into a copy of its own; empty is nil.
+func blob(d *wire.Decoder) []byte {
+	if b := d.Bytes(); len(b) > 0 {
+		return append([]byte(nil), b...)
+	}
+	return nil
+}
+
+// decode reads one message that must consume the payload exactly.
+func decode(payload []byte, read func(*wire.Decoder)) error {
+	d := wire.NewDecoder(payload)
+	read(&d)
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("zkmeta: decode: %w", err)
+	}
+	return nil
 }
 
 // TCPServer exposes a Store over TCP. Each accepted connection owns one
 // session; closing the connection closes the session.
-type TCPServer struct {
-	store *Store
-
-	mu     sync.Mutex
-	lis    net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
+type TCPServer struct{ *wire.Server }
 
 // NewTCPServer wraps a store for serving.
 func NewTCPServer(store *Store) *TCPServer {
-	return &TCPServer{store: store, conns: map[net.Conn]struct{}{}}
+	return &TCPServer{wire.NewServer(func(conn net.Conn) { serveSession(store, conn) })}
 }
 
-// Serve accepts sessions on the listener until Close. It blocks; run it in a
-// goroutine.
-func (s *TCPServer) Serve(lis net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		lis.Close()
-		return errors.New("zkmeta: server closed")
-	}
-	s.lis = lis
-	s.mu.Unlock()
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Close stops accepting, drops every live session and waits for connection
-// handlers to exit.
-func (s *TCPServer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	lis := s.lis
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	if lis != nil {
-		lis.Close()
-	}
-	s.wg.Wait()
-}
-
-// connWriter serializes the server→client gob stream.
+// connWriter serializes the frames of one side of a connection; the first
+// failed write sticks.
 type connWriter struct {
 	mu  sync.Mutex
-	enc *gob.Encoder
+	w   io.Writer
 	err error
 }
 
-func (w *connWriter) send(msg wireServerMsg) error {
+func (w *connWriter) send(typ uint8, fill func(*wire.Encoder)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
+	if w.err == nil {
+		_, w.err = proto.Send(w.w, typ, fill)
 	}
-	w.err = w.enc.Encode(msg)
 	return w.err
 }
 
-func (s *TCPServer) serveConn(conn net.Conn) {
-	defer conn.Close()
-	sess := s.store.NewSession()
+func serveSession(store *Store, conn net.Conn) {
+	sess := store.NewSession()
 	defer sess.Close()
-	w := &connWriter{enc: gob.NewEncoder(conn)}
-	dec := gob.NewDecoder(conn)
+	w := &connWriter{w: conn}
 
 	type watchState struct {
 		cancel func()
@@ -243,14 +206,15 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		}
 	}()
 
+	var fr wire.FrameReader
 	for {
+		// EOF, reset or garbage: the session dies with the connection.
+		typ, payload, err := fr.Read(conn, &proto)
+		if err != nil || typ != frameRequest {
+			return
+		}
 		var req wireReq
-		if err := dec.Decode(&req); err != nil {
-			// EOF / reset / garbage: the session dies with the connection.
-			_ = err
-			if err == io.EOF {
-				return
-			}
+		if decode(payload, req.decode) != nil {
 			return
 		}
 		resp := wireResp{ID: req.ID}
@@ -293,7 +257,8 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			go func() {
 				defer close(st.done)
 				for ev := range events {
-					if w.send(wireServerMsg{Event: &wireEvent{WatchID: id, Type: ev.Type, Path: ev.Path}}) != nil {
+					msg := wireEvent{WatchID: id, Type: ev.Type, Path: ev.Path}
+					if w.send(frameEvent, msg.encode) != nil {
 						// Writer broken: the read loop will notice the dead
 						// connection and tear the session down; drain so
 						// cancel() can close the channel.
@@ -316,7 +281,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		default:
 			resp.Code, resp.Err = wireErrOther, "unknown op"
 		}
-		if w.send(wireServerMsg{Resp: &resp}) != nil {
+		if w.send(frameResponse, resp.encode) != nil {
 			return
 		}
 	}

@@ -120,6 +120,90 @@ func TestEveryKnobHasACaller(t *testing.T) {
 	}
 }
 
+// TestEveryFuncHasACaller keeps the module free of functions nothing runs.
+// Over the same type-check as TestEveryKnobHasACaller, it fails on a
+// package-level function or method that nothing in the module references,
+// tests included. Exempt are main and init; Test, Benchmark and Fuzz
+// functions; a method named like a method of an interface type that the
+// loaded packages declare or use (String, Error, MarshalJSON, ...), since it
+// may be called through that interface; and the exported API of the root
+// package, the one package a program outside the module can import.
+func TestEveryFuncHasACaller(t *testing.T) {
+	units, exports := listUnits(t)
+	fset := token.NewFileSet()
+	declared := map[string]token.Position{}
+	used := map[string]bool{}
+	// error's method, and those package errors calls through interfaces
+	// declared inside its function bodies, which export data does not carry.
+	viaInterface := map[string]bool{"Error": true, "Unwrap": true, "Is": true, "As": true}
+	addInterface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				viaInterface[it.Method(i).Name()] = true
+			}
+		}
+	}
+	loaded := map[*types.Package]bool{}
+	var load func(p *types.Package)
+	load = func(p *types.Package) {
+		if loaded[p] {
+			return
+		}
+		loaded[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				addInterface(tn.Type())
+			}
+		}
+		for _, imp := range p.Imports() {
+			load(imp)
+		}
+	}
+	for _, u := range units {
+		pkg, files, info := u.check(t, fset, exports)
+		load(pkg)
+		for _, tv := range info.Types {
+			if tv.Type != nil {
+				addInterface(tv.Type)
+			}
+		}
+		for _, obj := range info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin().FullName()] = true
+			}
+		}
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				name := d.Name.Name
+				if u.home == "pinot" && d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil && (name == "main" || name == "init" ||
+					strings.HasPrefix(name, "Test") || strings.HasPrefix(name, "Benchmark") || strings.HasPrefix(name, "Fuzz")) {
+					continue
+				}
+				declared[info.Defs[d.Name].(*types.Func).FullName()] = fset.Position(d.Pos())
+			}
+		}
+	}
+	unused := 0
+	for _, name := range slices.Sorted(maps.Keys(declared)) {
+		method := strings.HasPrefix(name, "(")
+		if used[name] || method && viaInterface[name[strings.LastIndex(name, ".")+1:]] {
+			continue
+		}
+		unused++
+		pos := declared[name]
+		t.Errorf("%s (%s:%d) has no reference in the module: delete it", name, filepath.Base(pos.Filename), pos.Line)
+	}
+	t.Logf("%d functions and methods, %d method names exempt as interface methods, %d unreferenced",
+		len(declared), len(viaInterface), unused)
+}
+
 type typeKey struct{ pkg, typ string }
 
 // field names a field of the struct as "pkg.Type.Field".
@@ -245,7 +329,12 @@ func (u checkUnit) check(t *testing.T, fset *token.FileSet, exports map[string]s
 		return os.Open(exports[p])
 	}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+	}
 	pkg, err := conf.Check(u.path, fset, files, info)
 	if err != nil {
 		t.Fatalf("type-checking %s: %v", u.ImportPath, err)
