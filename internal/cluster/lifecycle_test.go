@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pinot/internal/chaos"
+	"pinot/internal/metrics"
 	"pinot/internal/qctx"
 	"pinot/internal/transport"
 )
@@ -186,5 +187,53 @@ func TestClusterQueryTraceBudgetLedger(t *testing.T) {
 	}
 	if gres.QueryID == res.QueryID {
 		t.Fatal("query IDs must be per-query")
+	}
+}
+
+// TestServerUsageMetricsAreTheResponseStats: the servers' scan counters and
+// group-state histogram move by exactly the NumDocsScanned, NumEntriesScanned
+// and GroupStateBytes of the broker's response — the servers sum the Stats of
+// the frames they emit, the same Stats the broker folds.
+func TestServerUsageMetricsAreTheResponseStats(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c, err := NewLocal(Options{Servers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	loadOffline(t, c, 1)
+
+	groupStateSum := func() float64 {
+		var sum float64
+		for _, f := range reg.Snapshot() {
+			if f.Name == "pinot_server_group_state_bytes" {
+				for _, s := range f.Samples {
+					sum += s.Sum
+				}
+			}
+		}
+		return sum
+	}
+	for _, q := range []string{
+		"SELECT sum(clicks), count(*) FROM events WHERE clicks > 10 GROUP BY country TOP 3",
+		"SELECT country, clicks FROM events WHERE clicks > 10 LIMIT 7",
+	} {
+		docs, entries, group := reg.Total("pinot_server_docs_scanned_total"), reg.Total("pinot_server_entries_scanned_total"), groupStateSum()
+		res, err := c.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Partial || res.Stats.NumDocsScanned == 0 || strings.Contains(q, "GROUP BY") != (res.Stats.GroupStateBytes > 0) {
+			t.Fatalf("%s: a partial or empty answer proves nothing: %+v", q, res.Stats)
+		}
+		if d := reg.Total("pinot_server_docs_scanned_total") - docs; d != res.Stats.NumDocsScanned {
+			t.Errorf("%s: docs counter moved %d, the response scanned %d", q, d, res.Stats.NumDocsScanned)
+		}
+		if d := reg.Total("pinot_server_entries_scanned_total") - entries; d != res.Stats.NumEntriesScanned {
+			t.Errorf("%s: entries counter moved %d, the response scanned %d", q, d, res.Stats.NumEntriesScanned)
+		}
+		if d := groupStateSum() - group; d != float64(res.Stats.GroupStateBytes) {
+			t.Errorf("%s: group-state histogram sum moved %v, the response holds %d", q, d, res.Stats.GroupStateBytes)
+		}
 	}
 }

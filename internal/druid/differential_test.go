@@ -157,7 +157,6 @@ func canonicalRows(rows [][]any, ordered bool) string {
 // results. Any divergence is an execution bug in one of the engines.
 func TestDifferentialPinotVsDruid(t *testing.T) {
 	sch, pinotSegs, druidSegs := diffCorpus(t)
-	druidEng := NewEngine(sch, druidSegs)
 	gen := &queryGen{rnd: rand.New(rand.NewSource(7))}
 
 	for i := 0; i < 200; i++ {
@@ -166,7 +165,7 @@ func TestDifferentialPinotVsDruid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d pinot %q: %v", i, q, err)
 		}
-		dres, err := druidEng.Execute(context.Background(), q)
+		dres, err := query.Run(context.Background(), q, druidSegs, sch, Options())
 		if err != nil {
 			t.Fatalf("query %d druid %q: %v", i, q, err)
 		}

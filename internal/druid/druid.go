@@ -16,8 +16,6 @@
 package druid
 
 import (
-	"context"
-
 	"pinot/internal/query"
 	"pinot/internal/segment"
 )
@@ -39,31 +37,4 @@ func Options() query.Options {
 // indexes on every dimension (including the time column), no sort column.
 func IndexConfig(schema *segment.Schema) segment.IndexConfig {
 	return segment.IndexConfig{InvertedColumns: schema.DimensionNames()}
-}
-
-// Engine executes queries Druid-style over a fixed segment set. It is the
-// single-process "historical" used in the benchmark harness.
-type Engine struct {
-	segments []query.IndexedSegment
-	engine   *query.Engine
-	schema   *segment.Schema
-}
-
-// NewEngine builds a Druid engine over segments (which should have been
-// built with IndexConfig for a faithful footprint).
-func NewEngine(schema *segment.Schema, segments []query.IndexedSegment) *Engine {
-	stripped := make([]query.IndexedSegment, len(segments))
-	for i, is := range segments {
-		stripped[i] = query.IndexedSegment{Seg: is.Seg} // no star trees in Druid
-	}
-	return &Engine{
-		segments: stripped,
-		engine:   &query.Engine{Options: Options()},
-		schema:   schema,
-	}
-}
-
-// Execute parses and runs PQL with Druid's execution model.
-func (e *Engine) Execute(ctx context.Context, pql string) (*query.Result, error) {
-	return query.Run(ctx, pql, e.segments, e.schema, Options())
 }

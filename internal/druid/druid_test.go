@@ -49,7 +49,6 @@ func buildSegments(t *testing.T) (*segment.Schema, []query.IndexedSegment) {
 
 func TestDruidEngineAnswersMatchPinot(t *testing.T) {
 	sch, segs := buildSegments(t)
-	eng := NewEngine(sch, segs)
 	queries := []string{
 		"SELECT count(*) FROM ev",
 		"SELECT sum(clicks) FROM ev WHERE country = 'us'",
@@ -57,7 +56,7 @@ func TestDruidEngineAnswersMatchPinot(t *testing.T) {
 		"SELECT count(*) FROM ev WHERE day >= 102",
 	}
 	for _, q := range queries {
-		dres, err := eng.Execute(context.Background(), q)
+		dres, err := query.Run(context.Background(), q, segs, sch, Options())
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -80,8 +79,7 @@ func TestDruidEngineAnswersMatchPinot(t *testing.T) {
 // phase trace and scan accounting too — apples-to-apples observability.
 func TestDruidResponseCarriesLifecycleFields(t *testing.T) {
 	sch, segs := buildSegments(t)
-	eng := NewEngine(sch, segs)
-	res, err := eng.Execute(context.Background(), "SELECT sum(clicks) FROM ev WHERE country = 'us'")
+	res, err := query.Run(context.Background(), "SELECT sum(clicks) FROM ev WHERE country = 'us'", segs, sch, Options())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,20 +25,6 @@ type DictMemo struct {
 	Bools   []bool
 }
 
-// Len returns the dictionary cardinality the memo covers.
-func (m *DictMemo) Len() int {
-	switch m.Kind {
-	case Long:
-		return len(m.Longs)
-	case Double:
-		return len(m.Doubles)
-	case Bool:
-		return len(m.Bools)
-	default:
-		return len(m.Strings)
-	}
-}
-
 // Value boxes the memoized result for one dictionary id.
 func (m *DictMemo) Value(id int) any {
 	switch m.Kind {
@@ -51,18 +37,6 @@ func (m *DictMemo) Value(id int) any {
 	default:
 		return m.Strings[id]
 	}
-}
-
-// SizeBytes estimates the memo's memory footprint for cache accounting.
-func (m *DictMemo) SizeBytes() int64 {
-	var n int64 = 64 // struct + slice headers
-	n += int64(len(m.Longs)) * 8
-	n += int64(len(m.Doubles)) * 8
-	n += int64(len(m.Bools))
-	for _, s := range m.Strings {
-		n += int64(len(s)) + 16
-	}
-	return n
 }
 
 // EvalOverDict interprets e once per dictionary entry of a single column.

@@ -9,9 +9,7 @@
 //     execution — so every hop enforces what is actually left, not a fresh
 //     full timeout (paper 3.3.3's bounded-latency contract made explicit),
 //   - a phase ledger (parse, route, queue, scatter, execute, merge, reduce)
-//     surfaced to clients as a structured trace,
-//   - per-query resource accounting: docs/entries scanned and group-by
-//     state bytes.
+//     surfaced to clients as a structured trace.
 //
 // The zero-dependency design is deliberate: every layer of the query path
 // imports this package, so it can import nothing but the standard library.
@@ -22,7 +20,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -63,13 +60,6 @@ func (t Trace) WallSum() time.Duration {
 	return sum
 }
 
-// Usage is a snapshot of a query's resource accounting.
-type Usage struct {
-	DocsScanned     int64
-	EntriesScanned  int64
-	GroupStateBytes int64
-}
-
 // QueryContext is the mutable per-query state threaded through one layer of
 // the query path via context.Context. All methods are safe for concurrent
 // use by the segment workers of one query.
@@ -80,11 +70,6 @@ type QueryContext struct {
 
 	mu    sync.Mutex
 	trace Trace
-
-	docsScanned    atomic.Int64
-	entriesScanned atomic.Int64
-
-	groupBytes atomic.Int64
 }
 
 // New mints a query context with the given ID (empty generates one) and
@@ -167,24 +152,6 @@ func (qc *QueryContext) TraceSnapshot() Trace {
 		out[p] = d
 	}
 	return out
-}
-
-// AddScan records docs and entries scanned by one segment.
-func (qc *QueryContext) AddScan(docs, entries int64) {
-	qc.docsScanned.Add(docs)
-	qc.entriesScanned.Add(entries)
-}
-
-// ChargeGroupState records bytes of newly created group-by state.
-func (qc *QueryContext) ChargeGroupState(bytes int64) { qc.groupBytes.Add(bytes) }
-
-// UsageSnapshot returns the current resource accounting.
-func (qc *QueryContext) UsageSnapshot() Usage {
-	return Usage{
-		DocsScanned:     qc.docsScanned.Load(),
-		EntriesScanned:  qc.entriesScanned.Load(),
-		GroupStateBytes: qc.groupBytes.Load(),
-	}
 }
 
 type ctxKey struct{}

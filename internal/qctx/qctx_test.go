@@ -2,7 +2,6 @@ package qctx
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 )
@@ -74,30 +73,6 @@ func TestObserveServerFoldsMax(t *testing.T) {
 	tr := qc.TraceSnapshot()
 	if tr[PhaseExecute] != 5*time.Millisecond || tr[PhaseQueue] != 2*time.Millisecond {
 		t.Fatalf("folded trace = %v", tr)
-	}
-}
-
-func TestAccountingConcurrent(t *testing.T) {
-	qc := New("", 0)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				qc.AddScan(1, 2)
-				qc.ChargeGroupState(3)
-				qc.Charge(PhaseExecute, time.Nanosecond)
-			}
-		}()
-	}
-	wg.Wait()
-	u := qc.UsageSnapshot()
-	if u.DocsScanned != 8000 || u.EntriesScanned != 16000 || u.GroupStateBytes != 24000 {
-		t.Fatalf("usage = %+v", u)
-	}
-	if qc.TraceSnapshot()[PhaseExecute] != 8000*time.Nanosecond {
-		t.Fatalf("trace = %v", qc.TraceSnapshot())
 	}
 }
 

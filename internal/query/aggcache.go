@@ -63,8 +63,8 @@ func aggCacheKey(q *pql.Query) string {
 // asked before the encode, so a key seen once costs neither the encode nor
 // any heap: this tier only sees what the broker's result tier missed, and
 // most of that (all-distinct streams, a dashboard's first request) never
-// comes back. Only clean completions are stored: errored or group-limited
-// executions must re-run. Bytes that no longer decode are a miss whose Put
+// comes back. Only clean completions are stored: errored executions must
+// re-run. Bytes that no longer decode are a miss whose Put
 // replaces them at once (a resident key passes the doorkeeper), and a result
 // the layout cannot carry is answered and simply not stored.
 func (e *Engine) executeSegmentCached(ctx context.Context, is IndexedSegment, q *pql.Query, key string, tableSchema *segment.Schema) (*Intermediate, error) {

@@ -20,11 +20,9 @@ import (
 //     by sorted ranges, inverted bitmaps or vectorized dict scans, prunes
 //     segments it provably cannot match, and short-circuits under AND/OR;
 //   - an expression group key or aggregate argument reads a per-segment
-//     memo (dictID → value) instead of re-interpreting per row.
-//
-// Memos are cached across queries in Options.DictMemoCache, keyed on
-// (segment, canonical expression text), immutable segments only, with the
-// same install/unload invalidation as the server aggregate cache.
+//     memo (dictID → value) instead of re-interpreting per row. Each segment
+//     execution builds the memos it needs: a memo costs one evaluation per
+//     dictionary entry, far below the rows it serves.
 //
 // Eligibility is deliberately conservative: any static type error, any
 // per-entry evaluation error, any shape the analysis does not understand
@@ -37,7 +35,7 @@ import (
 // column, single-valued and dict-encoded, both sides deterministic and
 // statically well-typed. Returns the resolved column, the matching id set,
 // and ok=false for any shape that must stay on the row path.
-func dictExprIDSet(cs columnSource, p pql.ExprCompare, opt Options, table string) (segment.ColumnReader, *idSet, bool) {
+func dictExprIDSet(cs columnSource, p pql.ExprCompare, opt Options) (segment.ColumnReader, *idSet, bool) {
 	if opt.disableDictExpr {
 		return nil, nil, false
 	}
@@ -79,11 +77,11 @@ func dictExprIDSet(cs columnSource, p pql.ExprCompare, opt Options, table string
 		return col, set, true
 	}
 
-	lv, ok := dictSideValues(cs, col, cols[0], p.LHS, lk, opt, table)
+	lv, ok := dictSideValues(col, cols[0], p.LHS, lk)
 	if !ok {
 		return nil, nil, false
 	}
-	rv, ok := dictSideValues(cs, col, cols[0], p.RHS, rk, opt, table)
+	rv, ok := dictSideValues(col, cols[0], p.RHS, rk)
 	if !ok {
 		return nil, nil, false
 	}
@@ -104,7 +102,7 @@ func dictExprIDSet(cs columnSource, p pql.ExprCompare, opt Options, table string
 // dictSideValues resolves one side of an eligible comparison to a
 // value-per-dict-id function: a constant side evaluates once, a
 // column-bearing side goes through the per-segment memo.
-func dictSideValues(cs columnSource, col segment.ColumnReader, colName string, e pql.Expr, kind expr.Kind, opt Options, table string) (func(id int) any, bool) {
+func dictSideValues(col segment.ColumnReader, colName string, e pql.Expr, kind expr.Kind) (func(id int) any, bool) {
 	if len(pql.ExprColumns(e)) == 0 {
 		v, err := expr.Eval(expr.NewCtx(expr.Limits{}), e, func(string) any { return nil })
 		if err != nil {
@@ -114,43 +112,20 @@ func dictSideValues(cs columnSource, col segment.ColumnReader, colName string, e
 		}
 		return func(int) any { return v }, true
 	}
-	m, ok := dictMemoFor(cs, col, colName, e, kind, opt, table)
+	m, ok := dictMemoFor(col, colName, e, kind)
 	if !ok {
 		return nil, false
 	}
 	return m.Value, true
 }
 
-// dictMemoFor builds (or fetches from the cross-query cache) the
-// dictionary-space memo of one expression over one segment column. Only
-// immutable segments are cached: a consuming segment's dictionary grows
-// under it. ok=false means some dictionary entry failed to evaluate and the
-// expression must stay on the row path.
-func dictMemoFor(cs columnSource, col segment.ColumnReader, colName string, e pql.Expr, kind expr.Kind, opt Options, table string) (*expr.DictMemo, bool) {
-	cache := opt.DictMemoCache
-	if cache != nil {
-		if _, consuming := cs.seg.(*segment.Snapshot); consuming {
-			cache = nil
-		}
-	}
-	key := pql.CanonicalExpr(e).String()
-	if cache != nil {
-		if v, ok := cache.Get(cs.seg.Name(), table, key); ok {
-			m := v.(*expr.DictMemo)
-			// A schema-evolution default column shares the segment scope
-			// with the real column it may later be replaced by; length is
-			// part of the contract.
-			if m.Len() == col.Cardinality() {
-				return m, true
-			}
-		}
-	}
+// dictMemoFor builds the dictionary-space memo of one expression over one
+// segment column. ok=false means some dictionary entry failed to evaluate
+// and the expression must stay on the row path.
+func dictMemoFor(col segment.ColumnReader, colName string, e pql.Expr, kind expr.Kind) (*expr.DictMemo, bool) {
 	m, err := expr.EvalOverDict(expr.NewCtx(expr.Limits{}), e, colName, col.Value, col.Cardinality(), kind)
 	if err != nil {
 		return nil, false
-	}
-	if cache != nil {
-		cache.Put(cs.seg.Name(), table, key, m, m.SizeBytes())
 	}
 	return m, true
 }

@@ -1,9 +1,10 @@
 // Benchmarks for dictionary-space expression execution, the issue's
 // acceptance fixture: 200k rows over a 1000-cardinality string dimension.
-// The A/B pairs time the same query with dictionary space on (memo cache
-// warm, as a server would run it) and off (the row-path rung) — string
-// expressions never compile to kernels, so the disabled mode IS the per-row
-// interpreter the paper's derived-column workloads would otherwise pay for.
+// The A/B pairs time the same query with dictionary space on (memos built
+// per segment execution, as a server runs it) and off (the row-path rung) —
+// string expressions never compile to kernels, so the disabled mode IS the
+// per-row interpreter the paper's derived-column workloads would otherwise
+// pay for.
 package query
 
 import (
@@ -13,8 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"pinot/internal/metrics"
-	"pinot/internal/qcache"
 	"pinot/internal/segment"
 )
 
@@ -51,21 +50,14 @@ func dictBenchSegments(b *testing.B) []IndexedSegment {
 	return []IndexedSegment{{Seg: seg}}
 }
 
-// dictExprAB times one query under dictionary space (warm memo cache) vs the
-// row-path interpreter, cross-checks the rows agree, and reports the ratio —
+// dictExprAB times one query under dictionary space vs the row-path
+// interpreter, cross-checks the rows agree, and reports the ratio —
 // the headline number for this subsystem (EXPERIMENTS.md; the issue's bar is
 // ≥ 5x on the predicate shape).
 func dictExprAB(b *testing.B, q string) {
 	segs := dictBenchSegments(b)
 	ctx := context.Background()
-	cache := qcache.New(qcache.Config{Tier: "dictexpr", Metrics: metrics.NewRegistry()})
-	dictOpt := Options{DictMemoCache: cache}
-	interpOpt := ForceRungs(Options{}, false, true)
-	// Warm the memo cache once: servers keep memos across queries, so the
-	// steady state is what the A side should measure.
-	if _, err := Run(ctx, q, segs, nil, dictOpt); err != nil {
-		b.Fatal(err)
-	}
+	dictOpt, interpOpt := Options{}, ForceRungs(Options{}, false, true)
 	var dictNS, interpNS time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,8 +2,7 @@
 // dictionary probe (brute-forced against strings.ToLower/ToUpper over a
 // Unicode-edge dictionary), the plan-level guarantee that lower/upper
 // equality rewrites to a probe without building a memo, expression-predicate
-// pruning (a no-match predicate scans zero docs), and the cross-query memo
-// cache.
+// pruning (a no-match predicate scans zero docs).
 package query
 
 import (
@@ -12,9 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"pinot/internal/metrics"
 	"pinot/internal/pql"
-	"pinot/internal/qcache"
 	"pinot/internal/segment"
 )
 
@@ -196,21 +193,25 @@ func TestFoldPreimagesVariantCap(t *testing.T) {
 
 // TestProbeRewriteFiresAtPlanTime is the plan-level assertion that
 // lower(col) = 'x' is served by the dictionary probe: dictExprIDSet resolves
-// the exact matching ids AND the memo cache stays empty — the probe never
-// evaluates the expression over the dictionary at all.
+// the exact matching ids AND reads each dictionary value once, for the
+// probe's length guard — a memo would read every value again to evaluate the
+// expression over the dictionary.
 func TestProbeRewriteFiresAtPlanTime(t *testing.T) {
-	seg := buildDictProbeSegment(t, "dplan", unicodeEdgeValues)
-	cache := qcache.New(qcache.Config{Tier: "dictexpr", Metrics: metrics.NewRegistry()})
-	opt := Options{DictMemoCache: cache}
+	seg := counting(buildDictProbeSegment(t, "dplan", unicodeEdgeValues))
+	name := seg.Column("name").(*countingColumn)
+	card := name.Cardinality()
 	cs := columnSource{seg: seg}
 	p := pql.ExprCompare{
 		LHS: pql.Call{Name: "lower", Args: []pql.Expr{pql.ColumnRef{Name: "name"}}},
 		Op:  pql.OpEq,
 		RHS: pql.Literal{Value: "cat"},
 	}
-	col, set, ok := dictExprIDSet(cs, p, opt, "dtbl")
+	col, set, ok := dictExprIDSet(cs, p, Options{})
 	if !ok {
 		t.Fatal("dictExprIDSet declined a probe-shaped predicate")
+	}
+	if name.values != card {
+		t.Fatalf("planning read %d dictionary values of %d; the rewrite must not evaluate the dictionary", name.values, card)
 	}
 	var got []string
 	set.each(func(id int) { got = append(got, col.Value(id).(string)) })
@@ -223,14 +224,12 @@ func TestProbeRewriteFiresAtPlanTime(t *testing.T) {
 			t.Fatalf("probe matched %q, not a casing of cat", v)
 		}
 	}
-	if n := cache.Len(); n != 0 {
-		t.Fatalf("probe path built %d memo(s); the rewrite must not evaluate the dictionary", n)
-	}
 
-	// The same predicate through the full query path: still no memo, and the
-	// segment counts as dictionary-space served.
+	// The same predicate through the full query path: one probe, no memo,
+	// and the segment counts as dictionary-space served.
+	name.values = 0
 	res, err := Run(context.Background(), "SELECT count(*) FROM dtbl WHERE lower(name) = 'cat'",
-		[]IndexedSegment{{Seg: seg}}, nil, opt)
+		[]IndexedSegment{{Seg: seg}}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +239,8 @@ func TestProbeRewriteFiresAtPlanTime(t *testing.T) {
 	if res.Stats.DictExprSegments != 1 {
 		t.Fatalf("DictExprSegments = %d, want 1", res.Stats.DictExprSegments)
 	}
-	if n := cache.Len(); n != 0 {
-		t.Fatalf("query built %d memo(s); equality probes must stay memo-free", n)
+	if name.values != card {
+		t.Fatalf("query read %d dictionary values of %d: equality probes must stay memo-free", name.values, card)
 	}
 }
 
@@ -302,71 +301,5 @@ func TestDictExprMatchAllElision(t *testing.T) {
 	}
 	if res.Stats.MetadataOnlySegments != 1 {
 		t.Fatalf("MetadataOnlySegments = %d, want 1", res.Stats.MetadataOnlySegments)
-	}
-}
-
-// TestDictExprMemoCacheHitsAndInvalidation: the memo for a group-by
-// expression is built once, shared across queries through the cache (hits on
-// the metrics registry), sized, and dropped by scope invalidation.
-func TestDictExprMemoCacheHitsAndInvalidation(t *testing.T) {
-	rows := testRows(2000, 17)
-	seg := buildRows(t, rows, segment.IndexConfig{}, "dmemo")
-	segs := []IndexedSegment{{Seg: seg}}
-	reg := metrics.NewRegistry()
-	cache := qcache.New(qcache.Config{Tier: "dictexpr", Metrics: reg})
-	opt := Options{DictMemoCache: cache}
-
-	r1 := runPQL(t, segs, "SELECT count(*) FROM events GROUP BY concat(country, '-x') TOP 10", opt)
-	if r1.Stats.DictExprSegments != 1 {
-		t.Fatalf("DictExprSegments = %d, want 1", r1.Stats.DictExprSegments)
-	}
-	if cache.Len() != 1 || cache.Bytes() <= 0 {
-		t.Fatalf("after first query: %d entries / %d bytes, want one sized memo", cache.Len(), cache.Bytes())
-	}
-	if hits := reg.Value("pinot_cache_hits_total", "dictexpr", "events"); hits != 0 {
-		t.Fatalf("cold run recorded %d hits", hits)
-	}
-
-	// Different query, same canonical expression: the memo is shared.
-	r2 := runPQL(t, segs, "SELECT sum(clicks) FROM events GROUP BY concat(country, '-x') TOP 10", opt)
-	if r2.Stats.DictExprSegments != 1 {
-		t.Fatalf("second query DictExprSegments = %d, want 1", r2.Stats.DictExprSegments)
-	}
-	if hits := reg.Value("pinot_cache_hits_total", "dictexpr", "events"); hits != 1 {
-		t.Fatalf("hits = %d after memo reuse, want 1", hits)
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("memo reuse grew the cache to %d entries", cache.Len())
-	}
-
-	// Unloading the segment invalidates its memos by scope.
-	if n := cache.InvalidateScope(seg.Name()); n != 1 {
-		t.Fatalf("InvalidateScope removed %d entries, want 1", n)
-	}
-	if cache.Len() != 0 {
-		t.Fatalf("cache holds %d entries after invalidation", cache.Len())
-	}
-}
-
-// TestDictExprMutableSegmentNotCached: a consuming segment's dictionary
-// grows under it, so its memos must never enter the cross-query cache.
-func TestDictExprMutableSegmentNotCached(t *testing.T) {
-	ms, err := segment.NewMutableSegment("events", "dmut", rowsSchema(t), segment.IndexConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range testRows(500, 19) {
-		if err := ms.Add(segment.Row{r.country, r.browser, r.member, r.clicks, r.rev, r.day}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cache := qcache.New(qcache.Config{Tier: "dictexpr", Metrics: metrics.NewRegistry()})
-	segs := []IndexedSegment{{Seg: ms.Snapshot()}}
-	res := runPQL(t, segs, "SELECT count(*) FROM events GROUP BY concat(country, '-x') TOP 10", Options{DictMemoCache: cache})
-	if res.Stats.DictExprSegments != 1 {
-		t.Fatalf("DictExprSegments = %d; mutable segments still qualify for uncached memos", res.Stats.DictExprSegments)
-	}
-	if cache.Len() != 0 {
-		t.Fatalf("mutable segment memo leaked into the cache (%d entries)", cache.Len())
 	}
 }

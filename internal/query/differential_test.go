@@ -29,8 +29,6 @@ import (
 	"strings"
 	"testing"
 
-	"pinot/internal/metrics"
-	"pinot/internal/qcache"
 	"pinot/internal/query"
 	"pinot/internal/segment"
 	"pinot/internal/workload"
@@ -80,7 +78,6 @@ type diffCase struct {
 	name    string
 	segs    []query.IndexedSegment
 	schema  *segment.Schema
-	base    query.Options
 	rungs   []string // besides the default, each after the rung it is held to
 	queries []string
 	// minDictSegments is how many segment executions dictionary space must
@@ -145,7 +142,7 @@ func (c *diffCase) check(t *testing.T, oracle *query.Oracle, label, q string) (d
 	outcomes := map[string]outcome{}
 	h := sha256.New()
 	for _, name := range append([]string{"default"}, c.rungs...) {
-		r, opt := rungs[slices.IndexFunc(rungs, func(r rung) bool { return r.name == name })], c.base
+		r, opt := rungs[slices.IndexFunc(rungs, func(r rung) bool { return r.name == name })], query.Options{}
 		r.force(&opt)
 		o := ask(t, q, c.segs, c.schema, opt)
 		outcomes[name] = o
@@ -383,16 +380,13 @@ func exprCase(t *testing.T) *diffCase {
 	)}
 }
 
-// dictCase: dictionary-space shapes and near misses, one memo cache across
-// the case so later queries hit memos earlier ones built, and hand-picked
-// edges: type errors, Unicode probe targets, constant sides, both
+// dictCase: dictionary-space shapes and near misses, and hand-picked edges: type errors, Unicode probe targets, constant sides, both
 // ExprCompare orientations, all-match under NOT.
 func dictCase(t *testing.T) *diffCase {
 	schema := diffSchema(t)
 	r := rand.New(rand.NewSource(977))
 	segs := mixedSegments(t, r, schema, "ddiff", 2500, 1200, "category", "bucket")
-	cache := qcache.New(qcache.Config{Tier: "dictexpr", Metrics: metrics.NewRegistry()})
-	return &diffCase{name: "dict", segs: segs, schema: schema, base: query.Options{DictMemoCache: cache},
+	return &diffCase{name: "dict", segs: segs, schema: schema,
 		rungs: []string{"row path", "row path + interpreter"}, minDictSegments: 150, queries: append(dictDiffQueries(r, 230),
 			"SELECT count(*) FROM difftbl WHERE lower(category) = 3",
 			"SELECT count(*) FROM difftbl WHERE upper(bucket) = 'X'",

@@ -99,11 +99,6 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 			return trailer, nil, emit(0, EmptyIntermediate(q, tableSchema))
 		}
 	}
-	qc := qctx.From(ctx)
-	if qc == nil {
-		qc = qctx.New("", 0)
-		ctx = qctx.With(ctx, qc)
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	par := e.parallelism
@@ -195,7 +190,6 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 				continue
 			}
 			succeeded++
-			qc.AddScan(o.res.Stats.NumDocsScanned, o.res.Stats.NumEntriesScanned)
 			if err := emit(emitted, o.res); err != nil {
 				emitErr = err
 				cancel()
@@ -265,8 +259,8 @@ func EmptyIntermediate(q *pql.Query, tableSchema *segment.Schema) *Intermediate 
 // Druid baseline; the distributed path goes through broker and server
 // packages. Run mints a QueryContext when the caller did not provide one
 // (budgeted from the context deadline, if any), so every result — including
-// the Druid baseline's — carries a query ID, a phase trace and resource
-// accounting.
+// the Druid baseline's — carries a query ID and a phase trace beside its
+// Stats.
 func Run(ctx context.Context, pqlText string, segs []IndexedSegment, tableSchema *segment.Schema, opt Options) (*Result, error) {
 	qc := qctx.From(ctx)
 	if qc == nil {

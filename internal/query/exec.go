@@ -24,7 +24,6 @@ type IndexedSegment struct {
 // docs of ctx.Done().
 func ExecuteSegment(ctx context.Context, is IndexedSegment, q *pql.Query, tableSchema *segment.Schema, opt Options) (*Intermediate, error) {
 	env := newExecEnv(ctx, is.Seg.Name())
-	env.table = q.Table
 	if err := env.checkpoint(); err != nil {
 		return nil, err
 	}
@@ -44,12 +43,18 @@ func ExecuteSegment(ctx context.Context, is IndexedSegment, q *pql.Query, tableS
 		return executeSelection(env, cs, is, q, opt)
 	}
 	res, err := run()
-	// The group-state cap returns a mergeable partial alongside its error,
-	// so the counter lands on that path too.
-	if res != nil && env.dictExprUsed {
+	if err != nil {
+		return nil, err
+	}
+	// A GROUP BY's group state is its table's own size, taken once the keys
+	// are values, whichever plan filled it; without GROUP BY there is none.
+	if q.HasGroupBy() {
+		res.Stats.GroupStateBytes = res.Groups.sizeBytes()
+	}
+	if env.dictExprUsed {
 		res.Stats.DictExprSegments = 1
 	}
-	return res, err
+	return res, nil
 }
 
 func baseStats(seg segment.Reader) Stats {
@@ -57,8 +62,8 @@ func baseStats(seg segment.Reader) Stats {
 }
 
 // executeGroupBy runs an aggregation over one segment into a GroupTable of
-// one key column per GROUP BY item. Without GROUP BY there is no item, no
-// group to find and nothing to charge: every document folds into row 0.
+// one key column per GROUP BY item. Without GROUP BY there is no item and no
+// group to find: every document folds into row 0.
 func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Query, inputs []aggInput, exprs []pql.Expression, opt Options) (*Intermediate, error) {
 	t := NewGroupTable(len(q.GroupBy), exprs)
 	out := &Intermediate{Kind: KindGroupBy, AggExprs: exprs, GroupCols: q.GroupBy, Groups: t}
@@ -96,8 +101,6 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 		items[i] = groupItem{col: col}
 	}
 
-	charger := &groupCharger{qc: env.qc, nAggs: len(exprs)}
-
 	// Star-tree plan. planStarTree declines expression group-bys (their
 	// rendered text never matches a split dimension), so items[i].col is
 	// always set when this plan runs, and a record's dimension values are
@@ -118,7 +121,6 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 				var isNew bool
 				if ord, isNew = t.commit(); isNew {
 					t.addStates()
-					charger.charge(t.keyLen(ord, items), len(items))
 				}
 			}
 			n := plan.tree.Count(rec)
@@ -137,7 +139,6 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 		out.Stats.StarTreeSegments = 1
 		out.Stats.StarTreeRecordsScanned = int64(scanned)
 		out.Stats.StarTreeRawDocs = int64(plan.tree.NumRawDocs())
-		out.Stats.GroupStateBytes = charger.bytes
 		return out, nil
 	}
 
@@ -154,7 +155,7 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 	}
 	var g grouper
 	if len(items) > 0 {
-		g = newItemGrouper(items, t, charger, sc)
+		g = newItemGrouper(items, t, sc)
 	}
 	it := set.iterator(sc)
 	buf := sc.docBuf(blockSize)
@@ -202,7 +203,6 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 	if docs > 0 {
 		out.Stats.NumSegmentsMatched = 1
 	}
-	out.Stats.GroupStateBytes = charger.bytes
 	return out, nil
 }
 

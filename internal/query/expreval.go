@@ -94,7 +94,7 @@ func newExprEval(env *execEnv, cs columnSource, e pql.Expr, opt Options) (*exprE
 	// bit-identical on both paths, so that rung flips only execution shape,
 	// never plan.
 	if !opt.disableDictExpr && len(ev.names) == 1 && ev.readers[0].HasDictionary() && pql.ExprDeterministic(e) {
-		if m, ok := dictMemoFor(cs, ev.readers[0], ev.names[0], e, kind, opt, env.table); ok {
+		if m, ok := dictMemoFor(ev.readers[0], ev.names[0], e, kind); ok {
 			ev.memo = m
 			env.dictExprUsed = true
 		}

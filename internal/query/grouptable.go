@@ -6,7 +6,6 @@ import (
 	"hash/maphash"
 	"math"
 	"slices"
-	"strconv"
 
 	"pinot/internal/pql"
 	"pinot/internal/segment"
@@ -187,21 +186,6 @@ func (k *keyColumn) compare(i, j int) int {
 	return cmp.Compare(int64(k.nums[i]), int64(k.nums[j]))
 }
 
-// renderedLen is len(fmt.Sprint(value(i))) without building the string: the
-// group-state estimate charges a group for its rendered key.
-func (k *keyColumn) renderedLen(i int) int {
-	var buf [32]byte
-	switch k.kind {
-	case keyString:
-		return len(k.strs[i])
-	case keyLong:
-		return len(strconv.AppendInt(buf[:0], int64(k.nums[i]), 10))
-	case keyDouble:
-		return len(strconv.AppendFloat(buf[:0], math.Float64frombits(k.nums[i]), 'g', -1, 64))
-	}
-	return len(strconv.AppendBool(buf[:0], k.nums[i] != 0))
-}
-
 // typedDict returns the values of a column's dictionary in the slice the
 // dictionary keeps them in, when that is strings or int64s (what group keys
 // nearly always are): a reader of many values takes them from it instead of
@@ -214,24 +198,6 @@ func typedDict(col segment.ColumnReader) (strs []string, longs []int64) {
 		return c.DictStrings(), c.DictLongs()
 	}
 	return nil, nil
-}
-
-// dictRenderedLen is renderedLen for a value still held as a dictionary id.
-func dictRenderedLen(col segment.ColumnReader, id int) int {
-	var buf [20]byte
-	if strs, longs := typedDict(col); strs != nil {
-		return len(strs[id])
-	} else if longs != nil {
-		return len(strconv.AppendInt(buf[:0], longs[id], 10))
-	}
-	switch x := col.Value(id).(type) {
-	case string:
-		return len(x)
-	case int64:
-		return len(strconv.AppendInt(buf[:0], x, 10))
-	default:
-		return len(fmt.Sprint(x))
-	}
 }
 
 // decodeDict turns a column of dictionary ids into the values they stand
@@ -329,25 +295,25 @@ func (t *GroupTable) SetState(i, a int, s AggState) {
 // and returns its ordinal. Each value must be an int64, a float64, a string
 // or a bool, and of the type its column already holds.
 func (t *GroupTable) Upsert(values []any) (int, error) {
-	ord, _, err := t.upsert(values)
+	ord, err := t.upsert(values)
 	return int(ord), err
 }
 
-func (t *GroupTable) upsert(values []any) (ord uint32, isNew bool, err error) {
+func (t *GroupTable) upsert(values []any) (uint32, error) {
 	if len(values) != len(t.keys) {
-		return 0, false, fmt.Errorf("query: %d group values for %d key columns", len(values), len(t.keys))
+		return 0, fmt.Errorf("query: %d group values for %d key columns", len(values), len(t.keys))
 	}
 	for c, v := range values {
 		if err := t.keys[c].appendValue(v); err != nil {
 			for c := range t.keys {
 				t.keys[c].truncate(t.n)
 			}
-			return 0, false, err
+			return 0, err
 		}
 	}
-	ord, isNew = t.commit()
+	ord, _ := t.commit()
 	t.addStates()
-	return ord, isNew, nil
+	return ord, nil
 }
 
 // addStates gives the groups added since it was last called their fresh
@@ -498,22 +464,6 @@ func (t *GroupTable) decodeKeys(items []groupItem) {
 	}
 }
 
-// keyLen returns the length of group ord's rendered key — each value as
-// fmt.Sprint renders it, a separator byte between two — which is what the
-// group-state estimate charges a group for. items supplies the dictionary of
-// a column still held as ids.
-func (t *GroupTable) keyLen(ord uint32, items []groupItem) int {
-	n := len(t.keys) - 1
-	for c := range t.keys {
-		if k := &t.keys[c]; k.kind == keyDictID {
-			n += dictRenderedLen(items[c].col, int(k.nums[ord]))
-		} else {
-			n += k.renderedLen(int(ord))
-		}
-	}
-	return n
-}
-
 // top returns the first n groups by the first aggregate descending, ties by
 // key ascending (then by ordinal, so the order is total), as result rows:
 // only the rows returned are boxed.
@@ -562,8 +512,9 @@ func (t *GroupTable) top(n int) [][]any {
 	return rows
 }
 
-// sizeBytes estimates the table's footprint for Intermediate.SizeBytes: its
-// fixed-width columns, its strings, its value lists and its sets.
+// sizeBytes estimates the table's footprint: its fixed-width columns, its
+// strings, its value lists and its sets. It is Intermediate.SizeBytes and a
+// GROUP BY segment execution's Stats.GroupStateBytes.
 func (t *GroupTable) sizeBytes() int64 {
 	if t == nil {
 		return 0

@@ -13,42 +13,48 @@ import (
 	"pinot/internal/pql"
 	"pinot/internal/qcache"
 	"pinot/internal/segment"
+	"pinot/internal/startree"
 )
 
-// GroupKey renders a key as the engine's group tables were once keyed: each
-// value as fmt.Sprint prints it, NUL between two. The group-state estimate
-// still charges a group for a key of this length.
-func GroupKey(values []any) string {
-	parts := make([]string, len(values))
-	for i, v := range values {
-		parts[i] = fmt.Sprint(v)
+// TestGroupStateBytesIsTheTablesSize: a GROUP BY query's GroupStateBytes is
+// the sum of the sizes of the tables its segments built — on the scan path a
+// closed form, each of 4·members groups a segment holding two key and two
+// state columns of 16 bytes and a two-byte country — and the star-tree plan
+// reports what the scan of the same segment does. Without GROUP BY it is 0.
+func TestGroupStateBytesIsTheTablesSize(t *testing.T) {
+	const members = 6
+	segs := groupedSegments(t, 3, members)
+	q, err := pql.Parse(hopPQL)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return strings.Join(parts, "\x00")
-}
-
-// TestKeyLenIsTheRenderedKeysLength: the arithmetic that prices a group's key
-// agrees with the string it stands for, for every type and the awkward floats.
-func TestKeyLenIsTheRenderedKeysLength(t *testing.T) {
-	for _, values := range [][]any{
-		{"", int64(0), 0.0, true},
-		{"héllo\x00", int64(math.MinInt64), math.Copysign(0, -1), false},
-		{"a", int64(math.MaxInt64), math.NaN(), true},
-		{"a", int64(-10), math.Inf(1), true},
-		{"a", int64(999), math.Inf(-1), true},
-		{"a", int64(1000), 1e21, true},
-		{"a", int64(1), 1e20, true},
-		{"a", int64(1), 100000000.0, true},
-		{"a", int64(1), 1e-7, true},
-		{"a", int64(1), 0.1 + 0.2, true},
-		{"a", int64(1), -123456.789, true},
-		{"a", int64(1), math.SmallestNonzeroFloat64, true},
-		{"a", int64(1), math.MaxFloat64, true},
-	} {
-		g := NewGroupTable(len(values), nil)
-		ord := mustUpsert(t, g, values...)
-		if got, want := g.keyLen(uint32(ord), nil), len(GroupKey(values)); got != want {
-			t.Errorf("%v: key length %d, rendered %q is %d", values, got, GroupKey(values), want)
+	var tables int64
+	for _, is := range segs {
+		res, err := ExecuteSegment(context.Background(), is, q, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		tables += res.Groups.sizeBytes()
+	}
+	got := runPQL(t, segs, hopPQL, Options{}).Stats.GroupStateBytes
+	if want := int64(len(segs) * 4 * members * (16*4 + 2)); got != tables || got != want {
+		t.Fatalf("GroupStateBytes = %d, the tables' sizes sum to %d, the closed form is %d", got, tables, want)
+	}
+	if n := runPQL(t, segs, "SELECT sum(clicks), count(*) FROM events", Options{}).Stats.GroupStateBytes; n != 0 {
+		t.Fatalf("an aggregation without GROUP BY reports %d bytes of group state", n)
+	}
+
+	tree, err := startree.Build(segs[0].Seg, startree.Config{DimensionSplitOrder: []string{"country", "memberId"}, Metrics: []string{"clicks"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	starred := []IndexedSegment{{Seg: segs[0].Seg, Tree: tree}}
+	star, scan := runPQL(t, starred, hopPQL, Options{}), runPQL(t, starred, hopPQL, Options{DisableStarTree: true})
+	if star.Stats.StarTreeSegments != 1 || scan.Stats.StarTreeSegments != 0 {
+		t.Fatalf("star-tree segments: %d with the tree, %d without; want 1 and 0", star.Stats.StarTreeSegments, scan.Stats.StarTreeSegments)
+	}
+	if star.Stats.GroupStateBytes != scan.Stats.GroupStateBytes || star.Stats.GroupStateBytes != tables/int64(len(segs)) {
+		t.Fatalf("GroupStateBytes %d on the star tree, %d on the scan, want both %d", star.Stats.GroupStateBytes, scan.Stats.GroupStateBytes, tables/int64(len(segs)))
 	}
 }
 

@@ -125,7 +125,7 @@ func (o *Oracle) segment(q *pql.Query, seg segment.Reader) (*Intermediate, error
 			for i, key := range keys {
 				values[i] = key(doc)
 			}
-			if ord, _, err = t.upsert(values); err != nil {
+			if ord, err = t.upsert(values); err != nil {
 				return nil, err
 			}
 		}

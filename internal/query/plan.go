@@ -5,7 +5,6 @@ import (
 
 	"pinot/internal/bitmap"
 	"pinot/internal/pql"
-	"pinot/internal/qcache"
 	"pinot/internal/segment"
 )
 
@@ -28,11 +27,6 @@ type Options struct {
 	// metadata-only plans. Rows are identical either way; the flag exists
 	// for differential testing and to keep the Druid baseline pruning-free.
 	DisablePruning bool
-	// DictMemoCache, when set, caches dictionary-space expression memos
-	// across queries keyed on (segment, canonical expression). Only
-	// immutable segments are cached; the server invalidates a segment's
-	// scope on install and unload. Nil means memos are rebuilt per query.
-	DictMemoCache *qcache.Cache
 
 	// The rungs tests force off (export_test.go), never set in production:
 	// disableExprCompile evaluates every expression on the sandboxed per-row
@@ -128,7 +122,7 @@ func buildFilter(env *execEnv, cs columnSource, pred pql.Predicate, opt Options,
 		// Dictionary space first: a deterministic single-dict-column
 		// comparison compiles to the same idSet machinery as a plain
 		// predicate, pruning and short-circuiting without touching rows.
-		if col, set, ok := dictExprIDSet(cs, p, opt, env.table); ok {
+		if col, set, ok := dictExprIDSet(cs, p, opt); ok {
 			env.dictExprUsed = true
 			return serveIDSet(col, set, n, opt, stats), nil
 		}

@@ -380,14 +380,13 @@ func planPruning(q *pql.Query, segs []IndexedSegment, tableSchema *segment.Schem
 		// entry, an expression predicate can prove a segment empty (pruned
 		// like a zone-map miss) or full (filter elided). Decisions are
 		// document-exact, so they compose under the same three-valued
-		// AND/OR/NOT algebra as zone-map leaves. A memo built here lands in
-		// the cross-query cache, warming the execution that follows.
+		// AND/OR/NOT algebra as zone-map leaves.
 		var exprLeaf func(pql.ExprCompare) matchOutcome
 		exprDecisive := false
 		if hasExprLeaf {
 			cs := columnSource{seg: is.Seg, schema: tableSchema}
 			exprLeaf = func(p pql.ExprCompare) matchOutcome {
-				_, set, ok := dictExprIDSet(cs, p, opt, q.Table)
+				_, set, ok := dictExprIDSet(cs, p, opt)
 				if !ok {
 					return matchSome
 				}

@@ -31,9 +31,10 @@ type Stats struct {
 	SegmentsPrunedByServer int // dropped by the server time-range tier
 	SegmentsPrunedByValue  int // dropped by zone-map / bloom-filter evaluation
 	SegmentsMatched        int // survived pruning and were dispatched for execution
-	// GroupStateBytes is the estimated group-by state allocated for the
-	// query (a deterministic per-entry estimate, whichever grouper built the
-	// groups); the query context sums it across segments.
+	// GroupStateBytes is the group-by state a GROUP BY query's segments
+	// built: each segment execution's group table size (GroupTable.sizeBytes,
+	// taken once its keys are values), summed like every count here. 0
+	// without GROUP BY.
 	GroupStateBytes int64
 	// ResultCacheHit marks a response at least partially served from the
 	// broker's query-result cache. It is the ONLY field allowed to differ

@@ -10,12 +10,19 @@ import (
 	"pinot/internal/segment"
 )
 
-// countingColumn counts how a filter reads a column: per-document calls, and
-// values decoded or tested in place through the range and block reads.
+// countingColumn counts how a filter reads a column: per-document calls,
+// values decoded or tested in place through the range and block reads, and
+// dictionary values looked up by id.
 type countingColumn struct {
 	segment.ColumnReader
 	perDoc  int
 	decoded int
+	values  int
+}
+
+func (c *countingColumn) Value(id int) any {
+	c.values++
+	return c.ColumnReader.Value(id)
 }
 
 func (c *countingColumn) DictID(doc int) int {

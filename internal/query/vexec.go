@@ -338,7 +338,7 @@ func (k *aggKernel) accumulateGroups(c *aggColumn, ords []uint32) {
 // ---- group-by fast paths ----
 
 // grouper resolves each doc of a block to the ordinal of its group in the
-// segment's table, adding (and charging for) the groups it first meets.
+// segment's table, adding the groups it first meets.
 type grouper interface {
 	// groups fails only on a key the table cannot hold; the block is then
 	// unresolved and the segment's execution over.
@@ -355,18 +355,12 @@ func bitsNeeded(card int) int {
 
 const denseGroupMaxCard = 1 << 16
 
-// groupSink is what every grouper holds: the table it fills, the items that
-// name its key columns, and the charger new groups are billed to.
+// groupSink is what every grouper holds: the table it fills and the items
+// that name its key columns.
 type groupSink struct {
-	t       *GroupTable
-	items   []groupItem
-	charger *groupCharger
-	sc      *blockScratch
-}
-
-// added bills the group a grouper just created.
-func (g *groupSink) added(ord uint32) {
-	g.charger.charge(g.t.keyLen(ord, g.items), len(g.items))
+	t     *GroupTable
+	items []groupItem
+	sc    *blockScratch
 }
 
 // newItemGrouper picks the grouper for a set of GROUP BY items and types the
@@ -375,8 +369,8 @@ func (g *groupSink) added(ord uint32) {
 // packed into a uint64 when they fit, the table's own hash index otherwise —
 // and the table holds ids until the segment is done. Expression items group
 // by value.
-func newItemGrouper(items []groupItem, t *GroupTable, charger *groupCharger, sc *blockScratch) grouper {
-	sink := groupSink{t: t, items: items, charger: charger, sc: sc}
+func newItemGrouper(items []groupItem, t *GroupTable, sc *blockScratch) grouper {
+	sink := groupSink{t: t, items: items, sc: sc}
 	// A single memoized expression groups through a dictID→group translation
 	// table: the expression value is computed once per distinct dict id, not
 	// per row.
@@ -425,7 +419,6 @@ func (g *denseGrouper) groups(docs []int, out []uint32) error {
 			g.t.n++
 			o = uint32(g.t.n)
 			g.ordOf[id] = o
-			g.added(o - 1)
 		}
 		out[i] = o - 1
 	}
@@ -458,7 +451,6 @@ func (g *packedGrouper) groups(docs []int, out []uint32) error {
 			g.t.n++
 			o = uint32(g.t.n - 1)
 			g.m[packed] = o
-			g.added(o)
 		}
 		out[i] = o
 	}
@@ -478,11 +470,7 @@ func (g *tupleGrouper) groups(docs []int, out []uint32) error {
 		for c := range g.items {
 			g.t.keys[c].nums = append(g.t.keys[c].nums, uint64(ids[c][i]))
 		}
-		o, isNew := g.t.commit()
-		if isNew {
-			g.added(o)
-		}
-		out[i] = o
+		out[i], _ = g.t.commit()
 	}
 	return nil
 }
@@ -490,8 +478,8 @@ func (g *tupleGrouper) groups(docs []int, out []uint32) error {
 // dictTransGrouper groups by one memoized expression through a dictID →
 // ordinal translation table. Distinct dict ids whose expression values are
 // equal (lower('Cat1') and lower('cat1')) find one group through the table's
-// hash index, so group creation — and the group-state charge — is per
-// distinct value, as it is for any expression key.
+// hash index, so group creation is per distinct value, as it is for any
+// expression key.
 type dictTransGrouper struct {
 	groupSink
 	col   segment.ColumnReader
@@ -516,10 +504,7 @@ func (g *dictTransGrouper) groups(docs []int, out []uint32) error {
 			default:
 				key.kind, key.strs = keyString, append(key.strs, m.Strings[id])
 			}
-			ord, isNew := g.t.commit()
-			if isNew {
-				g.added(ord)
-			}
+			ord, _ := g.t.commit()
 			o = ord + 1
 			g.ordOf[id] = o
 		}
@@ -557,11 +542,7 @@ func (g *exprGrouper) groups(docs []int, out []uint32) error {
 		key := &g.t.keys[0]
 		for i, v := range ls {
 			key.nums = append(key.nums, uint64(v))
-			o, isNew := g.t.commit()
-			if isNew {
-				g.added(o)
-			}
-			out[i] = o
+			out[i], _ = g.t.commit()
 		}
 		return nil
 	}
@@ -585,12 +566,9 @@ func (g *exprGrouper) groups(docs []int, out []uint32) error {
 				g.values[c] = item.col.Value(int(ids[c][i]))
 			}
 		}
-		o, isNew, err := g.t.upsert(g.values)
+		o, err := g.t.upsert(g.values)
 		if err != nil {
 			return err
-		}
-		if isNew {
-			g.added(o)
 		}
 		out[i] = o
 	}

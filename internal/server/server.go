@@ -89,7 +89,6 @@ type Server struct {
 	sched       *tenancy.Scheduler
 	auto        *autoIndexer
 	aggCache    *qcache.Cache
-	dictCache   *qcache.Cache
 	met         *serverMetrics
 
 	mu     sync.RWMutex
@@ -159,8 +158,6 @@ func New(cfg Config, store zkmeta.Endpoint, objects objstore.Store, streams *str
 		})
 		s.engine.AggCache = s.aggCache
 	}
-	s.dictCache = qcache.New(qcache.Config{Tier: "dictexpr", Metrics: cfg.Metrics})
-	s.engine.Options.DictMemoCache = s.dictCache
 	if cfg.TenantTokens > 0 {
 		s.sched = tenancy.NewScheduler(cfg.TenantTokens, cfg.TenantRefill, nil)
 		s.sched.SetMetrics(s.met.reg)
@@ -356,11 +353,15 @@ func (s *Server) ExecuteStream(ctx context.Context, req *transport.QueryRequest,
 		}
 	}
 	trailer = &transport.FinalFrame{}
+	// The usage metrics are the sums of the emitted frames' Stats, each read
+	// before emit hands the frame to a consumer that may merge into it.
+	var used query.Stats
 	run := func() error {
 		stop := qc.Clock(qctx.PhaseExecute)
 		emitted := 0
 		stats, exceptions, err := s.engine.ExecuteStream(ctx, q, segs, t.effectiveSchema(), func(seq int, res *query.Intermediate) error {
 			emitted++
+			used.Merge(res.Stats)
 			return emit(seq, res)
 		})
 		stop()
@@ -387,32 +388,25 @@ func (s *Server) ExecuteStream(ctx context.Context, req *transport.QueryRequest,
 	if err != nil {
 		return nil, err
 	}
-	usage := qc.UsageSnapshot()
-	s.met.docs.Add(usage.DocsScanned)
-	s.met.entries.Add(usage.EntriesScanned)
-	s.met.groupState.Observe(float64(usage.GroupStateBytes))
+	s.met.docs.Add(used.NumDocsScanned)
+	s.met.entries.Add(used.NumEntriesScanned)
+	s.met.groupState.Observe(float64(used.GroupStateBytes))
 	trailer.Trace = qc.TraceSnapshot()
 	return trailer, nil
 }
 
-// invalidateSegmentCaches drops the per-segment cache entries — partial
-// aggregates and dictionary-expression memos — scoped to a segment: the
-// precise-invalidation hook run on every helix state transition that
+// invalidateSegmentCaches drops the partial aggregates scoped to a segment:
+// the precise-invalidation hook run on every helix state transition that
 // changes what the segment name resolves to.
 func (s *Server) invalidateSegmentCaches(segName string) {
 	if s.aggCache != nil {
 		s.aggCache.InvalidateScope(segName)
 	}
-	s.dictCache.InvalidateScope(segName)
 }
 
 // AggCache exposes the server's partial-aggregate cache (nil when disabled);
 // tests and benchmarks reach it for direct assertions.
 func (s *Server) AggCache() *qcache.Cache { return s.aggCache }
-
-// DictExprCache exposes the server's dictionary-expression memo cache; tests
-// and benchmarks reach it for direct assertions.
-func (s *Server) DictExprCache() *qcache.Cache { return s.dictCache }
 
 // HostedSegments returns the names of segments currently queryable for a
 // resource (loaded immutable + consuming).
@@ -541,8 +535,7 @@ func (t *tableDataManager) install(seg *segment.Segment) error {
 	t.segments[seg.Name()] = is
 	t.mu.Unlock()
 	// A (re)installed segment may carry different contents under the same
-	// name (segment replace/reload): stale partial aggregates and
-	// expression memos must go.
+	// name (segment replace/reload): stale partial aggregates must go.
 	t.server.invalidateSegmentCaches(seg.Name())
 	return nil
 }

@@ -14,7 +14,6 @@ import (
 	"pinot/internal/helix"
 	"pinot/internal/metrics"
 	"pinot/internal/objstore"
-	"pinot/internal/qcache"
 	"pinot/internal/segment"
 	"pinot/internal/startree"
 	"pinot/internal/stream"
@@ -214,7 +213,7 @@ func TestExecuteStreamEnforcesTightestDeadline(t *testing.T) {
 
 // TestUnloadConsumingHaltsConsumerAndInvalidatesCaches: taking a consuming
 // segment offline must stop its ingestion goroutine and drop exactly that
-// segment's entries from both per-segment cache tiers.
+// segment's entries from the per-segment aggregate tier.
 func TestUnloadConsumingHaltsConsumerAndInvalidatesCaches(t *testing.T) {
 	r := newRig(t, Config{})
 	segName := r.srv.HostedSegments(r.resource)[0]
@@ -225,11 +224,9 @@ func TestUnloadConsumingHaltsConsumerAndInvalidatesCaches(t *testing.T) {
 	if c == nil {
 		t.Fatalf("%s is hosted but not consuming", segName)
 	}
-	caches := map[string]*qcache.Cache{"aggregate": r.srv.AggCache(), "dictexpr": r.srv.DictExprCache()}
-	for _, cache := range caches {
-		cache.Put(segName, "events", "k", 1, 8)
-		cache.Put("other_segment", "events", "k", 1, 8)
-	}
+	cache := r.srv.AggCache()
+	cache.Put(segName, "events", "k", 1, 8)
+	cache.Put("other_segment", "events", "k", 1, 8)
 
 	if err := r.srv.handleTransition(r.resource, segName, helix.StateConsuming, helix.StateOffline); err != nil {
 		t.Fatal(err)
@@ -243,13 +240,11 @@ func TestUnloadConsumingHaltsConsumerAndInvalidatesCaches(t *testing.T) {
 	if got := r.srv.HostedSegments(r.resource); len(got) != 0 {
 		t.Fatalf("still hosting %v", got)
 	}
-	for tier, cache := range caches {
-		if _, ok := cache.Get(segName, "events", "k"); ok {
-			t.Errorf("%s tier kept an entry of the unloaded segment", tier)
-		}
-		if _, ok := cache.Get("other_segment", "events", "k"); !ok {
-			t.Errorf("%s tier dropped another segment's entry", tier)
-		}
+	if _, ok := cache.Get(segName, "events", "k"); ok {
+		t.Error("the aggregate tier kept an entry of the unloaded segment")
+	}
+	if _, ok := cache.Get("other_segment", "events", "k"); !ok {
+		t.Error("the aggregate tier dropped another segment's entry")
 	}
 }
 

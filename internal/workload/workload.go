@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"pinot/internal/druid"
 	"pinot/internal/query"
 	"pinot/internal/segment"
 	"pinot/internal/startree"
@@ -74,19 +75,14 @@ type Variant struct {
 	Index    segment.IndexConfig
 	StarTree *startree.Config
 	// Druid marks the Druid-baseline execution model (inverted index on
-	// every dimension, bitmap-only evaluation).
+	// every dimension, bitmap-only evaluation, every segment planned).
 	Druid bool
 }
 
 // PlanOptions returns the query-engine options for the variant.
 func (v Variant) PlanOptions() query.Options {
 	if v.Druid {
-		return query.Options{
-			ForceBitmap:          true,
-			DisableSorted:        true,
-			DisableStarTree:      true,
-			DisableMetadataPlans: true,
-		}
+		return druid.Options()
 	}
 	return query.Options{}
 }

@@ -139,6 +139,18 @@ func TestDruidFootprintLarger(t *testing.T) {
 	}
 }
 
+// TestDruidVariantPlansLikeDruid: the figure sweeps' Druid variant runs
+// under the baseline's own options — every segment planned, no pruning — and
+// a Pinot variant under the defaults.
+func TestDruidVariantPlansLikeDruid(t *testing.T) {
+	if got, want := (Variant{Druid: true}).PlanOptions(), druid.Options(); got != want {
+		t.Fatalf("Druid variant plans with %+v, the baseline is %+v", got, want)
+	}
+	if got := (Variant{}).PlanOptions(); got != (query.Options{}) {
+		t.Fatalf("Pinot variant plans with %+v, want the defaults", got)
+	}
+}
+
 func TestImpressionsPartitioning(t *testing.T) {
 	d := Impressions(SizeConfig{Segments: 4, RowsPerSegment: 500, Seed: 5}, 4)
 	// Every row of segment si must land in partition si%4 under the
