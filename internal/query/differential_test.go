@@ -5,7 +5,8 @@
 // declares, each only the way declared. Every answer is also held to
 //
 //   - the golden: per query, a digest of every rung's finalized result (Stats
-//     but GroupStateBytes included, QueryID and Trace cleared) or error, kept
+//     but GroupStateBytes and NumEntriesScanned included, QueryID and Trace
+//     cleared) or error, kept
 //     in goldenPath;
 //     PINOT_PRINT_GOLDEN=1 rewrites the file instead of checking it, and
 //   - the oracle (oracle_test.go), which evaluates every document without a
@@ -153,11 +154,14 @@ func (c *diffCase) check(t *testing.T, oracle *query.Oracle, label, q string) (d
 			fmt.Fprintf(h, "%s\n%s\n", name, o.body)
 			continue
 		}
-		// GroupStateBytes is a size, not a count of work: the digest leaves it
-		// out, and hold's drift table still constrains it between rungs.
+		// GroupStateBytes is a size, not a count of work, and
+		// NumEntriesScanned counts what the filter's kernels tested, which a
+		// faster conjunction may change: the digest leaves both out, hold's
+		// drift table still constrains them between rungs, and the filter
+		// tests pin the entries count exactly.
 		s := o.res.Stats
 		digested := s
-		digested.GroupStateBytes = 0
+		digested.GroupStateBytes, digested.NumEntriesScanned = 0, 0
 		fmt.Fprintf(h, "%s\n%s\n%+v\n", name, o.body, digested)
 		// Pruning puts every candidate segment in exactly one bucket.
 		if n := s.SegmentsPrunedByServer + s.SegmentsPrunedByValue + s.SegmentsMatched; !opt.DisablePruning && n != len(c.segs) {
