@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -165,7 +168,10 @@ func TestMultiProcessKillNineMidScatter(t *testing.T) {
 			"-objstore-dir", objDir, "-transport-addr", "127.0.0.1:0",
 			"-debug-query-delay", queryDelay.String()}
 	}
-	startProc(t, bin, "server1", logDir, serverArgs("server1")...)
+	// server1's HTTP API gets a chosen address; server2 keeps the default, a
+	// free loopback port it logs.
+	server1HTTP := freeAddr(t)
+	startProc(t, bin, "server1", logDir, append(serverArgs("server1"), "-server-addr", server1HTTP)...)
 	victim := startProc(t, bin, "server2", logDir, serverArgs("server2")...)
 
 	startProc(t, bin, "broker", logDir,
@@ -230,6 +236,17 @@ func TestMultiProcessKillNineMidScatter(t *testing.T) {
 		t.Fatalf("scatter covered %d servers, want 2", full.ServersQueried)
 	}
 
+	// A standalone server answers for itself over HTTP: after a query that
+	// scans every segment, server1's /metrics counts the documents it
+	// scanned, and server2 serves on the address it logged.
+	if _, err := postQuery(brokerURL, "SELECT sum(clicks) FROM events WHERE country = 'us'"); err != nil {
+		t.Fatal(err)
+	}
+	if got := scrapeCounter(t, "http://"+server1HTTP, "pinot_server_docs_scanned_total"); got <= 0 {
+		t.Fatalf("server1 reports %v documents scanned, want > 0", got)
+	}
+	waitHealthy(t, "http://"+loggedAddr(t, filepath.Join(logDir, "server2.log"), "server server2 API on "), 10*time.Second)
+
 	// Fire a query, then kill -9 the victim while the servers are still
 	// sitting in their injected delay: the scatter is in flight.
 	type result struct {
@@ -286,4 +303,48 @@ func TestMultiProcessKillNineMidScatter(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+}
+
+// scrapeCounter sums the samples of one metric family in a /metrics page.
+func scrapeCounter(t *testing.T, url, family string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, _, _ := strings.Cut(line, "{"); name != family && !strings.HasPrefix(line, family+" ") {
+			continue
+		}
+		fields := strings.Fields(line)
+		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", url, line, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
+// loggedAddr waits for a process log to name an address after prefix.
+func loggedAddr(t *testing.T, logPath, prefix string) string {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		data, _ := os.ReadFile(logPath)
+		if _, rest, ok := strings.Cut(string(data), prefix); ok {
+			if addr, _, ok := strings.Cut(rest, "\n"); ok {
+				return strings.TrimSpace(addr)
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatalf("%s never logged %q", logPath, prefix)
+	return ""
 }

@@ -12,7 +12,7 @@
 //
 //	pinot -role controller -zk-listen :2181 -objstore-dir /tmp/pinot-store
 //	pinot -role server -instance server1 -zk localhost:2181 -objstore-dir /tmp/pinot-store
-//	pinot -role server -instance server2 -zk localhost:2181 -objstore-dir /tmp/pinot-store
+//	pinot -role server -instance server2 -zk localhost:2181 -objstore-dir /tmp/pinot-store -server-addr :8097
 //	pinot -role broker -zk localhost:2181 -broker-addr :8099
 //
 // Then:
@@ -20,6 +20,11 @@
 //	curl -X POST localhost:9000/tables  -d @table-config.json
 //	curl -X POST localhost:9000/segments/events_OFFLINE --data-binary @events_0.seg
 //	curl -X POST localhost:8099/query   -d '{"pql": "SELECT count(*) FROM events"}'
+//	curl localhost:8097/metrics
+//	go tool pprof http://localhost:8097/debug/pprof/profile
+//
+// A server's HTTP API (-server-addr, by default a free loopback port, logged
+// when bound) serves its metrics, health and runtime profiles.
 package main
 
 import (
@@ -60,6 +65,7 @@ func main() {
 		minions        = flag.Int("minions", 1, "minion instances (role=all)")
 		controllerAddr = flag.String("controller-addr", ":9000", "controller HTTP listen address")
 		brokerAddr     = flag.String("broker-addr", ":8099", "broker HTTP listen address")
+		serverAddr     = flag.String("server-addr", "127.0.0.1:0", "server HTTP listen address: /metrics, /health, /debug/pprof/ (role=server; the bound address is logged)")
 		strategy       = flag.String("routing", "balanced", "broker routing strategy: balanced|largeCluster")
 		partitionAware = flag.Bool("partition-aware", false, "enable partition-aware routing")
 		streamTopics   = flag.String("topics", "", "comma-separated topic:partitions to pre-create, e.g. events:4")
@@ -88,7 +94,7 @@ func main() {
 	case "controller":
 		runController(*name, *zkListen, *objstoreDir, *controllerAddr, *transportAddr)
 	case "server":
-		runServer(*name, *instance, *zkAddr, *objstoreDir, *transportAddr, *queryDelay, caches)
+		runServer(*name, *instance, *zkAddr, *objstoreDir, *transportAddr, *serverAddr, *queryDelay, caches)
 	case "broker":
 		runBroker(*name, *instance, *zkAddr, *brokerAddr, *strategy, *partitionAware, caches)
 	default:
@@ -159,11 +165,17 @@ func runAll(name string, controllers, servers, brokers, minions int, controllerA
 	_ = brokerSrv.Close()
 }
 
+// serveHTTP serves handler on addr and logs the address it bound, so a
+// port-0 address can be found.
 func serveHTTP(what, addr string, handler http.Handler) *http.Server {
-	srv := &http.Server{Addr: addr, Handler: handler}
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("%s http: %v", what, err)
+	}
+	log.Printf("%s API on %s", what, lis.Addr())
+	srv := &http.Server{Handler: handler}
 	go func() {
-		log.Printf("%s API on %s", what, addr)
-		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
+		if err := srv.Serve(lis); err != http.ErrServerClosed {
 			log.Fatalf("%s http: %v", what, err)
 		}
 	}()
@@ -221,9 +233,10 @@ func runController(name, zkListen, objstoreDir, httpAddr, transportAddr string) 
 }
 
 // runServer joins the cluster through the remote metadata endpoint, serves
-// the framed query protocol on its advertised address, and loads segments
-// from the shared filesystem object store.
-func runServer(name, instance, zkAddr, objstoreDir, transportAddr string, queryDelay time.Duration, caches cacheFlags) {
+// the framed query protocol on its advertised address and its metrics and
+// profiles over HTTP, and loads segments from the shared filesystem object
+// store.
+func runServer(name, instance, zkAddr, objstoreDir, transportAddr, httpAddr string, queryDelay time.Duration, caches cacheFlags) {
 	if instance == "" {
 		instance = fmt.Sprintf("server-%d", os.Getpid())
 	}
@@ -252,7 +265,9 @@ func runServer(name, instance, zkAddr, objstoreDir, transportAddr string, queryD
 	go dataSrv.Serve(lis)
 	defer dataSrv.Close()
 	log.Printf("server %s: data plane on %s", instance, lis.Addr())
+	httpSrv := serveHTTP("server "+instance, httpAddr, httpapi.NewServerHandler(metrics.Default()))
 	awaitSignal()
+	_ = httpSrv.Close()
 }
 
 // runBroker joins the cluster through the remote metadata endpoint and

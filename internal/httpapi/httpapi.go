@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"strings"
 
 	"pinot/internal/broker"
@@ -132,6 +133,21 @@ func NewBrokerHandler(b *broker.Broker) http.Handler {
 			"parseFailures": b.ParseFailures(),
 		})
 	})
+	return mux
+}
+
+// NewServerHandler serves a standalone server's registry on GET /metrics,
+// GET /health, and the runtime profiles of net/http/pprof under
+// /debug/pprof/.
+func NewServerHandler(reg *metrics.Registry) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /health", health)
+	mux.HandleFunc("GET /metrics", metricsHandler(reg))
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

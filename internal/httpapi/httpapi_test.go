@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"pinot/internal/cluster"
+	"pinot/internal/metrics"
 	"pinot/internal/segment"
 	"pinot/internal/table"
 )
@@ -208,5 +211,30 @@ func TestNonLeaderReturns503(t *testing.T) {
 	resp, _ := postJSON(t, follower.URL+"/tables", cfg)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("follower status = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestServerHandler: a standalone server's handler serves its registry, its
+// health and the runtime profiles.
+func TestServerHandler(t *testing.T) {
+	reg := metrics.NewRegistry()
+	reg.Counter("pinot_server_docs_scanned_total", "Documents scanned.", "instance").With("server1").Add(7)
+	srv := httptest.NewServer(NewServerHandler(reg))
+	t.Cleanup(srv.Close)
+	for path, want := range map[string]string{
+		"/metrics":             `pinot_server_docs_scanned_total{instance="server1"} 7`,
+		"/health":              "",
+		"/debug/pprof/":        "goroutine",
+		"/debug/pprof/cmdline": "",
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Fatalf("GET %s: %d, want 200 carrying %q:\n%s", path, resp.StatusCode, want, body)
+		}
 	}
 }

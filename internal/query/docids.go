@@ -7,8 +7,9 @@
 package query
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"pinot/internal/bitmap"
 	"pinot/internal/segment"
@@ -19,20 +20,23 @@ import (
 // many documents.
 const blockSize = 1024
 
-// DocIterator walks matching document ids in ascending order, one at a time
-// (Next, Advance — the AND/OR leapfrog) or a block at a time (nextBlock — the
-// vectorized executors). The three may be mixed on one iterator.
+// DocIterator is a filter operator at work in one of two roles. A driver walks
+// its matching document ids in ascending order, a block at a time
+// (nextBlock: the executors, and the first child of an AND). Every child of an
+// AND after the driver only tests the candidates the children before it kept
+// (filter). An iterator serves one role for its whole life.
 type DocIterator interface {
-	// Next returns the next matching doc id, or -1 when exhausted.
-	Next() int
-	// Advance returns the first matching doc id >= target, or -1.
-	Advance(target int) int
 	// nextBlock fills buf with the next matching doc ids and returns how many
 	// it wrote; 0 means exhausted. Implementations must evaluate only as many
 	// candidate documents as needed to fill buf — never ahead of it — so
 	// stats counted per evaluated entry do not depend on how many documents
 	// the caller asks for, even when it stops early (selection LIMIT).
 	nextBlock(buf []int) int
+	// filter keeps the candidates that match, compacting them in place in
+	// their order, and returns them. Candidates ascend, within a call and
+	// from one call to the next. A leaf that charges entries charges them per
+	// candidate it tests.
+	filter(cands []int) []int
 }
 
 // docIDSet is a physical filter operator: it produces a DocIterator and an
@@ -47,19 +51,36 @@ type docIDSet interface {
 	estimate() int
 }
 
-// fillByNext is nextBlock for iterators that find their matches one at a
-// time: it costs a call per match, which is what their Next costs anyway.
-func fillByNext(it DocIterator, buf []int) int {
+// walkDense is nextBlock for an operator that no child can drive: every
+// document from *next on is a candidate. Windows as long as the room left in
+// buf (at most a block: the size kernels read at once) go through it.filter,
+// so no document past the last one returned is tested.
+func walkDense(it DocIterator, next *int, numDocs int, buf []int) int {
 	n := 0
-	for n < len(buf) {
-		doc := it.Next()
-		if doc < 0 {
-			break
+	for n < len(buf) && *next < numDocs {
+		cands := buf[n : n+min(len(buf)-n, numDocs-*next, blockSize)]
+		for i := range cands {
+			cands[i] = *next + i
 		}
-		buf[n] = doc
-		n++
+		*next += len(cands)
+		n += len(it.filter(cands))
 	}
 	return n
+}
+
+// without removes from the ascending list a the members of drop, an
+// ascending sublist of it, in place.
+func without(a, drop []int) []int {
+	k, j := 0, 0
+	for _, doc := range a {
+		if j < len(drop) && drop[j] == doc {
+			j++
+			continue
+		}
+		a[k] = doc
+		k++
+	}
+	return a[:k]
 }
 
 // ---- range (sorted column) ----
@@ -84,33 +105,6 @@ type rangeIterator struct {
 	ranges []segment.DocRange
 	ri     int
 	cur    int // last returned doc
-}
-
-func (it *rangeIterator) Next() int {
-	doc := it.cur + 1
-	for it.ri < len(it.ranges) {
-		r := it.ranges[it.ri]
-		if doc < r.Start {
-			doc = r.Start
-		}
-		if doc < r.End {
-			it.cur = doc
-			return doc
-		}
-		it.ri++
-	}
-	return -1
-}
-
-func (it *rangeIterator) Advance(target int) int {
-	if target <= it.cur {
-		return it.Next()
-	}
-	it.cur = target - 1
-	for it.ri < len(it.ranges) && it.ranges[it.ri].End <= target {
-		it.ri++
-	}
-	return it.Next()
 }
 
 // nextBlock expands ranges arithmetically: no per-doc virtual calls.
@@ -142,6 +136,22 @@ func (it *rangeIterator) nextBlock(buf []int) int {
 	return n
 }
 
+// filter walks the ranges forward beside the candidates.
+func (it *rangeIterator) filter(cands []int) []int {
+	k := 0
+	for _, doc := range cands {
+		for it.ri < len(it.ranges) && it.ranges[it.ri].End <= doc {
+			it.ri++
+		}
+		if it.ri == len(it.ranges) {
+			break
+		}
+		cands[k] = doc
+		k += int(b2u(doc >= it.ranges[it.ri].Start))
+	}
+	return cands[:k]
+}
+
 // ---- bitmap (inverted index) ----
 
 type bitmapDocIDSet struct {
@@ -151,27 +161,15 @@ type bitmapDocIDSet struct {
 func (s *bitmapDocIDSet) estimate() int { return s.bm.Cardinality() }
 
 func (s *bitmapDocIDSet) iterator(sc *blockScratch) DocIterator {
-	return &bitmapIterator{it: s.bm.Iterator(), sc: sc}
+	return &bitmapIterator{it: s.bm.Iterator(), sc: sc, head: -1}
 }
 
 type bitmapIterator struct {
 	it *bitmap.Iterator
 	sc *blockScratch
-}
-
-func (b *bitmapIterator) Next() int {
-	if !b.it.HasNext() {
-		return -1
-	}
-	return int(b.it.Next())
-}
-
-func (b *bitmapIterator) Advance(target int) int {
-	if target < 0 {
-		target = 0
-	}
-	b.it.AdvanceIfNeeded(uint32(target))
-	return b.Next()
+	// head is filter's walk: the first member at or past the last candidate
+	// tested, -1 before the first.
+	head int
 }
 
 // nextBlock drains whole containers through bitmap.Iterator.NextMany.
@@ -184,14 +182,31 @@ func (b *bitmapIterator) nextBlock(buf []int) int {
 	return got
 }
 
+// filter walks the members forward beside the candidates.
+func (b *bitmapIterator) filter(cands []int) []int {
+	k := 0
+	for _, doc := range cands {
+		if b.head < doc {
+			b.it.AdvanceIfNeeded(uint32(doc))
+			if !b.it.HasNext() {
+				break
+			}
+			b.head = int(b.it.Next())
+		}
+		cands[k] = doc
+		k += int(b2u(b.head == doc))
+	}
+	return cands[:k]
+}
+
 // ---- scan (forward index) ----
 
 // scanDocIDSet evaluates a predicate per document over the forward index. It
-// is the iterator-style fallback of paper section 4.2; And intersections
-// drive it from narrower operators so it only evaluates part of the column.
-// A leaf the scan cursor has a kernel for carries it in leaf; the others — a
-// multi-value column, a comparison with an interpreted side — carry the
-// per-document match closure, walked by scanIterator.
+// is the iterator-style fallback of paper section 4.2; under an AND it tests
+// only the candidates of the children before it, so it evaluates part of the
+// column. A leaf the scan cursor has a kernel for carries it in leaf; the
+// others — a multi-value column, a comparison with an interpreted side —
+// carry the per-document match closure, walked by scanIterator.
 type scanDocIDSet struct {
 	numDocs int
 	match   func(doc int) bool
@@ -204,34 +219,27 @@ func (s *scanDocIDSet) iterator(sc *blockScratch) DocIterator {
 	if s.leaf != nil {
 		return sc.cursor(s.leaf, s.numDocs)
 	}
-	return &scanIterator{n: s.numDocs, match: s.match, cur: -1}
+	return &scanIterator{n: s.numDocs, match: s.match}
 }
 
 type scanIterator struct {
 	n     int
 	match func(doc int) bool
-	cur   int
+	next  int
 }
 
-func (it *scanIterator) Next() int {
-	for doc := it.cur + 1; doc < it.n; doc++ {
+func (it *scanIterator) nextBlock(buf []int) int { return walkDense(it, &it.next, it.n, buf) }
+
+func (it *scanIterator) filter(cands []int) []int {
+	k := 0
+	for _, doc := range cands {
 		if it.match(doc) {
-			it.cur = doc
-			return doc
+			cands[k] = doc
+			k++
 		}
 	}
-	it.cur = it.n
-	return -1
+	return cands[:k]
 }
-
-func (it *scanIterator) Advance(target int) int {
-	if target > it.cur+1 {
-		it.cur = target - 1
-	}
-	return it.Next()
-}
-
-func (it *scanIterator) nextBlock(buf []int) int { return fillByNext(it, buf) }
 
 // ---- full range ----
 
@@ -251,101 +259,74 @@ func (emptyDocIDSet) iterator(*blockScratch) DocIterator { return emptyIterator{
 
 type emptyIterator struct{}
 
-func (emptyIterator) Next() int               { return -1 }
-func (emptyIterator) Advance(target int) int  { return -1 }
-func (emptyIterator) nextBlock(buf []int) int { return 0 }
+func (emptyIterator) nextBlock(buf []int) int  { return 0 }
+func (emptyIterator) filter(cands []int) []int { return cands[:0] }
 
 // ---- AND ----
 
-// andDocIDSet intersects children. Iteration is driven by the child with the
-// smallest estimate (sorted ranges from the physically sorted column first),
-// so scan children only evaluate documents within the candidate set — the
-// range-passing optimization of paper section 4.2.
+// andDocIDSet intersects children, kept in ascending estimate order
+// (newAndDocIDSet). The first child drives and every later one filters the
+// candidates the children before it kept — the range passing of paper section
+// 4.2 — so a scan child evaluates only documents within the candidate set.
 type andDocIDSet struct {
 	children []docIDSet
 }
 
-func (s *andDocIDSet) estimate() int {
-	min := int(^uint(0) >> 1)
-	for _, c := range s.children {
-		if e := c.estimate(); e < min {
-			min = e
-		}
-	}
-	return min
+// newAndDocIDSet orders the children by estimate: sorted ranges from the
+// physically sorted column first, scans last.
+func newAndDocIDSet(children []docIDSet) *andDocIDSet {
+	slices.SortStableFunc(children, func(a, b docIDSet) int { return cmp.Compare(a.estimate(), b.estimate()) })
+	return &andDocIDSet{children: children}
 }
+
+func (s *andDocIDSet) estimate() int { return s.children[0].estimate() }
 
 func (s *andDocIDSet) iterator(sc *blockScratch) DocIterator {
-	children := append([]docIDSet(nil), s.children...)
-	sort.SliceStable(children, func(i, j int) bool { return children[i].estimate() < children[j].estimate() })
-	its := make([]DocIterator, len(children))
-	heads := make([]int, len(children))
-	for i, c := range children {
+	its := make([]DocIterator, len(s.children))
+	for i, c := range s.children {
 		its[i] = c.iterator(sc)
-		heads[i] = -1
 	}
-	return &andIterator{children: its, heads: heads, cur: -1}
+	return &andIterator{children: its}
 }
 
-// andIterator leapfrogs its children. heads caches each child's last
-// returned doc so a child is only advanced with targets strictly beyond it —
-// the underlying iterators are forward-only. The leapfrog is per candidate in
-// every mode — it decides which entries a scan child evaluates, and Stats
-// count those — while a scan child answers each Advance from its decoded
-// chunk.
 type andIterator struct {
-	children  []DocIterator
-	heads     []int
-	cur       int
-	exhausted bool
+	children []DocIterator
 }
 
-func (it *andIterator) Next() int { return it.Advance(it.cur + 1) }
-
-func (it *andIterator) Advance(target int) int {
-	if it.exhausted {
-		return -1
+// nextBlock asks the driver for exactly the room left in buf (at most a
+// block) and passes those candidates through every later child in turn, until
+// buf is full or the driver is exhausted. buf fills only when a whole round
+// survives, so no child tests a document past the last one returned.
+func (it *andIterator) nextBlock(buf []int) int {
+	n := 0
+	for n < len(buf) {
+		got := it.children[0].nextBlock(buf[n:min(len(buf), n+blockSize)])
+		if got == 0 {
+			break
+		}
+		n += len(filterAll(it.children[1:], buf[n:n+got]))
 	}
-	if target <= it.cur {
-		target = it.cur + 1
-	}
-	for {
-		if it.heads[0] < target {
-			it.heads[0] = it.children[0].Advance(target)
-		}
-		candidate := it.heads[0]
-		if candidate < 0 {
-			it.exhausted = true
-			return -1
-		}
-		agreed := true
-		for i := 1; i < len(it.children); i++ {
-			if it.heads[i] < candidate {
-				it.heads[i] = it.children[i].Advance(candidate)
-			}
-			if it.heads[i] < 0 {
-				it.exhausted = true
-				return -1
-			}
-			if it.heads[i] > candidate {
-				target = it.heads[i]
-				agreed = false
-				break
-			}
-		}
-		if agreed {
-			it.cur = candidate
-			return candidate
-		}
-	}
+	return n
 }
 
-func (it *andIterator) nextBlock(buf []int) int { return fillByNext(it, buf) }
+func (it *andIterator) filter(cands []int) []int { return filterAll(it.children, cands) }
+
+// filterAll passes cands through each filter in turn, stopping at the first
+// that keeps none.
+func filterAll(filters []DocIterator, cands []int) []int {
+	for _, f := range filters {
+		if cands = f.filter(cands); len(cands) == 0 {
+			break
+		}
+	}
+	return cands
+}
 
 // ---- OR ----
 
 type orDocIDSet struct {
 	children []docIDSet
+	numDocs  int
 }
 
 func (s *orDocIDSet) estimate() int {
@@ -358,48 +339,39 @@ func (s *orDocIDSet) estimate() int {
 
 func (s *orDocIDSet) iterator(sc *blockScratch) DocIterator {
 	its := make([]DocIterator, len(s.children))
-	heads := make([]int, len(s.children))
 	for i, c := range s.children {
 		its[i] = c.iterator(sc)
-		heads[i] = its[i].Next()
 	}
-	return &orIterator{children: its, heads: heads, cur: -1}
+	return &orIterator{children: its, numDocs: s.numDocs, rest: sc.list(), tested: sc.list()}
 }
 
+// orIterator walks every document as a candidate when it drives, and as a
+// filter lets each child test only the candidates no child before it kept.
 type orIterator struct {
-	children []DocIterator
-	heads    []int // current head per child, -1 when exhausted
-	cur      int
+	children      []DocIterator
+	numDocs, next int
+	// rest and tested are pooled lists: the candidates no child has kept yet,
+	// and the copy of them the next child compacts.
+	rest, tested *[]int
 }
 
-func (it *orIterator) Next() int { return it.Advance(it.cur + 1) }
+func (it *orIterator) nextBlock(buf []int) int { return walkDense(it, &it.next, it.numDocs, buf) }
 
-func (it *orIterator) Advance(target int) int {
-	if target <= it.cur {
-		target = it.cur + 1
-	}
-	min := -1
-	for i, h := range it.heads {
-		if h >= 0 && h < target {
-			h = it.children[i].Advance(target)
-			it.heads[i] = h
-		}
-		if h >= 0 && (min < 0 || h < min) {
-			min = h
+func (it *orIterator) filter(cands []int) []int {
+	rest := append((*it.rest)[:0], cands...)
+	*it.rest = rest
+	for _, c := range it.children {
+		*it.tested = append((*it.tested)[:0], rest...)
+		if rest = without(rest, c.filter(*it.tested)); len(rest) == 0 {
+			break
 		}
 	}
-	if min < 0 {
-		return -1
-	}
-	it.cur = min
-	return min
+	return without(cands, rest)
 }
-
-func (it *orIterator) nextBlock(buf []int) int { return fillByNext(it, buf) }
 
 // ---- NOT ----
 
-// notDocIDSet complements a child within [0, numDocs) by materializing it.
+// notDocIDSet complements a child within [0, numDocs).
 type notDocIDSet struct {
 	child   docIDSet
 	numDocs int
@@ -408,32 +380,22 @@ type notDocIDSet struct {
 func (s *notDocIDSet) estimate() int { return s.numDocs - min(s.child.estimate(), s.numDocs) }
 
 func (s *notDocIDSet) iterator(sc *blockScratch) DocIterator {
-	bm := materialize(s.child, sc)
-	return (&bitmapDocIDSet{bm: bitmap.FlipRange(bm, 0, uint32(s.numDocs))}).iterator(sc)
+	return &notIterator{child: s.child.iterator(sc), numDocs: s.numDocs, tested: sc.list()}
 }
 
-// materialize converts any doc-id set into a bitmap, draining the set a
-// block at a time into container-wide appends. It runs to completion inside
-// iterator(), before the executor takes the scratch's doc buffer for its own
-// blocks, so the two can share it.
-func materialize(s docIDSet, sc *blockScratch) *bitmap.Bitmap {
-	if b, ok := s.(*bitmapDocIDSet); ok {
-		return b.bm
-	}
-	bm := bitmap.New()
-	it := s.iterator(sc)
-	docs := sc.docBuf(blockSize)
-	for {
-		n := it.nextBlock(docs)
-		if n == 0 {
-			return bm
-		}
-		vals := sc.u32Buf(n)
-		for i, doc := range docs[:n] {
-			vals[i] = uint32(doc)
-		}
-		bm.AddMany(vals)
-	}
+// notIterator keeps the candidates its child's filter rejects; when it drives,
+// every document is a candidate.
+type notIterator struct {
+	child         DocIterator
+	numDocs, next int
+	tested        *[]int // pooled: the copy of the candidates the child compacts
+}
+
+func (it *notIterator) nextBlock(buf []int) int { return walkDense(it, &it.next, it.numDocs, buf) }
+
+func (it *notIterator) filter(cands []int) []int {
+	*it.tested = append((*it.tested)[:0], cands...)
+	return without(cands, it.child.filter(*it.tested))
 }
 
 // ---- the scan cursor (vectorized path) ----
@@ -441,8 +403,9 @@ func materialize(s docIDSet, sc *blockScratch) *bitmap.Bitmap {
 // scanKind names the kernel a scan leaf is tested by.
 type scanKind uint8
 
-// The kinds up to scanExpr are tested when their chunk is decoded, into one
-// match bit per document; the others are tested by the walk, value by value.
+// A driving cursor tests the kinds up to scanExpr when their chunk is decoded,
+// into one match bit per document, and the others by the walk, value by value.
+// A filtering one tests every kind on the candidates' values.
 const (
 	scanIDRanges scanKind = iota // dict id inside one of a few ranges: tested in the column
 	scanLongIn                   // raw integral metric IN a list
@@ -467,7 +430,8 @@ type rawTest[T int64 | float64] struct {
 type scanLeaf struct {
 	kind scanKind
 	col  segment.ColumnReader
-	// stats is charged perEntry entries for every document the cursor walks.
+	// stats is charged perEntry entries for every document the cursor walks
+	// or tests.
 	stats    *Stats
 	perEntry int64
 
@@ -494,66 +458,32 @@ func newIDSetLeaf(col segment.ColumnReader, set *idSet, stats *Stats) *scanLeaf 
 	return leaf
 }
 
-const (
-	// minDecodeAhead is how many documents the cursor decodes where a jump
-	// lands; a leaf probed by a sparse driver walks a handful of documents per
-	// candidate and would waste a whole block decoded around each.
-	minDecodeAhead = 8
-	// scanJumpDocs is how far past its decoded chunk a cursor may be sent and
-	// still count as walking the column densely.
-	scanJumpDocs = 32
-)
-
-// scanCursor is the one iterator of every vectorized scan leaf. It decodes
-// the column in chunks of documents [start, end) through the ColumnReader
-// range reads and answers Next, Advance and nextBlock by walking the decoded
-// chunk with the leaf's kernel.
+// scanCursor is the one iterator of every vectorized scan leaf. As a driver
+// it decodes the column in chunks of blockSize documents [start, end) where
+// it stands, through the ColumnReader range reads, and walks the decoded chunk
+// with the leaf's kernel; entries are charged when walked, never when decoded,
+// so Stats equal a document-at-a-time scan's to the digit whatever the
+// chunking, including when a selection stops mid-chunk. As a filter it reads
+// the candidates' values in one batched point read and applies the same test.
 //
-// Decode-ahead follows the access pattern: a chunk starts where the walk
-// stands (documents a leapfrog skipped are never decoded), is minDecodeAhead
-// long after a jump, and doubles up to blockSize while the next chunk begins
-// within scanJumpDocs of the last one's end. So the driving child of an AND
-// and a top-level scan run at block granularity, and a child probed every
-// few hundred documents decodes a few documents per probe.
-//
-// Entries are charged when walked, never when decoded, so Stats equal a
-// document-at-a-time scan's to the digit whatever the chunking, including
-// when a selection stops mid-chunk.
-//
-// Cursors and their chunk buffers live in the pooled blockScratch.
+// Cursors and their buffers live in the pooled blockScratch.
 type scanCursor struct {
 	leaf       *scanLeaf
 	numDocs    int
 	pos        int // next document to walk
 	start, end int // the decoded chunk
-	ahead      int // length the last chunk was asked for
-	one        [1]int
 
 	ids     []uint32
 	longs   []int64
 	doubles []float64
-	// match holds one bit per document of the chunk for the kinds tested at
-	// decode.
+	// match holds one bit per document of the chunk (or candidate) for the
+	// kinds tested at decode.
 	match []uint64
 	// Expression comparisons decode both sides: the second side and the doc
 	// list their kernels take.
 	longs2   []int64
 	doubles2 []float64
 	docs     []int
-}
-
-func (c *scanCursor) Next() int {
-	if c.nextBlock(c.one[:]) == 0 {
-		return -1
-	}
-	return c.one[0]
-}
-
-func (c *scanCursor) Advance(target int) int {
-	if target > c.pos {
-		c.pos = target
-	}
-	return c.Next()
 }
 
 func (c *scanCursor) nextBlock(buf []int) int {
@@ -586,12 +516,7 @@ func (c *scanCursor) nextBlock(buf []int) int {
 
 // decode makes the chunk that starts at document pos the decoded one.
 func (c *scanCursor) decode(pos int) {
-	if c.ahead > 0 && pos-c.end < scanJumpDocs {
-		c.ahead = min(2*c.ahead, blockSize)
-	} else {
-		c.ahead = minDecodeAhead
-	}
-	size := min(c.ahead, c.numDocs-pos)
+	size := min(blockSize, c.numDocs-pos)
 	c.start, c.end = pos, pos+size
 	leaf := c.leaf
 	if leaf.kind <= scanExpr {
@@ -612,28 +537,116 @@ func (c *scanCursor) decode(pos int) {
 	case scanLongIn:
 		c.longs = sized(c.longs, size)
 		leaf.col.LongRange(pos, c.longs)
-		clear(c.match)
-		for i, v := range c.longs {
-			if leaf.long.in(v) {
-				c.match[i>>6] |= 1 << (i & 63)
-			}
-		}
+		setBits(c.longs, leaf.long.in, c.match)
 	case scanDoubleIn:
 		c.doubles = sized(c.doubles, size)
 		leaf.col.DoubleRange(pos, c.doubles)
-		clear(c.match)
-		for i, v := range c.doubles {
-			if leaf.double.in(v) {
-				c.match[i>>6] |= 1 << (i & 63)
-			}
-		}
+		setBits(c.doubles, leaf.double.in, c.match)
 	case scanExpr:
 		c.docs = sized(c.docs, size)
 		for i := range c.docs {
 			c.docs[i] = pos + i
 		}
-		leaf.cmp.eval(c)
+		leaf.cmp.eval(c, c.docs)
 	}
+}
+
+// setBits sets bit i of match when in(vals[i]), and clears the others.
+func setBits[T int64 | float64](vals []T, in func(T) bool, match []uint64) {
+	clear(match)
+	for i, v := range vals {
+		if in(v) {
+			match[i>>6] |= 1 << (i & 63)
+		}
+	}
+}
+
+// filter tests the leaf at the candidates only: one batched point read of
+// their values and the kind's test, with nothing decoded around them.
+func (c *scanCursor) filter(cands []int) []int {
+	leaf, n := c.leaf, len(cands)
+	if leaf.stats != nil {
+		leaf.stats.NumEntriesScanned += int64(n) * leaf.perEntry
+	}
+	if n == 0 {
+		return cands
+	}
+	switch leaf.kind {
+	case scanIDRanges, scanIDTable:
+		c.ids = sized(c.ids, n)
+		leaf.col.DictIDs(cands, c.ids)
+		if leaf.kind == scanIDTable {
+			return keepIDTable(cands, c.ids, leaf.idTable)
+		}
+		return keepIDRanges(cands, c.ids, leaf.idRanges)
+	case scanLongs, scanLongIn:
+		c.longs = sized(c.longs, n)
+		leaf.col.Longs(cands, c.longs)
+		return keepRaw(cands, c.longs, leaf.long)
+	case scanDoubles, scanDoubleIn:
+		c.doubles = sized(c.doubles, n)
+		leaf.col.Doubles(cands, c.doubles)
+		return keepRaw(cands, c.doubles, leaf.double)
+	}
+	c.match = sized(c.match, (n+63)>>6)
+	leaf.cmp.eval(c, cands)
+	k := 0
+	for i, doc := range cands {
+		cands[k] = doc
+		k += int(c.match[i>>6] >> (i & 63) & 1)
+	}
+	return cands[:k]
+}
+
+// The keep kernels compact the candidates whose value, vals[i] for cands[i],
+// passes the leaf's test, without a branch on the outcome.
+
+func keepIDRanges(cands []int, ids []uint32, ranges []segment.IDRange) []int {
+	k := 0
+	if len(ranges) == 1 {
+		lo, span := ranges[0].Lo, ranges[0].Span
+		for i, id := range ids {
+			cands[k] = cands[i]
+			k += int(b2u(id-lo < span))
+		}
+		return cands[:k]
+	}
+	for i, id := range ids {
+		in := false
+		for _, r := range ranges {
+			in = in || id-r.Lo < r.Span
+		}
+		cands[k] = cands[i]
+		k += int(b2u(in))
+	}
+	return cands[:k]
+}
+
+func keepIDTable(cands []int, ids []uint32, table []bool) []int {
+	k := 0
+	for i, id := range ids {
+		cands[k] = cands[i]
+		k += int(b2u(table[id]))
+	}
+	return cands[:k]
+}
+
+// keepRaw tests bounds with negated compares, as walkBounds does.
+func keepRaw[T int64 | float64](cands []int, vals []T, t rawTest[T]) []int {
+	k := 0
+	if t.in != nil {
+		for i, v := range vals {
+			cands[k] = cands[i]
+			k += int(b2u(t.in(v)))
+		}
+		return cands[:k]
+	}
+	lo, hi, neg := t.lo, t.hi, t.neg
+	for i, v := range vals {
+		cands[k] = cands[i]
+		k += int(b2u((!(v < lo) && !(v > hi)) != neg))
+	}
+	return cands[:k]
 }
 
 // The walk kernels test the values of documents base, base+1, … in turn,

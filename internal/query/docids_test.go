@@ -7,10 +7,12 @@ import (
 	"pinot/internal/segment"
 )
 
+// collect drains it three documents at a time.
 func collect(it DocIterator) []int {
 	var out []int
-	for d := it.Next(); d >= 0; d = it.Next() {
-		out = append(out, d)
+	buf := make([]int, 3)
+	for n := it.nextBlock(buf); n > 0; n = it.nextBlock(buf) {
+		out = append(out, buf[:n]...)
 	}
 	return out
 }
@@ -27,74 +29,64 @@ func assertDocs(t *testing.T, got, want []int) {
 	}
 }
 
+// filterTwice filters the ascending candidates of first, then of second,
+// through one iterator: its forward walk carries over between calls.
+func filterTwice(t *testing.T, it DocIterator, first, second, want []int) {
+	t.Helper()
+	got := append([]int(nil), it.filter(append([]int(nil), first...))...)
+	assertDocs(t, append(got, it.filter(append([]int(nil), second...))...), want)
+}
+
 func TestRangeIterator(t *testing.T) {
 	s := &rangeDocIDSet{ranges: []segment.DocRange{{Start: 2, End: 5}, {Start: 8, End: 10}}}
 	if s.estimate() != 5 {
 		t.Fatalf("estimate = %d", s.estimate())
 	}
 	assertDocs(t, collect(s.iterator(new(blockScratch))), []int{2, 3, 4, 8, 9})
-	it := s.iterator(new(blockScratch))
-	if d := it.Advance(4); d != 4 {
-		t.Fatalf("Advance(4) = %d", d)
-	}
-	if d := it.Advance(6); d != 8 {
-		t.Fatalf("Advance(6) = %d", d)
-	}
-	if d := it.Advance(100); d != -1 {
-		t.Fatalf("Advance(100) = %d", d)
-	}
+	filterTwice(t, s.iterator(new(blockScratch)), []int{0, 2, 4, 5}, []int{6, 9, 10, 100}, []int{2, 4, 9})
 }
 
-func TestScanIteratorAdvance(t *testing.T) {
-	s := &scanDocIDSet{numDocs: 30, match: func(d int) bool { return d%3 == 0 }}
-	it := s.iterator(new(blockScratch))
-	if d := it.Advance(7); d != 9 {
-		t.Fatalf("Advance(7) = %d", d)
-	}
-	if d := it.Next(); d != 12 {
-		t.Fatalf("Next = %d", d)
-	}
-	if d := it.Advance(29); d != -1 {
-		t.Fatalf("Advance(29) = %d", d)
-	}
+func TestScanIteratorFilter(t *testing.T) {
+	var tested []int
+	s := &scanDocIDSet{numDocs: 30, match: func(d int) bool { tested = append(tested, d); return d%3 == 0 }}
+	filterTwice(t, s.iterator(new(blockScratch)), []int{7, 9, 10}, []int{12, 29}, []int{9, 12})
+	assertDocs(t, tested, []int{7, 9, 10, 12, 29})
+	// Driving, it tests no document past the last one it returns.
+	tested = nil
+	buf := make([]int, 2)
+	assertDocs(t, buf[:s.iterator(new(blockScratch)).nextBlock(buf)], []int{0, 3})
+	assertDocs(t, tested, []int{0, 1, 2, 3})
 }
 
-func TestOrIteratorAdvance(t *testing.T) {
+func TestOrIteratorFilter(t *testing.T) {
+	var tested []int
 	a := &rangeDocIDSet{ranges: []segment.DocRange{{Start: 0, End: 3}}}
-	b := &scanDocIDSet{numDocs: 20, match: func(d int) bool { return d == 10 || d == 15 }}
+	b := &scanDocIDSet{numDocs: 20, match: func(d int) bool { tested = append(tested, d); return d == 10 || d == 15 }}
 	c := &bitmapDocIDSet{bm: bitmap.Of(2, 7, 15)}
-	or := &orDocIDSet{children: []docIDSet{a, b, c}}
+	or := &orDocIDSet{children: []docIDSet{a, b, c}, numDocs: 20}
 	assertDocs(t, collect(or.iterator(new(blockScratch))), []int{0, 1, 2, 7, 10, 15})
-	it := or.iterator(new(blockScratch))
-	if d := it.Advance(8); d != 10 {
-		t.Fatalf("Advance(8) = %d", d)
-	}
-	if d := it.Advance(15); d != 15 {
-		t.Fatalf("Advance(15) = %d", d)
-	}
-	if d := it.Next(); d != -1 {
-		t.Fatalf("Next after exhaustion = %d", d)
-	}
+	// Each child tests only the candidates no child before it kept.
+	tested = nil
+	filterTwice(t, or.iterator(new(blockScratch)), []int{1, 5, 7, 8}, []int{10, 15, 19}, []int{1, 7, 10, 15})
+	assertDocs(t, tested, []int{5, 7, 8, 10, 15, 19})
 }
 
-func TestAndIteratorAdvance(t *testing.T) {
+func TestAndIteratorFilter(t *testing.T) {
+	var tested []int
 	a := &rangeDocIDSet{ranges: []segment.DocRange{{Start: 0, End: 100}}}
-	b := &scanDocIDSet{numDocs: 100, match: func(d int) bool { return d%5 == 0 }}
-	and := &andDocIDSet{children: []docIDSet{a, b}}
-	it := and.iterator(new(blockScratch))
-	if d := it.Advance(11); d != 15 {
-		t.Fatalf("Advance(11) = %d", d)
-	}
-	// Advancing backwards is a forward no-op.
-	if d := it.Advance(3); d != 20 {
-		t.Fatalf("Advance(3) = %d", d)
-	}
-	// Exhaust.
-	if d := it.Advance(96); d != -1 {
-		t.Fatalf("Advance(96) = %d", d)
-	}
-	if d := it.Next(); d != -1 {
-		t.Fatalf("Next after exhaustion = %d", d)
+	b := &scanDocIDSet{numDocs: 100, match: func(d int) bool { tested = append(tested, d); return d%5 == 0 }}
+	and := newAndDocIDSet([]docIDSet{a, b})
+	filterTwice(t, and.iterator(new(blockScratch)), []int{3, 11, 15}, []int{20, 96, 120}, []int{15, 20})
+	// The later child tests only what the driver passed, and a round fills
+	// the block only when all of it survives: nothing past doc 5 is tested.
+	tested = nil
+	buf := make([]int, 2)
+	assertDocs(t, buf[:and.iterator(new(blockScratch)).nextBlock(buf)], []int{0, 5})
+	assertDocs(t, tested, []int{0, 1, 2, 3, 4, 5})
+	tested = nil
+	assertDocs(t, collect(and.iterator(new(blockScratch))), []int{0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60, 65, 70, 75, 80, 85, 90, 95})
+	if len(tested) != 100 {
+		t.Fatalf("drained, the scan child tested %d of 100 candidates", len(tested))
 	}
 }
 
@@ -102,6 +94,7 @@ func TestNotAndEmptySets(t *testing.T) {
 	child := &bitmapDocIDSet{bm: bitmap.Of(1, 3)}
 	not := &notDocIDSet{child: child, numDocs: 5}
 	assertDocs(t, collect(not.iterator(new(blockScratch))), []int{0, 2, 4})
+	filterTwice(t, not.iterator(new(blockScratch)), []int{1, 2}, []int{3, 4}, []int{2, 4})
 	if not.estimate() != 3 {
 		t.Fatalf("estimate = %d", not.estimate())
 	}
@@ -109,8 +102,8 @@ func TestNotAndEmptySets(t *testing.T) {
 	if e.estimate() != 0 || collect(e.iterator(new(blockScratch))) != nil {
 		t.Fatal("empty set misbehaves")
 	}
-	if d := (emptyIterator{}).Advance(3); d != -1 {
-		t.Fatal("empty advance")
+	if got := (emptyIterator{}).filter([]int{3}); len(got) != 0 {
+		t.Fatal("empty filter kept a candidate")
 	}
 	all := &allDocIDSet{numDocs: 3}
 	assertDocs(t, collect(all.iterator(new(blockScratch))), []int{0, 1, 2})

@@ -343,26 +343,26 @@ func buildExprFilter(env *execEnv, cs columnSource, p pql.ExprCompare, opt Optio
 
 // exprCompare is a comparison of two compiled expressions, the scan cursor's
 // scanExpr leaf: both sides evaluate through their kernels over the cursor's
-// chunk and compare in one typed batch.
+// chunk or candidates and compare in one typed batch.
 type exprCompare struct {
 	lhs, rhs *exprEval
 	op       pql.CompareOp
 	bothLong bool
 }
 
-// eval sets the cursor's match bits for the documents of its chunk.
-func (x *exprCompare) eval(c *scanCursor) {
-	n := len(c.docs)
+// eval sets the cursor's match bits for docs, one bit per document.
+func (x *exprCompare) eval(c *scanCursor, docs []int) {
+	n := len(docs)
 	if x.bothLong {
 		c.longs, c.longs2 = sized(c.longs, n), sized(c.longs2, n)
-		x.lhs.kernel.EvalLongs(x.lhs.ksrc, c.docs, c.longs)
-		x.rhs.kernel.EvalLongs(x.rhs.ksrc, c.docs, c.longs2)
+		x.lhs.kernel.EvalLongs(x.lhs.ksrc, docs, c.longs)
+		x.rhs.kernel.EvalLongs(x.rhs.ksrc, docs, c.longs2)
 		cmpBlock(x.op, c.longs, c.longs2, c.match)
 		return
 	}
 	c.doubles, c.doubles2 = sized(c.doubles, n), sized(c.doubles2, n)
-	x.lhs.kernel.EvalDoubles(x.lhs.ksrc, c.docs, c.doubles)
-	x.rhs.kernel.EvalDoubles(x.rhs.ksrc, c.docs, c.doubles2)
+	x.lhs.kernel.EvalDoubles(x.lhs.ksrc, docs, c.doubles)
+	x.rhs.kernel.EvalDoubles(x.rhs.ksrc, docs, c.doubles2)
 	cmpBlock(x.op, c.doubles, c.doubles2, c.match)
 }
 

@@ -88,7 +88,7 @@ func buildFilter(env *execEnv, cs columnSource, pred pql.Predicate, opt Options,
 		case 1:
 			return children[0], nil
 		}
-		return &andDocIDSet{children: children}, nil
+		return newAndDocIDSet(children), nil
 	case pql.Or:
 		children := make([]docIDSet, 0, len(p.Children))
 		for _, c := range p.Children {
@@ -111,7 +111,7 @@ func buildFilter(env *execEnv, cs columnSource, pred pql.Predicate, opt Options,
 		case 1:
 			return children[0], nil
 		}
-		return &orDocIDSet{children: children}, nil
+		return &orDocIDSet{children: children, numDocs: n}, nil
 	case pql.Not:
 		child, err := buildFilter(env, cs, p.Child, opt, stats)
 		if err != nil {
@@ -133,14 +133,14 @@ func buildFilter(env *execEnv, cs columnSource, pred pql.Predicate, opt Options,
 }
 
 // collapseBitmapChildren merges pure-bitmap AND/OR children into one bitmap
-// via container-level And/Or, which beats the leapfrog when the inputs are of
-// comparable size (one 64-bit word op covers 64 candidate docs). ORs always
-// win; ANDs only when the smallest bitmap still spans at least a block and
-// the sizes are within 64x, otherwise leapfrogging from the small side skips
-// most of the large bitmap. Stats are unaffected: bitmap iteration counts no
-// entries (posting reads were charged at build time) and the candidate
-// sequence probing any remaining scan children depends only on the combined
-// member set, which collapse preserves.
+// via container-level And/Or, which beats candidate passing when the inputs
+// are of comparable size (one 64-bit word op covers 64 candidate docs). ORs
+// always win; ANDs only when the smallest bitmap still spans at least a block
+// and the sizes are within 64x, otherwise the small side's candidates skip
+// most of the large bitmap's membership walk. Stats are unaffected: bitmap
+// iteration and membership tests count no entries (posting reads were charged
+// at build time) and the candidates any remaining scan children test depend
+// only on the combined member set, which collapse preserves.
 func collapseBitmapChildren(children []docIDSet, isAnd bool) []docIDSet {
 	var bms []*bitmap.Bitmap
 	rest := make([]docIDSet, 0, len(children))

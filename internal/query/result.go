@@ -12,7 +12,15 @@ import (
 // Stats are the execution statistics attached to query responses, mirroring
 // the counters Pinot reports per query.
 type Stats struct {
-	NumDocsScanned         int64
+	NumDocsScanned int64
+	// NumEntriesScanned counts the column entries a query tested or read.
+	// A scan leaf that drives its filter charges every document it walked,
+	// and each later leaf of a conjunction every candidate it tested (the
+	// documents the leaves before it matched, up to the last document
+	// returned), both times the leaf's perEntry: 1, the columns of an
+	// expression comparison, or each value of a multi-value document. An
+	// inverted-index leaf charges its postings; the executors one entry per
+	// matched document per column they read.
 	NumEntriesScanned      int64
 	NumSegmentsQueried     int
 	NumSegmentsMatched     int

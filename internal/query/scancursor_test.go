@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"pinot/internal/pql"
@@ -98,8 +100,8 @@ func counting(seg segment.Reader) *countingSegment {
 }
 
 // TestScanConjunctionDecodesBlocks: a conjunction of two scan leaves reads
-// neither column a document at a time, and the driving leaf decodes no value
-// twice.
+// neither column a document at a time; the driving leaf decodes every value
+// once, and the probed leaf reads exactly the driver's candidates.
 func TestScanConjunctionDecodesBlocks(t *testing.T) {
 	const n = 100000
 	seg := filterFixture(t, "shape", n, segment.IndexConfig{})
@@ -107,8 +109,9 @@ func TestScanConjunctionDecodesBlocks(t *testing.T) {
 		{"narrow = 17 AND day BETWEEN 16005 AND 16030", "narrow", "day"},
 		{"narrow = 17 AND hits BETWEEN 100 AND 700", "narrow", "hits"},
 	} {
-		cs := counting(seg)
 		var stats Stats
+		candidates := drainFilter(t, seg, tc.driver+" = 17", Options{}, &stats)
+		cs := counting(seg)
 		if drainFilter(t, cs, tc.where, Options{}, &stats) == 0 {
 			t.Fatalf("%s: no matches", tc.where)
 		}
@@ -116,20 +119,16 @@ func TestScanConjunctionDecodesBlocks(t *testing.T) {
 		if driver.perDoc != 0 || probed.perDoc != 0 {
 			t.Fatalf("%s: %d + %d per-document reads on the vectorized path", tc.where, driver.perDoc, probed.perDoc)
 		}
-		if driver.decoded == 0 || driver.decoded > n {
-			t.Fatalf("%s: driver decoded %d values of a %d-document column", tc.where, driver.decoded, n)
-		}
-		// The probed leaf is sent to a candidate every ~80 documents and
-		// must not decode the whole column to answer.
-		if probed.decoded == 0 || probed.decoded > n/2 {
-			t.Fatalf("%s: probed leaf decoded %d values for %d entries", tc.where, probed.decoded, stats.NumEntriesScanned)
+		if driver.decoded != n || probed.decoded != candidates {
+			t.Fatalf("%s: driver decoded %d values of %d, probed leaf %d for %d candidates",
+				tc.where, driver.decoded, n, probed.decoded, candidates)
 		}
 	}
 }
 
 // TestSparseDriverDecodesNearCandidates: under a driver of a few dozen
-// documents a scan leaf decodes a few documents per candidate, never a block
-// around each. No benchmark workload has this shape.
+// documents a scan leaf reads the candidates' values and nothing around them.
+// No benchmark workload has this shape.
 func TestSparseDriverDecodesNearCandidates(t *testing.T) {
 	const n = 100000
 	for _, tc := range []struct {
@@ -147,8 +146,8 @@ func TestSparseDriverDecodesNearCandidates(t *testing.T) {
 		}
 		cs := counting(seg)
 		drainFilter(t, cs, tc.driver+" AND narrow BETWEEN 10 AND 60", Options{}, &stats)
-		if got, limit := cs.cols["narrow"].decoded, 16*candidates+2*blockSize; got == 0 || got > limit {
-			t.Fatalf("%s: %d candidates made the scan leaf decode %d values, limit %d", tc.name, candidates, got, limit)
+		if c := cs.cols["narrow"]; c.decoded != candidates || c.perDoc != 0 {
+			t.Fatalf("%s: %d candidates made the scan leaf read %d values and %d documents", tc.name, candidates, c.decoded, c.perDoc)
 		}
 	}
 }
@@ -185,17 +184,50 @@ var cursorDefaultLeaves = []string{
 	"score < bonus + 100",
 }
 
-// cursorSource is one kind of segment a scan leaf runs over.
-type cursorSource struct {
-	name   string
-	cs     columnSource
-	leaves []string
+// cursorConjunctions are the conjunctions the cursor tests run over an
+// unindexed segment: every scan kind drives or filters, beside a nested OR and
+// a NOT.
+var cursorConjunctions = []string{
+	"narrow = 17 AND day BETWEEN 16005 AND 16030",
+	"narrow IN (3, 17, 40) AND hits < 300 AND score > 100.5",
+	"third BETWEEN 5 AND 30 AND (hits IN (1, 2, 3, 500) OR score * 2 < hits)",
+	"narrow < 40 AND NOT (hits + third > 1020)",
+	"timeBucket(day, 7) = 16002 AND score NOT IN (0.25, 1.5, 99) AND narrow != 17",
 }
 
-// cursorSources builds the three segment kinds: an immutable segment, a
+// cursorIndexedConjunctions are driven by an inverted-index bitmap or a
+// sorted range of cursorSources' indexed segment.
+var cursorIndexedConjunctions = []string{
+	"sparse BETWEEN 1 AND 60 AND narrow BETWEEN 10 AND 60",
+	"wide BETWEEN 1000 AND 1400 AND hits < 300 AND NOT (third = 9)",
+	"sparse IN (1, 2, 3, 4, 5, 6, 7) AND (narrow = 3 OR third < 5)",
+	"narrow = 17 AND NOT (sparse BETWEEN 1 AND 900)",
+}
+
+// cursorDefaultConjunctions are conjunctions over the default column.
+var cursorDefaultConjunctions = []string{
+	"hits < 300 AND bonus + hits > 200",
+	"bonus IN (0, 5) AND score < 100 AND (hits > 900 OR bonus != 0)",
+}
+
+// cursorSource is one kind of segment a scan leaf runs over: the single
+// leaves and the conjunctions checked on it.
+type cursorSource struct {
+	name                 string
+	cs                   columnSource
+	leaves, conjunctions []string
+}
+
+// shapes is every predicate checked on the source, leaves first.
+func (s cursorSource) shapes() []string {
+	return append(s.leaves[:len(s.leaves):len(s.leaves)], s.conjunctions...)
+}
+
+// cursorSources builds the four segment kinds: an immutable segment, a
 // snapshot of a consuming one taken at its first quarter while a writer goes
-// on appending beside every read of it, and the immutable one read through a
-// schema that has since gained a column.
+// on appending beside every read of it, the immutable one read through a
+// schema that has since gained a column, and an immutable one sorted on wide
+// with an inverted index on sparse.
 func cursorSources(tb testing.TB, n int) []cursorSource {
 	tb.Helper()
 	imm := filterFixture(tb, "imm", n, segment.IndexConfig{})
@@ -232,16 +264,18 @@ func cursorSources(tb testing.TB, n int) []cursorSource {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	indexed := filterFixture(tb, "indexed", n, segment.IndexConfig{SortColumn: "wide", InvertedColumns: []string{"sparse"}})
 	return []cursorSource{
-		{"immutable", columnSource{seg: imm}, cursorLeaves},
-		{"consuming", columnSource{seg: snap}, cursorLeaves},
-		{"default column", columnSource{seg: imm, schema: evolved}, cursorDefaultLeaves},
+		{"immutable", columnSource{seg: imm}, cursorLeaves, cursorConjunctions},
+		{"consuming", columnSource{seg: snap}, cursorLeaves, cursorConjunctions},
+		{"default column", columnSource{seg: imm, schema: evolved}, cursorDefaultLeaves, cursorDefaultConjunctions},
+		{"indexed", columnSource{seg: indexed}, nil, cursorIndexedConjunctions},
 	}
 }
 
-// cursorOp is one call on a DocIterator: Next, Advance(last returned + arg)
-// or nextBlock into arg slots.
-type cursorOp struct{ kind, arg int }
+// cursorOp is one call on a DocIterator: nextBlock into n slots, or filter
+// of n candidates about gap documents apart.
+type cursorOp struct{ n, gap int }
 
 // parseWhere returns the filter of a count(*) over where.
 func parseWhere(tb testing.TB, where string) pql.Predicate {
@@ -255,15 +289,16 @@ func parseWhere(tb testing.TB, where string) pql.Predicate {
 // perDocReference plans pred as the engine does, except that every scan leaf
 // the cursor would walk becomes the oracle's test of the same predicate,
 // asked document by document through the production scanIterator and charged
-// the leaf's perEntry entries per document asked. An AND is planned child by
-// child, so its leapfrog probes the reference leaves where it probes cursors.
+// the leaf's perEntry entries per document asked. AND, OR and NOT are planned
+// child by child, so the reference leaves drive and filter where cursors do.
 func perDocReference(tb testing.TB, cs columnSource, pred pql.Predicate, stats *Stats) docIDSet {
-	if and, ok := pred.(pql.And); ok {
-		children := make([]docIDSet, len(and.Children))
-		for i, c := range and.Children {
-			children[i] = perDocReference(tb, cs, c, stats)
-		}
-		return &andDocIDSet{children: children}
+	switch p := pred.(type) {
+	case pql.And:
+		return newAndDocIDSet(perDocChildren(tb, cs, p.Children, stats))
+	case pql.Or:
+		return &orDocIDSet{children: perDocChildren(tb, cs, p.Children, stats), numDocs: cs.seg.NumDocs()}
+	case pql.Not:
+		return &notDocIDSet{child: perDocReference(tb, cs, p.Child, stats), numDocs: cs.seg.NumDocs()}
 	}
 	set, err := buildFilter(newExecEnv(context.Background(), cs.seg.Name()), cs, pred, ForceRungs(Options{}, false, true), stats)
 	if err != nil {
@@ -283,11 +318,20 @@ func perDocReference(tb testing.TB, cs columnSource, pred pql.Predicate, stats *
 	}}
 }
 
-// checkCursorOps plans where on src and drives its scan cursor and the
-// per-document reference through the calls nextOp yields, until it stops or
+func perDocChildren(tb testing.TB, cs columnSource, preds []pql.Predicate, stats *Stats) []docIDSet {
+	children := make([]docIDSet, len(preds))
+	for i, c := range preds {
+		children[i] = perDocReference(tb, cs, c, stats)
+	}
+	return children
+}
+
+// checkCursorOps plans where on src and drives its iterator and the
+// per-document reference's through the calls nextOp yields, until it stops or
 // the iterators are exhausted: same documents, same Stats after every call,
-// whatever chunking the calls provoke.
-func checkCursorOps(t *testing.T, src cursorSource, where string, nextOp func() (cursorOp, bool)) {
+// whatever chunking the calls provoke. A driven iterator gets nextBlock
+// calls, a filtering one ascending candidates.
+func checkCursorOps(t *testing.T, src cursorSource, where string, filtering bool, nextOp func() (cursorOp, bool)) {
 	t.Helper()
 	pred := parseWhere(t, where)
 	var vecStats, refStats Stats
@@ -296,67 +340,77 @@ func checkCursorOps(t *testing.T, src cursorSource, where string, nextOp func() 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sds, ok := vecSet.(*scanDocIDSet); !ok || sds.leaf == nil {
-		t.Fatalf("%s on %s: planned as %T, want a cursor leaf", where, src.name, vecSet)
+	switch set := vecSet.(type) {
+	case *scanDocIDSet:
+		if set.leaf == nil {
+			t.Fatalf("%s on %s: planned without a cursor", where, src.name)
+		}
+	case *andDocIDSet:
+	default:
+		t.Fatalf("%s on %s: planned as %T, want a cursor leaf or a conjunction", where, src.name, vecSet)
 	}
 	sc := getScratch()
 	defer sc.release()
 	vec, ref := vecSet.iterator(sc), perDocReference(t, src.cs, pred, &refStats).iterator(sc)
-	last := -1
+	numDocs, last := src.cs.seg.NumDocs(), -1
 	for step := 0; ; step++ {
 		op, ok := nextOp()
 		if !ok {
 			return
 		}
 		var got, want []int
-		switch op.kind {
-		case 0:
-			got, want = []int{vec.Next()}, []int{ref.Next()}
-		case 1:
-			got, want = []int{vec.Advance(last + op.arg)}, []int{ref.Advance(last + op.arg)}
-		default:
-			gb, wb := make([]int, op.arg), make([]int, op.arg)
+		if filtering {
+			// At most a block, as a conjunction passes them.
+			cands := make([]int, 0, min(op.n, blockSize))
+			for j := 0; j < cap(cands); j++ {
+				if last += 1 + (j*37+op.gap/2)%(2*op.gap); last >= numDocs {
+					break
+				}
+				cands = append(cands, last)
+			}
+			if len(cands) == 0 {
+				return
+			}
+			got, want = vec.filter(slices.Clone(cands)), ref.filter(cands)
+		} else {
+			gb, wb := make([]int, op.n), make([]int, op.n)
 			got, want = gb[:vec.nextBlock(gb)], wb[:ref.nextBlock(wb)]
 		}
 		assertDocs(t, got, want)
 		if vecStats != refStats {
 			t.Fatalf("%s on %s, step %d (%+v): stats %+v, reference %+v", where, src.name, step, op, vecStats, refStats)
 		}
-		if len(want) == 0 || want[len(want)-1] < 0 {
+		if !filtering && len(want) == 0 {
 			return
 		}
-		last = want[len(want)-1]
 	}
 }
 
-// TestScanCursorMatchesScalarIterator drives the cursor of every leaf kind,
-// on every segment kind, and the per-document reference's scanIterator through
-// seeded random mixes of Next, Advance and nextBlock, each until the leaf is
-// exhausted.
+// TestScanCursorMatchesScalarIterator drives the iterator of every leaf kind
+// and conjunction, on every segment kind, beside the per-document reference's:
+// driven through seeded random nextBlock sizes until exhausted, and filtering
+// seeded candidate lists whose gaps stay inside a chunk or jump past any.
 func TestScanCursorMatchesScalarIterator(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, src := range cursorSources(t, 20000) {
-		for _, where := range src.leaves {
+		for _, where := range src.shapes() {
 			for trial := 0; trial < 4; trial++ {
-				checkCursorOps(t, src, where, func() (cursorOp, bool) {
-					kind := r.Intn(3)
-					if kind == 1 {
-						// Short hops, in-chunk jumps and jumps past any chunk;
-						// a target at the position itself means Next.
-						return cursorOp{kind, r.Intn([]int{2, 40, 3000}[r.Intn(3)])}, true
-					}
-					return cursorOp{kind, 1 + r.Intn(2*blockSize)}, true
+				checkCursorOps(t, src, where, trial%2 == 1, func() (cursorOp, bool) {
+					return cursorOp{1 + r.Intn(2*blockSize), []int{1, 2, 40, 3000}[r.Intn(4)]}, true
 				})
 			}
 		}
 	}
 }
 
-// FuzzScanCursor lets the input pick the leaf, the segment kind and the call
-// sequence: byte 0 the segment kind, byte 1 the leaf, then two bytes per call
-// — the first picks the call and the scale of its argument (1, 16 or 256),
-// the second the argument. The seeds are every case of
-// TestScanCursorMatchesScalarIterator under one fixed sequence.
+// FuzzScanCursor lets the input pick the predicate, the segment kind and the
+// call sequence: byte 0 the segment kind, byte 1 the predicate (a leaf or a
+// conjunction), then two bytes per call. The first call's first byte picks
+// the role (driven or filtering) and every call's the scale of its argument
+// (1, 16 or 256) and the candidates' gap (1, 3, 40 or 3000); the second byte
+// is the argument: the block size, or how many candidates. The seeds are every
+// case of TestScanCursorMatchesScalarIterator under one fixed sequence, and
+// every conjunction filtering.
 func FuzzScanCursor(f *testing.F) {
 	srcs := cursorSources(f, 6000)
 	calls := []byte{2, 7, 0, 0, 1, 3, 4, 9, 5, 200, 1, 0, 7, 2, 8, 255, 0, 0, 4, 40, 2, 1, 5, 255}
@@ -365,24 +419,126 @@ func FuzzScanCursor(f *testing.F) {
 			f.Add(append([]byte{byte(s), byte(l)}, calls...))
 		}
 	}
+	for s, src := range srcs {
+		for c := range src.conjunctions {
+			l := len(src.leaves) + c
+			f.Add(append([]byte{byte(s), byte(l)}, calls...))
+			f.Add(append([]byte{byte(s), byte(l), 1, 30, 10, 3, 22, 100}, calls...))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 4 {
 			return
 		}
 		src := srcs[int(data[0])%len(srcs)]
-		where := src.leaves[int(data[1])%len(src.leaves)]
+		shapes := src.shapes()
+		where := shapes[int(data[1])%len(shapes)]
+		filtering := data[2]%2 == 1
 		data = data[2:]
-		checkCursorOps(t, src, where, func() (cursorOp, bool) {
+		checkCursorOps(t, src, where, filtering, func() (cursorOp, bool) {
 			if len(data) < 2 {
 				return cursorOp{}, false
 			}
 			b, arg := int(data[0]), int(data[1])
 			data = data[2:]
-			arg *= []int{1, 16, 256}[b/3%3]
-			if kind := b % 3; kind != 2 {
-				return cursorOp{kind, arg}, true
-			}
-			return cursorOp{2, 1 + arg%(2*blockSize)}, true
+			arg *= []int{1, 16, 256}[b/2%3]
+			return cursorOp{1 + arg%(2*blockSize), []int{1, 3, 40, 3000}[b/6%4]}, true
 		})
 	})
+}
+
+// TestConjunctionEntriesCountDriverWalkAndCandidates pins what a pure-scan
+// conjunction charges: the documents its driver walked times the driver's
+// perEntry, plus, for each later leaf, the candidates it tested — the
+// documents every leaf before it matches, up to the last document returned —
+// times that leaf's perEntry. The sets come from the oracle's per-leaf
+// filters. Drained or stopped after a LIMIT, the documents and Stats are the
+// same whatever block size the caller asks for.
+func TestConjunctionEntriesCountDriverWalkAndCandidates(t *testing.T) {
+	const n = 20000
+	seg := filterFixture(t, "entries", n, segment.IndexConfig{})
+	r := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 60; trial++ {
+		leaves := make([]string, 2+r.Intn(2))
+		for i, p := range r.Perm(len(cursorLeaves))[:len(leaves)] {
+			leaves[i] = cursorLeaves[p]
+		}
+		where := strings.Join(leaves, " AND ")
+		env := newExecEnv(context.Background(), seg.Name())
+		set, err := buildFilter(env, columnSource{seg: seg}, parseWhere(t, where), Options{}, &Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		and, ok := set.(*andDocIDSet)
+		if !ok || len(and.children) != len(leaves) {
+			t.Fatalf("%s: planned as %T, want a %d-leaf conjunction", where, set, len(leaves))
+		}
+		perEntry := make([]int64, len(leaves))
+		match := make([]func(int) bool, len(leaves))
+		for i, c := range and.children {
+			sds, ok := c.(*scanDocIDSet)
+			if !ok || sds.leaf == nil {
+				t.Fatalf("%s: child %d planned as %T, want a cursor leaf", where, i, c)
+			}
+			perEntry[i] = sds.leaf.perEntry
+			if match[i], err = NewOracle(nil, nil).filter(seg, parseWhere(t, leaves[i])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var all []int
+		for doc := 0; doc < n; doc++ {
+			if !slices.ContainsFunc(match, func(m func(int) bool) bool { return !m(doc) }) {
+				all = append(all, doc)
+			}
+		}
+		limit := len(all) + 1 // drained
+		if trial%2 == 1 && len(all) > 0 {
+			limit = 1 + r.Intn(len(all))
+		}
+		// Everything before end was walked by the driver and offered to the
+		// later leaves: the whole segment when drained, else up to the last
+		// document returned.
+		end := n
+		if limit <= len(all) {
+			end = all[limit-1] + 1
+		}
+		want := int64(end) * perEntry[0]
+		for i := 1; i < len(leaves); i++ {
+			for doc := 0; doc < end; doc++ {
+				if !slices.ContainsFunc(match[:i], func(m func(int) bool) bool { return !m(doc) }) {
+					want += perEntry[i]
+				}
+			}
+		}
+		var first []int
+		var firstStats Stats
+		for _, size := range []int{1, 7, blockSize} {
+			var stats Stats
+			set, err := buildFilter(env, columnSource{seg: seg}, parseWhere(t, where), Options{}, &stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := getScratch()
+			it := set.iterator(sc)
+			var got []int
+			buf := make([]int, size)
+			for len(got) < limit {
+				k := it.nextBlock(buf[:min(size, limit-len(got))])
+				if k == 0 {
+					break
+				}
+				got = append(got, buf[:k]...)
+			}
+			sc.release()
+			if stats.NumEntriesScanned != want {
+				t.Fatalf("%s, limit %d, blocks of %d: %d entries, want %d", where, limit, size, stats.NumEntriesScanned, want)
+			}
+			if first == nil {
+				first, firstStats = got, stats
+				assertDocs(t, got, all[:min(limit, len(all))])
+			} else if assertDocs(t, got, first); stats != firstStats {
+				t.Fatalf("%s, limit %d: blocks of %d charged %+v, blocks of 1 %+v", where, limit, size, stats, firstStats)
+			}
+		}
+	}
 }

@@ -26,8 +26,9 @@ import (
 // metric values, and the group ordinal of each doc. Steps of one block run one
 // after another (group resolution, then each aggregation kernel; each
 // selected column in turn), so they share the buffers. The filter's scan
-// cursors decode alongside those steps, so each owns its chunk buffers; the
-// scratch keeps the cursors themselves. Scratches are pooled across segments
+// cursors decode alongside those steps, so each owns its chunk buffers, and
+// an OR or NOT filter owns the candidate lists it copies; the scratch keeps
+// the cursors and the lists themselves. Scratches are pooled across segments
 // and queries — a segment that matches four docs should not allocate for
 // 1024 — and each buffer grows to the largest block asked of it.
 type blockScratch struct {
@@ -40,9 +41,12 @@ type blockScratch struct {
 	// packed is the packedGrouper's index, kept between executions for its
 	// buckets (emptied on release, dropped when a query left it large).
 	packed map[uint64]uint32
-	// cursors[:cursorsOut] are bound to leaves of the running execution.
+	// cursors[:cursorsOut] are bound to leaves of the running execution,
+	// lists[:listsOut] lent to its filters.
 	cursors    []*scanCursor
 	cursorsOut int
+	lists      []*[]int
+	listsOut   int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
@@ -60,7 +64,7 @@ func (s *blockScratch) release() {
 	for _, c := range s.cursors[:s.cursorsOut] {
 		c.leaf = nil
 	}
-	s.cursorsOut = 0
+	s.cursorsOut, s.listsOut = 0, 0
 	scratchPool.Put(s)
 }
 
@@ -72,8 +76,18 @@ func (s *blockScratch) cursor(leaf *scanLeaf, numDocs int) *scanCursor {
 	c := s.cursors[s.cursorsOut]
 	s.cursorsOut++
 	c.leaf, c.numDocs = leaf, numDocs
-	c.pos, c.start, c.end, c.ahead = 0, 0, 0, 0
+	c.pos, c.start, c.end = 0, 0, 0
 	return c
+}
+
+// list lends one of the scratch's candidate lists to a filter of the running
+// execution.
+func (s *blockScratch) list() *[]int {
+	if s.listsOut == len(s.lists) {
+		s.lists = append(s.lists, new([]int))
+	}
+	s.listsOut++
+	return s.lists[s.listsOut-1]
 }
 
 // sized returns buf with length n, reallocating only when it is too small.

@@ -37,9 +37,9 @@ func benchBitmaps(numDocs int, density float64, k int) []*bitmap.Bitmap {
 	return bms
 }
 
-// BenchmarkBitmapAndCollapse vs BenchmarkBitmapAndLeapfrog: intersecting
-// comparably-sized bitmaps with container-level AndAll vs the advance-to-max
-// leapfrog over per-bitmap iterators.
+// BenchmarkBitmapAndCollapse vs BenchmarkBitmapAndFilter: intersecting
+// comparably-sized bitmaps with container-level AndAll vs one bitmap driving
+// and the others testing its candidates by membership walks.
 func BenchmarkBitmapAndCollapse(b *testing.B) {
 	bms := benchBitmaps(1<<20, 0.3, 3)
 	buf := make([]int, blockSize)
@@ -56,14 +56,14 @@ func BenchmarkBitmapAndCollapse(b *testing.B) {
 	}
 }
 
-func BenchmarkBitmapAndLeapfrog(b *testing.B) {
+func BenchmarkBitmapAndFilter(b *testing.B) {
 	bms := benchBitmaps(1<<20, 0.3, 3)
 	buf := make([]int, blockSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := &andDocIDSet{children: []docIDSet{
+		s := newAndDocIDSet([]docIDSet{
 			&bitmapDocIDSet{bm: bms[0]}, &bitmapDocIDSet{bm: bms[1]}, &bitmapDocIDSet{bm: bms[2]},
-		}}
+		})
 		drainDocs(s, buf)
 	}
 }
@@ -90,7 +90,7 @@ func BenchmarkBitmapOrMerge(b *testing.B) {
 		s := &orDocIDSet{children: []docIDSet{
 			&bitmapDocIDSet{bm: bms[0]}, &bitmapDocIDSet{bm: bms[1]},
 			&bitmapDocIDSet{bm: bms[2]}, &bitmapDocIDSet{bm: bms[3]},
-		}}
+		}, numDocs: 1 << 20}
 		drainDocs(s, buf)
 	}
 }
@@ -200,16 +200,19 @@ func benchFilter(b *testing.B, where string, opt Options) {
 }
 
 // The conjunctions of scan_groupby: an equality on a 7- or 12-bit column
-// drives, a day range (and a third equality) is probed per candidate.
+// drives, a day range (and a third equality) tests its candidates. The last
+// shape drives with half the documents and keeps 1 candidate in 40, so one
+// block takes many driver rounds.
 var filterAndShapes = []struct{ name, where string }{
 	{"and2/w7", "narrow = 17 AND day BETWEEN 16005 AND 16030"},
 	{"and2/w12", "wide BETWEEN 1000 AND 1037 AND day BETWEEN 16005 AND 16030"},
 	{"and3/w7", "narrow = 17 AND day BETWEEN 16005 AND 16030 AND third = 9"},
 	{"and3/w12", "wide BETWEEN 1000 AND 1037 AND day BETWEEN 16005 AND 16030 AND third = 9"},
+	{"and2/wide-driver", "narrow BETWEEN 0 AND 39 AND third = 9"},
 }
 
-// BenchmarkFilterAndScanVec: the chunk-decoding scan cursor under the AND
-// leapfrog.
+// BenchmarkFilterAndScanVec: a block-decoding scan cursor drives, and the
+// later leaves test its candidates in batched point reads.
 func BenchmarkFilterAndScanVec(b *testing.B) {
 	for _, s := range filterAndShapes {
 		b.Run(s.name, func(b *testing.B) { benchFilter(b, s.where, Options{}) })
@@ -217,8 +220,7 @@ func BenchmarkFilterAndScanVec(b *testing.B) {
 }
 
 // BenchmarkFilterSparseDriverVec: a bitmap of about 50 documents drives two
-// scan leaves, which must decode a few documents per candidate and not a
-// block around each.
+// scan leaves, which read the candidates' values and nothing around them.
 func BenchmarkFilterSparseDriverVec(b *testing.B) {
 	benchFilter(b, "sparse = 7 AND narrow BETWEEN 10 AND 60 AND hits > 100", Options{})
 }
