@@ -16,7 +16,6 @@
 package main
 
 import (
-	"archive/tar"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -239,46 +238,15 @@ func export(root, rev, dir string) error {
 	if err := command(root, &archive, "git", "archive", "--format=tar", rev); err != nil {
 		return err
 	}
-	tr := tar.NewReader(&archive)
-	for {
-		h, err := tr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, h.Name)
-		if !strings.HasPrefix(path, filepath.Clean(dir)+string(os.PathSeparator)) {
-			return fmt.Errorf("archive entry %q leaves the tree", h.Name)
-		}
-		switch h.Typeflag {
-		case tar.TypeDir:
-			err = os.MkdirAll(path, 0o755)
-		case tar.TypeReg:
-			err = writeFile(path, tr, os.FileMode(h.Mode).Perm())
-		case tar.TypeSymlink:
-			err = os.Symlink(h.Linkname, path)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func writeFile(path string, r io.Reader, mode os.FileMode) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, mode)
-	if err != nil {
-		return err
+	untar := exec.Command("tar", "-x", "-C", dir)
+	untar.Stdin = &archive
+	if out, err := untar.CombinedOutput(); err != nil {
+		return fmt.Errorf("tar -x: %v: %s", err, out)
 	}
-	if _, err := io.Copy(f, r); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // benchRun runs one bench binary in dir and parses its last line. A run
@@ -387,7 +355,7 @@ func printRow(out io.Writer, row *Row) {
 			if m.Wins != nil {
 				wins = fmt.Sprintf("%d/%d", *m.Wins, row.Pairs)
 			}
-			fmt.Fprintf(out, "| %s (%s) | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %s | %s |\n",
+			fmt.Fprintf(out, "| %s (%s) | %.8g [%.8g, %.8g] | %.8g [%.8g, %.8g] | %s | %s |\n",
 				name, m.Unit, b.Median, b.Q1, b.Q3, h.Median, h.Q1, h.Q3, change, wins)
 		}
 	}

@@ -196,7 +196,8 @@ var cursorConjunctions = []string{
 }
 
 // cursorIndexedConjunctions are driven by an inverted-index bitmap or a
-// sorted range of cursorSources' indexed segment.
+// sorted range of cursorSources' indexed segment, or by the complement of a
+// bitmap.
 var cursorIndexedConjunctions = []string{
 	"sparse BETWEEN 1 AND 60 AND narrow BETWEEN 10 AND 60",
 	"wide BETWEEN 1000 AND 1400 AND hits < 300 AND NOT (third = 9)",
@@ -329,8 +330,9 @@ func perDocChildren(tb testing.TB, cs columnSource, preds []pql.Predicate, stats
 // checkCursorOps plans where on src and drives its iterator and the
 // per-document reference's through the calls nextOp yields, until it stops or
 // the iterators are exhausted: same documents, same Stats after every call,
-// whatever chunking the calls provoke. A driven iterator gets nextBlock
-// calls, a filtering one ascending candidates.
+// whatever chunking the calls provoke, and the documents the oracle's filter
+// of the whole predicate picks. A driven iterator gets nextBlock calls, a
+// filtering one ascending candidates.
 func checkCursorOps(t *testing.T, src cursorSource, where string, filtering bool, nextOp func() (cursorOp, bool)) {
 	t.Helper()
 	pred := parseWhere(t, where)
@@ -352,6 +354,10 @@ func checkCursorOps(t *testing.T, src cursorSource, where string, filtering bool
 	sc := getScratch()
 	defer sc.release()
 	vec, ref := vecSet.iterator(sc), perDocReference(t, src.cs, pred, &refStats).iterator(sc)
+	match, err := NewOracle(nil, src.cs.schema).filter(src.cs.seg, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
 	numDocs, last := src.cs.seg.NumDocs(), -1
 	for step := 0; ; step++ {
 		op, ok := nextOp()
@@ -371,10 +377,20 @@ func checkCursorOps(t *testing.T, src cursorSource, where string, filtering bool
 			if len(cands) == 0 {
 				return
 			}
+			oracle := slices.DeleteFunc(slices.Clone(cands), func(doc int) bool { return !match(doc) })
 			got, want = vec.filter(slices.Clone(cands)), ref.filter(cands)
+			assertDocs(t, want, oracle)
 		} else {
 			gb, wb := make([]int, op.n), make([]int, op.n)
 			got, want = gb[:vec.nextBlock(gb)], wb[:ref.nextBlock(wb)]
+			var oracle []int
+			for last++; last < numDocs && len(oracle) < op.n; last++ {
+				if match(last) {
+					oracle = append(oracle, last)
+				}
+			}
+			last--
+			assertDocs(t, want, oracle)
 		}
 		assertDocs(t, got, want)
 		if vecStats != refStats {
@@ -389,10 +405,22 @@ func checkCursorOps(t *testing.T, src cursorSource, where string, filtering bool
 // TestScanCursorMatchesScalarIterator drives the iterator of every leaf kind
 // and conjunction, on every segment kind, beside the per-document reference's:
 // driven through seeded random nextBlock sizes until exhausted, and filtering
-// seeded candidate lists whose gaps stay inside a chunk or jump past any.
+// seeded candidate lists whose gaps run from adjacent documents to thousands.
+// The indexed segment's conjunctions must not be driven by a scan.
 func TestScanCursorMatchesScalarIterator(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, src := range cursorSources(t, 20000) {
+		for _, where := range src.conjunctions {
+			if src.name != "indexed" {
+				break
+			}
+			set, err := buildFilter(newExecEnv(context.Background(), "f"), src.cs, parseWhere(t, where), Options{}, &Stats{})
+			if and, ok := set.(*andDocIDSet); !ok || err != nil {
+				t.Fatalf("%s: planned as %T (%v), want a conjunction", where, set, err)
+			} else if _, scan := and.children[0].(*scanDocIDSet); scan {
+				t.Fatalf("%s: driven by a scan, want an index or its complement", where)
+			}
+		}
 		for _, where := range src.shapes() {
 			for trial := 0; trial < 4; trial++ {
 				checkCursorOps(t, src, where, trial%2 == 1, func() (cursorOp, bool) {
