@@ -8,9 +8,14 @@
 // ./bench there and in the working tree, and runs the two binaries one after
 // the other N times per workload, the side that runs first alternating from
 // pair to pair. From each run's last JSON line it prints, for every metric,
-// both sides' median and quartiles, the change of the median, and in how many
+// both sides' median and quartiles, the change of the median, in how many
 // pairs the working tree did better, in the direction BENCHMARK.json gives the
-// metric. Without -workload it pairs every workload BENCHMARK.json lists.
+// metric, and a verdict: "win" or "loss" when one side did better in at least
+// 9 pairs of 10 and the medians lie further apart than the base side's
+// quartiles, "unresolved" otherwise, and "outside bound" besides when the
+// working tree's median of an end-to-end metric is worse than the base's by
+// more than its BENCHMARK.json bound. Without -workload it pairs every
+// workload BENCHMARK.json lists.
 // -append adds the comparison as one row to BENCH_TRAJECTORY.json at the root
 // of the repository.
 package main
@@ -82,13 +87,17 @@ type Sides[T any] struct {
 	Head T `json:"head"`
 }
 
-// MetricSummary is one metric over the pairs. Wins counts the pairs in which
-// head did better than base, nil when BENCHMARK.json gives no direction.
+// MetricSummary is one metric over the pairs. Wins and Losses count the
+// pairs in which head did better and worse than base; they, and the verdict,
+// are nil and empty when BENCHMARK.json gives no direction.
 type MetricSummary struct {
-	Unit   string          `json:"unit"`
-	Better string          `json:"better,omitempty"`
-	Stats  Sides[Quartile] `json:"stats"`
-	Wins   *int            `json:"wins"`
+	Unit         string          `json:"unit"`
+	Better       string          `json:"better,omitempty"`
+	Stats        Sides[Quartile] `json:"stats"`
+	Wins         *int            `json:"wins"`
+	Losses       *int            `json:"losses,omitempty"`
+	Verdict      string          `json:"verdict,omitempty"`
+	OutsideBound bool            `json:"outside_bound,omitempty"`
 }
 
 // Quartile is a sample's median and quartiles.
@@ -128,10 +137,11 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	better, workloads, err := readBenchmark(filepath.Join(root, "BENCHMARK.json"))
+	spec, err := readBenchmark(filepath.Join(root, "BENCHMARK.json"))
 	if err != nil {
 		return err
 	}
+	workloads := spec.workloads
 	if o.workload != "" {
 		workloads = []string{o.workload}
 	}
@@ -171,7 +181,7 @@ func run(args []string, out io.Writer) error {
 				runs[side] = append(runs[side], line)
 			}
 		}
-		row.Workloads[w] = summarize(runs, better)
+		row.Workloads[w] = summarize(runs, spec)
 	}
 	printRow(out, &row)
 	if !o.appendRow {
@@ -205,31 +215,44 @@ func command(dir string, stdout io.Writer, name string, args ...string) error {
 	return nil
 }
 
-// readBenchmark returns the direction ("lower" or "higher") of every metric
-// BENCHMARK.json declares, and its workloads.
-func readBenchmark(path string) (map[string]string, []string, error) {
+// benchmark is what benchpair reads of BENCHMARK.json: the direction
+// ("lower" or "higher") of every metric, the bound of every end-to-end
+// metric (the fraction of the base median head may be worse by), and the
+// workloads.
+type benchmark struct {
+	better    map[string]string
+	bound     map[string]float64
+	workloads []string
+}
+
+func readBenchmark(path string) (*benchmark, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	type metric struct{ Name, Better string }
+	type metric struct {
+		Name, Better string
+		Bound        *float64
+	}
 	var b struct {
 		Workloads []struct{ Name string }
 		EndToEnd  []metric `json:"end_to_end"`
 		PerLayer  []metric `json:"per_layer"`
 	}
 	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	better := map[string]string{}
+	spec := &benchmark{better: map[string]string{}, bound: map[string]float64{}}
 	for _, m := range append(b.EndToEnd, b.PerLayer...) {
-		better[m.Name] = m.Better
+		spec.better[m.Name] = m.Better
+		if m.Bound != nil {
+			spec.bound[m.Name] = *m.Bound
+		}
 	}
-	var workloads []string
 	for _, w := range b.Workloads {
-		workloads = append(workloads, w.Name)
+		spec.workloads = append(spec.workloads, w.Name)
 	}
-	return better, workloads, nil
+	return spec, nil
 }
 
 // export writes the tree of commit rev into dir.
@@ -267,7 +290,7 @@ func benchRun(dir, bin string, args []string) (runLine, error) {
 
 // summarize folds the runs of both sides (runs[0] base, runs[1] head; pair
 // i is runs[0][i] beside runs[1][i]) into a workload row.
-func summarize(runs [2][]runLine, better map[string]string) *WorkloadRow {
+func summarize(runs [2][]runLine, spec *benchmark) *WorkloadRow {
 	w := &WorkloadRow{Metrics: map[string]*MetricSummary{}}
 	for p := range runs[0] {
 		b, h := runs[0][p], runs[1][p]
@@ -282,14 +305,18 @@ func summarize(runs [2][]runLine, better map[string]string) *WorkloadRow {
 			}
 			m := w.Metrics[name]
 			if m == nil {
-				m = &MetricSummary{Unit: bm.Unit, Better: better[name]}
+				m = &MetricSummary{Unit: bm.Unit, Better: spec.better[name]}
 				if m.Better != "" {
-					m.Wins = new(int)
+					m.Wins, m.Losses = new(int), new(int)
 				}
 				w.Metrics[name] = m
 			}
-			if m.Wins != nil && (m.Better == "lower" && hm.Value < bm.Value || m.Better == "higher" && hm.Value > bm.Value) {
+			switch {
+			case m.Wins == nil:
+			case m.Better == "lower" && hm.Value < bm.Value || m.Better == "higher" && hm.Value > bm.Value:
 				*m.Wins++
+			case m.Better == "lower" && hm.Value > bm.Value || m.Better == "higher" && hm.Value < bm.Value:
+				*m.Losses++
 			}
 		}
 	}
@@ -300,8 +327,39 @@ func summarize(runs [2][]runLine, better map[string]string) *WorkloadRow {
 			h = append(h, runs[1][p].Metrics[name].Value)
 		}
 		m.Stats = Sides[Quartile]{quartiles(b), quartiles(h)}
+		if m.Wins != nil {
+			m.Verdict = verdict(m, len(runs[0]))
+			if bound, ok := spec.bound[name]; ok {
+				m.OutsideBound = headWorseBy(m) > bound*math.Abs(m.Stats.Base.Median)
+			}
+		}
 	}
 	return w
+}
+
+// headWorseBy is how much worse head's median is than base's, in the
+// metric's unit and direction (negative when head is better).
+func headWorseBy(m *MetricSummary) float64 {
+	d := m.Stats.Head.Median - m.Stats.Base.Median
+	if m.Better == "higher" {
+		return -d
+	}
+	return d
+}
+
+// verdict resolves a metric with a direction over its pairs: "win" or "loss"
+// when one side did better in at least 9 pairs of 10 (ties count for
+// neither) and the medians differ, that way, by more than the base side's
+// interquartile range; "unresolved" otherwise.
+func verdict(m *MetricSummary, pairs int) string {
+	gap, iqr := headWorseBy(m), m.Stats.Base.Q3-m.Stats.Base.Q1
+	switch {
+	case *m.Wins*10 >= pairs*9 && -gap > iqr:
+		return "win"
+	case *m.Losses*10 >= pairs*9 && gap > iqr:
+		return "loss"
+	}
+	return "unresolved"
 }
 
 func btoi(b bool) int {
@@ -338,8 +396,8 @@ func printRow(out io.Writer, row *Row) {
 		w := row.Workloads[wn]
 		fmt.Fprintf(out, "\n%s: failed %d base, %d head; incorrect runs %d base, %d head\n\n",
 			wn, w.Failed.Base, w.Failed.Head, w.Incorrect.Base, w.Incorrect.Head)
-		fmt.Fprintln(out, "| metric | base median [q1, q3] | head median [q1, q3] | change | head wins |")
-		fmt.Fprintln(out, "|---|---|---|---|---|")
+		fmt.Fprintln(out, "| metric | base median [q1, q3] | head median [q1, q3] | change | head wins | verdict |")
+		fmt.Fprintln(out, "|---|---|---|---|---|---|")
 		metrics := make([]string, 0, len(w.Metrics))
 		for m := range w.Metrics {
 			metrics = append(metrics, m)
@@ -348,15 +406,18 @@ func printRow(out io.Writer, row *Row) {
 		for _, name := range metrics {
 			m := w.Metrics[name]
 			b, h := m.Stats.Base, m.Stats.Head
-			change, wins := "-", "-"
+			change, wins, judged := "-", "-", "-"
 			if b.Median != 0 {
 				change = fmt.Sprintf("%+.1f%%", 100*(h.Median-b.Median)/b.Median)
 			}
 			if m.Wins != nil {
-				wins = fmt.Sprintf("%d/%d", *m.Wins, row.Pairs)
+				wins, judged = fmt.Sprintf("%d/%d", *m.Wins, row.Pairs), m.Verdict
 			}
-			fmt.Fprintf(out, "| %s (%s) | %.8g [%.8g, %.8g] | %.8g [%.8g, %.8g] | %s | %s |\n",
-				name, m.Unit, b.Median, b.Q1, b.Q3, h.Median, h.Q1, h.Q3, change, wins)
+			if m.OutsideBound {
+				judged += ", outside bound"
+			}
+			fmt.Fprintf(out, "| %s (%s) | %.8g [%.8g, %.8g] | %.8g [%.8g, %.8g] | %s | %s | %s |\n",
+				name, m.Unit, b.Median, b.Q1, b.Q3, h.Median, h.Q1, h.Q3, change, wins, judged)
 		}
 	}
 }

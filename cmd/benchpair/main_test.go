@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,14 +46,14 @@ func TestAAOnHeadSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	better, _, err := readBenchmark(filepath.Join(root, "BENCHMARK.json"))
+	spec, err := readBenchmark(filepath.Join(root, "BENCHMARK.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"setup_s", "query_p50_ms", "query_p99_ms", "throughput_qps", "cpu_ms_per_query",
 		"alloc_kb_per_query", "live_heap_mb", "stored_bytes_per_row"} {
 		m := w.Metrics[name]
-		if m == nil || m.Better != better[name] || m.Wins == nil || *m.Wins < 0 || *m.Wins > 2 {
+		if m == nil || m.Better != spec.better[name] || m.Wins == nil || *m.Wins < 0 || *m.Wins > 2 {
 			t.Fatalf("%s: want a summary with a direction and wins in [0, 2], got %+v", name, m)
 		}
 		for _, q := range []Quartile{m.Stats.Base, m.Stats.Head} {
@@ -69,5 +70,72 @@ func TestQuartiles(t *testing.T) {
 	}
 	if q := quartiles([]float64{1, 2}); q != (Quartile{Q1: 1.25, Median: 1.5, Q3: 1.75}) {
 		t.Fatalf("quartiles = %+v", q)
+	}
+}
+
+// runsOf builds the pairs of one metric from its base and head values.
+func runsOf(t *testing.T, metric string, base, head []float64) [2][]runLine {
+	t.Helper()
+	var runs [2][]runLine
+	for side, values := range [2][]float64{base, head} {
+		for _, v := range values {
+			var line runLine
+			js := fmt.Sprintf(`{"correct": true, "metrics": {%q: {"value": %g, "unit": "u"}}}`, metric, v)
+			if err := json.Unmarshal([]byte(js), &line); err != nil {
+				t.Fatal(err)
+			}
+			runs[side] = append(runs[side], line)
+		}
+	}
+	return runs
+}
+
+// TestVerdicts feeds synthetic pairs for each outcome: a win and a loss need
+// 9 of 10 pairs and a median gap wider than the base quartiles; anything
+// short of either is unresolved; and a head median worse than the bound is
+// flagged whatever the verdict.
+func TestVerdicts(t *testing.T) {
+	spec := &benchmark{
+		better: map[string]string{"cpu_ms_per_query": "lower", "throughput_qps": "higher"},
+		bound:  map[string]float64{"cpu_ms_per_query": 0.25, "throughput_qps": 0.25},
+	}
+	base := []float64{10, 10.2, 9.8, 10.1, 9.9, 10, 10.3, 9.7, 10.1, 9.9}
+	shift := func(xs []float64, f func(i int, x float64) float64) []float64 {
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			out[i] = f(i, x)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name, metric string
+		head         []float64
+		verdict      string
+		outside      bool
+	}{
+		{"faster in every pair", "cpu_ms_per_query", shift(base, func(_ int, x float64) float64 { return x - 2 }), "win", false},
+		{"higher throughput in every pair", "throughput_qps", shift(base, func(_ int, x float64) float64 { return x + 2 }), "win", false},
+		{"slower in every pair, inside the bound", "cpu_ms_per_query", shift(base, func(_ int, x float64) float64 { return x + 1 }), "loss", false},
+		{"slower in every pair, past the bound", "cpu_ms_per_query", shift(base, func(_ int, x float64) float64 { return x * 1.4 }), "loss", true},
+		{"faster in 8 pairs of 10", "cpu_ms_per_query", shift(base, func(i int, x float64) float64 {
+			if i < 2 {
+				return x + 1
+			}
+			return x - 2
+		}), "unresolved", false},
+		{"faster in every pair by less than the quartiles", "cpu_ms_per_query", shift(base, func(_ int, x float64) float64 { return x - 0.05 }), "unresolved", false},
+		{"split pairs, median past the bound", "cpu_ms_per_query", shift(base, func(i int, x float64) float64 {
+			if i < 4 {
+				return x - 1
+			}
+			return 14
+		}), "unresolved", true},
+		{"identical runs", "cpu_ms_per_query", base, "unresolved", false},
+	} {
+		m := summarize(runsOf(t, c.metric, base, c.head), spec).Metrics[c.metric]
+		if m.Verdict != c.verdict || m.OutsideBound != c.outside {
+			t.Errorf("%s: verdict %q, outside bound %v; want %q, %v (wins %d, losses %d, %+v)",
+				c.name, m.Verdict, m.OutsideBound, c.verdict, c.outside, *m.Wins, *m.Losses, m.Stats)
+		}
 	}
 }

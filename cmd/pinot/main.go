@@ -1,6 +1,7 @@
-// Command pinot runs a Pinot cluster. The default role, "all", keeps the
-// original behavior: a complete single-process cluster — controllers,
-// servers, brokers and minions over the in-memory substrates — exposing the
+// Command pinot runs a Pinot cluster. The default role, "all", runs a
+// complete single-process cluster — controllers, servers, brokers and
+// minions over the in-memory metadata, stream and object stores, queries
+// scattered over the framed TCP data plane on loopback — exposing the
 // controller and broker HTTP APIs.
 //
 //	pinot -servers 3 -brokers 2 -controller-addr :9000 -broker-addr :8099
@@ -37,7 +38,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -280,7 +280,7 @@ func runBroker(name, instance, zkAddr, httpAddr, strategy string, partitionAware
 	remote := zkmeta.NewRemote(zkAddr)
 	pool := transport.NewPool()
 	defer pool.Close()
-	registry := transport.NewTCPRegistry(newAddrResolver(remote, name, 2*time.Second), pool)
+	registry := transport.NewTCPRegistry(helix.NewAddrResolver(remote, name, 2*time.Second), pool)
 	br := broker.New(broker.Config{
 		Cluster:            name,
 		Instance:           instance,
@@ -298,41 +298,6 @@ func runBroker(name, instance, zkAddr, httpAddr, strategy string, partitionAware
 	log.Printf("broker %s up", instance)
 	awaitSignal()
 	_ = httpSrv.Close()
-}
-
-// newAddrResolver resolves instance names to advertised data-plane
-// addresses via the metadata store, caching hits briefly so each scattered
-// query does not re-read instance configs.
-func newAddrResolver(endpoint zkmeta.Endpoint, cluster string, ttl time.Duration) func(string) (string, bool) {
-	type entry struct {
-		addr    string
-		ok      bool
-		expires time.Time
-	}
-	var (
-		mu    sync.Mutex
-		sess  = endpoint.NewClient()
-		admin = helix.NewAdmin(sess, cluster)
-		cache = map[string]entry{}
-	)
-	return func(instance string) (string, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if e, ok := cache[instance]; ok && time.Now().Before(e.expires) {
-			return e.addr, e.ok
-		}
-		if sess.Expired() {
-			// Lazy reconnect: the metadata connection died (or never came
-			// up); try a fresh session on each miss until one sticks.
-			sess = endpoint.NewClient()
-			admin = helix.NewAdmin(sess, cluster)
-			cache = map[string]entry{}
-		}
-		cfg, err := admin.InstanceConfigOf(instance)
-		e := entry{addr: cfg.Addr, ok: err == nil && cfg.Addr != "", expires: time.Now().Add(ttl)}
-		cache[instance] = e
-		return e.addr, e.ok
-	}
 }
 
 func createTopics(c *cluster.Cluster, spec string) error {

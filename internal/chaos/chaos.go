@@ -223,19 +223,16 @@ func (c *client) Execute(ctx context.Context, req *transport.QueryRequest) (*tra
 	return resp, nil
 }
 
-// corruptResponse returns a response whose payload no longer matches any
-// query shape, leaving the original untouched (servers share response
-// memory over the in-process transport).
+// corruptResponse mangles a response so its payload no longer matches any
+// query shape. The response was decoded off the wire for this caller alone,
+// so it is changed in place.
 func corruptResponse(resp *transport.QueryResponse) *transport.QueryResponse {
-	out := &transport.QueryResponse{Exceptions: resp.Exceptions}
-	if resp.Result != nil {
-		mangled := *resp.Result
+	if r := resp.Result; r != nil {
 		// An impossible result shape: no decoder or planner produces
 		// kind 255, so shape validation rejects it downstream.
-		mangled.Kind = query.ResultKind(255)
-		mangled.Groups = nil
-		mangled.Rows = nil
-		out.Result = &mangled
+		r.Kind = query.ResultKind(255)
+		r.Groups = nil
+		r.Rows = nil
 	}
-	return out
+	return resp
 }

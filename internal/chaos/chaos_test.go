@@ -146,7 +146,7 @@ func TestCorruptRejectedByValidation(t *testing.T) {
 	if err := resp.Result.Conforms(q); err == nil {
 		t.Fatal("corrupted response passed shape validation")
 	}
-	// The server's own response object is untouched.
+	// Corruption is per call: the server's next response is clean.
 	clean, err := f.Execute(context.Background(), nil)
 	if err != nil || clean.Result.Conforms(q) != nil {
 		t.Fatal("corruption leaked into server-side response")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"pinot/internal/broker"
 	"pinot/internal/chaos"
@@ -26,9 +25,7 @@ func loadTimeSlicedOffline(t *testing.T, c *Cluster, replicas int) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.WaitForOnline("events_OFFLINE", 4, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waitForReplicas(t, c, "events_OFFLINE", 4, replicas)
 }
 
 func pruneIdentity(s query.Stats) int {

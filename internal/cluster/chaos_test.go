@@ -33,9 +33,18 @@ func loadOffline(t *testing.T, c *Cluster, replicas int) {
 			t.Fatal(err)
 		}
 	}
+	waitForReplicas(t, c, "events_OFFLINE", 4, replicas)
+}
+
+// waitForReplicas waits until `segments` segments of a resource each have
+// `replicas` ONLINE replicas. WaitForOnline needs only one, and a routing
+// table built from a half-replicated view has no alternates to retry on
+// and fewer servers to choose from.
+func waitForReplicas(t *testing.T, c *Cluster, resource string, segments, replicas int) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		ev, err := c.ExternalView("events_OFFLINE")
+		ev, err := c.ExternalView(resource)
 		if err == nil {
 			n := 0
 			for seg := range ev.Partitions {
@@ -43,13 +52,13 @@ func loadOffline(t *testing.T, c *Cluster, replicas int) {
 					n++
 				}
 			}
-			if n >= 4 {
+			if n >= segments {
 				return
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("events_OFFLINE never reached 4 segments with %d online replicas", replicas)
+	t.Fatalf("%s never reached %d segments with %d online replicas", resource, segments, replicas)
 }
 
 // victimFor runs one clean query and reports a server the broker's current

@@ -1,9 +1,12 @@
 // Package cluster assembles a complete in-process Pinot deployment:
 // metadata store, event streams, object store, a set of controllers (one
-// elected leader), servers, brokers and minions, wired over direct
-// in-memory transport. It is the substrate for the examples, the
-// integration tests and the benchmark harness; the cmd/pinot binary exposes
-// the same cluster over HTTP.
+// elected leader), servers, brokers and minions. Servers and brokers are
+// wired as the standalone server and broker processes of cmd/pinot are:
+// each server serves the framed TCP query protocol on a loopback port it
+// advertises in its instance config, and brokers scatter to the addresses
+// they find there. It is the substrate for the examples, the integration
+// tests and the benchmark harness; the cmd/pinot binary exposes the same
+// cluster over HTTP.
 package cluster
 
 import (
@@ -33,15 +36,14 @@ type Options struct {
 	Servers     int
 	Brokers     int
 	Minions     int
-	// ServerTemplate seeds each server's config (instance/cluster fields
-	// are overwritten).
+	// ServerTemplate seeds each server's config (instance, cluster and
+	// advertised-address fields are overwritten).
 	ServerTemplate server.Config
 	// BrokerTemplate seeds each broker's config.
 	BrokerTemplate broker.Config
-	// Transport selects the broker→server data plane: "" or "mem" for
-	// direct in-memory calls (the default), "tcp" for the framed TCP
-	// protocol over loopback listeners. Either way the chaos registry
-	// wraps the base transport.
+	// Transport selects nothing (every cluster scatters over TCP) and only
+	// "" and "tcp" are accepted. bench/ still sets it; the next change to
+	// bench/ deletes it (ROADMAP item 1, second step).
 	Transport string
 	// Metrics is the registry every component of the cluster records into.
 	// Nil means a fresh registry per cluster, so concurrent test clusters
@@ -84,14 +86,17 @@ type Cluster struct {
 
 	adminSess *zkmeta.Session
 
-	tcpServers []*transport.TCPQueryServer
-	tcpAddrs   map[string]string
-	tcpPool    *transport.Pool
+	dataPlanes []*transport.TCPQueryServer
+	pool       *transport.Pool
+	scatter    transport.Registry // what Chaos wraps
 }
 
 // NewLocal builds and starts a cluster.
 func NewLocal(opts Options) (*Cluster, error) {
 	opts.withDefaults()
+	if opts.Transport != "" && opts.Transport != "tcp" {
+		return nil, fmt.Errorf("cluster: unknown transport %q (only the framed TCP data plane exists)", opts.Transport)
+	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -130,45 +135,43 @@ func NewLocal(opts Options) (*Cluster, error) {
 		return out
 	}
 	for i := 0; i < opts.Servers; i++ {
-		cfg := opts.ServerTemplate
-		cfg.Cluster = opts.Name
-		cfg.Instance = fmt.Sprintf("server%d", i+1)
-		cfg.Metrics = reg
-		srv := server.New(cfg, c.Store, c.Objects, c.Streams, controllerClients)
-		if err := srv.Start(); err != nil {
-			c.Shutdown()
-			return nil, err
-		}
-		c.Servers = append(c.Servers, srv)
-	}
-
-	base := transport.RegistryFunc(func(instance string) (transport.ServerClient, bool) {
-		for _, s := range c.Servers {
-			if s.Instance() == instance {
-				return s, true
-			}
-		}
-		return nil, false
-	})
-	if opts.Transport == "tcp" {
-		tcpReg, err := c.StartTCPTransport()
+		// Each server is wired as a standalone server process is: it
+		// listens on a loopback port, advertises that address in its
+		// instance config and serves the framed query protocol there.
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			c.Shutdown()
 			return nil, err
 		}
-		base = transport.RegistryFunc(tcpReg.ServerClient)
+		cfg := opts.ServerTemplate
+		cfg.Cluster = opts.Name
+		cfg.Instance = fmt.Sprintf("server%d", i+1)
+		cfg.AdvertiseAddr = lis.Addr().String()
+		cfg.Metrics = reg
+		srv := server.New(cfg, c.Store, c.Objects, c.Streams, controllerClients)
+		if err := srv.Start(); err != nil {
+			lis.Close()
+			c.Shutdown()
+			return nil, err
+		}
+		c.Servers = append(c.Servers, srv)
+		dp := transport.NewTCPQueryServer(srv)
+		go dp.Serve(lis)
+		c.dataPlanes = append(c.dataPlanes, dp)
 	}
-	// All broker traffic flows through the chaos registry; with no faults
-	// configured it is a transparent passthrough. A fixed seed keeps fault
-	// injection deterministic.
-	c.Chaos = chaos.NewRegistry(base, 1)
-	registry := transport.Registry(c.Chaos)
+
+	// Brokers find servers as a broker process does, by the addresses their
+	// instance configs advertise, through the chaos registry: a passthrough
+	// without faults, deterministic under its fixed seed.
+	c.pool = transport.NewPool()
+	c.scatter = transport.NewTCPRegistry(helix.NewAddrResolver(c.Store, opts.Name, 2*time.Second), c.pool)
+	c.Chaos = chaos.NewRegistry(c.scatter, 1)
 	for i := 0; i < opts.Brokers; i++ {
 		cfg := opts.BrokerTemplate
 		cfg.Cluster = opts.Name
 		cfg.Instance = fmt.Sprintf("broker%d", i+1)
 		cfg.Metrics = reg
-		br := broker.New(cfg, c.Store, registry)
+		br := broker.New(cfg, c.Store, c.Chaos)
 		if err := br.Start(); err != nil {
 			c.Shutdown()
 			return nil, err
@@ -193,35 +196,9 @@ func NewLocal(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// StartTCPTransport starts a framed-TCP listener for every server on a
-// loopback port and returns a registry that dials them through a shared
-// connection pool. Idempotent: a second call returns a registry over the
-// same listeners. NewLocal calls it when Options.Transport is "tcp";
-// tests that want both transports side by side call it directly.
-func (c *Cluster) StartTCPTransport() (transport.Registry, error) {
-	if c.tcpAddrs == nil {
-		c.tcpAddrs = map[string]string{}
-		c.tcpPool = transport.NewPool()
-		for _, s := range c.Servers {
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			ts := transport.NewTCPQueryServer(s)
-			go ts.Serve(lis)
-			c.tcpServers = append(c.tcpServers, ts)
-			c.tcpAddrs[s.Instance()] = lis.Addr().String()
-		}
-	}
-	return transport.NewTCPRegistry(c.TCPAddr, c.tcpPool), nil
-}
-
-// TCPAddr resolves a server instance to its loopback data-plane address
-// (after StartTCPTransport).
-func (c *Cluster) TCPAddr(instance string) (string, bool) {
-	addr, ok := c.tcpAddrs[instance]
-	return addr, ok
-}
+// StartTCPTransport starts nothing: it returns the registry Chaos wraps.
+// bench/ still calls it; the next change to bench/ deletes it.
+func (c *Cluster) StartTCPTransport() (transport.Registry, error) { return c.scatter, nil }
 
 // Shutdown stops every component.
 func (c *Cluster) Shutdown() {
@@ -231,17 +208,17 @@ func (c *Cluster) Shutdown() {
 	for _, b := range c.Brokers {
 		b.Stop()
 	}
+	if c.pool != nil {
+		c.pool.Close()
+	}
+	for _, dp := range c.dataPlanes {
+		dp.Close()
+	}
 	for _, s := range c.Servers {
 		s.Stop()
 	}
 	for _, ctrl := range c.Controllers {
 		ctrl.Stop()
-	}
-	for _, ts := range c.tcpServers {
-		ts.Close()
-	}
-	if c.tcpPool != nil {
-		c.tcpPool.Close()
 	}
 	if c.adminSess != nil {
 		c.adminSess.Close()

@@ -697,9 +697,7 @@ func TestLargeClusterRoutingThroughCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.WaitForOnline("events_OFFLINE", 12, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waitForReplicas(t, c, "events_OFFLINE", 12, 3)
 	res, err := c.Execute(context.Background(), "SELECT count(*) FROM events")
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"testing"
-	"time"
 
 	"pinot/internal/broker"
-	"pinot/internal/metrics"
 )
 
 // differentialQueries builds the mixed corpus: plain aggregations, group-bys
@@ -89,115 +85,4 @@ func canonicalResponse(pqlText string, res *broker.Response) string {
 	}
 	return fmt.Sprintf("cols=%#v rows=%v stats=%+v partial=%v exceptions=%#v",
 		res.Columns, rows, res.Stats, res.Partial, res.Exceptions)
-}
-
-// TestDifferentialMemVsTCP runs the full mixed corpus through two brokers on
-// one cluster — one scattering over direct in-memory calls, one over the
-// framed TCP data plane — and requires identical responses, stats included.
-// The streamed wire path must be indistinguishable from the buffered one.
-func TestDifferentialMemVsTCP(t *testing.T) {
-	c, err := NewLocal(Options{Servers: 2, BrokerTemplate: broker.Config{Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	loadOffline(t, c, 2)
-
-	// Realtime table: flush a few segments and leave consuming tails, so the
-	// corpus crosses committed and in-memory realtime data.
-	if _, err := c.Streams.CreateTopic("events", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTable(realtimeConfig(t, 2, 50)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitForConsuming("rtevents_REALTIME", 2, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	produceEvents(t, c, "events", 0, 200)
-	if err := c.WaitForOnline("rtevents_REALTIME", 2, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	tcpReg, err := c.StartTCPTransport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcpBr := broker.New(broker.Config{
-		Cluster:  c.Name,
-		Instance: "broker-tcp",
-		Seed:     7,
-		Metrics:  metrics.NewRegistry(),
-	}, c.Store, tcpReg)
-	if err := tcpBr.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer tcpBr.Stop()
-
-	// Both brokers may route to different replicas, so wait until every
-	// realtime replica has consumed everything: both paths must agree on the
-	// full count before determinism is even possible.
-	settle := func(br *broker.Broker, what string) {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			res, err := br.Execute(context.Background(), "SELECT count(*) FROM rtevents", "")
-			if err == nil && !res.Partial && res.Rows[0][0].(int64) == 200 {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s broker never saw all 200 realtime rows (last: %v, %v)", what, res, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	settle(c.Broker(), "mem")
-	settle(tcpBr, "tcp")
-
-	queries := differentialQueries()
-	if len(queries) < 200 {
-		t.Fatalf("corpus has %d queries, want >= 200", len(queries))
-	}
-	mismatches := 0
-	for _, pqlText := range queries {
-		memRes, err := c.Broker().Execute(context.Background(), pqlText, "")
-		if err != nil {
-			t.Fatalf("mem broker failed %q: %v", pqlText, err)
-		}
-		tcpRes, err := tcpBr.Execute(context.Background(), pqlText, "")
-		if err != nil {
-			t.Fatalf("tcp broker failed %q: %v", pqlText, err)
-		}
-		for _, res := range []*broker.Response{memRes, tcpRes} {
-			if res.Partial || res.ServersResponded != res.ServersQueried {
-				t.Fatalf("degraded response for %q: partial=%v %d/%d %v",
-					pqlText, res.Partial, res.ServersResponded, res.ServersQueried, res.Exceptions)
-			}
-		}
-		// ResultCacheHit is the one permitted divergence between a cached
-		// and a cold response; the settle loops above prime each broker's
-		// result cache at different points in the realtime transition
-		// stream, so the flag may legitimately differ per broker here.
-		memRes.Stats.ResultCacheHit = false
-		tcpRes.Stats.ResultCacheHit = false
-		if m, tc := canonicalResponse(pqlText, memRes), canonicalResponse(pqlText, tcpRes); m != tc {
-			mismatches++
-			t.Errorf("transport divergence on %q:\n  mem: %s\n  tcp: %s", pqlText, m, tc)
-			if mismatches >= 5 {
-				t.Fatal("too many divergences, aborting")
-			}
-		}
-	}
-
-	// Sanity-check the corpus exercised what it claims: at least one query
-	// pruned everything and still matched across transports.
-	res, err := tcpBr.Execute(context.Background(), "SELECT count(*) FROM events WHERE day > 9000", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Rows[0][0].(int64); got != 0 {
-		t.Fatalf("pruned-to-empty count = %d", got)
-	}
-	if res.Stats.NumDocsScanned != 0 {
-		t.Fatalf("pruned-to-empty scanned %d docs", res.Stats.NumDocsScanned)
-	}
 }

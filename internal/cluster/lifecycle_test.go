@@ -11,6 +11,7 @@ import (
 	"pinot/internal/chaos"
 	"pinot/internal/metrics"
 	"pinot/internal/qctx"
+	"pinot/internal/query"
 	"pinot/internal/transport"
 )
 
@@ -26,10 +27,32 @@ func TestServerEnforcesMinimumTimeout(t *testing.T) {
 		s.InjectLatency(2 * time.Second) // a straggler far beyond every timeout
 		defer s.InjectLatency(0)
 		start := time.Now()
-		_, err := s.Execute(context.Background(), req)
+		_, err := s.ExecuteStream(context.Background(), req, func(int, *query.Intermediate) error { return nil })
 		elapsed := time.Since(start)
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want deadline exceeded", err)
+		}
+		if elapsed > wantWithin {
+			t.Fatalf("server held the query for %v, want under %v", elapsed, wantWithin)
+		}
+	}
+	// overTheWire sends req to the first server as a broker does, through
+	// the cluster's registry and a context with no deadline: the budget on
+	// the wire alone must end the call within the same bound.
+	overTheWire := func(t *testing.T, c *Cluster, req *transport.QueryRequest, wantWithin time.Duration) {
+		t.Helper()
+		s := c.Servers[0]
+		s.InjectLatency(2 * time.Second)
+		defer s.InjectLatency(0)
+		sc, ok := c.Chaos.ServerClient(s.Instance())
+		if !ok {
+			t.Fatalf("%s does not resolve", s.Instance())
+		}
+		start := time.Now()
+		_, err := sc.Execute(context.Background(), req)
+		elapsed := time.Since(start)
+		if err == nil || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
+			t.Fatalf("err = %v, want the server's deadline exceeded", err)
 		}
 		if elapsed > wantWithin {
 			t.Fatalf("server held the query for %v, want under %v", elapsed, wantWithin)
@@ -47,10 +70,13 @@ func TestServerEnforcesMinimumTimeout(t *testing.T) {
 		run(t, c, &transport.QueryRequest{
 			Resource: "events_OFFLINE", PQL: "SELECT count(*) FROM events", TimeoutMillis: 50,
 		}, time.Second)
-		// The broker's wire budget tightens the same way.
-		run(t, c, &transport.QueryRequest{
+		// The broker's wire budget tightens the same way, called directly
+		// and over the data plane.
+		budgeted := &transport.QueryRequest{
 			Resource: "events_OFFLINE", PQL: "SELECT count(*) FROM events", BudgetMillis: 50,
-		}, time.Second)
+		}
+		run(t, c, budgeted, time.Second)
+		overTheWire(t, c, budgeted, time.Second)
 	})
 
 	t.Run("default caps an oversized request", func(t *testing.T) {

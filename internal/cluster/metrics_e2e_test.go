@@ -98,8 +98,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// memberId 7 appears 5 times in each of the 4 segments.
 	waitForCount(t, c, "SELECT count(*) FROM events WHERE memberId = 7", 15, 10*time.Second)
 
-	// Transport workload: the in-process cluster skips the gob data plane,
-	// so pump one good and one hostile payload through it directly.
+	// Every query above crossed the framed TCP data plane: the pool dialed
+	// the servers and frames came back off the wire.
+	for _, name := range []string{"pinot_transport_frames_recv_total", "pinot_transport_dials_total"} {
+		if got := reg.Total(name); got <= 0 {
+			t.Fatalf("%s = %d after the queries, want > 0", name, got)
+		}
+	}
+	// The data plane streams frames and never encodes a whole response, so
+	// pump one good and one hostile payload through the buffered codec.
 	payload, err := transport.EncodeResponse(&transport.QueryResponse{Exceptions: []string{"none"}})
 	if err != nil {
 		t.Fatal(err)

@@ -217,11 +217,12 @@ func TestResultCacheSealInvalidationExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestDifferentialResultCacheOnVsOff runs the full PR-4 corpus (~200
+// TestDifferentialResultCacheOnVsOff runs the full mixed corpus (~200
 // queries) plus a Zipf-skewed repeat phase with interleaved ingestion
 // through two brokers on one cluster — one with the result cache (the
 // default), one with it disabled — and requires byte-identical responses,
-// stats included, modulo the hit flag.
+// stats included, modulo the hit flag. Both brokers scatter over the framed
+// TCP data plane, so every cold answer has crossed the codec.
 func TestDifferentialResultCacheOnVsOff(t *testing.T) {
 	c, err := NewLocal(Options{Servers: 2, BrokerTemplate: broker.Config{Seed: 7}})
 	if err != nil {
@@ -355,4 +356,19 @@ func TestDifferentialResultCacheOnVsOff(t *testing.T) {
 	}
 	t.Logf("result cache hits during differential: %d (entries: %d, bytes: %d)",
 		onHits, c.Broker().ResultCache().Len(), c.Broker().ResultCache().Bytes())
+
+	// The corpus exercised what it claims: a query pruned to empty crossed
+	// the wire as zero rows and zero scanned documents on both brokers.
+	for _, br := range []*broker.Broker{c.Broker(), offBr} {
+		res, err := br.Execute(context.Background(), "SELECT count(*) FROM events WHERE day > 9000", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].(int64); got != 0 {
+			t.Fatalf("pruned-to-empty count = %d", got)
+		}
+		if res.Stats.NumDocsScanned != 0 {
+			t.Fatalf("pruned-to-empty scanned %d docs", res.Stats.NumDocsScanned)
+		}
+	}
 }

@@ -7,14 +7,15 @@ import (
 
 	"pinot/internal/broker"
 	"pinot/internal/chaos"
+	"pinot/internal/helix"
 	"pinot/internal/metrics"
 	"pinot/internal/transport"
 )
 
-// socketEnv wires an extra broker whose scatter path runs over real TCP
-// sockets, each server fronted by a chaos.Proxy. The base cluster keeps its
-// in-memory brokers untouched; the TCP broker gets its own metrics registry
-// so assertions see only socket-path traffic.
+// socketEnv wires an extra broker whose scatter path runs through a
+// chaos.Proxy in front of each server's advertised data-plane address. The
+// base cluster keeps its own brokers untouched; the proxied broker gets its
+// own metrics registry so assertions see only its traffic.
 type socketEnv struct {
 	c       *Cluster
 	proxies map[string]*chaos.Proxy
@@ -24,8 +25,8 @@ type socketEnv struct {
 }
 
 // newSocketEnv builds a two-server cluster with 2x-replicated offline data,
-// starts the framed-TCP data plane, fronts every server with a fault proxy
-// and starts a broker that scatters through the proxies.
+// fronts every server with a fault proxy and starts a broker that scatters
+// through the proxies.
 func newSocketEnv(t *testing.T, cfg broker.Config) *socketEnv {
 	t.Helper()
 	c, err := NewLocal(Options{Servers: 2, BrokerTemplate: chaosBrokerConfig()})
@@ -34,17 +35,15 @@ func newSocketEnv(t *testing.T, cfg broker.Config) *socketEnv {
 	}
 	t.Cleanup(c.Shutdown)
 	loadOffline(t, c, 2)
-	if _, err := c.StartTCPTransport(); err != nil {
-		t.Fatal(err)
-	}
 
 	e := &socketEnv{c: c, proxies: map[string]*chaos.Proxy{}, met: metrics.NewRegistry()}
+	admin := helix.NewAdmin(c.adminSess, c.Name)
 	for _, s := range []string{"server1", "server2"} {
-		addr, ok := c.TCPAddr(s)
-		if !ok {
-			t.Fatalf("no TCP address for %s", s)
+		cfg, err := admin.InstanceConfigOf(s)
+		if err != nil || cfg.Addr == "" {
+			t.Fatalf("no advertised address for %s: %+v, %v", s, cfg, err)
 		}
-		p, err := chaos.NewProxy(addr)
+		p, err := chaos.NewProxy(cfg.Addr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"path"
+	"sync"
+	"time"
 
 	"pinot/internal/zkmeta"
 )
@@ -105,9 +107,8 @@ type Message struct {
 type InstanceConfig struct {
 	Instance string   `json:"instance"`
 	Tags     []string `json:"tags"`
-	// Addr is the instance's data-plane TCP address (host:port), set when
-	// the instance serves the framed query protocol; empty for in-process
-	// clusters. Brokers resolve scatter targets through it.
+	// Addr is the instance's data-plane TCP address (host:port), set by
+	// every server; brokers resolve scatter targets through it.
 	Addr string `json:"addr,omitempty"`
 }
 
@@ -225,6 +226,38 @@ func (a *Admin) InstanceConfigOf(instance string) (InstanceConfig, error) {
 		return InstanceConfig{}, fmt.Errorf("helix: corrupt instance config %s: %w", instance, err)
 	}
 	return cfg, nil
+}
+
+// NewAddrResolver resolves instance names to the data-plane addresses their
+// instance configs advertise, caching each answer for ttl so a scattered
+// query does not re-read configs. Every broker resolves its scatter targets
+// through one of these.
+func NewAddrResolver(endpoint zkmeta.Endpoint, cluster string, ttl time.Duration) func(instance string) (string, bool) {
+	type entry struct {
+		addr    string
+		expires time.Time
+	}
+	var (
+		mu    sync.Mutex
+		admin = NewAdmin(endpoint.NewClient(), cluster)
+		cache = map[string]entry{}
+	)
+	return func(instance string) (string, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if e, ok := cache[instance]; ok && time.Now().Before(e.expires) {
+			return e.addr, e.addr != ""
+		}
+		if admin.sess.Expired() {
+			// Lazy reconnect: the metadata connection died (or never came
+			// up); try a fresh session on each miss until one sticks.
+			admin = NewAdmin(endpoint.NewClient(), cluster)
+			cache = map[string]entry{}
+		}
+		cfg, _ := admin.InstanceConfigOf(instance) // on an error Addr is empty: not found
+		cache[instance] = entry{addr: cfg.Addr, expires: time.Now().Add(ttl)}
+		return cfg.Addr, cfg.Addr != ""
+	}
 }
 
 // LiveInstances returns the instances currently holding a live ephemeral.

@@ -403,3 +403,54 @@ func TestInstanceConfigs(t *testing.T) {
 		}
 	}
 }
+
+// sessionCounter is an endpoint that keeps every session it opened.
+type sessionCounter struct {
+	*zkmeta.Store
+	sessions []*zkmeta.Session
+}
+
+func (e *sessionCounter) NewClient() zkmeta.Client {
+	s := e.Store.NewSession()
+	e.sessions = append(e.sessions, s)
+	return s
+}
+
+// TestAddrResolver: an instance resolves to the address its config
+// advertises, an unknown or address-less one does not, an answer holds for
+// the TTL and is read again after it, and a miss after the session expired
+// opens a fresh session.
+func TestAddrResolver(t *testing.T) {
+	store, admin := newCluster(t)
+	for _, cfg := range []InstanceConfig{{Instance: "server1", Addr: "127.0.0.1:7001"}, {Instance: "minion1"}} {
+		if err := admin.RegisterInstance(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ttl = 50 * time.Millisecond
+	ep := &sessionCounter{Store: store}
+	resolve := NewAddrResolver(ep, "test", ttl)
+	check := func(instance, wantAddr string) {
+		t.Helper()
+		if addr, ok := resolve(instance); addr != wantAddr || ok != (wantAddr != "") {
+			t.Fatalf("resolve(%s) = %q, %v; want %q", instance, addr, ok, wantAddr)
+		}
+	}
+	check("server1", "127.0.0.1:7001")
+	check("minion1", "")
+	check("nosuch", "")
+
+	if err := admin.RegisterInstance(InstanceConfig{Instance: "server1", Addr: "127.0.0.1:7002"}); err != nil {
+		t.Fatal(err)
+	}
+	check("server1", "127.0.0.1:7001") // cached
+	time.Sleep(2 * ttl)
+	check("server1", "127.0.0.1:7002")
+
+	ep.sessions[0].Expire()
+	time.Sleep(2 * ttl)
+	check("server1", "127.0.0.1:7002")
+	if len(ep.sessions) != 2 {
+		t.Fatalf("opened %d sessions, want a second one after expiry", len(ep.sessions))
+	}
+}

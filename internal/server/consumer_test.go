@@ -73,7 +73,7 @@ func TestQueriesBesideConsumer(t *testing.T) {
 			defer wg.Done()
 			var last int64
 			for ctx.Err() == nil {
-				resp, err := r.srv.Execute(context.Background(), &transport.QueryRequest{Resource: r.resource, PQL: pql})
+				resp, err := execute(context.Background(), r.srv, &transport.QueryRequest{Resource: r.resource, PQL: pql})
 				if err != nil || len(resp.Exceptions) > 0 {
 					t.Errorf("%s beside the consumer: %v %v", pql, err, resp)
 					return

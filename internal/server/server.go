@@ -37,7 +37,7 @@ type Config struct {
 	Instance string
 	// AdvertiseAddr is the data-plane TCP address (host:port) this server
 	// answers the framed query protocol on; registered in the instance
-	// config so brokers can dial it. Empty for in-process clusters.
+	// config so brokers can dial it.
 	AdvertiseAddr string
 	// DefaultTimeout bounds query execution when the request has none.
 	DefaultTimeout time.Duration
@@ -280,30 +280,11 @@ func (s *Server) handleTransition(resource, partition, from, to string) error {
 	return fmt.Errorf("server %s: unsupported transition %s→%s", s.cfg.Instance, from, to)
 }
 
-// Execute runs a query on this server's share of a resource's segments
-// (paper 3.3.3 steps 4–6). It is the buffered shape of ExecuteStream: the
-// per-segment intermediates are folded into one response locally, exactly
-// as a remote stream consumer would fold them.
-func (s *Server) Execute(ctx context.Context, req *transport.QueryRequest) (*transport.QueryResponse, error) {
-	m := transport.NewStreamMerger()
-	trailer, err := s.ExecuteStream(ctx, req, func(seq int, res *query.Intermediate) error {
-		return m.Add(&transport.SegmentFrame{Seq: seq, Result: res})
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged, err := m.Finish(trailer)
-	if err != nil {
-		return nil, err
-	}
-	return &transport.QueryResponse{Result: merged, Exceptions: trailer.Exceptions, Trace: trailer.Trace}, nil
-}
-
-// ExecuteStream is the streaming query path shared by the in-memory and TCP
-// transports (it implements transport.StreamHandler): per-segment
-// intermediates go to emit in sequence order the moment they are ready, and
-// the returned trailer carries the frame count, exceptions, trailer stats
-// and the server-side trace.
+// ExecuteStream runs a query on this server's share of a resource's
+// segments (paper 3.3.3 steps 4–6); it is the transport.StreamHandler the
+// data plane serves. Per-segment intermediates go to emit in sequence order
+// the moment they are ready, and the returned trailer carries the frame
+// count, exceptions, trailer stats and the server-side trace.
 func (s *Server) ExecuteStream(ctx context.Context, req *transport.QueryRequest, emit func(seq int, res *query.Intermediate) error) (trailer *transport.FinalFrame, err error) {
 	s.met.queries.Inc()
 	defer func() {
@@ -327,9 +308,7 @@ func (s *Server) ExecuteStream(ctx context.Context, req *transport.QueryRequest,
 	segs := t.segmentsFor(req.Segments)
 	// Deadline budget: the server enforces the minimum of its own default,
 	// the request's explicit timeout, and the broker's remaining budget
-	// from the wire — never more than any of them. An inbound context
-	// deadline (in-process transport) is folded in by WithTimeout, which
-	// keeps the earlier of the two.
+	// from the wire — never more than any of them.
 	timeout := s.cfg.DefaultTimeout
 	if d := time.Duration(req.TimeoutMillis) * time.Millisecond; req.TimeoutMillis > 0 && d < timeout {
 		timeout = d

@@ -14,6 +14,7 @@ import (
 	"pinot/internal/helix"
 	"pinot/internal/metrics"
 	"pinot/internal/objstore"
+	"pinot/internal/query"
 	"pinot/internal/segment"
 	"pinot/internal/startree"
 	"pinot/internal/stream"
@@ -117,8 +118,26 @@ func (r *rig) produce(n int) {
 	}
 }
 
+// execute runs req through ExecuteStream and folds the emitted frames and
+// the trailer with a StreamMerger, as a data-plane client folds the frames
+// it reads.
+func execute(ctx context.Context, s *Server, req *transport.QueryRequest) (*transport.QueryResponse, error) {
+	m := transport.NewStreamMerger()
+	trailer, err := s.ExecuteStream(ctx, req, func(seq int, res *query.Intermediate) error {
+		return m.Add(&transport.SegmentFrame{Seq: seq, Result: res})
+	})
+	if err != nil {
+		return nil, err
+	}
+	merged, err := m.Finish(trailer)
+	if err != nil {
+		return nil, err
+	}
+	return &transport.QueryResponse{Result: merged, Exceptions: trailer.Exceptions, Trace: trailer.Trace}, nil
+}
+
 func (r *rig) count(ctx context.Context) (int64, error) {
-	resp, err := r.srv.Execute(ctx, &transport.QueryRequest{Resource: r.resource, PQL: "SELECT count(*) FROM events"})
+	resp, err := execute(ctx, r.srv, &transport.QueryRequest{Resource: r.resource, PQL: "SELECT count(*) FROM events"})
 	if err != nil {
 		return 0, err
 	}
@@ -350,7 +369,7 @@ func TestReplicasShareTheStoresBytes(t *testing.T) {
 		}
 	}
 	for _, s := range servers {
-		resp, err := s.Execute(context.Background(), &transport.QueryRequest{Resource: tc.Resource(), PQL: "SELECT sum(clicks) FROM events WHERE country = 'c3'"})
+		resp, err := execute(context.Background(), s, &transport.QueryRequest{Resource: tc.Resource(), PQL: "SELECT sum(clicks) FROM events WHERE country = 'c3'"})
 		if err != nil || len(resp.Exceptions) > 0 {
 			t.Fatalf("%s: %v %v", s.Instance(), err, resp)
 		}

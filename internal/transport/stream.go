@@ -9,18 +9,18 @@ import (
 
 // StreamHandler executes one query, emitting per-segment intermediates in
 // sequence order as they become ready and returning the response trailer.
-// The server package implements it; both the in-memory ServerClient and the
-// TCP data plane drive it, so the two transports share one execution path.
+// The server package implements it; TCPQueryServer drives it, writing each
+// intermediate as a segment frame, under a context cancelled on hang-up.
 type StreamHandler interface {
 	ExecuteStream(ctx context.Context, req *QueryRequest, emit func(seq int, res *query.Intermediate) error) (*FinalFrame, error)
 }
 
 // StreamMerger incrementally folds the segment frames of one streamed
 // response into a single intermediate. The engine emits frames in sequence
-// order and they cross one ordered connection (or one synchronous call in
-// process), so a sequence number other than the next one — a duplicate, a
-// gap, a reordering — is a corrupt stream and refused. It is not safe for
-// concurrent use; one response stream has one reader.
+// order and they cross one ordered connection, so a sequence number other
+// than the next one — a duplicate, a gap, a reordering — is a corrupt
+// stream and refused. It is not safe for concurrent use; one response
+// stream has one reader.
 type StreamMerger struct {
 	merged *query.Intermediate
 	next   int

@@ -31,26 +31,64 @@ func NewTCPQueryServer(handler StreamHandler) *TCPQueryServer {
 	return s
 }
 
+// frameRead is a frame read off a connection, or the error that ended it.
+type frameRead struct {
+	typ     uint8
+	payload []byte
+	err     error
+}
+
+// serveConn serves one connection's requests in order. Its reader runs one
+// read ahead of the query being served, so whatever arrives meanwhile (EOF,
+// a reset, or an early frame, which the protocol forbids) cancels the query.
 func (s *TCPQueryServer) serveConn(conn net.Conn) {
-	var fr wire.FrameReader // requests arrive one at a time: one buffer serves them all
+	reads := make(chan frameRead, 1)
+	started := make(chan context.CancelFunc)
+	defer close(started)
+	go readFrames(conn, reads, started)
 	for {
-		typ, payload, err := fr.Read(conn, &dataPlane)
-		if err != nil {
+		r := <-reads
+		var err error
+		switch {
+		case r.err != nil:
 			return // EOF, reset, or framing violation: drop the connection
-		}
-		switch typ {
-		case FrameQuery:
-			err = s.serveQuery(conn, payload)
-		case FrameConsumed:
-			err = s.serveConsumed(conn, payload)
-		case FrameCommit:
-			err = s.serveCommit(conn, payload)
+		case r.typ == FrameQuery:
+			err = s.serveQuery(conn, r.payload, started)
+		case r.typ == FrameConsumed:
+			err = s.serveConsumed(conn, r.payload)
+			started <- nil // served: the reader may reuse the payload's buffer
+		case r.typ == FrameCommit:
+			err = s.serveCommit(conn, r.payload)
+			started <- nil
 		default:
 			// A response frame type on the request stream: protocol
 			// violation, drop the connection.
 			return
 		}
 		if err != nil {
+			return
+		}
+	}
+}
+
+// readFrames reads conn's frames into reads. Every payload lives in the one
+// buffer of fr, so after a frame it waits on started until the payload has
+// been decoded; it receives the cancel func of the query being served (nil
+// for other requests) and calls it on the next read result.
+func readFrames(conn net.Conn, reads chan<- frameRead, started <-chan context.CancelFunc) {
+	var fr wire.FrameReader
+	var cancel context.CancelFunc
+	for {
+		typ, payload, err := fr.Read(conn, &dataPlane)
+		if cancel != nil {
+			cancel()
+		}
+		reads <- frameRead{typ, payload, err}
+		if err != nil {
+			return
+		}
+		var ok bool
+		if cancel, ok = <-started; !ok {
 			return
 		}
 	}
@@ -63,19 +101,20 @@ func writeErrorFrame(conn net.Conn, msg string) error {
 	return err
 }
 
-func (s *TCPQueryServer) serveQuery(conn net.Conn, payload []byte) error {
+func (s *TCPQueryServer) serveQuery(conn net.Conn, payload []byte, started chan<- context.CancelFunc) error {
 	req, err := DecodeQueryFrame(payload)
 	if err != nil {
 		return err // undecodable request: framing no longer trustworthy
 	}
+	// The handler runs under a context cancelled when the client hangs up
+	// (the reader calls cancel on whatever it reads next) or when a frame
+	// write fails, so a gone broker stops the server's work at once.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started <- cancel
 	if s.Handler == nil {
 		return writeErrorFrame(conn, "transport: no query handler on this endpoint")
 	}
-	// The handler runs under a context cancelled if a frame write fails, so
-	// a dead broker stops server-side work instead of leaving it running
-	// against a closed socket.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var writeErr error
 	trailer, err := s.Handler.ExecuteStream(ctx, req, func(seq int, res *query.Intermediate) error {
 		// A result the codec cannot carry fails the query with an error

@@ -67,12 +67,15 @@ func startServer(t *testing.T, srv *TCPQueryServer) string {
 
 // TestTCPServerQueryRoundTrip drives the full server path package-locally:
 // query frame in, streamed segment frames and trailer out, merged by the
-// client, with the connection pooled and reused across requests.
+// client, with the connection pooled and reused across requests. The
+// server reads one frame ahead of the query it serves; after a query ends
+// that read is the next request, on the same connection.
 func TestTCPServerQueryRoundTrip(t *testing.T) {
 	addr := startServer(t, NewTCPQueryServer(&echoHandler{frames: 3}))
 	pool := NewPool()
 	defer pool.Close()
 	client := NewTCPClient(addr, pool)
+	var first net.Conn
 	for i := 0; i < 3; i++ {
 		resp, err := client.Execute(context.Background(), &QueryRequest{Resource: "r", PQL: "SELECT count(*) FROM t"})
 		if err != nil {
@@ -84,6 +87,13 @@ func TestTCPServerQueryRoundTrip(t *testing.T) {
 		if resp.Result.Stats.NumSegmentsQueried != 3 {
 			t.Fatalf("trailer stats lost: %+v", resp.Result.Stats)
 		}
+		pool.mu.Lock()
+		idle := append([]pooledConn(nil), pool.idle[addr]...)
+		pool.mu.Unlock()
+		if len(idle) != 1 || i > 0 && idle[0].conn != first {
+			t.Fatalf("execute %d: want the one pooled connection back, pool holds %d", i, len(idle))
+		}
+		first = idle[0].conn
 	}
 }
 
@@ -487,5 +497,56 @@ func TestTruncatedFrameCountsAsDecodeFailure(t *testing.T) {
 	}
 	if got := reg.Total(name); got != 3 {
 		t.Fatalf("a good frame counted as a decode failure")
+	}
+}
+
+// stallHandler stands in for a server under InjectLatency: each query waits
+// out the delay or its context, whichever ends first, and reports when it
+// returned.
+type stallHandler struct {
+	delay    time.Duration
+	returned chan time.Time
+}
+
+func (h *stallHandler) ExecuteStream(ctx context.Context, req *QueryRequest, emit func(seq int, res *query.Intermediate) error) (*FinalFrame, error) {
+	defer func() { h.returned <- time.Now() }()
+	timer := time.NewTimer(h.delay)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-timer.C:
+	}
+	if err := emit(0, countFrame(0, 1).Result); err != nil {
+		return nil, err
+	}
+	return &FinalFrame{Frames: 1}, nil
+}
+
+// TestServerStopsWhenClientHangsUp: a client whose budget runs out closes
+// its connection, and the server's handler, still waiting out its latency,
+// is cancelled at once instead of running on until its own budget ends. The
+// abandoned connection never goes back to the pool.
+func TestServerStopsWhenClientHangsUp(t *testing.T) {
+	h := &stallHandler{delay: 2 * time.Second, returned: make(chan time.Time, 1)}
+	addr := startServer(t, NewTCPQueryServer(h))
+	pool := NewPool()
+	defer pool.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err := NewTCPClient(addr, pool).Execute(ctx, &QueryRequest{Resource: "r", PQL: "SELECT count(*) FROM t"})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	select {
+	case <-h.returned:
+	case <-time.After(500 * time.Millisecond):
+		t.Fatal("the handler was still running 500ms after the client hung up")
+	}
+	pool.mu.Lock()
+	idle := len(pool.idle[addr])
+	pool.mu.Unlock()
+	if idle != 0 {
+		t.Fatalf("the abandoned connection went back to the pool (%d idle)", idle)
 	}
 }

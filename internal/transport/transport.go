@@ -1,7 +1,7 @@
 // Package transport defines the broker↔server and server↔controller wire
-// contracts. The in-process cluster passes these structs directly; the TCP
-// data plane carries them as length-prefixed frames (frame.go) whose payloads
-// are written and read by the binary codec in codec.go.
+// contracts and their one data plane, used in process as across processes:
+// length-prefixed frames over TCP (frame.go, tcp.go) on pooled connections
+// (pool.go), whose payloads the binary codec in codec.go writes and reads.
 package transport
 
 import (
