@@ -218,8 +218,8 @@ func TestClusterQueryTraceBudgetLedger(t *testing.T) {
 
 // TestServerUsageMetricsAreTheResponseStats: the servers' scan counters and
 // group-state histogram move by exactly the NumDocsScanned, NumEntriesScanned
-// and GroupStateBytes of the broker's response — the servers sum the Stats of
-// the frames they emit, the same Stats the broker folds.
+// and GroupStateBytes of the broker's response — each server counts the
+// Stats of the one result it sends, the same Stats the broker folds.
 func TestServerUsageMetricsAreTheResponseStats(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c, err := NewLocal(Options{Servers: 2, Metrics: reg})

@@ -53,6 +53,21 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if _, err := c.Broker().Execute(context.Background(), "SELECT count(*) FROM events WHERE country = 'us'", "gold"); err != nil {
 		t.Fatal(err)
 	}
+	// One response per server call: a fresh query (the result cache has not
+	// seen it) reaching N servers reads 3N data-plane frames. The counter is
+	// process-wide, so that is the N requests the servers read and the one
+	// segment frame and one trailer the broker reads back from each.
+	recv := reg.Total("pinot_transport_frames_recv_total")
+	fresh, err := c.Execute(context.Background(), "SELECT max(clicks) FROM events WHERE memberId > 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fresh.ServersQueried; n < 2 || fresh.ServersResponded != n || len(fresh.ServerExceptions) > 0 {
+		t.Fatalf("fresh query: %d servers queried, %d responded, %v; want 2 clean calls", n, fresh.ServersResponded, fresh.ServerExceptions)
+	}
+	if got, want := reg.Total("pinot_transport_frames_recv_total")-recv, int64(3*fresh.ServersQueried); got != want {
+		t.Fatalf("a query to %d servers read %d frames, want %d", fresh.ServersQueried, got, want)
+	}
 	// Two bad requests: unparseable PQL and an unknown table. Neither may
 	// count as a served query.
 	if _, err := c.Execute(context.Background(), "SELECT FROM WHERE"); err == nil {

@@ -31,7 +31,7 @@ func aggCacheable(q *pql.Query, is IndexedSegment) bool {
 }
 
 // aggCacheKey renders the (filter signature, aggregation signature) part of
-// the cache key; the segment ID is the cache scope. ExecuteStream renders it
+// the cache key; the segment ID is the cache scope. Execute renders it
 // once per distinct query and hands it to each segment's execution. The filter is
 // canonicalized so commuted predicates collide, and TOP/LIMIT/ORDER are
 // deliberately excluded: per-segment group-by intermediates carry every

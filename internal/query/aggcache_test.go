@@ -510,14 +510,7 @@ func TestAggCacheCorruptEntryIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *Result {
-		var merged *Intermediate
-		_, excs, err := e.ExecuteStream(context.Background(), q, segs, nil, func(_ int, res *Intermediate) error {
-			if merged == nil {
-				merged = res
-				return nil
-			}
-			return merged.Merge(res)
-		})
+		merged, excs, err := e.Execute(context.Background(), q, segs, nil)
 		if err != nil || len(excs) > 0 {
 			t.Fatalf("err = %v, exceptions = %v", err, excs)
 		}
@@ -563,11 +556,7 @@ func TestAggCacheUnencodableResultIsNotStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		var got *Intermediate
-		_, excs, err := e.ExecuteStream(context.Background(), q, segs, nil, func(_ int, res *Intermediate) error {
-			got = res
-			return nil
-		})
+		got, excs, err := e.Execute(context.Background(), q, segs, nil)
 		if err != nil || len(excs) > 0 {
 			t.Fatalf("err = %v, exceptions = %v", err, excs)
 		}

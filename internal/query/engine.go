@@ -42,51 +42,28 @@ type Engine struct {
 }
 
 // Execute runs a parsed query over the given segments and returns the merged
-// (but not finalized) partial result. A context cancellation or deadline
+// (but not finalized) partial result, its segments folded in segment-index
+// order — selection merges append rows, so order is semantics — and the
+// pruning work folded into its Stats. A context cancellation or deadline
 // produces a best-effort partial result with an exception note, matching the
 // paper's partial-result semantics (3.3.3 step 7): undispatched segments are
 // skipped, and in-flight segments stop cooperatively at the next block
 // boundary — both count (and the cancelled ones are named) in the timeout
-// exception.
+// exception. A merge error cancels outstanding segment work and is returned
+// as the execution error.
 func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegment, tableSchema *segment.Schema) (*Intermediate, []string, error) {
-	var merged *Intermediate
-	trailerStats, exceptions, err := e.ExecuteStream(ctx, q, segs, tableSchema, func(_ int, res *Intermediate) error {
-		if merged == nil {
-			merged = res
-			return nil
-		}
-		return merged.Merge(res)
-	})
-	if err != nil {
-		return nil, exceptions, err
+	empty := func(stats Stats) *Intermediate {
+		res := EmptyIntermediate(q, tableSchema)
+		res.Stats = stats
+		return res
 	}
-	if merged == nil {
-		merged = EmptyIntermediate(q, tableSchema)
-	}
-	merged.Stats.Merge(trailerStats)
-	return merged, exceptions, nil
-}
-
-// ExecuteStream is the streaming core of Execute: each per-segment
-// intermediate is handed to emit as soon as it is ready, tagged with a
-// contiguous sequence number starting at zero. Emission is eager but ordered
-// — results stream out in segment-index order via a reorder buffer — so a
-// consumer that merges frames as they arrive produces byte-for-byte the same
-// result as the buffered path (selection merges append rows, so order is
-// semantics). The returned Stats are trailer stats (pruning work not
-// attributable to any emitted segment); the consumer folds them into its
-// merged result. If nothing was produced and the query did not fail, a
-// single empty intermediate of the right shape is emitted so consumers
-// always see at least one frame. An emit error cancels outstanding segment
-// work and is returned as the execution error.
-func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []IndexedSegment, tableSchema *segment.Schema, emit func(seq int, res *Intermediate) error) (Stats, []string, error) {
-	var trailer Stats
 	if len(segs) == 0 {
-		return trailer, nil, emit(0, EmptyIntermediate(q, tableSchema))
+		return empty(Stats{}), nil, nil
 	}
 	// Server-side pruning: drop segments whose metadata proves the filter
 	// matches nothing, and elide filters proven to match everything. Each
 	// kept segment carries the query it should run (queries[i]).
+	var pruned Stats
 	queries := make([]*pql.Query, len(segs))
 	if e.Options.DisablePruning {
 		for i := range queries {
@@ -94,9 +71,9 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 		}
 	} else {
 		plan := planPruning(q, segs, tableSchema, e.Options)
-		segs, queries, trailer = plan.keep, plan.queries, plan.stats
+		segs, queries, pruned = plan.keep, plan.queries, plan.stats
 		if len(segs) == 0 {
-			return trailer, nil, emit(0, EmptyIntermediate(q, tableSchema))
+			return empty(pruned), nil, nil
 		}
 	}
 	ctx, cancel := context.WithCancel(ctx)
@@ -154,21 +131,22 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 		close(outcomes)
 	}()
 
-	// Reorder buffer: outcomes arrive in completion order, but frames go out
-	// in segment-index order the moment their predecessors have resolved.
+	// Reorder buffer: outcomes arrive in completion order, but fold in
+	// segment-index order the moment their predecessors have resolved.
 	results := make([]outcome, len(segs))
 	arrived := make([]bool, len(segs))
 	next := 0
 
+	var merged *Intermediate
 	var errExcs []string
 	var cancelled []string
-	var firstErr, emitErr error
-	succeeded, dispatched, emitted := 0, 0, 0
+	var firstErr, mergeErr error
+	succeeded, dispatched := 0, 0
 	for o := range outcomes {
 		dispatched++
 		results[o.index], arrived[o.index] = o, true
-		if emitErr != nil {
-			continue // draining after a dead consumer; workers are cancelled
+		if mergeErr != nil {
+			continue // draining after a failed merge; workers are cancelled
 		}
 		for next < len(segs) && arrived[next] {
 			o := results[next]
@@ -190,20 +168,20 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 				continue
 			}
 			succeeded++
-			if err := emit(emitted, o.res); err != nil {
-				emitErr = err
+			if merged == nil {
+				merged = o.res
+			} else if mergeErr = merged.Merge(o.res); mergeErr != nil {
 				cancel()
 				break
 			}
-			emitted++
 		}
 	}
 	skipped := len(segs) - dispatched
 	if e.OnOutcome != nil {
 		e.OnOutcome(succeeded, len(cancelled), skipped)
 	}
-	if emitErr != nil {
-		return trailer, errExcs, emitErr
+	if mergeErr != nil {
+		return nil, errExcs, mergeErr
 	}
 	var exceptions []string
 	if n := skipped + len(cancelled); n > 0 {
@@ -218,17 +196,16 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *pql.Query, segs []Indexed
 	if succeeded == 0 && firstErr != nil {
 		// Every attempted segment failed outright (bad column, bad
 		// aggregation, ...): that is a query error, not degradation.
-		return trailer, exceptions, firstErr
+		return nil, exceptions, firstErr
 	}
-	if emitted == 0 {
+	if merged == nil {
 		// Everything was skipped by the deadline: an empty result
 		// marked partial, per the paper's graceful-degradation
 		// semantics.
-		if err := emit(0, EmptyIntermediate(q, tableSchema)); err != nil {
-			return trailer, exceptions, err
-		}
+		return empty(pruned), exceptions, nil
 	}
-	return trailer, exceptions, nil
+	merged.Stats.Merge(pruned)
+	return merged, exceptions, nil
 }
 
 // EmptyIntermediate produces the intermediate of the right shape for a query

@@ -282,9 +282,11 @@ func (s *Server) handleTransition(resource, partition, from, to string) error {
 
 // ExecuteStream runs a query on this server's share of a resource's
 // segments (paper 3.3.3 steps 4–6); it is the transport.StreamHandler the
-// data plane serves. Per-segment intermediates go to emit in sequence order
-// the moment they are ready, and the returned trailer carries the frame
-// count, exceptions, trailer stats and the server-side trace.
+// data plane serves. The engine folds the segments into one intermediate,
+// handed once to emit as sequence 0, and the returned trailer carries the
+// frame count (1), exceptions and the server-side trace. The emit callback
+// is kept only because the benchmark harness wraps this signature to time
+// the encode and write inside it.
 func (s *Server) ExecuteStream(ctx context.Context, req *transport.QueryRequest, emit func(seq int, res *query.Intermediate) error) (trailer *transport.FinalFrame, err error) {
 	s.met.queries.Inc()
 	defer func() {
@@ -331,26 +333,18 @@ func (s *Server) ExecuteStream(ctx context.Context, req *transport.QueryRequest,
 		case <-time.After(d):
 		}
 	}
-	trailer = &transport.FinalFrame{}
-	// The usage metrics are the sums of the emitted frames' Stats, each read
-	// before emit hands the frame to a consumer that may merge into it.
+	trailer = &transport.FinalFrame{Frames: 1}
+	// The usage metrics are the response's Stats, read before emit hands
+	// the result to a consumer that may merge into it.
 	var used query.Stats
 	run := func() error {
-		stop := qc.Clock(qctx.PhaseExecute)
-		emitted := 0
-		stats, exceptions, err := s.engine.ExecuteStream(ctx, q, segs, t.effectiveSchema(), func(seq int, res *query.Intermediate) error {
-			emitted++
-			used.Merge(res.Stats)
-			return emit(seq, res)
-		})
-		stop()
+		defer qc.Clock(qctx.PhaseExecute)()
+		merged, exceptions, err := s.engine.Execute(ctx, q, segs, t.effectiveSchema())
 		if err != nil {
 			return err
 		}
-		trailer.Frames = emitted
-		trailer.Exceptions = exceptions
-		trailer.Stats = stats
-		return nil
+		used, trailer.Exceptions = merged.Stats, exceptions
+		return emit(0, merged)
 	}
 	if s.sched != nil {
 		tenant := req.Tenant

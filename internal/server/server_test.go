@@ -118,22 +118,21 @@ func (r *rig) produce(n int) {
 	}
 }
 
-// execute runs req through ExecuteStream and folds the emitted frames and
-// the trailer with a StreamMerger, as a data-plane client folds the frames
-// it reads.
+// execute runs req through ExecuteStream and returns its one emitted
+// intermediate with the trailer, as a data-plane client reads them.
 func execute(ctx context.Context, s *Server, req *transport.QueryRequest) (*transport.QueryResponse, error) {
-	m := transport.NewStreamMerger()
-	trailer, err := s.ExecuteStream(ctx, req, func(seq int, res *query.Intermediate) error {
-		return m.Add(&transport.SegmentFrame{Seq: seq, Result: res})
+	var res *query.Intermediate
+	trailer, err := s.ExecuteStream(ctx, req, func(seq int, r *query.Intermediate) error {
+		if res != nil || seq != 0 {
+			return fmt.Errorf("frame %d after the response's one frame", seq)
+		}
+		res = r
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	merged, err := m.Finish(trailer)
-	if err != nil {
-		return nil, err
-	}
-	return &transport.QueryResponse{Result: merged, Exceptions: trailer.Exceptions, Trace: trailer.Trace}, nil
+	return &transport.QueryResponse{Result: res, Exceptions: trailer.Exceptions, Trace: trailer.Trace}, nil
 }
 
 func (r *rig) count(ctx context.Context) (int64, error) {

@@ -9,10 +9,10 @@ import (
 )
 
 // The TCP data plane speaks internal/wire's frames under magic 'P'. A query
-// is one FrameQuery; the response is zero or more FrameSegment frames (one
-// per emitted per-segment intermediate, sequence-numbered contiguously from
-// zero) terminated by exactly one FrameFinal trailer, or a FrameError if the
-// query failed outright. Controller completion ops use the request/response
+// is one FrameQuery; the response is one FrameSegment (the server's segments
+// folded into one intermediate, sequence 0) followed by one FrameFinal
+// trailer counting it, or a FrameError if the query failed outright. Any
+// other response is a protocol error, and the client drops the connection. Controller completion ops use the request/response
 // frame pairs below on the same framing. Payloads are the binary codec of
 // codec.go.
 
@@ -55,18 +55,17 @@ func sendFrame(w io.Writer, typ uint8, fill func(*wire.Encoder)) (encoded bool, 
 	return dataPlane.Send(w, typ, fill)
 }
 
-// SegmentFrame carries one per-segment intermediate of a streamed response.
-// Seq numbers are contiguous from zero within a response; the merger refuses
-// any other.
+// SegmentFrame carries a response's intermediate. A response has one, with
+// Seq 0; the client refuses any other.
 type SegmentFrame struct {
 	Seq    int
 	Result *query.Intermediate
 }
 
-// FinalFrame is the trailer of a streamed response: how many segment frames
-// preceded it (so truncation is detectable), server-side exceptions and
-// trace, and trailer stats not attributable to any one emitted segment
-// (pruning work).
+// FinalFrame is the trailer of a response: how many segment frames preceded
+// it (1; any other count is refused), server-side exceptions and trace, and
+// stats the client folds into the result (the server folds its own into the
+// segment frame and sends these zero).
 type FinalFrame struct {
 	Frames     int
 	Exceptions []string
@@ -74,7 +73,7 @@ type FinalFrame struct {
 	Stats      query.Stats
 }
 
-// ErrorFrame aborts a streamed response with a server-side query error.
+// ErrorFrame is the response to a query that failed at the server.
 type ErrorFrame struct {
 	Message string
 }

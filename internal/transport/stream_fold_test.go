@@ -15,12 +15,11 @@ import (
 )
 
 // TestStreamedFramesFoldLikeTheEngine: a seeded query set runs through
-// Engine.ExecuteStream over a few segments, and each emitted intermediate is
-// folded twice — in memory, as Engine.Execute folds, and as a segment frame
-// written to and read from the frame layer, decoded and merged by a
-// StreamMerger that the encoded trailer closes. Both finalize to the same
-// rows and the same Stats: what a broker folds off the wire is what the
-// engine would have folded in process.
+// Engine.Execute over a few segments, and the folded intermediate is written
+// as a server's response — its one segment frame and the trailer — to the
+// frame layer, read back and decoded. Both finalize to the same rows and the
+// same Stats: what a broker reads off the wire is what the server's engine
+// folded in memory.
 func TestStreamedFramesFoldLikeTheEngine(t *testing.T) {
 	anomaly := workload.Anomaly(workload.SizeConfig{Segments: 3, RowsPerSegment: 1500, Seed: 11})
 	wvmp := workload.ShareAnalytics(workload.SizeConfig{Segments: 3, RowsPerSegment: 1500, Seed: 7})
@@ -65,64 +64,39 @@ func TestStreamedFramesFoldLikeTheEngine(t *testing.T) {
 	}
 }
 
-// foldBothWays runs q once and returns its result folded in memory and
-// folded from the encoded frames.
+// foldBothWays runs q once and returns its result finalized in memory and
+// finalized from the encoded response.
 func foldBothWays(q *pql.Query, segs []query.IndexedSegment, schema *segment.Schema) (mem, fromFrames *query.Result, err error) {
-	var (
-		stream bytes.Buffer
-		merged *query.Intermediate
-		frames int
-	)
-	eng := &query.Engine{}
-	trailerStats, exceptions, err := eng.ExecuteStream(context.Background(), q, segs, schema, func(seq int, res *query.Intermediate) error {
-		// Encode before the in-memory fold can merge into res.
-		if _, err := sendFrame(&stream, FrameSegment, func(e *wire.Encoder) { encodeSegmentFrame(e, seq, res) }); err != nil {
-			return err
-		}
-		frames++
-		if merged == nil {
-			merged = res
-			return nil
-		}
-		return merged.Merge(res)
-	})
+	merged, exceptions, err := (&query.Engine{}).Execute(context.Background(), q, segs, schema)
 	if err != nil {
 		return nil, nil, err
 	}
-	merged.Stats.Merge(trailerStats)
-	trailer := &FinalFrame{Frames: frames, Exceptions: exceptions, Stats: trailerStats}
-	if _, err := sendFrame(&stream, FrameFinal, func(e *wire.Encoder) { encodeFinalFrame(e, trailer) }); err != nil {
+	var stream bytes.Buffer
+	if _, err := sendFrame(&stream, FrameSegment, func(e *wire.Encoder) { encodeSegmentFrame(e, 0, merged) }); err != nil {
+		return nil, nil, err
+	}
+	if _, err := sendFrame(&stream, FrameFinal, func(e *wire.Encoder) { encodeFinalFrame(e, &FinalFrame{Frames: 1, Exceptions: exceptions}) }); err != nil {
 		return nil, nil, err
 	}
 
 	var fr wire.FrameReader
-	m := NewStreamMerger()
-	for {
+	var decoded *SegmentFrame
+	for _, want := range []uint8{FrameSegment, FrameFinal} {
 		typ, payload, err := fr.Read(&stream, &dataPlane)
 		if err != nil {
 			return nil, nil, err
 		}
-		switch typ {
-		case FrameSegment:
-			sf, err := DecodeSegmentFrame(payload)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := m.Add(sf); err != nil {
-				return nil, nil, err
-			}
-		case FrameFinal:
-			ff, err := DecodeFinalFrame(payload)
-			if err != nil {
-				return nil, nil, err
-			}
-			decoded, err := m.Finish(ff)
-			if err != nil {
-				return nil, nil, err
-			}
-			return merged.Finalize(q), decoded.Finalize(q), nil
-		default:
-			return nil, nil, fmt.Errorf("frame type %d in a response stream", typ)
+		if typ != want {
+			return nil, nil, fmt.Errorf("frame type %d in a response, want %d", typ, want)
+		}
+		if typ == FrameSegment {
+			decoded, err = DecodeSegmentFrame(payload)
+		} else {
+			_, err = DecodeFinalFrame(payload)
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 	}
+	return merged.Finalize(q), decoded.Result.Finalize(q), nil
 }

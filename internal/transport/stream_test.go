@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -23,130 +24,7 @@ func countFrame(seq int, n int64) *SegmentFrame {
 	return &SegmentFrame{Seq: seq, Result: inter}
 }
 
-func mergedCount(t *testing.T, res *query.Intermediate) int64 {
-	t.Helper()
-	if res == nil || res.Groups.Len() != 1 {
-		t.Fatalf("bad merged result: %+v", res)
-	}
-	return res.Groups.State(0, 0).Count
-}
-
-func TestStreamMergerInOrder(t *testing.T) {
-	m := NewStreamMerger()
-	for i := 0; i < 3; i++ {
-		if err := m.Add(countFrame(i, 10)); err != nil {
-			t.Fatalf("add %d: %v", i, err)
-		}
-	}
-	res, err := m.Finish(&FinalFrame{Frames: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mergedCount(t, res); got != 30 {
-		t.Fatalf("count = %d, want 30", got)
-	}
-}
-
-// TestStreamMergerReorder: the engine emits frames in sequence order over one
-// ordered connection, so a reordered frame is a corrupt stream. It is
-// refused, and the refusal leaves the merger where it was.
-func TestStreamMergerReorder(t *testing.T) {
-	m := NewStreamMerger()
-	if err := m.Add(countFrame(1, 2)); err == nil || !strings.Contains(err.Error(), "out of order") {
-		t.Fatalf("want out-of-order error, got %v", err)
-	}
-	for seq := 0; seq < 2; seq++ {
-		if err := m.Add(countFrame(seq, int64(seq+1))); err != nil {
-			t.Fatalf("the refused frame moved the merger: add %d: %v", seq, err)
-		}
-	}
-	res, err := m.Finish(&FinalFrame{Frames: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mergedCount(t, res); got != 3 {
-		t.Fatalf("count = %d, want 3", got)
-	}
-}
-
-// TestStreamMergerDetectsMissingBelowBuffered: a frame that arrives after a
-// gap is refused at once, and the trailer still reports the stream as
-// truncated, so a missing frame below it is never merged over.
-func TestStreamMergerDetectsMissingBelowBuffered(t *testing.T) {
-	m := NewStreamMerger()
-	if err := m.Add(countFrame(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Add(countFrame(2, 1)); err == nil || !strings.Contains(err.Error(), "out of order") {
-		t.Fatalf("want out-of-order error, got %v", err)
-	}
-	if _, err := m.Finish(&FinalFrame{Frames: 3}); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("want truncation error, got %v", err)
-	}
-}
-
-func TestStreamMergerRejectsDuplicates(t *testing.T) {
-	m := NewStreamMerger()
-	if err := m.Add(countFrame(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate of an applied frame.
-	if err := m.Add(countFrame(0, 1)); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("want duplicate error, got %v", err)
-	}
-}
-
-func TestStreamMergerRejectsBadFrames(t *testing.T) {
-	m := NewStreamMerger()
-	if err := m.Add(&SegmentFrame{Seq: 0, Result: nil}); err == nil {
-		t.Fatal("nil result accepted")
-	}
-	if err := m.Add(countFrame(-1, 1)); err == nil {
-		t.Fatal("negative seq accepted")
-	}
-}
-
-// TestStreamMergerDetectsTruncation: the trailer's frame count must catch a
-// stream that lost frames (fewer arrived than the server sent).
-func TestStreamMergerDetectsTruncation(t *testing.T) {
-	m := NewStreamMerger()
-	if err := m.Add(countFrame(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Finish(&FinalFrame{Frames: 3}); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("want truncation error, got %v", err)
-	}
-}
-
-func TestStreamMergerEmptyStreamIsError(t *testing.T) {
-	m := NewStreamMerger()
-	if _, err := m.Finish(&FinalFrame{Frames: 0}); err == nil {
-		t.Fatal("empty stream produced a result; servers always emit at least one frame")
-	}
-}
-
-// TestStreamMergerTrailerStats: pruning stats ride the trailer, not any
-// segment frame, and must land on the merged result.
-func TestStreamMergerTrailerStats(t *testing.T) {
-	m := NewStreamMerger()
-	sf := countFrame(0, 5)
-	sf.Result.Stats.NumDocsScanned = 100
-	if err := m.Add(sf); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Finish(&FinalFrame{Frames: 1, Stats: query.Stats{SegmentsPrunedByServer: 7, NumDocsScanned: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.SegmentsPrunedByServer != 7 {
-		t.Fatalf("trailer prune stats lost: %+v", res.Stats)
-	}
-	if res.Stats.NumDocsScanned != 101 {
-		t.Fatalf("trailer stats must merge additively: %+v", res.Stats)
-	}
-}
-
-// --- TCP client stream behavior against scripted servers ---
+// --- TCP client response reading against scripted servers ---
 
 // scriptedServer accepts one connection, reads one query frame, then writes
 // the scripted raw bytes and optionally leaves the connection open.
@@ -252,33 +130,102 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines leaked: base %d, now %d\n%s", base, runtime.NumGoroutine(), buf[:n])
 }
 
-// TestTCPClientTruncatedFinalTrailer: a trailer claiming more frames than
-// arrived must fail the call, never return a partial merge as complete.
+// replyWith sends one query to a server that answers it with script, and
+// returns the call's outcome and how many connections the pool kept.
+func replyWith(t *testing.T, script []byte) (*QueryResponse, int, error) {
+	t.Helper()
+	addr := scriptedServer(t, script, true)
+	pool := NewPool()
+	defer pool.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	resp, err := NewTCPClient(addr, pool).Execute(ctx, &QueryRequest{Resource: "r", PQL: "SELECT count(*) FROM t"})
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	return resp, len(pool.idle[addr]), err
+}
+
+// refused checks that the reply script failed the call with an error naming
+// want, and that its connection was dropped rather than pooled.
+func refused(t *testing.T, name string, script []byte, want string) {
+	t.Helper()
+	resp, idle, err := replyWith(t, script)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: got %+v, %v; want an error naming %q", name, resp, err, want)
+	}
+	if idle != 0 {
+		t.Errorf("%s: the connection went back to the pool", name)
+	}
+}
+
+// TestRoundTripOneFrameResponse: a well-formed response, one segment frame
+// and a trailer counting it, returns that frame's result and trailer, and
+// the connection goes back to the pool.
+func TestRoundTripOneFrameResponse(t *testing.T) {
+	resp, idle, err := replyWith(t, append(encodeFrame(t, countFrame(0, 30)),
+		encodeFrame(t, &FinalFrame{Frames: 1, Exceptions: []string{"slow"}})...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Result.Groups.State(0, 0).Count; got != 30 || len(resp.Exceptions) != 1 {
+		t.Fatalf("count = %d, exceptions %v; want 30 and the trailer's one", got, resp.Exceptions)
+	}
+	if idle != 1 {
+		t.Fatalf("pool holds %d connections after a clean response, want 1", idle)
+	}
+}
+
+// TestRoundTripFoldsTrailerStats: stats on the trailer land on the result,
+// added to the frame's own.
+func TestRoundTripFoldsTrailerStats(t *testing.T) {
+	sf := countFrame(0, 5)
+	sf.Result.Stats.NumDocsScanned = 100
+	resp, _, err := replyWith(t, append(encodeFrame(t, sf),
+		encodeFrame(t, &FinalFrame{Frames: 1, Stats: query.Stats{SegmentsPrunedByServer: 7, NumDocsScanned: 1}})...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := resp.Result.Stats; st.SegmentsPrunedByServer != 7 || st.NumDocsScanned != 101 {
+		t.Fatalf("trailer stats not folded additively: %+v", st)
+	}
+}
+
+// TestRoundTripRefusesSeqOtherThanZero: the one segment frame of a response
+// is sequence 0. A frame numbered otherwise — what a reordered, gapped or
+// corrupt stream would start with — is refused.
+func TestRoundTripRefusesSeqOtherThanZero(t *testing.T) {
+	for _, seq := range []int{1, 2, -1} {
+		refused(t, fmt.Sprintf("seq %d", seq), append(encodeFrame(t, countFrame(seq, 5)),
+			encodeFrame(t, &FinalFrame{Frames: 1})...), fmt.Sprintf("seq %d", seq))
+	}
+}
+
+// TestRoundTripRefusesEmptyResponse: a trailer with no segment frame before
+// it carries no result, whatever count it claims.
+func TestRoundTripRefusesEmptyResponse(t *testing.T) {
+	for _, frames := range []int{0, 1} {
+		refused(t, fmt.Sprintf("trailer of %d", frames), encodeFrame(t, &FinalFrame{Frames: frames}), "segment frames")
+	}
+}
+
+// TestTCPClientTruncatedFinalTrailer: a trailer whose count is not the one
+// frame that arrived — frames lost in flight, or a multi-frame stream —
+// fails the call, never returning a part as the whole.
 func TestTCPClientTruncatedFinalTrailer(t *testing.T) {
 	base := runtime.NumGoroutine()
-	script := append(
-		encodeFrame(t, countFrame(0, 5)),
-		encodeFrame(t, &FinalFrame{Frames: 3})...,
-	)
-	addr := scriptedServer(t, script, false)
-	_, err := tcpExecute(t, context.Background(), addr)
-	if err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("want truncation error, got %v", err)
+	for _, frames := range []int{0, 2, 3} {
+		refused(t, fmt.Sprintf("trailer of %d", frames), append(encodeFrame(t, countFrame(0, 5)),
+			encodeFrame(t, &FinalFrame{Frames: frames})...), fmt.Sprintf("counts %d segment frames", frames))
 	}
 	waitGoroutines(t, base)
 }
 
-// TestTCPClientDuplicateSeqFromServer: a stream repeating a sequence number
-// is corrupt and must be rejected (not double-merged).
+// TestTCPClientDuplicateSeqFromServer: a second segment frame, a repeat of
+// the first or the next of a stream, is refused rather than merged.
 func TestTCPClientDuplicateSeqFromServer(t *testing.T) {
-	script := append(
-		encodeFrame(t, countFrame(0, 5)),
-		encodeFrame(t, countFrame(0, 5))...,
-	)
-	addr := scriptedServer(t, script, false)
-	_, err := tcpExecute(t, context.Background(), addr)
-	if err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("want duplicate-seq error, got %v", err)
+	for _, second := range []int{0, 1} {
+		refused(t, fmt.Sprintf("second frame seq %d", second), append(encodeFrame(t, countFrame(0, 5)),
+			encodeFrame(t, countFrame(second, 5))...), "second segment frame")
 	}
 }
 

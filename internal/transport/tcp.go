@@ -11,9 +11,18 @@ import (
 	"pinot/internal/wire"
 )
 
+// StreamHandler executes one query, handing its one folded intermediate to
+// emit as sequence 0 and returning the response trailer. The server package
+// implements it; TCPQueryServer drives it, writing the intermediate as the
+// response's one segment frame, under a context cancelled on hang-up. The
+// callback form is kept only because the benchmark harness wraps it to time
+// the encode and write.
+type StreamHandler interface {
+	ExecuteStream(ctx context.Context, req *QueryRequest, emit func(seq int, res *query.Intermediate) error) (*FinalFrame, error)
+}
+
 // TCPQueryServer serves the framed query protocol for one server instance:
-// FrameQuery in, a stream of FrameSegment frames and one FrameFinal (or a
-// FrameError) out. When Controller is set it also answers the segment
+// FrameQuery in, one FrameSegment and one FrameFinal (or a FrameError) out. When Controller is set it also answers the segment
 // completion frames, which lets one listener serve a controller's data
 // plane. Connections handle one request at a time; concurrency comes from
 // the client pool holding several connections.
@@ -183,8 +192,7 @@ type TCPClient struct {
 // NewTCPClient returns a client for one destination.
 func NewTCPClient(addr string, pool *Pool) *TCPClient { return &TCPClient{Addr: addr, Pool: pool} }
 
-// Execute sends the query and merges the streamed response incrementally.
-// Context cancellation or deadline expiry mid-stream surfaces as an error
+// Execute sends the query and reads the one-frame response. Context cancellation or deadline expiry mid-stream surfaces as an error
 // (the connection is discarded, not pooled).
 func (c *TCPClient) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
 	conn, err := c.Pool.Get(ctx, c.Addr)
@@ -247,7 +255,7 @@ func (c *TCPClient) roundTrip(ctx context.Context, conn net.Conn, req *QueryRequ
 	// copy what the result keeps.
 	fr := wire.GetFrameReader()
 	defer fr.Release()
-	merger := NewStreamMerger()
+	var result *query.Intermediate
 	for {
 		typ, payload, err := fr.Read(conn, &dataPlane)
 		if err != nil {
@@ -258,24 +266,28 @@ func (c *TCPClient) roundTrip(ctx context.Context, conn net.Conn, req *QueryRequ
 		}
 		switch typ {
 		case FrameSegment:
+			if result != nil {
+				return nil, errors.New("transport: a second segment frame in one response")
+			}
 			sf, err := DecodeSegmentFrame(payload)
 			if err != nil {
 				return nil, err
 			}
-			if err := merger.Add(sf); err != nil {
-				return nil, err
+			if sf.Seq != 0 {
+				return nil, fmt.Errorf("transport: segment frame seq %d, want 0", sf.Seq)
 			}
+			result = sf.Result
 		case FrameFinal:
 			ff, err := DecodeFinalFrame(payload)
 			if err != nil {
 				return nil, err
 			}
-			result, err := merger.Finish(ff)
-			if err != nil {
-				return nil, err
+			if result == nil || ff.Frames != 1 {
+				return nil, fmt.Errorf("transport: trailer counts %d segment frames, want the one response frame", ff.Frames)
 			}
-			// The frames balanced, but the connection is reusable only if
-			// the cancellation func can no longer touch it: once it has
+			result.Stats.Merge(ff.Stats)
+			// The response is whole, but the connection is reusable only
+			// if the cancellation func can no longer touch it: once it has
 			// fired (or is about to) its past deadline may land after
 			// the connection is back in the pool.
 			if !stop() {

@@ -16,22 +16,21 @@ import (
 	"pinot/internal/wire"
 )
 
-// echoHandler streams a fixed number of count(*) frames per query.
+// echoHandler answers every query with count(*) of 10 per segment, folded
+// into the one response frame as a server folds its segments.
 type echoHandler struct {
-	frames int
-	err    error
+	segments int
+	err      error
 }
 
 func (h *echoHandler) ExecuteStream(ctx context.Context, req *QueryRequest, emit func(seq int, res *query.Intermediate) error) (*FinalFrame, error) {
 	if h.err != nil {
 		return nil, h.err
 	}
-	for seq := 0; seq < h.frames; seq++ {
-		if err := emit(seq, countFrame(seq, 10).Result); err != nil {
-			return nil, err
-		}
+	if err := emit(0, countFrame(0, 10*int64(h.segments)).Result); err != nil {
+		return nil, err
 	}
-	return &FinalFrame{Frames: h.frames, Stats: query.Stats{NumSegmentsQueried: h.frames}}, nil
+	return &FinalFrame{Frames: 1, Stats: query.Stats{NumSegmentsQueried: h.segments}}, nil
 }
 
 // fakeController records and acknowledges completion-protocol calls.
@@ -66,12 +65,12 @@ func startServer(t *testing.T, srv *TCPQueryServer) string {
 }
 
 // TestTCPServerQueryRoundTrip drives the full server path package-locally:
-// query frame in, streamed segment frames and trailer out, merged by the
+// query frame in, the one segment frame and the trailer out, read by the
 // client, with the connection pooled and reused across requests. The
 // server reads one frame ahead of the query it serves; after a query ends
 // that read is the next request, on the same connection.
 func TestTCPServerQueryRoundTrip(t *testing.T) {
-	addr := startServer(t, NewTCPQueryServer(&echoHandler{frames: 3}))
+	addr := startServer(t, NewTCPQueryServer(&echoHandler{segments: 3}))
 	pool := NewPool()
 	defer pool.Close()
 	client := NewTCPClient(addr, pool)
@@ -82,7 +81,7 @@ func TestTCPServerQueryRoundTrip(t *testing.T) {
 			t.Fatalf("execute %d: %v", i, err)
 		}
 		if got := resp.Result.Groups.State(0, 0).Count; got != 30 {
-			t.Fatalf("merged count = %d, want 30", got)
+			t.Fatalf("count = %d, want 30", got)
 		}
 		if resp.Result.Stats.NumSegmentsQueried != 3 {
 			t.Fatalf("trailer stats lost: %+v", resp.Result.Stats)
@@ -125,7 +124,7 @@ func TestTCPServerNoHandler(t *testing.T) {
 // the same listener that serves queries.
 func TestTCPControllerRoundTrip(t *testing.T) {
 	ctrl := &fakeController{}
-	srv := NewTCPQueryServer(&echoHandler{frames: 1})
+	srv := NewTCPQueryServer(&echoHandler{segments: 1})
 	srv.Controller = ctrl
 	addr := startServer(t, srv)
 	pool := NewPool()
@@ -161,7 +160,7 @@ func TestTCPControllerRoundTrip(t *testing.T) {
 // TestTCPServerNoController: completion frames against an endpoint without a
 // controller must error explicitly.
 func TestTCPServerNoController(t *testing.T) {
-	addr := startServer(t, NewTCPQueryServer(&echoHandler{frames: 1}))
+	addr := startServer(t, NewTCPQueryServer(&echoHandler{segments: 1}))
 	pool := NewPool()
 	defer pool.Close()
 	_, err := NewTCPControllerClient(addr, pool).SegmentConsumed(context.Background(), &SegmentConsumedRequest{Segment: "s"})
@@ -173,7 +172,7 @@ func TestTCPServerNoController(t *testing.T) {
 // TestTCPRegistryResolution: the registry resolves known instances and routes
 // around unknown ones.
 func TestTCPRegistryResolution(t *testing.T) {
-	addr := startServer(t, NewTCPQueryServer(&echoHandler{frames: 2}))
+	addr := startServer(t, NewTCPQueryServer(&echoHandler{segments: 2}))
 	pool := NewPool()
 	defer pool.Close()
 	reg := NewTCPRegistry(func(instance string) (string, bool) {
@@ -201,7 +200,7 @@ func TestTCPRegistryResolution(t *testing.T) {
 // TestPoolReapsIdleConnections: a connection idling past the timeout is
 // closed by the reaper, and the next Get dials fresh.
 func TestPoolReapsIdleConnections(t *testing.T) {
-	addr := startServer(t, NewTCPQueryServer(&echoHandler{frames: 1}))
+	addr := startServer(t, NewTCPQueryServer(&echoHandler{segments: 1}))
 	pool := NewPool()
 	pool.IdleTimeout = 10 * time.Millisecond
 	defer pool.Close()
@@ -232,7 +231,7 @@ func TestPoolReapsIdleConnections(t *testing.T) {
 
 // TestPoolMaxIdlePerHost: returns beyond the cap close instead of pooling.
 func TestPoolMaxIdlePerHost(t *testing.T) {
-	addr := startServer(t, NewTCPQueryServer(&echoHandler{frames: 1}))
+	addr := startServer(t, NewTCPQueryServer(&echoHandler{segments: 1}))
 	pool := NewPool()
 	pool.MaxIdlePerHost = 1
 	defer pool.Close()
@@ -266,7 +265,7 @@ func TestPoolMaxIdlePerHost(t *testing.T) {
 // callers share one pool so a late watchdog has a busy scheduler to be late
 // on; every call must succeed.
 func TestCancelAfterReturnNeverPoisonsPool(t *testing.T) {
-	addr := startServer(t, NewTCPQueryServer(&echoHandler{frames: 1}))
+	addr := startServer(t, NewTCPQueryServer(&echoHandler{segments: 1}))
 	pool := NewPool()
 	defer pool.Close()
 	client := NewTCPClient(addr, pool)
@@ -424,7 +423,7 @@ func TestOldWireVersionsAreRefused(t *testing.T) {
 		"v2 header":                rawFrame(2, FrameQuery, []byte{1, 'r', 1, 'q', 0, 0, 0, 0, 0}),
 		"current header, gob body": rawFrame(frameVersion, FrameQuery, gobQueryPayload),
 	} {
-		addr := startServer(t, NewTCPQueryServer(&echoHandler{frames: 1}))
+		addr := startServer(t, NewTCPQueryServer(&echoHandler{segments: 1}))
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
