@@ -40,6 +40,9 @@ cover:
 # Fuzz passes over the hostile-input surfaces: the transport decoders
 # (buffered whole-response payload, the data plane's frame reader and
 # payloads: allocation bounded by what arrived, whatever a header claims),
+# the client's reading of a server's reply (exactly the result of one
+# well-formed segment frame or an error, and a failed connection is never
+# pooled),
 # the metadata endpoint's frames (requests, responses, watch events: linear
 # allocation, and whatever decodes re-encodes to an equal value), the layout of an
 # intermediate where it lives (the bytes both cache tiers store: linear
@@ -68,6 +71,7 @@ fuzz-smoke: FUZZTIME = 5s
 fuzz fuzz-smoke:
 	$(GO) test ./internal/transport -run NONE -fuzz=FuzzDecodeResponse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run NONE -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/transport -run NONE -fuzz=FuzzResponseStream -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkmeta -run NONE -fuzz=FuzzZKFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run NONE -fuzz=FuzzDecodeIntermediate -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pql -run NONE -fuzz=FuzzParsePQL -fuzztime=$(FUZZTIME)
