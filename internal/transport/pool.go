@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"net"
 	"sync"
@@ -33,17 +32,6 @@ type pooledConn struct {
 	conn  net.Conn
 	since time.Time
 }
-
-// bufConn is a dialed connection whose reads go through a buffer that lives,
-// and is pooled, with it, so a small response is usually one read.
-type bufConn struct {
-	net.Conn
-	r *bufio.Reader
-}
-
-func newBufConn(c net.Conn) *bufConn { return &bufConn{Conn: c, r: bufio.NewReader(c)} }
-
-func (c *bufConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
 // NewPool returns a pool with default tuning and starts its reaper.
 func NewPool() *Pool {
@@ -136,18 +124,12 @@ func (p *Pool) Get(ctx context.Context, addr string) (net.Conn, error) {
 	if redial {
 		met.reconnects.Inc()
 	}
-	return newBufConn(conn), nil
+	return conn, nil
 }
 
 // Put returns a healthy connection for reuse. Over-limit or post-Close
-// returns close the connection instead. A connection with bytes buffered
-// but unread is discarded: a clean response leaves none, so the peer is out
-// of step.
+// returns close the connection instead.
 func (p *Pool) Put(addr string, conn net.Conn) {
-	if bc, ok := conn.(*bufConn); ok && bc.r.Buffered() > 0 {
-		p.Discard(conn)
-		return
-	}
 	met := wireMet.Load()
 	p.mu.Lock()
 	if p.closed || len(p.idle[addr]) >= p.maxIdle() {

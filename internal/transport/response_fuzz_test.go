@@ -32,7 +32,7 @@ func FuzzResponseStream(f *testing.F) {
 		client, server := net.Pipe()
 		pool := NewPool()
 		defer pool.Close()
-		pool.Put(addr, newBufConn(client))
+		pool.Put(addr, client)
 		served := make(chan struct{})
 		go func() {
 			defer close(served)

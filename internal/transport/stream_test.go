@@ -285,18 +285,3 @@ func TestTCPClientCancelMidStream(t *testing.T) {
 		t.Fatalf("cancellation took %v to unblock the stream read", elapsed)
 	}
 }
-
-// TestRoundTripDiscardsConnWithBytesPastFinal: a clean response leaves
-// nothing unread, so a server that wrote one byte past the trailer is out of
-// step. The call it answered succeeds, and the connection is discarded, not
-// pooled for the next call to read that byte.
-func TestRoundTripDiscardsConnWithBytesPastFinal(t *testing.T) {
-	resp, idle, err := replyWith(t, append(append(encodeFrame(t, countFrame(0, 5)),
-		encodeFrame(t, &FinalFrame{Frames: 1})...), frameMagic))
-	if err != nil || resp.Result.Groups.State(0, 0).Count != 5 {
-		t.Fatalf("got %+v, %v; want the response's count of 5", resp, err)
-	}
-	if idle != 0 {
-		t.Fatal("a connection with a byte past the trailer went back to the pool")
-	}
-}

@@ -1,11 +1,9 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -52,15 +50,11 @@ type frameRead struct {
 // serveConn serves one connection's requests in order. Its reader runs one
 // read ahead of the query being served, so whatever arrives meanwhile (EOF,
 // a reset, or an early frame, which the protocol forbids) cancels the query.
-// Reads and writes go through buffers of the connection's own; a response's
-// frames are flushed together once its last is written, so a small response
-// is one write.
 func (s *TCPQueryServer) serveConn(conn net.Conn) {
 	reads := make(chan frameRead, 1)
 	started := make(chan context.CancelFunc)
 	defer close(started)
-	go readFrames(bufio.NewReader(conn), reads, started)
-	w := bufio.NewWriter(conn)
+	go readFrames(conn, reads, started)
 	for {
 		r := <-reads
 		var err error
@@ -68,20 +62,17 @@ func (s *TCPQueryServer) serveConn(conn net.Conn) {
 		case r.err != nil:
 			return // EOF, reset, or framing violation: drop the connection
 		case r.typ == FrameQuery:
-			err = s.serveQuery(w, r.payload, started)
+			err = s.serveQuery(conn, r.payload, started)
 		case r.typ == FrameConsumed:
-			err = s.serveConsumed(w, r.payload)
+			err = s.serveConsumed(conn, r.payload)
 			started <- nil // served: the reader may reuse the payload's buffer
 		case r.typ == FrameCommit:
-			err = s.serveCommit(w, r.payload)
+			err = s.serveCommit(conn, r.payload)
 			started <- nil
 		default:
 			// A response frame type on the request stream: protocol
 			// violation, drop the connection.
 			return
-		}
-		if err == nil {
-			err = w.Flush()
 		}
 		if err != nil {
 			return
@@ -89,15 +80,15 @@ func (s *TCPQueryServer) serveConn(conn net.Conn) {
 	}
 }
 
-// readFrames reads r's frames into reads. Every payload lives in the one
+// readFrames reads conn's frames into reads. Every payload lives in the one
 // buffer of fr, so after a frame it waits on started until the payload has
 // been decoded; it receives the cancel func of the query being served (nil
 // for other requests) and calls it on the next read result.
-func readFrames(r io.Reader, reads chan<- frameRead, started <-chan context.CancelFunc) {
+func readFrames(conn net.Conn, reads chan<- frameRead, started <-chan context.CancelFunc) {
 	var fr wire.FrameReader
 	var cancel context.CancelFunc
 	for {
-		typ, payload, err := fr.Read(r, &dataPlane)
+		typ, payload, err := fr.Read(conn, &dataPlane)
 		if cancel != nil {
 			cancel()
 		}
@@ -114,12 +105,12 @@ func readFrames(r io.Reader, reads chan<- frameRead, started <-chan context.Canc
 
 // writeErrorFrame reports a failed request to the peer; the connection stays
 // in step, so only a write failure (returned) drops it.
-func writeErrorFrame(w io.Writer, msg string) error {
-	_, err := sendFrame(w, FrameError, func(e *wire.Encoder) { e.Str(msg) })
+func writeErrorFrame(conn net.Conn, msg string) error {
+	_, err := sendFrame(conn, FrameError, func(e *wire.Encoder) { e.Str(msg) })
 	return err
 }
 
-func (s *TCPQueryServer) serveQuery(w io.Writer, payload []byte, started chan<- context.CancelFunc) error {
+func (s *TCPQueryServer) serveQuery(conn net.Conn, payload []byte, started chan<- context.CancelFunc) error {
 	req, err := DecodeQueryFrame(payload)
 	if err != nil {
 		return err // undecodable request: framing no longer trustworthy
@@ -131,13 +122,13 @@ func (s *TCPQueryServer) serveQuery(w io.Writer, payload []byte, started chan<- 
 	defer cancel()
 	started <- cancel
 	if s.Handler == nil {
-		return writeErrorFrame(w, "transport: no query handler on this endpoint")
+		return writeErrorFrame(conn, "transport: no query handler on this endpoint")
 	}
 	var writeErr error
 	trailer, err := s.Handler.ExecuteStream(ctx, req, func(seq int, res *query.Intermediate) error {
 		// A result the codec cannot carry fails the query with an error
 		// frame; only a failed write loses the connection.
-		encoded, err := sendFrame(w, FrameSegment, func(e *wire.Encoder) { encodeSegmentFrame(e, seq, res) })
+		encoded, err := sendFrame(conn, FrameSegment, func(e *wire.Encoder) { encodeSegmentFrame(e, seq, res) })
 		if encoded && err != nil {
 			writeErr = err
 			cancel()
@@ -148,46 +139,46 @@ func (s *TCPQueryServer) serveQuery(w io.Writer, payload []byte, started chan<- 
 		return writeErr
 	}
 	if err != nil {
-		return writeErrorFrame(w, err.Error())
+		return writeErrorFrame(conn, err.Error())
 	}
-	encoded, err := sendFrame(w, FrameFinal, func(e *wire.Encoder) { encodeFinalFrame(e, trailer) })
+	encoded, err := sendFrame(conn, FrameFinal, func(e *wire.Encoder) { encodeFinalFrame(e, trailer) })
 	if !encoded {
-		return writeErrorFrame(w, err.Error())
+		return writeErrorFrame(conn, err.Error())
 	}
 	return err
 }
 
-func (s *TCPQueryServer) serveConsumed(w io.Writer, payload []byte) error {
+func (s *TCPQueryServer) serveConsumed(conn net.Conn, payload []byte) error {
 	d := wire.NewDecoder(payload)
 	req := decodeConsumedRequest(&d)
 	if err := finish(&d); err != nil {
 		return err
 	}
 	if s.Controller == nil {
-		return writeErrorFrame(w, "transport: no controller on this endpoint")
+		return writeErrorFrame(conn, "transport: no controller on this endpoint")
 	}
 	resp, err := s.Controller.SegmentConsumed(context.Background(), req)
 	if err != nil {
-		return writeErrorFrame(w, err.Error())
+		return writeErrorFrame(conn, err.Error())
 	}
-	_, err = sendFrame(w, FrameConsumedResp, func(e *wire.Encoder) { encodeConsumedResponse(e, resp) })
+	_, err = sendFrame(conn, FrameConsumedResp, func(e *wire.Encoder) { encodeConsumedResponse(e, resp) })
 	return err
 }
 
-func (s *TCPQueryServer) serveCommit(w io.Writer, payload []byte) error {
+func (s *TCPQueryServer) serveCommit(conn net.Conn, payload []byte) error {
 	d := wire.NewDecoder(payload)
 	req := decodeCommitRequest(&d)
 	if err := finish(&d); err != nil {
 		return err
 	}
 	if s.Controller == nil {
-		return writeErrorFrame(w, "transport: no controller on this endpoint")
+		return writeErrorFrame(conn, "transport: no controller on this endpoint")
 	}
 	resp, err := s.Controller.CommitSegment(context.Background(), req)
 	if err != nil {
-		return writeErrorFrame(w, err.Error())
+		return writeErrorFrame(conn, err.Error())
 	}
-	_, err = sendFrame(w, FrameCommitResp, func(e *wire.Encoder) { encodeCommitResponse(e, resp) })
+	_, err = sendFrame(conn, FrameCommitResp, func(e *wire.Encoder) { encodeCommitResponse(e, resp) })
 	return err
 }
 
