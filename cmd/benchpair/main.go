@@ -17,7 +17,10 @@
 // more than its BENCHMARK.json bound. Without -workload it pairs every
 // workload BENCHMARK.json lists.
 // -append adds the comparison as one row to BENCH_TRAJECTORY.json at the root
-// of the repository.
+// of the repository. When the base ref is HEAD and the working tree is clean
+// (the trajectory file aside), both sides build the same source, and the row
+// is tagged "aa": its spread is the noise floor the other rows' verdicts sit
+// beside.
 package main
 
 import (
@@ -70,6 +73,7 @@ type Row struct {
 	Seed      int                     `json:"seed"`
 	Smoke     bool                    `json:"smoke"`
 	Trace     bool                    `json:"trace"`
+	AA        bool                    `json:"aa,omitempty"` // base is HEAD and the tree is clean
 	Workloads map[string]*WorkloadRow `json:"workloads"`
 }
 
@@ -137,6 +141,10 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	aa, err := sameTree(root, baseRev)
+	if err != nil {
+		return err
+	}
 	spec, err := readBenchmark(filepath.Join(root, "BENCHMARK.json"))
 	if err != nil {
 		return err
@@ -161,7 +169,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	row := Row{Date: time.Now().UTC().Format(time.RFC3339), Head: head, Base: baseRev, Pairs: o.n, Seed: o.seed,
-		Smoke: o.smoke, Trace: o.trace, Workloads: map[string]*WorkloadRow{}}
+		Smoke: o.smoke, Trace: o.trace, AA: aa, Workloads: map[string]*WorkloadRow{}}
 	for _, w := range workloads {
 		benchArgs := []string{"-workload", w, "-seed", fmt.Sprint(o.seed)}
 		if o.smoke {
@@ -192,6 +200,18 @@ func run(args []string, out io.Writer) error {
 		path = filepath.Join(root, "BENCH_TRAJECTORY.json")
 	}
 	return appendRow(path, &row)
+}
+
+// sameTree reports whether the working tree at root is commit rev: HEAD is
+// rev and git sees no change, untracked files included, but to the
+// trajectory file.
+func sameTree(root, rev string) (bool, error) {
+	head, err := git(root, "rev-parse", "HEAD")
+	if err != nil || head != rev {
+		return false, err
+	}
+	status, err := git(root, "status", "--porcelain", "--", ".", ":(exclude)BENCH_TRAJECTORY.json")
+	return status == "", err
 }
 
 // git runs git in dir and returns its trimmed output.
@@ -387,6 +407,9 @@ func quartiles(xs []float64) Quartile {
 // printRow prints one table per workload.
 func printRow(out io.Writer, row *Row) {
 	fmt.Fprintf(out, "head %s vs base %s, %d alternated pairs, seed %d\n", row.Head, row.Base, row.Pairs, row.Seed)
+	if row.AA {
+		fmt.Fprintln(out, "A/A: both sides build the same commit, so every difference is noise")
+	}
 	names := make([]string, 0, len(row.Workloads))
 	for w := range row.Workloads {
 		names = append(names, w)

@@ -139,3 +139,47 @@ func TestVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// TestSameTreeTagsAARows: a row is A/A only while the working tree is the
+// base commit. Editing the trajectory keeps it so; an untracked file, an
+// edit to a tracked one, or a base other than HEAD does not.
+func TestSameTreeTagsAARows(t *testing.T) {
+	root := t.TempDir()
+	gitIn := func(args ...string) string {
+		t.Helper()
+		out, err := git(root, append([]string{"-c", "user.name=t", "-c", "user.email=t@t"}, args...)...)
+		if err != nil {
+			t.Skipf("git unavailable: %v", err)
+		}
+		return out
+	}
+	write := func(name, text string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(root, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gitIn("init", "-q")
+	write("main.go", "package main\n")
+	write("BENCH_TRAJECTORY.json", "[]\n")
+	gitIn("add", "-A")
+	gitIn("commit", "-q", "-m", "one")
+	first := gitIn("rev-parse", "HEAD")
+	check := func(step, rev string, want bool) {
+		t.Helper()
+		if got, err := sameTree(root, rev); err != nil || got != want {
+			t.Fatalf("%s: sameTree = %v, %v; want %v", step, got, err, want)
+		}
+	}
+	check("clean checkout", first, true)
+	write("BENCH_TRAJECTORY.json", "[{}]\n")
+	check("trajectory appended", first, true)
+	write("extra.go", "package main\n")
+	check("untracked file", first, false)
+	gitIn("add", "-A")
+	gitIn("commit", "-q", "-m", "two")
+	check("base behind HEAD", first, false)
+	check("base is the new HEAD", gitIn("rev-parse", "HEAD"), true)
+	write("main.go", "package main // edited\n")
+	check("tracked file edited", gitIn("rev-parse", "HEAD"), false)
+}

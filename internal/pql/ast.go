@@ -5,6 +5,7 @@ package pql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -349,36 +350,31 @@ func formatLiteral(v any) string {
 }
 
 // PredicateColumns returns the distinct column names referenced by a
-// predicate tree.
+// predicate tree, in first-seen order. A predicate names a column or two,
+// so a linear scan of the output dedupes them; a map would cost the caller
+// a large stack frame on every call.
 func PredicateColumns(p Predicate) []string {
-	seen := map[string]bool{}
 	var out []string
+	add := func(c string) {
+		if !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	}
 	var walk func(Predicate)
 	walk = func(p Predicate) {
 		switch n := p.(type) {
 		case Comparison:
-			if !seen[n.Column] {
-				seen[n.Column] = true
-				out = append(out, n.Column)
-			}
+			add(n.Column)
 		case In:
-			if !seen[n.Column] {
-				seen[n.Column] = true
-				out = append(out, n.Column)
-			}
+			add(n.Column)
 		case Between:
-			if !seen[n.Column] {
-				seen[n.Column] = true
-				out = append(out, n.Column)
-			}
+			add(n.Column)
 		case ExprCompare:
-			for _, side := range []Expr{n.LHS, n.RHS} {
-				for _, c := range ExprColumns(side) {
-					if !seen[c] {
-						seen[c] = true
-						out = append(out, c)
-					}
-				}
+			for _, c := range ExprColumns(n.LHS) {
+				add(c)
+			}
+			for _, c := range ExprColumns(n.RHS) {
+				add(c)
 			}
 		case And:
 			for _, c := range n.Children {

@@ -244,14 +244,37 @@ func TestWithExtraFilter(t *testing.T) {
 	}
 }
 
+// TestPredicateColumns pins PredicateColumns' output for every predicate
+// node: each column once, in the order the tree first names it.
 func TestPredicateColumns(t *testing.T) {
-	q := mustParse(t, "SELECT count(*) FROM T WHERE a = 1 AND (b IN (1,2) OR NOT c BETWEEN 3 AND 4) AND a = 2")
-	cols := PredicateColumns(q.Filter)
-	if !reflect.DeepEqual(cols, []string{"a", "b", "c"}) {
-		t.Fatalf("columns = %v", cols)
-	}
-	if got := PredicateColumns(nil); got != nil {
-		t.Fatalf("nil predicate columns = %v", got)
+	col := func(name string) Expr { return ColumnRef{Name: name} }
+	sum := func(l, r Expr) Expr { return Arith{Op: OpAdd, L: l, R: r} }
+	for _, c := range []struct {
+		name string
+		p    Predicate
+		want []string
+	}{
+		{"nil", nil, nil},
+		{"comparison", Comparison{Column: "a", Op: OpEq, Value: int64(1)}, []string{"a"}},
+		{"in", In{Column: "b", Values: []any{int64(1)}}, []string{"b"}},
+		{"between", Between{Column: "c", Lo: int64(1), Hi: int64(2)}, []string{"c"}},
+		{"expression both sides", ExprCompare{LHS: sum(col("y"), col("x")), Op: OpGt, RHS: sum(col("x"), col("z"))}, []string{"y", "x", "z"}},
+		{"expression on literals", ExprCompare{LHS: Literal{Value: int64(1)}, Op: OpLt, RHS: Literal{Value: int64(2)}}, nil},
+		{"and repeats", And{Children: []Predicate{
+			Comparison{Column: "a", Op: OpEq, Value: int64(1)},
+			Between{Column: "b", Lo: int64(1), Hi: int64(2)},
+			Comparison{Column: "a", Op: OpGt, Value: int64(0)},
+		}}, []string{"a", "b"}},
+		{"nested and, or, not", mustParse(t, "SELECT count(*) FROM T WHERE a = 1 AND (b IN (1,2) OR NOT c BETWEEN 3 AND 4) AND a = 2").Filter, []string{"a", "b", "c"}},
+		{"or over not over expression", Or{Children: []Predicate{
+			Not{Child: ExprCompare{LHS: sum(col("d"), col("a")), Op: OpEq, RHS: Literal{Value: int64(3)}}},
+			In{Column: "a", Values: []any{"x"}, Negated: true},
+			Not{Child: Or{Children: []Predicate{Comparison{Column: "e", Op: OpNeq, Value: "v"}, Between{Column: "d", Lo: int64(0), Hi: int64(9)}}}},
+		}}, []string{"d", "a", "e"}},
+	} {
+		if got := PredicateColumns(c.p); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: columns = %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 
