@@ -12,9 +12,9 @@ import (
 // is one FrameQuery; the response is one FrameSegment (the server's segments
 // folded into one intermediate, sequence 0) followed by one FrameFinal
 // trailer counting it, or a FrameError if the query failed outright. Any
-// other response is a protocol error, and the client drops the connection. Controller completion ops use the request/response
-// frame pairs below on the same framing. Payloads are the binary codec of
-// codec.go.
+// other response is a protocol error, and the client drops the connection.
+// Controller completion ops use the request/response frame pairs below on
+// the same framing. Payloads are the binary codec of codec.go.
 
 const (
 	frameMagic   = 0x50 // 'P'

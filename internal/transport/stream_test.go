@@ -114,7 +114,7 @@ func encodeFrame(t testing.TB, v any) []byte {
 }
 
 // waitGoroutines waits for the goroutine count to settle back near base;
-// streamed responses must not leak watchdogs or handler goroutines.
+// responses must not leak watchdogs or handler goroutines.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -22,9 +22,9 @@ type StreamHandler interface {
 }
 
 // TCPQueryServer serves the framed query protocol for one server instance:
-// FrameQuery in, one FrameSegment and one FrameFinal (or a FrameError) out. When Controller is set it also answers the segment
-// completion frames, which lets one listener serve a controller's data
-// plane. Connections handle one request at a time; concurrency comes from
+// FrameQuery in, one FrameSegment and one FrameFinal (or a FrameError) out.
+// When Controller is set it also answers the segment completion frames,
+// which lets one listener serve a controller's data plane. Connections handle one request at a time; concurrency comes from
 // the client pool holding several connections.
 type TCPQueryServer struct {
 	Handler    StreamHandler
@@ -192,8 +192,9 @@ type TCPClient struct {
 // NewTCPClient returns a client for one destination.
 func NewTCPClient(addr string, pool *Pool) *TCPClient { return &TCPClient{Addr: addr, Pool: pool} }
 
-// Execute sends the query and reads the one-frame response. Context cancellation or deadline expiry mid-stream surfaces as an error
-// (the connection is discarded, not pooled).
+// Execute sends the query and reads the one-frame response. Context
+// cancellation or deadline expiry mid-response surfaces as an error (the
+// connection is discarded, not pooled).
 func (c *TCPClient) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
 	conn, err := c.Pool.Get(ctx, c.Addr)
 	if err != nil {
