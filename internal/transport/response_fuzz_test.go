@@ -90,6 +90,7 @@ func wellFormedResponse(reply []byte) *QueryResponse {
 }
 
 func encodedResponse(t *testing.T, r *QueryResponse) []byte {
+	t.Helper()
 	b, err := EncodeResponse(r)
 	if err != nil {
 		t.Fatalf("a decoded response does not encode: %v", err)
