@@ -190,13 +190,47 @@ func TestRoundTripFoldsTrailerStats(t *testing.T) {
 	}
 }
 
-// TestRoundTripRefusesSeqOtherThanZero: the one segment frame of a response
-// is sequence 0. A frame numbered otherwise — what a reordered, gapped or
-// corrupt stream would start with — is refused.
-func TestRoundTripRefusesSeqOtherThanZero(t *testing.T) {
-	for _, seq := range []int{1, 2, -1} {
-		refused(t, fmt.Sprintf("seq %d", seq), append(encodeFrame(t, countFrame(seq, 5)),
-			encodeFrame(t, &FinalFrame{Frames: 1})...), fmt.Sprintf("seq %d", seq))
+// The five tests named TestStreamMerger* below keep the names of the checks
+// the client's former multi-frame merger made. A response is now one segment
+// frame, so each property is asserted as a refused round trip.
+
+// TestStreamMergerReorder: the one segment frame of a response is sequence 0.
+// A stream that starts with a later frame — a reordered stream — is refused.
+func TestStreamMergerReorder(t *testing.T) {
+	refused(t, "seq 1 first", append(append(encodeFrame(t, countFrame(1, 2)),
+		encodeFrame(t, countFrame(0, 1))...), encodeFrame(t, &FinalFrame{Frames: 2})...), "seq 1")
+}
+
+// TestStreamMergerDetectsMissingBelowBuffered: a frame that arrives after a
+// gap is refused, whether the gap is below it (seq 2 first) or between it
+// and the first frame (seq 0, then seq 2).
+func TestStreamMergerDetectsMissingBelowBuffered(t *testing.T) {
+	refused(t, "seq 2 first", append(encodeFrame(t, countFrame(2, 1)),
+		encodeFrame(t, &FinalFrame{Frames: 1})...), "seq 2")
+	refused(t, "seq 0 then seq 2", append(append(encodeFrame(t, countFrame(0, 1)),
+		encodeFrame(t, countFrame(2, 1))...), encodeFrame(t, &FinalFrame{Frames: 3})...), "second segment frame")
+}
+
+// TestStreamMergerRejectsDuplicates: a complete stream that repeats frame 0
+// is refused, not merged twice.
+func TestStreamMergerRejectsDuplicates(t *testing.T) {
+	refused(t, "seq 0 twice", append(append(encodeFrame(t, countFrame(0, 1)),
+		encodeFrame(t, countFrame(0, 1))...), encodeFrame(t, &FinalFrame{Frames: 2})...), "second segment frame")
+}
+
+// TestStreamMergerRejectsBadFrames: a negative sequence number is refused.
+// (A frame with no result cannot be encoded, so it never reaches the client.)
+func TestStreamMergerRejectsBadFrames(t *testing.T) {
+	refused(t, "seq -1", append(encodeFrame(t, countFrame(-1, 1)),
+		encodeFrame(t, &FinalFrame{Frames: 1})...), "seq -1")
+}
+
+// TestStreamMergerDetectsTruncation: a trailer counting more frames than
+// arrived — frames lost in flight — fails the call.
+func TestStreamMergerDetectsTruncation(t *testing.T) {
+	for _, frames := range []int{2, 3} {
+		refused(t, fmt.Sprintf("trailer of %d", frames), append(encodeFrame(t, countFrame(0, 1)),
+			encodeFrame(t, &FinalFrame{Frames: frames})...), fmt.Sprintf("counts %d segment frames", frames))
 	}
 }
 
@@ -209,11 +243,11 @@ func TestRoundTripRefusesEmptyResponse(t *testing.T) {
 }
 
 // TestTCPClientTruncatedFinalTrailer: a trailer whose count is not the one
-// frame that arrived — frames lost in flight, or a multi-frame stream —
-// fails the call, never returning a part as the whole.
+// frame that arrived fails the call, never returning a part as the whole,
+// and leaks no goroutine.
 func TestTCPClientTruncatedFinalTrailer(t *testing.T) {
 	base := runtime.NumGoroutine()
-	for _, frames := range []int{0, 2, 3} {
+	for _, frames := range []int{0, 3} {
 		refused(t, fmt.Sprintf("trailer of %d", frames), append(encodeFrame(t, countFrame(0, 5)),
 			encodeFrame(t, &FinalFrame{Frames: frames})...), fmt.Sprintf("counts %d segment frames", frames))
 	}
