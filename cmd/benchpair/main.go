@@ -14,8 +14,10 @@
 // 9 pairs of 10 and the medians lie further apart than the base side's
 // quartiles, "unresolved" otherwise, and "outside bound" besides when the
 // working tree's median of an end-to-end metric is worse than the base's by
-// more than its BENCHMARK.json bound. Without -workload it pairs every
-// workload BENCHMARK.json lists.
+// more than its BENCHMARK.json bound. Beside the verdict stands the smallest
+// effect the latest A/A row of the workload and seed can resolve (see
+// noiseFloors), or "no A/A row". Without -workload it pairs every workload
+// BENCHMARK.json lists.
 // -append adds the comparison as one row to BENCH_TRAJECTORY.json at the root
 // of the repository. When the base ref is HEAD and the working tree is clean
 // (the trajectory file aside), both sides build the same source, and the row
@@ -191,15 +193,54 @@ func run(args []string, out io.Writer) error {
 		}
 		row.Workloads[w] = summarize(runs, spec)
 	}
-	printRow(out, &row)
-	if !o.appendRow {
-		return nil
-	}
 	path := o.trajectory
 	if path == "" {
 		path = filepath.Join(root, "BENCH_TRAJECTORY.json")
 	}
+	floors, err := noiseFloors(path, o.seed, o.trace)
+	if err != nil {
+		return err
+	}
+	printRow(out, &row, floors)
+	if !o.appendRow {
+		return nil
+	}
 	return appendRow(path, &row)
+}
+
+// noiseFloors reads the trajectory at path and returns, per workload and
+// metric, the smallest relative effect the latest A/A row of that workload,
+// seed and mode can resolve: the larger of the gap between its two sides'
+// medians, which identical builds showed, and its base quartile spread,
+// which a verdict must clear, over its base median. A missing file has no
+// rows.
+func noiseFloors(path string, seed int, trace bool) (map[string]map[string]float64, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var rows []Row
+	if err := json.Unmarshal(data, &rows); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	floors := map[string]map[string]float64{}
+	for _, r := range rows {
+		if !r.AA || r.Smoke || r.Seed != seed || r.Trace != trace {
+			continue
+		}
+		for wn, w := range r.Workloads {
+			floors[wn] = map[string]float64{}
+			for name, m := range w.Metrics {
+				if b := m.Stats.Base; b.Median != 0 {
+					floors[wn][name] = max(math.Abs(m.Stats.Head.Median-b.Median), b.Q3-b.Q1) / math.Abs(b.Median)
+				}
+			}
+		}
+	}
+	return floors, nil
 }
 
 // sameTree reports whether the working tree at root is commit rev: HEAD is
@@ -404,8 +445,9 @@ func quartiles(xs []float64) Quartile {
 	return Quartile{Q1: at(0.25), Median: at(0.5), Q3: at(0.75)}
 }
 
-// printRow prints one table per workload.
-func printRow(out io.Writer, row *Row) {
+// printRow prints one table per workload, each metric's verdict beside the
+// noise floor of floors (see noiseFloors).
+func printRow(out io.Writer, row *Row, floors map[string]map[string]float64) {
 	fmt.Fprintf(out, "head %s vs base %s, %d alternated pairs, seed %d\n", row.Head, row.Base, row.Pairs, row.Seed)
 	if row.AA {
 		fmt.Fprintln(out, "A/A: both sides build the same commit, so every difference is noise")
@@ -419,8 +461,8 @@ func printRow(out io.Writer, row *Row) {
 		w := row.Workloads[wn]
 		fmt.Fprintf(out, "\n%s: failed %d base, %d head; incorrect runs %d base, %d head\n\n",
 			wn, w.Failed.Base, w.Failed.Head, w.Incorrect.Base, w.Incorrect.Head)
-		fmt.Fprintln(out, "| metric | base median [q1, q3] | head median [q1, q3] | change | head wins | verdict |")
-		fmt.Fprintln(out, "|---|---|---|---|---|---|")
+		fmt.Fprintln(out, "| metric | base median [q1, q3] | head median [q1, q3] | change | head wins | verdict | A/A floor |")
+		fmt.Fprintln(out, "|---|---|---|---|---|---|---|")
 		metrics := make([]string, 0, len(w.Metrics))
 		for m := range w.Metrics {
 			metrics = append(metrics, m)
@@ -439,8 +481,14 @@ func printRow(out io.Writer, row *Row) {
 			if m.OutsideBound {
 				judged += ", outside bound"
 			}
-			fmt.Fprintf(out, "| %s (%s) | %.8g [%.8g, %.8g] | %.8g [%.8g, %.8g] | %s | %s | %s |\n",
-				name, m.Unit, b.Median, b.Q1, b.Q3, h.Median, h.Q1, h.Q3, change, wins, judged)
+			floor := "no A/A row"
+			if f, ok := floors[wn][name]; ok {
+				floor = fmt.Sprintf("±%.1f%%", 100*f)
+			} else if floors[wn] != nil {
+				floor = "-"
+			}
+			fmt.Fprintf(out, "| %s (%s) | %.8g [%.8g, %.8g] | %.8g [%.8g, %.8g] | %s | %s | %s | %s |\n",
+				name, m.Unit, b.Median, b.Q1, b.Q3, h.Median, h.Q1, h.Q3, change, wins, judged, floor)
 		}
 	}
 }

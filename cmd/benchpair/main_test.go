@@ -140,6 +140,59 @@ func TestVerdicts(t *testing.T) {
 	}
 }
 
+// TestNoiseFloors: the floor of a workload's metric comes from the latest
+// A/A row of that workload with the same seed and mode — the larger of its
+// median gap and its base quartile spread, over its base median — and a
+// workload with no such row has none.
+func TestNoiseFloors(t *testing.T) {
+	metric := func(bq1, bmed, bq3, hmed float64) *MetricSummary {
+		return &MetricSummary{Stats: Sides[Quartile]{Base: Quartile{bq1, bmed, bq3}, Head: Quartile{Median: hmed}}}
+	}
+	row := func(aa bool, seed int, smoke, trace bool, w string, m *MetricSummary) Row {
+		return Row{AA: aa, Seed: seed, Smoke: smoke, Trace: trace,
+			Workloads: map[string]*WorkloadRow{w: {Metrics: map[string]*MetricSummary{"cpu_ms_per_query": m}}}}
+	}
+	rows := []Row{
+		row(true, 1, false, false, "scan_groupby", metric(9, 10, 11, 10)),       // spread 2 of 10
+		row(true, 1, false, false, "scan_groupby", metric(9.9, 10, 10.1, 10.5)), // later: gap 0.5 of 10
+		row(false, 1, false, false, "scan_groupby", metric(0, 10, 40, 10)),      // not A/A
+		row(true, 2, false, false, "scan_groupby", metric(0, 10, 40, 10)),       // other seed
+		row(true, 1, true, false, "lookup_fanout", metric(0, 10, 40, 10)),       // smoke
+		row(true, 1, false, true, "lookup_fanout", metric(0, 10, 40, 10)),       // trace
+	}
+	data, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trajectory.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	floors, err := noiseFloors(path, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := floors["scan_groupby"]["cpu_ms_per_query"]; got != 0.05 {
+		t.Fatalf("scan_groupby floor = %v, want 0.05 from the latest A/A row", got)
+	}
+	if _, ok := floors["lookup_fanout"]; ok {
+		t.Fatalf("lookup_fanout has a floor from a smoke or trace row: %v", floors)
+	}
+	var out bytes.Buffer
+	printRow(&out, &Row{Pairs: 1, Workloads: map[string]*WorkloadRow{
+		"scan_groupby":  {Metrics: map[string]*MetricSummary{"cpu_ms_per_query": metric(1, 1, 1, 1)}},
+		"lookup_fanout": {Metrics: map[string]*MetricSummary{"cpu_ms_per_query": metric(1, 1, 1, 1)}},
+	}}, floors)
+	for _, want := range []string{"| ±5.0% |", "| no A/A row |"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("no %q in\n%s", want, out.String())
+		}
+	}
+	if floors, err := noiseFloors(filepath.Join(t.TempDir(), "none.json"), 1, false); err != nil || floors != nil {
+		t.Fatalf("missing trajectory: %v, %v", floors, err)
+	}
+}
+
 // TestSameTreeTagsAARows: a row is A/A only while the working tree is the
 // base commit. Editing the trajectory keeps it so; an untracked file, an
 // edit to a tracked one, or a base other than HEAD does not.

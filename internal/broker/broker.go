@@ -77,11 +77,14 @@ const (
 	retryBackoff  = 2 * time.Millisecond
 )
 
+// errNoSession fails a query while the broker has no live metadata session.
+var errNoSession = errors.New("broker: no live metadata session; the routing view is re-read once one reopens")
+
 // Broker routes queries to servers and merges their partial results.
 type Broker struct {
 	cfg      Config
 	store    zkmeta.Endpoint
-	sess     zkmeta.Client
+	sess     *zkmeta.Kept
 	registry transport.Registry
 	met      *brokerMetrics
 	slow     *metrics.SlowLog
@@ -101,8 +104,7 @@ type Broker struct {
 	mu           sync.Mutex
 	routing      map[string]*routingState // resource → watched snapshot
 	routingEpoch int                      // bumped by every invalidation
-	watching     map[string]func()        // znode path → cancel of its watch
-	evCancel     func()
+	watching     map[string]bool          // znode paths the session watches
 }
 
 // New creates a broker. The registry resolves server instances to query
@@ -121,7 +123,7 @@ func New(cfg Config, store zkmeta.Endpoint, registry transport.Registry) *Broker
 		slow:     metrics.NewSlowLog(0),
 		rnd:      rand.New(rand.NewSource(seed)),
 		routing:  map[string]*routingState{},
-		watching: map[string]func(){},
+		watching: map[string]bool{},
 	}
 	if !cfg.DisableResultCache {
 		b.resultCache = qcache.New(qcache.Config{
@@ -178,42 +180,39 @@ func (b *Broker) ParseFailures() []ParseFailure {
 
 // Start joins the cluster as a spectator: it registers its config and
 // subscribes to external-view changes to keep routing tables fresh (paper
-// 3.3.2).
+// 3.3.2). It never fails: a session that cannot open yet is retried until
+// one does, and queries fail fast until then.
 func (b *Broker) Start() error {
-	b.sess = b.store.NewClient()
-	admin := helix.NewAdmin(b.sess, b.cfg.Cluster)
+	b.sess = zkmeta.Keep(b.store, b.onSession)
+	return nil
+}
+
+// onSession registers the broker over a new session and drops every snapshot
+// and watch of the last one, so queries re-read the view through this one.
+func (b *Broker) onSession(sess zkmeta.Client) error {
+	admin := helix.NewAdmin(sess, b.cfg.Cluster)
 	if err := admin.CreateCluster(); err != nil {
 		return err
 	}
 	if err := admin.RegisterInstance(helix.InstanceConfig{Instance: b.cfg.Instance, Tags: []string{"broker"}}); err != nil {
 		return err
 	}
-	events, cancel := b.sess.WatchChildren(helix.ExternalViewsPath(b.cfg.Cluster))
-	b.evCancel = cancel
+	events, _ := sess.WatchChildren(helix.ExternalViewsPath(b.cfg.Cluster))
+	b.mu.Lock()
+	b.watching = map[string]bool{} // the last session's watches closed with it
+	b.mu.Unlock()
 	go func() {
 		for range events {
 			b.invalidateAll()
 		}
 	}()
+	b.invalidateAll()
 	return nil
 }
 
-// Stop leaves the cluster.
-func (b *Broker) Stop() {
-	b.mu.Lock()
-	if b.evCancel != nil {
-		b.evCancel()
-		b.evCancel = nil
-	}
-	for _, cancel := range b.watching {
-		cancel()
-	}
-	b.watching = map[string]func(){}
-	b.mu.Unlock()
-	if b.sess != nil {
-		b.sess.Close()
-	}
-}
+// Stop leaves the cluster; its watches close with its session, and a stopped
+// broker never rejoins.
+func (b *Broker) Stop() { b.sess.Close() }
 
 // ResultCache exposes the broker result-cache tier (nil when disabled);
 // tests and the HTTP debug surface read its occupancy.

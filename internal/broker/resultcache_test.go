@@ -96,7 +96,7 @@ func TestResultCacheHitIsPrivateAndMarked(t *testing.T) {
 
 func resultCacheKeyOf(t *testing.T, env *testEnv) string {
 	t.Helper()
-	rs, err := env.broker.routingFor("ev_OFFLINE")
+	rs, err := env.broker.routingFor(env.broker.sess.Client(), "ev_OFFLINE")
 	if err != nil {
 		t.Fatal(err)
 	}

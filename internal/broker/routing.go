@@ -331,10 +331,12 @@ func (b *Broker) buildRoutingState(resource string, cfgData, evData []byte, evVe
 	}
 	rs.segments, rs.consuming = segmentInstances{}, map[string]bool{}
 	for seg, replicas := range ev.Partitions {
+		committed := len(ev.InstancesFor(seg, helix.StateOnline)) > 0
 		for inst, state := range replicas {
-			// Both fully online replicas and consuming replicas
-			// participate in query processing.
-			if state == helix.StateOnline || state == helix.StateConsuming {
+			// Online and consuming replicas both serve, but a replica
+			// still consuming a segment another one holds online may
+			// lag that copy: a committed segment is served online only.
+			if state == helix.StateOnline || state == helix.StateConsuming && !committed {
 				rs.segments[seg] = append(rs.segments[seg], inst)
 			}
 			if state == helix.StateConsuming {
@@ -379,29 +381,29 @@ func (b *Broker) buildRoutingState(resource string, cfgData, evData []byte, evVe
 // version seeds result-cache keys, which must never pair one view with
 // another's routing. A store error fails the read rather than plan on a
 // guess (a hybrid query without its boundary double-counts).
-func (b *Broker) readRoutingState(resource string) (*routingState, error) {
+func (b *Broker) readRoutingState(sess zkmeta.Client, resource string) (*routingState, error) {
 	cfgPath, evPath := tableConfigPath(b.cfg.Cluster, resource), helix.ExternalViewPath(b.cfg.Cluster, resource)
-	b.watch(resource, cfgPath)
-	cfgData, _, err := b.sess.Get(cfgPath)
+	b.watch(sess, resource, cfgPath)
+	cfgData, _, err := sess.Get(cfgPath)
 	if errors.Is(err, zkmeta.ErrNoNode) {
 		return b.buildRoutingState(resource, nil, nil, 0, nil)
 	}
 	if err != nil {
 		return nil, err
 	}
-	b.watch(resource, evPath) // an absent resource's view is not watched
-	evData, evVersion, err := b.sess.Get(evPath)
+	b.watch(sess, resource, evPath) // an absent resource's view is not watched
+	evData, evVersion, err := sess.Get(evPath)
 	if err != nil && !errors.Is(err, zkmeta.ErrNoNode) {
 		return nil, err
 	}
 	base := helix.PropertyStorePath(b.cfg.Cluster, "SEGMENTS", resource)
-	names, err := b.sess.Children(base)
+	names, err := sess.Children(base)
 	if err != nil && !errors.Is(err, zkmeta.ErrNoNode) {
 		return nil, err
 	}
 	metas := make([][]byte, 0, len(names))
 	for _, name := range names {
-		data, _, err := b.sess.Get(base + "/" + name)
+		data, _, err := sess.Get(base + "/" + name)
 		if errors.Is(err, zkmeta.ErrNoNode) {
 			continue // deleted since it was listed
 		}
@@ -420,19 +422,24 @@ func tableConfigPath(cluster, resource string) string {
 // tableStates returns the snapshots of a table's offline and realtime
 // halves, at least one of which exists. A name no table config carries is
 // answered from the store and caches and watches nothing: client-supplied
-// names never grow the watch set.
+// names never grow the watch set. Without a live metadata session the query
+// fails fast: the snapshots of a lost session are never routed on.
 func (b *Broker) tableStates(name string) (off, rt *routingState, err error) {
+	if !b.sess.Live() {
+		return nil, nil, errNoSession
+	}
+	sess := b.sess.Client()
 	offline, realtime := table.ResourceName(name, table.Offline), table.ResourceName(name, table.Realtime)
 	b.mu.Lock()
 	off, rt = b.routing[offline], b.routing[realtime]
 	b.mu.Unlock()
 	known := off.exists() || rt.exists() ||
-		b.sess.Exists(tableConfigPath(b.cfg.Cluster, offline)) || b.sess.Exists(tableConfigPath(b.cfg.Cluster, realtime))
+		sess.Exists(tableConfigPath(b.cfg.Cluster, offline)) || sess.Exists(tableConfigPath(b.cfg.Cluster, realtime))
 	if known && off == nil {
-		off, err = b.routingFor(offline)
+		off, err = b.routingFor(sess, offline)
 	}
 	if known && rt == nil && err == nil {
-		rt, err = b.routingFor(realtime)
+		rt, err = b.routingFor(sess, realtime)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -444,7 +451,7 @@ func (b *Broker) tableStates(name string) (off, rt *routingState, err error) {
 }
 
 // routingFor returns (building if needed) the snapshot of a resource.
-func (b *Broker) routingFor(resource string) (*routingState, error) {
+func (b *Broker) routingFor(sess zkmeta.Client, resource string) (*routingState, error) {
 	b.mu.Lock()
 	rs, ok := b.routing[resource]
 	epoch := b.routingEpoch
@@ -452,7 +459,7 @@ func (b *Broker) routingFor(resource string) (*routingState, error) {
 	if ok {
 		return rs, nil
 	}
-	rs, err := b.readRoutingState(resource)
+	rs, err := b.readRoutingState(sess, resource)
 	if err != nil {
 		return nil, err
 	}
@@ -470,15 +477,16 @@ func (b *Broker) routingFor(resource string) (*routingState, error) {
 // read from; its change invalidates the snapshot. Each znode is watched
 // before it is read, so a change landing mid-build is not lost (paper 3.3.2:
 // "brokers listen to changes to the cluster state and update their routing
-// tables").
-func (b *Broker) watch(resource, path string) {
+// tables"). A session that is no longer current arms nothing: what it reads
+// is not kept.
+func (b *Broker) watch(sess zkmeta.Client, resource, path string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.watching[path]; ok {
+	if b.watching[path] || sess != b.sess.Client() {
 		return
 	}
-	events, cancel := b.sess.Watch(path)
-	b.watching[path] = cancel
+	events, _ := sess.Watch(path)
+	b.watching[path] = true
 	go func() {
 		for range events {
 			b.invalidate(resource)

@@ -242,10 +242,11 @@ func FuzzRoutingState(f *testing.F) {
 				t.Fatalf("the build accepted a view that does not decode: %v", err)
 			}
 		}
-		routed := segmentInstances{}
+		routed := segmentInstances{} // a committed segment is served online only
 		for seg, replicas := range view.Partitions {
+			committed := len(view.InstancesFor(seg, helix.StateOnline)) > 0
 			for inst, state := range replicas {
-				if state == helix.StateOnline || state == helix.StateConsuming {
+				if state == helix.StateOnline || state == helix.StateConsuming && !committed {
 					routed[seg] = append(routed[seg], inst)
 				}
 			}

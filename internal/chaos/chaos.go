@@ -7,8 +7,9 @@
 // reproducible under a fixed seed.
 //
 // Session expiry (zkmeta) and partition stalls (stream) have their own hooks
-// in those packages — Controller.ExpireSession and Topic.StallPartition —
-// so composed scenarios like "replica dies mid-scatter while the lead
+// in those packages — zkmeta.Kept.Expire, which every role's kept session
+// offers (Controller.ExpireSession calls it), and Topic.StallPartition — so
+// composed scenarios like "replica dies mid-scatter while the lead
 // controller loses its ZK session" are driven from one test body.
 package chaos
 

@@ -152,6 +152,9 @@ func (c *Controller) SegmentConsumed(ctx context.Context, req *transport.Segment
 	// A segment already committed (e.g. before a controller failover)
 	// answers from durable metadata.
 	if meta, err := ReadSegmentMeta(c.session(), c.cfg.Cluster, req.Resource, req.Segment); err == nil && meta.Status == table.StatusDone {
+		if c.advance(req.Resource, req.Segment, meta.EndOffset) != nil {
+			return c.verdict(&transport.SegmentConsumedResponse{Action: transport.ActionHold}), nil
+		}
 		if req.Offset == meta.EndOffset {
 			return c.verdict(&transport.SegmentConsumedResponse{Action: transport.ActionKeep}), nil
 		}
@@ -226,10 +229,6 @@ func (c *Controller) finalizeCommit(req *transport.SegmentCommitRequest) error {
 	if err != nil {
 		return fmt.Errorf("controller: committed segment corrupt: %w", err)
 	}
-	cfg, err := c.TableConfig(req.Resource)
-	if err != nil {
-		return err
-	}
 	crc := crc32Of(req.Blob)
 	objKey := table.SegmentObjectKey(req.Resource, req.Segment, crc)
 	if err := c.objects.Put(objKey, req.Blob); err != nil {
@@ -244,6 +243,9 @@ func (c *Controller) finalizeCommit(req *transport.SegmentCommitRequest) error {
 	if err != nil {
 		return err
 	}
+	if meta.Status == table.StatusDone {
+		return fmt.Errorf("controller: %s already committed", req.Segment) // by a leader that lost its seat mid-commit
+	}
 	smeta := seg.Metadata()
 	meta.Status = table.StatusDone
 	meta.NumDocs = seg.NumDocs()
@@ -257,43 +259,62 @@ func (c *Controller) finalizeCommit(req *transport.SegmentCommitRequest) error {
 		return err
 	}
 	c.met.segStates.With(c.cfg.Instance, string(table.StatusDone)).Inc()
+	return c.advance(req.Resource, req.Segment, req.Offset)
+}
 
-	// Next consuming segment continues from the committed offset.
-	tableName, partition, seq, err := table.ParseConsumingSegmentName(req.Segment)
+// advance applies the ideal-state half of a DONE segment's commit: its
+// consuming replicas go ONLINE, and the next consuming segment starts at its
+// end offset. A second run changes nothing, so every poll of a DONE segment
+// re-runs it: a session lost between the DONE write and this step left the
+// partition without a consuming segment for good.
+func (c *Controller) advance(resource, segName string, endOffset int64) error {
+	cfg, err := c.TableConfig(resource)
+	if err != nil {
+		return err
+	}
+	tableName, partition, seq, err := table.ParseConsumingSegmentName(segName)
 	if err != nil {
 		return err
 	}
 	nextName := table.ConsumingSegmentName(tableName, partition, seq+1)
 	nextMeta := &table.SegmentMeta{
 		Name:        nextName,
-		Resource:    req.Resource,
+		Resource:    resource,
 		Status:      table.StatusInProgress,
 		Partition:   partition,
-		StartOffset: req.Offset,
+		StartOffset: endOffset,
 		EndOffset:   -1,
 	}
-	if err := c.session().Create(c.segmentMetaPath(req.Resource, nextName), nextMeta.Marshal()); err != nil && err != zkmeta.ErrNodeExists {
+	if err := c.session().Create(c.segmentMetaPath(resource, nextName), nextMeta.Marshal()); err == nil {
+		c.met.segStates.With(c.cfg.Instance, string(table.StatusInProgress)).Inc()
+	} else if err != zkmeta.ErrNodeExists {
 		return err
 	}
-	c.met.segStates.With(c.cfg.Instance, string(table.StatusInProgress)).Inc()
-
 	servers, err := c.eligibleServers(cfg)
+	if err == nil && len(servers) == 0 {
+		err = fmt.Errorf("controller: no server can consume %s", nextName)
+	}
 	if err != nil {
 		return err
 	}
-	err = c.helixAdmin().UpdateIdealState(req.Resource, func(is *helix.IdealState) bool {
-		for inst := range is.Partitions[req.Segment] {
-			is.Partitions[req.Segment][inst] = helix.StateOnline
+	err = c.helixAdmin().UpdateIdealState(resource, func(is *helix.IdealState) bool {
+		changed := false
+		for inst, state := range is.Partitions[segName] {
+			if state == helix.StateConsuming {
+				is.Partitions[segName][inst] = helix.StateOnline
+				changed = true
+			}
 		}
-		if _, ok := is.Partitions[nextName]; !ok {
+		if len(is.Partitions[nextName]) == 0 {
 			replicas := pickReplicas(servers, is, cfg.Replicas, partition+seq+1)
 			assignment := map[string]string{}
 			for _, r := range replicas {
 				assignment[r] = helix.StateConsuming
 			}
 			is.Partitions[nextName] = assignment
+			changed = true
 		}
-		return true
+		return changed
 	})
 	if err != nil {
 		return err

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pinot/internal/helix"
@@ -58,11 +57,9 @@ type Controller struct {
 	streams  *stream.Cluster
 	helixCtl *helix.Controller
 	met      *controllerMetrics
-
-	// conn bundles the metadata session with the helix admin built on it;
-	// both are replaced together when the session expires.
-	conn   atomic.Pointer[zkConn]
-	closed atomic.Bool
+	// sess is the one metadata session of this instance, shared with its
+	// helix controller and kept open across expiries.
+	sess *zkmeta.Kept
 
 	mu          sync.Mutex
 	completions map[string]*completionFSM // resource/segment -> FSM
@@ -71,39 +68,14 @@ type Controller struct {
 	done chan struct{}
 }
 
-type zkConn struct {
-	sess  zkmeta.Client
-	admin *helix.Admin
-}
-
-func (c *Controller) session() zkmeta.Client   { return c.conn.Load().sess }
-func (c *Controller) helixAdmin() *helix.Admin { return c.conn.Load().admin }
-
-// connect opens a metadata session (replacing any expired one) and arms the
-// expiry hook so the controller reconnects like a real Zookeeper client:
-// durable metadata survives, only in-flight operations fail.
-func (c *Controller) connect() {
-	sess := c.store.NewClient()
-	sess.OnExpire(func() {
-		if c.closed.Load() {
-			return
-		}
-		c.connect()
-	})
-	c.conn.Store(&zkConn{sess: sess, admin: helix.NewAdmin(sess, c.cfg.Cluster)})
-}
+func (c *Controller) session() zkmeta.Client   { return c.sess.Client() }
+func (c *Controller) helixAdmin() *helix.Admin { return helix.NewAdmin(c.session(), c.cfg.Cluster) }
 
 // ExpireSession simulates Zookeeper session expiry on this controller (chaos
-// hook): both the metadata session and the leader-election session expire,
-// so leadership is lost and must be re-won over fresh sessions. In-flight
-// completion-protocol writes fail and replicas retry, exactly the scenario
-// of paper 3.3.6's failure analysis.
-func (c *Controller) ExpireSession() {
-	if c.helixCtl != nil {
-		c.helixCtl.ExpireSession()
-	}
-	c.session().Expire()
-}
+// hook): leadership is lost and must be re-won over the session that
+// replaces it. In-flight completion-protocol writes fail and replicas retry,
+// exactly the scenario of paper 3.3.6's failure analysis.
+func (c *Controller) ExpireSession() { c.sess.Expire() }
 
 // New creates a controller instance attached to the shared substrates.
 func New(cfg Config, store zkmeta.Endpoint, objects objstore.Store, streams *stream.Cluster) *Controller {
@@ -124,23 +96,10 @@ func (c *Controller) Metrics() *metrics.Registry { return c.met.reg }
 // Instance returns the controller's instance name.
 func (c *Controller) Instance() string { return c.cfg.Instance }
 
-// Start joins the cluster and begins contending for leadership.
+// Start joins the cluster and begins contending for leadership. It never
+// fails: a session that cannot open yet is retried until one does.
 func (c *Controller) Start() error {
-	c.connect()
-	if err := c.helixAdmin().CreateCluster(); err != nil {
-		return err
-	}
-	for _, p := range []string{
-		helix.PropertyStorePath(c.cfg.Cluster, "CONFIGS"),
-		helix.PropertyStorePath(c.cfg.Cluster, "CONFIGS", "TABLE"),
-		helix.PropertyStorePath(c.cfg.Cluster, "SEGMENTS"),
-		helix.PropertyStorePath(c.cfg.Cluster, "TASKS"),
-	} {
-		if err := c.session().Create(p, nil); err != nil && err != zkmeta.ErrNodeExists {
-			return err
-		}
-	}
-	c.helixCtl = helix.NewController(c.store, c.cfg.Cluster, c.cfg.Instance)
+	c.helixCtl = helix.NewController(c.cfg.Cluster, c.cfg.Instance)
 	c.helixCtl.OnLeadershipChange(func(leader bool) {
 		if leader {
 			// Paper 3.3.6: a new blank completion state machine on
@@ -150,29 +109,43 @@ func (c *Controller) Start() error {
 			c.mu.Unlock()
 		}
 	})
-	if err := c.helixCtl.Start(); err != nil {
-		return err
-	}
+	c.sess = zkmeta.Keep(c.store, c.onSession)
+	c.helixCtl.Start(c.sess)
 	c.stop = make(chan struct{})
 	c.done = make(chan struct{})
 	go c.retentionLoop()
 	return nil
 }
 
-// Stop halts the controller.
+// onSession lays out the cluster's nodes over a new session, then joins the
+// election over it.
+func (c *Controller) onSession(sess zkmeta.Client) error {
+	if err := helix.NewAdmin(sess, c.cfg.Cluster).CreateCluster(); err != nil {
+		return err
+	}
+	for _, p := range []string{
+		helix.PropertyStorePath(c.cfg.Cluster, "CONFIGS"),
+		helix.PropertyStorePath(c.cfg.Cluster, "CONFIGS", "TABLE"),
+		helix.PropertyStorePath(c.cfg.Cluster, "SEGMENTS"),
+		helix.PropertyStorePath(c.cfg.Cluster, "TASKS"),
+	} {
+		if err := sess.Create(p, nil); err != nil && err != zkmeta.ErrNodeExists {
+			return err
+		}
+	}
+	c.helixCtl.Join(sess)
+	return nil
+}
+
+// Stop halts the controller. Closing its session ends its election loop, and
+// it never rejoins.
 func (c *Controller) Stop() {
 	if c.stop != nil {
 		close(c.stop)
 		<-c.done
 		c.stop = nil
 	}
-	if c.helixCtl != nil {
-		c.helixCtl.Stop()
-	}
-	c.closed.Store(true)
-	if cn := c.conn.Load(); cn != nil {
-		cn.sess.Close()
-	}
+	c.sess.Close()
 }
 
 // IsLeader reports whether this instance holds cluster mastership.

@@ -16,153 +16,92 @@ import (
 // cluster, delivers them as messages, and maintains external views. Several
 // controllers may run; a leader election picks one active rebalancer (paper
 // 3.2: "we run three controller instances in each datacenter with a single
-// master; non-leader controllers are mostly idle").
+// master; non-leader controllers are mostly idle"). It runs over its role's
+// kept session: the role's onSession calls Join.
 type Controller struct {
-	store    zkmeta.Endpoint
+	sess     *zkmeta.Kept
 	cluster  string
 	instance string
 
-	sessMu sync.Mutex
-	sess   zkmeta.Client
-
 	leader   atomic.Bool
-	stop     chan struct{}
-	done     chan struct{}
-	kick     chan struct{}
-	expired  chan struct{}
+	kick     kicker
 	msgSeq   atomic.Int64
 	onLeader func(bool) // optional leadership callback
 
 	mu           sync.Mutex
-	stateWatches map[string]func() // per-instance current-state watch cancels
+	stateWatches map[string]bool // instances whose current state the session watches
 }
-
-// session returns the current metadata session; it may change when an
-// expired session is replaced.
-func (c *Controller) session() zkmeta.Client {
-	c.sessMu.Lock()
-	defer c.sessMu.Unlock()
-	return c.sess
-}
-
-func (c *Controller) setSession(s zkmeta.Client) {
-	c.sessMu.Lock()
-	c.sess = s
-	c.sessMu.Unlock()
-}
-
-// armExpiry makes session expiry step this controller down immediately and
-// schedule a reconnect on the control loop.
-func (c *Controller) armExpiry(sess zkmeta.Client) {
-	sess.OnExpire(func() {
-		c.setLeader(false)
-		select {
-		case c.expired <- struct{}{}:
-		default:
-		}
-	})
-}
-
-// reconnect opens a fresh session after expiry and re-contends for
-// leadership, mirroring how a real Zookeeper client recovers: the old
-// session's ephemerals are gone, so another controller may have won in the
-// meantime.
-func (c *Controller) reconnect() {
-	ns := c.store.NewClient()
-	c.setSession(ns)
-	c.armExpiry(ns)
-	c.tryAcquireLeadership()
-}
-
-// ExpireSession expires the controller's current metadata session (chaos
-// hook): the leader ephemeral disappears and the controller reconnects and
-// re-contends over a fresh session.
-func (c *Controller) ExpireSession() { c.session().Expire() }
 
 // NewController creates a controller instance.
-func NewController(store zkmeta.Endpoint, cluster, instance string) *Controller {
-	return &Controller{store: store, cluster: cluster, instance: instance, stateWatches: map[string]func(){}}
+func NewController(cluster, instance string) *Controller {
+	return &Controller{cluster: cluster, instance: instance, kick: make(kicker, 1), stateWatches: map[string]bool{}}
 }
 
 // OnLeadershipChange registers a callback fired with true/false as this
 // controller gains/loses mastership. Must be called before Start.
 func (c *Controller) OnLeadershipChange(fn func(bool)) { c.onLeader = fn }
 
-// IsLeader reports whether this controller currently holds mastership.
-func (c *Controller) IsLeader() bool { return c.leader.Load() }
+// IsLeader reports whether this controller currently holds mastership: an
+// expired session means not leader from that moment.
+func (c *Controller) IsLeader() bool { return c.leader.Load() && c.sess.Live() }
 
-// Start begins contending for leadership and, when leader, rebalancing.
-func (c *Controller) Start() error {
-	sess := c.store.NewClient()
-	c.setSession(sess)
-	c.stop = make(chan struct{})
-	c.done = make(chan struct{})
-	c.kick = make(chan struct{}, 1)
-	c.expired = make(chan struct{}, 1)
-	c.armExpiry(sess)
+// Join is the controller's part of its role's onSession. The seat died with
+// the last session, so it steps down; it re-arms its watches on sess as kicks
+// of the loop, whose next pass re-contends.
+func (c *Controller) Join(sess zkmeta.Client) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.setLeader(false)
+	c.stateWatches = map[string]bool{}
+	c.kick.on(sess.Watch(controllerPath(c.cluster)))
+	c.kick.on(sess.WatchChildren(idealStatesPath(c.cluster)))
+	c.kick.on(sess.WatchChildren(liveInstancesPath(c.cluster)))
+	c.kick.on(sess.WatchChildren(currentStatesPath(c.cluster)))
+	c.Kick()
+}
 
-	// Watches survive session replacement: they are registered against the
-	// store, so an expired-then-reconnected controller keeps seeing events.
-	leaderEvents, cancelLeader := sess.Watch(controllerPath(c.cluster))
-	idealEvents, cancelIdeal := sess.WatchChildren(idealStatesPath(c.cluster))
-	liveEvents, cancelLive := sess.WatchChildren(liveInstancesPath(c.cluster))
-	csEvents, cancelCS := sess.WatchChildren(currentStatesPath(c.cluster))
+// kicker wakes a loop; a kick while one is pending is absorbed.
+type kicker chan struct{}
 
-	c.tryAcquireLeadership()
+func (k kicker) kick() {
+	select {
+	case k <- struct{}{}:
+	default:
+	}
+}
 
+// on turns a watch's events into kicks until it closes with its session.
+func (k kicker) on(events <-chan zkmeta.Event, _ func()) {
 	go func() {
-		defer close(c.done)
-		defer cancelLeader()
-		defer cancelIdeal()
-		defer cancelLive()
-		defer cancelCS()
-		defer c.cancelStateWatches()
+		for range events {
+			k.kick()
+		}
+	}()
+}
+
+// Start runs the control loop over sess until it is closed: each pass (a
+// tick or a kick) re-runs the election and, when leader, rebalances.
+func (c *Controller) Start(sess *zkmeta.Kept) {
+	c.sess = sess
+	sess.Go(func(done <-chan struct{}) {
 		ticker := time.NewTicker(20 * time.Millisecond)
 		defer ticker.Stop()
 		for {
 			select {
-			case <-c.stop:
+			case <-done:
 				return
-			case e := <-leaderEvents:
-				if e.Type == zkmeta.EventDeleted {
-					c.tryAcquireLeadership()
-				}
-			case <-c.expired:
-				c.reconnect()
-			case <-idealEvents:
-			case <-liveEvents:
-			case <-csEvents:
 			case <-c.kick:
 			case <-ticker.C:
 			}
-			if c.leader.Load() {
-				c.rebalance()
+			if sess := c.elect(); sess != nil {
+				c.rebalance(sess)
 			}
 		}
-	}()
-	return nil
-}
-
-// Stop relinquishes leadership (if held) and halts the controller.
-func (c *Controller) Stop() {
-	if c.stop != nil {
-		close(c.stop)
-		<-c.done
-		c.stop = nil
-	}
-	if c.session() != nil {
-		c.session().Close() // releases the leader ephemeral
-	}
-	c.setLeader(false)
+	})
 }
 
 // Kick requests an immediate rebalance pass.
-func (c *Controller) Kick() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
-}
+func (c *Controller) Kick() { c.kick.kick() }
 
 func (c *Controller) setLeader(v bool) {
 	if c.leader.Swap(v) != v && c.onLeader != nil {
@@ -170,32 +109,37 @@ func (c *Controller) setLeader(v bool) {
 	}
 }
 
-func (c *Controller) tryAcquireLeadership() {
-	err := c.session().CreateEphemeral(controllerPath(c.cluster), []byte(c.instance))
-	switch {
-	case err == nil:
-		c.setLeader(true)
-	case err == zkmeta.ErrNodeExists:
-		c.setLeader(false)
+// elect is level-triggered: with a live session the controller reads the
+// seat, takes it if it is absent, and leads exactly when it holds this
+// instance's name. No edge of the seat's watch is trusted on its own. It
+// returns the session it leads over, nil if it does not lead: a pass writes
+// only over that session, so a pass that outlives it fails its writes.
+func (c *Controller) elect() zkmeta.Client {
+	sess := c.sess.Client()
+	lead := false
+	if c.sess.Live() {
+		data, _, err := sess.Get(controllerPath(c.cluster))
+		if err == zkmeta.ErrNoNode {
+			data, err = []byte(c.instance), sess.CreateEphemeral(controllerPath(c.cluster), []byte(c.instance))
+		}
+		lead = err == nil && string(data) == c.instance
 	}
-}
-
-// Leader returns the instance name of the current cluster leader, if any.
-func Leader(sess zkmeta.Client, cluster string) (string, bool) {
-	data, _, err := sess.Get(controllerPath(cluster))
-	if err != nil {
-		return "", false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.setLeader(lead && sess == c.sess.Client()) // a session that joined since voids the read
+	if !c.leader.Load() {
+		return nil
 	}
-	return string(data), true
+	return sess
 }
 
 // rebalance runs one convergence pass.
-func (c *Controller) rebalance() {
-	resources, err := c.session().Children(idealStatesPath(c.cluster))
+func (c *Controller) rebalance(sess zkmeta.Client) {
+	resources, err := sess.Children(idealStatesPath(c.cluster))
 	if err != nil {
 		return
 	}
-	live, err := c.session().Children(liveInstancesPath(c.cluster))
+	live, err := sess.Children(liveInstancesPath(c.cluster))
 	if err != nil {
 		return
 	}
@@ -203,14 +147,14 @@ func (c *Controller) rebalance() {
 	for _, l := range live {
 		liveSet[l] = true
 	}
-	current, err := readCurrentStates(c.session(), c.cluster)
+	current, err := readCurrentStates(sess, c.cluster)
 	if err != nil {
 		return
 	}
-	c.ensureStateWatches(current)
-	pending := c.pendingMessages()
+	c.ensureStateWatches(sess, current)
+	pending := c.pendingMessages(sess)
 
-	admin := NewAdmin(c.session(), c.cluster)
+	admin := NewAdmin(sess, c.cluster)
 	for _, res := range resources {
 		is, err := admin.IdealStateOf(res)
 		if err != nil {
@@ -239,7 +183,7 @@ func (c *Controller) rebalance() {
 				if next == "" {
 					continue
 				}
-				c.sendMessage(instance, Message{
+				c.sendMessage(sess, instance, Message{
 					ID:        fmt.Sprintf("msg-%d", c.msgSeq.Add(1)),
 					Resource:  res,
 					Partition: partition,
@@ -248,26 +192,26 @@ func (c *Controller) rebalance() {
 				})
 			}
 		}
-		c.updateExternalView(res, is, current, liveSet)
+		c.updateExternalView(sess, res, is, current, liveSet)
 	}
-	c.dropOrphanViews(resources)
+	c.dropOrphanViews(sess, resources)
 }
 
 // pendingMessages returns instance|resource|partition keys with an
 // undelivered transition message.
-func (c *Controller) pendingMessages() map[string]bool {
+func (c *Controller) pendingMessages(sess zkmeta.Client) map[string]bool {
 	out := map[string]bool{}
-	instances, err := c.session().Children(messagesPath(c.cluster))
+	instances, err := sess.Children(messagesPath(c.cluster))
 	if err != nil {
 		return out
 	}
 	for _, inst := range instances {
-		msgs, err := c.session().Children(instanceMessagesPath(c.cluster, inst))
+		msgs, err := sess.Children(instanceMessagesPath(c.cluster, inst))
 		if err != nil {
 			continue
 		}
 		for _, m := range msgs {
-			data, _, err := c.session().Get(instanceMessagesPath(c.cluster, inst) + "/" + m)
+			data, _, err := sess.Get(instanceMessagesPath(c.cluster, inst) + "/" + m)
 			if err != nil {
 				continue
 			}
@@ -280,15 +224,15 @@ func (c *Controller) pendingMessages() map[string]bool {
 	return out
 }
 
-func (c *Controller) sendMessage(instance string, msg Message) {
+func (c *Controller) sendMessage(sess zkmeta.Client, instance string, msg Message) {
 	data, err := json.Marshal(msg)
 	if err != nil {
 		return
 	}
-	_ = c.session().Create(instanceMessagesPath(c.cluster, instance)+"/"+msg.ID, data)
+	_ = sess.Create(instanceMessagesPath(c.cluster, instance)+"/"+msg.ID, data)
 }
 
-func (c *Controller) updateExternalView(res string, is *IdealState, current map[string]map[string]map[string]string, live map[string]bool) {
+func (c *Controller) updateExternalView(sess zkmeta.Client, res string, is *IdealState, current map[string]map[string]map[string]string, live map[string]bool) {
 	ev := &ExternalView{Resource: res, Partitions: map[string]map[string]string{}}
 	for instance, byResource := range current {
 		if !live[instance] {
@@ -304,7 +248,7 @@ func (c *Controller) updateExternalView(res string, is *IdealState, current map[
 			ev.Partitions[partition][instance] = state
 		}
 	}
-	prev, err := NewAdmin(c.session(), c.cluster).ExternalViewOf(res)
+	prev, err := NewAdmin(sess, c.cluster).ExternalViewOf(res)
 	if err == nil && reflect.DeepEqual(prev.Partitions, ev.Partitions) {
 		return
 	}
@@ -313,52 +257,37 @@ func (c *Controller) updateExternalView(res string, is *IdealState, current map[
 		return
 	}
 	p := externalViewPath(c.cluster, res)
-	if err := c.session().Create(p, data); err == zkmeta.ErrNodeExists {
-		_, _ = c.session().Set(p, data, -1)
+	if err := sess.Create(p, data); err == zkmeta.ErrNodeExists {
+		_, _ = sess.Set(p, data, -1)
 	}
 }
 
 // dropOrphanViews removes external views whose resource no longer exists.
-func (c *Controller) dropOrphanViews(resources []string) {
+func (c *Controller) dropOrphanViews(sess zkmeta.Client, resources []string) {
 	have := make(map[string]bool, len(resources))
 	for _, r := range resources {
 		have[r] = true
 	}
-	views, err := c.session().Children(externalViewsPath(c.cluster))
+	views, err := sess.Children(externalViewsPath(c.cluster))
 	if err != nil {
 		return
 	}
 	for _, v := range views {
 		if !have[v] {
-			_ = c.session().Delete(externalViewPath(c.cluster, v), -1)
+			_ = sess.Delete(externalViewPath(c.cluster, v), -1)
 		}
 	}
 }
 
 // ensureStateWatches registers data watches on each instance's current-state
 // node so participant progress triggers rebalances promptly.
-func (c *Controller) ensureStateWatches(current map[string]map[string]map[string]string) {
+func (c *Controller) ensureStateWatches(sess zkmeta.Client, current map[string]map[string]map[string]string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for inst := range current {
-		if _, ok := c.stateWatches[inst]; ok {
-			continue
+		if !c.stateWatches[inst] {
+			c.stateWatches[inst] = true
+			c.kick.on(sess.Watch(currentStatePath(c.cluster, inst)))
 		}
-		events, cancel := c.session().Watch(currentStatePath(c.cluster, inst))
-		c.stateWatches[inst] = cancel
-		go func() {
-			for range events {
-				c.Kick()
-			}
-		}()
 	}
-}
-
-func (c *Controller) cancelStateWatches() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cancel := range c.stateWatches {
-		cancel()
-	}
-	c.stateWatches = map[string]func(){}
 }

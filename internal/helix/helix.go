@@ -203,8 +203,11 @@ func (a *Admin) Instances() ([]InstanceConfig, error) {
 	out := make([]InstanceConfig, 0, len(names))
 	for _, n := range names {
 		data, _, err := a.sess.Get(configPath(a.cluster, n))
+		if err == zkmeta.ErrNoNode {
+			continue // deleted since it was listed
+		}
 		if err != nil {
-			continue
+			return nil, err // a lost session is not an empty cluster
 		}
 		var cfg InstanceConfig
 		if err := json.Unmarshal(data, &cfg); err != nil {
@@ -231,7 +234,7 @@ func (a *Admin) InstanceConfigOf(instance string) (InstanceConfig, error) {
 // NewAddrResolver resolves instance names to the data-plane addresses their
 // instance configs advertise, caching each answer for ttl so a scattered
 // query does not re-read configs. Every broker resolves its scatter targets
-// through one of these.
+// through one of these, over a kept session of its own.
 func NewAddrResolver(endpoint zkmeta.Endpoint, cluster string, ttl time.Duration) func(instance string) (string, bool) {
 	type entry struct {
 		addr    string
@@ -239,7 +242,7 @@ func NewAddrResolver(endpoint zkmeta.Endpoint, cluster string, ttl time.Duration
 	}
 	var (
 		mu    sync.Mutex
-		admin = NewAdmin(endpoint.NewClient(), cluster)
+		sess  = zkmeta.Keep(endpoint, func(zkmeta.Client) error { return nil })
 		cache = map[string]entry{}
 	)
 	return func(instance string) (string, bool) {
@@ -248,13 +251,10 @@ func NewAddrResolver(endpoint zkmeta.Endpoint, cluster string, ttl time.Duration
 		if e, ok := cache[instance]; ok && time.Now().Before(e.expires) {
 			return e.addr, e.addr != ""
 		}
-		if admin.sess.Expired() {
-			// Lazy reconnect: the metadata connection died (or never came
-			// up); try a fresh session on each miss until one sticks.
-			admin = NewAdmin(endpoint.NewClient(), cluster)
-			cache = map[string]entry{}
+		cfg, err := NewAdmin(sess.Client(), cluster).InstanceConfigOf(instance)
+		if err != nil && err != zkmeta.ErrNoNode {
+			return "", false // a failed read is not an answer to cache
 		}
-		cfg, _ := admin.InstanceConfigOf(instance) // on an error Addr is empty: not found
 		cache[instance] = entry{addr: cfg.Addr, expires: time.Now().Add(ttl)}
 		return cfg.Addr, cfg.Addr != ""
 	}

@@ -3,6 +3,7 @@ package helix
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +21,57 @@ func newCluster(t *testing.T) (*zkmeta.Store, *Admin) {
 		t.Fatal("CreateCluster not idempotent:", err)
 	}
 	return store, admin
+}
+
+// testParticipant runs a Participant over a kept session of its own, as a
+// server does.
+type testParticipant struct {
+	*Participant
+	store zkmeta.Endpoint
+	sess  *zkmeta.Kept
+}
+
+func newParticipant(store zkmeta.Endpoint, instance string, handler TransitionHandler) *testParticipant {
+	return &testParticipant{Participant: NewParticipant("test", instance, handler), store: store}
+}
+
+func (p *testParticipant) Start() error {
+	p.sess = zkmeta.Keep(p.store, p.Join)
+	p.Participant.Start(p.sess)
+	return nil
+}
+
+// Stop closes the session, which ends the loop, as a server does; a crash is
+// the same from the cluster's side.
+func (p *testParticipant) Stop() { p.sess.Close() }
+
+// testController runs a Controller over a kept session of its own, as the
+// controller role does.
+type testController struct {
+	*Controller
+	store zkmeta.Endpoint
+	sess  *zkmeta.Kept
+}
+
+func newController(store zkmeta.Endpoint, instance string) *testController {
+	return &testController{Controller: NewController("test", instance), store: store}
+}
+
+func (c *testController) Start() error {
+	c.sess = zkmeta.Keep(c.store, func(s zkmeta.Client) error { c.Join(s); return nil })
+	c.Controller.Start(c.sess)
+	return nil
+}
+
+func (c *testController) Stop() { c.sess.Close() }
+
+// Leader returns the instance name of the current cluster leader, if any.
+func Leader(sess zkmeta.Client, cluster string) (string, bool) {
+	data, _, err := sess.Get(controllerPath(cluster))
+	if err != nil {
+		return "", false
+	}
+	return string(data), true
 }
 
 // recordingHandler tracks transitions applied to a participant.
@@ -85,7 +137,7 @@ func TestNextHop(t *testing.T) {
 func TestSegmentLoadFlow(t *testing.T) {
 	store, admin := newCluster(t)
 	h := &recordingHandler{}
-	p := NewParticipant(store, "test", "server1", h.handle)
+	p := newParticipant(store, "server1", h.handle)
 	if err := admin.RegisterInstance(InstanceConfig{Instance: "server1", Tags: []string{"server"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +145,7 @@ func TestSegmentLoadFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	ctrl := NewController(store, "test", "controller1")
+	ctrl := newController(store, "controller1")
 	if err := ctrl.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +175,13 @@ func TestSegmentLoadFlow(t *testing.T) {
 func TestConsumingFlow(t *testing.T) {
 	store, admin := newCluster(t)
 	h := &recordingHandler{}
-	p := NewParticipant(store, "test", "server1", h.handle)
+	p := newParticipant(store, "server1", h.handle)
 	_ = admin.RegisterInstance(InstanceConfig{Instance: "server1"})
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	ctrl := NewController(store, "test", "c1")
+	ctrl := newController(store, "c1")
 	_ = ctrl.Start()
 	defer ctrl.Stop()
 
@@ -157,11 +209,11 @@ func TestConsumingFlow(t *testing.T) {
 func TestMultiHopDrop(t *testing.T) {
 	store, admin := newCluster(t)
 	h := &recordingHandler{}
-	p := NewParticipant(store, "test", "server1", h.handle)
+	p := newParticipant(store, "server1", h.handle)
 	_ = admin.RegisterInstance(InstanceConfig{Instance: "server1"})
 	_ = p.Start()
 	defer p.Stop()
-	ctrl := NewController(store, "test", "c1")
+	ctrl := newController(store, "c1")
 	_ = ctrl.Start()
 	defer ctrl.Stop()
 
@@ -193,12 +245,12 @@ func TestMultiHopDrop(t *testing.T) {
 func TestReplicaDistribution(t *testing.T) {
 	store, admin := newCluster(t)
 	handlers := map[string]*recordingHandler{}
-	var parts []*Participant
+	var parts []*testParticipant
 	for i := 1; i <= 3; i++ {
 		name := fmt.Sprintf("server%d", i)
 		h := &recordingHandler{}
 		handlers[name] = h
-		p := NewParticipant(store, "test", name, h.handle)
+		p := newParticipant(store, name, h.handle)
 		_ = admin.RegisterInstance(InstanceConfig{Instance: name, Tags: []string{"server"}})
 		if err := p.Start(); err != nil {
 			t.Fatal(err)
@@ -206,7 +258,7 @@ func TestReplicaDistribution(t *testing.T) {
 		defer p.Stop()
 		parts = append(parts, p)
 	}
-	ctrl := NewController(store, "test", "c1")
+	ctrl := newController(store, "c1")
 	_ = ctrl.Start()
 	defer ctrl.Stop()
 
@@ -227,14 +279,14 @@ func TestReplicaDistribution(t *testing.T) {
 func TestParticipantCrashRemovesFromView(t *testing.T) {
 	store, admin := newCluster(t)
 	h1, h2 := &recordingHandler{}, &recordingHandler{}
-	p1 := NewParticipant(store, "test", "server1", h1.handle)
-	p2 := NewParticipant(store, "test", "server2", h2.handle)
+	p1 := newParticipant(store, "server1", h1.handle)
+	p2 := newParticipant(store, "server2", h2.handle)
 	_ = admin.RegisterInstance(InstanceConfig{Instance: "server1"})
 	_ = admin.RegisterInstance(InstanceConfig{Instance: "server2"})
 	_ = p1.Start()
 	_ = p2.Start()
 	defer p2.Stop()
-	ctrl := NewController(store, "test", "c1")
+	ctrl := newController(store, "c1")
 	_ = ctrl.Start()
 	defer ctrl.Stop()
 
@@ -245,7 +297,7 @@ func TestParticipantCrashRemovesFromView(t *testing.T) {
 		ev, _ := admin.ExternalViewOf("r")
 		return len(ev.InstancesFor("s0", StateOnline)) == 2
 	})
-	p1.Kill() // crash: session expiry
+	p1.Stop() // crash: the session ends and is never reopened
 	waitFor(t, "crashed instance removed from view", func() bool {
 		ev, _ := admin.ExternalViewOf("r")
 		insts := ev.InstancesFor("s0", StateOnline)
@@ -256,11 +308,11 @@ func TestParticipantCrashRemovesFromView(t *testing.T) {
 func TestFailedTransitionBecomesError(t *testing.T) {
 	store, admin := newCluster(t)
 	h := &recordingHandler{fail: map[string]bool{"s0 OFFLINE->ONLINE": true}}
-	p := NewParticipant(store, "test", "server1", h.handle)
+	p := newParticipant(store, "server1", h.handle)
 	_ = admin.RegisterInstance(InstanceConfig{Instance: "server1"})
 	_ = p.Start()
 	defer p.Stop()
-	ctrl := NewController(store, "test", "c1")
+	ctrl := newController(store, "c1")
 	_ = ctrl.Start()
 	defer ctrl.Stop()
 
@@ -281,10 +333,87 @@ func TestFailedTransitionBecomesError(t *testing.T) {
 	}
 }
 
+// leadsSteadily reports whether c leads within 2s and still leads three
+// passes later.
+func leadsSteadily(c *testController) bool {
+	for deadline := time.Now().Add(2 * time.Second); !c.IsLeader(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	time.Sleep(60 * time.Millisecond)
+	return c.IsLeader()
+}
+
+// TestLoneControllerLeadsAfterEachExpiry: a lone controller whose session
+// expires leads again over the session that replaces it, twenty times in a
+// row. When it handled its own seat's deletion after re-winning the seat,
+// it read its own node as someone else's and stepped down, and nobody led.
+func TestLoneControllerLeadsAfterEachExpiry(t *testing.T) {
+	store, _ := newCluster(t)
+	c := newController(store, "c1")
+	_ = c.Start()
+	defer c.Stop()
+	for i := 0; i < 20; i++ {
+		if !leadsSteadily(c) {
+			t.Fatalf("expiry %d: no leader within 2s", i)
+		}
+		c.Kick() // a busy loop finds the seat's deletion and the expiry both pending
+		c.sess.Expire()
+	}
+}
+
+// seatGate holds its sessions' creates of the controller seat until open
+// reports true, so another controller wins any race for it.
+type seatGate struct {
+	*zkmeta.Store
+	open func() bool
+}
+
+func (e *seatGate) NewClient() zkmeta.Client { return gatedClient{e.Store.NewClient(), e} }
+
+type gatedClient struct {
+	zkmeta.Client
+	gate *seatGate
+}
+
+func (c gatedClient) CreateEphemeral(path string, data []byte) error {
+	for path == controllerPath("test") && !c.gate.open() {
+		time.Sleep(time.Millisecond)
+	}
+	return c.Client.CreateEphemeral(path, data)
+}
+
+// TestOldLeaderReWinsAfterExpiry: an expired leader that re-takes the seat
+// before the standby keeps leading, and the standby stays idle.
+func TestOldLeaderReWinsAfterExpiry(t *testing.T) {
+	store, _ := newCluster(t)
+	c1 := newController(store, "c1")
+	_ = c1.Start()
+	defer c1.Stop()
+	waitFor(t, "c1 leader", c1.IsLeader)
+	var done atomic.Bool // the gate opens for good when the test ends
+	c2 := newController(&seatGate{Store: store, open: func() bool { return c1.IsLeader() || done.Load() }}, "c2")
+	_ = c2.Start()
+	defer c2.Stop()
+	defer done.Store(true)
+	sess := store.NewSession()
+	for i := 0; i < 20; i++ {
+		c1.Kick()
+		c1.sess.Expire()
+		if !leadsSteadily(c1) || c2.IsLeader() {
+			t.Fatalf("expiry %d: c1 leads %v, c2 leads %v", i, c1.IsLeader(), c2.IsLeader())
+		}
+		if leader, _ := Leader(sess, "test"); leader != "c1" {
+			t.Fatalf("expiry %d: the seat reads %q", i, leader)
+		}
+	}
+}
+
 func TestControllerFailover(t *testing.T) {
 	store, admin := newCluster(t)
-	c1 := NewController(store, "test", "c1")
-	c2 := NewController(store, "test", "c2")
+	c1 := newController(store, "c1")
+	c2 := newController(store, "c2")
 	_ = c1.Start()
 	waitFor(t, "c1 leader", c1.IsLeader)
 	_ = c2.Start()
@@ -304,7 +433,7 @@ func TestControllerFailover(t *testing.T) {
 	// The new leader picks up pending work: a participant joining late
 	// still converges.
 	h := &recordingHandler{}
-	p := NewParticipant(store, "test", "server1", h.handle)
+	p := newParticipant(store, "server1", h.handle)
 	_ = admin.RegisterInstance(InstanceConfig{Instance: "server1"})
 	_ = p.Start()
 	defer p.Stop()
@@ -320,11 +449,11 @@ func TestControllerFailover(t *testing.T) {
 func TestDropResourceCleansView(t *testing.T) {
 	store, admin := newCluster(t)
 	h := &recordingHandler{}
-	p := NewParticipant(store, "test", "server1", h.handle)
+	p := newParticipant(store, "server1", h.handle)
 	_ = admin.RegisterInstance(InstanceConfig{Instance: "server1"})
 	_ = p.Start()
 	defer p.Stop()
-	ctrl := NewController(store, "test", "c1")
+	ctrl := newController(store, "c1")
 	_ = ctrl.Start()
 	defer ctrl.Stop()
 	_ = admin.SetIdealState(&IdealState{Resource: "gone", Partitions: map[string]map[string]string{

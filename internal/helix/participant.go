@@ -15,89 +15,62 @@ import (
 type TransitionHandler func(resource, partition, from, to string) error
 
 // Participant is an instance that executes state transitions: a Pinot
-// server. It holds its own store session so its liveness is independent.
+// server. It runs over its role's kept session: the role's onSession calls
+// Join, and its loop ends when the role closes that session.
 type Participant struct {
-	store    zkmeta.Endpoint
-	sess     zkmeta.Client
+	sess     *zkmeta.Kept
 	cluster  string
 	instance string
 	handler  TransitionHandler
+	kick     kicker
 
 	mu      sync.Mutex
 	current map[string]map[string]string // resource -> partition -> state
-	stop    chan struct{}
-	done    chan struct{}
 }
 
 // NewParticipant creates a participant for an instance. Start must be called
 // to join the cluster.
-func NewParticipant(store zkmeta.Endpoint, cluster, instance string, handler TransitionHandler) *Participant {
+func NewParticipant(cluster, instance string, handler TransitionHandler) *Participant {
 	return &Participant{
-		store:    store,
 		cluster:  cluster,
 		instance: instance,
 		handler:  handler,
+		kick:     make(kicker, 1),
 		current:  map[string]map[string]string{},
 	}
 }
 
-// Start joins the cluster: publishes the live-instance ephemeral, an empty
-// current-state node, and begins processing transition messages.
-func (p *Participant) Start() error {
-	p.sess = p.store.NewClient()
-	if err := p.sess.CreateEphemeral(liveInstancePath(p.cluster, p.instance), nil); err != nil {
-		p.sess.Close()
+// Join is the participant's part of its role's onSession: it publishes the
+// live-instance ephemeral, re-writes its current state and re-watches its
+// messages, which the loop then processes.
+func (p *Participant) Join(sess zkmeta.Client) error {
+	if err := sess.CreateEphemeral(liveInstancePath(p.cluster, p.instance), nil); err != nil {
 		return fmt.Errorf("helix: participant %s: %w", p.instance, err)
 	}
-	if err := p.writeCurrentState(); err != nil {
-		p.sess.Close()
+	if err := p.writeCurrentState(sess); err != nil {
 		return err
 	}
-	if err := p.sess.Create(instanceMessagesPath(p.cluster, p.instance), nil); err != nil && err != zkmeta.ErrNodeExists {
-		p.sess.Close()
+	if err := sess.Create(instanceMessagesPath(p.cluster, p.instance), nil); err != nil && err != zkmeta.ErrNodeExists {
 		return err
 	}
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
-	events, cancel := p.sess.WatchChildren(instanceMessagesPath(p.cluster, p.instance))
-	go func() {
-		defer close(p.done)
-		defer cancel()
-		p.processMessages()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-events:
-				p.processMessages()
-			}
-		}
-	}()
+	p.kick.on(sess.WatchChildren(instanceMessagesPath(p.cluster, p.instance)))
+	p.kick.kick()
 	return nil
 }
 
-// Stop leaves the cluster, deleting the live-instance ephemeral.
-func (p *Participant) Stop() {
-	if p.stop != nil {
-		close(p.stop)
-		<-p.done
-		p.stop = nil
-	}
-	if p.sess != nil {
-		p.sess.Close()
-	}
-}
-
-// Kill simulates a crash: the session expires without graceful cleanup.
-func (p *Participant) Kill() {
-	if p.stop != nil {
-		close(p.stop)
-		<-p.done
-		p.stop = nil
-	}
-	if p.sess != nil {
-		p.sess.Expire()
-	}
+// Start processes transition messages over sess until it is closed.
+func (p *Participant) Start(sess *zkmeta.Kept) {
+	p.sess = sess
+	sess.Go(func(done <-chan struct{}) {
+		for {
+			select {
+			case <-done:
+				return
+			case <-p.kick:
+				p.processMessages()
+			}
+		}
+	})
 }
 
 // CurrentState returns the participant's state for a partition ("" if
@@ -109,29 +82,30 @@ func (p *Participant) CurrentState(resource, partition string) string {
 }
 
 func (p *Participant) processMessages() {
+	sess := p.sess.Client()
 	base := instanceMessagesPath(p.cluster, p.instance)
-	names, err := p.sess.Children(base)
+	names, err := sess.Children(base)
 	if err != nil {
 		return
 	}
 	sort.Strings(names)
 	for _, name := range names {
 		msgPath := base + "/" + name
-		data, _, err := p.sess.Get(msgPath)
+		data, _, err := sess.Get(msgPath)
 		if err != nil {
 			continue
 		}
 		var msg Message
 		if err := json.Unmarshal(data, &msg); err != nil {
-			_ = p.sess.Delete(msgPath, -1)
+			_ = sess.Delete(msgPath, -1)
 			continue
 		}
-		p.execute(msg)
-		_ = p.sess.Delete(msgPath, -1)
+		p.execute(sess, msg)
+		_ = sess.Delete(msgPath, -1)
 	}
 }
 
-func (p *Participant) execute(msg Message) {
+func (p *Participant) execute(sess zkmeta.Client, msg Message) {
 	p.mu.Lock()
 	cur, ok := p.current[msg.Resource][msg.Partition]
 	if !ok {
@@ -161,10 +135,10 @@ func (p *Participant) execute(msg Message) {
 		p.current[msg.Resource][msg.Partition] = newState
 	}
 	p.mu.Unlock()
-	_ = p.writeCurrentState()
+	_ = p.writeCurrentState(sess)
 }
 
-func (p *Participant) writeCurrentState() error {
+func (p *Participant) writeCurrentState(sess zkmeta.Client) error {
 	p.mu.Lock()
 	data, err := json.Marshal(p.current)
 	p.mu.Unlock()
@@ -172,11 +146,11 @@ func (p *Participant) writeCurrentState() error {
 		return err
 	}
 	path := currentStatePath(p.cluster, p.instance)
-	if err := p.sess.Create(path, data); err != nil {
+	if err := sess.Create(path, data); err != nil {
 		if err != zkmeta.ErrNodeExists {
 			return err
 		}
-		_, err = p.sess.Set(path, data, -1)
+		_, err = sess.Set(path, data, -1)
 		return err
 	}
 	return nil

@@ -80,7 +80,7 @@ type derivedEval struct {
 // creates a consumer at the segment's start offset, so all replicas consume
 // the exact same data.
 func (t *tableDataManager) startConsuming(segName string) error {
-	meta, err := controller.ReadSegmentMeta(t.server.sess, t.server.cfg.Cluster, t.resource, segName)
+	meta, err := controller.ReadSegmentMeta(t.server.sess.Client(), t.server.cfg.Cluster, t.resource, segName)
 	if err != nil {
 		return fmt.Errorf("server %s: consuming segment %s metadata: %w", t.server.cfg.Instance, segName, err)
 	}

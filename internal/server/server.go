@@ -80,7 +80,7 @@ func (c *Config) withDefaults() {
 type Server struct {
 	cfg         Config
 	store       zkmeta.Endpoint
-	sess        zkmeta.Client
+	sess        *zkmeta.Kept // shared with the participant
 	objects     objstore.Store
 	streams     *stream.Cluster
 	controllers func() []transport.ControllerClient
@@ -172,25 +172,37 @@ func New(cfg Config, store zkmeta.Endpoint, objects objstore.Store, streams *str
 func (s *Server) Instance() string { return s.cfg.Instance }
 
 // Start registers the instance and joins the cluster as a Helix
-// participant.
+// participant. It never fails: a session that cannot open yet is retried
+// until one does.
 func (s *Server) Start() error {
-	s.sess = s.store.NewClient()
-	admin := helix.NewAdmin(s.sess, s.cfg.Cluster)
+	s.participant = helix.NewParticipant(s.cfg.Cluster, s.cfg.Instance, s.handleTransition)
+	s.sess = zkmeta.Keep(s.store, s.onSession)
+	s.participant.Start(s.sess)
+	return nil
+}
+
+// onSession registers the instance over a new session, re-watches and
+// re-reads each hosted table's config, then rejoins as a participant.
+func (s *Server) onSession(sess zkmeta.Client) error {
+	admin := helix.NewAdmin(sess, s.cfg.Cluster)
 	if err := admin.CreateCluster(); err != nil {
 		return err
 	}
 	if err := admin.RegisterInstance(helix.InstanceConfig{Instance: s.cfg.Instance, Tags: []string{"server"}, Addr: s.cfg.AdvertiseAddr}); err != nil {
 		return err
 	}
-	s.participant = helix.NewParticipant(s.store, s.cfg.Cluster, s.cfg.Instance, s.handleTransition)
-	return s.participant.Start()
+	s.mu.Lock()
+	for _, t := range s.tables {
+		_ = t.watchConfig(sess) // a dropped table's config is gone
+	}
+	s.mu.Unlock()
+	return s.participant.Join(sess)
 }
 
-// Stop leaves the cluster and halts consumers.
+// Stop leaves the cluster and halts consumers. Closing its session ends its
+// participant's loop, and a stopped server never rejoins.
 func (s *Server) Stop() {
-	if s.participant != nil {
-		s.participant.Stop()
-	}
+	s.sess.Close()
 	s.mu.Lock()
 	tables := make([]*tableDataManager, 0, len(s.tables))
 	for _, t := range s.tables {
@@ -199,30 +211,12 @@ func (s *Server) Stop() {
 	s.mu.Unlock()
 	for _, t := range tables {
 		t.stopAll()
-	}
-	if s.sess != nil {
-		s.sess.Close()
 	}
 }
 
-// Kill simulates a crash (ungraceful session expiry).
-func (s *Server) Kill() {
-	if s.participant != nil {
-		s.participant.Kill()
-	}
-	s.mu.Lock()
-	tables := make([]*tableDataManager, 0, len(s.tables))
-	for _, t := range s.tables {
-		tables = append(tables, t)
-	}
-	s.mu.Unlock()
-	for _, t := range tables {
-		t.stopAll()
-	}
-	if s.sess != nil {
-		s.sess.Expire()
-	}
-}
+// Kill simulates a crash. Either endpoint drops a closed session as it drops
+// an expired one, so a crash is a Stop.
+func (s *Server) Kill() { s.Stop() }
 
 func (s *Server) tableManager(resource string) (*tableDataManager, error) {
 	s.mu.Lock()
@@ -230,30 +224,38 @@ func (s *Server) tableManager(resource string) (*tableDataManager, error) {
 	if t, ok := s.tables[resource]; ok {
 		return t, nil
 	}
-	cfg, err := controller.ReadTableConfig(s.sess, s.cfg.Cluster, resource)
-	if err != nil {
-		return nil, fmt.Errorf("server %s: no config for %s: %w", s.cfg.Instance, resource, err)
-	}
 	t := &tableDataManager{
 		server:    s,
 		resource:  resource,
 		segments:  map[string]query.IndexedSegment{},
 		consuming: map[string]*consumer{},
 	}
-	t.cfg.Store(cfg)
-	// Track on-the-fly config changes (schema evolution, index changes;
-	// paper 5.2) via a watch on the stored table config.
-	events, cancel := s.sess.Watch(helix.PropertyStorePath(s.cfg.Cluster, "CONFIGS", "TABLE", resource))
-	t.cfgCancel = cancel
-	go func() {
-		for range events {
-			if fresh, err := controller.ReadTableConfig(s.sess, s.cfg.Cluster, resource); err == nil {
-				t.cfg.Store(fresh)
-			}
-		}
-	}()
+	if err := t.watchConfig(s.sess.Client()); err != nil {
+		return nil, fmt.Errorf("server %s: no config for %s: %w", s.cfg.Instance, resource, err)
+	}
 	s.tables[resource] = t
 	return t, nil
+}
+
+// watchConfig tracks on-the-fly config changes (schema evolution, index
+// changes; paper 5.2) over sess: it watches the table's config, then reads
+// it. The watch of an earlier session closed with it.
+func (t *tableDataManager) watchConfig(sess zkmeta.Client) error {
+	events, _ := sess.Watch(helix.PropertyStorePath(t.server.cfg.Cluster, "CONFIGS", "TABLE", t.resource))
+	reload := func() error {
+		cfg, err := controller.ReadTableConfig(sess, t.server.cfg.Cluster, t.resource)
+		if err == nil {
+			t.cfg.Store(cfg)
+		}
+		return err
+	}
+	err := reload() // before the watch's reloads, so an older read never lands last
+	go func() {
+		for range events {
+			_ = reload()
+		}
+	}()
+	return err
 }
 
 // handleTransition executes Helix state transitions (paper Figures 3 and 4).
@@ -395,10 +397,9 @@ func (s *Server) HostedSegments(resource string) []string {
 
 // tableDataManager holds one resource's segments on a server.
 type tableDataManager struct {
-	server    *Server
-	resource  string
-	cfg       atomic.Pointer[table.Config]
-	cfgCancel func()
+	server   *Server
+	resource string
+	cfg      atomic.Pointer[table.Config] // watched over the session that read it
 
 	mu        sync.RWMutex
 	segments  map[string]query.IndexedSegment
@@ -473,7 +474,7 @@ func (t *tableDataManager) loadFromStore(segName string) error {
 		log.Print(err)
 		return err
 	}
-	meta, err := controller.ReadSegmentMeta(t.server.sess, t.server.cfg.Cluster, t.resource, segName)
+	meta, err := controller.ReadSegmentMeta(t.server.sess.Client(), t.server.cfg.Cluster, t.resource, segName)
 	if err != nil {
 		return refuse("metadata", err)
 	}
@@ -530,9 +531,6 @@ func (t *tableDataManager) drop(segName string) {
 }
 
 func (t *tableDataManager) stopAll() {
-	if t.cfgCancel != nil {
-		t.cfgCancel()
-	}
 	t.mu.Lock()
 	consumers := make([]*consumer, 0, len(t.consuming))
 	for _, c := range t.consuming {

@@ -21,9 +21,8 @@ type Remote struct {
 func NewRemote(addr string) *Remote { return &Remote{addr: addr, DialTimeout: 5 * time.Second} }
 
 // NewClient dials a fresh session. Dial failure yields an already-expired
-// session whose operations fail with ErrSessionClosed, matching the behavior
-// of a session that dropped immediately; components already handle that via
-// OnExpire/retry.
+// session whose operations fail with ErrSessionClosed and whose OnExpire
+// never fires; Kept retries such a session with backoff.
 func (r *Remote) NewClient() Client {
 	conn, err := net.DialTimeout("tcp", r.addr, r.DialTimeout)
 	if err != nil {
@@ -157,7 +156,9 @@ func (rs *RemoteSession) call(req wireReq) (*wireResp, error) {
 		rs.mu.Lock()
 		delete(rs.pending, req.ID)
 		rs.mu.Unlock()
-		rs.teardown()
+		// The read loop tears down, so expiry callbacks never run on a
+		// caller that may hold its own locks.
+		rs.conn.Close()
 		return nil, ErrSessionClosed
 	}
 	resp, ok := <-ch
@@ -294,10 +295,9 @@ func (rs *RemoteSession) watch(path string, op uint8) (<-chan Event, func()) {
 }
 
 // OnExpire registers fn to run when the session closes or the connection
-// drops. Registering on an already-expired session is a no-op, matching the
-// local Session semantics — reconnect loops would otherwise recurse forever
-// against a dead endpoint; components detect that case via Expired() and
-// failing operations instead.
+// drops. Registering on an already-expired session is a no-op, as it is on a
+// local Session — a reconnect loop would otherwise recurse forever against a
+// dead endpoint; Kept detects that case via Expired() and retries instead.
 func (rs *RemoteSession) OnExpire(fn func()) {
 	rs.mu.Lock()
 	if rs.closed {

@@ -9,6 +9,7 @@ package zkmeta
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,7 +66,7 @@ type node struct {
 type watcher struct {
 	ch       chan Event
 	children bool // fires on child membership changes of Path
-	path     string
+	owner    *Session
 	closed   bool
 }
 
@@ -379,7 +380,11 @@ func (sess *Session) WatchChildren(path string) (<-chan Event, func()) {
 func (sess *Session) watch(path string, children bool) (<-chan Event, func()) {
 	sess.store.mu.Lock()
 	defer sess.store.mu.Unlock()
-	w := &watcher{ch: make(chan Event, 4096), children: children, path: path}
+	w := &watcher{ch: make(chan Event, 4096), children: children, owner: sess}
+	if sess.closed {
+		close(w.ch)
+		return w.ch, func() {}
+	}
 	sess.store.watchers[path] = append(sess.store.watchers[path], w)
 	cancel := func() {
 		sess.store.mu.Lock()
@@ -403,8 +408,7 @@ func (sess *Session) watch(path string, children bool) (<-chan Event, func()) {
 // OnExpire registers fn to run when the session closes or expires. Callbacks
 // fire after the session's ephemeral nodes have been removed (so watches on
 // them have already seen the deletions) and outside the store lock, so they
-// may open a new session. This is the chaos hook components use to model
-// Zookeeper reconnection: step down, open a fresh session, re-contend.
+// may open a new session: Kept reopens its role's session from here.
 func (sess *Session) OnExpire(fn func()) {
 	sess.store.mu.Lock()
 	defer sess.store.mu.Unlock()
@@ -419,8 +423,8 @@ func (sess *Session) Expired() bool {
 }
 
 // Close ends the session: ephemeral nodes it owns are deleted (firing
-// watches) and further operations fail. Expire is an alias used by failure
-// tests.
+// watches), then its own watches close, and further operations fail. Expire
+// is an alias used by failure tests.
 func (sess *Session) Close() {
 	sess.store.mu.Lock()
 	if sess.closed {
@@ -436,6 +440,16 @@ func (sess *Session) Close() {
 	sort.Slice(paths, func(i, j int) bool { return len(paths[i]) > len(paths[j]) })
 	for _, p := range paths {
 		_ = sess.store.deleteLocked(p, -1)
+	}
+	// Its watches close with it, as a remote session's do.
+	for path, ws := range sess.store.watchers {
+		sess.store.watchers[path] = slices.DeleteFunc(ws, func(w *watcher) bool {
+			if w.owner == sess {
+				w.closed = true
+				close(w.ch)
+			}
+			return w.owner == sess
+		})
 	}
 	delete(sess.store.sessions, sess)
 	cbs := sess.expireCbs
