@@ -93,8 +93,8 @@ func (c *Controller) Start(sess *zkmeta.Kept) {
 			case <-c.kick:
 			case <-ticker.C:
 			}
-			if sess := c.elect(); sess != nil {
-				c.rebalance(sess)
+			if over := c.elect(); over != nil {
+				c.rebalance(over)
 			}
 		}
 	})

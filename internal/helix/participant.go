@@ -139,9 +139,11 @@ func (p *Participant) execute(sess zkmeta.Client, msg Message) {
 }
 
 func (p *Participant) writeCurrentState(sess zkmeta.Client) error {
+	// Join and the loop both write: holding the lock through the write
+	// keeps an older state from landing last.
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	data, err := json.Marshal(p.current)
-	p.mu.Unlock()
 	if err != nil {
 		return err
 	}
