@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pinot/internal/pql"
@@ -15,16 +16,17 @@ import (
 	"pinot/internal/segment"
 )
 
-// Engine executes queries across the segments of one node, scheduling
-// per-segment plans on a bounded worker pool (paper 3.3.4: "query plans are
-// then submitted for execution to the query execution scheduler. Query plans
-// are processed in parallel").
+// Engine executes queries across the segments of one node (paper 3.3.4:
+// "query plans are then submitted for execution to the query execution
+// scheduler. Query plans are processed in parallel"). A query's segment plans
+// run on the goroutine that calls Execute, joined by whichever of the
+// process's helper goroutines are idle (see helpers).
 type Engine struct {
 	// Options tune physical planning for every query this engine runs.
 	Options Options
 	// OnOutcome, when set, receives each query's segment disposition after
 	// execution: plans run to completion, plans cancelled mid-scan, and
-	// segments never dispatched before the deadline. The server wires this
+	// segments never claimed before the deadline. The server wires this
 	// to its metrics, keeping this package free of the metrics dependency.
 	OnOutcome func(executed, cancelled, skipped int)
 	// AggCache, when set, is the server-side partial-aggregate cache:
@@ -33,8 +35,9 @@ type Engine struct {
 	// disables the tier.
 	AggCache *qcache.Cache
 
-	// parallelism bounds concurrently executing segment plans; zero means
-	// GOMAXPROCS. In-package tests set it.
+	// parallelism caps the goroutines that run one query's segment plans:
+	// the caller plus up to parallelism-1 helpers, so 1 means the caller
+	// alone. Zero means GOMAXPROCS. In-package tests set it.
 	parallelism int
 	// afterMiss is a test seam: in-package tests use it to hand the cache
 	// a result the engine itself never produces (see aggcache.go).
@@ -44,13 +47,14 @@ type Engine struct {
 // Execute runs a parsed query over the given segments and returns the merged
 // (but not finalized) partial result, its segments folded in segment-index
 // order — selection merges append rows, so order is semantics — and the
-// pruning work folded into its Stats. A context cancellation or deadline
-// produces a best-effort partial result with an exception note, matching the
-// paper's partial-result semantics (3.3.3 step 7): undispatched segments are
-// skipped, and in-flight segments stop cooperatively at the next block
-// boundary — both count (and the cancelled ones are named) in the timeout
-// exception. A merge error cancels outstanding segment work and is returned
-// as the execution error.
+// pruning work folded into its Stats. The calling goroutine runs the segment
+// plans; idle helpers may join it, and Execute never waits for a busy one. A
+// context cancellation or deadline produces a best-effort partial result with
+// an exception note, matching the paper's partial-result semantics (3.3.3
+// step 7): segments not yet claimed are skipped, and claimed segments stop
+// cooperatively at the next block boundary — both count (and the cancelled
+// ones are named) in the timeout exception. Every plan has finished before
+// the fold, so a merge error is simply returned as the execution error.
 func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegment, tableSchema *segment.Schema) (*Intermediate, []string, error) {
 	empty := func(stats Stats) *Intermediate {
 		res := EmptyIntermediate(q, tableSchema)
@@ -76,107 +80,67 @@ func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegmen
 			return empty(pruned), nil, nil
 		}
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+
+	x := &execution{e: e, ctx: ctx, segs: segs, queries: queries, schema: tableSchema, outcomes: make([]outcome, len(segs))}
+	// The cache key is rendered once per distinct query, not per segment:
+	// pruning hands most segments the same *pql.Query, and at most one
+	// filter-elided copy.
+	if e.AggCache != nil && q.IsAggregation() {
+		x.cacheKeys = make(map[*pql.Query]string, 2)
+		for _, sq := range queries {
+			if _, ok := x.cacheKeys[sq]; !ok {
+				x.cacheKeys[sq] = aggCacheKey(sq)
+			}
+		}
+	}
 	par := e.parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(segs) {
-		par = len(segs)
-	}
-
-	// The cache key is rendered once per distinct query, not per segment:
-	// pruning hands most segments the same *pql.Query, and at most one
-	// filter-elided copy.
-	var cacheKeys map[*pql.Query]string
-	if e.AggCache != nil && q.IsAggregation() {
-		cacheKeys = make(map[*pql.Query]string, 2)
-		for _, sq := range queries {
-			if _, ok := cacheKeys[sq]; !ok {
-				cacheKeys[sq] = aggCacheKey(sq)
-			}
+	// Offer the claim loop to up to par-1 idle helpers. The first offer no
+	// helper takes ends the offers: the caller does the rest itself.
+	for w := 1; w < min(par, len(segs)); w++ {
+		x.wg.Add(1)
+		select {
+		case helpers() <- x:
+			continue
+		default:
+			x.wg.Done()
 		}
+		break
 	}
-
-	type outcome struct {
-		index int
-		res   *Intermediate
-		err   error
-	}
-	outcomes := make(chan outcome, len(segs))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				res, err := e.executeSegmentCached(ctx, segs[i], queries[i], cacheKeys[queries[i]], tableSchema)
-				outcomes <- outcome{i, res, err}
-			}
-		}()
-	}
-	go func() {
-	dispatch:
-		for i := range segs {
-			select {
-			case work <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(work)
-		wg.Wait()
-		close(outcomes)
-	}()
-
-	// Reorder buffer: outcomes arrive in completion order, but fold in
-	// segment-index order the moment their predecessors have resolved.
-	results := make([]outcome, len(segs))
-	arrived := make([]bool, len(segs))
-	next := 0
+	x.claim()
+	x.wg.Wait()
 
 	var merged *Intermediate
 	var errExcs []string
 	var cancelled []string
 	var firstErr, mergeErr error
-	succeeded, dispatched := 0, 0
-	for o := range outcomes {
-		dispatched++
-		results[o.index], arrived[o.index] = o, true
-		if mergeErr != nil {
-			continue // draining after a failed merge; workers are cancelled
+	succeeded := 0
+	claimed := min(int(x.next.Load()), len(segs))
+	for i, o := range x.outcomes[:claimed] {
+		var ce *cancelledError
+		if errors.As(o.err, &ce) {
+			// Claimed but stopped mid-scan at a block boundary: no usable
+			// partial from this segment, and it counts as not processed.
+			cancelled = append(cancelled, segs[i].Seg.Name())
+			continue
 		}
-		for next < len(segs) && arrived[next] {
-			o := results[next]
-			next++
-			var ce *cancelledError
-			if errors.As(o.err, &ce) {
-				// Dispatched but stopped mid-scan at a block boundary: no
-				// usable partial from this segment, and it must be counted
-				// as not processed (the pre-cancellation engine reported
-				// these as processed).
-				cancelled = append(cancelled, segs[o.index].Seg.Name())
-				continue
+		if o.err != nil {
+			if firstErr == nil {
+				firstErr = o.err
 			}
-			if o.err != nil {
-				if firstErr == nil {
-					firstErr = o.err
-				}
-				errExcs = append(errExcs, o.err.Error())
-				continue
-			}
-			succeeded++
-			if merged == nil {
-				merged = o.res
-			} else if mergeErr = merged.Merge(o.res); mergeErr != nil {
-				cancel()
-				break
-			}
+			errExcs = append(errExcs, o.err.Error())
+			continue
+		}
+		succeeded++
+		if merged == nil {
+			merged = o.res
+		} else if mergeErr = merged.Merge(o.res); mergeErr != nil {
+			break
 		}
 	}
-	skipped := len(segs) - dispatched
+	skipped := len(segs) - claimed
 	if e.OnOutcome != nil {
 		e.OnOutcome(succeeded, len(cancelled), skipped)
 	}
@@ -207,6 +171,57 @@ func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegmen
 	merged.Stats.Merge(pruned)
 	return merged, exceptions, nil
 }
+
+// execution is one query's segments and their outcomes. The caller and every
+// helper that joins run claim; next hands out segment indices in order, so
+// the claimed segments are always a prefix. outcomes[i] is written only by
+// the goroutine that claimed segment i and read after wg.Wait.
+type execution struct {
+	e         *Engine
+	ctx       context.Context
+	segs      []IndexedSegment
+	queries   []*pql.Query
+	cacheKeys map[*pql.Query]string
+	schema    *segment.Schema
+	next      atomic.Int64
+	wg        sync.WaitGroup // one count per helper that joined
+	outcomes  []outcome
+}
+
+type outcome struct {
+	res *Intermediate
+	err error
+}
+
+// claim runs unclaimed segments until none is left or the context ends.
+func (x *execution) claim() {
+	for x.ctx.Err() == nil {
+		i := int(x.next.Add(1) - 1)
+		if i >= len(x.segs) {
+			return
+		}
+		q := x.queries[i]
+		x.outcomes[i].res, x.outcomes[i].err = x.e.executeSegmentCached(x.ctx, x.segs[i], q, x.cacheKeys[q], x.schema)
+	}
+}
+
+// helpers returns the channel on which an idle helper takes a query's
+// execution to join its claim loop. GOMAXPROCS-1 helpers start on first use
+// and serve every Engine in the process until it exits: GOMAXPROCS is a
+// process setting, so servers sharing a process share its cores, and a
+// query's own goroutine is always the last worker it can count on.
+var helpers = sync.OnceValue(func() chan *execution {
+	work := make(chan *execution)
+	for n := runtime.GOMAXPROCS(0) - 1; n > 0; n-- {
+		go func() {
+			for x := range work {
+				x.claim()
+				x.wg.Done()
+			}
+		}()
+	}
+	return work
+})
 
 // EmptyIntermediate produces the intermediate of the right shape for a query
 // that no document matched; brokers use it when every server failed or every
