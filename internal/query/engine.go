@@ -16,11 +16,10 @@ import (
 	"pinot/internal/segment"
 )
 
-// Engine executes queries across the segments of one node (paper 3.3.4:
+// Engine executes queries across the segments of one node, each query's plans
+// on its caller's goroutine and the idle helpers that join it (paper 3.3.4:
 // "query plans are then submitted for execution to the query execution
-// scheduler. Query plans are processed in parallel"). A query's segment plans
-// run on the goroutine that calls Execute, joined by whichever of the
-// process's helper goroutines are idle (see helpers).
+// scheduler. Query plans are processed in parallel").
 type Engine struct {
 	// Options tune physical planning for every query this engine runs.
 	Options Options
@@ -35,9 +34,8 @@ type Engine struct {
 	// disables the tier.
 	AggCache *qcache.Cache
 
-	// parallelism caps the goroutines that run one query's segment plans:
-	// the caller plus up to parallelism-1 helpers, so 1 means the caller
-	// alone. Zero means GOMAXPROCS. In-package tests set it.
+	// parallelism caps the goroutines running one query's plans, its caller
+	// included (1: the caller alone); zero means GOMAXPROCS. Tests set it.
 	parallelism int
 	// afterMiss is a test seam: in-package tests use it to hand the cache
 	// a result the engine itself never produces (see aggcache.go).
@@ -80,7 +78,6 @@ func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegmen
 			return empty(pruned), nil, nil
 		}
 	}
-
 	x := &execution{e: e, ctx: ctx, segs: segs, queries: queries, schema: tableSchema, outcomes: make([]outcome, len(segs))}
 	// The cache key is rendered once per distinct query, not per segment:
 	// pruning hands most segments the same *pql.Query, and at most one
@@ -97,27 +94,13 @@ func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegmen
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	// Offer the claim loop to up to par-1 idle helpers. The first offer no
-	// helper takes ends the offers: the caller does the rest itself.
-	for w := 1; w < min(par, len(segs)); w++ {
-		x.wg.Add(1)
-		select {
-		case helpers() <- x:
-			continue
-		default:
-			x.wg.Done()
-		}
-		break
-	}
-	x.claim()
+	x.claim(min(par, len(segs)) - 1)
 	x.wg.Wait()
 
 	var merged *Intermediate
-	var errExcs []string
-	var cancelled []string
+	var errExcs, cancelled []string
 	var firstErr, mergeErr error
-	succeeded := 0
-	claimed := min(int(x.next.Load()), len(segs))
+	succeeded, claimed := 0, min(int(x.next.Load()), len(segs))
 	for i, o := range x.outcomes[:claimed] {
 		var ce *cancelledError
 		if errors.As(o.err, &ce) {
@@ -172,10 +155,9 @@ func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegmen
 	return merged, exceptions, nil
 }
 
-// execution is one query's segments and their outcomes. The caller and every
-// helper that joins run claim; next hands out segment indices in order, so
-// the claimed segments are always a prefix. outcomes[i] is written only by
-// the goroutine that claimed segment i and read after wg.Wait.
+// execution is one query's segments and their outcomes. next hands out segment
+// indices in order, so the claimed ones are a prefix; outcomes[i] is written
+// by the goroutine that claimed segment i and read after wg.Wait.
 type execution struct {
 	e         *Engine
 	ctx       context.Context
@@ -193,9 +175,22 @@ type outcome struct {
 	err error
 }
 
-// claim runs unclaimed segments until none is left or the context ends.
-func (x *execution) claim() {
+// claim runs unclaimed segments until none is left or the context ends. Before
+// each claim, the caller offers the loop to up to recruit idle helpers while a
+// segment would be left for them, so a helper freed mid-query still joins.
+func (x *execution) claim(recruit int) {
 	for x.ctx.Err() == nil {
+		for recruit > 0 && int(x.next.Load()) < len(x.segs)-1 {
+			x.wg.Add(1)
+			select {
+			case helpers() <- x:
+				recruit--
+				continue
+			default: // no helper is idle
+				x.wg.Done()
+			}
+			break
+		}
 		i := int(x.next.Add(1) - 1)
 		if i >= len(x.segs) {
 			return
@@ -205,23 +200,28 @@ func (x *execution) claim() {
 	}
 }
 
-// helpers returns the channel on which an idle helper takes a query's
-// execution to join its claim loop. GOMAXPROCS-1 helpers start on first use
-// and serve every Engine in the process until it exits: GOMAXPROCS is a
-// process setting, so servers sharing a process share its cores, and a
-// query's own goroutine is always the last worker it can count on.
-var helpers = sync.OnceValue(func() chan *execution {
-	work := make(chan *execution)
-	for n := runtime.GOMAXPROCS(0) - 1; n > 0; n-- {
-		go func() {
-			for x := range work {
-				x.claim()
-				x.wg.Done()
-			}
-		}()
-	}
-	return work
-})
+// GOMAXPROCS-1 helpers wait on helperWork from first use until the process
+// exits, serving every Engine: GOMAXPROCS is per process, so servers sharing a
+// process share its cores.
+var (
+	helpersOnce sync.Once
+	helperWork  chan *execution
+)
+
+func helpers() chan<- *execution {
+	helpersOnce.Do(func() {
+		helperWork = make(chan *execution)
+		for n := runtime.GOMAXPROCS(0) - 1; n > 0; n-- {
+			go func() {
+				for x := range helperWork {
+					x.claim(0)
+					x.wg.Done()
+				}
+			}()
+		}
+	})
+	return helperWork
+}
 
 // EmptyIntermediate produces the intermediate of the right shape for a query
 // that no document matched; brokers use it when every server failed or every
