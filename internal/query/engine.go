@@ -94,7 +94,19 @@ func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegmen
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	x.claim(min(par, len(segs)) - 1)
+	// Offer the claim loop to up to par-1 idle helpers. The first offer no
+	// helper takes ends the offers: the caller does the rest itself.
+	for w := 1; w < min(par, len(segs)); w++ {
+		x.wg.Add(1)
+		select {
+		case helpers() <- x:
+			continue
+		default:
+			x.wg.Done()
+		}
+		break
+	}
+	x.claim()
 	x.wg.Wait()
 
 	var merged *Intermediate
@@ -175,22 +187,9 @@ type outcome struct {
 	err error
 }
 
-// claim runs unclaimed segments until none is left or the context ends. Before
-// each claim, the caller offers the loop to up to recruit idle helpers while a
-// segment would be left for them, so a helper freed mid-query still joins.
-func (x *execution) claim(recruit int) {
+// claim runs unclaimed segments until none is left or the context ends.
+func (x *execution) claim() {
 	for x.ctx.Err() == nil {
-		for recruit > 0 && int(x.next.Load()) < len(x.segs)-1 {
-			x.wg.Add(1)
-			select {
-			case helpers() <- x:
-				recruit--
-				continue
-			default: // no helper is idle
-				x.wg.Done()
-			}
-			break
-		}
 		i := int(x.next.Add(1) - 1)
 		if i >= len(x.segs) {
 			return
@@ -214,7 +213,7 @@ func helpers() chan<- *execution {
 		for n := runtime.GOMAXPROCS(0) - 1; n > 0; n-- {
 			go func() {
 				for x := range helperWork {
-					x.claim(0)
+					x.claim()
 					x.wg.Done()
 				}
 			}()
