@@ -7,7 +7,7 @@ import (
 
 // cancelledError marks a segment execution stopped mid-scan by a
 // cooperative cancellation checkpoint. The engine names these segments in
-// its timeout exception — they were dispatched but not processed.
+// its timeout exception — they were claimed but not processed.
 type cancelledError struct {
 	segment string
 	cause   error
