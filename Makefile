@@ -46,8 +46,11 @@ cover:
 # the metadata endpoint's frames (requests, responses, watch events: linear
 # allocation, and whatever decodes re-encodes to an equal value), the layout of an
 # intermediate where it lives (the bytes both cache tiers store: linear
-# allocation, and whatever decodes re-encodes to an equal value), the PQL
-# parser (never panic; accepted input must canonicalize to a re-parseable
+# allocation, and whatever decodes re-encodes to an equal value), the
+# query a request carries (linear allocation, and whatever decodes is the
+# tree Parse builds from its rendering, or the broker's hybrid rewrite of
+# one), the PQL parser (never panic, nesting bounded; an accepted query's
+# rendering parses to the very same tree, and its canonical text is a
 # fixpoint), the expression evaluator (sandbox limits hold; compiled
 # kernels agree with the interpreter), and the scan cursor's state machine
 # (any mix of Next/Advance/nextBlock on any leaf and segment kind yields the
@@ -74,6 +77,7 @@ fuzz fuzz-smoke:
 	$(GO) test ./internal/transport -run NONE -fuzz=FuzzResponseStream -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkmeta -run NONE -fuzz=FuzzZKFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run NONE -fuzz=FuzzDecodeIntermediate -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/query -run NONE -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pql -run NONE -fuzz=FuzzParsePQL -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/expr -run NONE -fuzz=FuzzExprEval -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run NONE -fuzz=FuzzScanCursor -fuzztime=$(FUZZTIME)

@@ -394,8 +394,7 @@ func (g *gather) fold(o gather) error {
 // tier may answer, and live, over the rest.
 type subquery struct {
 	rs           *routingState
-	q            *pql.Query
-	pql          string // q as sent to servers, rendered once a group needs it
+	q            *pql.Query // as sent to servers
 	cached, live portion
 }
 
@@ -529,9 +528,6 @@ func (b *Broker) scatter(ctx context.Context, qc *qctx.QueryContext, subs []subq
 		sub := &subs[i]
 		for _, p := range []*portion{&sub.cached, &sub.live} {
 			for instance, segs := range p.groups {
-				if sub.pql == "" {
-					sub.pql = sub.q.String()
-				}
 				go func() {
 					g, err := b.queryGroup(ctx, qc, sub, tenant, instance, segs)
 					results <- arrival{p, g, err}
@@ -743,7 +739,7 @@ func (b *Broker) callServer(ctx context.Context, qc *qctx.QueryContext, sub *sub
 	}
 	return client.Execute(cctx, &transport.QueryRequest{
 		Resource:     sub.rs.resource,
-		PQL:          sub.pql,
+		Query:        sub.q,
 		Segments:     segs,
 		Tenant:       tenant,
 		QueryID:      qc.ID(),

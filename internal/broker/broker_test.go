@@ -447,11 +447,7 @@ func TestBrokerSelectionHeaderSurvivesAnAllPrunedServer(t *testing.T) {
 			t.Fatal(err)
 		}
 		env.servers[inst].respond = func(req *transport.QueryRequest) *query.Intermediate {
-			q, err := pql.Parse(req.PQL)
-			if err != nil {
-				t.Error(err)
-			}
-			res, _, err := (&query.Engine{}).Execute(context.Background(), q, []query.IndexedSegment{{Seg: seg}}, schema)
+			res, _, err := (&query.Engine{}).Execute(context.Background(), req.Query, []query.IndexedSegment{{Seg: seg}}, schema)
 			if err != nil {
 				t.Error(err)
 			}
@@ -728,7 +724,7 @@ func TestBrokerViewChangeDuringRoutingBuildIsNotLost(t *testing.T) {
 	}
 }
 
-// lastPQL returns the PQL of the latest call a fake server received.
+// lastPQL renders the query of the latest call a fake server received.
 func (f *fakeServer) lastPQL(t *testing.T) string {
 	t.Helper()
 	f.mu.Lock()
@@ -736,7 +732,7 @@ func (f *fakeServer) lastPQL(t *testing.T) string {
 	if len(f.calls) == 0 {
 		t.Fatalf("%s was never called", f.instance)
 	}
-	return f.calls[len(f.calls)-1].PQL
+	return f.calls[len(f.calls)-1].Query.String()
 }
 
 // hybridEnv builds a hybrid table ev: the offline segment off0 (DONE, max

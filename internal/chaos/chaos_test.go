@@ -11,6 +11,17 @@ import (
 	"pinot/internal/transport"
 )
 
+// mustQuery parses a query text the test itself wrote.
+func mustQuery(s string) *pql.Query {
+	q, err := pql.Parse(s)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
+var countT = mustQuery("SELECT count(*) FROM t")
+
 type fakeServer struct {
 	calls int
 }
@@ -37,7 +48,7 @@ func exec(t *testing.T, r *Registry, ctx context.Context) (*transport.QueryRespo
 	if !ok {
 		t.Fatal("no client")
 	}
-	return c.Execute(ctx, &transport.QueryRequest{PQL: "SELECT count(*) FROM t"})
+	return c.Execute(ctx, &transport.QueryRequest{Query: countT})
 }
 
 func TestPassthroughWithoutPolicy(t *testing.T) {

@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"pinot/internal/broker"
 	"pinot/internal/controller"
 	"pinot/internal/helix"
+	"pinot/internal/pql"
 	"pinot/internal/segment"
 	"pinot/internal/server"
 	"pinot/internal/startree"
@@ -494,6 +497,35 @@ func TestHybridTableTimeBoundary(t *testing.T) {
 	}
 	if got := res.Rows[0][1].(float64); got != wantSum {
 		t.Fatalf("hybrid sum = %v, want %v", got, wantSum)
+	}
+
+	// A filter as deep as Parse allows: an even number of NOTs over a
+	// comparison every row passes. The boundary rewrite puts each half a
+	// level past Parse's bound, as deep as the data plane carries; both
+	// halves cross the codec intact, and the servers answer as before.
+	deep := "SELECT count(*), sum(clicks) FROM events WHERE " + strings.Repeat("NOT ", pql.MaxDepth-1) + "clicks >= 0"
+	q, err := pql.Parse(deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []pql.CompareOp{pql.OpLt, pql.OpGte} {
+		half := q.WithExtraFilter(pql.Comparison{Column: "day", Op: op, Value: int64(104)})
+		if got := crossCodec(t, half); !reflect.DeepEqual(got, half) {
+			t.Fatalf("the %s half crosses the codec as %s", op, got)
+		}
+		if _, err := pql.Parse(half.String()); err == nil {
+			t.Fatalf("the %s half parses: it is not past the bound", op)
+		}
+	}
+	res, err = c.Execute(context.Background(), deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Partial || res.Rows[0][0].(int64) != wantCount || res.Rows[0][1].(float64) != wantSum {
+		t.Fatalf("the filter at the bound answers %v (partial %v), want %d and %v", res.Rows, res.Partial, wantCount, wantSum)
+	}
+	if _, err := c.Execute(context.Background(), strings.Replace(deep, "NOT ", "NOT NOT ", 1)); err == nil {
+		t.Fatal("a filter past the bound was answered")
 	}
 }
 

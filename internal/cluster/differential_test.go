@@ -2,10 +2,15 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
+	"testing"
 
 	"pinot/internal/broker"
+	"pinot/internal/pql"
+	"pinot/internal/query"
+	"pinot/internal/wire"
 )
 
 // differentialQueries builds the mixed corpus: plain aggregations, group-bys
@@ -85,4 +90,47 @@ func canonicalResponse(pqlText string, res *broker.Response) string {
 	}
 	return fmt.Sprintf("cols=%#v rows=%v stats=%+v partial=%v exceptions=%#v",
 		res.Columns, rows, res.Stats, res.Partial, res.Exceptions)
+}
+
+// TestDifferentialQueriesCrossTheCodec holds the data plane's request codec
+// to what servers executed when they parsed the text the broker rendered:
+// every query of the corpus, and both halves of its hybrid rewrite, arrives
+// as it was sent and as Parse builds it from its rendering.
+func TestDifferentialQueriesCrossTheCodec(t *testing.T) {
+	for _, text := range differentialQueries() {
+		q, err := pql.Parse(text)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		for _, sent := range []*pql.Query{
+			q,
+			q.WithExtraFilter(pql.Comparison{Column: "day", Op: pql.OpLt, Value: int64(104)}),
+			q.WithExtraFilter(pql.Comparison{Column: "day", Op: pql.OpGte, Value: int64(104)}),
+		} {
+			parsed, err := pql.Parse(sent.String())
+			if err != nil {
+				t.Fatalf("%s: %v", sent, err)
+			}
+			if got := crossCodec(t, sent); !reflect.DeepEqual(got, parsed) || !reflect.DeepEqual(got, sent) {
+				t.Fatalf("%s crosses the codec as %#v; sent %#v, parsed %#v", sent, got, sent, parsed)
+			}
+		}
+	}
+}
+
+// crossCodec encodes q as a request carries it and decodes it as a server does.
+func crossCodec(t *testing.T, q *pql.Query) *pql.Query {
+	t.Helper()
+	e := wire.GetEncoder()
+	defer e.Release()
+	query.AppendQuery(e, q)
+	if err := e.Err(); err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	d := wire.NewDecoder(e.Bytes())
+	got := query.ReadQuery(&d)
+	if err := d.Finish(); err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return got
 }

@@ -10,10 +10,19 @@ import (
 
 	"pinot/internal/chaos"
 	"pinot/internal/metrics"
+	"pinot/internal/pql"
 	"pinot/internal/qctx"
 	"pinot/internal/query"
 	"pinot/internal/transport"
 )
+
+func countEvents(t *testing.T) *pql.Query {
+	q, err := pql.Parse("SELECT count(*) FROM events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
 
 // TestServerEnforcesMinimumTimeout is the regression test for the server-side
 // deadline rule: execution is bounded by the MINIMUM of the server's
@@ -68,12 +77,12 @@ func TestServerEnforcesMinimumTimeout(t *testing.T) {
 		loadOffline(t, c, 1)
 		// Server default is 10s; the request says 50ms; the request wins.
 		run(t, c, &transport.QueryRequest{
-			Resource: "events_OFFLINE", PQL: "SELECT count(*) FROM events", TimeoutMillis: 50,
+			Resource: "events_OFFLINE", Query: countEvents(t), TimeoutMillis: 50,
 		}, time.Second)
 		// The broker's wire budget tightens the same way, called directly
 		// and over the data plane.
 		budgeted := &transport.QueryRequest{
-			Resource: "events_OFFLINE", PQL: "SELECT count(*) FROM events", BudgetMillis: 50,
+			Resource: "events_OFFLINE", Query: countEvents(t), BudgetMillis: 50,
 		}
 		run(t, c, budgeted, time.Second)
 		overTheWire(t, c, budgeted, time.Second)
@@ -90,7 +99,7 @@ func TestServerEnforcesMinimumTimeout(t *testing.T) {
 		loadOffline(t, c, 1)
 		// The request asks for 30s; the 75ms server default still applies.
 		run(t, c, &transport.QueryRequest{
-			Resource: "events_OFFLINE", PQL: "SELECT count(*) FROM events", TimeoutMillis: 30_000,
+			Resource: "events_OFFLINE", Query: countEvents(t), TimeoutMillis: 30_000,
 		}, time.Second)
 	})
 }

@@ -4,6 +4,7 @@
 package pql
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strconv"
@@ -302,13 +303,32 @@ func (q *Query) WithExtraFilter(pred Predicate) *Query {
 
 // formatColumn renders a column name at predicate position. Names that are
 // not plain identifiers (e.g. a quoted column like '0-3', paper Figure 7's
-// 'day') must re-render quoted, or the text would re-parse as an expression
-// — breaking the round-trip/fixpoint guarantees the wire protocol relies on.
+// 'day') must re-render quoted, or the text would re-parse as an expression;
+// so must a keyword or a boolean literal's spelling ('not' = 1 would re-parse
+// as a negation, 'true' = 1 as a constant comparison).
 func formatColumn(name string) string {
-	if isIdentifier(name) {
+	if isIdentifier(name) && !reserved(name) {
 		return name
 	}
 	return formatLiteral(name)
+}
+
+// reserved reports whether an identifier is a keyword or a boolean literal,
+// folding its case on the stack: String runs on the broker's every query.
+func reserved(name string) bool {
+	var buf [len("between")]byte
+	if len(name) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	l := buf[:len(name)]
+	return pqlKeywords[string(l)] || string(l) == "true" || string(l) == "false"
 }
 
 func isIdentifier(s string) bool {
@@ -327,25 +347,41 @@ func isIdentifier(s string) bool {
 }
 
 func formatLiteral(v any) string {
+	var sb strings.Builder
+	writeLiteral(&sb, v)
+	return sb.String()
+}
+
+// writeLiteral renders a constant as PQL text, straight into sb.
+func writeLiteral(sb *strings.Builder, v any) {
 	switch x := v.(type) {
 	case string:
-		return "'" + strings.ReplaceAll(x, "'", "''") + "'"
-	case bool:
-		if x {
-			return "true"
+		sb.Grow(len(x) + 2)
+		sb.WriteByte('\'')
+		for i := strings.IndexByte(x, '\''); i >= 0; i = strings.IndexByte(x, '\'') {
+			sb.WriteString(x[:i+1])
+			sb.WriteByte('\'')
+			x = x[i+1:]
 		}
-		return "false"
+		sb.WriteString(x)
+		sb.WriteByte('\'')
+	case bool:
+		sb.WriteString(strconv.FormatBool(x))
+	case int64:
+		var buf [20]byte
+		sb.Write(strconv.AppendInt(buf[:0], x, 10))
 	case float64:
 		// A double that happens to be integral must still render as a
 		// double (2.5*2 → "5.0", not "5"): the canonical text re-parses,
 		// and an int literal would change the expression's static type.
-		s := strconv.FormatFloat(x, 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		var buf [32]byte
+		b := strconv.AppendFloat(buf[:0], x, 'g', -1, 64)
+		if !bytes.ContainsAny(b, ".eE") {
+			b = append(b, ".0"...)
 		}
-		return s
+		sb.Write(b)
 	default:
-		return fmt.Sprint(v)
+		fmt.Fprint(sb, v)
 	}
 }
 

@@ -80,15 +80,6 @@ func CanonicalPredicate(p Predicate) Predicate {
 		return In{Column: n.Column, Values: vals, Negated: n.Negated}
 	case ExprCompare:
 		lhs, rhs := CanonicalExpr(n.LHS), CanonicalExpr(n.RHS)
-		// A string literal on the left would render quoted, and the grammar
-		// reads a leading quoted string at predicate position as a column
-		// name (paper Figure 7's 'day' >= 15949). Canonicalize to what the
-		// rendering re-parses as, keeping parse→render→parse a fixpoint.
-		if ll, ok := lhs.(Literal); ok {
-			if s, isStr := ll.Value.(string); isStr {
-				lhs = ColumnRef{Name: s}
-			}
-		}
 		// A comparison whose sides folded down to `column op literal`
 		// collapses into the classic Comparison node, so index and pruning
 		// plans apply to it.

@@ -10,9 +10,9 @@ import (
 // Scalar expression AST. Expressions appear as aggregation arguments, on
 // either side of a WHERE comparison, and as GROUP BY keys. They are rendered
 // with explicit parentheses around every binary operation so that
-// Parse(q.String()) reproduces the exact tree — the broker re-renders queries
-// before the scatter and servers re-parse them, so round-trip fidelity is a
-// wire-protocol requirement, not a nicety.
+// Parse(q.String()) reproduces the exact tree: the result cache keys on the
+// rendering, and the data plane's query codec accepts exactly the trees whose
+// rendering re-parses to themselves (pql.Validate).
 
 // Expr is a scalar expression node.
 type Expr interface {
@@ -57,9 +57,7 @@ type Arith struct {
 
 func (Arith) isExpr() {}
 
-func (e Arith) String() string {
-	return "(" + e.L.String() + " " + string(e.Op) + " " + e.R.String() + ")"
-}
+func (e Arith) String() string { return renderExpr(e) }
 
 // Call invokes a builtin scalar function. Name is the canonical builtin name
 // (see Builtin); the parser normalizes case on the way in.
@@ -70,12 +68,43 @@ type Call struct {
 
 func (Call) isExpr() {}
 
-func (e Call) String() string {
-	args := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.String()
+func (e Call) String() string { return renderExpr(e) }
+
+// renderExpr renders a tree into one buffer: concatenating each node's
+// children's strings would copy a deep tree's text once per level.
+func renderExpr(e Expr) string {
+	var sb strings.Builder
+	writeExpr(&sb, e)
+	return sb.String()
+}
+
+func writeExpr(sb *strings.Builder, e Expr) {
+	switch n := e.(type) {
+	case Arith:
+		sb.WriteByte('(')
+		writeExpr(sb, n.L)
+		sb.WriteByte(' ')
+		sb.WriteString(string(n.Op))
+		sb.WriteByte(' ')
+		writeExpr(sb, n.R)
+		sb.WriteByte(')')
+	case Call:
+		sb.WriteString(n.Name)
+		sb.WriteByte('(')
+		for i, a := range n.Args {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			writeExpr(sb, a)
+		}
+		sb.WriteByte(')')
+	case ColumnRef:
+		sb.WriteString(n.Name)
+	case Literal:
+		writeLiteral(sb, n.Value)
+	default:
+		sb.WriteString(e.String())
 	}
-	return e.Name + "(" + strings.Join(args, ", ") + ")"
 }
 
 // ExprCompare is a predicate comparing two scalar expressions. Plain
@@ -93,9 +122,16 @@ func (p ExprCompare) String() string {
 	lhs := p.LHS.String()
 	// A bare column reference at the head of a predicate may carry a
 	// non-identifier name (the quoted-column form, paper Figure 7); it must
-	// re-render quoted or the text would re-parse as arithmetic.
-	if cr, ok := p.LHS.(ColumnRef); ok {
-		lhs = formatColumn(cr.Name)
+	// re-render quoted or the text would re-parse as arithmetic. A string
+	// literal there (concat('a', 'b') folds to one) is parenthesized for the
+	// converse reason: a leading quoted string re-parses as a column.
+	switch n := p.LHS.(type) {
+	case ColumnRef:
+		lhs = formatColumn(n.Name)
+	case Literal:
+		if _, ok := n.Value.(string); ok {
+			lhs = "(" + lhs + ")"
+		}
 	}
 	return fmt.Sprintf("%s %s %s", lhs, p.Op, p.RHS.String())
 }

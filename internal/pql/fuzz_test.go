@@ -1,37 +1,63 @@
 package pql
 
-import "testing"
+import (
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+)
 
-// FuzzParsePQL holds two properties over arbitrary input: the parser never
-// panics (it must reject hostile queries with a ParseError, nothing louder),
-// and any input it does accept canonicalizes to text that re-parses to the
-// same canonical text — the broker re-renders queries before the scatter, so
-// a parse→render→parse mismatch would corrupt queries on the wire.
+// corpus returns the queries of testdata/queries.txt, which Parse accepts.
+func corpus(t testing.TB) []string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/queries.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// FuzzParsePQL holds three properties over arbitrary input: the parser never
+// panics (it must reject hostile queries with a ParseError, nothing louder);
+// any input it accepts renders to text that parses to the very same tree and
+// passes Validate — what makes a server that executes the broker's parsed
+// query run what it would have parsed from the rendering; and the canonical
+// text, which the result cache keys on, is a fixpoint.
 func FuzzParsePQL(f *testing.F) {
-	seeds := []string{
-		"SELECT count(*) FROM events",
-		"SELECT sum(clicks), count(*) FROM events WHERE country = 'us' AND day BETWEEN 15949 AND 15955 GROUP BY country TOP 10",
-		"SELECT memberId, clicks FROM events WHERE memberId IN (1, 2, 3) ORDER BY clicks DESC LIMIT 5, 20",
-		"SELECT sum(clicks + 1) FROM events WHERE timeBucket(day, 7) = 15949 GROUP BY upper(country) TOP 5",
-		"SELECT avg(abs(clicks - 500) * 2.5) FROM events WHERE NOT (clicks / 3 > day OR country <> 'de')",
-		"SELECT percentile95(clicks) FROM events WHERE 'day' >= 15949",
-		"SELECT distinctcount(memberId) FROM events WHERE concat(country, '-', day) = 'us-15949'",
-		"SELECT sum(clicks) FROM events WHERE clicks + 2.5e-07 < 1e+30 GROUP BY timeBucket(day, 86400)",
-		"select Sum( clicks )  from events  where (country='us')and(day>1)",
-		"SELECT count(*) FROM T WHERE a IN ('x''y', '', 'z') AND b NOT IN (1,2)",
+	for _, s := range corpus(f) {
+		f.Add(s)
+	}
+	for _, s := range []string{
 		"SELECT count(*) FROM",
 		"SELECT sum(clicks +) FROM T",
 		"GROUP BY",
 		"'",
 		"SELECT count(*) FROM T WHERE upper(a, b) = 'X'",
-	}
-	for _, s := range seeds {
+		"SELECT count(*) FROM T WHERE " + strings.Repeat("(", MaxDepth+1) + "a = 1" + strings.Repeat(")", MaxDepth+1),
+	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		q, err := Parse(in)
 		if err != nil {
 			return
+		}
+		if err := Validate(q); err != nil {
+			t.Fatalf("Validate refuses what Parse built from %q: %v", in, err)
+		}
+		text := q.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("the rendering of %q does not re-parse: %q: %v", in, text, err)
+		}
+		if !reflect.DeepEqual(q, again) {
+			t.Fatalf("the rendering of %q re-parses to another tree:\n  text:  %q\n  first: %#v\n  again: %#v", in, text, q, again)
 		}
 		canon := q.CanonicalString()
 		q2, err := Parse(canon)

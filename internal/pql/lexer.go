@@ -46,7 +46,10 @@ type lexer struct {
 }
 
 func lex(input string) ([]token, error) {
-	l := &lexer{input: input}
+	// Sized once from the input: a query averages three or more bytes a
+	// token, and growing the slice from nil cost more than the parse's own
+	// allocations.
+	l := &lexer{input: input, tokens: make([]token, 0, len(input)/3+2)}
 	for l.pos < len(l.input) {
 		c := l.input[l.pos]
 		switch {

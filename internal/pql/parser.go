@@ -4,7 +4,18 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"pinot/internal/wire"
 )
+
+// MaxDepth bounds how deeply a query nests, counted two ways: the
+// parentheses, NOTs and function calls the parser is inside at once, and the
+// predicate and expression nodes on any root-to-leaf path of the tree it
+// builds (exprDepth, predDepth). It sits one level below wire.MaxNesting, the deepest
+// tree the data plane carries, which leaves room for the broker's hybrid
+// rewrite (WithExtraFilter adds an And above the filter): every query Parse
+// accepts also reaches the servers.
+const MaxDepth = wire.MaxNesting - 1
 
 // Parse parses a PQL statement.
 //
@@ -23,6 +34,15 @@ func Parse(input string) (*Query, error) {
 	q, err := p.parseQuery()
 	if err != nil {
 		return nil, err
+	}
+	// Clauses that do not apply to the query's shape keep their defaults:
+	// TOP ranks groups and LIMIT pages rows, and what the engine ignores
+	// is not worth carrying, rendering or telling apart.
+	if !q.HasGroupBy() {
+		q.Top = DefaultTop
+	}
+	if q.IsAggregation() {
+		q.Offset, q.Limit = 0, DefaultLimit
 	}
 	if err := validate(q); err != nil {
 		return nil, err
@@ -45,13 +65,19 @@ func ParseExpr(input string) (Expr, error) {
 	if t := p.cur(); t.kind != tokEOF {
 		return nil, p.errf(t, "unexpected %s after expression", t)
 	}
-	return CanonicalExpr(e), nil
+	e = CanonicalExpr(e)
+	if exprDepth(e) > MaxDepth {
+		return nil, p.errDepth(p.tokens[0])
+	}
+	return e, nil
 }
 
 type parser struct {
 	input  string
 	tokens []token
 	pos    int
+	depth  int  // parentheses, NOTs and calls the parser is inside
+	deep   bool // a nesting bound was passed: no alternative reading helps
 }
 
 func (p *parser) cur() token  { return p.tokens[p.pos] }
@@ -65,6 +91,33 @@ func (p *parser) errf(t token, format string, args ...any) error {
 		text = ""
 	}
 	return newParseError(p.input, t.pos, text, format, args...)
+}
+
+// errDepth refuses a query, at token t, for nesting past MaxDepth.
+func (p *parser) errDepth(t token) error {
+	p.deep = true
+	return p.errf(t, "query nests deeper than %d levels", MaxDepth)
+}
+
+// enter descends into the construct t opens; leave climbs back out.
+func (p *parser) enter(t token) error {
+	if p.depth == MaxDepth {
+		return p.errDepth(t)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// chain refuses the n-th operator of a left-deep chain (a + b + c ...) once
+// the chain alone, below the constructs the parser is inside, passes
+// MaxDepth: each operator adds a level to the tree being built.
+func (p *parser) chain(t token, n int) error {
+	if p.depth+n > MaxDepth {
+		return p.errDepth(t)
+	}
+	return nil
 }
 
 func (p *parser) matchKeyword(kw string) bool {
@@ -112,9 +165,13 @@ func (p *parser) parseQuery() (*Query, error) {
 	q.Table = tbl.text
 
 	if p.matchKeyword("WHERE") {
+		where := p.cur()
 		pred, err := p.parseOr()
 		if err != nil {
 			return nil, err
+		}
+		if predDepth(pred) > MaxDepth {
+			return nil, p.errDepth(where)
 		}
 		q.Filter = pred
 	}
@@ -131,6 +188,9 @@ func (p *parser) parseQuery() (*Query, error) {
 				return nil, err
 			}
 			e = CanonicalExpr(e)
+			if exprDepth(e) > MaxDepth {
+				return nil, p.errDepth(itemTok)
+			}
 			switch n := e.(type) {
 			case ColumnRef:
 				q.GroupBy = append(q.GroupBy, n.Name)
@@ -258,6 +318,9 @@ func (p *parser) parseExpression() (Expression, error) {
 			case Literal:
 				return Expression{}, p.errf(t, "%s() argument must reference a column", fn)
 			default:
+				if exprDepth(n) > MaxDepth {
+					return Expression{}, p.errDepth(t)
+				}
 				e.Column, e.Arg = n.String(), n
 			}
 		}
@@ -319,24 +382,38 @@ func (p *parser) parseAnd() (Predicate, error) {
 }
 
 func (p *parser) parseUnary() (Predicate, error) {
-	if p.matchKeyword("NOT") {
+	if t := p.cur(); p.matchKeyword("NOT") {
+		if err := p.enter(t); err != nil {
+			return nil, err
+		}
 		child, err := p.parseUnary()
+		p.leave()
 		if err != nil {
 			return nil, err
 		}
 		return Not{Child: child}, nil
 	}
-	if p.cur().kind == tokLParen {
+	if t := p.cur(); t.kind == tokLParen {
 		// '(' is ambiguous: a predicate group `(a = 1 OR b = 2)` or a
 		// parenthesized expression `(a + b) > 1`. Try the group reading
-		// first and backtrack into the expression grammar on failure.
+		// first and backtrack into the expression grammar on failure,
+		// unless the failure was the nesting bound, which the expression
+		// reading of the same parentheses would meet too.
+		if err := p.enter(t); err != nil {
+			return nil, err
+		}
 		save := p.pos
 		p.pos++
 		pred, err := p.parseOr()
 		if err == nil {
-			if _, err = p.expect(tokRParen, ")"); err == nil {
-				return pred, nil
-			}
+			_, err = p.expect(tokRParen, ")")
+		}
+		p.leave()
+		if err == nil {
+			return pred, nil
+		}
+		if p.deep {
+			return nil, err
 		}
 		p.pos = save
 	}
@@ -444,7 +521,7 @@ func (p *parser) parseAddExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
+	for n := 1; ; n++ {
 		var op ArithOp
 		switch p.cur().kind {
 		case tokPlus:
@@ -453,6 +530,9 @@ func (p *parser) parseAddExpr() (Expr, error) {
 			op = OpSub
 		default:
 			return left, nil
+		}
+		if err := p.chain(p.cur(), n); err != nil {
+			return nil, err
 		}
 		p.pos++
 		right, err := p.parseMulExpr()
@@ -468,7 +548,7 @@ func (p *parser) parseMulExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
+	for n := 1; ; n++ {
 		var op ArithOp
 		switch p.cur().kind {
 		case tokStar:
@@ -477,6 +557,9 @@ func (p *parser) parseMulExpr() (Expr, error) {
 			op = OpDiv
 		default:
 			return left, nil
+		}
+		if err := p.chain(p.cur(), n); err != nil {
+			return nil, err
 		}
 		p.pos++
 		right, err := p.parsePrimaryExpr()
@@ -519,8 +602,12 @@ func (p *parser) parsePrimaryExpr() (Expr, error) {
 		p.pos++
 		return Literal{Value: t.text}, nil
 	case tokLParen:
+		if err := p.enter(t); err != nil {
+			return nil, err
+		}
 		p.pos++
 		e, err := p.parseAddExpr()
+		p.leave()
 		if err != nil {
 			return nil, err
 		}
@@ -550,6 +637,10 @@ func (p *parser) parseCallExpr() (Expr, error) {
 	if !ok {
 		return nil, p.errf(t, "unknown function %q", t.text)
 	}
+	if err := p.enter(t); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	p.pos++ // consume '('
 	var args []Expr
 	for {

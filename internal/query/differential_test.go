@@ -216,6 +216,7 @@ func TestDifferential(t *testing.T) {
 				t.Errorf("the golden holds %d digests for %d queries", len(want), len(c.queries))
 			}
 			for i, q := range c.queries {
+				query.SentAsParsed(t, q)
 				digest, n := c.check(t, oracle, fmt.Sprintf("%s #%d %q", c.name, i, q), q)
 				dictSegments += n
 				fmt.Fprintf(&out, "%s %s\n", c.name, digest)

@@ -3,10 +3,42 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"pinot/internal/pql"
 	"pinot/internal/segment"
 )
+
+// SentAsParsed holds the data plane's request codec to what a server ran
+// when it parsed the text the broker rendered: for the query of text and
+// for both halves of its hybrid rewrite, the query that crosses the codec
+// deep-equals what was sent and Parse of its rendering. Text Parse refuses
+// never reaches a server and is skipped.
+func SentAsParsed(t testing.TB, text string) {
+	t.Helper()
+	q, err := pql.Parse(text)
+	if err != nil {
+		return
+	}
+	for _, sent := range []*pql.Query{
+		q,
+		q.WithExtraFilter(pql.Comparison{Column: "day", Op: pql.OpLt, Value: int64(17005)}),
+		q.WithExtraFilter(pql.Comparison{Column: "day", Op: pql.OpGte, Value: int64(17005)}),
+	} {
+		parsed, err := pql.Parse(sent.String())
+		if err != nil {
+			t.Fatalf("%q: the rendering %q does not parse: %v", text, sent, err)
+		}
+		got, err := decodeQuery(encodeQuery(t, sent))
+		if err != nil {
+			t.Fatalf("%q: %v", sent, err)
+		}
+		if !reflect.DeepEqual(got, parsed) || !reflect.DeepEqual(got, sent) {
+			t.Fatalf("%q crosses the codec as %#v; sent %#v, parsed %#v", sent, got, sent, parsed)
+		}
+	}
+}
 
 // ForceRungs returns opt with expression rungs forced off, as the
 // differential harness and the A/B benchmarks ask for them: interpreter

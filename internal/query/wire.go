@@ -8,14 +8,19 @@ import (
 	"pinot/internal/wire"
 )
 
-// The byte layout of an Intermediate: the one encoder and the one decoder of
-// everything result.go and grouptable.go declare, written with the primitives of
-// internal/wire. The data plane ships these bytes inside its frames
-// (internal/transport/codec.go calls AppendIntermediate/ReadIntermediate and
-// AppendStats/ReadStats) and both cache tiers keep them as their value
-// (EncodeIntermediate/DecodeIntermediate). DESIGN.md ("Network transport") has
-// the layout field by field; what is particular to this file:
+// The byte layout of an Intermediate and of a parsed query: the one encoder
+// and the one decoder of everything result.go and grouptable.go declare, and
+// of a pql.Query, written with the primitives of internal/wire. The data
+// plane ships these bytes inside its frames (internal/transport/codec.go
+// calls AppendQuery/ReadQuery for a request, AppendIntermediate/
+// ReadIntermediate and AppendStats/ReadStats for a response) and both cache
+// tiers keep an intermediate's bytes as their value (EncodeIntermediate/
+// DecodeIntermediate). DESIGN.md ("Network transport") has the layout field
+// by field; what is particular to this file:
 //
+//   - a query's expressions and literals are the intermediate's expression
+//     and cell codec; the decoder hands what it read to pql.Validate, so a
+//     server executes only a tree Parse could have built;
 //   - a zero count decodes to a nil slice, map or group table (which Merge,
 //     Finalize and Conforms accept), except that an empty multi-value cell
 //     stays []any{} so it keeps rendering as [] not null;
@@ -49,10 +54,23 @@ const (
 	exprCall   = 4 // name, uvarint count, args
 )
 
+// Tags of a predicate node in a query's filter.
+const (
+	predNil         = 0
+	predComparison  = 1 // column, op string, cell
+	predIn          = 2 // column, negated, uvarint count, cells
+	predBetween     = 3 // column, cell, cell
+	predAnd         = 4 // uvarint count, children
+	predOr          = 5 // uvarint count, children
+	predNot         = 6 // child
+	predExprCompare = 7 // expression, op string, expression
+)
+
 // Smallest encodings, used to bound a count by the bytes that remain.
 const (
 	minCellBytes = 2 // tag + one payload byte
 	minExprBytes = 4 // isAgg, func length, column length, arg tag
+	minPredBytes = 2 // tag + one payload byte
 )
 
 // ---- encoding ----
@@ -152,6 +170,97 @@ func appendExpr(e *wire.Encoder, x pql.Expr, depth int) {
 	default:
 		e.Fail("unsupported expression node %T", x)
 	}
+}
+
+// appendExpression appends one select item: an aggregation of an
+// intermediate, or any item of a query.
+func appendExpression(e *wire.Encoder, x pql.Expression) {
+	e.Bool(x.IsAgg)
+	e.Str(string(x.Func))
+	e.Str(x.Column)
+	appendExpr(e, x.Arg, 0)
+}
+
+func appendPred(e *wire.Encoder, p pql.Predicate, depth int) {
+	if depth >= wire.MaxNesting {
+		e.Fail("predicate nested deeper than %d", wire.MaxNesting)
+		return
+	}
+	switch n := p.(type) {
+	case nil:
+		e.Raw(predNil)
+	case pql.Comparison:
+		e.Raw(predComparison)
+		e.Str(n.Column)
+		e.Str(string(n.Op))
+		appendCell(e, n.Value, depth+1)
+	case pql.In:
+		e.Raw(predIn)
+		e.Str(n.Column)
+		e.Bool(n.Negated)
+		e.Count(len(n.Values))
+		for _, v := range n.Values {
+			appendCell(e, v, depth+1)
+		}
+	case pql.Between:
+		e.Raw(predBetween)
+		e.Str(n.Column)
+		appendCell(e, n.Lo, depth+1)
+		appendCell(e, n.Hi, depth+1)
+	case pql.And:
+		e.Raw(predAnd)
+		appendPreds(e, n.Children, depth+1)
+	case pql.Or:
+		e.Raw(predOr)
+		appendPreds(e, n.Children, depth+1)
+	case pql.Not:
+		e.Raw(predNot)
+		appendPred(e, n.Child, depth+1)
+	case pql.ExprCompare:
+		e.Raw(predExprCompare)
+		appendExpr(e, n.LHS, depth+1)
+		e.Str(string(n.Op))
+		appendExpr(e, n.RHS, depth+1)
+	default:
+		e.Fail("unsupported predicate node %T", p)
+	}
+}
+
+func appendPreds(e *wire.Encoder, ps []pql.Predicate, depth int) {
+	e.Count(len(ps))
+	for _, c := range ps {
+		appendPred(e, c, depth)
+	}
+}
+
+// AppendQuery appends a parsed query, the payload of a data-plane request:
+// the table, the select items, the filter tree, the GROUP BY items and their
+// expressions, ORDER BY, then TOP, OFFSET and LIMIT. A tree nested past
+// wire.MaxNesting is recorded in e.Err.
+func AppendQuery(e *wire.Encoder, q *pql.Query) {
+	if q == nil {
+		e.Fail("no query")
+		return
+	}
+	e.Str(q.Table)
+	e.Count(len(q.Select))
+	for _, x := range q.Select {
+		appendExpression(e, x)
+	}
+	appendPred(e, q.Filter, 0)
+	e.Strs(q.GroupBy)
+	e.Count(len(q.GroupByExprs))
+	for _, x := range q.GroupByExprs {
+		appendExpr(e, x, 0)
+	}
+	e.Count(len(q.OrderBy))
+	for _, o := range q.OrderBy {
+		e.Str(o.Column)
+		e.Bool(o.Descending)
+	}
+	e.Varint(int64(q.Top))
+	e.Varint(int64(q.Offset))
+	e.Varint(int64(q.Limit))
 }
 
 // appendGroupTable appends r's groups column by column: the group count
@@ -267,10 +376,7 @@ func AppendIntermediate(e *wire.Encoder, r *Intermediate) {
 	e.Raw(byte(r.Kind))
 	e.Count(len(r.AggExprs))
 	for _, x := range r.AggExprs {
-		e.Bool(x.IsAgg)
-		e.Str(string(x.Func))
-		e.Str(x.Column)
-		appendExpr(e, x.Arg, 0)
+		appendExpression(e, x)
 	}
 	e.Strs(r.GroupCols)
 
@@ -384,7 +490,7 @@ func readExpr(d *wire.Decoder, depth int) pql.Expr {
 	case exprLit:
 		return pql.Literal{Value: readCell(d, depth+1)}
 	case exprArith:
-		op := pql.ArithOp(d.Str())
+		op := readArithOp(d)
 		l := readExpr(d, depth+1)
 		return pql.Arith{Op: op, L: l, R: readExpr(d, depth+1)}
 	case exprCall:
@@ -400,6 +506,131 @@ func readExpr(d *wire.Decoder, depth int) pql.Expr {
 		d.Fail("unknown expression tag %d", tag)
 		return nil
 	}
+}
+
+// readArithOp reads an operator, refusing one outside pql's four.
+func readArithOp(d *wire.Decoder) pql.ArithOp {
+	b := d.Bytes()
+	for _, op := range [...]pql.ArithOp{pql.OpAdd, pql.OpSub, pql.OpMul, pql.OpDiv} {
+		if string(b) == string(op) {
+			return op
+		}
+	}
+	d.Fail("unknown arithmetic operator %q", b)
+	return ""
+}
+
+// readCompareOp reads an operator, refusing one outside pql's six.
+func readCompareOp(d *wire.Decoder) pql.CompareOp {
+	b := d.Bytes()
+	for _, op := range [...]pql.CompareOp{pql.OpEq, pql.OpNeq, pql.OpLt, pql.OpLte, pql.OpGt, pql.OpGte} {
+		if string(b) == string(op) {
+			return op
+		}
+	}
+	d.Fail("unknown comparison operator %q", b)
+	return ""
+}
+
+// readExpression reverses appendExpression.
+func readExpression(d *wire.Decoder, x *pql.Expression) {
+	x.IsAgg = d.Bool()
+	x.Func = readAggFunc(d)
+	x.Column = d.Str()
+	x.Arg = readExpr(d, 0)
+}
+
+func readPred(d *wire.Decoder, depth int) pql.Predicate {
+	if depth >= wire.MaxNesting {
+		d.Fail("predicate nested deeper than %d", wire.MaxNesting)
+		return nil
+	}
+	switch tag := d.Byte(); tag {
+	case predNil:
+		return nil
+	case predComparison:
+		c := pql.Comparison{Column: d.Str()}
+		c.Op = readCompareOp(d)
+		c.Value = readCell(d, depth+1)
+		return c
+	case predIn:
+		in := pql.In{Column: d.Str(), Negated: d.Bool()}
+		if n := d.Count(minCellBytes); n > 0 {
+			in.Values = make([]any, n)
+			for i := range in.Values {
+				in.Values[i] = readCell(d, depth+1)
+			}
+		}
+		return in
+	case predBetween:
+		b := pql.Between{Column: d.Str()}
+		b.Lo = readCell(d, depth+1)
+		b.Hi = readCell(d, depth+1)
+		return b
+	case predAnd:
+		return pql.And{Children: readPreds(d, depth+1)}
+	case predOr:
+		return pql.Or{Children: readPreds(d, depth+1)}
+	case predNot:
+		return pql.Not{Child: readPred(d, depth+1)}
+	case predExprCompare:
+		c := pql.ExprCompare{LHS: readExpr(d, depth+1)}
+		c.Op = readCompareOp(d)
+		c.RHS = readExpr(d, depth+1)
+		return c
+	default:
+		d.Fail("unknown predicate tag %d", tag)
+		return nil
+	}
+}
+
+func readPreds(d *wire.Decoder, depth int) []pql.Predicate {
+	n := d.Count(minPredBytes)
+	if n == 0 {
+		return nil
+	}
+	out := make([]pql.Predicate, n)
+	for i := range out {
+		out[i] = readPred(d, depth)
+	}
+	return out
+}
+
+// ReadQuery reads one query out of a request being decoded; the verdict is
+// d's (Err, Finish). The query it yields passes pql.Validate: one that Parse
+// could have produced, or the broker's hybrid rewrite of one. Any other tree
+// fails the decode.
+func ReadQuery(d *wire.Decoder) *pql.Query {
+	q := &pql.Query{Table: d.Str()}
+	if n := d.Count(minExprBytes); n > 0 {
+		q.Select = make([]pql.Expression, n)
+		for i := range q.Select {
+			readExpression(d, &q.Select[i])
+		}
+	}
+	q.Filter = readPred(d, 0)
+	q.GroupBy = d.Strs()
+	if n := d.Count(1); n > 0 {
+		q.GroupByExprs = make([]pql.Expr, n)
+		for i := range q.GroupByExprs {
+			q.GroupByExprs[i] = readExpr(d, 0)
+		}
+	}
+	if n := d.Count(2); n > 0 {
+		q.OrderBy = make([]pql.OrderSpec, n)
+		for i := range q.OrderBy {
+			q.OrderBy[i] = pql.OrderSpec{Column: d.Str(), Descending: d.Bool()}
+		}
+	}
+	q.Top, q.Offset, q.Limit = d.Int(), d.Int(), d.Int()
+	if d.Err() != nil {
+		return nil
+	}
+	if err := pql.Validate(q); err != nil {
+		d.Fail("%w", err)
+		return nil
+	}
+	return q
 }
 
 // readColumn reads the row count that opens a column and refuses one that is
@@ -568,11 +799,7 @@ func ReadIntermediate(d *wire.Decoder) *Intermediate {
 	if n := d.Count(minExprBytes); n > 0 {
 		r.AggExprs = make([]pql.Expression, n)
 		for i := range r.AggExprs {
-			x := &r.AggExprs[i]
-			x.IsAgg = d.Bool()
-			x.Func = readAggFunc(d)
-			x.Column = d.Str()
-			x.Arg = readExpr(d, 0)
+			readExpression(d, &r.AggExprs[i])
 		}
 	}
 	r.GroupCols = d.Strs()

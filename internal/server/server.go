@@ -18,7 +18,6 @@ import (
 	"pinot/internal/helix"
 	"pinot/internal/metrics"
 	"pinot/internal/objstore"
-	"pinot/internal/pql"
 	"pinot/internal/qcache"
 	"pinot/internal/qctx"
 	"pinot/internal/query"
@@ -296,10 +295,7 @@ func (s *Server) ExecuteStream(ctx context.Context, req *transport.QueryRequest,
 			s.met.failures.Inc()
 		}
 	}()
-	q, err := pql.Parse(req.PQL)
-	if err != nil {
-		return nil, err
-	}
+	q := req.Query
 	s.mu.RLock()
 	t, ok := s.tables[req.Resource]
 	s.mu.RUnlock()

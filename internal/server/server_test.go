@@ -14,6 +14,7 @@ import (
 	"pinot/internal/helix"
 	"pinot/internal/metrics"
 	"pinot/internal/objstore"
+	"pinot/internal/pql"
 	"pinot/internal/query"
 	"pinot/internal/segment"
 	"pinot/internal/startree"
@@ -22,6 +23,15 @@ import (
 	"pinot/internal/transport"
 	"pinot/internal/zkmeta"
 )
+
+// mustQuery parses a query text the test itself wrote.
+func mustQuery(s string) *pql.Query {
+	q, err := pql.Parse(s)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
 
 const testFlushRows = 200
 
@@ -136,7 +146,7 @@ func execute(ctx context.Context, s *Server, req *transport.QueryRequest) (*tran
 }
 
 func (r *rig) count(ctx context.Context) (int64, error) {
-	resp, err := execute(ctx, r.srv, &transport.QueryRequest{Resource: r.resource, PQL: "SELECT count(*) FROM events"})
+	resp, err := execute(ctx, r.srv, &transport.QueryRequest{Resource: r.resource, Query: mustQuery("SELECT count(*) FROM events")})
 	if err != nil {
 		return 0, err
 	}
@@ -216,7 +226,7 @@ func TestExecuteStreamEnforcesTightestDeadline(t *testing.T) {
 	} {
 		start := time.Now()
 		_, err := r.srv.ExecuteStream(context.Background(), &transport.QueryRequest{
-			Resource: r.resource, PQL: "SELECT count(*) FROM events",
+			Resource: r.resource, Query: mustQuery("SELECT count(*) FROM events"),
 			TimeoutMillis: tc.timeout, BudgetMillis: tc.budget,
 		}, nil)
 		took := time.Since(start)
@@ -368,7 +378,7 @@ func TestReplicasShareTheStoresBytes(t *testing.T) {
 		}
 	}
 	for _, s := range servers {
-		resp, err := execute(context.Background(), s, &transport.QueryRequest{Resource: tc.Resource(), PQL: "SELECT sum(clicks) FROM events WHERE country = 'c3'"})
+		resp, err := execute(context.Background(), s, &transport.QueryRequest{Resource: tc.Resource(), Query: mustQuery("SELECT sum(clicks) FROM events WHERE country = 'c3'")})
 		if err != nil || len(resp.Exceptions) > 0 {
 			t.Fatalf("%s: %v %v", s.Instance(), err, resp)
 		}

@@ -29,7 +29,7 @@ func encodeTrace(e *wire.Encoder, t qctx.Trace) {
 
 func encodeQueryRequest(e *wire.Encoder, r *QueryRequest) {
 	e.Str(r.Resource)
-	e.Str(r.PQL)
+	query.AppendQuery(e, r.Query)
 	e.Strs(r.Segments)
 	e.Str(r.Tenant)
 	e.Varint(r.TimeoutMillis)
@@ -121,7 +121,7 @@ func decodeTrace(d *wire.Decoder) qctx.Trace {
 func decodeQueryRequest(d *wire.Decoder) *QueryRequest {
 	return &QueryRequest{
 		Resource:      d.Str(),
-		PQL:           d.Str(),
+		Query:         query.ReadQuery(d),
 		Segments:      d.Strs(),
 		Tenant:        d.Str(),
 		TimeoutMillis: d.Varint(),

@@ -17,6 +17,18 @@ import (
 	"pinot/internal/wire"
 )
 
+// mustQuery parses a query text the test itself wrote.
+func mustQuery(s string) *pql.Query {
+	q, err := pql.Parse(s)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
+// countT is the query a test sends to a handler that does not read it.
+var countT = mustQuery("SELECT count(*) FROM t")
+
 // The tags and bounds of the Intermediate layout (internal/query/wire.go),
 // restated as numbers: the golden frames below pin them, so renumbering a tag
 // in the engine fails TestGoldenFrames instead of silently moving with it.
@@ -83,7 +95,7 @@ func sampleMessages() map[string]any {
 
 	return map[string]any{
 		"query": &QueryRequest{
-			Resource: "events_OFFLINE", PQL: "SELECT count(*) FROM events",
+			Resource: "events_OFFLINE", Query: mustQuery("SELECT sum(clicks), count(*) FROM events WHERE country IN ('us', 'de') AND day BETWEEN 1 AND 7 AND NOT abs(clicks - 5) > 2.5 GROUP BY country TOP 5"),
 			Segments: []string{"events_0", "events_1"}, Tenant: "t", TimeoutMillis: 250, QueryID: "q1", BudgetMillis: 100,
 		},
 		"segment-agg":       &SegmentFrame{Seq: 0, Result: agg},
@@ -162,8 +174,18 @@ var (
 var stateFuncs = []pql.AggFunc{pql.Count, pql.Sum, pql.Avg, pql.Min, pql.Max, pql.DistinctCount, "PERCENTILE50"}
 
 func (f *filler) fill(v reflect.Value) {
-	if v.Type() == reflect.TypeOf(query.Intermediate{}) {
+	switch v.Type() {
+	case reflect.TypeOf(query.Intermediate{}):
 		f.fillIntermediate(v)
+		return
+	case reflect.TypeOf(pql.Query{}):
+		// A request carries only a query Parse could produce, so no one
+		// query sets every field; these two do between them.
+		text := "SELECT sum(clicks * 2), count(*) FROM t WHERE a = 1 AND (b IN ('x', 'y') OR NOT c BETWEEN 1 AND 2.5) AND abs(d) > e GROUP BY f, timeBucket(g, 7) TOP 3"
+		if f.noKeys {
+			text = "SELECT a, b FROM t WHERE a <> 'z' ORDER BY b DESC, a LIMIT 4, 5"
+		}
+		v.Set(reflect.ValueOf(mustQuery(text)).Elem())
 		return
 	}
 	switch v.Kind() {
@@ -667,7 +689,7 @@ func TestGoldenFrames(t *testing.T) {
 		msg  any
 		want []byte
 	}{
-		{"query", &QueryRequest{Resource: "r", PQL: "q", Segments: []string{"s0"}, Tenant: "t", TimeoutMillis: 5, QueryID: "id", BudgetMillis: -1}, []byte{
+		{"query", &QueryRequest{Resource: "r", Query: mustQuery("SELECT count(*) FROM t WHERE a = 1"), Segments: []string{"s0"}, Tenant: "t", TimeoutMillis: 5, QueryID: "id", BudgetMillis: -1}, []byte{
 			'P', 4, FrameQuery, 0, 0, 0, 0, 15,
 			1, 'r', 1, 'q', 1, 2, 's', '0', 1, 't', 10, 2, 'i', 'd', 1,
 		}},

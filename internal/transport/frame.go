@@ -18,7 +18,7 @@ import (
 
 const (
 	frameMagic   = 0x50 // 'P'
-	frameVersion = 4    // 1 carried gob payloads, 2 a group-by as one entry per group, 3 an aggregation without GROUP BY as a state per function
+	frameVersion = 5    // 1 carried gob payloads, 2 a group-by as one entry per group, 3 an aggregation without GROUP BY as a state per function, 4 a request's query as PQL text
 )
 
 // Frame types.

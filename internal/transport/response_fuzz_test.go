@@ -26,6 +26,7 @@ func FuzzResponseStream(f *testing.F) {
 	f.Add(cat(encodeFrame(f, countFrame(1, 7)), final))
 	f.Add(cat(segment, encodeFrame(f, &FinalFrame{Frames: 2})))
 	f.Add(cat(segment, final, []byte{frameMagic}))
+	f.Add(cat(encodeFrame(f, sampleMessages()["query"]), final))
 	f.Fuzz(func(t *testing.T, reply []byte) {
 		want := wellFormedResponse(reply)
 		const addr = "pipe"
@@ -44,7 +45,7 @@ func FuzzResponseStream(f *testing.F) {
 		}()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		got, err := NewTCPClient(addr, pool).Execute(ctx, &QueryRequest{Resource: "r", PQL: "q"})
+		got, err := NewTCPClient(addr, pool).Execute(ctx, &QueryRequest{Resource: "r", Query: countT})
 		pool.mu.Lock()
 		pooled := len(pool.idle[addr])
 		pool.mu.Unlock()

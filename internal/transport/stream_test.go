@@ -78,7 +78,7 @@ func tcpExecute(t *testing.T, ctx context.Context, addr string) (*QueryResponse,
 	t.Helper()
 	pool := NewPool()
 	t.Cleanup(pool.Close)
-	return NewTCPClient(addr, pool).Execute(ctx, &QueryRequest{Resource: "r", PQL: "SELECT count(*) FROM t"})
+	return NewTCPClient(addr, pool).Execute(ctx, &QueryRequest{Resource: "r", Query: countT})
 }
 
 // encodeFrame returns the wire bytes (header and payload) of one message.
@@ -139,7 +139,7 @@ func replyWith(t *testing.T, script []byte) (*QueryResponse, int, error) {
 	defer pool.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, err := NewTCPClient(addr, pool).Execute(ctx, &QueryRequest{Resource: "r", PQL: "SELECT count(*) FROM t"})
+	resp, err := NewTCPClient(addr, pool).Execute(ctx, &QueryRequest{Resource: "r", Query: countT})
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
 	return resp, len(pool.idle[addr]), err

@@ -39,7 +39,7 @@ func BenchmarkTransportLoopbackQuery(b *testing.B) {
 	pool := NewPool()
 	defer pool.Close()
 	client := NewTCPClient(lis.Addr().String(), pool)
-	req := &QueryRequest{Resource: "events_OFFLINE", PQL: "SELECT count(*) FROM events GROUP BY category"}
+	req := &QueryRequest{Resource: "events_OFFLINE", Query: mustQuery("SELECT count(*) FROM events GROUP BY category")}
 	ctx := context.Background()
 
 	// Prime the pooled connection so dial cost is not part of steady state.

@@ -76,7 +76,7 @@ func TestTCPServerQueryRoundTrip(t *testing.T) {
 	client := NewTCPClient(addr, pool)
 	var first net.Conn
 	for i := 0; i < 3; i++ {
-		resp, err := client.Execute(context.Background(), &QueryRequest{Resource: "r", PQL: "SELECT count(*) FROM t"})
+		resp, err := client.Execute(context.Background(), &QueryRequest{Resource: "r", Query: countT})
 		if err != nil {
 			t.Fatalf("execute %d: %v", i, err)
 		}
@@ -102,7 +102,7 @@ func TestTCPServerQueryError(t *testing.T) {
 	addr := startServer(t, NewTCPQueryServer(&echoHandler{err: errors.New("engine exploded")}))
 	pool := NewPool()
 	defer pool.Close()
-	_, err := NewTCPClient(addr, pool).Execute(context.Background(), &QueryRequest{Resource: "r", PQL: "q"})
+	_, err := NewTCPClient(addr, pool).Execute(context.Background(), &QueryRequest{Resource: "r", Query: countT})
 	if err == nil || !strings.Contains(err.Error(), "engine exploded") {
 		t.Fatalf("want handler error over the wire, got %v", err)
 	}
@@ -114,7 +114,7 @@ func TestTCPServerNoHandler(t *testing.T) {
 	addr := startServer(t, NewTCPQueryServer(nil))
 	pool := NewPool()
 	defer pool.Close()
-	_, err := NewTCPClient(addr, pool).Execute(context.Background(), &QueryRequest{Resource: "r", PQL: "q"})
+	_, err := NewTCPClient(addr, pool).Execute(context.Background(), &QueryRequest{Resource: "r", Query: countT})
 	if err == nil || !strings.Contains(err.Error(), "no query handler") {
 		t.Fatalf("want no-handler error, got %v", err)
 	}
@@ -188,7 +188,7 @@ func TestTCPRegistryResolution(t *testing.T) {
 	if !ok {
 		t.Fatal("known instance did not resolve")
 	}
-	resp, err := client.Execute(context.Background(), &QueryRequest{Resource: "r", PQL: "q"})
+	resp, err := client.Execute(context.Background(), &QueryRequest{Resource: "r", Query: countT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestCancelAfterReturnNeverPoisonsPool(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < callsEach; i++ {
 				ctx, cancel := context.WithCancel(context.Background())
-				_, err := client.Execute(ctx, &QueryRequest{Resource: "r", PQL: "SELECT count(*) FROM t"})
+				_, err := client.Execute(ctx, &QueryRequest{Resource: "r", Query: countT})
 				cancel()
 				if err != nil && poisoned.Add(1) == 1 {
 					t.Errorf("call %d: %v", i, err)
@@ -320,7 +320,7 @@ func TestUnsupportedCellIsAQueryError(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	query := encodeFrame(t, &QueryRequest{Resource: "r", PQL: "SELECT a FROM t"})
+	query := encodeFrame(t, &QueryRequest{Resource: "r", Query: mustQuery("SELECT a FROM t")})
 
 	if _, err := conn.Write(query); err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestUnsupportedCellIsAQueryError(t *testing.T) {
 	pool := NewPool()
 	defer pool.Close()
 	_, err = NewTCPClient(startServer(t, NewTCPQueryServer(&badCellHandler{})), pool).
-		Execute(context.Background(), &QueryRequest{Resource: "r", PQL: "q"})
+		Execute(context.Background(), &QueryRequest{Resource: "r", Query: countT})
 	if !errors.Is(err, errQueryFailed) {
 		t.Fatalf("client error = %v, want a server query error", err)
 	}
@@ -451,7 +451,7 @@ func TestOldWireVersionsAreRefused(t *testing.T) {
 	} {
 		addr := scriptedServer(t, c.reply, true)
 		pool := NewPool()
-		_, err := NewTCPClient(addr, pool).Execute(context.Background(), &QueryRequest{Resource: "r", PQL: "q"})
+		_, err := NewTCPClient(addr, pool).Execute(context.Background(), &QueryRequest{Resource: "r", Query: countT})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: client error = %v, want %q", name, err, c.want)
 		}
@@ -533,7 +533,7 @@ func TestServerStopsWhenClientHangsUp(t *testing.T) {
 	defer pool.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := NewTCPClient(addr, pool).Execute(ctx, &QueryRequest{Resource: "r", PQL: "SELECT count(*) FROM t"})
+	_, err := NewTCPClient(addr, pool).Execute(ctx, &QueryRequest{Resource: "r", Query: countT})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pinot/internal/metrics"
+	"pinot/internal/pql"
 	"pinot/internal/qctx"
 	"pinot/internal/query"
 	"pinot/internal/wire"
@@ -95,7 +96,9 @@ func UseRegistry(reg *metrics.Registry) {
 // segments (paper 3.3.3 step 3).
 type QueryRequest struct {
 	Resource string
-	PQL      string
+	// Query is the broker's parsed query, carried as a tree
+	// (query.AppendQuery): no server parses PQL.
+	Query *pql.Query
 	// Segments restricts execution to these segment names; nil means all
 	// segments the server hosts for the resource.
 	Segments []string

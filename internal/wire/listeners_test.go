@@ -9,9 +9,18 @@ import (
 	"testing"
 	"time"
 
+	"pinot/internal/pql"
 	"pinot/internal/transport"
 	"pinot/internal/zkmeta"
 )
+
+func countT() *pql.Query {
+	q, err := pql.Parse("SELECT count(*) FROM t")
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
 
 // listen serves a listener of each kind the module runs on loopback: the
 // data plane and the metadata endpoint.
@@ -86,7 +95,7 @@ func TestWrongPortDialsFail(t *testing.T) {
 
 		pool := transport.NewPool()
 		defer pool.Close()
-		_, err := transport.NewTCPClient(metadata, pool).Execute(context.Background(), &transport.QueryRequest{Resource: "r", PQL: "q"})
+		_, err := transport.NewTCPClient(metadata, pool).Execute(context.Background(), &transport.QueryRequest{Resource: "r", Query: countT()})
 		if err == nil {
 			t.Error("a query at the metadata endpoint returned no error")
 		}

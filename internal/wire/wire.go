@@ -1,11 +1,11 @@
 // Package wire holds the byte primitives of the repo's one binary encoding
 // — what a varint, a float, a bool, a string and a checked count look like —
 // and the one frame layer every socket speaks (frame.go). It knows no
-// message. internal/query lays an Intermediate out with these primitives
-// (query/wire.go), internal/transport lays the nine message envelopes of the
-// data plane around that (transport/codec.go), internal/zkmeta the three of
-// the metadata endpoint, and both cache tiers store the same bytes. The rules
-// that hold everywhere:
+// message. internal/query lays an Intermediate and a parsed query out with
+// these primitives (query/wire.go), internal/transport lays the nine message
+// envelopes of the data plane around those (transport/codec.go),
+// internal/zkmeta the three of the metadata endpoint, and both cache tiers
+// store an intermediate's bytes. The rules that hold everywhere:
 //
 //   - integers are varints (zigzag for signed fields), float64 is its raw
 //     IEEE-754 bits big-endian (NaN payloads, ±Inf and -0.0 survive), a bool
@@ -13,7 +13,8 @@
 //   - every count and length is checked against the bytes that remain
 //     *before* anything is allocated for it, so decoding n bytes allocates
 //     O(n) whatever the prefixes claim;
-//   - recursion (expression trees, nested []any cells) stops at MaxNesting;
+//   - recursion (predicate and expression trees, nested []any cells) stops
+//     at MaxNesting;
 //   - the decoder never aliases its input into what it returns: strings are
 //     copies, so a decoded value pins neither a frame buffer nor a cache
 //     entry;
@@ -27,8 +28,9 @@ import (
 	"sync"
 )
 
-// MaxNesting caps the depth of an expression tree or of nested []any cells.
-// The parser produces trees a few levels deep; the cap is what keeps a
+// MaxNesting caps the depth of a query's predicate and expression tree or of
+// nested []any cells. The parser stops a level short of it (pql.MaxDepth),
+// leaving the level the broker's hybrid rewrite adds; the cap is what keeps a
 // hostile payload from recursing a decoder off its stack.
 const MaxNesting = 32
 
