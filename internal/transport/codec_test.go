@@ -690,11 +690,17 @@ func TestGoldenFrames(t *testing.T) {
 		want []byte
 	}{
 		{"query", &QueryRequest{Resource: "r", Query: mustQuery("SELECT count(*) FROM t WHERE a = 1"), Segments: []string{"s0"}, Tenant: "t", TimeoutMillis: 5, QueryID: "id", BudgetMillis: -1}, []byte{
-			'P', 4, FrameQuery, 0, 0, 0, 0, 15,
-			1, 'r', 1, 'q', 1, 2, 's', '0', 1, 't', 10, 2, 'i', 'd', 1,
+			'P', 5, FrameQuery, 0, 0, 0, 0, 39,
+			1, 'r', // resource
+			1, 't', // table
+			1, 1, 5, 'C', 'O', 'U', 'N', 'T', 1, '*', exprNil, // one select item
+			1, 1, 'a', 1, '=', cellInt64, 2, // filter: comparison a = 1
+			0, 0, 0, // GROUP BY, its expressions, ORDER BY
+			20, 0, 20, // TOP 10, OFFSET 0, LIMIT 10
+			1, 2, 's', '0', 1, 't', 10, 2, 'i', 'd', 1,
 		}},
 		{"segment aggregation", &SegmentFrame{Seq: 1, Result: agg}, []byte{
-			'P', 4, FrameSegment, 0, 0, 0, 0, 56,
+			'P', 5, FrameSegment, 0, 0, 0, 0, 56,
 			2, // seq 1
 			0, // kind
 			2, // agg exprs
@@ -713,7 +719,7 @@ func TestGoldenFrames(t *testing.T) {
 			Kind: query.KindSelection, SelectCols: []string{"a"}, HiddenCols: 1,
 			Rows: [][]any{{int64(-2)}, {[]any{"m", 2.0, false}}},
 		}}, []byte{
-			'P', 4, FrameSegment, 0, 0, 0, 0, 47,
+			'P', 5, FrameSegment, 0, 0, 0, 0, 47,
 			0, 1, 0, 0, 0, // seq, kind, agg exprs, group cols, groups
 			1, 1, 'a', // select cols
 			2,    // hidden cols 1
@@ -723,7 +729,7 @@ func TestGoldenFrames(t *testing.T) {
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
 		{"segment group-by", &SegmentFrame{Result: goldenGroupBy()}, []byte{
-			'P', 4, FrameSegment, 0, 0, 0, 0, 176,
+			'P', 5, FrameSegment, 0, 0, 0, 0, 176,
 			0, 0, // seq, kind
 			4, // agg exprs
 			1, 12, 'P', 'E', 'R', 'C', 'E', 'N', 'T', 'I', 'L', 'E', '9', '0', 1, 'p', exprNil,
@@ -746,23 +752,23 @@ func TestGoldenFrames(t *testing.T) {
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
 		{"final", &FinalFrame{Frames: 2, Exceptions: []string{"e"}, Trace: qctx.Trace{qctx.PhaseQueue: 3}, Stats: query.Stats{TotalDocs: 64}}, []byte{
-			'P', 4, FrameFinal, 0, 0, 0, 0, 29,
+			'P', 5, FrameFinal, 0, 0, 0, 0, 29,
 			4, 1, 1, 'e',
 			1, 5, 'q', 'u', 'e', 'u', 'e', 6,
 			0, 0, 0, 0, 0x80, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
-		{"error", &ErrorFrame{Message: "no"}, []byte{'P', 4, FrameError, 0, 0, 0, 0, 3, 2, 'n', 'o'}},
+		{"error", &ErrorFrame{Message: "no"}, []byte{'P', 5, FrameError, 0, 0, 0, 0, 3, 2, 'n', 'o'}},
 		{"consumed", &SegmentConsumedRequest{Segment: "s", Resource: "r", Instance: "i", Offset: 64}, []byte{
-			'P', 4, FrameConsumed, 0, 0, 0, 0, 8, 1, 's', 1, 'r', 1, 'i', 0x80, 0x01,
+			'P', 5, FrameConsumed, 0, 0, 0, 0, 8, 1, 's', 1, 'r', 1, 'i', 0x80, 0x01,
 		}},
 		{"consumed response", &SegmentConsumedResponse{Action: ActionHold, TargetOffset: 1}, []byte{
-			'P', 4, FrameConsumedResp, 0, 0, 0, 0, 6, 4, 'H', 'O', 'L', 'D', 2,
+			'P', 5, FrameConsumedResp, 0, 0, 0, 0, 6, 4, 'H', 'O', 'L', 'D', 2,
 		}},
 		{"commit", &SegmentCommitRequest{Segment: "s", Resource: "r", Instance: "i", Offset: 1, Blob: []byte{0xca, 0xfe}}, []byte{
-			'P', 4, FrameCommit, 0, 0, 0, 0, 10, 1, 's', 1, 'r', 1, 'i', 2, 2, 0xca, 0xfe,
+			'P', 5, FrameCommit, 0, 0, 0, 0, 10, 1, 's', 1, 'r', 1, 'i', 2, 2, 0xca, 0xfe,
 		}},
 		{"commit response", &SegmentCommitResponse{Success: true, Reason: "ok"}, []byte{
-			'P', 4, FrameCommitResp, 0, 0, 0, 0, 4, 1, 2, 'o', 'k',
+			'P', 5, FrameCommitResp, 0, 0, 0, 0, 4, 1, 2, 'o', 'k',
 		}},
 	}
 	for _, c := range cases {
