@@ -11,10 +11,10 @@ import (
 // MaxDepth bounds how deeply a query nests, counted two ways: the
 // parentheses, NOTs and function calls the parser is inside at once, and the
 // predicate and expression nodes on any root-to-leaf path of the tree it
-// builds (exprDepth, predDepth). It sits one level below wire.MaxNesting, the deepest
-// tree the data plane carries, which leaves room for the broker's hybrid
-// rewrite (WithExtraFilter adds an And above the filter): every query Parse
-// accepts also reaches the servers.
+// builds (exprDepth, predDepth). It sits one level below wire.MaxNesting,
+// the deepest tree the data plane carries, which leaves room for the
+// broker's hybrid rewrite (WithExtraFilter adds an And above the filter):
+// every query Parse accepts also reaches the servers.
 const MaxDepth = wire.MaxNesting - 1
 
 // Parse parses a PQL statement.

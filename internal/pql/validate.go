@@ -190,42 +190,17 @@ func checkChildren(op string, children []Predicate) error {
 }
 
 // checkExprRoot checks an expression tree and that it is in the canonical
-// form Parse leaves every expression in.
+// form Parse leaves every expression in. Rendering tells trees checkExpr
+// accepts apart: every Arith is parenthesized, and names and literals are
+// tokens of their own kinds.
 func checkExprRoot(e Expr) error {
 	if err := checkExpr(e); err != nil {
 		return err
 	}
-	if !sameExpr(CanonicalExpr(e), e) {
+	if CanonicalExpr(e).String() != e.String() {
 		return fmt.Errorf("pql: expression %v is not in canonical form", e)
 	}
 	return nil
-}
-
-// sameExpr reports whether two trees checkExpr accepted are equal.
-func sameExpr(a, b Expr) bool {
-	switch x := a.(type) {
-	case ColumnRef:
-		y, ok := b.(ColumnRef)
-		return ok && x == y
-	case Literal:
-		y, ok := b.(Literal)
-		return ok && x == y
-	case Arith:
-		y, ok := b.(Arith)
-		return ok && x.Op == y.Op && sameExpr(x.L, y.L) && sameExpr(x.R, y.R)
-	case Call:
-		y, ok := b.(Call)
-		if !ok || x.Name != y.Name || len(x.Args) != len(y.Args) {
-			return false
-		}
-		for i := range x.Args {
-			if !sameExpr(x.Args[i], y.Args[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }
 
 func checkExpr(e Expr) error {

@@ -208,7 +208,7 @@ func checkDecodeQuery(t *testing.T, data []byte) {
 // The costliest part is pql.Validate's canonical check, which renders the
 // operands of every commutative node: each node's text once per level above
 // it, at most MaxDepth times, at up to 2.5 rendered bytes a payload byte and
-// twice that for buffer growth. TestDecodeQueryAllocation measures up to 100.
+// twice that for buffer growth. TestDecodeQueryAllocation measures up to 110.
 const queryAllocPerByte = 256
 
 // FuzzDecodeQuery searches for bytes that break checkDecodeQuery, seeded
