@@ -53,16 +53,12 @@ type rung struct {
 
 var rungs = []rung{
 	{name: "default", force: func(*query.Options) {}},
-	// Kernels and the interpreter compute the same values of the same
-	// documents: nothing may move.
-	{name: "interpreter", vs: "default", force: func(o *query.Options) { *o = query.ForceRungs(*o, true, false) }},
 	// Dictionary space may prove a segment empty, or matched by every
 	// document so a metadata plan answers it, where the row path scans.
 	{name: "row path", vs: "default", force: func(o *query.Options) { *o = query.ForceRungs(*o, false, true) },
 		drift: map[string]drift{"DictExprSegments": zero, "NumDocsScanned": more, "NumEntriesScanned": either,
 			"NumSegmentsMatched": either, "MetadataOnlySegments": either, "GroupStateBytes": either,
 			"SegmentsPrunedByServer": either, "SegmentsPrunedByValue": either, "SegmentsMatched": either}},
-	{name: "row path + interpreter", vs: "row path", force: func(o *query.Options) { *o = query.ForceRungs(*o, true, true) }},
 	// Pruning changes how a segment is answered, never whether it counts.
 	{name: "pruning off", vs: "default", force: func(o *query.Options) { o.DisablePruning = true },
 		drift: map[string]drift{"NumDocsScanned": more, "NumEntriesScanned": more, "MetadataOnlySegments": less,
@@ -372,7 +368,7 @@ func exprCase(t *testing.T) *diffCase {
 	schema := diffSchema(t)
 	r := rand.New(rand.NewSource(271))
 	segs := mixedSegments(t, r, schema, "ediff", 2500, 1200, "category", "bucket")
-	return &diffCase{name: "expr", segs: segs, schema: schema, rungs: []string{"interpreter"}, queries: append(exprDiffQueries(r, 220),
+	return &diffCase{name: "expr", segs: segs, schema: schema, rungs: []string{"row path"}, queries: append(exprDiffQueries(r, 220),
 		"SELECT count(*) FROM difftbl WHERE lower(category) = 'cat3'",
 		"SELECT sum(hits) FROM difftbl WHERE concat(category, '-', bucket) = 'cat1-3' GROUP BY category TOP 5",
 		"SELECT sum(hits + 0) FROM difftbl",
@@ -392,7 +388,7 @@ func dictCase(t *testing.T) *diffCase {
 	r := rand.New(rand.NewSource(977))
 	segs := mixedSegments(t, r, schema, "ddiff", 2500, 1200, "category", "bucket")
 	return &diffCase{name: "dict", segs: segs, schema: schema,
-		rungs: []string{"row path", "row path + interpreter"}, minDictSegments: 150, queries: append(dictDiffQueries(r, 230),
+		rungs: []string{"row path"}, minDictSegments: 150, queries: append(dictDiffQueries(r, 230),
 			"SELECT count(*) FROM difftbl WHERE lower(category) = 3",
 			"SELECT count(*) FROM difftbl WHERE upper(bucket) = 'X'",
 			"SELECT count(*) FROM difftbl WHERE abs(category) > 0",
