@@ -51,8 +51,9 @@ cover:
 # tree Parse builds from its rendering, or the broker's hybrid rewrite of
 # one), the PQL parser (never panic, nesting bounded; an accepted query's
 # rendering parses to the very same tree, and its canonical text is a
-# fixpoint), the expression evaluator (sandbox limits hold; compiled
-# kernels agree with the interpreter), and the scan cursor's state machine
+# fixpoint), the expression evaluator (a kernel over a block agrees with
+# itself row by row and over a dictionary of the block's values, and fails
+# with its lowest failing row's error), and the scan cursor's state machine
 # (any mix of Next/Advance/nextBlock on any leaf and segment kind yields the
 # per-document reference's docs and Stats; the consuming segment is read
 # beside its writer), the stream-event decoder (any bytes get the verdict and the

@@ -1,342 +1,205 @@
 package expr
 
 import (
-	"math"
+	"fmt"
 
 	"pinot/internal/pql"
 )
 
-// The compiler lowers numeric expressions — arithmetic, abs, and timeBucket
-// with a constant width over long/double columns — into typed block kernels.
-// A kernel evaluates a whole docID block at once against typed column blocks
-// the caller supplies, which is what lets the vectorized engine keep its
-// batch shape for derived inputs. Anything the compiler declines (strings,
-// non-constant bucket widths, unknown shapes) runs on the interpreter
-// instead; both produce bit-identical values because long arithmetic wraps
-// and promotion to float64 happens at exactly the nodes ArithScalars
-// promotes.
+// The compiler lowers every type-correct expression — arithmetic, every
+// builtin, over long, double, string and boolean columns and constants —
+// into a kernel: one node per AST node, each an entry of the builtin table,
+// a column slot or a constant. A kernel evaluates a whole block of rows at
+// once against typed column blocks the caller supplies, child blocks before
+// their parent, so the vectorized engine keeps its batch shape for derived
+// inputs. Values are those of the table's bodies: long arithmetic wraps, and
+// a long subtree promotes to double only where its parent needs a double.
 
 // BlockSource supplies typed blocks of column values by compile-time slot.
-// LongCol is only called for slots whose column kind is Long, DoubleCol only
-// for Double slots; dst is sized to len(docs).
 type BlockSource interface {
-	LongCol(slot int, docs []int, dst []int64)
-	DoubleCol(slot int, docs []int, dst []float64)
+	// Col fills the first len(docs) values of dst, of the slot's column's
+	// kind, with the column's values at docs.
+	Col(slot int, docs []int, dst *pql.Vec)
 }
 
-// Kernel is a compiled expression. It is single-goroutine: scratch buffers
-// live in the nodes and are reused across blocks.
+// Kernel is a compiled expression. It is single-goroutine: every node's
+// block lives in the node and is reused across blocks.
 type Kernel struct {
-	// Kind is Long or Double — the expression's result kind.
-	Kind Kind
+	// Kind is the expression's result kind.
+	Kind pql.Kind
 	// Cols lists referenced columns in slot order; the BlockSource passed to
-	// Eval* must resolve slot i to Cols[i].
-	Cols     []string
-	root     knode
-	dscratch kscratch
+	// Eval must resolve slot i to Cols[i].
+	Cols  []string
+	root  *node
+	nodes int
 }
 
-// Compile lowers an expression to a kernel, reporting false when the
-// expression needs the interpreter (non-numeric types, builtins without a
-// kernel form, non-constant timeBucket width).
-func Compile(e pql.Expr, kindOf func(name string) (Kind, bool)) (*Kernel, bool) {
+type node struct {
+	fn   *pql.Func // nil for a column or a constant
+	args []*node
+	argv []*pql.Vec // the args' blocks
+	slot int        // a column's slot, -1 otherwise
+	lit  any        // a constant's value
+	out  pql.Vec
+}
+
+// Compile lowers an expression to a kernel. kindOf reports the kind of a
+// referenced column, false for an unknown one. An expression that is not
+// type-correct fails with the first rule it breaks, children before their
+// parent, left to right.
+func Compile(e pql.Expr, kindOf func(name string) (pql.Kind, bool)) (*Kernel, error) {
 	k := &Kernel{}
-	slots := map[string]int{}
-	root, ok := k.lower(e, kindOf, slots)
-	if !ok {
-		return nil, false
+	root, err := k.compile(e, kindOf, map[string]int{})
+	if err != nil {
+		return nil, err
 	}
-	k.root = root
-	k.Kind = root.kind()
-	return k, true
+	k.root, k.Kind = root, root.out.Kind
+	return k, nil
 }
 
-// EvalLongs evaluates a Long-kinded kernel for a block of docs.
-func (k *Kernel) EvalLongs(src BlockSource, docs []int, dst []int64) {
-	k.root.evalL(src, docs, dst)
-}
-
-// EvalDoubles evaluates the kernel for a block of docs, promoting a long
-// result per element — the same promotion the scalar path applies when an
-// aggregator consumes an integral expression.
-func (k *Kernel) EvalDoubles(src BlockSource, docs []int, dst []float64) {
-	if k.Kind == Long {
-		ls := scratchL(&k.dscratch, len(docs))
-		k.root.evalL(src, docs, ls)
-		for i, v := range ls {
-			dst[i] = float64(v)
-		}
-		return
-	}
-	k.root.evalD(src, docs, dst)
-}
-
-// dscratch backs EvalDoubles' long→double conversion.
-type kscratch struct{ ls []int64 }
-
-func scratchL(s *kscratch, n int) []int64 {
-	if cap(s.ls) < n {
-		s.ls = make([]int64, n)
-	}
-	return s.ls[:n]
-}
-
-type knode interface {
-	kind() Kind
-	// evalL is only called on Long-kinded nodes, evalD on any numeric node
-	// (Long children promote per element).
-	evalL(src BlockSource, docs []int, dst []int64)
-	evalD(src BlockSource, docs []int, dst []float64)
-}
-
-func (k *Kernel) lower(e pql.Expr, kindOf func(string) (Kind, bool), slots map[string]int) (knode, bool) {
-	switch n := e.(type) {
+func (k *Kernel) compile(e pql.Expr, kindOf func(string) (pql.Kind, bool), slots map[string]int) (*node, error) {
+	k.nodes++
+	n := &node{slot: -1}
+	var args []pql.Expr
+	switch x := e.(type) {
 	case pql.Literal:
-		switch v := n.Value.(type) {
-		case int64:
-			return &kconst{k: Long, l: v, d: float64(v)}, true
-		case float64:
-			return &kconst{k: Double, d: v}, true
+		kind, ok := pql.KindOfValue(x.Value)
+		if !ok {
+			return nil, fmt.Errorf("expr: unsupported literal type %T", x.Value)
 		}
-		return nil, false
+		n.out.Kind, n.lit = kind, x.Value
+		return n, nil
 	case pql.ColumnRef:
-		ck, ok := kindOf(n.Name)
-		if !ok || !ck.Numeric() {
-			return nil, false
-		}
-		slot, ok := slots[n.Name]
+		kind, ok := kindOf(x.Name)
 		if !ok {
+			return nil, fmt.Errorf("expr: unknown column %q", x.Name)
+		}
+		slot, seen := slots[x.Name]
+		if !seen {
 			slot = len(k.Cols)
-			slots[n.Name] = slot
-			k.Cols = append(k.Cols, n.Name)
+			slots[x.Name] = slot
+			k.Cols = append(k.Cols, x.Name)
 		}
-		return &kcol{k: ck, slot: slot}, true
+		n.out.Kind, n.slot = kind, slot
+		return n, nil
 	case pql.Arith:
-		l, ok := k.lower(n.L, kindOf, slots)
-		if !ok {
-			return nil, false
-		}
-		r, ok := k.lower(n.R, kindOf, slots)
-		if !ok {
-			return nil, false
-		}
-		kind := Double
-		if n.Op != pql.OpDiv && l.kind() == Long && r.kind() == Long {
-			kind = Long
-		}
-		return &karith{k: kind, op: n.Op, l: l, r: r}, true
+		n.fn, args = pql.ArithFunc(x.Op), []pql.Expr{x.L, x.R}
 	case pql.Call:
-		switch n.Name {
-		case "abs":
-			c, ok := k.lower(n.Args[0], kindOf, slots)
-			if !ok {
-				return nil, false
-			}
-			return &kabs{k: c.kind(), child: c}, true
-		case "timeBucket":
-			c, ok := k.lower(n.Args[0], kindOf, slots)
-			if !ok || c.kind() != Long {
-				return nil, false
-			}
-			// Only a constant positive width compiles; anything else (a
-			// column-valued width, a zero that must error per row) is the
-			// interpreter's job.
-			lit, ok := n.Args[1].(pql.Literal)
-			if !ok {
-				return nil, false
-			}
-			w, ok := lit.Value.(int64)
-			if !ok || w <= 0 {
-				return nil, false
-			}
-			return &ktimebucket{child: c, width: w}, true
+		if f, ok := pql.Builtin(x.Name); ok && f.Name == x.Name {
+			n.fn = f
 		}
-		return nil, false
+		args = x.Args
+	default:
+		return nil, fmt.Errorf("expr: unsupported node %T", e)
 	}
-	return nil, false
-}
-
-type kconst struct {
-	k Kind
-	l int64
-	d float64
-}
-
-func (n *kconst) kind() Kind { return n.k }
-
-func (n *kconst) evalL(_ BlockSource, docs []int, dst []int64) {
-	for i := range docs {
-		dst[i] = n.l
-	}
-}
-
-func (n *kconst) evalD(_ BlockSource, docs []int, dst []float64) {
-	for i := range docs {
-		dst[i] = n.d
-	}
-}
-
-type kcol struct {
-	k    Kind
-	slot int
-	ls   []int64
-}
-
-func (n *kcol) kind() Kind { return n.k }
-
-func (n *kcol) evalL(src BlockSource, docs []int, dst []int64) {
-	src.LongCol(n.slot, docs, dst)
-}
-
-func (n *kcol) evalD(src BlockSource, docs []int, dst []float64) {
-	if n.k == Long {
-		ls := growL(&n.ls, len(docs))
-		src.LongCol(n.slot, docs, ls)
-		for i, v := range ls {
-			dst[i] = float64(v)
+	kinds := make([]pql.Kind, len(args))
+	for i, a := range args {
+		c, err := k.compile(a, kindOf, slots)
+		if err != nil {
+			return nil, err
 		}
+		n.args, n.argv, kinds[i] = append(n.args, c), append(n.argv, &c.out), c.out.Kind
+	}
+	switch {
+	case n.fn == nil:
+		if call, ok := e.(pql.Call); ok {
+			return nil, fmt.Errorf("expr: unknown function %q", call.Name)
+		}
+		return nil, fmt.Errorf("expr: unknown operator %q", e.(pql.Arith).Op)
+	case len(args) < n.fn.MinArgs || len(args) > n.fn.MaxArgs:
+		return nil, fmt.Errorf("expr: %s takes %d to %d arguments, got %d", n.fn.Name, n.fn.MinArgs, n.fn.MaxArgs, len(args))
+	}
+	kind, err := n.fn.Kind(kinds)
+	if err != nil {
+		return nil, fmt.Errorf("expr: %w", err)
+	}
+	n.out.Kind = kind
+	return n, nil
+}
+
+// block is one evaluation: rows [0, n) are still wanted. A failure at row r
+// cuts n to r, so every row evaluated after it has valid inputs and a later
+// failure can only be at a lower row.
+type block struct {
+	src  BlockSource
+	docs []int
+	n    int
+	row  int
+	err  error
+}
+
+func (b *block) fail(row int, err error) { b.n, b.row, b.err = row, row, err }
+
+// Eval evaluates the kernel over docs into a block of its Kind, len(docs)
+// long and valid until the next Eval. When rows fail, err is the error of
+// the lowest failing row — for that row, of the first node to fail, children
+// before their parent and left to right, as a row-at-a-time evaluation would
+// meet it — and row is that row; the values are then unspecified.
+func (k *Kernel) Eval(src BlockSource, docs []int) (v *pql.Vec, row int, err error) {
+	b := block{src: src, docs: docs, n: len(docs)}
+	if b.n > 0 && k.nodes > maxNodes {
+		b.fail(0, fmt.Errorf("%w: more than %d evaluation steps", ErrLimit, maxNodes))
+	}
+	k.root.eval(&b)
+	return &k.root.out, b.row, b.err
+}
+
+func (n *node) eval(b *block) {
+	n.out.Resize(len(b.docs))
+	for _, a := range n.args {
+		a.eval(b)
+	}
+	if b.n == 0 {
 		return
 	}
-	src.DoubleCol(n.slot, docs, dst)
-}
-
-type karith struct {
-	k      Kind
-	op     pql.ArithOp
-	l, r   knode
-	ls, rs []int64
-	ld, rd []float64
-}
-
-func (n *karith) kind() Kind { return n.k }
-
-func (n *karith) evalL(src BlockSource, docs []int, dst []int64) {
-	ls := growL(&n.ls, len(docs))
-	rs := growL(&n.rs, len(docs))
-	n.l.evalL(src, docs, ls)
-	n.r.evalL(src, docs, rs)
-	switch n.op {
-	case pql.OpAdd:
-		for i := range ls {
-			dst[i] = ls[i] + rs[i]
+	switch {
+	case n.fn != nil:
+		if row, err := n.fn.Eval(n.argv, &n.out, b.n); err != nil {
+			b.fail(row, err)
 		}
-	case pql.OpSub:
-		for i := range ls {
-			dst[i] = ls[i] - rs[i]
+		if n.out.Kind != pql.String {
+			return
 		}
-	case pql.OpMul:
-		for i := range ls {
-			dst[i] = ls[i] * rs[i]
+		for i, s := range n.out.Strings[:b.n] {
+			if len(s) > maxStringLen {
+				b.fail(i, fmt.Errorf("%w: string of %d bytes exceeds %d", ErrLimit, len(s), maxStringLen))
+				return
+			}
 		}
+	case n.slot >= 0:
+		b.src.Col(n.slot, b.docs[:b.n], &n.out)
+	default:
+		n.out.Fill(b.n, n.lit)
 	}
 }
 
-func (n *karith) evalD(src BlockSource, docs []int, dst []float64) {
-	if n.k == Long {
-		// A long-kinded node computes in int64 and promotes its result —
-		// ArithScalars' order. Promoting the operands instead would lose
-		// exactness past 2^53 and skip the wrap.
-		ls := growL(&n.ls, len(docs))
-		n.evalL(src, docs, ls)
-		for i, v := range ls {
-			dst[i] = float64(v)
+// memoBlock is how many dictionary entries EvalOverDict evaluates at once.
+const memoBlock = 1024
+
+// EvalOverDict runs a kernel of at most one column over that column's
+// dictionary, dict holding the value of every id, and returns the
+// expression's value per id. If any entry fails, the memo fails with the
+// lowest failing entry's error: whether a row carrying that entry errors is
+// for the row path to find out.
+func (k *Kernel) EvalOverDict(dict *pql.Vec) (*pql.Vec, error) {
+	card := dict.Len()
+	memo := &pql.Vec{Kind: k.Kind}
+	ids := make([]int, min(card, memoBlock))
+	for lo := 0; lo < card; lo += len(ids) {
+		docs := ids[:min(len(ids), card-lo)]
+		for i := range docs {
+			docs[i] = lo + i
 		}
-		return
-	}
-	ld := growD(&n.ld, len(docs))
-	rd := growD(&n.rd, len(docs))
-	n.l.evalD(src, docs, ld)
-	n.r.evalD(src, docs, rd)
-	switch n.op {
-	case pql.OpAdd:
-		for i := range ld {
-			dst[i] = ld[i] + rd[i]
+		v, row, err := k.Eval(dictSource{dict}, docs)
+		if err != nil {
+			return nil, fmt.Errorf("dict entry %d: %w", lo+row, err)
 		}
-	case pql.OpSub:
-		for i := range ld {
-			dst[i] = ld[i] - rd[i]
-		}
-	case pql.OpMul:
-		for i := range ld {
-			dst[i] = ld[i] * rd[i]
-		}
-	case pql.OpDiv:
-		for i := range ld {
-			dst[i] = ld[i] / rd[i]
-		}
+		memo.Append(v, len(docs))
 	}
+	return memo, nil
 }
 
-type kabs struct {
-	k        Kind
-	child    knode
-	lscratch []int64
-}
+// dictSource serves a dictionary's values, docs being ids.
+type dictSource struct{ dict *pql.Vec }
 
-func (n *kabs) kind() Kind { return n.k }
-
-func (n *kabs) evalL(src BlockSource, docs []int, dst []int64) {
-	n.child.evalL(src, docs, dst)
-	for i, v := range dst {
-		if v < 0 {
-			dst[i] = -v // MinInt64 wraps, matching CallScalars
-		}
-	}
-}
-
-func (n *kabs) evalD(src BlockSource, docs []int, dst []float64) {
-	if n.k == Long {
-		// Promote after the integral abs so -2^63..-2^53 agree with the
-		// interpreter's int64 wrap-then-promote order.
-		ls := growL(&n.lscratch, len(docs))
-		n.evalL(src, docs, ls)
-		for i, v := range ls {
-			dst[i] = float64(v)
-		}
-		return
-	}
-	n.child.evalD(src, docs, dst)
-	for i, v := range dst {
-		// math.Abs is a sign-bit clear: it also maps -0.0 → +0.0 and
-		// -NaN → +NaN, which the interpreter's math.Abs does too — anything
-		// branchy here would leave a stray NaN sign bit to diverge on.
-		dst[i] = math.Abs(v)
-	}
-}
-
-type ktimebucket struct {
-	child    knode
-	width    int64
-	lscratch []int64
-}
-
-func (n *ktimebucket) kind() Kind { return Long }
-
-func (n *ktimebucket) evalL(src BlockSource, docs []int, dst []int64) {
-	n.child.evalL(src, docs, dst)
-	for i, v := range dst {
-		dst[i] = pql.FloorBucket(v, n.width)
-	}
-}
-
-func (n *ktimebucket) evalD(src BlockSource, docs []int, dst []float64) {
-	ls := growL(&n.lscratch, len(docs))
-	n.evalL(src, docs, ls)
-	for i, v := range ls {
-		dst[i] = float64(v)
-	}
-}
-
-func growL(buf *[]int64, n int) []int64 {
-	if cap(*buf) < n {
-		*buf = make([]int64, n)
-	}
-	return (*buf)[:n]
-}
-
-func growD(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	return (*buf)[:n]
-}
+func (s dictSource) Col(_ int, ids []int, dst *pql.Vec) { pql.Gather(dst, s.dict, ids) }

@@ -7,34 +7,43 @@ import (
 	"pinot/internal/pql"
 )
 
-func TestEvalOverDictMatchesInterpreter(t *testing.T) {
-	dict := []string{"Alpha", "BETA", "gamma", "Δelta", ""}
-	value := func(id int) any { return dict[id] }
-	e := pql.Call{Name: "lower", Args: []pql.Expr{pql.ColumnRef{Name: "s"}}}
-
-	m, err := EvalOverDict(NewCtx(Limits{}), e, "s", value, len(dict), String)
+// memo compiles e over one column of the given dictionary's kind and runs it
+// over the dictionary.
+func memo(t *testing.T, e pql.Expr, name string, dict *pql.Vec) (*pql.Vec, error) {
+	t.Helper()
+	k, err := Compile(e, func(c string) (pql.Kind, bool) { return dict.Kind, c == name })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Strings) != len(dict) {
-		t.Fatalf("memo holds %d values, want %d", len(m.Strings), len(dict))
+	return k.EvalOverDict(dict)
+}
+
+func TestEvalOverDictMatchesInterpreter(t *testing.T) {
+	dict := strs("Alpha", "BETA", "gamma", "Δelta", "")
+	e := call("lower", col("s"))
+	m, err := memo(t, e, "s", dict)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id := range dict {
-		// The reference: the row interpreter fed the same value.
-		want, err := Eval(NewCtx(Limits{}), e, func(string) any { return dict[id] })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.Value(id); got != want {
-			t.Errorf("id %d: memo %v, interpreter %v", id, got, want)
+	if m.Len() != dict.Len() {
+		t.Fatalf("memo holds %d values, want %d", m.Len(), dict.Len())
+	}
+	// The reference: the kernel over each entry as a row of its own.
+	src := &memSource{data: map[string]*pql.Vec{"s": dict}}
+	rows := mustRun(t, e, src, dict.Len())
+	for id := range dict.Strings {
+		if got, want := m.Value(id), rows.Value(id); got != want {
+			t.Errorf("id %d: memo %v, rows %v", id, got, want)
 		}
 	}
 }
 
 func TestEvalOverDictLongArith(t *testing.T) {
-	value := func(id int) any { return int64(id * 10) }
-	e := pql.Arith{Op: pql.OpMul, L: pql.ColumnRef{Name: "n"}, R: pql.Literal{Value: int64(3)}}
-	m, err := EvalOverDict(NewCtx(Limits{}), e, "n", value, 8, Long)
+	dict := longs()
+	for id := 0; id < 8; id++ {
+		dict.Longs = append(dict.Longs, int64(id*10))
+	}
+	m, err := memo(t, pql.Arith{Op: pql.OpMul, L: col("n"), R: lit(int64(3))}, "n", dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,51 +53,52 @@ func TestEvalOverDictLongArith(t *testing.T) {
 		}
 	}
 	// Boxing stays int64 — a float64 here would render different group keys
-	// than the interpreter.
+	// than the row path.
 	if _, ok := m.Value(3).(int64); !ok {
 		t.Fatalf("Value boxed %T, want int64", m.Value(3))
 	}
 }
 
-// TestEvalOverDictKindMismatch: an integer-kinded memo handed a float result
-// must refuse rather than coerce.
+// TestEvalOverDictKindMismatch: a memo takes the expression's kind, not its
+// column's: n / 2 divides as double over a long dictionary.
 func TestEvalOverDictKindMismatch(t *testing.T) {
-	value := func(id int) any { return int64(id) }
-	// n / 2 divides as float64 regardless of operand types.
-	e := pql.Arith{Op: pql.OpDiv, L: pql.ColumnRef{Name: "n"}, R: pql.Literal{Value: int64(2)}}
-	if _, err := EvalOverDict(NewCtx(Limits{}), e, "n", value, 4, Long); err == nil {
-		t.Fatal("Long-kinded memo accepted a float64 result")
+	m, err := memo(t, pql.Arith{Op: pql.OpDiv, L: col("n"), R: lit(int64(2))}, "n", longs(0, 1, 2, 3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := EvalOverDict(NewCtx(Limits{}), e, "n", value, 4, Double); err != nil {
-		t.Fatalf("Double-kinded memo rejected division: %v", err)
+	if m.Kind != pql.Double || m.Doubles[3] != 1.5 {
+		t.Fatalf("memo of n / 2: %+v", m)
 	}
 }
 
 // TestEvalOverDictEntryErrorAborts: one poisoned dictionary entry kills the
 // whole memo — the row path decides whether the error actually surfaces.
 func TestEvalOverDictEntryErrorAborts(t *testing.T) {
-	long := strings.Repeat("x", DefaultLimits().MaxStringLen)
-	dict := []string{"ok", long} // concat(long, long) blows the string limit
-	e := pql.Call{Name: "concat", Args: []pql.Expr{pql.ColumnRef{Name: "s"}, pql.ColumnRef{Name: "s"}}}
-	if _, err := EvalOverDict(NewCtx(Limits{}), e, "s", func(id int) any { return dict[id] }, len(dict), String); err == nil {
-		t.Fatal("memo built over an entry that exceeds the interpreter's string limit")
+	long := strings.Repeat("x", maxStringLen)
+	// concat(long, long) blows the string limit.
+	_, err := memo(t, call("concat", col("s"), col("s")), "s", strs("ok", long, "fine", long))
+	if err == nil || err.Error() != "dict entry 1: expr: resource limit exceeded: string of 8192 bytes exceeds 4096" {
+		t.Fatalf("memo over an entry past the string limit: %v", err)
 	}
 }
 
-// TestEvalOverDictFreshStepBudget: the per-row step limit applies per entry,
-// not cumulatively — a memo over many entries must not exhaust a budget a
-// single row would never see.
+// TestEvalOverDictFreshStepBudget: the node limit is per expression, not
+// cumulative — a memo over many entries, blocks of them, never exhausts a
+// budget a single row would not.
 func TestEvalOverDictFreshStepBudget(t *testing.T) {
-	// Deep enough that a shared budget across 10k entries would blow up.
-	var e pql.Expr = pql.ColumnRef{Name: "n"}
+	var e pql.Expr = col("n")
 	for i := 0; i < 20; i++ {
-		e = pql.Arith{Op: pql.OpAdd, L: e, R: pql.Literal{Value: int64(1)}}
+		e = pql.Arith{Op: pql.OpAdd, L: e, R: lit(int64(1))}
 	}
-	m, err := EvalOverDict(NewCtx(Limits{}), e, "n", func(id int) any { return int64(id) }, 10000, Long)
+	dict := longs()
+	for id := 0; id < 10000; id++ {
+		dict.Longs = append(dict.Longs, int64(id))
+	}
+	m, err := memo(t, e, "n", dict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Longs[9999] != 9999+20 {
-		t.Fatalf("got %d", m.Longs[9999])
+	if m.Len() != 10000 || m.Longs[9999] != 9999+20 {
+		t.Fatalf("got %d values, the last %d", m.Len(), m.Longs[m.Len()-1])
 	}
 }

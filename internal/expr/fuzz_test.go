@@ -1,103 +1,103 @@
 package expr
 
 import (
-	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pinot/internal/pql"
 )
 
-// FuzzExprEval holds the sandbox and equivalence properties over arbitrary
-// expression text: parsing plus interpreting never panics (limits turn
-// runaway input into errors), and any expression the compiler also accepts
-// produces the same value from the kernel as from the interpreter.
+// FuzzExprEval holds the one evaluator to itself over arbitrary expression
+// text and column data. Parsing, compiling and evaluating never panic; a
+// kernel over a block computes, row for row, what it computes over each row
+// as a block of one, and fails at the block's lowest failing row with that
+// row's error; and when it reads one column, over a dictionary of that
+// column's distinct values it computes each row's value for the row's
+// entry, failing exactly when some row fails. The seeds place failing rows
+// mid-block, to pin which error a block reports.
 func FuzzExprEval(f *testing.F) {
-	seeds := []string{
-		"clicks + 1",
-		"timeBucket(day, 7)",
-		"abs(score - 500)",
-		"concat(country, '-', clicks)",
-		"upper(country)",
-		"(clicks * clicks) / (score + 0.5)",
-		"lower(concat(country, country, country))",
-		"abs(clicks) * -1 + timeBucket(day + 3, 60)",
-		"clicks / 0",
-		"timeBucket(day, 0)",
-		"'a' = 'b'",
+	seeds := []struct {
+		in   string
+		data []byte
+	}{
+		{"clicks + 1", []byte{1, 2, 3}},
+		{"timeBucket(day, 7)", []byte{0, 9, 200}},
+		{"abs(score - 500)", []byte{7, 255}},
+		{"concat(country, '-', clicks)", []byte{1, 2, 1, 130}},
+		{"upper(country)", []byte{1, 2, 250, 3}}, // row 2 is past the string limit
+		{"(clicks * clicks) / (score + 0.5)", []byte{0, 254, 2}},
+		{"lower(concat(country, country, country))", []byte{4, 5, 4}},
+		{"abs(clicks) * -1 + timeBucket(day + 3, 60)", []byte{9, 128, 9}},
+		{"clicks / 0", []byte{0, 1, 255}},
+		{"timeBucket(day, 0)", []byte{3, 4}},
+		{"'a' = 'b'", []byte{1}},
+		{"timeBucket(day, clicks)", []byte{5, 9, 0, 3, 200}}, // rows 2 and 4 have no width
+		// Row 1 fails upper's string limit before row 2's zero width.
+		{"concat(upper(country), timeBucket(day, clicks))", []byte{3, 251, 0}},
+		// Row 1 fails both builtins: timeBucket is evaluated first.
+		{"concat(timeBucket(day, clicks), upper(country))", []byte{3, 252}},
 	}
 	for _, s := range seeds {
-		f.Add(s)
+		f.Add(s.in, s.data)
 	}
-	kindOf := func(name string) (Kind, bool) {
-		switch name {
-		case "clicks", "day":
-			return Long, true
-		case "score":
-			return Double, true
-		case "country":
-			return String, true
-		}
-		return 0, false
-	}
-	get := func(name string) any {
-		switch name {
-		case "clicks":
-			return int64(7)
-		case "day":
-			return int64(16025)
-		case "score":
-			return 2.5
-		case "country":
-			return "us"
-		}
-		return nil
-	}
-	f.Fuzz(func(t *testing.T, in string) {
+	f.Fuzz(func(t *testing.T, in string, data []byte) {
 		e, err := pql.ParseExpr(in)
 		if err != nil {
 			return
 		}
-		c := NewCtx(Limits{MaxSteps: 4096, MaxStringLen: 1024, MaxListLen: 64})
-		v, err := Eval(c, e, get)
+		src := fuzzSource(data)
+		k, err := Compile(e, src.kindOf)
 		if err != nil {
 			return
 		}
-		k, ok := Compile(e, kindOf)
-		if !ok {
+		src.cols = k.Cols
+		got, _, berr := agreeWithRows(t, in, k, src, len(data))
+		if len(k.Cols) != 1 {
 			return
 		}
-		src := &memSource{
-			cols:    k.Cols,
-			longs:   map[string][]int64{"clicks": {7}, "day": {16025}},
-			doubles: map[string][]float64{"score": {2.5}},
+		// The column's distinct values, and each row's id among them.
+		vals := src.data[k.Cols[0]]
+		dict, ids, seen := &pql.Vec{Kind: vals.Kind}, make([]int, len(data)), map[any]int{}
+		for i := range data {
+			v := vals.Value(i)
+			id, ok := seen[v]
+			if !ok {
+				id = dict.Len()
+				seen[v] = id
+				one := &pql.Vec{Kind: vals.Kind}
+				one.Resize(1)
+				one.Set(0, v)
+				dict.Append(one, 1)
+			}
+			ids[i] = id
 		}
-		docs := []int{0}
-		switch k.Kind {
-		case Long:
-			want, isLong := v.(int64)
-			if !isLong {
-				t.Fatalf("%s: kernel kind long, interpreter returned %T", in, v)
-			}
-			dst := make([]int64, 1)
-			k.EvalLongs(src, docs, dst)
-			if dst[0] != want {
-				t.Fatalf("%s: kernel long %d, interpreter %d", in, dst[0], want)
-			}
-		case Double:
-			var want float64
-			switch x := v.(type) {
-			case float64:
-				want = x
-			case int64:
-				want = float64(x)
-			default:
-				t.Fatalf("%s: kernel kind double, interpreter returned %T", in, v)
-			}
-			dst := make([]float64, 1)
-			k.EvalDoubles(src, docs, dst)
-			if math.Float64bits(dst[0]) != math.Float64bits(want) {
-				t.Fatalf("%s: kernel %v, interpreter %v", in, dst[0], want)
+		m, merr := k.EvalOverDict(dict)
+		if (merr == nil) != (berr == nil) {
+			t.Fatalf("%s: the block fails with %v, the dictionary with %v", in, berr, merr)
+		}
+		for i := 0; merr == nil && i < len(data); i++ {
+			if !sameValue(m.Value(ids[i]), got[i]) {
+				t.Fatalf("%s: row %d: block %v, its dictionary entry %v", in, i, got[i], m.Value(ids[i]))
 			}
 		}
 	})
+}
+
+// fuzzSource derives one row of columns from each byte: clicks (a signed
+// byte, so a width of it fails at most rows), day, score, and country,
+// whose byte values from 250 up make strings past the string limit.
+func fuzzSource(data []byte) *memSource {
+	src := &memSource{data: map[string]*pql.Vec{"clicks": longs(), "day": longs(), "score": doubles(), "country": strs()}}
+	for _, b := range data {
+		src.data["clicks"].Longs = append(src.data["clicks"].Longs, int64(int8(b)))
+		src.data["day"].Longs = append(src.data["day"].Longs, 16000+int64(b))
+		src.data["score"].Doubles = append(src.data["score"].Doubles, float64(int8(b))/4)
+		country := "C" + strconv.Itoa(int(b%7))
+		if b >= 250 {
+			country = strings.Repeat("Xy", 2100)
+		}
+		src.data["country"].Strings = append(src.data["country"].Strings, country)
+	}
+	return src
 }

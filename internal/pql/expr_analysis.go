@@ -1,36 +1,5 @@
 package pql
 
-// Static expression analysis used by planners. The dictionary-space engine
-// (internal/query) may evaluate an expression once per dictionary entry and
-// reuse the results for every document carrying that entry — which is only
-// sound when the expression is a pure function of its column inputs.
-
-// ExprDeterministic reports whether an expression is a pure function of its
-// column inputs: same inputs, same output, no hidden state and no
-// environment reads. Every current builtin (timeBucket, abs, lower, upper,
-// concat) qualifies; unknown function names do not, so a future
-// nondeterministic builtin (now(), rand(), ...) is excluded here by default
-// rather than silently memoized.
-func ExprDeterministic(e Expr) bool {
-	switch n := e.(type) {
-	case Literal, ColumnRef:
-		return true
-	case Arith:
-		return ExprDeterministic(n.L) && ExprDeterministic(n.R)
-	case Call:
-		if _, _, _, ok := Builtin(n.Name); !ok {
-			return false
-		}
-		for _, a := range n.Args {
-			if !ExprDeterministic(a) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // PredicateHasExprCompare reports whether a filter tree contains at least
 // one expression-comparison leaf; planners use it to skip dictionary-space
 // setup for the common plain-predicate query.

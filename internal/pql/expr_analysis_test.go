@@ -2,31 +2,6 @@ package pql
 
 import "testing"
 
-func TestExprDeterministic(t *testing.T) {
-	col := ColumnRef{Name: "c"}
-	cases := []struct {
-		name string
-		e    Expr
-		want bool
-	}{
-		{"literal", Literal{Value: int64(3)}, true},
-		{"column", col, true},
-		{"arith", Arith{Op: OpAdd, L: col, R: Literal{Value: int64(1)}}, true},
-		{"known builtin", Call{Name: "lower", Args: []Expr{col}}, true},
-		{"nested builtin", Call{Name: "concat", Args: []Expr{Call{Name: "upper", Args: []Expr{col}}, Literal{Value: "x"}}}, true},
-		// Unknown functions are excluded by default: a future now()/rand()
-		// must not be silently memoized per dictionary entry.
-		{"unknown call", Call{Name: "now", Args: nil}, false},
-		{"unknown nested", Arith{Op: OpMul, L: col, R: Call{Name: "rand", Args: nil}}, false},
-		{"nil", nil, false},
-	}
-	for _, c := range cases {
-		if got := ExprDeterministic(c.e); got != c.want {
-			t.Errorf("%s: ExprDeterministic = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 func TestPredicateHasExprCompare(t *testing.T) {
 	plain := Comparison{Column: "c", Op: OpEq, Value: "x"}
 	ec := ExprCompare{LHS: ColumnRef{Name: "c"}, Op: OpEq, RHS: Literal{Value: int64(1)}}

@@ -633,7 +633,7 @@ func (p *parser) parsePrimaryExpr() (Expr, error) {
 
 func (p *parser) parseCallExpr() (Expr, error) {
 	t := p.next() // function name; '(' is next
-	name, minArgs, maxArgs, ok := Builtin(t.text)
+	f, ok := Builtin(t.text)
 	if !ok {
 		return nil, p.errf(t, "unknown function %q", t.text)
 	}
@@ -657,13 +657,13 @@ func (p *parser) parseCallExpr() (Expr, error) {
 	if _, err := p.expect(tokRParen, ")"); err != nil {
 		return nil, err
 	}
-	if len(args) < minArgs || len(args) > maxArgs {
-		if minArgs == maxArgs {
-			return nil, p.errf(t, "%s() takes %d argument(s), got %d", name, minArgs, len(args))
+	if len(args) < f.MinArgs || len(args) > f.MaxArgs {
+		if f.MinArgs == f.MaxArgs {
+			return nil, p.errf(t, "%s() takes %d argument(s), got %d", f.Name, f.MinArgs, len(args))
 		}
-		return nil, p.errf(t, "%s() takes %d to %d arguments, got %d", name, minArgs, maxArgs, len(args))
+		return nil, p.errf(t, "%s() takes %d to %d arguments, got %d", f.Name, f.MinArgs, f.MaxArgs, len(args))
 	}
-	return Call{Name: name, Args: args}, nil
+	return Call{Name: f.Name, Args: args}, nil
 }
 
 // numberValue converts a number token exactly as parseLiteral does:

@@ -213,9 +213,7 @@ func checkExpr(e Expr) error {
 	case Literal:
 		return checkLiteral(n.Value)
 	case Arith:
-		switch n.Op {
-		case OpAdd, OpSub, OpMul, OpDiv:
-		default:
+		if ArithFunc(n.Op) == nil {
 			return fmt.Errorf("pql: unknown arithmetic operator %q", n.Op)
 		}
 		if err := checkExpr(n.L); err != nil {
@@ -223,8 +221,8 @@ func checkExpr(e Expr) error {
 		}
 		return checkExpr(n.R)
 	case Call:
-		name, lo, hi, ok := Builtin(n.Name)
-		if !ok || name != n.Name || len(n.Args) < lo || len(n.Args) > hi {
+		f, ok := Builtin(n.Name)
+		if !ok || f.Name != n.Name || len(n.Args) < f.MinArgs || len(n.Args) > f.MaxArgs {
 			return fmt.Errorf("pql: no builtin %s of %d arguments", n.Name, len(n.Args))
 		}
 		for _, a := range n.Args {

@@ -163,7 +163,7 @@ func TestFoldPreimages(t *testing.T) {
 		{"σ", true, []string{"σ", "Σ"}},
 	}
 	for _, c := range cases {
-		got, ok := foldPreimages(c.target, c.lower)
+		got, ok := foldPreimages(c.target, caseFold(c.lower))
 		if !ok {
 			t.Fatalf("foldPreimages(%q, lower=%v) overflowed", c.target, c.lower)
 		}
@@ -183,10 +183,20 @@ func TestFoldPreimages(t *testing.T) {
 	}
 }
 
+// caseFold is the table's Fold of lower, or of upper.
+func caseFold(lower bool) func(rune) rune {
+	name := "upper"
+	if lower {
+		name = "lower"
+	}
+	f, _ := pql.Builtin(name)
+	return f.Fold
+}
+
 // TestFoldPreimagesVariantCap: a target of repeated orbit runes explodes
 // combinatorially; the enumeration must give up rather than enumerate.
 func TestFoldPreimagesVariantCap(t *testing.T) {
-	if _, ok := foldPreimages(strings.Repeat("k", 9), true); ok {
+	if _, ok := foldPreimages(strings.Repeat("k", 9), caseFold(true)); ok {
 		t.Fatal("9 three-way runes is 19683 variants; expected the cap to fire")
 	}
 }
@@ -277,7 +287,7 @@ func TestDictExprPruneNoMatch(t *testing.T) {
 			t.Errorf("%q: DictExprSegments = %d, want %d", q, st.DictExprSegments, len(segs))
 		}
 		// The disabled path must agree on the answer while actually scanning.
-		base := runPQL(t, segs, q, ForceRungs(Options{}, false, true))
+		base := runPQL(t, segs, q, ForceRungs(Options{}, true))
 		if fmt.Sprint(base.Rows) != fmt.Sprint(res.Rows) {
 			t.Errorf("%q: rows diverge on the row path: %+v vs %+v", q, res.Rows, base.Rows)
 		}

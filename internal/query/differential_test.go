@@ -55,7 +55,7 @@ var rungs = []rung{
 	{name: "default", force: func(*query.Options) {}},
 	// Dictionary space may prove a segment empty, or matched by every
 	// document so a metadata plan answers it, where the row path scans.
-	{name: "row path", vs: "default", force: func(o *query.Options) { *o = query.ForceRungs(*o, false, true) },
+	{name: "row path", vs: "default", force: func(o *query.Options) { *o = query.ForceRungs(*o, true) },
 		drift: map[string]drift{"DictExprSegments": zero, "NumDocsScanned": more, "NumEntriesScanned": either,
 			"NumSegmentsMatched": either, "MetadataOnlySegments": either, "GroupStateBytes": either,
 			"SegmentsPrunedByServer": either, "SegmentsPrunedByValue": either, "SegmentsMatched": either}},
@@ -360,10 +360,11 @@ func mixedCases(t *testing.T) []*diffCase {
 	}
 }
 
-// exprCase: expression aggregation inputs, filters (the batch comparison
-// wants both sides compiled) and group keys (the single-long path among
-// them), and hand-picked edges: interpreter-only builtins, constant-width
-// division, NOT over derived columns, string ops beside compiled kernels.
+// exprCase: expression aggregation inputs, filters and group keys (the
+// single-long path among them), and hand-picked edges: string builtins,
+// constant-width division, NOT over derived columns, string ops beside
+// numeric kernels. The row path rung holds kernels over dictionary columns
+// to the memo.
 func exprCase(t *testing.T) *diffCase {
 	schema := diffSchema(t)
 	r := rand.New(rand.NewSource(271))

@@ -205,8 +205,8 @@ func (b *bitmapIterator) filter(cands []int) []int {
 // is the iterator-style fallback of paper section 4.2; under an AND it tests
 // only the candidates of the children before it, so it evaluates part of the
 // column. A leaf the scan cursor has a kernel for carries it in leaf; the
-// others — a multi-value column, a comparison with an interpreted side —
-// carry the per-document match closure, walked by scanIterator.
+// others — a multi-value column — carry the per-document match closure,
+// walked by scanIterator.
 type scanDocIDSet struct {
 	numDocs int
 	match   func(doc int) bool
@@ -410,7 +410,7 @@ const (
 	scanIDRanges scanKind = iota // dict id inside one of a few ranges: tested in the column
 	scanLongIn                   // raw integral metric IN a list
 	scanDoubleIn                 // raw float metric IN a list
-	scanExpr                     // compiled expression comparison
+	scanExpr                     // expression comparison
 	scanIDTable                  // dict id in a list-form set: its membership table
 	scanLongs                    // raw integral metric against bounds
 	scanDoubles                  // raw float metric against bounds
@@ -479,11 +479,14 @@ type scanCursor struct {
 	// match holds one bit per document of the chunk (or candidate) for the
 	// kinds tested at decode.
 	match []uint64
-	// Expression comparisons decode both sides: the second side and the doc
-	// list their kernels take.
-	longs2   []int64
+	// Expression comparisons: a second side promoted to double, the doc list
+	// their kernels take, and the decoded chunk's first failing document,
+	// latched only once the walk reaches it — a document-at-a-time scan
+	// evaluates no document past the last one it returns.
 	doubles2 []float64
 	docs     []int
+	failDoc  int
+	failErr  error
 }
 
 func (c *scanCursor) nextBlock(buf []int) int {
@@ -506,6 +509,10 @@ func (c *scanCursor) nextBlock(buf []int) int {
 			n, walked = walkBits(c.match, i, j, c.start, buf, n)
 		}
 		pos += walked
+		if c.failErr != nil && pos > c.failDoc {
+			leaf.cmp.env.fail(c.failErr)
+			c.failErr = nil
+		}
 	}
 	if leaf.stats != nil {
 		leaf.stats.NumEntriesScanned += int64(pos-c.pos) * leaf.perEntry
@@ -547,7 +554,8 @@ func (c *scanCursor) decode(pos int) {
 		for i := range c.docs {
 			c.docs[i] = pos + i
 		}
-		leaf.cmp.eval(c, c.docs)
+		row, err := leaf.cmp.eval(c, c.docs)
+		c.failDoc, c.failErr = pos+row, err
 	}
 }
 
@@ -589,7 +597,9 @@ func (c *scanCursor) filter(cands []int) []int {
 		return keepRaw(cands, c.doubles, leaf.double)
 	}
 	c.match = sized(c.match, (n+63)>>6)
-	leaf.cmp.eval(c, cands)
+	if _, err := leaf.cmp.eval(c, cands); err != nil {
+		leaf.cmp.env.fail(err)
+	}
 	k := 0
 	for i, doc := range cands {
 		cands[k] = doc

@@ -40,12 +40,11 @@ func SentAsParsed(t testing.TB, text string) {
 	}
 }
 
-// ForceRungs returns opt with expression rungs forced off, as the
-// differential harness and the A/B benchmarks ask for them: interpreter
-// evaluates every expression on the sandboxed per-row interpreter instead of
-// a compiled block kernel, rowPath keeps expressions out of dictionary space.
-func ForceRungs(opt Options, interpreter, rowPath bool) Options {
-	opt.disableExprCompile, opt.disableDictExpr = interpreter, rowPath
+// ForceRungs returns opt with the expression rung forced off, as the
+// differential harness and the A/B benchmarks ask for it: rowPath keeps
+// expressions out of dictionary space.
+func ForceRungs(opt Options, rowPath bool) Options {
+	opt.disableDictExpr = rowPath
 	return opt
 }
 

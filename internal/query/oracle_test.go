@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 
-	"pinot/internal/expr"
 	"pinot/internal/pql"
 	"pinot/internal/segment"
 )
@@ -14,16 +13,16 @@ import (
 // visits every document in order, reads values through the per-document
 // ColumnReader accessors (schema-evolution defaults through columnSource),
 // tests the filter on them — multi-value columns by contains-any, NOT on
-// documents, expressions through expr.Eval — and folds each match into a
-// GroupTable by upsert and accumulateRow, or keeps it as a selection row.
+// documents, expressions through the row reference (rowref_test.go) — and
+// folds each match into a GroupTable by upsert and accumulateRow, or keeps
+// it as a selection row.
 // Merge and Finalize are the engine's; buildFilter, docids.go, the scan
 // cursor and vexec.go's kernels and groupers are never called.
 type Oracle struct {
 	segs   []IndexedSegment
 	schema *segment.Schema
 	memo   map[oracleKey][]any // a column's values by document, read once
-	ctx    *expr.Ctx
-	err    error // the first evaluation that failed
+	err    error               // the first evaluation that failed
 }
 
 type oracleKey struct {
@@ -34,7 +33,7 @@ type oracleKey struct {
 // NewOracle returns the oracle of a table: its segments and its schema (nil:
 // each segment's own).
 func NewOracle(segs []IndexedSegment, schema *segment.Schema) *Oracle {
-	return &Oracle{segs: segs, schema: schema, memo: map[oracleKey][]any{}, ctx: expr.NewCtx(expr.Limits{})}
+	return &Oracle{segs: segs, schema: schema, memo: map[oracleKey][]any{}}
 }
 
 // Answer returns the rows the engine must return for pqlText, and the
@@ -186,7 +185,7 @@ func (o *Oracle) reader(seg segment.Reader, name string, e pql.Expr) (func(doc i
 	get := func(name string) any { return cols[name][doc] }
 	return func(d int) any {
 		doc = d
-		v, err := expr.Eval(o.ctx, e, get)
+		v, err := refEval(e, get)
 		if err != nil && o.err == nil {
 			o.err = fmt.Errorf("oracle: %s: %w", e, err)
 		}
@@ -217,7 +216,7 @@ func (o *Oracle) filter(seg segment.Reader, pred pql.Predicate) (func(doc int) b
 			if lv == nil || rv == nil {
 				return false
 			}
-			ok, err := expr.CompareValues(p.Op, lv, rv)
+			ok, err := refCompare(p.Op, lv, rv)
 			if err != nil && o.err == nil {
 				o.err = err
 			}

@@ -28,14 +28,12 @@ type Options struct {
 	// for differential testing and to keep the Druid baseline pruning-free.
 	DisablePruning bool
 
-	// The rungs tests force off (export_test.go), never set in production:
-	// disableExprCompile evaluates every expression on the sandboxed per-row
-	// interpreter instead of a compiled block kernel; disableDictExpr keeps
-	// expression predicates, group keys and aggregate arguments out of
-	// dictionary space, on the kernel or the interpreter. Rows are identical
-	// either way; Stats differ only as the differential harness's rung table
-	// allows.
-	disableExprCompile, disableDictExpr bool
+	// The rung tests force off (export_test.go), never set in production:
+	// disableDictExpr keeps expression predicates, group keys and aggregate
+	// arguments out of dictionary space, on kernels over the rows. Rows are
+	// identical either way; Stats differ only as the differential harness's
+	// rung table allows.
+	disableDictExpr bool
 }
 
 // columnsOf resolves a column, surfacing schema-evolution default columns

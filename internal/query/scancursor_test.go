@@ -301,7 +301,7 @@ func perDocReference(tb testing.TB, cs columnSource, pred pql.Predicate, stats *
 	case pql.Not:
 		return &notDocIDSet{child: perDocReference(tb, cs, p.Child, stats), numDocs: cs.seg.NumDocs()}
 	}
-	set, err := buildFilter(newExecEnv(context.Background(), cs.seg.Name()), cs, pred, ForceRungs(Options{}, false, true), stats)
+	set, err := buildFilter(newExecEnv(context.Background(), cs.seg.Name()), cs, pred, ForceRungs(Options{}, true), stats)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func checkCursorOps(t *testing.T, src cursorSource, where string, filtering bool
 	pred := parseWhere(t, where)
 	var vecStats, refStats Stats
 	env := newExecEnv(context.Background(), src.cs.seg.Name())
-	vecSet, err := buildFilter(env, src.cs, pred, ForceRungs(Options{}, false, true), &vecStats)
+	vecSet, err := buildFilter(env, src.cs, pred, ForceRungs(Options{}, true), &vecStats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 
-	"pinot/internal/expr"
 	"pinot/internal/pql"
 	"pinot/internal/segment"
 )
@@ -76,7 +75,7 @@ func (s *blockScratch) cursor(leaf *scanLeaf, numDocs int) *scanCursor {
 	c := s.cursors[s.cursorsOut]
 	s.cursorsOut++
 	c.leaf, c.numDocs = leaf, numDocs
-	c.pos, c.start, c.end = 0, 0, 0
+	c.pos, c.start, c.end, c.failErr = 0, 0, 0, nil
 	return c
 }
 
@@ -389,9 +388,9 @@ func newItemGrouper(items []groupItem, t *GroupTable, sc *blockScratch) grouper 
 	// table: the expression value is computed once per distinct dict id, not
 	// per row.
 	if len(items) == 1 && items[0].ev != nil && items[0].ev.memo != nil {
-		if ev := items[0].ev; ev.readers[0].Cardinality() <= denseGroupMaxCard {
-			return &dictTransGrouper{groupSink: sink, col: ev.readers[0], memo: ev.memo,
-				ordOf: make([]uint32, ev.readers[0].Cardinality())}
+		if ev := items[0].ev; ev.memo.Len() <= denseGroupMaxCard {
+			return &dictTransGrouper{groupSink: sink, col: ev.src.readers[0], memo: ev.memo,
+				ordOf: make([]uint32, ev.memo.Len())}
 		}
 	}
 	for _, it := range items {
@@ -491,13 +490,13 @@ func (g *tupleGrouper) groups(docs []int, out []uint32) error {
 
 // dictTransGrouper groups by one memoized expression through a dictID →
 // ordinal translation table. Distinct dict ids whose expression values are
-// equal (lower('Cat1') and lower('cat1')) find one group through the table's
+// equal (the lower-cased 'Cat1' and 'cat1') find one group through the table's
 // hash index, so group creation is per distinct value, as it is for any
 // expression key.
 type dictTransGrouper struct {
 	groupSink
 	col   segment.ColumnReader
-	memo  *expr.DictMemo
+	memo  *pql.Vec
 	ordOf []uint32 // dict id → ordinal+1, 0 unseen
 }
 
@@ -509,11 +508,11 @@ func (g *dictTransGrouper) groups(docs []int, out []uint32) error {
 		o := g.ordOf[id]
 		if o == 0 {
 			switch m := g.memo; m.Kind {
-			case expr.Long:
+			case pql.Long:
 				key.kind, key.nums = keyLong, append(key.nums, uint64(m.Longs[id]))
-			case expr.Double:
+			case pql.Double:
 				key.kind, key.nums = keyDouble, append(key.nums, doubleBits(m.Doubles[id]))
-			case expr.Bool:
+			case pql.Bool:
 				key.kind, key.nums = keyBool, append(key.nums, boolBits(m.Bools[id]))
 			default:
 				key.kind, key.strs = keyString, append(key.strs, m.Strings[id])
@@ -528,10 +527,10 @@ func (g *dictTransGrouper) groups(docs []int, out []uint32) error {
 }
 
 // exprGrouper groups by derived expressions (mixed with plain columns).
-// When the only item is a single compiled integral expression — the
-// timeBucket(ts, w) shape — group keys stay int64 end to end: batch kernel
-// eval into a long buffer staged straight into the key column, no boxing.
-// Everything else boxes each doc's values and upserts them.
+// When the only item is a single integral expression — a time bucket of a
+// timestamp — group keys stay int64 end to end: the kernel's long block staged
+// straight into the key column, no boxing. Everything else boxes each doc's
+// values and upserts them.
 type exprGrouper struct {
 	groupSink
 	values []any
@@ -541,7 +540,7 @@ type exprGrouper struct {
 
 func newExprGrouper(sink groupSink) *exprGrouper {
 	g := &exprGrouper{groupSink: sink, values: make([]any, len(sink.items)), anys: make([][]any, len(sink.items))}
-	if it := sink.items; len(it) == 1 && it[0].ev.kernel != nil && it[0].ev.kernel.Kind == expr.Long {
+	if it := sink.items; len(it) == 1 && it[0].ev.kind() == pql.Long {
 		g.fast = true
 		g.t.keys[0].kind = keyLong
 	}
@@ -550,11 +549,8 @@ func newExprGrouper(sink groupSink) *exprGrouper {
 
 func (g *exprGrouper) groups(docs []int, out []uint32) error {
 	if g.fast {
-		ls := g.sc.longBuf(len(docs))
-		ev := g.items[0].ev
-		ev.kernel.EvalLongs(ev.ksrc, docs, ls)
 		key := &g.t.keys[0]
-		for i, v := range ls {
+		for i, v := range g.items[0].ev.eval(docs).Longs {
 			key.nums = append(key.nums, uint64(v))
 			out[i], _ = g.t.commit()
 		}

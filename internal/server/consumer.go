@@ -45,13 +45,10 @@ type consumer struct {
 	row *segment.TypedRow
 	dec *eventDecoder
 	// Ingestion-time transforms: derived values materialize as real columns
-	// in the consuming segment. Each evaluates against the event's fields
-	// (get reads the staged row) with the sandboxed interpreter, one row at
-	// a time, in consumption order — so every replica computes identical
-	// values from identical bytes.
+	// in the consuming segment. Each kernel evaluates the event's fields (the
+	// staged row) as a block of one, in consumption order — so every replica
+	// computes identical values from identical bytes.
 	derived []derivedEval
-	get     expr.Getter
-	ectx    *expr.Ctx
 
 	// Instrument handles, resolved once.
 	rowsMet    *metrics.Instrument
@@ -68,13 +65,27 @@ const (
 	skipTransform = "transform" // a derived-column expression failed
 )
 
-// derivedEval is one parsed derived-column expression and the row field it
-// fills.
+// derivedEval is one derived-column kernel and the row field it fills.
 type derivedEval struct {
 	field int
 	spec  segment.FieldSpec
-	e     pql.Expr
+	k     *expr.Kernel
+	src   rowSource
 }
+
+// rowSource serves a kernel the staged row's fields, as a block of one.
+// Derived columns read the event's own fields (they cannot reference each
+// other); a field the event left out reads as its default, which is what
+// the row holds for it.
+type rowSource struct {
+	row    *segment.TypedRow
+	fields []int // the row field of each kernel slot
+}
+
+func (s rowSource) Col(slot int, _ []int, dst *pql.Vec) { dst.Set(0, s.row.Value(s.fields[slot])) }
+
+// oneRow is the block of one a derived column evaluates.
+var oneRow = []int{0}
 
 // startConsuming handles the OFFLINE→CONSUMING transition: every replica
 // creates a consumer at the segment's start offset, so all replicas consume
@@ -101,17 +112,25 @@ func (t *tableDataManager) startConsuming(segName string) error {
 	if err != nil {
 		return err
 	}
+	row := ms.NewRow()
 	derived := make([]derivedEval, 0, len(cfg.DerivedColumns))
 	for _, d := range cfg.DerivedColumns {
 		e, err := d.Parsed()
+		var k *expr.Kernel
+		if err == nil {
+			k, err = cfg.CompileDerived(e)
+		}
 		if err != nil {
 			return fmt.Errorf("server %s: consuming segment %s: derived column %q: %w",
 				t.server.cfg.Instance, segName, d.Name, err)
 		}
-		derived = append(derived, derivedEval{field: eff.FieldIndex(d.Name), spec: d.FieldSpec(), e: e})
+		src := rowSource{row: row}
+		for _, name := range k.Cols {
+			src.fields = append(src.fields, cfg.Schema.FieldIndex(name))
+		}
+		derived = append(derived, derivedEval{field: eff.FieldIndex(d.Name), spec: d.FieldSpec(), k: k, src: src})
 	}
 	met, part := t.server.met, strconv.Itoa(meta.Partition)
-	row := ms.NewRow()
 	c := &consumer{
 		tdm:     t,
 		segName: segName,
@@ -133,25 +152,6 @@ func (t *tableDataManager) startConsuming(segName string) error {
 	}
 	for _, reason := range []string{skipDecode, skipSchema, skipTransform} {
 		c.skippedMet[reason] = met.consumerSkipped.With(met.instance, t.resource, reason)
-	}
-	if len(derived) > 0 {
-		// Derived columns read the event's own fields (they cannot reference
-		// each other); a field the event left out reads as its default, which
-		// is what the row holds for it.
-		base := cfg.Schema
-		c.get = func(name string) any {
-			if i := base.FieldIndex(name); i >= 0 {
-				return row.Value(i)
-			}
-			return nil
-		}
-		c.ectx = expr.NewCtx(expr.Limits{})
-		c.ectx.Check = func() error {
-			if c.stopped() {
-				return errors.New("server: consumer stopped")
-			}
-			return nil
-		}
 	}
 	t.mu.Lock()
 	t.consuming[segName] = c
@@ -272,14 +272,15 @@ func (c *consumer) indexMessage(value []byte) (reason string, err error) {
 		return skipDecode, err
 	}
 	for _, d := range c.derived {
-		v, err := expr.Eval(c.ectx, d.e, c.get)
+		out, _, err := d.k.Eval(d.src, oneRow)
 		if err != nil {
 			// A row whose transform fails is skipped like any malformed
 			// event: deterministic across replicas (identical bytes,
 			// identical limits), and ingestion never wedges.
 			return skipTransform, err
 		}
-		if v, err = segment.CanonicalizeField(d.spec, v); err != nil {
+		v, err := segment.CanonicalizeField(d.spec, out.Value(0))
+		if err != nil {
 			return skipSchema, err
 		}
 		if err := c.row.Set(d.field, v); err != nil {

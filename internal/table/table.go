@@ -185,22 +185,28 @@ func (c *Config) validateDerived() error {
 				return fmt.Errorf("table: %s: derived column %q references multi-value column %q", c.Name, d.Name, col)
 			}
 		}
-		k, err := expr.Infer(e, func(name string) (expr.Kind, bool) {
-			f, ok := c.Schema.Field(name)
-			if !ok {
-				return 0, false
-			}
-			return expr.KindOf(f.Type), true
-		})
+		k, err := c.CompileDerived(e)
 		if err != nil {
 			return fmt.Errorf("table: %s: derived column %q: %w", c.Name, d.Name, err)
 		}
-		if want := expr.KindOf(d.Type); k != want {
+		if want := expr.KindOf(d.Type); k.Kind != want {
 			return fmt.Errorf("table: %s: derived column %q: expression is %s but declared type %s is %s",
-				c.Name, d.Name, k, d.Type, want)
+				c.Name, d.Name, k.Kind, d.Type, want)
 		}
 	}
 	return nil
+}
+
+// CompileDerived compiles a derived column's expression against the base
+// schema, whose fields are the only ones it may read.
+func (c *Config) CompileDerived(e pql.Expr) (*expr.Kernel, error) {
+	return expr.Compile(e, func(name string) (pql.Kind, bool) {
+		f, ok := c.Schema.Field(name)
+		if !ok {
+			return 0, false
+		}
+		return expr.KindOf(f.Type), true
+	})
 }
 
 // EffectiveSchema is the base schema plus the derived columns' fields — the
