@@ -73,7 +73,7 @@ func mustRun(t *testing.T, e pql.Expr, src *memSource, n int) *pql.Vec {
 
 func TestOracleTimeBucket(t *testing.T) {
 	// Oracle: floor via the always-positive remainder, a different formula
-	// from FloorBucket's quotient correction.
+	// from the table's quotient correction.
 	oracle := func(ts, w int64) int64 {
 		r := ts % w
 		if r < 0 {

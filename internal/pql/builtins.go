@@ -223,7 +223,8 @@ func init() {
 		caseFunc("upper", strings.ToUpper, unicode.ToUpper),
 		{Name: "concat", MinArgs: 2, MaxArgs: 16, Kind: concatKind, Eval: concat},
 	} {
-		builtins[strings.ToLower(f.Name)] = f
+		// Canonical spellings resolve without lower-casing.
+		builtins[strings.ToLower(f.Name)], builtins[f.Name] = f, f
 	}
 	for _, op := range []ArithOp{OpAdd, OpSub, OpMul, OpDiv} {
 		arithOps[op] = arith(op)
@@ -232,6 +233,9 @@ func init() {
 
 // Builtin resolves a function name, case-insensitively, to its entry.
 func Builtin(name string) (*Func, bool) {
+	if f, ok := builtins[name]; ok {
+		return f, true
+	}
 	f, ok := builtins[strings.ToLower(name)]
 	return f, ok
 }
@@ -341,15 +345,15 @@ func timeBucket(a []*Vec, out *Vec, n int) (int, error) {
 		if w[i] <= 0 {
 			return i, errBucketWidth
 		}
-		dst[i] = FloorBucket(ts[i], w[i])
+		dst[i] = floorBucket(ts[i], w[i])
 	}
 	return 0, nil
 }
 
-// FloorBucket rounds ts down to the start of its width-sized bucket,
+// floorBucket rounds ts down to the start of its width-sized bucket,
 // flooring toward negative infinity (so negative timestamps bucket
 // correctly).
-func FloorBucket(ts, width int64) int64 {
+func floorBucket(ts, width int64) int64 {
 	q := ts / width
 	if ts%width != 0 && (ts < 0) != (width < 0) {
 		q--

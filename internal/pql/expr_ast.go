@@ -200,7 +200,7 @@ func CanonicalExpr(e Expr) Expr {
 				allConst = false
 			}
 		}
-		if f, ok := Builtin(n.Name); allConst && ok && f.Name == n.Name {
+		if f, ok := builtins[n.Name]; allConst && ok && f.Name == n.Name {
 			vals := make([]any, len(args))
 			for i, a := range args {
 				vals[i] = a.(Literal).Value

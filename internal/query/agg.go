@@ -119,7 +119,7 @@ func newAggInputs(env *execEnv, cs columnSource, exprs []pql.Expression, opt Opt
 			if err != nil {
 				return nil, err
 			}
-			if e.Func != pql.Count && e.Func != pql.DistinctCount && !ev.kind().Numeric() {
+			if e.Func != pql.Count && e.Func != pql.DistinctCount && !ev.kernel.Kind.Numeric() {
 				return nil, fmt.Errorf("query: %s(%s): expression is not numeric", e.Func, e.Column)
 			}
 			in.ev = ev

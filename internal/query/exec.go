@@ -176,8 +176,8 @@ func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Que
 		docs += int64(n)
 		if g != nil {
 			if err := g.groups(buf[:n], ords[:n]); err != nil {
-				// A nil value is an expression that failed and latched its own
-				// error already; either way the next checkpoint ends the segment.
+				// A key the table cannot hold: the next checkpoint ends the
+				// segment.
 				env.fail(err)
 				continue
 			}

@@ -69,8 +69,6 @@ func newExprEval(env *execEnv, cs columnSource, e pql.Expr, opt Options) (*exprE
 	return ev, nil
 }
 
-func (ev *exprEval) kind() pql.Kind { return ev.kernel.Kind }
-
 // evalRows computes the expression over docs, by dictionary id from the memo
 // or through the kernel, and reports the lowest failing row.
 func (ev *exprEval) evalRows(docs []int) (*pql.Vec, int, error) {
@@ -166,7 +164,7 @@ func buildExprFilter(env *execEnv, cs columnSource, p pql.ExprCompare, opt Optio
 	if err != nil {
 		return nil, err
 	}
-	if err := expr.CompareKinds(p.Op, lev.kind(), rev.kind()); err != nil {
+	if err := expr.CompareKinds(p.Op, lev.kernel.Kind, rev.kernel.Kind); err != nil {
 		return nil, fmt.Errorf("query: %v", err)
 	}
 	cmp := &exprCompare{env: env, lhs: lev, rhs: rev, op: p.Op}

@@ -540,7 +540,7 @@ type exprGrouper struct {
 
 func newExprGrouper(sink groupSink) *exprGrouper {
 	g := &exprGrouper{groupSink: sink, values: make([]any, len(sink.items)), anys: make([][]any, len(sink.items))}
-	if it := sink.items; len(it) == 1 && it[0].ev.kind() == pql.Long {
+	if it := sink.items; len(it) == 1 && it[0].ev.kernel.Kind == pql.Long {
 		g.fast = true
 		g.t.keys[0].kind = keyLong
 	}
