@@ -29,15 +29,17 @@ type Kernel struct {
 	Kind pql.Kind
 	// Cols lists referenced columns in slot order; the BlockSource passed to
 	// Eval must resolve slot i to Cols[i].
-	Cols  []string
-	root  *node
-	nodes int
+	Cols []string
+	// nodes holds the tree in post-order, the root last: a node's arguments
+	// come before it, so evaluating in order evaluates children first, left
+	// to right. Its length never changes once compiled: arguments are
+	// referred to by pointer.
+	nodes []node
 }
 
 type node struct {
-	fn   *pql.Func // nil for a column or a constant
-	args []*node
-	argv []*pql.Vec // the args' blocks
+	fn   *pql.Func  // nil for a column or a constant
+	argv []*pql.Vec // the arguments' blocks
 	slot int        // a column's slot, -1 otherwise
 	lit  any        // a constant's value
 	out  pql.Vec
@@ -48,31 +50,44 @@ type node struct {
 // type-correct fails with the first rule it breaks, children before their
 // parent, left to right.
 func Compile(e pql.Expr, kindOf func(name string) (pql.Kind, bool)) (*Kernel, error) {
-	k := &Kernel{}
-	root, err := k.compile(e, kindOf, map[string]int{})
-	if err != nil {
+	k := &Kernel{nodes: make([]node, 0, countNodes(e))}
+	if err := k.compile(e, kindOf, map[string]int{}); err != nil {
 		return nil, err
 	}
-	k.root, k.Kind = root, root.out.Kind
+	k.Kind = k.nodes[len(k.nodes)-1].out.Kind
 	return k, nil
 }
 
-func (k *Kernel) compile(e pql.Expr, kindOf func(string) (pql.Kind, bool), slots map[string]int) (*node, error) {
-	k.nodes++
-	n := &node{slot: -1}
+func countNodes(e pql.Expr) int {
+	n := 1
+	switch x := e.(type) {
+	case pql.Arith:
+		n += countNodes(x.L) + countNodes(x.R)
+	case pql.Call:
+		for _, a := range x.Args {
+			n += countNodes(a)
+		}
+	}
+	return n
+}
+
+// compile appends e's nodes to k.nodes, e's own last.
+func (k *Kernel) compile(e pql.Expr, kindOf func(string) (pql.Kind, bool), slots map[string]int) error {
+	n := node{slot: -1}
 	var args []pql.Expr
 	switch x := e.(type) {
 	case pql.Literal:
 		kind, ok := pql.KindOfValue(x.Value)
 		if !ok {
-			return nil, fmt.Errorf("expr: unsupported literal type %T", x.Value)
+			return fmt.Errorf("expr: unsupported literal type %T", x.Value)
 		}
 		n.out.Kind, n.lit = kind, x.Value
-		return n, nil
+		k.nodes = append(k.nodes, n)
+		return nil
 	case pql.ColumnRef:
 		kind, ok := kindOf(x.Name)
 		if !ok {
-			return nil, fmt.Errorf("expr: unknown column %q", x.Name)
+			return fmt.Errorf("expr: unknown column %q", x.Name)
 		}
 		slot, seen := slots[x.Name]
 		if !seen {
@@ -81,7 +96,8 @@ func (k *Kernel) compile(e pql.Expr, kindOf func(string) (pql.Kind, bool), slots
 			k.Cols = append(k.Cols, x.Name)
 		}
 		n.out.Kind, n.slot = kind, slot
-		return n, nil
+		k.nodes = append(k.nodes, n)
+		return nil
 	case pql.Arith:
 		n.fn, args = pql.ArithFunc(x.Op), []pql.Expr{x.L, x.R}
 	case pql.Call:
@@ -90,31 +106,33 @@ func (k *Kernel) compile(e pql.Expr, kindOf func(string) (pql.Kind, bool), slots
 		}
 		args = x.Args
 	default:
-		return nil, fmt.Errorf("expr: unsupported node %T", e)
+		return fmt.Errorf("expr: unsupported node %T", e)
 	}
 	kinds := make([]pql.Kind, len(args))
+	n.argv = make([]*pql.Vec, len(args))
 	for i, a := range args {
-		c, err := k.compile(a, kindOf, slots)
-		if err != nil {
-			return nil, err
+		if err := k.compile(a, kindOf, slots); err != nil {
+			return err
 		}
-		n.args, n.argv, kinds[i] = append(n.args, c), append(n.argv, &c.out), c.out.Kind
+		arg := &k.nodes[len(k.nodes)-1].out
+		n.argv[i], kinds[i] = arg, arg.Kind
 	}
 	switch {
 	case n.fn == nil:
 		if call, ok := e.(pql.Call); ok {
-			return nil, fmt.Errorf("expr: unknown function %q", call.Name)
+			return fmt.Errorf("expr: unknown function %q", call.Name)
 		}
-		return nil, fmt.Errorf("expr: unknown operator %q", e.(pql.Arith).Op)
+		return fmt.Errorf("expr: unknown operator %q", e.(pql.Arith).Op)
 	case len(args) < n.fn.MinArgs || len(args) > n.fn.MaxArgs:
-		return nil, fmt.Errorf("expr: %s takes %d to %d arguments, got %d", n.fn.Name, n.fn.MinArgs, n.fn.MaxArgs, len(args))
+		return fmt.Errorf("expr: %s takes %d to %d arguments, got %d", n.fn.Name, n.fn.MinArgs, n.fn.MaxArgs, len(args))
 	}
 	kind, err := n.fn.Kind(kinds)
 	if err != nil {
-		return nil, fmt.Errorf("expr: %w", err)
+		return fmt.Errorf("expr: %w", err)
 	}
 	n.out.Kind = kind
-	return n, nil
+	k.nodes = append(k.nodes, n)
+	return nil
 }
 
 // block is one evaluation: rows [0, n) are still wanted. A failure at row r
@@ -137,18 +155,17 @@ func (b *block) fail(row int, err error) { b.n, b.row, b.err = row, row, err }
 // meet it — and row is that row; the values are then unspecified.
 func (k *Kernel) Eval(src BlockSource, docs []int) (v *pql.Vec, row int, err error) {
 	b := block{src: src, docs: docs, n: len(docs)}
-	if b.n > 0 && k.nodes > maxNodes {
+	if b.n > 0 && len(k.nodes) > maxNodes {
 		b.fail(0, fmt.Errorf("%w: more than %d evaluation steps", ErrLimit, maxNodes))
 	}
-	k.root.eval(&b)
-	return &k.root.out, b.row, b.err
+	for i := range k.nodes {
+		k.nodes[i].eval(&b)
+	}
+	return &k.nodes[len(k.nodes)-1].out, b.row, b.err
 }
 
 func (n *node) eval(b *block) {
 	n.out.Resize(len(b.docs))
-	for _, a := range n.args {
-		a.eval(b)
-	}
 	if b.n == 0 {
 		return
 	}
