@@ -26,8 +26,9 @@ import (
 // Eligibility is deliberately conservative: any static type error, any
 // per-entry evaluation error, any shape the analysis does not understand
 // falls back to the row path, the same kernels over the rows, which
-// reproduces the exact error (or lack of one) the query always had. Dictionary space must never change results,
-// errors, or anything in Stats beyond DictExprSegments.
+// reproduces the exact error (or lack of one) the query always had.
+// Dictionary space must never change results, errors, or anything in Stats
+// beyond DictExprSegments.
 
 // dictExprIDSet compiles an expression comparison into a dict-id set when
 // the predicate is dictionary-space eligible: exactly one referenced
