@@ -252,8 +252,8 @@ func TestLimitMaxSteps(t *testing.T) {
 	}
 	src.cols = k.Cols
 	// The cap is a node count: every row would visit every node, so a
-	// non-empty block fails at its first row, with the text a step count
-	// per row had, and an empty one has no row to fail.
+	// non-empty block fails at its first row, with the step limit's text,
+	// and an empty one has no row to fail.
 	_, row, err := k.Eval(src, []int{1, 2})
 	if !errors.Is(err, ErrLimit) || row != 0 || err.Error() != "expr: resource limit exceeded: more than 65536 evaluation steps" {
 		t.Fatalf("over the node cap: row %d, %v", row, err)
