@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,8 +17,11 @@ import (
 	"testing"
 	"time"
 
+	"pinot/internal/helix"
 	"pinot/internal/segment"
 	"pinot/internal/table"
+	"pinot/internal/transport"
+	"pinot/internal/zkmeta"
 )
 
 // buildPinot compiles the pinot binary once into a temp dir.
@@ -159,6 +163,7 @@ func TestMultiProcessKillNineMidScatter(t *testing.T) {
 		"-controller-addr", ctrlHTTP, "-transport-addr", "127.0.0.1:0")
 	ctrlURL := "http://" + ctrlHTTP
 	waitHealthy(t, ctrlURL, 10*time.Second)
+	checkLeaderResolves(t, zkAddr, loggedAddr(t, filepath.Join(logDir, "controller.log"), "completion data plane on "))
 
 	// A deliberate per-query delay on the servers widens the window in
 	// which the kill lands mid-scatter.
@@ -302,6 +307,43 @@ func TestMultiProcessKillNineMidScatter(t *testing.T) {
 			t.Fatalf("cluster never healed after kill -9 (last: %+v, %v)", res, err)
 		}
 		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// checkLeaderResolves finds the lead controller as a server process does:
+// over a session on the metadata endpoint it reads the leader seat and
+// resolves that instance to the address its config advertises, which must
+// be the completion listener the controller process bound. A poll sent
+// there gets a verdict back, not a transport error.
+func checkLeaderResolves(t *testing.T, zkAddr, bound string) {
+	t.Helper()
+	sess := zkmeta.Keep(zkmeta.NewRemote(zkAddr), func(zkmeta.Client) error { return nil })
+	defer sess.Close()
+	resolve := helix.NewAddrResolver(sess, "pinot", 0)
+	var addr string
+	for deadline := time.Now().Add(10 * time.Second); addr == ""; time.Sleep(20 * time.Millisecond) {
+		if leader, ok := helix.Leader(sess.Client(), "pinot"); ok {
+			addr, _ = resolve(leader)
+		}
+		if addr == "" && time.Now().After(deadline) {
+			t.Fatal("the lead controller never resolved to an address")
+		}
+	}
+	if addr != bound {
+		t.Fatalf("the leader resolves to %s, but the controller bound %s", addr, bound)
+	}
+	pool := transport.NewPool()
+	defer pool.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	resp, err := transport.NewTCPControllerClient(addr, pool).SegmentConsumed(ctx, &transport.SegmentConsumedRequest{
+		Segment: "probe__0__0", Resource: "probe_REALTIME", Instance: "probe", Offset: 0,
+	})
+	if err != nil {
+		t.Fatalf("completion poll to the leader at %s: %v", addr, err)
+	}
+	if resp.Action == "" || resp.Action == transport.ActionNotLeader {
+		t.Fatalf("the leader answered %q", resp.Action)
 	}
 }
 

@@ -207,24 +207,24 @@ func runController(name, zkListen, objstoreDir, httpAddr, transportAddr string) 
 	defer zkSrv.Close()
 	log.Printf("metadata endpoint on %s", zkLis.Addr())
 
-	ctrl := controller.New(controller.Config{
-		Cluster:  name,
-		Instance: "controller1",
-		Metrics:  metrics.Default(),
-	}, store, mustObjstore(objstoreDir), stream.NewCluster())
-	if err := ctrl.Start(); err != nil {
-		log.Fatalf("controller start: %v", err)
-	}
-	defer ctrl.Stop()
-
-	dataSrv := transport.NewTCPQueryServer(nil)
-	dataSrv.Controller = ctrl
 	dataLis, err := net.Listen("tcp", transportAddr)
 	if err != nil {
 		log.Fatalf("transport listen: %v", err)
 	}
+	ctrl := controller.New(controller.Config{
+		Cluster:       name,
+		Instance:      "controller1",
+		AdvertiseAddr: dataLis.Addr().String(),
+		Metrics:       metrics.Default(),
+	}, store, mustObjstore(objstoreDir), stream.NewCluster())
+	dataSrv := transport.NewTCPQueryServer(nil)
+	dataSrv.Controller = ctrl
 	go dataSrv.Serve(dataLis)
 	defer dataSrv.Close()
+	if err := ctrl.Start(); err != nil {
+		log.Fatalf("controller start: %v", err)
+	}
+	defer ctrl.Stop()
 	log.Printf("completion data plane on %s", dataLis.Addr())
 
 	httpSrv := serveHTTP("controller", httpAddr, httpapi.NewControllerHandler(ctrl))
@@ -252,7 +252,7 @@ func runServer(name, instance, zkAddr, objstoreDir, transportAddr, httpAddr stri
 		Metrics:            metrics.Default(),
 		DisableServerCache: caches.disableServer,
 		ServerCacheBytes:   caches.serverBytes,
-	}, remote, mustObjstore(objstoreDir), stream.NewCluster(), func() []transport.ControllerClient { return nil })
+	}, remote, mustObjstore(objstoreDir), stream.NewCluster())
 	if queryDelay > 0 {
 		srv.InjectLatency(queryDelay)
 	}
@@ -280,7 +280,9 @@ func runBroker(name, instance, zkAddr, httpAddr, strategy string, partitionAware
 	remote := zkmeta.NewRemote(zkAddr)
 	pool := transport.NewPool()
 	defer pool.Close()
-	registry := transport.NewTCPRegistry(helix.NewAddrResolver(remote, name, 2*time.Second), pool)
+	resolverSess := zkmeta.Keep(remote, func(zkmeta.Client) error { return nil })
+	defer resolverSess.Close()
+	registry := transport.NewTCPRegistry(helix.NewAddrResolver(resolverSess, name, 2*time.Second), pool)
 	br := broker.New(broker.Config{
 		Cluster:            name,
 		Instance:           instance,

@@ -1,12 +1,12 @@
 // Package cluster assembles a complete in-process Pinot deployment:
 // metadata store, event streams, object store, a set of controllers (one
-// elected leader), servers, brokers and minions. Servers and brokers are
-// wired as the standalone server and broker processes of cmd/pinot are:
-// each server serves the framed TCP query protocol on a loopback port it
-// advertises in its instance config, and brokers scatter to the addresses
-// they find there. It is the substrate for the examples, the integration
-// tests and the benchmark harness; the cmd/pinot binary exposes the same
-// cluster over HTTP.
+// elected leader), servers, brokers and minions. Controllers, servers and
+// brokers are wired as the standalone processes of cmd/pinot are: each
+// controller and server serves the framed TCP protocol on a loopback port it
+// advertises in its instance config, brokers scatter to the servers'
+// addresses, and servers commit segments to the lead controller's. It is the
+// substrate for the examples, the integration tests and the benchmark
+// harness; the cmd/pinot binary exposes the same cluster over HTTP.
 package cluster
 
 import (
@@ -86,9 +86,10 @@ type Cluster struct {
 
 	adminSess *zkmeta.Session
 
-	dataPlanes []*transport.TCPQueryServer
-	pool       *transport.Pool
-	scatter    transport.Registry // what Chaos wraps
+	dataPlanes   []*transport.TCPQueryServer // the controllers' and servers'
+	pool         *transport.Pool
+	resolverSess *zkmeta.Kept       // the brokers' resolver reads over it
+	scatter      transport.Registry // what Chaos wraps
 }
 
 // NewLocal builds and starts a cluster.
@@ -110,11 +111,23 @@ func NewLocal(opts Options) (*Cluster, error) {
 	}
 
 	for i := 0; i < opts.Controllers; i++ {
+		// Each controller answers the completion frames on a loopback
+		// port it advertises, as a controller process does.
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			c.Shutdown()
+			return nil, err
+		}
 		cfg := opts.controllerTemplate
 		cfg.Cluster = opts.Name
 		cfg.Instance = fmt.Sprintf("controller%d", i+1)
+		cfg.AdvertiseAddr = lis.Addr().String()
 		cfg.Metrics = reg
 		ctrl := controller.New(cfg, c.Store, c.Objects, c.Streams)
+		cp := transport.NewTCPQueryServer(nil)
+		cp.Controller = ctrl
+		go cp.Serve(lis)
+		c.dataPlanes = append(c.dataPlanes, cp)
 		if err := ctrl.Start(); err != nil {
 			c.Shutdown()
 			return nil, err
@@ -127,13 +140,6 @@ func NewLocal(opts Options) (*Cluster, error) {
 		return nil, err
 	}
 
-	controllerClients := func() []transport.ControllerClient {
-		out := make([]transport.ControllerClient, len(c.Controllers))
-		for i, ctrl := range c.Controllers {
-			out[i] = ctrl
-		}
-		return out
-	}
 	for i := 0; i < opts.Servers; i++ {
 		// Each server is wired as a standalone server process is: it
 		// listens on a loopback port, advertises that address in its
@@ -148,7 +154,7 @@ func NewLocal(opts Options) (*Cluster, error) {
 		cfg.Instance = fmt.Sprintf("server%d", i+1)
 		cfg.AdvertiseAddr = lis.Addr().String()
 		cfg.Metrics = reg
-		srv := server.New(cfg, c.Store, c.Objects, c.Streams, controllerClients)
+		srv := server.New(cfg, c.Store, c.Objects, c.Streams)
 		if err := srv.Start(); err != nil {
 			lis.Close()
 			c.Shutdown()
@@ -164,7 +170,8 @@ func NewLocal(opts Options) (*Cluster, error) {
 	// instance configs advertise, through the chaos registry: a passthrough
 	// without faults, deterministic under its fixed seed.
 	c.pool = transport.NewPool()
-	c.scatter = transport.NewTCPRegistry(helix.NewAddrResolver(c.Store, opts.Name, 2*time.Second), c.pool)
+	c.resolverSess = zkmeta.Keep(c.Store, func(zkmeta.Client) error { return nil })
+	c.scatter = transport.NewTCPRegistry(helix.NewAddrResolver(c.resolverSess, opts.Name, 2*time.Second), c.pool)
 	c.Chaos = chaos.NewRegistry(c.scatter, 1)
 	for i := 0; i < opts.Brokers; i++ {
 		cfg := opts.BrokerTemplate
@@ -210,6 +217,7 @@ func (c *Cluster) Shutdown() {
 	}
 	if c.pool != nil {
 		c.pool.Close()
+		c.resolverSess.Close()
 	}
 	for _, dp := range c.dataPlanes {
 		dp.Close()

@@ -17,6 +17,7 @@ import (
 	"pinot/internal/server"
 	"pinot/internal/startree"
 	"pinot/internal/table"
+	"pinot/internal/transport"
 )
 
 func eventsSchema(t testing.TB) *segment.Schema {
@@ -256,6 +257,21 @@ func TestControllerFailover(t *testing.T) {
 			}
 		}
 	}
+	// A realtime partition commits its first segment through the leader,
+	// whose client the server then keeps.
+	if _, err := c.Streams.CreateTopic("events", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.AddTable(realtimeConfig(t, 1, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitForConsuming("rtevents_REALTIME", 1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	produceEvents(t, c, "events", 0, 50)
+	if err := c.WaitForOnline("rtevents_REALTIME", 1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	leader.Stop()
 	deadline := time.Now().Add(5 * time.Second)
 	var newLeader *controller.Controller
@@ -279,6 +295,22 @@ func TestControllerFailover(t *testing.T) {
 	res, err := c.Execute(context.Background(), "SELECT count(*) FROM events")
 	if err != nil || res.Rows[0][0].(int64) != 30 {
 		t.Fatalf("res=%+v err=%v", res, err)
+	}
+	// The partition crosses its flush threshold again: the stopped leader
+	// answers NOTLEADER, the server resolves the new leader's address, and
+	// the segment commits there.
+	produceEvents(t, c, "events", 50, 60)
+	if err := c.WaitForOnline("rtevents_REALTIME", 2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitForCount(t, c, "SELECT count(*) FROM rtevents", 110, 5*time.Second)
+	if c.Metrics.Value("pinot_server_completion_actions_total", "server1", string(transport.ActionNotLeader)) == 0 {
+		t.Fatal("the server never heard NOTLEADER from the stopped leader")
+	}
+	for _, ctrl := range []*controller.Controller{leader, newLeader} {
+		if n := c.Metrics.Value("pinot_controller_segments_committed_total", ctrl.Instance(), "rtevents_REALTIME"); n != 1 {
+			t.Fatalf("%s committed %d segments, want 1", ctrl.Instance(), n)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"pinot/internal/httpapi"
 	"pinot/internal/metrics"
 	"pinot/internal/server"
+	"pinot/internal/table"
 	"pinot/internal/transport"
 )
 
@@ -88,17 +89,38 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if err := c.WaitForConsuming("rtevents_REALTIME", 2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// No query runs until both segments are ONLINE, so what the data plane
+	// reads meanwhile is the completion frames: each commit carries its
+	// sealed segment to the lead controller's address.
+	recvBytes := reg.Total("pinot_transport_bytes_recv_total")
 	produceEvents(t, c, "events", 0, 120)
-	waitForCount(t, c, "SELECT count(*) FROM rtevents", 120, 10*time.Second)
 	if err := c.WaitForOnline("rtevents_REALTIME", 2, 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
-
-	// Minion workload: purge one value from one offline segment.
 	leader, ok := c.Leader()
 	if !ok {
 		t.Fatal("no leader")
 	}
+	metas, err := leader.SegmentMetas("rtevents_REALTIME")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed, committedBytes int64
+	for _, m := range metas {
+		if m.Status == table.StatusDone {
+			committed++
+			committedBytes += m.SizeBytes
+		}
+	}
+	if committed != 2 {
+		t.Fatalf("%d segments committed, want 2", committed)
+	}
+	if got := reg.Total("pinot_transport_bytes_recv_total") - recvBytes; got < committedBytes {
+		t.Fatalf("the data plane read %d bytes while segments of %d bytes committed", got, committedBytes)
+	}
+	waitForCount(t, c, "SELECT count(*) FROM rtevents", 120, 10*time.Second)
+
+	// Minion workload: purge one value from one offline segment.
 	err = leader.ScheduleTask(&controller.Task{
 		ID:          "purge-1",
 		Type:        controller.TaskPurge,

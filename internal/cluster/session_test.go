@@ -77,7 +77,7 @@ func startServerOver(t *testing.T, c *Cluster, link *metaLink) {
 		t.Fatal(err)
 	}
 	srv := server.New(server.Config{Cluster: c.Name, Instance: "server-tcp", AdvertiseAddr: lis.Addr().String(), Metrics: metrics.NewRegistry()},
-		link, c.Objects, c.Streams, func() []transport.ControllerClient { return nil })
+		link, c.Objects, c.Streams)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,9 @@ func startServerOver(t *testing.T, c *Cluster, link *metaLink) {
 func startBrokerOver(t *testing.T, c *Cluster, link *metaLink) (*broker.Broker, *chaos.Registry) {
 	pool := transport.NewPool()
 	t.Cleanup(pool.Close)
-	calls := chaos.NewRegistry(transport.NewTCPRegistry(helix.NewAddrResolver(link, c.Name, 2*time.Second), pool), 1)
+	resolverSess := zkmeta.Keep(link, func(zkmeta.Client) error { return nil })
+	t.Cleanup(resolverSess.Close)
+	calls := chaos.NewRegistry(transport.NewTCPRegistry(helix.NewAddrResolver(resolverSess, c.Name, 2*time.Second), pool), 1)
 	cfg := chaosBrokerConfig()
 	cfg.Cluster, cfg.Instance, cfg.Metrics = c.Name, "broker-tcp", metrics.NewRegistry()
 	br := broker.New(cfg, link, calls)

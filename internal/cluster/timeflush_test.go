@@ -138,10 +138,12 @@ func TestCatchupPathExercised(t *testing.T) {
 	for time.Now().Before(deadline) {
 		catchups, discards, commits = 0, 0, 0
 		for _, s := range c.Servers {
-			counts := s.CompletionActionCounts()
-			catchups += counts[transport.ActionCatchup]
-			discards += counts[transport.ActionDiscard]
-			commits += counts[transport.ActionCommit]
+			count := func(a transport.SegmentConsumedAction) int64 {
+				return c.Metrics.Value("pinot_server_completion_actions_total", s.Instance(), string(a))
+			}
+			catchups += count(transport.ActionCatchup)
+			discards += count(transport.ActionDiscard)
+			commits += count(transport.ActionCommit)
 		}
 		if commits > 0 && (catchups > 0 || discards > 0) {
 			break

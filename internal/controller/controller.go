@@ -30,6 +30,10 @@ var ErrNotLeader = errors.New("controller: not the lead controller")
 type Config struct {
 	Cluster  string
 	Instance string
+	// AdvertiseAddr is the data-plane TCP address (host:port) this
+	// controller answers the segment completion frames on; registered in
+	// the instance config so servers can dial the leader.
+	AdvertiseAddr string
 	// RetentionInterval is the period of the retention manager sweep.
 	RetentionInterval time.Duration
 	// Metrics receives the controller's instrumentation; nil means the
@@ -117,10 +121,14 @@ func (c *Controller) Start() error {
 	return nil
 }
 
-// onSession lays out the cluster's nodes over a new session, then joins the
-// election over it.
+// onSession lays out the cluster's nodes and registers the instance over a
+// new session, then joins the election over it.
 func (c *Controller) onSession(sess zkmeta.Client) error {
-	if err := helix.NewAdmin(sess, c.cfg.Cluster).CreateCluster(); err != nil {
+	admin := helix.NewAdmin(sess, c.cfg.Cluster)
+	if err := admin.CreateCluster(); err != nil {
+		return err
+	}
+	if err := admin.RegisterInstance(helix.InstanceConfig{Instance: c.cfg.Instance, Tags: []string{"controller"}, Addr: c.cfg.AdvertiseAddr}); err != nil {
 		return err
 	}
 	for _, p := range []string{

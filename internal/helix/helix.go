@@ -108,7 +108,8 @@ type InstanceConfig struct {
 	Instance string   `json:"instance"`
 	Tags     []string `json:"tags"`
 	// Addr is the instance's data-plane TCP address (host:port), set by
-	// every server; brokers resolve scatter targets through it.
+	// every server and controller: brokers resolve scatter targets through
+	// it, servers the lead controller.
 	Addr string `json:"addr,omitempty"`
 }
 
@@ -232,17 +233,17 @@ func (a *Admin) InstanceConfigOf(instance string) (InstanceConfig, error) {
 }
 
 // NewAddrResolver resolves instance names to the data-plane addresses their
-// instance configs advertise, caching each answer for ttl so a scattered
-// query does not re-read configs. Every broker resolves its scatter targets
-// through one of these, over a kept session of its own.
-func NewAddrResolver(endpoint zkmeta.Endpoint, cluster string, ttl time.Duration) func(instance string) (string, bool) {
+// instance configs advertise, reading them over sess and caching each answer
+// for ttl so a scattered query does not re-read configs. Every broker
+// resolves its scatter targets through one of these, and every server its
+// lead controller.
+func NewAddrResolver(sess *zkmeta.Kept, cluster string, ttl time.Duration) func(instance string) (string, bool) {
 	type entry struct {
 		addr    string
 		expires time.Time
 	}
 	var (
 		mu    sync.Mutex
-		sess  = zkmeta.Keep(endpoint, func(zkmeta.Client) error { return nil })
 		cache = map[string]entry{}
 	)
 	return func(instance string) (string, bool) {
@@ -258,6 +259,15 @@ func NewAddrResolver(endpoint zkmeta.Endpoint, cluster string, ttl time.Duration
 		cache[instance] = entry{addr: cfg.Addr, expires: time.Now().Add(ttl)}
 		return cfg.Addr, cfg.Addr != ""
 	}
+}
+
+// Leader returns the instance name in the cluster's leader seat, if any.
+func Leader(sess zkmeta.Client, cluster string) (string, bool) {
+	data, _, err := sess.Get(controllerPath(cluster))
+	if err != nil {
+		return "", false
+	}
+	return string(data), true
 }
 
 // LiveInstances returns the instances currently holding a live ephemeral.

@@ -65,15 +65,6 @@ func (c *testController) Start() error {
 
 func (c *testController) Stop() { c.sess.Close() }
 
-// Leader returns the instance name of the current cluster leader, if any.
-func Leader(sess zkmeta.Client, cluster string) (string, bool) {
-	data, _, err := sess.Get(controllerPath(cluster))
-	if err != nil {
-		return "", false
-	}
-	return string(data), true
-}
-
 // recordingHandler tracks transitions applied to a participant.
 type recordingHandler struct {
 	mu          sync.Mutex
@@ -364,10 +355,13 @@ func TestLoneControllerLeadsAfterEachExpiry(t *testing.T) {
 }
 
 // seatGate holds its sessions' creates of the controller seat until open
-// reports true, so another controller wins any race for it.
+// reports true, so another controller wins any race for it. A create checks
+// open and lands under mu, and a test that holds mu around an expiry keeps
+// a create that passed the gate before the expiry from landing after it.
 type seatGate struct {
 	*zkmeta.Store
 	open func() bool
+	mu   sync.Mutex
 }
 
 func (e *seatGate) NewClient() zkmeta.Client { return gatedClient{e.Store.NewClient(), e} }
@@ -378,10 +372,18 @@ type gatedClient struct {
 }
 
 func (c gatedClient) CreateEphemeral(path string, data []byte) error {
-	for path == controllerPath("test") && !c.gate.open() {
+	if path != controllerPath("test") {
+		return c.Client.CreateEphemeral(path, data)
+	}
+	for {
+		c.gate.mu.Lock()
+		if c.gate.open() {
+			defer c.gate.mu.Unlock()
+			return c.Client.CreateEphemeral(path, data)
+		}
+		c.gate.mu.Unlock()
 		time.Sleep(time.Millisecond)
 	}
-	return c.Client.CreateEphemeral(path, data)
 }
 
 // TestOldLeaderReWinsAfterExpiry: an expired leader that re-takes the seat
@@ -393,14 +395,17 @@ func TestOldLeaderReWinsAfterExpiry(t *testing.T) {
 	defer c1.Stop()
 	waitFor(t, "c1 leader", c1.IsLeader)
 	var done atomic.Bool // the gate opens for good when the test ends
-	c2 := newController(&seatGate{Store: store, open: func() bool { return c1.IsLeader() || done.Load() }}, "c2")
+	gate := &seatGate{Store: store, open: func() bool { return c1.IsLeader() || done.Load() }}
+	c2 := newController(gate, "c2")
 	_ = c2.Start()
 	defer c2.Stop()
 	defer done.Store(true)
 	sess := store.NewSession()
 	for i := 0; i < 20; i++ {
 		c1.Kick()
+		gate.mu.Lock()
 		c1.sess.Expire()
+		gate.mu.Unlock()
 		if !leadsSteadily(c1) || c2.IsLeader() {
 			t.Fatalf("expiry %d: c1 leads %v, c2 leads %v", i, c1.IsLeader(), c2.IsLeader())
 		}
@@ -548,7 +553,7 @@ func (e *sessionCounter) NewClient() zkmeta.Client {
 // TestAddrResolver: an instance resolves to the address its config
 // advertises, an unknown or address-less one does not, an answer holds for
 // the TTL and is read again after it, and a miss after the session expired
-// opens a fresh session.
+// reads over the fresh session its kept session opened.
 func TestAddrResolver(t *testing.T) {
 	store, admin := newCluster(t)
 	for _, cfg := range []InstanceConfig{{Instance: "server1", Addr: "127.0.0.1:7001"}, {Instance: "minion1"}} {
@@ -558,7 +563,9 @@ func TestAddrResolver(t *testing.T) {
 	}
 	const ttl = 50 * time.Millisecond
 	ep := &sessionCounter{Store: store}
-	resolve := NewAddrResolver(ep, "test", ttl)
+	sess := zkmeta.Keep(ep, func(zkmeta.Client) error { return nil })
+	defer sess.Close()
+	resolve := NewAddrResolver(sess, "test", ttl)
 	check := func(instance, wantAddr string) {
 		t.Helper()
 		if addr, ok := resolve(instance); addr != wantAddr || ok != (wantAddr != "") {

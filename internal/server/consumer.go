@@ -9,6 +9,7 @@ import (
 
 	"pinot/internal/controller"
 	"pinot/internal/expr"
+	"pinot/internal/helix"
 	"pinot/internal/metrics"
 	"pinot/internal/pql"
 	"pinot/internal/segment"
@@ -313,11 +314,13 @@ func (c *consumer) consumeTo(target int64) {
 const completionPollInterval = 10 * time.Millisecond
 
 // complete runs the replica side of the completion protocol: poll the lead
-// controller with the current offset and follow its instructions.
+// controller with the current offset and follow its instructions. A failed
+// call, a NOTLEADER answer or a failed commit drops the controller's client,
+// so the next poll resolves the leader again.
 func (c *consumer) complete() {
 	s := c.tdm.server
 	for !c.stopped() {
-		client, ok := s.leaderController()
+		client, ok := s.leaderClient()
 		if !ok {
 			time.Sleep(completionPollInterval)
 			continue
@@ -329,19 +332,23 @@ func (c *consumer) complete() {
 			Offset:   c.cons.Offset(),
 		})
 		if err != nil {
+			s.leader.CompareAndSwap(client, nil)
 			time.Sleep(completionPollInterval)
 			continue
 		}
-		s.recordCompletionAction(resp.Action)
+		s.met.completion.With(s.cfg.Instance, string(resp.Action)).Inc()
 		switch resp.Action {
 		case transport.ActionHold:
 			time.Sleep(completionPollInterval)
 		case transport.ActionNotLeader:
+			s.leader.CompareAndSwap(client, nil)
 			time.Sleep(completionPollInterval)
 		case transport.ActionCatchup:
 			c.consumeTo(resp.TargetOffset)
 		case transport.ActionKeep:
-			c.keepLocal()
+			// Offsets matched the committed copy exactly: the local seal
+			// is the ONLINE copy.
+			_, c.sealed, _ = c.sealBlob()
 			return
 		case transport.ActionDiscard:
 			// Another replica committed a different version; the
@@ -363,6 +370,7 @@ func (c *consumer) complete() {
 			if err != nil || !cr.Success {
 				// Paper 3.3.6 COMMIT: "if the commit fails, resume
 				// polling".
+				s.leader.CompareAndSwap(client, nil)
 				time.Sleep(completionPollInterval)
 				continue
 			}
@@ -372,12 +380,23 @@ func (c *consumer) complete() {
 	}
 }
 
-// keepLocal seals the consuming segment and keeps it as the local ONLINE
-// copy (offsets matched the committed copy exactly).
-func (c *consumer) keepLocal() {
-	if _, seg, err := c.sealBlob(); err == nil {
-		c.sealed = seg
+// leaderClient returns the completion client in use, or one for the address
+// that the instance in the leader seat advertises.
+func (s *Server) leaderClient() (*transport.TCPControllerClient, bool) {
+	if client := s.leader.Load(); client != nil {
+		return client, true
 	}
+	instance, ok := helix.Leader(s.sess.Client(), s.cfg.Cluster)
+	if !ok {
+		return nil, false
+	}
+	addr, ok := s.resolve(instance)
+	if !ok {
+		return nil, false
+	}
+	client := transport.NewTCPControllerClient(addr, s.pool)
+	s.leader.Store(client)
+	return client, true
 }
 
 // sealBlob converts the mutable segment to its immutable form, attaches the
@@ -403,18 +422,4 @@ func (c *consumer) sealBlob() ([]byte, *segment.Segment, error) {
 		return nil, nil, err
 	}
 	return blob, seg, nil
-}
-
-// leaderController returns a client for the current lead controller.
-func (s *Server) leaderController() (transport.ControllerClient, bool) {
-	for _, c := range s.controllers() {
-		if lc, ok := c.(interface{ IsLeader() bool }); ok {
-			if lc.IsLeader() {
-				return c, true
-			}
-			continue
-		}
-		return c, true // remote client: let NOTLEADER responses rotate
-	}
-	return nil, false
 }

@@ -82,13 +82,18 @@ type Server struct {
 	sess        *zkmeta.Kept // shared with the participant
 	objects     objstore.Store
 	streams     *stream.Cluster
-	controllers func() []transport.ControllerClient
 	participant *helix.Participant
 	engine      *query.Engine
 	sched       *tenancy.Scheduler
 	auto        *autoIndexer
 	aggCache    *qcache.Cache
 	met         *serverMetrics
+
+	// The completion protocol's lead controller and the client in use for
+	// it, dropped when a call to it fails (consumer.go).
+	resolve func(instance string) (string, bool)
+	pool    *transport.Pool
+	leader  atomic.Pointer[transport.TCPControllerClient]
 
 	mu     sync.RWMutex
 	tables map[string]*tableDataManager
@@ -97,52 +102,23 @@ type Server struct {
 	// query on this server is delayed by this much, modelling the
 	// stragglers that motivate large-cluster routing (paper 4.4).
 	simulatedLatency atomic.Int64
-
-	// completionActions counts the completion-protocol instructions this
-	// server has received, for observability and tests.
-	completionMu      sync.Mutex
-	completionActions map[transport.SegmentConsumedAction]int64
-}
-
-// CompletionActionCounts returns how many times each completion-protocol
-// instruction (HOLD, CATCHUP, COMMIT, ...) this server has received.
-func (s *Server) CompletionActionCounts() map[transport.SegmentConsumedAction]int64 {
-	s.completionMu.Lock()
-	defer s.completionMu.Unlock()
-	out := make(map[transport.SegmentConsumedAction]int64, len(s.completionActions))
-	for k, v := range s.completionActions {
-		out[k] = v
-	}
-	return out
-}
-
-func (s *Server) recordCompletionAction(a transport.SegmentConsumedAction) {
-	s.completionMu.Lock()
-	if s.completionActions == nil {
-		s.completionActions = map[transport.SegmentConsumedAction]int64{}
-	}
-	s.completionActions[a]++
-	s.completionMu.Unlock()
-	s.met.completion.With(s.cfg.Instance, string(a)).Inc()
 }
 
 // InjectLatency sets a per-query artificial delay (0 clears it). Testing
 // and benchmarking hook for straggler simulation.
 func (s *Server) InjectLatency(d time.Duration) { s.simulatedLatency.Store(int64(d)) }
 
-// New creates a server. controllers resolves the current controller clients
-// for the segment completion protocol (tried in order until one is leader).
-func New(cfg Config, store zkmeta.Endpoint, objects objstore.Store, streams *stream.Cluster, controllers func() []transport.ControllerClient) *Server {
+// New creates a server.
+func New(cfg Config, store zkmeta.Endpoint, objects objstore.Store, streams *stream.Cluster) *Server {
 	cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		store:       store,
-		objects:     objects,
-		streams:     streams,
-		controllers: controllers,
-		tables:      map[string]*tableDataManager{},
-		engine:      &query.Engine{Options: cfg.PlanOptions},
-		met:         newServerMetrics(cfg.Metrics, cfg.Instance),
+		cfg:     cfg,
+		store:   store,
+		objects: objects,
+		streams: streams,
+		tables:  map[string]*tableDataManager{},
+		engine:  &query.Engine{Options: cfg.PlanOptions},
+		met:     newServerMetrics(cfg.Metrics, cfg.Instance),
 	}
 	s.engine.OnOutcome = func(executed, cancelled, skipped int) {
 		s.met.segExecuted.Add(int64(executed))
@@ -175,7 +151,10 @@ func (s *Server) Instance() string { return s.cfg.Instance }
 // until one does.
 func (s *Server) Start() error {
 	s.participant = helix.NewParticipant(s.cfg.Cluster, s.cfg.Instance, s.handleTransition)
+	s.pool = transport.NewPool()
 	s.sess = zkmeta.Keep(s.store, s.onSession)
+	// Resolved only after a failed call, so no answer is worth keeping.
+	s.resolve = helix.NewAddrResolver(s.sess, s.cfg.Cluster, 0)
 	s.participant.Start(s.sess)
 	return nil
 }
@@ -211,6 +190,7 @@ func (s *Server) Stop() {
 	for _, t := range tables {
 		t.stopAll()
 	}
+	s.pool.Close()
 }
 
 // Kill simulates a crash. Either endpoint drops a closed session as it drops

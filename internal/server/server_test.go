@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -55,17 +56,10 @@ func newRigWith(t *testing.T, cfg Config, edit func(*table.Config)) *rig {
 	t.Helper()
 	store, objects, streams := zkmeta.NewStore(), objstore.NewMem(), stream.NewCluster()
 	reg := metrics.NewRegistry()
-	ctrl := controller.New(controller.Config{Cluster: "test", Instance: "controller1", Metrics: reg}, store, objects, streams)
-	if err := ctrl.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ctrl.Stop)
-	waitFor(t, "controller leadership", ctrl.IsLeader)
+	ctrl := startController(t, store, objects, streams, reg)
 
 	cfg.Cluster, cfg.Instance, cfg.Metrics = "test", "server1", reg
-	srv := New(cfg, store, objects, streams, func() []transport.ControllerClient {
-		return []transport.ControllerClient{ctrl}
-	})
+	srv := New(cfg, store, objects, streams)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +96,28 @@ func newRigWith(t *testing.T, cfg Config, edit func(*table.Config)) *rig {
 	r := &rig{srv: srv, reg: reg, topic: topic, resource: tc.Resource()}
 	waitFor(t, "first consuming segment", func() bool { return len(srv.HostedSegments(r.resource)) == 1 })
 	return r
+}
+
+// startController starts the lead controller of a test cluster, answering the
+// completion frames on a loopback port it advertises, as cluster.NewLocal's
+// controllers do.
+func startController(t *testing.T, store zkmeta.Endpoint, objects objstore.Store, streams *stream.Cluster, reg *metrics.Registry) *controller.Controller {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := controller.New(controller.Config{Cluster: "test", Instance: "controller1", AdvertiseAddr: lis.Addr().String(), Metrics: reg}, store, objects, streams)
+	cp := transport.NewTCPQueryServer(nil)
+	cp.Controller = ctrl
+	go cp.Serve(lis)
+	t.Cleanup(cp.Close)
+	if err := ctrl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.Stop)
+	waitFor(t, "controller leadership", ctrl.IsLeader)
+	return ctrl
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -157,7 +173,7 @@ func (r *rig) count(ctx context.Context) (int64, error) {
 }
 
 func (r *rig) commits() int64 {
-	return r.srv.CompletionActionCounts()[transport.ActionCommit]
+	return r.reg.Value("pinot_server_completion_actions_total", "server1", string(transport.ActionCommit))
 }
 
 // TestSealSwapNeverHidesRows is the regression test for the seal swap that
@@ -283,16 +299,10 @@ func TestUnloadConsumingHaltsConsumerAndInvalidatesCaches(t *testing.T) {
 func TestReplicasShareTheStoresBytes(t *testing.T) {
 	store, objects, streams := zkmeta.NewStore(), objstore.NewMem(), stream.NewCluster()
 	reg := metrics.NewRegistry()
-	ctrl := controller.New(controller.Config{Cluster: "test", Instance: "controller1", Metrics: reg}, store, objects, streams)
-	if err := ctrl.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ctrl.Stop)
-	waitFor(t, "controller leadership", ctrl.IsLeader)
+	ctrl := startController(t, store, objects, streams, reg)
 	servers := make([]*Server, 2)
 	for i := range servers {
-		servers[i] = New(Config{Cluster: "test", Instance: fmt.Sprintf("server%d", i+1), Metrics: reg}, store, objects, streams,
-			func() []transport.ControllerClient { return []transport.ControllerClient{ctrl} })
+		servers[i] = New(Config{Cluster: "test", Instance: fmt.Sprintf("server%d", i+1), Metrics: reg}, store, objects, streams)
 		if err := servers[i].Start(); err != nil {
 			t.Fatal(err)
 		}

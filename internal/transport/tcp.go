@@ -322,7 +322,8 @@ func NewTCPRegistry(resolve func(instance string) (string, bool), pool *Pool) Re
 }
 
 // TCPControllerClient speaks the completion-protocol frames to a
-// controller's data-plane listener.
+// controller's data-plane listener. A call whose context has no deadline
+// fails after completionCallTimeout, so a hung controller is given up on.
 type TCPControllerClient struct {
 	Addr string
 	Pool *Pool
@@ -332,6 +333,8 @@ type TCPControllerClient struct {
 func NewTCPControllerClient(addr string, pool *Pool) *TCPControllerClient {
 	return &TCPControllerClient{Addr: addr, Pool: pool}
 }
+
+const completionCallTimeout = 10 * time.Second
 
 // completionCall sends one request frame built by fill and hands the payload
 // of the matching response frame to read.
@@ -349,11 +352,11 @@ func (c *TCPControllerClient) completionCall(ctx context.Context, reqType, respT
 }
 
 func (c *TCPControllerClient) doCall(ctx context.Context, conn net.Conn, reqType, respType uint8, fill func(*wire.Encoder), read func(*wire.Decoder)) error {
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	} else {
-		conn.SetDeadline(time.Time{})
+	dl, ok := ctx.Deadline()
+	if !ok {
+		dl = time.Now().Add(completionCallTimeout)
 	}
+	conn.SetDeadline(dl)
 	if _, err := sendFrame(conn, reqType, fill); err != nil {
 		return err
 	}
