@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // Every socket of the module speaks length-prefixed frames. A frame is an
@@ -89,8 +90,9 @@ func (p *Protocol) Send(w io.Writer, typ byte, fill func(*Encoder)) (encoded boo
 }
 
 // FrameReader reads the frames of one connection, or of one round trip,
-// into one reused buffer. Decoders copy what they keep, so a payload only
-// has to stay valid until the next Read.
+// into one reused buffer, or for a frame past bigFrame into the process's
+// spare. Decoders copy what they keep, so a payload only has to stay valid
+// until the next Read.
 type FrameReader struct {
 	hdr [FrameHeaderSize]byte
 	buf []byte
@@ -114,12 +116,21 @@ func (fr *FrameReader) Release() {
 // than twice the bytes actually sent.
 const bigFrame = 64 << 10
 
+// spareBig is the one buffer past bigFrame the process keeps between frames.
+// A reader hands such a buffer here when its next Read starts, so an idle
+// connection pins no segment blob, and the next big frame reads into it.
+var spareBig atomic.Pointer[[]byte]
+
 // Read reads one frame of protocol p. The header is validated before
 // anything is allocated for the payload; a bad header and a payload cut
 // short are both refused.
 func (fr *FrameReader) Read(r io.Reader, p *Protocol) (typ byte, payload []byte, err error) {
-	if cap(fr.buf) > maxPooledBuf {
-		fr.buf = nil // a segment blob came through: do not keep its buffer
+	if cap(fr.buf) > bigFrame {
+		if cap(fr.buf) <= maxPooledBuf {
+			b := fr.buf
+			spareBig.Store(&b)
+		}
+		fr.buf = nil
 	}
 	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
 		return 0, nil, err
@@ -143,6 +154,11 @@ func (fr *FrameReader) Read(r io.Reader, p *Protocol) (typ byte, payload []byte,
 }
 
 func (fr *FrameReader) payload(r io.Reader, n int) ([]byte, error) {
+	if n > bigFrame {
+		if b := spareBig.Swap(nil); b != nil && cap(*b) >= n {
+			fr.buf = *b
+		}
+	}
 	if n <= bigFrame || n <= cap(fr.buf) {
 		if cap(fr.buf) < n {
 			fr.buf = make([]byte, max(n, 512))

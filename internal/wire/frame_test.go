@@ -135,6 +135,38 @@ func TestReaderAllocatesWhatArrives(t *testing.T) {
 	}
 }
 
+// TestBigBufferIsNotKept: once its next Read starts, a reader keeps no
+// buffer past bigFrame, and the next big frame, on any reader, reads into
+// that one spare instead of allocating.
+func TestBigBufferIsNotKept(t *testing.T) {
+	p, _ := meteredProtocol()
+	var stream bytes.Buffer
+	for _, size := range []int{3 * bigFrame, 10} {
+		p.Send(&stream, 1, func(e *Encoder) { e.Raw(make([]byte, size)...) })
+	}
+	var idle FrameReader
+	for range 2 {
+		if _, _, err := idle.Read(&stream, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(idle.buf) > bigFrame {
+		t.Fatalf("an idle reader keeps %d bytes", cap(idle.buf))
+	}
+	p.Send(&stream, 1, func(e *Encoder) { e.Raw(make([]byte, 3*bigFrame)...) })
+	in := stream.Bytes()
+	got := allocated(func() {
+		var fr FrameReader
+		if _, payload, err := fr.Read(bytes.NewReader(in), p); err != nil || len(payload) != 3*bigFrame {
+			t.Fatalf("read %d bytes: %v", len(payload), err)
+		}
+		fr.Read(bytes.NewReader(nil), p) // hands the buffer back
+	})
+	if got > 4096 {
+		t.Fatalf("a big frame allocated %d bytes beside the spare", got)
+	}
+}
+
 // TestServerCloseDropsConnections: Close drops a live connection, waits for
 // its handler, and a closed server serves nothing more.
 func TestServerCloseDropsConnections(t *testing.T) {
