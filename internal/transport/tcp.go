@@ -392,10 +392,7 @@ func (c *TCPControllerClient) SegmentConsumed(ctx context.Context, req *SegmentC
 	err := c.completionCall(ctx, FrameConsumed, FrameConsumedResp,
 		func(e *wire.Encoder) { encodeConsumedRequest(e, req) },
 		func(d *wire.Decoder) { resp = decodeConsumedResponse(d) })
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return resp, err
 }
 
 // CommitSegment implements ControllerClient.
@@ -404,10 +401,7 @@ func (c *TCPControllerClient) CommitSegment(ctx context.Context, req *SegmentCom
 	err := c.completionCall(ctx, FrameCommit, FrameCommitResp,
 		func(e *wire.Encoder) { encodeCommitRequest(e, req) },
 		func(d *wire.Decoder) { resp = decodeCommitResponse(d) })
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return resp, err
 }
 
 var (
