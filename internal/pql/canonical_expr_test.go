@@ -1,6 +1,8 @@
 package pql
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -61,13 +63,13 @@ func TestCanonicalExprIdempotent(t *testing.T) {
 	}
 }
 
-// TestCanonicalExprQueryFixpoint extends the query-level fixpoint property
-// to expression-bearing queries: aggregation arguments, expression
-// comparisons in WHERE, and GROUP BY expressions all canonicalize to text
-// that re-parses to the same canonical text.
-func TestCanonicalExprQueryFixpoint(t *testing.T) {
+// exprQueries generates the expression-bearing queries of
+// TestCanonicalExprQueryFixpoint, aggregation arguments, expression
+// comparisons in WHERE and GROUP BY expressions, from one seed.
+func exprQueries(n int) []string {
 	r := rand.New(rand.NewSource(13))
-	for i := 0; i < 2000; i++ {
+	out := make([]string, n)
+	for i := range out {
 		agg := randExpr(r, 1+r.Intn(2))
 		if len(ExprColumns(agg)) == 0 {
 			// The validator rejects aggregating a pure constant (it would
@@ -81,8 +83,18 @@ func TestCanonicalExprQueryFixpoint(t *testing.T) {
 			grp = Call{Name: "concat", Args: []Expr{ColumnRef{Name: "country"}, grp, Literal{Value: "x"}}}
 		}
 		ops := []string{"=", "<>", "<", "<=", ">", ">="}
-		text := fmt.Sprintf("SELECT sum(%s) FROM T WHERE %s %s %s GROUP BY %s TOP 5",
+		out[i] = fmt.Sprintf("SELECT sum(%s) FROM T WHERE %s %s %s GROUP BY %s TOP 5",
 			agg.String(), lhs.String(), ops[r.Intn(len(ops))], rhs.String(), grp.String())
+	}
+	return out
+}
+
+// TestCanonicalExprQueryFixpoint extends the query-level fixpoint property
+// to expression-bearing queries: aggregation arguments, expression
+// comparisons in WHERE, and GROUP BY expressions all canonicalize to text
+// that re-parses to the same canonical text.
+func TestCanonicalExprQueryFixpoint(t *testing.T) {
+	for i, text := range exprQueries(2000) {
 		q, err := Parse(text)
 		if err != nil {
 			// Some renderings are unparseable only if String() is broken;
@@ -97,5 +109,23 @@ func TestCanonicalExprQueryFixpoint(t *testing.T) {
 		if again := reparsed.CanonicalString(); again != canon {
 			t.Fatalf("iter %d: canonicalization not a fixpoint:\n  first:  %q\n  second: %q", i, canon, again)
 		}
+	}
+}
+
+// TestRenderingDigest pins the text String and CanonicalString give every
+// query of the corpus and of exprQueries, as one SHA-256 over all of them:
+// the result-column names, merge keys and cache keys of those queries.
+func TestRenderingDigest(t *testing.T) {
+	const want = "0327d47b842165d1dd5b46419a321ce4648567ffa9ce378d98f0a4d04ac40b03"
+	h := sha256.New()
+	for _, text := range append(corpus(t), exprQueries(2000)...) {
+		q, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		fmt.Fprintf(h, "%s\t%s\n", q, q.CanonicalString())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("renderings digest to %s, want %s", got, want)
 	}
 }
