@@ -342,8 +342,10 @@ func checkLeaderResolves(t *testing.T, zkAddr, bound string) {
 	if err != nil {
 		t.Fatalf("completion poll to the leader at %s: %v", addr, err)
 	}
-	if resp.Action == "" || resp.Action == transport.ActionNotLeader {
-		t.Fatalf("the leader answered %q", resp.Action)
+	// The probe names a segment with no record: the leader holds it and
+	// opens no completion.
+	if resp.Action != transport.ActionHold {
+		t.Fatalf("the leader answered %q, want HOLD", resp.Action)
 	}
 }
 

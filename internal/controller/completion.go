@@ -149,9 +149,14 @@ func (c *Controller) SegmentConsumed(ctx context.Context, req *transport.Segment
 	if !c.IsLeader() {
 		return c.verdict(&transport.SegmentConsumedResponse{Action: transport.ActionNotLeader}), nil
 	}
-	// A segment already committed (e.g. before a controller failover)
-	// answers from durable metadata.
-	if meta, err := ReadSegmentMeta(c.session(), c.cfg.Cluster, req.Resource, req.Segment); err == nil && meta.Status == table.StatusDone {
+	// A segment with no record is no consuming segment: the poll opens no
+	// completion and is told to hold. A segment already committed (e.g.
+	// before a controller failover) answers from durable metadata.
+	meta, err := ReadSegmentMeta(c.session(), c.cfg.Cluster, req.Resource, req.Segment)
+	if err != nil {
+		return c.verdict(&transport.SegmentConsumedResponse{Action: transport.ActionHold}), nil
+	}
+	if meta.Status == table.StatusDone {
 		if c.advance(req.Resource, req.Segment, meta.EndOffset) != nil {
 			return c.verdict(&transport.SegmentConsumedResponse{Action: transport.ActionHold}), nil
 		}
@@ -229,11 +234,9 @@ func (c *Controller) finalizeCommit(req *transport.SegmentCommitRequest) error {
 	if err != nil {
 		return fmt.Errorf("controller: committed segment corrupt: %w", err)
 	}
-	crc := crc32Of(req.Blob)
-	objKey := table.SegmentObjectKey(req.Resource, req.Segment, crc)
-	if err := c.objects.Put(objKey, req.Blob); err != nil {
-		return err
-	}
+	// The metadata is read and checked before the blob is stored, so a
+	// commit that finds the segment DONE leaves no object behind; the
+	// versioned Set below still refuses one that races another commit.
 	metaPath := c.segmentMetaPath(req.Resource, req.Segment)
 	data, version, err := c.session().Get(metaPath)
 	if err != nil {
@@ -245,6 +248,11 @@ func (c *Controller) finalizeCommit(req *transport.SegmentCommitRequest) error {
 	}
 	if meta.Status == table.StatusDone {
 		return fmt.Errorf("controller: %s already committed", req.Segment) // by a leader that lost its seat mid-commit
+	}
+	crc := crc32Of(req.Blob)
+	objKey := table.SegmentObjectKey(req.Resource, req.Segment, crc)
+	if err := c.objects.Put(objKey, req.Blob); err != nil {
+		return err
 	}
 	smeta := seg.Metadata()
 	meta.Status = table.StatusDone

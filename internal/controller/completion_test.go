@@ -1,11 +1,17 @@
 package controller
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"pinot/internal/helix"
+	"pinot/internal/objstore"
+	"pinot/internal/segment"
+	"pinot/internal/stream"
+	"pinot/internal/table"
 	"pinot/internal/transport"
+	"pinot/internal/zkmeta"
 )
 
 // The FSM is exercised here in isolation; the full replica protocol runs in
@@ -139,5 +145,102 @@ func TestPickReplicasBalances(t *testing.T) {
 	// Replicas never exceed the server count.
 	if got := pickReplicas([]string{"only"}, is, 3, 0); len(got) != 1 {
 		t.Fatalf("overprovisioned replicas: %v", got)
+	}
+}
+
+// startLeader starts one controller over fresh stores and waits until it
+// leads.
+func startLeader(t *testing.T, objects objstore.Store) *Controller {
+	t.Helper()
+	c := New(Config{Cluster: "completion", Instance: "ctrl", completionWindow: time.Hour}, zkmeta.NewStore(), objects, stream.NewCluster())
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	for deadline := time.Now().Add(5 * time.Second); !c.IsLeader(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the controller never led")
+		}
+	}
+	return c
+}
+
+// TestPollForUnknownSegmentOpensNoFSM: a poll naming a segment that has no
+// segment record is held and leaves no completion behind.
+func TestPollForUnknownSegmentOpensNoFSM(t *testing.T) {
+	c := startLeader(t, objstore.NewMem())
+	resp, err := c.SegmentConsumed(context.Background(), &transport.SegmentConsumedRequest{
+		Segment: "probe__0__0", Resource: "probe_REALTIME", Instance: "server1", Offset: 7,
+	})
+	if err != nil || resp.Action != transport.ActionHold {
+		t.Fatalf("poll for an unknown segment: %+v, %v; want HOLD", resp, err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.completions) != 0 {
+		t.Errorf("the poll opened completions %v", c.completions)
+	}
+}
+
+// TestCommitOfDoneSegmentStoresNoObject: a commit that finds its segment's
+// record already DONE (written by a leader that lost its seat mid-commit)
+// fails and stores no object.
+func TestCommitOfDoneSegmentStoresNoObject(t *testing.T) {
+	objects := objstore.NewMem()
+	c := startLeader(t, objects)
+	const resource, seg = "rt_REALTIME", "rt__0__0"
+	err := c.helixAdmin().SetIdealState(&helix.IdealState{
+		Resource: resource, NumReplicas: 1,
+		Partitions: map[string]map[string]string{seg: {"server1": helix.StateConsuming}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := c.segmentMetaPath(resource, seg)
+	meta := &table.SegmentMeta{Name: seg, Resource: resource, Status: table.StatusInProgress, EndOffset: -1}
+	if err := c.session().CreateAll(path, meta.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.SegmentConsumed(context.Background(), &transport.SegmentConsumedRequest{
+		Segment: seg, Resource: resource, Instance: "server1", Offset: 10,
+	})
+	if err != nil || resp.Action != transport.ActionCommit {
+		t.Fatalf("poll: %+v, %v; want COMMIT", resp, err)
+	}
+	meta.Status, meta.EndOffset = table.StatusDone, 10
+	if _, err := c.session().Set(path, meta.Marshal(), -1); err != nil {
+		t.Fatal(err)
+	}
+
+	schema, err := segment.NewSchema("rt", []segment.FieldSpec{
+		{Name: "country", Type: segment.TypeString, Kind: segment.Dimension, SingleValue: true},
+		{Name: "clicks", Type: segment.TypeLong, Kind: segment.Metric, SingleValue: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := segment.NewBuilder("rt", seg, schema, segment.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Add(segment.Row{"us", int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	built, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := built.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit, err := c.CommitSegment(context.Background(), &transport.SegmentCommitRequest{
+		Segment: seg, Resource: resource, Instance: "server1", Offset: 10, Blob: blob,
+	})
+	if err != nil || commit.Success {
+		t.Fatalf("commit of a DONE segment: %+v, %v; want refused", commit, err)
+	}
+	if keys, err := objects.List(""); err != nil || len(keys) != 0 {
+		t.Errorf("the refused commit stored objects %v (%v)", keys, err)
 	}
 }

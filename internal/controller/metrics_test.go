@@ -9,6 +9,7 @@ import (
 	"pinot/internal/metrics"
 	"pinot/internal/objstore"
 	"pinot/internal/stream"
+	"pinot/internal/table"
 	"pinot/internal/transport"
 	"pinot/internal/zkmeta"
 )
@@ -70,6 +71,12 @@ func TestCompletionVerdictCountersMatchTranscript(t *testing.T) {
 		},
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// The IN_PROGRESS record every consuming segment has: a poll for a
+	// segment without one is held, opening no completion.
+	meta := &table.SegmentMeta{Name: seg, Resource: resource, Status: table.StatusInProgress, EndOffset: -1}
+	if err := leader.session().CreateAll(leader.segmentMetaPath(resource, seg), meta.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 
