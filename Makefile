@@ -50,8 +50,8 @@ cover:
 # query a request carries (linear allocation, and whatever decodes is the
 # tree Parse builds from its rendering, or the broker's hybrid rewrite of
 # one), the PQL parser (never panic, nesting bounded; an accepted query's
-# rendering parses to the very same tree, and its canonical text is a
-# fixpoint), the expression evaluator (a kernel over a block agrees with
+# rendering parses to the very same tree, the tree decodes to itself from
+# the data plane's bytes, and its canonical text is a fixpoint), the expression evaluator (a kernel over a block agrees with
 # itself row by row and over a dictionary of the block's values, and fails
 # with its lowest failing row's error), and the scan cursor's state machine
 # (any mix of Next/Advance/nextBlock on any leaf and segment kind yields the

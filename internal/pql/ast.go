@@ -4,7 +4,6 @@
 package pql
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"strconv"
@@ -76,10 +75,20 @@ type Expression struct {
 }
 
 func (e Expression) String() string {
+	var sb strings.Builder
+	e.write(&sb)
+	return sb.String()
+}
+
+func (e Expression) write(sb *strings.Builder) {
 	if !e.IsAgg {
-		return e.Column
+		sb.WriteString(e.Column)
+		return
 	}
-	return fmt.Sprintf("%s(%s)", strings.ToLower(string(e.Func)), e.Column)
+	sb.WriteString(strings.ToLower(string(e.Func)))
+	sb.WriteByte('(')
+	sb.WriteString(e.Column)
+	sb.WriteByte(')')
 }
 
 // CompareOp is a comparison operator in a predicate.
@@ -110,9 +119,7 @@ type Comparison struct {
 
 func (Comparison) isPredicate() {}
 
-func (p Comparison) String() string {
-	return fmt.Sprintf("%s %s %s", formatColumn(p.Column), p.Op, formatLiteral(p.Value))
-}
+func (p Comparison) String() string { return render(p) }
 
 // In is `column [NOT] IN (v1, v2, ...)`.
 type In struct {
@@ -123,17 +130,7 @@ type In struct {
 
 func (In) isPredicate() {}
 
-func (p In) String() string {
-	vals := make([]string, len(p.Values))
-	for i, v := range p.Values {
-		vals[i] = formatLiteral(v)
-	}
-	op := "IN"
-	if p.Negated {
-		op = "NOT IN"
-	}
-	return fmt.Sprintf("%s %s (%s)", formatColumn(p.Column), op, strings.Join(vals, ", "))
-}
+func (p In) String() string { return render(p) }
 
 // Between is `column BETWEEN lo AND hi` (inclusive both sides).
 type Between struct {
@@ -144,9 +141,7 @@ type Between struct {
 
 func (Between) isPredicate() {}
 
-func (p Between) String() string {
-	return fmt.Sprintf("%s BETWEEN %s AND %s", formatColumn(p.Column), formatLiteral(p.Lo), formatLiteral(p.Hi))
-}
+func (p Between) String() string { return render(p) }
 
 // And is the conjunction of its children.
 type And struct {
@@ -155,13 +150,7 @@ type And struct {
 
 func (And) isPredicate() {}
 
-func (p And) String() string {
-	parts := make([]string, len(p.Children))
-	for i, c := range p.Children {
-		parts[i] = c.String()
-	}
-	return "(" + strings.Join(parts, " AND ") + ")"
-}
+func (p And) String() string { return render(p) }
 
 // Or is the disjunction of its children.
 type Or struct {
@@ -170,13 +159,7 @@ type Or struct {
 
 func (Or) isPredicate() {}
 
-func (p Or) String() string {
-	parts := make([]string, len(p.Children))
-	for i, c := range p.Children {
-		parts[i] = c.String()
-	}
-	return "(" + strings.Join(parts, " OR ") + ")"
-}
+func (p Or) String() string { return render(p) }
 
 // Not negates its child.
 type Not struct {
@@ -185,7 +168,7 @@ type Not struct {
 
 func (Not) isPredicate() {}
 
-func (p Not) String() string { return "NOT " + p.Child.String() }
+func (p Not) String() string { return render(p) }
 
 // OrderSpec is one ORDER BY term for selection queries.
 type OrderSpec struct {
@@ -226,65 +209,77 @@ type Query struct {
 
 // HasExprGroupBy reports whether any GROUP BY item is a derived expression.
 func (q *Query) HasExprGroupBy() bool {
-	for _, e := range q.GroupByExprs {
-		if e != nil {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(q.GroupByExprs, func(e Expr) bool { return e != nil })
 }
 
 // IsAggregation reports whether the query computes aggregates.
 func (q *Query) IsAggregation() bool {
-	for _, e := range q.Select {
-		if e.IsAgg {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(q.Select, func(e Expression) bool { return e.IsAgg })
 }
 
 // HasGroupBy reports whether the query groups results.
 func (q *Query) HasGroupBy() bool { return len(q.GroupBy) > 0 }
 
-// String renders the query back to PQL text.
+// String renders the query back to PQL text, into one buffer, sized up
+// front for the parts the query holds as text; the filter's text grows it.
 func (q *Query) String() string {
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
-	sel := make([]string, len(q.Select))
-	for i, e := range q.Select {
-		sel[i] = e.String()
+	n := len("SELECT  FROM ") + len(q.Table) + 2*len(q.Select)
+	for _, e := range q.Select {
+		n += len(e.Func) + len(e.Column)
 	}
-	sb.WriteString(strings.Join(sel, ", "))
+	for _, g := range q.GroupBy {
+		n += len(g) + len(", ")
+	}
+	for _, o := range q.OrderBy {
+		n += len(o.Column) + len(" DESC, ")
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	sb.WriteString("SELECT ")
+	for i, e := range q.Select {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		e.write(&sb)
+	}
 	sb.WriteString(" FROM ")
 	sb.WriteString(q.Table)
 	if q.Filter != nil {
 		sb.WriteString(" WHERE ")
-		sb.WriteString(q.Filter.String())
+		writeNode(&sb, q.Filter)
 	}
-	if len(q.GroupBy) > 0 {
-		sb.WriteString(" GROUP BY ")
-		sb.WriteString(strings.Join(q.GroupBy, ", "))
+	for i, g := range q.GroupBy {
+		clause(&sb, i, " GROUP BY ")
+		sb.WriteString(g)
 	}
-	if len(q.OrderBy) > 0 {
-		terms := make([]string, len(q.OrderBy))
-		for i, o := range q.OrderBy {
-			terms[i] = o.String()
-		}
-		sb.WriteString(" ORDER BY ")
-		sb.WriteString(strings.Join(terms, ", "))
+	for i, o := range q.OrderBy {
+		clause(&sb, i, " ORDER BY ")
+		sb.WriteString(o.String())
 	}
+	var num [20]byte
 	if q.HasGroupBy() && q.Top != DefaultTop {
-		fmt.Fprintf(&sb, " TOP %d", q.Top)
+		sb.WriteString(" TOP ")
+		sb.Write(strconv.AppendInt(num[:0], int64(q.Top), 10))
 	}
 	if !q.IsAggregation() && (q.Limit != DefaultLimit || q.Offset != 0) {
+		sb.WriteString(" LIMIT ")
 		if q.Offset != 0 {
-			fmt.Fprintf(&sb, " LIMIT %d, %d", q.Offset, q.Limit)
-		} else {
-			fmt.Fprintf(&sb, " LIMIT %d", q.Limit)
+			sb.Write(strconv.AppendInt(num[:0], int64(q.Offset), 10))
+			sb.WriteString(", ")
 		}
+		sb.Write(strconv.AppendInt(num[:0], int64(q.Limit), 10))
 	}
 	return sb.String()
+}
+
+// clause writes what comes before a clause's i-th term: the clause's
+// keyword, or a comma.
+func clause(sb *strings.Builder, i int, keyword string) {
+	if i == 0 {
+		sb.WriteString(keyword)
+	} else {
+		sb.WriteString(", ")
+	}
 }
 
 // WithExtraFilter returns a copy of the query with pred ANDed onto the
@@ -292,140 +287,77 @@ func (q *Query) String() string {
 // (paper Figure 6).
 func (q *Query) WithExtraFilter(pred Predicate) *Query {
 	out := *q
-	switch {
-	case q.Filter == nil:
-		out.Filter = pred
-	default:
+	out.Filter = pred
+	if q.Filter != nil {
 		out.Filter = And{Children: []Predicate{q.Filter, pred}}
 	}
 	return &out
 }
 
-// formatColumn renders a column name at predicate position. Names that are
-// not plain identifiers (e.g. a quoted column like '0-3', paper Figure 7's
-// 'day') must re-render quoted, or the text would re-parse as an expression;
-// so must a keyword or a boolean literal's spelling ('not' = 1 would re-parse
-// as a negation, 'true' = 1 as a constant comparison).
-func formatColumn(name string) string {
-	if isIdentifier(name) && !reserved(name) {
-		return name
-	}
-	return formatLiteral(name)
-}
-
-// reserved reports whether an identifier is a keyword or a boolean literal,
-// folding its case on the stack: String runs on the broker's every query.
-func reserved(name string) bool {
-	var buf [len("between")]byte
-	if len(name) > len(buf) {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		buf[i] = c
-	}
-	l := buf[:len(name)]
-	return pqlKeywords[string(l)] || string(l) == "true" || string(l) == "false"
-}
-
-func isIdentifier(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, c := range s {
-		switch {
-		case c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
-		case i > 0 && c >= '0' && c <= '9':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func formatLiteral(v any) string {
-	var sb strings.Builder
-	writeLiteral(&sb, v)
-	return sb.String()
-}
-
-// writeLiteral renders a constant as PQL text, straight into sb.
-func writeLiteral(sb *strings.Builder, v any) {
-	switch x := v.(type) {
-	case string:
-		sb.Grow(len(x) + 2)
-		sb.WriteByte('\'')
-		for i := strings.IndexByte(x, '\''); i >= 0; i = strings.IndexByte(x, '\'') {
-			sb.WriteString(x[:i+1])
-			sb.WriteByte('\'')
-			x = x[i+1:]
-		}
-		sb.WriteString(x)
-		sb.WriteByte('\'')
-	case bool:
-		sb.WriteString(strconv.FormatBool(x))
-	case int64:
-		var buf [20]byte
-		sb.Write(strconv.AppendInt(buf[:0], x, 10))
-	case float64:
-		// A double that happens to be integral must still render as a
-		// double (2.5*2 → "5.0", not "5"): the canonical text re-parses,
-		// and an int literal would change the expression's static type.
-		var buf [32]byte
-		b := strconv.AppendFloat(buf[:0], x, 'g', -1, 64)
-		if !bytes.ContainsAny(b, ".eE") {
-			b = append(b, ".0"...)
-		}
-		sb.Write(b)
-	default:
-		fmt.Fprint(sb, v)
-	}
-}
-
 // PredicateColumns returns the distinct column names referenced by a
-// predicate tree, in first-seen order. A predicate names a column or two,
-// so a linear scan of the output dedupes them; a map would cost the caller
-// a large stack frame on every call.
-func PredicateColumns(p Predicate) []string {
-	var out []string
-	add := func(c string) {
-		if !slices.Contains(out, c) {
-			out = append(out, c)
+// predicate tree, in first-seen order.
+func PredicateColumns(p Predicate) []string { return addColumns(nil, p) }
+
+// PredicateHasExprCompare reports whether a filter tree contains at least
+// one expression-comparison leaf; planners use it to skip dictionary-space
+// setup for the common plain-predicate query.
+func PredicateHasExprCompare(p Predicate) bool {
+	_, found := p.(ExprCompare)
+	each(p, func(c any) {
+		if child, ok := c.(Predicate); ok {
+			found = found || PredicateHasExprCompare(child)
 		}
+	})
+	return found
+}
+
+// addColumns appends to out the columns a predicate or expression names that
+// out lacks, in the order it names them. A tree names a column or two, so a
+// linear scan of out dedupes them; a map would cost the caller a large stack
+// frame on every call.
+func addColumns(out []string, n any) []string {
+	col, named := "", true
+	switch n := n.(type) {
+	case ColumnRef:
+		col = n.Name
+	case Comparison:
+		col = n.Column
+	case In:
+		col = n.Column
+	case Between:
+		col = n.Column
+	default:
+		named = false
 	}
-	var walk func(Predicate)
-	walk = func(p Predicate) {
-		switch n := p.(type) {
-		case Comparison:
-			add(n.Column)
-		case In:
-			add(n.Column)
-		case Between:
-			add(n.Column)
-		case ExprCompare:
-			for _, c := range ExprColumns(n.LHS) {
-				add(c)
-			}
-			for _, c := range ExprColumns(n.RHS) {
-				add(c)
-			}
-		case And:
-			for _, c := range n.Children {
-				walk(c)
-			}
-		case Or:
-			for _, c := range n.Children {
-				walk(c)
-			}
-		case Not:
-			walk(n.Child)
-		}
+	if named && !slices.Contains(out, col) {
+		out = append(out, col)
 	}
-	if p != nil {
-		walk(p)
-	}
+	each(n, func(c any) { out = addColumns(out, c) })
 	return out
+}
+
+// each calls f on each child of a predicate or expression node, in order.
+func each(n any, f func(any)) {
+	switch n := n.(type) {
+	case And:
+		for _, c := range n.Children {
+			f(c)
+		}
+	case Or:
+		for _, c := range n.Children {
+			f(c)
+		}
+	case Not:
+		f(n.Child)
+	case ExprCompare:
+		f(n.LHS)
+		f(n.RHS)
+	case Arith:
+		f(n.L)
+		f(n.R)
+	case Call:
+		for _, a := range n.Args {
+			f(a)
+		}
+	}
 }

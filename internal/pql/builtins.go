@@ -4,14 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
 )
 
 // The builtin table: every scalar function and arithmetic operator is
-// declared once, here. The parser and Validate read an entry's name and
-// arity, the constant folder runs its body on a block of one, the kind pass
+// declared once, here. The node constructors (build.go) read an entry's name
+// and arity, the constant folder runs its body on a block of one, the kind pass
 // of internal/expr reads its Kind rule, the block kernels run its body over
 // whole blocks, and dictionary space reads its Fold. A new builtin is one
 // entry.
@@ -244,19 +245,24 @@ func Builtin(name string) (*Func, bool) {
 // one.
 func ArithFunc(op ArithOp) *Func { return arithOps[op] }
 
-// apply runs f on a block of one: the constant folder's evaluation of a node
-// whose arguments are all literals. ok is false when the arguments break
-// f's kind rule or its body fails.
-func (f *Func) apply(args []any) (v any, ok bool) {
+// fold runs f on a block of one: the constant folder's evaluation of a node.
+// ok is false unless every argument is a literal, they keep f's kind rule,
+// its body succeeds and the result has a literal's spelling (NaN and the
+// infinities have none).
+func (f *Func) fold(args []Expr) (v any, ok bool) {
+	if slices.ContainsFunc(args, func(a Expr) bool { _, lit := a.(Literal); return !lit }) {
+		return nil, false
+	}
 	kinds := make([]Kind, len(args))
 	vecs := make([]*Vec, len(args))
 	for i, a := range args {
-		if kinds[i], ok = KindOfValue(a); !ok {
+		v := a.(Literal).Value
+		if kinds[i], ok = KindOfValue(v); !ok {
 			return nil, false
 		}
 		vecs[i] = &Vec{Kind: kinds[i]}
 		vecs[i].Resize(1)
-		vecs[i].Set(0, a)
+		vecs[i].Set(0, v)
 	}
 	k, err := f.Kind(kinds)
 	if err != nil {
@@ -267,7 +273,8 @@ func (f *Func) apply(args []any) (v any, ok bool) {
 	if _, err := f.Eval(vecs, out, 1); err != nil {
 		return nil, false
 	}
-	return out.Value(0), true
+	v = out.Value(0)
+	return v, checkLiteral(v) == nil
 }
 
 // Arithmetic: long op long stays long with wrap-around, except `/`, which

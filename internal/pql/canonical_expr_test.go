@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -47,18 +48,22 @@ func randExpr(r *rand.Rand, depth int) Expr {
 	}
 }
 
-// TestCanonicalExprIdempotent: CanonicalExpr is a fixpoint — canonicalizing
-// a canonical expression changes nothing (constant folding and commutative
-// operand ordering both converge in one pass).
+// TestCanonicalExprIdempotent: the parser makes every node canonical, and
+// canonical form is a fixpoint — the text of a parsed expression parses to
+// the very same tree (constant folding and commutative operand ordering both
+// converge in one pass).
 func TestCanonicalExprIdempotent(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 5000; i++ {
 		e := randExpr(r, 1+r.Intn(3))
-		once := CanonicalExpr(e)
-		twice := CanonicalExpr(once)
-		if once.String() != twice.String() {
-			t.Fatalf("iter %d: CanonicalExpr not idempotent:\n  in:    %s\n  once:  %s\n  twice: %s",
-				i, e.String(), once.String(), twice.String())
+		once, err := ParseExpr(e.String())
+		if err != nil {
+			t.Fatalf("iter %d: %s does not parse: %v", i, e, err)
+		}
+		twice, err := ParseExpr(once.String())
+		if err != nil || !reflect.DeepEqual(once, twice) {
+			t.Fatalf("iter %d: canonical form not a fixpoint:\n  in:    %s\n  once:  %s\n  twice: %v (%v)",
+				i, e, once, twice, err)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package pql
 
 import (
-	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -11,7 +11,7 @@ import (
 // MaxDepth bounds how deeply a query nests, counted two ways: the
 // parentheses, NOTs and function calls the parser is inside at once, and the
 // predicate and expression nodes on any root-to-leaf path of the tree it
-// builds (exprDepth, predDepth). It sits one level below wire.MaxNesting,
+// builds (depth). It sits one level below wire.MaxNesting,
 // the deepest tree the data plane carries, which leaves room for the
 // broker's hybrid rewrite (WithExtraFilter adds an And above the filter):
 // every query Parse accepts also reaches the servers.
@@ -32,26 +32,17 @@ func Parse(input string) (*Query, error) {
 	}
 	p := &parser{input: input, tokens: tokens}
 	q, err := p.parseQuery()
+	if err == nil {
+		err = p.b.Finish(q)
+	}
 	if err != nil {
-		return nil, err
-	}
-	// Clauses that do not apply to the query's shape keep their defaults:
-	// TOP ranks groups and LIMIT pages rows, and what the engine ignores
-	// is not worth carrying, rendering or telling apart.
-	if !q.HasGroupBy() {
-		q.Top = DefaultTop
-	}
-	if q.IsAggregation() {
-		q.Offset, q.Limit = 0, DefaultLimit
-	}
-	if err := validate(q); err != nil {
 		return nil, err
 	}
 	return q, nil
 }
 
 // ParseExpr parses a standalone scalar expression (table-config transforms,
-// tests). The result is canonicalized, so equal expressions render equal.
+// tests). Its nodes are made canonical, so equal expressions render equal.
 func ParseExpr(input string) (Expr, error) {
 	tokens, err := lex(input)
 	if err != nil {
@@ -65,14 +56,14 @@ func ParseExpr(input string) (Expr, error) {
 	if t := p.cur(); t.kind != tokEOF {
 		return nil, p.errf(t, "unexpected %s after expression", t)
 	}
-	e = CanonicalExpr(e)
-	if exprDepth(e) > MaxDepth {
+	if depth(e) > MaxDepth {
 		return nil, p.errDepth(p.tokens[0])
 	}
 	return e, nil
 }
 
 type parser struct {
+	b      Builder // makes every node, rewriting it into canonical form
 	input  string
 	tokens []token
 	pos    int
@@ -150,11 +141,14 @@ func (p *parser) parseQuery() (*Query, error) {
 		return nil, err
 	}
 	q := &Query{Top: DefaultTop, Limit: DefaultLimit}
-	sel, err := p.parseSelectList()
+	err := p.commas(func() error {
+		x, err := p.parseExpression()
+		q.Select = append(q.Select, x)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	q.Select = sel
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
@@ -170,8 +164,8 @@ func (p *parser) parseQuery() (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		if predDepth(pred) > MaxDepth {
-			return nil, p.errDepth(where)
+		if err := p.b.Where(pred); err != nil {
+			return nil, p.errf(where, "%v", err)
 		}
 		q.Filter = pred
 	}
@@ -179,35 +173,24 @@ func (p *parser) parseQuery() (*Query, error) {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
-		hasExpr := false
 		var exprs []Expr
-		for {
-			itemTok := p.cur()
+		err := p.commas(func() error {
+			t := p.cur()
 			e, err := p.parseAddExpr()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			e = CanonicalExpr(e)
-			if exprDepth(e) > MaxDepth {
-				return nil, p.errDepth(itemTok)
+			name, e, err := p.b.Key("", "", e)
+			if err != nil {
+				return p.errf(t, "%v", err)
 			}
-			switch n := e.(type) {
-			case ColumnRef:
-				q.GroupBy = append(q.GroupBy, n.Name)
-				exprs = append(exprs, nil)
-			case Literal:
-				return nil, p.errf(itemTok, "GROUP BY expression must reference a column")
-			default:
-				q.GroupBy = append(q.GroupBy, e.String())
-				exprs = append(exprs, e)
-				hasExpr = true
-			}
-			if p.cur().kind != tokComma {
-				break
-			}
-			p.pos++
+			q.GroupBy, exprs = append(q.GroupBy, name), append(exprs, e)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if hasExpr {
+		if slices.ContainsFunc(exprs, func(e Expr) bool { return e != nil }) {
 			q.GroupByExprs = exprs
 		}
 	}
@@ -215,45 +198,32 @@ func (p *parser) parseQuery() (*Query, error) {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
-		for {
+		err := p.commas(func() error {
 			col, err := p.expect(tokIdent, "order-by column")
-			if err != nil {
-				return nil, err
-			}
-			spec := OrderSpec{Column: col.text}
-			if p.matchKeyword("DESC") {
-				spec.Descending = true
-			} else {
+			desc := p.matchKeyword("DESC")
+			if !desc {
 				p.matchKeyword("ASC")
 			}
-			q.OrderBy = append(q.OrderBy, spec)
-			if p.cur().kind != tokComma {
-				break
-			}
-			p.pos++
+			q.OrderBy = append(q.OrderBy, OrderSpec{Column: col.text, Descending: desc})
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	if p.matchKeyword("TOP") {
-		n, err := p.parseInt("TOP count")
-		if err != nil {
+		if q.Top, err = p.parseInt("TOP count"); err != nil {
 			return nil, err
 		}
-		q.Top = n
 	}
 	if p.matchKeyword("LIMIT") {
-		n, err := p.parseInt("LIMIT count")
+		if q.Limit, err = p.parseInt("LIMIT count"); err == nil && p.cur().kind == tokComma {
+			p.pos++
+			q.Offset = q.Limit
+			q.Limit, err = p.parseInt("LIMIT count")
+		}
 		if err != nil {
 			return nil, err
-		}
-		if p.cur().kind == tokComma {
-			p.pos++
-			m, err := p.parseInt("LIMIT count")
-			if err != nil {
-				return nil, err
-			}
-			q.Offset, q.Limit = n, m
-		} else {
-			q.Limit = n
 		}
 	}
 	if p.cur().kind != tokEOF {
@@ -274,16 +244,11 @@ func (p *parser) parseInt(what string) (int, error) {
 	return n, nil
 }
 
-func (p *parser) parseSelectList() ([]Expression, error) {
-	var out []Expression
+// commas parses one or more items, by item, separated by commas.
+func (p *parser) commas(item func() error) error {
 	for {
-		expr, err := p.parseExpression()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, expr)
-		if p.cur().kind != tokComma {
-			return out, nil
+		if err := item(); err != nil || p.cur().kind != tokComma {
+			return err
 		}
 		p.pos++
 	}
@@ -293,92 +258,64 @@ func (p *parser) parseExpression() (Expression, error) {
 	t := p.cur()
 	if t.kind == tokStar {
 		p.pos++
-		return Expression{Column: "*"}, nil
+		return p.b.Item("", "*", nil)
 	}
 	if t.kind != tokIdent {
 		return Expression{}, p.errf(t, "expected column or aggregation, got %s", t)
 	}
-	// Aggregation function call? The argument is a full scalar expression;
-	// simple columns keep Arg nil so existing column-bound paths see the
-	// shape they always did.
-	if fn, ok := ParseAggFunc(t.text); ok && p.peek().kind == tokLParen {
-		p.pos += 2
-		e := Expression{IsAgg: true, Func: fn}
-		if p.cur().kind == tokStar {
-			e.Column = "*"
+	var fn AggFunc
+	var col string
+	var arg Expr
+	var err error
+	if p.peek().kind == tokLParen {
+		fn, _ = ParseAggFunc(t.text)
+	}
+	if fn != "" {
+		// An aggregation's argument is a full scalar expression, or *.
+		if p.pos += 2; p.cur().kind == tokStar {
+			col = "*"
 			p.pos++
-		} else {
-			arg, err := p.parseAddExpr()
-			if err != nil {
-				return Expression{}, err
-			}
-			switch n := CanonicalExpr(arg).(type) {
-			case ColumnRef:
-				e.Column = n.Name
-			case Literal:
-				return Expression{}, p.errf(t, "%s() argument must reference a column", fn)
-			default:
-				if exprDepth(n) > MaxDepth {
-					return Expression{}, p.errDepth(t)
-				}
-				e.Column, e.Arg = n.String(), n
-			}
+		} else if arg, err = p.parseAddExpr(); err != nil {
+			return Expression{}, err
 		}
 		if _, err := p.expect(tokRParen, ")"); err != nil {
 			return Expression{}, err
 		}
-		return e, nil
-	}
-	item, err := p.parseAddExpr()
-	if err != nil {
+	} else if arg, err = p.parseAddExpr(); err != nil {
 		return Expression{}, err
 	}
-	if cr, ok := item.(ColumnRef); ok {
-		return Expression{Column: cr.Name}, nil
+	x, err := p.b.Item(fn, col, arg)
+	if err != nil {
+		return x, p.errf(t, "%v", err)
 	}
-	return Expression{}, p.errf(t, "expressions in the select list must be aggregation arguments")
+	return x, nil
 }
 
-func (p *parser) parseOr() (Predicate, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+func (p *parser) parseOr() (Predicate, error) { return p.parseJunction(true) }
+
+// parseJunction parses predicates joined by OR, each an AND of predicates
+// (or false) joined by AND; an AND that belongs to a BETWEEN is consumed
+// there.
+func (p *parser) parseJunction(or bool) (Predicate, error) {
+	keyword := "AND"
+	if or {
+		keyword = "OR"
 	}
-	children := []Predicate{left}
-	for p.matchKeyword("OR") {
-		right, err := p.parseAnd()
+	var children []Predicate
+	for len(children) == 0 || p.matchKeyword(keyword) {
+		var c Predicate
+		var err error
+		if or {
+			c, err = p.parseJunction(false)
+		} else {
+			c, err = p.parseUnary()
+		}
 		if err != nil {
 			return nil, err
 		}
-		children = append(children, right)
+		children = append(children, c)
 	}
-	if len(children) == 1 {
-		return left, nil
-	}
-	return Or{Children: children}, nil
-}
-
-func (p *parser) parseAnd() (Predicate, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	children := []Predicate{left}
-	for {
-		// Don't consume AND that belongs to a BETWEEN (handled there).
-		if !p.matchKeyword("AND") {
-			break
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		children = append(children, right)
-	}
-	if len(children) == 1 {
-		return left, nil
-	}
-	return And{Children: children}, nil
+	return p.b.Junction(or, children)
 }
 
 func (p *parser) parseUnary() (Predicate, error) {
@@ -391,7 +328,7 @@ func (p *parser) parseUnary() (Predicate, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Not{Child: child}, nil
+		return p.b.Not(child)
 	}
 	if t := p.cur(); t.kind == tokLParen {
 		// '(' is ambiguous: a predicate group `(a = 1 OR b = 2)` or a
@@ -444,7 +381,7 @@ func (p *parser) parseComparison() (Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ExprCompare{LHS: CanonicalExpr(lhs), Op: CompareOp(t.text), RHS: CanonicalExpr(rhs)}, nil
+	return p.b.Compare(lhs, CompareOp(t.text), rhs)
 }
 
 // predOpFollows reports whether the token after the current one starts a
@@ -459,8 +396,6 @@ func (p *parser) predOpFollows() bool {
 }
 
 // parseColumnPredicate parses the predicate tail after a column reference.
-// `col op literal` yields the classic Comparison node (index and pruning
-// plans key on it); an expression right-hand side yields ExprCompare.
 func (p *parser) parseColumnPredicate(col string) (Predicate, error) {
 	t := p.cur()
 	switch {
@@ -470,41 +405,35 @@ func (p *parser) parseColumnPredicate(col string) (Predicate, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lit, ok := CanonicalExpr(rhs).(Literal); ok {
-			return Comparison{Column: col, Op: CompareOp(t.text), Value: lit.Value}, nil
-		}
-		return ExprCompare{LHS: ColumnRef{Name: col}, Op: CompareOp(t.text), RHS: CanonicalExpr(rhs)}, nil
-	case t.kind == tokIdent && strings.EqualFold(t.text, "IN"):
+		return p.b.CompareColumn(col, CompareOp(t.text), rhs)
+	case t.kind == tokIdent && (strings.EqualFold(t.text, "IN") || strings.EqualFold(t.text, "NOT")):
 		p.pos++
-		vals, err := p.parseLiteralList()
+		negated := strings.EqualFold(t.text, "NOT")
+		var vals []any
+		var err error
+		if negated {
+			err = p.expectKeyword("IN")
+		}
+		if err == nil {
+			vals, err = p.parseLiteralList()
+		}
 		if err != nil {
 			return nil, err
 		}
-		return In{Column: col, Values: vals}, nil
-	case t.kind == tokIdent && strings.EqualFold(t.text, "NOT"):
-		p.pos++
-		if err := p.expectKeyword("IN"); err != nil {
-			return nil, err
-		}
-		vals, err := p.parseLiteralList()
-		if err != nil {
-			return nil, err
-		}
-		return In{Column: col, Values: vals, Negated: true}, nil
+		return p.b.In(col, vals, negated)
 	case t.kind == tokIdent && strings.EqualFold(t.text, "BETWEEN"):
 		p.pos++
 		lo, err := p.parseLiteral()
+		var hi any
+		if err == nil {
+			if err = p.expectKeyword("AND"); err == nil {
+				hi, err = p.parseLiteral()
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectKeyword("AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseLiteral()
-		if err != nil {
-			return nil, err
-		}
-		return Between{Column: col, Lo: lo, Hi: hi}, nil
+		return p.b.Between(col, lo, hi)
 	}
 	return nil, p.errf(t, "expected comparison operator after %q, got %s", col, t)
 }
@@ -516,58 +445,33 @@ func (p *parser) parseColumnPredicate(col string) (Predicate, error) {
 //
 // '*' means multiplication here; the select-list star is consumed before the
 // expression parser ever runs.
-func (p *parser) parseAddExpr() (Expr, error) {
-	left, err := p.parseMulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for n := 1; ; n++ {
-		var op ArithOp
-		switch p.cur().kind {
-		case tokPlus:
-			op = OpAdd
-		case tokMinus:
-			op = OpSub
-		default:
-			return left, nil
-		}
-		if err := p.chain(p.cur(), n); err != nil {
-			return nil, err
-		}
-		p.pos++
-		right, err := p.parseMulExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = Arith{Op: op, L: left, R: right}
-	}
-}
+func (p *parser) parseAddExpr() (Expr, error) { return p.parseChain(0) }
 
-func (p *parser) parseMulExpr() (Expr, error) {
-	left, err := p.parsePrimaryExpr()
-	if err != nil {
-		return nil, err
+// chainOps are the operators of addExpr (level 0) and of mulExpr (level 1).
+var chainOps = [2]map[tokenKind]ArithOp{{tokPlus: OpAdd, tokMinus: OpSub}, {tokStar: OpMul, tokSlash: OpDiv}}
+
+// parseChain parses the operands of a level joined, left to right, by its
+// operators: a mulExpr each at level 0, a primary at level 1.
+func (p *parser) parseChain(level int) (Expr, error) {
+	operand := p.parsePrimaryExpr
+	if level == 0 {
+		operand = func() (Expr, error) { return p.parseChain(1) }
 	}
-	for n := 1; ; n++ {
-		var op ArithOp
-		switch p.cur().kind {
-		case tokStar:
-			op = OpMul
-		case tokSlash:
-			op = OpDiv
-		default:
+	left, err := operand()
+	for n := 1; err == nil; n++ {
+		op, ok := chainOps[level][p.cur().kind]
+		if !ok {
 			return left, nil
 		}
-		if err := p.chain(p.cur(), n); err != nil {
-			return nil, err
+		if err = p.chain(p.cur(), n); err == nil {
+			p.pos++
+			var right Expr
+			if right, err = operand(); err == nil {
+				left, err = p.b.Arith(op, left, right)
+			}
 		}
-		p.pos++
-		right, err := p.parsePrimaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = Arith{Op: op, L: left, R: right}
 	}
+	return nil, err
 }
 
 func (p *parser) parsePrimaryExpr() (Expr, error) {
@@ -579,7 +483,7 @@ func (p *parser) parsePrimaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Literal{Value: v}, nil
+		return p.b.Lit(v)
 	case tokMinus:
 		// Unary minus binds to a numeric literal only.
 		if p.peek().kind != tokNumber {
@@ -591,16 +495,13 @@ func (p *parser) parsePrimaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch x := v.(type) {
-		case int64:
-			return Literal{Value: -x}, nil
-		case float64:
-			return Literal{Value: -x}, nil
+		if n, ok := v.(int64); ok {
+			return p.b.Lit(-n)
 		}
-		return nil, p.errf(nt, "invalid number %q", nt.text)
+		return p.b.Lit(-v.(float64))
 	case tokString:
 		p.pos++
-		return Literal{Value: t.text}, nil
+		return p.b.Lit(t.text)
 	case tokLParen:
 		if err := p.enter(t); err != nil {
 			return nil, err
@@ -622,48 +523,39 @@ func (p *parser) parsePrimaryExpr() (Expr, error) {
 		p.pos++
 		switch strings.ToLower(t.text) {
 		case "true":
-			return Literal{Value: true}, nil
+			return p.b.Lit(true)
 		case "false":
-			return Literal{Value: false}, nil
+			return p.b.Lit(false)
 		}
-		return ColumnRef{Name: t.text}, nil
+		return p.b.Column(t.text)
 	}
 	return nil, p.errf(t, "expected expression, got %s", t)
 }
 
 func (p *parser) parseCallExpr() (Expr, error) {
 	t := p.next() // function name; '(' is next
-	f, ok := Builtin(t.text)
-	if !ok {
-		return nil, p.errf(t, "unknown function %q", t.text)
-	}
 	if err := p.enter(t); err != nil {
 		return nil, err
 	}
 	defer p.leave()
 	p.pos++ // consume '('
 	var args []Expr
-	for {
+	err := p.commas(func() error {
 		a, err := p.parseAddExpr()
-		if err != nil {
-			return nil, err
-		}
 		args = append(args, a)
-		if p.cur().kind != tokComma {
-			break
-		}
-		p.pos++
+		return err
+	})
+	if err == nil {
+		_, err = p.expect(tokRParen, ")")
 	}
-	if _, err := p.expect(tokRParen, ")"); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if len(args) < f.MinArgs || len(args) > f.MaxArgs {
-		if f.MinArgs == f.MaxArgs {
-			return nil, p.errf(t, "%s() takes %d argument(s), got %d", f.Name, f.MinArgs, len(args))
-		}
-		return nil, p.errf(t, "%s() takes %d to %d arguments, got %d", f.Name, f.MinArgs, f.MaxArgs, len(args))
+	e, err := p.b.Call(t.text, args)
+	if err != nil {
+		return nil, p.errf(t, "%v", err)
 	}
-	return Call{Name: f.Name, Args: args}, nil
+	return e, nil
 }
 
 // numberValue converts a number token exactly as parseLiteral does:
@@ -681,27 +573,18 @@ func (p *parser) numberValue(t token) (any, error) {
 	return f, nil
 }
 
-func (p *parser) parseLiteralList() ([]any, error) {
-	if _, err := p.expect(tokLParen, "("); err != nil {
-		return nil, err
+func (p *parser) parseLiteralList() (vals []any, err error) {
+	if _, err = p.expect(tokLParen, "("); err == nil {
+		err = p.commas(func() error {
+			v, err := p.parseLiteral()
+			vals = append(vals, v)
+			return err
+		})
 	}
-	var out []any
-	for {
-		v, err := p.parseLiteral()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-		if p.cur().kind == tokComma {
-			p.pos++
-			continue
-		}
-		break
+	if err == nil {
+		_, err = p.expect(tokRParen, ")")
 	}
-	if _, err := p.expect(tokRParen, ")"); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return vals, err
 }
 
 func (p *parser) parseLiteral() (any, error) {
@@ -720,41 +603,4 @@ func (p *parser) parseLiteral() (any, error) {
 		}
 	}
 	return nil, p.errf(t, "expected literal, got %s", t)
-}
-
-func validate(q *Query) error {
-	hasAgg, hasPlain := false, false
-	for _, e := range q.Select {
-		if e.IsAgg {
-			hasAgg = true
-			if e.Column == "*" && e.Func != Count {
-				return fmt.Errorf("pql: %s(*) is not supported, only COUNT(*)", e.Func)
-			}
-		} else {
-			hasPlain = true
-			if e.Column == "*" && len(q.Select) > 1 {
-				return fmt.Errorf("pql: '*' cannot be combined with other select items")
-			}
-		}
-	}
-	if hasAgg && hasPlain {
-		// Plain columns may accompany aggregations only as redundant
-		// projections of GROUP BY columns (paper Figure 7 style).
-		grouped := make(map[string]bool, len(q.GroupBy))
-		for _, g := range q.GroupBy {
-			grouped[g] = true
-		}
-		for _, e := range q.Select {
-			if !e.IsAgg && !grouped[e.Column] {
-				return fmt.Errorf("pql: column %q in select list must appear in GROUP BY", e.Column)
-			}
-		}
-	}
-	if q.HasGroupBy() && !hasAgg {
-		return fmt.Errorf("pql: GROUP BY requires aggregations in the select list")
-	}
-	if len(q.OrderBy) > 0 && hasAgg {
-		return fmt.Errorf("pql: ORDER BY applies to selection queries only")
-	}
-	return nil
 }

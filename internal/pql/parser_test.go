@@ -191,6 +191,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT count(*) FROM T WHERE a ! b",
 		"SELECT count(*) FROM T TOP -5",
 		"SELECT *, a FROM T",
+		"SELECT count(*) FROM T WHERE a = - 1e999",
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {

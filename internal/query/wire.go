@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -19,8 +20,9 @@ import (
 // by field; what is particular to this file:
 //
 //   - a query's expressions and literals are the intermediate's expression
-//     and cell codec; the decoder hands what it read to pql.Validate, so a
-//     server executes only a tree Parse could have built;
+//     and cell codec; the decoder makes each node of a query through the
+//     constructors the parser builds with, in their Strict form (pql.Builder),
+//     so a server executes only a tree Parse could have built;
 //   - a zero count decodes to a nil slice, map or group table (which Merge,
 //     Finalize and Conforms accept), except that an empty multi-value cell
 //     stays []any{} so it keeps rendering as [] not null;
@@ -433,15 +435,16 @@ func ReadStats(d *wire.Decoder, s *Stats) {
 	s.DictExprSegments = d.Int()
 }
 
-// readAggFunc reads a function name, reusing the constant for the fixed names.
-func readAggFunc(d *wire.Decoder) pql.AggFunc {
+// readName reads a name, returning the entry of known that it spells, if
+// any, so that the common names cost no allocation.
+func readName[T ~string](d *wire.Decoder, known ...T) T {
 	b := d.Bytes()
-	for _, fn := range [...]pql.AggFunc{pql.Count, pql.Sum, pql.Min, pql.Max, pql.Avg, pql.DistinctCount} {
-		if string(b) == string(fn) {
-			return fn
+	for _, k := range known {
+		if string(b) == string(k) {
+			return k
 		}
 	}
-	return pql.AggFunc(b)
+	return T(b)
 }
 
 func readCell(d *wire.Decoder, depth int) any {
@@ -477,111 +480,143 @@ func readCells(d *wire.Decoder, dst []any) {
 	}
 }
 
-func readExpr(d *wire.Decoder, depth int) pql.Expr {
+// strict makes every node of a query the decoder reads, refusing what the
+// parser would have rewritten, so a tree Parse could not have built fails
+// the decode.
+var strict = &pql.Builder{Strict: true}
+
+// readExpr reads an expression tree: a query's made node by node by strict,
+// an intermediate's (b nil) taken as it was written.
+func readExpr(d *wire.Decoder, b *pql.Builder, depth int) pql.Expr {
+	return readNode(d, b, d.Byte(), depth)
+}
+
+// readNode reads an expression node whose tag is read.
+func readNode(d *wire.Decoder, b *pql.Builder, tag byte, depth int) pql.Expr {
 	if depth >= wire.MaxNesting {
 		d.Fail("expression nested deeper than %d", wire.MaxNesting)
 		return nil
 	}
-	switch tag := d.Byte(); tag {
+	var e pql.Expr
+	var err error
+	switch tag {
 	case exprNil:
 		return nil
 	case exprColumn:
-		return pql.ColumnRef{Name: d.Str()}
+		name := d.Str()
+		if b == nil {
+			return pql.ColumnRef{Name: name}
+		}
+		e, err = b.Column(name)
 	case exprLit:
-		return pql.Literal{Value: readCell(d, depth+1)}
+		v := readCell(d, depth+1)
+		if b == nil {
+			return pql.Literal{Value: v}
+		}
+		e, err = b.Lit(v)
 	case exprArith:
-		op := readArithOp(d)
-		l := readExpr(d, depth+1)
-		return pql.Arith{Op: op, L: l, R: readExpr(d, depth+1)}
+		op := readName(d, pql.OpAdd, pql.OpSub, pql.OpMul, pql.OpDiv)
+		l := readExpr(d, b, depth+1)
+		r := readExpr(d, b, depth+1)
+		if b == nil {
+			return pql.Arith{Op: op, L: l, R: r}
+		}
+		e, err = b.Arith(op, l, r)
 	case exprCall:
-		c := pql.Call{Name: d.Str()}
+		name := d.Str()
+		var args []pql.Expr
 		if n := d.Count(1); n > 0 {
-			c.Args = make([]pql.Expr, n)
-			for i := range c.Args {
-				c.Args[i] = readExpr(d, depth+1)
+			args = make([]pql.Expr, n)
+			for i := range args {
+				args[i] = readExpr(d, b, depth+1)
 			}
 		}
-		return c
+		if b == nil {
+			return pql.Call{Name: name, Args: args}
+		}
+		e, err = b.Call(name, args)
 	default:
 		d.Fail("unknown expression tag %d", tag)
 		return nil
 	}
+	refuse(d, err)
+	return e
 }
 
-// readArithOp reads an operator, refusing one outside pql's four.
-func readArithOp(d *wire.Decoder) pql.ArithOp {
-	b := d.Bytes()
-	for _, op := range [...]pql.ArithOp{pql.OpAdd, pql.OpSub, pql.OpMul, pql.OpDiv} {
-		if string(b) == string(op) {
-			return op
-		}
+// refuse fails the decode with what a pql constructor refused.
+func refuse(d *wire.Decoder, err error) {
+	if err != nil {
+		d.Fail("pql: %w", err)
 	}
-	d.Fail("unknown arithmetic operator %q", b)
-	return ""
 }
 
-// readCompareOp reads an operator, refusing one outside pql's six.
-func readCompareOp(d *wire.Decoder) pql.CompareOp {
-	b := d.Bytes()
-	for _, op := range [...]pql.CompareOp{pql.OpEq, pql.OpNeq, pql.OpLt, pql.OpLte, pql.OpGt, pql.OpGte} {
-		if string(b) == string(op) {
-			return op
-		}
-	}
-	d.Fail("unknown comparison operator %q", b)
-	return ""
-}
-
-// readExpression reverses appendExpression.
-func readExpression(d *wire.Decoder, x *pql.Expression) {
+// readExpression reverses appendExpression. A query's select item is made
+// by strict; an intermediate's (b nil) is taken as it was written.
+func readExpression(d *wire.Decoder, b *pql.Builder, x *pql.Expression) {
 	x.IsAgg = d.Bool()
-	x.Func = readAggFunc(d)
+	x.Func = readName(d, pql.Count, pql.Sum, pql.Min, pql.Max, pql.Avg, pql.DistinctCount)
 	x.Column = d.Str()
-	x.Arg = readExpr(d, 0)
+	x.Arg = readExpr(d, b, 0)
+	if b != nil {
+		built, err := b.Item(x.Func, x.Column, x.Arg)
+		if err == nil && built.IsAgg != x.IsAgg {
+			err = fmt.Errorf("select item %v carries IsAgg %v", built, x.IsAgg)
+		}
+		refuse(d, err)
+	}
 }
 
+// readPred reads a query's filter tree, made node by node by strict.
 func readPred(d *wire.Decoder, depth int) pql.Predicate {
 	if depth >= wire.MaxNesting {
 		d.Fail("predicate nested deeper than %d", wire.MaxNesting)
 		return nil
 	}
+	var p pql.Predicate
+	var err error
 	switch tag := d.Byte(); tag {
 	case predNil:
 		return nil
 	case predComparison:
-		c := pql.Comparison{Column: d.Str()}
-		c.Op = readCompareOp(d)
-		c.Value = readCell(d, depth+1)
-		return c
+		col := d.Str()
+		op := readName(d, pql.CompareOps[:]...)
+		p, err = strict.Comparison(col, op, readCell(d, depth+1))
 	case predIn:
-		in := pql.In{Column: d.Str(), Negated: d.Bool()}
+		col, negated := d.Str(), d.Bool()
+		var vals []any
 		if n := d.Count(minCellBytes); n > 0 {
-			in.Values = make([]any, n)
-			for i := range in.Values {
-				in.Values[i] = readCell(d, depth+1)
+			vals = make([]any, n)
+			for i := range vals {
+				vals[i] = readCell(d, depth+1)
 			}
 		}
-		return in
+		p, err = strict.In(col, vals, negated)
 	case predBetween:
-		b := pql.Between{Column: d.Str()}
-		b.Lo = readCell(d, depth+1)
-		b.Hi = readCell(d, depth+1)
-		return b
-	case predAnd:
-		return pql.And{Children: readPreds(d, depth+1)}
-	case predOr:
-		return pql.Or{Children: readPreds(d, depth+1)}
+		col := d.Str()
+		lo := readCell(d, depth+1)
+		p, err = strict.Between(col, lo, readCell(d, depth+1))
+	case predAnd, predOr:
+		p, err = strict.Junction(tag == predOr, readPreds(d, depth+1))
 	case predNot:
-		return pql.Not{Child: readPred(d, depth+1)}
+		p, err = strict.Not(readPred(d, depth+1))
 	case predExprCompare:
-		c := pql.ExprCompare{LHS: readExpr(d, depth+1)}
-		c.Op = readCompareOp(d)
-		c.RHS = readExpr(d, depth+1)
-		return c
+		// A bare column on the left may be any name, as a Comparison's may
+		// (it renders quoted where it must): it is read as that name.
+		if tag := d.Byte(); tag == exprColumn {
+			col := d.Str()
+			op := readName(d, pql.CompareOps[:]...)
+			p, err = strict.CompareColumn(col, op, readExpr(d, strict, depth+1))
+		} else {
+			lhs := readNode(d, strict, tag, depth+1)
+			op := readName(d, pql.CompareOps[:]...)
+			p, err = strict.Compare(lhs, op, readExpr(d, strict, depth+1))
+		}
 	default:
 		d.Fail("unknown predicate tag %d", tag)
 		return nil
 	}
+	refuse(d, err)
+	return p
 }
 
 func readPreds(d *wire.Decoder, depth int) []pql.Predicate {
@@ -597,23 +632,25 @@ func readPreds(d *wire.Decoder, depth int) []pql.Predicate {
 }
 
 // ReadQuery reads one query out of a request being decoded; the verdict is
-// d's (Err, Finish). The query it yields passes pql.Validate: one that Parse
-// could have produced, or the broker's hybrid rewrite of one. Any other tree
-// fails the decode.
+// d's (Err, Finish). Every node of the query is made by strict, the parser's
+// constructors refusing what they would rewrite, so the query it yields is
+// one Parse could have produced, or the broker's hybrid rewrite of one. Any
+// other tree fails the decode.
 func ReadQuery(d *wire.Decoder) *pql.Query {
 	q := &pql.Query{Table: d.Str()}
 	if n := d.Count(minExprBytes); n > 0 {
 		q.Select = make([]pql.Expression, n)
 		for i := range q.Select {
-			readExpression(d, &q.Select[i])
+			readExpression(d, strict, &q.Select[i])
 		}
 	}
 	q.Filter = readPred(d, 0)
+	refuse(d, strict.Where(q.Filter))
 	q.GroupBy = d.Strs()
 	if n := d.Count(1); n > 0 {
 		q.GroupByExprs = make([]pql.Expr, n)
 		for i := range q.GroupByExprs {
-			q.GroupByExprs[i] = readExpr(d, 0)
+			q.GroupByExprs[i] = readExpr(d, strict, 0)
 		}
 	}
 	if n := d.Count(2); n > 0 {
@@ -623,11 +660,12 @@ func ReadQuery(d *wire.Decoder) *pql.Query {
 		}
 	}
 	q.Top, q.Offset, q.Limit = d.Int(), d.Int(), d.Int()
-	if d.Err() != nil {
-		return nil
+	if d.Err() == nil {
+		if err := strict.Finish(q); err != nil {
+			d.Fail("%w", err)
+		}
 	}
-	if err := pql.Validate(q); err != nil {
-		d.Fail("%w", err)
+	if d.Err() != nil {
 		return nil
 	}
 	return q
@@ -799,7 +837,7 @@ func ReadIntermediate(d *wire.Decoder) *Intermediate {
 	if n := d.Count(minExprBytes); n > 0 {
 		r.AggExprs = make([]pql.Expression, n)
 		for i := range r.AggExprs {
-			readExpression(d, &r.AggExprs[i])
+			readExpression(d, nil, &r.AggExprs[i])
 		}
 	}
 	r.GroupCols = d.Strs()
