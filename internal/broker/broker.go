@@ -342,18 +342,14 @@ func (b *Broker) respond(qc *qctx.QueryContext, q *pql.Query, pqlText string, cf
 	for _, e := range all.srvExcs {
 		b.met.exceptions.With(fmt.Sprintf("%t", e.Recovered)).Inc()
 	}
-	phases := make(map[string]int64, len(final.Trace))
-	for p, d := range final.Trace {
-		phases[string(p)] = metrics.DurationToUs(d)
-	}
 	b.slow.Record(metrics.SlowQuery{
-		QueryID:     final.QueryID,
-		Table:       q.Table,
-		PQL:         pqlText,
-		TimeMillis:  final.TimeMillis,
-		LatencyUs:   metrics.DurationToUs(elapsed),
-		Partial:     final.Partial,
-		PhaseTraces: phases,
+		QueryID:    final.QueryID,
+		Table:      q.Table,
+		PQL:        pqlText,
+		TimeMillis: final.TimeMillis,
+		LatencyUs:  metrics.DurationToUs(elapsed),
+		Partial:    final.Partial,
+		Phases:     final.Trace,
 	})
 	return &Response{
 		Result:           final,

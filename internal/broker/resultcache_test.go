@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pinot/internal/pql"
+	"pinot/internal/qctx"
 	"pinot/internal/query"
 	"pinot/internal/transport"
 )
@@ -84,7 +85,7 @@ func TestResultCacheHitIsPrivateAndMarked(t *testing.T) {
 			t.Fatalf("warm: %+v, err %v", warm, err)
 		}
 		warm.Stats.ResultCacheHit = false
-		warm.Trace, cold.Trace = nil, nil
+		warm.Trace, cold.Trace = qctx.Trace{}, qctx.Trace{}
 		if !reflect.DeepEqual(warm.Rows, cold.Rows) || !reflect.DeepEqual(warm.Stats, cold.Stats) {
 			t.Fatalf("warm answer %d diverges:\n got %+v\nwant %+v", i, warm, cold)
 		}

@@ -233,7 +233,7 @@ func corruptResponse(resp *transport.QueryResponse) *transport.QueryResponse {
 		// kind 255, so shape validation rejects it downstream.
 		r.Kind = query.ResultKind(255)
 		r.Groups = nil
-		r.Rows = nil
+		r.Selection = nil
 	}
 	return resp
 }

@@ -18,6 +18,7 @@ import (
 	"pinot/internal/controller"
 	"pinot/internal/metrics"
 	"pinot/internal/pql"
+	"pinot/internal/qctx"
 	"pinot/internal/query"
 	"pinot/internal/table"
 )
@@ -114,10 +115,12 @@ func NewBrokerHandler(b *broker.Broker) http.Handler {
 			ServersQueried:   res.ServersQueried,
 			ServersResponded: res.ServersResponded,
 		}
-		if len(res.Trace) > 0 {
-			out.TraceMillis = make(map[string]int64, len(res.Trace))
-			for p, d := range res.Trace {
-				out.TraceMillis[string(p)] = d.Milliseconds()
+		for p, d := range res.Trace {
+			if d != 0 {
+				if out.TraceMillis == nil {
+					out.TraceMillis = map[string]int64{}
+				}
+				out.TraceMillis[qctx.Phase(p).String()] = d.Milliseconds()
 			}
 		}
 		for _, e := range res.ServerExceptions {

@@ -1,21 +1,45 @@
 package metrics
 
 import (
+	"encoding/json"
 	"sort"
 	"sync"
 	"time"
+
+	"pinot/internal/qctx"
 )
 
 // SlowQuery is one entry in the slow-query log: enough to reconstruct where
 // a slow query spent its time without re-running it.
 type SlowQuery struct {
-	QueryID     string           `json:"queryId"`
-	Table       string           `json:"table"`
-	PQL         string           `json:"pql"`
-	TimeMillis  int64            `json:"timeMillis"`
-	LatencyUs   int64            `json:"latencyUs"`
-	Partial     bool             `json:"partial"`
-	PhaseTraces map[string]int64 `json:"phaseTracesUs,omitempty"`
+	QueryID    string `json:"queryId"`
+	Table      string `json:"table"`
+	PQL        string `json:"pql"`
+	TimeMillis int64  `json:"timeMillis"`
+	LatencyUs  int64  `json:"latencyUs"`
+	Partial    bool   `json:"partial"`
+	// Phases is the query's phase ledger, rendered as phaseTracesUs: the
+	// microseconds of each phase charged, by name.
+	Phases qctx.Trace `json:"-"`
+}
+
+// MarshalJSON renders the entry, naming its phases only now: most entries
+// Record is offered are never kept, let alone rendered.
+func (q SlowQuery) MarshalJSON() ([]byte, error) {
+	type plain SlowQuery
+	out := struct {
+		plain
+		PhaseTraces map[string]int64 `json:"phaseTracesUs,omitempty"`
+	}{plain: plain(q)}
+	for p, d := range q.Phases {
+		if d != 0 {
+			if out.PhaseTraces == nil {
+				out.PhaseTraces = map[string]int64{}
+			}
+			out.PhaseTraces[qctx.Phase(p).String()] = DurationToUs(d)
+		}
+	}
+	return json.Marshal(out)
 }
 
 // SlowLog keeps the N slowest queries seen so far, ordered slowest-first.

@@ -8,8 +8,11 @@
 //     wire, the server charges queue wait, the engine charges per-segment
 //     execution — so every hop enforces what is actually left, not a fresh
 //     full timeout (paper 3.3.3's bounded-latency contract made explicit),
-//   - a phase ledger (parse, route, queue, scatter, execute, merge, reduce)
-//     surfaced to clients as a structured trace.
+//   - a phase ledger (parse, route, queue, scatter, execute, merge, reduce):
+//     a fixed array of durations indexed by Phase, held by value, so
+//     charging, folding and copying it allocate nothing; it is named phase
+//     by phase only where it is rendered (the wire trailer, the /query
+//     JSON, the slow-query log).
 //
 // The zero-dependency design is deliberate: every layer of the query path
 // imports this package, so it can import nothing but the standard library.
@@ -17,47 +20,77 @@ package qctx
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 )
 
-// Phase names one stage of the query lifecycle in the trace ledger.
-type Phase string
+// Phase names one stage of the query lifecycle in the trace ledger: a small
+// integer, the ledger's index, that renders as its name.
+type Phase uint8
 
 // Lifecycle phases. Parse/route/scatter/merge/reduce partition the broker's
 // wall clock; queue and execute are measured on servers and nest inside the
 // broker's scatter phase (on the single-node path they are top-level).
 const (
-	PhaseParse   Phase = "parse"
-	PhaseRoute   Phase = "route"
-	PhaseQueue   Phase = "queue"
-	PhaseScatter Phase = "scatter"
-	PhaseExecute Phase = "execute"
-	PhaseMerge   Phase = "merge"
-	PhaseReduce  Phase = "reduce"
+	PhaseParse Phase = iota
+	PhaseRoute
+	PhaseQueue
+	PhaseScatter
+	PhaseExecute
+	PhaseMerge
+	PhaseReduce
+	// NumPhases counts the phases: a Trace holds one duration each.
+	NumPhases
 )
 
-// Trace is the per-phase time ledger of one query. It travels in the trailer
-// of a server's response (transport.FinalFrame) and in BrokerResponse.
-type Trace map[Phase]time.Duration
+var phaseNames = [NumPhases]string{"parse", "route", "queue", "scatter", "execute", "merge", "reduce"}
+
+func (p Phase) String() string {
+	if p < NumPhases {
+		return phaseNames[p]
+	}
+	return fmt.Sprintf("phase(%d)", uint8(p))
+}
+
+// Trace is the per-phase time ledger of one query, indexed by Phase; a phase
+// the query never charged holds zero. It travels in the trailer of a
+// server's response (transport.FinalFrame) and in BrokerResponse.
+type Trace [NumPhases]time.Duration
 
 // WallSum sums the phases that partition the owning layer's wall clock: on
-// a distributed trace (scatter present) the queue and execute phases were
+// a distributed trace (scatter charged) the queue and execute phases were
 // measured on servers concurrently with scatter and are excluded; on a
 // single-node trace they are top-level. The invariant WallSum ≤ wall-clock
 // elapsed is what makes the ledger a budget rather than a set of counters.
 func (t Trace) WallSum() time.Duration {
-	_, distributed := t[PhaseScatter]
+	distributed := t[PhaseScatter] > 0
 	var sum time.Duration
 	for p, d := range t {
-		if distributed && (p == PhaseQueue || p == PhaseExecute) {
+		if distributed && (Phase(p) == PhaseQueue || Phase(p) == PhaseExecute) {
 			continue
 		}
 		sum += d
 	}
 	return sum
+}
+
+// MarshalJSON renders the phases charged as an object of their nanoseconds
+// by name, and a ledger that charged none as null: the JSON of the map the
+// ledger once was.
+func (t Trace) MarshalJSON() ([]byte, error) {
+	var named map[string]time.Duration
+	for p, d := range t {
+		if d != 0 {
+			if named == nil {
+				named = map[string]time.Duration{}
+			}
+			named[Phase(p).String()] = d
+		}
+	}
+	return json.Marshal(named)
 }
 
 // QueryContext is the mutable per-query state threaded through one layer of
@@ -78,7 +111,7 @@ func New(id string, budget time.Duration) *QueryContext {
 	if id == "" {
 		id = NewID()
 	}
-	return &QueryContext{id: id, start: time.Now(), budget: budget, trace: Trace{}}
+	return &QueryContext{id: id, start: time.Now(), budget: budget}
 }
 
 var (
@@ -147,11 +180,7 @@ func (qc *QueryContext) ObserveServer(t Trace) {
 func (qc *QueryContext) TraceSnapshot() Trace {
 	qc.mu.Lock()
 	defer qc.mu.Unlock()
-	out := make(Trace, len(qc.trace))
-	for p, d := range qc.trace {
-		out[p] = d
-	}
-	return out
+	return qc.trace
 }
 
 type ctxKey struct{}

@@ -2,6 +2,7 @@ package qctx
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -40,7 +41,7 @@ func TestTraceChargeAndSnapshot(t *testing.T) {
 	}
 	// The snapshot is a copy: later charges must not leak in.
 	qc.Charge(PhaseMerge, time.Second)
-	if _, ok := tr[PhaseMerge]; ok {
+	if tr[PhaseMerge] != 0 {
 		t.Fatal("snapshot aliased the live ledger")
 	}
 }
@@ -90,5 +91,42 @@ func TestContextPlumbing(t *testing.T) {
 	}
 	if New("", 0).ID() == "" {
 		t.Fatal("empty id should be generated")
+	}
+}
+
+// TestLedgerAllocatesNothing: the ledger is an array held by value, so
+// charging, folding a server's trace and taking a snapshot allocate nothing.
+func TestLedgerAllocatesNothing(t *testing.T) {
+	qc := New("q-1", 0)
+	server := Trace{PhaseQueue: time.Microsecond, PhaseExecute: time.Millisecond}
+	var snap Trace
+	if n := testing.AllocsPerRun(100, func() {
+		qc.Charge(PhaseScatter, time.Microsecond)
+		qc.ObserveServer(server)
+		snap = qc.TraceSnapshot()
+	}); n != 0 {
+		t.Fatalf("%.0f allocations", n)
+	}
+	if snap[PhaseExecute] != time.Millisecond || snap[PhaseScatter] == 0 {
+		t.Fatalf("snapshot %v", snap)
+	}
+}
+
+// TestTraceRendersAsTheMapItWas: the JSON of a ledger is an object of the
+// phases charged, by name, and null when none was.
+func TestTraceRendersAsTheMapItWas(t *testing.T) {
+	for _, c := range []struct {
+		t    Trace
+		want string
+	}{
+		{Trace{}, "null"},
+		{Trace{PhaseReduce: 2, PhaseParse: 1}, `{"parse":1,"reduce":2}`},
+	} {
+		if b, err := json.Marshal(c.t); err != nil || string(b) != c.want {
+			t.Errorf("%v: %s, %v; want %s", c.t, b, err, c.want)
+		}
+	}
+	if got := Phase(NumPhases).String(); got != "phase(7)" {
+		t.Errorf("an unknown phase renders as %q", got)
 	}
 }

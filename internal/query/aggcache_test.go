@@ -649,11 +649,13 @@ func TestIntermediateCloneIsDeep(t *testing.T) {
 		t.Fatalf("the clone did not take the writes: %+v", cp.Groups)
 	}
 
-	sel := &Intermediate{Kind: KindSelection, SelectCols: []string{"a"}, Rows: [][]any{{int64(1)}}}
+	sel := mustSelection(KindSelection, []string{"a"}, 0, []any{int64(1)})
 	sc := sel.Clone()
-	sc.Rows[0][0] = int64(2)
-	sc.Rows = append(sc.Rows, []any{int64(3)})
-	if sel.Rows[0][0] != int64(1) || len(sel.Rows) != 1 {
-		t.Fatalf("selection Clone shares rows: %+v", sel.Rows)
+	sc.Selection.cols[0].nums[0] = 2
+	if err := sc.AppendRow(int64(3)); err != nil {
+		t.Fatal(err)
+	}
+	if got := boxAll(sel.Selection); len(got) != 1 || got[0][0] != int64(1) {
+		t.Fatalf("selection Clone shares rows: %v", got)
 	}
 }

@@ -47,14 +47,5 @@ func (r *Intermediate) SizeBytes() int64 {
 	for _, c := range r.SelectCols {
 		n += int64(len(c)) + sizePerValue
 	}
-	for _, row := range r.Rows {
-		n += sizePerEntry
-		for _, v := range row {
-			n += sizePerValue
-			if s, ok := v.(string); ok {
-				n += int64(len(s))
-			}
-		}
-	}
-	return n
+	return n + r.Selection.sizeBytes()
 }

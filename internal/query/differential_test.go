@@ -30,6 +30,7 @@ import (
 	"strings"
 	"testing"
 
+	"pinot/internal/qctx"
 	"pinot/internal/query"
 	"pinot/internal/segment"
 	"pinot/internal/workload"
@@ -95,7 +96,7 @@ func ask(t *testing.T, q string, segs []query.IndexedSegment, schema *segment.Sc
 		return outcome{body: "error: " + err.Error()}
 	}
 	stats := res.Stats
-	res.Stats, res.QueryID, res.Trace = query.Stats{}, "", nil
+	res.Stats, res.QueryID, res.Trace = query.Stats{}, "", qctx.Trace{}
 	body, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("%q: %v", q, err)

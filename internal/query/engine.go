@@ -79,6 +79,12 @@ func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegmen
 		}
 	}
 	x := &execution{e: e, ctx: ctx, segs: segs, queries: queries, schema: tableSchema, outcomes: make([]outcome, len(segs))}
+	// A selection's columns are the same for every segment under the table's
+	// schema: they are derived once. Without one, '*' expands over each
+	// segment's own.
+	if !q.IsAggregation() && tableSchema != nil {
+		x.cols, x.hidden = selectionColumns(q, tableSchema)
+	}
 	// The cache key is rendered once per distinct query, not per segment:
 	// pruning hands most segments the same *pql.Query, and at most one
 	// filter-elided copy.
@@ -109,10 +115,12 @@ func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegmen
 	x.claim()
 	x.wg.Wait()
 
-	var merged *Intermediate
 	var errExcs, cancelled []string
-	var firstErr, mergeErr error
-	succeeded, claimed := 0, min(int(x.next.Load()), len(segs))
+	var firstErr error
+	claimed := min(int(x.next.Load()), len(segs))
+	// The outcomes that produced a result move to the front, in segment
+	// order: done.
+	done := x.outcomes[:0]
 	for i, o := range x.outcomes[:claimed] {
 		var ce *cancelledError
 		if errors.As(o.err, &ce) {
@@ -128,13 +136,10 @@ func (e *Engine) Execute(ctx context.Context, q *pql.Query, segs []IndexedSegmen
 			errExcs = append(errExcs, o.err.Error())
 			continue
 		}
-		succeeded++
-		if merged == nil {
-			merged = o.res
-		} else if mergeErr = merged.Merge(o.res); mergeErr != nil {
-			break
-		}
+		done = append(done, o)
 	}
+	succeeded := len(done)
+	merged, mergeErr := fold(done)
 	skipped := len(segs) - claimed
 	if e.OnOutcome != nil {
 		e.OnOutcome(succeeded, len(cancelled), skipped)
@@ -176,15 +181,42 @@ type execution struct {
 	segs      []IndexedSegment
 	queries   []*pql.Query
 	cacheKeys map[*pql.Query]string
-	schema    *segment.Schema
-	next      atomic.Int64
-	wg        sync.WaitGroup // one count per helper that joined
-	outcomes  []outcome
+	// cols and hidden are a selection's columns (selectionColumns), nil
+	// when each segment derives its own.
+	cols     []string
+	hidden   int
+	schema   *segment.Schema
+	next     atomic.Int64
+	wg       sync.WaitGroup // one count per helper that joined
+	outcomes []outcome
 }
 
 type outcome struct {
 	res *Intermediate
 	err error
+}
+
+// fold merges the segments' results in order into the first. A selection's
+// columns grow once, to hold every segment's rows, before any is appended.
+func fold(done []outcome) (*Intermediate, error) {
+	if len(done) == 0 {
+		return nil, nil
+	}
+	merged := done[0].res
+	if merged.Kind == KindSelection && len(done) > 1 {
+		var buf [16]*Selection
+		parts := buf[:0]
+		for _, o := range done[1:] {
+			parts = append(parts, o.res.Selection)
+		}
+		merged.Selection = merged.Selection.grow(parts)
+	}
+	for _, o := range done[1:] {
+		if err := merged.Merge(o.res); err != nil {
+			return nil, err
+		}
+	}
+	return merged, nil
 }
 
 // claim runs unclaimed segments until none is left or the context ends.
@@ -194,8 +226,12 @@ func (x *execution) claim() {
 		if i >= len(x.segs) {
 			return
 		}
-		q := x.queries[i]
-		x.outcomes[i].res, x.outcomes[i].err = x.e.executeSegmentCached(x.ctx, x.segs[i], q, x.cacheKeys[q], x.schema)
+		q, o := x.queries[i], &x.outcomes[i]
+		if x.cols != nil {
+			o.res, o.err = executeSegment(x.ctx, x.segs[i], q, x.schema, x.cols, x.hidden, x.e.Options)
+		} else {
+			o.res, o.err = x.e.executeSegmentCached(x.ctx, x.segs[i], q, x.cacheKeys[q], x.schema)
+		}
 	}
 }
 

@@ -23,6 +23,13 @@ type IndexedSegment struct {
 // block boundaries, so a cancelled query stops within ~blockSize matched
 // docs of ctx.Done().
 func ExecuteSegment(ctx context.Context, is IndexedSegment, q *pql.Query, tableSchema *segment.Schema, opt Options) (*Intermediate, error) {
+	return executeSegment(ctx, is, q, tableSchema, nil, 0, opt)
+}
+
+// executeSegment is ExecuteSegment given a selection's columns and hidden
+// count (selectionColumns), or nil columns to derive them here from the
+// table's schema, else the segment's.
+func executeSegment(ctx context.Context, is IndexedSegment, q *pql.Query, tableSchema *segment.Schema, cols []string, hidden int, opt Options) (*Intermediate, error) {
 	env := newExecEnv(ctx, is.Seg.Name())
 	if err := env.checkpoint(); err != nil {
 		return nil, err
@@ -40,7 +47,14 @@ func ExecuteSegment(ctx context.Context, is IndexedSegment, q *pql.Query, tableS
 			}
 			return executeGroupBy(env, cs, is, q, inputs, exprs, opt)
 		}
-		return executeSelection(env, cs, is, q, opt)
+		if cols == nil {
+			schema := tableSchema
+			if schema == nil {
+				schema = is.Seg.Schema()
+			}
+			cols, hidden = selectionColumns(q, schema)
+		}
+		return executeSelection(env, cs, is, q, cols, hidden, opt)
 	}
 	res, err := run()
 	if err != nil {
@@ -231,22 +245,27 @@ func selectionColumns(q *pql.Query, schema *segment.Schema) (cols []string, hidd
 	return cols, hidden
 }
 
-func executeSelection(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Query, opt Options) (*Intermediate, error) {
-	schema := is.Seg.Schema()
-	if cs.schema != nil {
-		schema = cs.schema
-	}
-	cols, hidden := selectionColumns(q, schema)
+// executeSelection fills a Selection from the documents a segment's filter
+// matches, block by block, each column read in one batch. cols and hidden
+// are the query's selectionColumns, computed once for all its segments.
+func executeSelection(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Query, cols []string, hidden int, opt Options) (*Intermediate, error) {
 	out := &Intermediate{Kind: KindSelection, SelectCols: cols, HiddenCols: hidden}
 	out.Stats = baseStats(is.Seg)
 
-	readers := make([]segment.ColumnReader, len(cols))
+	sc := getScratch()
+	defer sc.release()
+	readers := sc.readerBuf(len(cols))
 	for i, name := range cols {
 		col, err := cs.column(name)
 		if err != nil {
 			return nil, err
 		}
 		readers[i] = col
+	}
+	for _, o := range q.OrderBy {
+		if c := slices.Index(cols, o.Column); c >= 0 && !readers[c].Spec().SingleValue {
+			return nil, fmt.Errorf("query: ORDER BY on multi-value column %q is not supported", o.Column)
+		}
 	}
 	set, err := buildFilter(env, cs, q.Filter, opt, &out.Stats)
 	if err != nil {
@@ -255,20 +274,14 @@ func executeSelection(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Q
 	// Keep enough rows for the broker to apply offset+limit after the
 	// merge. Without ORDER BY the first rows win; with ORDER BY rows are
 	// re-sorted at finalize, so each segment contributes its best
-	// offset+limit rows (a superset of what could be needed).
+	// offset+limit rows (a superset of what could be needed). Without ORDER
+	// BY the block demand is capped at the rows still needed: with the
+	// exact-fill nextBlock contract the segment walks no document past the
+	// last row it keeps.
 	keep := q.Offset + q.Limit
 	needAll := len(q.OrderBy) > 0
-	// Rows of each block share one []any arena, allocated fresh per block
-	// (retained rows alias it, so it is never reused, unlike the pooled
-	// scratch the columns decode through) and filled column-major so each
-	// column decodes in one batch. Without ORDER BY the block demand is
-	// capped at the rows still needed: with the exact-fill nextBlock contract
-	// the segment walks no document past the last row it keeps.
-	sc := getScratch()
-	defer sc.release()
 	it := set.iterator(sc)
-	width := len(readers)
-	var mvBuf []int
+	var rows *Selection
 	var docs int64
 	for {
 		if err := env.checkpoint(); err != nil {
@@ -276,13 +289,7 @@ func executeSelection(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Q
 		}
 		want := blockSize
 		if !needAll {
-			want = keep - len(out.Rows)
-			if want < 1 {
-				want = 1
-			}
-			if want > blockSize {
-				want = blockSize
-			}
+			want = min(max(keep-rows.Len(), 1), blockSize)
 		}
 		block := sc.docBuf(want)
 		n := it.nextBlock(block)
@@ -290,62 +297,29 @@ func executeSelection(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Q
 			break
 		}
 		docs += int64(n)
-		block = block[:n]
-		arena := make([]any, n*width)
-		for c, col := range readers {
-			f := col.Spec()
-			switch {
-			case f.Kind == segment.Metric && f.Type.Integral():
-				vs := sc.longBuf(n)
-				col.Longs(block, vs)
-				for i, v := range vs {
-					arena[i*width+c] = v
-				}
-			case f.Kind == segment.Metric:
-				vs := sc.doubleBuf(n)
-				col.Doubles(block, vs)
-				for i, v := range vs {
-					arena[i*width+c] = v
-				}
-			case f.SingleValue:
-				vs := sc.idBuf(0, n)
-				col.DictIDs(block, vs)
-				for i, id := range vs {
-					arena[i*width+c] = col.Value(int(id))
-				}
-			default:
-				for i, doc := range block {
-					mvBuf = col.DictIDsMV(doc, mvBuf[:0])
-					vals := make([]any, len(mvBuf))
-					for j, id := range mvBuf {
-						vals[j] = col.Value(id)
-					}
-					arena[i*width+c] = vals
-				}
-			}
+		if rows == nil {
+			rows = newSelection(readers)
 		}
-		for i := 0; i < n; i++ {
-			out.Rows = append(out.Rows, arena[i*width:(i+1)*width:(i+1)*width])
-		}
-		if !needAll && len(out.Rows) >= keep {
+		rows.appendBlock(readers, block[:n], sc)
+		if !needAll && rows.n >= keep {
 			break
 		}
-		if needAll && len(out.Rows) > 4*keep {
+		if needAll && rows.n > 4*keep {
 			// Prune: sort and keep the best rows so memory stays bounded on
 			// large matches.
-			tmp := &Intermediate{Kind: KindSelection, SelectCols: out.SelectCols, Rows: out.Rows}
-			pruneQ := *q
-			pruneQ.Offset, pruneQ.Limit = 0, keep
-			out.Rows = tmp.Finalize(&pruneQ).Rows
+			rows = rows.take(rows.order(q.OrderBy, cols)[:keep])
 		}
 	}
 	// The early-exit break (LIMIT satisfied) skips this on purpose: rows
 	// already kept are valid even when a later candidate's expression filter
 	// latched an error.
-	if len(out.Rows) < keep || needAll {
+	if rows.Len() < keep || needAll {
 		if err := env.checkpoint(); err != nil {
 			return nil, err
 		}
+	}
+	if rows.Len() > 0 {
+		out.Selection = rows
 	}
 	out.Stats.NumDocsScanned = docs
 	out.Stats.NumEntriesScanned += docs * int64(len(readers))

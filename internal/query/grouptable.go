@@ -204,24 +204,31 @@ func typedDict(col segment.ColumnReader) (strs []string, longs []int64) {
 // for; strings alias the dictionary's.
 func (k *keyColumn) decodeDict(col segment.ColumnReader) {
 	ids := k.nums
+	k.kind, k.nums = keyUnset, ids[:0]
+	appendDict(k, col, ids)
+	if k.kind == keyString {
+		k.nums = nil
+	}
+}
+
+// appendDict appends the values of a column's dictionary ids to k, taking
+// them from the dictionary's own slice through typedDict when it has one;
+// only another reader (doubles, bools, a default column) boxes its values,
+// the first of which sets the column's kind. ids may be k.nums' own backing
+// array from row len(k.nums) on: value i is written after id i is read.
+func appendDict[I ~int | ~uint32 | ~uint64](k *keyColumn, col segment.ColumnReader, ids []I) {
 	switch strs, longs := typedDict(col); {
 	case strs != nil:
-		k.kind, k.nums, k.strs = keyString, nil, make([]string, len(ids))
-		for i, id := range ids {
-			k.strs[i] = strs[id]
+		k.kind, k.strs = keyString, slices.Grow(k.strs, len(ids))
+		for _, id := range ids {
+			k.strs = append(k.strs, strs[id])
 		}
 	case longs != nil:
-		k.kind = keyLong
-		for i, id := range ids {
-			ids[i] = uint64(longs[id])
+		k.kind, k.nums = keyLong, slices.Grow(k.nums, len(ids))
+		for _, id := range ids {
+			k.nums = append(k.nums, uint64(longs[id]))
 		}
 	default:
-		// Any other reader boxes its values; the first sets the column's
-		// kind. Value i overwrites id i, which the loop has read by then.
-		k.kind, k.nums = keyUnset, ids[:0]
-		if col.Spec().Type == segment.TypeString {
-			k.strs = make([]string, 0, len(ids))
-		}
 		for _, id := range ids {
 			_ = k.appendValue(col.Value(int(id))) // a dictionary holds one of the four key types
 		}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"sort"
 
 	"pinot/internal/pql"
 	"pinot/internal/segment"
@@ -15,9 +16,10 @@ import (
 // tests the filter on them — multi-value columns by contains-any, NOT on
 // documents, expressions through the row reference (rowref_test.go) — and
 // folds each match into a GroupTable by upsert and accumulateRow, or keeps
-// it as a selection row.
-// Merge and Finalize are the engine's; buildFilter, docids.go, the scan
-// cursor and vexec.go's kernels and groupers are never called.
+// it as a boxed selection row. An aggregation's Merge and Finalize are the
+// engine's; a selection's rows are sorted and cut by selectRows, not by
+// Finalize. buildFilter, docids.go, the scan cursor, vexec.go's kernels and
+// groupers and the Selection columns are never used.
 type Oracle struct {
 	segs   []IndexedSegment
 	schema *segment.Schema
@@ -45,21 +47,71 @@ func (o *Oracle) Answer(pqlText string) (*Result, error) {
 		return nil, err
 	}
 	merged := EmptyIntermediate(q, o.schema)
+	var rows [][]any
 	for i, is := range o.segs {
-		res, err := o.segment(q, is.Seg)
+		res, segRows, err := o.segment(q, is.Seg)
 		if err != nil {
 			return nil, err
 		}
+		rows = append(rows, segRows...)
 		if i == 0 {
 			merged = res
 		} else if err := merged.Merge(res); err != nil {
 			return nil, err
 		}
 	}
-	return merged.Finalize(q), nil
+	res := merged.Finalize(q)
+	if merged.Kind == KindSelection {
+		res.Rows = selectRows(q, merged.SelectCols, merged.HiddenCols, rows)
+	}
+	return res, nil
 }
 
-func (o *Oracle) segment(q *pql.Query, seg segment.Reader) (*Intermediate, error) {
+// selectRows finalizes a selection's boxed rows: sorted stably by ORDER BY,
+// segment.CompareValues comparing each key, then cut by OFFSET and LIMIT,
+// then the hidden columns dropped.
+func selectRows(q *pql.Query, cols []string, hidden int, rows [][]any) [][]any {
+	if len(q.OrderBy) > 0 {
+		var idx []int
+		var desc []bool
+		for _, o := range q.OrderBy {
+			for i, c := range cols {
+				if c == o.Column {
+					idx = append(idx, i)
+					desc = append(desc, o.Descending)
+					break
+				}
+			}
+		}
+		sort.SliceStable(rows, func(a, b int) bool {
+			for k, i := range idx {
+				c := segment.CompareValues(rows[a][i], rows[b][i])
+				if c == 0 {
+					continue
+				}
+				if desc[k] {
+					return c > 0
+				}
+				return c < 0
+			}
+			return false
+		})
+	}
+	if q.Offset >= len(rows) {
+		return nil
+	}
+	rows = rows[q.Offset:]
+	if len(rows) > q.Limit {
+		rows = rows[:q.Limit]
+	}
+	out := make([][]any, len(rows))
+	for i, row := range rows {
+		out[i] = row[:len(cols)-hidden]
+	}
+	return out
+}
+
+func (o *Oracle) segment(q *pql.Query, seg segment.Reader) (*Intermediate, [][]any, error) {
 	match, err := o.filter(seg, q.Filter)
 	out := &Intermediate{Kind: KindSelection, Stats: baseStats(seg)}
 	var keys, reads []func(doc int) any // group keys; aggregate inputs or selected columns
@@ -97,11 +149,12 @@ func (o *Oracle) segment(q *pql.Query, seg segment.Reader) (*Intermediate, error
 		}
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Without ORDER BY a segment keeps its first offset+limit rows; with it,
-	// every row, and Finalize sorts stably, so ties keep document order.
+	// every row, and selectRows sorts stably, so ties keep document order.
 	keep, needAll, t := q.Offset+q.Limit, len(q.OrderBy) > 0, out.Groups
+	var rows [][]any
 	values := make([]any, len(keys))
 	for doc := 0; doc < seg.NumDocs(); doc++ {
 		if !match(doc) {
@@ -114,7 +167,7 @@ func (o *Oracle) segment(q *pql.Query, seg segment.Reader) (*Intermediate, error
 			for i, read := range reads {
 				row[i] = read(doc)
 			}
-			if out.Rows = append(out.Rows, row); !needAll && len(out.Rows) >= keep {
+			if rows = append(rows, row); !needAll && len(rows) >= keep {
 				break
 			}
 			continue
@@ -125,14 +178,14 @@ func (o *Oracle) segment(q *pql.Query, seg segment.Reader) (*Intermediate, error
 				values[i] = key(doc)
 			}
 			if ord, err = t.upsert(values); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		for i, read := range reads {
 			accumulateRow(&t.aggs[i], ord, read(doc))
 		}
 	}
-	return out, o.err
+	return out, rows, o.err
 }
 
 // column returns a column of seg: its spec and every document's value, a

@@ -26,12 +26,17 @@ type idSet struct {
 	lookup []bool    // membership table for list form, len card
 }
 
+// idSetFromRanges returns the set of the non-empty ranges, kept in the
+// slice they arrived in.
 func idSetFromRanges(card int, ranges ...idRange) *idSet {
-	var keep []idRange
+	keep := ranges[:0]
 	for _, r := range ranges {
 		if r.Hi > r.Lo {
 			keep = append(keep, r)
 		}
+	}
+	if len(keep) == 0 {
+		keep = nil
 	}
 	return &idSet{card: card, ranges: keep}
 }

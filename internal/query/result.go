@@ -2,11 +2,9 @@ package query
 
 import (
 	"fmt"
-	"sort"
 
 	"pinot/internal/pql"
 	"pinot/internal/qctx"
-	"pinot/internal/segment"
 )
 
 // Stats are the execution statistics attached to query responses, mirroring
@@ -98,10 +96,12 @@ type Intermediate struct {
 	Groups     *GroupTable
 	SelectCols []string
 	// HiddenCols counts trailing SelectCols fetched only for ORDER BY;
-	// they are dropped from the final result after sorting.
+	// Finalize sorts by them and never boxes them.
 	HiddenCols int
-	Rows       [][]any
-	Stats      Stats
+	// Selection is a selection's rows, one typed column per SelectCols entry
+	// (selection.go); nil when there is none.
+	Selection *Selection
+	Stats     Stats
 }
 
 // NewAggIntermediate returns the result of an aggregation without GROUP BY
@@ -131,7 +131,9 @@ func (r *Intermediate) Merge(o *Intermediate) error {
 		}
 		return r.Groups.merge(o.Groups)
 	case KindSelection:
-		r.Rows = append(r.Rows, o.Rows...)
+		var err error
+		r.Selection, err = r.Selection.appendRows(o.Selection)
+		return err
 	}
 	return nil
 }
@@ -170,11 +172,7 @@ func (r *Intermediate) Conforms(q *pql.Query) error {
 			return fmt.Errorf("query: aggregation without GROUP BY of %d rows, want 1", t.Len())
 		}
 	case KindSelection:
-		for i, row := range r.Rows {
-			if len(row) != len(r.SelectCols) {
-				return fmt.Errorf("query: row %d has %d values for %d columns", i, len(row), len(r.SelectCols))
-			}
-		}
+		return r.Selection.conforms(len(r.SelectCols))
 	}
 	return nil
 }
@@ -212,52 +210,9 @@ func (r *Intermediate) Finalize(q *pql.Query) *Result {
 		}
 		out.Rows = r.Groups.top(top)
 	case KindSelection:
-		out.Columns = r.SelectCols
-		rows := r.Rows
 		visible := len(r.SelectCols) - r.HiddenCols
-		if len(q.OrderBy) > 0 {
-			idx := make([]int, 0, len(q.OrderBy))
-			desc := make([]bool, 0, len(q.OrderBy))
-			for _, o := range q.OrderBy {
-				for i, c := range r.SelectCols {
-					if c == o.Column {
-						idx = append(idx, i)
-						desc = append(desc, o.Descending)
-						break
-					}
-				}
-			}
-			sort.SliceStable(rows, func(a, b int) bool {
-				for k, i := range idx {
-					c := segment.CompareValues(rows[a][i], rows[b][i])
-					if c == 0 {
-						continue
-					}
-					if desc[k] {
-						return c > 0
-					}
-					return c < 0
-				}
-				return false
-			})
-		}
-		if q.Offset < len(rows) {
-			rows = rows[q.Offset:]
-		} else {
-			rows = nil
-		}
-		if q.Limit >= 0 && len(rows) > q.Limit {
-			rows = rows[:q.Limit]
-		}
-		if r.HiddenCols > 0 {
-			out.Columns = r.SelectCols[:visible]
-			trimmed := make([][]any, len(rows))
-			for i, row := range rows {
-				trimmed[i] = row[:visible]
-			}
-			rows = trimmed
-		}
-		out.Rows = rows
+		out.Columns = r.SelectCols[:visible]
+		out.Rows = r.Selection.rows(q, r.SelectCols, visible)
 	}
 	return out
 }

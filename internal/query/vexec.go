@@ -37,6 +37,10 @@ type blockScratch struct {
 	doubles []float64
 	ords    []uint32
 	u32s    []uint32
+	// mv holds one multi-value document's dict ids; readers the columns a
+	// selection reads.
+	mv      []int
+	readers []segment.ColumnReader
 	// packed is the packedGrouper's index, kept between executions for its
 	// buckets (emptied on release, dropped when a query left it large).
 	packed map[uint64]uint32
@@ -60,6 +64,7 @@ func (s *blockScratch) release() {
 		s.packed = nil
 	}
 	clear(s.packed)
+	clear(s.readers)
 	for _, c := range s.cursors[:s.cursorsOut] {
 		c.leaf = nil
 	}
@@ -95,6 +100,11 @@ func sized[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
+}
+
+func (s *blockScratch) readerBuf(n int) []segment.ColumnReader {
+	s.readers = sized(s.readers, n)
+	return s.readers
 }
 
 func (s *blockScratch) docBuf(n int) []int {

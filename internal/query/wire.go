@@ -19,26 +19,30 @@ import (
 // DecodeIntermediate). DESIGN.md ("Network transport") has the layout field
 // by field; what is particular to this file:
 //
-//   - a query's expressions and literals are the intermediate's expression
-//     and cell codec; the decoder makes each node of a query through the
-//     constructors the parser builds with, in their Strict form (pql.Builder),
-//     so a server executes only a tree Parse could have built;
-//   - a zero count decodes to a nil slice, map or group table (which Merge,
-//     Finalize and Conforms accept), except that an empty multi-value cell
-//     stays []any{} so it keeps rendering as [] not null;
+//   - a query's expressions and literals and an intermediate's aggregations
+//     share one expression and cell codec; the decoder makes each node
+//     through the constructors the parser builds with, in their Strict form
+//     (pql.Builder), so a server executes, and a broker merges, only a tree
+//     Parse could have built;
+//   - a zero count decodes to a nil slice, map, group table or selection
+//     (which Merge, Finalize and Conforms accept);
 //   - an aggregation travels as the columns of its GroupTable: one per GROUP
 //     BY item (none without GROUP BY, whose table is one row) and one per
 //     carried state field, each a count and then its values, strings as one
 //     run of bytes and their lengths. Decoding one costs a handful of
 //     allocations per column, whatever the number of groups, and no key string
 //     exists anywhere;
-//   - selection rows decode into one slab sized from a declared total;
+//   - a selection travels as its Selection: the row count, then per column
+//     the same key-column codec (a multi-value column's values end to end,
+//     then each row's length). Every count is checked against the declared
+//     row count and the bytes that remain before anything is allocated, and
+//     no cell is boxed: Finalize boxes the rows it returns;
 //   - nothing decoded aliases the input: a decoded Intermediate is private to
 //     its caller, which may Merge into it and Finalize it.
 
-// Tags of a dynamically typed cell (selection cells, literals): exactly the
-// five concrete types the engine puts into an `any`. The first four are also
-// the tags of a group table's key columns (keyKind).
+// Tags of a dynamically typed cell (a literal): exactly the five concrete
+// types the engine puts into an `any`. The first four are also the tags of a
+// key column (keyKind), a group table's or a selection's.
 const (
 	cellInt64   = 1 // zigzag varint
 	cellFloat64 = 2 // 8 bytes, IEEE bits
@@ -282,24 +286,7 @@ func appendGroupTable(e *wire.Encoder, r *Intermediate) {
 		return
 	}
 	for c := range t.keys {
-		k := &t.keys[c]
-		e.Raw(byte(k.kind))
-		switch k.kind {
-		case keyString:
-			appendLists(e, k.strs, func(s string) { e.Chars(s) })
-		case keyLong, keyBool:
-			e.Count(t.n)
-			for _, v := range k.nums {
-				e.Varint(int64(v))
-			}
-		case keyDouble:
-			e.Count(t.n)
-			for _, v := range k.nums {
-				e.Float(math.Float64frombits(v))
-			}
-		default:
-			e.Fail("group key column %d is %v", c, k.kind)
-		}
+		appendKeyColumn(e, &t.keys[c], t.n)
 	}
 	for a := range t.aggs {
 		c := &t.aggs[a]
@@ -347,6 +334,56 @@ func appendGroupTable(e *wire.Encoder, r *Intermediate) {
 	}
 }
 
+// appendKeyColumn appends a key column of n values: its kind, then the
+// values, a run that opens with its count (strings as appendLists writes
+// them). A column with no value may have no kind.
+func appendKeyColumn(e *wire.Encoder, k *keyColumn, n int) {
+	e.Raw(byte(k.kind))
+	switch k.kind {
+	case keyString:
+		appendLists(e, k.strs, func(s string) { e.Chars(s) })
+	case keyLong, keyBool:
+		e.Count(n)
+		for _, v := range k.nums {
+			e.Varint(int64(v))
+		}
+	case keyDouble:
+		e.Count(n)
+		for _, v := range k.nums {
+			e.Float(math.Float64frombits(v))
+		}
+	default:
+		if n > 0 {
+			e.Fail("key column of %d values is %v", n, k.kind)
+		}
+	}
+}
+
+// appendSelection appends a selection: its row count (zero ends it), then
+// per column whether it is multi-value and its values as a key column; a
+// multi-value column's values are every row's end to end, their total
+// first, and its row lengths follow them.
+func appendSelection(e *wire.Encoder, s *Selection) {
+	e.Count(s.Len())
+	if s.Len() == 0 {
+		return
+	}
+	for c := range s.cols {
+		k := &s.cols[c]
+		offs := s.rowOffs(c)
+		e.Bool(offs != nil)
+		if offs == nil {
+			appendKeyColumn(e, k, s.n)
+			continue
+		}
+		e.Count(k.len())
+		appendKeyColumn(e, k, k.len())
+		for i := 0; i < s.n; i++ {
+			e.Count(offs[i+1] - offs[i])
+		}
+	}
+}
+
 func appendFloats(e *wire.Encoder, vs []float64) {
 	e.Count(len(vs))
 	for _, v := range vs {
@@ -386,18 +423,10 @@ func AppendIntermediate(e *wire.Encoder, r *Intermediate) {
 
 	e.Strs(r.SelectCols)
 	e.Varint(int64(r.HiddenCols))
-	cells := 0
-	for _, row := range r.Rows {
-		cells += len(row)
+	if r.Selection.Len() > 0 && len(r.Selection.cols) != len(r.SelectCols) {
+		e.Fail("selection of %d columns under %d select columns", len(r.Selection.cols), len(r.SelectCols))
 	}
-	e.Count(len(r.Rows))
-	e.Count(cells)
-	for _, row := range r.Rows {
-		e.Count(len(row))
-		for _, v := range row {
-			appendCell(e, v, 0)
-		}
-	}
+	appendSelection(e, r.Selection)
 	AppendStats(e, &r.Stats)
 }
 
@@ -473,26 +502,18 @@ func readCell(d *wire.Decoder, depth int) any {
 	}
 }
 
-// readCells fills dst, a window of a slab the caller sized from a checked count.
-func readCells(d *wire.Decoder, dst []any) {
-	for i := range dst {
-		dst[i] = readCell(d, 0)
-	}
-}
-
 // strict makes every node of a query the decoder reads, refusing what the
 // parser would have rewritten, so a tree Parse could not have built fails
 // the decode.
 var strict = &pql.Builder{Strict: true}
 
-// readExpr reads an expression tree: a query's made node by node by strict,
-// an intermediate's (b nil) taken as it was written.
-func readExpr(d *wire.Decoder, b *pql.Builder, depth int) pql.Expr {
-	return readNode(d, b, d.Byte(), depth)
+// readExpr reads an expression tree, made node by node by strict.
+func readExpr(d *wire.Decoder, depth int) pql.Expr {
+	return readNode(d, d.Byte(), depth)
 }
 
 // readNode reads an expression node whose tag is read.
-func readNode(d *wire.Decoder, b *pql.Builder, tag byte, depth int) pql.Expr {
+func readNode(d *wire.Decoder, tag byte, depth int) pql.Expr {
 	if depth >= wire.MaxNesting {
 		d.Fail("expression nested deeper than %d", wire.MaxNesting)
 		return nil
@@ -503,38 +524,23 @@ func readNode(d *wire.Decoder, b *pql.Builder, tag byte, depth int) pql.Expr {
 	case exprNil:
 		return nil
 	case exprColumn:
-		name := d.Str()
-		if b == nil {
-			return pql.ColumnRef{Name: name}
-		}
-		e, err = b.Column(name)
+		e, err = strict.Column(d.Str())
 	case exprLit:
-		v := readCell(d, depth+1)
-		if b == nil {
-			return pql.Literal{Value: v}
-		}
-		e, err = b.Lit(v)
+		e, err = strict.Lit(readCell(d, depth+1))
 	case exprArith:
 		op := readName(d, pql.OpAdd, pql.OpSub, pql.OpMul, pql.OpDiv)
-		l := readExpr(d, b, depth+1)
-		r := readExpr(d, b, depth+1)
-		if b == nil {
-			return pql.Arith{Op: op, L: l, R: r}
-		}
-		e, err = b.Arith(op, l, r)
+		l := readExpr(d, depth+1)
+		e, err = strict.Arith(op, l, readExpr(d, depth+1))
 	case exprCall:
 		name := d.Str()
 		var args []pql.Expr
 		if n := d.Count(1); n > 0 {
 			args = make([]pql.Expr, n)
 			for i := range args {
-				args[i] = readExpr(d, b, depth+1)
+				args[i] = readExpr(d, depth+1)
 			}
 		}
-		if b == nil {
-			return pql.Call{Name: name, Args: args}
-		}
-		e, err = b.Call(name, args)
+		e, err = strict.Call(name, args)
 	default:
 		d.Fail("unknown expression tag %d", tag)
 		return nil
@@ -550,20 +556,18 @@ func refuse(d *wire.Decoder, err error) {
 	}
 }
 
-// readExpression reverses appendExpression. A query's select item is made
-// by strict; an intermediate's (b nil) is taken as it was written.
-func readExpression(d *wire.Decoder, b *pql.Builder, x *pql.Expression) {
+// readExpression reverses appendExpression: a query's select item or an
+// intermediate's aggregation, made by strict either way.
+func readExpression(d *wire.Decoder, x *pql.Expression) {
 	x.IsAgg = d.Bool()
 	x.Func = readName(d, pql.Count, pql.Sum, pql.Min, pql.Max, pql.Avg, pql.DistinctCount)
 	x.Column = d.Str()
-	x.Arg = readExpr(d, b, 0)
-	if b != nil {
-		built, err := b.Item(x.Func, x.Column, x.Arg)
-		if err == nil && built.IsAgg != x.IsAgg {
-			err = fmt.Errorf("select item %v carries IsAgg %v", built, x.IsAgg)
-		}
-		refuse(d, err)
+	x.Arg = readExpr(d, 0)
+	built, err := strict.Item(x.Func, x.Column, x.Arg)
+	if err == nil && built.IsAgg != x.IsAgg {
+		err = fmt.Errorf("select item %v carries IsAgg %v", built, x.IsAgg)
 	}
+	refuse(d, err)
 }
 
 // readPred reads a query's filter tree, made node by node by strict.
@@ -605,11 +609,11 @@ func readPred(d *wire.Decoder, depth int) pql.Predicate {
 		if tag := d.Byte(); tag == exprColumn {
 			col := d.Str()
 			op := readName(d, pql.CompareOps[:]...)
-			p, err = strict.CompareColumn(col, op, readExpr(d, strict, depth+1))
+			p, err = strict.CompareColumn(col, op, readExpr(d, depth+1))
 		} else {
-			lhs := readNode(d, strict, tag, depth+1)
+			lhs := readNode(d, tag, depth+1)
 			op := readName(d, pql.CompareOps[:]...)
-			p, err = strict.Compare(lhs, op, readExpr(d, strict, depth+1))
+			p, err = strict.Compare(lhs, op, readExpr(d, depth+1))
 		}
 	default:
 		d.Fail("unknown predicate tag %d", tag)
@@ -641,7 +645,7 @@ func ReadQuery(d *wire.Decoder) *pql.Query {
 	if n := d.Count(minExprBytes); n > 0 {
 		q.Select = make([]pql.Expression, n)
 		for i := range q.Select {
-			readExpression(d, strict, &q.Select[i])
+			readExpression(d, &q.Select[i])
 		}
 	}
 	q.Filter = readPred(d, 0)
@@ -650,7 +654,7 @@ func ReadQuery(d *wire.Decoder) *pql.Query {
 	if n := d.Count(1); n > 0 {
 		q.GroupByExprs = make([]pql.Expr, n)
 		for i := range q.GroupByExprs {
-			q.GroupByExprs[i] = readExpr(d, strict, 0)
+			q.GroupByExprs[i] = readExpr(d, 0)
 		}
 	}
 	if n := d.Count(2); n > 0 {
@@ -719,6 +723,72 @@ func readSizes(d *wire.Decoder, n, total int, window func(row, size int)) {
 	}
 }
 
+// readKeyColumn reverses appendKeyColumn for a column that must hold n
+// values.
+func readKeyColumn(d *wire.Decoder, k *keyColumn, n int) {
+	switch k.kind = keyKind(d.Byte()); k.kind {
+	case keyString:
+		// One backing string for the column; each value is a window of it.
+		if all := d.Str(); readColumn(d, n, 1) {
+			k.strs = make([]string, n)
+			readSizes(d, n, len(all), func(i, size int) { k.strs[i], all = all[:size], all[size:] })
+		}
+	case keyLong, keyBool, keyDouble:
+		width := 1
+		if k.kind == keyDouble {
+			width = 8
+		}
+		if !readColumn(d, n, width) {
+			break
+		}
+		k.nums = make([]uint64, n)
+		for i := range k.nums {
+			if k.kind == keyDouble {
+				k.nums[i] = doubleBits(d.Float())
+			} else if k.nums[i] = uint64(d.Varint()); k.kind == keyBool && k.nums[i] > 1 {
+				d.Fail("bool key %d", k.nums[i])
+			}
+		}
+	default:
+		if k.kind != keyUnset || n > 0 {
+			d.Fail("unknown key column kind %d", k.kind)
+		}
+	}
+}
+
+// readSelection reverses appendSelection for a selection of ncols columns.
+func readSelection(d *wire.Decoder, ncols int) *Selection {
+	n := d.Count(1)
+	if n == 0 {
+		return nil
+	}
+	// Every column is at least a byte a row: a value, or a row length.
+	if ncols == 0 || ncols > d.Remaining()/n {
+		d.Fail("%d rows of %d columns in the %d bytes that remain", n, ncols, d.Remaining())
+		return nil
+	}
+	s := &Selection{cols: make([]keyColumn, ncols), n: n}
+	for c := range s.cols {
+		k := &s.cols[c]
+		if !d.Bool() {
+			readKeyColumn(d, k, n)
+			continue
+		}
+		total := d.Count(1)
+		readKeyColumn(d, k, total)
+		if s.offs == nil {
+			s.offs = make([][]int, ncols)
+		}
+		offs := make([]int, 1, n+1)
+		readSizes(d, n, total, func(_, size int) { offs = append(offs, offs[len(offs)-1]+size) })
+		s.offs[c] = offs
+	}
+	if d.Err() != nil {
+		return nil
+	}
+	return s
+}
+
 // readGroupTable reverses appendGroupTable; the table's shape is the one
 // r.GroupCols and r.AggExprs, already read, declare.
 func readGroupTable(d *wire.Decoder, r *Intermediate) *GroupTable {
@@ -734,33 +804,7 @@ func readGroupTable(d *wire.Decoder, r *Intermediate) *GroupTable {
 	}
 	t := &GroupTable{keys: make([]keyColumn, len(r.GroupCols)), aggs: make([]aggColumn, len(r.AggExprs)), n: n}
 	for c := range t.keys {
-		k := &t.keys[c]
-		switch k.kind = keyKind(d.Byte()); k.kind {
-		case keyString:
-			// One backing string for the column; each value is a window of it.
-			if all := d.Str(); readColumn(d, n, 1) {
-				k.strs = make([]string, n)
-				readSizes(d, n, len(all), func(i, size int) { k.strs[i], all = all[:size], all[size:] })
-			}
-		case keyLong, keyBool, keyDouble:
-			width := 1
-			if k.kind == keyDouble {
-				width = 8
-			}
-			if !readColumn(d, n, width) {
-				break
-			}
-			k.nums = make([]uint64, n)
-			for i := range k.nums {
-				if k.kind == keyDouble {
-					k.nums[i] = doubleBits(d.Float())
-				} else if k.nums[i] = uint64(d.Varint()); k.kind == keyBool && k.nums[i] > 1 {
-					d.Fail("bool key %d", k.nums[i])
-				}
-			}
-		default:
-			d.Fail("unknown group key kind %d", k.kind)
-		}
+		readKeyColumn(d, &t.keys[c], n)
 	}
 	for a := range t.aggs {
 		c := &t.aggs[a]
@@ -837,7 +881,7 @@ func ReadIntermediate(d *wire.Decoder) *Intermediate {
 	if n := d.Count(minExprBytes); n > 0 {
 		r.AggExprs = make([]pql.Expression, n)
 		for i := range r.AggExprs {
-			readExpression(d, nil, &r.AggExprs[i])
+			readExpression(d, &r.AggExprs[i])
 		}
 	}
 	r.GroupCols = d.Strs()
@@ -845,23 +889,10 @@ func ReadIntermediate(d *wire.Decoder) *Intermediate {
 	r.Groups = readGroupTable(d, r)
 
 	r.SelectCols = d.Strs()
-	r.HiddenCols = d.Int()
-	rows := d.Count(1)
-	arena := make([]any, d.Count(minCellBytes))
-	if rows > 0 {
-		r.Rows = make([][]any, rows)
-		for i := range r.Rows {
-			if n := d.Count(minCellBytes); n > len(arena) {
-				d.Fail("row cells exceed the declared total")
-			} else if n > 0 {
-				r.Rows[i], arena = arena[:n:n], arena[n:]
-				readCells(d, r.Rows[i])
-			}
-		}
+	if r.HiddenCols = d.Int(); r.HiddenCols < 0 || r.HiddenCols > len(r.SelectCols) {
+		d.Fail("%d hidden columns of %d", r.HiddenCols, len(r.SelectCols))
 	}
-	if len(arena) > 0 {
-		d.Fail("row cells fall short of the declared total")
-	}
+	r.Selection = readSelection(d, len(r.SelectCols))
 	ReadStats(d, &r.Stats)
 	return r
 }

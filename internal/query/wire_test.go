@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -17,24 +18,13 @@ import (
 // arguments, an aggregation without GROUP BY (the table of no key column and
 // one row) under every function, and a group-by no row reached.
 func sampleIntermediates() map[string]*Intermediate {
-	selection := &Intermediate{
-		Kind:       KindSelection,
-		SelectCols: []string{"id", "tags", "score", "ok", "ts"},
-		HiddenCols: 1,
-		Rows: [][]any{
-			{int64(7), []any{"a", "b"}, 2.5, true, int64(-3)},
-			{int64(8), []any{}, -0.5, false, int64(900)},
-		},
-		Stats: Stats{NumDocsScanned: 2, NumEntriesScanned: 10, NumSegmentsQueried: 1, SegmentsMatched: 1, TotalDocs: 50},
-	}
+	selection := mustSelection(KindSelection, []string{"id", "tags", "score", "ok", "ts"}, 1,
+		[]any{int64(7), []any{"a", "b"}, 2.5, true, int64(-3)},
+		[]any{int64(8), []any{}, -0.5, false, int64(900)},
+	)
+	selection.Stats = Stats{NumDocsScanned: 2, NumEntriesScanned: 10, NumSegmentsQueried: 1, SegmentsMatched: 1, TotalDocs: 50}
 
-	exprs := []pql.Expression{
-		{IsAgg: true, Func: pql.DistinctCount, Column: "member"},
-		{IsAgg: true, Func: "PERCENTILE95", Column: "(latency * 2)",
-			Arg: pql.Arith{Op: pql.OpMul, L: pql.ColumnRef{Name: "latency"}, R: pql.Literal{Value: int64(2)}}},
-		{IsAgg: true, Func: pql.Max, Column: "abs(delta)",
-			Arg: pql.Call{Name: "abs", Args: []pql.Expr{pql.ColumnRef{Name: "delta"}}}},
-	}
+	exprs := parsedAggs("SELECT DISTINCTCOUNT(member), PERCENTILE95(latency * 2), MAX(abs(delta)) FROM t GROUP BY country")
 	groupBy := &Intermediate{
 		Kind:      KindGroupBy,
 		AggExprs:  exprs,
@@ -52,13 +42,7 @@ func sampleIntermediates() map[string]*Intermediate {
 		groupBy.Groups.SetState(g, 2, AggState{Max: -4, Seen: true})
 	}
 
-	everyFunc := append([]pql.Expression{
-		{IsAgg: true, Func: pql.Count, Column: "*"},
-		{IsAgg: true, Func: pql.Sum, Column: "clicks"},
-		{IsAgg: true, Func: pql.Avg, Column: "clicks"},
-		{IsAgg: true, Func: pql.Min, Column: "rev"},
-		{IsAgg: true, Func: pql.Min, Column: "nothing seen"},
-	}, exprs...)
+	everyFunc := append(parsedAggs("SELECT COUNT(*), SUM(clicks), AVG(clicks), MIN(rev), MIN(nothingSeen) FROM t"), exprs...)
 	agg := NewAggIntermediate(everyFunc)
 	for a, st := range []AggState{
 		{Count: 42}, {Sum: 3.5}, {Sum: -7, Count: 3}, {Min: 0.25, Seen: true}, {Min: math.Inf(1)},
@@ -70,11 +54,41 @@ func sampleIntermediates() map[string]*Intermediate {
 
 	empty := &Intermediate{
 		Kind:      KindGroupBy,
-		AggExprs:  []pql.Expression{{IsAgg: true, Func: pql.Count, Column: "*"}},
+		AggExprs:  parsedAggs("SELECT COUNT(*) FROM t"),
 		GroupCols: []string{"country"},
 		Stats:     Stats{NumSegmentsQueried: 1, TotalDocs: 400},
 	}
 	return map[string]*Intermediate{"selection": selection, "group-by": groupBy, "aggregation": agg, "empty group-by": empty}
+}
+
+// parsedAggs returns the aggregations of a query as Parse builds them: the
+// only trees an intermediate's decoder accepts.
+func parsedAggs(text string) []pql.Expression {
+	q, err := pql.Parse(text)
+	if err != nil {
+		panic(err)
+	}
+	return q.Select
+}
+
+// mustSelection returns an intermediate of the given kind, select columns
+// and hidden count holding rows through AppendRow.
+func mustSelection(kind ResultKind, cols []string, hidden int, rows ...[]any) *Intermediate {
+	r := &Intermediate{Kind: kind, SelectCols: cols, HiddenCols: hidden}
+	for _, row := range rows {
+		if err := r.AppendRow(row...); err != nil {
+			panic(err)
+		}
+	}
+	return r
+}
+
+// boxAll boxes every row of a selection in row order, every column kept.
+func boxAll(s *Selection) [][]any {
+	if s == nil {
+		return nil
+	}
+	return s.rows(&pql.Query{Limit: s.n}, nil, len(s.cols))
 }
 
 // mustUpsert finds or adds the group of a key.
@@ -139,10 +153,6 @@ func TestDecodedIntermediateIsPrivate(t *testing.T) {
 }
 
 func TestEncodeIntermediateRefusesWhatTheLayoutCannotCarry(t *testing.T) {
-	deepCell := any("leaf")
-	for i := 0; i <= wire.MaxNesting; i++ {
-		deepCell = []any{deepCell}
-	}
 	var deepExpr pql.Expr = pql.ColumnRef{Name: "c"}
 	for i := 0; i <= wire.MaxNesting; i++ {
 		deepExpr = pql.Arith{Op: pql.OpAdd, L: deepExpr, R: pql.Literal{Value: int64(1)}}
@@ -151,12 +161,10 @@ func TestEncodeIntermediateRefusesWhatTheLayoutCannotCarry(t *testing.T) {
 		r    *Intermediate
 		want string
 	}{
-		"int cell":         {&Intermediate{Rows: [][]any{{int(1)}}}, "unsupported cell type int"},
-		"nil cell":         {&Intermediate{Rows: [][]any{{nil}}}, "unsupported cell type"},
+		"selection shape":  {&Intermediate{Selection: mustSelection(KindSelection, []string{"a", "b"}, 0, []any{"x", int64(1)}).Selection, SelectCols: []string{"a"}}, "selection of 2 columns under 1"},
 		"group shape":      {&Intermediate{Groups: oneGroup(), GroupCols: []string{"a", "b"}}, "group table of 1 rows, 1 keys"},
 		"no key, two rows": {&Intermediate{Groups: &GroupTable{n: 2}}, "group table of 2 rows, 0 keys"},
 		"group func":       {&Intermediate{Groups: oneGroup(), GroupCols: []string{"a"}, AggExprs: []pql.Expression{{Func: pql.Sum}}}, "state column 0 is COUNT"},
-		"deep cell":        {&Intermediate{Rows: [][]any{{deepCell}}}, "nested deeper"},
 		"deep expr":        {&Intermediate{AggExprs: []pql.Expression{{Arg: deepExpr}}}, "nested deeper"},
 		"expr node":        {&Intermediate{AggExprs: []pql.Expression{{Arg: unknownExpr{}}}}, "unsupported expression node"},
 	} {
@@ -197,12 +205,14 @@ func allocatedBy(fn func()) uint64 {
 // fuzz target and the exhaustive mutation test: no panic, never (nil, nil),
 // allocation linear in the input, and whatever decodes encodes again to bytes
 // that decode to an equal value — a cache can store anything it was able to
-// read. The limit is c*len + k. c: the costliest bytes are the four of an
-// empty aggregation expression over groups, a 56-byte Expression and a
-// 152-byte state column, 53 a byte measured; a key or state column costs 8
-// to 16 bytes a row and a row is at least one byte; a one-member set costs a
-// map slot and its size, 33 a byte measured (TestDecodeAllocationWorstCases
-// builds each). k: the fixed structs and the error.
+// read. The limit is c*len + k. c: the costliest bytes are a one-member
+// set's, a map slot and its size, 33 a byte measured; a key column of one
+// row costs 20 a byte, a selection column of empty strings 16, and the
+// shortest aggregation expression the decoder accepts (a 56-byte Expression,
+// and over the row of no key a 152-byte state column) 12; a key or state
+// column costs 8 to 16 bytes a row and a row is at least one byte
+// (TestDecodeAllocationWorstCases builds each). k: the fixed structs and the
+// error.
 func checkDecode(t *testing.T, data []byte) {
 	t.Helper()
 	var r *Intermediate
@@ -252,8 +262,8 @@ func flatten(r *Intermediate) any {
 		}
 	}
 	cp := *r
-	cp.Groups = nil
-	return []any{cp, groups}
+	cp.Groups, cp.Selection = nil, nil
+	return []any{cp, groups, boxAll(r.Selection)}
 }
 
 // TestDecodeIntermediateSurvivesEveryMutation walks every truncation, every
@@ -293,7 +303,7 @@ func TestDecodeIntermediateSurvivesEveryMutation(t *testing.T) {
 	}
 }
 
-// goldenGroupBy is a version-4 group-by written out by hand, the layout's own
+// goldenGroupBy is a group-by written out by hand, the layout's own
 // pin and the fuzz corpus's first seed (internal/transport's TestGoldenFrames
 // pins a frame with a column of every kind): two groups keyed by a string and
 // an int64, under AVG(a) and MIN(m).
@@ -310,7 +320,7 @@ var goldenGroupBy = []byte{
 	2, 0x40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // AVG sum: 2, 0
 	2, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x7f, 0xf0, 0, 0, 0, 0, 0, 0, // MIN extreme: 2, +Inf
 	2, 1, 0, // MIN seen
-	0, 0, 0, 0, // select cols, hidden cols, rows, cells
+	0, 0, 0, // select cols, hidden cols, rows
 	0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // stats
 }
 
@@ -326,7 +336,7 @@ var goldenAggregation = []byte{
 	1, 84, // COUNT count: 42
 	1, 0x40, 0, 0, 0, 0, 0, 0, 0, // MAX extreme: 2
 	1, 1, // MAX seen
-	0, 0, 0, 0, // select cols, hidden cols, rows, cells
+	0, 0, 0, // select cols, hidden cols, rows
 	0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // stats
 }
 
@@ -376,6 +386,17 @@ func FuzzDecodeIntermediate(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0x80
 		f.Add(flipped)
 	}
+	// A selection of each column kind, single- and multi-value.
+	for _, cell := range []any{int64(-3), 2.5, "s", true} {
+		f.Add(mustEncode(f, mustSelection(KindSelection, []string{"v", "mv"}, 1, []any{cell, []any{cell, cell}}, []any{cell, []any{}})))
+	}
+	// Columns that disagree on the row count are refused.
+	disagree := mustEncode(f, mustSelection(KindSelection, []string{"a", "b"}, 0, []any{int64(1), int64(2)}, []any{int64(3), int64(4)}))
+	disagree = bytes.Replace(disagree, []byte{0, cellInt64, 2, 4, 8}, []byte{0, cellInt64, 1, 4}, 1) // b: one value
+	if _, err := DecodeIntermediate(disagree); err == nil || !strings.Contains(err.Error(), "column of 1 rows") {
+		f.Fatalf("columns of 2 and 1 rows: err = %v", err)
+	}
+	f.Add(disagree)
 	f.Add([]byte{})
 	f.Add([]byte("junk"))
 	f.Fuzz(checkDecode)
@@ -383,16 +404,18 @@ func FuzzDecodeIntermediate(f *testing.F) {
 
 // TestDecodeAllocationWorstCases hand-builds the payloads checkDecode's
 // constants are derived from, each the densest run of its kind, and holds
-// them to the same limit: empty aggregation expressions over a group and over
-// the row of no key, state columns of that row, key columns of one row,
-// one-member sets, and a group count no column backs.
+// them to the same limit: the shortest aggregation expressions the decoder
+// accepts, over no group and over the row of no key, state columns of that
+// row, key columns of one row, one-member sets, a group count no column
+// backs, and a selection's densest columns: empty strings, one-row columns
+// of empty names, and multi-value rows of no value.
 func TestDecodeAllocationWorstCases(t *testing.T) {
 	const n = 2000
 	head := func(e *wire.Encoder, exprs, cols, groups int) {
 		e.Raw(byte(KindGroupBy))
 		e.Count(exprs)
 		for i := 0; i < exprs; i++ {
-			e.Raw(0, 0, 0, exprNil) // not an aggregate, no function, no column, no argument
+			e.Raw(1, 3, 'M', 'I', 'N', 1, 'a', exprNil) // MIN(a)
 		}
 		e.Count(cols)
 		for i := 0; i < cols; i++ {
@@ -404,17 +427,26 @@ func TestDecodeAllocationWorstCases(t *testing.T) {
 		e.Count(0)  // select cols
 		e.Varint(0) // hidden cols
 		e.Count(0)  // rows
-		e.Count(0)  // cells
 		AppendStats(e, &Stats{})
 	}
+	selection := func(e *wire.Encoder, cols, rows int) {
+		e.Raw(byte(KindSelection), 0, 0, 0) // no expression, group column or group
+		e.Strs(make([]string, cols))
+		e.Varint(0)
+		e.Count(rows)
+	}
 	for name, build := range map[string]func(e *wire.Encoder){
-		"empty expressions": func(e *wire.Encoder) {
-			head(e, n, 1, 1)
-			e.Raw(cellBool, 1, 2) // the key column: one row, true
+		"expressions over no group": func(e *wire.Encoder) {
+			head(e, n, 1, 0)
 			tail(e)
 		},
-		"empty expressions over no key": func(e *wire.Encoder) {
+		"expressions over no key": func(e *wire.Encoder) {
 			head(e, n, 0, 1)
+			for i := 0; i < n; i++ {
+				e.Count(1)
+				e.Float(0)
+				e.Raw(1, 0) // MIN's extreme and seen
+			}
 			tail(e)
 		},
 		"functions over no key": func(e *wire.Encoder) {
@@ -427,7 +459,7 @@ func TestDecodeAllocationWorstCases(t *testing.T) {
 			for i := 0; i < n; i++ {
 				e.Bool(true)
 				e.Str(string(funcs[i%len(funcs)]))
-				e.Str("")
+				e.Str("a")
 				e.Raw(exprNil)
 			}
 			e.Count(0) // group cols
@@ -459,6 +491,30 @@ func TestDecodeAllocationWorstCases(t *testing.T) {
 		},
 		"key columns cut short": func(e *wire.Encoder) {
 			head(e, 0, n, 1)
+		},
+		"selection of empty strings": func(e *wire.Encoder) {
+			selection(e, 1, n)
+			e.Bool(false)
+			e.Raw(cellString, 0) // no bytes in all
+			e.Count(n)
+			e.Raw(make([]byte, n)...) // n empty strings
+			AppendStats(e, &Stats{})
+		},
+		"selection columns of one row": func(e *wire.Encoder) {
+			selection(e, n, 1)
+			for i := 0; i < n; i++ {
+				e.Bool(false)
+				e.Raw(cellString, 0, 1, 0) // one empty string
+			}
+			AppendStats(e, &Stats{})
+		},
+		"multi-value rows of no value": func(e *wire.Encoder) {
+			selection(e, 1, n)
+			e.Bool(true)
+			e.Count(0)            // no value in all
+			e.Raw(byte(keyUnset)) // so no value type
+			e.Raw(make([]byte, n)...)
+			AppendStats(e, &Stats{})
 		},
 		"groups no column backs": func(e *wire.Encoder) {
 			head(e, 0, 1, n)

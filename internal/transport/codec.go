@@ -19,11 +19,21 @@ import (
 // what they keep (strings, the commit blob), so a message never pins the
 // frame buffer it was read from.
 
-func encodeTrace(e *wire.Encoder, t qctx.Trace) {
-	e.Count(len(t))
+// encodeTrace writes the phases charged, in phase order, each as its name
+// and its duration: equal ledgers give equal bytes.
+func encodeTrace(e *wire.Encoder, t *qctx.Trace) {
+	n := 0
+	for _, d := range t {
+		if d != 0 {
+			n++
+		}
+	}
+	e.Count(n)
 	for p, d := range t {
-		e.Str(string(p))
-		e.Varint(int64(d))
+		if d != 0 {
+			e.Str(qctx.Phase(p).String())
+			e.Varint(int64(d))
+		}
 	}
 }
 
@@ -49,7 +59,7 @@ func encodeSegmentFrame(e *wire.Encoder, seq int, res *query.Intermediate) {
 func encodeFinalFrame(e *wire.Encoder, f *FinalFrame) {
 	e.Varint(int64(f.Frames))
 	e.Strs(f.Exceptions)
-	encodeTrace(e, f.Trace)
+	encodeTrace(e, &f.Trace)
 	query.AppendStats(e, &f.Stats)
 }
 
@@ -59,7 +69,7 @@ func encodeQueryResponse(e *wire.Encoder, r *QueryResponse) {
 		query.AppendIntermediate(e, r.Result)
 	}
 	e.Strs(r.Exceptions)
-	encodeTrace(e, r.Trace)
+	encodeTrace(e, &r.Trace)
 }
 
 func encodeConsumedRequest(e *wire.Encoder, r *SegmentConsumedRequest) {
@@ -105,17 +115,20 @@ func finish(d *wire.Decoder) error {
 	return nil
 }
 
-func decodeTrace(d *wire.Decoder) qctx.Trace {
+// decodeTrace reverses encodeTrace into t, refusing a name that is no phase.
+func decodeTrace(d *wire.Decoder, t *qctx.Trace) {
 	n := d.Count(2)
-	if n == 0 {
-		return nil
-	}
-	t := make(qctx.Trace, n)
-	for i := 0; i < n; i++ {
-		p := qctx.Phase(d.Str())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		name, p := d.Bytes(), qctx.Phase(0)
+		for p < qctx.NumPhases && string(name) != p.String() {
+			p++
+		}
+		if p == qctx.NumPhases {
+			d.Fail("unknown trace phase %q", name)
+			return
+		}
 		t[p] = time.Duration(d.Varint())
 	}
-	return t
 }
 
 func decodeQueryRequest(d *wire.Decoder) *QueryRequest {
@@ -134,13 +147,13 @@ func decodeSegmentFrame(d *wire.Decoder) *SegmentFrame {
 	return &SegmentFrame{Seq: d.Int(), Result: query.ReadIntermediate(d)}
 }
 
-func decodeFinalFrame(d *wire.Decoder) *FinalFrame {
-	f := &FinalFrame{Frames: d.Int(), Exceptions: d.Strs(), Trace: decodeTrace(d)}
+func decodeFinalFrame(d *wire.Decoder, f *FinalFrame) {
+	f.Frames, f.Exceptions = d.Int(), d.Strs()
+	decodeTrace(d, &f.Trace)
 	query.ReadStats(d, &f.Stats)
 	if f.Frames < 0 {
 		d.Fail("final frame claims %d segment frames", f.Frames)
 	}
-	return f
 }
 
 func decodeQueryResponse(d *wire.Decoder) *QueryResponse {
@@ -149,7 +162,7 @@ func decodeQueryResponse(d *wire.Decoder) *QueryResponse {
 		r.Result = query.ReadIntermediate(d)
 	}
 	r.Exceptions = d.Strs()
-	r.Trace = decodeTrace(d)
+	decodeTrace(d, &r.Trace)
 	return r
 }
 

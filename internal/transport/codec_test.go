@@ -36,6 +36,7 @@ const (
 	cellInt64, cellFloat64, cellString, cellBool, cellList = 1, 2, 3, 4, 5 // the first four also tag a group key column
 
 	exprNil, exprColumn, exprCall = 0, 1, 4
+	predComparison                = 1
 )
 
 // sampleMessages returns one message of every frame type, several for the
@@ -45,15 +46,7 @@ const (
 // without GROUP BY under every function, a trace, and the four
 // completion-protocol messages.
 func sampleMessages() map[string]any {
-	agg := query.NewAggIntermediate([]pql.Expression{
-		{IsAgg: true, Func: pql.Count, Column: "*"},
-		{IsAgg: true, Func: pql.Sum, Column: "clicks"},
-		{IsAgg: true, Func: pql.Avg, Column: "clicks"},
-		{IsAgg: true, Func: pql.Min, Column: "rev"},
-		{IsAgg: true, Func: pql.Max, Column: "rev"},
-		{IsAgg: true, Func: pql.DistinctCount, Column: "member"},
-		{IsAgg: true, Func: "PERCENTILE95", Column: "latency"},
-	})
+	agg := query.NewAggIntermediate(parsedAggs("SELECT COUNT(*), SUM(clicks), AVG(clicks), MIN(rev), MAX(rev), DISTINCTCOUNT(member), PERCENTILE95(latency) FROM t"))
 	for a, s := range []query.AggState{
 		{Count: 42}, {Sum: 3.5}, {Sum: -7, Count: 3}, {Min: 0.25, Seen: true}, {Max: math.Inf(-1)},
 		{Distinct: map[string]struct{}{"": {}, "m9": {}}}, {Values: []float64{3.5, -1}},
@@ -61,24 +54,13 @@ func sampleMessages() map[string]any {
 		agg.Groups.SetState(0, a, s)
 	}
 
-	selection := &query.Intermediate{
-		Kind:       query.KindSelection,
-		SelectCols: []string{"id", "tags", "score", "ok", "ts"},
-		HiddenCols: 1,
-		Rows: [][]any{
-			{int64(7), []any{"a", "b"}, 2.5, true, int64(-3)},
-			{int64(8), []any{}, -0.5, false, int64(900)},
-		},
-		Stats: query.Stats{NumDocsScanned: 2, NumEntriesScanned: 10, NumSegmentsQueried: 1, SegmentsMatched: 1, TotalDocs: 50},
-	}
+	selection := selectionOf([]string{"id", "tags", "score", "ok", "ts"}, 1,
+		[]any{int64(7), []any{"a", "b"}, 2.5, true, int64(-3)},
+		[]any{int64(8), []any{}, -0.5, false, int64(900)},
+	)
+	selection.Stats = query.Stats{NumDocsScanned: 2, NumEntriesScanned: 10, NumSegmentsQueried: 1, SegmentsMatched: 1, TotalDocs: 50}
 
-	exprs := []pql.Expression{
-		{IsAgg: true, Func: pql.DistinctCount, Column: "member"},
-		{IsAgg: true, Func: "PERCENTILE95", Column: "(latency * 2)",
-			Arg: pql.Arith{Op: pql.OpMul, L: pql.ColumnRef{Name: "latency"}, R: pql.Literal{Value: int64(2)}}},
-		{IsAgg: true, Func: pql.Max, Column: "abs(delta)",
-			Arg: pql.Call{Name: "abs", Args: []pql.Expr{pql.ColumnRef{Name: "delta"}}}},
-	}
+	exprs := parsedAggs("SELECT DISTINCTCOUNT(member), PERCENTILE95(latency * 2), MAX(abs(delta)) FROM t GROUP BY country")
 	groupBy := &query.Intermediate{
 		Kind:      query.KindGroupBy,
 		AggExprs:  exprs,
@@ -112,6 +94,31 @@ func sampleMessages() map[string]any {
 		"commit":        &SegmentCommitRequest{Segment: "s__0__1", Resource: "events_REALTIME", Instance: "server1", Offset: 5000, Blob: []byte("segment bytes")},
 		"commit-resp":   &SegmentCommitResponse{Success: false, Reason: "not the committer"},
 	}
+}
+
+// parsedAggs returns the aggregations of a query as Parse builds them: the
+// only trees a response's decoder accepts.
+func parsedAggs(text string) []pql.Expression {
+	return mustQuery(text).Select
+}
+
+// selectionOf returns a selection of the given columns and hidden count
+// holding rows.
+func selectionOf(cols []string, hidden int, rows ...[]any) *query.Intermediate {
+	r := &query.Intermediate{Kind: query.KindSelection, SelectCols: cols, HiddenCols: hidden}
+	for _, row := range rows {
+		if err := r.AppendRow(row...); err != nil {
+			panic(err)
+		}
+	}
+	return r
+}
+
+// selectionRows boxes every row of a selection, hidden columns included.
+func selectionRows(r *query.Intermediate) [][]any {
+	all := *r
+	all.Kind, all.HiddenCols = query.KindSelection, 0
+	return all.Finalize(&pql.Query{Limit: r.Selection.Len()}).Rows
 }
 
 // addGroup finds or adds the group of a key and sets its states, one per
@@ -149,6 +156,25 @@ func TestSampleMessagesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTrailerBytesAreDeterministic: a trailer's trace is written in phase
+// order, so one ledger gives one byte string however often it is encoded.
+func TestTrailerBytesAreDeterministic(t *testing.T) {
+	var trace qctx.Trace
+	for p := range qctx.NumPhases {
+		trace[p] = time.Duration(p+1) * time.Microsecond
+	}
+	first := encodeFrame(t, &FinalFrame{Frames: 1, Trace: trace})
+	for i := 0; i < 50; i++ {
+		if again := encodeFrame(t, &FinalFrame{Frames: 1, Trace: trace}); !bytes.Equal(again, first) {
+			t.Fatalf("encode %d differs:\n got %v\nwant %v", i, again, first)
+		}
+	}
+	// Phases never charged are not written.
+	if b := encodeFrame(t, &FinalFrame{Frames: 1, Trace: qctx.Trace{qctx.PhaseMerge: 1}}); bytes.Contains(b, []byte("parse")) || !bytes.Contains(b, []byte("merge")) {
+		t.Errorf("trailer of the merge phase alone: %v", b)
+	}
+}
+
 // ---- completeness by reflection ----
 
 // filler sets every exported field reachable from a value to a distinct
@@ -164,9 +190,8 @@ type filler struct {
 func (f *filler) next() int64 { f.n++; return f.n }
 
 var (
-	anyType        = reflect.TypeOf((*any)(nil)).Elem()
-	exprType       = reflect.TypeOf((*pql.Expr)(nil)).Elem()
 	groupTableType = reflect.TypeOf((*query.GroupTable)(nil))
+	selectionType  = reflect.TypeOf((*query.Selection)(nil))
 )
 
 // stateFuncs has a function for every field of an AggState that a group
@@ -208,6 +233,10 @@ func (f *filler) fill(v reflect.Value) {
 				f.fill(v.Field(i))
 			}
 		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			f.fill(v.Index(i))
+		}
 	case reflect.Slice:
 		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
 		for i := 0; i < v.Len(); i++ {
@@ -221,44 +250,33 @@ func (f *filler) fill(v reflect.Value) {
 			f.fill(e)
 			v.SetMapIndex(k, e)
 		}
-	case reflect.Interface:
-		switch v.Type() {
-		case anyType:
-			// One of each dynamic cell type in turn.
-			cells := []any{f.n * 7919, float64(f.n) + 0.5, fmt.Sprintf("c%d", f.n), true, []any{fmt.Sprintf("mv%d", f.n), f.n}}
-			v.Set(reflect.ValueOf(cells[f.next()%int64(len(cells))]))
-		case exprType:
-			v.Set(reflect.ValueOf(pql.Arith{
-				Op: pql.OpDiv,
-				L:  pql.Call{Name: fmt.Sprintf("fn%d", f.next()), Args: []pql.Expr{pql.ColumnRef{Name: fmt.Sprintf("col%d", f.next())}}},
-				R:  pql.Literal{Value: float64(f.next())},
-			}))
-		default:
-			panic("filler: interface " + v.Type().String())
-		}
 	default:
 		panic("filler: kind " + v.Kind().String())
 	}
 }
 
 // fillIntermediate fills an Intermediate field by field, except that its
-// expressions and group table are built to agree, as the layout requires: one
-// expression per function of stateFuncs, a key column of every type and two
+// expressions, group table and selection are built to agree, as the layout
+// requires: one expression per function of stateFuncs, as Parse builds them,
+// with arguments of every node kind; a key column of every type and two
 // groups (or no key column and the one row), and every field of every state
-// filled (a state column keeps the fields its function carries).
+// filled (a state column keeps the fields its function carries); two rows of
+// a column of every type, one multi-value.
 func (f *filler) fillIntermediate(v reflect.Value) {
 	for i := 0; i < v.NumField(); i++ {
-		if v.Type().Field(i).Type != groupTableType {
+		if t := v.Type().Field(i); t.Type != groupTableType && t.Type != selectionType && t.Name != "AggExprs" {
 			f.fill(v.Field(i))
 		}
 	}
 	r := v.Addr().Interface().(*query.Intermediate)
-	r.AggExprs = r.AggExprs[:0]
-	for _, fn := range stateFuncs {
-		var x pql.Expression
-		f.fill(reflect.ValueOf(&x).Elem())
-		x.Func = fn
-		r.AggExprs = append(r.AggExprs, x)
+	r.AggExprs = parsedAggs(fmt.Sprintf("SELECT COUNT(*), SUM(c%d), AVG(abs(c%d) / 2.5), MIN(c%d + 3), MAX(timeBucket(c%d, 7)), DISTINCTCOUNT(c%d), PERCENTILE50(c%d * c%d) FROM t",
+		f.next(), f.next(), f.next(), f.next(), f.next(), f.next(), f.next()))
+	r.SelectCols, r.HiddenCols = []string{"l", "d", "s", "b", "mv"}, 1
+	for g := 0; g < 2; g++ {
+		row := []any{f.next() * 1000003, float64(f.next()) + 0.25, fmt.Sprintf("c%d", f.next()), g == 0, []any{fmt.Sprintf("mv%d", f.next())}}
+		if err := r.AppendRow(row...); err != nil {
+			panic(err)
+		}
 	}
 	r.GroupCols = []string{"s", "l", "d", "b"}
 	if f.noKeys {
@@ -306,10 +324,15 @@ func firstDiff(path string, a, b reflect.Value) string {
 		if d := firstDiff(path+".Groups", reflect.ValueOf(groupRows(ta, aggs)), reflect.ValueOf(groupRows(tb, aggs))); d != "" {
 			return d
 		}
+		// The selections compare by their rows, boxed.
+		ra, rb := a.Addr().Interface().(*query.Intermediate), b.Addr().Interface().(*query.Intermediate)
+		if d := firstDiff(path+".Selection", reflect.ValueOf(selectionRows(ra)), reflect.ValueOf(selectionRows(rb))); d != "" {
+			return d
+		}
 	}
 	switch a.Kind() {
 	case reflect.Pointer, reflect.Interface:
-		if a.Type() == groupTableType {
+		if a.Type() == groupTableType || a.Type() == selectionType {
 			return ""
 		}
 		if a.IsNil() || b.IsNil() {
@@ -416,18 +439,21 @@ func TestCodecValueEdgeCases(t *testing.T) {
 	t.Run("float bit patterns", func(t *testing.T) {
 		payloadNaN := math.Float64frombits(0x7ff8_0000_dead_beef)
 		floats := []float64{payloadNaN, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, math.MaxFloat64}
-		row := make([]any, len(floats))
+		rows := make([][]any, len(floats))
 		for i, f := range floats {
-			row[i] = f
+			rows[i] = []any{f}
 		}
-		agg := query.NewAggIntermediate([]pql.Expression{{Func: "PERCENTILE50"}, {Func: pql.Sum}, {Func: pql.Min}, {Func: pql.Max}})
+		agg := query.NewAggIntermediate(parsedAggs("SELECT PERCENTILE50(a), SUM(a), MIN(a), MAX(a) FROM t"))
 		for a, s := range []query.AggState{{Values: floats}, {Sum: math.Copysign(0, -1)}, {Min: payloadNaN, Seen: true}, {Max: math.Inf(1), Seen: true}} {
 			agg.Groups.SetState(0, a, s)
 		}
-		agg.Rows = [][]any{row}
 		got := intermediateRoundTrip(t, agg)
+		cells := selectionRows(intermediateRoundTrip(t, selectionOf([]string{"f"}, 0, rows...)))
 		for i, f := range floats {
-			if g := got.Rows[0][i].(float64); math.Float64bits(g) != math.Float64bits(f) {
+			// A selection cell is a key column's value, and a key column
+			// makes every NaN one: the payload goes, the NaN stays.
+			g := cells[i][0].(float64)
+			if f == f && math.Float64bits(g) != math.Float64bits(f) || f != f && g == g {
 				t.Errorf("cell %v came back as %v (bits %x vs %x)", f, g, math.Float64bits(g), math.Float64bits(f))
 			}
 			if g := got.Groups.State(0, 0).Values[i]; math.Float64bits(g) != math.Float64bits(f) {
@@ -443,7 +469,7 @@ func TestCodecValueEdgeCases(t *testing.T) {
 	t.Run("untouched and zero states", func(t *testing.T) {
 		// A fresh state (Min +Inf) and an all-zero state are different
 		// values; both survive.
-		agg := query.NewAggIntermediate([]pql.Expression{{Func: pql.Min}, {Func: pql.Min}})
+		agg := query.NewAggIntermediate(parsedAggs("SELECT MIN(a), MIN(b) FROM t"))
 		agg.Groups.SetState(0, 1, query.AggState{})
 		got := intermediateRoundTrip(t, agg).Groups
 		if fresh, zero := got.State(0, 0), got.State(0, 1); !math.IsInf(fresh.Min, 1) || zero.Min != 0 || fresh.Seen || zero.Seen {
@@ -453,20 +479,21 @@ func TestCodecValueEdgeCases(t *testing.T) {
 
 	t.Run("integers and strings", func(t *testing.T) {
 		row := []any{int64(math.MinInt64), int64(math.MaxInt64), int64(0), int64(-1), "", "\x00", strings.Repeat("x", 300)}
-		got := intermediateRoundTrip(t, &query.Intermediate{Kind: query.KindSelection, SelectCols: []string{""}, Rows: [][]any{row}})
-		if !reflect.DeepEqual(got.Rows[0], row) || !reflect.DeepEqual(got.SelectCols, []string{""}) {
-			t.Errorf("got %#v", got)
+		got := intermediateRoundTrip(t, selectionOf([]string{"", "a", "b", "c", "d", "e", "f"}, 0, row))
+		if rows := selectionRows(got); !reflect.DeepEqual(rows, [][]any{row}) || got.SelectCols[0] != "" {
+			t.Errorf("got %#v", rows)
 		}
 	})
 
-	// A zero count decodes to nil: an empty and an absent slice or map are
-	// one value on the wire (as they were under gob). Merge, Finalize and
-	// Conforms accept both. The one exception is a multi-value cell, which
-	// stays a non-nil []any{} so it renders as [] on both transports.
+	// A zero count decodes to nil: an empty and an absent slice, map, group
+	// table or selection are one value on the wire (as they were under gob).
+	// Merge, Finalize and Conforms accept both. A multi-value cell is boxed
+	// by Finalize, an empty one as a non-nil []any{} so it renders as [] on
+	// both transports.
 	t.Run("empty is nil", func(t *testing.T) {
 		in := &query.Intermediate{
 			Kind: query.KindGroupBy, AggExprs: []pql.Expression{}, GroupCols: []string{},
-			Groups: query.NewGroupTable(1, nil), SelectCols: []string{}, Rows: [][]any{},
+			Groups: query.NewGroupTable(1, nil), SelectCols: []string{},
 		}
 		got := intermediateRoundTrip(t, in)
 		if !reflect.DeepEqual(got, &query.Intermediate{Kind: query.KindGroupBy}) {
@@ -479,7 +506,7 @@ func TestCodecValueEdgeCases(t *testing.T) {
 			t.Errorf("finalized %d rows from no groups", len(res.Rows))
 		}
 		// A DISTINCTCOUNT that met no value decodes to a set that takes a merge.
-		exprs := []pql.Expression{{IsAgg: true, Func: pql.DistinctCount, Column: "m"}}
+		exprs := parsedAggs("SELECT DISTINCTCOUNT(m) FROM t")
 		dc, one := intermediateRoundTrip(t, query.NewAggIntermediate(exprs)), query.NewAggIntermediate(exprs)
 		one.Groups.SetState(0, 0, query.AggState{Distinct: map[string]struct{}{"a": {}}})
 		if err := dc.Merge(one); err != nil {
@@ -492,7 +519,7 @@ func TestCodecValueEdgeCases(t *testing.T) {
 
 	t.Run("zero-row selection", func(t *testing.T) {
 		got := intermediateRoundTrip(t, &query.Intermediate{Kind: query.KindSelection, SelectCols: []string{"a", "b"}})
-		if got.Rows != nil || len(got.SelectCols) != 2 {
+		if got.Selection != nil || len(got.SelectCols) != 2 {
 			t.Errorf("got %#v", got)
 		}
 		if res := got.Finalize(&pql.Query{Limit: 10}); len(res.Rows) != 0 || len(res.Columns) != 2 {
@@ -501,16 +528,20 @@ func TestCodecValueEdgeCases(t *testing.T) {
 	})
 
 	t.Run("multi-value cells", func(t *testing.T) {
-		in := &query.Intermediate{Kind: query.KindSelection, Rows: [][]any{{[]any{}}, {}, {[]any(nil)}}}
-		got := intermediateRoundTrip(t, in)
-		if c, ok := got.Rows[0][0].([]any); !ok || c == nil || len(c) != 0 {
-			t.Errorf("empty multi-value cell = %#v, want []any{}", got.Rows[0][0])
+		in := selectionOf([]string{"mv"}, 0, []any{[]any{}}, []any{[]any{"x", "y"}}, []any{[]any(nil)})
+		rows := selectionRows(intermediateRoundTrip(t, in))
+		for _, i := range []int{0, 2} {
+			if c, ok := rows[i][0].([]any); !ok || c == nil || len(c) != 0 {
+				t.Errorf("empty multi-value cell %d = %#v, want []any{}", i, rows[i][0])
+			}
 		}
-		if c, ok := got.Rows[2][0].([]any); !ok || c == nil {
-			t.Errorf("nil multi-value cell = %#v, want []any{}", got.Rows[2][0])
+		if !reflect.DeepEqual(rows[1][0], []any{"x", "y"}) {
+			t.Errorf("multi-value cell = %#v", rows[1][0])
 		}
-		if got.Rows[1] != nil {
-			t.Errorf("empty row = %#v, want nil", got.Rows[1])
+		// Only a column of empty cells has no value type.
+		empty := selectionRows(intermediateRoundTrip(t, selectionOf([]string{"mv"}, 0, []any{[]any{}})))
+		if c, ok := empty[0][0].([]any); !ok || c == nil || len(c) != 0 {
+			t.Errorf("a column of empty cells = %#v", empty)
 		}
 		// A group key is one of the four scalar types; a list is refused
 		// where the table is built, not on the wire.
@@ -520,7 +551,7 @@ func TestCodecValueEdgeCases(t *testing.T) {
 	})
 
 	t.Run("distinct count", func(t *testing.T) {
-		inter := query.NewAggIntermediate([]pql.Expression{{IsAgg: true, Func: pql.DistinctCount, Column: "m"}})
+		inter := query.NewAggIntermediate(parsedAggs("SELECT DISTINCTCOUNT(m) FROM t"))
 		inter.Groups.SetState(0, 0, query.AggState{Distinct: map[string]struct{}{"a": {}, "b": {}}})
 		if rows := intermediateRoundTrip(t, inter).Finalize(&pql.Query{}).Rows; !reflect.DeepEqual(rows, [][]any{{int64(2)}}) {
 			t.Fatalf("distinct = %v", rows)
@@ -531,40 +562,51 @@ func TestCodecValueEdgeCases(t *testing.T) {
 // ---- what the encoder refuses ----
 
 func TestEncoderRefusesWhatItCannotCarry(t *testing.T) {
-	deepCell := any("leaf")
-	for i := 0; i <= wire.MaxNesting; i++ {
-		deepCell = []any{deepCell}
-	}
 	var deepExpr pql.Expr = pql.ColumnRef{Name: "c"}
 	for i := 0; i <= wire.MaxNesting; i++ {
 		deepExpr = pql.Arith{Op: pql.OpAdd, L: deepExpr, R: pql.Literal{Value: int64(1)}}
 	}
-	type point struct{ X int }
 	for name, r := range map[string]*query.Intermediate{
-		"int cell":      {Rows: [][]any{{int(1)}}},
-		"uint32 cell":   {Rows: [][]any{{uint32(1)}}},
-		"duration cell": {Rows: [][]any{{time.Second}}},
-		"struct cell":   {Rows: [][]any{{point{1}}}},
-		"nil cell":      {Rows: [][]any{{nil}}},
-		"nested cell":   {Rows: [][]any{{[]any{int32(1)}}}},
-		"literal":       {AggExprs: []pql.Expression{{Arg: pql.Literal{Value: int(3)}}}},
-		"group shape":   {Groups: oneGroup(), GroupCols: []string{"a", "b"}},
-		"group func":    {Groups: oneGroup(), GroupCols: []string{"a"}, AggExprs: []pql.Expression{{Func: pql.Sum}}},
-		"deep cell":     {Rows: [][]any{{deepCell}}},
-		"deep expr":     {AggExprs: []pql.Expression{{Arg: deepExpr}}},
+		"literal":         {AggExprs: []pql.Expression{{Arg: pql.Literal{Value: int(3)}}}},
+		"group shape":     {Groups: oneGroup(), GroupCols: []string{"a", "b"}},
+		"group func":      {Groups: oneGroup(), GroupCols: []string{"a"}, AggExprs: []pql.Expression{{Func: pql.Sum}}},
+		"deep expr":       {AggExprs: []pql.Expression{{Arg: deepExpr}}},
+		"selection shape": {Selection: selectionOf([]string{"a", "b"}, 0, []any{"x", "y"}).Selection, SelectCols: []string{"a"}},
 	} {
 		if _, err := EncodeResponse(&QueryResponse{Result: r}); err == nil {
 			t.Errorf("%s: encoded without error", name)
 		}
 	}
-	// One level inside the cap passes in both directions.
-	okCell := any("leaf")
-	for i := 0; i < wire.MaxNesting; i++ {
-		okCell = []any{okCell}
-	}
-	in := &query.Intermediate{Kind: query.KindSelection, Rows: [][]any{{okCell}}}
-	if got := roundTrip(t, &SegmentFrame{Result: in}).(*SegmentFrame).Result; !reflect.DeepEqual(got.Rows, in.Rows) {
-		t.Errorf("cell at the nesting cap changed")
+	// A selection cell is one of the four scalar types, or a list of one of
+	// them: anything else is refused where the row is added, not on the wire.
+	type point struct{ X int }
+	for name, rows := range map[string][][]any{
+		"int cell":          {{int(1)}},
+		"uint32 cell":       {{uint32(1)}},
+		"duration cell":     {{time.Second}},
+		"struct cell":       {{point{1}}},
+		"nil cell":          {{nil}},
+		"nested cell":       {{[]any{int32(1)}}},
+		"list in a list":    {{[]any{[]any{"x"}}}},
+		"mixed list":        {{[]any{"x", int64(1)}}},
+		"types disagree":    {{int64(1)}, {"x"}},
+		"list after scalar": {{int64(1)}, {[]any{int64(2)}}},
+		"scalar after list": {{[]any{int64(2)}}, {int64(1)}},
+		"fewer cells":       {{}},
+		"a cell too many":   {{int64(1), int64(2)}},
+	} {
+		r := &query.Intermediate{Kind: query.KindSelection, SelectCols: []string{"a"}}
+		var err error
+		for _, row := range rows {
+			if err = r.AppendRow(row...); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			t.Errorf("%s: added without error", name)
+		} else if r.Selection.Len() != len(rows)-1 {
+			t.Errorf("%s: a refused row left %d rows", name, r.Selection.Len())
+		}
 	}
 }
 
@@ -581,22 +623,23 @@ func oneGroup() *query.GroupTable {
 // the cap, which the encoder would never write.
 func TestDecoderRefusesDeepNesting(t *testing.T) {
 	var e wire.Encoder
-	e.Varint(0)                         // seq
-	e.Raw(byte(query.KindSelection), 0) // no agg exprs
-	e.Count(0)                          // group cols
-	e.Count(0)                          // groups
-	e.Count(0)                          // select cols
-	e.Varint(0)                         // hidden cols
-	e.Count(1)                          // one row
-	e.Count(1)                          // one cell in total
-	e.Count(1)                          // of one cell
+	e.Str("r") // resource
+	e.Str("t") // table
+	e.Count(1) // one select item: the column a
+	e.Bool(false)
+	e.Str("")
+	e.Str("a")
+	e.Raw(exprNil)
+	e.Raw(predComparison)
+	e.Str("a")
+	e.Str("=")
 	for i := 0; i <= wire.MaxNesting; i++ {
 		e.Raw(cellList, 1)
 	}
 	e.Raw(cellBool, 1)
-	query.AppendStats(&e, &query.Stats{})
-	if _, err := DecodeSegmentFrame(e.Bytes()); err == nil || !strings.Contains(err.Error(), "nested deeper") {
-		t.Fatalf("cell nested past the cap: err = %v", err)
+	e.Raw(make([]byte, 64)...)
+	if _, err := DecodeQueryFrame(e.Bytes()); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+		t.Fatalf("literal nested past the cap: err = %v", err)
 	}
 
 	e = wire.Encoder{}
@@ -680,7 +723,7 @@ func TestDecodeAllocationIsLinear(t *testing.T) {
 // header included, so a change of format is a visible diff here (and a
 // reason to bump frameVersion).
 func TestGoldenFrames(t *testing.T) {
-	agg := query.NewAggIntermediate([]pql.Expression{{IsAgg: true, Func: pql.Count, Column: "*"}, {IsAgg: true, Func: pql.Sum, Column: "x", Arg: pql.ColumnRef{Name: "x"}}})
+	agg := query.NewAggIntermediate(parsedAggs("SELECT COUNT(*), SUM(x) FROM t"))
 	agg.Groups.SetState(0, 0, query.AggState{Count: 3})
 	agg.Groups.SetState(0, 1, query.AggState{Sum: 1.5})
 	agg.Stats = query.Stats{NumDocsScanned: 3, ResultCacheHit: true}
@@ -715,10 +758,10 @@ func TestGoldenFrames(t *testing.T) {
 			0, 0, // rows, their cells
 			6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, // stats
 		}},
-		{"segment selection", &SegmentFrame{Result: &query.Intermediate{
-			Kind: query.KindSelection, SelectCols: []string{"a"}, HiddenCols: 1,
-			Rows: [][]any{{int64(-2)}, {[]any{"m", 2.0, false}}},
-		}}, []byte{
+		{"segment selection", &SegmentFrame{Result: selectionOf([]string{"a", "t", "f", "b"}, 1,
+			[]any{int64(-2), []any{"m", "n"}, 2.0, true},
+			[]any{int64(300), []any{}, math.Copysign(0, -1), false},
+		)}, []byte{
 			'P', 5, FrameSegment, 0, 0, 0, 0, 47,
 			0, 1, 0, 0, 0, // seq, kind, agg exprs, group cols, groups
 			1, 1, 'a', // select cols
@@ -787,12 +830,7 @@ func TestGoldenFrames(t *testing.T) {
 // and a state column of every kind: values, a set, an extreme and its seen
 // bit, a sum and a count.
 func goldenGroupBy() *query.Intermediate {
-	exprs := []pql.Expression{
-		{IsAgg: true, Func: "PERCENTILE90", Column: "p"},
-		{IsAgg: true, Func: pql.DistinctCount, Column: "d"},
-		{IsAgg: true, Func: pql.Min, Column: "m"},
-		{IsAgg: true, Func: pql.Avg, Column: "a"},
-	}
+	exprs := parsedAggs("SELECT PERCENTILE90(p), DISTINCTCOUNT(d), MIN(m), AVG(a) FROM t")
 	r := &query.Intermediate{Kind: query.KindGroupBy, AggExprs: exprs, GroupCols: []string{"s", "l", "f", "b"}, Groups: query.NewGroupTable(4, exprs)}
 	addGroup(r.Groups, []any{"k", int64(-3), 2.0, true},
 		&query.AggState{Values: []float64{2}},
@@ -816,12 +854,10 @@ func goldenGroupBy() *query.Intermediate {
 // the codec (a fresh encoder and decoder per frame, as the data plane used
 // them).
 func TestWireAllocBudget(t *testing.T) {
-	selection := &SegmentFrame{Result: &query.Intermediate{
-		Kind: query.KindSelection, SelectCols: []string{"itemId", "impressions"},
-		Rows:  [][]any{{int64(1001), int64(7)}, {int64(1002), int64(900)}, {int64(1003), int64(12)}, {int64(1004), int64(3000)}},
-		Stats: query.Stats{NumDocsScanned: 4, NumEntriesScanned: 8, NumSegmentsQueried: 1, SegmentsMatched: 1, TotalDocs: 50000},
-	}}
-	exprs := []pql.Expression{{IsAgg: true, Func: pql.Sum, Column: "value"}, {IsAgg: true, Func: pql.Count, Column: "*"}}
+	selection := &SegmentFrame{Result: selectionOf([]string{"itemId", "impressions"}, 0,
+		[]any{int64(1001), int64(7)}, []any{int64(1002), int64(900)}, []any{int64(1003), int64(12)}, []any{int64(1004), int64(3000)})}
+	selection.Result.Stats = query.Stats{NumDocsScanned: 4, NumEntriesScanned: 8, NumSegmentsQueried: 1, SegmentsMatched: 1, TotalDocs: 50000}
+	exprs := parsedAggs("SELECT SUM(value), COUNT(*) FROM t")
 	groupBy := &SegmentFrame{Result: &query.Intermediate{
 		Kind: query.KindGroupBy, AggExprs: exprs, GroupCols: []string{"bucket"}, Groups: query.NewGroupTable(1, exprs),
 	}}

@@ -1,9 +1,12 @@
 package transport
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"pinot/internal/pql"
+	"pinot/internal/qctx"
 	"pinot/internal/query"
 )
 
@@ -119,6 +122,12 @@ func FuzzDecodeResponse(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("junk"))
+	// A trailer naming a phase the ledger has not is refused.
+	unknown := unknownPhase(f, &QueryResponse{Trace: qctx.Trace{qctx.PhaseQueue: 5}})
+	if _, err := DecodeResponse(unknown); err == nil || !strings.Contains(err.Error(), "unknown trace phase") {
+		f.Fatalf("a trace of an unknown phase: err = %v", err)
+	}
+	f.Add(unknown)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := DecodeResponse(data)
@@ -132,4 +141,23 @@ func FuzzDecodeResponse(f *testing.F) {
 			t.Fatalf("decoded response does not encode: %v", err)
 		}
 	})
+}
+
+// unknownPhase encodes msg, whose trace charges the queue phase, with that
+// phase's name misspelt.
+func unknownPhase(t testing.TB, msg any) []byte {
+	t.Helper()
+	var b []byte
+	if r, ok := msg.(*QueryResponse); ok {
+		var err error
+		if b, err = EncodeResponse(r); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		b = encodeFrame(t, msg)
+	}
+	if !bytes.Contains(b, []byte("queue")) {
+		t.Fatal("no queue phase to misspell")
+	}
+	return bytes.Replace(b, []byte("queue"), []byte("qveue"), 1)
 }

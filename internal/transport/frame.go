@@ -18,7 +18,7 @@ import (
 
 const (
 	frameMagic   = 0x50 // 'P'
-	frameVersion = 5    // 1 carried gob payloads, 2 a group-by as one entry per group, 3 an aggregation without GROUP BY as a state per function, 4 a request's query as PQL text
+	frameVersion = 6    // 1 carried gob payloads, 2 a group-by as one entry per group, 3 an aggregation without GROUP BY as a state per function, 4 a request's query as PQL text, 5 selection rows as boxed cells
 )
 
 // Frame types.
@@ -104,12 +104,19 @@ func DecodeSegmentFrame(payload []byte) (*SegmentFrame, error) {
 
 // DecodeFinalFrame decodes a FrameFinal payload.
 func DecodeFinalFrame(payload []byte) (*FinalFrame, error) {
-	d := wire.NewDecoder(payload)
-	ff := decodeFinalFrame(&d)
-	if err := finish(&d); err != nil {
+	ff := &FinalFrame{}
+	if err := readFinalFrame(payload, ff); err != nil {
 		return nil, err
 	}
 	return ff, nil
+}
+
+// readFinalFrame decodes a FrameFinal payload into ff: a trailer the caller
+// only reads from needs no heap of its own.
+func readFinalFrame(payload []byte, ff *FinalFrame) error {
+	d := wire.NewDecoder(payload)
+	decodeFinalFrame(&d, ff)
+	return finish(&d)
 }
 
 // DecodeErrorFrame decodes a FrameError payload.

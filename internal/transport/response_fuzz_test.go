@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pinot/internal/qctx"
 	"pinot/internal/query"
 	"pinot/internal/wire"
 )
@@ -27,6 +28,7 @@ func FuzzResponseStream(f *testing.F) {
 	f.Add(cat(segment, encodeFrame(f, &FinalFrame{Frames: 2})))
 	f.Add(cat(segment, final, []byte{frameMagic}))
 	f.Add(cat(encodeFrame(f, sampleMessages()["query"]), final))
+	f.Add(cat(segment, unknownPhase(f, &FinalFrame{Frames: 1, Trace: qctx.Trace{qctx.PhaseQueue: 3}})))
 	f.Fuzz(func(t *testing.T, reply []byte) {
 		want := wellFormedResponse(reply)
 		const addr = "pipe"

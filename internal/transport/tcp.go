@@ -279,8 +279,8 @@ func (c *TCPClient) roundTrip(ctx context.Context, conn net.Conn, req *QueryRequ
 			}
 			result = sf.Result
 		case FrameFinal:
-			ff, err := DecodeFinalFrame(payload)
-			if err != nil {
+			var ff FinalFrame
+			if err := readFinalFrame(payload, &ff); err != nil {
 				return nil, err
 			}
 			if result == nil || ff.Frames != 1 {

@@ -292,16 +292,16 @@ func TestCancelAfterReturnNeverPoisonsPool(t *testing.T) {
 	}
 }
 
-// badCellHandler answers its first query with a cell type the codec does not
-// carry (an int, which the engine never produces) and every later query
-// normally.
+// badCellHandler answers its first query with a result the codec does not
+// carry (a selection of more columns than it names, which the engine never
+// produces) and every later query normally.
 type badCellHandler struct{ calls int }
 
 func (h *badCellHandler) ExecuteStream(ctx context.Context, req *QueryRequest, emit func(seq int, res *query.Intermediate) error) (*FinalFrame, error) {
 	h.calls++
 	res := countFrame(0, 10).Result
 	if h.calls == 1 {
-		res = &query.Intermediate{Kind: query.KindSelection, SelectCols: []string{"a"}, Rows: [][]any{{int(1)}}}
+		res = &query.Intermediate{Kind: query.KindSelection, SelectCols: []string{"a"}, Selection: selectionOf([]string{"a", "b"}, 0, []any{int64(1), int64(2)}).Selection}
 	}
 	if err := emit(0, res); err != nil {
 		return nil, err
@@ -309,7 +309,7 @@ func (h *badCellHandler) ExecuteStream(ctx context.Context, req *QueryRequest, e
 	return &FinalFrame{Frames: 1}, nil
 }
 
-// TestUnsupportedCellIsAQueryError: a value outside the five cell types must
+// TestUnsupportedCellIsAQueryError: a value the layout does not carry must
 // reach the broker as a FrameError — no panic, no half-written frame — and
 // leave the very same connection in step for the next query.
 func TestUnsupportedCellIsAQueryError(t *testing.T) {
@@ -333,7 +333,7 @@ func TestUnsupportedCellIsAQueryError(t *testing.T) {
 		t.Fatalf("frame type %d, want an error frame", frame.Type)
 	}
 	ef, err := DecodeErrorFrame(frame.Payload)
-	if err != nil || !strings.Contains(ef.Message, "unsupported cell type int") {
+	if err != nil || !strings.Contains(ef.Message, "selection of 2 columns under 1") {
 		t.Fatalf("error frame = %+v, %v", ef, err)
 	}
 
@@ -413,7 +413,15 @@ func rawFrame(version, typ uint8, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// TestOldWireVersionsAreRefused: a peer still speaking version 1, 2 or 3, and a
+// withVersion returns a copy of a frame under another version byte.
+func withVersion(version uint8, frame []byte) []byte {
+	out := append([]byte(nil), frame...)
+	out[1] = version
+	return out
+}
+
+// TestOldWireVersionsAreRefused: a peer still speaking version 1, 2, 3 or 5
+// (boxed selection cells), and a
 // peer that claims this version but sends a gob payload, are all refused with
 // a transport error, and the connection is dropped rather than reused.
 func TestOldWireVersionsAreRefused(t *testing.T) {
@@ -421,6 +429,7 @@ func TestOldWireVersionsAreRefused(t *testing.T) {
 	for name, frame := range map[string][]byte{
 		"v1 header":                rawFrame(1, FrameQuery, gobQueryPayload),
 		"v2 header":                rawFrame(2, FrameQuery, []byte{1, 'r', 1, 'q', 0, 0, 0, 0, 0}),
+		"v5 header":                withVersion(5, encodeFrame(t, &QueryRequest{Resource: "r", Query: countT})),
 		"current header, gob body": rawFrame(frameVersion, FrameQuery, gobQueryPayload),
 	} {
 		addr := startServer(t, NewTCPQueryServer(&echoHandler{segments: 1}))
@@ -447,6 +456,7 @@ func TestOldWireVersionsAreRefused(t *testing.T) {
 		"v1 header":                {rawFrame(1, FrameSegment, gobSegmentPayload), "unsupported frame version 1"},
 		"v2 group-by":              {v2GroupByFrame, "unsupported frame version 2"},
 		"v3 aggregation":           {v3AggregationFrame, "unsupported frame version 3"},
+		"v5 selection":             {withVersion(5, encodeFrame(t, &SegmentFrame{Result: selectionOf([]string{"a"}, 0, []any{int64(1)})})), "unsupported frame version 5"},
 		"current header, gob body": {rawFrame(frameVersion, FrameSegment, gobSegmentPayload), "transport: decode"},
 	} {
 		addr := scriptedServer(t, c.reply, true)

@@ -37,7 +37,7 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestGroupByRoundTrip(t *testing.T) {
-	exprs := []pql.Expression{{IsAgg: true, Func: pql.Sum, Column: "x"}}
+	exprs := parsedAggs("SELECT SUM(x) FROM t GROUP BY country, bucket")
 	inter := &query.Intermediate{
 		Kind:      query.KindGroupBy,
 		AggExprs:  exprs,
@@ -65,11 +65,7 @@ func TestGroupByRoundTrip(t *testing.T) {
 }
 
 func TestSelectionRoundTrip(t *testing.T) {
-	inter := &query.Intermediate{
-		Kind:       query.KindSelection,
-		SelectCols: []string{"a", "b"},
-		Rows:       [][]any{{int64(1), "x"}, {int64(2), []any{"m", "n"}}},
-	}
+	inter := selectionOf([]string{"a", "b"}, 0, []any{int64(1), []any{"x"}}, []any{int64(2), []any{"m", "n"}})
 	data, err := EncodeResponse(&QueryResponse{Result: inter})
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +74,8 @@ func TestSelectionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Result.Rows[1][1].([]any)[0] != "m" {
-		t.Fatalf("multi-value cell lost: %#v", got.Result.Rows)
+	if rows := selectionRows(got.Result); rows[1][1].([]any)[0] != "m" {
+		t.Fatalf("multi-value cell lost: %#v", rows)
 	}
 }
 
