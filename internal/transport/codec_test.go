@@ -733,7 +733,7 @@ func TestGoldenFrames(t *testing.T) {
 		want []byte
 	}{
 		{"query", &QueryRequest{Resource: "r", Query: mustQuery("SELECT count(*) FROM t WHERE a = 1"), Segments: []string{"s0"}, Tenant: "t", TimeoutMillis: 5, QueryID: "id", BudgetMillis: -1}, []byte{
-			'P', 5, FrameQuery, 0, 0, 0, 0, 39,
+			'P', 6, FrameQuery, 0, 0, 0, 0, 39,
 			1, 'r', // resource
 			1, 't', // table
 			1, 1, 5, 'C', 'O', 'U', 'N', 'T', 1, '*', exprNil, // one select item
@@ -743,36 +743,38 @@ func TestGoldenFrames(t *testing.T) {
 			1, 2, 's', '0', 1, 't', 10, 2, 'i', 'd', 1,
 		}},
 		{"segment aggregation", &SegmentFrame{Seq: 1, Result: agg}, []byte{
-			'P', 5, FrameSegment, 0, 0, 0, 0, 56,
+			'P', 6, FrameSegment, 0, 0, 0, 0, 53,
 			2, // seq 1
 			0, // kind
 			2, // agg exprs
 			1, 5, 'C', 'O', 'U', 'N', 'T', 1, '*', exprNil,
-			1, 3, 'S', 'U', 'M', 1, 'x', exprColumn, 1, 'x',
+			1, 3, 'S', 'U', 'M', 1, 'x', exprNil, // a bare column has no argument tree
 			0,    // group cols
 			1,    // the one row of no key
 			1, 6, // COUNT count: 3
 			1, 0x3f, 0xf8, 0, 0, 0, 0, 0, 0, // SUM sum: 1.5
-			0,    // select cols
-			0,    // hidden cols
-			0, 0, // rows, their cells
+			0,                                              // select cols
+			0,                                              // hidden cols
+			0,                                              // rows
 			6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, // stats
 		}},
 		{"segment selection", &SegmentFrame{Result: selectionOf([]string{"a", "t", "f", "b"}, 1,
 			[]any{int64(-2), []any{"m", "n"}, 2.0, true},
 			[]any{int64(300), []any{}, math.Copysign(0, -1), false},
 		)}, []byte{
-			'P', 5, FrameSegment, 0, 0, 0, 0, 47,
+			'P', 6, FrameSegment, 0, 0, 0, 0, 73,
 			0, 1, 0, 0, 0, // seq, kind, agg exprs, group cols, groups
-			1, 1, 'a', // select cols
-			2,    // hidden cols 1
-			2, 2, // two rows, two cells
-			1, cellInt64, 3,
-			1, cellList, 3, cellString, 1, 'm', cellFloat64, 0x40, 0, 0, 0, 0, 0, 0, 0, cellBool, 0,
+			4, 1, 'a', 1, 't', 1, 'f', 1, 'b', // select cols
+			2,                              // hidden cols 1
+			2,                              // rows
+			0, cellInt64, 2, 3, 0xd8, 0x04, // a: single-value, -2, 300
+			1, 2, cellString, 2, 'm', 'n', 2, 1, 1, 2, 0, // t: multi-value, two values: the bytes "mn" and their lengths, then two rows of 2 and 0
+			0, cellFloat64, 2, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, // f: single-value, 2, -0
+			0, cellBool, 2, 2, 0, // b: single-value, true, false
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
 		{"segment group-by", &SegmentFrame{Result: goldenGroupBy()}, []byte{
-			'P', 5, FrameSegment, 0, 0, 0, 0, 176,
+			'P', 6, FrameSegment, 0, 0, 0, 0, 175,
 			0, 0, // seq, kind
 			4, // agg exprs
 			1, 12, 'P', 'E', 'R', 'C', 'E', 'N', 'T', 'I', 'L', 'E', '9', '0', 1, 'p', exprNil,
@@ -791,27 +793,27 @@ func TestGoldenFrames(t *testing.T) {
 			2, 1, 0, // MIN seen
 			2, 2, 0, // AVG count: 1, 0
 			2, 0x40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // AVG sum: 2, 0
-			0, 0, 0, 0, // select cols, hidden cols, rows, cells
+			0, 0, 0, // select cols, hidden cols, rows
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
 		{"final", &FinalFrame{Frames: 2, Exceptions: []string{"e"}, Trace: qctx.Trace{qctx.PhaseQueue: 3}, Stats: query.Stats{TotalDocs: 64}}, []byte{
-			'P', 5, FrameFinal, 0, 0, 0, 0, 29,
+			'P', 6, FrameFinal, 0, 0, 0, 0, 29,
 			4, 1, 1, 'e',
 			1, 5, 'q', 'u', 'e', 'u', 'e', 6,
 			0, 0, 0, 0, 0x80, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		}},
-		{"error", &ErrorFrame{Message: "no"}, []byte{'P', 5, FrameError, 0, 0, 0, 0, 3, 2, 'n', 'o'}},
+		{"error", &ErrorFrame{Message: "no"}, []byte{'P', 6, FrameError, 0, 0, 0, 0, 3, 2, 'n', 'o'}},
 		{"consumed", &SegmentConsumedRequest{Segment: "s", Resource: "r", Instance: "i", Offset: 64}, []byte{
-			'P', 5, FrameConsumed, 0, 0, 0, 0, 8, 1, 's', 1, 'r', 1, 'i', 0x80, 0x01,
+			'P', 6, FrameConsumed, 0, 0, 0, 0, 8, 1, 's', 1, 'r', 1, 'i', 0x80, 0x01,
 		}},
 		{"consumed response", &SegmentConsumedResponse{Action: ActionHold, TargetOffset: 1}, []byte{
-			'P', 5, FrameConsumedResp, 0, 0, 0, 0, 6, 4, 'H', 'O', 'L', 'D', 2,
+			'P', 6, FrameConsumedResp, 0, 0, 0, 0, 6, 4, 'H', 'O', 'L', 'D', 2,
 		}},
 		{"commit", &SegmentCommitRequest{Segment: "s", Resource: "r", Instance: "i", Offset: 1, Blob: []byte{0xca, 0xfe}}, []byte{
-			'P', 5, FrameCommit, 0, 0, 0, 0, 10, 1, 's', 1, 'r', 1, 'i', 2, 2, 0xca, 0xfe,
+			'P', 6, FrameCommit, 0, 0, 0, 0, 10, 1, 's', 1, 'r', 1, 'i', 2, 2, 0xca, 0xfe,
 		}},
 		{"commit response", &SegmentCommitResponse{Success: true, Reason: "ok"}, []byte{
-			'P', 5, FrameCommitResp, 0, 0, 0, 0, 4, 1, 2, 'o', 'k',
+			'P', 6, FrameCommitResp, 0, 0, 0, 0, 4, 1, 2, 'o', 'k',
 		}},
 	}
 	for _, c := range cases {
