@@ -8,7 +8,10 @@ package query
 // caller outside the engine, bench/ (trace.go copies a captured response with
 // Clone and prices its probe cache's values with SizeBytes; adapter.go names
 // both), which this repository's rules freeze between benchmark PRs. The next
-// benchmark PR drops those two calls and deletes this file.
+// benchmark PR drops those two calls and deletes this file. A clone is a
+// round trip through the layout, typed selection columns included; SizeBytes
+// prices a selection's columns as the boxed rows they finalize to, so its
+// figures are the ones the boxed-row layout gave.
 
 // Clone returns a copy that shares nothing with r: what r's bytes decode to.
 // A value the layout does not carry (EncodeIntermediate says which) has no

@@ -258,7 +258,8 @@ func (s *Selection) order(by []pql.OrderSpec, cols []string) []int {
 
 // rows is a selection's finalized result: sorted by ORDER BY, cut by OFFSET
 // and LIMIT, and only then boxed, the first visible columns of the rows
-// kept, into one arena of cells (and one of multi-value elements).
+// kept, into one arena of cells; a multi-value cell is a list of its own,
+// []any{} when empty.
 func (s *Selection) rows(q *pql.Query, cols []string, visible int) [][]any {
 	n := s.Len()
 	if q.Offset >= n {
@@ -278,21 +279,8 @@ func (s *Selection) rows(q *pql.Query, cols []string, visible int) [][]any {
 		}
 		return q.Offset + i
 	}
-	elems := 0
-	for c := 0; c < visible; c++ {
-		if offs := s.rowOffs(c); offs != nil {
-			for i := 0; i < kept; i++ {
-				r := row(i)
-				elems += offs[r+1] - offs[r]
-			}
-		}
-	}
 	out := make([][]any, kept)
 	cells := make([]any, kept*visible)
-	var lists []any
-	if elems > 0 {
-		lists = make([]any, elems)
-	}
 	for i := range out {
 		r := row(i)
 		out[i] = cells[i*visible : (i+1)*visible : (i+1)*visible]
@@ -303,14 +291,9 @@ func (s *Selection) rows(q *pql.Query, cols []string, visible int) [][]any {
 				out[i][c] = k.value(r)
 				continue
 			}
-			size := offs[r+1] - offs[r]
-			list := lists[:size:size]
-			lists = lists[size:]
+			list := make([]any, offs[r+1]-offs[r])
 			for j := range list {
 				list[j] = k.value(offs[r] + j)
-			}
-			if list == nil {
-				list = []any{}
 			}
 			out[i][c] = list
 		}

@@ -47,8 +47,9 @@ func lookupSegments(t testing.TB, n int) ([]IndexedSegment, *segment.Schema) {
 // from its segments to the client's rows: 12 segments executed four to a
 // server by an engine, each server's result encoded and decoded, the three
 // merged and finalized — 24 rows of two columns. The ceiling is a few
-// allocations above the count measured (277, about 15.7 KB); CHANGES.md
-// records the same for the boxed rows that came before typed columns.
+// allocations above the count measured (277, about 15.7 KB; a -race build
+// drops pooled scratch and gets a looser one); CHANGES.md records the same
+// for the boxed rows that came before typed columns.
 func TestLookupSelectionAllocs(t *testing.T) {
 	segs, schema := lookupSegments(t, 12)
 	q, err := pql.Parse("SELECT itemId, impressions FROM lookup WHERE memberId = 7 LIMIT 200")
@@ -93,8 +94,12 @@ func TestLookupSelectionAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	t.Logf("%.0f allocations, %d bytes a query", allocs, (after.TotalAlloc-before.TotalAlloc)/runs)
-	const ceiling = 285
+	ceiling := 285.0
+	if raceDetector {
+		// Measured 319 under -race, where pooled scratch is dropped at random.
+		ceiling = 360
+	}
 	if allocs > ceiling {
-		t.Errorf("%.0f allocations a query, ceiling %d", allocs, ceiling)
+		t.Errorf("%.0f allocations a query, ceiling %.0f", allocs, ceiling)
 	}
 }

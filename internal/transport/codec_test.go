@@ -880,17 +880,19 @@ func TestWireAllocBudget(t *testing.T) {
 		ceiling float64 // allocations, encode + decode
 		gob     int     // the same at the parent commit
 	}{
-		// Decode: frame, intermediate, column slice + 2 names, rows,
-		// arena, a box for each cell above 255.
-		{"selection 4x2", selection, 16, 558},
+		// Decode: frame, intermediate, column slice + 2 names, the
+		// selection, its columns, a value slice per column. No cell is
+		// boxed.
+		{"selection 4x2", selection, 12, 558},
 		// Decode: frame, intermediate, two expressions and their column
 		// names, the group column, the table, its two column slices, one
 		// slice per key and state column. Nothing per group.
 		{"group-by 200x2", groupBy, 20, 3552},
 		// The same without the group column, its name and its key column.
 		{"aggregation 1x2", aggregation, 12, 0},
-		// Decode: frame, trace map, two phase names.
-		{"final", final, 8, 293},
+		// Decode: the frame. The trace is an array and its phase names
+		// are compared, not kept.
+		{"final", final, 4, 293},
 	} {
 		whole := encodeFrame(t, c.msg)
 		typ, frame := whole[2], whole[wire.FrameHeaderSize:]
