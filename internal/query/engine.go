@@ -198,12 +198,23 @@ type outcome struct {
 
 // fold merges the segments' results in order into the first. A selection's
 // columns grow once, to hold every segment's rows, before any is appended.
+// The segments' results are scratch: of several, the merged one is copied
+// out — a group table at its exact size, a selection's rows moved — and every
+// one is released, merge error or not. A lone result is returned as it is.
 func fold(done []outcome) (*Intermediate, error) {
 	if len(done) == 0 {
 		return nil, nil
 	}
 	merged := done[0].res
-	if merged.Kind == KindSelection && len(done) > 1 {
+	if len(done) == 1 {
+		return merged, nil
+	}
+	defer func() {
+		for _, o := range done {
+			o.res.release()
+		}
+	}()
+	if merged.Kind == KindSelection {
 		var buf [16]*Selection
 		parts := buf[:0]
 		for _, o := range done[1:] {
@@ -216,7 +227,10 @@ func fold(done []outcome) (*Intermediate, error) {
 			return nil, err
 		}
 	}
-	return merged, nil
+	out := new(Intermediate)
+	*out = *merged
+	out.Groups = merged.Groups.exact()
+	return out, nil
 }
 
 // claim runs unclaimed segments until none is left or the context ends.

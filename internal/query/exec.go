@@ -79,9 +79,9 @@ func baseStats(seg segment.Reader) Stats {
 // one key column per GROUP BY item. Without GROUP BY there is no item and no
 // group to find: every document folds into row 0.
 func executeGroupBy(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Query, inputs []aggInput, exprs []pql.Expression, opt Options) (*Intermediate, error) {
-	t := NewGroupTable(len(q.GroupBy), exprs)
-	out := &Intermediate{Kind: KindGroupBy, AggExprs: exprs, GroupCols: q.GroupBy, Groups: t}
-	out.Stats = baseStats(is.Seg)
+	t := scratchTable(len(q.GroupBy), exprs)
+	out := scratchIntermediate()
+	*out = Intermediate{Kind: KindGroupBy, AggExprs: exprs, GroupCols: q.GroupBy, Groups: t, Stats: baseStats(is.Seg)}
 
 	// Metadata-only plan: no filter, no group and all aggregations answerable
 	// from column statistics.
@@ -249,8 +249,8 @@ func selectionColumns(q *pql.Query, schema *segment.Schema) (cols []string, hidd
 // matches, block by block, each column read in one batch. cols and hidden
 // are the query's selectionColumns, computed once for all its segments.
 func executeSelection(env *execEnv, cs columnSource, is IndexedSegment, q *pql.Query, cols []string, hidden int, opt Options) (*Intermediate, error) {
-	out := &Intermediate{Kind: KindSelection, SelectCols: cols, HiddenCols: hidden}
-	out.Stats = baseStats(is.Seg)
+	out := scratchIntermediate()
+	*out = Intermediate{Kind: KindSelection, SelectCols: cols, HiddenCols: hidden, Stats: baseStats(is.Seg)}
 
 	sc := getScratch()
 	defer sc.release()

@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"math"
 	"slices"
+	"sync"
 
 	"pinot/internal/pql"
 	"pinot/internal/segment"
@@ -31,15 +32,78 @@ import (
 // through the table's own open-addressed hash over the typed tuple
 // (commit). Dictionary ids are decoded to values once, when the
 // segment is done (decodeKeys).
+//
+// Inside Engine.Execute a segment's table is scratch. executeGroupBy takes
+// it from tablePool (scratchTable) and fills it; fold merges the segments'
+// tables into the first, copies that out at its exact size (exact) and
+// releases every one, merge error or not. Nothing else releases a table, so
+// none the caller can hold goes back to the pool: not ExecuteSegment's, not
+// the lone result of a single segment, not a decoded or merged one. A table
+// of more than maxPooledGroups rows is left to the collector.
 type GroupTable struct {
 	keys []keyColumn
 	aggs []aggColumn
 	n    int
 	// slots is the hash index: the ordinal+1 of the group whose key hashes
-	// there, 0 when empty. It is nil until a find-or-insert first needs it
+	// there, 0 when empty. It is empty until a find-or-insert first needs it
 	// (a decoded table that is only ever merged from never builds one).
 	slots []uint32
 }
+
+var tablePool = sync.Pool{New: func() any { return new(GroupTable) }}
+
+// scratchTable is NewGroupTable from tablePool: the table comes back with
+// the capacity of its columns and hash index.
+func scratchTable(nKeys int, exprs []pql.Expression) *GroupTable {
+	return tablePool.Get().(*GroupTable).reset(nKeys, exprs)
+}
+
+// release empties a scratch table into tablePool and reports whether it did;
+// one of more than maxPooledGroups rows is dropped instead. Its strings alias
+// segment dictionaries, so their headers are cleared: a pooled table pins no
+// dropped segment's buffer. So are its value lists and sets, which may have
+// moved to a copy (exact).
+func (t *GroupTable) release() bool {
+	if t == nil || t.n > maxPooledGroups {
+		return false
+	}
+	for c := range t.keys {
+		k := &t.keys[c]
+		clear(k.strs[:cap(k.strs)])
+		k.kind, k.strs, k.nums = keyUnset, k.strs[:0], k.nums[:0]
+	}
+	for a := range t.aggs {
+		c := &t.aggs[a]
+		clear(c.values[:cap(c.values)])
+		*c = aggColumn{count: c.count[:0], sum: c.sum[:0], extreme: c.extreme[:0], seen: c.seen[:0], values: c.values[:0]}
+	}
+	t.n, t.slots = 0, t.slots[:0]
+	tablePool.Put(t)
+	return true
+}
+
+// exact returns a copy of t in storage of exactly its size, with no hash
+// index; t's value lists and sets move to the copy, so t may be released.
+func (t *GroupTable) exact() *GroupTable {
+	if t == nil {
+		return nil
+	}
+	out := &GroupTable{keys: make([]keyColumn, len(t.keys)), aggs: make([]aggColumn, len(t.aggs)), n: t.n}
+	for c, k := range t.keys {
+		out.keys[c] = keyColumn{kind: k.kind, strs: copied(k.strs), nums: copied(k.nums)}
+	}
+	for a := range t.aggs {
+		c := &t.aggs[a]
+		out.aggs[a] = aggColumn{fn: c.fn, has: c.has, count: copied(c.count), sum: copied(c.sum),
+			extreme: copied(c.extreme), seen: copied(c.seen), values: copied(c.values), set: c.set}
+		c.set = nil
+	}
+	return out
+}
+
+// copied returns a copy of s, nil when s is empty (where slices.Clone would
+// still point into s's array, keeping a pooled column alive).
+func copied[T any](s []T) []T { return append([]T(nil), s...) }
 
 // keyKind is the type of a key column. The value kinds are numbered like the
 // cells of the wire layout, which writes them as the column's tag.
@@ -201,13 +265,14 @@ func typedDict(col segment.ColumnReader) (strs []string, longs []int64) {
 }
 
 // decodeDict turns a column of dictionary ids into the values they stand
-// for; strings alias the dictionary's.
+// for; strings alias the dictionary's. A string column keeps the ids'
+// backing array, empty, for the next use of a scratch table.
 func (k *keyColumn) decodeDict(col segment.ColumnReader) {
 	ids := k.nums
 	k.kind, k.nums = keyUnset, ids[:0]
 	appendDict(k, col, ids)
 	if k.kind == keyString {
-		k.nums = nil
+		k.nums = k.nums[:0]
 	}
 }
 
@@ -241,9 +306,19 @@ func appendDict[I ~int | ~uint32 | ~uint64](k *keyColumn, col segment.ColumnRead
 // state. Upsert and SetState fill it; the engine's own paths fill theirs in
 // place.
 func NewGroupTable(nKeys int, exprs []pql.Expression) *GroupTable {
-	t := &GroupTable{keys: make([]keyColumn, nKeys), aggs: make([]aggColumn, len(exprs))}
+	return new(GroupTable).reset(nKeys, exprs)
+}
+
+// reset shapes an empty table, new or released, as NewGroupTable describes,
+// keeping the storage it has.
+func (t *GroupTable) reset(nKeys int, exprs []pql.Expression) *GroupTable {
+	t.keys = slices.Grow(t.keys[:0], nKeys)[:nKeys]
+	t.aggs = slices.Grow(t.aggs[:0], len(exprs))[:len(exprs)]
 	for i, e := range exprs {
-		t.aggs[i] = newAggColumn(e.Func)
+		c := &t.aggs[i]
+		if c.fn, c.has = e.Func, carries(e.Func); c.has&fDistinct != 0 {
+			c.set = map[distinctEntry]struct{}{}
+		}
 	}
 	if nKeys == 0 {
 		t.n = 1
@@ -390,14 +465,16 @@ func (t *GroupTable) findOrAdd(src *GroupTable, j int) (ord uint32, isNew bool) 
 }
 
 // reindex rebuilds the hash index over the table's groups with room for as
-// many again, and reports whether their keys are distinct. A repeated key
-// keeps its first ordinal.
+// many again, in the index's own storage when that is large enough, and
+// reports whether their keys are distinct. A repeated key keeps its first
+// ordinal.
 func (t *GroupTable) reindex() (distinct bool) {
 	size := 16
 	for size < 4*(t.n+1) {
 		size *= 2
 	}
-	t.slots = make([]uint32, size)
+	t.slots = slices.Grow(t.slots[:0], size)[:size]
+	clear(t.slots)
 	mask := uint64(size - 1)
 	distinct = true
 rows:
@@ -444,7 +521,7 @@ func (t *GroupTable) merge(o *GroupTable) error {
 	var row0 [1]uint32
 	ords := row0[:]
 	if len(t.keys) > 0 {
-		if t.slots == nil && !t.reindex() {
+		if len(t.slots) == 0 && !t.reindex() {
 			return fmt.Errorf("query: a group-by result repeats a key")
 		}
 		ords = make([]uint32, o.n)
@@ -466,7 +543,7 @@ func (t *GroupTable) decodeKeys(items []groupItem) {
 	for c := range t.keys {
 		if t.keys[c].kind == keyDictID {
 			t.keys[c].decodeDict(items[c].col)
-			t.slots = nil
+			t.slots = t.slots[:0]
 		}
 	}
 }
@@ -602,14 +679,6 @@ type aggColumn struct {
 type distinctEntry struct {
 	ord uint32
 	val string
-}
-
-func newAggColumn(fn pql.AggFunc) aggColumn {
-	c := aggColumn{fn: fn, has: carries(fn)}
-	if c.has&fDistinct != 0 {
-		c.set = map[distinctEntry]struct{}{}
-	}
-	return c
 }
 
 // extend grows the column to n rows, the new ones as no document leaves

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"sync"
 
 	"pinot/internal/pql"
 	"pinot/internal/qctx"
@@ -102,6 +103,20 @@ type Intermediate struct {
 	// (selection.go); nil when there is none.
 	Selection *Selection
 	Stats     Stats
+}
+
+var intermediatePool = sync.Pool{New: func() any { return new(Intermediate) }}
+
+// scratchIntermediate returns a zero Intermediate from the pool fold releases
+// a query's per-segment results to.
+func scratchIntermediate() *Intermediate { return intermediatePool.Get().(*Intermediate) }
+
+// release puts a per-segment result and its group table back into their
+// pools. Only fold calls it, on results no caller holds.
+func (r *Intermediate) release() {
+	r.Groups.release()
+	*r = Intermediate{}
+	intermediatePool.Put(r)
 }
 
 // NewAggIntermediate returns the result of an aggregation without GROUP BY

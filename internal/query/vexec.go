@@ -138,7 +138,8 @@ func (s *blockScratch) doubleBuf(n int) []float64 {
 	return s.doubles
 }
 
-// maxPooledGroups bounds the group index a pooled scratch keeps.
+// maxPooledGroups bounds the groups a pooled scratch's index and a pooled
+// group table (GroupTable.release) keep room for.
 const maxPooledGroups = 4096
 
 func (s *blockScratch) packedIndex() map[uint64]uint32 {

@@ -399,7 +399,56 @@ func FuzzDecodeIntermediate(f *testing.F) {
 	f.Add(disagree)
 	f.Add([]byte{})
 	f.Add([]byte("junk"))
-	f.Fuzz(checkDecode)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecode(t, data)
+		checkPooledFold(t, data)
+	})
+}
+
+// checkPooledFold folds two decodes of data into pooled storage, as the
+// engine's fold merges a query's segments, then a third decode alone into
+// storage that first fold released, so its counts and sums differ: the first
+// fold's result must still encode to the bytes it had.
+func checkPooledFold(t *testing.T, data []byte) {
+	shape, err := DecodeIntermediate(data)
+	if err != nil {
+		return
+	}
+	fold3 := func(parts ...*Intermediate) *Intermediate {
+		acc := scratchIntermediate()
+		*acc = Intermediate{Kind: shape.Kind, AggExprs: shape.AggExprs, GroupCols: shape.GroupCols, SelectCols: shape.SelectCols, HiddenCols: shape.HiddenCols}
+		if shape.Kind == KindGroupBy {
+			acc.Groups = scratchTable(len(shape.GroupCols), shape.AggExprs)
+		}
+		done := []outcome{{res: acc}}
+		for _, p := range parts {
+			done = append(done, outcome{res: p})
+		}
+		r, err := fold(done)
+		if err != nil {
+			return nil
+		}
+		return r
+	}
+	decode := func() *Intermediate {
+		r, err := DecodeIntermediate(data)
+		if err != nil {
+			t.Fatalf("the same bytes decoded once, then not: %v", err)
+		}
+		return r
+	}
+	first := fold3(decode(), decode())
+	if first == nil {
+		return
+	}
+	want, err := EncodeIntermediate(first)
+	if err != nil {
+		t.Fatalf("a fold of decoded intermediates does not encode: %v", err)
+	}
+	fold3(decode())
+	if got := mustEncode(t, first); !bytes.Equal(got, want) {
+		t.Fatalf("a later fold changed an earlier result:\n got %v\nwant %v", got, want)
+	}
 }
 
 // TestDecodeAllocationWorstCases hand-builds the payloads checkDecode's
